@@ -186,23 +186,48 @@ fn round2(v: f64) -> f64 {
     (v * 100.0).round() / 100.0
 }
 
-/// Max tolerated total-wall growth over the baseline before `--check`
-/// fails (10 %).
+/// Max tolerated wall growth over the best-ever baseline before
+/// `--check` fails (10 %).
 pub const CHECK_TOLERANCE: f64 = 0.10;
 
-/// Outcome of a `--check` comparison against the latest labeled run.
+/// Runs of the workload set `--check` may take before it fails: the
+/// baseline is a best-of-history, so a single sample is not its peer.
+pub const CHECK_ATTEMPTS: usize = 3;
+
+/// One workload of a `--check` comparison: the current wall against the
+/// fastest recorded run of the same name *and* event count.
+#[derive(Clone, Debug)]
+pub struct CheckRow {
+    /// Workload name.
+    pub name: &'static str,
+    /// Label that holds the best-ever wall for this workload.
+    pub best_label: String,
+    /// That run's wall-clock milliseconds.
+    pub best_wall_ms: f64,
+    /// Current wall-clock milliseconds.
+    pub current_wall_ms: f64,
+}
+
+/// Outcome of a `--check` comparison against the per-workload best-ever
+/// walls of every labeled run.
+///
+/// Comparing against the *latest* label let creep compound (3918 →
+/// 4226 → 4665 ms over three labels that each passed their own 10 %
+/// gate); a best-ever baseline only ever moves down. The gate is on
+/// the sum over workloads — the 10–35 ms rows move by more than the
+/// tolerance between two runs of one binary — and the per-workload
+/// rows say which layer paid.
 #[derive(Clone, Debug)]
 pub struct CheckReport {
-    /// Label of the baseline run compared against.
-    pub baseline_label: String,
-    /// Baseline total wall-clock milliseconds.
+    /// Workloads with an event-identical recorded run, in run order.
+    pub rows: Vec<CheckRow>,
+    /// Workloads no label recorded with this event count (new, or the
+    /// simulated trace changed): reported, not gated.
+    pub unmatched: Vec<&'static str>,
+    /// Sum of the rows' best-ever walls.
     pub baseline_wall_ms: f64,
-    /// Current total wall-clock milliseconds.
+    /// Sum of the rows' current walls.
     pub current_wall_ms: f64,
-    /// Baseline total simulator events (determinism witness).
-    pub baseline_events: Option<u64>,
-    /// Current total simulator events.
-    pub current_events: u64,
     /// `current / baseline` wall ratio.
     pub ratio: f64,
     /// True when the ratio exceeds `1 + tolerance`.
@@ -210,68 +235,83 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// Human-readable one-line verdict.
+    /// Human-readable verdict: one line per workload, then the gate.
     pub fn verdict(&self) -> String {
-        let drift = if self
-            .baseline_events
-            .is_some_and(|b| b != self.current_events)
-        {
-            " [events drifted vs baseline — workload changed, wall comparison is approximate]"
-        } else {
-            ""
-        };
-        format!(
-            "simperf --check: {:.1} ms vs {:.1} ms ({} @ {:.2}x){}{}",
+        let mut out = String::new();
+        for r in &self.rows {
+            out += &format!(
+                "simperf --check: {:<28} {:>8.1} ms vs best {:>8.1} ms ({}) {:.2}x\n",
+                r.name,
+                r.current_wall_ms,
+                r.best_wall_ms,
+                r.best_label,
+                r.current_wall_ms / r.best_wall_ms,
+            );
+        }
+        for name in &self.unmatched {
+            out += &format!(
+                "simperf --check: {name:<28} has no event-identical baseline — workload changed, not gated\n"
+            );
+        }
+        out + &format!(
+            "simperf --check: total {:.1} ms vs {:.1} ms (sum of best-ever walls) {:.2}x{}",
             self.current_wall_ms,
             self.baseline_wall_ms,
-            self.baseline_label,
             self.ratio,
             if self.regressed { " REGRESSED" } else { " ok" },
-            drift,
         )
     }
 }
 
-/// The last run merged into the report — labels append in insertion
-/// order, so the final entry is the most recent baseline.
-fn latest_labeled_run(doc: &Json) -> Option<(&str, &Json)> {
-    match doc.get("runs")? {
-        Json::Obj(runs) => runs.last().map(|(k, v)| (k.as_str(), v)),
-        _ => None,
-    }
-}
-
-/// Compares measured `results` against the latest labeled run in the
-/// report text. Errors when the report is unparsable or has no runs;
-/// the caller turns `regressed` into a non-zero exit for CI.
+/// Compares measured `results`, workload by workload, against the
+/// fastest event-identical run recorded under any label of the report
+/// text. Errors when the report is unparsable or no workload has an
+/// event-identical baseline; the caller turns `regressed` into a
+/// non-zero exit for CI.
 pub fn check_against(
     existing: &str,
     results: &[WorkloadResult],
     tolerance: f64,
 ) -> Result<CheckReport, String> {
     let doc = Json::parse(existing).map_err(|e| format!("unparsable baseline report: {e}"))?;
-    let (label, run) =
-        latest_labeled_run(&doc).ok_or("baseline report has no labeled runs to compare against")?;
-    let baseline_wall_ms = run
-        .get("total_wall_ms")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("run {label:?} lacks total_wall_ms"))?;
-    if baseline_wall_ms <= 0.0 {
-        return Err(format!("run {label:?} has non-positive total_wall_ms"));
+    let Some(Json::Obj(runs)) = doc.get("runs") else {
+        return Err("baseline report has no labeled runs to compare against".into());
+    };
+    let mut rows = Vec::new();
+    let mut unmatched = Vec::new();
+    for r in results {
+        let recorded = runs.iter().filter_map(|(label, run)| {
+            let Some(Json::Arr(workloads)) = run.get("workloads") else {
+                return None;
+            };
+            let same = workloads.iter().find(|w| {
+                w.get("name") == Some(&Json::str(r.name))
+                    && w.get("events").and_then(Json::as_f64) == Some(r.events as f64)
+            })?;
+            let wall = same.get("wall_ms").and_then(Json::as_f64)?;
+            (wall > 0.0).then_some((label, wall))
+        });
+        match recorded.min_by(|a, b| a.1.total_cmp(&b.1)) {
+            Some((label, best_wall_ms)) => rows.push(CheckRow {
+                name: r.name,
+                best_label: label.clone(),
+                best_wall_ms,
+                current_wall_ms: r.wall_ms,
+            }),
+            None => unmatched.push(r.name),
+        }
     }
-    let baseline_events = run
-        .get("total_events")
-        .and_then(Json::as_f64)
-        .map(|e| e as u64);
-    let current_wall_ms: f64 = results.iter().map(|r| r.wall_ms).sum();
-    let current_events: u64 = results.iter().map(|r| r.events).sum();
+    if rows.is_empty() {
+        return Err("no labeled run recorded any of these workloads event-identically".into());
+    }
+    let baseline_wall_ms: f64 = rows.iter().map(|r| r.best_wall_ms).sum();
+    let current_wall_ms: f64 = rows.iter().map(|r| r.current_wall_ms).sum();
     let ratio = current_wall_ms / baseline_wall_ms;
     Ok(CheckReport {
-        baseline_label: label.to_string(),
+        rows,
+        unmatched,
         baseline_wall_ms,
         current_wall_ms,
-        baseline_events,
-        current_events,
         ratio: round2(ratio),
         regressed: ratio > 1.0 + tolerance,
     })
@@ -357,17 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn check_compares_against_latest_labeled_run() {
-        // Two labels merged in order: the check must pick the second.
+    fn check_compares_against_best_ever_not_latest() {
+        // Three labels merged in order, the fastest in the middle: the
+        // check must pick it, so a slow latest label cannot raise the bar.
         let doc = merge_report(None, "before", fake(200.0));
         let doc = merge_report(Some(&doc.pretty()), "pr2-trace-off", fake(100.0));
+        let doc = merge_report(Some(&doc.pretty()), "pr8-elastic", fake(119.0));
         let text = doc.pretty();
 
         let ok = check_against(&text, &fake_results(105.0), CHECK_TOLERANCE).unwrap();
-        assert_eq!(ok.baseline_label, "pr2-trace-off");
+        assert_eq!(ok.rows[0].best_label, "pr2-trace-off");
         assert_eq!(ok.baseline_wall_ms, 100.0);
         assert!(!ok.regressed, "{}", ok.verdict());
 
+        // Within 10 % of the latest label, but not of the best: creep.
         let bad = check_against(&text, &fake_results(120.0), CHECK_TOLERANCE).unwrap();
         assert!(bad.regressed, "{}", bad.verdict());
         assert!(bad.verdict().contains("REGRESSED"));
@@ -378,19 +421,63 @@ mod tests {
     }
 
     #[test]
-    fn check_flags_event_drift() {
-        let doc = merge_report(None, "base", fake(100.0));
-        let mut results = fake_results(100.0);
-        results[0].events = 999; // baseline recorded 1000
+    fn check_takes_each_workload_from_its_own_best_label_and_skips_event_drift() {
+        let run = |a: f64, b: f64, b_events: u64| {
+            run_to_json(&[
+                WorkloadResult {
+                    name: "a",
+                    wall_ms: a,
+                    events: 1000,
+                    ops: 10,
+                },
+                WorkloadResult {
+                    name: "b",
+                    wall_ms: b,
+                    events: b_events,
+                    ops: 10,
+                },
+            ])
+        };
+        let doc = merge_report(None, "one", run(50.0, 80.0, 2000));
+        let doc = merge_report(Some(&doc.pretty()), "two", run(70.0, 60.0, 2000));
+        // Fastest of all, but a different simulated trace: never a baseline.
+        let doc = merge_report(Some(&doc.pretty()), "three", run(90.0, 10.0, 1999));
+        let mut results = fake_results(55.0);
+        results[0].name = "a";
+        results.push(WorkloadResult {
+            name: "b",
+            wall_ms: 60.0,
+            events: 2000,
+            ops: 10,
+        });
+        results.push(WorkloadResult {
+            name: "c",
+            wall_ms: 1e6,
+            events: 5,
+            ops: 1,
+        });
         let rep = check_against(&doc.pretty(), &results, CHECK_TOLERANCE).unwrap();
-        assert!(rep.verdict().contains("events drifted"));
+        let best: Vec<_> = rep
+            .rows
+            .iter()
+            .map(|r| (r.name, r.best_label.as_str(), r.best_wall_ms))
+            .collect();
+        assert_eq!(best, [("a", "one", 50.0), ("b", "two", 60.0)]);
+        assert_eq!(rep.unmatched, ["c"]);
+        assert_eq!((rep.baseline_wall_ms, rep.current_wall_ms), (110.0, 115.0));
+        assert!(!rep.regressed, "an unmatched workload is not gated");
+        assert!(rep.verdict().contains("no event-identical baseline"));
     }
 
     #[test]
-    fn check_rejects_empty_or_broken_baselines() {
+    fn check_rejects_empty_broken_or_event_drifted_baselines() {
         assert!(check_against("not json", &fake_results(1.0), CHECK_TOLERANCE).is_err());
         let empty = Json::Obj(vec![("runs".into(), Json::Obj(vec![]))]);
         assert!(check_against(&empty.pretty(), &fake_results(1.0), CHECK_TOLERANCE).is_err());
+        let doc = merge_report(None, "base", fake(100.0));
+        let mut results = fake_results(100.0);
+        results[0].events = 999; // baseline recorded 1000
+        assert!(check_against(&doc.pretty(), &results, CHECK_TOLERANCE).is_err());
     }
 
     #[test]

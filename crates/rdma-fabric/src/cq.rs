@@ -32,7 +32,7 @@ pub enum WcStatus {
 }
 
 /// A work completion entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Wc {
     /// The id given at post time (or a receive's id for inbound
     /// completions).

@@ -15,9 +15,10 @@
 //! callback and reports application-visible effects as [`Upcall`]s, so it
 //! stays decoupled from whatever RPC layer runs above it.
 
+use crate::counters::{Counter, NodeCounters};
 use crate::cq::{CompletionQueue, Wc, WcOpcode, WcStatus};
 use crate::error::{VerbError, VerbResult};
-use crate::llc::LlcModel;
+use crate::llc::{DmaWriteOutcome, LlcModel};
 use crate::mr::MemoryRegion;
 use crate::niccache::NicCache;
 use crate::params::{FabricParams, LinkDegrade};
@@ -83,7 +84,7 @@ pub enum Upcall {
     },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum PacketKind {
     Send {
         data: Bytes,
@@ -118,16 +119,23 @@ enum PacketKind {
     },
 }
 
-#[derive(Clone, Debug)]
-struct Packet {
+/// What every pipeline stage needs to know about a packet besides its
+/// payload. Derived packets (read/atomic responses) copy the request's
+/// header, keeping its src/dst orientation and trace id, so a whole
+/// round trip shares one id.
+#[derive(Clone, Copy, Debug)]
+struct PacketHdr {
     src_qp: QpId,
     dst_qp: QpId,
     wr_id: WrId,
     signaled: bool,
-    /// Trace id stamped by the RPC layer (0 = untraced). Derived
-    /// packets (read/atomic responses) inherit the request's id, so a
-    /// whole round trip shares one id.
+    /// Trace id stamped by the RPC layer (0 = untraced).
     trace: TraceId,
+}
+
+#[derive(Debug)]
+struct Packet {
+    hdr: PacketHdr,
     kind: PacketKind,
 }
 
@@ -140,8 +148,10 @@ enum Inner {
     /// Responder-side memory/CQE effects materialize after the DMA write.
     Deliver {
         node: NodeId,
-        writes: Vec<(MrId, usize, Bytes)>,
-        mem_hint: Option<(MrId, usize, usize)>,
+        /// `(region, offset, bytes)` landing in host memory.
+        write: (MrId, usize, Bytes),
+        /// Whether the landing is announced as [`Upcall::MemWrite`].
+        notify: bool,
         wc: Option<(CqId, Wc)>,
     },
     /// Requester-side completion (ack arrival or local completion).
@@ -164,7 +174,7 @@ struct Node {
     llc: LlcModel,
     tx: FifoResource,
     rx: FifoResource,
-    counters: CounterSet,
+    counters: NodeCounters,
     clock: SkewedClock,
 }
 
@@ -262,7 +272,7 @@ impl Fabric {
         let n = &mut self.nodes[node.index()];
         n.tx.acquire(now, dur);
         n.rx.acquire(now, dur);
-        n.counters.inc("NodeStalls");
+        n.counters.inc(Counter::NodeStalls);
     }
 
     // ---- tracing --------------------------------------------------------
@@ -313,7 +323,7 @@ impl Fabric {
             llc: LlcModel::new(self.params.llc_bytes, self.params.ddio_fraction),
             tx: FifoResource::new(),
             rx: FifoResource::new(),
-            counters: CounterSet::new(),
+            counters: NodeCounters::new(),
             clock,
         });
         id
@@ -418,7 +428,8 @@ impl Fabric {
         }
         let cpu = self.params.conn_setup_cpu();
         let node = self.qp(a)?.node();
-        self.nodes[node.index()].counters.inc("ConnSetupsStarted"); // NodeId indexes self.nodes: nodes are never removed
+        let node = &mut self.nodes[node.index()]; // NodeId indexes self.nodes: nodes are never removed
+        node.counters.inc(Counter::ConnSetupsStarted);
         sched(
             now + cpu + self.params.qp_rts_latency,
             FabricEvent(Inner::ConnRts { a, b }),
@@ -454,7 +465,7 @@ impl Fabric {
             }
         }
         // simlint: allow(R3): NodeId is fabric-allocated, so an OOB index is a driver bug
-        self.nodes[node.index()].counters.inc("NodeCrashes");
+        self.nodes[node.index()].counters.inc(Counter::NodeCrashes);
         torn
     }
 
@@ -530,9 +541,10 @@ impl Fabric {
         Ok(())
     }
 
-    /// A node's counter set (PCM-style PCIe counters plus fabric events).
-    pub fn counters(&self, node: NodeId) -> VerbResult<&CounterSet> {
-        Ok(&self.node(node)?.counters)
+    /// A node's counters (PCM-style PCIe counters plus fabric events) as
+    /// a name-sorted set of those touched so far, built on each call.
+    pub fn counters(&self, node: NodeId) -> VerbResult<CounterSet> {
+        Ok(self.node(node)?.counters.view())
     }
 
     /// A node's local clock.
@@ -735,15 +747,15 @@ impl Fabric {
             *s % 128
         };
         self.qp_mut(qp_id)?.wqe_posted();
-        self.nodes[node.index()].counters.inc("TxVerbs"); // NodeId indexes self.nodes: nodes are never removed
-        let pkt = Packet {
+        self.nodes[node.index()].counters.inc(Counter::TxVerbs); // NodeId indexes self.nodes: nodes are never removed
+        let hdr = PacketHdr {
             src_qp: qp_id,
             dst_qp,
             wr_id,
             signaled,
             trace: std::mem::take(&mut self.trace_ctx),
-            kind,
         };
+        let pkt = Packet { hdr, kind };
         sched(
             now + self.params.doorbell_latency,
             FabricEvent(Inner::TxProcess { pkt, slot }),
@@ -771,12 +783,12 @@ impl Fabric {
     /// for exactly this reason.
     pub fn event_node(&self, ev: &FabricEvent) -> NodeId {
         match &ev.0 {
-            Inner::TxProcess { pkt, .. } => self.qps[pkt.src_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
+            Inner::TxProcess { pkt, .. } => self.qps[pkt.hdr.src_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
             Inner::RxProcess { pkt } => match &pkt.kind {
                 PacketKind::ReadResp { .. } | PacketKind::AtomicResp { .. } => {
-                    self.qps[pkt.src_qp.index()].node() // QpId indexes self.qps: QPs error out but are never freed
+                    self.qps[pkt.hdr.src_qp.index()].node() // QpId indexes self.qps: QPs error out but are never freed
                 }
-                _ => self.qps[pkt.dst_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
+                _ => self.qps[pkt.hdr.dst_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
             },
             Inner::Deliver { node, .. } => *node,
             Inner::Complete { qp, .. } => self.qps[qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
@@ -822,28 +834,26 @@ impl Fabric {
             Inner::RxProcess { pkt } => self.rx_process(now, pkt, sched),
             Inner::Deliver {
                 node,
-                writes,
-                mem_hint,
+                write: (mr, offset, data),
+                notify,
                 wc,
             } => {
-                for (mr, offset, data) in writes {
-                    // In-flight packets toward destroyed regions cannot
-                    // exist: regions are never deregistered. Bounds were
-                    // checked at rx time.
-                    self.mrs[mr.index()]
-                        .write(offset, &data)
-                        .expect("bounds checked at rx"); // simlint: allow(R3): bounds checked at rx; regions are never deregistered
-                }
+                // In-flight packets toward destroyed regions cannot
+                // exist: regions are never deregistered. Bounds were
+                // checked at rx time.
+                self.mrs[mr.index()]
+                    .write(offset, &data)
+                    .expect("bounds checked at rx"); // simlint: allow(R3): bounds checked at rx; regions are never deregistered
                 if let Some((cq, wc)) = wc {
-                    self.cqs[cq.index()].push(wc.clone()); // CqId indexes self.cqs: CQs are never destroyed
+                    self.cqs[cq.index()].push(wc); // CqId indexes self.cqs: CQs are never destroyed
                     upcalls.push(Upcall::Completion { node, cq, wc });
                 }
-                if let Some((mr, offset, len)) = mem_hint {
+                if notify {
                     upcalls.push(Upcall::MemWrite {
                         node,
                         mr,
                         offset,
-                        len,
+                        len: data.len(),
                     });
                 }
             }
@@ -854,7 +864,7 @@ impl Fabric {
                     (q.node(), q.send_cq())
                 };
                 if let Some(wc) = wc {
-                    self.cqs[cq.index()].push(wc.clone()); // CqId indexes self.cqs: CQs are never destroyed
+                    self.cqs[cq.index()].push(wc); // CqId indexes self.cqs: CQs are never destroyed
                     upcalls.push(Upcall::Completion { node, cq, wc });
                 }
             }
@@ -866,7 +876,7 @@ impl Fabric {
                     // Mirrors Fabric::connect, pre-validated above.
                     self.qps[a.index()].connect_to(b).expect("validated reset"); // simlint: allow(R3): state checked above
                     self.qps[b.index()].connect_to(a).expect("validated reset"); // simlint: allow(R3): state checked above
-                    self.nodes[node.index()].counters.inc("ConnSetups"); // NodeId indexes self.nodes: nodes are never removed
+                    self.nodes[node.index()].counters.inc(Counter::ConnSetups); // NodeId indexes self.nodes: nodes are never removed
                     self.tracer
                         .instant(InstantKind::ConnSetup, now, a.0 as u64, b.0 as u64);
                     upcalls.push(Upcall::ConnEstablished {
@@ -877,15 +887,17 @@ impl Fabric {
                 } else {
                     // One end crashed or was reused while the modify-QP
                     // chain was in flight; the setup is abandoned.
-                    self.nodes[node.index()].counters.inc("ConnSetupsAborted"); // NodeId indexes self.nodes: nodes are never removed
+                    let node = &mut self.nodes[node.index()]; // NodeId indexes self.nodes: nodes are never removed
+                    node.counters.inc(Counter::ConnSetupsAborted);
                 }
             }
         }
     }
 
     fn tx_process(&mut self, now: SimTime, pkt: Packet, slot: u32, sched: &mut Sched<'_>) {
-        let src_node = self.qps[pkt.src_qp.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
-        let transport = self.qps[pkt.src_qp.index()].transport();
+        let hdr = pkt.hdr;
+        let src_node = self.qps[hdr.src_qp.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
+        let transport = self.qps[hdr.src_qp.index()].transport();
         let payload = match &pkt.kind {
             PacketKind::Send { data, .. } | PacketKind::Write { data, .. } => data.len(),
             PacketKind::ReadReq { .. } => 16,
@@ -897,13 +909,13 @@ impl Fabric {
         let degrade = self.degrade;
         let lines = FabricParams::lines(payload) as u64;
         let node = &mut self.nodes[src_node.index()]; // NodeId indexes self.nodes: nodes are never removed
-        let access = node.nic.access(pkt.src_qp, slot);
+        let access = node.nic.access(hdr.src_qp, slot);
         // Payload DMA read from host memory, plus re-fetch of evicted
         // QP context / WQE state.
         node.counters
-            .add("PCIeRdCur", lines + access.extra_pcie_reads());
+            .add(Counter::PCIeRdCur, lines + access.extra_pcie_reads());
         if access.qp_miss {
-            node.counters.inc("NicQpMiss");
+            node.counters.inc(Counter::NicQpMiss);
         }
         let mut occupancy = p.nic_tx_base + p.dma_read_per_line * lines;
         if access.qp_miss {
@@ -927,301 +939,231 @@ impl Fabric {
                 InstantKind::QpCacheEvict,
                 now,
                 victim.0 as u64,
-                pkt.src_qp.0 as u64,
+                hdr.src_qp.0 as u64,
             );
         }
-        if pkt.trace != 0 {
+        if hdr.trace != 0 {
             // Span covers queueing delay behind earlier WQEs plus the
             // engine's own occupancy (grant.begin - now is the wait).
-            self.tracer.span(
-                pkt.trace,
-                Stage::TxNic,
-                now,
-                grant.complete,
-                pkt.src_qp.0 as u64,
-            );
-            self.tracer.span(
-                pkt.trace,
-                Stage::Link,
-                grant.complete,
-                arrival,
-                pkt.src_qp.0 as u64,
-            );
+            let qp = hdr.src_qp.0 as u64;
+            self.tracer
+                .span(hdr.trace, Stage::TxNic, now, grant.complete, qp);
+            self.tracer
+                .span(hdr.trace, Stage::Link, grant.complete, arrival, qp);
         }
 
         // Unreliable transports complete locally once the NIC has sent
         // the message; reliable ones wait for the ack (scheduled at rx).
         if !transport.is_reliable() {
-            let wc = pkt.signaled.then_some(Wc {
-                wr_id: pkt.wr_id,
+            let wc = hdr.signaled.then_some(Wc {
+                wr_id: hdr.wr_id,
                 opcode: match pkt.kind {
                     PacketKind::Send { .. } => WcOpcode::Send,
                     _ => WcOpcode::RdmaWrite,
                 },
                 status: WcStatus::Success,
                 byte_len: payload,
-                qp: pkt.src_qp,
+                qp: hdr.src_qp,
                 imm: None,
                 src_qp: None,
             });
             sched(
                 grant.complete + p.dma_write_latency,
-                FabricEvent(Inner::Complete { qp: pkt.src_qp, wc }),
+                FabricEvent(Inner::Complete { qp: hdr.src_qp, wc }),
             );
         }
         sched(arrival, FabricEvent(Inner::RxProcess { pkt }));
     }
 
     fn requester_completion(
-        &mut self,
         at: SimTime,
-        pkt: &Packet,
+        hdr: PacketHdr,
         status: WcStatus,
         opcode: WcOpcode,
         byte_len: usize,
         sched: &mut Sched<'_>,
     ) {
-        let wc = (pkt.signaled || status != WcStatus::Success).then_some(Wc {
-            wr_id: pkt.wr_id,
+        let wc = (hdr.signaled || status != WcStatus::Success).then_some(Wc {
+            wr_id: hdr.wr_id,
             opcode,
             status,
             byte_len,
-            qp: pkt.src_qp,
+            qp: hdr.src_qp,
             imm: None,
             src_qp: None,
         });
-        sched(at, FabricEvent(Inner::Complete { qp: pkt.src_qp, wc }));
+        sched(at, FabricEvent(Inner::Complete { qp: hdr.src_qp, wc }));
+    }
+
+    /// Counts a packet its responder could not serve under `why` and, on
+    /// reliable transports, errors it back to the requester as `status`
+    /// one ack latency later.
+    fn reject(
+        &mut self,
+        now: SimTime,
+        hdr: PacketHdr,
+        (why, status): (Counter, WcStatus),
+        opcode: WcOpcode,
+        sched: &mut Sched<'_>,
+    ) {
+        let node = self.qps[hdr.dst_qp.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
+        self.nodes[node.index()].counters.inc(why); // NodeId indexes self.nodes: nodes are never removed
+        if self.qps[hdr.src_qp.index()].transport().is_reliable() {
+            let at = now + self.params.ack_latency;
+            Self::requester_completion(at, hdr, status, opcode, 0, sched);
+        }
+    }
+
+    /// Whether `[remote.offset, +len)` lies inside a region `node` owns.
+    fn owns(&self, node: NodeId, remote: RemoteAddr, len: usize) -> bool {
+        self.mr_node(remote.mr) == Ok(node)
+            && self
+                .mr(remote.mr)
+                .and_then(|mr| mr.check(remote.offset, len))
+                .is_ok()
+    }
+
+    /// Lands `len` inbound bytes at `mr[offset..]` on `node`: the LLC/DDIO
+    /// model classifies the lines, the PCM write counters and the rx
+    /// engine are charged, and the RxNic/Dma spans recorded against
+    /// `qp`. Returns the classification and when the rx engine is done.
+    fn land_inbound(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        (mr, offset, len): (MrId, usize, usize),
+        trace: TraceId,
+        qp: QpId,
+    ) -> (DmaWriteOutcome, SimTime) {
+        let n = &mut self.nodes[node.index()]; // NodeId indexes self.nodes: nodes are never removed
+        let dma = n.llc.dma_write(mr, offset, len);
+        n.counters.add(Counter::ItoM, dma.full_lines);
+        n.counters.add(Counter::RFO, dma.partial_lines);
+        n.counters.add(Counter::PCIeItoM, dma.allocated);
+        n.counters.add(Counter::DdioAllocBursts, dma.alloc_runs);
+        let occ = self.params.nic_rx_base + self.params.ddio_cost(dma.allocated);
+        let done = n.rx.acquire(now, occ).complete;
+        if dma.allocated > 0 {
+            self.tracer
+                .instant(InstantKind::DdioAllocMiss, now, dma.allocated, mr.0 as u64);
+        }
+        if trace != 0 {
+            let landed = done + self.params.dma_write_latency;
+            self.tracer
+                .span(trace, Stage::RxNic, now, done, qp.0 as u64);
+            self.tracer
+                .span(trace, Stage::Dma, done, landed, qp.0 as u64);
+        }
+        (dma, done)
     }
 
     fn rx_process(&mut self, now: SimTime, pkt: Packet, sched: &mut Sched<'_>) {
-        let dst_qp = &self.qps[pkt.dst_qp.index()]; // QpId indexes self.qps: QPs error out but are never freed
-        let dst_node_id = dst_qp.node();
+        let Packet { hdr, kind } = pkt;
+        let dst_qp = &self.qps[hdr.dst_qp.index()]; // QpId indexes self.qps: QPs error out but are never freed
+        let dst_node = dst_qp.node();
         let dst_transport = dst_qp.transport();
         let dst_state = dst_qp.state();
-        let reliable = self.qps[pkt.src_qp.index()].transport().is_reliable(); // QpId indexes self.qps: QPs error out but are never freed
+        let req_node = self.qps[hdr.src_qp.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
+        let reliable = self.qps[hdr.src_qp.index()].transport().is_reliable();
         let p_ack = self.params.ack_latency;
         let p_dma = self.params.dma_write_latency;
+        let ok = WcStatus::Success;
+        let bad_access = (Counter::RemoteAccessErrors, WcStatus::RemoteAccessError);
 
         if dst_state == QpState::Error {
             // Packets toward a torn-down QP vanish; reliable requesters
             // eventually see an error completion.
-            self.nodes[dst_node_id.index()].counters.inc("DroppedAtRx");
-            if reliable {
-                self.requester_completion(
-                    now + p_ack,
-                    &pkt,
-                    WcStatus::RemoteAccessError,
-                    WcOpcode::Send,
-                    0,
-                    sched,
-                );
-            }
-            return;
+            let dropped = (Counter::DroppedAtRx, WcStatus::RemoteAccessError);
+            return self.reject(now, hdr, dropped, WcOpcode::Send, sched);
         }
 
-        match pkt.kind.clone() {
+        match kind {
             PacketKind::Send { data, imm } => {
-                self.nodes[dst_node_id.index()].nic.touch_rx(pkt.dst_qp); // dst node/QP handles index live tables (never removed)
-                let recv = self.qps[pkt.dst_qp.index()].take_recv();
-                match recv {
-                    Some(r) if r.len >= data.len() => {
-                        let node = &mut self.nodes[dst_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
-                        let dma = node.llc.dma_write(r.mr, r.offset, data.len());
-                        node.counters.add("ItoM", dma.full_lines);
-                        node.counters.add("RFO", dma.partial_lines);
-                        node.counters.add("PCIeItoM", dma.allocated);
-                        node.counters.add("DdioAllocBursts", dma.alloc_runs);
-                        node.counters.inc("RxMsgs");
-                        let occ = self.params.nic_rx_base + self.params.ddio_cost(dma.allocated);
-                        let grant = node.rx.acquire(now, occ);
-                        if dma.allocated > 0 {
-                            self.tracer.instant(
-                                InstantKind::DdioAllocMiss,
-                                now,
-                                dma.allocated,
-                                r.mr.0 as u64,
-                            );
-                        }
-                        if pkt.trace != 0 {
-                            self.tracer.span(
-                                pkt.trace,
-                                Stage::RxNic,
-                                now,
-                                grant.complete,
-                                pkt.dst_qp.0 as u64,
-                            );
-                            self.tracer.span(
-                                pkt.trace,
-                                Stage::Dma,
-                                grant.complete,
-                                grant.complete + p_dma,
-                                pkt.dst_qp.0 as u64,
-                            );
-                        }
-                        let wc = Wc {
-                            wr_id: r.wr_id,
-                            opcode: WcOpcode::Recv,
-                            status: WcStatus::Success,
-                            byte_len: data.len(),
-                            qp: pkt.dst_qp,
-                            imm,
-                            src_qp: Some(pkt.src_qp),
-                        };
-                        let len = data.len();
-                        sched(
-                            grant.complete + p_dma,
-                            FabricEvent(Inner::Deliver {
-                                node: dst_node_id,
-                                writes: vec![(r.mr, r.offset, data)],
-                                mem_hint: Some((r.mr, r.offset, len)),
-                                wc: Some((self.qps[pkt.dst_qp.index()].recv_cq(), wc)), // QpId indexes self.qps: QPs error out but are never freed
-                            }),
-                        );
-                        if reliable {
-                            self.requester_completion(
-                                grant.complete + p_ack,
-                                &pkt,
-                                WcStatus::Success,
-                                WcOpcode::Send,
-                                0,
-                                sched,
-                            );
-                        }
-                    }
-                    _ => {
-                        // No receive posted (or too small): UD drops,
-                        // RC errors back to the requester.
-                        let node = &mut self.nodes[dst_node_id.index()];
-                        node.counters.inc(if dst_transport == Transport::Ud {
-                            "UdDrops"
-                        } else {
-                            "RnrDrops"
-                        });
-                        if reliable {
-                            self.requester_completion(
-                                now + p_ack,
-                                &pkt,
-                                WcStatus::RnrRetryExceeded,
-                                WcOpcode::Send,
-                                0,
-                                sched,
-                            );
-                        }
-                    }
+                self.nodes[dst_node.index()].nic.touch_rx(hdr.dst_qp); // dst node/QP handles index live tables (never removed)
+                let recv = self.qps[hdr.dst_qp.index()].take_recv();
+                let Some(r) = recv.filter(|r| r.len >= data.len()) else {
+                    // No receive posted (or too small): UD drops,
+                    // RC errors back to the requester.
+                    let why = if dst_transport == Transport::Ud {
+                        Counter::UdDrops
+                    } else {
+                        Counter::RnrDrops
+                    };
+                    let rnr = (why, WcStatus::RnrRetryExceeded);
+                    return self.reject(now, hdr, rnr, WcOpcode::Send, sched);
+                };
+                let span = (r.mr, r.offset, data.len());
+                let (_, done) = self.land_inbound(now, dst_node, span, hdr.trace, hdr.dst_qp);
+                self.nodes[dst_node.index()].counters.inc(Counter::RxMsgs); // NodeId indexes self.nodes: nodes are never removed
+                let wc = Wc {
+                    wr_id: r.wr_id,
+                    opcode: WcOpcode::Recv,
+                    status: ok,
+                    byte_len: data.len(),
+                    qp: hdr.dst_qp,
+                    imm,
+                    src_qp: Some(hdr.src_qp),
+                };
+                sched(
+                    done + p_dma,
+                    FabricEvent(Inner::Deliver {
+                        node: dst_node,
+                        write: (r.mr, r.offset, data),
+                        notify: true,
+                        wc: Some((self.qps[hdr.dst_qp.index()].recv_cq(), wc)), // QpId indexes self.qps: QPs error out but are never freed
+                    }),
+                );
+                if reliable {
+                    Self::requester_completion(done + p_ack, hdr, ok, WcOpcode::Send, 0, sched);
                 }
             }
             PacketKind::Write { data, remote, imm } => {
-                self.nodes[dst_node_id.index()].nic.touch_rx(pkt.dst_qp); // NodeId indexes self.nodes: nodes are never removed
-                let in_bounds = self
-                    .mr(remote.mr)
-                    .and_then(|mr| mr.check(remote.offset, data.len()))
-                    .is_ok()
-                    && self.mr_node(remote.mr) == Ok(dst_node_id);
-                if !in_bounds {
-                    self.nodes[dst_node_id.index()] // NodeId indexes self.nodes: nodes are never removed
-                        .counters
-                        .inc("RemoteAccessErrors");
-                    if reliable {
-                        self.requester_completion(
-                            now + p_ack,
-                            &pkt,
-                            WcStatus::RemoteAccessError,
-                            WcOpcode::RdmaWrite,
-                            0,
-                            sched,
-                        );
-                    }
-                    return;
+                self.nodes[dst_node.index()].nic.touch_rx(hdr.dst_qp); // NodeId indexes self.nodes: nodes are never removed
+                if !self.owns(dst_node, remote, data.len()) {
+                    return self.reject(now, hdr, bad_access, WcOpcode::RdmaWrite, sched);
                 }
-                let node = &mut self.nodes[dst_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
-                let dma = node.llc.dma_write(remote.mr, remote.offset, data.len());
-                node.counters.add("ItoM", dma.full_lines);
-                node.counters.add("RFO", dma.partial_lines);
-                node.counters.add("PCIeItoM", dma.allocated);
-                node.counters.add("DdioAllocBursts", dma.alloc_runs);
-                node.counters.add("DmaHitMain", dma.hit_main);
-                node.counters.add("DmaHitDdio", dma.hit_ddio);
-                node.counters.inc("RxMsgs");
-                let occ = self.params.nic_rx_base + self.params.ddio_cost(dma.allocated);
-                let grant = node.rx.acquire(now, occ);
-                if dma.allocated > 0 {
-                    self.tracer.instant(
-                        InstantKind::DdioAllocMiss,
-                        now,
-                        dma.allocated,
-                        remote.mr.0 as u64,
-                    );
-                }
-                if pkt.trace != 0 {
-                    self.tracer.span(
-                        pkt.trace,
-                        Stage::RxNic,
-                        now,
-                        grant.complete,
-                        pkt.dst_qp.0 as u64,
-                    );
-                    self.tracer.span(
-                        pkt.trace,
-                        Stage::Dma,
-                        grant.complete,
-                        grant.complete + p_dma,
-                        pkt.dst_qp.0 as u64,
-                    );
-                }
+                let span = (remote.mr, remote.offset, data.len());
+                let (dma, done) = self.land_inbound(now, dst_node, span, hdr.trace, hdr.dst_qp);
+                let node = &mut self.nodes[dst_node.index()]; // NodeId indexes self.nodes: nodes are never removed
+                node.counters.add(Counter::DmaHitMain, dma.hit_main);
+                node.counters.add(Counter::DmaHitDdio, dma.hit_ddio);
+                node.counters.inc(Counter::RxMsgs);
                 // write_imm additionally consumes a receive and yields a
                 // receive-side completion carrying the immediate.
-                let wc = if let Some(imm_v) = imm {
+                let wc = match imm {
+                    None => None,
                     // QpId indexes self.qps: QPs error out but are never freed
-                    match self.qps[pkt.dst_qp.index()].take_recv() {
+                    Some(_) => match self.qps[hdr.dst_qp.index()].take_recv() {
                         Some(r) => Some((
-                            self.qps[pkt.dst_qp.index()].recv_cq(), // QpId indexes self.qps: QPs error out but are never freed
+                            self.qps[hdr.dst_qp.index()].recv_cq(), // QpId indexes self.qps: QPs error out but are never freed
                             Wc {
                                 wr_id: r.wr_id,
                                 opcode: WcOpcode::RecvRdmaWithImm,
-                                status: WcStatus::Success,
+                                status: ok,
                                 byte_len: data.len(),
-                                qp: pkt.dst_qp,
-                                imm: Some(imm_v),
-                                src_qp: Some(pkt.src_qp),
+                                qp: hdr.dst_qp,
+                                imm,
+                                src_qp: Some(hdr.src_qp),
                             },
                         )),
                         None => {
-                            self.nodes[dst_node_id.index()].counters.inc("RnrDrops"); // NodeId indexes self.nodes: nodes are never removed
-                            if reliable {
-                                self.requester_completion(
-                                    now + p_ack,
-                                    &pkt,
-                                    WcStatus::RnrRetryExceeded,
-                                    WcOpcode::RdmaWrite,
-                                    0,
-                                    sched,
-                                );
-                            }
-                            return;
+                            let rnr = (Counter::RnrDrops, WcStatus::RnrRetryExceeded);
+                            return self.reject(now, hdr, rnr, WcOpcode::RdmaWrite, sched);
                         }
-                    }
-                } else {
-                    None
+                    },
                 };
-                let len = data.len();
                 sched(
-                    grant.complete + p_dma,
+                    done + p_dma,
                     FabricEvent(Inner::Deliver {
-                        node: dst_node_id,
-                        writes: vec![(remote.mr, remote.offset, data)],
-                        mem_hint: Some((remote.mr, remote.offset, len)),
+                        node: dst_node,
+                        write: (remote.mr, remote.offset, data),
+                        notify: true,
                         wc,
                     }),
                 );
                 if reliable {
-                    self.requester_completion(
-                        grant.complete + p_ack,
-                        &pkt,
-                        WcStatus::Success,
-                        WcOpcode::RdmaWrite,
-                        0,
-                        sched,
-                    );
+                    let op = WcOpcode::RdmaWrite;
+                    Self::requester_completion(done + p_ack, hdr, ok, op, 0, sched);
                 }
             }
             PacketKind::ReadReq {
@@ -1230,31 +1172,15 @@ impl Fabric {
                 local_mr,
                 local_offset,
             } => {
-                let ok = self
-                    .mr(remote.mr)
-                    .and_then(|mr| mr.check(remote.offset, len))
-                    .is_ok()
-                    && self.mr_node(remote.mr) == Ok(dst_node_id);
-                if !ok {
-                    self.nodes[dst_node_id.index()] // NodeId indexes self.nodes: nodes are never removed
-                        .counters
-                        .inc("RemoteAccessErrors");
-                    self.requester_completion(
-                        now + p_ack,
-                        &pkt,
-                        WcStatus::RemoteAccessError,
-                        WcOpcode::RdmaRead,
-                        0,
-                        sched,
-                    );
-                    return;
+                if !self.owns(dst_node, remote, len) {
+                    return self.reject(now, hdr, bad_access, WcOpcode::RdmaRead, sched);
                 }
                 // Responder NIC DMA-reads the payload from host memory.
                 let lines = FabricParams::lines(len) as u64;
                 let degrade = self.degrade;
-                let node = &mut self.nodes[dst_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
-                node.counters.add("PCIeRdCur", lines);
-                node.counters.inc("RxMsgs");
+                let node = &mut self.nodes[dst_node.index()]; // NodeId indexes self.nodes: nodes are never removed
+                node.counters.add(Counter::PCIeRdCur, lines);
+                node.counters.inc(Counter::RxMsgs);
                 let occ = (self.params.nic_rx_base + self.params.dma_read_per_line * lines)
                     .max(ser_cost(&self.params, degrade, len));
                 let grant = node.rx.acquire(now, occ);
@@ -1263,21 +1189,16 @@ impl Fabric {
                         .read(remote.offset, len)
                         .expect("bounds checked above"), // simlint: allow(R3): bounds checked above
                 );
-                let resp = Packet {
-                    src_qp: pkt.src_qp,
-                    dst_qp: pkt.dst_qp,
-                    wr_id: pkt.wr_id,
-                    signaled: pkt.signaled,
-                    trace: pkt.trace,
-                    kind: PacketKind::ReadResp {
-                        data,
-                        local_mr,
-                        local_offset,
-                    },
+                let kind = PacketKind::ReadResp {
+                    data,
+                    local_mr,
+                    local_offset,
                 };
                 sched(
                     grant.complete + wire_cost(&self.params, degrade),
-                    FabricEvent(Inner::RxProcess { pkt: resp }),
+                    FabricEvent(Inner::RxProcess {
+                        pkt: Packet { hdr, kind },
+                    }),
                 );
             }
             PacketKind::ReadResp {
@@ -1286,57 +1207,19 @@ impl Fabric {
                 local_offset,
             } => {
                 // Arriving back at the *requester*: land the data locally.
-                let req_node_id = self.qps[pkt.src_qp.index()].node();
-                let node = &mut self.nodes[req_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
-                let dma = node.llc.dma_write(local_mr, local_offset, data.len());
-                node.counters.add("ItoM", dma.full_lines);
-                node.counters.add("RFO", dma.partial_lines);
-                node.counters.add("PCIeItoM", dma.allocated);
-                node.counters.add("DdioAllocBursts", dma.alloc_runs);
-                let occ = self.params.nic_rx_base + self.params.ddio_cost(dma.allocated);
-                let grant = node.rx.acquire(now, occ);
-                if dma.allocated > 0 {
-                    self.tracer.instant(
-                        InstantKind::DdioAllocMiss,
-                        now,
-                        dma.allocated,
-                        local_mr.0 as u64,
-                    );
-                }
-                if pkt.trace != 0 {
-                    self.tracer.span(
-                        pkt.trace,
-                        Stage::RxNic,
-                        now,
-                        grant.complete,
-                        pkt.src_qp.0 as u64,
-                    );
-                    self.tracer.span(
-                        pkt.trace,
-                        Stage::Dma,
-                        grant.complete,
-                        grant.complete + p_dma,
-                        pkt.src_qp.0 as u64,
-                    );
-                }
+                let span = (local_mr, local_offset, data.len());
+                let (_, done) = self.land_inbound(now, req_node, span, hdr.trace, hdr.src_qp);
                 let len = data.len();
                 sched(
-                    grant.complete + p_dma,
+                    done + p_dma,
                     FabricEvent(Inner::Deliver {
-                        node: req_node_id,
-                        writes: vec![(local_mr, local_offset, data)],
-                        mem_hint: None,
+                        node: req_node,
+                        write: (local_mr, local_offset, data),
+                        notify: false,
                         wc: None,
                     }),
                 );
-                self.requester_completion(
-                    grant.complete + p_dma,
-                    &pkt,
-                    WcStatus::Success,
-                    WcOpcode::RdmaRead,
-                    len,
-                    sched,
-                );
+                Self::requester_completion(done + p_dma, hdr, ok, WcOpcode::RdmaRead, len, sched);
             }
             PacketKind::AtomicReq {
                 op,
@@ -1344,64 +1227,36 @@ impl Fabric {
                 local_mr,
                 local_offset,
             } => {
-                let valid = self.mr_node(remote.mr) == Ok(dst_node_id)
-                    && self
-                        .mrs
-                        .get(remote.mr.index())
-                        .map(|m| m.read_u64(remote.offset).is_ok())
-                        .unwrap_or(false);
-                if !valid {
-                    self.nodes[dst_node_id.index()] // NodeId indexes self.nodes: nodes are never removed
-                        .counters
-                        .inc("RemoteAccessErrors");
-                    self.requester_completion(
-                        now + p_ack,
-                        &pkt,
-                        WcStatus::RemoteAccessError,
-                        WcOpcode::Atomic,
-                        0,
-                        sched,
-                    );
-                    return;
-                }
+                let word = self.mr(remote.mr).and_then(|m| m.read_u64(remote.offset));
+                let (Ok(old), Ok(true)) = (word, self.mr_node(remote.mr).map(|n| n == dst_node))
+                else {
+                    return self.reject(now, hdr, bad_access, WcOpcode::Atomic, sched);
+                };
                 // Atomics execute serialized at the responder NIC; the
                 // read-modify-write happens "now" in simulation time.
-                let old = self.mrs[remote.mr.index()]
-                    .read_u64(remote.offset)
-                    .expect("validated"); // simlint: allow(R3): read_u64 validated a few lines up
                 let new = match op {
-                    AtomicOp::CompareSwap { compare, swap } => {
-                        if old == compare {
-                            swap
-                        } else {
-                            old
-                        }
-                    }
+                    AtomicOp::CompareSwap { compare, swap } if old == compare => swap,
+                    AtomicOp::CompareSwap { .. } => old,
                     AtomicOp::FetchAdd { add } => old.wrapping_add(add),
                 };
                 self.mrs[remote.mr.index()] // MrId indexes self.mrs: regions are never deregistered
                     .write_u64(remote.offset, new)
-                    .expect("validated"); // simlint: allow(R3): same read_u64 validated above
-                let node = &mut self.nodes[dst_node_id.index()];
-                node.counters.inc("Atomics");
+                    .expect("validated"); // simlint: allow(R3): read_u64 of the same word succeeded above
+                let node = &mut self.nodes[dst_node.index()]; // NodeId indexes self.nodes: nodes are never removed
+                node.counters.inc(Counter::Atomics);
                 // Atomic RMW occupies the rx engine noticeably longer.
                 let occ = self.params.nic_rx_base * 3;
                 let grant = node.rx.acquire(now, occ);
-                let resp = Packet {
-                    src_qp: pkt.src_qp,
-                    dst_qp: pkt.dst_qp,
-                    wr_id: pkt.wr_id,
-                    signaled: pkt.signaled,
-                    trace: pkt.trace,
-                    kind: PacketKind::AtomicResp {
-                        old,
-                        local_mr,
-                        local_offset,
-                    },
+                let kind = PacketKind::AtomicResp {
+                    old,
+                    local_mr,
+                    local_offset,
                 };
                 sched(
                     grant.complete + wire_cost(&self.params, self.degrade),
-                    FabricEvent(Inner::RxProcess { pkt: resp }),
+                    FabricEvent(Inner::RxProcess {
+                        pkt: Packet { hdr, kind },
+                    }),
                 );
             }
             PacketKind::AtomicResp {
@@ -1409,30 +1264,20 @@ impl Fabric {
                 local_mr,
                 local_offset,
             } => {
-                let req_node_id = self.qps[pkt.src_qp.index()].node(); // requester QP/node handles index live tables (never removed)
-                let node = &mut self.nodes[req_node_id.index()];
+                let node = &mut self.nodes[req_node.index()]; // NodeId indexes self.nodes: nodes are never removed
                 let grant = node.rx.acquire(now, self.params.nic_rx_base);
+                let old = Bytes::copy_from_slice(&old.to_le_bytes());
                 sched(
                     grant.complete + p_dma,
                     FabricEvent(Inner::Deliver {
-                        node: req_node_id,
-                        writes: vec![(
-                            local_mr,
-                            local_offset,
-                            Bytes::copy_from_slice(&old.to_le_bytes()),
-                        )],
-                        mem_hint: None,
+                        node: req_node,
+                        write: (local_mr, local_offset, old),
+                        notify: false,
                         wc: None,
                     }),
                 );
-                self.requester_completion(
-                    grant.complete + p_dma,
-                    &pkt,
-                    WcStatus::Success,
-                    WcOpcode::Atomic,
-                    8,
-                    sched,
-                );
+                let done = grant.complete + p_dma;
+                Self::requester_completion(done, hdr, ok, WcOpcode::Atomic, 8, sched);
             }
         }
     }

@@ -22,6 +22,7 @@
 //! counters (`PCIeRdCur`, `RFO`, `ItoM`, `PCIeItoM`) used by the paper's
 //! analysis figures.
 
+mod counters;
 pub mod cq;
 pub mod error;
 pub mod fabric;

@@ -5,15 +5,18 @@
 //! which keeps entire simulations bit-for-bit reproducible — a property
 //! the hardware counter experiments (Fig. 3/10 of the paper) rely on.
 //!
-//! Every heap entry carries the index of a stable *slot* holding the
-//! event payload, and every slot knows its current heap position, so
-//! [`cancel`](EventQueue::cancel) removes the entry in place in
-//! O(log n) — no tombstone set, and `pop` never probes a hash table to
-//! ask "was this cancelled?". Slots are generation-counted, so the
-//! [`EventId`] of an already-fired event can never alias a newer one.
-//! The four-ary layout halves tree depth versus a binary heap and keeps
-//! sift-down's children on one cache line, which matters at the tens of
-//! millions of push/pop pairs a closed-loop simulation performs.
+//! Heap entries are 24 bytes: the key plus the index of a stable *slot*.
+//! A slot's payload sits in one array and its `(generation, heap
+//! position)` in a dense side array, so sifts move small entries and
+//! update 8-byte index records without ever touching the (much larger)
+//! payloads, and [`cancel`](EventQueue::cancel) finds and removes an
+//! entry in place in O(log n) — no tombstone set, and `pop` never probes
+//! a hash table to ask "was this cancelled?". Slots are
+//! generation-counted, so the [`EventId`] of an already-fired event can
+//! never alias a newer one. Sifts carry the moving entry in a hole
+//! (one store per level, not a swap) and compare keys as one packed
+//! 128-bit integer; a removal sifts in exactly one direction. The
+//! four-ary layout halves tree depth versus a binary heap.
 //! [`bulk_cancel`](EventQueue::bulk_cancel) is the one lazy path: it
 //! tombstones entries instead of restructuring per id, and `pop`/`peek`
 //! discard tombstones at the front.
@@ -52,21 +55,21 @@ struct HeapEnt {
 }
 
 impl HeapEnt {
+    /// `(time, seq)` packed so that one integer compare orders entries.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> u128 {
+        (self.time.0 as u128) << 64 | self.seq as u128
     }
 }
 
 const TOMBSTONE: u32 = u32::MAX;
 
-struct Slot<E> {
+/// Per-slot bookkeeping, kept apart from the payloads.
+struct SlotIndex {
     /// Bumped when the slot is vacated; stale [`EventId`]s never match.
     gen: u32,
-    /// Current index of this slot's entry in `heap`.
+    /// Current index of this slot's entry in `heap` (while occupied).
     pos: u32,
-    /// Payload; `None` while the slot sits on the free list.
-    event: Option<E>,
 }
 
 /// A future-event list with deterministic ordering, O(log n) push/pop
@@ -88,7 +91,10 @@ struct Slot<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: Vec<HeapEnt>,
-    slots: Vec<Slot<E>>,
+    /// Payload per slot; `None` while the slot sits on the free list.
+    events: Vec<Option<E>>,
+    /// Generation and heap position per slot, parallel to `events`.
+    index: Vec<SlotIndex>,
     free: Vec<u32>,
     next_seq: u64,
     tombstones: usize,
@@ -106,7 +112,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
-            slots: Vec::new(),
+            events: Vec::new(),
+            index: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             tombstones: 0,
@@ -127,33 +134,7 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the current simulation time —
     /// scheduling into the past is always a logic bug.
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
-        assert!(
-            time >= self.now,
-            "scheduled event at {time:?} before now={:?}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].event = Some(event); // s popped from the free list: a live slot index
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    pos: 0,
-                    event: Some(event),
-                });
-                s
-            }
-        };
-        let pos = self.heap.len();
-        self.heap.push(HeapEnt { time, seq, slot });
-        self.slots[slot as usize].pos = pos as u32; // slot was just allocated or reused above: in bounds
-        self.sift_up(pos);
-        EventId::new(slot, self.slots[slot as usize].gen) // slot is in bounds (linked just above)
+        self.push_with_seq(time, self.next_seq, event)
     }
 
     /// Schedules `event` at `time` under an explicit sequence key
@@ -179,24 +160,28 @@ impl<E> EventQueue<E> {
         self.next_seq = self.next_seq.max(seq.wrapping_add(1));
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize].event = Some(event); // s popped from the free list: a live slot index
+                self.events[s as usize] = Some(event); // s popped from the free list: a live slot index
                 s
             }
             None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    pos: 0,
-                    event: Some(event),
-                });
-                s
+                self.events.push(Some(event));
+                self.index.push(SlotIndex { gen: 0, pos: 0 });
+                (self.events.len() - 1) as u32
             }
         };
+        let ent = HeapEnt { time, seq, slot };
         let pos = self.heap.len();
-        self.heap.push(HeapEnt { time, seq, slot });
-        self.slots[slot as usize].pos = pos as u32; // slot was just allocated or reused above: in bounds
-        self.sift_up(pos);
-        EventId::new(slot, self.slots[slot as usize].gen) // slot is in bounds (linked just above)
+        self.heap.push(ent);
+        self.sift_up(pos, ent);
+        EventId::new(slot, self.index[slot as usize].gen) // slot was just allocated or reused above: in bounds
+    }
+
+    /// The heap position of a still-pending event; `None` for fired,
+    /// cancelled, or unknown ids. A generation match alone proves the
+    /// slot is occupied by this very event: vacating bumps it.
+    fn position(&self, id: EventId) -> Option<usize> {
+        let ix = self.index.get(id.slot() as usize)?;
+        (ix.gen == id.gen()).then_some(ix.pos as usize)
     }
 
     /// Rewrites the sequence key of a still-pending event in place
@@ -208,19 +193,15 @@ impl<E> EventQueue<E> {
     /// isolation) to the *final* global numbers computed by the
     /// deterministic cross-shard merge.
     pub fn set_seq(&mut self, id: EventId, seq: u64) -> bool {
-        let slot = id.slot() as usize;
-        let Some(s) = self.slots.get(slot) else {
+        let Some(pos) = self.position(id) else {
             return false;
         };
-        if s.gen != id.gen() || s.event.is_none() {
-            return false;
-        }
-        let pos = s.pos as usize;
         self.next_seq = self.next_seq.max(seq.wrapping_add(1));
-        self.heap[pos].seq = seq; // s.pos is kept current by update_pos on every heap move
-                                  // Exactly one of these applies; the other is a no-op.
-        self.sift_down(pos);
-        self.sift_up(pos);
+        let ent = HeapEnt {
+            seq,
+            ..self.heap[pos] // index positions are kept current by place() on every heap move
+        };
+        self.resift(pos, ent);
         true
     }
 
@@ -235,11 +216,9 @@ impl<E> EventQueue<E> {
                 self.tombstones -= 1;
                 continue;
             }
-            let event = self.slots[ent.slot as usize] // ent.slot != TOMBSTONE: a live slot index
-                .event
-                .take()
+            let event = self
+                .vacate(ent.slot)
                 .expect("live heap entry has a payload"); // simlint: allow(R3): non-tombstone heap entries always hold a payload
-            self.vacate_taken(ent.slot);
             self.now = ent.time;
             return Some((ent.time, ent.seq, event));
         }
@@ -265,14 +244,9 @@ impl<E> EventQueue<E> {
     /// Cancelling an already-fired, already-cancelled or unknown id is a
     /// true no-op that leaves no bookkeeping behind, and returns `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let slot = id.slot() as usize;
-        let Some(s) = self.slots.get(slot) else {
+        let Some(pos) = self.position(id) else {
             return false;
         };
-        if s.gen != id.gen() || s.event.is_none() {
-            return false;
-        }
-        let pos = s.pos as usize;
         self.remove_at(pos);
         self.vacate(id.slot());
         true
@@ -285,14 +259,10 @@ impl<E> EventQueue<E> {
     pub fn bulk_cancel(&mut self, ids: impl IntoIterator<Item = EventId>) -> usize {
         let mut cancelled = 0;
         for id in ids {
-            let slot = id.slot() as usize;
-            let Some(s) = self.slots.get(slot) else {
+            let Some(pos) = self.position(id) else {
                 continue;
             };
-            if s.gen != id.gen() || s.event.is_none() {
-                continue;
-            }
-            self.heap[s.pos as usize].slot = TOMBSTONE; // s.pos is kept current by update_pos on every heap move
+            self.heap[pos].slot = TOMBSTONE; // index positions are kept current by place() on every heap move
             self.tombstones += 1;
             self.vacate(id.slot());
             cancelled += 1;
@@ -302,36 +272,14 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest pending event, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let ent = *self.heap.first()?;
-            self.remove_at(0);
-            if ent.slot == TOMBSTONE {
-                self.tombstones -= 1;
-                continue;
-            }
-            let event = self.slots[ent.slot as usize] // ent.slot != TOMBSTONE: a live slot index
-                .event
-                .take()
-                .expect("live heap entry has a payload"); // simlint: allow(R3): non-tombstone heap entries always hold a payload
-            self.vacate_taken(ent.slot);
-            self.now = ent.time;
-            return Some((ent.time, event));
-        }
+        self.pop_with_seq().map(|(time, _, event)| (time, event))
     }
 
     /// Returns the timestamp of the next pending event, if any, without
     /// popping it. Tombstoned (bulk-cancelled) entries at the front are
     /// discarded.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let ent = *self.heap.first()?;
-            if ent.slot == TOMBSTONE {
-                self.remove_at(0);
-                self.tombstones -= 1;
-                continue;
-            }
-            return Some(ent.time);
-        }
+        self.peek_key().map(|(time, _)| time)
     }
 
     /// Number of events still scheduled (bulk-cancelled tombstones not
@@ -352,80 +300,86 @@ impl<E> EventQueue<E> {
         self.tombstones
     }
 
-    /// Returns `slot` to the free list and invalidates outstanding ids.
-    fn vacate(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize]; // slot ids handed out by schedule() index self.slots
-        s.event = None;
-        s.gen = s.gen.wrapping_add(1);
+    /// Takes the payload out of `slot`, returns the slot to the free
+    /// list and invalidates outstanding ids.
+    fn vacate(&mut self, slot: u32) -> Option<E> {
+        let ix = &mut self.index[slot as usize]; // slot ids handed out by push index both slot arrays
+        ix.gen = ix.gen.wrapping_add(1);
         self.free.push(slot);
-    }
-
-    /// Like [`vacate`](Self::vacate) for a slot whose payload was
-    /// already taken by `pop`.
-    fn vacate_taken(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize]; // slot ids handed out by schedule() index self.slots
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
+        self.events[slot as usize].take() // same slot-id invariant
     }
 
     /// Removes the heap entry at `pos`, restoring heap order.
     fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.heap.pop();
-        if pos < last {
-            self.update_pos(pos);
-            // Exactly one of these applies; the other is a no-op.
-            self.sift_down(pos);
-            self.sift_up(pos);
+        let Some(last) = self.heap.pop() else {
+            return;
+        };
+        // Unless the removed entry was the last one itself, the last
+        // entry refills the hole it left.
+        if pos < self.heap.len() {
+            self.resift(pos, last);
         }
     }
 
+    /// Writes `ent` at heap position `pos` and records the move.
     #[inline]
-    fn update_pos(&mut self, pos: usize) {
-        let slot = self.heap[pos].slot; // callers pass heap positions < heap.len()
-        if slot != TOMBSTONE {
-            self.slots[slot as usize].pos = pos as u32; // non-tombstone slots are live indices
+    fn place(&mut self, pos: usize, ent: HeapEnt) {
+        self.heap[pos] = ent; // callers pass heap positions < heap.len()
+        if ent.slot != TOMBSTONE {
+            self.index[ent.slot as usize].pos = pos as u32; // non-tombstone slots are live indices
         }
     }
 
-    fn sift_up(&mut self, mut pos: usize) {
+    /// Puts `ent` where it belongs given a hole at `pos`: up if it beats
+    /// the hole's parent, down otherwise — never both.
+    fn resift(&mut self, pos: usize, ent: HeapEnt) {
+        // pos > 0 guard; parent < pos < heap.len()
+        if pos > 0 && ent.key() < self.heap[(pos - 1) / 4].key() {
+            self.sift_up(pos, ent);
+        } else {
+            self.sift_down(pos, ent);
+        }
+    }
+
+    /// Moves the hole at `pos` up past every ancestor `ent` beats, then
+    /// drops `ent` into it.
+    fn sift_up(&mut self, mut pos: usize, ent: HeapEnt) {
+        let key = ent.key();
         while pos > 0 {
             let parent = (pos - 1) / 4;
-            // pos > 0 loop guard; parent < pos
-            if self.heap[pos].key() >= self.heap[parent].key() {
+            let above = self.heap[parent]; // pos > 0 loop guard; parent < pos
+            if key >= above.key() {
                 break;
             }
-            self.heap.swap(pos, parent);
-            self.update_pos(pos);
+            self.place(pos, above);
             pos = parent;
         }
-        self.update_pos(pos);
+        self.place(pos, ent);
     }
 
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
+    /// Moves the hole at `pos` down past every smallest-child that beats
+    /// `ent`, then drops `ent` into it.
+    fn sift_down(&mut self, mut pos: usize, ent: HeapEnt) {
+        let key = ent.key();
         loop {
             let first = 4 * pos + 1;
-            if first >= len {
-                break;
+            let Some(children) = self.heap.get(first..(first + 4).min(self.heap.len())) else {
+                break; // first > len: a leaf
+            };
+            let mut best = (0, u128::MAX);
+            for (i, child) in children.iter().enumerate() {
+                let k = child.key();
+                let lt = k < best.1;
+                best = (if lt { i } else { best.0 }, if lt { k } else { best.1 });
             }
-            let mut best = first;
-            for child in first + 1..(first + 4).min(len) {
-                // child/best < len by the loop bounds
-                if self.heap[child].key() < self.heap[best].key() {
-                    best = child;
-                }
+            if best.1 >= key {
+                break; // a leaf (no children), or heap order holds here
             }
-            // best/pos < len by the loop bounds
-            if self.heap[best].key() >= self.heap[pos].key() {
-                break;
-            }
-            self.heap.swap(pos, best);
-            self.update_pos(pos);
-            pos = best;
+            let child = children[best.0]; // best.0 is an enumerate() index of children
+            self.place(pos, child);
+            pos = first + best.0;
         }
-        self.update_pos(pos);
+        self.place(pos, ent);
     }
 }
 
@@ -623,6 +577,7 @@ mod tests {
 
     /// The pre-optimization queue — `BinaryHeap` plus a lazily-consulted
     /// cancelled set — kept as a reference model for trace equivalence.
+    /// Events are identified by their (unique) sequence key.
     mod reference {
         use super::SimTime;
         use std::cmp::Reverse;
@@ -630,7 +585,7 @@ mod tests {
 
         pub struct RefQueue<E> {
             heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
-            next_seq: u64,
+            pub next_seq: u64,
             cancelled: HashSet<u64>,
             pub now: SimTime,
         }
@@ -646,11 +601,24 @@ mod tests {
             }
 
             pub fn push(&mut self, time: SimTime, event: E) -> u64 {
-                assert!(time >= self.now);
                 let seq = self.next_seq;
-                self.next_seq += 1;
-                self.heap.push(Reverse((time, seq, event)));
+                self.push_with_seq(time, seq, event);
                 seq
+            }
+
+            pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
+                assert!(time >= self.now);
+                self.next_seq = self.next_seq.max(seq + 1);
+                self.heap.push(Reverse((time, seq, event)));
+            }
+
+            /// Re-keys the pending event `from` by rebuilding the heap.
+            pub fn set_seq(&mut self, from: u64, to: u64) {
+                self.next_seq = self.next_seq.max(to + 1);
+                self.heap = std::mem::take(&mut self.heap)
+                    .into_iter()
+                    .map(|Reverse((t, s, e))| Reverse((t, if s == from { to } else { s }, e)))
+                    .collect();
             }
 
             pub fn cancel(&mut self, seq: u64) {
@@ -683,53 +651,138 @@ mod tests {
         }
     }
 
+    /// The side arrays agree with the heap: every non-tombstone entry's
+    /// slot points back at its position and holds a payload, and every
+    /// slot is either pending or on the free list.
+    fn assert_index_consistent<E>(q: &EventQueue<E>) {
+        let mut tombstones = 0;
+        for (pos, ent) in q.heap.iter().enumerate() {
+            if ent.slot == TOMBSTONE {
+                tombstones += 1;
+            } else {
+                assert_eq!(q.index[ent.slot as usize].pos as usize, pos);
+                assert!(q.events[ent.slot as usize].is_some());
+            }
+        }
+        assert_eq!(tombstones, q.tombstones);
+        assert_eq!(q.free.len() + q.len(), q.events.len());
+        assert_eq!(q.index.len(), q.events.len());
+    }
+
     proptest::proptest! {
-        /// The indexed heap must replay any interleaved
-        /// push/cancel/pop/peek script identically to the old
-        /// binary-heap-plus-tombstones queue.
+        /// The indexed heap must replay any interleaved push /
+        /// push_with_seq / set_seq / cancel / bulk_cancel / pop / peek
+        /// script identically to the old binary-heap-plus-tombstones
+        /// queue, accept exactly the ids that are still pending, and
+        /// keep its position index consistent throughout.
         #[test]
         fn matches_binary_heap_reference_trace(
-            script in proptest::collection::vec((0u8..4, 0u64..64), 1..400),
+            script in proptest::collection::vec((0u8..8, 0u64..64), 1..400),
         ) {
             let mut fast = EventQueue::new();
             let mut slow = reference::RefQueue::new();
-            let mut fast_ids = Vec::new();
-            let mut slow_ids = Vec::new();
-            let mut payload = 0u64;
+            // Per pushed event (its payload is its index here): the fast
+            // id, the current seq key, and whether it is still pending.
+            let mut ids = Vec::new();
+            let mut seqs = Vec::new();
+            let mut live = Vec::new();
+            // Every seq key handed out so far, and a way to pick an
+            // explicit one nobody holds, below or above the counter.
+            let mut used = std::collections::HashSet::new();
+            fn fresh(used: &mut std::collections::HashSet<u64>, next_seq: u64, arg: u64) -> u64 {
+                let mut s = arg * 7919 % (next_seq + 16);
+                while !used.insert(s) {
+                    s += 1;
+                }
+                s
+            }
             for (op, arg) in script {
+                let n = ids.len();
                 match op {
-                    0 | 1 => {
-                        // Push at now + arg (always legal).
+                    0 | 1 | 4 => {
+                        // Push at now + arg (always legal), under the
+                        // queue's own counter or an explicit key.
                         let t = SimTime(fast.now().as_nanos() + arg);
-                        fast_ids.push(fast.push(t, payload));
-                        slow_ids.push(slow.push(t, payload));
-                        payload += 1;
+                        let seq = if op == 4 {
+                            let seq = fresh(&mut used, slow.next_seq, arg);
+                            ids.push(fast.push_with_seq(t, seq, n));
+                            slow.push_with_seq(t, seq, n);
+                            seq
+                        } else {
+                            ids.push(fast.push(t, n));
+                            let seq = slow.push(t, n);
+                            proptest::prop_assert!(used.insert(seq), "counter reissued seq {seq}");
+                            seq
+                        };
+                        seqs.push(seq);
+                        live.push(true);
                     }
-                    2 => {
-                        proptest::prop_assert_eq!(fast.pop(), slow.pop());
+                    2 | 7 => {
+                        let popped = fast.pop();
+                        proptest::prop_assert_eq!(popped, slow.pop());
                         proptest::prop_assert_eq!(fast.now(), slow.now);
-                    }
-                    _ if fast_ids.is_empty() => {}
-                    _ => {
-                        // Cancel an arbitrary id (may be fired already —
-                        // the reference tolerates that only when the
-                        // fast queue rejects it, mirroring the fixed
-                        // no-op contract).
-                        let i = (arg as usize) % fast_ids.len();
-                        if fast.cancel(fast_ids[i]) {
-                            slow.cancel(slow_ids[i]);
+                        if let Some((_, i)) = popped {
+                            live[i] = false;
                         }
                     }
+                    _ if n == 0 => {}
+                    3 => {
+                        // Cancel an arbitrary id: accepted iff pending.
+                        let i = arg as usize % n;
+                        proptest::prop_assert_eq!(fast.cancel(ids[i]), live[i]);
+                        if std::mem::take(&mut live[i]) {
+                            slow.cancel(seqs[i]);
+                        }
+                    }
+                    5 => {
+                        // Re-key an arbitrary id: accepted iff pending.
+                        let i = arg as usize % n;
+                        if live[i] {
+                            let seq = fresh(&mut used, slow.next_seq, arg);
+                            proptest::prop_assert!(fast.set_seq(ids[i], seq));
+                            slow.set_seq(seqs[i], seq);
+                            seqs[i] = seq;
+                        } else {
+                            proptest::prop_assert!(!fast.set_seq(ids[i], 0));
+                        }
+                    }
+                    _ => {
+                        // Tombstone a run of three ids (repeats and
+                        // stale ids among them are skipped).
+                        let batch: Vec<usize> = (0..3).map(|k| (arg as usize + k) % n).collect();
+                        let mut pending = 0;
+                        for &i in &batch {
+                            if std::mem::take(&mut live[i]) {
+                                slow.cancel(seqs[i]);
+                                pending += 1;
+                            }
+                        }
+                        let cancelled = fast.bulk_cancel(batch.iter().map(|&i| ids[i]));
+                        proptest::prop_assert_eq!(cancelled, pending);
+                    }
                 }
+                assert_index_consistent(&fast);
+                proptest::prop_assert_eq!(fast.len(), live.iter().filter(|&&l| l).count());
                 proptest::prop_assert_eq!(fast.peek_time(), slow.peek_time());
             }
-            // Drain both queues to the end.
+            // Every id still pending must be found through the index...
+            for i in (0..ids.len()).filter(|&i| live[i]) {
+                let seq = fresh(&mut used, slow.next_seq, i as u64);
+                proptest::prop_assert!(fast.set_seq(ids[i], seq));
+                slow.set_seq(seqs[i], seq);
+            }
+            // ...the re-keyed queues drain identically...
             loop {
                 let (f, s) = (fast.pop(), slow.pop());
                 proptest::prop_assert_eq!(&f, &s);
                 if f.is_none() {
                     break;
                 }
+            }
+            assert_index_consistent(&fast);
+            // ...and afterwards every id is stale.
+            for &id in &ids {
+                proptest::prop_assert!(!fast.cancel(id) && !fast.set_seq(id, 0));
             }
         }
     }

@@ -1,16 +1,19 @@
-//! Named monotonic counters.
+//! Named monotonic counters, as reports read them.
 //!
-//! The simulated analogue of Intel PCM hardware counters: fabric
-//! components bump named counters (`PCIeRdCur`, `ItoM`, `PCIeItoM`, …) and
-//! experiments snapshot/diff them to reproduce Fig. 3 and Fig. 10.
+//! The simulated analogue of Intel PCM hardware counters (`PCIeRdCur`,
+//! `ItoM`, `PCIeItoM`, …): experiments snapshot and diff a
+//! [`CounterSet`] to reproduce Fig. 3 and Fig. 10. This is the *view*
+//! side only. Nothing on the per-event path should key a counter by
+//! string: a lookup here is a binary search of `str` compares, and a
+//! simulated packet bumps about ten counters. Producers count in a
+//! typed array (the fabric's `Counter` enum) and build a `CounterSet`
+//! when a report, sampler or test asks for one.
 
 /// A set of named `u64` counters with snapshot/delta support.
 ///
 /// Stored as a name-sorted vector, so iteration (and therefore report
-/// output) is deterministically ordered. A simulation touches only a
-/// dozen or so distinct counter names but bumps them on every event, so
-/// a binary search over one small contiguous array beats the pointer
-/// chasing of a tree or hash map on the hot path.
+/// output) is deterministically ordered and only counters that were
+/// ever added to — even by zero — are listed.
 ///
 /// # Examples
 ///

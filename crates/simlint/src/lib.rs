@@ -277,9 +277,11 @@ pub(crate) fn parse_features(toml: &str) -> BTreeSet<String> {
     out
 }
 
-/// Directories never scanned: build output, VCS metadata, and the
-/// linter's own known-bad fixture corpus.
-const SKIP_DIRS: &[&str] = &["target", ".git", ".claude", "fixtures"];
+/// Directories never scanned: build output, VCS metadata, the linter's
+/// own known-bad fixture corpus, and the repo benchmark — a package
+/// with its own `[workspace]` that measures the crates from outside and
+/// is no part of the workspace these rules describe.
+const SKIP_DIRS: &[&str] = &["target", ".git", ".claude", "fixtures", "benchmark"];
 
 /// Lints the workspace rooted at `root`: every `*.rs` under it (minus
 /// [`SKIP_DIRS`]) plus all `Cargo.toml` manifests.
