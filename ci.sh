@@ -48,17 +48,7 @@ echo "== simlint (deny, trace on) =="
 # clippy so a rule violation introduced by feature-config-specific
 # fixes can't slip between the two gates. The full scan (lex + parse +
 # semantic passes over every crate) must stay under the 1 s budget.
-rm -rf target/simlint-cache
-cargo run -q -p simlint -- --deny --budget-ms 1000 | tee target/simlint_full.txt
-
-echo "== simlint incremental parity =="
-# The cache is a pure accelerator: a cold incremental scan (populating
-# target/simlint-cache) and a warm one must both report byte-identical
-# findings to the full scan above.
-cargo run -q -p simlint -- --deny --incremental | tee target/simlint_cold.txt
-cargo run -q -p simlint -- --deny --incremental | tee target/simlint_warm.txt
-cmp target/simlint_full.txt target/simlint_cold.txt
-cmp target/simlint_full.txt target/simlint_warm.txt
+cargo run -q -p simlint -- --deny --budget-ms 1000
 
 echo "== clippy (deny warnings, trace off) =="
 cargo clippy -p simtrace -p scalerpc-bench --no-default-features --all-targets -- -D warnings

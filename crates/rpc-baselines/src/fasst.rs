@@ -11,353 +11,45 @@
 //! - the price is two-sided overhead at both ends (post recv + CQ poll
 //!   per message) and the 4 KB MTU (§5.1).
 
-use bytes::{Bytes, BytesMut};
-use rdma_fabric::{CqId, Fabric, MrId, QpId, Transport, Upcall, WcOpcode, WorkRequest};
-use rpc_core::cluster::{ClientId, Cluster};
-use rpc_core::driver::Cx;
-use rpc_core::message::{RpcHeader, HEADER};
-use rpc_core::transport::{ClientOverhead, Response, RpcTransport, ServerHandler};
+use rdma_fabric::Fabric;
+use rpc_core::cluster::Cluster;
+use rpc_core::transport::{ClientOverhead, ServerHandler};
 use simcore::SimDuration;
-use simtrace::{Stage, TraceId, Tracer};
 
-use rpc_core::workers::WorkerPool;
+use crate::baseline::{Baseline, Server};
+use crate::request::UdRequests;
+use crate::response::SendResponses;
 
-/// Server-side receive-ring depth per worker.
-const SERVER_RING: usize = 256;
-/// Client-side receive-ring depth per thread.
-const CLIENT_RING: usize = 64;
-
-/// Internal events.
-pub enum FasstEv {
-    /// Worker finished; send the UD response.
-    SendResponse {
-        /// Destination client.
-        client: ClientId,
-        /// Echoed sequence number.
-        seq: u64,
-        /// Response payload.
-        payload: Bytes,
-    },
-}
-
-struct UdEndpoint {
-    qp: QpId,
-    ring_mr: MrId,
-    ring_order: std::collections::VecDeque<usize>,
-    ring_len: usize,
-}
-
-impl UdEndpoint {
-    fn fill(&mut self, fabric: &mut Fabric, block: usize) {
-        let used: simcore::DetHashSet<_> = self.ring_order.iter().copied().collect();
-        for slot in 0..self.ring_len {
-            if self.ring_order.len() >= self.ring_len {
-                break;
-            }
-            if used.contains(&slot) {
-                continue;
-            }
-            fabric
-                .post_recv(self.qp, self.ring_mr, slot * block, block)
-                .expect("ring recv");
-            self.ring_order.push_back(slot);
-        }
-    }
-
-    fn consume_and_replenish(&mut self, fabric: &mut Fabric, block: usize) -> usize {
-        let slot = self.ring_order.pop_front().expect("ring in sync");
-        fabric
-            .post_recv(self.qp, self.ring_mr, slot * block, block)
-            .expect("replenish");
-        self.ring_order.push_back(slot);
-        slot
-    }
-}
-
-/// The FaSST transport.
-pub struct Fasst<H: ServerHandler> {
-    /// Worker endpoints at the server.
-    server_eps: Vec<UdEndpoint>,
-    /// Map: server CQ → worker.
-    server_cqs: simcore::DetHashMap<CqId, usize>,
-    /// Per-client-thread endpoints.
-    thread_eps: Vec<UdEndpoint>,
-    thread_cqs: simcore::DetHashMap<CqId, usize>,
-    client_thread: Vec<usize>,
-    inflight: Vec<usize>,
-    workers: WorkerPool,
-    handler: H,
-    overhead: ClientOverhead,
-    post_cpu: SimDuration,
-    post_recv_cpu: SimDuration,
-    cq_poll_cpu: SimDuration,
-    block_size: usize,
-    tracer: Tracer,
-    /// Open trace ids keyed by `(client, seq)` — the request id assigned
-    /// by the harness at post time, closed when the response lands.
-    trace_ids: simcore::DetHashMap<(ClientId, u64), TraceId>,
-}
+/// The FaSST transport: UD-send requests × UD-send responses, both on
+/// the same `W` worker and `T` thread QPs.
+pub type Fasst<H> = Baseline<UdRequests, SendResponses, H>;
 
 impl<H: ServerHandler> Fasst<H> {
     /// Builds the transport: per-worker and per-thread UD endpoints with
     /// receive rings; no connections and no per-client state at all.
     pub fn new(fabric: &mut Fabric, cluster: &Cluster, block_size: usize, handler: H) -> Self {
-        let workers = WorkerPool::new(cluster.spec().server_threads);
-        let mut server_eps = Vec::new();
-        let mut server_cqs = simcore::DetHashMap::default();
-        for w in 0..workers.len() {
-            let cq = fabric.create_cq(cluster.server).expect("cq");
-            let qp = fabric
-                .create_qp(cluster.server, Transport::Ud, cq, cq)
-                .expect("qp");
-            let ring_mr = fabric
-                .register_mr(cluster.server, SERVER_RING * block_size)
-                .expect("mr");
-            server_cqs.insert(cq, w);
-            server_eps.push(UdEndpoint {
-                qp,
-                ring_mr,
-                ring_order: Default::default(),
-                ring_len: SERVER_RING,
-            });
-        }
-        let mut thread_eps = Vec::new();
-        let mut thread_cqs = simcore::DetHashMap::default();
-        for t in 0..cluster.total_client_threads() {
-            let machine = t / cluster.spec().threads_per_machine;
-            let node = cluster.machines[machine];
-            let cq = fabric.create_cq(node).expect("cq");
-            let qp = fabric.create_qp(node, Transport::Ud, cq, cq).expect("qp");
-            let ring_mr = fabric
-                .register_mr(node, CLIENT_RING * block_size)
-                .expect("mr");
-            thread_cqs.insert(cq, t);
-            thread_eps.push(UdEndpoint {
-                qp,
-                ring_mr,
-                ring_order: Default::default(),
-                ring_len: CLIENT_RING,
-            });
-        }
-        let client_thread = (0..cluster.clients())
-            .map(|c| cluster.thread_of(c))
-            .collect();
         let p = fabric.params();
-        Fasst {
-            server_eps,
-            server_cqs,
-            thread_eps,
-            thread_cqs,
-            client_thread,
-            inflight: vec![0; cluster.clients()],
-            workers,
-            handler,
-            overhead: ClientOverhead {
-                // Two-sided: each request costs a send post plus a
-                // pre-posted receive; each response costs a CQ poll.
-                per_post: p.post_cpu + p.post_recv_cpu + SimDuration::nanos(25),
-                per_response: p.cq_poll_cpu + SimDuration::nanos(20),
-                // Coroutine RPC client work per op (marshalling, demux,
-                // ring upkeep): ~2.6 µs including the verb costs above,
-                // matching the UD saturation behaviour of Fig. 8-right.
-                per_dispatch: SimDuration::nanos(2_400),
-            },
-            post_cpu: p.post_cpu,
-            post_recv_cpu: p.post_recv_cpu,
-            cq_poll_cpu: p.cq_poll_cpu,
-            block_size,
-            tracer: fabric.tracer().clone(),
-            trace_ids: simcore::DetHashMap::default(),
-        }
-    }
-}
-
-impl<H: ServerHandler> Fasst<H> {
-    /// Immutable access to the server-side handler (post-run inspection).
-    pub fn handler(&self) -> &H {
-        &self.handler
-    }
-
-    /// Mutable access to the server-side handler (setup/preload).
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-}
-
-impl<H: ServerHandler> RpcTransport for Fasst<H> {
-    type Ev = FasstEv;
-
-    fn init(&mut self, cx: &mut Cx<'_, FasstEv>) {
-        for ep in &mut self.server_eps {
-            ep.fill(cx.fabric, self.block_size);
-        }
-        for ep in &mut self.thread_eps {
-            ep.fill(cx.fabric, self.block_size);
-        }
-    }
-
-    fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, FasstEv>, out: &mut Vec<Response>) {
-        let Upcall::Completion { cq, wc, .. } = up else {
-            return;
+        // Per request the worker polls its CQ, re-posts the consumed
+        // receive and posts the response send.
+        let fixed_cost = p.cq_poll_cpu + p.post_recv_cpu + p.post_cpu;
+        let server = Server::new(cluster, handler, fixed_cost);
+        let overhead = ClientOverhead {
+            // Two-sided: each request costs a send post plus a
+            // pre-posted receive; each response costs a CQ poll.
+            per_post: p.post_cpu + p.post_recv_cpu + SimDuration::nanos(25),
+            per_response: p.cq_poll_cpu + SimDuration::nanos(20),
+            // Coroutine RPC client work per op (marshalling, demux,
+            // ring upkeep): ~2.6 µs including the verb costs above,
+            // matching the UD saturation behaviour of Fig. 8-right.
+            per_dispatch: SimDuration::nanos(2_400),
         };
-        if wc.opcode != WcOpcode::Recv {
-            return;
-        }
-        if let Some(&w) = self.server_cqs.get(&cq) {
-            // A request arrived at worker w.
-            let block = self.block_size;
-            let slot = self.server_eps[w].consume_and_replenish(cx.fabric, block);
-            let ring_mr = self.server_eps[w].ring_mr;
-            let decoded = {
-                let mr = cx.fabric.mr(ring_mr).expect("ring mr");
-                let raw = mr.read(slot * block, wc.byte_len).expect("bounds");
-                RpcHeader::decode(raw).map(|(h, p)| (h, p.to_vec()))
-            };
-            let read_cost = cx
-                .fabric
-                .cpu_access(ring_mr, slot * block, wc.byte_len)
-                .expect("ring access");
-            let Some((header, payload)) = decoded else {
-                return;
-            };
-            let client = header.client_id as usize;
-            let (resp, handler_cost) = self.handler.handle(client, &payload, cx.fabric);
-            let service =
-                self.cq_poll_cpu + read_cost + handler_cost + self.post_recv_cpu + self.post_cpu;
-            let done = self.workers.run(w, cx.now, service);
-            if let Some(&tid) = self.trace_ids.get(&(client, header.seq)) {
-                // Includes queueing behind the worker, so CQ-poll
-                // contention shows up in the stage breakdown.
-                self.tracer
-                    .span(tid, Stage::Handler, cx.now, done, client as u64);
-            }
-            cx.at(
-                done,
-                FasstEv::SendResponse {
-                    client,
-                    seq: header.seq,
-                    payload: resp,
-                },
-            );
-        } else if let Some(&t) = self.thread_cqs.get(&cq) {
-            // A response arrived at client thread t.
-            let block = self.block_size;
-            let slot = self.thread_eps[t].consume_and_replenish(cx.fabric, block);
-            let ring_mr = self.thread_eps[t].ring_mr;
-            let decoded = {
-                let mr = cx.fabric.mr(ring_mr).expect("ring mr");
-                let raw = mr.read(slot * block, wc.byte_len).expect("bounds");
-                RpcHeader::decode(raw).map(|(h, p)| (h, p.to_vec()))
-            };
-            let _ = cx
-                .fabric
-                .cpu_access(ring_mr, slot * block, wc.byte_len)
-                .expect("ring access");
-            let Some((header, payload)) = decoded else {
-                return;
-            };
-            let client = header.client_id as usize;
-            self.inflight[client] = self.inflight[client].saturating_sub(1);
-            if let Some(tid) = self.trace_ids.remove(&(client, header.seq)) {
-                self.tracer.end(tid, Stage::Response, cx.now);
-            }
-            out.push(Response {
-                client,
-                seq: header.seq,
-                payload: Bytes::from(payload),
-            });
-        }
-    }
-
-    fn on_app(&mut self, ev: FasstEv, cx: &mut Cx<'_, FasstEv>, _out: &mut Vec<Response>) {
-        match ev {
-            FasstEv::SendResponse {
-                client,
-                seq,
-                payload,
-            } => {
-                let header = RpcHeader {
-                    call_type: 0,
-                    flags: 0,
-                    client_id: client as u32,
-                    seq,
-                };
-                let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-                buf.extend_from_slice(&header.encode());
-                buf.extend_from_slice(&payload);
-                let w = self.workers.owner_of(client);
-                let t = self.client_thread[client];
-                if let Some(&tid) = self.trace_ids.get(&(client, seq)) {
-                    // Closed when the datagram lands at the client; the
-                    // ctx lets the response packet carry the id through
-                    // the fabric's RxNic/Dma stages.
-                    self.tracer
-                        .begin(tid, Stage::Response, cx.now, client as u64);
-                    cx.fabric.set_trace_ctx(tid);
-                }
-                cx.post(
-                    self.server_eps[w].qp,
-                    WorkRequest::Send {
-                        data: buf.freeze(),
-                        imm: None,
-                    },
-                    false,
-                    Some(self.thread_eps[t].qp),
-                )
-                .expect("ud response");
-            }
-        }
-    }
-
-    fn submit(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        cx: &mut Cx<'_, FasstEv>,
-        _out: &mut Vec<Response>,
-    ) {
-        let header = RpcHeader {
-            call_type: 0,
-            flags: 0,
-            client_id: client as u32,
-            seq,
-        };
-        let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-        buf.extend_from_slice(&header.encode());
-        buf.extend_from_slice(&payload);
-        let w = self.workers.owner_of(client);
-        let t = self.client_thread[client];
-        self.inflight[client] += 1;
-        let tid = cx.fabric.trace_ctx();
-        if tid != 0 {
-            self.trace_ids.insert((client, seq), tid);
-        }
-        cx.post(
-            self.thread_eps[t].qp,
-            WorkRequest::Send {
-                data: buf.freeze(),
-                imm: None,
-            },
-            false,
-            Some(self.server_eps[w].qp),
-        )
-        .expect("ud request");
-    }
-
-    fn client_overhead(&self) -> ClientOverhead {
-        self.overhead
-    }
-
-    fn name(&self) -> &'static str {
-        "FaSST"
-    }
-}
-
-impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for Fasst<H> {
-    fn client_qp(&self, client: ClientId) -> Option<rdma_fabric::QpId> {
-        // UD/UC response paths cannot host one-sided verbs (Table 1).
-        let _ = client;
-        None
+        let requests = UdRequests::format(fabric, cluster, block_size);
+        // Responses leave on the QPs the requests arrived on, and
+        // requests on the QPs the responses arrive on.
+        let worker_qps = requests.worker_qps();
+        let responses =
+            SendResponses::new(fabric, cluster, server.workers(), &worker_qps, block_size);
+        let requests = requests.connect(responses.routes());
+        Baseline::pair("FaSST", fabric, requests, responses, server, overhead)
     }
 }

@@ -14,67 +14,17 @@
 //! - clients must pre-post receives and poll their CQ per response, so a
 //!   client machine saturates at a lower op rate (Fig. 8, right).
 
-use bytes::{Bytes, BytesMut};
-use rdma_fabric::{Fabric, MrId, QpId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest};
-use rpc_core::cluster::{ClientId, Cluster};
-use rpc_core::driver::Cx;
-use rpc_core::message::{MsgBuf, RpcHeader, HEADER};
-use rpc_core::transport::{ClientOverhead, Response, RpcTransport, ServerHandler};
+use rdma_fabric::{Fabric, QpId, Transport};
+use rpc_core::cluster::Cluster;
+use rpc_core::transport::{ClientOverhead, ServerHandler};
 use simcore::SimDuration;
 
-use crate::pool::StaticPool;
-use rpc_core::workers::WorkerPool;
+use crate::baseline::{Baseline, Server};
+use crate::request::PoolRequests;
+use crate::response::SendResponses;
 
-/// Receive-ring depth per client thread.
-const RING: usize = 64;
-
-/// Internal events.
-pub enum HerdEv {
-    /// Worker finished; send the UD response.
-    SendResponse {
-        /// Destination client.
-        client: ClientId,
-        /// Echoed sequence number.
-        seq: u64,
-        /// Response payload.
-        payload: Bytes,
-    },
-}
-
-struct PerClient {
-    /// Client-side UC endpoint for requests.
-    uc_qp: QpId,
-    inflight: usize,
-    pending: std::collections::VecDeque<(u64, Bytes)>,
-}
-
-struct ThreadEndpoint {
-    /// UD QP shared by the coroutines on this client thread.
-    ud_qp: QpId,
-    /// Receive-ring buffer.
-    ring_mr: MrId,
-    /// Outstanding ring slot order (FIFO, mirrors the fabric's RQ).
-    ring_order: std::collections::VecDeque<usize>,
-}
-
-/// The HERD transport.
-pub struct Herd<H: ServerHandler> {
-    pool: StaticPool,
-    pool_mr: MrId,
-    clients: Vec<PerClient>,
-    threads: Vec<ThreadEndpoint>,
-    client_thread: Vec<usize>,
-    /// Map a thread's recv CQ back to the thread index.
-    cq_thread: simcore::DetHashMap<rdma_fabric::CqId, usize>,
-    /// Per-worker UD QPs at the server.
-    worker_qps: Vec<QpId>,
-    workers: WorkerPool,
-    handler: H,
-    overhead: ClientOverhead,
-    post_cpu: SimDuration,
-    pool_check: SimDuration,
-    block_size: usize,
-}
+/// The HERD transport: polled UC-write requests × UD-send responses.
+pub type Herd<H> = Baseline<PoolRequests<false>, SendResponses, H>;
 
 impl<H: ServerHandler> Herd<H> {
     /// Builds the transport: UC request path, UD response path, receive
@@ -86,326 +36,34 @@ impl<H: ServerHandler> Herd<H> {
         block_size: usize,
         handler: H,
     ) -> Self {
-        let n = cluster.clients();
-        let pool = StaticPool::new(n, slots, block_size);
-        let pool_mr = fabric
-            .register_mr(cluster.server, pool.total_bytes())
-            .expect("server node");
-        let server_cq = fabric.create_cq(cluster.server).expect("cq");
-        let workers = WorkerPool::new(cluster.spec().server_threads);
-        let worker_qps = (0..workers.len())
-            .map(|_| {
-                fabric
-                    .create_qp(cluster.server, Transport::Ud, server_cq, server_cq)
-                    .expect("worker ud qp")
-            })
-            .collect();
-
+        let p = fabric.params();
+        // Per request the zone's worker polls the pool and posts the
+        // response send.
+        let server = Server::new(cluster, handler, p.pool_check_cpu + p.post_cpu);
+        let overhead = ClientOverhead {
+            per_post: p.post_cpu + SimDuration::nanos(25),
+            // Poll the CQ and replenish the receive ring per response.
+            per_response: p.cq_poll_cpu + p.post_recv_cpu + SimDuration::nanos(20),
+            // Datagram client loop: marshal the request into a
+            // registered slot, demux the UD completion, re-arm the
+            // ring — ~2.6 µs/op of client CPU all told (the
+            // Fig. 8-right cost that makes UD need more client
+            // machines).
+            per_dispatch: SimDuration::nanos(2_400),
+        };
+        let requests = PoolRequests::format(fabric, cluster, Transport::Uc, slots, block_size);
+        // UD responses leave on one of W worker QPs: a tiny,
+        // always-cached QP working set.
+        let cq = requests.server_cq();
+        let worker_qps: Vec<QpId> = (0..server.workers().len())
+            .map(|_| fabric.create_qp(cluster.server, Transport::Ud, cq, cq))
+            .collect::<Result<_, _>>()
+            .expect("worker ud qp");
         // One UD endpoint per client thread (matching HERD's per-thread
         // datagram QPs).
-        let mut threads = Vec::new();
-        let mut cq_thread = simcore::DetHashMap::default();
-        let thread_count = cluster.total_client_threads();
-        for t in 0..thread_count {
-            let machine = t / cluster.spec().threads_per_machine;
-            let node = cluster.machines[machine];
-            let cq = fabric.create_cq(node).expect("cq");
-            let ud_qp = fabric.create_qp(node, Transport::Ud, cq, cq).expect("qp");
-            let ring_mr = fabric.register_mr(node, RING * block_size).expect("mr");
-            cq_thread.insert(cq, t);
-            threads.push(ThreadEndpoint {
-                ud_qp,
-                ring_mr,
-                ring_order: Default::default(),
-            });
-        }
-
-        let mut clients = Vec::with_capacity(n);
-        let mut client_thread = Vec::with_capacity(n);
-        for c in 0..n {
-            let cnode = cluster.node_of(c);
-            let ccq = fabric.create_cq(cnode).expect("cq");
-            let server_uc = fabric
-                .create_qp(cluster.server, Transport::Uc, server_cq, server_cq)
-                .expect("qp");
-            let client_uc = fabric
-                .create_qp(cnode, Transport::Uc, ccq, ccq)
-                .expect("qp");
-            fabric.connect(server_uc, client_uc).expect("connect");
-            clients.push(PerClient {
-                uc_qp: client_uc,
-                inflight: 0,
-                pending: Default::default(),
-            });
-            client_thread.push(cluster.thread_of(c));
-        }
-        let p = fabric.params();
-        Herd {
-            pool,
-            pool_mr,
-            clients,
-            threads,
-            client_thread,
-            cq_thread,
-            worker_qps,
-            workers,
-            handler,
-            overhead: ClientOverhead {
-                per_post: p.post_cpu + SimDuration::nanos(25),
-                // Poll the CQ and replenish the receive ring per response.
-                per_response: p.cq_poll_cpu + p.post_recv_cpu + SimDuration::nanos(20),
-                // Datagram client loop: marshal the request into a
-                // registered slot, demux the UD completion, re-arm the
-                // ring — ~2.6 µs/op of client CPU all told (the
-                // Fig. 8-right cost that makes UD need more client
-                // machines).
-                per_dispatch: SimDuration::nanos(2_400),
-            },
-            post_cpu: p.post_cpu,
-            pool_check: p.pool_check_cpu,
-            block_size,
-        }
-    }
-
-    fn fill_ring(&mut self, thread: usize, cx: &mut Cx<'_, HerdEv>) {
-        let ep = &mut self.threads[thread];
-        while ep.ring_order.len() < RING {
-            let slot = {
-                // Next unused slot: slots cycle with the ring.
-                let used: simcore::DetHashSet<_> = ep.ring_order.iter().copied().collect();
-                (0..RING).find(|s| !used.contains(s))
-            };
-            let Some(slot) = slot else { break };
-            cx.fabric
-                .post_recv(
-                    ep.ud_qp,
-                    ep.ring_mr,
-                    slot * self.block_size,
-                    self.block_size,
-                )
-                .expect("ring recv");
-            ep.ring_order.push_back(slot);
-        }
-    }
-
-    fn send_request(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        cx: &mut Cx<'_, HerdEv>,
-    ) {
-        let header = RpcHeader {
-            call_type: 0,
-            flags: 0,
-            client_id: client as u32,
-            seq,
-        };
-        let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-        buf.extend_from_slice(&header.encode());
-        buf.extend_from_slice(&payload);
-        let (enc_off, bytes) = MsgBuf::encode(&buf, self.pool.block_size).expect("fits block");
-        let slot = self.pool.slot_of_seq(seq);
-        let remote = RemoteAddr::new(self.pool_mr, self.pool.offset(client, slot) + enc_off);
-        self.clients[client].inflight += 1;
-        cx.post(
-            self.clients[client].uc_qp,
-            WorkRequest::Write {
-                data: bytes,
-                remote,
-                imm: None,
-            },
-            false,
-            None,
-        )
-        .expect("uc request write");
-    }
-
-    fn handle_request_arrival(&mut self, offset: usize, len: usize, cx: &mut Cx<'_, HerdEv>) {
-        let Some((zone, _slot)) = self.pool.locate(offset) else {
-            return;
-        };
-        let block_start = (offset / self.pool.block_size) * self.pool.block_size;
-        let decoded = {
-            let mr = cx.fabric.mr(self.pool_mr).expect("pool mr");
-            let block = mr.read(block_start, self.pool.block_size).expect("bounds");
-            MsgBuf::decode(block).and_then(|m| RpcHeader::decode(m).map(|(h, p)| (h, p.to_vec())))
-        };
-        let Some((header, payload)) = decoded else {
-            return;
-        };
-        let read_cost = cx
-            .fabric
-            .cpu_access(self.pool_mr, offset, len)
-            .expect("pool access");
-        cx.fabric
-            .mr_mut(self.pool_mr)
-            .expect("pool mr")
-            .write(
-                MsgBuf::valid_offset(self.pool.block_size) + block_start,
-                &[0],
-            )
-            .expect("valid byte");
-        let client = header.client_id as usize;
-        let (resp, handler_cost) = self.handler.handle(client, &payload, cx.fabric);
-        let w = self.workers.owner_of(zone);
-        let service = self.pool_check + read_cost + handler_cost + self.post_cpu;
-        let done = self.workers.run(w, cx.now, service);
-        cx.at(
-            done,
-            HerdEv::SendResponse {
-                client,
-                seq: header.seq,
-                payload: resp,
-            },
-        );
-    }
-}
-
-impl<H: ServerHandler> Herd<H> {
-    /// Immutable access to the server-side handler (post-run inspection).
-    pub fn handler(&self) -> &H {
-        &self.handler
-    }
-
-    /// Mutable access to the server-side handler (setup/preload).
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-}
-
-impl<H: ServerHandler> RpcTransport for Herd<H> {
-    type Ev = HerdEv;
-
-    fn init(&mut self, cx: &mut Cx<'_, HerdEv>) {
-        for t in 0..self.threads.len() {
-            self.fill_ring(t, cx);
-        }
-    }
-
-    fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, HerdEv>, out: &mut Vec<Response>) {
-        match up {
-            Upcall::MemWrite {
-                mr, offset, len, ..
-            } if mr == self.pool_mr => {
-                self.handle_request_arrival(offset, len, cx);
-            }
-            Upcall::Completion { cq, wc, .. } => {
-                let Some(&thread) = self.cq_thread.get(&cq) else {
-                    return;
-                };
-                if wc.opcode != WcOpcode::Recv {
-                    return;
-                }
-                let (ring_mr, slot) = {
-                    let ep = &mut self.threads[thread];
-                    let slot = ep.ring_order.pop_front().expect("ring in sync");
-                    (ep.ring_mr, slot)
-                };
-                let decoded = {
-                    let mr = cx.fabric.mr(ring_mr).expect("ring mr");
-                    let raw = mr
-                        .read(slot * self.block_size, wc.byte_len)
-                        .expect("ring bounds");
-                    RpcHeader::decode(raw).map(|(h, p)| (h, p.to_vec()))
-                };
-                // Charge the LLC for reading the response bytes.
-                let _ = cx
-                    .fabric
-                    .cpu_access(ring_mr, slot * self.block_size, wc.byte_len)
-                    .expect("ring access");
-                // Replenish the consumed receive.
-                cx.fabric
-                    .post_recv(
-                        self.threads[thread].ud_qp,
-                        ring_mr,
-                        slot * self.block_size,
-                        self.block_size,
-                    )
-                    .expect("replenish recv");
-                self.threads[thread].ring_order.push_back(slot);
-                let Some((header, payload)) = decoded else {
-                    return;
-                };
-                let client = header.client_id as usize;
-                self.clients[client].inflight = self.clients[client].inflight.saturating_sub(1);
-                out.push(Response {
-                    client,
-                    seq: header.seq,
-                    payload: Bytes::from(payload),
-                });
-                if self.clients[client].inflight < self.pool.slots {
-                    if let Some((seq, payload)) = self.clients[client].pending.pop_front() {
-                        self.send_request(client, seq, payload, cx);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_app(&mut self, ev: HerdEv, cx: &mut Cx<'_, HerdEv>, _out: &mut Vec<Response>) {
-        match ev {
-            HerdEv::SendResponse {
-                client,
-                seq,
-                payload,
-            } => {
-                let header = RpcHeader {
-                    call_type: 0,
-                    flags: 0,
-                    client_id: client as u32,
-                    seq,
-                };
-                let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-                buf.extend_from_slice(&header.encode());
-                buf.extend_from_slice(&payload);
-                let thread = self.client_thread[client];
-                let w = self.workers.owner_of(client);
-                // UD responses leave on one of W worker QPs: a tiny,
-                // always-cached QP working set.
-                cx.post(
-                    self.worker_qps[w],
-                    WorkRequest::Send {
-                        data: buf.freeze(),
-                        imm: None,
-                    },
-                    false,
-                    Some(self.threads[thread].ud_qp),
-                )
-                .expect("ud response");
-            }
-        }
-    }
-
-    fn submit(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        cx: &mut Cx<'_, HerdEv>,
-        _out: &mut Vec<Response>,
-    ) {
-        if self.clients[client].inflight >= self.pool.slots {
-            self.clients[client].pending.push_back((seq, payload));
-        } else {
-            self.send_request(client, seq, payload, cx);
-        }
-    }
-
-    fn client_overhead(&self) -> ClientOverhead {
-        self.overhead
-    }
-
-    fn name(&self) -> &'static str {
-        "HERD"
-    }
-}
-
-impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for Herd<H> {
-    fn client_qp(&self, client: ClientId) -> Option<rdma_fabric::QpId> {
-        // UD/UC response paths cannot host one-sided verbs (Table 1).
-        let _ = client;
-        None
+        let responses =
+            SendResponses::new(fabric, cluster, server.workers(), &worker_qps, block_size);
+        let requests = requests.connect(fabric, cluster);
+        Baseline::pair("HERD", fabric, requests, responses, server, overhead)
     }
 }

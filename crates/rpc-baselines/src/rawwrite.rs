@@ -12,58 +12,17 @@
 //! - the pool grows with the client count, so past the LLC capacity every
 //!   poll misses (inbound collapse).
 
-use bytes::{Bytes, BytesMut};
-use rdma_fabric::{Fabric, MrId, QpId, RemoteAddr, Transport, Upcall, WorkRequest};
-use rpc_core::cluster::{ClientId, Cluster};
-use rpc_core::driver::Cx;
-use rpc_core::message::{MsgBuf, RpcHeader, HEADER};
-use rpc_core::transport::{ClientOverhead, Response, RpcTransport, ServerHandler};
+use rdma_fabric::{Fabric, Transport};
+use rpc_core::cluster::Cluster;
+use rpc_core::transport::{ClientOverhead, ServerHandler};
 use simcore::SimDuration;
-use simtrace::{Stage, TraceId, Tracer};
 
-use crate::pool::StaticPool;
-use rpc_core::workers::WorkerPool;
+use crate::baseline::{Baseline, Server};
+use crate::request::PoolRequests;
+use crate::response::WriteResponses;
 
-/// Internal events.
-pub enum RawWriteEv {
-    /// A worker finished a request; post the response write.
-    SendResponse {
-        /// Destination client.
-        client: ClientId,
-        /// Request sequence echoed back.
-        seq: u64,
-        /// Response payload.
-        payload: Bytes,
-    },
-}
-
-struct PerClient {
-    /// Server-side endpoint of the RC connection.
-    server_qp: QpId,
-    /// Client-side endpoint.
-    client_qp: QpId,
-    /// Client-local response buffer (`slots` blocks).
-    resp_mr: MrId,
-    inflight: usize,
-    pending: std::collections::VecDeque<(u64, Bytes)>,
-}
-
-/// The RawWrite transport.
-pub struct RawWrite<H: ServerHandler> {
-    pool: StaticPool,
-    pool_mr: MrId,
-    clients: Vec<PerClient>,
-    resp_index: simcore::DetHashMap<MrId, ClientId>,
-    workers: WorkerPool,
-    handler: H,
-    overhead: ClientOverhead,
-    post_cpu: SimDuration,
-    pool_check: SimDuration,
-    tracer: Tracer,
-    /// Open trace ids keyed by `(client, seq)` — the request id assigned
-    /// by the harness at post time, closed when the response lands.
-    trace_ids: simcore::DetHashMap<(ClientId, u64), TraceId>,
-}
+/// The RawWrite transport: polled RC-write requests × RC-write responses.
+pub type RawWrite<H> = Baseline<PoolRequests<false>, WriteResponses, H>;
 
 impl<H: ServerHandler> RawWrite<H> {
     /// Builds the transport: registers the pool, the per-client response
@@ -75,303 +34,37 @@ impl<H: ServerHandler> RawWrite<H> {
         block_size: usize,
         handler: H,
     ) -> Self {
-        let n = cluster.clients();
-        let pool = StaticPool::new(n, slots, block_size);
-        let pool_mr = fabric
-            .register_mr(cluster.server, pool.total_bytes())
-            .expect("server node exists");
-        let server_cq = fabric.create_cq(cluster.server).expect("cq");
-        let workers = WorkerPool::new(cluster.spec().server_threads);
-        let mut clients = Vec::with_capacity(n);
-        let mut resp_index = simcore::DetHashMap::default();
-        for c in 0..n {
-            let cnode = cluster.node_of(c);
-            let resp_mr = fabric
-                .register_mr(cnode, slots * block_size)
-                .expect("client node exists");
-            let ccq = fabric.create_cq(cnode).expect("cq");
-            let server_qp = fabric
-                .create_qp(cluster.server, Transport::Rc, server_cq, server_cq)
-                .expect("qp");
-            let client_qp = fabric
-                .create_qp(cnode, Transport::Rc, ccq, ccq)
-                .expect("qp");
-            fabric.connect(server_qp, client_qp).expect("connect");
-            resp_index.insert(resp_mr, c);
-            clients.push(PerClient {
-                server_qp,
-                client_qp,
-                resp_mr,
-                inflight: 0,
-                pending: Default::default(),
-            });
-        }
         let p = fabric.params();
-        RawWrite {
-            pool,
-            pool_mr,
-            clients,
-            resp_index,
-            workers,
-            handler,
-            overhead: ClientOverhead {
-                per_post: p.post_cpu + SimDuration::nanos(25),
-                per_response: p.pool_check_cpu + SimDuration::nanos(10),
-                // Pool-based RC client: the response is one local
-                // cacheline check, there is no dispatch machinery.
-                per_dispatch: SimDuration::ZERO,
-            },
-            post_cpu: p.post_cpu,
-            pool_check: p.pool_check_cpu,
-            tracer: fabric.tracer().clone(),
-            trace_ids: simcore::DetHashMap::default(),
-        }
-    }
-
-    /// The pool geometry (used by experiments varying block sizes).
-    pub fn pool(&self) -> &StaticPool {
-        &self.pool
-    }
-
-    fn send_request(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        cx: &mut Cx<'_, RawWriteEv>,
-    ) {
-        let header = RpcHeader {
-            call_type: 0,
-            flags: 0,
-            client_id: client as u32,
-            seq,
-        };
-        let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-        buf.extend_from_slice(&header.encode());
-        buf.extend_from_slice(&payload);
-        let (enc_off, bytes) =
-            MsgBuf::encode(&buf, self.pool.block_size).expect("request fits block");
-        let slot = self.pool.slot_of_seq(seq);
-        let remote = RemoteAddr::new(self.pool_mr, self.pool.offset(client, slot) + enc_off);
-        self.clients[client].inflight += 1;
-        if let Some(&tid) = self.trace_ids.get(&(client, seq)) {
-            // Requests drained from the pending queue post outside the
-            // harness's submit window, so re-arm the ctx ourselves.
-            cx.fabric.set_trace_ctx(tid);
-        }
-        cx.post(
-            self.clients[client].client_qp,
-            WorkRequest::Write {
-                data: bytes,
-                remote,
-                imm: None,
-            },
-            false,
-            None,
-        )
-        .expect("request write");
-    }
-
-    fn handle_request_arrival(&mut self, offset: usize, len: usize, cx: &mut Cx<'_, RawWriteEv>) {
-        let Some((zone, _slot)) = self.pool.locate(offset) else {
-            return;
-        };
-        let block_idx = offset / self.pool.block_size;
-        let block_start = block_idx * self.pool.block_size;
-        let decoded = {
-            let mr = cx.fabric.mr(self.pool_mr).expect("pool mr");
-            let block = mr
-                .read(block_start, self.pool.block_size)
-                .expect("block bounds");
-            MsgBuf::decode(block).and_then(|m| RpcHeader::decode(m).map(|(h, p)| (h, p.to_vec())))
-        };
-        let Some((header, payload)) = decoded else {
-            return; // torn or stale block
-        };
-        // The polling worker touches the message bytes through the LLC.
-        let read_cost = cx
-            .fabric
-            .cpu_access(self.pool_mr, offset, len)
-            .expect("pool access");
-        // Consume the message: clear Valid so the slot can be reused.
-        cx.fabric
-            .mr_mut(self.pool_mr)
-            .expect("pool mr")
-            .write(
-                MsgBuf::valid_offset(self.pool.block_size) + block_start,
-                &[0],
-            )
-            .expect("valid byte");
-        let client = header.client_id as usize;
-        let (resp, handler_cost) = self.handler.handle(client, &payload, cx.fabric);
-        let w = self.workers.owner_of(zone);
-        let service = self.pool_check + read_cost + handler_cost + self.post_cpu;
-        let done = self.workers.run(w, cx.now, service);
-        if let Some(&tid) = self.trace_ids.get(&(client, header.seq)) {
-            // Includes queueing behind the zone's worker, so poll-side
-            // contention shows up in the stage breakdown.
-            self.tracer
-                .span(tid, Stage::Handler, cx.now, done, client as u64);
-        }
-        cx.at(
-            done,
-            RawWriteEv::SendResponse {
-                client,
-                seq: header.seq,
-                payload: resp,
-            },
-        );
-    }
-
-    fn handle_response_arrival(
-        &mut self,
-        client: ClientId,
-        offset: usize,
-        cx: &mut Cx<'_, RawWriteEv>,
-        out: &mut Vec<Response>,
-    ) {
-        let block_size = self.pool.block_size;
-        let block_start = (offset / block_size) * block_size;
-        let resp_mr = self.clients[client].resp_mr;
-        let decoded = {
-            let mr = cx.fabric.mr(resp_mr).expect("resp mr");
-            let block = mr.read(block_start, block_size).expect("block bounds");
-            MsgBuf::decode(block).and_then(|m| RpcHeader::decode(m).map(|(h, p)| (h, p.to_vec())))
-        };
-        let Some((header, payload)) = decoded else {
-            return;
-        };
-        cx.fabric
-            .mr_mut(resp_mr)
-            .expect("resp mr")
-            .write(MsgBuf::valid_offset(block_size) + block_start, &[0])
-            .expect("valid byte");
-        self.clients[client].inflight = self.clients[client].inflight.saturating_sub(1);
-        if let Some(tid) = self.trace_ids.remove(&(client, header.seq)) {
-            self.tracer.end(tid, Stage::Response, cx.now);
-        }
-        out.push(Response {
-            client,
-            seq: header.seq,
-            payload: Bytes::from(payload),
-        });
-        // Admit a queued request if a slot freed up.
-        if self.clients[client].inflight < self.pool.slots {
-            if let Some((seq, payload)) = self.clients[client].pending.pop_front() {
-                self.send_request(client, seq, payload, cx);
-            }
-        }
+        // Per request the zone's worker polls the pool and posts the
+        // response write.
+        let server = Server::new(cluster, handler, p.pool_check_cpu + p.post_cpu);
+        Self::over_rc("RawWrite", fabric, cluster, slots, block_size, server)
     }
 }
 
-impl<H: ServerHandler> RawWrite<H> {
-    /// Immutable access to the server-side handler (post-run inspection).
-    pub fn handler(&self) -> &H {
-        &self.handler
-    }
-
-    /// Mutable access to the server-side handler (setup/preload).
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-}
-
-impl<H: ServerHandler> RpcTransport for RawWrite<H> {
-    type Ev = RawWriteEv;
-
-    fn init(&mut self, _cx: &mut Cx<'_, RawWriteEv>) {}
-
-    fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, RawWriteEv>, out: &mut Vec<Response>) {
-        if let Upcall::MemWrite {
-            mr, offset, len, ..
-        } = up
-        {
-            if mr == self.pool_mr {
-                self.handle_request_arrival(offset, len, cx);
-            } else if let Some(&client) = self.resp_index.get(&mr) {
-                self.handle_response_arrival(client, offset, cx, out);
-            }
-        }
-    }
-
-    fn on_app(&mut self, ev: RawWriteEv, cx: &mut Cx<'_, RawWriteEv>, _out: &mut Vec<Response>) {
-        match ev {
-            RawWriteEv::SendResponse {
-                client,
-                seq,
-                payload,
-            } => {
-                let header = RpcHeader {
-                    call_type: 0,
-                    flags: 0,
-                    client_id: client as u32,
-                    seq,
-                };
-                let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-                buf.extend_from_slice(&header.encode());
-                buf.extend_from_slice(&payload);
-                let block_size = self.pool.block_size;
-                let (enc_off, bytes) =
-                    MsgBuf::encode(&buf, block_size).expect("response fits block");
-                let slot = self.pool.slot_of_seq(seq);
-                let remote =
-                    RemoteAddr::new(self.clients[client].resp_mr, slot * block_size + enc_off);
-                if let Some(&tid) = self.trace_ids.get(&(client, seq)) {
-                    // Closed when the write lands at the client; the ctx
-                    // lets the response packet carry the id through the
-                    // fabric's RxNic/Dma stages.
-                    self.tracer
-                        .begin(tid, Stage::Response, cx.now, client as u64);
-                    cx.fabric.set_trace_ctx(tid);
-                }
-                // The response goes out on this client's dedicated RC QP:
-                // with many clients this is precisely the access pattern
-                // that thrashes the NIC cache.
-                cx.post(
-                    self.clients[client].server_qp,
-                    WorkRequest::Write {
-                        data: bytes,
-                        remote,
-                        imm: None,
-                    },
-                    false,
-                    None,
-                )
-                .expect("response write");
-            }
-        }
-    }
-
-    fn submit(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        cx: &mut Cx<'_, RawWriteEv>,
-        _out: &mut Vec<Response>,
-    ) {
-        let tid = cx.fabric.trace_ctx();
-        if tid != 0 {
-            self.trace_ids.insert((client, seq), tid);
-        }
-        if self.clients[client].inflight >= self.pool.slots {
-            self.clients[client].pending.push_back((seq, payload));
-        } else {
-            self.send_request(client, seq, payload, cx);
-        }
-    }
-
-    fn client_overhead(&self) -> ClientOverhead {
-        self.overhead
-    }
-
-    fn name(&self) -> &'static str {
-        "RawWrite"
-    }
-}
-
-impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for RawWrite<H> {
-    fn client_qp(&self, client: ClientId) -> Option<rdma_fabric::QpId> {
-        Some(self.clients[client].client_qp)
+impl<const IMM: bool, H> Baseline<PoolRequests<IMM>, WriteResponses, H> {
+    /// The wiring RawWrite and SelfRPC share: one RC connection per
+    /// client carrying its requests one way and its responses the other.
+    pub(crate) fn over_rc(
+        name: &'static str,
+        fabric: &mut Fabric,
+        cluster: &Cluster,
+        slots: usize,
+        block_size: usize,
+        server: Server<H>,
+    ) -> Self {
+        let requests = PoolRequests::format(fabric, cluster, Transport::Rc, slots, block_size)
+            .connect(fabric, cluster);
+        let responses =
+            WriteResponses::new(fabric, cluster, requests.pool(), requests.server_qps());
+        let p = fabric.params();
+        // Pool-based RC client: the response is one local cacheline
+        // check, there is no dispatch machinery.
+        let overhead = ClientOverhead {
+            per_post: p.post_cpu + SimDuration::nanos(25),
+            per_response: p.pool_check_cpu + SimDuration::nanos(10),
+            per_dispatch: SimDuration::ZERO,
+        };
+        Baseline::pair(name, fabric, requests, responses, server, overhead)
     }
 }

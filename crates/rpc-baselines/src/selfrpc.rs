@@ -11,53 +11,17 @@
 //! The immediate value encodes `(client << 8) | slot`, so one CQ poll
 //! yields the exact message block address.
 
-use bytes::{Bytes, BytesMut};
-use rdma_fabric::{Fabric, MrId, QpId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest};
-use rpc_core::cluster::{ClientId, Cluster};
-use rpc_core::driver::Cx;
-use rpc_core::message::{MsgBuf, RpcHeader, HEADER};
-use rpc_core::transport::{ClientOverhead, Response, RpcTransport, ServerHandler};
-use simcore::SimDuration;
+use rdma_fabric::Fabric;
+use rpc_core::cluster::Cluster;
+use rpc_core::transport::ServerHandler;
 
-use crate::pool::StaticPool;
-use rpc_core::workers::WorkerPool;
+use crate::baseline::Server;
+use crate::request::PoolRequests;
+use crate::response::WriteResponses;
 
-/// Internal events.
-pub enum SelfRpcEv {
-    /// Worker finished; post the RC response write.
-    SendResponse {
-        /// Destination client.
-        client: ClientId,
-        /// Echoed sequence number.
-        seq: u64,
-        /// Response payload.
-        payload: Bytes,
-    },
-}
-
-struct PerClient {
-    server_qp: QpId,
-    client_qp: QpId,
-    resp_mr: MrId,
-    inflight: usize,
-    pending: std::collections::VecDeque<(u64, Bytes)>,
-}
-
-/// The self-identified RPC transport.
-pub struct SelfRpc<H: ServerHandler> {
-    pool: StaticPool,
-    pool_mr: MrId,
-    /// Zero-length landing zone for the consumed receives.
-    dummy_mr: MrId,
-    clients: Vec<PerClient>,
-    resp_index: simcore::DetHashMap<MrId, ClientId>,
-    workers: WorkerPool,
-    handler: H,
-    overhead: ClientOverhead,
-    post_cpu: SimDuration,
-    post_recv_cpu: SimDuration,
-    cq_poll_cpu: SimDuration,
-}
+/// The self-identified RPC transport: RC write-with-immediate requests ×
+/// RC-write responses.
+pub type SelfRpc<H> = crate::baseline::Baseline<PoolRequests<true>, WriteResponses, H>;
 
 impl<H: ServerHandler> SelfRpc<H> {
     /// Builds the transport; the server pre-posts `slots + 2` receives
@@ -69,270 +33,11 @@ impl<H: ServerHandler> SelfRpc<H> {
         block_size: usize,
         handler: H,
     ) -> Self {
-        assert!(slots < 256, "slot index must fit the immediate encoding");
-        let n = cluster.clients();
-        let pool = StaticPool::new(n, slots, block_size);
-        let pool_mr = fabric
-            .register_mr(cluster.server, pool.total_bytes())
-            .expect("server node");
-        let dummy_mr = fabric.register_mr(cluster.server, 64).expect("dummy mr");
-        let server_cq = fabric.create_cq(cluster.server).expect("cq");
-        let workers = WorkerPool::new(cluster.spec().server_threads);
-        let mut clients = Vec::with_capacity(n);
-        let mut resp_index = simcore::DetHashMap::default();
-        for c in 0..n {
-            let cnode = cluster.node_of(c);
-            let resp_mr = fabric
-                .register_mr(cnode, slots * block_size)
-                .expect("client node");
-            let ccq = fabric.create_cq(cnode).expect("cq");
-            let server_qp = fabric
-                .create_qp(cluster.server, Transport::Rc, server_cq, server_cq)
-                .expect("qp");
-            let client_qp = fabric
-                .create_qp(cnode, Transport::Rc, ccq, ccq)
-                .expect("qp");
-            fabric.connect(server_qp, client_qp).expect("connect");
-            for _ in 0..slots + 2 {
-                fabric.post_recv(server_qp, dummy_mr, 0, 0).expect("recv");
-            }
-            resp_index.insert(resp_mr, c);
-            clients.push(PerClient {
-                server_qp,
-                client_qp,
-                resp_mr,
-                inflight: 0,
-                pending: Default::default(),
-            });
-        }
         let p = fabric.params();
-        SelfRpc {
-            pool,
-            pool_mr,
-            dummy_mr,
-            clients,
-            resp_index,
-            workers,
-            handler,
-            overhead: ClientOverhead {
-                per_post: p.post_cpu + SimDuration::nanos(25),
-                per_response: p.pool_check_cpu + SimDuration::nanos(10),
-                // Pool-based RC client: the response is one local
-                // cacheline check, there is no dispatch machinery.
-                per_dispatch: SimDuration::ZERO,
-            },
-            post_cpu: p.post_cpu,
-            post_recv_cpu: p.post_recv_cpu,
-            cq_poll_cpu: p.cq_poll_cpu,
-        }
-    }
-
-    fn send_request(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        cx: &mut Cx<'_, SelfRpcEv>,
-    ) {
-        let header = RpcHeader {
-            call_type: 0,
-            flags: 0,
-            client_id: client as u32,
-            seq,
-        };
-        let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-        buf.extend_from_slice(&header.encode());
-        buf.extend_from_slice(&payload);
-        let (enc_off, bytes) = MsgBuf::encode(&buf, self.pool.block_size).expect("fits block");
-        let slot = self.pool.slot_of_seq(seq);
-        let remote = RemoteAddr::new(self.pool_mr, self.pool.offset(client, slot) + enc_off);
-        let imm = ((client as u32) << 8) | slot as u32;
-        self.clients[client].inflight += 1;
-        cx.post(
-            self.clients[client].client_qp,
-            WorkRequest::Write {
-                data: bytes,
-                remote,
-                imm: Some(imm),
-            },
-            false,
-            None,
-        )
-        .expect("write_imm request");
-    }
-}
-
-impl<H: ServerHandler> SelfRpc<H> {
-    /// Immutable access to the server-side handler (post-run inspection).
-    pub fn handler(&self) -> &H {
-        &self.handler
-    }
-
-    /// Mutable access to the server-side handler (setup/preload).
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-}
-
-impl<H: ServerHandler> RpcTransport for SelfRpc<H> {
-    type Ev = SelfRpcEv;
-
-    fn init(&mut self, _cx: &mut Cx<'_, SelfRpcEv>) {}
-
-    fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, SelfRpcEv>, out: &mut Vec<Response>) {
-        match up {
-            Upcall::Completion { wc, .. } if wc.opcode == WcOpcode::RecvRdmaWithImm => {
-                let imm = wc.imm.expect("write_imm carries an immediate");
-                let client = (imm >> 8) as usize;
-                let slot = (imm & 0xFF) as usize;
-                if client >= self.clients.len() || slot >= self.pool.slots {
-                    return;
-                }
-                let block_start = self.pool.offset(client, slot);
-                let decoded = {
-                    let mr = cx.fabric.mr(self.pool_mr).expect("pool mr");
-                    let block = mr.read(block_start, self.pool.block_size).expect("bounds");
-                    MsgBuf::decode(block)
-                        .and_then(|m| RpcHeader::decode(m).map(|(h, p)| (h, p.to_vec())))
-                };
-                let Some((header, payload)) = decoded else {
-                    return;
-                };
-                let read_cost = cx
-                    .fabric
-                    .cpu_access(
-                        self.pool_mr,
-                        block_start,
-                        wc.byte_len.min(self.pool.block_size),
-                    )
-                    .expect("pool access");
-                cx.fabric
-                    .mr_mut(self.pool_mr)
-                    .expect("pool mr")
-                    .write(
-                        MsgBuf::valid_offset(self.pool.block_size) + block_start,
-                        &[0],
-                    )
-                    .expect("valid byte");
-                // Replenish the consumed receive on this client's QP.
-                cx.fabric
-                    .post_recv(self.clients[client].server_qp, self.dummy_mr, 0, 0)
-                    .expect("replenish recv");
-                let (resp, handler_cost) = self.handler.handle(client, &payload, cx.fabric);
-                let w = self.workers.owner_of(client);
-                let service = self.cq_poll_cpu
-                    + read_cost
-                    + handler_cost
-                    + self.post_recv_cpu
-                    + self.post_cpu;
-                let done = self.workers.run(w, cx.now, service);
-                cx.at(
-                    done,
-                    SelfRpcEv::SendResponse {
-                        client,
-                        seq: header.seq,
-                        payload: resp,
-                    },
-                );
-            }
-            Upcall::MemWrite { mr, offset, .. } => {
-                if let Some(&client) = self.resp_index.get(&mr) {
-                    let block_size = self.pool.block_size;
-                    let block_start = (offset / block_size) * block_size;
-                    let resp_mr = self.clients[client].resp_mr;
-                    let decoded = {
-                        let m = cx.fabric.mr(resp_mr).expect("resp mr");
-                        let block = m.read(block_start, block_size).expect("bounds");
-                        MsgBuf::decode(block)
-                            .and_then(|msg| RpcHeader::decode(msg).map(|(h, p)| (h, p.to_vec())))
-                    };
-                    let Some((header, payload)) = decoded else {
-                        return;
-                    };
-                    cx.fabric
-                        .mr_mut(resp_mr)
-                        .expect("resp mr")
-                        .write(MsgBuf::valid_offset(block_size) + block_start, &[0])
-                        .expect("valid byte");
-                    self.clients[client].inflight = self.clients[client].inflight.saturating_sub(1);
-                    out.push(Response {
-                        client,
-                        seq: header.seq,
-                        payload: Bytes::from(payload),
-                    });
-                    if self.clients[client].inflight < self.pool.slots {
-                        if let Some((seq, payload)) = self.clients[client].pending.pop_front() {
-                            self.send_request(client, seq, payload, cx);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_app(&mut self, ev: SelfRpcEv, cx: &mut Cx<'_, SelfRpcEv>, _out: &mut Vec<Response>) {
-        match ev {
-            SelfRpcEv::SendResponse {
-                client,
-                seq,
-                payload,
-            } => {
-                let header = RpcHeader {
-                    call_type: 0,
-                    flags: 0,
-                    client_id: client as u32,
-                    seq,
-                };
-                let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-                buf.extend_from_slice(&header.encode());
-                buf.extend_from_slice(&payload);
-                let block_size = self.pool.block_size;
-                let (enc_off, bytes) = MsgBuf::encode(&buf, block_size).expect("fits block");
-                let slot = self.pool.slot_of_seq(seq);
-                let remote =
-                    RemoteAddr::new(self.clients[client].resp_mr, slot * block_size + enc_off);
-                cx.post(
-                    self.clients[client].server_qp,
-                    WorkRequest::Write {
-                        data: bytes,
-                        remote,
-                        imm: None,
-                    },
-                    false,
-                    None,
-                )
-                .expect("rc response");
-            }
-        }
-    }
-
-    fn submit(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        cx: &mut Cx<'_, SelfRpcEv>,
-        _out: &mut Vec<Response>,
-    ) {
-        if self.clients[client].inflight >= self.pool.slots {
-            self.clients[client].pending.push_back((seq, payload));
-        } else {
-            self.send_request(client, seq, payload, cx);
-        }
-    }
-
-    fn client_overhead(&self) -> ClientOverhead {
-        self.overhead
-    }
-
-    fn name(&self) -> &'static str {
-        "SelfRPC"
-    }
-}
-
-impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for SelfRpc<H> {
-    fn client_qp(&self, client: ClientId) -> Option<rdma_fabric::QpId> {
-        Some(self.clients[client].client_qp)
+        // Per request the worker polls its CQ instead of the pool,
+        // re-posts the consumed receive and posts the response write.
+        let fixed_cost = p.cq_poll_cpu + p.post_recv_cpu + p.post_cpu;
+        let server = Server::new(cluster, handler, fixed_cost);
+        Self::over_rc("SelfRPC", fabric, cluster, slots, block_size, server)
     }
 }

@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use rdma_fabric::{
-    Fabric, FabricParams, MrId, QpId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest,
+    Fabric, FabricParams, MrId, NodeId, QpId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest,
 };
 use rpc_core::driver::{Cx, Logic};
 use rpc_core::sharded::ShardedSim;
@@ -82,17 +82,24 @@ impl Logic for UdChunkLogic {
     }
 }
 
-/// Measures single-threaded ordered-transfer bandwidth over UD with 4 KB
-/// slices and per-slice acknowledgements. Returns GB/s.
-pub fn measure_ud_bandwidth(params: FabricParams, total_bytes: usize) -> f64 {
-    let slice = params.ud_mtu;
+/// A sender and a receiver node with one QP of kind `transport` each:
+/// `(fabric, sender QP, receiver QP, receiver node)`.
+fn sender_and_receiver(params: FabricParams, transport: Transport) -> (Fabric, QpId, QpId, NodeId) {
     let mut fabric = Fabric::new(params);
     let a = fabric.add_node("sender");
     let b = fabric.add_node("receiver");
     let cq_a = fabric.create_cq(a).unwrap();
     let cq_b = fabric.create_cq(b).unwrap();
-    let src_qp = fabric.create_qp(a, Transport::Ud, cq_a, cq_a).unwrap();
-    let dst_qp = fabric.create_qp(b, Transport::Ud, cq_b, cq_b).unwrap();
+    let qa = fabric.create_qp(a, transport, cq_a, cq_a).unwrap();
+    let qb = fabric.create_qp(b, transport, cq_b, cq_b).unwrap();
+    (fabric, qa, qb, b)
+}
+
+/// Measures single-threaded ordered-transfer bandwidth over UD with 4 KB
+/// slices and per-slice acknowledgements. Returns GB/s.
+pub fn measure_ud_bandwidth(params: FabricParams, total_bytes: usize) -> f64 {
+    let slice = params.ud_mtu;
+    let (mut fabric, src_qp, dst_qp, b) = sender_and_receiver(params, Transport::Ud);
     let dst_mr = fabric.register_mr(b, 1 << 20).unwrap();
     let logic = UdChunkLogic {
         src_qp,
@@ -146,24 +153,16 @@ impl Logic for RcXferLogic {
 /// Measures single-threaded RC write bandwidth for the same transfer
 /// (one message — RC supports up to 2 GB). Returns GB/s.
 pub fn measure_rc_bandwidth(params: FabricParams, total_bytes: usize) -> f64 {
-    let mut fabric = Fabric::new(params);
-    let a = fabric.add_node("sender");
-    let b = fabric.add_node("receiver");
-    let cq_a = fabric.create_cq(a).unwrap();
-    let cq_b = fabric.create_cq(b).unwrap();
-    let qa = fabric.create_qp(a, Transport::Rc, cq_a, cq_a).unwrap();
-    let qb = fabric.create_qp(b, Transport::Rc, cq_b, cq_b).unwrap();
-    fabric.connect(qa, qb).unwrap();
+    let (mut fabric, qp, qb, b) = sender_and_receiver(params, Transport::Rc);
+    fabric.connect(qp, qb).unwrap();
     let dst_mr = fabric.register_mr(b, total_bytes).unwrap();
-    let mut sim = ShardedSim::new_sequential(
-        fabric,
-        RcXferLogic {
-            qp: qa,
-            dst_mr,
-            total: total_bytes,
-            finished_at: None,
-        },
-    );
+    let logic = RcXferLogic {
+        qp,
+        dst_mr,
+        total: total_bytes,
+        finished_at: None,
+    };
+    let mut sim = ShardedSim::new_sequential(fabric, logic);
     sim.run_sequential_to_quiescence();
     let end = sim.logic(0).finished_at.expect("transfer completes");
     total_bytes as f64 / end.as_secs_f64() / 1e9

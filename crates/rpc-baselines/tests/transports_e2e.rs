@@ -4,8 +4,8 @@
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
 use rpc_core::cluster::{Cluster, ClusterSpec};
-use rpc_core::driver::Sim;
 use rpc_core::harness::{Harness, HarnessConfig};
+use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::{EchoHandler, RpcTransport};
 use rpc_core::workload::ThinkTime;
 use simcore::SimDuration;
@@ -44,9 +44,9 @@ where
     let transport = build(&mut fabric, &cluster);
     let harness = Harness::new(transport, cluster, cfg(batch));
     let stop = harness.stop_at();
-    let mut sim = Sim::new(fabric, harness);
-    sim.run_until(stop + SimDuration::millis(2));
-    let m = &sim.logic.metrics;
+    let mut sim = ShardedSim::new_sequential(fabric, harness);
+    sim.run_sequential(stop + SimDuration::millis(2));
+    let m = &sim.logic(0).metrics;
     (m.mops(), m.ops)
 }
 
@@ -124,9 +124,9 @@ fn rawwrite_collapses_with_many_clients_fasst_does_not() {
         let t = RawWrite::new(&mut fabric, &cluster, 4, 1024, EchoHandler::default());
         let h = Harness::new(t, cluster, cfg(1));
         let stop = h.stop_at();
-        let mut sim = Sim::new(fabric, h);
-        sim.run_until(stop + SimDuration::millis(2));
-        sim.logic.metrics.mops()
+        let mut sim = ShardedSim::new_sequential(fabric, h);
+        sim.run_sequential(stop + SimDuration::millis(2));
+        sim.logic(0).metrics.mops()
     };
     let run_fasst = |sp: ClusterSpec| {
         let mut fabric = Fabric::new(FabricParams::default());
@@ -134,9 +134,9 @@ fn rawwrite_collapses_with_many_clients_fasst_does_not() {
         let t = Fasst::new(&mut fabric, &cluster, 1024, EchoHandler::default());
         let h = Harness::new(t, cluster, cfg(1));
         let stop = h.stop_at();
-        let mut sim = Sim::new(fabric, h);
-        sim.run_until(stop + SimDuration::millis(2));
-        sim.logic.metrics.mops()
+        let mut sim = ShardedSim::new_sequential(fabric, h);
+        sim.run_sequential(stop + SimDuration::millis(2));
+        sim.logic(0).metrics.mops()
     };
 
     // Batch 1: no same-connection response runs to amortize the misses.

@@ -1,15 +1,14 @@
-// simlint: allow-file(R6): the sequential engine — owns its shard's
-// EventQueue by definition.
-//! The generic simulation driver.
+//! The application side of the simulation driver.
 //!
-//! A [`Sim`] owns the fabric, an application [`Logic`], and one event
-//! queue carrying both fabric-internal events and application events. The
-//! logic interacts with the world exclusively through a [`Cx`], which can
-//! post verbs (fabric events are scheduled transparently) and set timers
+//! The engine ([`ShardedSim`](crate::ShardedSim)) owns the fabric, an
+//! application [`Logic`], and an event queue carrying both
+//! fabric-internal events and application events. The logic interacts
+//! with the world exclusively through a [`Cx`], which can post verbs
+//! (fabric events are scheduled transparently) and set timers
 //! (application events).
 
 use rdma_fabric::{Fabric, FabricEvent, PostInfo, QpId, Upcall, VerbResult, WorkRequest};
-use simcore::{EventQueue, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// One event in the unified queue.
 pub enum Ev<A> {
@@ -111,247 +110,5 @@ impl<'a, A> Cx<'a, A> {
             self.staged_app.push((t, wrap(ev)));
         }
         r
-    }
-}
-
-/// A complete simulation: fabric + logic + event queue.
-pub struct Sim<L: Logic> {
-    /// The fabric.
-    pub fabric: Fabric,
-    /// The application logic.
-    pub logic: L,
-    queue: EventQueue<Ev<L::Ev>>,
-    initialized: bool,
-}
-
-impl<L: Logic> Sim<L> {
-    /// Creates a simulation positioned at time zero.
-    pub fn new(fabric: Fabric, logic: L) -> Self {
-        Sim {
-            fabric,
-            logic,
-            queue: EventQueue::new(),
-            initialized: false,
-        }
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Runs until the queue drains or the next event lies beyond
-    /// `deadline`. Returns the number of events processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
-        let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
-        let mut upcalls: Vec<Upcall> = Vec::new();
-
-        if !self.initialized {
-            self.initialized = true;
-            let mut cx = Cx {
-                now: SimTime::ZERO,
-                fabric: &mut self.fabric,
-                staged_fabric: &mut staged_fabric,
-                staged_app: &mut staged_app,
-            };
-            self.logic.init(&mut cx);
-            for (t, ev) in staged_fabric.drain(..) {
-                self.queue.push(t, Ev::Fabric(ev));
-            }
-            for (t, ev) in staged_app.drain(..) {
-                self.queue.push(t, Ev::App(ev));
-            }
-        }
-
-        let mut processed = 0;
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {}
-                _ => break,
-            }
-            let (now, ev) = self.queue.pop().expect("peeked above"); // simlint: allow(R3): peek_time returned Some just above
-            processed += 1;
-            match ev {
-                Ev::Fabric(fe) => {
-                    self.fabric.handle(
-                        now,
-                        fe,
-                        &mut |t, ev| staged_fabric.push((t, ev)),
-                        &mut upcalls,
-                    );
-                    for up in upcalls.drain(..) {
-                        let mut cx = Cx {
-                            now,
-                            fabric: &mut self.fabric,
-                            staged_fabric: &mut staged_fabric,
-                            staged_app: &mut staged_app,
-                        };
-                        self.logic.on_upcall(up, &mut cx);
-                    }
-                }
-                Ev::App(ae) => {
-                    let mut cx = Cx {
-                        now,
-                        fabric: &mut self.fabric,
-                        staged_fabric: &mut staged_fabric,
-                        staged_app: &mut staged_app,
-                    };
-                    self.logic.on_app(ae, &mut cx);
-                }
-            }
-            for (t, ev) in staged_fabric.drain(..) {
-                self.queue.push(t, Ev::Fabric(ev));
-            }
-            for (t, ev) in staged_app.drain(..) {
-                self.queue.push(t, Ev::App(ev));
-            }
-        }
-        processed
-    }
-
-    /// Runs until the event queue is completely empty.
-    pub fn run_to_quiescence(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bytes::Bytes;
-    use rdma_fabric::{FabricParams, MrId, RemoteAddr, Transport};
-
-    /// Ping-pong logic: node A writes to B; on the MemWrite upcall B
-    /// writes back; A counts rounds.
-    struct PingPong {
-        a_qp: QpId,
-        b_qp: QpId,
-        mr_a: MrId,
-        mr_b: MrId,
-        rounds: u32,
-        max_rounds: u32,
-        timer_fired: bool,
-    }
-
-    enum PpEv {
-        Kick,
-        Timer,
-    }
-
-    impl Logic for PingPong {
-        type Ev = PpEv;
-
-        fn init(&mut self, cx: &mut Cx<'_, PpEv>) {
-            cx.at(SimTime::ZERO, PpEv::Kick);
-            cx.after(SimDuration::micros(500), PpEv::Timer);
-        }
-
-        fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, PpEv>) {
-            if let Upcall::MemWrite { mr, .. } = up {
-                if mr == self.mr_b && self.rounds < self.max_rounds {
-                    self.rounds += 1;
-                    cx.post(
-                        self.b_qp,
-                        WorkRequest::Write {
-                            data: Bytes::from_static(b"pong"),
-                            remote: RemoteAddr::new(self.mr_a, 0),
-                            imm: None,
-                        },
-                        false,
-                        None,
-                    )
-                    .unwrap();
-                } else if mr == self.mr_a && self.rounds < self.max_rounds {
-                    cx.post(
-                        self.a_qp,
-                        WorkRequest::Write {
-                            data: Bytes::from_static(b"ping"),
-                            remote: RemoteAddr::new(self.mr_b, 0),
-                            imm: None,
-                        },
-                        false,
-                        None,
-                    )
-                    .unwrap();
-                }
-            }
-        }
-
-        fn on_app(&mut self, ev: PpEv, cx: &mut Cx<'_, PpEv>) {
-            match ev {
-                PpEv::Kick => {
-                    cx.post(
-                        self.a_qp,
-                        WorkRequest::Write {
-                            data: Bytes::from_static(b"ping"),
-                            remote: RemoteAddr::new(self.mr_b, 0),
-                            imm: None,
-                        },
-                        false,
-                        None,
-                    )
-                    .unwrap();
-                }
-                PpEv::Timer => self.timer_fired = true,
-            }
-        }
-    }
-
-    fn build() -> Sim<PingPong> {
-        let mut fabric = Fabric::new(FabricParams::default());
-        let na = fabric.add_node("a");
-        let nb = fabric.add_node("b");
-        let mr_a = fabric.register_mr(na, 64).unwrap();
-        let mr_b = fabric.register_mr(nb, 64).unwrap();
-        let cq_a = fabric.create_cq(na).unwrap();
-        let cq_b = fabric.create_cq(nb).unwrap();
-        let a_qp = fabric.create_qp(na, Transport::Rc, cq_a, cq_a).unwrap();
-        let b_qp = fabric.create_qp(nb, Transport::Rc, cq_b, cq_b).unwrap();
-        fabric.connect(a_qp, b_qp).unwrap();
-        Sim::new(
-            fabric,
-            PingPong {
-                a_qp,
-                b_qp,
-                mr_a,
-                mr_b,
-                rounds: 0,
-                max_rounds: 10,
-                timer_fired: false,
-            },
-        )
-    }
-
-    #[test]
-    fn ping_pong_runs_to_completion() {
-        let mut sim = build();
-        sim.run_to_quiescence();
-        assert_eq!(sim.logic.rounds, 10);
-        assert!(sim.logic.timer_fired);
-        assert_eq!(
-            sim.fabric.mr(sim.logic.mr_a).unwrap().read(0, 4).unwrap(),
-            b"pong"
-        );
-    }
-
-    #[test]
-    fn deadline_stops_early() {
-        let mut sim = build();
-        // A single RTT takes ~2-4us; a 1us budget cannot finish 10 rounds.
-        sim.run_until(SimTime(1_000));
-        assert!(sim.logic.rounds < 10);
-        let before = sim.logic.rounds;
-        sim.run_to_quiescence();
-        assert!(sim.logic.rounds > before);
-        assert_eq!(sim.logic.rounds, 10);
-    }
-
-    #[test]
-    fn event_counting() {
-        let mut sim = build();
-        let n = sim.run_to_quiescence();
-        assert!(n > 20, "expected a realistic event count, got {n}");
-        assert_eq!(sim.run_to_quiescence(), 0, "quiescent sim stays quiet");
     }
 }

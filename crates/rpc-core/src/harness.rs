@@ -299,7 +299,7 @@ impl RequestGen for FixedSizeGen {
 
 /// The closed-loop harness: owns the transport, the client set and the
 /// metrics, and implements [`Logic`] so it can be driven by
-/// [`Sim`](crate::driver::Sim).
+/// [`ShardedSim`](crate::ShardedSim).
 // simsema: conserve(Harness: issued = completed + in_flight)
 pub struct Harness<T: RpcTransport> {
     /// The transport under test.

@@ -2,11 +2,13 @@
 //!
 //! - [`message`]: the right-aligned `Data | MsgLen | Valid` message layout
 //!   of §3.1 of the paper, plus the RPC header all transports share.
-//! - [`driver`]: the generic simulation driver wiring a
-//!   [`rdma_fabric::Fabric`] to application logic.
-//! - [`sharded`]: the multi-core counterpart of the driver — per-shard
-//!   logical processes under conservative-lookahead windows with a
-//!   deterministic cross-shard merge (DESIGN.md §10).
+//! - [`driver`]: the application side of the engine — the [`Logic`]
+//!   trait and the [`Cx`] capability handle through which logic posts
+//!   verbs and sets timers.
+//! - [`sharded`]: the engine — [`ShardedSim`], a sequential event loop
+//!   with one shard and per-shard logical processes under
+//!   conservative-lookahead windows with a deterministic cross-shard
+//!   merge (DESIGN.md §10) with several.
 //! - [`transport`]: the [`RpcTransport`](transport::RpcTransport) trait
 //!   every RPC implementation (ScaleRPC and the baselines) provides.
 //! - [`cluster`]: topology builder for the paper's testbed shape (one
@@ -36,7 +38,7 @@ pub mod workers;
 pub mod workload;
 
 pub use cluster::{ClientId, Cluster, ClusterSpec};
-pub use driver::{Cx, Logic, Sim};
+pub use driver::{Cx, Logic};
 pub use harness::{Harness, HarnessConfig, HarnessConfigError};
 pub use inject::{ClientStart, Injection, ScenarioError, ScenarioSpec};
 pub use message::{MsgBuf, RpcHeader};

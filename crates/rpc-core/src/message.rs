@@ -12,6 +12,7 @@
 //! processing a message; otherwise a stale message from the previous
 //! occupant would be mistaken for a fresh one.
 
+use crate::cluster::ClientId;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Trailer size: 4-byte little-endian `MsgLen` + 1-byte `Valid`.
@@ -68,6 +69,23 @@ impl RpcHeader {
             seq: u64::from_le_bytes(data[8..16].try_into().ok()?),
         };
         Some((h, &data[HEADER..]))
+    }
+
+    /// Frames an application payload for the wire: the header every
+    /// transport here sends (`call_type` 0, the given `flags`) followed
+    /// by `payload`. The one place a request or response header is built.
+    #[inline]
+    pub fn frame(client: ClientId, seq: u64, flags: u16, payload: &[u8]) -> BytesMut {
+        let header = RpcHeader {
+            call_type: 0,
+            flags,
+            client_id: client as u32,
+            seq,
+        };
+        let mut buf = BytesMut::with_capacity(HEADER + payload.len());
+        buf.extend_from_slice(&header.encode());
+        buf.extend_from_slice(payload);
+        buf
     }
 
     /// Whether the context-switch flag is set.
@@ -133,6 +151,14 @@ impl MsgBuf {
         Some(&block[len_start - msg_len..len_start])
     }
 
+    /// Decodes a full block holding a framed RPC message: the
+    /// right-aligned payload of [`decode`](Self::decode) split into its
+    /// header and application bytes.
+    #[inline]
+    pub fn decode_rpc(block: &[u8]) -> Option<(RpcHeader, &[u8])> {
+        Self::decode(block).and_then(RpcHeader::decode)
+    }
+
     /// Quick check of the `Valid` byte alone (what the polling loop
     /// reads before paying for the full message).
     pub fn is_valid(block: &[u8]) -> bool {
@@ -158,6 +184,18 @@ mod tests {
         assert!(rest.is_empty());
         assert!(dec.is_ctx_switch());
         assert!(!dec.is_legacy());
+    }
+
+    #[test]
+    fn framed_block_round_trips() {
+        let framed = RpcHeader::frame(9, 77, FLAG_LEGACY, b"payload");
+        let (offset, bytes) = MsgBuf::encode(&framed, 64).unwrap();
+        let mut block = vec![0u8; 64];
+        block[offset..].copy_from_slice(&bytes);
+        let (h, p) = MsgBuf::decode_rpc(&block).unwrap();
+        assert_eq!((h.client_id, h.seq, h.call_type), (9, 77, 0));
+        assert!(h.is_legacy());
+        assert_eq!(p, b"payload");
     }
 
     #[test]

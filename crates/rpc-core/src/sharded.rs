@@ -2,8 +2,8 @@
 // and the cross-shard merge; seq-level queue access here is the point.
 //! The sharded parallel simulation driver.
 //!
-//! [`ShardedSim`] is the multi-core counterpart of [`Sim`](crate::Sim):
-//! it splits one simulation into per-shard logical processes — each with
+//! [`ShardedSim`] is the one simulation engine. With a single shard it
+//! is the plain sequential event loop; beyond that it splits one simulation into per-shard logical processes — each with
 //! its own [`EventQueue`], fabric replica and logic replica — and runs
 //! them on a `std::thread` pool under conservative-lookahead windows.
 //! The cross-shard merge algebra lives in [`simcore::shard`]; this module
@@ -17,8 +17,9 @@
 //!   nodes goes stale and reading it is a logic bug. Results are read
 //!   back per shard through [`ShardedSim::logic`].
 //! - Three execution modes, picked automatically:
-//!   1. one shard → the plain sequential loop (identical to [`Sim`],
-//!      byte for byte — `nthreads = 1` costs nothing);
+//!   1. one shard → the plain sequential loop (`nthreads = 1` costs
+//!      nothing; the tests below hold it event-for-event to a reference
+//!      single-queue engine);
 //!   2. [`ShardSpec::isolated`] → each shard runs independently to the
 //!      deadline with **no** windows or merges; any cross-shard event is
 //!      a panic. For topologies that genuinely never talk across the
@@ -143,8 +144,8 @@ pub struct ShardedSim<L: Logic> {
 
 impl<L: Logic> ShardedSim<L> {
     /// Builds a *single-shard* simulation: the sequential engine run
-    /// through the sharded driver's span loop (bit-identical to
-    /// [`Sim`](crate::Sim), see the equivalence test below). Requires
+    /// through the sharded driver's span loop (bit-identical to the
+    /// reference engine, see the equivalence test below). Requires
     /// neither `Clone` nor `Send`, so monolithic logics — the RPC
     /// benchmark [`Harness`](crate::Harness), the transaction driver —
     /// can route their events through a shard handle today and pick up
@@ -262,8 +263,8 @@ where
     /// Builds a sharded simulation from a fully constructed fabric and
     /// logic.
     ///
-    /// Runs `logic.init` once on the *unsharded* fabric — exactly as
-    /// [`Sim`](crate::Sim) would — then replicates fabric and logic per
+    /// Runs `logic.init` once on the *unsharded* fabric — exactly as a
+    /// single-queue engine would — then replicates fabric and logic per
     /// shard and distributes the staged init events with the global
     /// sequence numbers the sequential engine would have assigned.
     ///
@@ -298,7 +299,7 @@ where
             "zero lookahead cannot make parallel progress"
         );
 
-        // Sequential init, exactly as `Sim::run_until` performs it.
+        // Sequential init, exactly as a single-queue engine performs it.
         let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
         let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
         {
@@ -350,7 +351,7 @@ where
     }
 
     /// Runs until every shard's queue drains or holds only events past
-    /// `deadline` (inclusive bound, matching [`Sim::run_until`]).
+    /// `deadline` (inclusive bound, like [`run_sequential`](Self::run_sequential)).
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let n = if self.shards.len() == 1 {
@@ -773,10 +774,105 @@ mod tests {
     use bytes::Bytes;
     use rdma_fabric::{FabricParams, MrId, QpId, RemoteAddr, Transport, WorkRequest};
 
+    /// The reference engine every mode is compared against: one fabric,
+    /// one logic, one queue, nothing else — the original sequential
+    /// driver, kept as the oracle that defines "the same run".
+    struct Sim<L: Logic> {
+        fabric: Fabric,
+        logic: L,
+        queue: EventQueue<Ev<L::Ev>>,
+        initialized: bool,
+    }
+
+    impl<L: Logic> Sim<L> {
+        fn new(fabric: Fabric, logic: L) -> Self {
+            Sim {
+                fabric,
+                logic,
+                queue: EventQueue::new(),
+                initialized: false,
+            }
+        }
+
+        /// Runs until the queue drains or the next event lies beyond
+        /// `deadline`. Returns the number of events processed.
+        fn run_until(&mut self, deadline: SimTime) -> u64 {
+            let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
+            let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
+            let mut upcalls: Vec<Upcall> = Vec::new();
+
+            if !self.initialized {
+                self.initialized = true;
+                let mut cx = Cx {
+                    now: SimTime::ZERO,
+                    fabric: &mut self.fabric,
+                    staged_fabric: &mut staged_fabric,
+                    staged_app: &mut staged_app,
+                };
+                self.logic.init(&mut cx);
+                for (t, ev) in staged_fabric.drain(..) {
+                    self.queue.push(t, Ev::Fabric(ev));
+                }
+                for (t, ev) in staged_app.drain(..) {
+                    self.queue.push(t, Ev::App(ev));
+                }
+            }
+
+            let mut processed = 0;
+            loop {
+                match self.queue.peek_time() {
+                    Some(t) if t <= deadline => {}
+                    _ => break,
+                }
+                let (now, ev) = self.queue.pop().expect("peeked above"); // simlint: allow(R3): peek_time returned Some just above
+                processed += 1;
+                match ev {
+                    Ev::Fabric(fe) => {
+                        self.fabric.handle(
+                            now,
+                            fe,
+                            &mut |t, ev| staged_fabric.push((t, ev)),
+                            &mut upcalls,
+                        );
+                        for up in upcalls.drain(..) {
+                            let mut cx = Cx {
+                                now,
+                                fabric: &mut self.fabric,
+                                staged_fabric: &mut staged_fabric,
+                                staged_app: &mut staged_app,
+                            };
+                            self.logic.on_upcall(up, &mut cx);
+                        }
+                    }
+                    Ev::App(ae) => {
+                        let mut cx = Cx {
+                            now,
+                            fabric: &mut self.fabric,
+                            staged_fabric: &mut staged_fabric,
+                            staged_app: &mut staged_app,
+                        };
+                        self.logic.on_app(ae, &mut cx);
+                    }
+                }
+                for (t, ev) in staged_fabric.drain(..) {
+                    self.queue.push(t, Ev::Fabric(ev));
+                }
+                for (t, ev) in staged_app.drain(..) {
+                    self.queue.push(t, Ev::App(ev));
+                }
+            }
+            processed
+        }
+
+        fn run_to_quiescence(&mut self) -> u64 {
+            self.run_until(SimTime::MAX)
+        }
+    }
+
     /// A pair of nodes playing ping-pong `max_rounds` times; cloneable
-    /// so it can be replicated across shards. Unlike the `driver.rs`
-    /// test logic, every decision reads only state owned by the node
-    /// the current event executes on — the replication contract: `b`
+    /// so it can be replicated across shards: every decision reads only
+    /// state owned by the node
+    /// the current event executes on — the replication contract. `b`
     /// answers the first `max_rounds` pings it receives (`pings` is
     /// b-owned), `a` keeps the rally going until it has collected
     /// `max_rounds` pongs (`pongs` is a-owned).
@@ -879,7 +975,7 @@ mod tests {
         // Sequential reference.
         let mut fabric = Fabric::new(FabricParams::default());
         let logic = build_pair(&mut fabric, 0, 10);
-        let mut seq_sim = crate::Sim::new(fabric, logic);
+        let mut seq_sim = Sim::new(fabric, logic);
         let seq_events = seq_sim.run_to_quiescence();
         assert_eq!(seq_sim.logic.pongs, 10);
 
@@ -949,7 +1045,7 @@ mod tests {
 
         let mut fabric = Fabric::new(FabricParams::default());
         let logic = build(&mut fabric);
-        let mut seq_sim = crate::Sim::new(fabric, logic);
+        let mut seq_sim = Sim::new(fabric, logic);
         let seq_events = seq_sim.run_to_quiescence();
 
         let mut fabric = Fabric::new(FabricParams::default());
@@ -998,7 +1094,7 @@ mod tests {
 
         let mut fabric = Fabric::new(FabricParams::default());
         let logic = build_pair(&mut fabric, 0, 10);
-        let mut seq_sim = crate::Sim::new(fabric, logic);
+        let mut seq_sim = Sim::new(fabric, logic);
         assert_eq!(events, seq_sim.run_to_quiescence());
         assert_eq!(sim.logic(0).pongs, 10);
         assert_eq!(sim.events(), events);
@@ -1016,8 +1112,48 @@ mod tests {
 
         let mut fabric = Fabric::new(FabricParams::default());
         let logic = build_pair(&mut fabric, 0, 10);
-        let mut seq_sim = crate::Sim::new(fabric, logic);
+        let mut seq_sim = Sim::new(fabric, logic);
         assert_eq!(events, seq_sim.run_to_quiescence());
         assert_eq!(sim.logic(0).pongs, 10);
+    }
+
+    fn sequential(max_rounds: u32) -> ShardedSim<PingPong> {
+        let mut fabric = Fabric::new(FabricParams::default());
+        let logic = build_pair(&mut fabric, 0, max_rounds);
+        ShardedSim::new_sequential(fabric, logic)
+    }
+
+    #[test]
+    fn ping_pong_runs_to_completion() {
+        let mut sim = sequential(10);
+        sim.run_sequential_to_quiescence();
+        assert_eq!(sim.logic(0).pongs, 10);
+        assert!(sim.logic(0).timer_fired);
+        let mr_a = sim.logic(0).mr_a;
+        assert_eq!(sim.fabric(0).mr(mr_a).unwrap().read(0, 4).unwrap(), b"pong");
+    }
+
+    #[test]
+    fn deadline_stops_early_and_resumes() {
+        let mut sim = sequential(10);
+        // A single RTT takes ~2-4us; a 1us budget cannot finish 10 rounds.
+        sim.run_sequential(SimTime(1_000));
+        let before = sim.logic(0).pongs;
+        assert!(before < 10);
+        sim.run_sequential_to_quiescence();
+        assert_eq!(sim.logic(0).pongs, 10);
+    }
+
+    #[test]
+    fn event_counting() {
+        let mut sim = sequential(10);
+        let n = sim.run_sequential_to_quiescence();
+        assert!(n > 20, "expected a realistic event count, got {n}");
+        assert_eq!(sim.events(), n);
+        assert_eq!(
+            sim.run_sequential_to_quiescence(),
+            0,
+            "quiescent sim stays quiet"
+        );
     }
 }

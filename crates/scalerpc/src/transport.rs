@@ -26,7 +26,7 @@
 //! - **Legacy mode** (§3.5): requests flagged long-running execute on a
 //!   dedicated thread so a context switch cannot cut them off.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use rdma_fabric::{
     CqId, Fabric, MrId, PostInfo, QpId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest, WrId,
 };
@@ -417,7 +417,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             .filter_map(|s| {
                 let mr = fabric.mr(st.local_mr).ok()?;
                 let raw = mr.read(self.staging_off(s), self.cfg.block_size).ok()?;
-                let (h, _) = MsgBuf::decode(raw).and_then(RpcHeader::decode)?;
+                let (h, _) = MsgBuf::decode_rpc(raw)?;
                 Some(format!("slot{s}=seq{}", h.seq))
             })
             .collect();
@@ -477,21 +477,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
         }
     }
 
-    // ---- framing ----------------------------------------------------------
-
-    fn frame(client: ClientId, seq: u64, flags: u16, payload: &[u8]) -> BytesMut {
-        let header = RpcHeader {
-            call_type: 0,
-            flags,
-            client_id: client as u32,
-            seq,
-        };
-        let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-        buf.extend_from_slice(&header.encode());
-        buf.extend_from_slice(payload);
-        buf
-    }
-
     /// Posts a work request, tolerating a torn-down or not-yet-ready QP:
     /// on a healthy run this behaves exactly like an `.expect`ing post;
     /// under churn the post is dropped and counted instead of panicking,
@@ -535,7 +520,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 .mr(st.local_mr)
                 .ok()
                 .and_then(|mr| mr.read(self.staging_off(s), self.cfg.block_size).ok())
-                .and_then(|raw| MsgBuf::decode(raw).and_then(RpcHeader::decode))
+                .and_then(MsgBuf::decode_rpc)
                 .map(|(h, _)| h.seq);
             let occupied = staged_seq.is_some_and(|ss| {
                 ss != seq && st.fsm.window().iter_in_flight().any(|(_, f)| f.seq == ss)
@@ -557,7 +542,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // Compose the message into the local staging block: an ordinary
         // CPU store, no verbs.
         let slot = self.staging_slot_for(client, seq, cx.fabric);
-        let buf = Self::frame(client, seq, 0, payload);
+        let buf = RpcHeader::frame(client, seq, 0, payload);
         let (enc_off, bytes) =
             MsgBuf::encode(&buf, self.cfg.block_size).expect("request fits block");
         let off = self.staging_off(slot) + enc_off;
@@ -600,7 +585,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         };
         let zone = zone.min(self.geom.zones - 1);
         let slot = self.geom.slot_of_seq(seq);
-        let buf = Self::frame(client, seq, 0, payload);
+        let buf = RpcHeader::frame(client, seq, 0, payload);
         let (enc_off, bytes) =
             MsgBuf::encode(&buf, self.cfg.block_size).expect("request fits block");
         let pool = self.pools[self.pool_pair.processing()];
@@ -720,7 +705,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             let block = mr
                 .read(block_start, self.cfg.block_size)
                 .expect("block bounds");
-            MsgBuf::decode(block).and_then(|m| RpcHeader::decode(m).map(|(h, p)| (h, p.to_vec())))
+            MsgBuf::decode_rpc(block).map(|(h, p)| (h, p.to_vec()))
         };
         let Some((header, payload)) = decoded else {
             return;
@@ -984,7 +969,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
 
     fn post_ctx_notify(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         self.ctx_notifies += 1;
-        let buf = Self::frame(client, NOTIFY_SEQ, FLAG_CTX_SWITCH, b"");
+        let buf = RpcHeader::frame(client, NOTIFY_SEQ, FLAG_CTX_SWITCH, b"");
         let (enc_off, bytes) = MsgBuf::encode(&buf, self.cfg.block_size).expect("notify fits");
         let remote = RemoteAddr::new(
             self.clients[client].local_mr,
@@ -1024,7 +1009,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             let raw = mr
                 .read(block_start, self.cfg.block_size)
                 .expect("block bounds");
-            MsgBuf::decode(raw).and_then(|m| RpcHeader::decode(m).map(|(h, p)| (h, p.to_vec())))
+            MsgBuf::decode_rpc(raw).map(|(h, p)| (h, p.to_vec()))
         };
         let Some((header, payload)) = decoded else {
             return;
@@ -1076,9 +1061,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 let raw = mr
                     .read(stage_block, self.cfg.block_size)
                     .expect("staging bounds");
-                MsgBuf::decode(raw)
-                    .and_then(RpcHeader::decode)
-                    .map(|(h, _)| h.seq)
+                MsgBuf::decode_rpc(raw).map(|(h, _)| h.seq)
             };
             if staged_seq == Some(header.seq) {
                 cx.fabric
@@ -1098,7 +1081,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // instead of letting steady traffic evict the stuck entries
         // (lowest-seq eviction would discard precisely the oldest,
         // still-unacknowledged request a retry is about to ask for).
-        self.clients[client].resp_cache.retain(|e| e.0 != header.seq);
+        self.clients[client]
+            .resp_cache
+            .retain(|e| e.0 != header.seq);
         out.push(Response {
             client,
             seq: header.seq,
@@ -1463,7 +1448,7 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                     st.needs_ctx = false;
                     flags |= FLAG_CTX_SWITCH;
                 }
-                let buf = Self::frame(client, seq, flags, &payload);
+                let buf = RpcHeader::frame(client, seq, flags, &payload);
                 let (enc_off, bytes) =
                     MsgBuf::encode(&buf, self.cfg.block_size).expect("response fits block");
                 let slot = self.geom.slot_of_seq(seq);
@@ -1565,8 +1550,8 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                     let pool_mr = self.pools[pi];
                     for z in 0..self.geom.zones {
                         for s in 0..self.cfg.slots {
-                            let off = self.geom.offset(z, s)
-                                + MsgBuf::valid_offset(self.cfg.block_size);
+                            let off =
+                                self.geom.offset(z, s) + MsgBuf::valid_offset(self.cfg.block_size);
                             cx.fabric
                                 .mr_mut(pool_mr)
                                 .expect("pool mr")

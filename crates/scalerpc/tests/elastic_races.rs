@@ -6,9 +6,9 @@
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::{Cluster, ClusterSpec};
-use rpc_core::driver::Sim;
 use rpc_core::harness::{Harness, HarnessConfig, RetryPolicy};
 use rpc_core::inject::{ClientStart, Injection, ScenarioSpec};
+use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::EchoHandler;
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -77,26 +77,20 @@ fn stale_establishment_after_double_churn_is_rejected() {
         // Pin the wake so the churn times sit inside the setup window.
         starts: vec![ClientStart::At(SimTime::ZERO)],
         timeline: vec![
-            (
-                SimTime(10_000),
-                Injection::ConnChurn { first: 0, last: 0 },
-            ),
-            (
-                SimTime(35_000),
-                Injection::ConnChurn { first: 0, last: 0 },
-            ),
+            (SimTime(10_000), Injection::ConnChurn { first: 0, last: 0 }),
+            (SimTime(35_000), Injection::ConnChurn { first: 0, last: 0 }),
         ],
     })
     .expect("valid scenario");
     let stop = h.stop_at();
-    let mut sim = Sim::new(fabric, h);
-    sim.run_until(stop + SimDuration::millis(3));
+    let mut sim = ShardedSim::new_sequential(fabric, h);
+    sim.run_sequential(stop + SimDuration::millis(3));
 
     // The run converges: the churned-away requests are retransmitted
     // and the closed loop keeps completing work afterwards.
-    assert!(sim.logic.metrics.ops > 0, "no completed ops");
+    assert!(sim.logic(0).metrics.ops > 0, "no completed ops");
     assert_eq!(
-        sim.logic.stuck_clients(),
+        sim.logic(0).stuck_clients(),
         Vec::<usize>::new(),
         "client stranded after double churn"
     );
@@ -105,7 +99,7 @@ fn stale_establishment_after_double_churn_is_rejected() {
     // the post-churn-#2 retransmission. The stale establishment at
     // ~40 µs must not stand in for the third.
     let started = sim
-        .fabric
+        .fabric(0)
         .counters(client_node)
         .expect("client node counters")
         .get("ConnSetupsStarted");

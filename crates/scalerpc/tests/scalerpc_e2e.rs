@@ -2,8 +2,8 @@
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::{Cluster, ClusterSpec};
-use rpc_core::driver::Sim;
 use rpc_core::harness::{Harness, HarnessConfig};
+use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::EchoHandler;
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -38,17 +38,17 @@ fn run_scale(
     machines: usize,
     batch: usize,
     scfg: ScaleRpcConfig,
-) -> (f64, u64, scalerpc::transport::ScaleRpc<EchoHandler>) {
+) -> (f64, u64, ShardedSim<Harness<ScaleRpc<EchoHandler>>>) {
     let mut fabric = Fabric::new(FabricParams::default());
     let cluster = Cluster::build(&mut fabric, spec(clients, machines));
     let t = ScaleRpc::new(&mut fabric, &cluster, scfg, EchoHandler::default());
     let h = Harness::new(t, cluster, cfg(batch, 6));
     let stop = h.stop_at();
-    let mut sim = Sim::new(fabric, h);
-    sim.run_until(stop + SimDuration::millis(3));
-    let mops = sim.logic.metrics.mops();
-    let ops = sim.logic.metrics.ops;
-    (mops, ops, sim.logic.transport)
+    let mut sim = ShardedSim::new_sequential(fabric, h);
+    sim.run_sequential(stop + SimDuration::millis(3));
+    let mops = sim.logic(0).metrics.mops();
+    let ops = sim.logic(0).metrics.ops;
+    (mops, ops, sim)
 }
 
 #[test]
@@ -59,7 +59,8 @@ fn small_cluster_round_trips() {
         block_size: 1024,
         ..Default::default()
     };
-    let (mops, ops, t) = run_scale(16, 2, 4, scfg);
+    let (mops, ops, sim) = run_scale(16, 2, 4, scfg);
+    let t = &sim.logic(0).transport;
     assert!(ops > 2_000, "too few ops: {ops}");
     assert!(mops > 0.5, "throughput too low: {mops:.2}");
     assert!(t.rotations() > 10, "scheduler must rotate groups");
@@ -75,7 +76,8 @@ fn context_switches_notify_idle_clients() {
         time_slice: SimDuration::micros(50),
         ..Default::default()
     };
-    let (_, ops, t) = run_scale(12, 2, 1, scfg);
+    let (_, ops, sim) = run_scale(12, 2, 1, scfg);
+    let t = &sim.logic(0).transport;
     assert!(ops > 500, "too few ops: {ops}");
     // With batch 1, responses usually drain before the switch, so
     // explicit notifications must appear.
@@ -114,9 +116,9 @@ fn scalerpc_beats_rawwrite_at_scale() {
         let t = RawWrite::new(&mut fabric, &cluster, 8, 4096, EchoHandler::default());
         let h = Harness::new(t, cluster, cfg(2, 6));
         let stop = h.stop_at();
-        let mut sim = Sim::new(fabric, h);
-        sim.run_until(stop + SimDuration::millis(3));
-        sim.logic.metrics.mops()
+        let mut sim = ShardedSim::new_sequential(fabric, h);
+        sim.run_sequential(stop + SimDuration::millis(3));
+        sim.logic(0).metrics.mops()
     };
     assert!(
         scale > raw * 1.5,
@@ -138,9 +140,9 @@ fn bimodal_latency_distribution() {
     );
     let h = Harness::new(t, cluster, cfg(1, 8));
     let stop = h.stop_at();
-    let mut sim = Sim::new(fabric, h);
-    sim.run_until(stop + SimDuration::millis(3));
-    let m = &sim.logic.metrics;
+    let mut sim = ShardedSim::new_sequential(fabric, h);
+    sim.run_sequential(stop + SimDuration::millis(3));
+    let m = &sim.logic(0).metrics;
     assert!(m.ops > 5_000, "too few ops: {}", m.ops);
     let median = m.median_us();
     let max = m.max_us();
@@ -202,9 +204,9 @@ fn run_ends_cleanly_no_stuck_clients() {
         );
         let h = Harness::new(t, cluster, cfg(4, 2));
         let stop = h.stop_at();
-        let mut sim = Sim::new(fabric, h);
-        sim.run_until(stop + SimDuration::millis(3));
-        sim.logic.metrics.ops
+        let mut sim = ShardedSim::new_sequential(fabric, h);
+        sim.run_sequential(stop + SimDuration::millis(3));
+        sim.logic(0).metrics.ops
     };
     let long = {
         let mut fabric = Fabric::new(FabricParams::default());
@@ -220,9 +222,9 @@ fn run_ends_cleanly_no_stuck_clients() {
         );
         let h = Harness::new(t, cluster, cfg(4, 8));
         let stop = h.stop_at();
-        let mut sim = Sim::new(fabric, h);
-        sim.run_until(stop + SimDuration::millis(3));
-        sim.logic.metrics.ops
+        let mut sim = ShardedSim::new_sequential(fabric, h);
+        sim.run_sequential(stop + SimDuration::millis(3));
+        sim.logic(0).metrics.ops
     };
     assert!(
         long as f64 > short as f64 * 2.5,

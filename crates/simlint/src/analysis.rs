@@ -122,16 +122,6 @@ impl SourceFile {
         self.allow_file.contains(&rule)
     }
 
-    /// The line-level allow directives, for cache serialization.
-    pub fn allow_entries(&self) -> &[(u32, Rule)] {
-        &self.allows
-    }
-
-    /// The file-level allow directives, for cache serialization.
-    pub fn allow_file_entries(&self) -> &[Rule] {
-        &self.allow_file
-    }
-
     /// Gate flags of the token at (or nearest after) `line:col` —
     /// lets AST-level rules honor `#[cfg(test)]` regions without
     /// re-deriving gates.

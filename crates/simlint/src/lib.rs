@@ -40,15 +40,12 @@
 //! type checking, no resolver — each rule is tuned so its false
 //! positives are rare and cheap to suppress, the price of keeping the
 //! whole pass dependency-free and fast enough to run in CI on every
-//! configuration. [`cache`] adds an incremental mode (per-file
-//! content-hash cache under `target/simlint-cache`) for tight edit
-//! loops.
+//! configuration. There is one mode: a full scan.
 
 #![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod ast;
-pub mod cache;
 pub mod lexer;
 pub mod rules;
 pub mod sema;
@@ -73,86 +70,16 @@ pub struct Analysis {
 }
 
 /// Cross-file lint context: everything the per-file rules consume that
-/// is derived from *other* files. The incremental cache reconstructs
-/// this from per-file contributions without re-lexing unchanged files.
+/// is derived from *other* files.
 #[derive(Default)]
-pub struct Ctx {
-    pub exports: VendorExports,
-    pub trace_only: BTreeSet<String>,
-    pub unsafe_crates: BTreeSet<String>,
-    pub features: BTreeMap<String, BTreeSet<String>>,
-    pub sema: sema::SemaCtx,
+struct Ctx {
+    exports: VendorExports,
+    trace_only: BTreeSet<String>,
+    unsafe_crates: BTreeSet<String>,
+    sema: sema::SemaCtx,
     /// Findings produced while building the context (duplicate fsm
     /// tables, ambiguity); subject to the same suppression as the rest.
-    pub ctx_findings: Vec<Finding>,
-}
-
-/// Per-target-root facts the global pass needs.
-pub struct RootInfo {
-    pub path: String,
-    pub forbid: bool,
-}
-
-/// Runs every per-file rule on one file, applying that file's own
-/// suppression (inline `allow` and whole-file `allow-file`). Transitions
-/// the file performs are accumulated into `performed` for the global
-/// unused-edge pass.
-pub fn run_file_rules(
-    f: &SourceFile,
-    ast: Option<&ast::Ast>,
-    ctx: &Ctx,
-    performed: &mut PerformedEdges,
-) -> Vec<Finding> {
-    let mut raw = Vec::new();
-    rules::r1(f, &mut raw);
-    rules::r2_features(f, &ctx.features, &mut raw);
-    rules::r2_refs(f, &ctx.trace_only, &mut raw);
-    rules::r2_cfg_attr(f, &mut raw);
-    rules::r3(f, &mut raw);
-    rules::r4(f, &ctx.exports, &mut raw);
-    rules::r5_safety(f, &mut raw);
-    rules::r6(f, &mut raw);
-    if let Some(ast) = ast {
-        sema::check_file(f, ast, &ctx.sema, &mut raw, performed);
-    }
-    raw.retain(|fi| {
-        !f.allowed(fi.rule, fi.line)
-            && !f.file_allowed(fi.rule)
-            && !BUILTIN_ALLOW
-                .iter()
-                .any(|(r, suffix, _)| *r == fi.rule && fi.path.ends_with(suffix))
-    });
-    raw
-}
-
-/// The global pass: R5(b) forbid-stamp on unsafe-free target roots and
-/// the R7 unused-edge audit. Returns *unsuppressed* findings — callers
-/// apply allow/allow-file filtering with whatever allow information
-/// they have (live `SourceFile`s or cached entries).
-pub fn run_global(
-    roots: &[RootInfo],
-    unsafe_crates: &BTreeSet<String>,
-    sema_ctx: &sema::SemaCtx,
-    performed: &PerformedEdges,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for r in roots {
-        if is_target_root(&r.path) && !unsafe_crates.contains(&crate_key(&r.path)) && !r.forbid {
-            out.push(Finding {
-                path: r.path.clone(),
-                line: 1,
-                col: 1,
-                rule: Rule::R5,
-                msg: format!(
-                    "crate `{}` has no unsafe code; stamp #![forbid(unsafe_code)] on \
-                     this target root so it stays that way",
-                    crate_key(&r.path)
-                ),
-            });
-        }
-    }
-    sema::unused_edges(sema_ctx, performed, &mut out);
-    out
+    ctx_findings: Vec<Finding>,
 }
 
 impl Analysis {
@@ -178,7 +105,7 @@ impl Analysis {
     }
 
     /// Parses the AST of every file the semantic rules scope to.
-    pub(crate) fn parse_asts(&self) -> Vec<Option<ast::Ast>> {
+    fn parse_asts(&self) -> Vec<Option<ast::Ast>> {
         self.files
             .iter()
             .map(|f| sema::in_scope(&f.path).then(|| ast::parse(&f.tokens)))
@@ -186,11 +113,8 @@ impl Analysis {
     }
 
     /// Builds the cross-file context (pass 1 over the batch).
-    pub(crate) fn build_ctx(&self, asts: &[Option<ast::Ast>]) -> Ctx {
-        let mut ctx = Ctx {
-            features: self.features.clone(),
-            ..Ctx::default()
-        };
+    fn build_ctx(&self, asts: &[Option<ast::Ast>]) -> Ctx {
+        let mut ctx = Ctx::default();
         let mut trace_defs = TraceDefs::default();
         let mut collects = Vec::new();
         for (f, ast) in self.files.iter().zip(asts) {
@@ -206,43 +130,75 @@ impl Analysis {
             }
         }
         ctx.trace_only = trace_defs.trace_only();
-        let mut ctx_findings = Vec::new();
-        ctx.sema = sema::build_ctx(&collects, &mut ctx_findings);
-        ctx.ctx_findings = ctx_findings;
+        ctx.sema = sema::build_ctx(&collects, &mut ctx.ctx_findings);
         ctx
     }
 
+    /// Runs every per-file rule on one file. Transitions the file
+    /// performs are accumulated into `performed` for the global
+    /// unused-edge pass.
+    fn file_rules(
+        &self,
+        f: &SourceFile,
+        ast: Option<&ast::Ast>,
+        ctx: &Ctx,
+        performed: &mut PerformedEdges,
+        out: &mut Vec<Finding>,
+    ) {
+        rules::r1(f, out);
+        rules::r2_features(f, &self.features, out);
+        rules::r2_refs(f, &ctx.trace_only, out);
+        rules::r2_cfg_attr(f, out);
+        rules::r3(f, out);
+        rules::r4(f, &ctx.exports, out);
+        rules::r5_safety(f, out);
+        rules::r6(f, out);
+        if let Some(ast) = ast {
+            sema::check_file(f, ast, &ctx.sema, out, performed);
+        }
+    }
+
     /// Runs all rules and returns findings, deterministically sorted,
-    /// with inline-allow and allow-file suppression applied.
+    /// with inline-allow, allow-file and built-in suppression applied.
     pub fn run(&self) -> Vec<Finding> {
         let asts = self.parse_asts();
         let ctx = self.build_ctx(&asts);
 
         let mut performed = PerformedEdges::default();
-        let mut out = Vec::new();
+        let mut out = ctx.ctx_findings.clone();
         for (f, ast) in self.files.iter().zip(&asts) {
-            out.extend(run_file_rules(f, ast.as_ref(), &ctx, &mut performed));
+            self.file_rules(f, ast.as_ref(), &ctx, &mut performed, &mut out);
+            // Global pass, R5(b): unsafe-free target roots carry the
+            // forbid stamp.
+            let key = crate_key(&f.path);
+            if is_target_root(&f.path) && !ctx.unsafe_crates.contains(&key) && !has_forbid_unsafe(f)
+            {
+                out.push(Finding {
+                    path: f.path.clone(),
+                    line: 1,
+                    col: 1,
+                    rule: Rule::R5,
+                    msg: format!(
+                        "crate `{key}` has no unsafe code; stamp #![forbid(unsafe_code)] on \
+                         this target root so it stays that way"
+                    ),
+                });
+            }
         }
+        // Global pass, R7: declared edges nothing performs.
+        sema::unused_edges(&ctx.sema, &performed, &mut out);
 
-        // Global pass + ctx findings, suppressed against the live files.
-        let roots: Vec<RootInfo> = self
-            .files
-            .iter()
-            .map(|f| RootInfo {
-                path: f.path.clone(),
-                forbid: has_forbid_unsafe(f),
-            })
-            .collect();
-        let mut global = run_global(&roots, &ctx.unsafe_crates, &ctx.sema, &performed);
-        global.extend(ctx.ctx_findings.iter().cloned());
         let by_path: BTreeMap<&str, &SourceFile> =
             self.files.iter().map(|f| (f.path.as_str(), f)).collect();
-        out.extend(global.into_iter().filter(|fi| {
-            by_path
+        out.retain(|fi| {
+            let file_ok = by_path
                 .get(fi.path.as_str())
-                .map(|sf| !sf.allowed(fi.rule, fi.line) && !sf.file_allowed(fi.rule))
-                .unwrap_or(true)
-        }));
+                .is_none_or(|sf| !sf.allowed(fi.rule, fi.line) && !sf.file_allowed(fi.rule));
+            file_ok
+                && !BUILTIN_ALLOW
+                    .iter()
+                    .any(|(r, suffix, _)| *r == fi.rule && fi.path.ends_with(suffix))
+        });
         out.sort();
         out.dedup();
         out
@@ -256,7 +212,7 @@ impl Analysis {
 
 /// Extracts feature names from a Cargo.toml's `[features]` section with
 /// a line-level scan (the workspace's manifests are all simple).
-pub(crate) fn parse_features(toml: &str) -> BTreeSet<String> {
+fn parse_features(toml: &str) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     let mut in_features = false;
     for line in toml.lines() {
@@ -303,7 +259,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 
 /// Recursively collects workspace-relative `*.rs` and `Cargo.toml`
 /// paths (with `/` separators, sorted by the caller).
-pub(crate) fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
+fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();

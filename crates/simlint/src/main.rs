@@ -6,7 +6,6 @@
 //! cargo run -p simlint -- --list-rules    # print the rule set + allowlist
 //! cargo run -p simlint -- --only R7       # restrict to one rule
 //! cargo run -p simlint -- --root PATH     # lint another workspace root
-//! cargo run -p simlint -- --incremental   # reuse target/simlint-cache
 //! cargo run -p simlint -- --budget-ms 1000  # fail if the scan is slower
 //! ```
 
@@ -19,7 +18,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut deny = false;
     let mut list_rules = false;
-    let mut incremental = false;
     let mut budget_ms: Option<u64> = None;
     let mut only: Option<Rule> = None;
     let mut root: Option<PathBuf> = None;
@@ -29,7 +27,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--deny" => deny = true,
             "--list-rules" => list_rules = true,
-            "--incremental" => incremental = true,
             "--budget-ms" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(ms) => budget_ms = Some(ms),
                 None => {
@@ -55,14 +52,11 @@ fn main() -> ExitCode {
                 println!(
                     "simlint — workspace determinism & model-invariant lint\n\n\
                      USAGE: simlint [--deny] [--only R#] [--root PATH] [--list-rules]\n\
-                            [--incremental] [--budget-ms N]\n\n\
+                            [--budget-ms N]\n\n\
                      --deny         exit 1 if any finding remains (CI gate)\n\
                      --only R#      run a single rule (R1..R9)\n\
                      --root PATH    workspace root (default: nearest ancestor with a\n\
                                     [workspace] Cargo.toml, else cwd)\n\
-                     --incremental  reuse target/simlint-cache/cache.txt; unchanged\n\
-                                    files are served from the cache, a context change\n\
-                                    or rule-version bump falls back to a full scan\n\
                      --budget-ms N  exit 1 if the scan takes longer than N ms\n\
                      --list-rules   print each rule's id, name, summary, and the\n\
                                     built-in allowlist"
@@ -91,21 +85,11 @@ fn main() -> ExitCode {
 
     let root = root.unwrap_or_else(find_workspace_root);
     let started = std::time::Instant::now();
-    let (findings, served_incrementally) = if incremental {
-        match simlint::cache::lint_workspace_incremental(&root) {
-            Ok((f, inc)) => (f, inc),
-            Err(e) => {
-                eprintln!("simlint: failed to scan {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        match simlint::lint_workspace(&root) {
-            Ok(f) => (f, false),
-            Err(e) => {
-                eprintln!("simlint: failed to scan {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
+    let findings = match simlint::lint_workspace(&root) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("simlint: failed to scan {}: {e}", root.display());
+            return ExitCode::from(2);
         }
     };
     let findings: Vec<_> = findings
@@ -118,11 +102,10 @@ fn main() -> ExitCode {
     }
     let elapsed = started.elapsed();
     eprintln!(
-        "simlint: {} finding{} in {:.0?}{}{}",
+        "simlint: {} finding{} in {:.0?}{}",
         findings.len(),
         if findings.len() == 1 { "" } else { "s" },
         elapsed,
-        if served_incrementally { " (incremental)" } else { "" },
         if deny { " (--deny)" } else { "" },
     );
     if let Some(budget) = budget_ms {

@@ -410,32 +410,6 @@ pub struct TraceDefs {
 }
 
 impl TraceDefs {
-    /// Names defined under `cfg(feature = "trace")`.
-    pub fn on_names(&self) -> &BTreeSet<String> {
-        &self.on
-    }
-
-    /// Names defined ungated or under `cfg(not(feature = "trace"))`.
-    pub fn off_names(&self) -> &BTreeSet<String> {
-        &self.off_or_ungated
-    }
-
-    /// Re-inserts one census entry (used by the incremental cache to
-    /// rebuild the cross-file context from per-file contributions).
-    pub fn insert(&mut self, name: String, trace_on: bool) {
-        if trace_on {
-            self.on.insert(name);
-        } else {
-            self.off_or_ungated.insert(name);
-        }
-    }
-
-    /// Merges another census into this one.
-    pub fn merge(&mut self, other: &TraceDefs) {
-        self.on.extend(other.on.iter().cloned());
-        self.off_or_ungated.extend(other.off_or_ungated.iter().cloned());
-    }
-
     /// Records item definitions from one file into the census.
     /// Test-gated and vendor code is ignored.
     pub fn collect(&mut self, file: &SourceFile) {

@@ -479,9 +479,7 @@ impl FsmTable {
     }
 }
 
-/// What one file contributes to the cross-file R7 state. This is the
-/// unit the incremental cache serializes, so it must be derivable from
-/// the file alone.
+/// What one file contributes to the cross-file R7 state.
 #[derive(Clone, Debug, Default)]
 pub struct SemaCollect {
     /// Tables whose enum is defined in this file (valid edges only).

@@ -12,8 +12,8 @@
 
 use scalerpc_repro::rdma_fabric::{Fabric, FabricParams};
 use scalerpc_repro::rpc_core::cluster::{Cluster, ClusterSpec};
-use scalerpc_repro::rpc_core::driver::Sim;
 use scalerpc_repro::rpc_core::harness::{Harness, HarnessConfig};
+use scalerpc_repro::rpc_core::sharded::ShardedSim;
 use scalerpc_repro::rpc_core::transport::EchoHandler;
 use scalerpc_repro::rpc_core::workload::ThinkTime;
 use scalerpc_repro::scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -66,16 +66,16 @@ fn main() {
 
     // 5. Run the simulation and report.
     let stop = harness.stop_at();
-    let mut sim = Sim::new(fabric, harness);
-    sim.run_until(stop + SimDuration::millis(3));
+    let mut sim = ShardedSim::new_sequential(fabric, harness);
+    sim.run_sequential(stop + SimDuration::millis(3));
 
-    let m = &sim.logic.metrics;
+    let m = &sim.logic(0).metrics;
     println!("ScaleRPC echo, 120 clients, batch 8");
     println!("  throughput : {:.2} Mops/s", m.mops());
     println!("  median lat : {:.1} us", m.median_us());
     println!("  p99 lat    : {:.1} us", m.quantile_us(0.99));
     println!("  max lat    : {:.1} us", m.max_us());
-    let t = &sim.logic.transport;
+    let t = &sim.logic(0).transport;
     println!("  rotations  : {}", t.rotations());
     println!("  warmup RDMA reads      : {}", t.warmup_fetches);
     println!("  explicit ctx notifies  : {}", t.ctx_notifies);

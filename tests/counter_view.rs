@@ -11,8 +11,8 @@
 use bytes::Bytes;
 use rdma_fabric::{Fabric, FabricEvent, FabricParams, RemoteAddr, Transport, Upcall, WorkRequest};
 use rpc_core::cluster::{Cluster, ClusterSpec};
-use rpc_core::driver::Sim;
 use rpc_core::harness::{Harness, HarnessConfig};
+use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::EchoHandler;
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -152,11 +152,11 @@ fn scalerpc_views() -> String {
         },
     );
     let stop = harness.stop_at();
-    let mut sim = Sim::new(fabric, harness);
-    sim.run_until(SimTime::ZERO + warmup);
-    let at_start = sim.fabric.counters(server).expect("server").snapshot();
-    sim.run_until(stop + SimDuration::millis(3));
-    let at_end = sim.fabric.counters(server).expect("server").snapshot();
+    let mut sim = ShardedSim::new_sequential(fabric, harness);
+    sim.run_sequential(SimTime::ZERO + warmup);
+    let at_start = sim.fabric(0).counters(server).expect("server").snapshot();
+    sim.run_sequential(stop + SimDuration::millis(3));
+    let at_end = sim.fabric(0).counters(server).expect("server").snapshot();
     views(at_start, at_end)
 }
 

@@ -6,8 +6,8 @@ use scalerpc_repro::octofs::{run_mdtest, FsOp, MdsTransport, MdtestRun};
 use scalerpc_repro::rdma_fabric::{Fabric, FabricParams};
 use scalerpc_repro::rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
 use scalerpc_repro::rpc_core::cluster::{Cluster, ClusterSpec};
-use scalerpc_repro::rpc_core::driver::Sim;
 use scalerpc_repro::rpc_core::harness::{Harness, HarnessConfig};
+use scalerpc_repro::rpc_core::sharded::ShardedSim;
 use scalerpc_repro::rpc_core::transport::{EchoHandler, RpcTransport};
 use scalerpc_repro::rpc_core::workload::ThinkTime;
 use scalerpc_repro::scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -47,9 +47,9 @@ where
     let t = build(&mut fabric, &cluster);
     let h = Harness::new(t, cluster, cfg());
     let stop = h.stop_at();
-    let mut sim = Sim::new(fabric, h);
-    sim.run_until(stop + SimDuration::millis(3));
-    sim.logic.metrics.ops
+    let mut sim = ShardedSim::new_sequential(fabric, h);
+    sim.run_sequential(stop + SimDuration::millis(3));
+    sim.logic(0).metrics.ops
 }
 
 #[test]
@@ -131,9 +131,9 @@ where
         },
     );
     let stop = h.stop_at();
-    let mut sim = Sim::new(fabric, h);
-    sim.run_until(stop + SimDuration::millis(3));
-    sim.logic.metrics.ops
+    let mut sim = ShardedSim::new_sequential(fabric, h);
+    sim.run_sequential(stop + SimDuration::millis(3));
+    sim.logic(0).metrics.ops
 }
 
 #[test]

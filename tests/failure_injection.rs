@@ -6,7 +6,6 @@ use scalerpc_repro::rdma_fabric::{
     Fabric, FabricParams, RemoteAddr, Transport, VerbError, WcStatus, WorkRequest,
 };
 use scalerpc_repro::rpc_core::cluster::{Cluster, ClusterSpec};
-use scalerpc_repro::rpc_core::driver::Sim;
 use scalerpc_repro::rpc_core::harness::{Harness, HarnessConfig, RetryPolicy};
 use scalerpc_repro::rpc_core::inject::{Injection, ScenarioSpec};
 use scalerpc_repro::rpc_core::sharded::ShardedSim;
@@ -93,9 +92,9 @@ fn long_running_rpcs_move_to_legacy_mode() {
     );
     let h = Harness::new(t, cluster, c.harness.clone());
     let stop = h.stop_at();
-    let mut sim = Sim::new(fabric, h);
-    sim.run_until(stop + SimDuration::millis(4));
-    let t = &sim.logic.transport;
+    let mut sim = ShardedSim::new_sequential(fabric, h);
+    sim.run_sequential(stop + SimDuration::millis(4));
+    let t = &sim.logic(0).transport;
     assert!(
         t.legacy_requests > 10,
         "slow calls must migrate to the legacy thread, got {}",
@@ -103,7 +102,7 @@ fn long_running_rpcs_move_to_legacy_mode() {
     );
     // A single legacy thread at ~120 µs per call sustains ~8 Kops/s; the
     // point is liveness, not rate.
-    assert!(sim.logic.metrics.ops > 20, "system must stay live");
+    assert!(sim.logic(0).metrics.ops > 20, "system must stay live");
 }
 
 #[test]
@@ -436,7 +435,13 @@ fn server_crash_mid_window_conserves_and_replays() {
         let r = run_chaos(nthreads, retry, timeline.clone(), None);
         assert_eq!(
             (r.events, r.ops, r.issued, r.completed, r.retries),
-            (base.events, base.ops, base.issued, base.completed, base.retries),
+            (
+                base.events,
+                base.ops,
+                base.issued,
+                base.completed,
+                base.retries
+            ),
             "nthreads={nthreads} diverged from the single-thread run"
         );
     }
@@ -459,7 +464,8 @@ fn server_crash_mid_window_conserves_and_replays() {
         "no Failover instants traced"
     );
     assert!(
-        q.instants(InstantKind::ConnTeardown).any(|i| i.at >= crash_at),
+        q.instants(InstantKind::ConnTeardown)
+            .any(|i| i.at >= crash_at),
         "crash must trace ConnTeardown for the torn QPs"
     );
     assert!(
@@ -507,7 +513,8 @@ fn client_reconnect_mid_slice_pays_setup_and_conserves() {
     let log = tracer.snapshot().expect("tracer enabled");
     let q = TraceQuery::new(&log);
     assert!(
-        q.instants(InstantKind::ConnSetup).any(|i| i.at >= rejoin_at),
+        q.instants(InstantKind::ConnSetup)
+            .any(|i| i.at >= rejoin_at),
         "rejoining clients must pay fresh connection setup"
     );
 }

@@ -17,11 +17,10 @@
 //!    fingerprint of the determinism suite is bit-identical.
 
 use rdma_fabric::{Fabric, FabricParams};
-use rpc_baselines::fasst::Fasst;
-use rpc_baselines::rawwrite::RawWrite;
+use rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
 use rpc_core::cluster::{Cluster, ClusterSpec};
-use rpc_core::driver::Sim;
 use rpc_core::harness::{Harness, HarnessConfig};
+use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::{EchoHandler, RpcTransport};
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -95,17 +94,17 @@ fn run_scalerpc_traced_w(
         harness.sample_counters(server, &["PCIeRdCur", "PCIeItoM"], SimDuration::micros(20));
     }
     let stop = harness.stop_at();
-    let mut sim = Sim::new(fabric, harness);
-    let mut events = sim.run_until(SimTime::ZERO + warmup);
-    let snap = sim.fabric.counters(server).expect("server").snapshot();
-    events += sim.run_until(stop);
+    let mut sim = ShardedSim::new_sequential(fabric, harness);
+    let mut events = sim.run_sequential(SimTime::ZERO + warmup);
+    let snap = sim.fabric(0).counters(server).expect("server").snapshot();
+    events += sim.run_sequential(stop);
     let delta = sim
-        .fabric
+        .fabric(0)
         .counters(server)
         .expect("server")
         .delta_since(&snap);
-    events += sim.run_until(stop + SimDuration::millis(3));
-    let m = &sim.logic.metrics;
+    events += sim.run_sequential(stop + SimDuration::millis(3));
+    let m = &sim.logic(0).metrics;
     let fingerprint = format!(
         "ops={} events={} mops={} median_us={} pcie_rd={} pcie_itom={}",
         m.ops,
@@ -236,16 +235,16 @@ fn latency_is_slice_bounded_at_120_clients() {
     );
 }
 
-/// Runs a traced 80-client echo benchmark over an arbitrary transport
-/// and returns the recorded log — used to pin span coverage for the
-/// baseline transports, which `fig_timeline`/`TraceQuery` would
-/// otherwise silently under-report.
-fn run_baseline_traced<T, F>(build: F) -> TraceLog
+/// Runs an 80-client echo benchmark over an arbitrary transport with
+/// `tracer` installed and returns the recorded log plus the run's
+/// `(events, ops)` — used to pin span coverage for the baseline
+/// transports, which `fig_timeline`/`TraceQuery` would otherwise
+/// silently under-report, and that recording changes nothing.
+fn run_baseline<T, F>(tracer: Tracer, build: F) -> (TraceLog, (u64, u64))
 where
     T: RpcTransport,
     F: FnOnce(&mut Fabric, &Cluster) -> T,
 {
-    let tracer = Tracer::enabled();
     let mut fabric = Fabric::new(FabricParams::default());
     fabric.set_tracer(tracer.clone());
     let cluster = Cluster::build(
@@ -275,10 +274,19 @@ where
         },
     );
     let stop = harness.stop_at();
-    let mut sim = Sim::new(fabric, harness);
-    sim.run_until(stop + SimDuration::millis(1));
-    assert!(sim.logic.metrics.ops > 0, "baseline run did no work");
-    tracer.snapshot().unwrap_or_default()
+    let mut sim = ShardedSim::new_sequential(fabric, harness);
+    let events = sim.run_sequential(stop + SimDuration::millis(1));
+    let ops = sim.logic(0).metrics.ops;
+    assert!(ops > 0, "baseline run did no work");
+    (tracer.snapshot().unwrap_or_default(), (events, ops))
+}
+
+fn run_baseline_traced<T, F>(build: F) -> TraceLog
+where
+    T: RpcTransport,
+    F: FnOnce(&mut Fabric, &Cluster) -> T,
+{
+    run_baseline(Tracer::enabled(), build).0
 }
 
 /// Asserts the per-transport invariant of this test file on a baseline
@@ -333,6 +341,47 @@ fn fasst_emits_handler_and_response_spans() {
         Fasst::new(fabric, cluster, 4096, EchoHandler::default())
     });
     assert_baseline_spans(&log, "FaSST");
+}
+
+#[test]
+fn herd_emits_handler_and_response_spans() {
+    let log = run_baseline_traced(|fabric, cluster| {
+        Herd::new(fabric, cluster, 8, 4096, EchoHandler::default())
+    });
+    assert_baseline_spans(&log, "HERD");
+}
+
+#[test]
+fn selfrpc_emits_handler_and_response_spans() {
+    let log = run_baseline_traced(|fabric, cluster| {
+        SelfRpc::new(fabric, cluster, 8, 4096, EchoHandler::default())
+    });
+    assert_baseline_spans(&log, "SelfRPC");
+}
+
+/// The same run with recording off and on must process the same number
+/// of events and complete the same number of RPCs.
+fn assert_tracing_is_inert<T: RpcTransport>(
+    name: &str,
+    build: impl Fn(&mut Fabric, &Cluster) -> T,
+) {
+    let (off_log, off) = run_baseline(Tracer::disabled(), &build);
+    let (on_log, on) = run_baseline(Tracer::enabled(), &build);
+    assert!(off_log.spans.is_empty());
+    assert!(!on_log.spans.is_empty());
+    assert_eq!(off, on, "{name}: enabling the tracer changed (events, ops)");
+}
+
+#[test]
+fn tracing_leaves_the_baselines_bit_identical() {
+    // One baseline per response path — the trace table's two stamping
+    // sites — and between them both pool request modes.
+    assert_tracing_is_inert("HERD", |f, c| {
+        Herd::new(f, c, 8, 4096, EchoHandler::default())
+    });
+    assert_tracing_is_inert("SelfRPC", |f, c| {
+        SelfRpc::new(f, c, 8, 4096, EchoHandler::default())
+    });
 }
 
 #[test]
