@@ -520,8 +520,13 @@ impl Fabric {
     /// Charges the LLC model for a CPU access to `[offset, offset+len)`
     /// of `mr` and returns the time it took. Use for every timed poll or
     /// handler touch of message-pool memory.
+    ///
+    /// Fails with [`VerbError::OutOfBounds`] when the range leaves the
+    /// region (the LLC model indexes lines by address, so a stray
+    /// offset must not reach it).
     pub fn cpu_access(&mut self, mr: MrId, offset: usize, len: usize) -> VerbResult<SimDuration> {
         let node = self.mr_node(mr)?;
+        self.mr(mr)?.check(offset, len)?;
         let out = self.nodes[node.index()].llc.cpu_access(mr, offset, len); // NodeId indexes self.nodes: nodes are never removed
         Ok(self.params.cpu_read_hit * out.hits + self.params.cpu_read_miss * out.misses)
     }

@@ -22,6 +22,8 @@
 //! counters (`PCIeRdCur`, `RFO`, `ItoM`, `PCIeItoM`) used by the paper's
 //! analysis figures.
 
+#![forbid(unsafe_code)]
+
 mod counters;
 pub mod cq;
 pub mod error;

@@ -9,17 +9,42 @@
 //! misses) slow down — the inbound half of the scalability collapse.
 //!
 //! The model tracks 64-byte lines in two domains — the general LLC and
-//! the DDIO allocate partition — identified by `(MrId, line#)`. Both use
-//! *random replacement*: real LLCs are set-associative, so a working set
-//! near or above capacity degrades gradually (conflict misses appear well
-//! before full-capacity thrash), which is exactly the regime the paper's
-//! Fig. 3(b) exercises ("comparable to the LLC size"). A fully
-//! associative strict-LRU model would hold such marginal working sets
-//! perfectly and miss the effect entirely.
+//! the DDIO allocate partition. Both use *random replacement*: real LLCs
+//! are set-associative, so a working set near or above capacity degrades
+//! gradually (conflict misses appear well before full-capacity thrash),
+//! which is exactly the regime the paper's Fig. 3(b) exercises
+//! ("comparable to the LLC size"). A fully associative strict-LRU model
+//! would hold such marginal working sets perfectly and miss the effect
+//! entirely.
+//!
+//! # Representation
+//!
+//! A line is `(MrId, line#)` of a contiguous registered region and lives
+//! in at most one domain at any instant, so residency is looked up by
+//! address, not by hash. One *line index* serves both domains: per
+//! region a page table (first touch of a region adds it, sized to the
+//! highest page touched), pages of 16 `u32` entries carved from one
+//! pool on first touch, entry `0` = absent, else
+//! `domain bit | position + 1` into that domain's dense `keys` vector.
+//! `keys[position]` holds the entry's pool location, so an eviction
+//! (draw a victim position, overwrite `keys[victim]`, clear the old
+//! occupant's entry) and a DDIO→main promotion (swap-remove) never
+//! translate a key back to an address.
+//!
+//! [`dma_write`](LlcModel::dma_write) and
+//! [`cpu_access`](LlcModel::cpu_access) are the plain per-line walk —
+//! read the entry, then hit / insert / promote — taken a page at a time
+//! so the page table is consulted once per 16 lines. The `keys` order
+//! and the SplitMix64 victim stream are those of the hashed per-line
+//! reference model in this module's tests, which a proptest compares
+//! after every operation; `tests/llc_stream.rs` pins the outcome
+//! streams of the benchmark's access patterns.
+//!
+//! Index memory is 4 B per line of every *touched* page plus 4 B per
+//! page of each region up to its highest touched page; an untouched
+//! node (most simulated clients) allocates nothing.
 
-use crate::lru::{
-    fx_line_hash32, fx_prefix_u32, line_span_hashes, span_select, RandomSet, SPAN_CHUNK,
-};
+use crate::lru::VictimRng;
 use crate::types::MrId;
 
 /// Result of a NIC DMA write through the LLC.
@@ -52,21 +77,104 @@ pub struct CpuAccessOutcome {
     pub misses: u64,
 }
 
+/// Lines per index page. Sixteen entries are one host cache line; a
+/// message pool touched at one line per 4 KB block then pays 64 B of
+/// index per block instead of the 256 B a flat per-region array would.
+const PAGE_LINES: usize = 16;
+
+/// Entry tag of the DDIO partition (the general LLC's tag is `0`). The
+/// remaining 31 bits hold `keys` position + 1.
+const DDIO: u32 = 1 << 31;
+
+/// One cache domain: the resident lines in replacement order.
+#[derive(Clone, Debug)]
+struct Domain {
+    /// Pool location of each resident line's index entry. Insertion
+    /// pushes, eviction replaces in place and promotion swap-removes —
+    /// victim selection indexes this vector, so its exact order is part
+    /// of the deterministic replacement contract.
+    keys: Vec<u32>,
+    capacity: usize,
+    rng: VictimRng,
+    /// [`DDIO`] or `0`, or-ed into every entry this domain writes.
+    tag: u32,
+}
+
+impl Domain {
+    fn new(capacity: usize, tag: u32) -> Self {
+        Domain {
+            keys: Vec::new(),
+            capacity,
+            rng: VictimRng::new(),
+            tag,
+        }
+    }
+
+    /// Makes the line whose entry sits at `entries[loc]` (absent from
+    /// both domains) resident here, evicting a uniformly random
+    /// resident line when full.
+    #[inline]
+    fn insert(&mut self, entries: &mut [u32], loc: usize) {
+        let pos = if self.keys.len() == self.capacity {
+            let victim = self.rng.victim(self.capacity);
+            let old = std::mem::replace(&mut self.keys[victim], loc as u32); // victim < capacity == keys.len()
+            entries[old as usize] = 0; // keys hold locations of live entries
+            victim
+        } else {
+            self.keys.push(loc as u32);
+            self.keys.len() - 1
+        };
+        entries[loc] = self.tag | (pos as u32 + 1); // loc comes from the page walk: inside the pool
+    }
+
+    /// Swap-removes the resident line at `keys[pos]`, leaving its entry
+    /// for the caller to overwrite.
+    #[inline]
+    fn remove_at(&mut self, entries: &mut [u32], pos: usize) {
+        self.keys.swap_remove(pos);
+        if let Some(&filler) = self.keys.get(pos) {
+            entries[filler as usize] = self.tag | (pos as u32 + 1); // keys hold locations of live entries
+        }
+    }
+}
+
+/// The page table of one region this node has touched.
+#[derive(Clone, Debug)]
+struct Region {
+    mr: MrId,
+    /// Per page of [`PAGE_LINES`] lines: `0` while untouched, else the
+    /// page's 1-based slot in the entry pool.
+    pages: Vec<u32>,
+}
+
 /// The LLC + DDIO model for one node.
 #[derive(Clone, Debug)]
 pub struct LlcModel {
     /// General LLC lines (CPU-allocated + promoted DDIO lines).
-    main: RandomSet<(MrId, u64)>,
+    main: Domain,
     /// DDIO Write-Allocate partition.
-    ddio: RandomSet<(MrId, u64)>,
+    ddio: Domain,
+    /// Touched regions, sorted by id. A node touches a handful, so the
+    /// id → slot search is a few compares, once per call.
+    regions: Vec<Region>,
+    /// The entry pool: every touched page's [`PAGE_LINES`] entries, in
+    /// first-touch order.
+    entries: Vec<u32>,
     cpu_hits: u64,
     cpu_misses: u64,
 }
 
-/// How many lines ahead of the probe loop to issue table prefetches.
-/// Far enough to cover an L3/DRAM round trip at a few cycles per
-/// iteration, small enough that the hints stay resident.
-const PREFETCH_DISTANCE: u64 = 8;
+/// Makes room for `more` further elements, growing the allocation by
+/// what is asked or an eighth of its length, whichever is larger.
+/// `Vec`'s own doubling would leave up to half of the index — the
+/// model's largest allocations, on every node — unused; the eighth
+/// keeps a region first touched front to back from reallocating once
+/// per page.
+fn reserve_tight(v: &mut Vec<u32>, more: usize) {
+    if v.capacity() - v.len() < more {
+        v.reserve_exact(more.max(v.len() / 8));
+    }
+}
 
 fn line_range(offset: usize, len: usize) -> std::ops::Range<u64> {
     let first = (offset / 64) as u64;
@@ -86,8 +194,10 @@ impl LlcModel {
     ///
     /// # Panics
     ///
-    /// Panics if `ddio_fraction` is not strictly between 0 and 1, or if
-    /// the configuration yields zero lines in either domain.
+    /// Panics if `ddio_fraction` is not strictly between 0 and 1, if
+    /// the configuration yields zero lines in either domain, or if a
+    /// domain's line count does not fit the 31-bit position field of an
+    /// index entry (an LLC of 128 GB or more).
     pub fn new(llc_bytes: usize, ddio_fraction: f64) -> Self {
         // Out-of-range fractions would underflow `total - ddio` below
         // (a silent wrap in release builds); NaN fails both comparisons
@@ -103,28 +213,105 @@ impl LlcModel {
             main_lines > 0 && ddio_lines > 0,
             "LLC configuration must leave lines in both domains"
         );
+        assert!(
+            main_lines < DDIO as usize && ddio_lines < DDIO as usize,
+            "LLC domains of {main_lines} and {ddio_lines} lines exceed the 31-bit position field"
+        );
         LlcModel {
-            main: RandomSet::new(main_lines),
-            ddio: RandomSet::new(ddio_lines),
+            main: Domain::new(main_lines, 0),
+            ddio: Domain::new(ddio_lines, DDIO),
+            regions: Vec::new(),
+            entries: Vec::new(),
             cpu_hits: 0,
             cpu_misses: 0,
         }
     }
 
+    /// The slot of `mr` in `regions`, added on first touch.
+    fn region_slot(&mut self, mr: MrId) -> usize {
+        match self.regions.binary_search_by_key(&mr, |r| r.mr) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                // Exact: a run has hundreds of nodes, most touching a
+                // region or two.
+                self.regions.reserve_exact(1);
+                let pages = Vec::new();
+                self.regions.insert(slot, Region { mr, pages });
+                slot
+            }
+        }
+    }
+
+    /// Pool location of the first entry of `page` of `regions[slot]`.
+    #[inline]
+    fn page_base(&mut self, slot: usize, page: usize) -> usize {
+        let pages = &self.regions[slot].pages; // slot comes from region_slot in the same call
+        let at = match pages.get(page) {
+            Some(&at) if at != 0 => at,
+            _ => self.add_page(slot, page),
+        };
+        (at as usize - 1) * PAGE_LINES
+    }
+
+    /// First touch of `page` of `regions[slot]`: grows the page table to
+    /// reach it, carves the page from the pool and returns its 1-based
+    /// slot there.
+    #[cold]
+    fn add_page(&mut self, slot: usize, page: usize) -> u32 {
+        let pages = &mut self.regions[slot].pages; // slot comes from region_slot in the same call
+        if page >= pages.len() {
+            reserve_tight(pages, page + 1 - pages.len());
+            pages.resize(page + 1, 0);
+        }
+        reserve_tight(&mut self.entries, PAGE_LINES);
+        self.entries.resize(self.entries.len() + PAGE_LINES, 0);
+        // `keys` store entry locations as `u32`.
+        assert!(
+            self.entries.len() <= u32::MAX as usize,
+            "line index pool exceeds 2^32 entries"
+        );
+        let at = (self.entries.len() / PAGE_LINES) as u32;
+        pages[page] = at; // page < pages.len() after the resize above
+        at
+    }
+
+    /// Calls `visit(self, locs)` with the pool locations of `lines`'
+    /// entries, one contiguous run per index page, in ascending line
+    /// order.
+    #[inline]
+    fn walk(
+        &mut self,
+        mr: MrId,
+        lines: std::ops::Range<u64>,
+        mut visit: impl FnMut(&mut Self, std::ops::Range<usize>),
+    ) {
+        if lines.is_empty() {
+            return;
+        }
+        let slot = self.region_slot(mr);
+        let (mut line, end) = (lines.start as usize, lines.end as usize);
+        while line < end {
+            let page = line / PAGE_LINES;
+            let stop = end.min((page + 1) * PAGE_LINES);
+            let base = self.page_base(slot, page);
+            visit(
+                self,
+                base + line % PAGE_LINES..base + (stop - page * PAGE_LINES),
+            );
+            line = stop;
+        }
+    }
+
     /// Models the NIC DMA-writing `len` bytes at `offset` in region `mr`.
     ///
-    /// A zero-length write is a no-op. Short spans do one probe of each
-    /// domain per line: a `main` hit is a pure Write Update
-    /// (random-replacement recency is a no-op, so no second lookup), and
-    /// the DDIO hit-or-allocate decision rides on a single
-    /// contains-or-insert probe. Spans past [`PREFETCH_DISTANCE`] lines
-    /// classify range-wise instead: per chunk of up to [`SPAN_CHUNK`]
-    /// lines, the whole `main` residency mask resolves first with
-    /// pipelined probes (a DMA write never mutates `main`, so batching
-    /// its probes is trivially exact), and the remaining lines take the
-    /// hit-or-allocate decision through one bulk
-    /// [`span_access`](RandomSet::span_access) — bit-exact with the
-    /// per-line walk, including the eviction-RNG stream.
+    /// A zero-length write is a no-op. A line resident in either domain
+    /// is a Write Update in place (random replacement has no recency to
+    /// refresh); an absent line is Write-Allocated into the DDIO
+    /// partition.
+    ///
+    /// The line index grows to cover `offset + len`, so callers pass
+    /// offsets inside the region (the fabric bounds-checks every
+    /// access before it gets here).
     pub fn dma_write(&mut self, mr: MrId, offset: usize, len: usize) -> DmaWriteOutcome {
         let mut out = DmaWriteOutcome::default();
         let lines = line_range(offset, len);
@@ -144,135 +331,51 @@ impl LlcModel {
             out.partial_lines += 1;
         }
         out.full_lines -= out.partial_lines;
-        if count <= PREFETCH_DISTANCE {
-            // Short spans (small RPC payloads): the per-line walk with
-            // paired prefetch is already minimal; phase separation would
-            // only add mask bookkeeping. Every key in the span shares the
-            // region-id hash prefix: absorb it once and mix only the
-            // line number per iteration, probing both domains with the
-            // same 32-bit hash.
-            let prefix = fx_prefix_u32(mr.0);
-            let end = lines.end;
-            let mut prev_alloc = false;
-            for line in lines {
-                let ahead = line + PREFETCH_DISTANCE;
-                if ahead < end {
-                    let ha = fx_line_hash32(prefix, ahead);
-                    self.main.prefetch(ha);
-                    self.ddio.prefetch(ha);
-                }
-                let key = (mr, line);
-                let h32 = fx_line_hash32(prefix, line);
-                if self.main.contains_h(&key, h32) {
-                    // Write Update in place.
-                    out.hit_main += 1;
-                    prev_alloc = false;
-                } else if self.ddio.access_h(key, h32).0 {
-                    out.hit_ddio += 1;
-                    prev_alloc = false;
-                } else {
-                    // Write Allocate into the restricted partition.
+        // Each maximal run of consecutive allocated lines is one
+        // allocate burst; the flag carries runs across page seams.
+        let mut prev_alloc = false;
+        self.walk(mr, lines, |llc, locs| {
+            for loc in locs {
+                let entry = llc.entries[loc]; // walk yields locations inside the pool
+                if entry == 0 {
+                    llc.ddio.insert(&mut llc.entries, loc);
                     out.allocated += 1;
                     out.alloc_runs += !prev_alloc as u64;
-                    prev_alloc = true;
+                } else if entry & DDIO != 0 {
+                    out.hit_ddio += 1;
+                } else {
+                    out.hit_main += 1;
                 }
+                prev_alloc = entry == 0;
             }
-        } else {
-            // Wide spans (the 8 KB inbound path of Fig. 3(b)).
-            let mut hashes = [0u32; SPAN_CHUNK];
-            let mut base = lines.start;
-            let mut prev_alloc = false;
-            while base < lines.end {
-                let n = ((lines.end - base) as usize).min(SPAN_CHUNK);
-                line_span_hashes(mr, base, &mut hashes[..n]); // n <= SPAN_CHUNK == hashes.len()
-                let select = span_select(n);
-                let in_main = self.main.span_residency(mr, base, &hashes[..n], select); // n <= SPAN_CHUNK == hashes.len()
-                out.hit_main += in_main.count_ones() as u64;
-                let so = self
-                    .ddio
-                    .span_access(mr, base, &hashes[..n], select & !in_main); // n <= SPAN_CHUNK == hashes.len()
-                out.hit_ddio += so.hits;
-                out.allocated += so.misses;
-                // Each maximal run of consecutive allocated lines is one
-                // allocate burst; the carry stitches runs across chunk
-                // seams.
-                let run_starts = so.miss_mask & !((so.miss_mask << 1) | prev_alloc as u128);
-                out.alloc_runs += run_starts.count_ones() as u64;
-                prev_alloc = so.miss_mask >> (n - 1) & 1 == 1;
-                base += n as u64;
-            }
-        }
+        });
         out
     }
 
     /// Models the CPU reading (or writing) `len` bytes at `offset`.
-    /// Misses allocate into the general LLC domain.
+    /// Misses allocate into the general LLC domain; a line found in the
+    /// DDIO partition is promoted into it (an L3 hit).
     ///
-    /// A zero-length access is a no-op. Each line resolves its
-    /// hit-or-allocate in one `main` probe; the DDIO promotion check only
-    /// runs on a `main` miss. The whole run takes a bulk path while the
-    /// DDIO partition is empty, and wide spans resolve `main` range-wise
-    /// per chunk (one bulk [`span_access`](RandomSet::span_access)), then
-    /// walk only the missing lines for the promotion check — `main` and
-    /// `ddio` are independent sets, so batching one domain ahead of the
-    /// other leaves both domains' state and RNG streams identical to the
-    /// interleaved per-line walk.
+    /// A zero-length access is a no-op. Offsets must lie inside the
+    /// region, as for [`dma_write`](Self::dma_write).
     pub fn cpu_access(&mut self, mr: MrId, offset: usize, len: usize) -> CpuAccessOutcome {
         let mut out = CpuAccessOutcome::default();
-        let lines = line_range(offset, len);
-        let count = lines.end - lines.start;
-        if self.ddio.is_empty() {
-            // Nothing to promote: the access is a pure main-domain
-            // streaming touch.
-            let (hits, misses) = self.main.access_lines(mr, lines);
-            out.hits = hits;
-            out.misses = misses;
-        } else if count > PREFETCH_DISTANCE {
-            // Wide CPU touches (polling an 8 KB inbound buffer).
-            let mut hashes = [0u32; SPAN_CHUNK];
-            let mut base = lines.start;
-            while base < lines.end {
-                let n = ((lines.end - base) as usize).min(SPAN_CHUNK);
-                line_span_hashes(mr, base, &mut hashes[..n]); // n <= SPAN_CHUNK == hashes.len()
-                let so = self
-                    .main
-                    .span_access(mr, base, &hashes[..n], span_select(n)); // n <= hashes.len()
-                let mut promoted = 0u64;
-                let mut mm = so.miss_mask;
-                while mm != 0 {
-                    let i = mm.trailing_zeros() as usize;
-                    mm &= mm - 1;
-                    // i < n: miss_mask only has bits below n set
-                    promoted += self.ddio.remove_h(&(mr, base + i as u64), hashes[i]) as u64;
-                }
-                out.hits += so.hits + promoted;
-                out.misses += so.misses - promoted;
-                base += n as u64;
-            }
-        } else {
-            let prefix = fx_prefix_u32(mr.0);
-            let end = lines.end;
-            for line in lines {
-                let ahead = line + PREFETCH_DISTANCE;
-                if ahead < end {
-                    let ha = fx_line_hash32(prefix, ahead);
-                    self.main.prefetch(ha);
-                    self.ddio.prefetch(ha);
-                }
-                let key = (mr, line);
-                let h32 = fx_line_hash32(prefix, line);
-                // `main` and `ddio` are independent sets, so inserting
-                // into main before the ddio promotion check leaves both
-                // domains' state (and main's eviction RNG stream)
-                // identical to checking ddio first.
-                if self.main.access_h(key, h32).0 || self.ddio.remove_h(&key, h32) {
-                    // Resident (or promoted from DDIO): an L3 hit.
-                    out.hits += 1;
-                } else {
+        self.walk(mr, line_range(offset, len), |llc, locs| {
+            for loc in locs {
+                let entry = llc.entries[loc]; // walk yields locations inside the pool
+                if entry == 0 {
                     out.misses += 1;
+                } else {
+                    out.hits += 1;
+                    if entry & DDIO == 0 {
+                        continue;
+                    }
+                    llc.ddio
+                        .remove_at(&mut llc.entries, (entry & !DDIO) as usize - 1);
                 }
+                llc.main.insert(&mut llc.entries, loc);
             }
-        }
+        });
         self.cpu_hits += out.hits;
         self.cpu_misses += out.misses;
         out
@@ -309,6 +412,7 @@ impl LlcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::RandomSet;
 
     fn small_llc() -> LlcModel {
         // 64 KB LLC, 25% DDIO => 768 main lines, 256 DDIO lines.
@@ -489,9 +593,11 @@ mod tests {
         assert_eq!((o.allocated, o.alloc_runs), (2, 2));
     }
 
-    /// The pre-optimization per-line logic (separate `contains` then
-    /// `touch`, DDIO promotion checked before the `main` insert), kept as
-    /// a reference model to pin the fast paths' reordering equivalence.
+    /// The reference model: two independent hashed sets keyed by
+    /// `(MrId, line)` and the seed's per-line logic (separate `contains`
+    /// then `touch`, DDIO promotion checked before the `main` insert).
+    /// The address-indexed model must reproduce its outcomes, `keys`
+    /// order and victim streams exactly.
     struct RefLlc {
         main: RandomSet<(MrId, u64)>,
         ddio: RandomSet<(MrId, u64)>,
@@ -538,7 +644,7 @@ mod tests {
         }
 
         // The duplicated branch bodies mirror the seed's control flow
-        // exactly; collapsing them is what the fast path under test does.
+        // exactly; collapsing them is what the model under test does.
         #[allow(clippy::if_same_then_else)]
         fn cpu_access(&mut self, mr: MrId, offset: usize, len: usize) -> CpuAccessOutcome {
             let mut out = CpuAccessOutcome::default();
@@ -559,14 +665,76 @@ mod tests {
         }
     }
 
+    /// Checks the line index of `llc` against its domains and returns
+    /// both domains' keys resolved back to `(MrId, line)`, `main` first.
+    ///
+    /// Every pool page must be owned by exactly one page-table entry,
+    /// every `keys[i]` must be pointed back at by its entry with the
+    /// right domain bit, and no other entry may be non-zero.
+    fn checked_keys(llc: &LlcModel) -> [Vec<(MrId, u64)>; 2] {
+        let mut owner = vec![None; llc.entries.len() / PAGE_LINES];
+        for region in &llc.regions {
+            for (page, &slot) in region.pages.iter().enumerate() {
+                if slot != 0 {
+                    let o = &mut owner[slot as usize - 1];
+                    assert_eq!(*o, None, "pool page {slot} owned twice");
+                    *o = Some((region.mr, page));
+                }
+            }
+        }
+        assert!(owner.iter().all(Option::is_some), "orphan pool page");
+        let resident = llc.entries.iter().filter(|&&e| e != 0).count();
+        assert_eq!(resident, llc.main.keys.len() + llc.ddio.keys.len());
+        [&llc.main, &llc.ddio].map(|domain| {
+            assert!(domain.keys.len() <= domain.capacity);
+            let resolve = |(pos, &loc): (usize, &u32)| {
+                let loc = loc as usize;
+                assert_eq!(llc.entries[loc], domain.tag | (pos as u32 + 1));
+                let (mr, page) = owner[loc / PAGE_LINES].expect("owned above");
+                (mr, (page * PAGE_LINES + loc % PAGE_LINES) as u64)
+            };
+            domain.keys.iter().enumerate().map(resolve).collect()
+        })
+    }
+
+    /// Runs `ops` (`(is_cpu, mr, offset, len)`) through the model and
+    /// the reference, comparing after every op the outcome, both
+    /// domains' `keys` and victim streams, and the index's consistency.
+    fn assert_matches_reference(
+        llc_bytes: usize,
+        ops: impl IntoIterator<Item = (bool, u32, usize, usize)>,
+    ) -> LlcModel {
+        let mut fast = LlcModel::new(llc_bytes, 0.25);
+        let mut slow = RefLlc::new(llc_bytes, 0.25);
+        for (is_cpu, mr, offset, len) in ops {
+            let mr = MrId(mr);
+            if is_cpu {
+                assert_eq!(
+                    fast.cpu_access(mr, offset, len),
+                    slow.cpu_access(mr, offset, len)
+                );
+            } else {
+                assert_eq!(
+                    fast.dma_write(mr, offset, len),
+                    slow.dma_write(mr, offset, len)
+                );
+            }
+            let [main, ddio] = checked_keys(&fast);
+            assert_eq!(main, slow.main.keys);
+            assert_eq!(ddio, slow.ddio.keys);
+            assert_eq!(fast.main.rng, slow.main.rng);
+            assert_eq!(fast.ddio.rng, slow.ddio.rng);
+        }
+        fast
+    }
+
     proptest::proptest! {
-        /// Fast-path `dma_write`/`cpu_access` must match the original
-        /// per-line logic outcome-for-outcome on arbitrary interleavings,
-        /// including the eviction RNG streams of both domains. Lengths
-        /// reach past 8 KB (> `SPAN_CHUNK` = 128 lines), so the
-        /// range-wise chunked path — including the chunk seam and the
-        /// evict-a-later-line-of-this-span fix-up — is exercised against
-        /// the per-line reference, not just short spans.
+        /// `dma_write`/`cpu_access` must match the hashed per-line
+        /// reference on arbitrary interleavings. Offsets up to ~6 KB,
+        /// lengths past 8 KB and four regions against a 4 KB LLC (48
+        /// main lines, 16 DDIO lines) keep both domains at capacity, so
+        /// evictions hit later lines of the span being walked, other
+        /// pages and other regions constantly.
         #[test]
         fn fast_paths_match_reference_model(
             ops in proptest::collection::vec(
@@ -574,30 +742,85 @@ mod tests {
                 0..120,
             ),
         ) {
-            // 4 KB LLC => 48 main lines, 16 DDIO lines: offsets up to
-            // ~6 KB and multi-MR interleavings guarantee capacity
-            // pressure in both domains (a single 8 KB span alone is 8×
-            // the DDIO partition, so the fix-up path fires constantly).
-            let mut fast = LlcModel::new(4096, 0.25);
-            let mut slow = RefLlc::new(4096, 0.25);
-            for (op, mr, offset, len) in ops {
-                let mr = MrId(mr);
-                if op == 0 {
-                    proptest::prop_assert_eq!(
-                        fast.dma_write(mr, offset, len),
-                        slow.dma_write(mr, offset, len)
-                    );
-                } else {
-                    proptest::prop_assert_eq!(
-                        fast.cpu_access(mr, offset, len),
-                        slow.cpu_access(mr, offset, len)
-                    );
-                }
-                proptest::prop_assert_eq!(&fast.main.keys, &slow.main.keys);
-                proptest::prop_assert_eq!(&fast.ddio.keys, &slow.ddio.keys);
-                proptest::prop_assert_eq!(fast.main.rng_state, slow.main.rng_state);
-                proptest::prop_assert_eq!(fast.ddio.rng_state, slow.ddio.rng_state);
-            }
+            assert_matches_reference(
+                4096,
+                ops.into_iter().map(|(op, mr, offset, len)| (op == 1, mr, offset, len)),
+            );
         }
+    }
+
+    #[test]
+    fn eviction_reaches_into_another_region() {
+        // Region 0 fills the 16-line DDIO partition and, polled, the
+        // 48-line main domain; every victim region 1's traffic then
+        // draws is a line of region 0, whose entry (in region 0's
+        // pages) must be cleared for the index to stay consistent.
+        let llc = assert_matches_reference(
+            4096,
+            [
+                (false, 0, 0, 16 * 64),
+                (true, 0, 0, 48 * 64),
+                (false, 1, 0, 16 * 64),
+                (true, 1, 0, 24 * 64),
+            ],
+        );
+        let [main, ddio] = checked_keys(&llc);
+        let of_region = |keys: &[(MrId, u64)], mr| keys.iter().filter(|k| k.0 == MrId(mr)).count();
+        assert_eq!(main.len(), 48);
+        assert!(of_region(&main, 0) < 48 && of_region(&main, 1) > 0);
+        assert_eq!(of_region(&ddio, 0), 0);
+    }
+
+    #[test]
+    fn promoting_the_last_ddio_key_needs_no_filler() {
+        // Lines 0..4 enter DDIO in order; line 3 is `keys.last()`, so
+        // its promotion pops without relocating anything, while line 0's
+        // moves line 2 into its place.
+        let llc = assert_matches_reference(
+            4096,
+            [(false, 0, 0, 256), (true, 0, 192, 64), (true, 0, 0, 64)],
+        );
+        let [main, ddio] = checked_keys(&llc);
+        assert_eq!(main, [(MrId(0), 3), (MrId(0), 0)]);
+        assert_eq!(ddio, [(MrId(0), 2), (MrId(0), 1)]);
+    }
+
+    #[test]
+    fn span_crossing_a_page_seam_is_one_burst() {
+        // Lines 14..18 straddle the first two index pages.
+        let seam = (PAGE_LINES - 2) * 64;
+        let mut llc = small_llc();
+        let o = llc.dma_write(MrId(0), seam, 256);
+        assert_eq!((o.allocated, o.alloc_runs), (4, 1));
+        assert_eq!(llc.entries.len(), 2 * PAGE_LINES);
+        let o = llc.cpu_access(MrId(0), seam, 256);
+        assert_eq!((o.hits, o.misses), (4, 0));
+        assert_matches_reference(4096, [(false, 0, seam, 256), (true, 0, seam - 64, 6 * 64)]);
+    }
+
+    #[test]
+    fn sparse_region_pays_for_touched_pages_only() {
+        // One line at the far end of a 64 MB region, one at the start:
+        // two pages of entries, and a page table that reaches the far
+        // page exactly.
+        let far = (64 << 20) - 64;
+        let mut llc = small_llc();
+        llc.dma_write(MrId(5), far, 64);
+        llc.cpu_access(MrId(5), 0, 64);
+        assert_eq!(llc.entries.len(), 2 * PAGE_LINES);
+        let pages = &llc.regions[0].pages;
+        assert_eq!(pages.len(), far / 64 / PAGE_LINES + 1);
+        assert_eq!(pages.capacity(), pages.len());
+        assert_eq!(pages.iter().filter(|&&p| p != 0).count(), 2);
+        assert_eq!(
+            checked_keys(&llc),
+            [vec![(MrId(5), 0)], vec![(MrId(5), far as u64 / 64)]]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "31-bit position field")]
+    fn capacity_beyond_the_position_field_rejected() {
+        let _ = LlcModel::new(1 << 38, 0.5);
     }
 }

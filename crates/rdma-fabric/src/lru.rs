@@ -1,258 +1,41 @@
-//! An O(1) LRU set used by the NIC-cache and LLC models.
+//! Random-replacement sets: the one eviction policy of both hardware
+//! cache models.
 //!
-//! Implemented as a hash map into a slab of doubly-linked nodes. The hot
-//! path (`touch`) is a hash lookup plus a few index swaps, which keeps
-//! simulations with hundreds of millions of cache accesses fast.
+//! [`RandomSet`] is the generic hashed set — the NIC's QP-context cache
+//! ([`crate::niccache`]) keys it by `QpId`, and the LLC's per-line
+//! reference model (in [`crate::llc`]'s tests) by `(MrId, line)`. The
+//! LLC model proper does not hash: its keys are lines of contiguous
+//! registered regions, so it finds residency by address and shares only
+//! the victim stream (`VictimRng`) and the `keys`-vector discipline
+//! with this set.
+//!
+//! (The module name is historical: nothing in it is LRU.)
 
-use simcore::{det_map_with_capacity, DetHashMap};
-use std::hash::Hash;
+use simcore::FxHasher;
+use std::hash::{Hash, Hasher};
 
-const NIL: usize = usize::MAX;
+/// The SplitMix64 stream eviction victims are drawn from. Every cache
+/// domain owns one, started from the same constant, and draws exactly
+/// one value per eviction — so a run's replacement decisions are a pure
+/// function of its access sequence.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct VictimRng(pub(crate) u64);
 
-#[derive(Clone)]
-struct Entry<K> {
-    key: K,
-    prev: usize,
-    next: usize,
-}
-
-/// A fixed-capacity LRU set.
-///
-/// `touch` inserts or refreshes a key and reports whether it was already
-/// present (a cache *hit*); when an insertion overflows the capacity the
-/// least-recently-used key is evicted and returned.
-///
-/// # Examples
-///
-/// ```
-/// use rdma_fabric::lru::LruSet;
-///
-/// let mut lru = LruSet::new(2);
-/// assert_eq!(lru.touch(1), (false, None));      // miss, no eviction
-/// assert_eq!(lru.touch(2), (false, None));      // miss
-/// assert_eq!(lru.touch(1), (true, None));       // hit, refreshes 1
-/// assert_eq!(lru.touch(3), (false, Some(2)));   // miss, evicts LRU=2
-/// ```
-#[derive(Clone)]
-pub struct LruSet<K> {
-    map: DetHashMap<K, usize>,
-    slab: Vec<Entry<K>>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-    capacity: usize,
-}
-
-impl<K> std::fmt::Debug for LruSet<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LruSet")
-            .field("len", &self.map.len())
-            .field("capacity", &self.capacity)
-            .finish()
-    }
-}
-
-impl<K: Eq + Hash + Clone> LruSet<K> {
-    /// Creates an LRU set holding at most `capacity` keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LruSet capacity must be positive");
-        LruSet {
-            map: det_map_with_capacity(capacity.min(1 << 20)),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
+impl VictimRng {
+    pub(crate) fn new() -> Self {
+        VictimRng(0x853C_49E6_748F_EA9B)
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Returns whether `key` is resident, without refreshing it.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slab[idx].prev, self.slab[idx].next); // map/list links store only live slab indices
-        if prev != NIL {
-            self.slab[prev].next = next; // prev checked != NIL: a live link
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slab[next].prev = prev; // next checked != NIL: a live link
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.slab[idx].prev = NIL; // idx is a live slab index (from the map or the free list)
-        self.slab[idx].next = self.head;
-        if self.head != NIL {
-            self.slab[self.head].prev = idx; // head checked != NIL
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    /// Accesses `key`: refreshes it if resident (hit), otherwise inserts
-    /// it, evicting the least-recently-used key when full.
-    ///
-    /// Returns `(hit, evicted)`.
-    pub fn touch(&mut self, key: K) -> (bool, Option<K>) {
-        if let Some(&idx) = self.map.get(&key) {
-            if self.head != idx {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
-            return (true, None);
-        }
-        let mut evicted = None;
-        if self.map.len() == self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
-            let old = self.slab[victim].key.clone(); // victim == tail != NIL when the cache is full
-            self.map.remove(&old);
-            self.free.push(victim);
-            evicted = Some(old);
-        }
-        let idx = if let Some(idx) = self.free.pop() {
-            self.slab[idx].key = key.clone(); // idx popped from the free list: a live slab index
-            idx
-        } else {
-            self.slab.push(Entry {
-                key: key.clone(),
-                prev: NIL,
-                next: NIL,
-            });
-            self.slab.len() - 1
-        };
-        self.push_front(idx);
-        self.map.insert(key, idx);
-        (false, evicted)
-    }
-
-    /// Removes `key` if resident; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        if let Some(idx) = self.map.remove(key) {
-            self.unlink(idx);
-            self.free.push(idx);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drops every key.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-}
-
-/// An FxHash-style streaming hasher: a rotate + xor + multiply per word.
-///
-/// The simulator's cache models hash billions of small `(MrId, u64)` and
-/// `QpId` keys; SipHash (std's default) costs more than the rest of the
-/// cache-model work combined. This mixer is the same shape rustc uses
-/// internally — not DoS-resistant, which is fine for keys the simulator
-/// itself generates.
-#[derive(Clone, Copy, Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl std::hash::Hasher for FxHasher {
+    /// Draws the position of the next victim in a full `keys` vector of
+    /// `capacity` entries.
     #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
+    pub(crate) fn victim(&mut self, capacity: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % capacity as u64) as usize
     }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ n).wrapping_mul(FX_SEED);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-#[inline]
-fn fx_hash<K: Hash>(key: &K) -> u64 {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    std::hash::Hasher::finish(&h)
-}
-
-/// FxHash state after absorbing one leading `u32` word — used to share
-/// the `(MrId, _)` key prefix across every line of one DMA/CPU span.
-/// Continuing with [`fx_line_hash32`] yields exactly the hash a full
-/// `(MrId, u64)` key computes, so split and whole-key probes are
-/// interchangeable (pinned by a unit test below).
-#[inline]
-pub(crate) fn fx_prefix_u32(word: u32) -> u64 {
-    // rotate_left(5) of the zero initial state is zero, so the first
-    // absorbed word reduces to a single multiply.
-    (word as u64).wrapping_mul(FX_SEED)
-}
-
-/// Completes a split [`fx_prefix_u32`] hash with the trailing `u64` word
-/// and returns the 32-bit table hash (upper half, as
-/// `RandomSet::hash32` takes it).
-#[inline]
-pub(crate) fn fx_line_hash32(prefix: u64, line: u64) -> u32 {
-    ((prefix.rotate_left(5) ^ line).wrapping_mul(FX_SEED) >> 32) as u32
 }
 
 /// A fixed-capacity set with *random replacement*.
@@ -264,13 +47,11 @@ pub(crate) fn fx_line_hash32(prefix: u64, line: u64) -> u32 {
 /// is what gives the gradual throughput decline of the paper's Fig. 1(b)
 /// rather than a cliff.
 ///
-/// Replacement choices come from an internal SplitMix64 sequence, so runs
-/// are deterministic. The index is a linear-probed open-addressed table
-/// over [`FxHasher`]: [`access`](Self::access) resolves hit-or-insert in
-/// a single probe sequence (the old `HashMap` version paid 2–3 SipHash
-/// lookups per line on the LLC hot path). The table starts tiny and grows
-/// with residency, so a simulation with hundreds of mostly-idle nodes
-/// (every node owns two LLC domains) does not pre-allocate
+/// Replacement choices come from an internal `VictimRng`, so runs are
+/// deterministic. The index is a linear-probed open-addressed table over
+/// FxHash: [`access`](Self::access) resolves hit-or-insert in a single
+/// probe sequence. The table starts tiny and grows with residency, so a
+/// simulation with hundreds of nodes does not pre-allocate
 /// capacity-sized maps.
 #[derive(Clone)]
 pub struct RandomSet<K> {
@@ -284,13 +65,11 @@ pub struct RandomSet<K> {
     /// walk the table without rehashing any key.
     table: Vec<u64>,
     /// Back-pointers: `slots[i]` is the table slot currently indexing
-    /// `keys[i]`. Eviction and swap-remove would otherwise re-hash and
-    /// re-probe the victim / relocated key — two serialized random
-    /// memory accesses per miss in the at-capacity thrash regime the
-    /// LLC models live in.
+    /// `keys[i]`, so eviction and swap-remove need not re-hash and
+    /// re-probe the victim / relocated key.
     slots: Vec<u32>,
     capacity: usize,
-    pub(crate) rng_state: u64,
+    pub(crate) rng: VictimRng,
 }
 
 #[inline]
@@ -332,54 +111,8 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
             table: vec![0; RANDOM_SET_MIN_TABLE],
             slots: Vec::new(),
             capacity,
-            rng_state: 0x853C_49E6_748F_EA9B,
+            rng: VictimRng::new(),
         }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // SplitMix64 step.
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// The value the *next* [`next_rand`](Self::next_rand) call will
-    /// return, without advancing the stream — used to prefetch the next
-    /// eviction victim's metadata while the current miss retires.
-    fn peek_rand(&self) -> u64 {
-        let mut z = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Prefetches the back-pointer and key of the eviction victim at
-    /// `keys[idx]`. Purely a hint — no observable state changes.
-    #[inline]
-    fn prefetch_victim_idx(&self, idx: usize) {
-        debug_assert!(idx < self.keys.len());
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `idx < keys.len() == slots.len()`; prefetch has no
-        // architectural side effects.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.slots.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-            _mm_prefetch(self.keys.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = idx;
-    }
-
-    /// Prefetches the metadata of the *next* eviction victim
-    /// (deterministically known from the RNG stream). In the at-capacity
-    /// thrash regime nearly every access evicts, so by the next miss the
-    /// victim's cache lines are already in flight.
-    #[inline]
-    fn prefetch_next_victim(&self) {
-        debug_assert_eq!(self.keys.len(), self.capacity);
-        self.prefetch_victim_idx((self.peek_rand() % self.capacity as u64) as usize);
     }
 
     /// Number of resident keys.
@@ -396,7 +129,9 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
     /// where the multiplies have mixed the most).
     #[inline]
     fn hash32(key: &K) -> u32 {
-        (fx_hash(key) >> 32) as u32
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        (h.finish() >> 32) as u32
     }
 
     /// Probes for `key` (whose hash is `h32`): `Ok(table_slot)` when
@@ -445,12 +180,9 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
     }
 
     /// Doubles the table when residency approaches 1/2 load, keeping
-    /// probes and shift chains short — the thrash regime (a set pinned at
-    /// capacity, every miss evicting) probes three chains per eviction,
-    /// so the extra headroom pays for itself on the LLC hot path.
-    /// Redistribution reuses the cached hashes (no key is rehashed) and
-    /// is a pure function of the resident set, so determinism is
-    /// unaffected.
+    /// probes and shift chains short. Redistribution reuses the cached
+    /// hashes (no key is rehashed) and is a pure function of the
+    /// resident set, so determinism is unaffected.
     fn maybe_grow(&mut self) {
         if (self.keys.len() + 1) * 2 < self.table.len() {
             return;
@@ -479,35 +211,27 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
     /// Returns `(hit, evicted)`.
     pub fn access(&mut self, key: K) -> (bool, Option<K>) {
         let h32 = Self::hash32(&key);
-        self.access_h(key, h32)
-    }
-
-    /// [`access`](Self::access) with the caller-supplied table hash of
-    /// `key` — the LLC fast paths hash each line once and probe both
-    /// cache domains with it.
-    #[inline]
-    pub(crate) fn access_h(&mut self, key: K, h32: u32) -> (bool, Option<K>) {
         self.maybe_grow();
         match self.probe(&key, h32) {
             Ok(_) => (true, None),
             Err(slot) => {
                 if self.keys.len() == self.capacity {
-                    let victim = (self.next_rand() % self.capacity as u64) as usize;
+                    let victim = self.rng.victim(self.capacity);
                     // The back-pointer gives the victim's index entry
                     // directly — no rehash, no probe of its chain.
-                    let old_slot = self.slots[victim] as usize;
+                    let old_slot = self.slots[victim] as usize; // victim < capacity == keys.len() == slots.len()
                     self.erase_slot(old_slot);
-                    let old = std::mem::replace(&mut self.keys[victim], key); // victim < capacity == keys.len() here
-                                                                              // Re-probe: the backward shift may have opened a hole
-                                                                              // earlier in the new key's chain than the slot the
-                                                                              // first probe found, and inserting past a hole would
-                                                                              // make the key unfindable.
+                    let old = std::mem::replace(&mut self.keys[victim], key); // victim < keys.len()
+
+                    // Re-probe: the backward shift may have opened a hole
+                    // earlier in the new key's chain than the slot the
+                    // first probe found, and inserting past a hole would
+                    // make the key unfindable.
                     let ins = self
                         .probe(&self.keys[victim], h32) // victim is a live key index
                         .expect_err("fresh key cannot be resident");
                     self.table[ins] = slot_entry(h32, victim); // ins is a masked probe position; victim < keys.len()
                     self.slots[victim] = ins as u32;
-                    self.prefetch_next_victim();
                     (false, Some(old))
                 } else {
                     self.table[slot] = slot_entry(h32, self.keys.len()); // slot from probe: a masked table position
@@ -530,42 +254,10 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
         self.probe(key, Self::hash32(key)).is_ok()
     }
 
-    /// [`contains`](Self::contains) with a caller-supplied table hash.
-    #[inline]
-    pub(crate) fn contains_h(&self, key: &K, h32: u32) -> bool {
-        self.probe(key, h32).is_ok()
-    }
-
-    /// Hints the CPU to pull the home table slot of hash `h32` into
-    /// cache. The LLC span loops probe tables far larger than the host's
-    /// L2, so each probe is otherwise a serialized cache miss; issuing
-    /// the hint a few lines ahead overlaps those misses. Purely a hint —
-    /// no observable state changes.
-    #[inline]
-    pub(crate) fn prefetch(&self, h32: u32) {
-        let i = (h32 as usize) & (self.table.len() - 1);
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `i` is masked to `table.len() - 1`, so the pointer is
-        // in bounds; _mm_prefetch has no architectural side effects.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.table.as_ptr().add(i) as *const i8, _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = i;
-    }
-
     /// Removes `key` if resident (swap-remove); returns whether it was
     /// present.
     pub fn remove(&mut self, key: &K) -> bool {
-        let h32 = Self::hash32(key);
-        self.remove_h(key, h32)
-    }
-
-    /// [`remove`](Self::remove) with a caller-supplied table hash.
-    #[inline]
-    pub(crate) fn remove_h(&mut self, key: &K, h32: u32) -> bool {
-        let Ok(slot) = self.probe(key, h32) else {
+        let Ok(slot) = self.probe(key, Self::hash32(key)) else {
             return false;
         };
         let idx = slot_idx(self.table[slot]); // probe returned an occupied slot: entry holds a live index
@@ -588,305 +280,10 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
     }
 }
 
-/// Maximum number of lines one span-chunk call processes: 128 lines is
-/// 8 KB, the paper's Fig. 3(b) inbound block size, and lets residency
-/// masks live in a single `u128`.
-pub const SPAN_CHUNK: usize = 128;
-
-/// How many pre-drawn eviction victims ahead of the apply loop to keep
-/// their `slots`/`keys` metadata prefetched.
-const VICTIM_PREFETCH: usize = 4;
-
-/// Result of a [`RandomSet::span_access`] call over one line chunk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanOutcome {
-    /// Lines found resident.
-    pub hits: u64,
-    /// Lines that missed (and were inserted, evicting randomly at
-    /// capacity).
-    pub misses: u64,
-    /// Bit `i` set ⇔ line `base + i` missed. The complement (within the
-    /// selected mask) hit.
-    pub miss_mask: u128,
-}
-
-/// The select mask covering the first `n` lines of a chunk.
-#[inline]
-pub fn span_select(n: usize) -> u128 {
-    debug_assert!(n <= SPAN_CHUNK);
-    if n == SPAN_CHUNK {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
-    }
-}
-
-/// Fills `out[j]` with the table hash of line `base + j` of region `mr`,
-/// absorbing the region-id hash prefix once for the whole span.
-pub fn line_span_hashes(mr: crate::types::MrId, base: u64, out: &mut [u32]) {
-    let prefix = fx_prefix_u32(mr.0);
-    for (j, h) in out.iter_mut().enumerate() {
-        *h = fx_line_hash32(prefix, base + j as u64);
-    }
-}
-
-/// Iterates the set bit positions of `m`, lowest first.
-#[inline]
-fn iter_bits(mut m: u128) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        if m == 0 {
-            None
-        } else {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            Some(i)
-        }
-    })
-}
-
-impl RandomSet<(crate::types::MrId, u64)> {
-    /// Bulk access for a contiguous run of cache lines of one region —
-    /// the LLC streaming fast path. Returns `(hits, misses)`; misses
-    /// insert (evicting randomly when full) exactly as per-line
-    /// [`access`](Self::access) calls would.
-    pub fn access_lines(
-        &mut self,
-        mr: crate::types::MrId,
-        lines: impl Iterator<Item = u64> + Clone,
-    ) -> (u64, u64) {
-        let prefix = fx_prefix_u32(mr.0);
-        let mut hits = 0;
-        let mut misses = 0;
-        // Run a prefetch iterator a few lines ahead of the probe loop so
-        // the (table-sized, cache-cold) home slots are in flight by the
-        // time the probe needs them.
-        let mut ahead = lines.clone().skip(4);
-        for line in lines {
-            if let Some(a) = ahead.next() {
-                self.prefetch(fx_line_hash32(prefix, a));
-            }
-            if self.access_h((mr, line), fx_line_hash32(prefix, line)).0 {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-        }
-        (hits, misses)
-    }
-
-    /// Probe-only residency of the selected lines of one span: bit `i`
-    /// of the result is set iff line `base + i` is resident. `hashes[i]`
-    /// must be line `base + i`'s table hash (see [`line_span_hashes`]).
-    /// Probes are software-pipelined: each one's home slot is prefetched
-    /// eight selected lines ahead, so the otherwise-serialized table
-    /// misses of an LLC-scale span overlap. No state changes.
-    pub fn span_residency(
-        &self,
-        mr: crate::types::MrId,
-        base: u64,
-        hashes: &[u32],
-        select: u128,
-    ) -> u128 {
-        debug_assert!(hashes.len() <= SPAN_CHUNK);
-        const PROBE_PREFETCH: usize = 8;
-        let mut ahead = iter_bits(select);
-        for _ in 0..PROBE_PREFETCH {
-            if let Some(j) = ahead.next() {
-                self.prefetch(hashes[j]); // j from select bits: j < n == hashes.len()
-            }
-        }
-        let mut resident = 0u128;
-        for i in iter_bits(select) {
-            if let Some(j) = ahead.next() {
-                self.prefetch(hashes[j]); // j from select bits: j < n == hashes.len()
-            }
-            // i from select bits: i < n == hashes.len()
-            if self.probe(&(mr, base + i as u64), hashes[i]).is_ok() {
-                resident |= 1u128 << i;
-            }
-        }
-        resident
-    }
-
-    /// Bulk hit-or-insert over the selected lines of one span, *bit-exact*
-    /// with per-line [`access`](Self::access) calls in ascending line
-    /// order (same hit/miss classification, same eviction-RNG stream,
-    /// same `keys` order — the determinism proptests pin this).
-    ///
-    /// Two phases: first the whole span's residency is resolved with
-    /// pipelined probes against the unmodified table
-    /// ([`span_residency`](Self::span_residency)); then misses are
-    /// applied in line order. Applying a miss at capacity evicts a
-    /// uniformly random resident key, which can be a *later line of this
-    /// very span* — the pre-classified hit is then flipped back to a
-    /// miss, so classification stays exactly what a per-line walk would
-    /// have seen. Eviction-RNG draws are batched (one refill per run of
-    /// known misses, values consumed in line order — the stream is a
-    /// pure sequence, so batching leaves it untouched), which lets the
-    /// victims' metadata prefetch [`VICTIM_PREFETCH`] evictions ahead
-    /// instead of one.
-    pub fn span_access(
-        &mut self,
-        mr: crate::types::MrId,
-        base: u64,
-        hashes: &[u32],
-        select: u128,
-    ) -> SpanOutcome {
-        let n = hashes.len();
-        debug_assert!(n <= SPAN_CHUNK);
-        let mut resident = self.span_residency(mr, base, hashes, select);
-        let mut out = SpanOutcome::default();
-        // Pre-drawn eviction victims (indices into `keys`), consumed in
-        // line order.
-        let mut vq = [0u32; SPAN_CHUNK];
-        let (mut vq_head, mut vq_len) = (0usize, 0usize);
-        let mut m = select;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let bit = 1u128 << i;
-            if resident & bit != 0 {
-                out.hits += 1;
-                continue;
-            }
-            out.misses += 1;
-            out.miss_mask |= bit;
-            let key = (mr, base + i as u64);
-            let h32 = hashes[i]; // i from select bits: i < n == hashes.len()
-            self.maybe_grow();
-            if self.keys.len() == self.capacity {
-                if vq_head == vq_len {
-                    // Refill: one draw per currently-known remaining miss
-                    // (this one included). Eviction fix-ups can add more
-                    // misses later; they trigger another refill when the
-                    // queue drains, keeping draw-to-miss assignment in
-                    // line order exactly as per-line calls would.
-                    let remaining = select & !resident & !((1u128 << i) - 1);
-                    vq_head = 0;
-                    vq_len = remaining.count_ones() as usize;
-                    for slot in vq.iter_mut().take(vq_len) {
-                        *slot = (self.next_rand() % self.capacity as u64) as u32;
-                    }
-                    for &v in vq.iter().take(vq_len.min(VICTIM_PREFETCH)) {
-                        self.prefetch_victim_idx(v as usize);
-                    }
-                }
-                let victim = vq[vq_head] as usize; // vq_head < vq_len: the queue was refilled above when drained
-                vq_head += 1;
-                if vq_head + VICTIM_PREFETCH <= vq_len {
-                    // in bounds per the check on the previous line
-                    self.prefetch_victim_idx(vq[vq_head + VICTIM_PREFETCH - 1] as usize);
-                }
-                let old_slot = self.slots[victim] as usize; // victim < capacity == keys.len(); slots is keys-parallel
-                self.erase_slot(old_slot);
-                let old = std::mem::replace(&mut self.keys[victim], key); // victim < keys.len()
-                                                                          // Re-probe for the insert position: the backward shift
-                                                                          // may have opened an earlier hole in the new key's chain.
-                let ins = self
-                    .probe(&self.keys[victim], h32) // victim is a live key index
-                    .expect_err("fresh key cannot be resident");
-                self.table[ins] = slot_entry(h32, victim); // ins is a masked probe position; victim < keys.len()
-                self.slots[victim] = ins as u32;
-                // Fix-up: evicting a not-yet-applied line of this span
-                // turns its pre-classified hit into a miss.
-                if old.0 == mr {
-                    let d = old.1.wrapping_sub(base);
-                    if d > i as u64 && d < n as u64 {
-                        resident &= !(1u128 << d);
-                    }
-                }
-            } else {
-                // Below capacity: plain insert. Phase 1 classified the
-                // key as absent and span lines are distinct, so the probe
-                // must land on an empty slot.
-                let slot = self
-                    .probe(&key, h32)
-                    .expect_err("span residency classified this key as absent");
-                self.table[slot] = slot_entry(h32, self.keys.len()); // slot from probe: a masked table position
-                self.slots.push(slot as u32);
-                self.keys.push(key);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-
-    #[test]
-    fn basic_hit_miss_evict() {
-        let mut l = LruSet::new(2);
-        assert_eq!(l.touch("a"), (false, None));
-        assert_eq!(l.touch("b"), (false, None));
-        assert_eq!(l.touch("a"), (true, None));
-        // "b" is now LRU.
-        assert_eq!(l.touch("c"), (false, Some("b")));
-        assert!(l.contains(&"a"));
-        assert!(!l.contains(&"b"));
-        assert_eq!(l.len(), 2);
-    }
-
-    #[test]
-    fn remove_frees_slot() {
-        let mut l = LruSet::new(2);
-        l.touch(1);
-        l.touch(2);
-        assert!(l.remove(&1));
-        assert!(!l.remove(&1));
-        assert_eq!(l.touch(3), (false, None)); // no eviction needed
-        assert_eq!(l.len(), 2);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut l = LruSet::new(4);
-        for i in 0..4 {
-            l.touch(i);
-        }
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.touch(9), (false, None));
-    }
-
-    #[test]
-    fn capacity_one() {
-        let mut l = LruSet::new(1);
-        assert_eq!(l.touch('x'), (false, None));
-        assert_eq!(l.touch('x'), (true, None));
-        assert_eq!(l.touch('y'), (false, Some('x')));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = LruSet::<u32>::new(0);
-    }
-
-    /// Reference model: a Vec ordered most-recent-first.
-    struct NaiveLru {
-        cap: usize,
-        v: Vec<u64>,
-    }
-    impl NaiveLru {
-        fn touch(&mut self, k: u64) -> (bool, Option<u64>) {
-            if let Some(pos) = self.v.iter().position(|&x| x == k) {
-                self.v.remove(pos);
-                self.v.insert(0, k);
-                (true, None)
-            } else {
-                let ev = if self.v.len() == self.cap {
-                    self.v.pop()
-                } else {
-                    None
-                };
-                self.v.insert(0, k);
-                (false, ev)
-            }
-        }
-    }
 
     #[test]
     fn random_set_hits_within_capacity() {
@@ -953,22 +350,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn random_set_zero_capacity_rejected() {
         let _ = RandomSet::<u32>::new(0);
-    }
-
-    #[test]
-    fn matches_naive_reference_on_random_trace() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
-        let mut fast = LruSet::new(16);
-        let mut slow = NaiveLru {
-            cap: 16,
-            v: Vec::new(),
-        };
-        for _ in 0..20_000 {
-            let k = rng.gen_range(0..40u64);
-            assert_eq!(fast.touch(k), slow.touch(k));
-        }
-        assert_eq!(fast.len(), slow.v.len());
     }
 
     /// The pre-optimization `RandomSet`: `HashMap` index + `keys` vector,
@@ -1047,107 +428,7 @@ mod tests {
                     _ => proptest::prop_assert_eq!(fast.contains(&k), slow.map.contains_key(&k)),
                 }
                 proptest::prop_assert_eq!(&fast.keys, &slow.keys);
-                proptest::prop_assert_eq!(fast.rng_state, slow.rng_state);
-            }
-        }
-    }
-
-    #[test]
-    fn random_set_access_lines_matches_per_line_access() {
-        use crate::types::MrId;
-        let mr = MrId(7);
-        let mut bulk = RandomSet::new(12);
-        let mut single = RandomSet::new(12);
-        let mut total = (0u64, 0u64);
-        for round in 0..50u64 {
-            let lo = round % 9;
-            let hi = lo + round % 17;
-            let (h, m) = bulk.access_lines(mr, lo..=hi);
-            total.0 += h;
-            total.1 += m;
-            for line in lo..=hi {
-                single.access((mr, line));
-            }
-            assert_eq!(bulk.keys, single.keys, "round {round}");
-            assert_eq!(bulk.rng_state, single.rng_state, "round {round}");
-        }
-        assert!(total.0 > 0 && total.1 > 0, "trace exercised both paths");
-    }
-
-    #[test]
-    fn span_access_matches_per_line_access() {
-        use crate::types::MrId;
-        // Overlapping spans across two regions at 8× capacity pressure:
-        // nearly every span evicts other lines of itself mid-apply, so
-        // the residency fix-up and the batched-draw refills are exercised
-        // hard. `keys` order and the RNG stream must track per-line calls
-        // exactly.
-        let mut bulk = RandomSet::new(16);
-        let mut single = RandomSet::new(16);
-        let mut hashes = [0u32; SPAN_CHUNK];
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for round in 0..40u64 {
-            let mr = MrId((round % 2) as u32);
-            let base = (round * 37) % 96;
-            let n = SPAN_CHUNK.min(8 + (round as usize * 13) % 121);
-            line_span_hashes(mr, base, &mut hashes[..n]);
-            let so = bulk.span_access(mr, base, &hashes[..n], span_select(n));
-            hits += so.hits;
-            misses += so.misses;
-            assert_eq!(so.miss_mask.count_ones() as u64, so.misses, "round {round}");
-            let mut ref_miss_mask = 0u128;
-            for i in 0..n {
-                if !single.access((mr, base + i as u64)).0 {
-                    ref_miss_mask |= 1u128 << i;
-                }
-            }
-            assert_eq!(so.miss_mask, ref_miss_mask, "round {round}");
-            assert_eq!(bulk.keys, single.keys, "round {round}");
-            assert_eq!(bulk.rng_state, single.rng_state, "round {round}");
-        }
-        assert!(hits > 0 && misses > 0, "trace exercised both outcomes");
-    }
-
-    #[test]
-    fn span_residency_is_read_only_and_matches_contains() {
-        use crate::types::MrId;
-        let mr = MrId(3);
-        let mut s = RandomSet::new(32);
-        for line in (0..64u64).step_by(3) {
-            s.access((mr, line));
-        }
-        let keys_before = s.keys.clone();
-        let rng_before = s.rng_state;
-        let mut hashes = [0u32; SPAN_CHUNK];
-        line_span_hashes(mr, 0, &mut hashes[..64]);
-        let resident = s.span_residency(mr, 0, &hashes[..64], span_select(64));
-        for line in 0..64u64 {
-            assert_eq!(
-                resident >> line & 1 == 1,
-                s.contains(&(mr, line)),
-                "line {line}"
-            );
-        }
-        assert_eq!(s.keys, keys_before);
-        assert_eq!(s.rng_state, rng_before);
-    }
-
-    #[test]
-    fn split_hash_matches_whole_key_hash() {
-        use crate::types::MrId;
-        // The split prefix/line hash must reproduce the derived tuple
-        // hash bit-for-bit (MrId hashes via write_u32, the line via
-        // write_u64, both routed through the same mixer) — otherwise the
-        // fast paths would probe different chains than `access` does.
-        for mr in [0u32, 1, 7, 0xFFFF_FFFF, 0x1234_5678] {
-            let prefix = fx_prefix_u32(mr);
-            for line in [0u64, 1, 63, 64, 1 << 20, u64::MAX] {
-                assert_eq!(
-                    fx_line_hash32(prefix, line),
-                    RandomSet::<(MrId, u64)>::hash32(&(MrId(mr), line)),
-                    "mr={mr} line={line}"
-                );
+                proptest::prop_assert_eq!(fast.rng.0, slow.rng_state);
             }
         }
     }
@@ -1155,8 +436,7 @@ mod tests {
     #[test]
     fn random_set_grows_table_lazily() {
         // A large-capacity set must not pre-size its index: hundreds of
-        // simulated nodes each own LLC-sized RandomSets that stay nearly
-        // empty.
+        // simulated nodes each own a NIC cache that stays nearly empty.
         let set: RandomSet<u64> = RandomSet::new(1 << 20);
         assert_eq!(set.table.len(), RANDOM_SET_MIN_TABLE);
         let mut set = set;

@@ -424,6 +424,37 @@ fn rc_remote_oob_write_errors_back() {
 }
 
 #[test]
+fn cpu_access_is_bounds_checked_like_the_inbound_path() {
+    let mut p = connected_pair(Transport::Rc);
+    let nb = p.fabric.qp_node(p.b).unwrap();
+    // In range, including the empty access at the very end.
+    assert!(p.fabric.cpu_access(p.mr_b, 4032, 64).is_ok());
+    assert!(p.fabric.cpu_access(p.mr_b, 4032, 64).is_ok());
+    assert!(p.fabric.cpu_access(p.mr_b, 4096, 0).is_ok());
+    let miss_rate = p.fabric.llc_miss_rate(nb).unwrap();
+    assert_eq!(miss_rate, 0.5);
+    // Out of range: the error `MemoryRegion::check` gives, and the LLC
+    // model is never consulted.
+    for (offset, len) in [(4090, 64), (4096, 1), (1 << 40, 64), (usize::MAX, 2)] {
+        let size = 4096;
+        assert_eq!(
+            p.fabric.cpu_access(p.mr_b, offset, len),
+            Err(VerbError::OutOfBounds {
+                mr: p.mr_b,
+                offset,
+                len,
+                size
+            })
+        );
+    }
+    assert_eq!(p.fabric.llc_miss_rate(nb).unwrap(), miss_rate);
+    assert_eq!(
+        p.fabric.cpu_access(rdma_fabric::MrId(99), 0, 64),
+        Err(VerbError::UnknownMr(rdma_fabric::MrId(99)))
+    );
+}
+
+#[test]
 fn write_imm_consumes_recv_and_carries_imm() {
     let mut p = connected_pair(Transport::Rc);
     p.fabric.post_recv(p.b, p.mr_b, 2048, 64).unwrap();

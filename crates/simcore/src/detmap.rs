@@ -15,11 +15,8 @@
 //! steers all sim-crate map usage here (or to `BTreeMap`, when sorted
 //! iteration is itself meaningful).
 //!
-//! The hash function matches the FxHasher in `rdma-fabric/src/lru.rs`
-//! (`rotate_left(5) ^ byte`, multiplied by the Fx constant). That copy
-//! stays separate on purpose: it pre-splits hashes to preserve the
-//! eviction-RNG stream bit-exactly, and unifying them would perturb
-//! goldens for zero behavioral gain.
+//! [`FxHasher`] (`rotate_left(5) ^ word`, multiplied by the Fx constant)
+//! is also what `rdma-fabric`'s `RandomSet` hashes its keys with.
 
 // simlint: allow(R1) — this module wraps std HashMap with a fixed
 // hasher; it is the sanctioned route around the R1 ban (also listed in
