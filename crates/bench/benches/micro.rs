@@ -10,14 +10,50 @@ use rdma_fabric::lru::RandomSet;
 use rdma_fabric::MrId;
 use rpc_core::message::{MsgBuf, RpcHeader};
 use simcore::stats::Histogram;
-use simcore::{EventQueue, SimTime};
+use simcore::{EventQueue, SimDuration, SimTime};
+
+/// The queue held at 4 096 pending events, the depth the 400-client
+/// workloads keep it at (the repo benchmark's two queue kernels).
+fn queue_at_depth() -> EventQueue<u64> {
+    let mut q = EventQueue::new();
+    for i in 0..4_096u64 {
+        q.push(SimTime(i * 7 % 997), i);
+    }
+    q
+}
 
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_1k", |b| {
+    c.bench_function("event_queue_push_pop_4096", |b| {
+        let mut q = queue_at_depth();
+        let mut i = 0u64;
         b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                q.push(SimTime(i * 7 % 997), i);
+            i += 1;
+            let (t, v) = q.pop().expect("queue stays full");
+            q.push(t + SimDuration::nanos(400 + (v * 31 + i) % 2_000), v);
+        })
+    });
+    c.bench_function("event_queue_cancel_mix_4096", |b| {
+        // Retransmission-timer pattern: of every two events pushed one
+        // is cancelled in place (unlinked from its bucket) before it
+        // fires.
+        let mut q = queue_at_depth();
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let (t, v) = q.pop().expect("queue stays full");
+            q.push(t + SimDuration::nanos(400 + (v * 31 + i) % 2_000), v);
+            let timer = q.push(t + SimDuration::micros(300), v);
+            black_box(q.cancel(timer))
+        })
+    });
+    c.bench_function("event_queue_same_instant_burst_4096", |b| {
+        // A fan-out lands 4 096 events on one instant: one bucket, one
+        // list, pushed at the tail and popped at the head.
+        let mut q = EventQueue::new();
+        b.iter(|| {
+            let t = q.now() + SimDuration::nanos(650);
+            for i in 0..4_096u64 {
+                q.push(t, i);
             }
             let mut acc = 0u64;
             while let Some((_, v)) = q.pop() {
@@ -26,23 +62,25 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    c.bench_function("event_queue_push_cancel_pop_1k", |b| {
-        // Interleaved cancellation: half the pushed events are cancelled
-        // in place before the drain, the pattern retransmission timers
-        // produce. Exercises the indexed heap's O(log n) remove_at.
+    c.bench_function("event_queue_far_timers_beside_near_traffic", |b| {
+        // 4 096 timeouts 10–50 ms out stand on the upper levels while the
+        // near traffic turns over beneath them; every 64th event is
+        // rescheduled 50 µs out, far enough to be parked on level 1 and
+        // dealt down to level 0 when `now` reaches its bucket.
+        let mut q = queue_at_depth();
+        for i in 0..4_096u64 {
+            q.push(SimTime(10_000_000 + i * 9_973), i);
+        }
+        let mut i = 0u64;
         b.iter(|| {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..1000u64)
-                .map(|i| q.push(SimTime(i * 7 % 997), i))
-                .collect();
-            for id in ids.iter().skip(1).step_by(2) {
-                q.cancel(*id);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            black_box(acc)
+            i += 1;
+            let (t, v) = q.pop().expect("queue stays full");
+            let ahead = if i.is_multiple_of(64) {
+                50_000
+            } else {
+                400 + (v * 31 + i) % 2_000
+            };
+            q.push(t + SimDuration::nanos(ahead), v);
         })
     });
 }

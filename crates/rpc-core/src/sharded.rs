@@ -437,11 +437,7 @@ where
             (0..nshards).map(|_| Mutex::new(Slot::default())).collect();
         let barrier = Barrier::new(nw);
 
-        let start = self
-            .shards
-            .iter_mut()
-            .filter_map(|s| s.queue.peek_time())
-            .min();
+        let start = self.shards.iter().filter_map(|s| s.queue.peek_time()).min();
         let mut cur = match start {
             Some(t) if t <= deadline => Some((t + lookahead, deadline)),
             _ => None,
@@ -608,12 +604,7 @@ fn run_span<L: Logic>(
     let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
     let mut upcalls: Vec<Upcall> = Vec::new();
     let mut pops = 0u64;
-    loop {
-        match shard.queue.peek_time() {
-            Some(t) if t <= deadline => {}
-            _ => break,
-        }
-        let (now, ev) = shard.queue.pop().expect("peeked above"); // simlint: allow(R3): peek_time returned Some just above
+    while let Some((now, ev)) = shard.queue.pop_at_or_before(deadline) {
         pops += 1;
         process_event(
             shard,
@@ -667,12 +658,10 @@ fn execute_window<L: Logic>(
     let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
     let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
     let mut upcalls: Vec<Upcall> = Vec::new();
-    loop {
-        match shard.queue.peek_key() {
-            Some((t, _)) if t < end && t <= deadline => {}
-            _ => break,
-        }
-        let (now, seq, ev) = shard.queue.pop_with_seq().expect("peeked above"); // simlint: allow(R3): peek_key returned Some just above
+    // The window is half-open — `end` itself belongs to the next one —
+    // and never empty: `end` is a time plus the (non-zero) lookahead.
+    let last = deadline.min(SimTime(end.as_nanos() - 1));
+    while let Some((now, seq, ev)) = shard.queue.pop_at_or_before_with_seq(last) {
         let push_mark = shard.log.pushes.len();
         process_event(
             shard,
@@ -819,12 +808,7 @@ mod tests {
             }
 
             let mut processed = 0;
-            loop {
-                match self.queue.peek_time() {
-                    Some(t) if t <= deadline => {}
-                    _ => break,
-                }
-                let (now, ev) = self.queue.pop().expect("peeked above"); // simlint: allow(R3): peek_time returned Some just above
+            while let Some((now, ev)) = self.queue.pop_at_or_before(deadline) {
                 processed += 1;
                 match ev {
                     Ev::Fabric(fe) => {

@@ -196,6 +196,21 @@ impl SeqWindow {
     }
 }
 
+/// Each client's `(group, zone)` under `plan`: the first group listing
+/// it and its position there — what [`GroupPlan::group_of`] followed by
+/// a position scan of that group finds.
+fn zone_table(plan: &GroupPlan, clients: usize) -> Vec<Option<(usize, usize)>> {
+    let mut table = vec![None; clients];
+    for (g, members) in plan.groups.iter().enumerate() {
+        for (z, &c) in members.iter().enumerate() {
+            if let Some(entry @ None) = table.get_mut(c) {
+                *entry = Some((g, z));
+            }
+        }
+    }
+    table
+}
+
 /// The ScaleRPC transport.
 pub struct ScaleRpc<H: ServerHandler> {
     cfg: ScaleRpcConfig,
@@ -208,6 +223,10 @@ pub struct ScaleRpc<H: ServerHandler> {
     local_index: DetHashMap<MrId, ClientId>,
     server_cq: CqId,
     plan: GroupPlan,
+    /// `client → (group, zone)` under `plan`, rebuilt wherever `plan` is
+    /// assigned: the per-request path looks a client up instead of
+    /// scanning the groups.
+    zones: Vec<Option<(usize, usize)>>,
     /// Index of the group currently being processed.
     cur: usize,
     slice_epoch: u64,
@@ -301,6 +320,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             scheduler = scheduler.with_tenants(cfg.tenant_of.clone());
         }
         let plan = scheduler.initial_plan(n);
+        let zones = zone_table(&plan, n);
         let mut clients = Vec::with_capacity(n);
         let mut local_index = DetHashMap::default();
         let mut qp_index = DetHashMap::default();
@@ -359,6 +379,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             local_index,
             server_cq,
             plan,
+            zones,
             cur: 0,
             slice_epoch: 0,
             rotations: 0,
@@ -464,9 +485,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
     }
 
     fn zone_of(&self, client: ClientId) -> Option<(usize /*group*/, usize /*zone*/)> {
-        let g = self.plan.group_of(client)?;
-        let z = self.plan.groups[g].iter().position(|&c| c == client)?;
-        Some((g, z))
+        self.zones.get(client).copied().flatten()
     }
 
     fn group_of_pool(&self, pool_idx: usize) -> usize {
@@ -908,6 +927,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             if self.scheduler.dynamic && self.rotations.is_multiple_of(self.cfg.regroup_rotations) {
                 let before = self.plan.groups.len();
                 self.plan = self.scheduler.replan(&self.stats_last);
+                self.zones = zone_table(&self.plan, self.clients.len());
                 let after = self.plan.groups.len();
                 self.replan_history.push((cx.now, after));
                 self.tracer.instant(
@@ -1585,5 +1605,31 @@ pub fn legacy_flags() -> u16 {
 impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for ScaleRpc<H> {
     fn client_qp(&self, client: ClientId) -> Option<rdma_fabric::QpId> {
         Some(self.clients[client].client_qp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zone_table_is_group_of_plus_position() {
+        let initial = Scheduler::new(40, SimDuration::micros(100), true).initial_plan(130);
+        // A client listed twice resolves to its first listing; 7 and 9 are
+        // in no group.
+        let overlapping = GroupPlan {
+            groups: vec![vec![3, 1, 4], vec![1, 5, 3, 2, 6], vec![8, 0]],
+            slices: vec![SimDuration::micros(100); 3],
+        };
+        for (plan, clients) in [(initial, 130), (overlapping, 10)] {
+            let table = zone_table(&plan, clients);
+            assert_eq!(table.len(), clients);
+            for (c, &entry) in table.iter().enumerate() {
+                let scanned = plan
+                    .group_of(c)
+                    .map(|g| (g, plan.groups[g].iter().position(|&m| m == c).unwrap()));
+                assert_eq!(entry, scanned, "client {c}");
+            }
+        }
     }
 }

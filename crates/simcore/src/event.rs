@@ -1,79 +1,63 @@
 //! Deterministic future-event list.
 //!
-//! The queue is a four-ary indexed heap keyed by `(time, sequence)`. The
-//! sequence number makes simultaneous events pop in insertion order,
+//! The queue is a hierarchical timing wheel keyed by `(time, sequence)`.
+//! The sequence number makes simultaneous events pop in insertion order,
 //! which keeps entire simulations bit-for-bit reproducible — a property
 //! the hardware counter experiments (Fig. 3/10 of the paper) rely on.
 //!
-//! Heap entries are 24 bytes: the key plus the index of a stable *slot*.
-//! A slot's payload sits in one array and its `(generation, heap
-//! position)` in a dense side array, so sifts move small entries and
-//! update 8-byte index records without ever touching the (much larger)
-//! payloads, and [`cancel`](EventQueue::cancel) finds and removes an
-//! entry in place in O(log n) — no tombstone set, and `pop` never probes
-//! a hash table to ask "was this cancelled?". Slots are
-//! generation-counted, so the [`EventId`] of an already-fired event can
-//! never alias a newer one. Sifts carry the moving entry in a hole
-//! (one store per level, not a swap) and compare keys as one packed
-//! 128-bit integer; a removal sifts in exactly one direction. The
-//! four-ary layout halves tree depth versus a binary heap.
-//! [`bulk_cancel`](EventQueue::bulk_cancel) is the one lazy path: it
-//! tombstones entries instead of restructuring per id, and `pop`/`peek`
-//! discard tombstones at the front.
+//! Timestamps are read as five 13-bit digits (5 × 13 ≥ 64: every `u64`
+//! distance has a level, nothing is clamped; 2^13 ns covers the few µs most
+//! events are scheduled ahead). An event lives on the level of the highest
+//! digit in which its time differs from `now`, in the bucket that digit
+//! names. A level-0 bucket therefore *is* one nanosecond: its list holds
+//! the same-instant events in `seq` order, so the next event is a list head
+//! and no keys are compared to find it. An upper-level bucket keeps push
+//! order; when `pop` carries `now` into it, its events are dealt out to the
+//! levels below. No occupied bucket lies behind `now`'s digit, so the
+//! earliest event sits in the first occupied bucket of the lowest occupied
+//! level: two `trailing_zeros` on a two-level bitmap. Only `pop` moves the
+//! cursor; `peek` is a pure search, so a push at `now` after one still
+//! lands in front.
+//!
+//! Events are nodes of intrusive circular lists threaded through a stable
+//! slot array (payloads sit in a parallel array, touched once per pop):
+//! push, pop, `cancel` and `set_seq` are O(1) and allocate nothing once the
+//! arrays have grown. Slots are generation-counted, so a stale [`EventId`]
+//! never aliases a newer event.
 
 use crate::time::SimTime;
 
-/// Opaque handle to a scheduled event, usable to cancel it.
-///
-/// Packs a slot index and a generation counter; ids of fired or
-/// cancelled events go stale and are rejected by
-/// [`cancel`](EventQueue::cancel).
+/// Opaque handle to a scheduled event, usable to cancel it: a slot index
+/// and a generation counter. Ids of fired or cancelled events go stale and
+/// are rejected by [`cancel`](EventQueue::cancel).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventId((gen as u64) << 32 | slot as u64)
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// Heap entry: ordering key plus the payload slot. Tombstoned entries
-/// (from [`EventQueue::bulk_cancel`]) use `slot == TOMBSTONE`.
-#[derive(Clone, Copy)]
-struct HeapEnt {
-    time: SimTime,
-    seq: u64,
+pub struct EventId {
     slot: u32,
+    gen: u32,
 }
 
-impl HeapEnt {
-    /// `(time, seq)` packed so that one integer compare orders entries.
-    #[inline]
-    fn key(&self) -> u128 {
-        (self.time.0 as u128) << 64 | self.seq as u128
-    }
-}
-
-const TOMBSTONE: u32 = u32::MAX;
+/// Timestamp bits one wheel level resolves, and the buckets that makes.
+const LEVEL_BITS: u32 = 13;
+const BUCKETS: usize = 1 << LEVEL_BITS;
+const LEVELS: usize = 5;
+/// The null slot link.
+const NIL: u32 = u32::MAX;
 
 /// Per-slot bookkeeping, kept apart from the payloads.
-struct SlotIndex {
+#[derive(Default)]
+struct Node {
+    time: SimTime,
+    seq: u64,
+    /// Neighbours in the bucket's circular list; while the slot is vacant
+    /// `next` links the free list instead.
+    prev: u32,
+    next: u32,
     /// Bumped when the slot is vacated; stale [`EventId`]s never match.
     gen: u32,
-    /// Current index of this slot's entry in `heap` (while occupied).
-    pos: u32,
 }
 
-/// A future-event list with deterministic ordering, O(log n) push/pop
-/// and O(log n) in-place cancellation.
+/// A future-event list with deterministic ordering and O(1) push, pop
+/// and in-place cancellation.
 ///
 /// # Examples
 ///
@@ -90,14 +74,21 @@ struct SlotIndex {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: Vec<HeapEnt>,
+    /// First slot of each bucket's list (`NIL` when empty), level-major;
+    /// grown, with `words`, to cover a level when it is first used.
+    heads: Vec<u32>,
+    /// One bit per bucket: set iff its list is non-empty.
+    words: Vec<u64>,
+    /// Per level, one bit per entry of its `words`: set iff non-zero.
+    summary: [u128; LEVELS],
+    /// Key, links and generation per slot, parallel to `events`.
+    nodes: Vec<Node>,
     /// Payload per slot; `None` while the slot sits on the free list.
     events: Vec<Option<E>>,
-    /// Generation and heap position per slot, parallel to `events`.
-    index: Vec<SlotIndex>,
-    free: Vec<u32>,
+    /// Head of the free list threaded through `Node::next`.
+    free: u32,
+    len: usize,
     next_seq: u64,
-    tombstones: usize,
     now: SimTime,
 }
 
@@ -111,12 +102,14 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            heads: Vec::new(),
+            words: Vec::new(),
+            summary: [0; LEVELS],
+            nodes: Vec::new(),
             events: Vec::new(),
-            index: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
+            len: 0,
             next_seq: 0,
-            tombstones: 0,
             now: SimTime::ZERO,
         }
     }
@@ -158,228 +151,235 @@ impl<E> EventQueue<E> {
             self.now
         );
         self.next_seq = self.next_seq.max(seq.wrapping_add(1));
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.events[s as usize] = Some(event); // s popped from the free list: a live slot index
-                s
-            }
-            None => {
-                self.events.push(Some(event));
-                self.index.push(SlotIndex { gen: 0, pos: 0 });
-                (self.events.len() - 1) as u32
-            }
-        };
-        let ent = HeapEnt { time, seq, slot };
-        let pos = self.heap.len();
-        self.heap.push(ent);
-        self.sift_up(pos, ent);
-        EventId::new(slot, self.index[slot as usize].gen) // slot was just allocated or reused above: in bounds
+        let mut slot = self.free;
+        if slot == NIL {
+            slot = self.nodes.len() as u32;
+            self.events.push(None);
+            self.nodes.push(Node::default());
+        } else {
+            self.free = self.node(slot).next;
+        }
+        self.events[slot as usize] = Some(event); // slot: just grown to, or off the free list
+        let node = self.node_mut(slot);
+        (node.time, node.seq) = (time, seq);
+        self.len += 1;
+        self.link(slot);
+        let gen = self.node(slot).gen;
+        EventId { slot, gen }
     }
 
-    /// The heap position of a still-pending event; `None` for fired,
-    /// cancelled, or unknown ids. A generation match alone proves the
-    /// slot is occupied by this very event: vacating bumps it.
-    fn position(&self, id: EventId) -> Option<usize> {
-        let ix = self.index.get(id.slot() as usize)?;
-        (ix.gen == id.gen()).then_some(ix.pos as usize)
+    // Slot ids come from an EventId whose generation matched, a bucket head,
+    // a list link or the free list — all hold indices push_with_seq handed
+    // out, so they index `nodes`.
+    fn node(&self, slot: u32) -> &Node {
+        &self.nodes[slot as usize] // see above
+    }
+
+    fn node_mut(&mut self, slot: u32) -> &mut Node {
+        &mut self.nodes[slot as usize] // see above
+    }
+
+    /// The bucket (level-major index) an event at `time` belongs in while
+    /// the queue stands at `now`: on the level of the highest digit in
+    /// which the two differ, the one `time`'s digit names.
+    fn locate(&self, time: SimTime) -> usize {
+        let level = (63 - ((time.0 ^ self.now.0) | 1).leading_zeros()) / LEVEL_BITS;
+        level as usize * BUCKETS + (time.0 >> (level * LEVEL_BITS)) as usize % BUCKETS
+    }
+
+    /// Points `bucket` at `head` (`NIL` empties it), bitmaps in step.
+    fn set_head(&mut self, bucket: usize, head: u32) {
+        self.heads[bucket] = head; // link() grew the arrays over every bucket it fills
+        let (w, bit) = (bucket / 64, 1u64 << (bucket % 64));
+        let word = &mut self.words[w]; // same bound
+        *word = (*word & !bit) | (bit * u64::from(head != NIL));
+        let (summary, w) = (&mut self.summary[w * 64 / BUCKETS], w % (BUCKETS / 64)); // bucket's level
+        *summary = (*summary & !(1 << w)) | (u128::from(*word != 0) << w);
+    }
+
+    /// Links a slot whose key is set into the bucket its time names. A
+    /// level-0 list is kept in `seq` order, searched from the tail, where
+    /// every in-order push lands at once; upper-level lists are appended to.
+    fn link(&mut self, slot: u32) {
+        let &Node { time, seq, .. } = self.node(slot);
+        let bucket = self.locate(time);
+        if bucket >= self.heads.len() {
+            let buckets = (bucket / BUCKETS + 1) * BUCKETS;
+            self.heads.resize(buckets, NIL);
+            self.words.resize(buckets / 64, 0);
+        }
+        let head = self.heads[bucket]; // grown to cover it just above
+        if head == NIL {
+            self.set_head(bucket, slot);
+            let node = self.node_mut(slot);
+            (node.prev, node.next) = (slot, slot);
+            return;
+        }
+        // `slot` goes in front of `at`: in front of the head that is the
+        // tail, unless it `leads` (sorts before every entry).
+        let (mut at, mut leads) = (head, false);
+        while bucket < BUCKETS && !leads && self.node(self.node(at).prev).seq > seq {
+            at = self.node(at).prev;
+            leads = at == head;
+        }
+        let prev = self.node(at).prev;
+        let node = self.node_mut(slot);
+        (node.prev, node.next) = (prev, at);
+        self.node_mut(prev).next = slot;
+        self.node_mut(at).prev = slot;
+        if leads {
+            self.set_head(bucket, slot);
+        }
+    }
+
+    /// Takes a linked `slot` out of its bucket's list.
+    fn unlink(&mut self, slot: u32) {
+        let node = self.node(slot);
+        let (bucket, prev, next) = (self.locate(node.time), node.prev, node.next);
+        self.node_mut(prev).next = next;
+        self.node_mut(next).prev = prev;
+        // link() grew the arrays over the bucket of every linked slot
+        if self.heads[bucket] == slot {
+            self.set_head(bucket, if next == slot { NIL } else { next });
+        }
+    }
+
+    /// The slot of a still-pending event; `None` for fired, cancelled,
+    /// or unknown ids. A generation match alone proves the slot is
+    /// occupied by this very event: vacating bumps it.
+    fn pending(&self, id: EventId) -> Option<u32> {
+        let node = self.nodes.get(id.slot as usize)?;
+        (node.gen == id.gen).then_some(id.slot)
     }
 
     /// Rewrites the sequence key of a still-pending event in place
-    /// (O(log n)), restoring heap order. Returns `false` for fired,
-    /// cancelled, or unknown ids.
+    /// (O(1) unless explicit keys arrive far out of order). Returns
+    /// `false` for fired, cancelled, or unknown ids.
     ///
     /// The shard merge uses this to resolve *provisional* sequence
     /// numbers (handed out while a shard executes a window in
     /// isolation) to the *final* global numbers computed by the
     /// deterministic cross-shard merge.
     pub fn set_seq(&mut self, id: EventId, seq: u64) -> bool {
-        let Some(pos) = self.position(id) else {
+        let Some(slot) = self.pending(id) else {
             return false;
         };
         self.next_seq = self.next_seq.max(seq.wrapping_add(1));
-        let ent = HeapEnt {
-            seq,
-            ..self.heap[pos] // index positions are kept current by place() on every heap move
-        };
-        self.resift(pos, ent);
+        self.unlink(slot);
+        self.node_mut(slot).seq = seq;
+        self.link(slot);
         true
     }
 
-    /// Like [`pop`](Self::pop), but also returns the event's sequence
-    /// key, which the shard merge logs to reconstruct the global pop
-    /// order.
+    /// The earliest pending event's `(bucket, slot)`, found without moving
+    /// anything: in the first occupied bucket of the lowest occupied level,
+    /// the list head on level 0, else (many instants share it) the least key.
+    fn earliest(&self) -> Option<(usize, u32)> {
+        let level = self.summary.iter().position(|&s| s != 0)?;
+        // level: a position() index; a summary bit is only set for a non-zero word
+        let w = level * (BUCKETS / 64) + self.summary[level].trailing_zeros() as usize;
+        let bucket = w * 64 + self.words[w].trailing_zeros() as usize; // see above
+        let head = self.heads[bucket]; // a set bit is a grown-over bucket
+        let key = |s| (self.node(s).time, self.node(s).seq);
+        let (mut best, mut cur) = (head, self.node(head).next);
+        while level > 0 && cur != head {
+            if key(cur) < key(best) {
+                best = cur;
+            }
+            cur = self.node(cur).next;
+        }
+        Some((bucket, best))
+    }
+
+    /// Like [`pop_at_or_before`](Self::pop_at_or_before), but also
+    /// returns the event's sequence key, which the shard merge logs to
+    /// reconstruct the global pop order.
+    pub fn pop_at_or_before_with_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
+        let (bucket, slot) = self.earliest()?;
+        let &Node { time, seq, .. } = self.node(slot);
+        if time > deadline {
+            return None;
+        }
+        self.unlink(slot);
+        self.now = time;
+        let rest = self.heads[bucket]; // earliest() read this bucket
+        if bucket >= BUCKETS && rest != NIL {
+            // `now` has entered this upper-level bucket: what is left in it
+            // is dealt out to the levels its distance from `now` names.
+            self.set_head(bucket, NIL);
+            let mut cur = rest;
+            while cur != NIL {
+                let after = self.node(cur).next;
+                self.link(cur);
+                cur = if after == rest { NIL } else { after };
+            }
+        }
+        let event = self.vacate(slot).expect("pending slot has a payload"); // simlint: allow(R3): linked slots always hold a payload
+        Some((time, seq, event))
+    }
+
+    /// Pops the earliest pending event if it is due at or before
+    /// `deadline`, advancing `now` to it; otherwise moves nothing. One
+    /// search per event, where `peek_time` followed by `pop` makes two.
+    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let (time, _, event) = self.pop_at_or_before_with_seq(deadline)?;
+        Some((time, event))
+    }
+
+    /// Like [`pop`](Self::pop), but also returns the event's sequence key.
     pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
-        loop {
-            let ent = *self.heap.first()?;
-            self.remove_at(0);
-            if ent.slot == TOMBSTONE {
-                self.tombstones -= 1;
-                continue;
-            }
-            let event = self
-                .vacate(ent.slot)
-                .expect("live heap entry has a payload"); // simlint: allow(R3): non-tombstone heap entries always hold a payload
-            self.now = ent.time;
-            return Some((ent.time, ent.seq, event));
-        }
-    }
-
-    /// Returns the `(time, seq)` key of the next pending event without
-    /// popping it (tombstones at the front are discarded).
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            let ent = *self.heap.first()?;
-            if ent.slot == TOMBSTONE {
-                self.remove_at(0);
-                self.tombstones -= 1;
-                continue;
-            }
-            return Some((ent.time, ent.seq));
-        }
-    }
-
-    /// Cancels a previously scheduled event, removing its heap entry in
-    /// place (O(log n), no tombstone).
-    ///
-    /// Cancelling an already-fired, already-cancelled or unknown id is a
-    /// true no-op that leaves no bookkeeping behind, and returns `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(pos) = self.position(id) else {
-            return false;
-        };
-        self.remove_at(pos);
-        self.vacate(id.slot());
-        true
-    }
-
-    /// Cancels a batch of events lazily: entries are tombstoned where
-    /// they stand (O(1) per id) and discarded when they surface, which
-    /// beats per-id restructuring when a caller tears down many pending
-    /// events at once. Returns how many ids were still live.
-    pub fn bulk_cancel(&mut self, ids: impl IntoIterator<Item = EventId>) -> usize {
-        let mut cancelled = 0;
-        for id in ids {
-            let Some(pos) = self.position(id) else {
-                continue;
-            };
-            self.heap[pos].slot = TOMBSTONE; // index positions are kept current by place() on every heap move
-            self.tombstones += 1;
-            self.vacate(id.slot());
-            cancelled += 1;
-        }
-        cancelled
+        self.pop_at_or_before_with_seq(SimTime::MAX)
     }
 
     /// Pops the earliest pending event, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_with_seq().map(|(time, _, event)| (time, event))
+        self.pop_at_or_before(SimTime::MAX)
     }
 
-    /// Returns the timestamp of the next pending event, if any, without
-    /// popping it. Tombstoned (bulk-cancelled) entries at the front are
-    /// discarded.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(time, _)| time)
+    /// Returns the `(time, seq)` key of the next pending event without
+    /// popping it or moving the wheel.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        let node = self.node(self.earliest()?.1);
+        Some((node.time, node.seq))
     }
 
-    /// Number of events still scheduled (bulk-cancelled tombstones not
-    /// yet discarded are excluded).
+    /// Returns the timestamp of the next pending event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        Some(self.peek_key()?.0)
+    }
+
+    /// Cancels a previously scheduled event, unlinking it in place (O(1)).
+    ///
+    /// Cancelling an already-fired, already-cancelled or unknown id is a
+    /// true no-op that leaves no bookkeeping behind, and returns `false`.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        let Some(slot) = self.pending(id) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.vacate(slot);
+        true
+    }
+
+    /// Number of events still scheduled.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.tombstones
+        self.len
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Tombstoned heap entries not yet discarded — nonzero only between
-    /// a [`bulk_cancel`](Self::bulk_cancel) and the pops/peeks that
-    /// surface the lazily cancelled entries.
-    pub fn tombstones(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Takes the payload out of `slot`, returns the slot to the free
-    /// list and invalidates outstanding ids.
+    /// Takes the payload out of an unlinked `slot`, returns the slot to
+    /// the free list and invalidates outstanding ids.
     fn vacate(&mut self, slot: u32) -> Option<E> {
-        let ix = &mut self.index[slot as usize]; // slot ids handed out by push index both slot arrays
-        ix.gen = ix.gen.wrapping_add(1);
-        self.free.push(slot);
-        self.events[slot as usize].take() // same slot-id invariant
-    }
-
-    /// Removes the heap entry at `pos`, restoring heap order.
-    fn remove_at(&mut self, pos: usize) {
-        let Some(last) = self.heap.pop() else {
-            return;
-        };
-        // Unless the removed entry was the last one itself, the last
-        // entry refills the hole it left.
-        if pos < self.heap.len() {
-            self.resift(pos, last);
-        }
-    }
-
-    /// Writes `ent` at heap position `pos` and records the move.
-    #[inline]
-    fn place(&mut self, pos: usize, ent: HeapEnt) {
-        self.heap[pos] = ent; // callers pass heap positions < heap.len()
-        if ent.slot != TOMBSTONE {
-            self.index[ent.slot as usize].pos = pos as u32; // non-tombstone slots are live indices
-        }
-    }
-
-    /// Puts `ent` where it belongs given a hole at `pos`: up if it beats
-    /// the hole's parent, down otherwise — never both.
-    fn resift(&mut self, pos: usize, ent: HeapEnt) {
-        // pos > 0 guard; parent < pos < heap.len()
-        if pos > 0 && ent.key() < self.heap[(pos - 1) / 4].key() {
-            self.sift_up(pos, ent);
-        } else {
-            self.sift_down(pos, ent);
-        }
-    }
-
-    /// Moves the hole at `pos` up past every ancestor `ent` beats, then
-    /// drops `ent` into it.
-    fn sift_up(&mut self, mut pos: usize, ent: HeapEnt) {
-        let key = ent.key();
-        while pos > 0 {
-            let parent = (pos - 1) / 4;
-            let above = self.heap[parent]; // pos > 0 loop guard; parent < pos
-            if key >= above.key() {
-                break;
-            }
-            self.place(pos, above);
-            pos = parent;
-        }
-        self.place(pos, ent);
-    }
-
-    /// Moves the hole at `pos` down past every smallest-child that beats
-    /// `ent`, then drops `ent` into it.
-    fn sift_down(&mut self, mut pos: usize, ent: HeapEnt) {
-        let key = ent.key();
-        loop {
-            let first = 4 * pos + 1;
-            let Some(children) = self.heap.get(first..(first + 4).min(self.heap.len())) else {
-                break; // first > len: a leaf
-            };
-            let mut best = (0, u128::MAX);
-            for (i, child) in children.iter().enumerate() {
-                let k = child.key();
-                let lt = k < best.1;
-                best = (if lt { i } else { best.0 }, if lt { k } else { best.1 });
-            }
-            if best.1 >= key {
-                break; // a leaf (no children), or heap order holds here
-            }
-            let child = children[best.0]; // best.0 is an enumerate() index of children
-            self.place(pos, child);
-            pos = first + best.0;
-        }
-        self.place(pos, ent);
+        let free = self.free;
+        let node = self.node_mut(slot);
+        (node.gen, node.next) = (node.gen.wrapping_add(1), free);
+        self.free = slot;
+        self.len -= 1;
+        self.events[slot as usize].take() // slot indexes both slot arrays
     }
 }
 
@@ -470,10 +470,8 @@ mod tests {
         assert!(!q.cancel(a), "fired event must not cancel");
         assert!(!q.cancel(a), "repeat cancel still rejects");
         assert_eq!(q.len(), 1);
-        assert_eq!(q.tombstones(), 0, "no-op cancel must leave no residue");
         assert_eq!(q.pop(), Some((SimTime(2), "b")));
         assert!(q.is_empty());
-        assert_eq!(q.tombstones(), 0);
     }
 
     #[test]
@@ -503,22 +501,6 @@ mod tests {
         expect.sort_unstable();
         let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn bulk_cancel_tombstones_then_drains() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..10u64).map(|t| q.push(SimTime(t), t)).collect();
-        let fired = q.pop().unwrap();
-        assert_eq!(fired.1, 0);
-        // Bulk-cancel evens (id 0 already fired) plus a stale repeat.
-        let n = q.bulk_cancel(ids.iter().copied().step_by(2).chain([ids[0], ids[2]]));
-        assert_eq!(n, 4, "ids 2,4,6,8 were live");
-        assert_eq!(q.tombstones(), 4);
-        assert_eq!(q.len(), 5);
-        let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(got, vec![1, 3, 5, 7, 9]);
-        assert_eq!(q.tombstones(), 0, "drain discards every tombstone");
     }
 
     #[test]
@@ -573,6 +555,80 @@ mod tests {
         let b = q.push(SimTime(2), "b");
         assert!(q.cancel(b));
         assert!(!q.set_seq(b, 0), "cancelled id must reject");
+    }
+
+    #[test]
+    fn push_at_now_after_peeking_a_later_event_pops_first() {
+        // The peeked event sits on an upper level; finding it must not
+        // carry the cursor past instants that are still legal to push at.
+        let mut q = EventQueue::new();
+        q.push(SimTime(100), "start");
+        q.pop();
+        q.push(SimTime(50_000), "later");
+        assert_eq!(q.peek_time(), Some(SimTime(50_000)));
+        assert_eq!(q.pop_at_or_before(SimTime(49_999)), None);
+        assert_eq!(q.now(), SimTime(100), "a refused pop moves nothing");
+        q.push(SimTime(100), "at now");
+        q.push(SimTime(9_000), "between");
+        assert_wheel_consistent(&q);
+        assert_eq!(q.pop(), Some((SimTime(100), "at now")));
+        assert_eq!(
+            q.pop_at_or_before(SimTime(9_000)),
+            Some((SimTime(9_000), "between"))
+        );
+        assert_eq!(q.pop(), Some((SimTime(50_000), "later")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn event_at_time_max_waits_beside_near_traffic() {
+        let mut q = EventQueue::new();
+        let never = q.push(SimTime::MAX, u64::MAX);
+        q.push(SimTime::MAX, u64::MAX - 1);
+        for t in 0..20_000u64 {
+            q.push(SimTime(t * 3), t);
+            if t % 2 == 1 {
+                assert_eq!(q.pop().map(|(_, e)| e), Some(t / 2));
+            }
+        }
+        assert_wheel_consistent(&q);
+        assert!(q.cancel(never));
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest.len(), 10_001);
+        assert_eq!(rest.last(), Some(&(u64::MAX - 1)));
+        assert_eq!(q.now(), SimTime::MAX);
+        q.push(SimTime::MAX, 7); // still legal: not before now
+        assert_eq!(q.pop(), Some((SimTime::MAX, 7)));
+    }
+
+    #[test]
+    fn windowed_rekey_reorders_same_instant_entries() {
+        // What a shard does at a window barrier: local pushes carry
+        // provisional keys in push order, the sweep hands back final keys
+        // in another order, and cross deliveries arrive with final keys of
+        // their own — at one instant, near (level 0) and far (cascaded).
+        use crate::shard::PROVISIONAL_BASE;
+        for t in [SimTime(40), SimTime(3_000_000)] {
+            let mut q = EventQueue::new();
+            let prov: Vec<EventId> = (0..6u64)
+                .map(|k| q.push_with_seq(t, PROVISIONAL_BASE + k, k))
+                .collect();
+            let finals = [14u64, 11, 19, 10, 16, 12];
+            for (id, fin) in prov.iter().zip(finals) {
+                assert!(q.set_seq(*id, fin));
+                assert_wheel_consistent(&q);
+            }
+            q.push_with_seq(t, 13, 100);
+            q.push_with_seq(t, 9, 101);
+            q.push(t, 102); // the counter stands past every provisional key
+            let order: Vec<(u64, u64)> =
+                std::iter::from_fn(|| q.pop_with_seq().map(|(_, s, e)| (s, e))).collect();
+            let keys: Vec<u64> = order.iter().map(|o| o.0).collect();
+            assert_eq!(keys[..8], [9, 10, 11, 12, 13, 14, 16, 19]);
+            assert!(keys[8] >= PROVISIONAL_BASE + 6);
+            let payloads: Vec<u64> = order.iter().map(|o| o.1).collect();
+            assert_eq!(payloads, [101, 3, 1, 5, 100, 0, 4, 2, 102]);
+        }
     }
 
     /// The pre-optimization queue — `BinaryHeap` plus a lazily-consulted
@@ -651,33 +707,70 @@ mod tests {
         }
     }
 
-    /// The side arrays agree with the heap: every non-tombstone entry's
-    /// slot points back at its position and holds a payload, and every
-    /// slot is either pending or on the free list.
-    fn assert_index_consistent<E>(q: &EventQueue<E>) {
-        let mut tombstones = 0;
-        for (pos, ent) in q.heap.iter().enumerate() {
-            if ent.slot == TOMBSTONE {
-                tombstones += 1;
-            } else {
-                assert_eq!(q.index[ent.slot as usize].pos as usize, pos);
-                assert!(q.events[ent.slot as usize].is_some());
+    /// The wheel's structure agrees with the slots: every pending slot is
+    /// linked — consistently in both directions — in exactly the bucket
+    /// `locate(time)` names, level-0 lists ascend in `seq`, a bitmap bit is
+    /// set iff its list is non-empty, and every slot is either pending or
+    /// on the free list.
+    fn assert_wheel_consistent<E>(q: &EventQueue<E>) {
+        let mut linked = vec![false; q.nodes.len()];
+        assert_eq!(q.heads.len() % BUCKETS, 0);
+        assert_eq!(q.words.len() * 64, q.heads.len());
+        for (w, &word) in q.words.iter().enumerate() {
+            let per_level = BUCKETS / 64;
+            assert_eq!(
+                q.summary[w / per_level] >> (w % per_level) & 1 == 1,
+                word != 0
+            );
+        }
+        for level in q.words.len() * 64 / BUCKETS..LEVELS {
+            assert_eq!(
+                q.summary[level], 0,
+                "unallocated level {level} marked occupied"
+            );
+        }
+        for (b, &head) in q.heads.iter().enumerate() {
+            assert_eq!(q.words[b / 64] >> (b % 64) & 1 == 1, head != NIL);
+            let mut cur = head;
+            while cur != NIL {
+                let n = q.node(cur);
+                assert_eq!(q.locate(n.time), b, "slot {cur} in the wrong bucket");
+                assert!(q.events[cur as usize].is_some());
+                assert!(!std::mem::replace(&mut linked[cur as usize], true));
+                assert_eq!(q.node(n.next).prev, cur);
+                if n.next != head {
+                    assert!(
+                        b >= BUCKETS || n.seq < q.node(n.next).seq,
+                        "level-0 list out of order"
+                    );
+                }
+                cur = if n.next == head { NIL } else { n.next };
             }
         }
-        assert_eq!(tombstones, q.tombstones);
-        assert_eq!(q.free.len() + q.len(), q.events.len());
-        assert_eq!(q.index.len(), q.events.len());
+        assert_eq!(linked.iter().filter(|&&l| l).count(), q.len());
+        let mut free = 0;
+        let mut cur = q.free;
+        while cur != NIL {
+            assert!(!linked[cur as usize] && q.events[cur as usize].is_none());
+            free += 1;
+            cur = q.node(cur).next;
+        }
+        assert_eq!(free + q.len(), q.nodes.len());
+        assert_eq!(q.nodes.len(), q.events.len());
     }
 
     proptest::proptest! {
-        /// The indexed heap must replay any interleaved push /
-        /// push_with_seq / set_seq / cancel / bulk_cancel / pop / peek
-        /// script identically to the old binary-heap-plus-tombstones
-        /// queue, accept exactly the ids that are still pending, and
-        /// keep its position index consistent throughout.
+        /// The wheel must replay any interleaved push / push_with_seq /
+        /// set_seq / cancel / pop / bounded pop / peek script identically
+        /// to the old binary-heap-plus-tombstones queue — with deltas
+        /// drawn per decade up to 2^40 ns, so events land on, cascade
+        /// through and are cancelled on every level the engine can reach,
+        /// and explicit keys arriving out of order — accept exactly the
+        /// ids that are still pending, and keep its lists and bitmaps
+        /// consistent after every step.
         #[test]
         fn matches_binary_heap_reference_trace(
-            script in proptest::collection::vec((0u8..8, 0u64..64), 1..400),
+            script in proptest::collection::vec((0u8..8, 0u64..64, 0u32..41), 1..400),
         ) {
             let mut fast = EventQueue::new();
             let mut slow = reference::RefQueue::new();
@@ -687,7 +780,9 @@ mod tests {
             let mut seqs = Vec::new();
             let mut live = Vec::new();
             // Every seq key handed out so far, and a way to pick an
-            // explicit one nobody holds, below or above the counter.
+            // explicit one nobody holds, below or above the counter: the
+            // multiplier scatters successive picks, so they arrive out of
+            // order.
             let mut used = std::collections::HashSet::new();
             fn fresh(used: &mut std::collections::HashSet<u64>, next_seq: u64, arg: u64) -> u64 {
                 let mut s = arg * 7919 % (next_seq + 16);
@@ -696,13 +791,17 @@ mod tests {
                 }
                 s
             }
-            for (op, arg) in script {
+            for (op, arg, bits) in script {
                 let n = ids.len();
+                // A delta of exactly `bits` significant bits: 0, 1, 2..=3,
+                // 4..=7, … one binary decade per draw, up to 2^40 ns.
+                let top = 1u64 << bits >> 1;
+                let delta = top + (arg.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20) % top.max(1);
                 match op {
                     0 | 1 | 4 => {
-                        // Push at now + arg (always legal), under the
+                        // Push at now + delta (always legal), under the
                         // queue's own counter or an explicit key.
-                        let t = SimTime(fast.now().as_nanos() + arg);
+                        let t = SimTime(fast.now().as_nanos() + delta);
                         let seq = if op == 4 {
                             let seq = fresh(&mut used, slow.next_seq, arg);
                             ids.push(fast.push_with_seq(t, seq, n));
@@ -725,6 +824,18 @@ mod tests {
                             live[i] = false;
                         }
                     }
+                    6 => {
+                        // Bounded pop: fires iff the next event is due by
+                        // the deadline, and otherwise moves nothing.
+                        let deadline = SimTime(fast.now().as_nanos() + delta);
+                        let due = slow.peek_time().is_some_and(|t| t <= deadline);
+                        let popped = fast.pop_at_or_before(deadline);
+                        proptest::prop_assert_eq!(popped, if due { slow.pop() } else { None });
+                        proptest::prop_assert_eq!(fast.now(), slow.now);
+                        if let Some((_, i)) = popped {
+                            live[i] = false;
+                        }
+                    }
                     _ if n == 0 => {}
                     3 => {
                         // Cancel an arbitrary id: accepted iff pending.
@@ -734,7 +845,7 @@ mod tests {
                             slow.cancel(seqs[i]);
                         }
                     }
-                    5 => {
+                    _ => {
                         // Re-key an arbitrary id: accepted iff pending.
                         let i = arg as usize % n;
                         if live[i] {
@@ -746,26 +857,12 @@ mod tests {
                             proptest::prop_assert!(!fast.set_seq(ids[i], 0));
                         }
                     }
-                    _ => {
-                        // Tombstone a run of three ids (repeats and
-                        // stale ids among them are skipped).
-                        let batch: Vec<usize> = (0..3).map(|k| (arg as usize + k) % n).collect();
-                        let mut pending = 0;
-                        for &i in &batch {
-                            if std::mem::take(&mut live[i]) {
-                                slow.cancel(seqs[i]);
-                                pending += 1;
-                            }
-                        }
-                        let cancelled = fast.bulk_cancel(batch.iter().map(|&i| ids[i]));
-                        proptest::prop_assert_eq!(cancelled, pending);
-                    }
                 }
-                assert_index_consistent(&fast);
+                assert_wheel_consistent(&fast);
                 proptest::prop_assert_eq!(fast.len(), live.iter().filter(|&&l| l).count());
                 proptest::prop_assert_eq!(fast.peek_time(), slow.peek_time());
             }
-            // Every id still pending must be found through the index...
+            // Every id still pending must be found through its slot...
             for i in (0..ids.len()).filter(|&i| live[i]) {
                 let seq = fresh(&mut used, slow.next_seq, i as u64);
                 proptest::prop_assert!(fast.set_seq(ids[i], seq));
@@ -775,11 +872,11 @@ mod tests {
             loop {
                 let (f, s) = (fast.pop(), slow.pop());
                 proptest::prop_assert_eq!(&f, &s);
+                assert_wheel_consistent(&fast);
                 if f.is_none() {
                     break;
                 }
             }
-            assert_index_consistent(&fast);
             // ...and afterwards every id is stale.
             for &id in &ids {
                 proptest::prop_assert!(!fast.cancel(id) && !fast.set_seq(id, 0));

@@ -431,7 +431,7 @@ mod tests {
             }
             loop {
                 // Next window: the earliest pending event anywhere.
-                let start = shards.iter_mut().filter_map(|s| s.q.peek_time()).min();
+                let start = shards.iter().filter_map(|s| s.q.peek_time()).min();
                 let Some(start) = start else { break };
                 let end = start + crate::SimDuration::nanos(LOOKAHEAD);
                 // Execute each shard independently up to the window end
@@ -441,12 +441,9 @@ mod tests {
                 let mut marks = Vec::with_capacity(shards.len());
                 for (sid, sh) in shards.iter_mut().enumerate() {
                     marks.push(sh.trace.len());
-                    loop {
-                        match sh.q.peek_key() {
-                            Some((t, _)) if t < end => {}
-                            _ => break,
-                        }
-                        let (t, seq, (home, p)) = sh.q.pop_with_seq().expect("peeked event pops"); // simlint: allow(R3)
+                    // The window is half-open: start >= 100, so end - 1 exists.
+                    let last = SimTime(end.as_nanos() - 1);
+                    while let Some((t, seq, (home, p))) = sh.q.pop_at_or_before_with_seq(last) {
                         sh.trace.push((t, seq, home, p));
                         let mut npushes = 0u32;
                         for (dst, time, child) in children(p, home, nshards, t) {

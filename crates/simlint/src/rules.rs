@@ -105,7 +105,8 @@ impl Rule {
             }
             Rule::R6 => {
                 "model crates must not touch the engine's EventQueue (or its seq-level \
-                 push_with_seq/pop_with_seq/set_seq surface) directly; events route \
+                 push_with_seq/pop_with_seq/pop_at_or_before_with_seq/set_seq surface) \
+                 directly; events route \
                  through the driver's Cx / the sharded engine's handles so the \
                  deterministic total order (time, shard, seq) cannot be bypassed"
             }
@@ -242,7 +243,13 @@ pub const MODEL_CRATES: &[&str] = &[
 
 /// Identifiers R6 bans in model-crate sources: the queue type itself and
 /// the seq-level mutation surface only the engine may use.
-const R6_BANNED: &[&str] = &["EventQueue", "push_with_seq", "pop_with_seq", "set_seq"];
+const R6_BANNED: &[&str] = &[
+    "EventQueue",
+    "push_with_seq",
+    "pop_with_seq",
+    "pop_at_or_before_with_seq",
+    "set_seq",
+];
 
 /// Built-in per-rule allowlist: `(rule, path suffix, reason)`. Kept
 /// empty since the allow-file migration: whole-file policy decisions

@@ -243,10 +243,10 @@ fn r6_bad_fixture_catches_type_and_seq_methods() {
         include_str!("fixtures/r6_bad.rs"),
     );
     assert!(out.iter().all(|f| f.rule == Rule::R6), "{out:?}");
-    // Import, field type, and the two seq-method calls.
-    assert_eq!(out.len(), 4, "{out:?}");
+    // Import, field type, and the three seq-method calls.
+    assert_eq!(out.len(), 5, "{out:?}");
     let lines: Vec<u32> = out.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![2, 5, 10, 11]);
+    assert_eq!(lines, vec![2, 5, 10, 11, 12]);
 }
 
 #[test]
