@@ -48,20 +48,20 @@ echo "== clippy (deny warnings, trace on) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== simlint (deny, trace on) =="
-# Workspace lint: determinism + model invariants (lexer-level R1-R6
-# plus the simsema semantic rules R7-R9; `simlint --list-rules` prints
-# the catalog). Scans sources, not cfg-expanded builds, so it sees
-# *both* sides of every trace gate; it runs again after the no-trace
-# clippy so a rule violation introduced by feature-config-specific
-# fixes can't slip between the two gates. The full scan (lex + parse +
-# semantic passes over every crate) must stay under the 1 s budget.
-cargo run -q -p simlint -- --deny --budget-ms 1000
+# Workspace lint: determinism + model invariants, six lexer-level
+# rules R1-R6 (`simlint --list-rules` prints the catalog). Scans
+# sources, not cfg-expanded builds, so it sees *both* sides of every
+# trace gate; it runs again after the no-trace clippy so a rule
+# violation introduced by feature-config-specific fixes can't slip
+# between the two gates. The scan is one lex of every crate (~100 ms)
+# and must stay under the 500 ms budget.
+cargo run -q -p simlint -- --deny --budget-ms 500
 
 echo "== clippy (deny warnings, trace off) =="
 cargo clippy -p simtrace -p scalerpc-bench --no-default-features --all-targets -- -D warnings
 
 echo "== simlint (deny, trace off) =="
-cargo run -q -p simlint -- --deny --budget-ms 1000
+cargo run -q -p simlint -- --deny --budget-ms 500
 
 echo "== scenario check (all checked-in scenarios) =="
 # Parse + compile every scenario file; rejects drift between the

@@ -21,7 +21,7 @@ use rdma_fabric::{
 };
 use rpc_core::driver::{Cx, Logic};
 use rpc_core::sharded::{AppRoute, ShardSpec, ShardedSim};
-use simcore::{SimDuration, SimTime};
+use simcore::{DetHashMap, SimDuration, SimTime};
 
 /// Which verb pattern to measure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,6 +123,10 @@ struct RawVerbLogic {
     /// Outbound/UD: destination regions or QPs per client.
     client_mrs: Vec<MrId>,
     client_ud_qps: Vec<QpId>,
+    /// Completing QP → its index in `qps` / in `client_ud_qps`. Built
+    /// once: every completion looks its poster up here.
+    poster: DetHashMap<QpId, usize>,
+    ud_receiver: DetHashMap<QpId, usize>,
     /// Inbound: the server pool.
     pool_mr: Option<MrId>,
     threads: Vec<ThreadState>,
@@ -250,22 +254,23 @@ impl Logic for RawVerbLogic {
             (RawVerbKind::OutboundWrite, Upcall::Completion { wc, .. })
                 if wc.opcode == WcOpcode::RdmaWrite =>
             {
-                self.record(cx.now);
-                // Map the completing QP back to its thread.
-                let c = self.qps.iter().position(|&q| q == wc.qp).unwrap_or(0);
-                let t = c % self.threads.len();
-                self.post_outbound(t, cx);
+                // Map the completing QP back to its client's thread.
+                if let Some(&c) = self.poster.get(&wc.qp) {
+                    self.record(cx.now);
+                    self.post_outbound(c % self.threads.len(), cx);
+                }
             }
             (RawVerbKind::UdSend, Upcall::Completion { wc, .. }) if wc.opcode == WcOpcode::Send => {
-                self.record(cx.now);
-                let t = self.qps.iter().position(|&q| q == wc.qp).unwrap_or(0);
-                self.post_outbound(t, cx);
+                if let Some(&t) = self.poster.get(&wc.qp) {
+                    self.record(cx.now);
+                    self.post_outbound(t, cx);
+                }
             }
             (RawVerbKind::UdSend, Upcall::Completion { wc, .. }) if wc.opcode == WcOpcode::Recv => {
                 // Client replenishes its receive ring.
-                if let Some(c) = self.client_ud_qps.iter().position(|&q| q == wc.qp) {
+                if let Some(&c) = self.ud_receiver.get(&wc.qp) {
                     cx.fabric
-                        .post_recv(self.client_ud_qps[c], self.client_mrs[c], 0, 4096)
+                        .post_recv(wc.qp, self.client_mrs[c], 0, 4096)
                         .expect("replenish");
                 }
             }
@@ -287,7 +292,7 @@ impl Logic for RawVerbLogic {
             (RawVerbKind::InboundWrite, Upcall::Completion { wc, .. })
                 if wc.opcode == WcOpcode::RdmaWrite =>
             {
-                if let Some(c) = self.qps.iter().position(|&q| q == wc.qp) {
+                if let Some(&c) = self.poster.get(&wc.qp) {
                     self.post_inbound(c, cx);
                 }
             }
@@ -391,11 +396,15 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
         })
         .collect();
     let block_cursor = vec![0; cfg.clients];
+    let poster = qps.iter().copied().zip(0..).collect();
+    let ud_receiver = client_ud_qps.iter().copied().zip(0..).collect();
     let logic = RawVerbLogic {
         server,
         qps,
         client_mrs,
         client_ud_qps,
+        poster,
+        ud_receiver,
         pool_mr,
         threads,
         block_cursor,

@@ -40,7 +40,7 @@ pub struct Inode {
     pub ino: u64,
     /// File size in bytes.
     pub size: u64,
-    /// Modification time (simulated nanoseconds).
+    /// Modification stamp (logical: the creating op's counter value).
     pub mtime: u64,
 }
 
@@ -124,9 +124,11 @@ impl MetaStore {
         self.inodes.len()
     }
 
-    /// Creates `path`. Returns the cost alongside the result so callers
+    /// Creates `path`, stamping its mtime with `stamp` — a logical
+    /// modification counter (the handler passes its op count), not
+    /// simulated time. Returns the cost alongside the result so callers
     /// charge the worker even for failed operations.
-    pub fn mknod(&mut self, path: &str, now_ns: u64) -> (Result<u64, FsError>, SimDuration) {
+    pub fn mknod(&mut self, path: &str, stamp: u64) -> (Result<u64, FsError>, SimDuration) {
         let cost = self.costs.mknod;
         let Some((dir, name)) = split_path(path) else {
             return (Err(FsError::BadPath), cost);
@@ -147,7 +149,7 @@ impl MetaStore {
             Inode {
                 ino,
                 size: 0,
-                mtime: now_ns,
+                mtime: stamp,
             },
         );
         (Ok(ino), cost)

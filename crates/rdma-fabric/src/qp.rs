@@ -55,8 +55,6 @@ impl Transport {
 
 /// Connection lifecycle states (a compressed version of the verbs QP
 /// state machine: RESET → RTS for connected transports; UD is born RTS).
-// simsema: fsm(QpState): Reset->ReadyToSend->Error, Reset->Error
-// simsema: fsm(QpState): Error->Reset, ReadyToSend->Reset, Error->ReadyToSend
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QpState {
     /// Created but not yet connected (RC/UC only).
@@ -174,7 +172,6 @@ impl QueuePair {
 
     /// Moves the pair to the error state; subsequent posts fail.
     pub fn tear_down(&mut self) {
-        // simsema: from(*)
         self.state = QpState::Error;
         self.recv_queue.clear();
     }
@@ -190,7 +187,6 @@ impl QueuePair {
         self.peer = None;
         self.recv_queue.clear();
         self.outstanding = 0;
-        // simsema: from(*)
         self.state = if self.transport.is_connected() {
             QpState::Reset
         } else {

@@ -300,7 +300,6 @@ impl RequestGen for FixedSizeGen {
 /// The closed-loop harness: owns the transport, the client set and the
 /// metrics, and implements [`Logic`] so it can be driven by
 /// [`ShardedSim`](crate::ShardedSim).
-// simsema: conserve(Harness: issued = completed + in_flight)
 pub struct Harness<T: RpcTransport> {
     /// The transport under test.
     pub transport: T,

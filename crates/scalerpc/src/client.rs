@@ -28,9 +28,9 @@
 //! tail is re-advertised instead of stranded).
 
 use rpc_core::{Completed, RequestWindow};
+use simcore::{Fsm, Transitions};
 
 /// Client states (Fig. 7 of the paper).
-// simsema: fsm(ClientState): Idle->Warmup->Process, Process->Idle, Warmup->Idle
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClientState {
     /// Not currently served; requests are staged locally.
@@ -39,6 +39,19 @@ pub enum ClientState {
     Warmup,
     /// Group is being served; requests go straight to the pool.
     Process,
+}
+
+impl Transitions for ClientState {
+    /// Fig. 7's arrows plus `Warmup → Idle` (a first response that
+    /// already carries the switch event). PROCESS is entered only
+    /// through WARMUP and left only to IDLE.
+    fn allows(self, to: Self) -> bool {
+        use ClientState::*;
+        matches!(
+            (self, to),
+            (Idle, Warmup) | (Warmup, Process | Idle) | (Process, Idle)
+        )
+    }
 }
 
 /// What a client should do with a new request, as decided by the FSM.
@@ -55,7 +68,7 @@ pub enum SubmitAction {
 /// The per-client state machine.
 #[derive(Clone, Debug)]
 pub struct ClientFsm {
-    state: ClientState,
+    state: Fsm<ClientState>,
     /// In-flight request slots; the tag is the request's TraceId (0 when
     /// untraced).
     window: RequestWindow<u64>,
@@ -78,14 +91,14 @@ impl ClientFsm {
     /// requests.
     pub fn with_window(window: usize) -> Self {
         ClientFsm {
-            state: ClientState::Idle,
+            state: Fsm::new(ClientState::Idle),
             window: RequestWindow::new(window),
         }
     }
 
     /// Current state.
     pub fn state(&self) -> ClientState {
-        self.state
+        self.state.get()
     }
 
     /// The in-flight slot tracker.
@@ -121,8 +134,8 @@ impl ClientFsm {
     /// endpoint entry so the staged tail is fetched next rotation.
     /// Returns whether re-arming applied.
     pub fn rearm(&mut self) -> bool {
-        if self.state == ClientState::Idle && !self.window.is_empty() {
-            self.state = ClientState::Warmup;
+        if self.state() == ClientState::Idle && !self.window.is_empty() {
+            self.state.set(ClientState::Warmup);
             true
         } else {
             false
@@ -132,9 +145,9 @@ impl ClientFsm {
     /// Decides how to submit a new request, advancing IDLE → WARMUP when
     /// this is the first staged request of a cycle.
     pub fn on_submit(&mut self) -> SubmitAction {
-        match self.state {
+        match self.state() {
             ClientState::Idle => {
-                self.state = ClientState::Warmup;
+                self.state.set(ClientState::Warmup);
                 SubmitAction::StageAndPublish
             }
             ClientState::Warmup => SubmitAction::StageOnly,
@@ -146,19 +159,17 @@ impl ClientFsm {
     /// piggybacked `context_switch_event` flag.
     pub fn on_response(&mut self, ctx_switch: bool) {
         if ctx_switch {
-            // simsema: from(*)
-            self.state = ClientState::Idle;
-        } else if self.state == ClientState::Warmup {
+            self.state.set(ClientState::Idle);
+        } else if self.state() == ClientState::Warmup {
             // First response: the group is being served now.
-            self.state = ClientState::Process;
+            self.state.set(ClientState::Process);
         }
     }
 
     /// Handles an explicit context-switch notification (the extra RDMA
     /// write the server issues to clients with no in-flight responses).
     pub fn on_ctx_notify(&mut self) {
-        // simsema: from(*)
-        self.state = ClientState::Idle;
+        self.state.set(ClientState::Idle);
     }
 }
 
@@ -254,5 +265,26 @@ mod tests {
         fsm.on_submit();
         fsm.on_response(true);
         assert_eq!(fsm.state(), ClientState::Idle);
+    }
+
+    #[test]
+    fn state_table_is_the_audited_edge_list() {
+        use ClientState::*;
+        // Verbatim from the static audit's table, `Idle->Warmup->Process,
+        // Process->Idle, Warmup->Idle`.
+        let table = [
+            (Idle, Warmup),
+            (Warmup, Process),
+            (Process, Idle),
+            (Warmup, Idle),
+        ];
+        let all = [Idle, Warmup, Process];
+        for from in all {
+            for to in all.into_iter().filter(|&to| to != from) {
+                let listed = table.contains(&(from, to));
+                assert_eq!(from.allows(to), listed, "{from:?} -> {to:?}");
+            }
+            assert!(table.iter().any(|&(f, _)| f == from), "dead end {from:?}");
+        }
     }
 }

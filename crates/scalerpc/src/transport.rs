@@ -36,7 +36,7 @@ use rpc_core::message::{MsgBuf, RpcHeader, FLAG_CTX_SWITCH, FLAG_LEGACY, HEADER}
 use rpc_core::transport::{ClientOverhead, LifecycleEv, Response, RpcTransport, ServerHandler};
 use rpc_core::workers::WorkerPool;
 use simcore::{DetHashMap, DetHashSet};
-use simcore::{FifoResource, SimDuration, SimTime};
+use simcore::{FifoResource, Fsm, SimDuration, SimTime, Transitions};
 use simtrace::{InstantKind, Stage, TraceId, Tracer};
 
 use crate::client::{ClientFsm, SubmitAction};
@@ -89,8 +89,6 @@ pub enum ScaleEv {
 ///
 /// Eager (seed) deployments are `Ready` from construction and never
 /// leave it on the steady-state path, so the variants are free there.
-// simsema: fsm(ConnState): Absent->Pending->Ready, Ready->Pending
-// simsema: fsm(ConnState): Pending->Absent, Ready->Absent
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ConnState {
     /// No connection; the next submit triggers establishment.
@@ -99,6 +97,18 @@ enum ConnState {
     Pending,
     /// Both QPs at RTS; the data path is open.
     Ready,
+}
+
+impl Transitions for ConnState {
+    /// Every edge but `Absent → Ready`: the data path opens only after
+    /// an establishment this transport started (the stale-`ConnRts` bug).
+    fn allows(self, to: Self) -> bool {
+        use ConnState::*;
+        matches!(
+            (self, to),
+            (Absent, Pending) | (Pending, Ready | Absent) | (Ready, Pending | Absent)
+        )
+    }
 }
 
 struct PerClient {
@@ -130,7 +140,7 @@ struct PerClient {
     /// side effects (locks, transactions) need exactly-once execution.
     seq_window: SeqWindow,
     /// Connection state (the elastic control plane).
-    conn: ConnState,
+    conn: Fsm<ConnState>,
     /// Requests submitted while the connection was down or being set up,
     /// flushed in order on `ConnEstablished`.
     pending: Vec<(u64, Bytes)>,
@@ -360,11 +370,11 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 served_this_slice: false,
                 seq_high: 0,
                 seq_window: SeqWindow::default(),
-                conn: if cfg.lazy_connect {
+                conn: Fsm::new(if cfg.lazy_connect {
                     ConnState::Absent
                 } else {
                     ConnState::Ready
-                },
+                }),
                 pending: Vec::new(),
                 resp_cache: Vec::new(),
             });
@@ -1159,8 +1169,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// stays `Pending` with its requests buffered and `recover`
     /// re-drives the setup.
     fn begin_connect(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
-        // simsema: from(*)
-        self.clients[client].conn = ConnState::Pending;
+        self.clients[client].conn.set(ConnState::Pending);
         let (cq, sq) = (
             self.clients[client].client_qp,
             self.clients[client].server_qp,
@@ -1176,7 +1185,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let Some(&client) = self.qp_index.get(&qp) else {
             return;
         };
-        if self.clients[client].conn != ConnState::Pending {
+        if self.clients[client].conn.get() != ConnState::Pending {
             // Only an establishment this transport is waiting for may
             // open the data path. A stale `ConnRts` — from a setup that
             // predates a connection churn — can land while the client
@@ -1188,7 +1197,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             // flows. The fabric did move the QPs to RTS, so put them
             // back to Reset or the next `begin_connect` would fail and
             // strand the client in `Pending` forever.
-            if self.clients[client].conn == ConnState::Absent {
+            if self.clients[client].conn.get() == ConnState::Absent {
                 let (sq, cq) = (
                     self.clients[client].server_qp,
                     self.clients[client].client_qp,
@@ -1198,7 +1207,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             }
             return;
         }
-        self.clients[client].conn = ConnState::Ready;
+        self.clients[client].conn.set(ConnState::Ready);
         let pending = std::mem::take(&mut self.clients[client].pending);
         for (seq, payload) in pending {
             let tid = self
@@ -1245,12 +1254,10 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.forget_conn_state(client, cx);
         if self.down {
             // Reconnection waits for server recovery.
-            // simsema: from(*)
-            self.clients[client].conn = ConnState::Pending;
+            self.clients[client].conn.set(ConnState::Pending);
         } else if self.cfg.lazy_connect && self.clients[client].pending.is_empty() {
             // Lazy clients with nothing buffered reconnect on demand.
-            // simsema: from(*)
-            self.clients[client].conn = ConnState::Absent;
+            self.clients[client].conn.set(ConnState::Absent);
         } else {
             self.begin_connect(client, cx);
         }
@@ -1268,11 +1275,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
             let _ = cx.fabric.reset_qp(cq);
             self.forget_conn_state(c, cx);
             if self.cfg.lazy_connect && self.clients[c].pending.is_empty() {
-                // simsema: from(*)
-                self.clients[c].conn = ConnState::Absent;
+                self.clients[c].conn.set(ConnState::Absent);
             } else {
-                // simsema: from(*)
-                self.clients[c].conn = ConnState::Pending;
+                self.clients[c].conn.set(ConnState::Pending);
                 // One connection per setup interval: client c re-admits
                 // after c serial establishments.
                 cx.after(
@@ -1440,7 +1445,7 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                 }
             }
             ScaleEv::Reconnect { client } => {
-                if !self.down && self.clients[client].conn == ConnState::Pending {
+                if !self.down && self.clients[client].conn.get() == ConnState::Pending {
                     self.begin_connect(client, cx);
                 }
             }
@@ -1506,7 +1511,7 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
         if tid != 0 {
             self.trace_ids.insert((client, seq), tid);
         }
-        match self.clients[client].conn {
+        match self.clients[client].conn.get() {
             ConnState::Ready => self.dispatch(client, seq, payload, tid, cx),
             ConnState::Pending => {
                 // Setup (or recovery) in flight: buffer, dedup retries.
@@ -1537,8 +1542,7 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                 for c in 0..self.clients.len() {
                     // Buffer submits until recovery re-establishes the
                     // connection (posting would only drop at the NIC).
-                    // simsema: from(*)
-                    self.clients[c].conn = ConnState::Pending;
+                    self.clients[c].conn.set(ConnState::Pending);
                     // Cancel requests the crash stranded client-side:
                     // buffered-for-flush and staged-but-unserved ones.
                     // Letting them flow after recovery would execute
@@ -1631,5 +1635,39 @@ mod tests {
                 assert_eq!(entry, scanned, "client {c}");
             }
         }
+    }
+
+    #[test]
+    fn conn_state_table_is_the_audited_edge_list() {
+        use ConnState::*;
+        // Verbatim from the static audit's table, `Absent->Pending->Ready,
+        // Ready->Pending, Pending->Absent, Ready->Absent`.
+        let table = [
+            (Absent, Pending),
+            (Pending, Ready),
+            (Ready, Pending),
+            (Pending, Absent),
+            (Ready, Absent),
+        ];
+        let all = [Absent, Pending, Ready];
+        for from in all {
+            for to in all.into_iter().filter(|&to| to != from) {
+                let listed = table.contains(&(from, to));
+                assert_eq!(from.allows(to), listed, "{from:?} -> {to:?}");
+            }
+            assert!(table.iter().any(|&(f, _)| f == from), "dead end {from:?}");
+        }
+    }
+
+    /// The stale-`ConnRts` shape: a client parked in `Absent` must not
+    /// have its data path opened.
+    #[test]
+    #[should_panic(expected = "ConnState transition Absent -> Ready")]
+    fn absent_to_ready_dies_on_the_transition_assert() {
+        let mut conn = Fsm::new(ConnState::Absent);
+        conn.set(ConnState::Pending);
+        conn.set(ConnState::Pending);
+        conn.set(ConnState::Absent);
+        conn.set(ConnState::Ready);
     }
 }

@@ -1,8 +1,11 @@
 //! Regression tests for elastic control-plane races.
 //!
-//! Surfaced by simsema's R7 FSM-transition audit: the only way
-//! `on_conn_established` could satisfy the declared `ConnState` table
-//! was by refusing establishments the transport is not waiting for.
+//! Surfaced by auditing `ConnState` against its transition table (the
+//! table has no `Absent → Ready` edge): the only way
+//! `on_conn_established` can satisfy it is by refusing establishments
+//! the transport is not waiting for. The table is now
+//! `ConnState::allows`, asserted on every write, so reverting that
+//! guard makes this test die on the transition assert.
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::{Cluster, ClusterSpec};

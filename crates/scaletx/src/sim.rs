@@ -23,7 +23,7 @@ use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::{LifecycleEv, OneSidedAccess, Response, RpcTransport};
 use simcore::stats::Histogram;
 use simcore::DetHashMap;
-use simcore::{DetRng, SimDuration, SimTime};
+use simcore::{DetRng, Fsm, SimDuration, SimTime, Transitions};
 use std::collections::BTreeMap;
 
 /// Message slots the transports expose per client; the transaction
@@ -97,7 +97,6 @@ impl Default for TxConfig {
 }
 
 /// Results of a transaction run.
-// simsema: conserve(TxMetrics: attempts = committed + aborted)
 #[derive(Clone, Debug)]
 pub struct TxMetrics {
     /// Transactions committed inside the window.
@@ -169,9 +168,6 @@ impl TxMetrics {
 }
 
 /// Coordinator protocol phases (per transaction slot).
-// simsema: fsm(Phase): Idle->Starting->Execute->Validate->Log->Commit->Idle
-// simsema: fsm(Phase): Starting->Idle, Execute->Log, Execute->Unlocking, Execute->Idle
-// simsema: fsm(Phase): Validate->Unlocking, Validate->Idle, Log->Idle, Unlocking->Idle
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Idle,
@@ -185,10 +181,33 @@ enum Phase {
     Unlocking,
 }
 
+impl Transitions for Phase {
+    /// Out-edges per phase: the commit path `Idle → Starting → Execute
+    /// → Validate → Log → Commit → Idle`, its shortcuts (no reads:
+    /// `Execute → Log`; one-sided or read-only commit straight to
+    /// `Idle`; run over: `Starting → Idle`) and the abort exits through
+    /// `Unlocking` or straight to `Idle`. An abort leaves any phase that
+    /// has a request outstanding — `Log` and `Commit` too, when a
+    /// participant crash fails that request (`fail_expected_toward`).
+    fn allows(self, to: Self) -> bool {
+        use Phase::*;
+        matches!(
+            (self, to),
+            (Idle, Starting)
+                | (Starting, Execute | Idle)
+                | (Execute, Validate | Log | Unlocking | Idle)
+                | (Validate, Log | Unlocking | Idle)
+                | (Log, Commit | Unlocking | Idle)
+                | (Commit, Unlocking | Idle)
+                | (Unlocking, Idle)
+        )
+    }
+}
+
 /// One in-flight transaction pipeline.
 struct TxSlot {
     spec: TxSpec,
-    phase: Phase,
+    phase: Fsm<Phase>,
     pending: usize,
     exec: DetHashMap<u64, ExecItem>,
     phase_ok: bool,
@@ -338,7 +357,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                                 writes: vec![],
                                 kind: crate::workload::TxKind::ObjStore,
                             },
-                            phase: Phase::Idle,
+                            phase: Fsm::new(Phase::Idle),
                             pending: 0,
                             exec: DetHashMap::default(),
                             phase_ok: true,
@@ -441,7 +460,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         self.coords
             .iter()
             .flat_map(|co| co.slots.iter())
-            .filter(|s| s.phase != Phase::Idle)
+            .filter(|s| s.phase.get() != Phase::Idle)
             .count()
     }
 
@@ -449,10 +468,13 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
     pub fn debug_dump(&self) {
         for (c, coord) in self.coords.iter().enumerate() {
             for (i, slot) in coord.slots.iter().enumerate() {
-                if slot.phase != Phase::Idle {
+                if slot.phase.get() != Phase::Idle {
                     println!(
                         "coord {c} slot {i}: phase {:?} pending {} writes {:?} locked {:?}",
-                        slot.phase, slot.pending, slot.spec.writes, slot.locked_servers
+                        slot.phase.get(),
+                        slot.pending,
+                        slot.spec.writes,
+                        slot.locked_servers
                     );
                 }
             }
@@ -491,16 +513,14 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
 
     fn begin_tx(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
         if cx.now >= self.stop_at {
-            // simsema: from(Starting)
-            self.coords[c].slots[slot].phase = Phase::Idle;
+            self.coords[c].slots[slot].phase.set(Phase::Idle);
             return;
         }
         let spec = self.cfg.workload.next_tx(&mut self.coords[c].rng);
         let txid = self.txid(c, slot);
         let sl = &mut self.coords[c].slots[slot];
         sl.spec = spec;
-        // simsema: from(Starting)
-        sl.phase = Phase::Execute;
+        sl.phase.set(Phase::Execute);
         sl.pending = 0;
         sl.exec.clear();
         sl.phase_ok = true;
@@ -579,8 +599,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             self.schedule_retry(c, slot, cx);
         } else {
             let txid = self.txid(c, slot);
-            // simsema: from(Execute, Validate)
-            self.coords[c].slots[slot].phase = Phase::Unlocking;
+            self.coords[c].slots[slot].phase.set(Phase::Unlocking);
             self.coords[c].slots[slot].pending = 0;
             let spec_writes = self.coords[c].slots[slot].spec.writes.clone();
             let mut out = Vec::new();
@@ -597,8 +616,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
     }
 
     fn schedule_retry(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        // simsema: from(*)
-        self.coords[c].slots[slot].phase = Phase::Idle;
+        self.coords[c].slots[slot].phase.set(Phase::Idle);
         let backoff = SimDuration::nanos(2_000 + self.coords[c].rng.below(8_000));
         cx.after(backoff, TxEv::Start(c));
     }
@@ -612,8 +630,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             self.metrics.latency.record_duration(latency);
             self.metrics.slot_latency[slot].record_duration(latency);
         }
-        // simsema: from(*)
-        self.coords[c].slots[slot].phase = Phase::Idle;
+        self.coords[c].slots[slot].phase.set(Phase::Idle);
         cx.at(cx.now, TxEv::Start(c));
     }
 
@@ -623,8 +640,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             self.start_log(c, slot, cx);
             return;
         }
-        // simsema: from(Execute)
-        self.coords[c].slots[slot].phase = Phase::Validate;
+        self.coords[c].slots[slot].phase.set(Phase::Validate);
         self.coords[c].slots[slot].pending = 0;
         self.coords[c].slots[slot].phase_ok = true;
         if self.one_sided_active() {
@@ -719,8 +735,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             return;
         }
         let txid = self.txid(c, slot);
-        // simsema: from(Execute, Validate)
-        self.coords[c].slots[slot].phase = Phase::Log;
+        self.coords[c].slots[slot].phase.set(Phase::Log);
         self.coords[c].slots[slot].pending = 0;
         let values = self.new_values(c, slot);
         let mut per_server: BTreeMap<usize, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
@@ -769,8 +784,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             self.commit_done(c, slot, cx);
         } else {
             let txid = self.txid(c, slot);
-            // simsema: from(Log)
-            self.coords[c].slots[slot].phase = Phase::Commit;
+            self.coords[c].slots[slot].phase.set(Phase::Commit);
             self.coords[c].slots[slot].pending = 0;
             let mut per_server: BTreeMap<usize, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
             for (k, v) in values {
@@ -795,7 +809,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         self.coords[c].slots[slot].pending -= 1;
         let decoded = TxResponse::decode(&resp.payload);
         let sl = &mut self.coords[c].slots[slot];
-        match (sl.phase, decoded) {
+        match (sl.phase.get(), decoded) {
             (Phase::Execute, Some(TxResponse::Execute { all_ok, items })) => {
                 if all_ok {
                     for it in items {
@@ -871,7 +885,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             sl.phase_ok = false;
         }
         sl.pending -= 1;
-        if sl.pending == 0 && sl.phase == Phase::Validate {
+        if sl.pending == 0 && sl.phase.get() == Phase::Validate {
             let n = sl.spec.reads.len();
             if sl.phase_ok {
                 self.gate(c, slot, n, Action::Log, cx);
@@ -905,7 +919,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 sl.pending -= 1;
                 sl.phase_ok = false;
                 sl.locked_servers.retain(|&x| x != s);
-                let (pending, phase) = (sl.pending, sl.phase);
+                let (pending, phase) = (sl.pending, sl.phase.get());
                 if pending == 0 {
                     if phase == Phase::Unlocking {
                         // The lost request WAS the unlock; the restart's
@@ -1010,8 +1024,8 @@ impl<T: RpcTransport + OneSidedAccess> Logic for TxSim<T> {
             TxEv::Start(c) => {
                 // Refill every idle slot of the window.
                 for slot in 0..self.coords[c].slots.len() {
-                    if self.coords[c].slots[slot].phase == Phase::Idle {
-                        self.coords[c].slots[slot].phase = Phase::Starting;
+                    if self.coords[c].slots[slot].phase.get() == Phase::Idle {
+                        self.coords[c].slots[slot].phase.set(Phase::Starting);
                         self.gate(c, slot, 2, Action::Begin, cx);
                     }
                 }
@@ -1090,4 +1104,48 @@ pub fn run_scalerpc_tx_with(
     let mut sim = ShardedSim::new_sequential(fabric, tx);
     sim.run_sequential(stop + SimDuration::millis(3));
     sim
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn phase_table_is_the_audited_edge_list() {
+        use Phase::*;
+        // Verbatim from the static audit's table:
+        // `Idle->Starting->Execute->Validate->Log->Commit->Idle`,
+        // `Starting->Idle, Execute->Log, Execute->Unlocking, Execute->Idle`,
+        // `Validate->Unlocking, Validate->Idle, Log->Idle, Unlocking->Idle`.
+        // Plus two edges that table wrongly omitted (its `from(...)`
+        // claim at `abort_and_retry` was hand-written, not inferred): a
+        // participant crash aborts a slot out of Log or Commit, and with
+        // RPC unlocks that abort goes through Unlocking.
+        let table = [
+            (Log, Unlocking),
+            (Commit, Unlocking),
+            (Idle, Starting),
+            (Starting, Execute),
+            (Execute, Validate),
+            (Validate, Log),
+            (Log, Commit),
+            (Commit, Idle),
+            (Starting, Idle),
+            (Execute, Log),
+            (Execute, Unlocking),
+            (Execute, Idle),
+            (Validate, Unlocking),
+            (Validate, Idle),
+            (Log, Idle),
+            (Unlocking, Idle),
+        ];
+        let all = [Idle, Starting, Execute, Validate, Log, Commit, Unlocking];
+        for from in all {
+            for to in all.into_iter().filter(|&to| to != from) {
+                let listed = table.contains(&(from, to));
+                assert_eq!(from.allows(to), listed, "{from:?} -> {to:?}");
+            }
+            assert!(table.iter().any(|&(f, _)| f == from), "dead end {from:?}");
+        }
+    }
 }

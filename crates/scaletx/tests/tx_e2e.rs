@@ -321,6 +321,29 @@ fn type_check(_: TxSim<ScaleRpc<scaletx::TxParticipant>>) {}
 /// seeds, which is why `tx_smallbank_160c` in `benchmark/` runs window
 /// 2 until this is fixed. Ignored so the fix issue starts from a
 /// failing test: run with `cargo test -p scaletx -- --ignored`.
+///
+/// Root cause (traced in PR 16; not an FSM violation — the transition
+/// asserts on `Phase`, `ClientState` and `ConnState` stay silent and the
+/// failure is identical with them armed). On the server that strands
+/// the slot, coordinator 41's client is context-switched to IDLE at
+/// t = 5.604 ms. Its request seq 779 (= issue 194 × window 4 + slot 3)
+/// is submitted at 5.609 ms as `StageAndPublish` (IDLE → WARMUP). At
+/// 5.618 ms a *leftover response from the previous slice* (seq 769, no
+/// switch flag) flips the client WARMUP → PROCESS, so the slot's
+/// siblings direct-write and are served while 779 sits staged for a
+/// full rotation. The warmup fetch delivers it at t = 8.200 ms, when
+/// `seq_high` = 1856: `back` = 1077 ≥ `SEQ_WINDOW_BITS` (1 024), and
+/// `ScaleRpc::record_seq` answers "ancient: certainly a duplicate" — the
+/// request is dropped, and dropped again at every later fetch (10.8 ms,
+/// …). Slot-striped seqs (`issue * window + slot`) make the distance
+/// 4 × the ~270 sibling submissions of one rotation; at window 2 the
+/// same stall is ~540 < 1 024, which is why window 2 is clean (and why
+/// ScaleTX's p99 ≈ 1.2 ms is one rotation). The ancient branch is also
+/// taken by *genuine* stale re-fetches (fuzz seeds 30, 253, 273), so
+/// "ancient ⇒ execute" is not a fix. Candidates, each its own PR with a
+/// `[benchmark]` re-baseline to window 4: leave WARMUP only on a
+/// response to a request staged in *this* warmup; or re-send
+/// staged-unanswered requests as direct writes on entering PROCESS.
 #[test]
 #[ignore = "known liveness bug at TxConfig.window = 4 (see doc comment)"]
 fn window4_smallbank_seed_1026_leaves_no_slot_busy() {

@@ -11,6 +11,9 @@
 //! - [`DetHashMap`] / [`DetHashSet`]: fixed-hasher maps with run-to-run
 //!   deterministic iteration order (enforced workspace-wide by simlint
 //!   rule R1).
+//! - [`Fsm`]: a state field whose every write is checked against the
+//!   enum's transition table ([`Transitions::allows`]), in every build
+//!   profile.
 //! - [`FifoResource`]: the classic single-server queueing resource used to
 //!   model NIC engines, links and CPU threads.
 //! - [`SkewedClock`]: a per-node wall clock with configurable drift, used
@@ -35,6 +38,7 @@
 pub mod clock;
 pub mod detmap;
 pub mod event;
+pub mod fsm;
 pub mod resource;
 pub mod rng;
 pub mod shard;
@@ -47,6 +51,7 @@ pub use detmap::{
     det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet, FxBuildHasher, FxHasher,
 };
 pub use event::{EventId, EventQueue};
+pub use fsm::{Fsm, Transitions};
 pub use resource::{FifoResource, MultiResource};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

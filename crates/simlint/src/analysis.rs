@@ -121,20 +121,6 @@ impl SourceFile {
     pub fn file_allowed(&self, rule: Rule) -> bool {
         self.allow_file.contains(&rule)
     }
-
-    /// Gate flags of the token at (or nearest after) `line:col` —
-    /// lets AST-level rules honor `#[cfg(test)]` regions without
-    /// re-deriving gates.
-    pub fn gate_at(&self, line: u32, col: u32) -> u8 {
-        let i = self
-            .tokens
-            .partition_point(|t| (t.line, t.col) < (line, col));
-        self.gates
-            .get(i)
-            .or_else(|| i.checked_sub(1).and_then(|j| self.gates.get(j)))
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 /// Extracts `// simlint: allow-file(R1, R2): reason` from one comment.

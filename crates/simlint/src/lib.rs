@@ -19,43 +19,32 @@
 //! - **R6 engine-queue-isolation** — model crates never touch a raw
 //!   `EventQueue`; events route through `Cx` / the sharded engine.
 //!
-//! On top of the lexer-level rules sits **simsema** ([`sema`], over the
-//! [`ast`] parser), three semantic rules driven by `// simsema:`
-//! comment directives:
-//!
-//! - **R7 fsm-transition-audit** — state enums declare their legal
-//!   transition tables; every assignment over them is audited;
-//! - **R8 time-unit-analysis** — dimensional checking over the
-//!   `_ns`/`_us`/`_ms` naming convention;
-//! - **R9 counter-conservation** — issued-type counters declare their
-//!   conservation equation next to the struct.
-//!
 //! Findings are suppressed by inline `// simlint: allow(R1, …)`
 //! directives (same line or the line above) or by whole-file
 //! `// simlint: allow-file(R1): reason` directives at the top of the
 //! excused file.
 //!
-//! The base rules are deliberately *lexer*-level and the semantic rules
-//! sit on a forgiving, dependency-free recursive-descent parser: no
-//! type checking, no resolver — each rule is tuned so its false
-//! positives are rare and cheap to suppress, the price of keeping the
-//! whole pass dependency-free and fast enough to run in CI on every
-//! configuration. There is one mode: a full scan.
+//! The rules are deliberately *lexer*-level: no parser, no type
+//! checking, no resolver — each rule is tuned so its false positives are
+//! rare and cheap to suppress, the price of keeping the whole pass
+//! dependency-free and fast enough to run in CI on every configuration.
+//! There is one mode: a full scan. Guarantees that need to know what the
+//! program *does* — legal state transitions, time units, counter
+//! conservation — live in the model itself (`simcore::Fsm`, the
+//! `SimTime`/`SimDuration` types, `run_scenario`'s conservation check;
+//! DESIGN.md §9 has the ledger), not here.
 
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod ast;
 pub mod lexer;
 pub mod rules;
-pub mod sema;
 
 use analysis::SourceFile;
 use rules::{
     crate_key, has_forbid_unsafe, has_unsafe, is_target_root, origin, Finding, Origin, Rule,
     TraceDefs, VendorExports, BUILTIN_ALLOW,
 };
-use sema::PerformedEdges;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
@@ -76,10 +65,6 @@ struct Ctx {
     exports: VendorExports,
     trace_only: BTreeSet<String>,
     unsafe_crates: BTreeSet<String>,
-    sema: sema::SemaCtx,
-    /// Findings produced while building the context (duplicate fsm
-    /// tables, ambiguity); subject to the same suppression as the rest.
-    ctx_findings: Vec<Finding>,
 }
 
 impl Analysis {
@@ -104,20 +89,11 @@ impl Analysis {
         self.features.insert(key, parse_features(text));
     }
 
-    /// Parses the AST of every file the semantic rules scope to.
-    fn parse_asts(&self) -> Vec<Option<ast::Ast>> {
-        self.files
-            .iter()
-            .map(|f| sema::in_scope(&f.path).then(|| ast::parse(&f.tokens)))
-            .collect()
-    }
-
     /// Builds the cross-file context (pass 1 over the batch).
-    fn build_ctx(&self, asts: &[Option<ast::Ast>]) -> Ctx {
+    fn build_ctx(&self) -> Ctx {
         let mut ctx = Ctx::default();
         let mut trace_defs = TraceDefs::default();
-        let mut collects = Vec::new();
-        for (f, ast) in self.files.iter().zip(asts) {
+        for f in &self.files {
             if matches!(origin(&f.path), Origin::Vendor(_)) {
                 ctx.exports.add_vendor_file(&f.path, f);
             }
@@ -125,26 +101,13 @@ impl Analysis {
             if has_unsafe(f) {
                 ctx.unsafe_crates.insert(crate_key(&f.path));
             }
-            if let Some(ast) = ast {
-                collects.push(sema::collect_file(f, ast));
-            }
         }
         ctx.trace_only = trace_defs.trace_only();
-        ctx.sema = sema::build_ctx(&collects, &mut ctx.ctx_findings);
         ctx
     }
 
-    /// Runs every per-file rule on one file. Transitions the file
-    /// performs are accumulated into `performed` for the global
-    /// unused-edge pass.
-    fn file_rules(
-        &self,
-        f: &SourceFile,
-        ast: Option<&ast::Ast>,
-        ctx: &Ctx,
-        performed: &mut PerformedEdges,
-        out: &mut Vec<Finding>,
-    ) {
+    /// Runs every per-file rule on one file.
+    fn file_rules(&self, f: &SourceFile, ctx: &Ctx, out: &mut Vec<Finding>) {
         rules::r1(f, out);
         rules::r2_features(f, &self.features, out);
         rules::r2_refs(f, &ctx.trace_only, out);
@@ -153,21 +116,16 @@ impl Analysis {
         rules::r4(f, &ctx.exports, out);
         rules::r5_safety(f, out);
         rules::r6(f, out);
-        if let Some(ast) = ast {
-            sema::check_file(f, ast, &ctx.sema, out, performed);
-        }
     }
 
     /// Runs all rules and returns findings, deterministically sorted,
     /// with inline-allow, allow-file and built-in suppression applied.
     pub fn run(&self) -> Vec<Finding> {
-        let asts = self.parse_asts();
-        let ctx = self.build_ctx(&asts);
+        let ctx = self.build_ctx();
 
-        let mut performed = PerformedEdges::default();
-        let mut out = ctx.ctx_findings.clone();
-        for (f, ast) in self.files.iter().zip(&asts) {
-            self.file_rules(f, ast.as_ref(), &ctx, &mut performed, &mut out);
+        let mut out = Vec::new();
+        for f in &self.files {
+            self.file_rules(f, &ctx, &mut out);
             // Global pass, R5(b): unsafe-free target roots carry the
             // forbid stamp.
             let key = crate_key(&f.path);
@@ -185,9 +143,6 @@ impl Analysis {
                 });
             }
         }
-        // Global pass, R7: declared edges nothing performs.
-        sema::unused_edges(&ctx.sema, &performed, &mut out);
-
         let by_path: BTreeMap<&str, &SourceFile> =
             self.files.iter().map(|f| (f.path.as_str(), f)).collect();
         out.retain(|fi| {

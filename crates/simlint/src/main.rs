@@ -4,9 +4,9 @@
 //! cargo run -p simlint --                 # report findings, exit 0
 //! cargo run -p simlint -- --deny          # exit 1 if any finding (CI)
 //! cargo run -p simlint -- --list-rules    # print the rule set + allowlist
-//! cargo run -p simlint -- --only R7       # restrict to one rule
+//! cargo run -p simlint -- --only R3       # restrict to one rule
 //! cargo run -p simlint -- --root PATH     # lint another workspace root
-//! cargo run -p simlint -- --budget-ms 1000  # fail if the scan is slower
+//! cargo run -p simlint -- --budget-ms 500 # fail if the scan is slower
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
             "--only" => match args.next().as_deref().and_then(Rule::parse) {
                 Some(r) => only = Some(r),
                 None => {
-                    eprintln!("simlint: --only expects one of R1..R9");
+                    eprintln!("simlint: --only expects one of R1..R6");
                     return ExitCode::from(2);
                 }
             },
@@ -54,7 +54,7 @@ fn main() -> ExitCode {
                      USAGE: simlint [--deny] [--only R#] [--root PATH] [--list-rules]\n\
                             [--budget-ms N]\n\n\
                      --deny         exit 1 if any finding remains (CI gate)\n\
-                     --only R#      run a single rule (R1..R9)\n\
+                     --only R#      run a single rule (R1..R6)\n\
                      --root PATH    workspace root (default: nearest ancestor with a\n\
                                     [workspace] Cargo.toml, else cwd)\n\
                      --budget-ms N  exit 1 if the scan takes longer than N ms\n\

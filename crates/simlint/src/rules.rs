@@ -24,26 +24,10 @@ pub enum Rule {
     R5,
     /// Engine-queue isolation.
     R6,
-    /// FSM transition audit (simsema).
-    R7,
-    /// Time-unit dimensional analysis (simsema).
-    R8,
-    /// Counter conservation (simsema).
-    R9,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 9] = [
-        Rule::R1,
-        Rule::R2,
-        Rule::R3,
-        Rule::R4,
-        Rule::R5,
-        Rule::R6,
-        Rule::R7,
-        Rule::R8,
-        Rule::R9,
-    ];
+    pub const ALL: [Rule; 6] = [Rule::R1, Rule::R2, Rule::R3, Rule::R4, Rule::R5, Rule::R6];
 
     pub fn id(self) -> &'static str {
         match self {
@@ -53,9 +37,6 @@ impl Rule {
             Rule::R4 => "R4",
             Rule::R5 => "R5",
             Rule::R6 => "R6",
-            Rule::R7 => "R7",
-            Rule::R8 => "R8",
-            Rule::R9 => "R9",
         }
     }
 
@@ -67,9 +48,6 @@ impl Rule {
             Rule::R4 => "vendored-stub-drift",
             Rule::R5 => "unsafe-audit",
             Rule::R6 => "engine-queue-isolation",
-            Rule::R7 => "fsm-transition-audit",
-            Rule::R8 => "time-unit-analysis",
-            Rule::R9 => "counter-conservation",
         }
     }
 
@@ -110,30 +88,6 @@ impl Rule {
                  through the driver's Cx / the sharded engine's handles so the \
                  deterministic total order (time, shard, seq) cannot be bypassed"
             }
-            Rule::R7 => {
-                "state enums declare their legal transition table with a \
-                 `// simsema: fsm(Name): A->B->C, X->Y, terminal Z` directive next to \
-                 the enum; every assignment producing a variant is audited against the \
-                 table, with the source state inferred from match arms and ==/!= guards \
-                 or pinned via `// simsema: from(A, B)` / `from(*)`; dead-end states, \
-                 undeclared transitions, and declared-but-never-performed edges all fail"
-            }
-            Rule::R8 => {
-                "dimensional analysis over the _ns/_us/_ms naming convention: \
-                 mixed-unit +/-/comparison operands, unit-suffixed bindings, fields, \
-                 consts, and struct fields initialized from another unit, and \
-                 unit-named calls (SimDuration::micros, as_nanos, …) fed a value of a \
-                 different unit; multiplying or dividing by a power-of-1000 literal or \
-                 a *_PER_* constant counts as an explicit conversion"
-            }
-            Rule::R9 => {
-                "issued-type counters declare their conservation equation with \
-                 `// simsema: conserve(Struct: total = part + part)` next to the \
-                 struct; every term must resolve to a field or same-file method, and \
-                 any issued/submitted-named field without a covering equation fails \
-                 (the static form of the invariant the scenario fuzzer checks \
-                 dynamically)"
-            }
         }
     }
 
@@ -145,9 +99,6 @@ impl Rule {
             "R4" => Some(Rule::R4),
             "R5" => Some(Rule::R5),
             "R6" => Some(Rule::R6),
-            "R7" => Some(Rule::R7),
-            "R8" => Some(Rule::R8),
-            "R9" => Some(Rule::R9),
             _ => None,
         }
     }
@@ -1463,6 +1414,18 @@ mod tests {
             "crates/x/src/lib.rs",
             "pub fn f() {}"
         )));
+    }
+
+    #[test]
+    fn catalog_is_the_six_lexer_rules() {
+        assert_eq!(Rule::ALL.len(), 6);
+        for r in Rule::ALL {
+            assert_eq!(Rule::parse(r.id()), Some(r));
+            assert!(!r.name().is_empty() && !r.summary().is_empty());
+        }
+        for gone in ["R7", "R8", "R9"] {
+            assert_eq!(Rule::parse(gone), None, "{gone} is not a rule any more");
+        }
     }
 
     #[test]

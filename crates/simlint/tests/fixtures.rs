@@ -299,167 +299,6 @@ fn r6_engine_files_excuse_themselves_with_allow_file() {
     assert!(!out.is_empty());
 }
 
-// ---------------------------------------------------------------- R7 --
-
-#[test]
-fn r7_bad_fixture_is_fully_caught() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r7_bad.rs"),
-    );
-    assert!(out.iter().all(|f| f.rule == Rule::R7), "{out:?}");
-    assert_eq!(out.len(), 7, "{out:?}");
-    // Dead-end `Locked`, three never-performed declared edges (spans
-    // point into the directive), the uncovered `Jammed` variant, the
-    // undeclared `Locked -> Open`, and the uninferable `slam`.
-    assert_eq!(
-        spans(&out),
-        vec![(3, 12), (3, 24), (3, 32), (3, 46), (9, 5), (19, 26), (24, 14)],
-        "{out:?}"
-    );
-    assert!(out[0].msg.contains("dead-end state"), "{out:?}");
-    assert!(out[1].msg.contains("`Closed -> Open`"), "{out:?}");
-    assert!(out[4].msg.contains("`Jammed`"), "{out:?}");
-    assert!(out[5].msg.contains("undeclared transition `Locked -> Open`"), "{out:?}");
-    assert!(out[6].msg.contains("cannot infer the source state"), "{out:?}");
-}
-
-#[test]
-fn r7_bad_fixture_is_ignored_outside_sim_crates() {
-    let out = lint_one(
-        "crates/bench/src/fixture.rs",
-        include_str!("fixtures/r7_bad.rs"),
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn r7_clean_fixture_is_silent() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r7_clean.rs"),
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn r7_inline_allow_suppresses() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r7_allow.rs"),
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn r7_malformed_directives_are_diagnosed() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r7_malformed.rs"),
-    );
-    assert!(out.iter().all(|f| f.rule == Rule::R7), "{out:?}");
-    assert_eq!(spans(&out), vec![(3, 12), (4, 12), (5, 12), (6, 12)], "{out:?}");
-    assert!(out[0].msg.contains("expected a state name or `terminal`"), "{out:?}");
-    assert!(out[1].msg.contains("expected `:` after `fsm(...)`"), "{out:?}");
-    assert!(out[2].msg.contains("expected `,` or `)` in `from(...)`"), "{out:?}");
-    assert!(out[3].msg.contains("unknown simsema directive `frobnicate`"), "{out:?}");
-}
-
-#[test]
-fn r7_deleting_a_declared_edge_fails_with_exact_span() {
-    // The acceptance-criterion shape: removing one edge from a clean
-    // machine's table turns the performing assignment into a finding.
-    let text = include_str!("fixtures/r7_clean.rs").replace(", Open->Locked", "");
-    let out = lint_one("crates/simcore/src/fixture.rs", &text);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].rule, Rule::R7);
-    assert!(
-        out[0].msg.contains("undeclared transition `Open -> Locked`"),
-        "{out:?}"
-    );
-    // The span anchors the offending RHS variant path, not the table.
-    assert_eq!((out[0].line, out[0].col), (37, 22), "{out:?}");
-}
-
-// ---------------------------------------------------------------- R8 --
-
-#[test]
-fn r8_bad_fixture_is_fully_caught() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r8_bad.rs"),
-    );
-    assert!(out.iter().all(|f| f.rule == Rule::R8), "{out:?}");
-    assert_eq!(out.len(), 7, "{out:?}");
-    // Let binding, `+` operands, call argument, struct-literal field,
-    // comparison, the us-carrying sum fed `as_nanos`, fn return unit.
-    assert_eq!(
-        spans(&out),
-        vec![(8, 5), (9, 24), (10, 42), (11, 22), (12, 17), (13, 38), (19, 9)],
-        "{out:?}"
-    );
-    assert!(out[0].msg.contains("`delay_ns` is ns"), "{out:?}");
-    assert!(out[2].msg.contains("expects us"), "{out:?}");
-    assert!(out[6].msg.contains("named for ms but returns us"), "{out:?}");
-}
-
-#[test]
-fn r8_clean_fixture_is_silent() {
-    // Scale literals (`* 1_000`) and `*_PER_*` constants count as
-    // conversions and silence the expression.
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r8_clean.rs"),
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn r8_inline_allow_suppresses() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r8_allow.rs"),
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
-// ---------------------------------------------------------------- R9 --
-
-#[test]
-fn r9_bad_fixture_is_fully_caught() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r9_bad.rs"),
-    );
-    assert!(out.iter().all(|f| f.rule == Rule::R9), "{out:?}");
-    assert_eq!(out.len(), 4, "{out:?}");
-    // Uncovered `issued`, the bogus `gone` term, the struct-less
-    // directive, and the malformed equation.
-    assert_eq!(spans(&out), vec![(5, 9), (9, 12), (15, 12), (17, 12)], "{out:?}");
-    assert!(out[0].msg.contains("issued-type counter `issued`"), "{out:?}");
-    assert!(out[1].msg.contains("`gone` in conserve(Tally)"), "{out:?}");
-    assert!(out[2].msg.contains("no such struct"), "{out:?}");
-    assert!(out[3].msg.contains("malformed conserve directive"), "{out:?}");
-}
-
-#[test]
-fn r9_clean_fixture_is_silent() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r9_clean.rs"),
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn r9_inline_allow_suppresses() {
-    let out = lint_one(
-        "crates/simcore/src/fixture.rs",
-        include_str!("fixtures/r9_allow.rs"),
-    );
-    assert!(out.is_empty(), "{out:?}");
-}
-
 // ------------------------------------------------- whole-workspace ----
 
 #[test]

@@ -9,8 +9,8 @@
 //! inside a run.
 
 use crate::scenario::{
-    EventKind, RawVerb, RpcTransport, Scenario, ScenarioError, SizeModel, StartModel, ThinkModel,
-    TxProfileKind, Workload,
+    sim_time, EventKind, RawVerb, RpcTransport, Scenario, ScenarioError, SizeModel, StartModel,
+    ThinkModel, TxProfileKind, Workload, NS, US,
 };
 use bytes::Bytes;
 use rpc_core::cluster::ClusterSpec;
@@ -21,10 +21,10 @@ use scalerpc::ScaleRpcConfig;
 use scalerpc_bench::rawverbs::{RawVerbConfig, RawVerbKind};
 use scaletx::sim::{tx_scale_cfg, TxConfig};
 use scaletx::workload::TxWorkload as TxWorkloadCfg;
-use simcore::{DetRng, SimDuration, SimTime};
+use simcore::{DetRng, SimTime};
 use std::sync::Arc;
 
-fn err(msg: impl Into<String>) -> ScenarioError {
+pub(crate) fn err(msg: impl Into<String>) -> ScenarioError {
     ScenarioError {
         span: None,
         msg: msg.into(),
@@ -81,8 +81,10 @@ pub enum Compiled {
 
 /// Lowers `sc` onto the simulator's configuration types.
 pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
-    let warmup = SimDuration::micros(sc.warmup_us);
-    let run = SimDuration::micros(sc.run_us);
+    // A hand-built `Scenario` (fuzzer, shrinker, benchmark) never met
+    // the parser's checks, so every time field converts through `sim_time`.
+    let us = |key, value| sim_time(key, value, US, None);
+    let (warmup, run) = (us("warmup_us", sc.warmup_us)?, us("run_us", sc.run_us)?);
     match &sc.workload {
         Workload::Raw(w) => {
             if w.window == 0 {
@@ -141,10 +143,10 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 for p in &sc.populations {
                     let t = match p.think {
                         ThinkModel::None => ThinkTime::None,
-                        ThinkModel::FixedUs(us) => ThinkTime::Fixed(SimDuration::micros(us)),
+                        ThinkModel::FixedUs(t) => ThinkTime::Fixed(us("think_us", t)?),
                         ThinkModel::UniformUs(lo, hi) => ThinkTime::Uniform {
-                            lo: SimDuration::micros(lo),
-                            hi: SimDuration::micros(hi),
+                            lo: us("think_lo_us", lo)?,
+                            hi: us("think_hi_us", hi)?,
                         },
                     };
                     v.extend(std::iter::repeat_n(t, p.clients));
@@ -190,7 +192,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 .any(|e| matches!(e.kind, EventKind::ServerCrash { .. }));
             let retry = if w.retry_timeout_us > 0 {
                 Some(RetryPolicy {
-                    timeout: SimDuration::micros(w.retry_timeout_us),
+                    timeout: us("retry_timeout_us", w.retry_timeout_us)?,
                     ..Default::default()
                 })
             } else if has_crash {
@@ -251,7 +253,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
             let scale = if w.transport == RpcTransport::ScaleRpc {
                 let mut cfg = ScaleRpcConfig {
                     group_size: w.group_size,
-                    time_slice: SimDuration::micros(w.time_slice_us),
+                    time_slice: us("time_slice_us", w.time_slice_us)?,
                     slots: w.slots,
                     block_size: w.block_size,
                     dynamic_scheduling: w.dynamic,
@@ -361,6 +363,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
 /// Builds the injection spec: per-client starts (Poisson processes
 /// expanded to explicit arrival times) plus the lowered chaos timeline.
 fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioError> {
+    let us = |key, value| sim_time(key, value, US, None);
     let mut starts = Vec::with_capacity(clients);
     for (pi, p) in sc.populations.iter().enumerate() {
         match p.start {
@@ -368,7 +371,7 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
                 starts.extend(std::iter::repeat_n(ClientStart::Immediate, p.clients));
             }
             StartModel::At { at_us } => {
-                let t = SimTime(at_us.saturating_mul(1_000));
+                let t = SimTime::ZERO + us("start_us", at_us)?;
                 starts.extend(std::iter::repeat_n(ClientStart::At(t), p.clients));
             }
             StartModel::Poisson {
@@ -385,7 +388,7 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
                 // stream: mean gap = 1 ms / rate.
                 let mut rng = DetRng::new(sc.seed).split(0x9015).split(pi as u64);
                 let mean_ns = 1.0e6 / rate_per_ms;
-                let mut t = from_us.saturating_mul(1_000);
+                let mut t = us("from_us", from_us)?.as_nanos();
                 for _ in 0..p.clients {
                     let u = rng.unit_f64();
                     let gap = (-(1.0 - u).ln() * mean_ns) as u64;
@@ -410,18 +413,18 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
 
     let mut timeline = Vec::with_capacity(sc.events.len());
     for e in &sc.events {
-        let at = SimTime(e.at_us.saturating_mul(1_000));
+        let at = SimTime::ZERO + us("at_us", e.at_us)?;
         let inj = match &e.kind {
             crate::scenario::EventKind::LinkDegrade { num, den, extra_ns } => {
                 Injection::LinkDegrade {
                     num: *num,
                     den: *den,
-                    extra: SimDuration::nanos(*extra_ns),
+                    extra: sim_time("extra_ns", *extra_ns, NS, None)?,
                 }
             }
             crate::scenario::EventKind::LinkRestore => Injection::LinkRestore,
             crate::scenario::EventKind::ServerPause { dur_us } => Injection::ServerStall {
-                dur: SimDuration::micros(*dur_us),
+                dur: us("dur_us", *dur_us)?,
             },
             crate::scenario::EventKind::Depart { population } => {
                 let (first, last) = range_of(population);
@@ -441,7 +444,7 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
                 }
             }
             crate::scenario::EventKind::ServerCrash { down_us } => Injection::ServerCrash {
-                down: SimDuration::micros(*down_us),
+                down: us("down_us", *down_us)?,
             },
             crate::scenario::EventKind::ClientReconnect { population } => {
                 let (first, last) = range_of(population);
@@ -554,6 +557,7 @@ impl CompiledRpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimDuration;
 
     fn base_rpc() -> String {
         "[scenario]\nname = \"t\"\nrun_us = 500\n\n[workload]\nkind = \"rpc\"\ntransport = \"scalerpc\"\n\n[[population]]\nname = \"a\"\nclients = 8\n"
@@ -726,6 +730,25 @@ mod tests {
         let sc = Scenario::parse(&txt).unwrap();
         let e = compile(&sc).unwrap_err();
         assert!(e.msg.contains("lazy_connect"), "{e}");
+    }
+
+    #[test]
+    fn hand_built_time_fields_are_checked_without_a_span() {
+        // `run_us` whose nanosecond count wraps u64.
+        let mut sc = Scenario::parse(&base_rpc()).unwrap();
+        sc.run_us = u64::MAX / 1_000 + 1;
+        let e = compile(&sc).unwrap_err();
+        assert!(e.span.is_none() && e.msg.contains("`run_us`"), "{e}");
+        // A pause whose nanosecond count fits u64 but not on top of a run.
+        sc.run_us = 500;
+        sc.events.push(crate::scenario::Event {
+            at_us: 100,
+            kind: EventKind::ServerPause {
+                dur_us: u64::MAX / 1_000,
+            },
+        });
+        let e = compile(&sc).unwrap_err();
+        assert!(e.msg.contains("`dur_us`"), "{e}");
     }
 
     #[test]

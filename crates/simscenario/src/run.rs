@@ -10,7 +10,7 @@
 //! run bit-exactly, which the checked-in baseline scenario pins via its
 //! `[expect]` table.
 
-use crate::compile::{compile, Compiled, CompiledRpc, CompiledTx};
+use crate::compile::{compile, err, Compiled, CompiledRpc, CompiledTx};
 use crate::scenario::{RpcTransport, Scenario, ScenarioError};
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
@@ -27,7 +27,6 @@ use simcore::SimDuration;
 
 /// Outcome of one scenario run. Raw/RPC/TX runs populate the fields
 /// that apply to them and leave the rest at zero.
-// simsema: conserve(ScenarioReport: issued = completed + in_flight)
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioReport {
     /// Scenario name.
@@ -62,6 +61,20 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
+    /// Request conservation: every request issued was completed or is
+    /// still in flight (trivially so for raw and tx runs). The one copy
+    /// of the check — `scenario run`, every `[expect]` gate and every
+    /// fuzz seed pass through it.
+    fn check_conservation(&self) -> Result<(), ScenarioError> {
+        if self.issued == self.completed + self.in_flight {
+            return Ok(());
+        }
+        Err(err(format!(
+            "conservation broken: issued {} != completed {} + in_flight {}",
+            self.issued, self.completed, self.in_flight
+        )))
+    }
+
     /// The determinism fingerprint `(events, ops)` — two runs of the
     /// same scenario must agree on it bit-exactly.
     pub fn fingerprint(&self) -> (u64, u64) {
@@ -104,8 +117,8 @@ impl ScenarioReport {
 pub fn run_scenario(sc: &Scenario) -> Result<ScenarioReport, ScenarioError> {
     let mut report = match compile(sc)? {
         Compiled::Raw(c) => {
-            let r = run_raw_verbs(c.cfg.clone());
-            let secs = SimDuration::micros(sc.run_us).as_secs_f64();
+            let secs = c.cfg.run.as_secs_f64();
+            let r = run_raw_verbs(c.cfg);
             ScenarioReport {
                 name: sc.name.clone(),
                 kind: "raw",
@@ -119,27 +132,22 @@ pub fn run_scenario(sc: &Scenario) -> Result<ScenarioReport, ScenarioError> {
         Compiled::Tx(c) => run_tx_scenario(sc, &c),
     };
     report.name = sc.name.clone();
+    report.check_conservation()?;
     if let Some(x) = sc.expect {
         if let Some(want) = x.events {
             if report.events != want {
-                return Err(ScenarioError {
-                    span: None,
-                    msg: format!(
-                        "scenario `{}`: expected events {want}, got {}",
-                        sc.name, report.events
-                    ),
-                });
+                return Err(err(format!(
+                    "scenario `{}`: expected events {want}, got {}",
+                    sc.name, report.events
+                )));
             }
         }
         if let Some(want) = x.ops {
             if report.ops != want {
-                return Err(ScenarioError {
-                    span: None,
-                    msg: format!(
-                        "scenario `{}`: expected ops {want}, got {}",
-                        sc.name, report.ops
-                    ),
-                });
+                return Err(err(format!(
+                    "scenario `{}`: expected ops {want}, got {}",
+                    sc.name, report.ops
+                )));
             }
         }
     }
@@ -153,14 +161,9 @@ fn run_rpc_scenario(sc: &Scenario, c: &CompiledRpc) -> Result<ScenarioReport, Sc
     macro_rules! drive {
         ($t:expr) => {{
             let mut h = Harness::try_with_generator($t, cluster, c.harness.clone(), c.make_gen())
-                .map_err(|e| ScenarioError {
-                span: None,
-                msg: format!("invalid harness config: {e}"),
-            })?;
-            h.set_scenario(c.spec.clone()).map_err(|e| ScenarioError {
-                span: None,
-                msg: format!("invalid scenario spec: {e}"),
-            })?;
+                .map_err(|e| err(format!("invalid harness config: {e}")))?;
+            h.set_scenario(c.spec.clone())
+                .map_err(|e| err(format!("invalid scenario spec: {e}")))?;
             let stop = h.stop_at();
             let mut sim = ShardedSim::new_sequential(fabric, h);
             let events = sim.run_sequential(stop + SimDuration::millis(3));
@@ -297,6 +300,13 @@ mod tests {
         let r2 = run_scenario(&sc).unwrap();
         assert_eq!(r.fingerprint(), r2.fingerprint());
         assert_eq!(r.issued, r2.issued);
+        // The check `run_scenario` just applied rejects a leaked request.
+        let leaked = ScenarioReport {
+            issued: r.issued + 1,
+            ..r
+        };
+        let e = leaked.check_conservation().unwrap_err();
+        assert!(e.msg.starts_with("conservation broken: issued"), "{e}");
     }
 
     #[test]

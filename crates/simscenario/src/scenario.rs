@@ -3,6 +3,7 @@
 //! canonical serializer used by the round-trip property tests.
 
 use crate::toml::{self, Doc, Entry, Span, Table, Value};
+use simcore::SimDuration;
 use std::fmt;
 
 /// A scenario-level error: parse failures, unknown keys, bad field
@@ -422,6 +423,52 @@ fn opt_f64(t: &Table, key: &str, default: f64) -> Result<f64, ScenarioError> {
     t.get(key).map_or(Ok(default), as_f64)
 }
 
+// ---- schema integers → simulated time ----------------------------------
+
+/// Nanoseconds per schema unit, for `*_us` and `*_ns` keys.
+pub(crate) const US: u64 = 1_000;
+pub(crate) const NS: u64 = 1;
+
+/// The largest time a schema field can hold: a quarter of the `u64`
+/// nanosecond clock (~146 years), so warmup + run + drain plus any one
+/// offset or duration still fits and no `now + d` downstream can wrap
+/// (a release build would silently skew, a debug build panic).
+const MAX_TIME_NS: u64 = 1 << 62;
+
+/// The one place a schema time integer becomes simulated time. `span`
+/// is the entry's when there is a document.
+pub(crate) fn sim_time(
+    key: &str,
+    value: u64,
+    unit_ns: u64,
+    span: Option<Span>,
+) -> Result<SimDuration, ScenarioError> {
+    match value.checked_mul(unit_ns).filter(|&ns| ns <= MAX_TIME_NS) {
+        Some(ns) => Ok(SimDuration::nanos(ns)),
+        None => Err(fail(
+            span,
+            format!("`{key}` = {value} overflows the simulated clock (a time field holds at most 2^62 ns)"),
+        )),
+    }
+}
+
+/// Range-checks every `*_us` / `*_ns` integer of `doc`, where its span
+/// is in hand. The conversions themselves — and the same check,
+/// spanless, for a hand-built `Scenario` — are `compile`'s.
+fn check_times(doc: &Doc) -> Result<(), ScenarioError> {
+    for e in doc.tables.iter().flat_map(|t| &t.entries) {
+        let unit_ns = match &e.key {
+            k if k.ends_with("_us") => US,
+            k if k.ends_with("_ns") => NS,
+            _ => continue,
+        };
+        if let Value::Int(v @ 0..) = e.value {
+            sim_time(&e.key, v as u64, unit_ns, Some(e.span))?;
+        }
+    }
+    Ok(())
+}
+
 // ---- from TOML ----------------------------------------------------------
 
 impl Scenario {
@@ -510,6 +557,7 @@ impl Scenario {
             events,
             expect,
         };
+        check_times(doc)?;
         s.check_semantics(doc)?;
         Ok(s)
     }

@@ -601,6 +601,63 @@ fn lock_holder_crash_frees_locks_and_replays_bit_exactly() {
 }
 
 #[test]
+fn rpc_unlock_abort_after_crash_in_any_phase_stays_inside_the_phase_table() {
+    // With `one_sided: false` an aborting slot that still holds locks on
+    // surviving servers releases them with Unlock RPCs, so a crash that
+    // fails an outstanding Log or Commit request takes `Log → Unlocking`
+    // / `Commit → Unlocking` — edges the only other tx crash test
+    // (`one_sided: true` above, which unlocks with one-sided writes and
+    // goes straight to Idle) never reaches. Sweeping the crash time
+    // lands it in every phase; the always-on transition assert is the
+    // oracle (at 2 425 µs the crash catches a slot in Commit).
+    use scalerpc_repro::scaletx::sim::run_scalerpc_tx_with;
+    use scalerpc_repro::scaletx::workload::TxWorkload;
+    use scalerpc_repro::scaletx::TxConfig;
+
+    let cfg = TxConfig {
+        coordinators: 16,
+        servers: 3,
+        client_machines: 2,
+        workload: TxWorkload::ObjectStore {
+            reads: 1,
+            writes: 2,
+            keys_per_server: 8,
+            servers: 3,
+        },
+        one_sided: false,
+        value_size: 8,
+        keys_per_server: 8,
+        initial_balance: 0,
+        warmup: SimDuration::millis(1),
+        run: SimDuration::millis(5),
+        coord_cpu_mult: 8,
+        seed: 31,
+        window: 2,
+    };
+    let scale = ScaleRpcConfig {
+        group_size: 16,
+        slots: 8,
+        block_size: 2048,
+        ..Default::default()
+    };
+    let mut crash_failures = 0;
+    for at_us in (1_500..=4_500).step_by(25) {
+        let sim = run_scalerpc_tx_with(cfg.clone(), scale.clone(), SimDuration::ZERO, |tx| {
+            tx.inject_server_crash(
+                SimTime::ZERO + SimDuration::micros(at_us),
+                1,
+                SimDuration::micros(500),
+            );
+        });
+        crash_failures += sim.logic(0).crash_failures;
+    }
+    assert!(
+        crash_failures > 0,
+        "the sweep must fail some in-flight transaction phases"
+    );
+}
+
+#[test]
 fn lock_storm_converges() {
     // Every coordinator hammers the same tiny hot set; the system must
     // keep committing (aborts retried) and leave no stuck locks.
