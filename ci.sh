@@ -11,10 +11,12 @@
 # throwaway output file so CI never overwrites the committed
 # BENCH_simperf.json baselines; full before/after measurements are taken
 # manually with `simperf --label <before|after>` on a no-trace build.
-# A separate full-window `simperf --check` run then compares each
-# workload against its best-ever event-identical wall across all labels
-# in BENCH_simperf.json and fails the gate when the sum is >10% over the
-# sum of those bests, so a slow label can never raise the bar.
+# A separate full-window `simperf --check` run then gates what is
+# deterministic: each workload's (events, ops) must equal the newest
+# label in BENCH_simperf.json that recorded it. Wall time is printed
+# beside the best ever recorded and never judged — the same build read
+# 1.05x ok and 1.18x REGRESSED within the hour on this host; wall claims
+# belong to benchmark/run.sh's reference-scaled pairs.
 #
 # The repo benchmark (benchmark/, its own cargo package compiled against
 # the crates' public API) is built, tested and smoke-run last: a crate
@@ -109,7 +111,7 @@ echo "== simperf smoke, sharded engine (--nthreads 8) =="
 # pins this bit-for-bit, the smoke just proves the wiring in release).
 ./target/release/simperf --quick --nthreads 8 --label ci-smoke-nt8 --out target/BENCH_simperf_ci.json
 
-echo "== simperf perf gate (no-trace build, full windows) =="
+echo "== simperf trace gate: (events, ops) vs newest label (no-trace build, full windows) =="
 ./target/release/simperf --check BENCH_simperf.json
 
 echo "== trace export smoke =="

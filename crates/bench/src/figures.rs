@@ -9,12 +9,15 @@ use crate::report::{mops, us, Table};
 use crate::rpcbench::{run_rpc, RpcRunConfig, TransportKind};
 use crate::runner::{full_sweeps, parallel_map};
 use octofs::{run_mdtest, FsOp, MdsTransport, MdtestRun};
-use rpc_baselines::UdChunk;
+use rdma_fabric::{Fabric, FabricParams};
+use rpc_baselines::{Fasst, Herd, RawWrite, UdChunk};
+use rpc_core::cluster::Cluster;
+use rpc_core::transport::{OneSidedAccess, RpcTransport};
 use rpc_core::workload::ThinkTime;
 use scalerpc::ScaleRpcConfig;
 use scaletx::sim::run_scalerpc_tx;
 use scaletx::workload::TxWorkload;
-use scaletx::TxConfig;
+use scaletx::{TxConfig, TxMetrics, TxParticipant, TxSim};
 use simcore::{DetRng, SimDuration};
 
 fn client_counts() -> Vec<usize> {
@@ -656,26 +659,34 @@ pub fn fig13() {
     }
 }
 
+/// The RPC layer under a transaction system of Fig. 16.
+#[derive(Clone, Copy)]
+enum TxRpc {
+    RawWrite,
+    Herd,
+    Fasst,
+    ScaleRpc,
+}
+
 /// The five transaction systems of Fig. 16.
-fn tx_systems() -> Vec<(&'static str, &'static str, bool)> {
+fn tx_systems() -> Vec<(&'static str, TxRpc, bool)> {
     // (label, transport, one_sided)
     vec![
-        ("RawWrite", "rawwrite", true),
-        ("HERD", "herd", false),
-        ("FaSST", "fasst", false),
-        ("ScaleTX-O", "scalerpc", false),
-        ("ScaleTX", "scalerpc", true),
+        ("RawWrite", TxRpc::RawWrite, true),
+        ("HERD", TxRpc::Herd, false),
+        ("FaSST", TxRpc::Fasst, false),
+        ("ScaleTX-O", TxRpc::ScaleRpc, false),
+        ("ScaleTX", TxRpc::ScaleRpc, true),
     ]
 }
 
 fn run_tx_system(
-    label: &str,
-    transport: &str,
+    transport: TxRpc,
     one_sided: bool,
     workload: TxWorkload,
     coordinators: usize,
     window: usize,
-) -> scaletx::TxMetrics {
+) -> TxMetrics {
     let keys = match &workload {
         TxWorkload::ObjectStore {
             keys_per_server, ..
@@ -705,44 +716,25 @@ fn run_tx_system(
         window,
         seed: 31,
     };
-    let _ = label;
     match transport {
-        "scalerpc" => run_scalerpc_tx(cfg, scaletx::tx_scale_cfg(), SimDuration::ZERO)
+        TxRpc::ScaleRpc => run_scalerpc_tx(cfg, scaletx::tx_scale_cfg(), SimDuration::ZERO)
             .logic(0)
             .metrics
             .clone(),
-        "rawwrite" => {
-            let mut fabric = rdma_fabric::Fabric::new(rdma_fabric::FabricParams::default());
-            let tx = scaletx::TxSim::build(&mut fabric, cfg, |f, cl, part, _| {
-                rpc_baselines::RawWrite::new(f, cl, 8, 4096, part)
-            });
-            let stop = tx.stop_at();
-            let mut sim = rpc_core::ShardedSim::new_sequential(fabric, tx);
-            sim.run_sequential(stop + SimDuration::millis(3));
-            sim.logic(0).metrics.clone()
-        }
-        "herd" => {
-            let mut fabric = rdma_fabric::Fabric::new(rdma_fabric::FabricParams::default());
-            let tx = scaletx::TxSim::build(&mut fabric, cfg, |f, cl, part, _| {
-                rpc_baselines::Herd::new(f, cl, 8, 4096, part)
-            });
-            let stop = tx.stop_at();
-            let mut sim = rpc_core::ShardedSim::new_sequential(fabric, tx);
-            sim.run_sequential(stop + SimDuration::millis(3));
-            sim.logic(0).metrics.clone()
-        }
-        "fasst" => {
-            let mut fabric = rdma_fabric::Fabric::new(rdma_fabric::FabricParams::default());
-            let tx = scaletx::TxSim::build(&mut fabric, cfg, |f, cl, part, _| {
-                rpc_baselines::Fasst::new(f, cl, 4096, part)
-            });
-            let stop = tx.stop_at();
-            let mut sim = rpc_core::ShardedSim::new_sequential(fabric, tx);
-            sim.run_sequential(stop + SimDuration::millis(3));
-            sim.logic(0).metrics.clone()
-        }
-        other => panic!("unknown transport {other}"),
+        TxRpc::RawWrite => tx_metrics(cfg, |f, cl, part, _| RawWrite::new(f, cl, 8, 4096, part)),
+        TxRpc::Herd => tx_metrics(cfg, |f, cl, part, _| Herd::new(f, cl, 8, 4096, part)),
+        TxRpc::Fasst => tx_metrics(cfg, |f, cl, part, _| Fasst::new(f, cl, 4096, part)),
     }
+}
+
+/// Replays a deployment over the baseline transport `make` builds.
+fn tx_metrics<T: RpcTransport + OneSidedAccess>(
+    cfg: TxConfig,
+    make: impl FnMut(&mut Fabric, &Cluster, TxParticipant, usize) -> T,
+) -> TxMetrics {
+    let mut fabric = Fabric::new(FabricParams::default());
+    let tx = TxSim::build(&mut fabric, cfg, make);
+    tx.replay(fabric).logic(0).metrics.clone()
 }
 
 /// Fig. 16: transaction throughput — object store (read-only and
@@ -773,14 +765,14 @@ pub fn fig16() {
         ),
     ];
     for (name, workload) in scenarios {
-        let points: Vec<(&'static str, &'static str, bool, usize)> = tx_systems()
+        let points: Vec<(&'static str, TxRpc, bool, usize)> = tx_systems()
             .into_iter()
             .flat_map(|(l, t, o)| [80usize, 160].map(move |c| (l, t, o, c)))
             .collect();
         let w = workload.clone();
         let window = TxConfig::default().window;
         let results = parallel_map(points, |(label, transport, one_sided, coords)| {
-            let m = run_tx_system(label, transport, one_sided, w.clone(), coords, window);
+            let m = run_tx_system(transport, one_sided, w.clone(), coords, window);
             (label, coords, m)
         });
         let mut t = Table::new(
@@ -832,13 +824,13 @@ pub fn fig16_window() {
         servers: 3,
     };
     let windows = [1usize, 2, 4, 8];
-    let points: Vec<(&'static str, &'static str, bool, usize)> = tx_systems()
+    let points: Vec<(&'static str, TxRpc, bool, usize)> = tx_systems()
         .into_iter()
         .flat_map(|(l, t, o)| windows.map(move |w| (l, t, o, w)))
         .collect();
     let wl = workload.clone();
     let results = parallel_map(points, |(label, transport, one_sided, window)| {
-        let m = run_tx_system(label, transport, one_sided, wl.clone(), 160, window);
+        let m = run_tx_system(transport, one_sided, wl.clone(), 160, window);
         (label, window, m)
     });
     let mut t = Table::new(

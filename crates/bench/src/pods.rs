@@ -14,14 +14,10 @@
 //! making this the aggregate-throughput workload for `simperf
 //! --nthreads`.
 
-use std::sync::Arc;
-
-use rdma_fabric::{
-    Fabric, FabricParams, MrId, NodeId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest,
-};
-use rpc_core::driver::{Cx, Logic};
-use rpc_core::sharded::{AppRoute, ShardSpec, ShardedSim};
-use simcore::{SimDuration, SimTime};
+use crate::rawverbs::{RawVerbConfig, RawVerbKind, RawVerbLogic};
+use rdma_fabric::{Fabric, FabricParams, NodeId, Transport};
+use rpc_core::sharded::ShardSpec;
+use simcore::SimDuration;
 
 /// Configuration of the multi-pod sweep.
 #[derive(Clone, Debug)]
@@ -78,103 +74,9 @@ pub struct PodsResult {
     pub events: u64,
 }
 
-/// Shard-replication contract (ownership audit for the sharded
-/// engine): a pod server's events touch only `ops[pod]` and the pod's
-/// server fabric node; a client's events touch only its own
-/// `block_cursor` slot and client-side fabric state. `qp_client`,
-/// `mr_pod` and the geometry fields are immutable after construction.
-#[derive(Clone)]
-struct PodsLogic {
-    cfg: PodsConfig,
-    /// Dense map: client-side QP index → global client index.
-    qp_client: Vec<u32>,
-    /// Dense map: MR index → owning pod (pool MRs only).
-    mr_pod: Vec<u32>,
-    /// Global client index → that client's QP.
-    client_qps: Vec<rdma_fabric::QpId>,
-    /// Pod index → the pod's pool MR.
-    pool_mrs: Vec<MrId>,
-    /// Per-client next block cursor.
-    block_cursor: Vec<usize>,
-    /// Per-pod verbs completed inside the measurement window.
-    ops: Vec<u64>,
-    window_start: SimTime,
-    window_end: SimTime,
-    stop: SimTime,
-}
-
-/// The only app event: a client posts its next write.
-#[derive(Clone)]
-struct PodPost(usize);
-
-impl PodsLogic {
-    fn post(&mut self, cg: usize, cx: &mut Cx<'_, PodPost>) {
-        if cx.now >= self.stop {
-            return;
-        }
-        let blocks = self.cfg.blocks_per_client;
-        let cursor = self.block_cursor[cg];
-        self.block_cursor[cg] = cursor + 1;
-        let pod = cg / self.cfg.clients_per_pod;
-        let local = cg % self.cfg.clients_per_pod;
-        let block = (local * blocks + cursor % blocks) * self.cfg.block_size;
-        cx.post(
-            self.client_qps[cg],
-            WorkRequest::Write {
-                data: bytes::Bytes::from(vec![0x6B; self.cfg.msg_size]),
-                remote: RemoteAddr::new(self.pool_mrs[pod], block),
-                imm: None,
-            },
-            true,
-            None,
-        )
-        .expect("pod write");
-    }
-}
-
-impl Logic for PodsLogic {
-    type Ev = PodPost;
-
-    fn init(&mut self, cx: &mut Cx<'_, PodPost>) {
-        // Staggered start, same rationale as the raw-verb loops: a
-        // synchronized t=0 wave is an artifact no real benchmark keeps.
-        let total = self.cfg.pods * self.cfg.clients_per_pod;
-        let mut slot = 0u64;
-        for _k in 0..self.cfg.window {
-            for cg in 0..total {
-                cx.at(SimTime(slot * 45), PodPost(cg));
-                slot += 1;
-            }
-        }
-    }
-
-    fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, PodPost>) {
-        match up {
-            // Landing at a pod server: count and model the consuming
-            // CPU touching the block (keeps the LLC model honest).
-            Upcall::MemWrite { mr, offset, .. } => {
-                let pod = self.mr_pod[mr.index()] as usize;
-                if cx.now >= self.window_start && cx.now <= self.window_end {
-                    self.ops[pod] += 1;
-                }
-                let block_start = offset - offset % self.cfg.block_size;
-                let _ = cx.fabric.cpu_access(mr, block_start, self.cfg.block_size);
-            }
-            // The client's completion re-arms its window slot.
-            Upcall::Completion { wc, .. } if wc.opcode == WcOpcode::RdmaWrite => {
-                let cg = self.qp_client[wc.qp.index()] as usize;
-                self.post(cg, cx);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_app(&mut self, ev: PodPost, cx: &mut Cx<'_, PodPost>) {
-        self.post(ev.0, cx);
-    }
-}
-
-/// Runs the multi-pod experiment.
+/// Runs the multi-pod experiment: the inbound closed loop of
+/// [`run_raw_verbs`](crate::rawverbs::run_raw_verbs) over `pods` pools,
+/// each pod's server landing the writes of its own clients.
 pub fn run_pods(cfg: PodsConfig) -> PodsResult {
     let mut fabric = Fabric::new(FabricParams::default());
     let mut servers: Vec<NodeId> = Vec::new();
@@ -182,8 +84,6 @@ pub fn run_pods(cfg: PodsConfig) -> PodsResult {
     let mut client_nodes: Vec<NodeId> = Vec::new();
     let mut client_qps = Vec::new();
     let mut pool_mrs = Vec::new();
-    let mut qp_client = Vec::new();
-    let mut mr_pod = Vec::new();
 
     for p in 0..cfg.pods {
         let server = fabric.add_node(&format!("pod{p}"));
@@ -196,10 +96,6 @@ pub fn run_pods(cfg: PodsConfig) -> PodsResult {
                 cfg.clients_per_pod * cfg.blocks_per_client * cfg.block_size,
             )
             .expect("pool");
-        if mr_pod.len() <= pool.index() {
-            mr_pod.resize(pool.index() + 1, 0);
-        }
-        mr_pod[pool.index()] = p as u32;
         pool_mrs.push(pool);
         for c in 0..cfg.clients_per_pod {
             let node = fabric.add_node(&format!("p{p}c{c}"));
@@ -211,38 +107,30 @@ pub fn run_pods(cfg: PodsConfig) -> PodsResult {
                 .expect("qp");
             let cqp = fabric.create_qp(node, Transport::Rc, ccq, ccq).expect("qp");
             fabric.connect(sqp, cqp).expect("connect");
-            if qp_client.len() <= cqp.index() {
-                qp_client.resize(cqp.index() + 1, 0);
-            }
-            qp_client[cqp.index()] = (p * cfg.clients_per_pod + c) as u32;
             client_qps.push(cqp);
         }
         groups.push(group);
     }
 
     let nthreads = cfg.nthreads.max(1);
-    let pods = cfg.pods;
-    let clients_per_pod = cfg.clients_per_pod;
-    let window_start = SimTime::ZERO + cfg.warmup;
-    let window_end = window_start + cfg.run;
-    let logic = PodsLogic {
-        qp_client,
-        mr_pod,
-        client_qps,
-        pool_mrs,
-        block_cursor: vec![0; pods * clients_per_pod],
-        ops: vec![0; pods],
-        window_start,
-        window_end,
-        stop: window_end,
-        cfg,
+    let loop_cfg = RawVerbConfig {
+        kind: RawVerbKind::InboundWrite,
+        clients: cfg.pods * cfg.clients_per_pod,
+        msg_size: cfg.msg_size,
+        block_size: cfg.block_size,
+        blocks_per_client: cfg.blocks_per_client,
+        window: cfg.window,
+        warmup: cfg.warmup,
+        run: cfg.run,
+        nthreads,
+        ..Default::default()
     };
+    // No PCIe report, so no counter node and no snapshot event.
+    let logic = RawVerbLogic::new(loop_cfg, None, client_qps, vec![], vec![], pool_mrs);
     // Pods never exchange messages, so multi-threaded runs use isolated
     // mode: one shard per pod, straight to the deadline, no windows.
     let spec = if nthreads == 1 {
-        let mut all = servers.clone();
-        all.extend_from_slice(&client_nodes);
-        ShardSpec::sequential(all)
+        ShardSpec::sequential(servers.iter().chain(&client_nodes).copied().collect())
     } else {
         ShardSpec {
             groups,
@@ -250,12 +138,7 @@ pub fn run_pods(cfg: PodsConfig) -> PodsResult {
             isolated: true,
         }
     };
-    let route: AppRoute<PodPost> = Arc::new(move |ev| {
-        // A post executes on the posting client's node.
-        client_nodes[ev.0]
-    });
-    let mut sim = ShardedSim::new(fabric, logic, spec, route);
-    let events = sim.run_until(window_end + SimDuration::millis(1));
+    let sim = logic.run(fabric, spec, client_nodes);
     // Each pod's counters are authoritative only on the shard that owns
     // the pod's server (in sequential mode that is shard 0 for all).
     let pod_ops: Vec<u64> = servers
@@ -264,12 +147,11 @@ pub fn run_pods(cfg: PodsConfig) -> PodsResult {
         .map(|(p, &s)| sim.logic(sim.shard_of(s)).ops[p])
         .collect();
     let ops: u64 = pod_ops.iter().sum();
-    let secs = (window_end.saturating_since(window_start)).as_secs_f64();
     PodsResult {
-        mops: ops as f64 / secs / 1e6,
+        mops: sim.logic(0).measured.rate(ops) / 1e6,
         ops,
         pod_ops,
-        events,
+        events: sim.events(),
     }
 }
 

@@ -20,6 +20,7 @@ use rdma_fabric::{
     Fabric, FabricParams, MrId, NodeId, QpId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest,
 };
 use rpc_core::driver::{Cx, Logic};
+use rpc_core::metrics::Window;
 use rpc_core::sharded::{AppRoute, ShardSpec, ShardedSim};
 use simcore::{DetHashMap, SimDuration, SimTime};
 
@@ -109,15 +110,22 @@ struct ThreadState {
     clients: Vec<usize>,
 }
 
+/// The closed loop of every raw-verb experiment, over one server
+/// (`run_raw_verbs`) or, inbound, over several pods' pools with the
+/// clients dealt to them in equal contiguous runs (`run_pods`).
+///
 /// Shard-replication contract (ownership audit for the sharded engine):
-/// server events touch only `threads`, `ops`, `counter_base` and the
-/// server fabric node; a client `c`'s events touch only
-/// `block_cursor[c]` and client-side fabric state. Everything else is
-/// immutable after construction, so replicas never read stale state.
+/// a server's events touch only `threads`, its own pool's `ops` entry,
+/// `counter_base` and that server's fabric node; a client `c`'s events
+/// touch only `block_cursor[c]` and client-side fabric state. Everything
+/// else is immutable after construction, so replicas never read stale
+/// state.
 #[derive(Clone)]
-struct RawVerbLogic {
+pub(crate) struct RawVerbLogic {
     cfg: RawVerbConfig,
-    server: rdma_fabric::NodeId,
+    /// The node whose PCIe counters the run reports, snapshotted when
+    /// the window opens. `None` takes no snapshot (and no event for it).
+    server: Option<NodeId>,
     /// Outbound: server-side QPs per client; inbound: client-side QPs.
     qps: Vec<QpId>,
     /// Outbound/UD: destination regions or QPs per client.
@@ -127,20 +135,21 @@ struct RawVerbLogic {
     /// once: every completion looks its poster up here.
     poster: DetHashMap<QpId, usize>,
     ud_receiver: DetHashMap<QpId, usize>,
-    /// Inbound: the server pool.
-    pool_mr: Option<MrId>,
+    /// Inbound: the server pools, each serving `per_pool` clients.
+    pools: Vec<MrId>,
+    per_pool: usize,
     threads: Vec<ThreadState>,
     /// Per-client next block cursor (inbound).
     block_cursor: Vec<usize>,
-    ops: u64,
-    window_start: SimTime,
-    window_end: SimTime,
-    stop: SimTime,
+    /// Verbs completed inside the window, per pool (inbound) or in
+    /// `ops[0]` (outbound/UD).
+    pub(crate) ops: Vec<u64>,
+    pub(crate) measured: Window,
     counter_base: Option<(u64, u64)>,
 }
 
 #[derive(Clone)]
-enum RvEv {
+pub(crate) enum RvEv {
     /// A server thread (outbound/UD) or client (inbound) posts its next
     /// verb; payload identifies the poster.
     Post(usize),
@@ -149,14 +158,66 @@ enum RvEv {
 }
 
 impl RawVerbLogic {
-    fn record(&mut self, now: SimTime) {
-        if now >= self.window_start && now <= self.window_end {
-            self.ops += 1;
+    pub(crate) fn new(
+        cfg: RawVerbConfig,
+        server: Option<NodeId>,
+        qps: Vec<QpId>,
+        client_mrs: Vec<MrId>,
+        client_ud_qps: Vec<QpId>,
+        pools: Vec<MrId>,
+    ) -> Self {
+        RawVerbLogic {
+            server,
+            client_mrs,
+            poster: qps.iter().copied().zip(0..).collect(),
+            ud_receiver: client_ud_qps.iter().copied().zip(0..).collect(),
+            qps,
+            client_ud_qps,
+            per_pool: cfg.clients / pools.len().max(1),
+            threads: (0..cfg.server_threads)
+                .map(|t| ThreadState {
+                    qp_cursor: 0,
+                    clients: (0..cfg.clients)
+                        .filter(|c| c % cfg.server_threads == t)
+                        .collect(),
+                })
+                .collect(),
+            block_cursor: vec![0; cfg.clients],
+            ops: vec![0; pools.len().max(1)],
+            pools,
+            measured: Window::after(cfg.warmup, cfg.run),
+            counter_base: None,
+            cfg,
+        }
+    }
+
+    /// Runs the loop under `spec` to the end of the window plus a 1 ms
+    /// drain. Posts execute where the poster lives: server threads for
+    /// outbound/UD, the client itself (`client_nodes`) for inbound.
+    pub(crate) fn run(
+        self,
+        fabric: Fabric,
+        spec: ShardSpec,
+        client_nodes: Vec<NodeId>,
+    ) -> ShardedSim<Self> {
+        let (kind, server, end) = (self.cfg.kind, self.server, self.measured.end);
+        let route: AppRoute<RvEv> = Arc::new(move |ev| match ev {
+            RvEv::Post(i) if kind == RawVerbKind::InboundWrite => client_nodes[*i],
+            _ => server.expect("server-side event without a server"),
+        });
+        let mut sim = ShardedSim::new(fabric, self, spec, route);
+        sim.run_until(end + SimDuration::millis(1));
+        sim
+    }
+
+    fn record(&mut self, pool: usize, now: SimTime) {
+        if self.measured.contains(now) {
+            self.ops[pool] += 1;
         }
     }
 
     fn post_outbound(&mut self, thread: usize, cx: &mut Cx<'_, RvEv>) {
-        if cx.now >= self.stop {
+        if cx.now >= self.measured.end {
             return;
         }
         if self.threads[thread].clients.is_empty() {
@@ -197,18 +258,19 @@ impl RawVerbLogic {
     }
 
     fn post_inbound(&mut self, client: usize, cx: &mut Cx<'_, RvEv>) {
-        if cx.now >= self.stop {
+        if cx.now >= self.measured.end {
             return;
         }
         let blocks = self.cfg.blocks_per_client;
         let cursor = self.block_cursor[client];
         self.block_cursor[client] = cursor + 1;
-        let block = (client * blocks + cursor % blocks) * self.cfg.block_size;
+        let (pool, local) = (client / self.per_pool, client % self.per_pool);
+        let block = (local * blocks + cursor % blocks) * self.cfg.block_size;
         cx.post(
             self.qps[client],
             WorkRequest::Write {
                 data: bytes::Bytes::from(vec![0x5A; self.cfg.msg_size]),
-                remote: RemoteAddr::new(self.pool_mr.expect("inbound pool"), block),
+                remote: RemoteAddr::new(self.pools[pool], block),
                 imm: None,
             },
             true,
@@ -222,7 +284,9 @@ impl Logic for RawVerbLogic {
     type Ev = RvEv;
 
     fn init(&mut self, cx: &mut Cx<'_, RvEv>) {
-        cx.at(self.window_start, RvEv::SnapshotCounters);
+        if self.server.is_some() {
+            cx.at(self.measured.start, RvEv::SnapshotCounters);
+        }
         // Initial posts are staggered: releasing every window at t=0
         // would lock the deterministic simulation into synchronized
         // waves that no real benchmark sustains (start-up jitter smears
@@ -256,13 +320,13 @@ impl Logic for RawVerbLogic {
             {
                 // Map the completing QP back to its client's thread.
                 if let Some(&c) = self.poster.get(&wc.qp) {
-                    self.record(cx.now);
+                    self.record(0, cx.now);
                     self.post_outbound(c % self.threads.len(), cx);
                 }
             }
             (RawVerbKind::UdSend, Upcall::Completion { wc, .. }) if wc.opcode == WcOpcode::Send => {
                 if let Some(&t) = self.poster.get(&wc.qp) {
-                    self.record(cx.now);
+                    self.record(0, cx.now);
                     self.post_outbound(t, cx);
                 }
             }
@@ -277,10 +341,11 @@ impl Logic for RawVerbLogic {
             // Inbound: the landing at the server both counts and (to
             // model the consuming CPU of Fig. 3(b)) touches the LLC; the
             // client's completion re-arms its window.
-            (RawVerbKind::InboundWrite, Upcall::MemWrite { mr, offset, .. })
-                if Some(mr) == self.pool_mr =>
-            {
-                self.record(cx.now);
+            (RawVerbKind::InboundWrite, Upcall::MemWrite { mr, offset, .. }) => {
+                let Some(pool) = self.pools.iter().position(|&p| p == mr) else {
+                    return;
+                };
+                self.record(pool, cx.now);
                 // The consuming server reads the message's whole block
                 // (the RPC stacks above operate block-granular). With
                 // large blocks these reads pollute the LLC, evicting the
@@ -307,9 +372,10 @@ impl Logic for RawVerbLogic {
                 _ => self.post_outbound(i, cx),
             },
             RvEv::SnapshotCounters => {
-                let c = cx.fabric.counters(self.server).expect("server");
+                let server = self.server.expect("snapshot without a server");
+                let c = cx.fabric.counters(server).expect("server");
                 self.counter_base = Some((c.get("PCIeRdCur"), c.get("PCIeItoM")));
-                let _ = cx.fabric.reset_llc_stats(self.server);
+                let _ = cx.fabric.reset_llc_stats(server);
             }
         }
     }
@@ -325,7 +391,7 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
     let mut client_mrs = Vec::new();
     let mut client_ud_qps = Vec::new();
     let mut client_nodes: Vec<NodeId> = Vec::new();
-    let mut pool_mr = None;
+    let mut pools = Vec::new();
 
     match cfg.kind {
         RawVerbKind::OutboundWrite => {
@@ -347,7 +413,7 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
             let pool = fabric
                 .register_mr(server, cfg.clients * cfg.blocks_per_client * cfg.block_size)
                 .expect("pool");
-            pool_mr = Some(pool);
+            pools.push(pool);
             for c in 0..cfg.clients {
                 let node = fabric.add_node(&format!("c{c}"));
                 client_nodes.push(node);
@@ -361,8 +427,7 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
             }
         }
         RawVerbKind::UdSend => {
-            for t in 0..cfg.server_threads {
-                let _ = t;
+            for _ in 0..cfg.server_threads {
                 let qp = fabric
                     .create_qp(server, Transport::Ud, server_cq, server_cq)
                     .expect("qp");
@@ -384,37 +449,7 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
     }
 
     let nthreads = cfg.nthreads.max(1);
-    let kind = cfg.kind;
-    let window_start = SimTime::ZERO + cfg.warmup;
-    let window_end = window_start + cfg.run;
-    let threads = (0..cfg.server_threads)
-        .map(|t| ThreadState {
-            qp_cursor: 0,
-            clients: (0..cfg.clients)
-                .filter(|c| c % cfg.server_threads == t)
-                .collect(),
-        })
-        .collect();
-    let block_cursor = vec![0; cfg.clients];
-    let poster = qps.iter().copied().zip(0..).collect();
-    let ud_receiver = client_ud_qps.iter().copied().zip(0..).collect();
-    let logic = RawVerbLogic {
-        server,
-        qps,
-        client_mrs,
-        client_ud_qps,
-        poster,
-        ud_receiver,
-        pool_mr,
-        threads,
-        block_cursor,
-        ops: 0,
-        window_start,
-        window_end,
-        stop: window_end,
-        counter_base: None,
-        cfg,
-    };
+    let logic = RawVerbLogic::new(cfg, Some(server), qps, client_mrs, client_ud_qps, pools);
     // Partition: the server is one shard; clients spread round-robin
     // over the remaining groups. `nthreads = 1` collapses to a single
     // group — the plain sequential engine, no windowing at all.
@@ -439,35 +474,23 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
             isolated: false,
         }
     };
-    let route: AppRoute<RvEv> = Arc::new(move |ev| match ev {
-        // Posts execute where the poster lives: server threads for
-        // outbound/UD, the client itself for inbound.
-        RvEv::Post(i) => match kind {
-            RawVerbKind::InboundWrite => client_nodes[*i],
-            _ => server,
-        },
-        RvEv::SnapshotCounters => server,
-    });
-    let mut sim = ShardedSim::new(fabric, logic, spec, route);
-    let events = sim.run_until(window_end + SimDuration::millis(1));
+    let sim = logic.run(fabric, spec, client_nodes);
     let ssid = sim.shard_of(server);
     let logic = sim.logic(ssid);
     let fabric = sim.fabric(ssid);
-    let secs = logic
-        .window_end
-        .saturating_since(logic.window_start)
-        .as_secs_f64();
+    let ops = logic.ops[0];
+    let per_mops = |n: u64| logic.measured.rate(n) / 1e6;
     let counters = fabric.counters(server).expect("server");
     let (rd0, itom0) = logic.counter_base.unwrap_or((0, 0));
     let pcie_rd = counters.get("PCIeRdCur").saturating_sub(rd0);
     let pcie_itom = counters.get("PCIeItoM").saturating_sub(itom0);
     RawVerbResult {
-        mops: logic.ops as f64 / secs / 1e6,
-        pcie_rd_mops: pcie_rd as f64 / secs / 1e6,
-        pcie_itom_mops: pcie_itom as f64 / secs / 1e6,
+        mops: per_mops(ops),
+        pcie_rd_mops: per_mops(pcie_rd),
+        pcie_itom_mops: per_mops(pcie_itom),
         l3_miss_rate: fabric.llc_miss_rate(server).unwrap_or(0.0),
-        ops: logic.ops,
-        events,
+        ops,
+        events: sim.events(),
         pcie_rd,
         pcie_itom,
     }

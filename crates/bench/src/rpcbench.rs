@@ -4,12 +4,11 @@ use rdma_fabric::{Fabric, FabricParams};
 use rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
 use rpc_core::cluster::{Cluster, ClusterSpec};
 use rpc_core::harness::{Harness, HarnessConfig};
-use rpc_core::sharded::ShardedSim;
-use rpc_core::transport::EchoHandler;
+use rpc_core::transport::{EchoHandler, RpcTransport};
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
 use simcore::stats::CdfPoint;
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 
 /// Which RPC implementation to benchmark.
 #[derive(Clone, Debug)]
@@ -143,7 +142,6 @@ pub fn run_rpc(cfg: RpcRunConfig) -> RpcRunResult {
             clients: cfg.clients,
         },
     );
-    let server = cluster.server;
     let hcfg = HarnessConfig {
         batch_size: cfg.batch,
         request_size: 32,
@@ -155,63 +153,49 @@ pub fn run_rpc(cfg: RpcRunConfig) -> RpcRunResult {
         nthreads: cfg.nthreads,
         retry: None,
     };
-    macro_rules! drive {
-        ($t:expr) => {{
-            let h = Harness::new($t, cluster, hcfg);
-            let stop = h.stop_at();
-            // Single-shard handle on the sharded engine (see
-            // `RpcRunConfig::nthreads` for why hub topologies do not
-            // partition further).
-            let mut sim = ShardedSim::new_sequential(fabric, h);
-            // Let things settle, snapshot counters at window start by
-            // running to it first.
-            let mut events = sim.run_sequential(SimTime::ZERO + cfg.warmup);
-            let snap = sim.fabric(0).counters(server).expect("server").snapshot();
-            events += sim.run_sequential(stop);
-            let delta = sim
-                .fabric(0)
-                .counters(server)
-                .expect("server")
-                .delta_since(&snap);
-            events += sim.run_sequential(stop + SimDuration::millis(3));
-            let m = &sim.logic(0).metrics;
-            let secs = cfg.run.as_secs_f64();
-            RpcRunResult {
-                mops: m.mops(),
-                median_us: m.median_us(),
-                mean_us: m.mean_us(),
-                max_us: m.max_us(),
-                p99_us: m.quantile_us(0.99),
-                cdf: m.latency_cdf(),
-                pcie_rd_mops: delta.get("PCIeRdCur") as f64 / secs / 1e6,
-                pcie_itom_mops: delta.get("PCIeItoM") as f64 / secs / 1e6,
-                ops: m.ops,
-                events,
-            }
-        }};
-    }
-    match cfg.kind.clone() {
+    let echo = EchoHandler::default();
+    match cfg.kind {
         TransportKind::ScaleRpc(mut sc) => {
             sc.client_window = sc.client_window.max(cfg.window.min(sc.slots));
-            let t = ScaleRpc::new(&mut fabric, &cluster, sc, EchoHandler::default());
-            drive!(t)
+            let t = ScaleRpc::new(&mut fabric, &cluster, sc, echo);
+            drive(Harness::new(t, cluster, hcfg), fabric)
         }
         TransportKind::RawWrite => {
-            let t = RawWrite::new(&mut fabric, &cluster, 8, 4096, EchoHandler::default());
-            drive!(t)
+            let t = RawWrite::new(&mut fabric, &cluster, 8, 4096, echo);
+            drive(Harness::new(t, cluster, hcfg), fabric)
         }
         TransportKind::Herd => {
-            let t = Herd::new(&mut fabric, &cluster, 8, 4096, EchoHandler::default());
-            drive!(t)
+            let t = Herd::new(&mut fabric, &cluster, 8, 4096, echo);
+            drive(Harness::new(t, cluster, hcfg), fabric)
         }
         TransportKind::Fasst => {
-            let t = Fasst::new(&mut fabric, &cluster, 4096, EchoHandler::default());
-            drive!(t)
+            let t = Fasst::new(&mut fabric, &cluster, 4096, echo);
+            drive(Harness::new(t, cluster, hcfg), fabric)
         }
         TransportKind::SelfRpc => {
-            let t = SelfRpc::new(&mut fabric, &cluster, 8, 4096, EchoHandler::default());
-            drive!(t)
+            let t = SelfRpc::new(&mut fabric, &cluster, 8, 4096, echo);
+            drive(Harness::new(t, cluster, hcfg), fabric)
         }
+    }
+}
+
+/// Replays one harness (a single shard: see `RpcRunConfig::nthreads` for
+/// why hub topologies do not partition further) and reads the result.
+fn drive<T: RpcTransport>(h: Harness<T>, fabric: Fabric) -> RpcRunResult {
+    let (sim, over_window) = h.replay(fabric);
+    let m = &sim.logic(0).metrics;
+    let per_mops = |counter| m.measured.rate(over_window.get(counter)) / 1e6;
+    RpcRunResult {
+        mops: m.mops(),
+        median_us: m.median_us(),
+        mean_us: m.mean_us(),
+        max_us: m.max_us(),
+        p99_us: m.quantile_us(0.99),
+        cdf: m.latency_cdf(),
+        pcie_rd_mops: per_mops("PCIeRdCur"),
+        pcie_itom_mops: per_mops("PCIeItoM"),
+        ops: m.ops,
+        events: sim.events(),
     }
 }
 

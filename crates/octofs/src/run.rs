@@ -11,7 +11,7 @@ use rdma_fabric::{Fabric, FabricParams};
 use rpc_baselines::{RawWrite, SelfRpc};
 use rpc_core::cluster::{Cluster, ClusterSpec};
 use rpc_core::harness::{Harness, HarnessConfig};
-use rpc_core::sharded::ShardedSim;
+use rpc_core::transport::RpcTransport;
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
 use simcore::SimDuration;
@@ -109,32 +109,28 @@ pub fn run_mdtest(cfg: &MdtestRun) -> MdtestResult {
         retry: None,
     };
     let gen = Box::new(MdtestGen::new(cfg.op, cfg.files_per_dir as u64));
-    macro_rules! drive {
-        ($transport:expr) => {{
-            let h = Harness::with_generator($transport, cluster, hcfg, gen);
-            let stop = h.stop_at();
-            let mut sim = ShardedSim::new_sequential(fabric, h);
-            sim.run_sequential(stop + SimDuration::millis(3));
-            let m = &sim.logic(0).metrics;
-            MdtestResult {
-                ops_per_sec: m.ops_per_sec(),
-                ops: m.ops,
-                median_us: m.median_us(),
-            }
-        }};
-    }
     match cfg.transport {
         MdsTransport::ScaleRpc => {
             let t = ScaleRpc::new(&mut fabric, &cluster, ScaleRpcConfig::default(), handler);
-            drive!(t)
+            drive(Harness::with_generator(t, cluster, hcfg, gen), fabric)
         }
         MdsTransport::SelfRpc => {
             let t = SelfRpc::new(&mut fabric, &cluster, 8, 4096, handler);
-            drive!(t)
+            drive(Harness::with_generator(t, cluster, hcfg, gen), fabric)
         }
         MdsTransport::RawWrite => {
             let t = RawWrite::new(&mut fabric, &cluster, 8, 4096, handler);
-            drive!(t)
+            drive(Harness::with_generator(t, cluster, hcfg, gen), fabric)
         }
+    }
+}
+
+fn drive<T: RpcTransport>(h: Harness<T>, fabric: Fabric) -> MdtestResult {
+    let (sim, _) = h.replay(fabric);
+    let m = &sim.logic(0).metrics;
+    MdtestResult {
+        ops_per_sec: m.ops_per_sec(),
+        ops: m.ops,
+        median_us: m.median_us(),
     }
 }

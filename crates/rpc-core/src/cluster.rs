@@ -7,6 +7,8 @@
 //! threads, exactly as the evaluation distributes them.
 
 use rdma_fabric::{Fabric, NodeId};
+use simcore::resource::Grant;
+use simcore::{FifoResource, SimDuration, SimTime};
 
 /// Index of a simulated RPC client (a coroutine in the paper's harness).
 pub type ClientId = usize;
@@ -115,6 +117,7 @@ impl Cluster {
 
     /// The machine hosting client `c` (round-robin distribution, matching
     /// "distributed evenly to the physical client servers").
+    #[inline]
     pub fn machine_of(&self, c: ClientId) -> usize {
         c % self.machines.len()
     }
@@ -126,6 +129,7 @@ impl Cluster {
 
     /// The global thread index (across all machines) whose CPU client `c`
     /// shares. Clients on one machine round-robin over its threads.
+    #[inline]
     pub fn thread_of(&self, c: ClientId) -> usize {
         let machine = self.machine_of(c);
         let slot_on_machine = c / self.machines.len();
@@ -144,13 +148,14 @@ impl Cluster {
     /// onto an 8-core machine makes every charge 5× longer — the OS
     /// timeslices, it does not conjure cores. Integer arithmetic keeps
     /// the simulation deterministic.
-    pub fn scale_cpu(&self, cost: simcore::SimDuration) -> simcore::SimDuration {
+    #[inline]
+    pub fn scale_cpu(&self, cost: SimDuration) -> SimDuration {
         let t = self.spec.threads_per_machine as u64;
         let c = self.spec.cores_per_machine as u64;
         if t <= c {
             cost
         } else {
-            simcore::SimDuration::nanos(cost.as_nanos() * t / c)
+            SimDuration::nanos(cost.as_nanos() * t / c)
         }
     }
 
@@ -160,6 +165,53 @@ impl Cluster {
         (0..self.spec.clients)
             .filter(|&c| self.thread_of(c) == thread)
             .count()
+    }
+}
+
+/// The client machines' CPU, written once for every client-side logic
+/// (the RPC harness, the ScaleTX coordinators): all coroutine clients on
+/// one machine thread share that thread's time (§3.6.1).
+pub struct ClientCpu {
+    /// The cluster whose client threads these are.
+    pub cluster: Cluster,
+    threads: Vec<FifoResource>,
+    /// Per-client slowdown `(num, den)`; empty until the first straggler
+    /// appears, so fault-free runs pay one `is_empty` check.
+    slowdown: Vec<(u32, u32)>,
+}
+
+impl ClientCpu {
+    /// Idle threads for every client machine of `cluster`.
+    pub fn new(cluster: Cluster) -> Self {
+        ClientCpu {
+            threads: vec![FifoResource::new(); cluster.total_client_threads()],
+            cluster,
+            slowdown: Vec::new(),
+        }
+    }
+
+    /// Books `base` of work for `client` on its machine thread at `now`,
+    /// stretched by machine oversubscription and any straggler slowdown.
+    /// Whether the work takes effect when the thread begins it (a post)
+    /// or completes it (a poll) is the caller's reading of the grant.
+    #[inline]
+    pub fn acquire(&mut self, client: ClientId, now: SimTime, base: SimDuration) -> Grant {
+        let mut cost = self.cluster.scale_cpu(base);
+        if !self.slowdown.is_empty() {
+            let (num, den) = self.slowdown[client];
+            cost = SimDuration(cost.0 * num as u64 / den as u64);
+        }
+        self.threads[self.cluster.thread_of(client)].acquire(now, cost)
+    }
+
+    /// Multiplies the charges of clients `first..=last` by `num/den`
+    /// from now on. Co-located clients slow down with them through the
+    /// shared thread, as on real hardware.
+    pub fn straggle(&mut self, first: ClientId, last: ClientId, num: u32, den: u32) {
+        if self.slowdown.is_empty() {
+            self.slowdown = vec![(1, 1); self.cluster.clients()];
+        }
+        self.slowdown[first..=last].fill((num, den));
     }
 }
 
@@ -228,6 +280,30 @@ mod tests {
         for t in 0..40 {
             assert_eq!(c.clients_on_thread(t), 1);
         }
+    }
+
+    #[test]
+    fn client_cpu_shares_threads_and_stretches_charges() {
+        // 2 machines × 1 thread, 12 threads' worth of oversubscription
+        // off: clients 0 and 2 share machine 0's only thread.
+        let mut cpu = ClientCpu::new(cluster(2, 1, 4));
+        let cost = SimDuration::nanos(100);
+        let first = cpu.acquire(0, SimTime(50), cost);
+        let queued = cpu.acquire(2, SimTime(60), cost);
+        let other = cpu.acquire(1, SimTime(60), cost);
+        assert_eq!((first.begin, first.complete), (SimTime(50), SimTime(150)));
+        assert_eq!((queued.begin, queued.complete), (SimTime(150), SimTime(250)));
+        assert_eq!(other.begin, SimTime(60), "machine 1 has its own thread");
+        // A straggler's charges stretch; its neighbours' do not, but they
+        // queue behind it on the shared thread.
+        cpu.straggle(2, 3, 3, 1);
+        let slow = cpu.acquire(2, SimTime(1_000), cost);
+        let behind = cpu.acquire(0, SimTime(1_000), cost);
+        assert_eq!(slow.complete, SimTime(1_300));
+        assert_eq!((behind.begin, behind.complete), (SimTime(1_300), SimTime(1_400)));
+        // 16 threads on 8 cores: every charge doubles.
+        let mut packed = ClientCpu::new(cluster(1, 16, 16));
+        assert_eq!(packed.acquire(5, SimTime(0), cost).complete, SimTime(200));
     }
 
     #[test]

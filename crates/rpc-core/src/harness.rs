@@ -9,16 +9,18 @@
 //! what lets UD transports' higher per-op client cost show up as the
 //! saturation behaviour of Fig. 8's right half.
 
-use crate::cluster::{ClientId, Cluster};
+use crate::cluster::{ClientCpu, ClientId, Cluster};
 use crate::driver::{Cx, Logic};
-use crate::inject::{ClientStart, Injection, ScenarioError, ScenarioSpec};
-use crate::metrics::RpcMetrics;
+use crate::inject::{self, ClientStart, FaultEv, Injection, ScenarioError, ScenarioSpec};
+use crate::metrics::{RpcMetrics, Window};
+use crate::sharded::ShardedSim;
 use crate::transport::{LifecycleEv, Response, RpcTransport};
 use crate::window::RequestWindow;
 use crate::workload::ThinkTime;
 use bytes::Bytes;
-use rdma_fabric::{LinkDegrade, NodeId, Upcall};
-use simcore::{DetHashMap, DetRng, FifoResource, SimDuration, SimTime};
+use rdma_fabric::{Fabric, NodeId, Upcall};
+use simcore::stats::CounterSet;
+use simcore::{DetHashMap, DetRng, SimDuration, SimTime};
 use simtrace::{InstantKind, Stage, Tracer};
 use std::fmt;
 
@@ -82,11 +84,10 @@ pub struct HarnessConfig {
     /// batching). Transports with slot-addressed client buffers (8
     /// message slots) support windows up to 8.
     pub window: usize,
-    /// Engine threads requested for the run. The harness itself is a
-    /// monolithic hub logic (one server, shared request generator), so
-    /// it always executes on a single shard of the sharded engine;
-    /// the knob exists for config plumbing parity and is forwarded by
-    /// the benchmark runners.
+    /// Engine threads requested for the run. The harness ignores it: it
+    /// is a monolithic hub logic (one server, shared request generator)
+    /// and always executes on a single shard of the sharded engine. The
+    /// field stays because callers build this config by struct literal.
     pub nthreads: usize,
     /// Client-side failover retransmission, required for scenarios with
     /// server crashes. `None` (the default) schedules no retry timers,
@@ -113,8 +114,7 @@ impl Default for HarnessConfig {
 }
 
 /// Why a [`HarnessConfig`] was rejected at construction. Every variant
-/// used to be a mid-run assert (or, for the traced multi-shard combo, a
-/// panic deep inside `ShardedSim`); the typed form lets config-driven
+/// used to be a mid-run assert; the typed form lets config-driven
 /// frontends like `simscenario` report the problem with a source span
 /// instead of crashing the run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,9 +129,6 @@ pub enum HarnessConfigError {
     ThinkLen { clients: usize, got: usize },
     /// The client population is empty.
     ZeroClients,
-    /// `nthreads > 1` while tracing is enabled — multi-shard engines
-    /// cannot merge per-shard tracers deterministically.
-    TracedMultiShard { nthreads: usize },
     /// A retry policy with `window == 1` — the synchronous batch loop
     /// tracks only an in-flight count, not per-sequence identity, so it
     /// cannot retransmit a specific request.
@@ -155,9 +152,6 @@ impl fmt::Display for HarnessConfigError {
                 )
             }
             HarnessConfigError::ZeroClients => write!(f, "need at least one client"),
-            HarnessConfigError::TracedMultiShard { nthreads } => {
-                write!(f, "nthreads {nthreads} > 1 requires tracing disabled")
-            }
             HarnessConfigError::RetryNeedsWindow => {
                 write!(f, "retry requires window > 1 (per-sequence identity)")
             }
@@ -174,9 +168,8 @@ impl fmt::Display for HarnessConfigError {
 impl std::error::Error for HarnessConfigError {}
 
 impl HarnessConfig {
-    /// Checks the whole config against a client population size and the
-    /// tracing mode of the fabric the run will use.
-    pub fn validate(&self, clients: usize, tracing: bool) -> Result<(), HarnessConfigError> {
+    /// Checks the whole config against a client population size.
+    pub fn validate(&self, clients: usize) -> Result<(), HarnessConfigError> {
         if self.batch_size == 0 {
             return Err(HarnessConfigError::ZeroBatch);
         }
@@ -193,11 +186,6 @@ impl HarnessConfig {
             return Err(HarnessConfigError::ThinkLen {
                 clients,
                 got: self.think.len(),
-            });
-        }
-        if self.nthreads > 1 && tracing {
-            return Err(HarnessConfigError::TracedMultiShard {
-                nthreads: self.nthreads,
             });
         }
         if let Some(rp) = self.retry {
@@ -241,19 +229,16 @@ pub enum HarnessEv<TEv> {
     Post(ClientId, usize),
     /// Periodic counter-sampling tick (only scheduled while tracing).
     Sample,
-    /// The next scenario-timeline entry fires (index into the installed
-    /// [`ScenarioSpec`]'s timeline). Only scheduled when a scenario with
-    /// a non-empty timeline is installed, so scenario-free runs carry no
+    /// A timer of the fault layer ([`inject::apply`]): the next entry of
+    /// the installed [`ScenarioSpec`]'s timeline fires, or the crashed
+    /// server's downtime ends. Only scheduled when a scenario with a
+    /// non-empty timeline is installed, so scenario-free runs carry no
     /// injection cost at all.
-    Inject(usize),
+    Fault(FaultEv),
     /// Failover retransmission timer for `(client, seq)`; the counter is
     /// the attempt number (1-based). Only scheduled when a
     /// [`RetryPolicy`] is configured.
     Retry(ClientId, u64, u32),
-    /// The crashed server's recovery completes (scheduled by the
-    /// `ServerCrash` injection): QPs become resettable and the transport
-    /// is told to re-establish its connections.
-    ServerRecover,
 }
 
 /// Produces the request payload for `(client, seq)`. The default
@@ -303,10 +288,10 @@ impl RequestGen for FixedSizeGen {
 pub struct Harness<T: RpcTransport> {
     /// The transport under test.
     pub transport: T,
-    cluster: Cluster,
+    /// The client machines' threads (and the cluster they belong to).
+    cpu: ClientCpu,
     cfg: HarnessConfig,
     clients: Vec<ClientState>,
-    threads: Vec<FifoResource>,
     gen: Box<dyn RequestGen>,
     /// Collected results.
     pub metrics: RpcMetrics,
@@ -320,10 +305,6 @@ pub struct Harness<T: RpcTransport> {
     /// Installed scenario, if any (`None` must behave bit-exactly like
     /// the pre-scenario harness).
     scenario: Option<ScenarioSpec>,
-    /// Per-client CPU slowdown `(num, den)` from `Straggle` events;
-    /// empty until the first straggler appears, so the hot path pays
-    /// one `is_empty` check in scenario-free runs.
-    cpu_mult: Vec<(u32, u32)>,
     /// Requests submitted to the transport (all clients, whole run —
     /// the fuzzer's conservation invariant needs totals, not just the
     /// measurement window `metrics` covers).
@@ -355,19 +336,6 @@ impl<T: RpcTransport> Harness<T> {
         Self::with_generator(transport, cluster, cfg, Box::new(FixedSizeGen::new(size)))
     }
 
-    /// Fallible form of [`Harness::new`]: rejects invalid configs with a
-    /// typed error instead of panicking. Tracing-dependent checks run
-    /// against `tracing = false`; frontends that know the fabric's
-    /// tracing mode should call [`HarnessConfig::validate`] themselves.
-    pub fn try_new(
-        transport: T,
-        cluster: Cluster,
-        cfg: HarnessConfig,
-    ) -> Result<Self, HarnessConfigError> {
-        let size = cfg.request_size;
-        Self::try_with_generator(transport, cluster, cfg, Box::new(FixedSizeGen::new(size)))
-    }
-
     /// Builds a harness with a custom request generator (application
     /// workloads like mdtest or the transaction drivers).
     pub fn with_generator(
@@ -382,7 +350,8 @@ impl<T: RpcTransport> Harness<T> {
         }
     }
 
-    /// Fallible form of [`Harness::with_generator`].
+    /// Fallible form of [`Harness::with_generator`]: rejects invalid
+    /// configs with a typed error instead of panicking.
     pub fn try_with_generator(
         transport: T,
         cluster: Cluster,
@@ -390,7 +359,7 @@ impl<T: RpcTransport> Harness<T> {
         gen: Box<dyn RequestGen>,
     ) -> Result<Self, HarnessConfigError> {
         let n = cluster.clients();
-        cfg.validate(n, false)?;
+        cfg.validate(n)?;
         let rng = DetRng::new(cfg.seed);
         let clients = (0..n)
             .map(|c| ClientState {
@@ -403,24 +372,20 @@ impl<T: RpcTransport> Harness<T> {
                 stopped: false,
             })
             .collect();
-        let threads = vec![FifoResource::new(); cluster.total_client_threads()];
-        let window_start = SimTime::ZERO + cfg.warmup;
-        let window_end = window_start + cfg.run;
+        let measured = Window::after(cfg.warmup, cfg.run);
         Ok(Harness {
             transport,
-            cluster,
+            cpu: ClientCpu::new(cluster),
             cfg,
             clients,
-            threads,
             gen,
-            metrics: RpcMetrics::new(window_start, window_end),
-            stop_at: window_end,
+            metrics: RpcMetrics::new(measured),
+            stop_at: measured.end,
             responses: Vec::new(),
             tracer: Tracer::disabled(),
             sampled: Vec::new(),
             sample_every: SimDuration::micros(50),
             scenario: None,
-            cpu_mult: Vec::new(),
             issued: 0,
             completed: 0,
             completed_by_client: vec![0; n],
@@ -501,19 +466,6 @@ impl<T: RpcTransport> Harness<T> {
             .collect()
     }
 
-    /// Client-CPU charge for `client`: machine-oversubscription scaling
-    /// plus any straggler slowdown a scenario injected. Scenario-free
-    /// runs take the `is_empty` fast path and are bit-identical to the
-    /// pre-scenario cost model.
-    fn client_cpu(&self, client: ClientId, base: SimDuration) -> SimDuration {
-        let scaled = self.cluster.scale_cpu(base);
-        if self.cpu_mult.is_empty() {
-            return scaled;
-        }
-        let (num, den) = self.cpu_mult[client];
-        SimDuration(scaled.0 * num as u64 / den as u64)
-    }
-
     /// Samples the named counters of `node` into the trace every `every`
     /// of virtual time (time-series for Fig. 3/10-style plots). Only
     /// takes effect when the fabric has an enabled tracer installed;
@@ -531,7 +483,17 @@ impl<T: RpcTransport> Harness<T> {
 
     /// The cluster this harness runs on.
     pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+        &self.cpu.cluster
+    }
+
+    /// Replays the closed loop on `fabric` — warm-up, measured window,
+    /// drain ([`ShardedSim::replay`]) — and returns the finished engine
+    /// with the server's fabric counters over the window.
+    pub fn replay(self, fabric: Fabric) -> (ShardedSim<Self>, CounterSet) {
+        let (measured, server) = (self.metrics.measured, self.cluster().server);
+        let mut sim = ShardedSim::new_sequential(fabric, self);
+        let over_window = sim.replay(measured, &[server]);
+        (sim, over_window)
     }
 
     fn schedule_post(&mut self, client: ClientId, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
@@ -548,10 +510,8 @@ impl<T: RpcTransport> Harness<T> {
         if posts == 0 {
             return;
         }
-        let overhead = self.transport.client_overhead();
-        let cost = self.client_cpu(client, overhead.per_post * posts as u64);
-        let thread = self.cluster.thread_of(client);
-        let grant = self.threads[thread].acquire(cx.now, cost);
+        let per_post = self.transport.client_overhead().per_post;
+        let grant = self.cpu.acquire(client, cx.now, per_post * posts as u64);
         cx.at(grant.begin, HarnessEv::Post(client, posts));
     }
 
@@ -598,12 +558,11 @@ impl<T: RpcTransport> Harness<T> {
         for resp in responses {
             let c = resp.client;
             let overhead = self.transport.client_overhead();
-            let thread = self.cluster.thread_of(c);
             // One completed op: response detection plus the transport's
             // fixed dispatch work, stretched when the machine timeslices
             // more threads than cores.
-            let cost = self.client_cpu(c, overhead.per_response + overhead.per_dispatch);
-            let grant = self.threads[thread].acquire(cx.now, cost);
+            let cost = overhead.per_response + overhead.per_dispatch;
+            let grant = self.cpu.acquire(c, cx.now, cost);
             let st = &mut self.clients[c];
             if self.cfg.window > 1 {
                 // Asynchronous client: each completion retires one window
@@ -678,9 +637,7 @@ impl<T: RpcTransport> Logic for Harness<T> {
             cx.at(start, HarnessEv::Wake(c));
         }
         if let Some(spec) = &self.scenario {
-            if let Some(&(at, _)) = spec.timeline.first() {
-                cx.at(at, HarnessEv::Inject(0));
-            }
+            inject::arm(&spec.timeline, cx, HarnessEv::Fault);
         }
         if self.tracer.is_enabled() && !self.sampled.is_empty() {
             cx.at(SimTime::ZERO + self.sample_every, HarnessEv::Sample);
@@ -744,51 +701,36 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 self.responses.extend(out);
                 self.drain_responses(cx);
             }
-            HarnessEv::Inject(i) => {
-                let spec = self.scenario.as_ref().expect("Inject without scenario");
-                let (_, inj) = spec.timeline[i];
-                if let Some(&(at, _)) = spec.timeline.get(i + 1) {
-                    cx.at(at, HarnessEv::Inject(i + 1));
-                }
-                match inj {
-                    Injection::Depart { first, last } => {
+            HarnessEv::Fault(ev) => {
+                let spec = self
+                    .scenario
+                    .as_ref()
+                    .expect("fault timer without scenario");
+                // The fault layer applies fabric-side entries itself and
+                // hands back every fired entry; the client-population
+                // kinds are this logic's to carry out.
+                let fired = inject::apply(
+                    ev,
+                    &spec.timeline,
+                    &[self.cpu.cluster.server],
+                    std::slice::from_mut(&mut self.transport),
+                    cx,
+                    HarnessEv::Fault,
+                    |_, tev| HarnessEv::Transport(tev),
+                );
+                match fired {
+                    Some(Injection::Depart { first, last }) => {
                         for c in first..=last {
                             self.clients[c].stopped = true;
                         }
                     }
-                    Injection::Straggle {
+                    Some(Injection::Straggle {
                         first,
                         last,
                         num,
                         den,
-                    } => {
-                        if self.cpu_mult.is_empty() {
-                            self.cpu_mult = vec![(1, 1); self.clients.len()];
-                        }
-                        for c in first..=last {
-                            self.cpu_mult[c] = (num, den);
-                        }
-                    }
-                    Injection::LinkDegrade { num, den, extra } => {
-                        cx.fabric
-                            .set_link_degrade(Some(LinkDegrade { num, den, extra }));
-                    }
-                    Injection::LinkRestore => {
-                        cx.fabric.set_link_degrade(None);
-                    }
-                    Injection::ServerStall { dur } => {
-                        let server = self.cluster.server;
-                        cx.fabric.stall_node(server, cx.now, dur);
-                    }
-                    Injection::ServerCrash { down } => {
-                        let server = self.cluster.server;
-                        cx.fabric.crash_node(server, cx.now);
-                        with_transport_cx(cx, |tcx| {
-                            self.transport.on_lifecycle(LifecycleEv::ServerCrash, tcx)
-                        });
-                        cx.after(down, HarnessEv::ServerRecover);
-                    }
-                    Injection::Reconnect { first, last } => {
+                    }) => self.cpu.straggle(first, last, num, den),
+                    Some(Injection::Reconnect { first, last }) => {
                         for c in first..=last {
                             if !self.clients[c].stopped || cx.now >= self.stop_at {
                                 continue;
@@ -803,7 +745,7 @@ impl<T: RpcTransport> Logic for Harness<T> {
                             cx.after(jitter, HarnessEv::Wake(c));
                         }
                     }
-                    Injection::ConnChurn { first, last } => {
+                    Some(Injection::ConnChurn { first, last }) => {
                         // Each churned client pays the control-plane CPU
                         // (destroy + re-setup) on its own thread — the
                         // Swift cost model — before the transport's
@@ -811,14 +753,13 @@ impl<T: RpcTransport> Logic for Harness<T> {
                         let p = cx.fabric.params();
                         let setup = p.qp_destroy_cpu + p.conn_setup_cpu();
                         for c in first..=last {
-                            let cost = self.client_cpu(c, setup);
-                            let thread = self.cluster.thread_of(c);
-                            self.threads[thread].acquire(cx.now, cost);
+                            self.cpu.acquire(c, cx.now, setup);
                             with_transport_cx(cx, |tcx| {
                                 self.transport.on_lifecycle(LifecycleEv::ConnReset(c), tcx)
                             });
                         }
                     }
+                    _ => {}
                 }
             }
             HarnessEv::Retry(c, seq, attempt) => {
@@ -835,9 +776,8 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 self.tracer
                     .instant(InstantKind::Failover, cx.now, c as u64, attempt as u64);
                 // The retransmission costs one post of client CPU.
-                let cost = self.client_cpu(c, self.transport.client_overhead().per_post);
-                let thread = self.cluster.thread_of(c);
-                self.threads[thread].acquire(cx.now, cost);
+                let per_post = self.transport.client_overhead().per_post;
+                self.cpu.acquire(c, cx.now, per_post);
                 let mut out = Vec::new();
                 cx.fabric.set_trace_ctx(0);
                 with_transport_cx(cx, |tcx| {
@@ -854,12 +794,6 @@ impl<T: RpcTransport> Logic for Harness<T> {
                         .saturating_mul((rp.backoff as u64).saturating_pow(exp)),
                 );
                 cx.at(cx.now + delay, HarnessEv::Retry(c, seq, attempt + 1));
-            }
-            HarnessEv::ServerRecover => {
-                with_transport_cx(cx, |tcx| {
-                    self.transport.on_lifecycle(LifecycleEv::ServerRecover, tcx)
-                });
-                self.drain_responses(cx);
             }
             HarnessEv::Sample => {
                 for &(node, counter) in &self.sampled {
@@ -894,8 +828,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_default() {
-        assert_eq!(base().validate(40, false), Ok(()));
-        assert_eq!(base().validate(40, true), Ok(()));
+        assert_eq!(base().validate(40), Ok(()));
     }
 
     #[test]
@@ -904,7 +837,7 @@ mod tests {
             batch_size: 0,
             ..base()
         };
-        assert_eq!(cfg.validate(40, false), Err(HarnessConfigError::ZeroBatch));
+        assert_eq!(cfg.validate(40), Err(HarnessConfigError::ZeroBatch));
     }
 
     #[test]
@@ -913,7 +846,7 @@ mod tests {
             window: 0,
             ..base()
         };
-        assert_eq!(cfg.validate(40, false), Err(HarnessConfigError::ZeroWindow));
+        assert_eq!(cfg.validate(40), Err(HarnessConfigError::ZeroWindow));
     }
 
     #[test]
@@ -924,17 +857,14 @@ mod tests {
             ..base()
         };
         assert_eq!(
-            cfg.validate(40, false),
+            cfg.validate(40),
             Err(HarnessConfigError::WindowSupersedesBatching)
         );
     }
 
     #[test]
     fn validate_rejects_zero_clients() {
-        assert_eq!(
-            base().validate(0, false),
-            Err(HarnessConfigError::ZeroClients)
-        );
+        assert_eq!(base().validate(0), Err(HarnessConfigError::ZeroClients));
     }
 
     #[test]
@@ -944,24 +874,11 @@ mod tests {
             ..base()
         };
         assert_eq!(
-            cfg.validate(40, false),
+            cfg.validate(40),
             Err(HarnessConfigError::ThinkLen {
                 clients: 40,
                 got: 3
             })
-        );
-    }
-
-    #[test]
-    fn validate_rejects_traced_multi_shard() {
-        let cfg = HarnessConfig {
-            nthreads: 8,
-            ..base()
-        };
-        assert_eq!(cfg.validate(40, false), Ok(()));
-        assert_eq!(
-            cfg.validate(40, true),
-            Err(HarnessConfigError::TracedMultiShard { nthreads: 8 })
         );
     }
 

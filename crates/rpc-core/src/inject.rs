@@ -1,4 +1,4 @@
-//! Scenario event injection for the closed-loop harness.
+//! Scenario event injection, and the one fault layer.
 //!
 //! A [`ScenarioSpec`] describes *when clients come alive* and a sorted
 //! timeline of phased chaos events — departures, straggler slowdowns,
@@ -9,6 +9,14 @@
 //! ordinary app event, so injected runs stay bit-exactly deterministic
 //! and replayable.
 //!
+//! Every client-side logic walks its timeline through [`arm`] and
+//! [`apply`]. `apply` is the only code outside the fabric that degrades
+//! the wire, stalls or crashes a node, keeps the crash → recover timer
+//! and tells a transport its server died or came back, so a new
+//! fabric-side fault kind lands here and reaches RPC and transaction
+//! runs alike. What a fault means for the *clients* — who departs,
+//! which coordinator gives a transaction up — stays with their logic.
+//!
 //! The empty spec (all clients [`ClientStart::Immediate`], no timeline
 //! entries) is defined to reproduce a scenario-free harness run
 //! bit-exactly: immediate starts draw the same per-client jitter from
@@ -16,6 +24,9 @@
 //! scheduled.
 
 use crate::cluster::ClientId;
+use crate::driver::Cx;
+use crate::transport::{LifecycleEv, RpcTransport};
+use rdma_fabric::{LinkDegrade, NodeId};
 use simcore::{SimDuration, SimTime};
 use std::fmt;
 
@@ -31,7 +42,8 @@ pub enum ClientStart {
     At(SimTime),
 }
 
-/// One phased chaos event. Client ranges are inclusive.
+/// One phased chaos event. Client ranges are inclusive; `server` indexes
+/// the logic's servers (always 0 under the single-server harness).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Injection {
     /// Clients `first..=last` leave the closed loop: in-flight requests
@@ -63,14 +75,14 @@ pub enum Injection {
     /// The server's NIC engines stall for `dur` (GC pause, firmware
     /// hiccup): both its tx and rx pipelines are occupied and every
     /// queued operation waits the pause out.
-    ServerStall { dur: SimDuration },
+    ServerStall { server: usize, dur: SimDuration },
     /// The server process crashes: every QP it owns is torn down (in-
     /// flight packets toward them drop; reliable requesters see error
     /// completions) and recovery begins after `down` — QPs reset, the
     /// transport notified to reconnect. Requires a retry policy on the
     /// harness for the closed loop to survive (otherwise requests lost
     /// in the crash window would strand their clients forever).
-    ServerCrash { down: SimDuration },
+    ServerCrash { server: usize, down: SimDuration },
     /// Departed clients `first..=last` rejoin the closed loop: each
     /// client's connection is re-established (lazily or eagerly, per the
     /// transport) and posting resumes. A no-op for clients that never
@@ -214,6 +226,77 @@ impl ScenarioSpec {
     }
 }
 
+/// The fault layer's timers on its host logic's queue. The host wraps
+/// them in its own event type and hands each one back to [`apply`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultEv {
+    /// Timeline entry `i` fires.
+    Fire(usize),
+    /// Server `s`'s downtime ends.
+    Recover(usize),
+}
+
+/// Schedules the first timeline entry, if any; call from `Logic::init`.
+pub fn arm<A>(timeline: &[(SimTime, Injection)], cx: &mut Cx<'_, A>, wrap: impl Fn(FaultEv) -> A) {
+    if let Some(&(at, _)) = timeline.first() {
+        cx.at(at, wrap(FaultEv::Fire(0)));
+    }
+}
+
+/// Handles one [`FaultEv`] for a logic whose server `s` is node
+/// `servers[s]` behind `transports[s]` (an entry naming a server beyond
+/// them panics); `wrap` and `wrap_transport` lift fault timers and
+/// server `s`'s transport events into the logic's event type.
+///
+/// `Fire(i)` schedules entry `i + 1`, applies entry `i` if it is
+/// fabric-side and returns it, so the caller can add what only it knows
+/// (client-population kinds, failing the requests a crash orphaned).
+/// `Recover(s)` re-admits server `s` and returns `None`.
+pub fn apply<T: RpcTransport, A>(
+    ev: FaultEv,
+    timeline: &[(SimTime, Injection)],
+    servers: &[NodeId],
+    transports: &mut [T],
+    cx: &mut Cx<'_, A>,
+    wrap: impl Fn(FaultEv) -> A,
+    wrap_transport: impl Fn(usize, T::Ev) -> A,
+) -> Option<Injection> {
+    let i = match ev {
+        FaultEv::Fire(i) => i,
+        FaultEv::Recover(s) => {
+            cx.scoped(
+                |e| wrap_transport(s, e),
+                |tcx| transports[s].on_lifecycle(LifecycleEv::ServerRecover, tcx),
+            );
+            return None;
+        }
+    };
+    let (_, inj) = timeline[i];
+    if let Some(&(at, _)) = timeline.get(i + 1) {
+        cx.at(at, wrap(FaultEv::Fire(i + 1)));
+    }
+    match inj {
+        Injection::LinkDegrade { num, den, extra } => cx
+            .fabric
+            .set_link_degrade(Some(LinkDegrade { num, den, extra })),
+        Injection::LinkRestore => cx.fabric.set_link_degrade(None),
+        Injection::ServerStall { server, dur } => {
+            cx.fabric.stall_node(servers[server], cx.now, dur)
+        }
+        Injection::ServerCrash { server, down } => {
+            cx.fabric.crash_node(servers[server], cx.now);
+            cx.scoped(
+                |e| wrap_transport(server, e),
+                |tcx| transports[server].on_lifecycle(LifecycleEv::ServerCrash, tcx),
+            );
+            cx.after(down, wrap(FaultEv::Recover(server)));
+        }
+        // The client-population kinds are the caller's.
+        _ => {}
+    }
+    Some(inj)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,6 +323,7 @@ mod tests {
             (
                 SimTime(50),
                 Injection::ServerStall {
+                    server: 0,
                     dur: SimDuration::micros(1),
                 },
             ),

@@ -13,15 +13,18 @@
 //!   every RPC implementation (ScaleRPC and the baselines) provides.
 //! - [`cluster`]: topology builder for the paper's testbed shape (one
 //!   server, N client machines with worker threads multiplexing
-//!   coroutine-like clients).
+//!   coroutine-like clients) and [`ClientCpu`], the one model of those
+//!   threads' time.
 //! - [`harness`]: the closed-loop benchmark driver that plays the role of
 //!   the paper's coroutine client loops and records throughput/latency.
 //! - [`inject`]: scenario event injection — phased chaos events
-//!   (departure, stragglers, link degradation, server pauses) threaded
-//!   into the harness timeline by `crates/simscenario`.
+//!   (departure, stragglers, link degradation, server pauses and
+//!   crashes) and the one fault layer that applies the fabric-side ones
+//!   for every client-side logic.
 //! - [`workload`]: think-time distributions (uniform and the Gaussian
 //!   skew of Fig. 12) and request-size generators.
-//! - [`metrics`]: per-experiment result collection.
+//! - [`metrics`]: per-experiment result collection and the measured
+//!   [`Window`].
 
 #![forbid(unsafe_code)]
 
@@ -37,13 +40,13 @@ pub mod window;
 pub mod workers;
 pub mod workload;
 
-pub use cluster::{ClientId, Cluster, ClusterSpec};
+pub use cluster::{ClientCpu, ClientId, Cluster, ClusterSpec};
 pub use driver::{Cx, Logic};
 pub use harness::{Harness, HarnessConfig, HarnessConfigError};
-pub use inject::{ClientStart, Injection, ScenarioError, ScenarioSpec};
+pub use inject::{ClientStart, FaultEv, Injection, ScenarioError, ScenarioSpec};
 pub use message::{MsgBuf, RpcHeader};
-pub use metrics::RpcMetrics;
-pub use sharded::{AppRoute, ShardSpec, ShardedSim};
+pub use metrics::{RpcMetrics, Window};
+pub use sharded::{AppRoute, ShardSpec, ShardedSim, DRAIN};
 pub use transport::{ClientOverhead, Response, RpcTransport, ServerHandler};
 pub use window::{Completed, InFlight, RequestWindow};
 pub use workers::WorkerPool;

@@ -7,6 +7,46 @@ use simcore::{SimDuration, SimTime};
 /// aggregates (fine enough to resolve individual time slices).
 const SERIES_WINDOW: SimDuration = SimDuration::micros(20);
 
+/// The measured window of a run, both edges inclusive (runs cut it at
+/// slice boundaries, where completions cluster on exact timestamps).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Window {
+    /// First measured instant (the end of warm-up).
+    pub start: SimTime,
+    /// Last measured instant; clients stop posting here.
+    pub end: SimTime,
+}
+
+impl Window {
+    /// The window that follows `warmup` and lasts `run`.
+    pub fn after(warmup: SimDuration, run: SimDuration) -> Window {
+        let start = SimTime::ZERO + warmup;
+        let end = start + run;
+        Window { start, end }
+    }
+
+    /// Whether `t` falls inside the window.
+    #[inline]
+    pub fn contains(&self, t: SimTime) -> bool {
+        t >= self.start && t <= self.end
+    }
+
+    /// The window's length.
+    pub fn duration(&self) -> SimDuration {
+        self.end.saturating_since(self.start)
+    }
+
+    /// `count` per second of window (0 for an empty window).
+    pub fn rate(&self, count: u64) -> f64 {
+        let secs = self.duration().as_secs_f64();
+        if secs <= 0.0 {
+            0.0
+        } else {
+            count as f64 / secs
+        }
+    }
+}
+
 /// Throughput and latency results of one RPC benchmark run.
 #[derive(Clone, Debug)]
 pub struct RpcMetrics {
@@ -19,10 +59,8 @@ pub struct RpcMetrics {
     pub batch_latency: Histogram,
     /// Completion-time series (20 µs buckets) for time-resolved plots.
     pub series: Throughput,
-    /// Measurement window start.
-    pub window_start: SimTime,
-    /// Measurement window end.
-    pub window_end: SimTime,
+    /// The measurement window.
+    pub measured: Window,
 }
 
 impl Default for RpcMetrics {
@@ -32,18 +70,16 @@ impl Default for RpcMetrics {
             batches: 0,
             batch_latency: Histogram::new(),
             series: Throughput::new(SERIES_WINDOW),
-            window_start: SimTime::ZERO,
-            window_end: SimTime::ZERO,
+            measured: Window::default(),
         }
     }
 }
 
 impl RpcMetrics {
     /// Creates an empty collection for the given measurement window.
-    pub fn new(window_start: SimTime, window_end: SimTime) -> Self {
+    pub fn new(measured: Window) -> Self {
         RpcMetrics {
-            window_start,
-            window_end,
+            measured,
             ..Default::default()
         }
     }
@@ -51,7 +87,7 @@ impl RpcMetrics {
     /// Records a completed batch of `ops` requests with the given batch
     /// latency, if it completed inside the window.
     pub fn record_batch(&mut self, completed_at: SimTime, ops: u64, latency: SimDuration) {
-        if completed_at < self.window_start || completed_at > self.window_end {
+        if !self.measured.contains(completed_at) {
             return;
         }
         self.ops += ops;
@@ -62,17 +98,12 @@ impl RpcMetrics {
 
     /// The measurement window length.
     pub fn window(&self) -> SimDuration {
-        self.window_end.saturating_since(self.window_start)
+        self.measured.duration()
     }
 
     /// Overall throughput in operations per second.
     pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.window().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
+        self.measured.rate(self.ops)
     }
 
     /// Overall throughput in millions of operations per second.
@@ -110,9 +141,16 @@ impl RpcMetrics {
 mod tests {
     use super::*;
 
+    fn window(start: u64, end: u64) -> Window {
+        Window {
+            start: SimTime(start),
+            end: SimTime(end),
+        }
+    }
+
     #[test]
     fn window_filtering() {
-        let mut m = RpcMetrics::new(SimTime(1_000), SimTime(2_000));
+        let mut m = RpcMetrics::new(window(1_000, 2_000));
         m.record_batch(SimTime(500), 8, SimDuration(100)); // before window
         m.record_batch(SimTime(1_500), 8, SimDuration(100)); // inside
         m.record_batch(SimTime(2_500), 8, SimDuration(100)); // after
@@ -122,7 +160,7 @@ mod tests {
 
     #[test]
     fn rates_and_latencies() {
-        let mut m = RpcMetrics::new(SimTime::ZERO, SimTime(1_000_000_000)); // 1s window
+        let mut m = RpcMetrics::new(window(0, 1_000_000_000)); // 1s window
         for i in 0..1000 {
             m.record_batch(SimTime(i * 1_000_000), 10, SimDuration::micros(15));
         }
@@ -139,7 +177,7 @@ mod tests {
         // Batches completing exactly at either window edge are part of
         // the measurement — Fig. 8-style runs cut the window at slice
         // boundaries, where completions cluster on exact timestamps.
-        let mut m = RpcMetrics::new(SimTime(1_000), SimTime(2_000));
+        let mut m = RpcMetrics::new(window(1_000, 2_000));
         m.record_batch(SimTime(1_000), 4, SimDuration(10));
         m.record_batch(SimTime(2_000), 4, SimDuration(10));
         m.record_batch(SimTime(999), 4, SimDuration(10));
@@ -152,7 +190,7 @@ mod tests {
     fn zero_duration_batches_record_cleanly() {
         // A zero-latency batch (post and last response at the same
         // virtual instant) is a legal sample, not a dropped one.
-        let mut m = RpcMetrics::new(SimTime::ZERO, SimTime(1_000));
+        let mut m = RpcMetrics::new(window(0, 1_000));
         m.record_batch(SimTime(500), 8, SimDuration::ZERO);
         m.record_batch(SimTime(500), 8, SimDuration(2_000));
         assert_eq!(m.batches, 2);
@@ -163,7 +201,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_zero() {
-        let m = RpcMetrics::new(SimTime::ZERO, SimTime::ZERO);
+        let m = RpcMetrics::new(window(0, 0));
         assert_eq!(m.mops(), 0.0);
         assert_eq!(m.median_us(), 0.0);
         assert!(m.latency_cdf().is_empty());

@@ -37,9 +37,11 @@ use std::thread;
 
 use rdma_fabric::{Fabric, FabricEvent, NodeId, Upcall};
 use simcore::shard::{sweep, PopRec, PushRec, WindowLog, PROVISIONAL_BASE};
+use simcore::stats::CounterSet;
 use simcore::{EventId, EventQueue, SimDuration, SimTime};
 
 use crate::driver::{Cx, Ev, Logic};
+use crate::metrics::Window;
 
 /// Routes an application event to the node whose shard must execute it.
 ///
@@ -127,6 +129,9 @@ impl<A> Default for Slot<A> {
         }
     }
 }
+
+/// How long every [`ShardedSim::replay`] runs past its measured window.
+pub const DRAIN: SimDuration = SimDuration::millis(3);
 
 /// A sharded simulation: one fabric partitioned into per-shard replicas.
 pub struct ShardedSim<L: Logic> {
@@ -219,6 +224,27 @@ impl<L: Logic> ShardedSim<L> {
     /// [`run_to_quiescence`](Self::run_to_quiescence).
     pub fn run_sequential_to_quiescence(&mut self) -> u64 {
         self.run_sequential(SimTime::MAX)
+    }
+
+    /// The one replay of a single-shard simulation: warm-up, the
+    /// measured `window`, then [`DRAIN`] for in-flight work to complete.
+    /// Returns the fabric counters of `servers` over the window alone,
+    /// summed: they are read at its two edges (reading never perturbs
+    /// the run), so warm-up and drain traffic stay out of window rates.
+    pub fn replay(&mut self, window: Window, servers: &[NodeId]) -> CounterSet {
+        let read = |sim: &Self| {
+            let mut all = CounterSet::new();
+            for &node in servers {
+                all.merge(&sim.fabric(0).counters(node).expect("server node"));
+            }
+            all
+        };
+        self.run_sequential(window.start);
+        let at_start = read(self);
+        self.run_sequential(window.end);
+        let over_window = read(self).delta_since(&at_start);
+        self.run_sequential(window.end + DRAIN);
+        over_window
     }
 
     /// Number of shards.

@@ -17,10 +17,12 @@ use bytes::Bytes;
 use rdma_fabric::{
     Fabric, FabricParams, MrId, NodeId, RemoteAddr, Upcall, WcOpcode, WcStatus, WorkRequest, WrId,
 };
-use rpc_core::cluster::{Cluster, ClusterSpec};
+use rpc_core::cluster::{ClientCpu, Cluster, ClusterSpec};
 use rpc_core::driver::{Cx, Logic};
+use rpc_core::inject::{self, FaultEv, Injection, ScenarioError, ScenarioSpec};
+use rpc_core::metrics::Window;
 use rpc_core::sharded::ShardedSim;
-use rpc_core::transport::{LifecycleEv, OneSidedAccess, Response, RpcTransport};
+use rpc_core::transport::{OneSidedAccess, Response, RpcTransport};
 use simcore::stats::Histogram;
 use simcore::DetHashMap;
 use simcore::{DetRng, Fsm, SimDuration, SimTime, Transitions};
@@ -109,22 +111,13 @@ pub struct TxMetrics {
     /// the transaction ran in. At `W = 1` only slot 0 fills; deeper
     /// windows expose how much extra queueing the later slots absorb.
     pub slot_latency: Vec<Histogram>,
-    window_start: SimTime,
-    window_end: SimTime,
+    measured: Window,
 }
 
 impl TxMetrics {
     /// Committed transactions per second.
     pub fn tps(&self) -> f64 {
-        let secs = self
-            .window_end
-            .saturating_since(self.window_start)
-            .as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.committed as f64 / secs
-        }
+        self.measured.rate(self.committed)
     }
 
     /// Transactions attempted inside the window (commits + aborts; a
@@ -254,12 +247,10 @@ pub enum TxEv<TEv> {
     Start(usize),
     /// A gated phase transition of `(coordinator, slot)` is due.
     Advance(usize, usize, Action),
-    /// Participant server `i` crashes, staying down for the duration
-    /// (scheduled by [`TxSim::inject_server_crash`]).
-    ServerCrash(usize, SimDuration),
-    /// Participant server `i` warm-restarts: its lock table is swept and
-    /// the transport re-establishes connections.
-    ServerRecover(usize),
+    /// A timer of the fault layer ([`inject::apply`]): the next entry of
+    /// the timeline installed with [`TxSim::set_scenario`] fires, or a
+    /// crashed participant's downtime ends.
+    Fault(FaultEv),
 }
 
 /// The multi-server transaction simulation.
@@ -272,20 +263,17 @@ pub struct TxSim<T: RpcTransport + OneSidedAccess> {
     cfg: TxConfig,
     /// Results.
     pub metrics: TxMetrics,
-    stop_at: SimTime,
     /// Outstanding one-sided validation reads:
     /// wr_id → (coordinator, slot, scratch offset, expected version).
     pending_reads: DetHashMap<WrId, (usize, usize, usize, u64)>,
     /// Coordinator machine threads (shared CPU, as in the harness).
-    threads: Vec<simcore::FifoResource>,
-    /// Coordinator → thread index.
-    thread_of: Vec<usize>,
+    cpu: ClientCpu,
     /// Per-slot scratch stride in bytes (validation read buffers).
     scratch_stride: usize,
-    /// Each participant cluster's server node (crash injection target).
+    /// Each participant cluster's server node (fault injection target).
     server_nodes: Vec<NodeId>,
-    /// Scheduled participant crashes: `(at, server, downtime)`.
-    chaos: Vec<(SimTime, usize, SimDuration)>,
+    /// Fabric-side faults to inject, sorted by time.
+    timeline: Vec<(SimTime, Injection)>,
     /// Requests whose response was synthesized as failed because the
     /// participant crashed while they were outstanding.
     pub crash_failures: u64,
@@ -325,6 +313,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         let mut transports = Vec::new();
         let mut kv_mrs = Vec::new();
         let mut server_nodes = Vec::new();
+        let mut cpu = None;
         let total_keys = cfg.keys_per_server * cfg.servers as u64;
         for s in 0..cfg.servers {
             let cluster = Cluster::build_shared(
@@ -343,6 +332,9 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             }
             kv_mrs.push(part.kv_mr);
             transports.push(make_transport(fabric, &cluster, part, s));
+            // The participants' clusters share their client machines:
+            // any one of them models the coordinators' threads.
+            cpu.get_or_insert_with(|| ClientCpu::new(cluster));
         }
         let rng = DetRng::new(cfg.seed);
         let coords = (0..cfg.coordinators)
@@ -372,17 +364,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 }
             })
             .collect();
-        let window_start = SimTime::ZERO + cfg.warmup;
-        let window_end = window_start + cfg.run;
-        let threads_per_machine = spec.threads_per_machine;
-        let thread_of = (0..cfg.coordinators)
-            .map(|c| {
-                let machine = c % machines.len();
-                let slot = c / machines.len();
-                machine * threads_per_machine + slot % threads_per_machine
-            })
-            .collect();
-        let threads = vec![simcore::FifoResource::new(); machines.len() * threads_per_machine];
+        let measured = Window::after(cfg.warmup, cfg.run);
         let scratch_stride = 4096 / cfg.window;
         TxSim {
             transports,
@@ -393,31 +375,30 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 aborted: 0,
                 latency: Histogram::new(),
                 slot_latency: vec![Histogram::new(); cfg.window],
-                window_start,
-                window_end,
+                measured,
             },
-            stop_at: window_end,
             cfg,
             pending_reads: DetHashMap::default(),
-            threads,
-            thread_of,
+            cpu: cpu.expect("at least one participant"),
             scratch_stride,
             server_nodes,
-            chaos: Vec::new(),
+            timeline: Vec::new(),
             crash_failures: 0,
             locks_swept: 0,
         }
     }
 
-    /// Schedules a participant crash: at `at`, every QP `server` owns is
-    /// torn down (in-flight packets toward it drop) and its transport is
-    /// marked down; `down` later the server warm-restarts — regions and
-    /// CQs intact, lock table swept, connections re-established. Must be
-    /// called before the sim runs (`init` plants the timeline).
-    pub fn inject_server_crash(&mut self, at: SimTime, server: usize, down: SimDuration) {
-        assert!(server < self.server_nodes.len(), "no such participant");
-        assert!(down > SimDuration::ZERO, "zero downtime is not a crash");
-        self.chaos.push((at, server, down));
+    /// Installs a scenario's fault timeline; `server` indexes the
+    /// participants. A crashed participant loses every QP it owns (in-
+    /// flight packets toward it drop) and warm-restarts after its
+    /// downtime — regions and CQs intact, lock table swept, connections
+    /// re-established. Coordinators are not a scenario population yet:
+    /// the spec is validated for zero clients, which rejects every
+    /// client-range event. Must be called before the sim runs.
+    pub fn set_scenario(&mut self, spec: ScenarioSpec) -> Result<(), ScenarioError> {
+        spec.validate(0)?;
+        self.timeline = spec.timeline;
+        Ok(())
     }
 
     /// Globally unique lock owner for `(coordinator, slot)`. The
@@ -442,15 +423,22 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         let per_op = SimDuration::nanos(
             (oh.per_post.as_nanos() + oh.per_response.as_nanos()) * self.cfg.coord_cpu_mult,
         );
-        let cost = per_op * ops.max(1) as u64;
-        let t = self.thread_of[c];
-        let grant = self.threads[t].acquire(cx.now, cost);
+        let grant = self.cpu.acquire(c, cx.now, per_op * ops.max(1) as u64);
         cx.at(grant.complete, TxEv::Advance(c, slot, action));
     }
 
     /// When measurement (and new transactions) stop.
     pub fn stop_at(&self) -> SimTime {
-        self.stop_at
+        self.metrics.measured.end
+    }
+
+    /// Replays the deployment on `fabric` — warm-up, measured window,
+    /// drain ([`ShardedSim::replay`]).
+    pub fn replay(self, fabric: Fabric) -> ShardedSim<Self> {
+        let measured = self.metrics.measured;
+        let mut sim = ShardedSim::new_sequential(fabric, self);
+        sim.replay(measured, &[]);
+        sim
     }
 
     /// Transaction slots currently occupied (not idle) across all
@@ -512,7 +500,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
     }
 
     fn begin_tx(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        if cx.now >= self.stop_at {
+        if cx.now >= self.stop_at() {
             self.coords[c].slots[slot].phase.set(Phase::Idle);
             return;
         }
@@ -551,7 +539,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
     }
 
     fn abort_and_retry(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        if cx.now >= self.metrics.window_start && cx.now <= self.metrics.window_end {
+        if self.metrics.measured.contains(cx.now) {
             self.metrics.aborted += 1;
         }
         let locked = std::mem::take(&mut self.coords[c].slots[slot].locked_servers);
@@ -625,7 +613,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         let latency = cx
             .now
             .saturating_since(self.coords[c].slots[slot].first_started);
-        if cx.now >= self.metrics.window_start && cx.now <= self.metrics.window_end {
+        if self.metrics.measured.contains(cx.now) {
             self.metrics.committed += 1;
             self.metrics.latency.record_duration(latency);
             self.metrics.slot_latency[slot].record_duration(latency);
@@ -933,40 +921,42 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         }
     }
 
-    /// Participant `s` crashes: fabric-level QP teardown, transport
-    /// marked down, outstanding requests toward it failed.
-    fn crash_server(&mut self, s: usize, down: SimDuration, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        cx.fabric.crash_node(self.server_nodes[s], cx.now);
-        with_indexed_cx(cx, s, |tcx| {
-            self.transports[s].on_lifecycle(LifecycleEv::ServerCrash, tcx)
-        });
-        self.fail_expected_toward(s, cx);
-        cx.after(down, TxEv::ServerRecover(s));
+    /// Offsets of the item slots in a participant's `len`-byte KV region.
+    fn slot_offsets(&self, len: usize) -> impl Iterator<Item = usize> {
+        let slot_bytes = mica_kv::KvTable::slot_bytes_for(self.cfg.value_size);
+        (0..len / slot_bytes).map(move |i| i * slot_bytes)
     }
 
-    /// Participant `s` warm-restarts. The region survived, but the
-    /// coordinator sessions its lock words name did not: every lock is
-    /// presumed abandoned and swept before the transport re-admits
-    /// traffic (requests buffered during the outage flush once their
-    /// connection re-establishes).
-    fn recover_server(&mut self, s: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        let slot_bytes = mica_kv::KvTable::slot_bytes_for(self.cfg.value_size);
-        let mem = cx
-            .fabric
+    /// KV items left locked on any participant. After the drain this
+    /// must be zero — a lock that outlived its transaction leaked.
+    pub fn locked_keys(&self, fabric: &Fabric) -> usize {
+        self.kv_mrs
+            .iter()
+            .map(|&mr| {
+                let mem = fabric.mr(mr).expect("kv region").as_slice();
+                self.slot_offsets(mem.len())
+                    .filter(|&off| mica_kv::item::read_lock(mem, off) != 0)
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Participant `s` is about to warm-restart. The region survived,
+    /// but the coordinator sessions its lock words name did not: every
+    /// lock is presumed abandoned and swept before the transport
+    /// re-admits traffic (requests buffered during the outage flush once
+    /// their connection re-establishes).
+    fn sweep_locks(&mut self, s: usize, fabric: &mut Fabric) {
+        let mem = fabric
             .mr_mut(self.kv_mrs[s])
             .expect("kv region")
             .as_mut_slice();
-        let mut off = 0;
-        while off + slot_bytes <= mem.len() {
+        for off in self.slot_offsets(mem.len()) {
             if mica_kv::item::read_lock(mem, off) != 0 {
                 mica_kv::item::write_lock(mem, off, 0);
                 self.locks_swept += 1;
             }
-            off += slot_bytes;
         }
-        with_indexed_cx(cx, s, |tcx| {
-            self.transports[s].on_lifecycle(LifecycleEv::ServerRecover, tcx)
-        });
     }
 }
 
@@ -981,10 +971,7 @@ impl<T: RpcTransport + OneSidedAccess> Logic for TxSim<T> {
             let jitter = self.coords[c].rng.below(3_000);
             cx.at(SimTime(jitter), TxEv::Start(c));
         }
-        let chaos = std::mem::take(&mut self.chaos);
-        for (at, s, down) in chaos {
-            cx.at(at, TxEv::ServerCrash(s, down));
-        }
+        inject::arm(&self.timeline, cx, TxEv::Fault);
     }
 
     fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, Self::Ev>) {
@@ -1037,8 +1024,25 @@ impl<T: RpcTransport + OneSidedAccess> Logic for TxSim<T> {
                 Action::Commit => self.start_commit(c, slot, cx),
                 Action::Abort => self.abort_and_retry(c, slot, cx),
             },
-            TxEv::ServerCrash(s, down) => self.crash_server(s, down, cx),
-            TxEv::ServerRecover(s) => self.recover_server(s, cx),
+            TxEv::Fault(ev) => {
+                if let FaultEv::Recover(s) = ev {
+                    self.sweep_locks(s, cx.fabric);
+                }
+                // The fault layer does the fabric and transport side; a
+                // crash also orphans this logic's outstanding requests.
+                let fired = inject::apply(
+                    ev,
+                    &self.timeline,
+                    &self.server_nodes,
+                    &mut self.transports,
+                    cx,
+                    TxEv::Fault,
+                    TxEv::Transport,
+                );
+                if let Some(Injection::ServerCrash { server, .. }) = fired {
+                    self.fail_expected_toward(server, cx);
+                }
+            }
         }
     }
 }
@@ -1080,7 +1084,7 @@ pub fn run_scalerpc_tx(
 }
 
 /// [`run_scalerpc_tx`] with a pre-run hook on the built [`TxSim`] —
-/// the place to plant chaos ([`TxSim::inject_server_crash`]) before the
+/// the place to install faults ([`TxSim::set_scenario`]) before the
 /// timeline starts.
 pub fn run_scalerpc_tx_with(
     cfg: TxConfig,
@@ -1100,10 +1104,7 @@ pub fn run_scalerpc_tx_with(
         scalerpc::ScaleRpc::new(fabric, cluster, sc, part)
     });
     setup(&mut tx);
-    let stop = tx.stop_at();
-    let mut sim = ShardedSim::new_sequential(fabric, tx);
-    sim.run_sequential(stop + SimDuration::millis(3));
-    sim
+    tx.replay(fabric)
 }
 
 #[cfg(test)]

@@ -71,17 +71,15 @@ fn one_sided_commit_actually_installs_values() {
     let sim = run_scalerpc_tx(cfg, scale_cfg(), SimDuration::ZERO);
     let committed = sim.logic(0).metrics.committed;
     assert!(committed > 500, "committed {committed}");
+    assert_eq!(
+        sim.logic(0).locked_keys(sim.fabric(0)),
+        0,
+        "keys left locked"
+    );
     let mut bumped = 0u64;
-    for s in 0..3 {
-        let part = sim.logic(0).transports[s].handler();
-        for key in 0..300u64 {
-            if scaletx::sim::shard_of(key, 3) != s {
-                continue;
-            }
-            let it = part.peek(sim.fabric(0), key).expect("preloaded");
-            assert_eq!(it.lock, 0, "key {key} left locked");
-            bumped += it.version - 1;
-        }
+    for key in 0..300u64 {
+        let part = sim.logic(0).transports[scaletx::sim::shard_of(key, 3)].handler();
+        bumped += part.peek(sim.fabric(0), key).expect("preloaded").version - 1;
     }
     assert!(bumped > 500, "versions should have advanced: {bumped}");
 }
@@ -107,17 +105,16 @@ fn smallbank_send_payments_conserve_money() {
     let total_accounts = (400u64 * 3) / 2;
     let sim = run_scalerpc_tx(cfg, scale_cfg(), SimDuration::ZERO);
     assert!(sim.logic(0).metrics.committed > 500);
-    for s in 0..3 {
-        let part = sim.logic(0).transports[s].handler();
-        for a in 0..total_accounts {
-            for key in [checking_key(a), savings_key(a)] {
-                if scaletx::sim::shard_of(key, 3) != s {
-                    continue;
-                }
-                let it = part.peek(sim.fabric(0), key).expect("account exists");
-                assert_eq!(it.lock, 0, "key {key} stuck locked");
-                assert_eq!(it.value.len(), 8, "torn value");
-            }
+    assert_eq!(
+        sim.logic(0).locked_keys(sim.fabric(0)),
+        0,
+        "keys stuck locked"
+    );
+    for a in 0..total_accounts {
+        for key in [checking_key(a), savings_key(a)] {
+            let part = sim.logic(0).transports[scaletx::sim::shard_of(key, 3)].handler();
+            let it = part.peek(sim.fabric(0), key).expect("account exists");
+            assert_eq!(it.value.len(), 8, "torn value");
         }
     }
 }
@@ -300,6 +297,36 @@ fn per_slot_latency_partitions_the_aggregate() {
     }
     // Out-of-range slots answer None instead of panicking.
     assert_eq!(m.slot_quantile_us(4, 0.5), None);
+}
+
+#[test]
+fn set_scenario_takes_fabric_side_faults_only() {
+    use rpc_core::inject::{Injection, ScenarioError, ScenarioSpec};
+    use simcore::SimTime;
+    let cfg = small_cfg(TxWorkload::smallbank(100, 3), true, 4);
+    let mut fabric = Fabric::new(FabricParams::default());
+    let mut tx = TxSim::build(&mut fabric, cfg, |f, cl, part, _| {
+        ScaleRpc::new(f, cl, scale_cfg(), part)
+    });
+    let spec = |timeline| ScenarioSpec {
+        starts: Vec::new(),
+        timeline,
+    };
+    let stall = Injection::ServerStall {
+        server: 2,
+        dur: SimDuration::micros(5),
+    };
+    assert_eq!(tx.set_scenario(spec(vec![(SimTime(10), stall)])), Ok(()));
+    // Coordinators are not a scenario population (yet).
+    let depart = Injection::Depart { first: 0, last: 1 };
+    assert!(matches!(
+        tx.set_scenario(spec(vec![(SimTime(10), depart)])),
+        Err(ScenarioError::ClientRange { index: 0, .. })
+    ));
+    assert_eq!(
+        tx.set_scenario(spec(vec![(SimTime(10), stall), (SimTime(5), stall)])),
+        Err(ScenarioError::UnsortedTimeline { index: 1 })
+    );
 }
 
 /// ScaleRPC handler type alias sanity (compile-time): the deployment is

@@ -98,7 +98,6 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 SizeModel::Fixed(s) => s,
                 SizeModel::Zipf { .. } => unreachable!("rejected by check_semantics"),
             };
-            let _ = w.msg_size; // population size wins; [workload] msg_size is the default
             Ok(Compiled::Raw(CompiledRaw {
                 cfg: RawVerbConfig {
                     kind: match w.verb {
@@ -213,7 +212,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 retry,
             };
             harness
-                .validate(n, false)
+                .validate(n)
                 .map_err(|e| err(format!("invalid harness config: {e}")))?;
 
             // Request sizes must fit the transports' message blocks with
@@ -424,6 +423,7 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
             }
             crate::scenario::EventKind::LinkRestore => Injection::LinkRestore,
             crate::scenario::EventKind::ServerPause { dur_us } => Injection::ServerStall {
+                server: 0,
                 dur: us("dur_us", *dur_us)?,
             },
             crate::scenario::EventKind::Depart { population } => {
@@ -444,6 +444,7 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
                 }
             }
             crate::scenario::EventKind::ServerCrash { down_us } => Injection::ServerCrash {
+                server: 0,
                 down: us("down_us", *down_us)?,
             },
             crate::scenario::EventKind::ClientReconnect { population } => {
@@ -669,6 +670,7 @@ mod tests {
             vec![(
                 SimTime(300_000),
                 Injection::ServerCrash {
+                    server: 0,
                     down: SimDuration::micros(50)
                 }
             )]

@@ -1,8 +1,8 @@
 //! Executes compiled scenarios and reports their outcomes.
 //!
-//! The RPC path mirrors the benchmark runner's drive loop
+//! The RPC path mirrors the benchmark runner
 //! (`scalerpc_bench::rpcbench::run_rpc`) — same cluster construction,
-//! same warmup/measure/drain phases — with two additions: the compiled
+//! same `Harness::replay` — with two additions: the compiled
 //! [`ScenarioSpec`] is installed on the harness before the run, and the
 //! report carries the fuzzer's invariant witnesses (issued/completed/
 //! in-flight totals, stuck clients, per-tenant op counts). A scenario
@@ -16,13 +16,10 @@ use rdma_fabric::{Fabric, FabricParams};
 use rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
 use rpc_core::cluster::Cluster;
 use rpc_core::harness::Harness;
-use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::EchoHandler;
 use scalerpc::ScaleRpc;
 use scalerpc_bench::rawverbs::run_raw_verbs;
-use scaletx::sim::shard_of;
-use scaletx::workload::{checking_key, savings_key, TxWorkload};
-use scaletx::TxSim;
+use scaletx::sim::run_scalerpc_tx;
 use simcore::SimDuration;
 
 /// Outcome of one scenario run. Raw/RPC/TX runs populate the fields
@@ -157,126 +154,84 @@ pub fn run_scenario(sc: &Scenario) -> Result<ScenarioReport, ScenarioError> {
 fn run_rpc_scenario(sc: &Scenario, c: &CompiledRpc) -> Result<ScenarioReport, ScenarioError> {
     let mut fabric = Fabric::new(FabricParams::default());
     let cluster = Cluster::build(&mut fabric, c.cluster.clone());
-
-    macro_rules! drive {
-        ($t:expr) => {{
-            let mut h = Harness::try_with_generator($t, cluster, c.harness.clone(), c.make_gen())
-                .map_err(|e| err(format!("invalid harness config: {e}")))?;
-            h.set_scenario(c.spec.clone())
-                .map_err(|e| err(format!("invalid scenario spec: {e}")))?;
-            let stop = h.stop_at();
-            let mut sim = ShardedSim::new_sequential(fabric, h);
-            let events = sim.run_sequential(stop + SimDuration::millis(3));
-            let h = sim.logic(0);
-            let mut tenant_ops: Vec<(u32, u64)> = Vec::new();
-            for (client, &done) in h.completed_by_client().iter().enumerate() {
-                let tag = c.tenants[client];
-                match tenant_ops.iter_mut().find(|(t, _)| *t == tag) {
-                    Some((_, total)) => *total += done,
-                    None => tenant_ops.push((tag, done)),
-                }
-            }
-            tenant_ops.sort_unstable();
-            ScenarioReport {
-                name: sc.name.clone(),
-                kind: "rpc",
-                events,
-                ops: h.metrics.ops,
-                mops: h.metrics.mops(),
-                issued: h.issued(),
-                completed: h.completed(),
-                in_flight: h.in_flight(),
-                stuck: h.stuck_clients().len(),
-                tenant_ops,
-                ..Default::default()
-            }
-        }};
-    }
-
-    Ok(match c.transport {
+    let echo = EchoHandler::default();
+    match c.transport {
         RpcTransport::ScaleRpc => {
             let cfg = c.scale.clone().expect("scalerpc config compiled");
-            let t = ScaleRpc::new(&mut fabric, &cluster, cfg, EchoHandler::default());
-            drive!(t)
+            let t = ScaleRpc::new(&mut fabric, &cluster, cfg, echo);
+            drive(sc, c, fabric, cluster, t)
         }
         RpcTransport::RawWrite => {
-            let t = RawWrite::new(&mut fabric, &cluster, 8, 4096, EchoHandler::default());
-            drive!(t)
+            let t = RawWrite::new(&mut fabric, &cluster, 8, 4096, echo);
+            drive(sc, c, fabric, cluster, t)
         }
         RpcTransport::Herd => {
-            let t = Herd::new(&mut fabric, &cluster, 8, 4096, EchoHandler::default());
-            drive!(t)
+            let t = Herd::new(&mut fabric, &cluster, 8, 4096, echo);
+            drive(sc, c, fabric, cluster, t)
         }
         RpcTransport::Fasst => {
-            let t = Fasst::new(&mut fabric, &cluster, 4096, EchoHandler::default());
-            drive!(t)
+            let t = Fasst::new(&mut fabric, &cluster, 4096, echo);
+            drive(sc, c, fabric, cluster, t)
         }
         RpcTransport::SelfRpc => {
-            let t = SelfRpc::new(&mut fabric, &cluster, 8, 4096, EchoHandler::default());
-            drive!(t)
+            let t = SelfRpc::new(&mut fabric, &cluster, 8, 4096, echo);
+            drive(sc, c, fabric, cluster, t)
         }
+    }
+}
+
+/// Replays the compiled scenario over `transport` and reads the report.
+fn drive<T: rpc_core::RpcTransport>(
+    sc: &Scenario,
+    c: &CompiledRpc,
+    fabric: Fabric,
+    cluster: Cluster,
+    transport: T,
+) -> Result<ScenarioReport, ScenarioError> {
+    let mut h = Harness::try_with_generator(transport, cluster, c.harness.clone(), c.make_gen())
+        .map_err(|e| err(format!("invalid harness config: {e}")))?;
+    h.set_scenario(c.spec.clone())
+        .map_err(|e| err(format!("invalid scenario spec: {e}")))?;
+    let (sim, _) = h.replay(fabric);
+    let h = sim.logic(0);
+    let mut tenant_ops: Vec<(u32, u64)> = Vec::new();
+    for (client, &done) in h.completed_by_client().iter().enumerate() {
+        let tag = c.tenants[client];
+        match tenant_ops.iter_mut().find(|(t, _)| *t == tag) {
+            Some((_, total)) => *total += done,
+            None => tenant_ops.push((tag, done)),
+        }
+    }
+    tenant_ops.sort_unstable();
+    Ok(ScenarioReport {
+        name: sc.name.clone(),
+        kind: "rpc",
+        events: sim.events(),
+        ops: h.metrics.ops,
+        mops: h.metrics.mops(),
+        issued: h.issued(),
+        completed: h.completed(),
+        in_flight: h.in_flight(),
+        stuck: h.stuck_clients().len(),
+        tenant_ops,
+        ..Default::default()
     })
 }
 
 fn run_tx_scenario(sc: &Scenario, c: &CompiledTx) -> ScenarioReport {
-    let mut fabric = Fabric::new(FabricParams::default());
-    let window = c.tx.window;
-    let scale = c.scale.clone();
-    let tx = TxSim::build(&mut fabric, c.tx.clone(), |fabric, cluster, part, _s| {
-        let mut sc = scale.clone();
-        sc.client_window = sc.client_window.max(window.min(sc.slots));
-        ScaleRpc::new(fabric, cluster, sc, part)
-    });
-    let stop = tx.stop_at();
-    let mut sim = ShardedSim::new_sequential(fabric, tx);
-    let events = sim.run_sequential(stop + SimDuration::millis(3));
-
-    // Lock sweep: every preloaded item must be unlocked after the drain.
-    let servers = c.tx.servers;
-    let keys: Vec<u64> = match c.tx.workload {
-        TxWorkload::ObjectStore {
-            keys_per_server,
-            servers,
-            ..
-        } => (0..keys_per_server * servers).collect(),
-        TxWorkload::SmallBank {
-            accounts_per_server,
-            servers,
-            ..
-        } => {
-            let accounts = accounts_per_server * servers / 2;
-            (0..accounts)
-                .flat_map(|a| [checking_key(a), savings_key(a)])
-                .collect()
-        }
-    };
-    let mut locked = 0;
-    for s in 0..servers {
-        let part = sim.logic(0).transports[s].handler();
-        for &key in &keys {
-            if shard_of(key, servers) != s {
-                continue;
-            }
-            if let Some(it) = part.peek(sim.fabric(0), key) {
-                if it.lock != 0 {
-                    locked += 1;
-                }
-            }
-        }
-    }
-
-    let m = &sim.logic(0).metrics;
-    let secs = c.tx.run.as_secs_f64();
+    let sim = run_scalerpc_tx(c.tx.clone(), c.scale.clone(), SimDuration::ZERO);
+    let tx = sim.logic(0);
+    let m = &tx.metrics;
     ScenarioReport {
         name: sc.name.clone(),
         kind: "tx",
-        events,
+        events: sim.events(),
         ops: m.committed,
-        mops: m.committed as f64 / secs / 1e6,
+        mops: m.committed as f64 / c.tx.run.as_secs_f64() / 1e6,
         committed: m.committed,
         aborted: m.aborted,
-        busy_slots: sim.logic(0).busy_slots(),
-        locked_keys: locked,
+        busy_slots: tx.busy_slots(),
+        locked_keys: tx.locked_keys(sim.fabric(0)),
         ..Default::default()
     }
 }

@@ -73,10 +73,8 @@ pub enum RpcTransport {
 /// A raw-verb workload (compiled to `RawVerbConfig`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RawWorkload {
-    /// Which verb.
+    /// Which verb. The message size is the population's `size`.
     pub verb: RawVerb,
-    /// Message size in bytes.
-    pub msg_size: usize,
     /// Message block size in the pool.
     pub block_size: usize,
     /// Blocks per client.
@@ -576,7 +574,7 @@ impl Scenario {
                 if !self.events.is_empty() {
                     return Err(fail(
                         wspan,
-                        "chaos events require an rpc workload (tx runs have no injection hooks)",
+                        "chaos events require an rpc workload (not compiled for tx workloads yet)",
                     ));
                 }
             }
@@ -634,12 +632,17 @@ fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
     let kind = as_str(req(t, "kind")?)?;
     match kind {
         "raw" => {
+            if let Some(e) = t.get("msg_size") {
+                return Err(fail(
+                    Some(e.span),
+                    "unknown key `msg_size` in [workload] (a raw run's message size is `size` of its [[population]])",
+                ));
+            }
             check_keys(
                 t,
                 &[
                     "kind",
                     "verb",
-                    "msg_size",
                     "block_size",
                     "blocks_per_client",
                     "server_threads",
@@ -663,7 +666,6 @@ fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
             };
             Ok(Workload::Raw(RawWorkload {
                 verb,
-                msg_size: opt_usize(t, "msg_size", 32)?,
                 block_size: opt_usize(t, "block_size", 4096)?,
                 blocks_per_client: opt_usize(t, "blocks_per_client", 20)?,
                 server_threads: opt_usize(t, "server_threads", 10)?,
@@ -1012,7 +1014,6 @@ impl Scenario {
                     RawVerb::UdSend => "ud_send",
                 };
                 let _ = writeln!(o, "verb = {}", esc(verb));
-                let _ = writeln!(o, "msg_size = {}", w.msg_size);
                 let _ = writeln!(o, "block_size = {}", w.block_size);
                 let _ = writeln!(o, "blocks_per_client = {}", w.blocks_per_client);
                 let _ = writeln!(o, "server_threads = {}", w.server_threads);

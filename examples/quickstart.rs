@@ -13,7 +13,6 @@
 use scalerpc_repro::rdma_fabric::{Fabric, FabricParams};
 use scalerpc_repro::rpc_core::cluster::{Cluster, ClusterSpec};
 use scalerpc_repro::rpc_core::harness::{Harness, HarnessConfig};
-use scalerpc_repro::rpc_core::sharded::ShardedSim;
 use scalerpc_repro::rpc_core::transport::EchoHandler;
 use scalerpc_repro::rpc_core::workload::ThinkTime;
 use scalerpc_repro::scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -64,10 +63,9 @@ fn main() {
         },
     );
 
-    // 5. Run the simulation and report.
-    let stop = harness.stop_at();
-    let mut sim = ShardedSim::new_sequential(fabric, harness);
-    sim.run_sequential(stop + SimDuration::millis(3));
+    // 5. Run the simulation — warm-up, measured window, drain — and
+    //    report.
+    let (sim, _) = harness.replay(fabric);
 
     let m = &sim.logic(0).metrics;
     println!("ScaleRPC echo, 120 clients, batch 8");

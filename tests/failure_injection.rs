@@ -239,17 +239,11 @@ fn windowed_lock_storm_converges_without_stuck_slots() {
         0,
         "coordinator slots still busy after the drain — pipeline deadlock"
     );
-    for s in 0..3 {
-        let part = sim.logic(0).transports[s].handler();
-        for key in 0..12u64 {
-            if scalerpc_repro::scaletx::sim::shard_of(key, 3) != s {
-                continue;
-            }
-            if let Some(it) = part.peek(sim.fabric(0), key) {
-                assert_eq!(it.lock, 0, "key {key} left locked");
-            }
-        }
-    }
+    assert_eq!(
+        sim.logic(0).locked_keys(sim.fabric(0)),
+        0,
+        "keys left locked"
+    );
 }
 
 #[test]
@@ -298,18 +292,17 @@ fn windowed_smallbank_holds_serializability_witnesses() {
         sim.logic(0).metrics.committed
     );
     assert_eq!(sim.logic(0).busy_slots(), 0, "slot deadlock after drain");
+    assert_eq!(
+        sim.logic(0).locked_keys(sim.fabric(0)),
+        0,
+        "keys stuck locked"
+    );
     let total_accounts = (400u64 * 3) / 2;
-    for s in 0..3 {
-        let part = sim.logic(0).transports[s].handler();
-        for a in 0..total_accounts {
-            for key in [checking_key(a), savings_key(a)] {
-                if shard_of(key, 3) != s {
-                    continue;
-                }
-                let it = part.peek(sim.fabric(0), key).expect("account exists");
-                assert_eq!(it.lock, 0, "key {key} stuck locked");
-                assert_eq!(it.value.len(), 8, "torn value");
-            }
+    for a in 0..total_accounts {
+        for key in [checking_key(a), savings_key(a)] {
+            let part = sim.logic(0).transports[shard_of(key, 3)].handler();
+            let it = part.peek(sim.fabric(0), key).expect("account exists");
+            assert_eq!(it.value.len(), 8, "torn value");
         }
     }
 }
@@ -419,6 +412,7 @@ fn server_crash_mid_window_conserves_and_replays() {
     let timeline = vec![(
         crash_at,
         Injection::ServerCrash {
+            server: 0,
             down: SimDuration::micros(150),
         },
     )];
@@ -519,14 +513,12 @@ fn client_reconnect_mid_slice_pays_setup_and_conserves() {
     );
 }
 
-#[test]
-fn lock_holder_crash_frees_locks_and_replays_bit_exactly() {
-    // A participant crashes mid-run while coordinators hold its locks.
-    // The presumed-abort recovery sweep must free every lock the dead
-    // transactions left behind (unlock writes posted during the outage
-    // drop at the errored QPs), the failed phases must abort-and-retry,
-    // and the whole recovery must replay bit-exactly.
-    use scalerpc_repro::scaletx::sim::{run_scalerpc_tx_with, shard_of};
+/// Runs the 16-coordinator, 24-key ScaleTX deployment under `timeline`
+/// and asserts the recovery invariants: every slot back to idle, some
+/// in-flight phases failed by the crash, the system still committing,
+/// and not one lock left behind. Returns the run's fingerprint.
+fn tx_chaos_run(timeline: Vec<(SimTime, Injection)>) -> (u64, u64, u64, u64, u64) {
+    use scalerpc_repro::scaletx::sim::run_scalerpc_tx_with;
     use scalerpc_repro::scaletx::workload::TxWorkload;
     use scalerpc_repro::scaletx::TxConfig;
 
@@ -556,48 +548,84 @@ fn lock_holder_crash_frees_locks_and_replays_bit_exactly() {
         block_size: 2048,
         ..Default::default()
     };
-    let run = || {
-        let sim = run_scalerpc_tx_with(cfg.clone(), scale.clone(), SimDuration::ZERO, |tx| {
-            tx.inject_server_crash(
-                SimTime::ZERO + SimDuration::micros(2_613),
-                1,
-                SimDuration::micros(500),
-            );
-        });
-        let events = sim.events();
-        let l = sim.logic(0);
-        assert_eq!(l.busy_slots(), 0, "slot deadlock after crash recovery");
-        assert!(
-            l.crash_failures > 0,
-            "the crash must fail some in-flight transaction phases"
-        );
-        assert!(
-            l.metrics.committed > 100,
-            "system must keep committing: {}",
-            l.metrics.committed
-        );
-        for s in 0..3 {
-            let part = l.transports[s].handler();
-            for key in 0..24u64 {
-                if shard_of(key, 3) != s {
-                    continue;
-                }
-                if let Some(it) = part.peek(sim.fabric(0), key) {
-                    assert_eq!(it.lock, 0, "key {key} left locked after the crash");
-                }
-            }
-        }
-        (
-            events,
-            l.metrics.committed,
-            l.metrics.aborted,
-            l.crash_failures,
-            l.locks_swept,
-        )
+    let spec = ScenarioSpec {
+        starts: Vec::new(),
+        timeline,
     };
-    let a = run();
-    let b = run();
+    let sim = run_scalerpc_tx_with(cfg, scale, SimDuration::ZERO, |tx| {
+        tx.set_scenario(spec).expect("fault timeline accepted")
+    });
+    let l = sim.logic(0);
+    assert_eq!(l.busy_slots(), 0, "slot deadlock after crash recovery");
+    assert!(
+        l.crash_failures > 0,
+        "the crash must fail some in-flight transaction phases"
+    );
+    assert!(
+        l.metrics.committed > 100,
+        "system must keep committing: {}",
+        l.metrics.committed
+    );
+    assert_eq!(
+        l.locked_keys(sim.fabric(0)),
+        0,
+        "keys left locked after the crash"
+    );
+    (
+        sim.events(),
+        l.metrics.committed,
+        l.metrics.aborted,
+        l.crash_failures,
+        l.locks_swept,
+    )
+}
+
+#[test]
+fn lock_holder_crash_frees_locks_and_replays_bit_exactly() {
+    // A participant crashes mid-run while coordinators hold its locks.
+    // The presumed-abort recovery sweep must free every lock the dead
+    // transactions left behind (unlock writes posted during the outage
+    // drop at the errored QPs), the failed phases must abort-and-retry,
+    // and the whole recovery must replay bit-exactly.
+    let timeline = vec![(
+        SimTime::ZERO + SimDuration::micros(2_613),
+        Injection::ServerCrash {
+            server: 1,
+            down: SimDuration::micros(500),
+        },
+    )];
+    let a = tx_chaos_run(timeline.clone());
+    let b = tx_chaos_run(timeline);
     assert_eq!(a, b, "crash recovery must replay bit-exactly");
+}
+
+#[test]
+fn two_participant_crashes_on_a_degraded_wire_recover_and_replay_bit_exactly() {
+    // What the one fault layer buys transaction runs: a timeline. The
+    // wire degrades, participant 1 dies, participant 2 dies while 1 is
+    // still down, the wire recovers — and the same invariants hold.
+    let at = |us| SimTime::ZERO + SimDuration::micros(us);
+    let crash = |server, down_us| Injection::ServerCrash {
+        server,
+        down: SimDuration::micros(down_us),
+    };
+    let timeline = vec![
+        (
+            at(1_900),
+            Injection::LinkDegrade {
+                num: 2,
+                den: 1,
+                extra: SimDuration::nanos(200),
+            },
+        ),
+        (at(2_613), crash(1, 500)),
+        (at(2_900), crash(2, 300)),
+        (at(4_000), Injection::LinkRestore),
+    ];
+    let a = tx_chaos_run(timeline.clone());
+    let b = tx_chaos_run(timeline);
+    assert_eq!(a, b, "multi-fault recovery must replay bit-exactly");
+    assert!(a.4 > 0, "both restarts sweep, at least one finds a lock");
 }
 
 #[test]
@@ -642,12 +670,16 @@ fn rpc_unlock_abort_after_crash_in_any_phase_stays_inside_the_phase_table() {
     };
     let mut crash_failures = 0;
     for at_us in (1_500..=4_500).step_by(25) {
+        let mut spec = ScenarioSpec::empty(0);
+        spec.timeline = vec![(
+            SimTime::ZERO + SimDuration::micros(at_us),
+            Injection::ServerCrash {
+                server: 1,
+                down: SimDuration::micros(500),
+            },
+        )];
         let sim = run_scalerpc_tx_with(cfg.clone(), scale.clone(), SimDuration::ZERO, |tx| {
-            tx.inject_server_crash(
-                SimTime::ZERO + SimDuration::micros(at_us),
-                1,
-                SimDuration::micros(500),
-            );
+            tx.set_scenario(spec).expect("fault timeline accepted")
         });
         crash_failures += sim.logic(0).crash_failures;
     }
@@ -703,15 +735,9 @@ fn lock_storm_converges() {
         m.aborted
     );
     // All locks eventually released.
-    for s in 0..3 {
-        let part = sim.logic(0).transports[s].handler();
-        for key in 0..12u64 {
-            if scalerpc_repro::scaletx::sim::shard_of(key, 3) != s {
-                continue;
-            }
-            if let Some(it) = part.peek(sim.fabric(0), key) {
-                assert_eq!(it.lock, 0, "key {key} left locked");
-            }
-        }
-    }
+    assert_eq!(
+        sim.logic(0).locked_keys(sim.fabric(0)),
+        0,
+        "keys left locked"
+    );
 }
