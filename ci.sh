@@ -23,7 +23,8 @@
 # change that breaks its build, its tests (the raw-inbound workload is
 # pinned to run_raw_verbs' (events, ops)) or its output checks
 # (round-to-round fingerprints, conservation, nothing stuck) fails here,
-# not in the next perf PR.
+# not in the next perf PR. Its traced ScaleRPC replay then gates the
+# allocation counts of each layer against recorded ceilings.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -125,5 +126,29 @@ cargo run --release -p scalerpc-bench --bin fig_timeline -- \
 echo "== repo benchmark (tests + quick run, both of its binaries) =="
 bash benchmark/run.sh --test
 bash benchmark/run.sh --quick
+
+echo "== allocation gate (traced ScaleRPC replay, seed 42) =="
+# Allocations per operation and per event are exact counts of a
+# deterministic replay, so the gate is not flaky: each must be at or
+# below the value recorded when the message path last shed allocations
+# (PR 18; EXPERIMENTS.md has the ledger). A change that allocates on
+# the per-message path fails here with the layer named, and one that
+# sheds more lowers the ceilings in the same PR.
+bash benchmark/run.sh --workload rpc_scalerpc_400c_b8 --seed 42 --seconds 3 --trace 1 | awk '
+    BEGIN {
+        ceiling["scalerpc.allocs_per_op"] = "3.311603"
+        ceiling["rpc-core.harness_allocs_per_op"] = "0.000038"
+        ceiling["rpc-core.sharded_allocs_per_event"] = "0.002604"
+        ceiling["bench.allocs_per_op"] = "4.437184"
+    }
+    $2 in ceiling {
+        seen++
+        printf "%-36s %s (ceiling %s)\n", $2, $3, ceiling[$2]
+        if ($3 + 0 > ceiling[$2] + 0) { print "allocation gate: " $2 " rose"; bad = 1 }
+    }
+    END {
+        if (seen != 4) { print "allocation gate: expected 4 metrics, saw " seen; exit 1 }
+        exit bad
+    }'
 
 echo "ci.sh: all gates passed"

@@ -19,7 +19,7 @@ use crate::counters::{Counter, NodeCounters};
 use crate::cq::{CompletionQueue, Wc, WcOpcode, WcStatus};
 use crate::error::{VerbError, VerbResult};
 use crate::llc::{DmaWriteOutcome, LlcModel};
-use crate::mr::MemoryRegion;
+use crate::mr::{MemoryRegion, Snapshot};
 use crate::niccache::NicCache;
 use crate::params::{FabricParams, LinkDegrade};
 use crate::qp::{QpState, QueuePair, RecvWqe, Transport};
@@ -102,7 +102,8 @@ enum PacketKind {
         local_offset: usize,
     },
     ReadResp {
-        data: Bytes,
+        /// The range as it was when the request reached the responder.
+        data: Box<Snapshot>,
         local_mr: MrId,
         local_offset: usize,
     },
@@ -139,6 +140,17 @@ struct Packet {
     kind: PacketKind,
 }
 
+/// Bytes on their way into a region.
+#[derive(Debug)]
+enum Landing {
+    /// A send or write payload.
+    Bytes(Bytes),
+    /// An RDMA READ response.
+    Lines(Box<Snapshot>),
+    /// An atomic's old value.
+    Word(u64),
+}
+
 #[derive(Debug)]
 enum Inner {
     /// The tx NIC engine picks up a posted WQE.
@@ -149,7 +161,7 @@ enum Inner {
     Deliver {
         node: NodeId,
         /// `(region, offset, bytes)` landing in host memory.
-        write: (MrId, usize, Bytes),
+        write: (MrId, usize, Landing),
         /// Whether the landing is announced as [`Upcall::MemWrite`].
         notify: bool,
         wc: Option<(CqId, Wc)>,
@@ -165,6 +177,14 @@ enum Inner {
 /// between the scheduler callback and [`Fabric::handle`].
 #[derive(Debug)]
 pub struct FabricEvent(Inner);
+
+// Every queue push, pop and cascade moves an event by value; past 128
+// bytes the compiler stops inlining that move and calls `memcpy`.
+const _: () = assert!(std::mem::size_of::<FabricEvent>() <= 96);
+
+/// READ snapshots kept for reuse. In-flight READs beyond this allocate;
+/// a run of large READs pins at most this many of their buffers.
+const SPARE_SNAPSHOTS: usize = 64;
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -197,6 +217,12 @@ pub struct Fabric {
     /// nominal fabric — scenario-free runs never read past the
     /// `is_none` check).
     degrade: Option<LinkDegrade>,
+    /// Delivered READ snapshots, reused by later READs (at most
+    /// [`SPARE_SNAPSHOTS`]). Boxed as they travel in events, so the box
+    /// is reused with its buffers. Per fabric, so a replay's allocations
+    /// do not depend on what ran before it in the process.
+    #[allow(clippy::vec_box)]
+    spare_snapshots: Vec<Box<Snapshot>>,
 }
 
 /// Wire serialization cost under the current impairment.
@@ -233,6 +259,7 @@ impl Fabric {
             tracer: Tracer::disabled(),
             trace_ctx: 0,
             degrade: None,
+            spare_snapshots: Vec::new(),
         }
     }
 
@@ -839,16 +866,27 @@ impl Fabric {
             Inner::RxProcess { pkt } => self.rx_process(now, pkt, sched),
             Inner::Deliver {
                 node,
-                write: (mr, offset, data),
+                write: (mr, offset, landing),
                 notify,
                 wc,
             } => {
                 // In-flight packets toward destroyed regions cannot
                 // exist: regions are never deregistered. Bounds were
                 // checked at rx time.
-                self.mrs[mr.index()]
-                    .write(offset, &data)
-                    .expect("bounds checked at rx"); // simlint: allow(R3): bounds checked at rx; regions are never deregistered
+                let region = &mut self.mrs[mr.index()]; // MrId indexes self.mrs: regions are never deregistered
+                let (len, landed) = match landing {
+                    Landing::Bytes(data) => (data.len(), region.write(offset, &data)),
+                    Landing::Word(old) => (8, region.write(offset, &old.to_le_bytes())),
+                    Landing::Lines(snap) => {
+                        let landed = region.restore(offset, &snap);
+                        let len = snap.len();
+                        if self.spare_snapshots.len() < SPARE_SNAPSHOTS {
+                            self.spare_snapshots.push(snap);
+                        }
+                        (len, landed)
+                    }
+                };
+                landed.expect("bounds checked at rx"); // simlint: allow(R3): bounds checked at rx; regions are never deregistered
                 if let Some((cq, wc)) = wc {
                     self.cqs[cq.index()].push(wc); // CqId indexes self.cqs: CQs are never destroyed
                     upcalls.push(Upcall::Completion { node, cq, wc });
@@ -858,7 +896,7 @@ impl Fabric {
                         node,
                         mr,
                         offset,
-                        len: data.len(),
+                        len,
                     });
                 }
             }
@@ -1113,7 +1151,7 @@ impl Fabric {
                     done + p_dma,
                     FabricEvent(Inner::Deliver {
                         node: dst_node,
-                        write: (r.mr, r.offset, data),
+                        write: (r.mr, r.offset, Landing::Bytes(data)),
                         notify: true,
                         wc: Some((self.qps[hdr.dst_qp.index()].recv_cq(), wc)), // QpId indexes self.qps: QPs error out but are never freed
                     }),
@@ -1161,7 +1199,7 @@ impl Fabric {
                     done + p_dma,
                     FabricEvent(Inner::Deliver {
                         node: dst_node,
-                        write: (remote.mr, remote.offset, data),
+                        write: (remote.mr, remote.offset, Landing::Bytes(data)),
                         notify: true,
                         wc,
                     }),
@@ -1189,11 +1227,12 @@ impl Fabric {
                 let occ = (self.params.nic_rx_base + self.params.dma_read_per_line * lines)
                     .max(ser_cost(&self.params, degrade, len));
                 let grant = node.rx.acquire(now, occ);
-                let data = Bytes::copy_from_slice(
-                    self.mrs[remote.mr.index()] // MrId indexes self.mrs: regions are never deregistered
-                        .read(remote.offset, len)
-                        .expect("bounds checked above"), // simlint: allow(R3): bounds checked above
-                );
+                // Taken now, not at delivery: the requester gets the bytes
+                // the responder NIC read, whatever is stored here later.
+                let mut data = self.spare_snapshots.pop().unwrap_or_default();
+                self.mrs[remote.mr.index()] // MrId indexes self.mrs: regions are never deregistered
+                    .snapshot(remote.offset, len, &mut data)
+                    .expect("bounds checked above"); // simlint: allow(R3): bounds checked above
                 let kind = PacketKind::ReadResp {
                     data,
                     local_mr,
@@ -1219,7 +1258,7 @@ impl Fabric {
                     done + p_dma,
                     FabricEvent(Inner::Deliver {
                         node: req_node,
-                        write: (local_mr, local_offset, data),
+                        write: (local_mr, local_offset, Landing::Lines(data)),
                         notify: false,
                         wc: None,
                     }),
@@ -1271,12 +1310,11 @@ impl Fabric {
             } => {
                 let node = &mut self.nodes[req_node.index()]; // NodeId indexes self.nodes: nodes are never removed
                 let grant = node.rx.acquire(now, self.params.nic_rx_base);
-                let old = Bytes::copy_from_slice(&old.to_le_bytes());
                 sched(
                     grant.complete + p_dma,
                     FabricEvent(Inner::Deliver {
                         node: req_node,
-                        write: (local_mr, local_offset, old),
+                        write: (local_mr, local_offset, Landing::Word(old)),
                         notify: false,
                         wc: None,
                     }),

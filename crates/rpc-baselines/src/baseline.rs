@@ -42,9 +42,15 @@ impl<H: ServerHandler> Server<H> {
     /// for `fixed_cost + read_cost + handler cost`, behind whatever it
     /// was already doing — and schedules the response post for when it
     /// finishes.
-    fn serve(&mut self, req: Received, traces: &TraceTable, cx: &mut Cx<'_, SendResponse>) {
+    fn serve(
+        &mut self,
+        req: Received,
+        request: &[u8],
+        traces: &TraceTable,
+        cx: &mut Cx<'_, SendResponse>,
+    ) {
         let (client, seq) = (req.header.client_id as usize, req.header.seq);
-        let (payload, handler_cost) = self.handler.handle(client, &req.payload, cx.fabric);
+        let (payload, handler_cost) = self.handler.handle(client, request, cx.fabric);
         let service = self.fixed_cost + req.read_cost + handler_cost;
         let w = self.workers.owner_of(req.queue);
         let done = self.workers.run(w, cx.now, service);
@@ -67,6 +73,10 @@ pub struct Baseline<Rq, Rs, H> {
     server: Server<H>,
     traces: TraceTable,
     overhead: ClientOverhead,
+    /// Payload of the request being served: copied out of the pool or
+    /// ring once (the handler also gets the fabric that owns those),
+    /// into a buffer that is reused.
+    request: Vec<u8>,
 }
 
 impl<Rq, Rs, H> Baseline<Rq, Rs, H> {
@@ -86,6 +96,7 @@ impl<Rq, Rs, H> Baseline<Rq, Rs, H> {
             server,
             traces: TraceTable::new(fabric),
             overhead,
+            request: Vec::new(),
         }
     }
 
@@ -106,16 +117,15 @@ impl<Rq: RequestPath, Rs: ResponsePath, H: ServerHandler> RpcTransport for Basel
     fn init(&mut self, _cx: &mut Cx<'_, SendResponse>) {}
 
     fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, SendResponse>, out: &mut Vec<Response>) {
-        if let Some(req) = self.requests.arrival(&up, cx.fabric) {
-            self.server.serve(req, &self.traces, cx);
+        if let Some(req) = self.requests.arrival(&up, cx.fabric, &mut self.request) {
+            self.server.serve(req, &self.request, &self.traces, cx);
         } else if let Some(resp) = self.responses.landed(&up, cx.fabric) {
             let (client, seq) = (resp.header.client_id as usize, resp.header.seq);
             self.traces.close(client, seq, cx.now);
-            let payload = Bytes::from(resp.payload);
             out.push(Response {
                 client,
                 seq,
-                payload,
+                payload: resp.payload,
             });
             self.requests.release(client, &self.traces, cx);
         }

@@ -21,9 +21,10 @@
 //! Shared by every cell: the pairing itself, one `RpcTransport` impl
 //! ([`baseline::Baseline`]) around the server half that runs the handler
 //! on the owning worker ([`baseline::Server`]); the receive rings
-//! ([`ring::UdRings`]); pool-block framing ([`pool::write_block`],
-//! [`pool::take_block`]); the open-trace table ([`trace::TraceTable`]);
-//! and header framing (`rpc_core::message::RpcHeader::frame`).
+//! ([`ring::UdRings`]); pool-block framing ([`pool::write_block`] and
+//! `rpc_core::message::MsgBuf::take_rpc`, the one Valid-byte clear,
+//! shared with ScaleRPC); the open-trace table ([`trace::TraceTable`]);
+//! and datagram framing (`rpc_core::message::RpcHeader::frame`).
 //!
 //! All implement [`rpc_core::RpcTransport`], so the harness and the
 //! downstream systems swap them freely.
@@ -58,14 +59,19 @@ pub use udchunk::UdChunk;
 /// A message decoded where it was delivered: a request at the server
 /// (by a [`request::RequestPath`]) or a response at its client (by a
 /// [`response::ResponsePath`]).
-pub struct Received {
+///
+/// The payload is copied out of the memory region once, by whoever
+/// keeps it: a response becomes the [`bytes::Bytes`] its client is
+/// handed (`P`), a request goes into the transport's reused buffer
+/// (`P = ()`), which outlives the handler call that reads it.
+pub struct Received<P = ()> {
     /// At the server: the pool zone or receive queue it arrived in, whose
     /// owner serves it.
     pub queue: usize,
     /// Its header.
     pub header: rpc_core::message::RpcHeader,
-    /// Its application payload.
-    pub payload: Vec<u8>,
+    /// Its application payload, where it is carried in the message.
+    pub payload: P,
     /// At the server: CPU time the worker spent reading it through the
     /// LLC. (Clients pay `ClientOverhead::per_response` instead.)
     pub read_cost: simcore::SimDuration,

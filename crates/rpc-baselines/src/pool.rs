@@ -9,10 +9,10 @@
 //! the message pool has been formatted" (§3.4).
 
 use bytes::Bytes;
-use rdma_fabric::{Fabric, MrId, QpId, RemoteAddr, WorkRequest};
+use rdma_fabric::{MrId, QpId, RemoteAddr, WorkRequest};
 use rpc_core::cluster::ClientId;
 use rpc_core::driver::Cx;
-use rpc_core::message::{MsgBuf, RpcHeader};
+use rpc_core::message::MsgBuf;
 
 /// Geometry of a static pool: `clients × slots` blocks of `block_size`.
 #[derive(Clone, Copy, Debug)]
@@ -77,6 +77,11 @@ impl StaticPool {
     pub fn slot_of_seq(&self, seq: u64) -> usize {
         (seq % self.slots as u64) as usize
     }
+
+    /// Start of the block containing byte `offset`.
+    pub fn block_start(&self, offset: usize) -> usize {
+        offset / self.block_size * self.block_size
+    }
 }
 
 /// Frames `payload` for `(client, seq)` and writes it, right-aligned,
@@ -90,32 +95,11 @@ pub fn write_block<A>(
     payload: &Bytes,
     cx: &mut Cx<'_, A>,
 ) {
-    let framed = RpcHeader::frame(client, seq, 0, payload);
-    let (enc_off, data) = MsgBuf::encode(&framed, block_size).expect("message fits block");
+    let (enc_off, data) =
+        MsgBuf::encode_rpc(client, seq, 0, payload, block_size).expect("message fits block");
     let remote = RemoteAddr::new(mr, block_start + enc_off);
     cx.post(qp, WorkRequest::Write { data, remote, imm }, false, None)
         .expect("block write");
-}
-
-/// Decodes the message in the `block_size` block of `mr` that contains
-/// `offset` and consumes it — clears `Valid` so the block can be reused.
-/// Returns `None` (and leaves the block alone) when it holds no complete
-/// message: a torn or stale block.
-#[inline]
-pub fn take_block(
-    fabric: &mut Fabric,
-    mr: MrId,
-    offset: usize,
-    block_size: usize,
-) -> Option<(RpcHeader, Vec<u8>)> {
-    let block_start = offset / block_size * block_size;
-    let region = fabric.mr_mut(mr).expect("block mr");
-    let block = region.read(block_start, block_size).expect("block bounds");
-    let (header, payload) = MsgBuf::decode_rpc(block).map(|(h, p)| (h, p.to_vec()))?;
-    region
-        .write(MsgBuf::valid_offset(block_size) + block_start, &[0])
-        .expect("valid byte");
-    Some((header, payload))
 }
 
 #[cfg(test)]
@@ -161,18 +145,11 @@ mod tests {
     }
 
     #[test]
-    fn take_block_consumes_exactly_once() {
-        let mut fabric = Fabric::new(rdma_fabric::FabricParams::default());
-        let node = fabric.add_node("n");
-        let mr = fabric.register_mr(node, 2 * 64).unwrap();
-        let framed = RpcHeader::frame(5, 9, 0, b"hello");
-        let (off, bytes) = MsgBuf::encode(&framed, 64).unwrap();
-        fabric.mr_mut(mr).unwrap().write(64 + off, &bytes).unwrap();
-        assert!(take_block(&mut fabric, mr, 0, 64).is_none(), "empty block");
-        // Any offset inside the block names it.
-        let (h, p) = take_block(&mut fabric, mr, 64 + off, 64).expect("valid block");
-        assert_eq!((h.client_id, h.seq, p.as_slice()), (5, 9, &b"hello"[..]));
-        assert!(take_block(&mut fabric, mr, 64, 64).is_none(), "consumed");
+    fn any_offset_inside_a_block_names_it() {
+        let p = StaticPool::new(3, 2, 64);
+        assert_eq!(p.block_start(0), 0);
+        assert_eq!(p.block_start(64 + 59), 64);
+        assert_eq!(p.block_start(p.offset(2, 1) + 63), p.offset(2, 1));
     }
 
     #[test]

@@ -11,8 +11,9 @@ use bytes::Bytes;
 use rdma_fabric::{CqId, Fabric, MrId, QpId, Transport, Upcall, WcOpcode};
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
+use rpc_core::message::MsgBuf;
 
-use crate::pool::{take_block, write_block, StaticPool};
+use crate::pool::{write_block, StaticPool};
 use crate::ring::{send_datagram, UdRings};
 use crate::trace::TraceTable;
 use crate::{Received, SendResponse};
@@ -38,8 +39,13 @@ pub trait RequestPath {
     }
 
     /// Server side: if `up` is a request arriving on this path, consumes
-    /// and decodes it.
-    fn arrival(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received>;
+    /// and decodes it, leaving its payload in `payload`.
+    fn arrival(
+        &mut self,
+        up: &Upcall,
+        fabric: &mut Fabric,
+        payload: &mut Vec<u8>,
+    ) -> Option<Received>;
 
     /// The client-side QP that can also carry one-sided verbs, if the
     /// path has one (Table 1: only RC does).
@@ -196,7 +202,12 @@ impl<const IMM: bool> RequestPath for PoolRequests<IMM> {
         }
     }
 
-    fn arrival(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received> {
+    fn arrival(
+        &mut self,
+        up: &Upcall,
+        fabric: &mut Fabric,
+        payload: &mut Vec<u8>,
+    ) -> Option<Received> {
         let block_size = self.pool.block_size;
         // The zone and the byte range of its block the worker reads.
         let (zone, touched) = match *up {
@@ -217,7 +228,10 @@ impl<const IMM: bool> RequestPath for PoolRequests<IMM> {
             }
             _ => return None,
         };
-        let (header, payload) = take_block(fabric, self.pool_mr, touched.0, block_size)?;
+        let region = fabric.mr_mut(self.pool_mr).expect("pool mr");
+        let (header, request) =
+            MsgBuf::take_rpc(region, self.pool.block_start(touched.0), block_size)?;
+        request.clone_into(payload);
         let read_cost = fabric
             .cpu_access(self.pool_mr, touched.0, touched.1)
             .expect("pool access");
@@ -230,7 +244,7 @@ impl<const IMM: bool> RequestPath for PoolRequests<IMM> {
         Some(Received {
             queue: zone,
             header,
-            payload,
+            payload: (),
             read_cost,
         })
     }
@@ -290,7 +304,13 @@ impl RequestPath for UdRequests {
     }
 
     #[inline]
-    fn arrival(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received> {
-        self.workers.receive(up, fabric)
+    fn arrival(
+        &mut self,
+        up: &Upcall,
+        fabric: &mut Fabric,
+        payload: &mut Vec<u8>,
+    ) -> Option<Received> {
+        self.workers
+            .receive(up, fabric, |request| request.clone_into(payload))
     }
 }

@@ -7,13 +7,15 @@
 //! receive ring of the client's thread (HERD, FaSST) — a tiny,
 //! always-cached QP working set, paid for with client-side CQ polling.
 
+use bytes::Bytes;
 use rdma_fabric::{Fabric, MrId, QpId, Upcall};
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
+use rpc_core::message::MsgBuf;
 use rpc_core::workers::WorkerPool;
 use simcore::SimDuration;
 
-use crate::pool::{take_block, write_block, StaticPool};
+use crate::pool::{write_block, StaticPool};
 use crate::ring::{send_datagram, UdRings};
 use crate::{Received, SendResponse};
 
@@ -27,7 +29,7 @@ pub trait ResponsePath {
 
     /// Client side: if `up` is a response landing on this path, consumes
     /// and decodes it.
-    fn landed(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received>;
+    fn landed(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received<Bytes>>;
 }
 
 /// The RC-write response path.
@@ -83,16 +85,18 @@ impl ResponsePath for WriteResponses {
     }
 
     #[inline]
-    fn landed(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received> {
+    fn landed(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received<Bytes>> {
         let Upcall::MemWrite { mr, offset, .. } = *up else {
             return None;
         };
         let &queue = self.resp_index.get(&mr)?;
-        let (header, payload) = take_block(fabric, mr, offset, self.pool.block_size)?;
+        let region = fabric.mr_mut(mr).expect("response mr");
+        let (header, payload) =
+            MsgBuf::take_rpc(region, self.pool.block_start(offset), self.pool.block_size)?;
         Some(Received {
             queue,
             header,
-            payload,
+            payload: Bytes::copy_from_slice(payload),
             read_cost: SimDuration::ZERO,
         })
     }
@@ -143,7 +147,7 @@ impl ResponsePath for SendResponses {
     }
 
     #[inline]
-    fn landed(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received> {
-        self.threads.receive(up, fabric)
+    fn landed(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received<Bytes>> {
+        self.threads.receive(up, fabric, Bytes::copy_from_slice)
     }
 }

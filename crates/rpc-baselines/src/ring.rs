@@ -86,10 +86,16 @@ impl UdRings {
 
     /// If `up` is a receive completing on one of these rings, consumes
     /// the datagram: takes the slot it filled, re-posts that slot at the
-    /// back of the ring, and reads the bytes through the LLC. `queue` is
-    /// the ring's index. `None` also for a runt datagram.
+    /// back of the ring, and reads the bytes through the LLC. `keep`
+    /// copies the payload out of the ring. `queue` is the ring's index.
+    /// `None` also for a runt datagram.
     #[inline]
-    pub fn receive(&mut self, up: &Upcall, fabric: &mut Fabric) -> Option<Received> {
+    pub fn receive<P>(
+        &mut self,
+        up: &Upcall,
+        fabric: &mut Fabric,
+        keep: impl FnOnce(&[u8]) -> P,
+    ) -> Option<Received<P>> {
         let Upcall::Completion { cq, wc, .. } = *up else {
             return None;
         };
@@ -102,7 +108,7 @@ impl UdRings {
         ring.post_slot(slot, self.block, fabric);
         let (mr, offset) = (ring.ring_mr, slot * self.block);
         let raw = fabric.mr(mr).expect("ring mr").read(offset, wc.byte_len);
-        let decoded = RpcHeader::decode(raw.expect("ring bounds")).map(|(h, p)| (h, p.to_vec()));
+        let decoded = RpcHeader::decode(raw.expect("ring bounds")).map(|(h, p)| (h, keep(p)));
         let read_cost = fabric
             .cpu_access(mr, offset, wc.byte_len)
             .expect("ring access");
@@ -123,7 +129,7 @@ pub fn send_datagram<A>(
     payload: &Bytes,
     cx: &mut Cx<'_, A>,
 ) {
-    let data = RpcHeader::frame(client, seq, 0, payload).freeze();
+    let data = RpcHeader::frame(client, seq, 0, payload);
     cx.post(from, WorkRequest::Send { data, imm: None }, false, Some(to))
         .expect("ud send");
 }
@@ -173,7 +179,7 @@ mod tests {
 
         fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, ()>) {
             let front = *self.side.rings[0].ring_order.front().unwrap();
-            let Some(m) = self.side.receive(&up, cx.fabric) else {
+            let Some(m) = self.side.receive(&up, cx.fabric, <[u8]>::to_vec) else {
                 return;
             };
             self.slots_seen.push(front);

@@ -35,6 +35,34 @@ pub trait Logic {
     fn on_app(&mut self, ev: Self::Ev, cx: &mut Cx<'_, Self::Ev>);
 }
 
+/// Where a [`Cx`] puts the application events its logic schedules: the
+/// engine's staging vector, or a [`Cx::scoped`] adapter in front of it.
+pub(crate) trait Stage<A> {
+    /// Stages `ev` for time `at`, after everything staged so far.
+    fn stage(&mut self, at: SimTime, ev: A);
+}
+
+impl<A> Stage<A> for Vec<(SimTime, A)> {
+    #[inline]
+    fn stage(&mut self, at: SimTime, ev: A) {
+        self.push((at, ev));
+    }
+}
+
+/// A scope's events, wrapped one by one into the enclosing context's
+/// type as they are staged.
+struct Wrapped<'s, A, F> {
+    outer: &'s mut dyn Stage<A>,
+    wrap: F,
+}
+
+impl<A, B, F: Fn(B) -> A> Stage<B> for Wrapped<'_, A, F> {
+    #[inline]
+    fn stage(&mut self, at: SimTime, ev: B) {
+        self.outer.stage(at, (self.wrap)(ev));
+    }
+}
+
 /// Capability handle given to logic callbacks.
 pub struct Cx<'a, A> {
     /// Current simulation time.
@@ -42,7 +70,7 @@ pub struct Cx<'a, A> {
     /// The fabric (verbs, memory, counters).
     pub fabric: &'a mut Fabric,
     pub(crate) staged_fabric: &'a mut Vec<(SimTime, FabricEvent)>,
-    pub(crate) staged_app: &'a mut Vec<(SimTime, A)>,
+    pub(crate) staged_app: &'a mut dyn Stage<A>,
 }
 
 impl<'a, A> Cx<'a, A> {
@@ -78,13 +106,12 @@ impl<'a, A> Cx<'a, A> {
 
     /// Schedules an application event at absolute time `at`.
     pub fn at(&mut self, at: SimTime, ev: A) {
-        self.staged_app.push((at.max(self.now), ev));
+        self.staged_app.stage(at.max(self.now), ev);
     }
 
     /// Schedules an application event `after` from now.
     pub fn after(&mut self, after: SimDuration, ev: A) {
-        let t = self.now + after;
-        self.staged_app.push((t, ev));
+        self.staged_app.stage(self.now + after, ev);
     }
 
     /// Runs `f` with a context whose application-event type is `B`,
@@ -96,19 +123,94 @@ impl<'a, A> Cx<'a, A> {
         wrap: impl Fn(B) -> A,
         f: impl FnOnce(&mut Cx<'_, B>) -> R,
     ) -> R {
-        let mut staged: Vec<(SimTime, B)> = Vec::new();
-        let r = {
-            let mut inner = Cx {
-                now: self.now,
-                fabric: &mut *self.fabric,
-                staged_fabric: &mut *self.staged_fabric,
-                staged_app: &mut staged,
-            };
-            f(&mut inner)
+        let mut staged = Wrapped {
+            outer: &mut *self.staged_app,
+            wrap,
         };
+        f(&mut Cx {
+            now: self.now,
+            fabric: &mut *self.fabric,
+            staged_fabric: &mut *self.staged_fabric,
+            staged_app: &mut staged,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdma_fabric::FabricParams;
+
+    /// `Cx::scoped` as it was: the scope's events collected in a
+    /// temporary vector and wrapped after the scope returned.
+    fn scoped_via_vec<A, B>(
+        cx: &mut Cx<'_, A>,
+        wrap: impl Fn(B) -> A,
+        f: impl FnOnce(&mut Cx<'_, B>),
+    ) {
+        let mut staged: Vec<(SimTime, B)> = Vec::new();
+        f(&mut Cx {
+            now: cx.now,
+            fabric: &mut *cx.fabric,
+            staged_fabric: &mut *cx.staged_fabric,
+            staged_app: &mut staged,
+        });
         for (t, ev) in staged {
-            self.staged_app.push((t, wrap(ev)));
+            cx.staged_app.stage(t, wrap(ev));
         }
-        r
+    }
+
+    /// Timers before, inside, nested inside and after a scope, some of
+    /// them in the past.
+    fn script(cx: &mut Cx<'_, String>, via_vec: bool) {
+        cx.at(SimTime(5), "a".into());
+        let scope = |cx: &mut Cx<'_, u32>| {
+            cx.after(SimDuration(3), 1);
+            let nested = |cx: &mut Cx<'_, u8>| {
+                cx.at(SimTime(0), 7);
+                cx.after(SimDuration(1), 8);
+            };
+            if via_vec {
+                scoped_via_vec(cx, u32::from, nested);
+            } else {
+                cx.scoped(u32::from, nested);
+            }
+            cx.at(SimTime(9), 2);
+        };
+        if via_vec {
+            scoped_via_vec(cx, |n| format!("n{n}"), scope);
+        } else {
+            cx.scoped(|n| format!("n{n}"), scope);
+        }
+        cx.after(SimDuration(1), "z".into());
+    }
+
+    #[test]
+    fn scoped_stages_in_the_order_the_temporary_vec_did() {
+        let staged = [false, true].map(|via_vec| {
+            let mut fabric = Fabric::new(FabricParams::default());
+            let mut staged_app = Vec::new();
+            let mut cx = Cx {
+                now: SimTime(2),
+                fabric: &mut fabric,
+                staged_fabric: &mut Vec::new(),
+                staged_app: &mut staged_app,
+            };
+            script(&mut cx, via_vec);
+            staged_app
+        });
+        let want = [
+            (5, "a"),
+            (5, "n1"),
+            (2, "n7"),
+            (3, "n8"),
+            (9, "n2"),
+            (3, "z"),
+        ];
+        let want: Vec<_> = want
+            .iter()
+            .map(|&(t, e)| (SimTime(t), e.to_string()))
+            .collect();
+        assert_eq!(staged, [want.clone(), want]);
     }
 }

@@ -296,6 +296,8 @@ pub struct Harness<T: RpcTransport> {
     /// Collected results.
     pub metrics: RpcMetrics,
     stop_at: SimTime,
+    /// What the transport delivered during the current callback; empty
+    /// between callbacks, its capacity kept.
     responses: Vec<Response>,
     tracer: Tracer,
     /// `(node, counter)` pairs sampled into the trace every
@@ -523,7 +525,6 @@ impl<T: RpcTransport> Harness<T> {
     /// belong to the completions that freed them.
     fn post_windowed(&mut self, c: ClientId, paid: usize, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
         let per_post = self.transport.client_overhead().per_post;
-        let mut out = Vec::new();
         let mut i = 0u64;
         while (i as usize) < paid && !self.clients[c].window.is_full() {
             let seq = self.clients[c].next_seq;
@@ -543,19 +544,21 @@ impl<T: RpcTransport> Harness<T> {
             }
             cx.fabric.set_trace_ctx(id);
             with_transport_cx(cx, |tcx| {
-                self.transport.submit(c, seq, payload, tcx, &mut out)
+                self.transport
+                    .submit(c, seq, payload, tcx, &mut self.responses)
             });
             i += 1;
         }
         cx.fabric.set_trace_ctx(0);
-        self.responses.extend(out);
         self.drain_responses(cx);
     }
 
     fn drain_responses(&mut self, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
-        // Charge response-processing CPU and complete batches.
-        let responses = std::mem::take(&mut self.responses);
-        for resp in responses {
+        // Charge response-processing CPU and complete batches. Nothing in
+        // the loop reaches the transport, so the list does not grow
+        // while it is out of `self`.
+        let mut responses = std::mem::take(&mut self.responses);
+        for resp in responses.drain(..) {
             let c = resp.client;
             let overhead = self.transport.client_overhead();
             // One completed op: response detection plus the transport's
@@ -615,6 +618,7 @@ impl<T: RpcTransport> Harness<T> {
                 }
             }
         }
+        self.responses = responses;
     }
 }
 
@@ -645,18 +649,18 @@ impl<T: RpcTransport> Logic for Harness<T> {
     }
 
     fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, Self::Ev>) {
-        let mut out = Vec::new();
-        with_transport_cx(cx, |tcx| self.transport.on_upcall(up, tcx, &mut out));
-        self.responses.extend(out);
+        with_transport_cx(cx, |tcx| {
+            self.transport.on_upcall(up, tcx, &mut self.responses)
+        });
         self.drain_responses(cx);
     }
 
     fn on_app(&mut self, ev: Self::Ev, cx: &mut Cx<'_, Self::Ev>) {
         match ev {
             HarnessEv::Transport(tev) => {
-                let mut out = Vec::new();
-                with_transport_cx(cx, |tcx| self.transport.on_app(tev, tcx, &mut out));
-                self.responses.extend(out);
+                with_transport_cx(cx, |tcx| {
+                    self.transport.on_app(tev, tcx, &mut self.responses)
+                });
                 self.drain_responses(cx);
             }
             HarnessEv::Wake(c) => {
@@ -678,7 +682,6 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 self.clients[c].inflight = batch;
                 self.issued += batch as u64;
                 let per_post = self.transport.client_overhead().per_post;
-                let mut out = Vec::new();
                 for i in 0..batch {
                     let seq = self.clients[c].next_seq;
                     self.clients[c].next_seq += 1;
@@ -694,11 +697,11 @@ impl<T: RpcTransport> Logic for Harness<T> {
                     }
                     cx.fabric.set_trace_ctx(id);
                     with_transport_cx(cx, |tcx| {
-                        self.transport.submit(c, seq, payload, tcx, &mut out)
+                        self.transport
+                            .submit(c, seq, payload, tcx, &mut self.responses)
                     });
                 }
                 cx.fabric.set_trace_ctx(0);
-                self.responses.extend(out);
                 self.drain_responses(cx);
             }
             HarnessEv::Fault(ev) => {
@@ -778,12 +781,11 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 // The retransmission costs one post of client CPU.
                 let per_post = self.transport.client_overhead().per_post;
                 self.cpu.acquire(c, cx.now, per_post);
-                let mut out = Vec::new();
                 cx.fabric.set_trace_ctx(0);
                 with_transport_cx(cx, |tcx| {
-                    self.transport.submit(c, seq, payload, tcx, &mut out)
+                    self.transport
+                        .submit(c, seq, payload, tcx, &mut self.responses)
                 });
-                self.responses.extend(out);
                 self.drain_responses(cx);
                 // Attempt n+1 waits timeout * backoff^n (capped exponent
                 // keeps the arithmetic in range).
@@ -880,6 +882,67 @@ mod tests {
                 got: 3
             })
         );
+    }
+
+    /// A transport that does nothing: `drain_responses` only asks it
+    /// for its client overhead.
+    struct Inert;
+
+    impl RpcTransport for Inert {
+        type Ev = ();
+        fn init(&mut self, _: &mut Cx<'_, ()>) {}
+        fn on_upcall(&mut self, _: Upcall, _: &mut Cx<'_, ()>, _: &mut Vec<Response>) {}
+        fn on_app(&mut self, _: (), _: &mut Cx<'_, ()>, _: &mut Vec<Response>) {}
+        fn submit(
+            &mut self,
+            _: ClientId,
+            _: u64,
+            _: Bytes,
+            _: &mut Cx<'_, ()>,
+            _: &mut Vec<Response>,
+        ) {
+        }
+        fn client_overhead(&self) -> crate::transport::ClientOverhead {
+            crate::transport::ClientOverhead {
+                per_post: SimDuration::nanos(10),
+                per_response: SimDuration::nanos(10),
+                per_dispatch: SimDuration::ZERO,
+            }
+        }
+        fn name(&self) -> &'static str {
+            "inert"
+        }
+    }
+
+    #[test]
+    fn drain_responses_empties_the_list_and_keeps_its_buffer() {
+        let mut fabric = Fabric::new(rdma_fabric::FabricParams::default());
+        let cluster = Cluster::build(&mut fabric, Default::default());
+        let mut h = Harness::new(Inert, cluster, base());
+        h.clients[3].inflight = 2;
+        h.responses.reserve_exact(32);
+        let buffer = (h.responses.as_ptr(), h.responses.capacity());
+        for seq in 0..3 {
+            // The third finds nothing in flight: a duplicate, ignored.
+            h.responses.push(Response {
+                client: 3,
+                seq,
+                payload: Bytes::new(),
+            });
+        }
+        let mut staged_app = Vec::new();
+        let mut cx = Cx {
+            now: SimTime(100),
+            fabric: &mut fabric,
+            staged_fabric: &mut Vec::new(),
+            staged_app: &mut staged_app,
+        };
+        h.drain_responses(&mut cx);
+        assert!(h.responses.is_empty());
+        assert_eq!((h.responses.as_ptr(), h.responses.capacity()), buffer);
+        assert_eq!((h.completed(), h.in_flight()), (2, 0));
+        // The finished batch woke its client.
+        assert!(matches!(staged_app[..], [(_, HarnessEv::Wake(3))]));
     }
 
     #[test]

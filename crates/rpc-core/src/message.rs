@@ -13,7 +13,8 @@
 //! occupant would be mistaken for a fresh one.
 
 use crate::cluster::ClientId;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use rdma_fabric::MemoryRegion;
 
 /// Trailer size: 4-byte little-endian `MsgLen` + 1-byte `Valid`.
 pub const TRAILER: usize = 5;
@@ -71,21 +72,12 @@ impl RpcHeader {
         Some((h, &data[HEADER..]))
     }
 
-    /// Frames an application payload for the wire: the header every
-    /// transport here sends (`call_type` 0, the given `flags`) followed
-    /// by `payload`. The one place a request or response header is built.
+    /// Frames an application payload as a datagram: the header followed
+    /// by `payload`, delimited by the receive completion's length.
+    /// [`MsgBuf::encode_rpc`] without the block trailer.
     #[inline]
-    pub fn frame(client: ClientId, seq: u64, flags: u16, payload: &[u8]) -> BytesMut {
-        let header = RpcHeader {
-            call_type: 0,
-            flags,
-            client_id: client as u32,
-            seq,
-        };
-        let mut buf = BytesMut::with_capacity(HEADER + payload.len());
-        buf.extend_from_slice(&header.encode());
-        buf.extend_from_slice(payload);
-        buf
+    pub fn frame(client: ClientId, seq: u64, flags: u16, payload: &[u8]) -> Bytes {
+        framed(client, seq, flags, payload, false)
     }
 
     /// Whether the context-switch flag is set.
@@ -97,6 +89,33 @@ impl RpcHeader {
     pub fn is_legacy(&self) -> bool {
         self.flags & FLAG_LEGACY != 0
     }
+}
+
+/// Writes the `MsgLen | Valid` trailer of a `msg_len`-byte message.
+fn put_trailer(trailer: &mut [u8], msg_len: usize) {
+    trailer[..4].copy_from_slice(&(msg_len as u32).to_le_bytes());
+    trailer[4] = VALID;
+}
+
+/// The header every transport here sends (`call_type` 0, the given
+/// `flags`), `payload`, and the block trailer if asked for, built in one
+/// allocation. The one place a request or response header is built.
+#[inline]
+fn framed(client: ClientId, seq: u64, flags: u16, payload: &[u8], trailer: bool) -> Bytes {
+    let header = RpcHeader {
+        call_type: 0,
+        flags,
+        client_id: client as u32,
+        seq,
+    };
+    let msg_len = HEADER + payload.len();
+    Bytes::build(msg_len + if trailer { TRAILER } else { 0 }, |buf| {
+        buf[..HEADER].copy_from_slice(&header.encode());
+        buf[HEADER..msg_len].copy_from_slice(payload);
+        if trailer {
+            put_trailer(&mut buf[msg_len..], msg_len);
+        }
+    })
 }
 
 /// Helpers for reading and writing right-aligned messages in fixed-size
@@ -118,15 +137,34 @@ impl MsgBuf {
     ///
     /// Returns `None` when the payload does not fit.
     pub fn encode(payload: &[u8], block_size: usize) -> Option<(usize, Bytes)> {
-        if payload.len() > Self::capacity(block_size) {
+        let msg_len = payload.len();
+        if msg_len > Self::capacity(block_size) {
             return None;
         }
-        let mut buf = BytesMut::with_capacity(payload.len() + TRAILER);
-        buf.put_slice(payload);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_u8(VALID);
-        let offset = block_size - buf.len();
-        Some((offset, buf.freeze()))
+        let bytes = Bytes::build(msg_len + TRAILER, |buf| {
+            buf[..msg_len].copy_from_slice(payload);
+            put_trailer(&mut buf[msg_len..], msg_len);
+        });
+        Some((block_size - bytes.len(), bytes))
+    }
+
+    /// Frames an RPC message — header, `payload`, `MsgLen`, `Valid` — for
+    /// a block of `block_size` bytes in one pass and one allocation: what
+    /// [`encode`](Self::encode) makes of the header followed by
+    /// `payload`, same offset, same bytes, `None` in the same cases.
+    #[inline]
+    pub fn encode_rpc(
+        client: ClientId,
+        seq: u64,
+        flags: u16,
+        payload: &[u8],
+        block_size: usize,
+    ) -> Option<(usize, Bytes)> {
+        if HEADER + payload.len() > Self::capacity(block_size) {
+            return None;
+        }
+        let bytes = framed(client, seq, flags, payload, true);
+        Some((block_size - bytes.len(), bytes))
     }
 
     /// Offset of the `Valid` byte within a block.
@@ -164,6 +202,42 @@ impl MsgBuf {
     pub fn is_valid(block: &[u8]) -> bool {
         block.last().copied() == Some(VALID)
     }
+
+    /// Clears the `Valid` byte of the block at `block_start` of `region`,
+    /// so whatever the block holds is not (or no longer) a message.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block is not inside `region`.
+    #[inline]
+    pub fn clear_valid(region: &mut MemoryRegion, block_start: usize, block_size: usize) {
+        region
+            .write(block_start + Self::valid_offset(block_size), &[0])
+            .expect("block inside its region");
+    }
+
+    /// Consumes the RPC message in the block at `block_start` of
+    /// `region`: decodes it as [`decode_rpc`](Self::decode_rpc) does and
+    /// clears `Valid`, so the block can be reused and is never decoded
+    /// twice. The payload stays borrowed from the region. `None` (block
+    /// untouched) when it holds no complete message: torn or stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block is not inside `region`.
+    #[inline]
+    pub fn take_rpc(
+        region: &mut MemoryRegion,
+        block_start: usize,
+        block_size: usize,
+    ) -> Option<(RpcHeader, &[u8])> {
+        let block = region.read(block_start, block_size);
+        let (header, payload) = Self::decode_rpc(block.expect("block inside its region"))?;
+        let len = payload.len();
+        Self::clear_valid(region, block_start, block_size);
+        let payload = region.read(block_start + block_size - TRAILER - len, len);
+        Some((header, payload.expect("inside the block")))
+    }
 }
 
 #[cfg(test)]
@@ -188,14 +262,54 @@ mod tests {
 
     #[test]
     fn framed_block_round_trips() {
-        let framed = RpcHeader::frame(9, 77, FLAG_LEGACY, b"payload");
-        let (offset, bytes) = MsgBuf::encode(&framed, 64).unwrap();
+        let (offset, bytes) = MsgBuf::encode_rpc(9, 77, FLAG_LEGACY, b"payload", 64).unwrap();
         let mut block = vec![0u8; 64];
         block[offset..].copy_from_slice(&bytes);
         let (h, p) = MsgBuf::decode_rpc(&block).unwrap();
         assert_eq!((h.client_id, h.seq, h.call_type), (9, 77, 0));
         assert!(h.is_legacy());
         assert_eq!(p, b"payload");
+    }
+
+    /// `encode_rpc` replaced "frame the header and payload, then encode
+    /// that for the block": same offset, same bytes, `None` together.
+    #[test]
+    fn encode_rpc_is_frame_then_encode() {
+        let payload: Vec<u8> = (0..8192u32).map(|i| (i * 7 + 1) as u8).collect();
+        for block_size in [64, 256, 4096, 8192] {
+            // One past the largest payload that fits, so `None` is compared too.
+            for len in 0..=MsgBuf::capacity(block_size) - HEADER + 1 {
+                let (seq, flags) = (len as u64 * 0x0101_0101, len as u16 & 3);
+                let payload = &payload[..len];
+                let two_step =
+                    MsgBuf::encode(&RpcHeader::frame(5, seq, flags, payload), block_size);
+                let one_step = MsgBuf::encode_rpc(5, seq, flags, payload, block_size);
+                assert_eq!(one_step, two_step, "block {block_size}, payload {len}");
+                assert_eq!(
+                    one_step.is_none(),
+                    len > MsgBuf::capacity(block_size) - HEADER
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn take_rpc_consumes_exactly_once() {
+        let mut region = MemoryRegion::new(rdma_fabric::MrId(0), 2 * 64);
+        let (off, bytes) = MsgBuf::encode_rpc(5, 9, 0, b"hello", 64).unwrap();
+        region.write(64 + off, &bytes).unwrap();
+        assert!(
+            MsgBuf::take_rpc(&mut region, 0, 64).is_none(),
+            "empty block"
+        );
+        let (h, p) = MsgBuf::take_rpc(&mut region, 64, 64).expect("valid block");
+        assert_eq!((h.client_id, h.seq, p), (5, 9, &b"hello"[..]));
+        assert!(MsgBuf::take_rpc(&mut region, 64, 64).is_none(), "consumed");
+        // Only `Valid` changed.
+        assert_eq!(
+            region.read(64 + off, bytes.len() - 1).unwrap(),
+            &bytes[..bytes.len() - 1]
+        );
     }
 
     #[test]

@@ -97,10 +97,9 @@ impl ServerHandler for EchoHandler {
         request: &[u8],
         _fabric: &mut Fabric,
     ) -> (Bytes, SimDuration) {
-        let mut out = vec![0u8; self.response_size];
         let n = request.len().min(self.response_size);
-        out[..n].copy_from_slice(&request[..n]);
-        (Bytes::from(out), self.service)
+        let echo = |out: &mut [u8]| out[..n].copy_from_slice(&request[..n]);
+        (Bytes::build(self.response_size, echo), self.service)
     }
 }
 

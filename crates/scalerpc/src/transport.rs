@@ -32,7 +32,7 @@ use rdma_fabric::{
 };
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
-use rpc_core::message::{MsgBuf, RpcHeader, FLAG_CTX_SWITCH, FLAG_LEGACY, HEADER};
+use rpc_core::message::{MsgBuf, FLAG_CTX_SWITCH, FLAG_LEGACY, HEADER};
 use rpc_core::transport::{ClientOverhead, LifecycleEv, Response, RpcTransport, ServerHandler};
 use rpc_core::workers::WorkerPool;
 use simcore::{DetHashMap, DetHashSet};
@@ -84,6 +84,14 @@ pub enum ScaleEv {
         client: ClientId,
     },
 }
+
+// What the engine's queue holds when the harness drives this transport,
+// moved by value on every push, pop and cascade: `ScaleEv` must not be
+// what makes it outgrow the fabric's own events (96 bytes, asserted
+// there; past 128 each move becomes a `memcpy` call).
+const _: () = assert!(
+    std::mem::size_of::<rpc_core::driver::Ev<rpc_core::harness::HarnessEv<ScaleEv>>>() <= 96
+);
 
 /// Where a client's connection stands (the elastic control plane).
 ///
@@ -261,6 +269,10 @@ pub struct ScaleRpc<H: ServerHandler> {
     /// their subsequent invocations to the legacy thread.
     legacy_types: DetHashSet<u16>,
     handler: H,
+    /// Payload of the request being executed: copied out of the pool
+    /// once (the handler also gets the fabric that owns the pool), into
+    /// a buffer that is reused.
+    request: Vec<u8>,
     overhead: ClientOverhead,
     post_cpu: SimDuration,
     pool_check: SimDuration,
@@ -402,6 +414,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             legacy_thread: FifoResource::new(),
             legacy_types: DetHashSet::default(),
             handler,
+            request: Vec::new(),
             overhead: ClientOverhead {
                 per_post: p.post_cpu + SimDuration::nanos(25),
                 per_response: p.pool_check_cpu + SimDuration::nanos(10),
@@ -571,9 +584,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // Compose the message into the local staging block: an ordinary
         // CPU store, no verbs.
         let slot = self.staging_slot_for(client, seq, cx.fabric);
-        let buf = RpcHeader::frame(client, seq, 0, payload);
-        let (enc_off, bytes) =
-            MsgBuf::encode(&buf, self.cfg.block_size).expect("request fits block");
+        let (enc_off, bytes) = MsgBuf::encode_rpc(client, seq, 0, payload, self.cfg.block_size)
+            .expect("request fits block");
         let off = self.staging_off(slot) + enc_off;
         cx.fabric
             .mr_mut(self.clients[client].local_mr)
@@ -614,9 +626,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
         };
         let zone = zone.min(self.geom.zones - 1);
         let slot = self.geom.slot_of_seq(seq);
-        let buf = RpcHeader::frame(client, seq, 0, payload);
-        let (enc_off, bytes) =
-            MsgBuf::encode(&buf, self.cfg.block_size).expect("request fits block");
+        let (enc_off, bytes) = MsgBuf::encode_rpc(client, seq, 0, payload, self.cfg.block_size)
+            .expect("request fits block");
         let pool = self.pools[self.pool_pair.processing()];
         let remote = RemoteAddr::new(pool, self.geom.offset(zone, slot) + enc_off);
         self.post_or_drop(
@@ -729,16 +740,15 @@ impl<H: ServerHandler> ScaleRpc<H> {
         touched: Option<(usize, usize)>,
         cx: &mut Cx<'_, ScaleEv>,
     ) {
-        let decoded = {
-            let mr = cx.fabric.mr(pool_mr).expect("pool mr");
-            let block = mr
-                .read(block_start, self.cfg.block_size)
-                .expect("block bounds");
-            MsgBuf::decode_rpc(block).map(|(h, p)| (h, p.to_vec()))
-        };
-        let Some((header, payload)) = decoded else {
+        // Consume the message, duplicate or not, so the scan moves on
+        // (stateless pool: clearing Valid is the only write needed; the
+        // next occupant simply overwrites).
+        let region = cx.fabric.mr_mut(pool_mr).expect("pool mr");
+        let Some((header, payload)) = MsgBuf::take_rpc(region, block_start, self.cfg.block_size)
+        else {
             return;
         };
+        payload.clone_into(&mut self.request);
         let client = header.client_id as usize;
         if client >= self.clients.len() {
             return;
@@ -748,15 +758,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // side effects (§3.5's re-execution hazard).
         if header.seq != NOTIFY_SEQ && !self.record_seq(client, header.seq) {
             self.dup_drops += 1;
-            // Still clear the duplicate's Valid byte so the scan moves on.
-            cx.fabric
-                .mr_mut(pool_mr)
-                .expect("pool mr")
-                .write(
-                    MsgBuf::valid_offset(self.cfg.block_size) + block_start,
-                    &[0],
-                )
-                .expect("valid clear");
             // After a lifecycle disturbance, a duplicate may be the
             // retransmission of a request whose *response* was lost
             // (crash window, churned QP): answer from the replay cache
@@ -787,29 +788,20 @@ impl<H: ServerHandler> ScaleRpc<H> {
             }
             return;
         }
-        // Consume the message (stateless pool: clearing Valid is the only
-        // write needed; the next occupant simply overwrites).
-        cx.fabric
-            .mr_mut(pool_mr)
-            .expect("pool mr")
-            .write(
-                MsgBuf::valid_offset(self.cfg.block_size) + block_start,
-                &[0],
-            )
-            .expect("valid clear");
+        let msg_len = HEADER + self.request.len();
         let (touch_off, touch_len) = touched.unwrap_or((
             block_start,
-            (HEADER + payload.len() + rpc_core::message::TRAILER).min(self.cfg.block_size),
+            (msg_len + rpc_core::message::TRAILER).min(self.cfg.block_size),
         ));
         let read_cost = cx
             .fabric
             .cpu_access(pool_mr, touch_off, touch_len)
             .expect("pool access");
         self.stats_cur[client].ops += 1;
-        self.stats_cur[client].bytes += (HEADER + payload.len()) as u64;
+        self.stats_cur[client].bytes += msg_len as u64;
         self.clients[client].inflight_responses += 1;
         self.clients[client].served_this_slice = true;
-        let (resp, handler_cost) = self.handler.handle(client, &payload, cx.fabric);
+        let (resp, handler_cost) = self.handler.handle(client, &self.request, cx.fabric);
         let service = self.pool_check + read_cost + handler_cost + self.post_cpu;
         // §3.5: a call that runs longer than ~half a slice risks being cut
         // by a context switch; its first execution is recorded and later
@@ -999,8 +991,14 @@ impl<H: ServerHandler> ScaleRpc<H> {
 
     fn post_ctx_notify(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         self.ctx_notifies += 1;
-        let buf = RpcHeader::frame(client, NOTIFY_SEQ, FLAG_CTX_SWITCH, b"");
-        let (enc_off, bytes) = MsgBuf::encode(&buf, self.cfg.block_size).expect("notify fits");
+        let (enc_off, bytes) = MsgBuf::encode_rpc(
+            client,
+            NOTIFY_SEQ,
+            FLAG_CTX_SWITCH,
+            b"",
+            self.cfg.block_size,
+        )
+        .expect("notify fits");
         let remote = RemoteAddr::new(
             self.clients[client].local_mr,
             self.resp_off(self.cfg.slots) + enc_off,
@@ -1034,24 +1032,11 @@ impl<H: ServerHandler> ScaleRpc<H> {
         }
         let local_mr = self.clients[client].local_mr;
         let block_start = block * self.cfg.block_size;
-        let decoded = {
-            let mr = cx.fabric.mr(local_mr).expect("local mr");
-            let raw = mr
-                .read(block_start, self.cfg.block_size)
-                .expect("block bounds");
-            MsgBuf::decode_rpc(raw).map(|(h, p)| (h, p.to_vec()))
-        };
-        let Some((header, payload)) = decoded else {
+        let region = cx.fabric.mr_mut(local_mr).expect("local mr");
+        let Some((header, payload)) = MsgBuf::take_rpc(region, block_start, self.cfg.block_size)
+        else {
             return;
         };
-        cx.fabric
-            .mr_mut(local_mr)
-            .expect("local mr")
-            .write(
-                MsgBuf::valid_offset(self.cfg.block_size) + block_start,
-                &[0],
-            )
-            .expect("valid clear");
         if header.seq == NOTIFY_SEQ {
             self.clients[client].fsm.on_ctx_notify();
             // Re-arm (asynchronous clients only, so the synchronous
@@ -1067,6 +1052,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             }
             return;
         }
+        let payload = Bytes::copy_from_slice(payload);
         if self.clients[client]
             .fsm
             .complete(header.seq, header.is_ctx_switch())
@@ -1094,14 +1080,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 MsgBuf::decode_rpc(raw).map(|(h, _)| h.seq)
             };
             if staged_seq == Some(header.seq) {
-                cx.fabric
-                    .mr_mut(local_mr)
-                    .expect("local mr")
-                    .write(
-                        MsgBuf::valid_offset(self.cfg.block_size) + stage_block,
-                        &[0],
-                    )
-                    .expect("staging clear");
+                let region = cx.fabric.mr_mut(local_mr).expect("local mr");
+                MsgBuf::clear_valid(region, stage_block, self.cfg.block_size);
             }
         }
         // A delivered response can never need replay again: the client
@@ -1117,7 +1097,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         out.push(Response {
             client,
             seq: header.seq,
-            payload: Bytes::from(payload),
+            payload,
         });
     }
 
@@ -1473,9 +1453,9 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                     st.needs_ctx = false;
                     flags |= FLAG_CTX_SWITCH;
                 }
-                let buf = RpcHeader::frame(client, seq, flags, &payload);
                 let (enc_off, bytes) =
-                    MsgBuf::encode(&buf, self.cfg.block_size).expect("response fits block");
+                    MsgBuf::encode_rpc(client, seq, flags, &payload, self.cfg.block_size)
+                        .expect("response fits block");
                 let slot = self.geom.slot_of_seq(seq);
                 let remote =
                     RemoteAddr::new(self.clients[client].local_mr, self.resp_off(slot) + enc_off);
@@ -1553,16 +1533,10 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                     // identity (scaletx) would leak the side effects
                     // (locks) of the zombie request.
                     self.clients[c].pending.clear();
-                    let local_mr = self.clients[c].local_mr;
+                    let region = cx.fabric.mr_mut(self.clients[c].local_mr);
+                    let region = region.expect("local mr");
                     for s in 0..self.cfg.slots {
-                        cx.fabric
-                            .mr_mut(local_mr)
-                            .expect("local mr")
-                            .write(
-                                MsgBuf::valid_offset(self.cfg.block_size) + self.staging_off(s),
-                                &[0],
-                            )
-                            .expect("staging cancel");
+                        MsgBuf::clear_valid(region, self.staging_off(s), self.cfg.block_size);
                     }
                 }
                 // Warm restart reformats the message rings: a request a
@@ -1570,17 +1544,15 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                 // would otherwise be executed by the post-recovery zone
                 // scan — the same zombie hazard as the staging blocks
                 // above, one copy further downstream.
-                for pi in 0..2 {
-                    let pool_mr = self.pools[pi];
+                for pool_mr in self.pools {
+                    let region = cx.fabric.mr_mut(pool_mr).expect("pool mr");
                     for z in 0..self.geom.zones {
                         for s in 0..self.cfg.slots {
-                            let off =
-                                self.geom.offset(z, s) + MsgBuf::valid_offset(self.cfg.block_size);
-                            cx.fabric
-                                .mr_mut(pool_mr)
-                                .expect("pool mr")
-                                .write(off, &[0])
-                                .expect("pool scrub");
+                            MsgBuf::clear_valid(
+                                region,
+                                self.geom.offset(z, s),
+                                self.cfg.block_size,
+                            );
                         }
                     }
                 }

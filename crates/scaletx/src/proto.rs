@@ -100,10 +100,27 @@ fn get_bytes(raw: &[u8], at: &mut usize) -> Option<Vec<u8>> {
     Some(v)
 }
 
+/// Encoded size of `(key, bytes)` records: key, length prefix, bytes.
+fn records_len(records: &[(u64, Vec<u8>)]) -> usize {
+    records.iter().map(|(_, v)| 8 + 4 + v.len()).sum()
+}
+
 impl TxRequest {
+    /// Exact size of [`encode`](Self::encode)'s output.
+    pub fn encoded_len(&self) -> usize {
+        // Tag, then per variant: txid and/or the item count, the items.
+        1 + match self {
+            TxRequest::Execute { items, .. } => 8 + 4 + items.len() * (8 + 1),
+            TxRequest::Validate { items } => 4 + items.len() * (8 + 8),
+            TxRequest::Log { records, .. } => 8 + 4 + records_len(records),
+            TxRequest::Commit { items, .. } => 8 + 4 + records_len(items),
+            TxRequest::Unlock { keys, .. } => 8 + 4 + keys.len() * 8,
+        }
+    }
+
     /// Serializes the request.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        let mut b = BytesMut::with_capacity(self.encoded_len());
         match self {
             TxRequest::Execute { txid, items } => {
                 b.put_u8(1);
@@ -149,6 +166,7 @@ impl TxRequest {
                 }
             }
         }
+        debug_assert_eq!(b.len(), self.encoded_len());
         b.freeze()
     }
 
@@ -209,9 +227,22 @@ impl TxRequest {
 }
 
 impl TxResponse {
+    /// Exact size of [`encode`](Self::encode)'s output.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            TxResponse::Execute { items, .. } => {
+                // Per item: key, ok, version, offset, length-prefixed value.
+                let items = items.iter().map(|it| 8 + 1 + 8 + 8 + 4 + it.value.len());
+                1 + 4 + items.sum::<usize>()
+            }
+            TxResponse::Validate { .. } => 1,
+            TxResponse::Ok => 0,
+        }
+    }
+
     /// Serializes the response.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        let mut b = BytesMut::with_capacity(self.encoded_len());
         match self {
             TxResponse::Execute { all_ok, items } => {
                 b.put_u8(1);
@@ -231,6 +262,7 @@ impl TxResponse {
             }
             TxResponse::Ok => b.put_u8(3),
         }
+        debug_assert_eq!(b.len(), self.encoded_len());
         b.freeze()
     }
 
@@ -297,6 +329,7 @@ mod tests {
             },
         ];
         for r in reqs {
+            assert_eq!(r.encode().len(), r.encoded_len(), "{r:?}");
             assert_eq!(TxRequest::decode(&r.encode()), Some(r.clone()));
         }
         assert_eq!(TxRequest::decode(&[]), None);
@@ -324,6 +357,7 @@ mod tests {
             TxResponse::Ok,
         ];
         for r in resps {
+            assert_eq!(r.encode().len(), r.encoded_len(), "{r:?}");
             assert_eq!(TxResponse::decode(&r.encode()), Some(r.clone()));
         }
     }
