@@ -16,7 +16,13 @@
 # label in BENCH_simperf.json that recorded it. Wall time is printed
 # beside the best ever recorded and never judged — the same build read
 # 1.05x ok and 1.18x REGRESSED within the hour on this host; wall claims
-# belong to benchmark/run.sh's reference-scaled pairs.
+# belong to benchmark/run.sh's reference-scaled pairs. A second smoke
+# run at --nthreads 8 drives the engine's one parallel mode (isolated
+# shards, the multi-pod row); every other row is a hub and runs on one
+# engine thread whatever the flag says.
+#
+# The first step prints non-test src lines per crate, ungated: the
+# number every simplicity PR quotes, produced one way.
 #
 # The repo benchmark (benchmark/, its own cargo package compiled against
 # the crates' public API) is built, tested and smoke-run last: a crate
@@ -27,6 +33,17 @@
 # allocation counts of each layer against recorded ceilings.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "== non-test src lines (lines before a file's first line-start #[cfg(test)]) =="
+find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    !test { split(FILENAME, p, "/"); n[p[2]]++; total++ }
+    END {
+        for (c in n) printf "%-14s %6d\n", c, n[c] | "sort"
+        close("sort")
+        printf "%-14s %6d\n", "workspace", total
+    }'
 
 echo "== build (release, trace on) =="
 cargo build --release --workspace
@@ -106,10 +123,12 @@ cargo run -q --release -p simscenario --features trace --bin scenario -- \
 echo "== simperf smoke (no-trace build) =="
 ./target/release/simperf --quick --label ci-smoke --out target/BENCH_simperf_ci.json
 
-echo "== simperf smoke, sharded engine (--nthreads 8) =="
-# Exercises the parallel windowed/isolated paths end-to-end; the
-# fingerprint columns must match the nt1 smoke above (determinism.rs
-# pins this bit-for-bit, the smoke just proves the wiring in release).
+echo "== simperf smoke, isolated shards (--nthreads 8) =="
+# Exercises the engine's parallel mode end-to-end: pods8 runs one shard
+# per pod on the thread pool, the five hub rows are unaffected. The
+# fingerprint columns must match the nt1 smoke above (driver_goldens.rs
+# pins the pods matrix bit-for-bit, the smoke just proves the wiring in
+# release).
 ./target/release/simperf --quick --nthreads 8 --label ci-smoke-nt8 --out target/BENCH_simperf_ci.json
 
 echo "== simperf trace gate: (events, ops) vs newest label (no-trace build, full windows) =="

@@ -1,23 +1,23 @@
-//! Multi-pod parallel workload for the sharded engine.
+//! Multi-pod workload: the one shape the engine runs on several threads.
 //!
 //! The hub-shaped workloads (Figs. 1, 3, 8) funnel every message
-//! through one server node, so the conservative 400 ns lookahead
-//! windows of DESIGN.md §10 cannot buy them wall-clock parallelism —
-//! the server shard serializes everything. Real RDMA deployments are
-//! rarely one hub: a rack runs many independent server *pods* (one
-//! ScaleRPC/KV instance per machine, disjoint client sets). This module
-//! models that shape directly — `pods` independent inbound RC-write
-//! closed loops with no cross-pod traffic — which the sharded engine
-//! executes in *isolated* mode: one shard per pod, no windowing, pods
-//! spread over the thread pool. Per-pod results are bit-identical to
-//! the sequential engine at any `nthreads` (the pods never interact),
-//! making this the aggregate-throughput workload for `simperf
+//! through one server node, so there is nothing to run in parallel:
+//! they execute on one engine thread (DESIGN.md §10). Real RDMA
+//! deployments are rarely one hub: a rack runs many independent server
+//! *pods* (one ScaleRPC/KV instance per machine, disjoint client sets).
+//! This module models that shape directly — `pods` independent inbound
+//! RC-write closed loops with no cross-pod traffic — which the engine
+//! executes in *isolated* mode: one shard per pod, each straight to the
+//! deadline, pods spread over the thread pool. Per-pod results are
+//! bit-identical to the sequential engine at any `nthreads` (the pods
+//! never interact), making this the workload behind `simperf
 //! --nthreads`.
 
-use crate::rawverbs::{RawVerbConfig, RawVerbKind, RawVerbLogic};
+use crate::rawverbs::{RawVerbConfig, RawVerbKind, RawVerbLogic, RvEv};
 use rdma_fabric::{Fabric, FabricParams, NodeId, Transport};
-use rpc_core::sharded::ShardSpec;
+use rpc_core::sharded::{AppRoute, ShardSpec, ShardedSim};
 use simcore::SimDuration;
+use std::sync::Arc;
 
 /// Configuration of the multi-pod sweep.
 #[derive(Clone, Debug)]
@@ -122,23 +122,25 @@ pub fn run_pods(cfg: PodsConfig) -> PodsResult {
         window: cfg.window,
         warmup: cfg.warmup,
         run: cfg.run,
-        nthreads,
         ..Default::default()
     };
     // No PCIe report, so no counter node and no snapshot event.
     let logic = RawVerbLogic::new(loop_cfg, None, client_qps, vec![], vec![], pool_mrs);
     // Pods never exchange messages, so multi-threaded runs use isolated
-    // mode: one shard per pod, straight to the deadline, no windows.
+    // mode: one shard per pod, straight to the deadline.
     let spec = if nthreads == 1 {
         ShardSpec::sequential(servers.iter().chain(&client_nodes).copied().collect())
     } else {
-        ShardSpec {
-            groups,
-            nthreads,
-            isolated: true,
-        }
+        ShardSpec { groups, nthreads }
     };
-    let sim = logic.run(fabric, spec, client_nodes);
+    let deadline = logic.deadline();
+    // Every app event is a client's post; it executes where the client lives.
+    let route: AppRoute<RvEv> = Arc::new(move |ev| match ev {
+        RvEv::Post(i) => client_nodes[*i],
+        RvEv::SnapshotCounters => unreachable!("no counter node, no snapshot"),
+    });
+    let mut sim = ShardedSim::new(fabric, logic, spec, route);
+    sim.run_until(deadline);
     // Each pod's counters are authoritative only on the shard that owns
     // the pod's server (in sequential mode that is shard 0 for all).
     let pod_ops: Vec<u64> = servers

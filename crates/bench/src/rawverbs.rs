@@ -14,14 +14,12 @@
 //! - **UD send**: the server sends datagrams from its 10 thread QPs —
 //!   flat regardless of client count.
 
-use std::sync::Arc;
-
 use rdma_fabric::{
     Fabric, FabricParams, MrId, NodeId, QpId, RemoteAddr, Transport, Upcall, WcOpcode, WorkRequest,
 };
 use rpc_core::driver::{Cx, Logic};
 use rpc_core::metrics::Window;
-use rpc_core::sharded::{AppRoute, ShardSpec, ShardedSim};
+use rpc_core::sharded::ShardedSim;
 use simcore::{DetHashMap, SimDuration, SimTime};
 
 /// Which verb pattern to measure.
@@ -57,10 +55,6 @@ pub struct RawVerbConfig {
     pub warmup: SimDuration,
     /// Measured run length.
     pub run: SimDuration,
-    /// Engine threads. `1` runs the sequential engine; more shard the
-    /// clients across a thread pool under the deterministic windowed
-    /// merge — results are bit-identical either way (DESIGN.md §10).
-    pub nthreads: usize,
 }
 
 impl Default for RawVerbConfig {
@@ -75,7 +69,6 @@ impl Default for RawVerbConfig {
             window: 4,
             warmup: SimDuration::millis(1),
             run: SimDuration::millis(4),
-            nthreads: 1,
         }
     }
 }
@@ -114,12 +107,12 @@ struct ThreadState {
 /// (`run_raw_verbs`) or, inbound, over several pods' pools with the
 /// clients dealt to them in equal contiguous runs (`run_pods`).
 ///
-/// Shard-replication contract (ownership audit for the sharded engine):
-/// a server's events touch only `threads`, its own pool's `ops` entry,
-/// `counter_base` and that server's fabric node; a client `c`'s events
-/// touch only `block_cursor[c]` and client-side fabric state. Everything
-/// else is immutable after construction, so replicas never read stale
-/// state.
+/// Shard-replication contract (what lets `run_pods` give each pod its
+/// own replica): a server's events touch only `threads`, its own pool's
+/// `ops` entry, `counter_base` and that server's fabric node; a client
+/// `c`'s events touch only `block_cursor[c]` and client-side fabric
+/// state. Everything else is immutable after construction, so replicas
+/// never read stale state.
 #[derive(Clone)]
 pub(crate) struct RawVerbLogic {
     cfg: RawVerbConfig,
@@ -191,23 +184,10 @@ impl RawVerbLogic {
         }
     }
 
-    /// Runs the loop under `spec` to the end of the window plus a 1 ms
-    /// drain. Posts execute where the poster lives: server threads for
-    /// outbound/UD, the client itself (`client_nodes`) for inbound.
-    pub(crate) fn run(
-        self,
-        fabric: Fabric,
-        spec: ShardSpec,
-        client_nodes: Vec<NodeId>,
-    ) -> ShardedSim<Self> {
-        let (kind, server, end) = (self.cfg.kind, self.server, self.measured.end);
-        let route: AppRoute<RvEv> = Arc::new(move |ev| match ev {
-            RvEv::Post(i) if kind == RawVerbKind::InboundWrite => client_nodes[*i],
-            _ => server.expect("server-side event without a server"),
-        });
-        let mut sim = ShardedSim::new(fabric, self, spec, route);
-        sim.run_until(end + SimDuration::millis(1));
-        sim
+    /// When every run of the loop stops: the end of the window plus a
+    /// 1 ms drain.
+    pub(crate) fn deadline(&self) -> SimTime {
+        self.measured.end + SimDuration::millis(1)
     }
 
     fn record(&mut self, pool: usize, now: SimTime) {
@@ -390,14 +370,12 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
     let mut qps = Vec::new();
     let mut client_mrs = Vec::new();
     let mut client_ud_qps = Vec::new();
-    let mut client_nodes: Vec<NodeId> = Vec::new();
     let mut pools = Vec::new();
 
     match cfg.kind {
         RawVerbKind::OutboundWrite => {
             for c in 0..cfg.clients {
                 let node = fabric.add_node(&format!("c{c}"));
-                client_nodes.push(node);
                 let ccq = fabric.create_cq(node).expect("cq");
                 let mr = fabric.register_mr(node, 4096).expect("mr");
                 let sqp = fabric
@@ -416,7 +394,6 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
             pools.push(pool);
             for c in 0..cfg.clients {
                 let node = fabric.add_node(&format!("c{c}"));
-                client_nodes.push(node);
                 let ccq = fabric.create_cq(node).expect("cq");
                 let sqp = fabric
                     .create_qp(server, Transport::Rc, server_cq, server_cq)
@@ -435,7 +412,6 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
             }
             for c in 0..cfg.clients {
                 let node = fabric.add_node(&format!("c{c}"));
-                client_nodes.push(node);
                 let ccq = fabric.create_cq(node).expect("cq");
                 let qp = fabric.create_qp(node, Transport::Ud, ccq, ccq).expect("qp");
                 let mr = fabric.register_mr(node, 64 * 4096).expect("mr");
@@ -448,36 +424,12 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
         }
     }
 
-    let nthreads = cfg.nthreads.max(1);
+    // One server, so one engine thread: a hub has nothing to partition.
     let logic = RawVerbLogic::new(cfg, Some(server), qps, client_mrs, client_ud_qps, pools);
-    // Partition: the server is one shard; clients spread round-robin
-    // over the remaining groups. `nthreads = 1` collapses to a single
-    // group — the plain sequential engine, no windowing at all.
-    let spec = if nthreads == 1 {
-        let mut all = vec![server];
-        all.extend_from_slice(&client_nodes);
-        ShardSpec::sequential(all)
-    } else {
-        let mut groups = vec![vec![server]];
-        groups.extend((0..nthreads).map(|g| {
-            client_nodes
-                .iter()
-                .copied()
-                .skip(g)
-                .step_by(nthreads)
-                .collect::<Vec<_>>()
-        }));
-        groups.retain(|g| !g.is_empty());
-        ShardSpec {
-            groups,
-            nthreads,
-            isolated: false,
-        }
-    };
-    let sim = logic.run(fabric, spec, client_nodes);
-    let ssid = sim.shard_of(server);
-    let logic = sim.logic(ssid);
-    let fabric = sim.fabric(ssid);
+    let deadline = logic.deadline();
+    let mut sim = ShardedSim::new_sequential(fabric, logic);
+    sim.run_sequential(deadline);
+    let (logic, fabric) = (sim.logic(0), sim.fabric(0));
     let ops = logic.ops[0];
     let per_mops = |n: u64| logic.measured.rate(n) / 1e6;
     let counters = fabric.counters(server).expect("server");

@@ -76,13 +76,6 @@ pub struct RpcRunConfig {
     pub run: SimDuration,
     /// Seed.
     pub seed: u64,
-    /// Engine threads requested. Hub RPC topologies funnel every
-    /// request through one server, so the sharded engine runs them
-    /// single-shard regardless (the 400 ns lookahead window would just
-    /// serialize on the server shard); the knob is accepted for
-    /// interface parity with the raw-verb and pod workloads and future
-    /// per-server-thread sharding.
-    pub nthreads: usize,
 }
 
 impl Default for RpcRunConfig {
@@ -99,7 +92,6 @@ impl Default for RpcRunConfig {
             warmup: SimDuration::millis(2),
             run: SimDuration::millis(6),
             seed: 42,
-            nthreads: 1,
         }
     }
 }
@@ -150,7 +142,7 @@ pub fn run_rpc(cfg: RpcRunConfig) -> RpcRunResult {
         think: cfg.think.clone(),
         seed: cfg.seed,
         window: cfg.window,
-        nthreads: cfg.nthreads,
+        nthreads: 1,
         retry: None,
     };
     let echo = EchoHandler::default();
@@ -179,8 +171,7 @@ pub fn run_rpc(cfg: RpcRunConfig) -> RpcRunResult {
     }
 }
 
-/// Replays one harness (a single shard: see `RpcRunConfig::nthreads` for
-/// why hub topologies do not partition further) and reads the result.
+/// Replays one harness (a hub, so a single shard) and reads the result.
 fn drive<T: RpcTransport>(h: Harness<T>, fabric: Fabric) -> RpcRunResult {
     let (sim, over_window) = h.replay(fabric);
     let m = &sim.logic(0).metrics;

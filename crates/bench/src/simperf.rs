@@ -50,11 +50,10 @@ fn timed(name: &'static str, f: impl FnOnce() -> (u64, u64)) -> WorkloadResult {
 
 /// Runs the fixed workload set. `quick` shrinks the simulated windows
 /// for CI smoke runs (same code paths, ~10× less work). `nthreads`
-/// feeds the sharded engine: the hub workloads (one server node) stay
-/// pinned to the sequential engine — the 400 ns lookahead windows
-/// cannot parallelize a single hub — while the multi-pod workload
-/// spreads its independent pods over the thread pool. Event and op
-/// counts are bit-identical at every `nthreads`.
+/// reaches one row: the hub workloads (one server node) have nothing
+/// to run in parallel and take no such option, while the multi-pod
+/// workload spreads its independent pods over the thread pool. Event
+/// and op counts are bit-identical at every `nthreads`.
 pub fn run_all(quick: bool, nthreads: usize) -> Vec<WorkloadResult> {
     let ms = |full: u64, q: u64| SimDuration::millis(if quick { q } else { full });
     vec![
@@ -126,8 +125,8 @@ pub fn run_all(quick: bool, nthreads: usize) -> Vec<WorkloadResult> {
             (r.events, r.ops)
         }),
         // Eight independent server pods — the rack-shaped workload the
-        // sharded engine accelerates (isolated mode, one shard per
-        // pod). The only row whose wall time responds to `--nthreads`.
+        // engine runs in parallel (isolated mode, one shard per pod).
+        // The only row whose wall time responds to `--nthreads`.
         timed("pods8_inbound_200c", move || {
             let r = run_pods(PodsConfig {
                 warmup: if quick {

@@ -271,8 +271,8 @@ impl Fabric {
     /// Installs (or clears, with `None`) a wire impairment. Takes effect
     /// for every operation priced after the call; in-flight packets keep
     /// the latencies they were scheduled with. Degrades must only add
-    /// latency (`num >= den`) — enforced by the panic below — so the
-    /// sharded engine's `min_cross_delay` lookahead stays conservative.
+    /// latency (`num >= den`) — enforced by the panic below: a "degrade"
+    /// that speeds the wire up is a mistyped scenario, not an impairment.
     pub fn set_link_degrade(&mut self, degrade: Option<LinkDegrade>) {
         if let Some(d) = degrade {
             assert!(

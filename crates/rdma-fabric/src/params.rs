@@ -167,10 +167,9 @@ impl Default for FabricParams {
 /// A transient wire impairment (cable errors, congested uplink,
 /// rate-limited tenant): serialization and propagation are stretched by
 /// `num/den` and `extra` is added to every wire hop. Constructors must
-/// keep `num >= den` and `den > 0` — degradation only ever *adds*
-/// latency, so [`FabricParams::min_cross_delay`] remains a valid
-/// conservative lookahead for the sharded engine while a degrade is
-/// active.
+/// keep `num >= den` and `den > 0` — a degrade degrades: it only ever
+/// *adds* latency, so [`FabricParams::min_cross_delay`] stays the floor
+/// of every cross-node edge while one is active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkDegrade {
     /// Slowdown numerator.
@@ -208,8 +207,9 @@ impl FabricParams {
     }
 
     /// The minimum delay between an event on one node and any event it
-    /// can cause on *another* node — the conservative lookahead of the
-    /// sharded engine (DESIGN.md §10).
+    /// can cause on *another* node. A stated property of the model: the
+    /// engine stopped depending on it when its windowed mode was deleted
+    /// (DESIGN.md §10), and the test below pins the value.
     ///
     /// Every cross-node edge in the fabric pipeline is at least one of:
     /// the one-way wire latency (tx engine → remote rx engine, and
@@ -298,7 +298,7 @@ mod tests {
         assert!(p.conn_setup_cpu() > p.post_cpu * 100);
         assert!(p.qp_destroy_cpu > p.post_cpu * 10);
         // Setup latencies are intra-node costs and must not shrink the
-        // sharded engine's cross-node lookahead.
+        // cross-node floor.
         assert_eq!(p.min_cross_delay(), SimDuration::nanos(400));
     }
 }

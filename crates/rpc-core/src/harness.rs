@@ -84,10 +84,9 @@ pub struct HarnessConfig {
     /// batching). Transports with slot-addressed client buffers (8
     /// message slots) support windows up to 8.
     pub window: usize,
-    /// Engine threads requested for the run. The harness ignores it: it
-    /// is a monolithic hub logic (one server, shared request generator)
-    /// and always executes on a single shard of the sharded engine. The
-    /// field stays because callers build this config by struct literal.
+    /// Ignored: the harness is a hub logic and always single-shard. The
+    /// field is kept for source compatibility — `benchmark/` names it in
+    /// struct literals — and goes with the next `[benchmark]` PR.
     pub nthreads: usize,
     /// Client-side failover retransmission, required for scenarios with
     /// server crashes. `None` (the default) schedules no retry timers,

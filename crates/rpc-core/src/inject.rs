@@ -62,9 +62,9 @@ pub enum Injection {
         den: u32,
     },
     /// The fabric's wire degrades: serialization and propagation
-    /// latencies are multiplied by `num/den` (`num >= den`) and `extra`
-    /// is added to every wire hop. Conservative-only so the sharded
-    /// engine's cross-shard lookahead stays valid.
+    /// latencies are multiplied by `num/den` (`num >= den`: a degrade
+    /// degrades, a factor below one is rejected as a typo) and `extra`
+    /// is added to every wire hop.
     LinkDegrade {
         num: u32,
         den: u32,

@@ -5,10 +5,9 @@
 //! - [`driver`]: the application side of the engine — the [`Logic`]
 //!   trait and the [`Cx`] capability handle through which logic posts
 //!   verbs and sets timers.
-//! - [`sharded`]: the engine — [`ShardedSim`], a sequential event loop
-//!   with one shard and per-shard logical processes under
-//!   conservative-lookahead windows with a deterministic cross-shard
-//!   merge (DESIGN.md §10) with several.
+//! - [`sharded`]: the engine — [`ShardedSim`], one sequential event
+//!   loop, run once over everything or once per group of nodes that
+//!   never talk to another group, on a thread pool (DESIGN.md §10).
 //! - [`transport`]: the [`RpcTransport`](transport::RpcTransport) trait
 //!   every RPC implementation (ScaleRPC and the baselines) provides.
 //! - [`cluster`]: topology builder for the paper's testbed shape (one

@@ -1,66 +1,67 @@
-// simlint: allow-file(R6): the parallel engine — owns every shard queue
-// and the cross-shard merge; seq-level queue access here is the point.
-//! The sharded parallel simulation driver.
+// simlint: allow-file(R6): the engine — owns every shard queue and stamps
+// init events with the sequential engine's seqs (`push_with_seq`).
+//! The simulation engine.
 //!
-//! [`ShardedSim`] is the one simulation engine. With a single shard it
-//! is the plain sequential event loop; beyond that it splits one simulation into per-shard logical processes — each with
-//! its own [`EventQueue`], fabric replica and logic replica — and runs
-//! them on a `std::thread` pool under conservative-lookahead windows.
-//! The cross-shard merge algebra lives in [`simcore::shard`]; this module
-//! wires it to the fabric/logic event loop:
+//! [`ShardedSim`] is the one simulation engine, and it has one event
+//! loop (`run_span`): pop the earliest event of a queue, hand it to the
+//! fabric or the logic, push what that staged. It runs in two modes,
+//! picked by the number of node groups it is given:
 //!
-//! - The *partition* assigns every fabric node to exactly one shard.
-//!   Fabric events are routed by [`Fabric::event_node`]; application
-//!   events are routed by a caller-supplied [`AppRoute`] closure.
-//! - Logic is replicated per shard (`L: Clone`). A shard's replica must
-//!   only mutate state belonging to its own nodes — state for foreign
-//!   nodes goes stale and reading it is a logic bug. Results are read
-//!   back per shard through [`ShardedSim::logic`].
-//! - Three execution modes, picked automatically:
-//!   1. one shard → the plain sequential loop (`nthreads = 1` costs
-//!      nothing; the tests below hold it event-for-event to a reference
-//!      single-queue engine);
-//!   2. [`ShardSpec::isolated`] → each shard runs independently to the
-//!      deadline with **no** windows or merges; any cross-shard event is
-//!      a panic. For topologies that genuinely never talk across the
-//!      partition (e.g. disjoint server pods) this scales linearly.
-//!   3. general → windowed execution with the deterministic sweep of
-//!      [`simcore::shard::sweep`] between windows, reproducing the
-//!      sequential engine's event order bit-for-bit (DESIGN.md §10).
+//! 1. **one group** — the plain sequential loop over one
+//!    [`EventQueue`], one fabric and one logic ([`ShardedSim::new_sequential`],
+//!    or [`ShardedSim::new`] with [`ShardSpec::sequential`]). Every hub
+//!    workload — N clients, one server — runs this way; the tests below
+//!    hold it event-for-event to a reference single-queue engine.
+//! 2. **several groups** — *isolated*: the groups never exchange an
+//!    event (disjoint server pods), so each gets its own queue, fabric
+//!    replica and logic replica (`L: Clone`) and runs the same loop
+//!    straight to the deadline on a `std::thread` pool. There is
+//!    nothing to merge, so results are bit-identical at every
+//!    `nthreads`; an event that does cross the partition is a panic
+//!    naming both shards, never a silent reordering.
+//!
+//! The *partition* assigns every fabric node to exactly one shard.
+//! Fabric events are placed by [`Fabric::event_node`], application
+//! events by a caller-supplied [`AppRoute`] closure; both are consulted
+//! only to place init events and to enforce isolation. A shard's logic
+//! replica must only touch state belonging to its own nodes — state for
+//! foreign nodes goes stale. Results are read back per shard through
+//! [`ShardedSim::logic`] and [`ShardedSim::fabric`].
+//!
+//! There is deliberately no mode for partitions that do talk: the
+//! conservative-window engine that ran them lost to mode 1 by 2.6–141×
+//! on every workload that could select it (DESIGN.md §10).
 //!
 //! Tracing must be disabled for multi-shard runs: trace ids would be
 //! allocated in nondeterministic thread order, scrambling the output.
 //! The constructor asserts this instead of producing garbage.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::thread;
 
 use rdma_fabric::{Fabric, FabricEvent, NodeId, Upcall};
-use simcore::shard::{sweep, PopRec, PushRec, WindowLog, PROVISIONAL_BASE};
 use simcore::stats::CounterSet;
-use simcore::{EventId, EventQueue, SimDuration, SimTime};
+use simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::driver::{Cx, Ev, Logic};
 use crate::metrics::Window;
 
-/// Routes an application event to the node whose shard must execute it.
-///
-/// Must be a pure function of the event: the same event must route to
-/// the same node on every call, or determinism is lost.
+/// Names the node an application event executes on. Consulted to place
+/// init events on their shard and, in isolated mode, to check that no
+/// event leaves the shard that staged it.
 pub type AppRoute<A> = Arc<dyn Fn(&A) -> NodeId + Send + Sync>;
 
 /// Topology and execution parameters of a sharded run.
 #[derive(Clone, Debug)]
 pub struct ShardSpec {
     /// Node groups; group `i` becomes shard `i`. Every node of the
-    /// fabric must appear in exactly one group.
+    /// fabric must appear in exactly one group. More than one group
+    /// declares that no event ever crosses between them; a violation
+    /// panics loudly.
     pub groups: Vec<Vec<NodeId>>,
-    /// Worker threads. Clamped to the shard count; `1` still exercises
-    /// the sharded data path when there are multiple groups.
+    /// Worker threads. Clamped to the shard count; `1` still runs one
+    /// replica per group, one after the other.
     pub nthreads: usize,
-    /// Declares that no event ever crosses the partition, enabling the
-    /// window-free isolated mode. Violations panic loudly.
-    pub isolated: bool,
 }
 
 impl ShardSpec {
@@ -69,7 +70,6 @@ impl ShardSpec {
         ShardSpec {
             groups: vec![all_nodes],
             nthreads: 1,
-            isolated: false,
         }
     }
 }
@@ -80,12 +80,6 @@ struct Shard<L: Logic> {
     fabric: Fabric,
     logic: L,
     queue: EventQueue<Ev<L::Ev>>,
-    /// Window log handed to [`sweep`] (windowed mode only).
-    log: WindowLog,
-    /// Provisional index → pending event id, for rekeying.
-    prov_ids: Vec<EventId>,
-    /// Cross-shard payload buffer for the current window.
-    cross_out: Vec<(SimTime, Ev<L::Ev>)>,
 }
 
 impl<L: Logic> Shard<L> {
@@ -94,38 +88,6 @@ impl<L: Logic> Shard<L> {
             fabric,
             logic,
             queue: EventQueue::new(),
-            log: WindowLog::default(),
-            prov_ids: Vec::new(),
-            cross_out: Vec::new(),
-        }
-    }
-}
-
-/// A shard's cross-push payload buffer mid-delivery: each payload is
-/// handed to its destination exactly once, so it is taken through an
-/// `Option`.
-type CrossPayloads<A> = Vec<Option<(SimTime, Ev<A>)>>;
-
-/// Per-shard mailbox used to exchange window state between workers and
-/// the merge step. Each slot is written by exactly one party per phase;
-/// the barriers order the accesses, the mutex just satisfies the
-/// compiler (and is never contended).
-struct Slot<A> {
-    log: WindowLog,
-    cross: Vec<(SimTime, Ev<A>)>,
-    rekeys: Vec<(u32, u64)>,
-    delivered: Vec<(SimTime, u64, Ev<A>)>,
-    next_time: Option<SimTime>,
-}
-
-impl<A> Default for Slot<A> {
-    fn default() -> Self {
-        Slot {
-            log: WindowLog::default(),
-            cross: Vec::new(),
-            rekeys: Vec::new(),
-            delivered: Vec::new(),
-            next_time: None,
         }
     }
 }
@@ -139,45 +101,22 @@ pub struct ShardedSim<L: Logic> {
     /// Node index → owning shard.
     node_shard: Vec<u32>,
     route: AppRoute<L::Ev>,
-    lookahead: SimDuration,
     nthreads: usize,
-    isolated: bool,
-    /// First unallocated global sequence number (windowed mode).
-    next_seq: u64,
     events: u64,
 }
 
 impl<L: Logic> ShardedSim<L> {
-    /// Builds a *single-shard* simulation: the sequential engine run
-    /// through the sharded driver's span loop (bit-identical to the
-    /// reference engine, see the equivalence test below). Requires
-    /// neither `Clone` nor `Send`, so monolithic logics — the RPC
-    /// benchmark [`Harness`](crate::Harness), the transaction driver —
-    /// can route their events through a shard handle today and pick up
-    /// multi-shard execution if they are ever made replicable.
+    /// Builds a *single-shard* simulation: the sequential engine
+    /// (bit-identical to the reference engine, see the equivalence test
+    /// below). Requires neither `Clone` nor `Send`, so monolithic logics
+    /// — the RPC benchmark [`Harness`](crate::Harness), the transaction
+    /// driver — run on it as they are.
     pub fn new_sequential(mut fabric: Fabric, mut logic: L) -> Self {
         let node_shard = vec![0u32; fabric.node_count()];
-        let lookahead = fabric.params().min_cross_delay();
-        let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
-        let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
-        {
-            let mut cx = Cx {
-                now: SimTime::ZERO,
-                fabric: &mut fabric,
-                staged_fabric: &mut staged_fabric,
-                staged_app: &mut staged_app,
-            };
-            logic.init(&mut cx);
-        }
+        let init = init_events(&mut fabric, &mut logic);
         let mut shard = Shard::new(fabric, logic);
-        let mut next_seq = 0u64;
-        for (t, fe) in staged_fabric.drain(..) {
-            shard.queue.push_with_seq(t, next_seq, Ev::Fabric(fe));
-            next_seq += 1;
-        }
-        for (t, ae) in staged_app.drain(..) {
-            shard.queue.push_with_seq(t, next_seq, Ev::App(ae));
-            next_seq += 1;
+        for (seq, (t, ev)) in (0u64..).zip(init) {
+            shard.queue.push_with_seq(t, seq, ev);
         }
         ShardedSim {
             shards: vec![shard],
@@ -185,10 +124,7 @@ impl<L: Logic> ShardedSim<L> {
             // Single shard: nothing ever routes, the closure is never
             // called (run_span only consults it under check_isolated).
             route: Arc::new(|_| NodeId(0)),
-            lookahead,
             nthreads: 1,
-            isolated: false,
-            next_seq,
             events: 0,
         }
     }
@@ -269,11 +205,6 @@ impl<L: Logic> ShardedSim<L> {
         &self.shards[sid].fabric
     }
 
-    /// The conservative lookahead (window length) in use.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// Total events processed so far across all shards. Equals the
     /// sequential engine's count for the same run.
     pub fn events(&self) -> u64 {
@@ -286,12 +217,12 @@ where
     L: Logic + Clone + Send,
     L::Ev: Send,
 {
-    /// Builds a sharded simulation from a fully constructed fabric and
-    /// logic.
+    /// Builds a simulation over `spec.groups` from a fully constructed
+    /// fabric and logic.
     ///
     /// Runs `logic.init` once on the *unsharded* fabric — exactly as a
     /// single-queue engine would — then replicates fabric and logic per
-    /// shard and distributes the staged init events with the global
+    /// shard and deals the staged init events to their shards under the
     /// sequence numbers the sequential engine would have assigned.
     ///
     /// # Panics
@@ -319,25 +250,8 @@ where
             "multi-shard runs require the tracer disabled (trace ids \
              would be allocated in thread order)"
         );
-        let lookahead = fabric.params().min_cross_delay();
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "zero lookahead cannot make parallel progress"
-        );
 
-        // Sequential init, exactly as a single-queue engine performs it.
-        let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
-        let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
-        {
-            let mut cx = Cx {
-                now: SimTime::ZERO,
-                fabric: &mut fabric,
-                staged_fabric: &mut staged_fabric,
-                staged_app: &mut staged_app,
-            };
-            logic.init(&mut cx);
-        }
-
+        let init = init_events(&mut fabric, &mut logic);
         let mut shards: Vec<Shard<L>> = if nshards == 1 {
             vec![Shard::new(fabric, logic)]
         } else {
@@ -346,32 +260,23 @@ where
                 .map(|group| Shard::new(fabric.shard_replica(group), logic.clone()))
                 .collect()
         };
-
-        // Distribute init events in the sequential push order (fabric
-        // stage drains before app stage) with global seqs 0..n.
-        let mut next_seq = 0u64;
-        for (t, fe) in staged_fabric.drain(..) {
+        for (seq, (t, ev)) in (0u64..).zip(init) {
             // event_node only reads connection metadata, identical in
-            // every replica; node_shard covers all fabric nodes.
-            let sid = node_shard[shards[0].fabric.event_node(&fe).index()] as usize;
-            shards[sid].queue.push_with_seq(t, next_seq, Ev::Fabric(fe));
-            next_seq += 1;
-        }
-        for (t, ae) in staged_app.drain(..) {
-            // route returns a node of this fabric by contract.
-            let sid = node_shard[route(&ae).index()] as usize;
-            shards[sid].queue.push_with_seq(t, next_seq, Ev::App(ae));
-            next_seq += 1;
+            // every replica; route returns a node of this fabric by
+            // contract, and node_shard covers all fabric nodes.
+            let node = match &ev {
+                Ev::Fabric(fe) => shards[0].fabric.event_node(fe),
+                Ev::App(ae) => route(ae),
+            };
+            let sid = node_shard[node.index()] as usize;
+            shards[sid].queue.push_with_seq(t, seq, ev);
         }
 
         ShardedSim {
             shards,
             node_shard,
             route,
-            lookahead,
             nthreads: spec.nthreads.max(1),
-            isolated: spec.isolated,
-            next_seq,
             events: 0,
         }
     }
@@ -390,10 +295,8 @@ where
                 deadline,
                 false,
             )
-        } else if self.isolated {
-            self.run_isolated(deadline)
         } else {
-            self.run_windowed(deadline)
+            self.run_isolated(deadline)
         };
         self.events += n;
         n
@@ -404,7 +307,8 @@ where
         self.run_until(SimTime::MAX)
     }
 
-    /// Isolated mode: every shard straight to the deadline, no windows.
+    /// Isolated mode: every shard straight to the deadline, dealt
+    /// round-robin to `nthreads` workers (the caller is worker 0).
     fn run_isolated(&mut self, deadline: SimTime) -> u64 {
         let nw = self.nthreads.min(self.shards.len());
         let node_shard = &self.node_shard;
@@ -438,145 +342,25 @@ where
             pops
         })
     }
+}
 
-    /// General mode: conservative windows + deterministic sweep.
-    ///
-    /// The caller thread doubles as worker 0 and as the merge
-    /// coordinator; `nthreads - 1` scoped workers are spawned for the
-    /// remaining shard chunks. Four barriers sequence each window:
-    ///
-    /// ```text
-    ///  A: window published    → all execute their shards' window
-    ///  B: logs published      → coordinator sweeps, moves payloads
-    ///  C: directives published → all rekey + apply deliveries
-    ///  D: next times published → coordinator picks the next window
-    /// ```
-    fn run_windowed(&mut self, deadline: SimTime) -> u64 {
-        let nshards = self.shards.len();
-        let nw = self.nthreads.min(nshards);
-        let lookahead = self.lookahead;
-        let node_shard = &self.node_shard;
-        let route = &self.route;
-
-        let window: Mutex<Option<(SimTime, SimTime)>> = Mutex::new(None);
-        let slots: Vec<Mutex<Slot<L::Ev>>> =
-            (0..nshards).map(|_| Mutex::new(Slot::default())).collect();
-        let barrier = Barrier::new(nw);
-
-        let start = self.shards.iter().filter_map(|s| s.queue.peek_time()).min();
-        let mut cur = match start {
-            Some(t) if t <= deadline => Some((t + lookahead, deadline)),
-            _ => None,
-        };
-        *window.lock().expect("window mutex") = cur;
-
-        let mut chunks: Vec<Vec<(u32, &mut Shard<L>)>> = (0..nw).map(|_| Vec::new()).collect();
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            // i % nw < nw == chunks.len()
-            chunks[i % nw].push((i as u32, sh));
-        }
-        let mut own = chunks.remove(0);
-
-        let mut events = 0u64;
-        let mut next_seq = self.next_seq;
-        thread::scope(|scope| {
-            for mut chunk in chunks {
-                let barrier = &barrier;
-                let window = &window;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    barrier.wait(); // A: window published
-                    let Some((end, dl)) = *window.lock().expect("window mutex") else {
-                        break;
-                    };
-                    for (sid, shard) in chunk.iter_mut() {
-                        execute_window(*sid, shard, node_shard, route, end, dl);
-                        // sid indexes slots: one slot per shard
-                        publish_window(shard, &slots[*sid as usize]);
-                    }
-                    barrier.wait(); // B: logs published
-                    barrier.wait(); // C: directives published
-                    for (sid, shard) in chunk.iter_mut() {
-                        // sid indexes slots: one slot per shard
-                        apply_directives(shard, &slots[*sid as usize]);
-                    }
-                    barrier.wait(); // D: next times published
-                });
-            }
-
-            // Coordinator loop (also executes chunk 0).
-            loop {
-                barrier.wait(); // A
-                let Some((end, dl)) = cur else { break };
-                for (sid, shard) in own.iter_mut() {
-                    execute_window(*sid, shard, node_shard, route, end, dl);
-                    // sid indexes slots: one slot per shard
-                    publish_window(shard, &slots[*sid as usize]);
-                }
-                barrier.wait(); // B
-
-                // --- serial merge (all workers parked at C) ---
-                let logs: Vec<WindowLog> = slots
-                    .iter()
-                    .map(|s| std::mem::take(&mut s.lock().expect("slot mutex").log))
-                    .collect();
-                let out = sweep(&logs, next_seq);
-                next_seq = out.next_seq;
-                events += out.pops;
-                // Move cross payloads from source buffers to their
-                // destination slots; each payload is delivered exactly
-                // once, so take() through Option.
-                let mut cross: Vec<CrossPayloads<L::Ev>> = slots
-                    .iter()
-                    .map(|s| {
-                        s.lock()
-                            .expect("slot mutex")
-                            .cross
-                            .drain(..)
-                            .map(Some)
-                            .collect()
-                    })
-                    .collect();
-                for (dst, directives) in out.shards.into_iter().enumerate() {
-                    // sweep returns one directive set per shard
-                    let mut slot = slots[dst].lock().expect("slot mutex");
-                    slot.rekeys = directives.rekeys;
-                    slot.delivered = directives
-                        .deliveries
-                        .into_iter()
-                        .map(|d| {
-                            // d.src/d.payload_idx index the cross buffer
-                            // the sweep built them from
-                            let (t, ev) = cross[d.src as usize][d.payload_idx as usize]
-                                .take()
-                                .expect("cross payload delivered twice");
-                            debug_assert_eq!(t, d.time);
-                            (d.time, d.seq, ev)
-                        })
-                        .collect();
-                }
-                barrier.wait(); // C
-
-                for (sid, shard) in own.iter_mut() {
-                    // sid indexes slots: one slot per shard
-                    apply_directives(shard, &slots[*sid as usize]);
-                }
-                barrier.wait(); // D
-
-                let start = slots
-                    .iter()
-                    .filter_map(|s| s.lock().expect("slot mutex").next_time)
-                    .min();
-                cur = match start {
-                    Some(t) if t <= deadline => Some((t + lookahead, deadline)),
-                    _ => None,
-                };
-                *window.lock().expect("window mutex") = cur;
-            }
-        });
-        self.next_seq = next_seq;
-        events
-    }
+/// Runs `logic.init` on the unsharded fabric and yields what it staged
+/// in the order a single-queue engine pushes it (the fabric stage drains
+/// before the app stage): an event's position is its sequence number.
+fn init_events<L: Logic>(
+    fabric: &mut Fabric,
+    logic: &mut L,
+) -> impl Iterator<Item = (SimTime, Ev<L::Ev>)> {
+    let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
+    let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
+    logic.init(&mut Cx {
+        now: SimTime::ZERO,
+        fabric,
+        staged_fabric: &mut staged_fabric,
+        staged_app: &mut staged_app,
+    });
+    let fabric_evs = staged_fabric.into_iter().map(|(t, fe)| (t, Ev::Fabric(fe)));
+    fabric_evs.chain(staged_app.into_iter().map(|(t, ae)| (t, Ev::App(ae))))
 }
 
 /// Processes one popped event through fabric/logic, leaving everything
@@ -617,7 +401,7 @@ fn process_event<L: Logic>(
 
 /// Sequential event loop over one shard up to the (inclusive) deadline.
 /// With `check_isolated`, any event routed off-shard panics — that is
-/// the contract [`ShardSpec::isolated`] declares.
+/// the contract a multi-group [`ShardSpec`] declares.
 fn run_span<L: Logic>(
     sid: u32,
     shard: &mut Shard<L>,
@@ -668,128 +452,13 @@ fn run_span<L: Logic>(
     pops
 }
 
-/// Executes one conservative window `[.., end)` on one shard, recording
-/// the pop/push log that [`sweep`] will merge.
-fn execute_window<L: Logic>(
-    sid: u32,
-    shard: &mut Shard<L>,
-    node_shard: &[u32],
-    route: &AppRoute<L::Ev>,
-    end: SimTime,
-    deadline: SimTime,
-) {
-    shard.log.clear();
-    shard.prov_ids.clear();
-    shard.cross_out.clear();
-    let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
-    let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
-    let mut upcalls: Vec<Upcall> = Vec::new();
-    // The window is half-open — `end` itself belongs to the next one —
-    // and never empty: `end` is a time plus the (non-zero) lookahead.
-    let last = deadline.min(SimTime(end.as_nanos() - 1));
-    while let Some((now, seq, ev)) = shard.queue.pop_at_or_before_with_seq(last) {
-        let push_mark = shard.log.pushes.len();
-        process_event(
-            shard,
-            now,
-            ev,
-            &mut staged_fabric,
-            &mut staged_app,
-            &mut upcalls,
-        );
-        for (t, fe) in staged_fabric.drain(..) {
-            // event_node returns a node of this fabric
-            let dst = node_shard[shard.fabric.event_node(&fe).index()];
-            stage_push(sid, shard, dst, t, Ev::Fabric(fe), end);
-        }
-        for (t, ae) in staged_app.drain(..) {
-            // route returns a node of this fabric by contract
-            let dst = node_shard[route(&ae).index()];
-            stage_push(sid, shard, dst, t, Ev::App(ae), end);
-        }
-        let npushes = (shard.log.pushes.len() - push_mark) as u32;
-        shard.log.pops.push(PopRec {
-            time: now,
-            seq,
-            npushes,
-        });
-    }
-}
-
-/// Stages one push during a window: local pushes enter the shard's own
-/// queue under a provisional key; cross pushes are buffered for the
-/// sweep. A cross push landing inside the current window would mean the
-/// fabric broke its own lookahead bound — panic, never corrupt order.
-fn stage_push<L: Logic>(
-    sid: u32,
-    shard: &mut Shard<L>,
-    dst: u32,
-    t: SimTime,
-    ev: Ev<L::Ev>,
-    end: SimTime,
-) {
-    if dst == sid {
-        let k = shard.log.provisional;
-        shard.log.provisional += 1;
-        let id = shard
-            .queue
-            .push_with_seq(t, PROVISIONAL_BASE + k as u64, ev);
-        shard.prov_ids.push(id);
-        shard.log.pushes.push(PushRec {
-            dst,
-            time: t,
-            tag: k,
-            cross: false,
-        });
-    } else {
-        assert!(
-            t >= end,
-            "cross-shard event at {t} violates the lookahead window ending at {end}; \
-             FabricParams::min_cross_delay no longer bounds every cross-node edge"
-        );
-        let tag = shard.cross_out.len() as u32;
-        shard.cross_out.push((t, ev));
-        shard.log.pushes.push(PushRec {
-            dst,
-            time: t,
-            tag,
-            cross: true,
-        });
-    }
-}
-
-/// Moves a shard's window log and cross buffer into its mailbox slot.
-fn publish_window<L: Logic>(shard: &mut Shard<L>, slot: &Mutex<Slot<L::Ev>>) {
-    let mut slot = slot.lock().expect("slot mutex");
-    slot.log = std::mem::take(&mut shard.log);
-    slot.cross = std::mem::take(&mut shard.cross_out);
-}
-
-/// Applies the sweep's directives to a shard: rekey still-pending local
-/// events to their final seqs, enqueue cross deliveries, and publish the
-/// shard's next event time for the coordinator's window choice.
-fn apply_directives<L: Logic>(shard: &mut Shard<L>, slot: &Mutex<Slot<L::Ev>>) {
-    let mut slot = slot.lock().expect("slot mutex");
-    for (k, fin) in slot.rekeys.drain(..) {
-        // k < prov_ids.len(): rekeys reference this window's pushes
-        let id = shard.prov_ids[k as usize];
-        // Events already popped inside the window are stale ids; set_seq
-        // returning false is the expected no-op for them.
-        let _ = shard.queue.set_seq(id, fin);
-    }
-    for (t, seq, ev) in slot.delivered.drain(..) {
-        shard.queue.push_with_seq(t, seq, ev);
-    }
-    slot.next_time = shard.queue.peek_time();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
     use rdma_fabric::{FabricParams, MrId, QpId, RemoteAddr, Transport, WorkRequest};
 
-    /// The reference engine every mode is compared against: one fabric,
+    /// The reference engine both modes are compared against: one fabric,
     /// one logic, one queue, nothing else — the original sequential
     /// driver, kept as the oracle that defines "the same run".
     struct Sim<L: Logic> {
@@ -957,8 +626,13 @@ mod tests {
     }
 
     fn build_pair(fabric: &mut Fabric, tag: usize, max_rounds: u32) -> PingPong {
-        let na = fabric.add_node(&format!("a{tag}"));
         let nb = fabric.add_node(&format!("b{tag}"));
+        build_pair_to(fabric, tag, nb, max_rounds)
+    }
+
+    /// A fresh node `a{tag}` playing against the existing node `nb`.
+    fn build_pair_to(fabric: &mut Fabric, tag: usize, nb: NodeId, max_rounds: u32) -> PingPong {
+        let na = fabric.add_node(&format!("a{tag}"));
         let mr_a = fabric.register_mr(na, 64).unwrap();
         let mr_b = fabric.register_mr(nb, 64).unwrap();
         let cq_a = fabric.create_cq(na).unwrap();
@@ -978,39 +652,6 @@ mod tests {
             max_rounds,
             timer_fired: false,
         }
-    }
-
-    #[test]
-    fn windowed_two_shards_match_the_sequential_engine() {
-        // Sequential reference.
-        let mut fabric = Fabric::new(FabricParams::default());
-        let logic = build_pair(&mut fabric, 0, 10);
-        let mut seq_sim = Sim::new(fabric, logic);
-        let seq_events = seq_sim.run_to_quiescence();
-        assert_eq!(seq_sim.logic.pongs, 10);
-
-        // Same topology, one shard per node, windowed execution.
-        let mut fabric = Fabric::new(FabricParams::default());
-        let logic = build_pair(&mut fabric, 0, 10);
-        let (na, nb, mr_a) = (logic.a, logic.b, logic.mr_a);
-        let spec = ShardSpec {
-            groups: vec![vec![na], vec![nb]],
-            nthreads: 2,
-            isolated: false,
-        };
-        let route: AppRoute<PpEv> = Arc::new(move |_| na);
-        let mut sim = ShardedSim::new(fabric, logic, spec, route);
-        let events = sim.run_to_quiescence();
-
-        assert_eq!(events, seq_events, "event counts must match exactly");
-        // b-side state lives on b's shard; a-side memory on a's shard.
-        assert_eq!(sim.logic(sim.shard_of(nb)).pings, 10);
-        assert_eq!(sim.logic(sim.shard_of(na)).pongs, 10);
-        assert!(sim.logic(sim.shard_of(na)).timer_fired);
-        let a_fabric = sim.fabric(sim.shard_of(na));
-        assert_eq!(a_fabric.mr(mr_a).unwrap().read(0, 4).unwrap(), b"pong");
-        let seq_bytes = seq_sim.fabric.mr(mr_a).unwrap().read(0, 4).unwrap();
-        assert_eq!(a_fabric.mr(mr_a).unwrap().read(0, 4).unwrap(), seq_bytes);
     }
 
     /// Two independent ping-pong pairs in one fabric; each pair is its
@@ -1068,7 +709,6 @@ mod tests {
         let spec = ShardSpec {
             groups,
             nthreads: 2,
-            isolated: true,
         };
         let route: AppRoute<TpEv> = Arc::new(move |TpEv::Pair(i, _)| anchors[*i]);
         let mut sim = ShardedSim::new(fabric, logic, spec, route);
@@ -1079,20 +719,64 @@ mod tests {
         assert_eq!(sim.logic(1).pairs[1].pings, 9);
     }
 
+    /// Runs `sim` and returns the message it dies with.
+    fn panic_of<L>(sim: &mut ShardedSim<L>) -> String
+    where
+        L: Logic + Clone + Send,
+        L::Ev: Send,
+    {
+        let run = std::panic::AssertUnwindSafe(|| sim.run_to_quiescence());
+        let payload = std::panic::catch_unwind(run).expect_err("the partition leaks");
+        payload.downcast_ref::<String>().expect("formatted").clone()
+    }
+
     #[test]
-    #[should_panic(expected = "not actually isolated")]
     fn isolated_mode_panics_on_cross_shard_traffic() {
+        // One pair split down the middle: a's first ping leaves shard 0.
         let mut fabric = Fabric::new(FabricParams::default());
         let logic = build_pair(&mut fabric, 0, 3);
         let (na, nb) = (logic.a, logic.b);
         let spec = ShardSpec {
             groups: vec![vec![na], vec![nb]],
             nthreads: 1,
-            isolated: true,
         };
         let route: AppRoute<PpEv> = Arc::new(move |_| na);
         let mut sim = ShardedSim::new(fabric, logic, spec, route);
-        sim.run_to_quiescence();
+        let msg = panic_of(&mut sim);
+        assert!(
+            msg.contains("shard 0 staged a fabric event for shard 1")
+                && msg.contains("not actually isolated"),
+            "{msg}"
+        );
+        assert_eq!(sim.logic(1).pings, 0, "b must never see the ping");
+
+        // A hub — one server, two clients — split between two groups is
+        // not a partition. It must die on the first event client 1 sends
+        // the server, naming both shards, not run.
+        let mut fabric = Fabric::new(FabricParams::default());
+        let server = fabric.add_node("server");
+        let logic = TwoPairs {
+            pairs: [
+                build_pair_to(&mut fabric, 0, server, 5),
+                build_pair_to(&mut fabric, 1, server, 5),
+            ],
+        };
+        let clients = [logic.pairs[0].a, logic.pairs[1].a];
+        let spec = ShardSpec {
+            groups: vec![vec![server, clients[0]], vec![clients[1]]],
+            nthreads: 1,
+        };
+        let route: AppRoute<TpEv> = Arc::new(move |TpEv::Pair(i, _)| clients[*i]);
+        let mut sim = ShardedSim::new(fabric, logic, spec, route);
+        let msg = panic_of(&mut sim);
+        assert!(
+            msg.contains("shard 1 staged a fabric event for shard 0"),
+            "{msg}"
+        );
+        for sid in 0..2 {
+            assert_eq!(sim.logic(sid).pairs[1].pings, 0, "server saw client 1");
+            assert_eq!(sim.logic(sid).pairs[1].pongs, 0);
+        }
     }
 
     #[test]

@@ -603,11 +603,11 @@ mod tests {
 
     #[test]
     fn windowed_rekey_reorders_same_instant_entries() {
-        // What a shard does at a window barrier: local pushes carry
-        // provisional keys in push order, the sweep hands back final keys
-        // in another order, and cross deliveries arrive with final keys of
-        // their own — at one instant, near (level 0) and far (cascaded).
-        use crate::shard::PROVISIONAL_BASE;
+        // The seq-level surface at its hardest: entries pushed under
+        // provisional keys are rekeyed in another order and meet
+        // explicitly keyed pushes — at one instant, near (level 0) and
+        // far (cascaded).
+        const PROVISIONAL_BASE: u64 = 1 << 63;
         for t in [SimTime(40), SimTime(3_000_000)] {
             let mut q = EventQueue::new();
             let prov: Vec<EventId> = (0..6u64)

@@ -21,17 +21,13 @@
 //!   the paper).
 //! - [`stats`]: counters, log-bucketed latency histograms, CDF extraction
 //!   and throughput windows used by the benchmark harness.
-//! - [`shard`]: the deterministic cross-shard merge behind the parallel
-//!   engine — conservative-lookahead windows, provisional sequence
-//!   keys, and the sweep that reconstructs the sequential engine's
-//!   global push order bit-for-bit at any thread count.
 //!
 //! Determinism is the core requirement (identical seeds must produce
-//! identical hardware-counter traces). The kernel was single-threaded
-//! through PR 5; the sharded engine keeps the same contract — golden
-//! fingerprints are bit-identical run-to-run, across `nthreads`, and
-//! vs. the sequential loop — by merging shard-local event orders with
-//! a fixed `(time, seq, shard)` total order (DESIGN.md §10).
+//! identical hardware-counter traces). The kernel is single-threaded:
+//! one [`EventQueue`] has one total `(time, seq)` order. The engine
+//! above it only ever runs several queues at once when they belong to
+//! node groups that never exchange an event (DESIGN.md §10), so golden
+//! fingerprints are bit-identical run-to-run and across `nthreads`.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +37,6 @@ pub mod event;
 pub mod fsm;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod units;

@@ -86,7 +86,7 @@ impl Rule {
                  push_with_seq/pop_with_seq/pop_at_or_before_with_seq/set_seq surface) \
                  directly; events route \
                  through the driver's Cx / the sharded engine's handles so the \
-                 deterministic total order (time, shard, seq) cannot be bypassed"
+                 deterministic total order (time, seq) cannot be bypassed"
             }
         }
     }
@@ -177,7 +177,7 @@ pub const VENDOR_CRATES: &[&str] = &["bytes", "rand", "proptest", "criterion"];
 /// schedule through [`Cx`](../../rpc-core/src/driver.rs) or the sharded
 /// engine's handles, never against a raw `EventQueue`, because a direct
 /// push chooses its own sequence number and can break the engine's
-/// deterministic (time, shard, seq) total order. `simcore` (defines the
+/// deterministic (time, seq) total order. `simcore` (defines the
 /// queue) is out of scope; the two rpc-core engine files that *own*
 /// queues are allowlisted below.
 pub const MODEL_CRATES: &[&str] = &[
@@ -1277,7 +1277,7 @@ pub fn r6(file: &SourceFile, out: &mut Vec<Finding>) {
             rule: Rule::R6,
             msg: format!(
                 "`{}` is engine-internal: model code schedules through Cx::at / the \
-                 sharded engine's handles so the deterministic (time, shard, seq) \
+                 sharded engine's handles so the deterministic (time, seq) \
                  total order cannot be bypassed; if this file *is* an engine, add it \
                  to the R6 allowlist",
                 t.text

@@ -113,7 +113,6 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                     window: w.window,
                     warmup,
                     run,
-                    nthreads: w.nthreads.max(1),
                 },
             }))
         }
@@ -208,7 +207,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 think,
                 seed: sc.seed,
                 window: w.window,
-                nthreads: w.nthreads,
+                nthreads: 1,
                 retry,
             };
             harness

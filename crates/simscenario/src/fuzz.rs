@@ -80,7 +80,6 @@ fn gen_rpc(rng: &mut DetRng) -> (Workload, Vec<Population>, Vec<Event>) {
         server_threads: 4 + rng.below(4) as usize,
         batch,
         window,
-        nthreads: 1,
         group_size: [8, 16][rng.below(2) as usize],
         time_slice_us: [50, 100][rng.below(2) as usize],
         slots: 8,

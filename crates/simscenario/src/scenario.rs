@@ -83,8 +83,6 @@ pub struct RawWorkload {
     pub server_threads: usize,
     /// Outstanding requests per client.
     pub window: usize,
-    /// Engine threads.
-    pub nthreads: usize,
 }
 
 /// A closed-loop RPC workload (compiled to a harness + transport run
@@ -103,8 +101,6 @@ pub struct RpcWorkload {
     pub batch: usize,
     /// Outstanding-request window per client.
     pub window: usize,
-    /// Engine threads.
-    pub nthreads: usize,
     /// ScaleRPC: connection-group size.
     pub group_size: usize,
     /// ScaleRPC: time slice in microseconds.
@@ -630,6 +626,12 @@ impl Scenario {
 
 fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
     let kind = as_str(req(t, "kind")?)?;
+    if let Some(e) = t.get("nthreads") {
+        return Err(fail(
+            Some(e.span),
+            "unknown key `nthreads` in [workload] (hub workloads run on one engine thread)",
+        ));
+    }
     match kind {
         "raw" => {
             if let Some(e) = t.get("msg_size") {
@@ -647,7 +649,6 @@ fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
                     "blocks_per_client",
                     "server_threads",
                     "window",
-                    "nthreads",
                 ],
             )?;
             let verb_e = req(t, "verb")?;
@@ -670,7 +671,6 @@ fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
                 blocks_per_client: opt_usize(t, "blocks_per_client", 20)?,
                 server_threads: opt_usize(t, "server_threads", 10)?,
                 window: opt_usize(t, "window", 4)?,
-                nthreads: opt_usize(t, "nthreads", 1)?,
             }))
         }
         "rpc" => {
@@ -684,7 +684,6 @@ fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
                     "server_threads",
                     "batch",
                     "window",
-                    "nthreads",
                     "group_size",
                     "time_slice_us",
                     "slots",
@@ -719,7 +718,6 @@ fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
                 server_threads: opt_usize(t, "server_threads", 10)?,
                 batch: opt_usize(t, "batch", 1)?,
                 window: opt_usize(t, "window", 1)?,
-                nthreads: opt_usize(t, "nthreads", 1)?,
                 group_size: opt_usize(t, "group_size", 40)?,
                 time_slice_us: opt_u64(t, "time_slice_us", 100)?,
                 slots: opt_usize(t, "slots", 8)?,
@@ -1018,7 +1016,6 @@ impl Scenario {
                 let _ = writeln!(o, "blocks_per_client = {}", w.blocks_per_client);
                 let _ = writeln!(o, "server_threads = {}", w.server_threads);
                 let _ = writeln!(o, "window = {}", w.window);
-                let _ = writeln!(o, "nthreads = {}", w.nthreads);
             }
             Workload::Rpc(w) => {
                 let _ = writeln!(o, "kind = \"rpc\"");
@@ -1035,7 +1032,6 @@ impl Scenario {
                 let _ = writeln!(o, "server_threads = {}", w.server_threads);
                 let _ = writeln!(o, "batch = {}", w.batch);
                 let _ = writeln!(o, "window = {}", w.window);
-                let _ = writeln!(o, "nthreads = {}", w.nthreads);
                 let _ = writeln!(o, "group_size = {}", w.group_size);
                 let _ = writeln!(o, "time_slice_us = {}", w.time_slice_us);
                 let _ = writeln!(o, "slots = {}", w.slots);

@@ -77,59 +77,3 @@ fn golden_sweep_is_deterministic_and_matches_seed() {
     assert_eq!(first, second, "same config must be byte-identical per run");
     assert_eq!(first, GOLDEN, "counters drifted from the frozen goldens");
 }
-
-/// Raw-verb golden fingerprint at a given engine thread count. The
-/// parallel sharded engine must reproduce the sequential engine's
-/// results bit-for-bit at every `nthreads` (DESIGN.md §10) — the same
-/// frozen goldens, no re-blessing.
-fn raw_fingerprint(nthreads: usize) -> String {
-    let a = run_raw_verbs(RawVerbConfig {
-        kind: RawVerbKind::OutboundWrite,
-        clients: 50,
-        warmup: SimDuration::millis(1),
-        run: SimDuration::millis(1),
-        nthreads,
-        ..Default::default()
-    });
-    let b = run_raw_verbs(RawVerbConfig {
-        kind: RawVerbKind::InboundWrite,
-        clients: 200,
-        block_size: 8192,
-        warmup: SimDuration::millis(1),
-        run: SimDuration::millis(1),
-        nthreads,
-        ..Default::default()
-    });
-    format!(
-        "outbound50: ops={} events={} pcie_rd={} pcie_itom={} l3={}\n\
-         inbound200: ops={} events={} pcie_rd={} pcie_itom={} l3={}",
-        a.ops,
-        a.events,
-        a.pcie_rd,
-        a.pcie_itom,
-        a.l3_miss_rate,
-        b.ops,
-        b.events,
-        b.pcie_rd,
-        b.pcie_itom,
-        b.l3_miss_rate,
-    )
-}
-
-#[test]
-fn parallel_engine_matches_sequential_goldens_at_every_thread_count() {
-    let sequential = raw_fingerprint(1);
-    let golden_raw: Vec<&str> = GOLDEN.lines().take(2).collect();
-    assert_eq!(
-        sequential.lines().collect::<Vec<_>>(),
-        golden_raw,
-        "sequential raw-verb fingerprint drifted from the goldens"
-    );
-    for nthreads in [2, 4, 8] {
-        let parallel = raw_fingerprint(nthreads);
-        assert_eq!(
-            parallel, sequential,
-            "nthreads={nthreads} diverged from the sequential engine"
-        );
-    }
-}

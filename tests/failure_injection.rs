@@ -312,8 +312,6 @@ fn windowed_smallbank_holds_serializability_witnesses() {
 struct ChaosRun {
     events: u64,
     ops: u64,
-    issued: u64,
-    completed: u64,
     retries: u64,
     node_crashes: u64,
 }
@@ -321,11 +319,8 @@ struct ChaosRun {
 /// Runs the standard 8-client ScaleRPC deployment under the given chaos
 /// timeline and asserts the recovery invariants: conservation
 /// (`issued == completed + in_flight`), a fully drained window
-/// (`in_flight == 0`) and no stuck clients. `nthreads` exercises the
-/// config-plumbing parity knob: the harness is a monolithic hub logic,
-/// so every thread count must produce the identical event stream.
+/// (`in_flight == 0`) and no stuck clients.
 fn run_chaos(
-    nthreads: usize,
     retry: Option<RetryPolicy>,
     timeline: Vec<(SimTime, Injection)>,
     tracer: Option<&Tracer>,
@@ -370,7 +365,7 @@ fn run_chaos(
             think: vec![ThinkTime::None],
             seed: 7,
             window: 4,
-            nthreads,
+            nthreads: 1,
             retry,
         },
     );
@@ -395,8 +390,6 @@ fn run_chaos(
     ChaosRun {
         events,
         ops: h.metrics.ops,
-        issued: h.issued(),
-        completed: h.completed(),
         retries: h.retries(),
         node_crashes: sim.fabric(0).counters(server).unwrap().get("NodeCrashes"),
     }
@@ -407,7 +400,7 @@ fn server_crash_mid_window_conserves_and_replays() {
     // The server dies at a non-slice-aligned instant while every client
     // holds a full window of in-flight requests; the retry policy must
     // carry the lost requests across the 150 µs outage without losing
-    // or double-counting a single RPC, at any requested thread count.
+    // or double-counting a single RPC.
     let crash_at = SimTime::ZERO + SimDuration::micros(2_347);
     let timeline = vec![(
         crash_at,
@@ -418,34 +411,19 @@ fn server_crash_mid_window_conserves_and_replays() {
     )];
     let retry = Some(RetryPolicy::default());
 
-    let base = run_chaos(1, retry, timeline.clone(), None);
+    let base = run_chaos(retry, timeline.clone(), None);
     assert!(base.ops > 0, "closed loop must survive the crash");
     assert!(
         base.retries > 0,
         "requests lost in the crash window must be retransmitted"
     );
     assert_eq!(base.node_crashes, 1, "exactly one crash modelled");
-    for nthreads in [2, 4, 8] {
-        let r = run_chaos(nthreads, retry, timeline.clone(), None);
-        assert_eq!(
-            (r.events, r.ops, r.issued, r.completed, r.retries),
-            (
-                base.events,
-                base.ops,
-                base.issued,
-                base.completed,
-                base.retries
-            ),
-            "nthreads={nthreads} diverged from the single-thread run"
-        );
-    }
 
-    // Trace-based recovery check (traced runs are single-shard by
-    // construction): the crash tears connections down, failover timers
-    // fire, and recovery pays fresh connection setups.
+    // Trace-based recovery check: the crash tears connections down,
+    // failover timers fire, and recovery pays fresh connection setups.
     let tracer = Tracer::enabled();
     assert!(tracer.is_enabled(), "integration tests build with tracing");
-    let traced = run_chaos(1, retry, timeline, Some(&tracer));
+    let traced = run_chaos(retry, timeline, Some(&tracer));
     assert_eq!(
         (traced.events, traced.ops),
         (base.events, base.ops),
@@ -473,8 +451,8 @@ fn client_reconnect_mid_slice_pays_setup_and_conserves() {
     // Four clients depart, then rejoin at an instant that falls inside
     // a running time slice. Each rejoining client must re-establish its
     // connection (a traced ConnSetup after the rejoin) and the closed
-    // loop must drain to conservation at any requested thread count. No
-    // retry policy: departure/reconnect must never need failover.
+    // loop must drain to conservation. No retry policy:
+    // departure/reconnect must never need failover.
     let rejoin_at = SimTime::ZERO + SimDuration::micros(3_347);
     let timeline = vec![
         (
@@ -484,21 +462,13 @@ fn client_reconnect_mid_slice_pays_setup_and_conserves() {
         (rejoin_at, Injection::Reconnect { first: 2, last: 5 }),
     ];
 
-    let base = run_chaos(1, None, timeline.clone(), None);
+    let base = run_chaos(None, timeline.clone(), None);
     assert!(base.ops > 0, "closed loop must keep completing");
     assert_eq!(base.retries, 0, "reconnect must not trigger failover");
-    for nthreads in [2, 4, 8] {
-        let r = run_chaos(nthreads, None, timeline.clone(), None);
-        assert_eq!(
-            (r.events, r.ops, r.issued, r.completed),
-            (base.events, base.ops, base.issued, base.completed),
-            "nthreads={nthreads} diverged from the single-thread run"
-        );
-    }
 
     let tracer = Tracer::enabled();
     assert!(tracer.is_enabled(), "integration tests build with tracing");
-    let traced = run_chaos(1, None, timeline, Some(&tracer));
+    let traced = run_chaos(None, timeline, Some(&tracer));
     assert_eq!(
         (traced.events, traced.ops),
         (base.events, base.ops),
