@@ -29,8 +29,8 @@
 # change that breaks its build, its tests (the raw-inbound workload is
 # pinned to run_raw_verbs' (events, ops)) or its output checks
 # (round-to-round fingerprints, conservation, nothing stuck) fails here,
-# not in the next perf PR. Its traced ScaleRPC replay then gates the
-# allocation counts of each layer against recorded ceilings.
+# not in the next perf PR. Its traced ScaleRPC and SmallBank replays then
+# gate the allocation counts of each layer against recorded ceilings.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -146,28 +146,42 @@ echo "== repo benchmark (tests + quick run, both of its binaries) =="
 bash benchmark/run.sh --test
 bash benchmark/run.sh --quick
 
-echo "== allocation gate (traced ScaleRPC replay, seed 42) =="
-# Allocations per operation and per event are exact counts of a
-# deterministic replay, so the gate is not flaky: each must be at or
-# below the value recorded when the message path last shed allocations
-# (PR 18; EXPERIMENTS.md has the ledger). A change that allocates on
-# the per-message path fails here with the layer named, and one that
-# sheds more lowers the ceilings in the same PR.
-bash benchmark/run.sh --workload rpc_scalerpc_400c_b8 --seed 42 --seconds 3 --trace 1 | awk '
+echo "== allocation gate (traced ScaleRPC and SmallBank replays, seed 42) =="
+# Allocations per operation and per event, and calls into a layer, are
+# exact counts of a deterministic replay, so the gate is not flaky: each
+# must be at or below the value recorded when its path last shed work
+# (the message path in PR 18, the transaction path and its upcall
+# routing in PR 22; EXPERIMENTS.md has both ledgers). A change that
+# allocates on the per-message or per-transaction path fails here with
+# the layer named, and one that sheds more lowers the ceilings in the
+# same PR.
+# usage: ceiling_gate WORKLOAD METRIC=CEILING...
+ceiling_gate() {
+    local workload=$1
+    shift
+    bash benchmark/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 1 | awk -v spec="$*" '
     BEGIN {
-        ceiling["scalerpc.allocs_per_op"] = "3.311603"
-        ceiling["rpc-core.harness_allocs_per_op"] = "0.000038"
-        ceiling["rpc-core.sharded_allocs_per_event"] = "0.002604"
-        ceiling["bench.allocs_per_op"] = "4.437184"
+        want = split(spec, pair, " ")
+        for (i = 1; i <= want; i++) { split(pair[i], kv, "="); ceiling[kv[1]] = kv[2] }
     }
     $2 in ceiling {
         seen++
-        printf "%-36s %s (ceiling %s)\n", $2, $3, ceiling[$2]
+        printf "%-20s %-36s %s (ceiling %s)\n", $1, $2, $3, ceiling[$2]
         if ($3 + 0 > ceiling[$2] + 0) { print "allocation gate: " $2 " rose"; bad = 1 }
     }
     END {
-        if (seen != 4) { print "allocation gate: expected 4 metrics, saw " seen; exit 1 }
+        if (seen != want) { print "allocation gate: expected " want " metrics, saw " seen; exit 1 }
         exit bad
     }'
+}
+ceiling_gate rpc_scalerpc_400c_b8 \
+    scalerpc.allocs_per_op=3.311603 \
+    rpc-core.harness_allocs_per_op=0.000038 \
+    rpc-core.sharded_allocs_per_event=0.002604 \
+    bench.allocs_per_op=4.437184
+ceiling_gate tx_smallbank_160c \
+    scaletx.allocs_per_tx=5.567352 \
+    bench.allocs_per_op=21.399054 \
+    scalerpc.transport_calls=602103.000000
 
 echo "ci.sh: all gates passed"

@@ -21,17 +21,17 @@
 /// Bytes of header before the value.
 pub const ITEM_HEADER: usize = 32;
 
-/// A decoded view of one item.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ItemRef {
+/// A decoded view of one item; the value is read where it lies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ItemRef<'a> {
     /// Current version.
     pub version: u64,
     /// Lock word (0 = unlocked).
     pub lock: u64,
     /// The key stored at this slot.
     pub key: u64,
-    /// Value bytes.
-    pub value: Vec<u8>,
+    /// Value bytes, borrowed from the region.
+    pub value: &'a [u8],
 }
 
 /// Reads the version field at `item_off`.
@@ -63,7 +63,7 @@ pub fn read_key(mem: &[u8], item_off: usize) -> u64 {
 }
 
 /// Decodes the whole item.
-pub fn read_item(mem: &[u8], item_off: usize) -> ItemRef {
+pub fn read_item(mem: &[u8], item_off: usize) -> ItemRef<'_> {
     let len = u32::from_le_bytes(
         mem[item_off + 24..item_off + 28]
             .try_into()
@@ -73,7 +73,7 @@ pub fn read_item(mem: &[u8], item_off: usize) -> ItemRef {
         version: read_version(mem, item_off),
         lock: read_lock(mem, item_off),
         key: read_key(mem, item_off),
-        value: mem[item_off + ITEM_HEADER..item_off + ITEM_HEADER + len].to_vec(),
+        value: &mem[item_off + ITEM_HEADER..item_off + ITEM_HEADER + len],
     }
 }
 
@@ -94,17 +94,15 @@ pub fn update_value(mem: &mut [u8], item_off: usize, value: &[u8]) {
     mem[item_off + ITEM_HEADER..item_off + ITEM_HEADER + value.len()].copy_from_slice(value);
 }
 
-/// Builds the byte image a coordinator RDMA-writes at commit time: new
-/// version, cleared lock, and the new value — one contiguous write
-/// releasing the lock and installing the update together (§4.2, step 3).
-pub fn commit_image(key: u64, new_version: u64, value: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; ITEM_HEADER + value.len()];
-    out[0..8].copy_from_slice(&new_version.to_le_bytes());
-    out[8..16].copy_from_slice(&0u64.to_le_bytes()); // lock released
-    out[16..24].copy_from_slice(&key.to_le_bytes());
-    out[24..28].copy_from_slice(&(value.len() as u32).to_le_bytes());
-    out[ITEM_HEADER..].copy_from_slice(value);
-    out
+/// Writes into `out` — the caller's send buffer, `ITEM_HEADER +
+/// value.len()` bytes — the image a coordinator RDMA-writes at commit
+/// time: new version, cleared lock, and the new value — one contiguous
+/// write releasing the lock and installing the update together (§4.2,
+/// step 3). That is a freshly initialized item.
+pub fn write_commit_image(out: &mut [u8], key: u64, new_version: u64, value: &[u8]) {
+    debug_assert_eq!(out.len(), ITEM_HEADER + value.len());
+    out[28..ITEM_HEADER].fill(0); // padding
+    write_item(out, 0, key, new_version, value);
 }
 
 #[cfg(test)]
@@ -146,7 +144,8 @@ mod tests {
         let mut mem = vec![0u8; 128];
         write_item(&mut mem, 0, 9, 3, b"old-");
         write_lock(&mut mem, 0, 77); // locked by a coordinator
-        let img = commit_image(9, 4, b"new!");
+        let mut img = [0u8; ITEM_HEADER + 4];
+        write_commit_image(&mut img, 9, 4, b"new!");
         mem[0..img.len()].copy_from_slice(&img);
         let it = read_item(&mem, 0);
         assert_eq!(it.version, 4);

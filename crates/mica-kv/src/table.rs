@@ -131,7 +131,7 @@ impl KvTable {
     }
 
     /// Reads an item by key.
-    pub fn get(&self, mem: &[u8], key: u64) -> Result<item::ItemRef, KvError> {
+    pub fn get<'a>(&self, mem: &'a [u8], key: u64) -> Result<item::ItemRef<'a>, KvError> {
         let off = self.lookup(key).ok_or(KvError::NotFound)?;
         Ok(item::read_item(mem, off))
     }

@@ -399,7 +399,7 @@ impl<T: RpcTransport> Harness<T> {
     /// Must be called before the sim runs `init`. The empty spec is
     /// bit-exactly equivalent to not installing one.
     pub fn set_scenario(&mut self, spec: ScenarioSpec) -> Result<(), ScenarioError> {
-        spec.validate(self.clients.len())?;
+        spec.validate(self.clients.len(), 1)?;
         if self.cfg.retry.is_none() {
             if let Some(index) = spec
                 .timeline

@@ -126,6 +126,12 @@ pub enum ScenarioError {
     /// policy: requests lost in the crash window would strand their
     /// clients forever, so the combination is rejected up front.
     CrashNeedsRetry { index: usize },
+    /// A stall or crash names a server the deployment does not have.
+    ServerIndex {
+        index: usize,
+        server: usize,
+        servers: usize,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -154,6 +160,14 @@ impl fmt::Display for ScenarioError {
                 f,
                 "timeline entry {index}: server_crash requires a harness retry policy"
             ),
+            ScenarioError::ServerIndex {
+                index,
+                server,
+                servers,
+            } => write!(
+                f,
+                "timeline entry {index}: server {server} invalid for {servers} servers"
+            ),
         }
     }
 }
@@ -180,8 +194,9 @@ impl ScenarioSpec {
                 .all(|s| matches!(s, ClientStart::Immediate))
     }
 
-    /// Validates the spec against a client population size.
-    pub fn validate(&self, clients: usize) -> Result<(), ScenarioError> {
+    /// Validates the spec against a client population size and the
+    /// number of servers its stalls and crashes may name.
+    pub fn validate(&self, clients: usize, servers: usize) -> Result<(), ScenarioError> {
         if self.starts.len() != clients {
             return Err(ScenarioError::StartsLen {
                 expected: clients,
@@ -208,6 +223,17 @@ impl ScenarioSpec {
                         first,
                         last,
                         clients,
+                    });
+                }
+            }
+            if let Injection::ServerStall { server, .. } | Injection::ServerCrash { server, .. } =
+                inj
+            {
+                if server >= servers {
+                    return Err(ScenarioError::ServerIndex {
+                        index,
+                        server,
+                        servers,
                     });
                 }
             }
@@ -244,9 +270,10 @@ pub fn arm<A>(timeline: &[(SimTime, Injection)], cx: &mut Cx<'_, A>, wrap: impl 
 }
 
 /// Handles one [`FaultEv`] for a logic whose server `s` is node
-/// `servers[s]` behind `transports[s]` (an entry naming a server beyond
-/// them panics); `wrap` and `wrap_transport` lift fault timers and
-/// server `s`'s transport events into the logic's event type.
+/// `servers[s]` behind `transports[s]` ([`ScenarioSpec::validate`]
+/// refuses an entry naming a server beyond them); `wrap` and
+/// `wrap_transport` lift fault timers and server `s`'s transport events
+/// into the logic's event type.
 ///
 /// `Fire(i)` schedules entry `i + 1`, applies entry `i` if it is
 /// fabric-side and returns it, so the caller can add what only it knows
@@ -305,9 +332,9 @@ mod tests {
     fn empty_spec_is_empty_and_valid() {
         let s = ScenarioSpec::empty(4);
         assert!(s.is_empty());
-        assert_eq!(s.validate(4), Ok(()));
+        assert_eq!(s.validate(4, 1), Ok(()));
         assert_eq!(
-            s.validate(3),
+            s.validate(3, 1),
             Err(ScenarioError::StartsLen {
                 expected: 3,
                 got: 4
@@ -329,13 +356,13 @@ mod tests {
             ),
         ];
         assert_eq!(
-            s.validate(8),
+            s.validate(8, 1),
             Err(ScenarioError::UnsortedTimeline { index: 1 })
         );
 
         s.timeline = vec![(SimTime(10), Injection::Depart { first: 4, last: 9 })];
         assert!(matches!(
-            s.validate(8),
+            s.validate(8, 1),
             Err(ScenarioError::ClientRange { index: 0, .. })
         ));
 
@@ -349,7 +376,7 @@ mod tests {
             },
         )];
         assert_eq!(
-            s.validate(8),
+            s.validate(8, 1),
             Err(ScenarioError::BadFactor {
                 index: 0,
                 num: 1,
@@ -365,6 +392,42 @@ mod tests {
                 extra: SimDuration::ZERO,
             },
         )];
-        assert_eq!(s.validate(8), Ok(()));
+        assert_eq!(s.validate(8, 1), Ok(()));
+    }
+
+    /// `apply` indexes its server and transport slices with the entry's
+    /// `server`: an index past them must be refused here, not panic
+    /// mid-run when the entry fires.
+    #[test]
+    fn validate_rejects_servers_the_deployment_lacks() {
+        let mut s = ScenarioSpec::empty(8);
+        let (stall, crash) = (
+            Injection::ServerStall {
+                server: 2,
+                dur: SimDuration::micros(1),
+            },
+            Injection::ServerCrash {
+                server: 3,
+                down: SimDuration::micros(1),
+            },
+        );
+        s.timeline = vec![(SimTime(10), stall), (SimTime(20), crash)];
+        assert_eq!(
+            s.validate(8, 1),
+            Err(ScenarioError::ServerIndex {
+                index: 0,
+                server: 2,
+                servers: 1
+            })
+        );
+        assert_eq!(
+            s.validate(8, 3),
+            Err(ScenarioError::ServerIndex {
+                index: 1,
+                server: 3,
+                servers: 3
+            })
+        );
+        assert_eq!(s.validate(8, 4), Ok(()));
     }
 }

@@ -37,6 +37,6 @@ pub mod sim;
 pub mod workload;
 
 pub use participant::TxParticipant;
-pub use proto::{ExecItem, TxRequest, TxResponse};
+pub use proto::{ExecItemView, TxRequestView, TxResponseView};
 pub use sim::{run_scalerpc_tx, run_scalerpc_tx_with, tx_scale_cfg, TxConfig, TxMetrics, TxSim};
 pub use workload::{TxKind, TxSpec, TxWorkload};

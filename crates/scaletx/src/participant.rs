@@ -5,7 +5,7 @@
 //! commit with one-sided verbs. The RPC handler implements the
 //! server-side halves of the protocol phases.
 
-use crate::proto::{ExecItem, TxRequest, TxResponse};
+use crate::proto::{self, ExecItemView, TxRequestView};
 use bytes::Bytes;
 use mica_kv::{item, KvTable};
 use rdma_fabric::{Fabric, MrId, NodeId};
@@ -63,6 +63,9 @@ pub struct TxParticipant {
     pub rpc_commits: u64,
     /// Lock conflicts observed.
     pub lock_conflicts: u64,
+    /// Item offsets of the Execute request being served (scratch, kept
+    /// for its capacity).
+    found: Vec<usize>,
 }
 
 impl TxParticipant {
@@ -85,6 +88,7 @@ impl TxParticipant {
             log_bytes: 0,
             rpc_commits: 0,
             lock_conflicts: 0,
+            found: Vec::new(),
         }
     }
 
@@ -95,7 +99,7 @@ impl TxParticipant {
     }
 
     /// Reads a value directly (test/verification helper).
-    pub fn peek(&self, fabric: &Fabric, key: u64) -> Option<item::ItemRef> {
+    pub fn peek<'a>(&self, fabric: &'a Fabric, key: u64) -> Option<item::ItemRef<'a>> {
         let mem = fabric.mr(self.kv_mr).expect("kv region").as_slice();
         self.table.get(mem, key).ok()
     }
@@ -117,105 +121,82 @@ impl ServerHandler for TxParticipant {
         request: &[u8],
         fabric: &mut Fabric,
     ) -> (Bytes, SimDuration) {
-        let Some(req) = TxRequest::decode(request) else {
-            return (TxResponse::Ok.encode(), SimDuration::nanos(150));
+        let Some(req) = TxRequestView::decode(request) else {
+            return (proto::ok_response(), SimDuration::nanos(150));
         };
         let kv_mr = self.kv_mr;
         let mem = fabric.mr_mut(kv_mr).expect("kv region").as_mut_slice();
         match req {
-            TxRequest::Execute { txid, items } => {
+            TxRequestView::Execute { txid, items } => {
                 let owner = txid + 1; // avoid the 0 = unlocked sentinel
                 let cost = self.costs.exec_item * items.len().max(1) as u64;
-                let mut out = Vec::with_capacity(items.len());
-                let mut acquired: Vec<u64> = Vec::new();
-                let mut all_ok = true;
-                for (key, lock) in &items {
-                    let found = if *lock {
-                        match self.table.try_lock(mem, *key, owner) {
-                            Ok(off) => {
-                                acquired.push(*key);
-                                Some(off)
-                            }
-                            Err(_) => {
-                                self.lock_conflicts += 1;
-                                None
-                            }
-                        }
+                self.found.clear();
+                for (key, lock) in items {
+                    let found = if lock {
+                        let locked = self.table.try_lock(mem, key, owner);
+                        self.lock_conflicts += locked.is_err() as u64;
+                        locked.ok()
                     } else {
-                        self.table.lookup(*key)
+                        self.table.lookup(key)
                     };
-                    match found {
-                        Some(off) => {
-                            let it = item::read_item(mem, off);
-                            out.push(ExecItem {
-                                key: *key,
-                                ok: true,
-                                value: it.value,
-                                version: it.version,
-                                item_off: off as u64,
-                            });
-                        }
-                        None => {
-                            all_ok = false;
-                            break;
-                        }
-                    }
+                    let Some(off) = found else { break };
+                    self.found.push(off);
                 }
-                if !all_ok {
-                    // Roll back locks taken within this request.
-                    for key in acquired {
-                        let _ = self.table.unlock(mem, key, owner);
-                    }
-                    return (
-                        TxResponse::Execute {
-                            all_ok: false,
-                            items: vec![],
+                if self.found.len() < items.len() {
+                    // Roll back the locks taken within this request:
+                    // the flagged items ahead of the one that failed.
+                    for (key, lock) in items.take(self.found.len()) {
+                        if lock {
+                            let _ = self.table.unlock(mem, key, owner);
                         }
-                        .encode(),
-                        cost,
-                    );
-                }
-                (
-                    TxResponse::Execute {
-                        all_ok: true,
-                        items: out,
                     }
-                    .encode(),
-                    cost,
-                )
-            }
-            TxRequest::Validate { items } => {
-                let cost = self.costs.validate_item * items.len().max(1) as u64;
-                let ok = items.iter().all(|(key, expect)| {
-                    self.table
-                        .lookup(*key)
-                        .map(|off| item::read_version(mem, off) == *expect)
-                        .unwrap_or(false)
+                    return (proto::execute_response(false, std::iter::empty()), cost);
+                }
+                // Each value goes from the region into the response once.
+                let mem = &*mem;
+                let found = items.zip(&self.found).map(|((key, _), &off)| {
+                    let it = item::read_item(mem, off);
+                    ExecItemView {
+                        key,
+                        ok: true,
+                        value: it.value,
+                        version: it.version,
+                        item_off: off as u64,
+                    }
                 });
-                (TxResponse::Validate { ok }.encode(), cost)
+                (proto::execute_response(true, found), cost)
             }
-            TxRequest::Log { records, .. } => {
-                let bytes: usize = records.iter().map(|(_, v)| v.len() + 16).sum();
+            TxRequestView::Validate { mut items } => {
+                let cost = self.costs.validate_item * items.len().max(1) as u64;
+                let ok = items.all(|(key, expect)| {
+                    self.table
+                        .lookup(key)
+                        .is_some_and(|off| item::read_version(mem, off) == expect)
+                });
+                (proto::validate_response(ok), cost)
+            }
+            TxRequestView::Log { records, .. } => {
+                let bytes: usize = records.map(|(_, v)| v.len() + 16).sum();
                 self.log_bytes += bytes as u64;
                 let cost = self.costs.log_base + self.costs.log_per_byte * bytes as u64;
-                (TxResponse::Ok.encode(), cost)
+                (proto::ok_response(), cost)
             }
-            TxRequest::Commit { items, .. } => {
+            TxRequestView::Commit { items, .. } => {
                 let cost = self.costs.commit_item * items.len().max(1) as u64;
-                for (key, value) in &items {
+                for (key, value) in items {
                     self.rpc_commits += 1;
                     self.table
-                        .commit_local(mem, *key, value)
+                        .commit_local(mem, key, value)
                         .expect("committed keys exist");
                 }
-                (TxResponse::Ok.encode(), cost)
+                (proto::ok_response(), cost)
             }
-            TxRequest::Unlock { txid, keys } => {
+            TxRequestView::Unlock { txid, keys } => {
                 let cost = self.costs.unlock_key * keys.len().max(1) as u64;
-                for key in &keys {
-                    let _ = self.table.unlock(mem, *key, txid + 1);
+                for key in keys {
+                    let _ = self.table.unlock(mem, key, txid + 1);
                 }
-                (TxResponse::Ok.encode(), cost)
+                (proto::ok_response(), cost)
             }
         }
     }
@@ -224,6 +205,7 @@ impl ServerHandler for TxParticipant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::oracle::{TxRequest, TxResponse};
     use rdma_fabric::FabricParams;
 
     fn setup() -> (Fabric, TxParticipant) {

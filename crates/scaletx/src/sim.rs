@@ -11,8 +11,8 @@
 //! event-for-event.
 
 use crate::participant::TxParticipant;
-use crate::proto::{ExecItem, TxRequest, TxResponse};
-use crate::workload::{TxSpec, TxWorkload};
+use crate::proto::{self, TxResponseView};
+use crate::workload::{TxKind, TxSpec, TxWorkload};
 use bytes::Bytes;
 use rdma_fabric::{
     Fabric, FabricParams, MrId, NodeId, RemoteAddr, Upcall, WcOpcode, WcStatus, WorkRequest, WrId,
@@ -26,7 +26,6 @@ use rpc_core::transport::{OneSidedAccess, Response, RpcTransport};
 use simcore::stats::Histogram;
 use simcore::DetHashMap;
 use simcore::{DetRng, Fsm, SimDuration, SimTime, Transitions};
-use std::collections::BTreeMap;
 
 /// Message slots the transports expose per client; the transaction
 /// window stripes sequence numbers across them, so it must divide this.
@@ -197,16 +196,53 @@ impl Transitions for Phase {
     }
 }
 
-/// One in-flight transaction pipeline.
+/// What a coordinator keeps of one executed item.
+#[derive(Clone, Copy)]
+struct Executed {
+    key: u64,
+    version: u64,
+    item_off: u64,
+    /// The value as the workloads read it: its first eight bytes
+    /// (zero-padded) as a little-endian `i64`.
+    value: i64,
+}
+
+/// One in-flight transaction pipeline. The vectors are cleared and
+/// refilled per transaction, never dropped, so a slot allocates only
+/// until each has grown to the workload's largest set.
 struct TxSlot {
     spec: TxSpec,
     phase: Fsm<Phase>,
     pending: usize,
-    exec: DetHashMap<u64, ExecItem>,
+    /// Items the Execute responses returned so far, in arrival order.
+    exec: Vec<Executed>,
+    /// New value of each `spec.writes()` key, set when logging starts.
+    new_values: Vec<[u8; 8]>,
     phase_ok: bool,
-    /// Servers where write-set locks were acquired.
-    locked_servers: Vec<usize>,
+    /// Servers where write-set locks were acquired (bit `s`).
+    locked_servers: u64,
     first_started: SimTime,
+}
+
+impl TxSlot {
+    fn executed(&self, key: u64) -> Option<&Executed> {
+        self.exec.iter().find(|e| e.key == key)
+    }
+
+    /// `(key, lock?)` of `spec`'s keys on shard `s` of `servers`: the
+    /// reads, then the writes.
+    fn keys_on(&self, s: usize, servers: usize) -> impl Iterator<Item = (u64, bool)> + Clone + '_ {
+        let reads = on_shard(self.spec.reads(), s, servers).map(|k| (k, false));
+        reads.chain(on_shard(self.spec.writes(), s, servers).map(|k| (k, true)))
+    }
+
+    /// `(key, new value)` of the write set on shard `s` of `servers`.
+    fn writes_on(&self, s: usize, servers: usize) -> impl Iterator<Item = (u64, &[u8])> + Clone {
+        let writes = self.spec.writes().iter().zip(&self.new_values);
+        writes
+            .filter(move |(&k, _)| shard_of(k, servers) == s)
+            .map(|(&k, v)| (k, &v[..]))
+    }
 }
 
 struct Coord {
@@ -279,11 +315,23 @@ pub struct TxSim<T: RpcTransport + OneSidedAccess> {
     pub crash_failures: u64,
     /// Locks the recovery sweep released across all warm restarts.
     pub locks_swept: u64,
+    /// Responses the transports produced and this logic has yet to
+    /// dispatch, tagged with their server; drained in place.
+    responses: Vec<(usize, Response)>,
+    /// The list lent to one transport call (emptied into `responses`).
+    lent: Vec<Response>,
 }
 
 /// Shard owning `key`.
 pub fn shard_of(key: u64, servers: usize) -> usize {
     (key % servers as u64) as usize
+}
+
+/// Those of `keys` that shard `s` of `servers` owns, in order.
+fn on_shard(keys: &[u64], s: usize, servers: usize) -> impl Iterator<Item = u64> + Clone + '_ {
+    keys.iter()
+        .copied()
+        .filter(move |&k| shard_of(k, servers) == s)
 }
 
 impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
@@ -295,7 +343,11 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         cfg: TxConfig,
         mut make_transport: impl FnMut(&mut Fabric, &Cluster, TxParticipant, usize) -> T,
     ) -> TxSim<T> {
-        assert!(cfg.servers > 0 && cfg.coordinators > 0);
+        assert!(cfg.coordinators > 0);
+        assert!(
+            (1..=u64::BITS as usize).contains(&cfg.servers),
+            "a slot tracks its locked servers in one word"
+        );
         assert!(
             cfg.window >= 1 && TRANSPORT_SLOTS.is_multiple_of(cfg.window),
             "window must divide the transports' {TRANSPORT_SLOTS} message slots (1/2/4/8)"
@@ -344,16 +396,13 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 Coord {
                     slots: (0..cfg.window)
                         .map(|_| TxSlot {
-                            spec: TxSpec {
-                                reads: vec![],
-                                writes: vec![],
-                                kind: crate::workload::TxKind::ObjStore,
-                            },
+                            spec: TxSpec::new(&[], &[], TxKind::ObjStore),
                             phase: Fsm::new(Phase::Idle),
                             pending: 0,
-                            exec: DetHashMap::default(),
+                            exec: Vec::new(),
+                            new_values: Vec::new(),
                             phase_ok: true,
-                            locked_servers: Vec::new(),
+                            locked_servers: 0,
                             first_started: SimTime::ZERO,
                         })
                         .collect(),
@@ -385,6 +434,8 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             timeline: Vec::new(),
             crash_failures: 0,
             locks_swept: 0,
+            responses: Vec::new(),
+            lent: Vec::new(),
         }
     }
 
@@ -394,9 +445,10 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
     /// downtime — regions and CQs intact, lock table swept, connections
     /// re-established. Coordinators are not a scenario population yet:
     /// the spec is validated for zero clients, which rejects every
-    /// client-range event. Must be called before the sim runs.
+    /// client-range event, and for this deployment's participants. Must
+    /// be called before the sim runs.
     pub fn set_scenario(&mut self, spec: ScenarioSpec) -> Result<(), ScenarioError> {
-        spec.validate(0)?;
+        spec.validate(0, self.cfg.servers)?;
         self.timeline = spec.timeline;
         Ok(())
     }
@@ -458,10 +510,10 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             for (i, slot) in coord.slots.iter().enumerate() {
                 if slot.phase.get() != Phase::Idle {
                     println!(
-                        "coord {c} slot {i}: phase {:?} pending {} writes {:?} locked {:?}",
+                        "coord {c} slot {i}: phase {:?} pending {} writes {:?} locked {:#b}",
                         slot.phase.get(),
                         slot.pending,
-                        slot.spec.writes,
+                        slot.spec.writes(),
                         slot.locked_servers
                     );
                 }
@@ -478,25 +530,39 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         self.cfg.one_sided && self.transports[0].client_qp(0).is_some()
     }
 
+    /// Sends `req` to `server` for `(c, slot)`. Responses the transport
+    /// hands back at once queue behind the caller's other submissions:
+    /// it calls [`dispatch_responses`](Self::dispatch_responses) after
+    /// the last one, as every event handler does.
     fn submit(
         &mut self,
         server: usize,
         c: usize,
         slot: usize,
-        req: TxRequest,
+        req: Bytes,
         cx: &mut Cx<'_, TxEv<T::Ev>>,
-        out: &mut Vec<(usize, Response)>,
     ) {
         let base = self.coords[c].issue[server];
         self.coords[c].issue[server] += 1;
         let seq = base * self.cfg.window as u64 + slot as u64;
         self.coords[c].expected.insert((server, seq), slot);
         self.coords[c].slots[slot].pending += 1;
-        let mut responses = Vec::new();
-        with_indexed_cx(cx, server, |tcx| {
-            self.transports[server].submit(c, seq, req.encode(), tcx, &mut responses)
-        });
-        out.extend(responses.into_iter().map(|r| (server, r)));
+        self.with_transport(server, cx, |t, tcx, out| t.submit(c, seq, req, tcx, out));
+    }
+
+    /// Runs one call into transport `s`, lending it the response list.
+    fn with_transport(
+        &mut self,
+        s: usize,
+        cx: &mut Cx<'_, TxEv<T::Ev>>,
+        call: impl FnOnce(&mut T, &mut Cx<'_, T::Ev>, &mut Vec<Response>),
+    ) {
+        let (transport, lent) = (&mut self.transports[s], &mut self.lent);
+        with_indexed_cx(cx, s, |tcx| call(transport, tcx, lent));
+        // Most calls complete nothing.
+        if !self.lent.is_empty() {
+            self.responses.extend(self.lent.drain(..).map(|r| (s, r)));
+        }
     }
 
     fn begin_tx(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
@@ -504,38 +570,33 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             self.coords[c].slots[slot].phase.set(Phase::Idle);
             return;
         }
-        let spec = self.cfg.workload.next_tx(&mut self.coords[c].rng);
         let txid = self.txid(c, slot);
-        let sl = &mut self.coords[c].slots[slot];
-        sl.spec = spec;
+        let coord = &mut self.coords[c];
+        let sl = &mut coord.slots[slot];
+        self.cfg.workload.next_tx(&mut coord.rng, &mut sl.spec);
         sl.phase.set(Phase::Execute);
         sl.pending = 0;
         sl.exec.clear();
         sl.phase_ok = true;
-        sl.locked_servers.clear();
+        sl.locked_servers = 0;
         sl.first_started = cx.now;
-        // Group R∪W items by shard.
-        let mut per_server: BTreeMap<usize, Vec<(u64, bool)>> = BTreeMap::new();
-        for &k in &sl.spec.reads {
-            per_server
-                .entry(shard_of(k, self.cfg.servers))
-                .or_default()
-                .push((k, false));
-        }
-        for &k in &sl.spec.writes {
-            per_server
-                .entry(shard_of(k, self.cfg.servers))
-                .or_default()
-                .push((k, true));
-        }
-        let mut out = Vec::new();
-        for (s, items) in per_server {
-            if items.iter().any(|(_, lock)| *lock) {
-                self.coords[c].slots[slot].locked_servers.push(s);
+        // R∪W items go out grouped by shard, in shard order.
+        for s in 0..self.cfg.servers {
+            let sl = &mut self.coords[c].slots[slot];
+            let items = sl.keys_on(s, self.cfg.servers);
+            if items.clone().next().is_none() {
+                continue;
             }
-            self.submit(s, c, slot, TxRequest::Execute { txid, items }, cx, &mut out);
+            let req = proto::execute_request(txid, items);
+            if on_shard(sl.spec.writes(), s, self.cfg.servers)
+                .next()
+                .is_some()
+            {
+                sl.locked_servers |= 1 << s;
+            }
+            self.submit(s, c, slot, req, cx);
         }
-        self.dispatch_responses(out, cx);
+        self.dispatch_responses(cx);
     }
 
     fn abort_and_retry(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
@@ -543,28 +604,23 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             self.metrics.aborted += 1;
         }
         let locked = std::mem::take(&mut self.coords[c].slots[slot].locked_servers);
+        let holds = |s: usize| locked & (1 << s) != 0;
         // Locks acquired during execution must be released. With RC
         // transports a one-sided write of zero to each lock word does it
         // without server involvement; otherwise an Unlock RPC.
         if self.one_sided_active() {
-            let writes: Vec<(usize, u64)> = self.coords[c].slots[slot]
-                .spec
-                .writes
-                .iter()
-                .filter_map(|&k| {
-                    let s = shard_of(k, self.cfg.servers);
-                    if !locked.contains(&s) {
-                        return None;
-                    }
-                    // Items whose Execute response never arrived (their
-                    // server failed) carry no address and hold no lock.
-                    self.coords[c].slots[slot]
-                        .exec
-                        .get(&k)
-                        .map(|e| (s, e.item_off))
-                })
-                .collect();
-            for (s, item_off) in writes {
+            for i in 0..self.coords[c].slots[slot].spec.writes().len() {
+                let sl = &self.coords[c].slots[slot];
+                let k = sl.spec.writes()[i];
+                let s = shard_of(k, self.cfg.servers);
+                // Items whose Execute response never arrived (their
+                // server failed) carry no address and hold no lock.
+                let Some(item_off) = sl.executed(k).map(|e| e.item_off) else {
+                    continue;
+                };
+                if !holds(s) {
+                    continue;
+                }
                 let qp = self.transports[s].client_qp(c).expect("one-sided active");
                 with_indexed_cx(cx, s, |tcx| {
                     // A refused post means the QP is re-establishing
@@ -583,23 +639,18 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 });
             }
             self.schedule_retry(c, slot, cx);
-        } else if locked.is_empty() {
+        } else if locked == 0 {
             self.schedule_retry(c, slot, cx);
         } else {
             let txid = self.txid(c, slot);
             self.coords[c].slots[slot].phase.set(Phase::Unlocking);
             self.coords[c].slots[slot].pending = 0;
-            let spec_writes = self.coords[c].slots[slot].spec.writes.clone();
-            let mut out = Vec::new();
-            for s in locked {
-                let keys: Vec<u64> = spec_writes
-                    .iter()
-                    .copied()
-                    .filter(|&k| shard_of(k, self.cfg.servers) == s)
-                    .collect();
-                self.submit(s, c, slot, TxRequest::Unlock { txid, keys }, cx, &mut out);
+            for s in (0..self.cfg.servers).filter(|&s| holds(s)) {
+                let writes = self.coords[c].slots[slot].spec.writes();
+                let req = proto::unlock_request(txid, on_shard(writes, s, self.cfg.servers));
+                self.submit(s, c, slot, req, cx);
             }
-            self.dispatch_responses(out, cx);
+            self.dispatch_responses(cx);
         }
     }
 
@@ -624,7 +675,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
 
     /// Starts the validation phase (or skips ahead when R is empty).
     fn start_validate(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        if self.coords[c].slots[slot].spec.reads.is_empty() {
+        if self.coords[c].slots[slot].spec.reads().is_empty() {
             self.start_log(c, slot, cx);
             return;
         }
@@ -635,16 +686,13 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             // One 8-byte RDMA read per read-set version (§4.2 step 2).
             // Each slot owns a disjoint stride of the scratch buffer so
             // concurrent validations never clobber each other.
-            let reads: Vec<(usize, u64, u64)> = self.coords[c].slots[slot]
-                .spec
-                .reads
-                .iter()
-                .map(|&k| {
-                    let e = &self.coords[c].slots[slot].exec[&k];
-                    (shard_of(k, self.cfg.servers), e.item_off, e.version)
-                })
-                .collect();
-            for (i, (s, item_off, version)) in reads.into_iter().enumerate() {
+            for i in 0..self.coords[c].slots[slot].spec.reads().len() {
+                let sl = &self.coords[c].slots[slot];
+                let k = sl.spec.reads()[i];
+                let s = shard_of(k, self.cfg.servers);
+                let Executed {
+                    item_off, version, ..
+                } = *sl.executed(k).expect("the read set was executed");
                 let qp = self.transports[s].client_qp(c).expect("one-sided active");
                 let scratch_off = slot * self.scratch_stride + i * 8;
                 assert!(
@@ -683,75 +731,85 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 self.gate(c, slot, 2, Action::Abort, cx);
             }
         } else {
-            let mut per_server: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
-            let reads = self.coords[c].slots[slot].spec.reads.clone();
-            for k in reads {
-                let v = self.coords[c].slots[slot].exec[&k].version;
-                per_server
-                    .entry(shard_of(k, self.cfg.servers))
-                    .or_default()
-                    .push((k, v));
+            for s in 0..self.cfg.servers {
+                let sl = &self.coords[c].slots[slot];
+                let items = on_shard(sl.spec.reads(), s, self.cfg.servers).map(|k| {
+                    let e = sl.executed(k).expect("the read set was executed");
+                    (k, e.version)
+                });
+                if items.clone().next().is_none() {
+                    continue;
+                }
+                let req = proto::validate_request(items);
+                self.submit(s, c, slot, req, cx);
             }
-            let mut out = Vec::new();
-            for (s, items) in per_server {
-                self.submit(s, c, slot, TxRequest::Validate { items }, cx, &mut out);
-            }
-            self.dispatch_responses(out, cx);
+            self.dispatch_responses(cx);
         }
     }
 
-    fn new_values(&self, c: usize, slot: usize) -> Vec<(u64, Vec<u8>)> {
-        let sl = &self.coords[c].slots[slot];
-        let old = |k: u64| -> i64 {
-            let v = &sl.exec[&k].value;
-            let mut b = [0u8; 8];
-            let n = v.len().min(8);
-            b[..n].copy_from_slice(&v[..n]);
-            i64::from_le_bytes(b)
-        };
-        sl.spec
-            .writes
-            .iter()
-            .map(|&k| (k, sl.spec.new_value(k, &old)))
-            .collect()
+    /// Derives the write set's new values from the executed ones, into
+    /// the slot's scratch.
+    fn compute_new_values(&mut self, c: usize, slot: usize) {
+        let sl = &mut self.coords[c].slots[slot];
+        let mut new_values = std::mem::take(&mut sl.new_values);
+        let old = |k: u64| sl.executed(k).expect("R∪W was executed").value;
+        let new = sl.spec.writes().iter().map(|&k| sl.spec.new_value(k, &old));
+        new_values.clear();
+        new_values.extend(new.map(i64::to_le_bytes));
+        sl.new_values = new_values;
+    }
+
+    /// Sends the write set's `(key, new value)`s to every shard holding
+    /// part of it, in shard order: as redo records, or to be installed.
+    fn submit_writes(
+        &mut self,
+        c: usize,
+        slot: usize,
+        install: bool,
+        cx: &mut Cx<'_, TxEv<T::Ev>>,
+    ) {
+        let txid = self.txid(c, slot);
+        for s in 0..self.cfg.servers {
+            let items = self.coords[c].slots[slot].writes_on(s, self.cfg.servers);
+            if items.clone().next().is_none() {
+                continue;
+            }
+            let req = if install {
+                proto::commit_request(txid, items)
+            } else {
+                proto::log_request(txid, items)
+            };
+            self.submit(s, c, slot, req, cx);
+        }
+        self.dispatch_responses(cx);
     }
 
     fn start_log(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        if self.coords[c].slots[slot].spec.writes.is_empty() {
+        if self.coords[c].slots[slot].spec.writes().is_empty() {
             // Read-only transaction: validated means committed.
             self.commit_done(c, slot, cx);
             return;
         }
-        let txid = self.txid(c, slot);
         self.coords[c].slots[slot].phase.set(Phase::Log);
         self.coords[c].slots[slot].pending = 0;
-        let values = self.new_values(c, slot);
-        let mut per_server: BTreeMap<usize, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
-        for (k, v) in values {
-            per_server
-                .entry(shard_of(k, self.cfg.servers))
-                .or_default()
-                .push((k, v));
-        }
-        let mut out = Vec::new();
-        for (s, records) in per_server {
-            self.submit(s, c, slot, TxRequest::Log { txid, records }, cx, &mut out);
-        }
-        self.dispatch_responses(out, cx);
+        self.compute_new_values(c, slot);
+        self.submit_writes(c, slot, false, cx);
     }
 
     fn start_commit(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
-        let values = self.new_values(c, slot);
         if self.one_sided_active() {
             // §4.2 step 3: install each write with one RDMA write carrying
             // version+1, a cleared lock and the value — and don't wait.
-            for (k, v) in values {
+            for i in 0..self.coords[c].slots[slot].spec.writes().len() {
+                let sl = &self.coords[c].slots[slot];
+                let (k, v) = (sl.spec.writes()[i], sl.new_values[i]);
                 let s = shard_of(k, self.cfg.servers);
-                let e = &self.coords[c].slots[slot].exec[&k];
-                let img = mica_kv::item::commit_image(k, e.version + 1, &v);
+                let e = *sl.executed(k).expect("the write set was executed");
+                let img = Bytes::build(mica_kv::ITEM_HEADER + v.len(), |img| {
+                    mica_kv::item::write_commit_image(img, k, e.version + 1, &v)
+                });
                 let qp = self.transports[s].client_qp(c).expect("one-sided active");
                 let kv_mr = self.kv_mrs[s];
-                let item_off = e.item_off as usize;
                 with_indexed_cx(cx, s, |tcx| {
                     // Refused while the QP re-establishes after a crash:
                     // the install is lost, exactly like an in-flight
@@ -760,8 +818,8 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                     let _ = tcx.post(
                         qp,
                         WorkRequest::Write {
-                            data: Bytes::from(img),
-                            remote: RemoteAddr::new(kv_mr, item_off),
+                            data: img,
+                            remote: RemoteAddr::new(kv_mr, e.item_off as usize),
                             imm: None,
                         },
                         false,
@@ -771,21 +829,9 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             }
             self.commit_done(c, slot, cx);
         } else {
-            let txid = self.txid(c, slot);
             self.coords[c].slots[slot].phase.set(Phase::Commit);
             self.coords[c].slots[slot].pending = 0;
-            let mut per_server: BTreeMap<usize, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
-            for (k, v) in values {
-                per_server
-                    .entry(shard_of(k, self.cfg.servers))
-                    .or_default()
-                    .push((k, v));
-            }
-            let mut out = Vec::new();
-            for (s, items) in per_server {
-                self.submit(s, c, slot, TxRequest::Commit { txid, items }, cx, &mut out);
-            }
-            self.dispatch_responses(out, cx);
+            self.submit_writes(c, slot, true, cx);
         }
     }
 
@@ -795,18 +841,26 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             return; // stale or duplicate
         };
         self.coords[c].slots[slot].pending -= 1;
-        let decoded = TxResponse::decode(&resp.payload);
+        let decoded = TxResponseView::decode(&resp.payload);
         let sl = &mut self.coords[c].slots[slot];
         match (sl.phase.get(), decoded) {
-            (Phase::Execute, Some(TxResponse::Execute { all_ok, items })) => {
+            (Phase::Execute, Some(TxResponseView::Execute { all_ok, items })) => {
                 if all_ok {
-                    for it in items {
-                        sl.exec.insert(it.key, it);
-                    }
+                    sl.exec.extend(items.map(|it| {
+                        let mut b = [0u8; 8];
+                        let n = it.value.len().min(8);
+                        b[..n].copy_from_slice(&it.value[..n]);
+                        Executed {
+                            key: it.key,
+                            version: it.version,
+                            item_off: it.item_off,
+                            value: i64::from_le_bytes(b),
+                        }
+                    }));
                 } else {
                     sl.phase_ok = false;
                     // This server acquired nothing (it rolled back).
-                    sl.locked_servers.retain(|&s| s != server);
+                    sl.locked_servers &= !(1 << server);
                 }
                 if sl.pending == 0 {
                     let n = sl.exec.len();
@@ -817,10 +871,10 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                     }
                 }
             }
-            (Phase::Validate, Some(TxResponse::Validate { ok })) => {
+            (Phase::Validate, Some(TxResponseView::Validate { ok })) => {
                 sl.phase_ok &= ok;
                 if sl.pending == 0 {
-                    let n = sl.spec.reads.len();
+                    let n = sl.spec.reads().len();
                     if sl.phase_ok {
                         self.gate(c, slot, n, Action::Log, cx);
                     } else {
@@ -828,28 +882,29 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                     }
                 }
             }
-            (Phase::Log, Some(TxResponse::Ok)) if sl.pending == 0 => {
-                let n = sl.spec.writes.len();
+            (Phase::Log, Some(TxResponseView::Ok)) if sl.pending == 0 => {
+                let n = sl.spec.writes().len();
                 self.gate(c, slot, n, Action::Commit, cx);
             }
-            (Phase::Commit, Some(TxResponse::Ok)) if sl.pending == 0 => {
+            (Phase::Commit, Some(TxResponseView::Ok)) if sl.pending == 0 => {
                 self.commit_done(c, slot, cx);
             }
-            (Phase::Unlocking, Some(TxResponse::Ok)) if sl.pending == 0 => {
+            (Phase::Unlocking, Some(TxResponseView::Ok)) if sl.pending == 0 => {
                 self.schedule_retry(c, slot, cx);
             }
             _ => {}
         }
     }
 
-    fn dispatch_responses(
-        &mut self,
-        responses: Vec<(usize, Response)>,
-        cx: &mut Cx<'_, TxEv<T::Ev>>,
-    ) {
-        for (server, r) in responses {
+    /// Hands every queued response to its slot. Nothing in the loop
+    /// reaches a transport, so the list does not grow while it is out
+    /// of `self`.
+    fn dispatch_responses(&mut self, cx: &mut Cx<'_, TxEv<T::Ev>>) {
+        let mut responses = std::mem::take(&mut self.responses);
+        for (server, r) in responses.drain(..) {
             self.on_response(server, r, cx);
         }
+        self.responses = responses;
     }
 
     /// A one-sided validation read completed: check the version. `ok` is
@@ -874,7 +929,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         }
         sl.pending -= 1;
         if sl.pending == 0 && sl.phase.get() == Phase::Validate {
-            let n = sl.spec.reads.len();
+            let n = sl.spec.reads().len();
             if sl.phase_ok {
                 self.gate(c, slot, n, Action::Log, cx);
             } else {
@@ -906,7 +961,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 let sl = &mut self.coords[c].slots[slot];
                 sl.pending -= 1;
                 sl.phase_ok = false;
-                sl.locked_servers.retain(|&x| x != s);
+                sl.locked_servers &= !(1 << s);
                 let (pending, phase) = (sl.pending, sl.phase.get());
                 if pending == 0 {
                     if phase == Phase::Unlocking {
@@ -987,26 +1042,30 @@ impl<T: RpcTransport + OneSidedAccess> Logic for TxSim<T> {
                 return;
             }
         }
-        // Everything else: broadcast to the transports (they ignore
+        // Everything else is a transport's. What happens on a
+        // participant's server node concerns that participant's
+        // transport alone; the coordinator machines are shared, so an
+        // upcall there is offered to every transport (they ignore
         // upcalls that are not theirs).
-        let mut all = Vec::new();
-        for s in 0..self.transports.len() {
-            let mut out = Vec::new();
-            with_indexed_cx(cx, s, |tcx| {
-                self.transports[s].on_upcall(up.clone(), tcx, &mut out)
-            });
-            all.extend(out.into_iter().map(|r| (s, r)));
+        let (Upcall::Completion { node, .. }
+        | Upcall::MemWrite { node, .. }
+        | Upcall::ConnEstablished { node, .. }) = up;
+        match self.server_nodes.iter().position(|&n| n == node) {
+            Some(s) => self.with_transport(s, cx, |t, tcx, out| t.on_upcall(up, tcx, out)),
+            None => {
+                for s in 0..self.transports.len() {
+                    self.with_transport(s, cx, |t, tcx, out| t.on_upcall(up.clone(), tcx, out));
+                }
+            }
         }
-        self.dispatch_responses(all, cx);
+        self.dispatch_responses(cx);
     }
 
     fn on_app(&mut self, ev: Self::Ev, cx: &mut Cx<'_, Self::Ev>) {
         match ev {
             TxEv::Transport(s, tev) => {
-                let mut out = Vec::new();
-                with_indexed_cx(cx, s, |tcx| self.transports[s].on_app(tev, tcx, &mut out));
-                let all: Vec<_> = out.into_iter().map(|r| (s, r)).collect();
-                self.dispatch_responses(all, cx);
+                self.with_transport(s, cx, |t, tcx, out| t.on_app(tev, tcx, out));
+                self.dispatch_responses(cx);
             }
             TxEv::Start(c) => {
                 // Refill every idle slot of the window.

@@ -22,50 +22,82 @@ pub enum TxKind {
     SendPayment(i64),
 }
 
-/// One transaction to run: read-only keys, write keys, semantics.
+/// One transaction to run: read-only keys, write keys, semantics. A
+/// coordinator slot owns one and [`TxWorkload::next_tx`] refills it, so
+/// drawing a transaction allocates nothing once the key list has grown
+/// to the workload's largest set.
 #[derive(Clone, Debug)]
 pub struct TxSpec {
-    /// Keys read but not written.
-    pub reads: Vec<u64>,
-    /// Keys read *and* written (locked during execution).
-    pub writes: Vec<u64>,
+    /// The read set followed by the write set.
+    keys: Vec<u64>,
+    /// How many of `keys` are the read set.
+    reads: usize,
     /// Value derivation.
     pub kind: TxKind,
 }
 
 impl TxSpec {
+    /// A transaction reading `reads` and updating `writes`.
+    pub fn new(reads: &[u64], writes: &[u64], kind: TxKind) -> TxSpec {
+        let mut spec = TxSpec {
+            keys: Vec::new(),
+            reads: 0,
+            kind,
+        };
+        spec.set(reads, writes, kind);
+        spec
+    }
+
+    fn set(&mut self, reads: &[u64], writes: &[u64], kind: TxKind) {
+        self.keys.clear();
+        self.keys.extend_from_slice(reads);
+        self.keys.extend_from_slice(writes);
+        self.reads = reads.len();
+        self.kind = kind;
+    }
+
+    /// Keys read but not written.
+    pub fn reads(&self) -> &[u64] {
+        &self.keys[..self.reads]
+    }
+
+    /// Keys read *and* written (locked during execution).
+    pub fn writes(&self) -> &[u64] {
+        &self.keys[self.reads..]
+    }
+
     /// Computes the new value for write-set key `key`, given the values
     /// read during execution (`old` maps every R∪W key to its bytes,
     /// decoded as little-endian `i64` for the bank workloads).
-    pub fn new_value(&self, key: u64, old: &dyn Fn(u64) -> i64) -> Vec<u8> {
+    pub fn new_value(&self, key: u64, old: &dyn Fn(u64) -> i64) -> i64 {
         let bal = |k: u64| old(k);
-        let v: i64 = match self.kind {
+        let (reads, writes) = (self.reads(), self.writes());
+        match self.kind {
             TxKind::ObjStore => bal(key).wrapping_add(1),
             TxKind::Balance => unreachable!("read-only transactions never write"),
             TxKind::DepositChecking(a) => bal(key) + a,
             TxKind::TransactSavings(a) => bal(key) + a,
             TxKind::Amalgamate => {
                 // writes = [ck(A), sv(A), ck(B)].
-                if key == self.writes[0] || key == self.writes[1] {
+                if key == writes[0] || key == writes[1] {
                     0
                 } else {
-                    bal(self.writes[2]) + bal(self.writes[0]) + bal(self.writes[1])
+                    bal(writes[2]) + bal(writes[0]) + bal(writes[1])
                 }
             }
             TxKind::WriteCheck(a) => {
-                let total = bal(self.writes[0]) + bal(self.reads[0]);
+                let total = bal(writes[0]) + bal(reads[0]);
                 let penalty = if total < a { 1 } else { 0 };
                 bal(key) - a - penalty
             }
             TxKind::SendPayment(a) => {
-                if key == self.writes[0] {
+                if key == writes[0] {
                     bal(key) - a
                 } else {
                     bal(key) + a
                 }
             }
-        };
-        v.to_le_bytes().to_vec()
+        }
     }
 }
 
@@ -140,8 +172,8 @@ impl TxWorkload {
         }
     }
 
-    /// Draws the next transaction.
-    pub fn next_tx(&self, rng: &mut DetRng) -> TxSpec {
+    /// Draws the next transaction into `spec`.
+    pub fn next_tx(&self, rng: &mut DetRng, spec: &mut TxSpec) {
         match *self {
             TxWorkload::ObjectStore {
                 reads,
@@ -150,18 +182,19 @@ impl TxWorkload {
                 servers,
             } => {
                 let total = keys_per_server * servers;
-                let mut keys = simcore::DetHashSet::default();
+                // Distinct keys, one draw per attempt.
+                let keys = &mut spec.keys;
+                keys.clear();
                 while keys.len() < reads + writes {
-                    keys.insert(rng.below(total));
+                    let k = rng.below(total);
+                    if !keys.contains(&k) {
+                        keys.push(k);
+                    }
                 }
-                let mut keys: Vec<u64> = keys.into_iter().collect();
                 keys.sort_unstable(); // determinism
-                rng.shuffle(&mut keys);
-                TxSpec {
-                    reads: keys[..reads].to_vec(),
-                    writes: keys[reads..].to_vec(),
-                    kind: TxKind::ObjStore,
-                }
+                rng.shuffle(keys);
+                spec.reads = reads;
+                spec.kind = TxKind::ObjStore;
             }
             TxWorkload::SmallBank { .. } => {
                 let a = self.pick_account(rng);
@@ -170,40 +203,17 @@ impl TxWorkload {
                     b = self.pick_account(rng);
                 }
                 let amount = 1 + rng.below(100) as i64;
+                let (ck_a, sv_a, ck_b) = (checking_key(a), savings_key(a), checking_key(b));
                 // Mix: Balance 15 %, DepositChecking 15 %, TransactSavings
                 // 15 %, Amalgamate 15 %, WriteCheck 25 %, SendPayment 15 %
                 // → 85 % of transactions update the store.
                 match rng.below(100) {
-                    0..=14 => TxSpec {
-                        reads: vec![checking_key(a), savings_key(a)],
-                        writes: vec![],
-                        kind: TxKind::Balance,
-                    },
-                    15..=29 => TxSpec {
-                        reads: vec![],
-                        writes: vec![checking_key(a)],
-                        kind: TxKind::DepositChecking(amount),
-                    },
-                    30..=44 => TxSpec {
-                        reads: vec![],
-                        writes: vec![savings_key(a)],
-                        kind: TxKind::TransactSavings(amount),
-                    },
-                    45..=59 => TxSpec {
-                        reads: vec![],
-                        writes: vec![checking_key(a), savings_key(a), checking_key(b)],
-                        kind: TxKind::Amalgamate,
-                    },
-                    60..=84 => TxSpec {
-                        reads: vec![savings_key(a)],
-                        writes: vec![checking_key(a)],
-                        kind: TxKind::WriteCheck(amount),
-                    },
-                    _ => TxSpec {
-                        reads: vec![],
-                        writes: vec![checking_key(a), checking_key(b)],
-                        kind: TxKind::SendPayment(amount),
-                    },
+                    0..=14 => spec.set(&[ck_a, sv_a], &[], TxKind::Balance),
+                    15..=29 => spec.set(&[], &[ck_a], TxKind::DepositChecking(amount)),
+                    30..=44 => spec.set(&[], &[sv_a], TxKind::TransactSavings(amount)),
+                    45..=59 => spec.set(&[], &[ck_a, sv_a, ck_b], TxKind::Amalgamate),
+                    60..=84 => spec.set(&[sv_a], &[ck_a], TxKind::WriteCheck(amount)),
+                    _ => spec.set(&[], &[ck_a, ck_b], TxKind::SendPayment(amount)),
                 }
             }
         }
@@ -223,12 +233,13 @@ mod tests {
             servers: 3,
         };
         let mut rng = DetRng::new(5);
+        let mut tx = TxSpec::new(&[], &[], TxKind::ObjStore);
         for _ in 0..100 {
-            let tx = w.next_tx(&mut rng);
-            assert_eq!(tx.reads.len(), 3);
-            assert_eq!(tx.writes.len(), 1);
-            let mut all = tx.reads.clone();
-            all.extend(&tx.writes);
+            w.next_tx(&mut rng, &mut tx);
+            assert_eq!(tx.reads().len(), 3);
+            assert_eq!(tx.writes().len(), 1);
+            let mut all = tx.reads().to_vec();
+            all.extend(tx.writes());
             all.sort_unstable();
             all.dedup();
             assert_eq!(all.len(), 4, "keys must be distinct");
@@ -241,8 +252,12 @@ mod tests {
         let w = TxWorkload::smallbank(1000, 3);
         let mut rng = DetRng::new(7);
         let n = 20_000;
+        let mut tx = TxSpec::new(&[], &[], TxKind::ObjStore);
         let updates = (0..n)
-            .filter(|_| !w.next_tx(&mut rng).writes.is_empty())
+            .filter(|_| {
+                w.next_tx(&mut rng, &mut tx);
+                !tx.writes().is_empty()
+            })
             .count();
         let frac = updates as f64 / n as f64;
         assert!((0.83..0.87).contains(&frac), "update fraction {frac}");
@@ -255,9 +270,10 @@ mod tests {
         let hot_accounts = (3000.0 * 0.04) as u64;
         let mut hot_hits = 0;
         let n = 10_000;
+        let mut tx = TxSpec::new(&[], &[], TxKind::ObjStore);
         for _ in 0..n {
-            let tx = w.next_tx(&mut rng);
-            let key = *tx.writes.first().or(tx.reads.first()).unwrap();
+            w.next_tx(&mut rng, &mut tx);
+            let key = *tx.writes().first().or(tx.reads().first()).unwrap();
             if key / 2 < hot_accounts {
                 hot_hits += 1;
             }
@@ -268,50 +284,50 @@ mod tests {
 
     #[test]
     fn send_payment_conserves_money() {
-        let spec = TxSpec {
-            reads: vec![],
-            writes: vec![checking_key(1), checking_key(2)],
-            kind: TxKind::SendPayment(30),
-        };
+        let spec = TxSpec::new(
+            &[],
+            &[checking_key(1), checking_key(2)],
+            TxKind::SendPayment(30),
+        );
         let old = |k: u64| if k == checking_key(1) { 100 } else { 50 };
-        let a = i64::from_le_bytes(spec.new_value(checking_key(1), &old).try_into().unwrap());
-        let b = i64::from_le_bytes(spec.new_value(checking_key(2), &old).try_into().unwrap());
+        let a = spec.new_value(checking_key(1), &old);
+        let b = spec.new_value(checking_key(2), &old);
         assert_eq!(a + b, 150);
         assert_eq!(a, 70);
     }
 
     #[test]
     fn amalgamate_moves_everything() {
-        let spec = TxSpec {
-            reads: vec![],
-            writes: vec![checking_key(1), savings_key(1), checking_key(2)],
-            kind: TxKind::Amalgamate,
-        };
+        let spec = TxSpec::new(
+            &[],
+            &[checking_key(1), savings_key(1), checking_key(2)],
+            TxKind::Amalgamate,
+        );
         let old = |k: u64| match k {
             k if k == checking_key(1) => 10,
             k if k == savings_key(1) => 20,
             _ => 5,
         };
-        let ck_a = i64::from_le_bytes(spec.new_value(checking_key(1), &old).try_into().unwrap());
-        let sv_a = i64::from_le_bytes(spec.new_value(savings_key(1), &old).try_into().unwrap());
-        let ck_b = i64::from_le_bytes(spec.new_value(checking_key(2), &old).try_into().unwrap());
+        let ck_a = spec.new_value(checking_key(1), &old);
+        let sv_a = spec.new_value(savings_key(1), &old);
+        let ck_b = spec.new_value(checking_key(2), &old);
         assert_eq!((ck_a, sv_a, ck_b), (0, 0, 35));
     }
 
     #[test]
     fn write_check_applies_overdraft_penalty() {
-        let spec = TxSpec {
-            reads: vec![savings_key(1)],
-            writes: vec![checking_key(1)],
-            kind: TxKind::WriteCheck(100),
-        };
+        let spec = TxSpec::new(
+            &[savings_key(1)],
+            &[checking_key(1)],
+            TxKind::WriteCheck(100),
+        );
         // Sufficient funds: plain deduction.
         let rich = |k: u64| if k == checking_key(1) { 80 } else { 40 };
-        let v = i64::from_le_bytes(spec.new_value(checking_key(1), &rich).try_into().unwrap());
+        let v = spec.new_value(checking_key(1), &rich);
         assert_eq!(v, -20); // 80 - 100, no penalty (80+40 >= 100)
                             // Insufficient: extra 1 penalty.
         let poor = |k: u64| if k == checking_key(1) { 30 } else { 20 };
-        let v = i64::from_le_bytes(spec.new_value(checking_key(1), &poor).try_into().unwrap());
+        let v = spec.new_value(checking_key(1), &poor);
         assert_eq!(v, 30 - 100 - 1);
     }
 }

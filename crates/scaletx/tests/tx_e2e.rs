@@ -327,6 +327,123 @@ fn set_scenario_takes_fabric_side_faults_only() {
         tx.set_scenario(spec(vec![(SimTime(10), stall), (SimTime(5), stall)])),
         Err(ScenarioError::UnsortedTimeline { index: 1 })
     );
+    // A fourth participant does not exist: refused here, where it used
+    // to panic on `servers[server]` when the entry fired.
+    let crash = Injection::ServerCrash {
+        server: 3,
+        down: SimDuration::micros(50),
+    };
+    assert_eq!(
+        tx.set_scenario(spec(vec![(SimTime(10), stall), (SimTime(20), crash)])),
+        Err(ScenarioError::ServerIndex {
+            index: 1,
+            server: 3,
+            servers: 3
+        })
+    );
+}
+
+/// ScaleRPC that tallies the node of every upcall it is handed.
+struct CountingTransport {
+    inner: ScaleRpc<scaletx::TxParticipant>,
+    /// This participant's server node.
+    server: rdma_fabric::NodeId,
+    upcalls_by_node: std::collections::BTreeMap<rdma_fabric::NodeId, u64>,
+}
+
+impl rpc_core::transport::RpcTransport for CountingTransport {
+    type Ev = <ScaleRpc<scaletx::TxParticipant> as rpc_core::transport::RpcTransport>::Ev;
+
+    fn init(&mut self, cx: &mut rpc_core::driver::Cx<'_, Self::Ev>) {
+        self.inner.init(cx)
+    }
+
+    fn on_upcall(
+        &mut self,
+        up: rdma_fabric::Upcall,
+        cx: &mut rpc_core::driver::Cx<'_, Self::Ev>,
+        out: &mut Vec<rpc_core::transport::Response>,
+    ) {
+        use rdma_fabric::Upcall::*;
+        let (Completion { node, .. } | MemWrite { node, .. } | ConnEstablished { node, .. }) = up;
+        *self.upcalls_by_node.entry(node).or_default() += 1;
+        self.inner.on_upcall(up, cx, out)
+    }
+
+    fn on_app(
+        &mut self,
+        ev: Self::Ev,
+        cx: &mut rpc_core::driver::Cx<'_, Self::Ev>,
+        out: &mut Vec<rpc_core::transport::Response>,
+    ) {
+        self.inner.on_app(ev, cx, out)
+    }
+
+    fn submit(
+        &mut self,
+        client: usize,
+        seq: u64,
+        payload: bytes::Bytes,
+        cx: &mut rpc_core::driver::Cx<'_, Self::Ev>,
+        out: &mut Vec<rpc_core::transport::Response>,
+    ) {
+        self.inner.submit(client, seq, payload, cx, out)
+    }
+
+    fn client_overhead(&self) -> rpc_core::transport::ClientOverhead {
+        self.inner.client_overhead()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+impl rpc_core::transport::OneSidedAccess for CountingTransport {
+    fn client_qp(&self, client: usize) -> Option<rdma_fabric::QpId> {
+        self.inner.client_qp(client)
+    }
+}
+
+#[test]
+fn server_node_upcalls_reach_their_own_transport_only() {
+    let cfg = small_cfg(TxWorkload::smallbank(100, 3), true, 24);
+    let mut fabric = Fabric::new(FabricParams::default());
+    let tx = TxSim::build(&mut fabric, cfg.clone(), |f, cl, part, _| {
+        CountingTransport {
+            inner: ScaleRpc::new(f, cl, scale_cfg(), part),
+            server: cl.server,
+            upcalls_by_node: Default::default(),
+        }
+    });
+    let sim = tx.replay(fabric);
+    let logic = sim.logic(0);
+    let servers: Vec<_> = logic.transports.iter().map(|t| t.server).collect();
+    let shared = |t: &CountingTransport| -> Vec<_> {
+        let on_clients = t.upcalls_by_node.iter();
+        on_clients
+            .filter(|(n, _)| !servers.contains(n))
+            .map(|(n, c)| (*n, *c))
+            .collect()
+    };
+    for t in &logic.transports {
+        for &node in &servers {
+            let seen = t.upcalls_by_node.get(&node).copied().unwrap_or(0);
+            if node == t.server {
+                assert!(seen > 1_000, "{node}: own upcalls {seen}");
+            } else {
+                assert_eq!(seen, 0, "{}: upcalls of {node}", t.server);
+            }
+        }
+        // The coordinator machines are every transport's: broadcast.
+        assert!(!shared(t).is_empty());
+        assert_eq!(shared(t), shared(&logic.transports[0]));
+    }
+    // Routing is not a behaviour change: the plain deployment commits
+    // the same transactions.
+    let plain = run_scalerpc_tx(cfg, scale_cfg(), SimDuration::ZERO);
+    assert_eq!(logic.metrics.committed, plain.logic(0).metrics.committed);
+    assert_eq!(sim.events(), plain.events());
 }
 
 /// ScaleRPC handler type alias sanity (compile-time): the deployment is

@@ -281,7 +281,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
             };
 
             let spec = compile_spec(sc, n)?;
-            spec.validate(n)
+            spec.validate(n, 1)
                 .map_err(|e| err(format!("invalid scenario spec: {e}")))?;
 
             Ok(Compiled::Rpc(Box::new(CompiledRpc {

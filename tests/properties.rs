@@ -7,7 +7,8 @@ use scalerpc_repro::octofs::{FsOp, FsRequest, FsResponse};
 use scalerpc_repro::rpc_core::message::{MsgBuf, RpcHeader};
 use scalerpc_repro::scalerpc::client::SubmitAction;
 use scalerpc_repro::scalerpc::{ClientFsm, ClientState};
-use scalerpc_repro::scaletx::{TxRequest, TxResponse};
+use scalerpc_repro::scaletx::proto;
+use scalerpc_repro::scaletx::{TxRequestView, TxResponseView};
 use scalerpc_repro::simcore::stats::Histogram;
 
 /// Naive reference state for the Fig. 7 client FSM proptest.
@@ -76,8 +77,12 @@ proptest! {
         txid: u64,
         items in proptest::collection::vec((any::<u64>(), any::<bool>()), 0..20),
     ) {
-        let req = TxRequest::Execute { txid, items };
-        prop_assert_eq!(TxRequest::decode(&req.encode()), Some(req));
+        let wire = proto::execute_request(txid, items.iter().copied());
+        let Some(TxRequestView::Execute { txid: got, items: view }) = TxRequestView::decode(&wire)
+        else {
+            panic!("not an Execute: {wire:?}");
+        };
+        prop_assert_eq!((got, view.collect::<Vec<_>>()), (txid, items));
     }
 
     #[test]
@@ -88,15 +93,26 @@ proptest! {
             0..10,
         ),
     ) {
-        let req = TxRequest::Commit { txid, items };
-        prop_assert_eq!(TxRequest::decode(&req.encode()), Some(req));
+        let wire = proto::commit_request(txid, items.iter().map(|(k, v)| (*k, &v[..])));
+        let Some(TxRequestView::Commit { txid: got, items: view }) = TxRequestView::decode(&wire)
+        else {
+            panic!("not a Commit: {wire:?}");
+        };
+        let view: Vec<_> = view.map(|(k, v)| (k, v.to_vec())).collect();
+        prop_assert_eq!((got, view), (txid, items));
     }
 
     #[test]
     fn tx_response_round_trips(ok: bool) {
-        for resp in [TxResponse::Validate { ok }, TxResponse::Ok] {
-            prop_assert_eq!(TxResponse::decode(&resp.encode()), Some(resp));
-        }
+        let validate = proto::validate_response(ok);
+        prop_assert!(matches!(
+            TxResponseView::decode(&validate),
+            Some(TxResponseView::Validate { ok: got }) if got == ok
+        ));
+        prop_assert!(matches!(
+            TxResponseView::decode(&proto::ok_response()),
+            Some(TxResponseView::Ok)
+        ));
     }
 
     #[test]
