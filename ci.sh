@@ -1,25 +1,11 @@
 #!/usr/bin/env bash
-# CI gate: build, tests, lints, and a perf-harness smoke run — in both
-# tracing configurations.
+# CI gate: build, tests, lints and the repo benchmark's smoke runs — in
+# both tracing configurations.
 #
 # The workspace builds with the bench crate's default `trace` feature
 # (recording compiled in, runtime-disabled unless a Tracer is installed);
 # the perf-sensitive configuration strips it with --no-default-features
 # so the zero-cost-when-off claim is actually compiled and linted.
-#
-# The simperf smoke run uses --quick (shrunken simulated windows) and a
-# throwaway output file so CI never overwrites the committed
-# BENCH_simperf.json baselines; full before/after measurements are taken
-# manually with `simperf --label <before|after>` on a no-trace build.
-# A separate full-window `simperf --check` run then gates what is
-# deterministic: each workload's (events, ops) must equal the newest
-# label in BENCH_simperf.json that recorded it. Wall time is printed
-# beside the best ever recorded and never judged — the same build read
-# 1.05x ok and 1.18x REGRESSED within the hour on this host; wall claims
-# belong to benchmark/run.sh's reference-scaled pairs. A second smoke
-# run at --nthreads 8 drives the engine's one parallel mode (isolated
-# shards, the multi-pod row); every other row is a hub and runs on one
-# engine thread whatever the flag says.
 #
 # The first step prints non-test src lines per crate, ungated: the
 # number every simplicity PR quotes, produced one way.
@@ -89,9 +75,9 @@ echo "== scenario check (all checked-in scenarios) =="
 cargo run -q --release -p simscenario --bin scenario -- check scenarios
 
 echo "== scenario smoke (trace off) =="
-# The baseline scenario pins the simperf fig03b fingerprint via its
-# [expect] table, so this run proves the scenario layer reproduces the
-# benchmark workload bit-exactly. The fuzzer asserts the four liveness
+# The baseline scenario pins the Fig. 3(b) fingerprint of
+# tests/determinism.rs' hub table via its [expect] table, so this run
+# proves the scenario layer reproduces that workload bit-exactly. The fuzzer asserts the four liveness
 # invariants (conservation, no stuck clients, all locks freed, replay
 # determinism) over 8 generated scenarios.
 ./target/release/scenario run scenarios/baseline.toml
@@ -119,20 +105,6 @@ cargo run -q --release -p simscenario --features trace --bin scenario -- \
     run scenarios/churn.toml
 cargo run -q --release -p simscenario --features trace --bin scenario -- \
     fuzz --seeds 24 --start 64
-
-echo "== simperf smoke (no-trace build) =="
-./target/release/simperf --quick --label ci-smoke --out target/BENCH_simperf_ci.json
-
-echo "== simperf smoke, isolated shards (--nthreads 8) =="
-# Exercises the engine's parallel mode end-to-end: pods8 runs one shard
-# per pod on the thread pool, the five hub rows are unaffected. The
-# fingerprint columns must match the nt1 smoke above (driver_goldens.rs
-# pins the pods matrix bit-for-bit, the smoke just proves the wiring in
-# release).
-./target/release/simperf --quick --nthreads 8 --label ci-smoke-nt8 --out target/BENCH_simperf_ci.json
-
-echo "== simperf trace gate: (events, ops) vs newest label (no-trace build, full windows) =="
-./target/release/simperf --check BENCH_simperf.json
 
 echo "== trace export smoke =="
 # fig_timeline validates its own output (re-parses the JSON, checks all

@@ -1,11 +1,9 @@
-//! Minimal JSON value model, parser and writer.
+//! Minimal JSON value model and parser.
 //!
-//! The container build is fully offline, so `simperf` cannot lean on
-//! serde; this module covers exactly what the perf-report format needs:
-//! objects, arrays, strings (no escapes beyond `\" \\ \n \t`), numbers
-//! and booleans. Object key order is preserved so reports diff cleanly.
-
-use std::fmt::Write as _;
+//! The container build is fully offline, so `fig_timeline` cannot lean
+//! on serde to prove its trace export loads; this module parses exactly
+//! what that export contains: objects, arrays, strings (no escapes
+//! beyond `\" \\ \n \t`), numbers and booleans.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -14,7 +12,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (serialized minimally; integers print without `.0`).
+    /// Any number.
     Num(f64),
     /// A string.
     Str(String),
@@ -25,103 +23,11 @@ pub enum Json {
 }
 
 impl Json {
-    /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Builds a number value.
-    pub fn num(n: f64) -> Json {
-        Json::Num(n)
-    }
-
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Inserts or replaces `key` in an object.
-    pub fn set(&mut self, key: &str, value: Json) {
-        if let Json::Obj(kv) = self {
-            match kv.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = value,
-                None => kv.push((key.to_string(), value)),
-            }
-        }
-    }
-
-    /// Pretty-prints with two-space indentation and a trailing newline.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&pad);
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(kv) => {
-                if kv.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in kv.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&pad);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
         }
     }
 
@@ -136,20 +42,6 @@ impl Json {
         }
         Ok(v)
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -282,52 +174,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_report_shape() {
-        let doc = Json::Obj(vec![
-            ("bench".into(), Json::str("simperf")),
-            (
-                "runs".into(),
-                Json::Obj(vec![(
-                    "before".into(),
-                    Json::Obj(vec![
-                        ("total_wall_ms".into(), Json::num(123.5)),
-                        ("events".into(), Json::num(1_000_000.0)),
-                        ("empty".into(), Json::Arr(vec![])),
-                    ]),
-                )]),
-            ),
-        ]);
-        let text = doc.pretty();
-        let back = Json::parse(&text).expect("parse");
-        assert_eq!(back, doc);
-        assert_eq!(
-            back.get("runs")
-                .and_then(|r| r.get("before"))
-                .and_then(|b| b.get("total_wall_ms"))
-                .and_then(Json::as_f64),
-            Some(123.5)
-        );
-    }
-
-    #[test]
-    fn set_inserts_and_replaces() {
-        let mut o = Json::Obj(vec![]);
-        o.set("a", Json::num(1.0));
-        o.set("a", Json::num(2.0));
-        o.set("b", Json::Bool(true));
-        assert_eq!(o.get("a").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(o.get("b"), Some(&Json::Bool(true)));
-    }
-
-    #[test]
     fn parses_whitespace_and_escapes() {
         let v = Json::parse(" { \"k\" : [ 1 , -2.5e1 , \"a\\nb\" , null , false ] } ").unwrap();
         assert_eq!(
             v.get("k"),
             Some(&Json::Arr(vec![
-                Json::num(1.0),
-                Json::num(-25.0),
-                Json::str("a\nb"),
+                Json::Num(1.0),
+                Json::Num(-25.0),
+                Json::Str("a\nb".into()),
                 Json::Null,
                 Json::Bool(false),
             ]))

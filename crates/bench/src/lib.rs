@@ -2,9 +2,7 @@
 //!
 //! Each `figN` function in [`figures`] reproduces the corresponding
 //! figure's rows/series; binaries under `src/bin/` print them one at a
-//! time, `cargo bench --bench figures` prints the whole set, and
-//! `benches/micro.rs` holds the criterion micro-benchmarks of the
-//! underlying data structures.
+//! time and `all_figures` prints the whole set.
 //!
 //! Simulated absolute numbers are calibrated to the paper's hardware
 //! envelope; the reproduction claim is the *shape* of each figure (who
@@ -16,9 +14,7 @@
 
 pub mod figures;
 pub mod json;
-pub mod pods;
 pub mod rawverbs;
 pub mod report;
 pub mod rpcbench;
 pub mod runner;
-pub mod simperf;

@@ -94,7 +94,6 @@ pub struct RawVerbResult {
     pub pcie_itom: u64,
 }
 
-#[derive(Clone)]
 struct ThreadState {
     qp_cursor: usize,
     /// Clients owned by this thread (fixed partition, precomputed —
@@ -103,22 +102,12 @@ struct ThreadState {
     clients: Vec<usize>,
 }
 
-/// The closed loop of every raw-verb experiment, over one server
-/// (`run_raw_verbs`) or, inbound, over several pods' pools with the
-/// clients dealt to them in equal contiguous runs (`run_pods`).
-///
-/// Shard-replication contract (what lets `run_pods` give each pod its
-/// own replica): a server's events touch only `threads`, its own pool's
-/// `ops` entry, `counter_base` and that server's fabric node; a client
-/// `c`'s events touch only `block_cursor[c]` and client-side fabric
-/// state. Everything else is immutable after construction, so replicas
-/// never read stale state.
-#[derive(Clone)]
-pub(crate) struct RawVerbLogic {
+/// The closed loop of every raw-verb experiment over one server.
+struct RawVerbLogic {
     cfg: RawVerbConfig,
     /// The node whose PCIe counters the run reports, snapshotted when
-    /// the window opens. `None` takes no snapshot (and no event for it).
-    server: Option<NodeId>,
+    /// the window opens.
+    server: NodeId,
     /// Outbound: server-side QPs per client; inbound: client-side QPs.
     qps: Vec<QpId>,
     /// Outbound/UD: destination regions or QPs per client.
@@ -128,21 +117,18 @@ pub(crate) struct RawVerbLogic {
     /// once: every completion looks its poster up here.
     poster: DetHashMap<QpId, usize>,
     ud_receiver: DetHashMap<QpId, usize>,
-    /// Inbound: the server pools, each serving `per_pool` clients.
-    pools: Vec<MrId>,
-    per_pool: usize,
+    /// Inbound: the server pool the clients write into.
+    pool: Option<MrId>,
     threads: Vec<ThreadState>,
     /// Per-client next block cursor (inbound).
     block_cursor: Vec<usize>,
-    /// Verbs completed inside the window, per pool (inbound) or in
-    /// `ops[0]` (outbound/UD).
-    pub(crate) ops: Vec<u64>,
-    pub(crate) measured: Window,
+    /// Verbs completed inside the window.
+    ops: u64,
+    measured: Window,
     counter_base: Option<(u64, u64)>,
 }
 
-#[derive(Clone)]
-pub(crate) enum RvEv {
+enum RvEv {
     /// A server thread (outbound/UD) or client (inbound) posts its next
     /// verb; payload identifies the poster.
     Post(usize),
@@ -151,13 +137,13 @@ pub(crate) enum RvEv {
 }
 
 impl RawVerbLogic {
-    pub(crate) fn new(
+    fn new(
         cfg: RawVerbConfig,
-        server: Option<NodeId>,
+        server: NodeId,
         qps: Vec<QpId>,
         client_mrs: Vec<MrId>,
         client_ud_qps: Vec<QpId>,
-        pools: Vec<MrId>,
+        pool: Option<MrId>,
     ) -> Self {
         RawVerbLogic {
             server,
@@ -166,7 +152,6 @@ impl RawVerbLogic {
             ud_receiver: client_ud_qps.iter().copied().zip(0..).collect(),
             qps,
             client_ud_qps,
-            per_pool: cfg.clients / pools.len().max(1),
             threads: (0..cfg.server_threads)
                 .map(|t| ThreadState {
                     qp_cursor: 0,
@@ -176,8 +161,8 @@ impl RawVerbLogic {
                 })
                 .collect(),
             block_cursor: vec![0; cfg.clients],
-            ops: vec![0; pools.len().max(1)],
-            pools,
+            ops: 0,
+            pool,
             measured: Window::after(cfg.warmup, cfg.run),
             counter_base: None,
             cfg,
@@ -186,13 +171,13 @@ impl RawVerbLogic {
 
     /// When every run of the loop stops: the end of the window plus a
     /// 1 ms drain.
-    pub(crate) fn deadline(&self) -> SimTime {
+    fn deadline(&self) -> SimTime {
         self.measured.end + SimDuration::millis(1)
     }
 
-    fn record(&mut self, pool: usize, now: SimTime) {
+    fn record(&mut self, now: SimTime) {
         if self.measured.contains(now) {
-            self.ops[pool] += 1;
+            self.ops += 1;
         }
     }
 
@@ -244,13 +229,12 @@ impl RawVerbLogic {
         let blocks = self.cfg.blocks_per_client;
         let cursor = self.block_cursor[client];
         self.block_cursor[client] = cursor + 1;
-        let (pool, local) = (client / self.per_pool, client % self.per_pool);
-        let block = (local * blocks + cursor % blocks) * self.cfg.block_size;
+        let block = (client * blocks + cursor % blocks) * self.cfg.block_size;
         cx.post(
             self.qps[client],
             WorkRequest::Write {
                 data: bytes::Bytes::from(vec![0x5A; self.cfg.msg_size]),
-                remote: RemoteAddr::new(self.pools[pool], block),
+                remote: RemoteAddr::new(self.pool.expect("inbound pool"), block),
                 imm: None,
             },
             true,
@@ -264,9 +248,7 @@ impl Logic for RawVerbLogic {
     type Ev = RvEv;
 
     fn init(&mut self, cx: &mut Cx<'_, RvEv>) {
-        if self.server.is_some() {
-            cx.at(self.measured.start, RvEv::SnapshotCounters);
-        }
+        cx.at(self.measured.start, RvEv::SnapshotCounters);
         // Initial posts are staggered: releasing every window at t=0
         // would lock the deterministic simulation into synchronized
         // waves that no real benchmark sustains (start-up jitter smears
@@ -300,13 +282,13 @@ impl Logic for RawVerbLogic {
             {
                 // Map the completing QP back to its client's thread.
                 if let Some(&c) = self.poster.get(&wc.qp) {
-                    self.record(0, cx.now);
+                    self.record(cx.now);
                     self.post_outbound(c % self.threads.len(), cx);
                 }
             }
             (RawVerbKind::UdSend, Upcall::Completion { wc, .. }) if wc.opcode == WcOpcode::Send => {
                 if let Some(&t) = self.poster.get(&wc.qp) {
-                    self.record(0, cx.now);
+                    self.record(cx.now);
                     self.post_outbound(t, cx);
                 }
             }
@@ -322,10 +304,10 @@ impl Logic for RawVerbLogic {
             // model the consuming CPU of Fig. 3(b)) touches the LLC; the
             // client's completion re-arms its window.
             (RawVerbKind::InboundWrite, Upcall::MemWrite { mr, offset, .. }) => {
-                let Some(pool) = self.pools.iter().position(|&p| p == mr) else {
+                if self.pool != Some(mr) {
                     return;
-                };
-                self.record(pool, cx.now);
+                }
+                self.record(cx.now);
                 // The consuming server reads the message's whole block
                 // (the RPC stacks above operate block-granular). With
                 // large blocks these reads pollute the LLC, evicting the
@@ -352,10 +334,9 @@ impl Logic for RawVerbLogic {
                 _ => self.post_outbound(i, cx),
             },
             RvEv::SnapshotCounters => {
-                let server = self.server.expect("snapshot without a server");
-                let c = cx.fabric.counters(server).expect("server");
+                let c = cx.fabric.counters(self.server).expect("server");
                 self.counter_base = Some((c.get("PCIeRdCur"), c.get("PCIeItoM")));
-                let _ = cx.fabric.reset_llc_stats(server);
+                let _ = cx.fabric.reset_llc_stats(self.server);
             }
         }
     }
@@ -370,7 +351,7 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
     let mut qps = Vec::new();
     let mut client_mrs = Vec::new();
     let mut client_ud_qps = Vec::new();
-    let mut pools = Vec::new();
+    let mut pool = None;
 
     match cfg.kind {
         RawVerbKind::OutboundWrite => {
@@ -388,10 +369,10 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
             }
         }
         RawVerbKind::InboundWrite => {
-            let pool = fabric
+            let mr = fabric
                 .register_mr(server, cfg.clients * cfg.blocks_per_client * cfg.block_size)
                 .expect("pool");
-            pools.push(pool);
+            pool = Some(mr);
             for c in 0..cfg.clients {
                 let node = fabric.add_node(&format!("c{c}"));
                 let ccq = fabric.create_cq(node).expect("cq");
@@ -424,13 +405,12 @@ pub fn run_raw_verbs(cfg: RawVerbConfig) -> RawVerbResult {
         }
     }
 
-    // One server, so one engine thread: a hub has nothing to partition.
-    let logic = RawVerbLogic::new(cfg, Some(server), qps, client_mrs, client_ud_qps, pools);
+    let logic = RawVerbLogic::new(cfg, server, qps, client_mrs, client_ud_qps, pool);
     let deadline = logic.deadline();
     let mut sim = ShardedSim::new_sequential(fabric, logic);
     sim.run_sequential(deadline);
     let (logic, fabric) = (sim.logic(0), sim.fabric(0));
-    let ops = logic.ops[0];
+    let ops = logic.ops;
     let per_mops = |n: u64| logic.measured.rate(n) / 1e6;
     let counters = fabric.counters(server).expect("server");
     let (rd0, itom0) = logic.counter_base.unwrap_or((0, 0));

@@ -171,7 +171,7 @@ pub fn run_rpc(cfg: RpcRunConfig) -> RpcRunResult {
     }
 }
 
-/// Replays one harness (a hub, so a single shard) and reads the result.
+/// Replays one harness and reads the result.
 fn drive<T: RpcTransport>(h: Harness<T>, fabric: Fabric) -> RpcRunResult {
     let (sim, over_window) = h.replay(fabric);
     let m = &sim.logic(0).metrics;

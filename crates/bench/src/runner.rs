@@ -46,8 +46,7 @@ where
 }
 
 /// Whether the full (paper-length) parameter sweeps were requested via
-/// the `SCALERPC_FULL` environment variable; the default keeps `cargo
-/// bench` runs short.
+/// the `SCALERPC_FULL` environment variable.
 pub fn full_sweeps() -> bool {
     std::env::var("SCALERPC_FULL")
         .map(|v| v != "0")

@@ -434,10 +434,6 @@ impl Fabric {
     /// Returns the CPU time the initiating thread spends on the verbs
     /// calls ([`FabricParams::conn_setup_cpu`]); like [`PostInfo::cpu`],
     /// the caller owns its own timeline and must account for it.
-    ///
-    /// Only usable on single-shard runs: the RTS event mutates both
-    /// endpoints, so the sharded driver's no-runtime-connect rule
-    /// applies to it exactly as to [`connect`](Self::connect).
     pub fn connect_deferred(
         &mut self,
         now: SimTime,
@@ -799,58 +795,6 @@ impl Fabric {
     }
 
     // ---- event handling --------------------------------------------------
-
-    /// The node whose state [`handle`](Self::handle) will mutate for
-    /// this event — the shard-routing key of the parallel engine.
-    ///
-    /// Every handler arm touches exactly one node's mutable state
-    /// (counters, NIC engines, caches, owned memory regions): tx
-    /// processing runs at the posting QP's node, rx processing at the
-    /// destination QP's node — except read/atomic *responses*, which
-    /// arrive back at the requester (the packet keeps its original
-    /// src/dst orientation) — and delivery/completion effects land on
-    /// the node recorded in the event. Connection metadata read across
-    /// that boundary (QP transport, state, peer) is immutable after
-    /// setup; the sharded driver forbids runtime `connect`/`destroy_qp`
-    /// for exactly this reason.
-    pub fn event_node(&self, ev: &FabricEvent) -> NodeId {
-        match &ev.0 {
-            Inner::TxProcess { pkt, .. } => self.qps[pkt.hdr.src_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
-            Inner::RxProcess { pkt } => match &pkt.kind {
-                PacketKind::ReadResp { .. } | PacketKind::AtomicResp { .. } => {
-                    self.qps[pkt.hdr.src_qp.index()].node() // QpId indexes self.qps: QPs error out but are never freed
-                }
-                _ => self.qps[pkt.hdr.dst_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
-            },
-            Inner::Deliver { node, .. } => *node,
-            Inner::Complete { qp, .. } => self.qps[qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
-            // ConnRts mutates both endpoints; routed to the initiator's
-            // node. Only legal on single-shard runs (see connect_deferred).
-            Inner::ConnRts { a, .. } => self.qps[a.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
-        }
-    }
-
-    /// A shard's private copy of the fabric: full topology and
-    /// connection metadata, but with the *bytes* of memory regions owned
-    /// by other shards stripped to zero length.
-    ///
-    /// Per-node mutable state (NIC engines, caches, counters, CQs) is
-    /// replicated wholesale; only the replica whose shard owns a node
-    /// ever executes events against it (see [`event_node`]
-    /// (Self::event_node)), so the non-owned copies simply go stale.
-    /// Stripping foreign MR bytes keeps replica memory proportional to
-    /// the shard's own footprint — and turns any accidental cross-shard
-    /// memory access into a loud bounds error instead of a silent read
-    /// of stale bytes.
-    pub fn shard_replica(&self, owned: &[NodeId]) -> Fabric {
-        let mut replica = self.clone();
-        for (i, owner) in replica.mr_owner.iter().enumerate() {
-            if !owned.contains(owner) {
-                replica.mrs[i] = MemoryRegion::new(replica.mrs[i].id(), 0); // mr_owner and mrs are parallel vecs
-            }
-        }
-        replica
-    }
 
     /// Advances the fabric over one event, scheduling follow-ups through
     /// `sched` and appending application-visible effects to `upcalls`.

@@ -50,7 +50,6 @@ pub mod udchunk;
 
 pub use fasst::Fasst;
 pub use herd::Herd;
-pub use pool::StaticPool;
 pub use rawwrite::RawWrite;
 pub use rpc_core::workers::WorkerPool;
 pub use selfrpc::SelfRpc;

@@ -12,8 +12,9 @@ use rdma_fabric::{CqId, Fabric, MrId, QpId, Transport, Upcall, WcOpcode};
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
 use rpc_core::message::MsgBuf;
+use rpc_core::pool::BlockPool;
 
-use crate::pool::{write_block, StaticPool};
+use crate::pool::write_block;
 use crate::ring::{send_datagram, UdRings};
 use crate::trace::TraceTable;
 use crate::{Received, SendResponse};
@@ -70,7 +71,7 @@ struct ClientConn {
 /// locates a message from its CQ; without, the zone's worker finds it by
 /// polling the pool.
 pub struct PoolRequests<const IMM: bool> {
-    pool: StaticPool,
+    pool: BlockPool,
     pool_mr: MrId,
     server_cq: CqId,
     transport: Transport,
@@ -96,9 +97,9 @@ impl<const IMM: bool> PoolRequests<IMM> {
             !IMM || slots < 256,
             "slot index must fit the immediate encoding"
         );
-        let pool = StaticPool::new(cluster.clients(), slots, block_size);
+        let pool = BlockPool::new(cluster.clients(), slots, block_size);
         let pool_mr = fabric
-            .register_mr(cluster.server, pool.total_bytes())
+            .register_mr(cluster.server, pool.bytes())
             .expect("server node exists");
         PoolRequests {
             pool,
@@ -138,7 +139,7 @@ impl<const IMM: bool> PoolRequests<IMM> {
     }
 
     /// The pool geometry.
-    pub fn pool(&self) -> StaticPool {
+    pub fn pool(&self) -> BlockPool {
         self.pool
     }
 

@@ -12,10 +12,11 @@ use rdma_fabric::{Fabric, MrId, QpId, Upcall};
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
 use rpc_core::message::MsgBuf;
+use rpc_core::pool::BlockPool;
 use rpc_core::workers::WorkerPool;
 use simcore::SimDuration;
 
-use crate::pool::{write_block, StaticPool};
+use crate::pool::write_block;
 use crate::ring::{send_datagram, UdRings};
 use crate::{Received, SendResponse};
 
@@ -36,7 +37,7 @@ pub trait ResponsePath {
 pub struct WriteResponses {
     /// Geometry shared with the request pool: the response to `seq`
     /// lands in block `slot_of_seq(seq)` of the client's buffer.
-    pool: StaticPool,
+    pool: BlockPool,
     /// Per client: the server-side QP of its connection and its
     /// client-local response buffer (`slots` blocks).
     clients: Vec<(QpId, MrId)>,
@@ -49,7 +50,7 @@ impl WriteResponses {
     pub fn new(
         fabric: &mut Fabric,
         cluster: &Cluster,
-        pool: StaticPool,
+        pool: BlockPool,
         server_qps: impl ExactSizeIterator<Item = QpId>,
     ) -> Self {
         let mut resp_index = simcore::detmap::det_map_with_capacity(server_qps.len());
@@ -57,7 +58,7 @@ impl WriteResponses {
             .enumerate()
             .map(|(c, server_qp)| {
                 let resp_mr = fabric
-                    .register_mr(cluster.node_of(c), pool.slots * pool.block_size)
+                    .register_mr(cluster.node_of(c), pool.zone_bytes())
                     .expect("client node exists");
                 resp_index.insert(resp_mr, c);
                 (server_qp, resp_mr)

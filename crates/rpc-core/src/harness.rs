@@ -84,9 +84,9 @@ pub struct HarnessConfig {
     /// batching). Transports with slot-addressed client buffers (8
     /// message slots) support windows up to 8.
     pub window: usize,
-    /// Ignored: the harness is a hub logic and always single-shard. The
-    /// field is kept for source compatibility — `benchmark/` names it in
-    /// struct literals — and goes with the next `[benchmark]` PR.
+    /// Ignored: one run is one loop on one thread. The field is kept
+    /// for source compatibility — `benchmark/` names it in struct
+    /// literals — and goes with the next `[benchmark]` PR.
     pub nthreads: usize,
     /// Client-side failover retransmission, required for scenarios with
     /// server crashes. `None` (the default) schedules no retry timers,

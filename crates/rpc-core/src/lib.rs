@@ -6,8 +6,7 @@
 //!   trait and the [`Cx`] capability handle through which logic posts
 //!   verbs and sets timers.
 //! - [`sharded`]: the engine — [`ShardedSim`], one sequential event
-//!   loop, run once over everything or once per group of nodes that
-//!   never talk to another group, on a thread pool (DESIGN.md §10).
+//!   loop over one queue, one fabric and one logic (DESIGN.md §10).
 //! - [`transport`]: the [`RpcTransport`](transport::RpcTransport) trait
 //!   every RPC implementation (ScaleRPC and the baselines) provides.
 //! - [`cluster`]: topology builder for the paper's testbed shape (one
@@ -24,6 +23,8 @@
 //!   skew of Fig. 12) and request-size generators.
 //! - [`metrics`]: per-experiment result collection and the measured
 //!   [`Window`].
+//! - [`pool`]: [`BlockPool`], the `zones × slots × block_size` geometry
+//!   of every message pool, static or virtualized.
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +34,7 @@ pub mod harness;
 pub mod inject;
 pub mod message;
 pub mod metrics;
+pub mod pool;
 pub mod sharded;
 pub mod transport;
 pub mod window;
@@ -45,7 +47,8 @@ pub use harness::{Harness, HarnessConfig, HarnessConfigError};
 pub use inject::{ClientStart, FaultEv, Injection, ScenarioError, ScenarioSpec};
 pub use message::{MsgBuf, RpcHeader};
 pub use metrics::{RpcMetrics, Window};
-pub use sharded::{AppRoute, ShardSpec, ShardedSim, DRAIN};
+pub use pool::BlockPool;
+pub use sharded::{ShardedSim, DRAIN};
 pub use transport::{ClientOverhead, Response, RpcTransport, ServerHandler};
 pub use window::{Completed, InFlight, RequestWindow};
 pub use workers::WorkerPool;

@@ -43,4 +43,3 @@ pub use config::ScaleRpcConfig;
 pub use globsync::GlobalSync;
 pub use scheduler::{ClientStats, GroupPlan, Scheduler};
 pub use transport::{ScaleEv, ScaleRpc};
-pub use vpool::VirtualPool;

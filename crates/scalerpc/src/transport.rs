@@ -32,7 +32,8 @@ use rdma_fabric::{
 };
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
-use rpc_core::message::{MsgBuf, FLAG_CTX_SWITCH, FLAG_LEGACY, HEADER};
+use rpc_core::message::{MsgBuf, FLAG_CTX_SWITCH, HEADER};
+use rpc_core::pool::BlockPool;
 use rpc_core::transport::{ClientOverhead, LifecycleEv, Response, RpcTransport, ServerHandler};
 use rpc_core::workers::WorkerPool;
 use simcore::{DetHashMap, DetHashSet};
@@ -42,7 +43,7 @@ use simtrace::{InstantKind, Stage, TraceId, Tracer};
 use crate::client::{ClientFsm, SubmitAction};
 use crate::config::ScaleRpcConfig;
 use crate::scheduler::{ClientStats, GroupPlan, Scheduler};
-use crate::vpool::{PoolPair, VirtualPool};
+use crate::vpool::PoolPair;
 
 /// Endpoint-entry stride in the endpoint region (per client).
 const ENTRY: usize = 32;
@@ -232,7 +233,7 @@ fn zone_table(plan: &GroupPlan, clients: usize) -> Vec<Option<(usize, usize)>> {
 /// The ScaleRPC transport.
 pub struct ScaleRpc<H: ServerHandler> {
     cfg: ScaleRpcConfig,
-    geom: VirtualPool,
+    geom: BlockPool,
     /// The two physical pools (processing/warmup roles swap).
     pools: [MrId; 2],
     pool_pair: PoolPair,
@@ -323,7 +324,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let n = cluster.clients();
         // Zones must fit the largest group the split/merge band allows.
         let zones = (cfg.group_size * 3 / 2 + 2).min(n.max(1) + 1);
-        let geom = VirtualPool::new(zones, cfg.slots, cfg.block_size);
+        let geom = BlockPool::new(zones, cfg.slots, cfg.block_size);
         let pools = [
             fabric
                 .register_mr(cluster.server, geom.bytes())
@@ -679,7 +680,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             self.clients[client].server_qp,
             WorkRequest::Read {
                 local_mr: self.pools[pool_idx],
-                local_offset: self.geom.zone_offset(zone),
+                local_offset: self.geom.offset(zone, 0),
                 remote: RemoteAddr::new(self.clients[client].local_mr, 0),
                 len: self.geom.zone_bytes(),
             },
@@ -1569,13 +1570,6 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
     fn name(&self) -> &'static str {
         "ScaleRPC"
     }
-}
-
-/// Convenience constructor for a request that must run in legacy mode
-/// (§3.5): the caller frames the payload itself and sets
-/// [`FLAG_LEGACY`]; this helper documents the convention.
-pub fn legacy_flags() -> u16 {
-    FLAG_LEGACY
 }
 
 impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for ScaleRpc<H> {

@@ -3,78 +3,14 @@
 //! §3.3 of the paper: instead of one zone per *client* (static mapping),
 //! ScaleRPC allocates one *physical* pool sized for a single group and
 //! virtualizes it — each group's logical pool maps onto the same physical
-//! zones. The pool is *stateless*: a message becomes obsolete the moment
-//! it is processed, so successive groups overwrite each other's zones
-//! without any reset, and the fixed physical addresses stay resident in
-//! the CPU LLC across switches.
+//! zones (a [`BlockPool`](rpc_core::BlockPool) with one zone per group
+//! member). The pool is *stateless*: a message becomes obsolete the
+//! moment it is processed, so successive groups overwrite each other's
+//! zones without any reset, and the fixed physical addresses stay
+//! resident in the CPU LLC across switches.
 //!
 //! Two physical pools exist — the *processing* pool and the *warmup*
 //! pool — and swap roles at every context switch (Fig. 6).
-
-/// Geometry of one physical pool: `zones × slots` blocks.
-#[derive(Clone, Copy, Debug)]
-pub struct VirtualPool {
-    /// Zones (one per member of the group being served).
-    pub zones: usize,
-    /// Blocks per zone.
-    pub slots: usize,
-    /// Bytes per block.
-    pub block_size: usize,
-}
-
-impl VirtualPool {
-    /// Creates a pool geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero dimensions.
-    pub fn new(zones: usize, slots: usize, block_size: usize) -> Self {
-        assert!(zones > 0 && slots > 0 && block_size > 0, "degenerate pool");
-        VirtualPool {
-            zones,
-            slots,
-            block_size,
-        }
-    }
-
-    /// Total bytes of one physical pool.
-    pub fn bytes(&self) -> usize {
-        self.zones * self.slots * self.block_size
-    }
-
-    /// Byte offset of `(zone, slot)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of range.
-    pub fn offset(&self, zone: usize, slot: usize) -> usize {
-        assert!(zone < self.zones && slot < self.slots, "out of range");
-        (zone * self.slots + slot) * self.block_size
-    }
-
-    /// Maps a byte offset back to `(zone, slot)`.
-    pub fn locate(&self, offset: usize) -> Option<(usize, usize)> {
-        let block = offset / self.block_size;
-        let zone = block / self.slots;
-        (zone < self.zones).then_some((zone, block % self.slots))
-    }
-
-    /// Zone start offset.
-    pub fn zone_offset(&self, zone: usize) -> usize {
-        self.offset(zone, 0)
-    }
-
-    /// Bytes per zone.
-    pub fn zone_bytes(&self) -> usize {
-        self.slots * self.block_size
-    }
-
-    /// Slot for a sequence number (computed identically on both sides so
-    /// the index never travels on the wire).
-    pub fn slot_of_seq(&self, seq: u64) -> usize {
-        (seq % self.slots as u64) as usize
-    }
-}
 
 /// The role-swapping pair of physical pools.
 #[derive(Clone, Copy, Debug, Default)]
@@ -110,35 +46,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pool_is_group_sized_not_client_sized() {
-        // 40-client group, 8 slots, 4 KB blocks: 1.25 MB regardless of
-        // whether 40 or 4000 clients are connected — the virtualized-
-        // mapping claim.
-        let p = VirtualPool::new(40, 8, 4096);
-        assert_eq!(p.bytes(), 40 * 8 * 4096);
-    }
-
-    #[test]
-    fn offsets_invert() {
-        let p = VirtualPool::new(4, 3, 128);
-        for z in 0..4 {
-            for s in 0..3 {
-                let off = p.offset(z, s);
-                assert_eq!(p.locate(off), Some((z, s)));
-                assert_eq!(p.locate(off + 127), Some((z, s)));
-            }
-        }
-        assert_eq!(p.locate(p.bytes()), None);
-    }
-
-    #[test]
-    fn zone_geometry() {
-        let p = VirtualPool::new(4, 3, 128);
-        assert_eq!(p.zone_offset(2), 2 * 3 * 128);
-        assert_eq!(p.zone_bytes(), 384);
-    }
-
-    #[test]
     fn pool_pair_swaps_roles() {
         let mut pair = PoolPair::new();
         assert_eq!(pair.processing(), 0);
@@ -148,11 +55,5 @@ mod tests {
         assert_eq!(pair.warmup(), 0);
         pair.swap();
         assert_eq!(pair.processing(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn offset_bounds() {
-        VirtualPool::new(2, 2, 64).offset(0, 2);
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests on ScaleRPC's scheduling and pool invariants.
 
 use proptest::prelude::*;
+use rpc_core::BlockPool;
 use scalerpc::scheduler::{enforce_size_band, ClientStats, Scheduler};
-use scalerpc::vpool::VirtualPool;
 use simcore::SimDuration;
 
 proptest! {
@@ -74,7 +74,7 @@ proptest! {
     #[test]
     fn vpool_offsets_invert(zones in 1usize..20, slots in 1usize..16, shift in 0usize..64) {
         let block = 128usize;
-        let p = VirtualPool::new(zones, slots, block);
+        let p = BlockPool::new(zones, slots, block);
         for z in 0..zones {
             for s in 0..slots {
                 let off = p.offset(z, s);

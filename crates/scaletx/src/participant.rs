@@ -128,8 +128,11 @@ impl ServerHandler for TxParticipant {
         let mem = fabric.mr_mut(kv_mr).expect("kv region").as_mut_slice();
         match req {
             TxRequestView::Execute { txid, items } => {
-                let owner = txid + 1; // avoid the 0 = unlocked sentinel
                 let cost = self.costs.exec_item * items.len().max(1) as u64;
+                // `txid + 1` avoids the 0 = unlocked sentinel; no wrapping to it.
+                let Some(owner) = txid.checked_add(1) else {
+                    return (proto::execute_response(false, std::iter::empty()), cost);
+                };
                 self.found.clear();
                 for (key, lock) in items {
                     let found = if lock {
@@ -184,17 +187,17 @@ impl ServerHandler for TxParticipant {
             TxRequestView::Commit { items, .. } => {
                 let cost = self.costs.commit_item * items.len().max(1) as u64;
                 for (key, value) in items {
-                    self.rpc_commits += 1;
-                    self.table
-                        .commit_local(mem, key, value)
-                        .expect("committed keys exist");
+                    // An item the table refuses is skipped, as Unlock's are.
+                    self.rpc_commits += self.table.commit_local(mem, key, value).is_ok() as u64;
                 }
                 (proto::ok_response(), cost)
             }
             TxRequestView::Unlock { txid, keys } => {
                 let cost = self.costs.unlock_key * keys.len().max(1) as u64;
-                for key in keys {
-                    let _ = self.table.unlock(mem, key, txid + 1);
+                if let Some(owner) = txid.checked_add(1) {
+                    for key in keys {
+                        let _ = self.table.unlock(mem, key, owner);
+                    }
                 }
                 (proto::ok_response(), cost)
             }
@@ -323,6 +326,53 @@ mod tests {
         .encode();
         p.handle(0, &good, &mut fabric);
         assert_eq!(p.peek(&fabric, 6).unwrap().lock, 0);
+    }
+
+    fn lock_words(p: &TxParticipant, fabric: &Fabric) -> Vec<u64> {
+        (0..10).map(|k| p.peek(fabric, k).unwrap().lock).collect()
+    }
+
+    #[test]
+    fn txid_without_an_owner_touches_no_lock_word() {
+        let (mut fabric, mut p) = setup();
+        // Key 2 held by tx u64::MAX - 1, whose owner word is u64::MAX.
+        exec(&mut p, &mut fabric, u64::MAX - 1, vec![(2, true)]);
+        let before = lock_words(&p, &fabric);
+        assert_eq!(before[2], u64::MAX);
+        // `u64::MAX + 1` would wrap to 0, the unlocked sentinel.
+        let resp = exec(&mut p, &mut fabric, u64::MAX, vec![(1, true), (3, false)]);
+        assert_eq!(
+            resp,
+            TxResponse::Execute {
+                all_ok: false,
+                items: vec![]
+            }
+        );
+        let unlock = TxRequest::Unlock {
+            txid: u64::MAX,
+            keys: vec![1, 2, 999],
+        }
+        .encode();
+        p.handle(0, &unlock, &mut fabric);
+        assert_eq!(lock_words(&p, &fabric), before);
+        assert_eq!(p.lock_conflicts, 0);
+    }
+
+    #[test]
+    fn commit_skips_a_key_the_table_does_not_hold() {
+        let (mut fabric, mut p) = setup();
+        let value = |v: i64| v.to_le_bytes().to_vec();
+        let commit = TxRequest::Commit {
+            txid: 1,
+            items: vec![(4, value(41)), (999, value(42)), (5, value(43))],
+        }
+        .encode();
+        let (resp, _) = p.handle(0, &commit, &mut fabric);
+        assert_eq!(TxResponse::decode(&resp), Some(TxResponse::Ok));
+        assert_eq!(p.peek(&fabric, 4).unwrap().value, value(41));
+        assert_eq!(p.peek(&fabric, 5).unwrap().value, value(43));
+        assert!(p.peek(&fabric, 999).is_none());
+        assert_eq!(p.rpc_commits, 2);
     }
 
     #[test]

@@ -133,12 +133,11 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at `time` under an explicit sequence key
     /// instead of the queue's own insertion counter.
     ///
-    /// This is the shard-merge entry point: a parallel engine replays
-    /// the sequential engine's global push order by assigning each
-    /// event the sequence number it would have received from the single
-    /// global queue, so `(time, seq)` ordering — and therefore every
-    /// same-instant tie-break — stays bit-identical to a sequential
-    /// run. The internal counter is bumped past `seq` so later plain
+    /// No engine calls this since the windowed shard merge was deleted;
+    /// `tests/queue_stream.rs` scripts it to pin that `(time, seq)`
+    /// ordering — and therefore every same-instant tie-break — follows
+    /// the key, not the insertion order. The internal counter is bumped
+    /// past `seq` so later plain
     /// [`push`](Self::push) calls still sort after it.
     ///
     /// # Panics
@@ -256,10 +255,8 @@ impl<E> EventQueue<E> {
     /// (O(1) unless explicit keys arrive far out of order). Returns
     /// `false` for fired, cancelled, or unknown ids.
     ///
-    /// The shard merge uses this to resolve *provisional* sequence
-    /// numbers (handed out while a shard executes a window in
-    /// isolation) to the *final* global numbers computed by the
-    /// deterministic cross-shard merge.
+    /// Test-only surface since the windowed shard merge was deleted
+    /// (`tests/queue_stream.rs` scripts it).
     pub fn set_seq(&mut self, id: EventId, seq: u64) -> bool {
         let Some(slot) = self.pending(id) else {
             return false;
@@ -292,8 +289,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Like [`pop_at_or_before`](Self::pop_at_or_before), but also
-    /// returns the event's sequence key, which the shard merge logs to
-    /// reconstruct the global pop order.
+    /// returns the event's sequence key ([`pop_at_or_before`]
+    /// (Self::pop_at_or_before) is this minus the key).
     pub fn pop_at_or_before_with_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
         let (bucket, slot) = self.earliest()?;
         let &Node { time, seq, .. } = self.node(slot);

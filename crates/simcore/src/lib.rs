@@ -24,10 +24,9 @@
 //!
 //! Determinism is the core requirement (identical seeds must produce
 //! identical hardware-counter traces). The kernel is single-threaded:
-//! one [`EventQueue`] has one total `(time, seq)` order. The engine
-//! above it only ever runs several queues at once when they belong to
-//! node groups that never exchange an event (DESIGN.md §10), so golden
-//! fingerprints are bit-identical run-to-run and across `nthreads`.
+//! one [`EventQueue`] has one total `(time, seq)` order, and the engine
+//! above it runs one queue per simulation (DESIGN.md §10), so golden
+//! fingerprints are bit-identical run-to-run and across feature configs.
 
 #![forbid(unsafe_code)]
 

@@ -17,7 +17,7 @@
 //! - **R5 unsafe-audit** — `unsafe` needs `// SAFETY:`, unsafe-free
 //!   crates get `#![forbid(unsafe_code)]`;
 //! - **R6 engine-queue-isolation** — model crates never touch a raw
-//!   `EventQueue`; events route through `Cx` / the sharded engine.
+//!   `EventQueue`; events route through `Cx`.
 //!
 //! Findings are suppressed by inline `// simlint: allow(R1, …)`
 //! directives (same line or the line above) or by whole-file
@@ -43,7 +43,7 @@ pub mod rules;
 use analysis::SourceFile;
 use rules::{
     crate_key, has_forbid_unsafe, has_unsafe, is_target_root, origin, Finding, Origin, Rule,
-    TraceDefs, VendorExports, BUILTIN_ALLOW,
+    TraceDefs, VendorExports,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -146,13 +146,9 @@ impl Analysis {
         let by_path: BTreeMap<&str, &SourceFile> =
             self.files.iter().map(|f| (f.path.as_str(), f)).collect();
         out.retain(|fi| {
-            let file_ok = by_path
+            by_path
                 .get(fi.path.as_str())
-                .is_none_or(|sf| !sf.allowed(fi.rule, fi.line) && !sf.file_allowed(fi.rule));
-            file_ok
-                && !BUILTIN_ALLOW
-                    .iter()
-                    .any(|(r, suffix, _)| *r == fi.rule && fi.path.ends_with(suffix))
+                .is_none_or(|sf| !sf.allowed(fi.rule, fi.line) && !sf.file_allowed(fi.rule))
         });
         out.sort();
         out.dedup();

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p simlint --                 # report findings, exit 0
 //! cargo run -p simlint -- --deny          # exit 1 if any finding (CI)
-//! cargo run -p simlint -- --list-rules    # print the rule set + allowlist
+//! cargo run -p simlint -- --list-rules    # print the rule set
 //! cargo run -p simlint -- --only R3       # restrict to one rule
 //! cargo run -p simlint -- --root PATH     # lint another workspace root
 //! cargo run -p simlint -- --budget-ms 500 # fail if the scan is slower
@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use simlint::rules::{Rule, BUILTIN_ALLOW};
+use simlint::rules::Rule;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -58,8 +58,7 @@ fn main() -> ExitCode {
                      --root PATH    workspace root (default: nearest ancestor with a\n\
                                     [workspace] Cargo.toml, else cwd)\n\
                      --budget-ms N  exit 1 if the scan takes longer than N ms\n\
-                     --list-rules   print each rule's id, name, summary, and the\n\
-                                    built-in allowlist"
+                     --list-rules   print each rule's id, name and summary"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -73,12 +72,6 @@ fn main() -> ExitCode {
     if list_rules {
         for r in Rule::ALL {
             println!("{} {}\n    {}", r.id(), r.name(), r.summary());
-        }
-        if !BUILTIN_ALLOW.is_empty() {
-            println!("\nbuilt-in allowlist:");
-            for (r, path, why) in BUILTIN_ALLOW {
-                println!("    [{}] {path}\n        {why}", r.id());
-            }
         }
         return ExitCode::SUCCESS;
     }

@@ -72,7 +72,7 @@ impl Rule {
                  line argues the invariant; allowlist case-by-case"
             }
             Rule::R4 => {
-                "every path the workspace imports from vendor/{bytes,rand,proptest,criterion} \
+                "every path the workspace imports from vendor/{bytes,rand,proptest} \
                  must resolve against the vendored stub, so stub/API drift fails lint instead \
                  of failing an offline build later"
             }
@@ -84,8 +84,7 @@ impl Rule {
             Rule::R6 => {
                 "model crates must not touch the engine's EventQueue (or its seq-level \
                  push_with_seq/pop_with_seq/pop_at_or_before_with_seq/set_seq surface) \
-                 directly; events route \
-                 through the driver's Cx / the sharded engine's handles so the \
+                 directly; events route through the driver's Cx so the \
                  deterministic total order (time, seq) cannot be bypassed"
             }
         }
@@ -170,16 +169,16 @@ pub const HOT_PATHS: &[&str] = &[
 ];
 
 /// The vendored stub crates R4 audits.
-pub const VENDOR_CRATES: &[&str] = &["bytes", "rand", "proptest", "criterion"];
+pub const VENDOR_CRATES: &[&str] = &["bytes", "rand", "proptest"];
 
 /// Crates that model *behavior on top of* the event engine: transports,
 /// applications, the fabric. R6 applies to their `src/` trees — they
-/// schedule through [`Cx`](../../rpc-core/src/driver.rs) or the sharded
-/// engine's handles, never against a raw `EventQueue`, because a direct
-/// push chooses its own sequence number and can break the engine's
-/// deterministic (time, seq) total order. `simcore` (defines the
-/// queue) is out of scope; the two rpc-core engine files that *own*
-/// queues are allowlisted below.
+/// schedule through [`Cx`](../../rpc-core/src/driver.rs), never
+/// against a raw `EventQueue`, because a direct push chooses its own
+/// sequence number and can break the engine's deterministic (time, seq)
+/// total order. `simcore` (defines the queue) is out of scope; the one
+/// rpc-core file that *owns* the queue — the engine — excuses itself
+/// with an `allow-file(R6)` directive.
 pub const MODEL_CRATES: &[&str] = &[
     "rdma-fabric",
     "rpc-core",
@@ -202,20 +201,9 @@ const R6_BANNED: &[&str] = &[
     "set_seq",
 ];
 
-/// Built-in per-rule allowlist: `(rule, path suffix, reason)`. Kept
-/// empty since the allow-file migration: whole-file policy decisions
-/// live in the affected file as `// simlint: allow-file(Rn): reason`
-/// directives, so they move (and die) with the code they excuse. Point
-/// fixes use line-level `// simlint: allow(..)` directives.
-pub const BUILTIN_ALLOW: &[(Rule, &str, &str)] = &[];
-
 /// Macro-name prefixes attributed to a vendor crate for the R4 macro
 /// check (`prop_assert!` can only come from the proptest stub, etc.).
-const MACRO_PREFIXES: &[(&str, &str)] = &[
-    ("proptest", "proptest"),
-    ("prop_", "proptest"),
-    ("criterion_", "criterion"),
-];
+const MACRO_PREFIXES: &[(&str, &str)] = &[("proptest", "proptest"), ("prop_", "proptest")];
 
 /// Item-introducing keywords whose following identifier is a definition.
 const DEF_KEYWORDS: &[&str] = &[
@@ -999,7 +987,7 @@ pub fn r4(file: &SourceFile, exports: &VendorExports, out: &mut Vec<Finding>) {
         if t.kind != TokKind::Ident || in_use[i] {
             continue;
         }
-        // Macro heuristics: `prop_assert!`, `criterion_group!`, …
+        // Macro heuristics: `prop_assert!`, `proptest!`, …
         if toks
             .get(next_code(toks, i + 1))
             .map(|n| n.is_punct('!'))
@@ -1276,10 +1264,9 @@ pub fn r6(file: &SourceFile, out: &mut Vec<Finding>) {
             col: t.col,
             rule: Rule::R6,
             msg: format!(
-                "`{}` is engine-internal: model code schedules through Cx::at / the \
-                 sharded engine's handles so the deterministic (time, seq) \
-                 total order cannot be bypassed; if this file *is* an engine, add it \
-                 to the R6 allowlist",
+                "`{}` is engine-internal: model code schedules through Cx::at so the \
+                 deterministic (time, seq) total order cannot be bypassed; if this \
+                 file *is* the engine, it says so with an allow-file(R6) directive",
                 t.text
             ),
         });

@@ -281,11 +281,11 @@ fn r6_inline_allow_suppresses() {
 
 #[test]
 fn r6_engine_files_excuse_themselves_with_allow_file() {
-    // driver.rs and sharded.rs own their queues; they carry an
-    // `allow-file(R6)` directive (with reason) so the real engine
-    // sources lint clean under --deny without a built-in allowlist.
+    // sharded.rs owns the queue; it carries an `allow-file(R6)`
+    // directive (with reason) so the real engine source lints clean
+    // under --deny.
     let excused = format!(
-        "// simlint: allow-file(R6): the engine owns its queues.\n{}",
+        "// simlint: allow-file(R6): the engine owns the queue.\n{}",
         include_str!("fixtures/r6_bad.rs")
     );
     let out = lint_one("crates/rpc-core/src/sharded.rs", &excused);

@@ -79,6 +79,10 @@ pub enum Compiled {
     Tx(CompiledTx),
 }
 
+/// Most clients an rpc scenario may declare. Compilation builds four
+/// per-client tables, so the count is checked before any is sized.
+pub const MAX_CLIENTS: usize = 1 << 20;
+
 /// Lowers `sc` onto the simulator's configuration types.
 pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
     // A hand-built `Scenario` (fuzzer, shrinker, benchmark) never met
@@ -118,6 +122,11 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
         }
         Workload::Rpc(w) => {
             let n = sc.total_clients();
+            if n > MAX_CLIENTS {
+                return Err(err(format!(
+                    "rpc workload declares more than {MAX_CLIENTS} clients"
+                )));
+            }
             let cluster = ClusterSpec {
                 server_threads: w.server_threads,
                 client_machines: w.machines,
@@ -227,7 +236,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                     SizeModel::Fixed(s) => s,
                     SizeModel::Zipf { max, .. } => max,
                 };
-                if max == 0 || max * 2 > block {
+                if max == 0 || max > block / 2 {
                     return Err(err(format!(
                         "population `{}`: request sizes must be in 1..={} (half a {} B block)",
                         p.name,
@@ -309,7 +318,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
             }
             let workload = match w.profile {
                 TxProfileKind::ObjectStore => {
-                    if w.reads + w.writes == 0 {
+                    if w.reads == 0 && w.writes == 0 {
                         return Err(err("object_store needs reads + writes > 0"));
                     }
                     TxWorkloadCfg::ObjectStore {

@@ -303,7 +303,7 @@ pub struct Event {
 }
 
 /// Expected bit-exact outcome, checked after the run (the baseline
-/// scenario pins an existing simperf workload's fingerprint).
+/// scenario pins the Fig. 3(b) row of `tests/determinism.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Expect {
     /// Exact simulator event count.
@@ -618,9 +618,12 @@ impl Scenario {
         Ok(())
     }
 
-    /// Total clients across populations.
+    /// Total clients across populations (saturating: the counts are
+    /// whatever the file said).
     pub fn total_clients(&self) -> usize {
-        self.populations.iter().map(|p| p.clients).sum()
+        self.populations
+            .iter()
+            .fold(0, |n, p| n.saturating_add(p.clients))
     }
 }
 

@@ -258,12 +258,9 @@ mod tracer_impl {
     /// A clonable recording handle threaded through fabric, harness, and
     /// transports. Disabled by default ([`Tracer::disabled`]): every hook
     /// is then a single `Option` branch. The log lives behind
-    /// `Arc<Mutex<…>>` so the fabric stays `Send` for the sharded
-    /// engine; the mutex is uncontended in practice because the parallel
-    /// engine only shards runs whose tracer is disabled (an enabled
-    /// tracer's interleaved log order would not be deterministic across
-    /// thread counts — the engine asserts this rather than record a
-    /// scrambled log).
+    /// `Arc<Mutex<…>>` so the handle, and the fabric holding it, stay
+    /// `Send`; the mutex is never contended, because one run is one
+    /// event loop on one thread and its log order is the event order.
     #[derive(Clone, Debug, Default)]
     pub struct Tracer {
         log: Option<Arc<Mutex<TraceLog>>>,

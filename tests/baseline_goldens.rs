@@ -2,9 +2,10 @@
 //!
 //! `tests/determinism.rs` freezes the raw-verb experiments and ScaleRPC;
 //! the baselines were held only by tolerance-banded shape tests (plus
-//! one RawWrite event count in simperf). These strings were captured on
-//! the commit *before* `crates/rpc-baselines` was rewritten as request
-//! path × response path, and must never be re-blessed by a refactor:
+//! the one full-window RawWrite row of that file's hub table). These
+//! strings were captured on the commit *before* `crates/rpc-baselines`
+//! was rewritten as request path × response path, and must never be
+//! re-blessed by a refactor:
 //! any change in post order, ring slot order, worker ownership or cost
 //! arithmetic shows up as a different event count or latency digit.
 //!

@@ -77,3 +77,84 @@ fn golden_sweep_is_deterministic_and_matches_seed() {
     assert_eq!(first, second, "same config must be byte-identical per run");
     assert_eq!(first, GOLDEN, "counters drifted from the frozen goldens");
 }
+
+fn raw_row(cfg: RawVerbConfig) -> (u64, u64) {
+    let r = run_raw_verbs(cfg);
+    (r.events, r.ops)
+}
+
+fn rpc_row(cfg: RpcRunConfig) -> (u64, u64) {
+    let r = run_rpc(cfg);
+    (r.events, r.ops)
+}
+
+/// The five full-window hub runs whose `(events, ops)` every hot-path PR
+/// since the timing wheel (PR 15) has reproduced: Fig. 1(b)'s NIC-cache
+/// thrash, Fig. 3(b)'s LLC overflow, and ScaleRPC batched, RawWrite and
+/// ScaleRPC windowed at Fig. 8's 400 clients.
+///
+/// Housekeeping rule: a red row means the simulated trace moved. A PR
+/// that moves one says why in its first paragraph, or it has a bug; the
+/// values are never re-captured to make a refactor pass.
+#[test]
+fn full_window_hub_rows_reproduce_their_events_and_ops() {
+    let scalerpc_400c = |batch, window| RpcRunConfig {
+        kind: TransportKind::ScaleRpc(ScaleRpcConfig::default()),
+        clients: 400,
+        batch,
+        window,
+        warmup: SimDuration::millis(2),
+        run: SimDuration::millis(6),
+        ..Default::default()
+    };
+    let rows = [
+        (
+            "fig01b_outbound_800c",
+            raw_row(RawVerbConfig {
+                kind: RawVerbKind::OutboundWrite,
+                clients: 800,
+                warmup: SimDuration::millis(1),
+                run: SimDuration::millis(4),
+                ..Default::default()
+            }),
+            (38_813, 7_724),
+        ),
+        (
+            "fig03b_inbound_8k_400c",
+            raw_row(RawVerbConfig {
+                kind: RawVerbKind::InboundWrite,
+                clients: 400,
+                block_size: 8192,
+                warmup: SimDuration::millis(1),
+                run: SimDuration::millis(4),
+                ..Default::default()
+            }),
+            (231_277, 45_601),
+        ),
+        (
+            "fig08_scalerpc_400c_b8",
+            rpc_row(scalerpc_400c(8, 1)),
+            (652_653, 58_056),
+        ),
+        (
+            "fig08_rawwrite_400c_b1",
+            rpc_row(RpcRunConfig {
+                kind: TransportKind::RawWrite,
+                clients: 400,
+                batch: 1,
+                warmup: SimDuration::millis(2),
+                run: SimDuration::millis(6),
+                ..Default::default()
+            }),
+            (176_605, 11_751),
+        ),
+        (
+            "fig08_scalerpc_400c_w4",
+            rpc_row(scalerpc_400c(1, 4)),
+            (384_257, 21_641),
+        ),
+    ];
+    for (name, got, want) in rows {
+        assert_eq!(got, want, "{name}: (events, ops) moved");
+    }
+}

@@ -1,9 +1,9 @@
 //! Bit-exact pins for the drivers that sit on top of the client side.
 //!
 //! `tests/baseline_goldens.rs` freezes the baseline transports; these
-//! strings freeze the *drivers* — the multi-pod raw-verb loop, the
-//! ScaleTX crash → recover path, and the mdtest / ScaleTX runners over
-//! the transports `baseline_goldens.rs` does not reach. They were
+//! strings freeze the *drivers* — the ScaleTX crash → recover path, and
+//! the mdtest / ScaleTX runners over the transports
+//! `baseline_goldens.rs` does not reach. They were
 //! captured on the commit *before* fault effects, client CPU, the
 //! measured window and the replay loop moved into `rpc-core` (PR 17),
 //! and must never be re-blessed by a refactor: a change in event push
@@ -21,53 +21,10 @@ use rpc_core::inject::{Injection, ScenarioSpec};
 use rpc_core::workload::ThinkTime;
 use rpc_core::ShardedSim;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
-use scalerpc_bench::pods::{run_pods, PodsConfig};
 use scaletx::sim::{run_scalerpc_tx, run_scalerpc_tx_with};
 use scaletx::workload::TxWorkload;
 use scaletx::{TxConfig, TxSim};
 use simcore::{SimDuration, SimTime};
-
-fn pods_point(label: &str, cfg: PodsConfig) -> String {
-    let r = run_pods(cfg);
-    format!(
-        "pods {label}: events={} ops={} pod_ops={:?}",
-        r.events, r.ops, r.pod_ops
-    )
-}
-
-const PODS_GOLDEN: &str = "\
-pods quick nt1: events=299376 ops=50954 pod_ops=[12737, 12741, 12737, 12739]
-pods quick nt2: events=299376 ops=50954 pod_ops=[12737, 12741, 12737, 12739]
-pods quick nt4: events=299376 ops=50954 pod_ops=[12737, 12741, 12737, 12739]
-pods full: events=5677552 ops=1142857 pod_ops=[142857, 142857, 142857, 142858, 142857, 142857, 142857, 142857]";
-
-#[test]
-fn pods_points_match_the_pre_refactor_capture() {
-    let quick = |nthreads| PodsConfig {
-        pods: 4,
-        clients_per_pod: 10,
-        warmup: SimDuration::micros(200),
-        run: SimDuration::micros(400),
-        nthreads,
-        ..Default::default()
-    };
-    let lines = [
-        pods_point("quick nt1", quick(1)),
-        pods_point("quick nt2", quick(2)),
-        pods_point("quick nt4", quick(4)),
-        // simperf's full `pods8_inbound_200c` row (`BENCH_simperf.json`,
-        // label `pr15-timing-wheel`).
-        pods_point(
-            "full",
-            PodsConfig {
-                warmup: SimDuration::millis(1),
-                run: SimDuration::millis(4),
-                ..Default::default()
-            },
-        ),
-    ];
-    assert_eq!(lines.join("\n"), PODS_GOLDEN);
-}
 
 /// The deployment of `tests/failure_injection.rs`'
 /// `lock_holder_crash_frees_locks_and_replays_bit_exactly`.
