@@ -53,21 +53,8 @@ cargo test -q --release -p simcore --test queue_stream
 echo "== clippy (deny warnings, trace on) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== simlint (deny, trace on) =="
-# Workspace lint: determinism + model invariants, six lexer-level
-# rules R1-R6 (`simlint --list-rules` prints the catalog). Scans
-# sources, not cfg-expanded builds, so it sees *both* sides of every
-# trace gate; it runs again after the no-trace clippy so a rule
-# violation introduced by feature-config-specific fixes can't slip
-# between the two gates. The scan is one lex of every crate (~100 ms)
-# and must stay under the 500 ms budget.
-cargo run -q -p simlint -- --deny --budget-ms 500
-
 echo "== clippy (deny warnings, trace off) =="
 cargo clippy -p simtrace -p scalerpc-bench --no-default-features --all-targets -- -D warnings
-
-echo "== simlint (deny, trace off) =="
-cargo run -q -p simlint -- --deny --budget-ms 500
 
 echo "== scenario check (all checked-in scenarios) =="
 # Parse + compile every scenario file; rejects drift between the
@@ -107,12 +94,13 @@ cargo run -q --release -p simscenario --features trace --bin scenario -- \
     fuzz --seeds 24 --start 64
 
 echo "== trace export smoke =="
-# fig_timeline validates its own output (re-parses the JSON, checks all
-# seven pipeline stages, scheduler instants, and >=2 counter series) and
-# exits non-zero on any gap.
+# fig_timeline validates its own trace (all seven pipeline stages,
+# scheduler instants, and >=2 counter series) and exits non-zero on any
+# gap; python's parser, not ours, proves the export loads.
 cargo run --release -p scalerpc-bench --bin fig_timeline -- \
     --clients 80 --warmup-us 300 --run-us 500 \
     --out target/fig_timeline_ci.json
+python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); assert d["traceEvents"]' target/fig_timeline_ci.json
 
 echo "== repo benchmark (tests + quick run, both of its binaries) =="
 bash benchmark/run.sh --test

@@ -2,8 +2,6 @@
 //!
 //! Set `SCALERPC_FULL=1` for the paper-length parameter sweeps.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     scalerpc_bench::figures::all_figures();
 }

@@ -11,10 +11,9 @@
 //! The run records per-RPC pipeline spans (all seven stages, client
 //! post → response receipt), scheduler instants (slice boundaries,
 //! group switches, warmup fetches) and PCM-counter time-series on the
-//! server node. The emitted JSON is re-parsed before it is written, so
-//! a zero exit status guarantees a loadable file.
-
-#![forbid(unsafe_code)]
+//! server node. A zero exit status says the trace holds everything the
+//! figure needs; that the file loads is `ci.sh`'s check, made with an
+//! independent JSON parser.
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::{Cluster, ClusterSpec};
@@ -23,7 +22,6 @@ use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::EchoHandler;
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
-use scalerpc_bench::json::Json;
 use simcore::SimDuration;
 use simtrace::query::TraceQuery;
 use simtrace::{export, InstantKind, Stage, Tracer};
@@ -160,24 +158,7 @@ fn main() {
         );
     }
 
-    // Export, then prove the export is loadable before writing it.
     let text = export::chrome_trace_json(&log);
-    match Json::parse(&text) {
-        Ok(doc) => {
-            let n = match doc.get("traceEvents") {
-                Some(Json::Arr(events)) => events.len(),
-                _ => {
-                    eprintln!("fig_timeline: ERROR export lacks a traceEvents array");
-                    std::process::exit(1);
-                }
-            };
-            eprintln!("fig_timeline: validated {n} trace events");
-        }
-        Err(e) => {
-            eprintln!("fig_timeline: ERROR export is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    }
     std::fs::write(&out, &text).expect("write trace json");
     eprintln!("fig_timeline: wrote {out} ({} bytes)", text.len());
     if let Some(path) = csv {

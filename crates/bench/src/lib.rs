@@ -10,10 +10,7 @@
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! record.
 
-#![forbid(unsafe_code)]
-
 pub mod figures;
-pub mod json;
 pub mod rawverbs;
 pub mod report;
 pub mod rpcbench;

@@ -16,8 +16,6 @@
 //! The crate is deliberately fabric-agnostic: it operates on `&mut [u8]`
 //! and the simulation layers the buffer inside a registered MR.
 
-#![forbid(unsafe_code)]
-
 pub mod item;
 pub mod table;
 

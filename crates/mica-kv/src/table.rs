@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn slots_are_aligned_and_disjoint() {
         let (mut t, mut mem) = setup(32);
-        let mut offs = std::collections::HashSet::new();
+        let mut offs = std::collections::BTreeSet::new();
         for k in 0..32u64 {
             let off = t.insert(&mut mem, k * 1000, b"x").unwrap();
             assert_eq!(off % 8, 0, "8-byte alignment for atomics/versions");
@@ -317,9 +317,9 @@ mod tests {
 
     #[test]
     fn many_keys_against_reference_model() {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         let (mut t, mut mem) = setup(512);
-        let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut reference: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         // Deterministic pseudo-random workload.
         let mut x = 0x12345678u64;
         for _ in 0..2000 {

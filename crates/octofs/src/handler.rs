@@ -21,7 +21,7 @@ pub struct MdsHandler {
     /// so report iteration order is deterministic: the previous
     /// `HashMap` made [`MdsHandler::report_line`]-style output differ
     /// between identical runs (each map instance draws its own
-    /// `RandomState` seed), which simlint rule R1 now rejects.
+    /// `RandomState` seed), which `clippy.toml` now disallows.
     pub completed: BTreeMap<FsOp, u64>,
     /// Failed operations (duplicate creates, missing files…).
     pub failures: u64,

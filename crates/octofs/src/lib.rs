@@ -19,8 +19,6 @@
 //!   any other transport.
 //! - [`mdtest`]: an mdtest-like workload generator.
 
-#![forbid(unsafe_code)]
-
 pub mod handler;
 pub mod mdtest;
 pub mod meta;

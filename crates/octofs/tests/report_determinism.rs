@@ -1,5 +1,5 @@
-//! Regression test for the per-op report nondeterminism fixed by the
-//! simlint R1 sweep.
+//! Regression test for the per-op report nondeterminism that the
+//! `disallowed-types` ban in `clippy.toml` keeps from coming back.
 //!
 //! `MdsHandler.completed` used to be a `std::collections::HashMap`,
 //! whose `RandomState` is seeded per *instance*: two handlers serving

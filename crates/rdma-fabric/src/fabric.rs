@@ -15,6 +15,8 @@
 //! callback and reports application-visible effects as [`Upcall`]s, so it
 //! stays decoupled from whatever RPC layer runs above it.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::counters::{Counter, NodeCounters};
 use crate::cq::{CompletionQueue, Wc, WcOpcode, WcStatus};
 use crate::error::{VerbError, VerbResult};
@@ -295,7 +297,7 @@ impl Fabric {
     /// operation on that node waits the pause out behind the stall
     /// occupancy. Counted under `NodeStalls`.
     pub fn stall_node(&mut self, node: NodeId, now: SimTime, dur: SimDuration) {
-        // simlint: allow(R3): NodeId is fabric-allocated, so an OOB index is a driver bug
+        // NodeId is fabric-allocated, so an OOB index is a driver bug
         let n = &mut self.nodes[node.index()];
         n.tx.acquire(now, dur);
         n.rx.acquire(now, dur);
@@ -487,7 +489,7 @@ impl Fabric {
                 torn += 1;
             }
         }
-        // simlint: allow(R3): NodeId is fabric-allocated, so an OOB index is a driver bug
+        // NodeId is fabric-allocated, so an OOB index is a driver bug
         self.nodes[node.index()].counters.inc(Counter::NodeCrashes);
         torn
     }
@@ -830,7 +832,11 @@ impl Fabric {
                         (len, landed)
                     }
                 };
-                landed.expect("bounds checked at rx"); // simlint: allow(R3): bounds checked at rx; regions are never deregistered
+                #[allow(
+                    clippy::expect_used,
+                    reason = "bounds checked at rx; regions are never deregistered"
+                )]
+                landed.expect("bounds checked at rx");
                 if let Some((cq, wc)) = wc {
                     self.cqs[cq.index()].push(wc); // CqId indexes self.cqs: CQs are never destroyed
                     upcalls.push(Upcall::Completion { node, cq, wc });
@@ -861,8 +867,10 @@ impl Fabric {
                     && self.qps[b.index()].state() == QpState::Reset; // same QpId invariant
                 if still_reset {
                     // Mirrors Fabric::connect, pre-validated above.
-                    self.qps[a.index()].connect_to(b).expect("validated reset"); // simlint: allow(R3): state checked above
-                    self.qps[b.index()].connect_to(a).expect("validated reset"); // simlint: allow(R3): state checked above
+                    #[allow(clippy::expect_used, reason = "state checked above")]
+                    self.qps[a.index()].connect_to(b).expect("validated reset");
+                    #[allow(clippy::expect_used, reason = "state checked above")]
+                    self.qps[b.index()].connect_to(a).expect("validated reset");
                     self.nodes[node.index()].counters.inc(Counter::ConnSetups); // NodeId indexes self.nodes: nodes are never removed
                     self.tracer
                         .instant(InstantKind::ConnSetup, now, a.0 as u64, b.0 as u64);
@@ -1174,9 +1182,10 @@ impl Fabric {
                 // Taken now, not at delivery: the requester gets the bytes
                 // the responder NIC read, whatever is stored here later.
                 let mut data = self.spare_snapshots.pop().unwrap_or_default();
+                #[allow(clippy::expect_used, reason = "bounds checked above")]
                 self.mrs[remote.mr.index()] // MrId indexes self.mrs: regions are never deregistered
                     .snapshot(remote.offset, len, &mut data)
-                    .expect("bounds checked above"); // simlint: allow(R3): bounds checked above
+                    .expect("bounds checked above");
                 let kind = PacketKind::ReadResp {
                     data,
                     local_mr,
@@ -1227,9 +1236,13 @@ impl Fabric {
                     AtomicOp::CompareSwap { .. } => old,
                     AtomicOp::FetchAdd { add } => old.wrapping_add(add),
                 };
+                #[allow(
+                    clippy::expect_used,
+                    reason = "read_u64 of the same word succeeded above"
+                )]
                 self.mrs[remote.mr.index()] // MrId indexes self.mrs: regions are never deregistered
                     .write_u64(remote.offset, new)
-                    .expect("validated"); // simlint: allow(R3): read_u64 of the same word succeeded above
+                    .expect("validated");
                 let node = &mut self.nodes[dst_node.index()]; // NodeId indexes self.nodes: nodes are never removed
                 node.counters.inc(Counter::Atomics);
                 // Atomic RMW occupies the rx engine noticeably longer.

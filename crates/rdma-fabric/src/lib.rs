@@ -22,8 +22,6 @@
 //! counters (`PCIeRdCur`, `RFO`, `ItoM`, `PCIeItoM`) used by the paper's
 //! analysis figures.
 
-#![forbid(unsafe_code)]
-
 mod counters;
 pub mod cq;
 pub mod error;

@@ -44,6 +44,8 @@
 //! page of each region up to its highest touched page; an untouched
 //! node (most simulated clients) allocates nothing.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::lru::VictimRng;
 use crate::types::MrId;
 

@@ -11,6 +11,8 @@
 //!
 //! (The module name is historical: nothing in it is LRU.)
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use simcore::FxHasher;
 use std::hash::{Hash, Hasher};
 
@@ -227,6 +229,10 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
                     // earlier in the new key's chain than the slot the
                     // first probe found, and inserting past a hole would
                     // make the key unfindable.
+                    #[allow(
+                        clippy::expect_used,
+                        reason = "the first probe missed and erase_slot only removes, so the key is still absent"
+                    )]
                     let ins = self
                         .probe(&self.keys[victim], h32) // victim is a live key index
                         .expect_err("fresh key cannot be resident");
@@ -283,7 +289,7 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn random_set_hits_within_capacity() {
@@ -352,10 +358,10 @@ mod tests {
         let _ = RandomSet::<u32>::new(0);
     }
 
-    /// The pre-optimization `RandomSet`: `HashMap` index + `keys` vector,
-    /// kept verbatim as a reference model for the open-addressed rewrite.
+    /// The pre-optimization `RandomSet`: map index + `keys` vector, kept
+    /// as a reference model for the open-addressed rewrite.
     struct RefRandomSet {
-        map: HashMap<u64, usize>,
+        map: BTreeMap<u64, usize>,
         keys: Vec<u64>,
         capacity: usize,
         rng_state: u64,
@@ -364,7 +370,7 @@ mod tests {
     impl RefRandomSet {
         fn new(capacity: usize) -> Self {
             RefRandomSet {
-                map: HashMap::new(),
+                map: BTreeMap::new(),
                 keys: Vec::new(),
                 capacity,
                 rng_state: 0x853C_49E6_748F_EA9B,
@@ -412,7 +418,7 @@ mod tests {
 
     proptest::proptest! {
         /// The open-addressed `RandomSet` must be bit-identical to the
-        /// old `HashMap` implementation: same hit/evict results, same
+        /// old map-indexed implementation: same hit/evict results, same
         /// victim sequence (RNG stream), same internal key order.
         #[test]
         fn random_set_matches_hashmap_reference(

@@ -18,6 +18,8 @@
 //! Connection grouping (§3.2) works precisely because it bounds the number
 //! of QPs touched within a time slice to the group size.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::lru::RandomSet;
 use crate::types::QpId;
 

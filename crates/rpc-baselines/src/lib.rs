@@ -34,8 +34,6 @@
 //! [`WriteResponses`]: response::WriteResponses
 //! [`SendResponses`]: response::SendResponses
 
-#![forbid(unsafe_code)]
-
 pub mod baseline;
 pub mod fasst;
 pub mod herd;

@@ -7,6 +7,8 @@
 //! (fabric events are scheduled transparently) and set timers
 //! (application events).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use rdma_fabric::{Fabric, FabricEvent, PostInfo, QpId, Upcall, VerbResult, WorkRequest};
 use simcore::{SimDuration, SimTime};
 

@@ -26,8 +26,6 @@
 //! - [`pool`]: [`BlockPool`], the `zones × slots × block_size` geometry
 //!   of every message pool, static or virtualized.
 
-#![forbid(unsafe_code)]
-
 pub mod cluster;
 pub mod driver;
 pub mod harness;

@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn offsets_are_disjoint_and_invertible() {
         let p = BlockPool::new(7, 5, 256);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for z in 0..7 {
             for s in 0..5 {
                 let off = p.offset(z, s);

@@ -1,4 +1,3 @@
-// simlint: allow-file(R6): the engine — owns the one event queue.
 //! The simulation engine.
 //!
 //! [`ShardedSim`] is the one simulation engine: one [`EventQueue`], one

@@ -12,6 +12,8 @@
 //! A window of capacity 1 degenerates to the seed's synchronous
 //! one-request-at-a-time client and must not change its behaviour.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 /// One in-flight request tracked by a [`RequestWindow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InFlight<Tag> {
@@ -83,7 +85,8 @@ impl<Tag> RequestWindow<Tag> {
             .slots
             .iter()
             .position(|s| matches!(s, Some(f) if f.seq == seq))?;
-        let InFlight { seq, tag } = self.slots[slot].take().unwrap(); // simlint: allow(R3): position() found this slot occupied
+        #[allow(clippy::unwrap_used, reason = "position() found this slot occupied")]
+        let InFlight { seq, tag } = self.slots[slot].take().unwrap();
         self.free.push(slot);
         Some(Completed { slot, seq, tag })
     }

@@ -6,6 +6,8 @@
 //! the polling + cache + handler + response-post time, so server CPU
 //! saturation emerges naturally.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use simcore::{FifoResource, SimDuration, SimTime};
 
 /// A pool of server worker threads.

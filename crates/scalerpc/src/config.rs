@@ -87,34 +87,43 @@ impl Default for ScaleRpcConfig {
 }
 
 impl ScaleRpcConfig {
+    /// Checks internal consistency: the first degenerate setting, as a
+    /// message naming the field. For configs built from outside input.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.group_size == 0 {
+            return Err("group_size must be positive");
+        }
+        if self.time_slice == SimDuration::ZERO {
+            return Err("time_slice must be positive");
+        }
+        if !(1..256).contains(&self.slots) {
+            return Err("slots must be in 1..256");
+        }
+        if self.block_size < 64 {
+            return Err("block_size must hold a message");
+        }
+        if self.regroup_rotations == 0 {
+            return Err("regroup_rotations must be positive");
+        }
+        if !(1..=self.slots).contains(&self.client_window) {
+            return Err("client_window must be in 1..=slots");
+        }
+        if self.tenant_isolate && self.tenant_of.is_empty() {
+            return Err("tenant_isolate requires tenant_of tags");
+        }
+        Ok(())
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate settings, with a message naming the field.
+    /// Panics on degenerate settings, with [`check`](Self::check)'s
+    /// message.
     pub fn validate(&self) {
-        assert!(self.group_size > 0, "group_size must be positive");
-        assert!(
-            self.time_slice > SimDuration::ZERO,
-            "time_slice must be positive"
-        );
-        assert!(
-            self.slots > 0 && self.slots < 256,
-            "slots must be in 1..256"
-        );
-        assert!(self.block_size >= 64, "block_size must hold a message");
-        assert!(
-            self.regroup_rotations > 0,
-            "regroup_rotations must be positive"
-        );
-        assert!(
-            self.client_window >= 1 && self.client_window <= self.slots,
-            "client_window must be in 1..=slots"
-        );
-        assert!(
-            !self.tenant_isolate || !self.tenant_of.is_empty(),
-            "tenant_isolate requires tenant_of tags"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 

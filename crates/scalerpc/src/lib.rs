@@ -29,8 +29,6 @@
 //! that lets multiple `RPCServer`s switch groups at the same pace, which
 //! the ScaleTX transaction system requires.
 
-#![forbid(unsafe_code)]
-
 pub mod client;
 pub mod config;
 pub mod globsync;

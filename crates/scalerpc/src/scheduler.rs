@@ -276,7 +276,7 @@ mod tests {
         let stats = vec![ClientStats { ops: 5, bytes: 160 }; 100];
         for dynamic in [false, true] {
             let p = sched(dynamic).replan(&stats);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for g in &p.groups {
                 for &c in g {
                     assert!(seen.insert(c), "client {c} appears twice");

@@ -26,7 +26,7 @@ proptest! {
         let plan = sched.replan(&stats);
         prop_assert_eq!(plan.slices.len(), plan.groups.len());
         prop_assert!(plan.groups.iter().all(|grp| !grp.is_empty()));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for grp in &plan.groups {
             for &c in grp {
                 prop_assert!(c < n);
@@ -59,7 +59,7 @@ proptest! {
         let total: usize = sizes.iter().sum();
         let out = enforce_size_band(groups, g);
         let hi = (g * 3 / 2).max(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for grp in &out {
             prop_assert!(grp.len() <= hi, "group of {} exceeds 3g/2={}", grp.len(), hi);
             for &c in grp {

@@ -29,8 +29,6 @@
 //! provides the clock discipline, and the benchmarks include a
 //! misaligned-schedule ablation showing why it matters.
 
-#![forbid(unsafe_code)]
-
 pub mod participant;
 pub mod proto;
 pub mod sim;

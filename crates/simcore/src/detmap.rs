@@ -1,5 +1,3 @@
-// simlint: allow-file(R1): defines DetHashMap/DetHashSet over std HashMap
-// with a fixed FxHash hasher; the one sanctioned HashMap use.
 //! Deterministic hash maps for sim-path state.
 //!
 //! `std::collections::HashMap`'s default `RandomState` is seeded from OS
@@ -11,16 +9,19 @@
 //!
 //! [`DetHashMap`]/[`DetHashSet`] are drop-in replacements backed by
 //! [`FxBuildHasher`], a fixed-seed FxHash: same keys → same buckets →
-//! same iteration order, every run, every process. simlint rule R1
-//! steers all sim-crate map usage here (or to `BTreeMap`, when sorted
-//! iteration is itself meaningful).
+//! same iteration order, every run, every process. The workspace
+//! `clippy.toml` disallows the std types everywhere else, which steers
+//! all map usage here (or to `BTreeMap`, when sorted iteration is itself
+//! meaningful).
 //!
 //! [`FxHasher`] (`rotate_left(5) ^ word`, multiplied by the Fx constant)
 //! is also what `rdma-fabric`'s `RandomSet` hashes its keys with.
 
-// simlint: allow(R1) — this module wraps std HashMap with a fixed
-// hasher; it is the sanctioned route around the R1 ban (also listed in
-// simlint's built-in allowlist).
+#![allow(
+    clippy::disallowed_types,
+    reason = "defines DetHashMap/DetHashSet over std HashMap with a fixed FxHash hasher; the one sanctioned HashMap use"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 

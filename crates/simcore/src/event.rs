@@ -25,6 +25,8 @@
 //! arrays have grown. Slots are generation-counted, so a stale [`EventId`]
 //! never aliases a newer event.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::time::SimTime;
 
 /// Opaque handle to a scheduled event, usable to cancel it: a slot index
@@ -311,7 +313,8 @@ impl<E> EventQueue<E> {
                 cur = if after == rest { NIL } else { after };
             }
         }
-        let event = self.vacate(slot).expect("pending slot has a payload"); // simlint: allow(R3): linked slots always hold a payload
+        #[allow(clippy::expect_used, reason = "linked slots always hold a payload")]
+        let event = self.vacate(slot).expect("pending slot has a payload");
         Some((time, seq, event))
     }
 
@@ -634,12 +637,12 @@ mod tests {
     mod reference {
         use super::SimTime;
         use std::cmp::Reverse;
-        use std::collections::{BinaryHeap, HashSet};
+        use std::collections::{BTreeSet, BinaryHeap};
 
         pub struct RefQueue<E> {
             heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
             pub next_seq: u64,
-            cancelled: HashSet<u64>,
+            cancelled: BTreeSet<u64>,
             pub now: SimTime,
         }
 
@@ -648,7 +651,7 @@ mod tests {
                 RefQueue {
                     heap: BinaryHeap::new(),
                     next_seq: 0,
-                    cancelled: HashSet::new(),
+                    cancelled: BTreeSet::new(),
                     now: SimTime::ZERO,
                 }
             }
@@ -780,8 +783,8 @@ mod tests {
             // explicit one nobody holds, below or above the counter: the
             // multiplier scatters successive picks, so they arrive out of
             // order.
-            let mut used = std::collections::HashSet::new();
-            fn fresh(used: &mut std::collections::HashSet<u64>, next_seq: u64, arg: u64) -> u64 {
+            let mut used = std::collections::BTreeSet::new();
+            fn fresh(used: &mut std::collections::BTreeSet<u64>, next_seq: u64, arg: u64) -> u64 {
                 let mut s = arg * 7919 % (next_seq + 16);
                 while !used.insert(s) {
                     s += 1;

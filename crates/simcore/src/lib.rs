@@ -9,8 +9,8 @@
 //! - [`DetRng`]: seeded, splittable randomness so that every experiment is
 //!   exactly reproducible.
 //! - [`DetHashMap`] / [`DetHashSet`]: fixed-hasher maps with run-to-run
-//!   deterministic iteration order (enforced workspace-wide by simlint
-//!   rule R1).
+//!   deterministic iteration order (the root `clippy.toml` disallows
+//!   std's `RandomState` maps workspace-wide).
 //! - [`Fsm`]: a state field whose every write is checked against the
 //!   enum's transition table ([`Transitions::allows`]), in every build
 //!   profile.
@@ -27,8 +27,6 @@
 //! one [`EventQueue`] has one total `(time, seq)` order, and the engine
 //! above it runs one queue per simulation (DESIGN.md §10), so golden
 //! fingerprints are bit-identical run-to-run and across feature configs.
-
-#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod detmap;

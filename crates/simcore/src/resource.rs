@@ -7,6 +7,8 @@
 //! the standard discrete-event idiom for throughput-capped pipelines and
 //! is what produces realistic saturation curves in the reproduced figures.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::time::{SimDuration, SimTime};
 
 /// A single-server FIFO resource.
@@ -184,10 +186,14 @@ impl MultiResource {
                 // All busy: earliest `busy_until`, lowest index on ties —
                 // exactly the heap order once stale entries are skipped.
                 None => loop {
+                    #[allow(
+                        clippy::expect_used,
+                        reason = "the busy heap is non-empty when no server is idle"
+                    )]
                     let std::cmp::Reverse((t, i)) = self
                         .busy
                         .pop()
-                        .expect("every non-idle server has a live heap entry"); // simlint: allow(R3): the busy heap is non-empty when no server is idle
+                        .expect("every non-idle server has a live heap entry");
                     if self.servers[i].busy_until() == t {
                         break i;
                     }

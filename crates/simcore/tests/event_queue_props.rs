@@ -37,14 +37,14 @@ proptest! {
     ) {
         let mut q = EventQueue::new();
         let ids: Vec<_> = times.iter().enumerate().map(|(i, &t)| (i, q.push(SimTime(t), i))).collect();
-        let mut cancelled = std::collections::HashSet::new();
+        let mut cancelled = std::collections::BTreeSet::new();
         for ((i, id), &c) in ids.iter().zip(cancel_mask.iter().chain(std::iter::repeat(&false))) {
             if c {
                 q.cancel(*id);
                 cancelled.insert(*i);
             }
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some((_, idx)) = q.pop() {
             prop_assert!(!cancelled.contains(&idx), "cancelled event {idx} popped");
             seen.insert(idx);

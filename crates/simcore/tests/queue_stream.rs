@@ -13,7 +13,7 @@
 //! events in the same `(time, seq)` order.
 
 use simcore::{EventId, EventQueue, SimTime};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 struct Fnv(u64);
 
@@ -73,7 +73,7 @@ struct Driver {
     /// Mirror of the queue's insertion counter, so explicit keys can be
     /// chosen unique and on either side of it.
     next_seq: u64,
-    used: HashSet<u64>,
+    used: BTreeSet<u64>,
 }
 
 impl Driver {
@@ -198,7 +198,7 @@ fn run(seed: u64) -> u64 {
         ids: Vec::new(),
         seqs: Vec::new(),
         next_seq: 0,
-        used: HashSet::new(),
+        used: BTreeSet::new(),
     };
     for lap in 0..6 {
         // Laps 0 and 3 first jump `now` to just short of a 2^39 / 2^52 ns
@@ -258,6 +258,7 @@ const GOLDEN_BEEF: u64 = 3_975_631_489_094_086_754;
 /// same-instant events drains in push order in time linear in the burst.
 /// A bucket walk per pop would make this 2 × 10^10 steps.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test bounds host wall time")]
 fn same_instant_burst_drains_fifo_in_linear_time() {
     const BURST: u64 = 200_000;
     let started = std::time::Instant::now();
@@ -282,6 +283,7 @@ fn same_instant_burst_drains_fifo_in_linear_time() {
 /// over empty buckets: one event every 10 ms is 10^7 empty level-0
 /// buckets per pop.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the test bounds host wall time")]
 fn sparse_queue_pops_without_walking_empty_buckets() {
     let started = std::time::Instant::now();
     let mut q = EventQueue::new();

@@ -8,8 +8,6 @@
 //!   fuzzer over seeds `S..S+N`; failures are greedily shrunk and
 //!   printed as a minimal reproduction TOML.
 
-#![forbid(unsafe_code)]
-
 use simscenario::scenario::Scenario;
 use simscenario::{compile, fuzz_one, gen_scenario, run_scenario, shrink_failure};
 use std::path::{Path, PathBuf};

@@ -83,6 +83,19 @@ pub enum Compiled {
 /// per-client tables, so the count is checked before any is sized.
 pub const MAX_CLIENTS: usize = 1 << 20;
 
+/// Most bytes of message pool a scenario may make a run register.
+pub const MAX_POOL_BYTES: usize = 1 << 30;
+
+/// Whether a pool of `clients × blocks × block_size` bytes stays within
+/// [`MAX_POOL_BYTES`]: the run sizes its regions from this product of
+/// scenario keys, so it is checked, overflow included, before any is.
+fn pool_fits(clients: usize, blocks: usize, block_size: usize) -> bool {
+    clients
+        .checked_mul(blocks)
+        .and_then(|b| b.checked_mul(block_size))
+        .is_some_and(|bytes| bytes <= MAX_POOL_BYTES)
+}
+
 /// Lowers `sc` onto the simulator's configuration types.
 pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
     // A hand-built `Scenario` (fuzzer, shrinker, benchmark) never met
@@ -102,6 +115,21 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 SizeModel::Fixed(s) => s,
                 SizeModel::Zipf { .. } => unreachable!("rejected by check_semantics"),
             };
+            if w.blocks_per_client == 0 {
+                return Err(err("raw workload blocks_per_client must be positive"));
+            }
+            if w.block_size == 0 || w.block_size < msg_size {
+                return Err(err(format!(
+                    "raw workload block_size {} must be positive and hold a {msg_size} B message",
+                    w.block_size
+                )));
+            }
+            if !pool_fits(p.clients, w.blocks_per_client, w.block_size) {
+                return Err(err(format!(
+                    "raw workload pool (clients x blocks_per_client x block_size) \
+                     exceeds {MAX_POOL_BYTES} bytes"
+                )));
+            }
             Ok(Compiled::Raw(CompiledRaw {
                 cfg: RawVerbConfig {
                     kind: match w.verb {
@@ -258,6 +286,15 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 .collect();
 
             let scale = if w.transport == RpcTransport::ScaleRpc {
+                // A client holds one message slot per request in flight;
+                // a deeper window would strand the excess for the whole
+                // run (the baselines queue it instead).
+                if w.window > w.slots {
+                    return Err(err(format!(
+                        "scalerpc window {} exceeds the {} message slots per client (`slots`)",
+                        w.window, w.slots
+                    )));
+                }
                 let mut cfg = ScaleRpcConfig {
                     group_size: w.group_size,
                     time_slice: us("time_slice_us", w.time_slice_us)?,
@@ -265,11 +302,11 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                     block_size: w.block_size,
                     dynamic_scheduling: w.dynamic,
                     regroup_rotations: w.regroup_rotations,
+                    // Deep client windows need matching message-slot
+                    // windows, as in the benchmark runner.
+                    client_window: w.window,
                     ..Default::default()
                 };
-                // Same adjustment the benchmark runner applies: deep
-                // client windows need matching message-slot windows.
-                cfg.client_window = cfg.client_window.max(w.window.min(cfg.slots));
                 cfg.lazy_connect = w.lazy_connect;
                 // The response-replay cache is only needed when the
                 // timeline can force retransmissions; steady-state
@@ -278,6 +315,16 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 if w.tenant_isolate {
                     cfg.tenant_of = tenants.clone();
                     cfg.tenant_isolate = true;
+                }
+                cfg.check()
+                    .map_err(|e| err(format!("invalid scalerpc config: {e}")))?;
+                // Per client: 2·slots + 1 blocks of its own and up to
+                // 2·slots in the server's two pools.
+                if !pool_fits(n + 1, 4 * w.slots + 1, w.block_size) {
+                    return Err(err(format!(
+                        "scalerpc message pools (clients x slots x block_size) \
+                         exceed {MAX_POOL_BYTES} bytes"
+                    )));
                 }
                 Some(cfg)
             } else {

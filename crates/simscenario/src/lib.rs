@@ -37,7 +37,6 @@
 //! The `scenario` binary exposes `run`, `check` and `fuzz` subcommands
 //! over checked-in `scenarios/*.toml` files.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compile;

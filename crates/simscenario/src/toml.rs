@@ -2,8 +2,8 @@
 //!
 //! The scenario format needs tables, arrays-of-tables and scalar
 //! key/value entries — nothing more — and CI builds offline, so this is
-//! a hand-rolled single-pass parser in the same discipline as simlint's
-//! lexer rather than a crates.io dependency. The accepted subset:
+//! a hand-rolled single-pass parser rather than a crates.io dependency.
+//! The accepted subset:
 //!
 //! - `# comment` to end of line, blank lines;
 //! - `[name]` tables and `[[name]]` arrays-of-tables (bare single-segment

@@ -32,8 +32,6 @@
 //! events, so an *enabled* tracer does not perturb simulation results
 //! either — only wall-clock time.
 
-#![forbid(unsafe_code)]
-
 use simcore::{SimDuration, SimTime};
 
 pub mod export;

@@ -5,8 +5,6 @@
 //! dependency. See `DESIGN.md` at the repository root for the system
 //! inventory and `EXPERIMENTS.md` for the paper-vs-measured record.
 
-#![forbid(unsafe_code)]
-
 pub use mica_kv;
 pub use octofs;
 pub use rdma_fabric;

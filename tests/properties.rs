@@ -121,7 +121,7 @@ proptest! {
     ) {
         let mut table = KvTable::new(64, 16);
         let mut mem = vec![0u8; table.required_bytes()];
-        let mut reference = std::collections::HashMap::new();
+        let mut reference = std::collections::BTreeMap::new();
         for (key, value) in ops {
             table.insert(&mut mem, key, &value).unwrap();
             reference.insert(key, value);

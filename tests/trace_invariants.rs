@@ -127,11 +127,11 @@ fn warmup_overlaps_the_previous_slice() {
     let q = TraceQuery::new(&run.log);
 
     // Index slice boundaries by epoch.
-    let start_of: std::collections::HashMap<u64, SimTime> = q
+    let start_of: std::collections::BTreeMap<u64, SimTime> = q
         .instants(InstantKind::SliceStart)
         .map(|i| (i.b, i.at))
         .collect();
-    let end_of: std::collections::HashMap<u64, SimTime> = q
+    let end_of: std::collections::BTreeMap<u64, SimTime> = q
         .instants(InstantKind::SliceEnd)
         .map(|i| (i.b, i.at))
         .collect();
@@ -395,7 +395,7 @@ fn windowed_pipeline_trace_ids_are_unique_and_stage_ordered() {
     let q = TraceQuery::new(&run.log);
 
     // Per-RPC TraceIds are unique: one ClientPost span per id.
-    let mut posts_by_id = std::collections::HashMap::new();
+    let mut posts_by_id = std::collections::BTreeMap::new();
     for span in q.spans_of(Stage::ClientPost) {
         *posts_by_id.entry(span.id).or_insert(0u32) += 1;
     }
@@ -451,8 +451,8 @@ fn windowed_pipeline_trace_ids_are_unique_and_stage_ordered() {
     // request before the previous one's response closed. Group posts by
     // originating client and look for overlap between consecutive
     // pipelines of the same client.
-    let mut by_client: std::collections::HashMap<u64, Vec<(SimTime, u64)>> =
-        std::collections::HashMap::new();
+    let mut by_client: std::collections::BTreeMap<u64, Vec<(SimTime, u64)>> =
+        std::collections::BTreeMap::new();
     for span in q.spans_of(Stage::ClientPost) {
         by_client
             .entry(span.client)
