@@ -38,7 +38,9 @@ echo "== build (release, trace off) =="
 cargo build --release -p scalerpc-bench --no-default-features
 
 echo "== tests (trace on) =="
-cargo test -q
+# --workspace: in a root that is both package and workspace, a bare
+# `cargo test` runs the root package's binaries only, not the crates'.
+cargo test -q --workspace
 
 echo "== tests (trace off) =="
 cargo test -q -p simtrace -p scalerpc-bench --no-default-features
@@ -111,10 +113,10 @@ echo "== allocation gate (traced ScaleRPC and SmallBank replays, seed 42) =="
 # exact counts of a deterministic replay, so the gate is not flaky: each
 # must be at or below the value recorded when its path last shed work
 # (the message path in PR 18, the transaction path and its upcall
-# routing in PR 22; EXPERIMENTS.md has both ledgers). A change that
-# allocates on the per-message or per-transaction path fails here with
-# the layer named, and one that sheds more lowers the ceilings in the
-# same PR.
+# routing in PR 22, the unread per-batch series in PR 25; EXPERIMENTS.md
+# has the first two ledgers). A change that allocates on the per-message
+# or per-transaction path fails here with the layer named, and one that
+# sheds more lowers the ceilings in the same PR.
 # usage: ceiling_gate WORKLOAD METRIC=CEILING...
 ceiling_gate() {
     local workload=$1
@@ -136,12 +138,12 @@ ceiling_gate() {
 }
 ceiling_gate rpc_scalerpc_400c_b8 \
     scalerpc.allocs_per_op=3.311603 \
-    rpc-core.harness_allocs_per_op=0.000038 \
+    rpc-core.harness_allocs_per_op=0.000014 \
     rpc-core.sharded_allocs_per_event=0.002604 \
-    bench.allocs_per_op=4.437184
+    bench.allocs_per_op=4.437108
 ceiling_gate tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
-    bench.allocs_per_op=21.399054 \
+    bench.allocs_per_op=21.398598 \
     scalerpc.transport_calls=602103.000000
 
 echo "ci.sh: all gates passed"

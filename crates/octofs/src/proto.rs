@@ -1,6 +1,6 @@
 //! Wire format of metadata operations.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Metadata operations, as evaluated in Fig. 1(a) and Fig. 13.
 ///
@@ -68,10 +68,10 @@ pub struct FsRequest {
 impl FsRequest {
     /// Serializes: `[op u8][path bytes]`.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(1 + self.path.len());
-        b.put_u8(self.op.code());
-        b.put_slice(self.path.as_bytes());
-        b.freeze()
+        Bytes::build(1 + self.path.len(), |out| {
+            out[0] = self.op.code();
+            out[1..].copy_from_slice(self.path.as_bytes());
+        })
     }
 
     /// Deserializes a request.
@@ -107,29 +107,26 @@ pub enum FsResponse {
 impl FsResponse {
     /// Serializes the response.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         match self {
-            FsResponse::Ok => b.put_u8(0),
+            FsResponse::Ok => b.push(0),
             FsResponse::Attr { ino, size, mtime } => {
-                b.put_u8(1);
-                b.put_u64_le(*ino);
-                b.put_u64_le(*size);
-                b.put_u64_le(*mtime);
+                b.push(1);
+                b.extend(ino.to_le_bytes());
+                b.extend(size.to_le_bytes());
+                b.extend(mtime.to_le_bytes());
             }
             FsResponse::Entries(names) => {
-                b.put_u8(2);
-                b.put_u32_le(names.len() as u32);
+                b.push(2);
+                b.extend((names.len() as u32).to_le_bytes());
                 for n in names {
-                    b.put_u16_le(n.len() as u16);
-                    b.put_slice(n.as_bytes());
+                    b.extend((n.len() as u16).to_le_bytes());
+                    b.extend_from_slice(n.as_bytes());
                 }
             }
-            FsResponse::Err(code) => {
-                b.put_u8(255);
-                b.put_u8(*code);
-            }
+            FsResponse::Err(code) => b.extend_from_slice(&[255, *code]),
         }
-        b.freeze()
+        Bytes::from(b)
     }
 
     /// Deserializes a response.

@@ -29,7 +29,7 @@ use crate::types::{CqId, MrId, NodeId, QpId, RemoteAddr, WrId};
 use crate::verbs::{AtomicOp, WorkRequest};
 use bytes::Bytes;
 use simcore::stats::CounterSet;
-use simcore::{FifoResource, SimDuration, SimTime, SkewedClock};
+use simcore::{FifoResource, SimDuration, SimTime};
 use simtrace::{InstantKind, Stage, TraceId, Tracer};
 
 /// Callback used by the fabric to schedule its internal events.
@@ -197,7 +197,6 @@ struct Node {
     tx: FifoResource,
     rx: FifoResource,
     counters: NodeCounters,
-    clock: SkewedClock,
 }
 
 /// The simulated RDMA fabric: all nodes, regions, queue pairs and
@@ -211,7 +210,6 @@ pub struct Fabric {
     qps: Vec<QueuePair>,
     qp_slot: Vec<u32>,
     cqs: Vec<CompletionQueue>,
-    cq_owner: Vec<NodeId>,
     next_wr: WrId,
     tracer: Tracer,
     trace_ctx: TraceId,
@@ -256,7 +254,6 @@ impl Fabric {
             qps: Vec::new(),
             qp_slot: Vec::new(),
             cqs: Vec::new(),
-            cq_owner: Vec::new(),
             next_wr: 1,
             tracer: Tracer::disabled(),
             trace_ctx: 0,
@@ -334,14 +331,8 @@ impl Fabric {
 
     // ---- topology -------------------------------------------------------
 
-    /// Adds a machine with a perfect local clock.
+    /// Adds a machine.
     pub fn add_node(&mut self, name: &str) -> NodeId {
-        self.add_node_with_clock(name, SkewedClock::ideal())
-    }
-
-    /// Adds a machine with the given local clock (offset + drift), used by
-    /// the global-synchronization experiments.
-    pub fn add_node_with_clock(&mut self, name: &str, clock: SkewedClock) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             name: name.to_string(),
@@ -353,7 +344,6 @@ impl Fabric {
             tx: FifoResource::new(),
             rx: FifoResource::new(),
             counters: NodeCounters::new(),
-            clock,
         });
         id
     }
@@ -381,7 +371,6 @@ impl Fabric {
         self.node(node)?;
         let id = CqId(self.cqs.len() as u32);
         self.cqs.push(CompletionQueue::new(id));
-        self.cq_owner.push(node);
         Ok(id)
     }
 
@@ -511,11 +500,6 @@ impl Fabric {
         Ok(self.qp(id)?.node())
     }
 
-    /// Looks up a queue pair's transport.
-    pub fn qp_transport(&self, id: QpId) -> VerbResult<Transport> {
-        Ok(self.qp(id)?.transport())
-    }
-
     /// Number of receives currently posted on a queue pair.
     pub fn posted_recvs(&self, id: QpId) -> VerbResult<usize> {
         Ok(self.qp(id)?.posted_recvs())
@@ -577,20 +561,6 @@ impl Fabric {
         Ok(self.node(node)?.counters.view())
     }
 
-    /// A node's local clock.
-    pub fn clock(&self, node: NodeId) -> VerbResult<&SkewedClock> {
-        Ok(&self.node(node)?.clock)
-    }
-
-    /// Mutable access to a node's local clock (NTP adjustments).
-    pub fn clock_mut(&mut self, node: NodeId) -> VerbResult<&mut SkewedClock> {
-        Ok(&mut self
-            .nodes
-            .get_mut(node.index())
-            .ok_or(VerbError::UnknownNode(node))?
-            .clock)
-    }
-
     /// NIC QP-context cache hit rate on `node`.
     pub fn nic_hit_rate(&self, node: NodeId) -> VerbResult<f64> {
         Ok(self.node(node)?.nic.hit_rate())
@@ -612,11 +582,6 @@ impl Fabric {
             .get_mut(cq.index())
             .ok_or(VerbError::UnknownCq(cq))
             .map(|q| q.poll(max))
-    }
-
-    /// Pending completions on `cq` without draining.
-    pub fn cq_depth(&self, cq: CqId) -> VerbResult<usize> {
-        Ok(self.cq(cq)?.len())
     }
 
     // ---- posting --------------------------------------------------------

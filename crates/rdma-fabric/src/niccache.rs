@@ -112,11 +112,6 @@ impl NicCache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Number of resident QP contexts.
-    pub fn resident_qps(&self) -> usize {
-        self.qp_ctx.len()
-    }
 }
 
 #[cfg(test)]

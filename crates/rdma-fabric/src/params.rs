@@ -186,11 +186,6 @@ impl LinkDegrade {
     pub fn stretch(&self, d: SimDuration) -> SimDuration {
         SimDuration(d.0 * self.num as u64 / self.den as u64)
     }
-
-    /// True when the impairment cannot change any latency.
-    pub fn is_identity(&self) -> bool {
-        self.num == self.den && self.extra == SimDuration::ZERO
-    }
 }
 
 impl FabricParams {

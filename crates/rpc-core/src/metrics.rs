@@ -1,11 +1,7 @@
 //! Experiment result collection.
 
-use simcore::stats::{CdfPoint, Histogram, Throughput};
+use simcore::stats::{CdfPoint, Histogram};
 use simcore::{SimDuration, SimTime};
-
-/// Width of the throughput-over-time buckets kept alongside the
-/// aggregates (fine enough to resolve individual time slices).
-const SERIES_WINDOW: SimDuration = SimDuration::micros(20);
 
 /// The measured window of a run, both edges inclusive (runs cut it at
 /// slice boundaries, where completions cluster on exact timestamps).
@@ -57,8 +53,6 @@ pub struct RpcMetrics {
     /// Batch latency histogram (nanoseconds), as defined by the paper:
     /// `T2 - T1` from posting a batch to its last response.
     pub batch_latency: Histogram,
-    /// Completion-time series (20 µs buckets) for time-resolved plots.
-    pub series: Throughput,
     /// The measurement window.
     pub measured: Window,
 }
@@ -69,7 +63,6 @@ impl Default for RpcMetrics {
             ops: 0,
             batches: 0,
             batch_latency: Histogram::new(),
-            series: Throughput::new(SERIES_WINDOW),
             measured: Window::default(),
         }
     }
@@ -93,7 +86,6 @@ impl RpcMetrics {
         self.ops += ops;
         self.batches += 1;
         self.batch_latency.record_duration(latency);
-        self.series.record_many(completed_at, ops);
     }
 
     /// The measurement window length.

@@ -63,13 +63,6 @@ impl SyncSample {
 }
 
 impl GlobalSync {
-    /// Creates the protocol with the paper's default 100 ms period.
-    pub fn with_default_period() -> Self {
-        GlobalSync {
-            period: SimDuration::millis(100),
-        }
-    }
-
     /// The follower's compensated sleep `D_i = D − (T_i4 − T_i1 − ΔT_i)/2`,
     /// clamped at zero for pathological samples.
     pub fn follower_delay(&self, sample: &SyncSample) -> SimDuration {

@@ -385,7 +385,7 @@ pub fn ok_response() -> Bytes {
 /// from, kept as the reference the borrowed path is tested against.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use bytes::{BufMut, Bytes, BytesMut};
+    use bytes::Bytes;
 
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct ExecItem {
@@ -426,9 +426,9 @@ pub(crate) mod oracle {
         Ok,
     }
 
-    fn put_bytes(b: &mut BytesMut, v: &[u8]) {
-        b.put_u32_le(v.len() as u32);
-        b.put_slice(v);
+    fn put_bytes(b: &mut Vec<u8>, v: &[u8]) {
+        b.extend((v.len() as u32).to_le_bytes());
+        b.extend_from_slice(v);
     }
 
     fn get_u64(raw: &[u8], at: &mut usize) -> Option<u64> {
@@ -452,53 +452,53 @@ pub(crate) mod oracle {
 
     impl TxRequest {
         pub fn encode(&self) -> Bytes {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             match self {
                 TxRequest::Execute { txid, items } => {
-                    b.put_u8(1);
-                    b.put_u64_le(*txid);
-                    b.put_u32_le(items.len() as u32);
+                    b.push(1);
+                    b.extend(txid.to_le_bytes());
+                    b.extend((items.len() as u32).to_le_bytes());
                     for (k, lock) in items {
-                        b.put_u64_le(*k);
-                        b.put_u8(*lock as u8);
+                        b.extend(k.to_le_bytes());
+                        b.push(*lock as u8);
                     }
                 }
                 TxRequest::Validate { items } => {
-                    b.put_u8(2);
-                    b.put_u32_le(items.len() as u32);
+                    b.push(2);
+                    b.extend((items.len() as u32).to_le_bytes());
                     for (k, v) in items {
-                        b.put_u64_le(*k);
-                        b.put_u64_le(*v);
+                        b.extend(k.to_le_bytes());
+                        b.extend(v.to_le_bytes());
                     }
                 }
                 TxRequest::Log { txid, records } => {
-                    b.put_u8(3);
-                    b.put_u64_le(*txid);
-                    b.put_u32_le(records.len() as u32);
+                    b.push(3);
+                    b.extend(txid.to_le_bytes());
+                    b.extend((records.len() as u32).to_le_bytes());
                     for (k, v) in records {
-                        b.put_u64_le(*k);
+                        b.extend(k.to_le_bytes());
                         put_bytes(&mut b, v);
                     }
                 }
                 TxRequest::Commit { txid, items } => {
-                    b.put_u8(4);
-                    b.put_u64_le(*txid);
-                    b.put_u32_le(items.len() as u32);
+                    b.push(4);
+                    b.extend(txid.to_le_bytes());
+                    b.extend((items.len() as u32).to_le_bytes());
                     for (k, v) in items {
-                        b.put_u64_le(*k);
+                        b.extend(k.to_le_bytes());
                         put_bytes(&mut b, v);
                     }
                 }
                 TxRequest::Unlock { txid, keys } => {
-                    b.put_u8(5);
-                    b.put_u64_le(*txid);
-                    b.put_u32_le(keys.len() as u32);
+                    b.push(5);
+                    b.extend(txid.to_le_bytes());
+                    b.extend((keys.len() as u32).to_le_bytes());
                     for k in keys {
-                        b.put_u64_le(*k);
+                        b.extend(k.to_le_bytes());
                     }
                 }
             }
-            b.freeze()
+            Bytes::from(b)
         }
 
         /// The parent's decoder, less its `Vec::with_capacity(n)` on the
@@ -561,27 +561,27 @@ pub(crate) mod oracle {
 
     impl TxResponse {
         pub fn encode(&self) -> Bytes {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             match self {
                 TxResponse::Execute { all_ok, items } => {
-                    b.put_u8(1);
-                    b.put_u8(*all_ok as u8);
-                    b.put_u32_le(items.len() as u32);
+                    b.push(1);
+                    b.push(*all_ok as u8);
+                    b.extend((items.len() as u32).to_le_bytes());
                     for it in items {
-                        b.put_u64_le(it.key);
-                        b.put_u8(it.ok as u8);
-                        b.put_u64_le(it.version);
-                        b.put_u64_le(it.item_off);
+                        b.extend(it.key.to_le_bytes());
+                        b.push(it.ok as u8);
+                        b.extend(it.version.to_le_bytes());
+                        b.extend(it.item_off.to_le_bytes());
                         put_bytes(&mut b, &it.value);
                     }
                 }
                 TxResponse::Validate { ok } => {
-                    b.put_u8(2);
-                    b.put_u8(*ok as u8);
+                    b.push(2);
+                    b.push(*ok as u8);
                 }
-                TxResponse::Ok => b.put_u8(3),
+                TxResponse::Ok => b.push(3),
             }
-            b.freeze()
+            Bytes::from(b)
         }
 
         pub fn decode(raw: &[u8]) -> Option<TxResponse> {

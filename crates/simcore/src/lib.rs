@@ -16,11 +16,11 @@
 //!   profile.
 //! - [`FifoResource`]: the classic single-server queueing resource used to
 //!   model NIC engines, links and CPU threads.
-//! - [`SkewedClock`]: a per-node wall clock with configurable drift, used
-//!   by the NTP-like global synchronization protocol of ScaleRPC (§4.2 of
-//!   the paper).
-//! - [`stats`]: counters, log-bucketed latency histograms, CDF extraction
-//!   and throughput windows used by the benchmark harness.
+//! - [`SkewedClock`]: a wall clock with configurable drift, the reference
+//!   model the NTP-like global synchronization protocol of ScaleRPC (§4.2
+//!   of the paper) is unit-checked against.
+//! - [`stats`]: counters, log-bucketed latency histograms and CDF
+//!   extraction used by the benchmark harness.
 //!
 //! Determinism is the core requirement (identical seeds must produce
 //! identical hardware-counter traces). The kernel is single-threaded:
@@ -36,7 +36,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod units;
 
 pub use clock::SkewedClock;
 pub use detmap::{
@@ -44,6 +43,6 @@ pub use detmap::{
 };
 pub use event::{EventId, EventQueue};
 pub use fsm::{Fsm, Transitions};
-pub use resource::{FifoResource, MultiResource};
+pub use resource::FifoResource;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

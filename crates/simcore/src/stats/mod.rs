@@ -2,17 +2,11 @@
 //!
 //! - [`Histogram`]: log-bucketed latency histogram with percentile and CDF
 //!   extraction (used for Fig. 9's latency CDFs and median/avg/max table).
-//! - [`Summary`]: streaming mean/min/max/stddev.
-//! - [`Throughput`]: windowed operation-rate tracking (Mops/s series).
 //! - [`CounterSet`]: named monotonically increasing counters, the software
 //!   analogue of Intel PCM's PCIe event counters used in Fig. 3/10.
 
 mod counters;
 mod histogram;
-mod summary;
-mod throughput;
 
 pub use counters::CounterSet;
 pub use histogram::{CdfPoint, Histogram};
-pub use summary::Summary;
-pub use throughput::Throughput;

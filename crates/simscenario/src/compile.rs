@@ -4,8 +4,9 @@
 //! injection [`ScenarioSpec`]) and never touches a fabric, so the same
 //! compiled scenario can be executed, compared against hand-built
 //! configs in tests, or serialized back out. All semantic errors —
-//! invalid harness combinations, oversized requests, bad arrival rates
-//! — surface here as typed [`ScenarioError`]s rather than panics deep
+//! invalid harness combinations, oversized requests, bad arrival rates,
+//! and for hand-built scenarios the parser's cross-table checks too —
+//! surface here as typed [`ScenarioError`]s rather than panics deep
 //! inside a run.
 
 use crate::scenario::{
@@ -99,7 +100,10 @@ fn pool_fits(clients: usize, blocks: usize, block_size: usize) -> bool {
 /// Lowers `sc` onto the simulator's configuration types.
 pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
     // A hand-built `Scenario` (fuzzer, shrinker, benchmark) never met
-    // the parser's checks, so every time field converts through `sim_time`.
+    // the parser's checks, so they run here (populations present and
+    // non-empty, event targets named) and every time field converts
+    // through `sim_time`.
+    sc.check_semantics(None)?;
     let us = |key, value| sim_time(key, value, US, None);
     let (warmup, run) = (us("warmup_us", sc.warmup_us)?, us("run_us", sc.run_us)?);
     match &sc.workload {
@@ -462,7 +466,7 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
             }
             base += p.clients;
         }
-        unreachable!("event targets were validated against population names");
+        unreachable!("check_semantics validated every event target");
     };
 
     let mut timeline = Vec::with_capacity(sc.events.len());
@@ -806,6 +810,61 @@ mod tests {
         });
         let e = compile(&sc).unwrap_err();
         assert!(e.msg.contains("`dur_us`"), "{e}");
+    }
+
+    fn raw_scenario() -> Scenario {
+        Scenario::parse("[scenario]\nname = \"t\"\nrun_us = 500\n\n[workload]\nkind = \"raw\"\nverb = \"inbound_write\"\n\n[[population]]\nname = \"a\"\nclients = 8\n").unwrap()
+    }
+
+    #[test]
+    fn hand_built_raw_without_population_is_an_error() {
+        let mut sc = raw_scenario();
+        sc.populations.clear();
+        let e = compile(&sc).unwrap_err();
+        assert!(
+            e.span.is_none() && e.msg.contains("exactly one [[population]]"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn hand_built_rpc_without_population_is_an_error() {
+        let mut sc = Scenario::parse(&base_rpc()).unwrap();
+        sc.populations.clear();
+        let e = compile(&sc).unwrap_err();
+        assert!(e.msg.contains("at least one [[population]]"), "{e}");
+    }
+
+    #[test]
+    fn hand_built_event_naming_no_population_is_an_error() {
+        let mut sc = Scenario::parse(&base_rpc()).unwrap();
+        sc.events.push(crate::scenario::Event {
+            at_us: 100,
+            kind: EventKind::Depart {
+                population: "nobody".into(),
+            },
+        });
+        let e = compile(&sc).unwrap_err();
+        assert_eq!(e.to_string(), "unknown population `nobody`");
+    }
+
+    #[test]
+    fn hand_built_event_on_zero_client_population_is_an_error() {
+        // `a` empty but `b` not, so the harness sees clients to serve.
+        let txt = format!(
+            "{}\n[[population]]\nname = \"b\"\nclients = 4\n",
+            base_rpc()
+        );
+        let mut sc = Scenario::parse(&txt).unwrap();
+        sc.populations[0].clients = 0;
+        sc.events.push(crate::scenario::Event {
+            at_us: 100,
+            kind: EventKind::ConnChurn {
+                population: "a".into(),
+            },
+        });
+        let e = compile(&sc).unwrap_err();
+        assert_eq!(e.to_string(), "population `a` has zero clients");
     }
 
     #[test]

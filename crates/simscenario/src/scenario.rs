@@ -518,7 +518,7 @@ impl Scenario {
 
         let mut events = Vec::new();
         for et in doc.tables_named("event") {
-            let e = parse_event(et, &populations)?;
+            let e = parse_event(et)?;
             if let Some(prev) = events.last().map(|p: &Event| p.at_us) {
                 if e.at_us < prev {
                     return Err(fail(
@@ -552,13 +552,21 @@ impl Scenario {
             expect,
         };
         check_times(doc)?;
-        s.check_semantics(doc)?;
+        s.check_semantics(Some(doc))?;
         Ok(s)
     }
 
-    /// Cross-table validation that needs the whole scenario.
-    fn check_semantics(&self, doc: &Doc) -> Result<(), ScenarioError> {
-        let wspan = doc.table("workload").map(|t| t.span);
+    /// Cross-table validation that needs the whole scenario. The one copy
+    /// of each check: `from_doc` runs it with the document, for spans;
+    /// `compile` without, as a hand-built scenario never met the parser.
+    pub(crate) fn check_semantics(&self, doc: Option<&Doc>) -> Result<(), ScenarioError> {
+        let wspan = doc.and_then(|d| d.table("workload")).map(|t| t.span);
+        // Where `key` of the `i`-th `[[table]]` sits, given a document.
+        let entry_span = |table: &str, i: usize, key: &str| {
+            doc.and_then(|d| d.tables_named(table).nth(i))
+                .and_then(|t| t.get(key))
+                .map(|e| e.span)
+        };
         match self.workload {
             Workload::Tx(_) => {
                 if !self.populations.is_empty() {
@@ -607,11 +615,26 @@ impl Scenario {
                 }
             }
         }
-        for p in &self.populations {
+        for (i, p) in self.populations.iter().enumerate() {
             if p.clients == 0 {
                 return Err(fail(
-                    None,
+                    entry_span("population", i, "clients"),
                     format!("population `{}` has zero clients", p.name),
+                ));
+            }
+        }
+        for (i, e) in self.events.iter().enumerate() {
+            let name = match &e.kind {
+                EventKind::Depart { population }
+                | EventKind::Straggle { population, .. }
+                | EventKind::ClientReconnect { population }
+                | EventKind::ConnChurn { population } => population,
+                _ => continue,
+            };
+            if !self.populations.iter().any(|p| &p.name == name) {
+                return Err(fail(
+                    entry_span("event", i, "population"),
+                    format!("unknown population `{name}`"),
                 ));
             }
         }
@@ -806,14 +829,7 @@ fn parse_population(t: &Table) -> Result<Population, ScenarioError> {
         ],
     )?;
     let name = as_str(req(t, "name")?)?.to_string();
-    let clients_entry = req(t, "clients")?;
-    let clients = as_usize(clients_entry)?;
-    if clients == 0 {
-        return Err(fail(
-            Some(clients_entry.span),
-            format!("population `{name}` has zero clients"),
-        ));
-    }
+    let clients = req(t, "clients").and_then(as_usize)?;
     let tenant = opt_u64(t, "tenant", 0)? as u32;
 
     let start = match t.get("arrival") {
@@ -895,7 +911,7 @@ fn parse_population(t: &Table) -> Result<Population, ScenarioError> {
     })
 }
 
-fn parse_event(t: &Table, pops: &[Population]) -> Result<Event, ScenarioError> {
+fn parse_event(t: &Table) -> Result<Event, ScenarioError> {
     check_keys(
         t,
         &[
@@ -911,14 +927,7 @@ fn parse_event(t: &Table, pops: &[Population]) -> Result<Event, ScenarioError> {
     )?;
     let at_us = req(t, "at_us").and_then(as_u64)?;
     let kind_e = req(t, "kind")?;
-    let pop_name = |t: &Table| -> Result<String, ScenarioError> {
-        let e = req(t, "population")?;
-        let name = as_str(e)?;
-        if !pops.iter().any(|p| p.name == name) {
-            return Err(fail(Some(e.span), format!("unknown population `{name}`")));
-        }
-        Ok(name.to_string())
-    };
+    let pop_name = |t: &Table| req(t, "population").and_then(as_str).map(str::to_string);
     let factor = |t: &Table| -> Result<(u32, u32), ScenarioError> {
         let num = req(t, "num").and_then(as_u64)? as u32;
         let den = opt_u64(t, "den", 1)? as u32;

@@ -1,15 +1,14 @@
 //! Trace query and assertion API.
 //!
 //! [`TraceQuery`] gives tests and reports a declarative view over a
-//! recorded [`TraceLog`]: filter spans by stage, client, or time
-//! window; group a single RPC's stages into a breakdown; and aggregate
-//! stage durations. This is what the temporal-invariant tests use to
+//! recorded [`TraceLog`]: filter spans by stage; group a single RPC's
+//! stages into a breakdown; and aggregate stage durations. This is what the temporal-invariant tests use to
 //! assert things like "warmup fetches overlap the previous slice" and
 //! "no request waits longer than two slices" without reaching into
 //! scheduler internals.
 
 use crate::{Instant, InstantKind, Sample, Span, Stage, TraceLog};
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 
 /// A borrowed, filterable view over a [`TraceLog`].
 #[derive(Clone, Copy, Debug)]
@@ -26,19 +25,6 @@ impl<'a> TraceQuery<'a> {
     /// All spans of one pipeline stage, in recording order.
     pub fn spans_of(&self, stage: Stage) -> impl Iterator<Item = &'a Span> {
         self.log.spans.iter().filter(move |s| s.stage == stage)
-    }
-
-    /// All spans attributed to one client.
-    pub fn spans_for_client(&self, client: u64) -> impl Iterator<Item = &'a Span> {
-        self.log.spans.iter().filter(move |s| s.client == client)
-    }
-
-    /// All spans that overlap `[from, to]` (inclusive on both edges).
-    pub fn spans_in(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &'a Span> {
-        self.log
-            .spans
-            .iter()
-            .filter(move |s| s.start <= to && s.end >= from)
     }
 
     /// The stage spans of one traced RPC, sorted in causal stage order.
@@ -73,11 +59,6 @@ impl<'a> TraceQuery<'a> {
             .collect()
     }
 
-    /// The longest span of one stage, if any were recorded.
-    pub fn max_duration(&self, stage: Stage) -> Option<SimDuration> {
-        self.spans_of(stage).map(|s| s.duration()).max()
-    }
-
     /// End-to-end latency of one RPC: earliest stage start to latest
     /// stage end, `None` if the id has no spans.
     pub fn rpc_latency(&self, id: u64) -> Option<SimDuration> {
@@ -90,17 +71,6 @@ impl<'a> TraceQuery<'a> {
     /// All instants of one kind, in recording order.
     pub fn instants(&self, kind: InstantKind) -> impl Iterator<Item = &'a Instant> {
         self.log.instants.iter().filter(move |i| i.kind == kind)
-    }
-
-    /// All instants of one kind inside `[from, to]` (inclusive).
-    pub fn instants_in(
-        &self,
-        kind: InstantKind,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &'a Instant> {
-        self.instants(kind)
-            .filter(move |i| i.at >= from && i.at <= to)
     }
 
     /// The sampled time-series of one counter, in sampling order.
@@ -124,6 +94,7 @@ impl<'a> TraceQuery<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimTime;
 
     fn span(id: u64, stage: Stage, start: u64, end: u64, client: u64) -> Span {
         Span {
@@ -174,17 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_stage_client_and_window() {
+    fn filters_by_stage() {
         let log = demo_log();
         let q = TraceQuery::new(&log);
         assert_eq!(q.spans_of(Stage::Handler).count(), 2);
-        assert_eq!(q.spans_for_client(5).count(), 1);
-        // Window [850, 950] overlaps dma (830-860) and handler (900-1700).
-        let hits: Vec<Stage> = q
-            .spans_in(SimTime(850), SimTime(950))
-            .map(|s| s.stage)
-            .collect();
-        assert_eq!(hits, vec![Stage::Dma, Stage::Handler]);
     }
 
     #[test]
@@ -209,8 +173,6 @@ mod tests {
             .map(|(_, d)| *d)
             .unwrap();
         assert_eq!(handler, SimDuration(800 + 7_000));
-        assert_eq!(q.max_duration(Stage::Handler), Some(SimDuration(7_000)));
-        assert_eq!(q.max_duration(Stage::ClientPost), Some(SimDuration(70)));
     }
 
     #[test]
@@ -218,16 +180,6 @@ mod tests {
         let log = demo_log();
         let q = TraceQuery::new(&log);
         assert_eq!(q.instants(InstantKind::SliceEnd).count(), 1);
-        assert_eq!(
-            q.instants_in(InstantKind::WarmupFetchIssue, SimTime(0), SimTime(999))
-                .count(),
-            1
-        );
-        assert_eq!(
-            q.instants_in(InstantKind::WarmupFetchIssue, SimTime(601), SimTime(999))
-                .count(),
-            0
-        );
         let series: Vec<u64> = q.samples("PCIeRdCur").map(|s| s.value).collect();
         assert_eq!(series, vec![10, 25]);
         assert_eq!(q.sampled_counters(), vec!["PCIeRdCur"]);
