@@ -112,9 +112,9 @@ echo "== allocation gate (traced ScaleRPC and SmallBank replays, seed 42) =="
 # Allocations per operation and per event, and calls into a layer, are
 # exact counts of a deterministic replay, so the gate is not flaky: each
 # must be at or below the value recorded when its path last shed work
-# (the message path in PR 18, the transaction path and its upcall
-# routing in PR 22, the unread per-batch series in PR 25; EXPERIMENTS.md
-# has the first two ledgers). A change that allocates on the per-message
+# (the message path, the transaction path and its upcall routing, the
+# unread per-batch series, the fabric events' staging vector;
+# EXPERIMENTS.md has the ledgers). A change that allocates on the per-message
 # or per-transaction path fails here with the layer named, and one that
 # sheds more lowers the ceilings in the same PR.
 # usage: ceiling_gate WORKLOAD METRIC=CEILING...
@@ -137,13 +137,13 @@ ceiling_gate() {
     }'
 }
 ceiling_gate rpc_scalerpc_400c_b8 \
-    scalerpc.allocs_per_op=3.311603 \
+    scalerpc.allocs_per_op=3.311537 \
     rpc-core.harness_allocs_per_op=0.000014 \
-    rpc-core.sharded_allocs_per_event=0.002604 \
-    bench.allocs_per_op=4.437108
+    rpc-core.sharded_allocs_per_event=0.002603 \
+    bench.allocs_per_op=4.437037
 ceiling_gate tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
-    bench.allocs_per_op=21.398598 \
+    bench.allocs_per_op=21.397976 \
     scalerpc.transport_calls=602103.000000
 
 echo "ci.sh: all gates passed"

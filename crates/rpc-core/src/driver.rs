@@ -4,11 +4,13 @@
 //! application [`Logic`], and an event queue carrying both
 //! fabric-internal events and application events. The logic interacts
 //! with the world exclusively through a [`Cx`], which can post verbs
-//! (fabric events are scheduled transparently) and set timers
-//! (application events).
+//! (the fabric events they cause go straight into the engine's queue)
+//! and set timers (application events, staged until the callback
+//! returns).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use rdma_fabric::fabric::Sched;
 use rdma_fabric::{Fabric, FabricEvent, PostInfo, QpId, Upcall, VerbResult, WorkRequest};
 use simcore::{SimDuration, SimTime};
 
@@ -71,7 +73,10 @@ pub struct Cx<'a, A> {
     pub now: SimTime,
     /// The fabric (verbs, memory, counters).
     pub fabric: &'a mut Fabric,
-    pub(crate) staged_fabric: &'a mut Vec<(SimTime, FabricEvent)>,
+    /// Where the fabric events of [`post`](Self::post) and
+    /// [`connect_deferred`](Self::connect_deferred) go: the engine's
+    /// queue, in the order they are produced.
+    pub(crate) sched: &'a mut Sched<'a>,
     pub(crate) staged_app: &'a mut dyn Stage<A>,
 }
 
@@ -86,11 +91,8 @@ impl<'a, A> Cx<'a, A> {
         signaled: bool,
         dst: Option<QpId>,
     ) -> VerbResult<PostInfo> {
-        let now = self.now;
-        let staged = &mut *self.staged_fabric;
-        self.fabric.post(now, qp, wr, signaled, dst, &mut |t, ev| {
-            staged.push((t, ev))
-        })
+        self.fabric
+            .post(self.now, qp, wr, signaled, dst, &mut *self.sched)
     }
 
     /// Begins a modelled connection establishment between two RC/UC
@@ -100,10 +102,8 @@ impl<'a, A> Cx<'a, A> {
     /// See [`Fabric::connect_deferred`] for semantics; the returned CPU
     /// duration is the caller's to account.
     pub fn connect_deferred(&mut self, a: QpId, b: QpId) -> VerbResult<SimDuration> {
-        let now = self.now;
-        let staged = &mut *self.staged_fabric;
         self.fabric
-            .connect_deferred(now, a, b, &mut |t, ev| staged.push((t, ev)))
+            .connect_deferred(self.now, a, b, &mut *self.sched)
     }
 
     /// Schedules an application event at absolute time `at`.
@@ -132,7 +132,7 @@ impl<'a, A> Cx<'a, A> {
         f(&mut Cx {
             now: self.now,
             fabric: &mut *self.fabric,
-            staged_fabric: &mut *self.staged_fabric,
+            sched: &mut *self.sched,
             staged_app: &mut staged,
         })
     }
@@ -154,7 +154,7 @@ mod tests {
         f(&mut Cx {
             now: cx.now,
             fabric: &mut *cx.fabric,
-            staged_fabric: &mut *cx.staged_fabric,
+            sched: &mut *cx.sched,
             staged_app: &mut staged,
         });
         for (t, ev) in staged {
@@ -195,7 +195,7 @@ mod tests {
             let mut cx = Cx {
                 now: SimTime(2),
                 fabric: &mut fabric,
-                staged_fabric: &mut Vec::new(),
+                sched: &mut |_, _| {},
                 staged_app: &mut staged_app,
             };
             script(&mut cx, via_vec);

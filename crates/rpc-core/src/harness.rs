@@ -933,7 +933,7 @@ mod tests {
         let mut cx = Cx {
             now: SimTime(100),
             fabric: &mut fabric,
-            staged_fabric: &mut Vec::new(),
+            sched: &mut |_, _| {},
             staged_app: &mut staged_app,
         };
         h.drain_responses(&mut cx);

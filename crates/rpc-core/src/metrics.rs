@@ -44,7 +44,7 @@ impl Window {
 }
 
 /// Throughput and latency results of one RPC benchmark run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RpcMetrics {
     /// Completed operations inside the measurement window.
     pub ops: u64,
@@ -55,17 +55,6 @@ pub struct RpcMetrics {
     pub batch_latency: Histogram,
     /// The measurement window.
     pub measured: Window,
-}
-
-impl Default for RpcMetrics {
-    fn default() -> Self {
-        RpcMetrics {
-            ops: 0,
-            batches: 0,
-            batch_latency: Histogram::new(),
-            measured: Window::default(),
-        }
-    }
 }
 
 impl RpcMetrics {

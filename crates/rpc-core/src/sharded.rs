@@ -2,12 +2,13 @@
 //!
 //! [`ShardedSim`] is the one simulation engine: one [`EventQueue`], one
 //! fabric, one logic, and one event loop ([`ShardedSim::run_sequential`])
-//! — pop the earliest event, hand it to the fabric or the logic, push
-//! what that staged. Every workload in the repository is a hub (N
-//! clients, one to three servers, every RPC crossing the client/server
-//! boundary twice), so there is nothing to partition inside a run; the
-//! tests below hold the loop event-for-event to a reference
-//! single-queue engine.
+//! — pop the earliest event, hand it to the fabric or the logic, and queue
+//! what that schedules: fabric events as they are produced, application
+//! events after them when the callback returns. Every workload in the
+//! repository is a hub (N clients, one to three servers, every RPC crossing
+//! the client/server boundary twice), so there is nothing to partition
+//! inside a run; the tests below hold the loop event-for-event to a
+//! reference single-queue engine.
 //!
 //! There is deliberately no multi-threaded mode. The conservative-window
 //! engine that ran partitions that talk lost to this loop by 2.6–141×,
@@ -16,7 +17,7 @@
 //! `scalerpc_bench::runner::parallel_map` already spreads over every
 //! core for every figure sweep (DESIGN.md §10).
 
-use rdma_fabric::{Fabric, FabricEvent, NodeId, Upcall};
+use rdma_fabric::{Fabric, NodeId, Upcall};
 use simcore::stats::CounterSet;
 use simcore::{EventQueue, SimDuration, SimTime};
 
@@ -37,21 +38,19 @@ pub struct ShardedSim<L: Logic> {
 impl<L: Logic> ShardedSim<L> {
     /// Builds a simulation from a fully constructed fabric and logic
     /// (bit-identical to the reference engine, see the equivalence test
-    /// below). Runs `logic.init` and queues what it staged, the fabric
-    /// stage before the app stage.
+    /// below). Runs `logic.init`, whose fabric events go straight into the
+    /// queue, then queues the application events it staged.
     pub fn new_sequential(mut fabric: Fabric, mut logic: L) -> Self {
-        let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
+        let mut queue = EventQueue::new();
         let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
         logic.init(&mut Cx {
             now: SimTime::ZERO,
             fabric: &mut fabric,
-            staged_fabric: &mut staged_fabric,
+            sched: &mut |t, fe| {
+                queue.push(t, Ev::Fabric(fe));
+            },
             staged_app: &mut staged_app,
         });
-        let mut queue = EventQueue::new();
-        for (t, fe) in staged_fabric {
-            queue.push(t, Ev::Fabric(fe));
-        }
         for (t, ae) in staged_app {
             queue.push(t, Ev::App(ae));
         }
@@ -67,45 +66,49 @@ impl<L: Logic> ShardedSim<L> {
     /// past `deadline` (inclusive bound). Returns the number of events
     /// processed.
     pub fn run_sequential(&mut self, deadline: SimTime) -> u64 {
-        let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
         let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
         let mut upcalls: Vec<Upcall> = Vec::new();
         let mut pops = 0u64;
         while let Some((now, ev)) = self.queue.pop_at_or_before(deadline) {
             pops += 1;
-            self.process_event(now, ev, &mut staged_fabric, &mut staged_app, &mut upcalls);
-            for (t, fe) in staged_fabric.drain(..) {
-                self.queue.push(t, Ev::Fabric(fe));
-            }
-            for (t, ae) in staged_app.drain(..) {
-                self.queue.push(t, Ev::App(ae));
-            }
+            self.process_event(now, ev, &mut staged_app, &mut upcalls);
         }
         self.events += pops;
         pops
     }
 
-    /// Hands one popped event to the fabric or the logic, leaving
-    /// everything it schedules in the staged vectors. A function of its
-    /// own on purpose: written out inside the loop, the same code replayed
-    /// RawWrite and ScaleRPC 8.5 % slower (EXPERIMENTS.md, PR 23).
+    /// Hands one popped event to the fabric or the logic and queues what
+    /// that schedules. Every fabric event is pushed as it is produced; the
+    /// application events wait in `staged_app` and are pushed after them,
+    /// so each callback's fabric events take lower sequence numbers than
+    /// its application events — the order the reference engine's two
+    /// staging vectors gave. A function of its own on purpose: written out
+    /// inside the loop, the same code replayed RawWrite and ScaleRPC 8.5 %
+    /// slower (EXPERIMENTS.md, "Retiring `simperf`").
     fn process_event(
         &mut self,
         now: SimTime,
         ev: Ev<L::Ev>,
-        staged_fabric: &mut Vec<(SimTime, FabricEvent)>,
         staged_app: &mut Vec<(SimTime, L::Ev)>,
         upcalls: &mut Vec<Upcall>,
     ) {
-        let ShardedSim { fabric, logic, .. } = self;
+        let ShardedSim {
+            fabric,
+            logic,
+            queue,
+            ..
+        } = self;
+        let mut sched = |t, fe| {
+            queue.push(t, Ev::Fabric(fe));
+        };
         match ev {
             Ev::Fabric(fe) => {
-                fabric.handle(now, fe, &mut |t, e| staged_fabric.push((t, e)), upcalls);
+                fabric.handle(now, fe, &mut sched, upcalls);
                 for up in upcalls.drain(..) {
                     let mut cx = Cx {
                         now,
                         fabric,
-                        staged_fabric,
+                        sched: &mut sched,
                         staged_app,
                     };
                     logic.on_upcall(up, &mut cx);
@@ -115,11 +118,14 @@ impl<L: Logic> ShardedSim<L> {
                 let mut cx = Cx {
                     now,
                     fabric,
-                    staged_fabric,
+                    sched: &mut sched,
                     staged_app,
                 };
                 logic.on_app(ae, &mut cx);
             }
+        }
+        for (t, ae) in staged_app.drain(..) {
+            queue.push(t, Ev::App(ae));
         }
     }
 
@@ -170,11 +176,13 @@ impl<L: Logic> ShardedSim<L> {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rdma_fabric::{FabricParams, MrId, QpId, RemoteAddr, Transport, WorkRequest};
+    use rdma_fabric::{FabricEvent, FabricParams, MrId, QpId, RemoteAddr, Transport, WorkRequest};
 
     /// The reference engine the loop is compared against: one fabric,
     /// one logic, one queue, nothing else — the original sequential
-    /// driver, kept as the oracle that defines "the same run".
+    /// driver, kept as the oracle that defines "the same run". It stages
+    /// every callback's fabric events and application events in two
+    /// vectors and pushes them after the callback, fabric first.
     struct Sim<L: Logic> {
         fabric: Fabric,
         logic: L,
@@ -195,7 +203,7 @@ mod tests {
         /// Runs until the queue drains or the next event lies beyond
         /// `deadline`. Returns the number of events processed.
         fn run_until(&mut self, deadline: SimTime) -> u64 {
-            let mut staged_fabric: Vec<(SimTime, FabricEvent)> = Vec::new();
+            let mut fabric_stage: Vec<(SimTime, FabricEvent)> = Vec::new();
             let mut staged_app: Vec<(SimTime, L::Ev)> = Vec::new();
             let mut upcalls: Vec<Upcall> = Vec::new();
 
@@ -204,11 +212,11 @@ mod tests {
                 let mut cx = Cx {
                     now: SimTime::ZERO,
                     fabric: &mut self.fabric,
-                    staged_fabric: &mut staged_fabric,
+                    sched: &mut |t, ev| fabric_stage.push((t, ev)),
                     staged_app: &mut staged_app,
                 };
                 self.logic.init(&mut cx);
-                for (t, ev) in staged_fabric.drain(..) {
+                for (t, ev) in fabric_stage.drain(..) {
                     self.queue.push(t, Ev::Fabric(ev));
                 }
                 for (t, ev) in staged_app.drain(..) {
@@ -224,14 +232,14 @@ mod tests {
                         self.fabric.handle(
                             now,
                             fe,
-                            &mut |t, ev| staged_fabric.push((t, ev)),
+                            &mut |t, ev| fabric_stage.push((t, ev)),
                             &mut upcalls,
                         );
                         for up in upcalls.drain(..) {
                             let mut cx = Cx {
                                 now,
                                 fabric: &mut self.fabric,
-                                staged_fabric: &mut staged_fabric,
+                                sched: &mut |t, ev| fabric_stage.push((t, ev)),
                                 staged_app: &mut staged_app,
                             };
                             self.logic.on_upcall(up, &mut cx);
@@ -241,13 +249,13 @@ mod tests {
                         let mut cx = Cx {
                             now,
                             fabric: &mut self.fabric,
-                            staged_fabric: &mut staged_fabric,
+                            sched: &mut |t, ev| fabric_stage.push((t, ev)),
                             staged_app: &mut staged_app,
                         };
                         self.logic.on_app(ae, &mut cx);
                     }
                 }
-                for (t, ev) in staged_fabric.drain(..) {
+                for (t, ev) in fabric_stage.drain(..) {
                     self.queue.push(t, Ev::Fabric(ev));
                 }
                 for (t, ev) in staged_app.drain(..) {
@@ -282,7 +290,7 @@ mod tests {
     }
 
     impl PingPong {
-        fn write(cx: &mut Cx<'_, PpEv>, qp: QpId, mr: MrId, msg: &'static [u8]) {
+        fn write<A>(cx: &mut Cx<'_, A>, qp: QpId, mr: MrId, msg: &'static [u8]) {
             cx.post(
                 qp,
                 WorkRequest::Write {
@@ -364,6 +372,106 @@ mod tests {
         assert_eq!(events, seq_sim.run_to_quiescence());
         assert_eq!(sim.logic(0).pongs, 10);
         assert_eq!(sim.events(), events);
+    }
+
+    /// Posts a write and, in the same callback, stages a timer for the
+    /// instant the transmit engine picks that WQE up — before the post on
+    /// odd rounds, after it on even ones. The timer records whether the
+    /// engine has run by then, which it has iff the fabric event and the
+    /// timer kept their same-instant order: fabric before application.
+    struct Probe {
+        qp: QpId,
+        node: NodeId,
+        mr_b: MrId,
+        rounds: u32,
+        posted: u32,
+        tx_busy_at_post: SimDuration,
+        tx_ran: Vec<bool>,
+        log: Vec<(SimTime, &'static str)>,
+    }
+
+    enum ProbeEv {
+        Kick,
+        Check,
+    }
+
+    impl Probe {
+        fn probe(&mut self, cx: &mut Cx<'_, ProbeEv>) {
+            self.tx_busy_at_post = cx.fabric.nic_busy(self.node).unwrap().0;
+            let pickup = cx.now + cx.fabric.params().doorbell_latency;
+            let timer_first = self.posted % 2 == 1;
+            if timer_first {
+                cx.at(pickup, ProbeEv::Check);
+            }
+            PingPong::write(cx, self.qp, self.mr_b, b"probe");
+            if !timer_first {
+                cx.at(pickup, ProbeEv::Check);
+            }
+            self.posted += 1;
+        }
+    }
+
+    impl Logic for Probe {
+        type Ev = ProbeEv;
+
+        fn init(&mut self, cx: &mut Cx<'_, ProbeEv>) {
+            cx.at(SimTime::ZERO, ProbeEv::Kick);
+        }
+
+        fn on_upcall(&mut self, up: Upcall, cx: &mut Cx<'_, ProbeEv>) {
+            self.log.push((cx.now, "upcall"));
+            if matches!(up, Upcall::MemWrite { mr, .. } if mr == self.mr_b)
+                && self.posted < self.rounds
+            {
+                self.probe(cx);
+            }
+        }
+
+        fn on_app(&mut self, ev: ProbeEv, cx: &mut Cx<'_, ProbeEv>) {
+            match ev {
+                ProbeEv::Kick => {
+                    self.log.push((cx.now, "kick"));
+                    self.probe(cx);
+                }
+                ProbeEv::Check => {
+                    self.log.push((cx.now, "check"));
+                    let busy = cx.fabric.nic_busy(self.node).unwrap().0;
+                    self.tx_ran.push(busy > self.tx_busy_at_post);
+                }
+            }
+        }
+    }
+
+    fn build_probe(fabric: &mut Fabric, rounds: u32) -> Probe {
+        let pair = build_pair(fabric, rounds);
+        Probe {
+            qp: pair.a_qp,
+            node: fabric.qp_node(pair.a_qp).unwrap(),
+            mr_b: pair.mr_b,
+            rounds,
+            posted: 0,
+            tx_busy_at_post: SimDuration::ZERO,
+            tx_ran: Vec::new(),
+            log: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn fabric_events_keep_their_place_before_same_instant_app_events() {
+        let mut fabric = Fabric::new(FabricParams::default());
+        let logic = build_probe(&mut fabric, 6);
+        let mut sim = ShardedSim::new_sequential(fabric, logic);
+        let events = sim.run_sequential_to_quiescence();
+
+        let mut fabric = Fabric::new(FabricParams::default());
+        let logic = build_probe(&mut fabric, 6);
+        let mut reference = Sim::new(fabric, logic);
+        assert_eq!(events, reference.run_to_quiescence());
+
+        let (got, want) = (sim.logic(0), &reference.logic);
+        assert_eq!(want.tx_ran, [true; 6], "the oracle itself");
+        assert_eq!(got.tx_ran, want.tx_ran);
+        assert_eq!(got.log, want.log);
     }
 
     fn sequential(max_rounds: u32) -> ShardedSim<PingPong> {

@@ -37,7 +37,7 @@ pub struct CdfPoint {
 /// let p50 = h.quantile(0.5);
 /// assert!(p50 >= 290 && p50 <= 310, "p50={p50}");
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -74,6 +74,14 @@ fn bucket_upper_edge(index: usize) -> u64 {
         // in the top octave), so wrap explicitly — the wrapped result
         // is exactly `u64::MAX`.
         ((sub + 1) << octave).wrapping_sub(1)
+    }
+}
+
+/// An empty histogram, as [`Histogram::new`]: a derived `Default` would
+/// start `min` at 0, where every later record and merge would leave it.
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -327,6 +335,18 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 777, "q={q}");
         }
+    }
+
+    #[test]
+    fn default_is_new() {
+        // Regression: a derived Default started `min` at 0, where every
+        // record and merge left it.
+        let mut recorded = Histogram::default();
+        recorded.record(5);
+        assert_eq!((recorded.min(), recorded.max()), (5, 5));
+        let mut merged = Histogram::default();
+        merged.merge(&recorded);
+        assert_eq!((merged.count(), merged.min(), merged.max()), (1, 5, 5));
     }
 
     #[test]
