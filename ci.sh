@@ -15,8 +15,9 @@
 # change that breaks its build, its tests (the raw-inbound workload is
 # pinned to run_raw_verbs' (events, ops)) or its output checks
 # (round-to-round fingerprints, conservation, nothing stuck) fails here,
-# not in the next perf PR. Its traced ScaleRPC and SmallBank replays then
-# gate the allocation counts of each layer against recorded ceilings.
+# not in the next perf PR. Its traced ScaleRPC, RawWrite and SmallBank
+# replays then gate the allocation counts of each layer against recorded
+# ceilings.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -108,15 +109,16 @@ echo "== repo benchmark (tests + quick run, both of its binaries) =="
 bash benchmark/run.sh --test
 bash benchmark/run.sh --quick
 
-echo "== allocation gate (traced ScaleRPC and SmallBank replays, seed 42) =="
+echo "== allocation gate (traced ScaleRPC, RawWrite and SmallBank replays, seed 42) =="
 # Allocations per operation and per event, and calls into a layer, are
 # exact counts of a deterministic replay, so the gate is not flaky: each
 # must be at or below the value recorded when its path last shed work
 # (the message path, the transaction path and its upcall routing, the
-# unread per-batch series, the fabric events' staging vector;
-# EXPERIMENTS.md has the ledgers). A change that allocates on the per-message
-# or per-transaction path fails here with the layer named, and one that
-# sheds more lowers the ceilings in the same PR.
+# unread per-batch series, the fabric events' staging vector, the LLC
+# model's region list; EXPERIMENTS.md has the ledgers). RawWrite is the
+# one workload that runs rpc-baselines. A change that allocates on the
+# per-message or per-transaction path fails here with the layer named,
+# and one that sheds more lowers the ceilings in the same PR.
 # usage: ceiling_gate WORKLOAD METRIC=CEILING...
 ceiling_gate() {
     local workload=$1
@@ -139,11 +141,15 @@ ceiling_gate() {
 ceiling_gate rpc_scalerpc_400c_b8 \
     scalerpc.allocs_per_op=3.311537 \
     rpc-core.harness_allocs_per_op=0.000014 \
-    rpc-core.sharded_allocs_per_event=0.002603 \
-    bench.allocs_per_op=4.437037
+    rpc-core.sharded_allocs_per_event=0.002459 \
+    bench.allocs_per_op=4.435683
+ceiling_gate rpc_rawwrite_400c_b1 \
+    rpc-baselines.allocs_per_op=3.082486 \
+    rpc-core.sharded_allocs_per_event=0.002305 \
+    bench.allocs_per_op=4.147046
 ceiling_gate tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
-    bench.allocs_per_op=21.397976 \
+    bench.allocs_per_op=21.374171 \
     scalerpc.transport_calls=602103.000000
 
 echo "ci.sh: all gates passed"

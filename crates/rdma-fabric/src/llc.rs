@@ -21,11 +21,12 @@
 //!
 //! A line is `(MrId, line#)` of a contiguous registered region and lives
 //! in at most one domain at any instant, so residency is looked up by
-//! address, not by hash. One *line index* serves both domains: per
-//! region a page table (first touch of a region adds it, sized to the
-//! highest page touched), pages of 16 `u32` entries carved from one
-//! pool on first touch, entry `0` = absent, else
-//! `domain bit | position + 1` into that domain's dense `keys` vector.
+//! address, not by hash. One *line index* serves both domains: an
+//! id table finds a region's page table in O(1) (first touch of a
+//! region appends it, sized to the highest page touched), pages of 16
+//! `u32` entries are carved from one pool on first touch, entry `0` =
+//! absent, else `domain bit | position + 1` into that domain's dense
+//! `keys` vector.
 //! `keys[position]` holds the entry's pool location, so an eviction
 //! (draw a victim position, overwrite `keys[victim]`, clear the old
 //! occupant's entry) and a DDIO→main promotion (swap-remove) never
@@ -40,9 +41,10 @@
 //! after every operation; `tests/llc_stream.rs` pins the outcome
 //! streams of the benchmark's access patterns.
 //!
-//! Index memory is 4 B per line of every *touched* page plus 4 B per
-//! page of each region up to its highest touched page; an untouched
-//! node (most simulated clients) allocates nothing.
+//! Index memory is 4 B per line of every *touched* page, 4 B per page
+//! of each region up to its highest touched page, and 4 B per region
+//! id up to the highest id touched; an untouched node (most simulated
+//! clients) allocates nothing.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -140,15 +142,6 @@ impl Domain {
     }
 }
 
-/// The page table of one region this node has touched.
-#[derive(Clone, Debug)]
-struct Region {
-    mr: MrId,
-    /// Per page of [`PAGE_LINES`] lines: `0` while untouched, else the
-    /// page's 1-based slot in the entry pool.
-    pages: Vec<u32>,
-}
-
 /// The LLC + DDIO model for one node.
 #[derive(Clone, Debug)]
 pub struct LlcModel {
@@ -156,9 +149,16 @@ pub struct LlcModel {
     main: Domain,
     /// DDIO Write-Allocate partition.
     ddio: Domain,
-    /// Touched regions, sorted by id. A node touches a handful, so the
-    /// id → slot search is a few compares, once per call.
-    regions: Vec<Region>,
+    /// Per [`MrId`]: `0` while the region is untouched, else its
+    /// 1-based slot in `regions`. Its length reaches exactly the
+    /// highest id touched (ids are the fabric's dense registration
+    /// order); its capacity grows as `Vec`'s does, so first touches in
+    /// id order reallocate a few times, not once per region.
+    slots: Vec<u32>,
+    /// The page table of each touched region, in first-touch order: per
+    /// page of [`PAGE_LINES`] lines, `0` while untouched, else the
+    /// page's 1-based slot in the entry pool.
+    regions: Vec<Vec<u32>>,
     /// The entry pool: every touched page's [`PAGE_LINES`] entries, in
     /// first-touch order.
     entries: Vec<u32>,
@@ -222,6 +222,7 @@ impl LlcModel {
         LlcModel {
             main: Domain::new(main_lines, 0),
             ddio: Domain::new(ddio_lines, DDIO),
+            slots: Vec::new(),
             regions: Vec::new(),
             entries: Vec::new(),
             cpu_hits: 0,
@@ -229,25 +230,32 @@ impl LlcModel {
         }
     }
 
-    /// The slot of `mr` in `regions`, added on first touch.
+    /// The slot of `mr` in `regions`: one lookup in the id table.
+    #[inline]
     fn region_slot(&mut self, mr: MrId) -> usize {
-        match self.regions.binary_search_by_key(&mr, |r| r.mr) {
-            Ok(slot) => slot,
-            Err(slot) => {
-                // Exact: a run has hundreds of nodes, most touching a
-                // region or two.
-                self.regions.reserve_exact(1);
-                let pages = Vec::new();
-                self.regions.insert(slot, Region { mr, pages });
-                slot
-            }
+        match self.slots.get(mr.index()) {
+            Some(&slot) if slot != 0 => slot as usize - 1,
+            _ => self.add_region(mr),
         }
+    }
+
+    /// First touch of `mr`: grows the id table to reach it and appends
+    /// an empty page table for it.
+    #[cold]
+    fn add_region(&mut self, mr: MrId) -> usize {
+        let id = mr.index();
+        if id >= self.slots.len() {
+            self.slots.resize(id + 1, 0);
+        }
+        self.regions.push(Vec::new());
+        self.slots[id] = self.regions.len() as u32; // id < slots.len() after the resize above
+        self.regions.len() - 1
     }
 
     /// Pool location of the first entry of `page` of `regions[slot]`.
     #[inline]
     fn page_base(&mut self, slot: usize, page: usize) -> usize {
-        let pages = &self.regions[slot].pages; // slot comes from region_slot in the same call
+        let pages = &self.regions[slot]; // slot comes from region_slot in the same call
         let at = match pages.get(page) {
             Some(&at) if at != 0 => at,
             _ => self.add_page(slot, page),
@@ -260,7 +268,7 @@ impl LlcModel {
     /// slot there.
     #[cold]
     fn add_page(&mut self, slot: usize, page: usize) -> u32 {
-        let pages = &mut self.regions[slot].pages; // slot comes from region_slot in the same call
+        let pages = &mut self.regions[slot]; // slot comes from region_slot in the same call
         if page >= pages.len() {
             reserve_tight(pages, page + 1 - pages.len());
             pages.resize(page + 1, 0);
@@ -313,7 +321,9 @@ impl LlcModel {
     ///
     /// The line index grows to cover `offset + len`, so callers pass
     /// offsets inside the region (the fabric bounds-checks every
-    /// access before it gets here).
+    /// access before it gets here). The id table likewise grows to
+    /// cover `mr`, so callers pass dense ids (the fabric resolves every
+    /// id against its region list before it gets here).
     pub fn dma_write(&mut self, mr: MrId, offset: usize, len: usize) -> DmaWriteOutcome {
         let mut out = DmaWriteOutcome::default();
         let lines = line_range(offset, len);
@@ -359,7 +369,8 @@ impl LlcModel {
     /// DDIO partition is promoted into it (an L3 hit).
     ///
     /// A zero-length access is a no-op. Offsets must lie inside the
-    /// region, as for [`dma_write`](Self::dma_write).
+    /// region and ids must be dense, as for
+    /// [`dma_write`](Self::dma_write).
     pub fn cpu_access(&mut self, mr: MrId, offset: usize, len: usize) -> CpuAccessOutcome {
         let mut out = CpuAccessOutcome::default();
         self.walk(mr, line_range(offset, len), |llc, locs| {
@@ -667,20 +678,42 @@ mod tests {
         }
     }
 
+    /// Checks the id table of `llc` and returns the id of each region,
+    /// in `regions` order.
+    ///
+    /// Every region must be named by exactly one id, and the table must
+    /// end at the highest id it names.
+    fn region_ids(llc: &LlcModel) -> Vec<MrId> {
+        let mut named = vec![None; llc.regions.len()];
+        for (id, &slot) in llc.slots.iter().enumerate() {
+            if slot != 0 {
+                let n = &mut named[slot as usize - 1];
+                assert_eq!(*n, None, "region {slot} named twice");
+                *n = Some(MrId(id as u32));
+            }
+        }
+        assert_ne!(llc.slots.last(), Some(&0), "id table past its highest id");
+        named
+            .into_iter()
+            .map(|n| n.expect("unnamed region"))
+            .collect()
+    }
+
     /// Checks the line index of `llc` against its domains and returns
     /// both domains' keys resolved back to `(MrId, line)`, `main` first.
     ///
-    /// Every pool page must be owned by exactly one page-table entry,
-    /// every `keys[i]` must be pointed back at by its entry with the
-    /// right domain bit, and no other entry may be non-zero.
+    /// The id table must pass [`region_ids`], every pool page must be
+    /// owned by exactly one page-table entry, every `keys[i]` must be
+    /// pointed back at by its entry with the right domain bit, and no
+    /// other entry may be non-zero.
     fn checked_keys(llc: &LlcModel) -> [Vec<(MrId, u64)>; 2] {
         let mut owner = vec![None; llc.entries.len() / PAGE_LINES];
-        for region in &llc.regions {
-            for (page, &slot) in region.pages.iter().enumerate() {
+        for (mr, pages) in region_ids(llc).into_iter().zip(&llc.regions) {
+            for (page, &slot) in pages.iter().enumerate() {
                 if slot != 0 {
                     let o = &mut owner[slot as usize - 1];
                     assert_eq!(*o, None, "pool page {slot} owned twice");
-                    *o = Some((region.mr, page));
+                    *o = Some((mr, page));
                 }
             }
         }
@@ -701,15 +734,20 @@ mod tests {
 
     /// Runs `ops` (`(is_cpu, mr, offset, len)`) through the model and
     /// the reference, comparing after every op the outcome, both
-    /// domains' `keys` and victim streams, and the index's consistency.
+    /// domains' `keys` and victim streams, the index's consistency and
+    /// that each region carries the id it was first touched under.
     fn assert_matches_reference(
         llc_bytes: usize,
         ops: impl IntoIterator<Item = (bool, u32, usize, usize)>,
     ) -> LlcModel {
         let mut fast = LlcModel::new(llc_bytes, 0.25);
         let mut slow = RefLlc::new(llc_bytes, 0.25);
+        let mut first_touches = Vec::new();
         for (is_cpu, mr, offset, len) in ops {
             let mr = MrId(mr);
+            if len > 0 && !first_touches.contains(&mr) {
+                first_touches.push(mr);
+            }
             if is_cpu {
                 assert_eq!(
                     fast.cpu_access(mr, offset, len),
@@ -726,6 +764,7 @@ mod tests {
             assert_eq!(ddio, slow.ddio.keys);
             assert_eq!(fast.main.rng, slow.main.rng);
             assert_eq!(fast.ddio.rng, slow.ddio.rng);
+            assert_eq!(region_ids(&fast), first_touches);
         }
         fast
     }
@@ -736,17 +775,20 @@ mod tests {
         /// lengths past 8 KB and four regions against a 4 KB LLC (48
         /// main lines, 16 DDIO lines) keep both domains at capacity, so
         /// evictions hit later lines of the span being walked, other
-        /// pages and other regions constantly.
+        /// pages and other regions constantly. The region ids are
+        /// sparse and first touched in any order, so the id table grows
+        /// past untouched ids and from below as well as above.
         #[test]
         fn fast_paths_match_reference_model(
             ops in proptest::collection::vec(
-                (0u8..2, 0u32..4, 0usize..6000, 0usize..12_000),
+                (0u8..2, 0usize..4, 0usize..6000, 0usize..12_000),
                 0..120,
             ),
         ) {
+            const IDS: [u32; 4] = [0, 3, 17, 900];
             assert_matches_reference(
                 4096,
-                ops.into_iter().map(|(op, mr, offset, len)| (op == 1, mr, offset, len)),
+                ops.into_iter().map(|(op, mr, offset, len)| (op == 1, IDS[mr], offset, len)),
             );
         }
     }
@@ -810,7 +852,7 @@ mod tests {
         llc.dma_write(MrId(5), far, 64);
         llc.cpu_access(MrId(5), 0, 64);
         assert_eq!(llc.entries.len(), 2 * PAGE_LINES);
-        let pages = &llc.regions[0].pages;
+        let pages = &llc.regions[0];
         assert_eq!(pages.len(), far / 64 / PAGE_LINES + 1);
         assert_eq!(pages.capacity(), pages.len());
         assert_eq!(pages.iter().filter(|&&p| p != 0).count(), 2);
@@ -818,6 +860,19 @@ mod tests {
             checked_keys(&llc),
             [vec![(MrId(5), 0)], vec![(MrId(5), far as u64 / 64)]]
         );
+    }
+
+    #[test]
+    fn untouched_model_allocates_nothing() {
+        // Most simulated nodes are clients whose LLC is never touched;
+        // zero-length accesses touch no line and no region either.
+        let mut llc = small_llc();
+        llc.dma_write(MrId(7), 64, 0);
+        llc.cpu_access(MrId(7), 64, 0);
+        assert_eq!(llc.slots.capacity(), 0);
+        assert_eq!(llc.regions.capacity(), 0);
+        assert_eq!(llc.entries.capacity(), 0);
+        assert_eq!((llc.main.keys.capacity(), llc.ddio.keys.capacity()), (0, 0));
     }
 
     #[test]

@@ -168,8 +168,8 @@ impl Default for FabricParams {
 /// rate-limited tenant): serialization and propagation are stretched by
 /// `num/den` and `extra` is added to every wire hop. Constructors must
 /// keep `num >= den` and `den > 0` — a degrade degrades: it only ever
-/// *adds* latency, so [`FabricParams::min_cross_delay`] stays the floor
-/// of every cross-node edge while one is active.
+/// *adds* latency, so no cross-node edge gets faster than its nominal
+/// wire or ack latency while one is active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkDegrade {
     /// Slowdown numerator.
@@ -199,21 +199,6 @@ impl FabricParams {
     /// the switch.
     pub fn wire_latency(&self) -> SimDuration {
         self.link_propagation * 2 + self.switch_latency
-    }
-
-    /// The minimum delay between an event on one node and any event it
-    /// can cause on *another* node. A stated property of the model: the
-    /// engine stopped depending on it when its windowed mode was deleted
-    /// (DESIGN.md §10), and the test below pins the value.
-    ///
-    /// Every cross-node edge in the fabric pipeline is at least one of:
-    /// the one-way wire latency (tx engine → remote rx engine, and
-    /// responder → requester for read/atomic responses) or the ack
-    /// latency (responder rx engine → requester completion). Payload
-    /// serialization, NIC occupancy, and DMA costs only ever *add* to
-    /// these floors.
-    pub fn min_cross_delay(&self) -> SimDuration {
-        self.wire_latency().min(self.ack_latency)
     }
 
     /// Number of 64-byte cachelines covering `bytes`.
@@ -292,8 +277,5 @@ mod tests {
         assert_eq!(p.conn_setup_cpu(), SimDuration::nanos(25_000));
         assert!(p.conn_setup_cpu() > p.post_cpu * 100);
         assert!(p.qp_destroy_cpu > p.post_cpu * 10);
-        // Setup latencies are intra-node costs and must not shrink the
-        // cross-node floor.
-        assert_eq!(p.min_cross_delay(), SimDuration::nanos(400));
     }
 }
