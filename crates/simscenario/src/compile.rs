@@ -3,15 +3,15 @@
 //! Compilation is pure: it produces configuration values (plus an
 //! injection [`ScenarioSpec`]) and never touches a fabric, so the same
 //! compiled scenario can be executed, compared against hand-built
-//! configs in tests, or serialized back out. All semantic errors —
-//! invalid harness combinations, oversized requests, bad arrival rates,
-//! and for hand-built scenarios the parser's cross-table checks too —
-//! surface here as typed [`ScenarioError`]s rather than panics deep
-//! inside a run.
+//! configs in tests, or serialized back out. The lowering errors —
+//! invalid harness or ScaleRPC configs, pools past their cap, oversized
+//! requests — and for hand-built scenarios the parser's key bounds and
+//! cross-table checks too surface here as typed [`ScenarioError`]s
+//! rather than panics deep inside a run.
 
 use crate::scenario::{
-    sim_time, EventKind, RawVerb, RpcTransport, Scenario, ScenarioError, SizeModel, StartModel,
-    ThinkModel, TxProfileKind, Workload, NS, US,
+    EventKind, Population, RpcTransport, Scenario, ScenarioError, SizeModel, StartModel,
+    ThinkModel, TxProfileKind, Workload,
 };
 use bytes::Bytes;
 use rpc_core::cluster::ClusterSpec;
@@ -19,10 +19,10 @@ use rpc_core::harness::{HarnessConfig, RequestGen, RetryPolicy};
 use rpc_core::inject::{ClientStart, Injection, ScenarioSpec};
 use rpc_core::workload::ThinkTime;
 use scalerpc::ScaleRpcConfig;
-use scalerpc_bench::rawverbs::{RawVerbConfig, RawVerbKind};
+use scalerpc_bench::rawverbs::RawVerbConfig;
 use scaletx::sim::{tx_scale_cfg, TxConfig};
 use scaletx::workload::TxWorkload as TxWorkloadCfg;
-use simcore::{DetRng, SimTime};
+use simcore::{DetRng, SimDuration, SimTime};
 use std::sync::Arc;
 
 pub(crate) fn err(msg: impl Into<String>) -> ScenarioError {
@@ -97,31 +97,31 @@ fn pool_fits(clients: usize, blocks: usize, block_size: usize) -> bool {
         .is_some_and(|bytes| bytes <= MAX_POOL_BYTES)
 }
 
+/// One entry per client, in client-id order: `f` of its population.
+fn per_client<T: Clone>(sc: &Scenario, f: impl Fn(&Population) -> T) -> Vec<T> {
+    let each = sc
+        .populations
+        .iter()
+        .map(|p| std::iter::repeat_n(f(p), p.clients));
+    each.flatten().collect()
+}
+
 /// Lowers `sc` onto the simulator's configuration types.
 pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
     // A hand-built `Scenario` (fuzzer, shrinker, benchmark) never met
-    // the parser's checks, so they run here (populations present and
-    // non-empty, event targets named) and every time field converts
-    // through `sim_time`.
-    sc.check_semantics(None)?;
-    let us = |key, value| sim_time(key, value, US, None);
-    let (warmup, run) = (us("warmup_us", sc.warmup_us)?, us("run_us", sc.run_us)?);
+    // the parser's checks, so they run here: every key's bound and time
+    // range (so no conversion below can overflow), then the cross-table
+    // rules.
+    sc.check(None)?;
+    let us = SimDuration::micros;
+    let (warmup, run) = (us(sc.warmup_us), us(sc.run_us));
     match &sc.workload {
         Workload::Raw(w) => {
-            if w.window == 0 {
-                return Err(err("raw workload window must be positive"));
-            }
-            if w.server_threads == 0 {
-                return Err(err("raw workload needs at least one server thread"));
-            }
             let p = &sc.populations[0];
             let msg_size = match p.size {
                 SizeModel::Fixed(s) => s,
                 SizeModel::Zipf { .. } => unreachable!("rejected by check_semantics"),
             };
-            if w.blocks_per_client == 0 {
-                return Err(err("raw workload blocks_per_client must be positive"));
-            }
             if w.block_size == 0 || w.block_size < msg_size {
                 return Err(err(format!(
                     "raw workload block_size {} must be positive and hold a {msg_size} B message",
@@ -136,11 +136,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
             }
             Ok(Compiled::Raw(CompiledRaw {
                 cfg: RawVerbConfig {
-                    kind: match w.verb {
-                        RawVerb::OutboundWrite => RawVerbKind::OutboundWrite,
-                        RawVerb::InboundWrite => RawVerbKind::InboundWrite,
-                        RawVerb::UdSend => RawVerbKind::UdSend,
-                    },
+                    kind: w.verb,
                     clients: p.clients,
                     msg_size,
                     block_size: w.block_size,
@@ -166,11 +162,6 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 cores_per_machine: 8,
                 clients: n,
             };
-            if w.machines == 0 || w.threads_per_machine == 0 || w.server_threads == 0 {
-                return Err(err(
-                    "rpc workload needs machines, threads and server threads",
-                ));
-            }
 
             // Think times: the harness accepts one entry or one per
             // client; emit per-client entries only when some population
@@ -178,19 +169,14 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
             let think = if sc.populations.iter().all(|p| p.think == ThinkModel::None) {
                 vec![ThinkTime::None]
             } else {
-                let mut v = Vec::with_capacity(n);
-                for p in &sc.populations {
-                    let t = match p.think {
-                        ThinkModel::None => ThinkTime::None,
-                        ThinkModel::FixedUs(t) => ThinkTime::Fixed(us("think_us", t)?),
-                        ThinkModel::UniformUs(lo, hi) => ThinkTime::Uniform {
-                            lo: us("think_lo_us", lo)?,
-                            hi: us("think_hi_us", hi)?,
-                        },
-                    };
-                    v.extend(std::iter::repeat_n(t, p.clients));
-                }
-                v
+                per_client(sc, |p| match p.think {
+                    ThinkModel::None => ThinkTime::None,
+                    ThinkModel::FixedUs(t) => ThinkTime::Fixed(us(t)),
+                    ThinkModel::UniformUs(lo, hi) => ThinkTime::Uniform {
+                        lo: us(lo),
+                        hi: us(hi),
+                    },
+                })
             };
 
             // A uniform fixed size compiles to the classic fixed-size
@@ -231,7 +217,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 .any(|e| matches!(e.kind, EventKind::ServerCrash { .. }));
             let retry = if w.retry_timeout_us > 0 {
                 Some(RetryPolicy {
-                    timeout: us("retry_timeout_us", w.retry_timeout_us)?,
+                    timeout: us(w.retry_timeout_us),
                     ..Default::default()
                 })
             } else if has_crash {
@@ -278,16 +264,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 }
             }
 
-            let tenants: Vec<u32> = sc
-                .populations
-                .iter()
-                .flat_map(|p| std::iter::repeat_n(p.tenant, p.clients))
-                .collect();
-            let sizes: Vec<SizeModel> = sc
-                .populations
-                .iter()
-                .flat_map(|p| std::iter::repeat_n(p.size, p.clients))
-                .collect();
+            let (tenants, sizes) = (per_client(sc, |p| p.tenant), per_client(sc, |p| p.size));
 
             let scale = if w.transport == RpcTransport::ScaleRpc {
                 // A client holds one message slot per request in flight;
@@ -301,7 +278,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 }
                 let mut cfg = ScaleRpcConfig {
                     group_size: w.group_size,
-                    time_slice: us("time_slice_us", w.time_slice_us)?,
+                    time_slice: us(w.time_slice_us),
                     slots: w.slots,
                     block_size: w.block_size,
                     dynamic_scheduling: w.dynamic,
@@ -340,7 +317,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 None
             };
 
-            let spec = compile_spec(sc, n)?;
+            let spec = compile_spec(sc, n);
             spec.validate(n, 1)
                 .map_err(|e| err(format!("invalid scenario spec: {e}")))?;
 
@@ -355,46 +332,25 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
             })))
         }
         Workload::Tx(w) => {
-            if w.coordinators == 0 || w.servers == 0 || w.client_machines == 0 {
-                return Err(err("tx workload needs coordinators, servers and machines"));
-            }
             if !(w.window >= 1 && 8 % w.window == 0) {
                 return Err(err(format!(
                     "tx window {} must divide the transports' 8 message slots (1/2/4/8)",
                     w.window
                 )));
             }
-            if w.keys_per_server == 0 {
-                return Err(err("tx workload needs keys_per_server > 0"));
-            }
             let workload = match w.profile {
-                TxProfileKind::ObjectStore => {
-                    if w.reads == 0 && w.writes == 0 {
-                        return Err(err("object_store needs reads + writes > 0"));
-                    }
-                    TxWorkloadCfg::ObjectStore {
-                        reads: w.reads,
-                        writes: w.writes,
-                        keys_per_server: w.keys_per_server,
-                        servers: w.servers as u64,
-                    }
-                }
-                TxProfileKind::SmallBank => {
-                    let hot_ok = w.hot_fraction > 0.0
-                        && w.hot_fraction <= 1.0
-                        && (0.0..=1.0).contains(&w.hot_prob);
-                    if !hot_ok {
-                        return Err(err(
-                            "small_bank needs hot_fraction in (0, 1] and hot_prob in [0, 1]",
-                        ));
-                    }
-                    TxWorkloadCfg::SmallBank {
-                        accounts_per_server: w.keys_per_server,
-                        servers: w.servers as u64,
-                        hot_fraction: w.hot_fraction,
-                        hot_prob: w.hot_prob,
-                    }
-                }
+                TxProfileKind::ObjectStore => TxWorkloadCfg::ObjectStore {
+                    reads: w.reads,
+                    writes: w.writes,
+                    keys_per_server: w.keys_per_server,
+                    servers: w.servers as u64,
+                },
+                TxProfileKind::SmallBank => TxWorkloadCfg::SmallBank {
+                    accounts_per_server: w.keys_per_server,
+                    servers: w.servers as u64,
+                    hot_fraction: w.hot_fraction,
+                    hot_prob: w.hot_prob,
+                },
             };
             Ok(Compiled::Tx(CompiledTx {
                 tx: TxConfig {
@@ -420,8 +376,8 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
 
 /// Builds the injection spec: per-client starts (Poisson processes
 /// expanded to explicit arrival times) plus the lowered chaos timeline.
-fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioError> {
-    let us = |key, value| sim_time(key, value, US, None);
+fn compile_spec(sc: &Scenario, clients: usize) -> ScenarioSpec {
+    let us = SimDuration::micros;
     let mut starts = Vec::with_capacity(clients);
     for (pi, p) in sc.populations.iter().enumerate() {
         match p.start {
@@ -429,24 +385,18 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
                 starts.extend(std::iter::repeat_n(ClientStart::Immediate, p.clients));
             }
             StartModel::At { at_us } => {
-                let t = SimTime::ZERO + us("start_us", at_us)?;
+                let t = SimTime::ZERO + us(at_us);
                 starts.extend(std::iter::repeat_n(ClientStart::At(t), p.clients));
             }
             StartModel::Poisson {
                 rate_per_ms,
                 from_us,
             } => {
-                if rate_per_ms <= 0.0 || !rate_per_ms.is_finite() {
-                    return Err(err(format!(
-                        "population `{}`: poisson rate_per_ms must be positive and finite",
-                        p.name
-                    )));
-                }
                 // Exponential inter-arrival gaps on a per-population RNG
                 // stream: mean gap = 1 ms / rate.
                 let mut rng = DetRng::new(sc.seed).split(0x9015).split(pi as u64);
                 let mean_ns = 1.0e6 / rate_per_ms;
-                let mut t = us("from_us", from_us)?.as_nanos();
+                let mut t = us(from_us).as_nanos();
                 for _ in 0..p.clients {
                     let u = rng.unit_f64();
                     let gap = (-(1.0 - u).ln() * mean_ns) as u64;
@@ -471,53 +421,36 @@ fn compile_spec(sc: &Scenario, clients: usize) -> Result<ScenarioSpec, ScenarioE
 
     let mut timeline = Vec::with_capacity(sc.events.len());
     for e in &sc.events {
-        let at = SimTime::ZERO + us("at_us", e.at_us)?;
-        let inj = match &e.kind {
-            crate::scenario::EventKind::LinkDegrade { num, den, extra_ns } => {
-                Injection::LinkDegrade {
-                    num: *num,
-                    den: *den,
-                    extra: sim_time("extra_ns", *extra_ns, NS, None)?,
-                }
-            }
-            crate::scenario::EventKind::LinkRestore => Injection::LinkRestore,
-            crate::scenario::EventKind::ServerPause { dur_us } => Injection::ServerStall {
-                server: 0,
-                dur: us("dur_us", *dur_us)?,
-            },
-            crate::scenario::EventKind::Depart { population } => {
-                let (first, last) = range_of(population);
-                Injection::Depart { first, last }
-            }
-            crate::scenario::EventKind::Straggle {
-                population,
+        let at = SimTime::ZERO + us(e.at_us);
+        let (first, last) = e.kind.population().map_or((0, 0), range_of);
+        let inj = match e.kind {
+            EventKind::LinkDegrade { num, den, extra_ns } => Injection::LinkDegrade {
                 num,
                 den,
-            } => {
-                let (first, last) = range_of(population);
-                Injection::Straggle {
-                    first,
-                    last,
-                    num: *num,
-                    den: *den,
-                }
-            }
-            crate::scenario::EventKind::ServerCrash { down_us } => Injection::ServerCrash {
-                server: 0,
-                down: us("down_us", *down_us)?,
+                extra: SimDuration::nanos(extra_ns),
             },
-            crate::scenario::EventKind::ClientReconnect { population } => {
-                let (first, last) = range_of(population);
-                Injection::Reconnect { first, last }
-            }
-            crate::scenario::EventKind::ConnChurn { population } => {
-                let (first, last) = range_of(population);
-                Injection::ConnChurn { first, last }
-            }
+            EventKind::LinkRestore => Injection::LinkRestore,
+            EventKind::ServerPause { dur_us } => Injection::ServerStall {
+                server: 0,
+                dur: us(dur_us),
+            },
+            EventKind::Depart { .. } => Injection::Depart { first, last },
+            EventKind::Straggle { num, den, .. } => Injection::Straggle {
+                first,
+                last,
+                num,
+                den,
+            },
+            EventKind::ServerCrash { down_us } => Injection::ServerCrash {
+                server: 0,
+                down: us(down_us),
+            },
+            EventKind::ClientReconnect { .. } => Injection::Reconnect { first, last },
+            EventKind::ConnChurn { .. } => Injection::ConnChurn { first, last },
         };
         timeline.push((at, inj));
     }
-    Ok(ScenarioSpec { starts, timeline })
+    ScenarioSpec { starts, timeline }
 }
 
 // ---- request-size generator --------------------------------------------

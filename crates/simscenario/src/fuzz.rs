@@ -307,82 +307,64 @@ pub fn fuzz_one(seed: u64) -> Result<FuzzOutcome, ScenarioError> {
 /// shrink loop filters them through the parser.
 fn shrink_candidates(sc: &Scenario) -> Vec<Scenario> {
     let mut out = Vec::new();
+    let mut edit = |f: &dyn Fn(&mut Scenario)| {
+        let mut c = sc.clone();
+        f(&mut c);
+        out.push(c);
+    };
     // Drop each timeline event.
     for i in 0..sc.events.len() {
-        let mut c = sc.clone();
-        c.events.remove(i);
-        out.push(c);
+        edit(&|c| drop(c.events.remove(i)));
     }
     // Drop each population, along with the events that target it.
-    if sc.populations.len() > 1 {
-        for i in 0..sc.populations.len() {
-            let mut c = sc.clone();
+    for i in (0..sc.populations.len()).filter(|_| sc.populations.len() > 1) {
+        edit(&|c| {
             let name = c.populations.remove(i).name;
-            c.events.retain(|e| match &e.kind {
-                EventKind::Depart { population }
-                | EventKind::Straggle { population, .. }
-                | EventKind::ClientReconnect { population }
-                | EventKind::ConnChurn { population } => population != &name,
-                _ => true,
-            });
-            out.push(c);
-        }
+            c.events.retain(|e| e.kind.population() != Some(&name));
+        });
     }
     // Halve each population's client count.
-    for i in 0..sc.populations.len() {
-        if sc.populations[i].clients > 1 {
-            let mut c = sc.clone();
-            c.populations[i].clients /= 2;
-            out.push(c);
-        }
+    for (i, _) in sc
+        .populations
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.clients > 1)
+    {
+        edit(&|c| c.populations[i].clients /= 2);
     }
     // Shorten the run, then the warmup.
     if sc.run_us > 200 {
-        let mut c = sc.clone();
-        c.run_us /= 2;
-        out.push(c);
+        edit(&|c| c.run_us /= 2);
     }
     if sc.warmup_us > 0 {
-        let mut c = sc.clone();
-        c.warmup_us /= 2;
-        out.push(c);
+        edit(&|c| c.warmup_us /= 2);
     }
     // Simplify each population's arrival/think/size models.
-    for i in 0..sc.populations.len() {
-        let p = &sc.populations[i];
+    for (i, p) in sc.populations.iter().enumerate() {
         if p.start != StartModel::Immediate {
-            let mut c = sc.clone();
-            c.populations[i].start = StartModel::Immediate;
-            out.push(c);
+            edit(&|c| c.populations[i].start = StartModel::Immediate);
         }
         if p.think != ThinkModel::None {
-            let mut c = sc.clone();
-            c.populations[i].think = ThinkModel::None;
-            out.push(c);
+            edit(&|c| c.populations[i].think = ThinkModel::None);
         }
         if p.size != SizeModel::Fixed(32) {
-            let mut c = sc.clone();
-            c.populations[i].size = SizeModel::Fixed(32);
-            out.push(c);
+            edit(&|c| c.populations[i].size = SizeModel::Fixed(32));
         }
     }
     // Tx workloads: fewer coordinators, smaller key space.
     if let Workload::Tx(w) = &sc.workload {
+        let tx = |f: fn(&mut TxWorkload)| {
+            move |c: &mut Scenario| {
+                if let Workload::Tx(t) = &mut c.workload {
+                    f(t)
+                }
+            }
+        };
         if w.coordinators > 1 {
-            let mut c = sc.clone();
-            let Workload::Tx(t) = &mut c.workload else {
-                unreachable!()
-            };
-            t.coordinators /= 2;
-            out.push(c);
+            edit(&tx(|t| t.coordinators /= 2));
         }
         if w.keys_per_server > 8 {
-            let mut c = sc.clone();
-            let Workload::Tx(t) = &mut c.workload else {
-                unreachable!()
-            };
-            t.keys_per_server /= 2;
-            out.push(c);
+            edit(&tx(|t| t.keys_per_server /= 2));
         }
     }
     out
@@ -478,6 +460,25 @@ mod tests {
             }
         }
         assert_eq!(kinds, (true, true, true), "crash/reconnect/churn all drawn");
+    }
+
+    #[test]
+    fn ci_window_64_88_is_lifecycle_rich() {
+        // ci.sh's churn gate fuzzes seeds 64..88 for the scenarios there
+        // that draw crash / reconnect / churn events.
+        let rich = (64..88)
+            .filter(|&seed| {
+                gen_scenario(seed).events.iter().any(|e| {
+                    matches!(
+                        e.kind,
+                        EventKind::ServerCrash { .. }
+                            | EventKind::ClientReconnect { .. }
+                            | EventKind::ConnChurn { .. }
+                    )
+                })
+            })
+            .count();
+        assert!(rich >= 5, "only {rich} lifecycle scenarios in 64..88");
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //!
 //! 1. [`toml`] — a dependency-free parser for the TOML subset the
 //!    format uses, with exact line:column error spans;
-//! 2. [`scenario`] — the typed AST, validation and the canonical
-//!    serializer (`parse ∘ to_toml = id`);
+//! 2. [`scenario`] — the typed AST and one key table per table of the
+//!    format (key, typed slot, required or default, time unit, bound),
+//!    walked by the reader, the canonical serializer
+//!    (`parse ∘ to_toml = id`) and the bounds check alike; cross-field
+//!    rules are written once beside them;
 //! 3. [`compile`] — lowers a scenario onto the existing config types
 //!    (`RawVerbConfig`, `HarnessConfig` + `ScaleRpcConfig` +
 //!    [`rpc_core::inject::ScenarioSpec`], `TxConfig`);
@@ -49,7 +52,6 @@ pub use compile::{compile, Compiled, CompiledRaw, CompiledRpc, CompiledTx};
 pub use fuzz::{check_scenario, fuzz_one, gen_scenario, shrink_failure, shrink_with, FuzzOutcome};
 pub use run::{run_scenario, ScenarioReport};
 pub use scenario::{
-    Event, EventKind, Expect, Population, RawVerb, RawWorkload, RpcTransport, RpcWorkload,
-    Scenario, ScenarioError, SizeModel, StartModel, ThinkModel, TxProfileKind, TxWorkload,
-    Workload,
+    Event, EventKind, Expect, Population, RawWorkload, RpcTransport, RpcWorkload, Scenario,
+    ScenarioError, SizeModel, StartModel, ThinkModel, TxProfileKind, TxWorkload, Workload,
 };

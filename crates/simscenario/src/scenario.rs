@@ -1,10 +1,23 @@
-//! The typed scenario AST: validation of the parsed TOML document into
-//! strongly-typed workload, population and event descriptions, plus the
-//! canonical serializer used by the round-trip property tests.
+//! The typed scenario AST and the key tables that define the format.
+//!
+//! Each table of a scenario file — `[scenario]`, each `[workload]` kind,
+//! `[[population]]`, each `[[event]]` kind and `[expect]` — is one list
+//! of rows. A row gives a key's name, its typed slot in the AST, whether
+//! it is required or its default, its time unit and its bound. Three
+//! generic routines walk the same rows: [`Scenario::from_doc`] reads a
+//! document (unknown, missing, mistyped and out-of-range keys, each with
+//! its span), [`Scenario::to_toml`] writes the canonical text back, and
+//! `check` re-tests the bounds without spans when `compile` lowers a
+//! hand-built scenario. Rules that relate two keys live once, in
+//! `check_semantics`.
 
-use crate::toml::{self, Doc, Entry, Span, Table, Value};
-use simcore::SimDuration;
+use crate::toml::{self, Doc, Span, Table, Value};
+use scalerpc_bench::rawverbs::RawVerbKind;
 use std::fmt;
+use std::mem::discriminant;
+use Need::{Keep, Or, Req};
+use Slot::{Flag, Ns, Opt, Pick, Text, Us, Usize, F64, U32, U64};
+use Value::{Bool, Float, Int};
 
 /// A scenario-level error: parse failures, unknown keys, bad field
 /// types or semantically invalid combinations. Carries the offending
@@ -44,21 +57,11 @@ fn fail(span: Option<Span>, msg: impl Into<String>) -> ScenarioError {
     }
 }
 
-/// Raw-verb workload kinds (the Fig. 1/3 microbenchmarks).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RawVerb {
-    /// Clients issue RDMA writes (NIC-cache-bound, Fig. 3(a)).
-    OutboundWrite,
-    /// Server-inbound writes (DDIO-bound, Fig. 3(b)).
-    InboundWrite,
-    /// UD sends.
-    UdSend,
-}
-
 /// RPC transports the scenario runner can drive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RpcTransport {
     /// ScaleRPC (the paper's system).
+    #[default]
     ScaleRpc,
     /// RawWrite baseline.
     RawWrite,
@@ -74,7 +77,7 @@ pub enum RpcTransport {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RawWorkload {
     /// Which verb. The message size is the population's `size`.
-    pub verb: RawVerb,
+    pub verb: RawVerbKind,
     /// Message block size in the pool.
     pub block_size: usize,
     /// Blocks per client.
@@ -86,8 +89,9 @@ pub struct RawWorkload {
 }
 
 /// A closed-loop RPC workload (compiled to a harness + transport run
-/// with scenario injection hooks).
-#[derive(Clone, Debug, PartialEq)]
+/// with scenario injection hooks). `Default` is all zeros; the format's
+/// defaults are the key table's.
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct RpcWorkload {
     /// Which transport serves the requests.
     pub transport: RpcTransport,
@@ -125,16 +129,18 @@ pub struct RpcWorkload {
 }
 
 /// Transaction profiles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TxProfileKind {
     /// FaSST-style random-key object store.
+    #[default]
     ObjectStore,
     /// SmallBank with a hot set (key skew).
     SmallBank,
 }
 
 /// A distributed-transaction workload (compiled to `TxConfig`).
-#[derive(Clone, Debug, PartialEq)]
+/// `Default` is all zeros; the format's defaults are the key table's.
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct TxWorkload {
     /// Which profile.
     pub profile: TxProfileKind,
@@ -293,6 +299,19 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// The population the event targets, for the kinds that name one.
+    pub fn population(&self) -> Option<&str> {
+        match self {
+            EventKind::Depart { population }
+            | EventKind::Straggle { population, .. }
+            | EventKind::ClientReconnect { population }
+            | EventKind::ConnChurn { population } => Some(population),
+            _ => None,
+        }
+    }
+}
+
 /// One timeline entry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
@@ -333,138 +352,6 @@ pub struct Scenario {
     pub expect: Option<Expect>,
 }
 
-// ---- field access helpers ----------------------------------------------
-
-fn check_keys(t: &Table, allowed: &[&str]) -> Result<(), ScenarioError> {
-    for e in &t.entries {
-        if !allowed.contains(&e.key.as_str()) {
-            return Err(fail(
-                Some(e.span),
-                format!("unknown key `{}` in [{}]", e.key, t.name),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn req<'a>(t: &'a Table, key: &str) -> Result<&'a Entry, ScenarioError> {
-    t.get(key)
-        .ok_or_else(|| fail(Some(t.span), format!("[{}] is missing key `{key}`", t.name)))
-}
-
-fn as_str(e: &Entry) -> Result<&str, ScenarioError> {
-    match &e.value {
-        Value::Str(s) => Ok(s),
-        v => Err(fail(
-            Some(e.span),
-            format!("`{}` must be a string, got {}", e.key, v.type_name()),
-        )),
-    }
-}
-
-fn as_u64(e: &Entry) -> Result<u64, ScenarioError> {
-    match e.value {
-        Value::Int(i) if i >= 0 => Ok(i as u64),
-        Value::Int(_) => Err(fail(
-            Some(e.span),
-            format!("`{}` must be non-negative", e.key),
-        )),
-        ref v => Err(fail(
-            Some(e.span),
-            format!("`{}` must be an integer, got {}", e.key, v.type_name()),
-        )),
-    }
-}
-
-fn as_usize(e: &Entry) -> Result<usize, ScenarioError> {
-    Ok(as_u64(e)? as usize)
-}
-
-fn as_f64(e: &Entry) -> Result<f64, ScenarioError> {
-    match e.value {
-        Value::Float(f) => Ok(f),
-        Value::Int(i) => Ok(i as f64),
-        ref v => Err(fail(
-            Some(e.span),
-            format!("`{}` must be a number, got {}", e.key, v.type_name()),
-        )),
-    }
-}
-
-fn as_bool(e: &Entry) -> Result<bool, ScenarioError> {
-    match e.value {
-        Value::Bool(b) => Ok(b),
-        ref v => Err(fail(
-            Some(e.span),
-            format!("`{}` must be a boolean, got {}", e.key, v.type_name()),
-        )),
-    }
-}
-
-fn opt_u64(t: &Table, key: &str, default: u64) -> Result<u64, ScenarioError> {
-    t.get(key).map_or(Ok(default), as_u64)
-}
-
-fn opt_usize(t: &Table, key: &str, default: usize) -> Result<usize, ScenarioError> {
-    t.get(key).map_or(Ok(default), as_usize)
-}
-
-fn opt_bool(t: &Table, key: &str, default: bool) -> Result<bool, ScenarioError> {
-    t.get(key).map_or(Ok(default), as_bool)
-}
-
-fn opt_f64(t: &Table, key: &str, default: f64) -> Result<f64, ScenarioError> {
-    t.get(key).map_or(Ok(default), as_f64)
-}
-
-// ---- schema integers → simulated time ----------------------------------
-
-/// Nanoseconds per schema unit, for `*_us` and `*_ns` keys.
-pub(crate) const US: u64 = 1_000;
-pub(crate) const NS: u64 = 1;
-
-/// The largest time a schema field can hold: a quarter of the `u64`
-/// nanosecond clock (~146 years), so warmup + run + drain plus any one
-/// offset or duration still fits and no `now + d` downstream can wrap
-/// (a release build would silently skew, a debug build panic).
-const MAX_TIME_NS: u64 = 1 << 62;
-
-/// The one place a schema time integer becomes simulated time. `span`
-/// is the entry's when there is a document.
-pub(crate) fn sim_time(
-    key: &str,
-    value: u64,
-    unit_ns: u64,
-    span: Option<Span>,
-) -> Result<SimDuration, ScenarioError> {
-    match value.checked_mul(unit_ns).filter(|&ns| ns <= MAX_TIME_NS) {
-        Some(ns) => Ok(SimDuration::nanos(ns)),
-        None => Err(fail(
-            span,
-            format!("`{key}` = {value} overflows the simulated clock (a time field holds at most 2^62 ns)"),
-        )),
-    }
-}
-
-/// Range-checks every `*_us` / `*_ns` integer of `doc`, where its span
-/// is in hand. The conversions themselves — and the same check,
-/// spanless, for a hand-built `Scenario` — are `compile`'s.
-fn check_times(doc: &Doc) -> Result<(), ScenarioError> {
-    for e in doc.tables.iter().flat_map(|t| &t.entries) {
-        let unit_ns = match &e.key {
-            k if k.ends_with("_us") => US,
-            k if k.ends_with("_ns") => NS,
-            _ => continue,
-        };
-        if let Value::Int(v @ 0..) = e.value {
-            sim_time(&e.key, v as u64, unit_ns, Some(e.span))?;
-        }
-    }
-    Ok(())
-}
-
-// ---- from TOML ----------------------------------------------------------
-
 impl Scenario {
     /// Parses scenario text (TOML subset) into the typed AST.
     pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
@@ -472,170 +359,169 @@ impl Scenario {
         Scenario::from_doc(&doc)
     }
 
-    /// Validates a parsed document into the typed AST.
+    /// Validates a parsed document into the typed AST. Tables are read
+    /// in the order scenario → workload → populations → events → expect;
+    /// then every row's range is checked, then `check_semantics` runs.
     pub fn from_doc(doc: &Doc) -> Result<Scenario, ScenarioError> {
         for t in &doc.tables {
-            match (t.name.as_str(), t.array) {
-                ("scenario" | "workload" | "expect", false) => {}
-                ("population" | "event", true) => {}
-                ("population" | "event", false) => {
-                    return Err(fail(
-                        Some(t.span),
-                        format!("use [[{}]] (array of tables)", t.name),
-                    ))
+            let msg = match (t.name.as_str(), t.array) {
+                ("scenario" | "workload" | "expect", false) | ("population" | "event", true) => {
+                    continue
                 }
-                _ => return Err(fail(Some(t.span), format!("unknown table `{}`", t.name))),
-            }
+                ("population" | "event", false) => format!("use [[{}]] (array of tables)", t.name),
+                _ => format!("unknown table `{}`", t.name),
+            };
+            return Err(fail(Some(t.span), msg));
         }
-        let st = doc
-            .table("scenario")
-            .ok_or_else(|| fail(None, "missing [scenario] table"))?;
-        check_keys(st, &["name", "seed", "warmup_us", "run_us"])?;
-        let name = as_str(req(st, "name")?)?.to_string();
-        let seed = opt_u64(st, "seed", 42)?;
-        let warmup_us = opt_u64(st, "warmup_us", 1000)?;
-        let run_us = req(st, "run_us").and_then(as_u64)?;
-        if run_us == 0 {
-            return Err(fail(Some(st.span), "run_us must be positive"));
-        }
-
-        let wt = doc
-            .table("workload")
-            .ok_or_else(|| fail(None, "missing [workload] table"))?;
-        let workload = parse_workload(wt)?;
-
-        let mut populations: Vec<Population> = Vec::new();
-        for pt in doc.tables_named("population") {
-            let p = parse_population(pt)?;
-            if populations.iter().any(|q| q.name == p.name) {
-                return Err(fail(
-                    Some(pt.span),
-                    format!("duplicate population `{}`", p.name),
-                ));
-            }
-            populations.push(p);
-        }
-
-        let mut events = Vec::new();
-        for et in doc.tables_named("event") {
-            let e = parse_event(et)?;
-            if let Some(prev) = events.last().map(|p: &Event| p.at_us) {
-                if e.at_us < prev {
-                    return Err(fail(
-                        Some(et.span),
-                        format!("events must be sorted by at_us ({} after {prev})", e.at_us),
-                    ));
-                }
-            }
-            events.push(e);
-        }
-
-        let expect = match doc.table("expect") {
-            None => None,
-            Some(t) => {
-                check_keys(t, &["events", "ops"])?;
-                Some(Expect {
-                    events: t.get("events").map(as_u64).transpose()?,
-                    ops: t.get("ops").map(as_u64).transpose()?,
-                })
-            }
+        // A skeleton with one element per table; reading fills its slots.
+        let population = Population {
+            name: String::new(),
+            clients: 0,
+            tenant: 0,
+            start: StartModel::Immediate,
+            think: ThinkModel::None,
+            size: SizeModel::Fixed(0),
         };
-
-        let s = Scenario {
-            name,
-            seed,
-            warmup_us,
-            run_us,
-            workload,
-            populations,
-            events,
-            expect,
+        let event = Event {
+            at_us: 0,
+            kind: EventKind::LinkRestore,
         };
-        check_times(doc)?;
-        s.check_semantics(Some(doc))?;
+        let mut s = Scenario {
+            name: String::new(),
+            seed: 0,
+            warmup_us: 0,
+            run_us: 0,
+            workload: Workload::Tx(TxWorkload::default()),
+            populations: vec![population; doc.tables_named("population").count()],
+            events: vec![event; doc.tables_named("event").count()],
+            expect: doc.table("expect").map(|_| Expect::default()),
+        };
+        for (name, i, mut rows) in s.tables() {
+            let t = doc.tables_named(name).nth(i.unwrap_or(0));
+            let t = t.ok_or_else(|| fail(None, format!("missing [{name}] table")))?;
+            read(t, &mut rows)?;
+        }
+        s.check(Some(doc))?;
         Ok(s)
     }
 
-    /// Cross-table validation that needs the whole scenario. The one copy
-    /// of each check: `from_doc` runs it with the document, for spans;
-    /// `compile` without, as a hand-built scenario never met the parser.
-    pub(crate) fn check_semantics(&self, doc: Option<&Doc>) -> Result<(), ScenarioError> {
-        let wspan = doc.and_then(|d| d.table("workload")).map(|t| t.span);
-        // Where `key` of the `i`-th `[[table]]` sits, given a document.
-        let entry_span = |table: &str, i: usize, key: &str| {
-            doc.and_then(|d| d.tables_named(table).nth(i))
-                .and_then(|t| t.get(key))
-                .map(|e| e.span)
+    /// Every table of the scenario with its rows, in file order; the
+    /// elements of `[[…]]` arrays carry their index.
+    fn tables(&mut self) -> Vec<(&'static str, Option<usize>, Vec<Row<'_>>)> {
+        let head = vec![
+            Row("name", Text(&mut self.name), Req, ANY),
+            Row("seed", U64(&mut self.seed), Or(Int(42)), ANY),
+            Row("warmup_us", Us(&mut self.warmup_us), Or(Int(1000)), ANY),
+            Row("run_us", Us(&mut self.run_us), Req, POSITIVE),
+        ];
+        let kind = vec![Row("kind", Pick(&mut self.workload), Req, ANY)];
+        let mut out = vec![("scenario", None, head), ("workload", None, kind)];
+        let pops = self.populations.iter_mut().enumerate();
+        out.extend(pops.map(|(i, p)| ("population", Some(i), p.rows())));
+        let events = self.events.iter_mut().enumerate();
+        out.extend(events.map(|(i, e)| ("event", Some(i), e.rows())));
+        out.extend(self.expect.iter_mut().map(|x| ("expect", None, x.rows())));
+        out
+    }
+
+    /// Tests every row against its time range and its bound, then the
+    /// cross-field rules. The one copy of each check: `from_doc` runs it
+    /// with the document, for spans; `compile` without, as a hand-built
+    /// scenario never met the parser.
+    pub(crate) fn check(&self, doc: Option<&Doc>) -> Result<(), ScenarioError> {
+        for (name, i, mut rows) in self.clone().tables() {
+            let t = doc.and_then(|d| d.tables_named(name).nth(i.unwrap_or(0)));
+            walk(&mut rows, &mut |r| match r.violation() {
+                Some(msg) => Err(fail(t.and_then(|t| t.get(r.0)).map(|e| e.span), msg)),
+                None => Ok(()),
+            })?;
+        }
+        self.check_semantics(doc)
+    }
+
+    /// The rules that relate two keys, tables or table elements.
+    fn check_semantics(&self, doc: Option<&Doc>) -> Result<(), ScenarioError> {
+        // Where the `i`-th `[[table]]` sits, or its `key` entry.
+        let span = |table: &str, i: usize, key: Option<&str>| -> Option<Span> {
+            let t = doc?.tables_named(table).nth(i)?;
+            key.map_or(Some(t.span), |k| t.get(k).map(|e| e.span))
         };
-        match self.workload {
-            Workload::Tx(_) => {
-                if !self.populations.is_empty() {
-                    return Err(fail(
-                        wspan,
-                        "tx workloads take coordinators from [workload]; remove [[population]]",
-                    ));
-                }
-                if !self.events.is_empty() {
-                    return Err(fail(
-                        wspan,
-                        "chaos events require an rpc workload (not compiled for tx workloads yet)",
-                    ));
-                }
-            }
-            Workload::Raw(_) => {
-                if self.populations.len() != 1 {
-                    return Err(fail(
-                        wspan,
-                        "raw workloads need exactly one [[population]] (client count only)",
-                    ));
-                }
-                let p = &self.populations[0];
-                if p.start != StartModel::Immediate
-                    || p.think != ThinkModel::None
-                    || !matches!(p.size, SizeModel::Fixed(_))
-                {
-                    return Err(fail(
-                        wspan,
-                        "raw workloads support only immediate starts, no think time and fixed sizes",
-                    ));
-                }
-                if !self.events.is_empty() {
-                    return Err(fail(
-                        wspan,
-                        "chaos events require an rpc workload (raw runs have no injection hooks)",
-                    ));
-                }
-            }
-            Workload::Rpc(_) => {
-                if self.populations.is_empty() {
-                    return Err(fail(
-                        wspan,
-                        "rpc workloads need at least one [[population]]",
-                    ));
-                }
-            }
-        }
         for (i, p) in self.populations.iter().enumerate() {
-            if p.clients == 0 {
-                return Err(fail(
-                    entry_span("population", i, "clients"),
-                    format!("population `{}` has zero clients", p.name),
-                ));
-            }
-        }
-        for (i, e) in self.events.iter().enumerate() {
-            let name = match &e.kind {
-                EventKind::Depart { population }
-                | EventKind::Straggle { population, .. }
-                | EventKind::ClientReconnect { population }
-                | EventKind::ConnChurn { population } => population,
+            let msg = match (p.think, p.size) {
+                (ThinkModel::UniformUs(lo, hi), _) if hi < lo => {
+                    "think_hi_us must be >= think_lo_us".to_string()
+                }
+                (_, SizeModel::Zipf { min, max, .. }) if min == 0 || max < min => {
+                    "need 0 < size_min <= size_max".to_string()
+                }
+                _ if self.populations[..i].iter().any(|q| q.name == p.name) => {
+                    format!("duplicate population `{}`", p.name)
+                }
                 _ => continue,
             };
-            if !self.populations.iter().any(|p| &p.name == name) {
-                return Err(fail(
-                    entry_span("event", i, "population"),
-                    format!("unknown population `{name}`"),
-                ));
+            return Err(fail(span("population", i, None), msg));
+        }
+        for (i, e) in self.events.iter().enumerate() {
+            let prev = i.checked_sub(1).map_or(0, |j| self.events[j].at_us);
+            let msg = match e.kind {
+                EventKind::LinkDegrade { num, den, .. } | EventKind::Straggle { num, den, .. }
+                    if den == 0 || num < den =>
+                {
+                    "factor num/den must be >= 1 with nonzero den".to_string()
+                }
+                _ if e.at_us < prev => {
+                    format!("events must be sorted by at_us ({} after {prev})", e.at_us)
+                }
+                _ => continue,
+            };
+            return Err(fail(span("event", i, None), msg));
+        }
+        let (pops, timed) = (self.populations.len(), !self.events.is_empty());
+        let shaped = |p: &Population| {
+            p.start != StartModel::Immediate
+                || p.think != ThinkModel::None
+                || !matches!(p.size, SizeModel::Fixed(_))
+        };
+        let no_ops = |w: &TxWorkload| w.reads == 0 && w.writes == 0;
+        let rules = match &self.workload {
+            Workload::Tx(w) => vec![
+                (
+                    pops > 0,
+                    "tx workloads take coordinators from [workload]; remove [[population]]",
+                ),
+                (
+                    timed,
+                    "chaos events require an rpc workload (not compiled for tx workloads yet)",
+                ),
+                (
+                    w.profile == TxProfileKind::ObjectStore && no_ops(w),
+                    "object_store needs reads + writes > 0",
+                ),
+            ],
+            Workload::Raw(_) => {
+                vec![
+                (pops != 1, "raw workloads need exactly one [[population]] (client count only)"),
+                (self.populations.iter().any(shaped),
+                 "raw workloads support only immediate starts, no think time and fixed sizes"),
+                (timed, "chaos events require an rpc workload (raw runs have no injection hooks)"),
+            ]
+            }
+            Workload::Rpc(_) => vec![(pops == 0, "rpc workloads need at least one [[population]]")],
+        };
+        if let Some((_, msg)) = rules.into_iter().find(|&(broken, _)| broken) {
+            return Err(fail(span("workload", 0, None), msg));
+        }
+        if let Some(i) = self.populations.iter().position(|p| p.clients == 0) {
+            let msg = format!("population `{}` has zero clients", self.populations[i].name);
+            return Err(fail(span("population", i, Some(CLIENTS)), msg));
+        }
+        for (i, e) in self.events.iter().enumerate() {
+            match e.kind.population() {
+                Some(name) if !self.populations.iter().any(|p| p.name == name) => {
+                    let msg = format!("unknown population `{name}`");
+                    return Err(fail(span("event", i, Some(POPULATION)), msg));
+                }
+                _ => {}
             }
         }
         Ok(())
@@ -648,536 +534,653 @@ impl Scenario {
             .iter()
             .fold(0, |n, p| n.saturating_add(p.clients))
     }
+
+    /// Serializes back to canonical scenario TOML: every key of every
+    /// table, defaults included, in row order. `parse(to_toml(s))`
+    /// reproduces `s` exactly (the round-trip property).
+    pub fn to_toml(&self) -> String {
+        let mut o = String::new();
+        for (name, i, mut rows) in self.clone().tables() {
+            let sep = if o.is_empty() { "" } else { "\n" };
+            o += &match i {
+                Some(_) => format!("{sep}[[{name}]]\n"),
+                None => format!("{sep}[{name}]\n"),
+            };
+            let _ = walk(&mut rows, &mut |r| {
+                if let Some(v) = r.text() {
+                    o += &format!("{} = {v}\n", r.0);
+                }
+                Ok(())
+            });
+        }
+        o
+    }
 }
 
-fn parse_workload(t: &Table) -> Result<Workload, ScenarioError> {
-    let kind = as_str(req(t, "kind")?)?;
-    if let Some(e) = t.get("nthreads") {
-        return Err(fail(
-            Some(e.span),
-            "unknown key `nthreads` in [workload] (hub workloads run on one engine thread)",
-        ));
+// ---- the key tables --------------------------------------------------
+//
+// One row per key, in emit order: name, typed slot, what the key's
+// absence means (`Req`uired, `Or` a default, `Keep` the slot) and its
+// bound. A `Pick` row's string names a variant, whose own rows follow.
+
+/// Keys `check_semantics` names too, to point its diagnostics at.
+const CLIENTS: &str = "clients";
+const POPULATION: &str = "population";
+
+/// Retired keys: still unknown, with a hint at what replaced them.
+#[rustfmt::skip]
+const RETIRED: &[(&str, &str, &str)] = &[
+    ("workload", "nthreads", "hub workloads run on one engine thread"),
+    ("workload", "msg_size", "a raw run's message size is `size` of its [[population]]"),
+];
+
+#[rustfmt::skip]
+fn raw_rows(w: &mut RawWorkload) -> Vec<Row<'_>> {
+    vec![
+        Row("verb", Pick(&mut w.verb), Req, ANY),
+        Row("block_size", Usize(&mut w.block_size), Or(Int(4096)), ANY),
+        Row("blocks_per_client", Usize(&mut w.blocks_per_client), Or(Int(20)), POSITIVE),
+        Row("server_threads", Usize(&mut w.server_threads), Or(Int(10)), POSITIVE),
+        Row("window", Usize(&mut w.window), Or(Int(4)), POSITIVE),
+    ]
+}
+
+#[rustfmt::skip]
+fn rpc_rows(w: &mut RpcWorkload) -> Vec<Row<'_>> {
+    vec![
+        Row("transport", Pick(&mut w.transport), Req, ANY),
+        Row("machines", Usize(&mut w.machines), Or(Int(11)), POSITIVE),
+        Row("threads_per_machine", Usize(&mut w.threads_per_machine), Or(Int(8)), POSITIVE),
+        Row("server_threads", Usize(&mut w.server_threads), Or(Int(10)), POSITIVE),
+        Row("batch", Usize(&mut w.batch), Or(Int(1)), ANY),
+        Row("window", Usize(&mut w.window), Or(Int(1)), ANY),
+        Row("group_size", Usize(&mut w.group_size), Or(Int(40)), ANY),
+        Row("time_slice_us", Us(&mut w.time_slice_us), Or(Int(100)), ANY),
+        Row("slots", Usize(&mut w.slots), Or(Int(8)), ANY),
+        Row("block_size", Usize(&mut w.block_size), Or(Int(4096)), ANY),
+        Row("dynamic", Flag(&mut w.dynamic), Or(Bool(true)), ANY),
+        Row("regroup_rotations", U32(&mut w.regroup_rotations), Or(Int(4)), ANY),
+        Row("tenant_isolate", Flag(&mut w.tenant_isolate), Or(Bool(false)), ANY),
+        Row("lazy_connect", Flag(&mut w.lazy_connect), Or(Bool(false)), ANY),
+        Row("retry_timeout_us", Us(&mut w.retry_timeout_us), Or(Int(0)), ANY),
+    ]
+}
+
+#[rustfmt::skip]
+fn tx_rows(w: &mut TxWorkload) -> Vec<Row<'_>> {
+    vec![
+        Row("profile", Pick(&mut w.profile), Req, ANY),
+        Row("coordinators", Usize(&mut w.coordinators), Or(Int(80)), POSITIVE),
+        Row("servers", Usize(&mut w.servers), Or(Int(3)), POSITIVE),
+        Row("client_machines", Usize(&mut w.client_machines), Or(Int(8)), POSITIVE),
+        Row("window", Usize(&mut w.window), Or(Int(4)), ANY),
+        Row("one_sided", Flag(&mut w.one_sided), Or(Bool(true)), ANY),
+        Row("value_size", Usize(&mut w.value_size), Or(Int(40)), ANY),
+        Row("keys_per_server", U64(&mut w.keys_per_server), Or(Int(10_000)), POSITIVE),
+        Row("reads", Usize(&mut w.reads), Or(Int(3)), ANY),
+        Row("writes", Usize(&mut w.writes), Or(Int(1)), ANY),
+        Row("hot_fraction", F64(&mut w.hot_fraction), Or(Float(0.04)), FRACTION),
+        Row("hot_prob", F64(&mut w.hot_prob), Or(Float(0.60)), PROBABILITY),
+    ]
+}
+
+#[rustfmt::skip]
+impl Choice for Workload {
+    const WHAT: &'static str = "workload kind";
+    fn variants() -> Vec<(&'static str, Self)> {
+        let (verb, n) = (RawVerbKind::InboundWrite, 0);
+        let (block_size, blocks_per_client, server_threads, window) = (n, n, n, n);
+        let raw = RawWorkload { verb, block_size, blocks_per_client, server_threads, window };
+        vec![
+            ("raw", Workload::Raw(raw)),
+            ("rpc", Workload::Rpc(RpcWorkload::default())),
+            ("tx", Workload::Tx(TxWorkload::default())),
+        ]
     }
-    match kind {
-        "raw" => {
-            if let Some(e) = t.get("msg_size") {
-                return Err(fail(
-                    Some(e.span),
-                    "unknown key `msg_size` in [workload] (a raw run's message size is `size` of its [[population]])",
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        match self {
+            Workload::Raw(w) => raw_rows(w),
+            Workload::Rpc(w) => rpc_rows(w),
+            Workload::Tx(w) => tx_rows(w),
+        }
+    }
+}
+
+#[rustfmt::skip]
+impl Choice for RawVerbKind {
+    const WHAT: &'static str = "verb";
+    fn variants() -> Vec<(&'static str, Self)> {
+        use RawVerbKind::*;
+        vec![("outbound_write", OutboundWrite), ("inbound_write", InboundWrite),
+             ("ud_send", UdSend)]
+    }
+}
+
+#[rustfmt::skip]
+impl Choice for RpcTransport {
+    const WHAT: &'static str = "transport";
+    fn variants() -> Vec<(&'static str, Self)> {
+        use RpcTransport::*;
+        vec![("scalerpc", ScaleRpc), ("rawwrite", RawWrite), ("herd", Herd),
+             ("fasst", Fasst), ("selfrpc", SelfRpc)]
+    }
+}
+
+#[rustfmt::skip]
+impl Choice for TxProfileKind {
+    const WHAT: &'static str = "profile";
+    fn variants() -> Vec<(&'static str, Self)> {
+        vec![("object_store", TxProfileKind::ObjectStore), ("small_bank", TxProfileKind::SmallBank)]
+    }
+}
+
+#[rustfmt::skip]
+impl Population {
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        vec![
+            Row("name", Text(&mut self.name), Req, ANY),
+            Row(CLIENTS, Usize(&mut self.clients), Req, ANY),
+            Row("tenant", U32(&mut self.tenant), Or(Int(0)), ANY),
+            Row("arrival", Pick(&mut self.start), Keep, ANY),
+            Row("think", Pick(&mut self.think), Keep, ANY),
+            Row("", Pick(&mut self.size), Keep, ANY), // no tag: the keys present pick
+        ]
+    }
+}
+
+#[rustfmt::skip]
+impl Choice for StartModel {
+    const WHAT: &'static str = "arrival";
+    fn variants() -> Vec<(&'static str, Self)> {
+        use StartModel::*;
+        let (at_us, rate_per_ms, from_us) = (0, 0.0, 0);
+        vec![
+            ("immediate", Immediate),
+            ("at", At { at_us }),
+            ("poisson", Poisson { rate_per_ms, from_us }),
+        ]
+    }
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        match self {
+            StartModel::Immediate => Vec::new(),
+            StartModel::At { at_us } => vec![Row("start_us", Us(at_us), Req, ANY)],
+            StartModel::Poisson { rate_per_ms, from_us } => vec![
+                Row("rate_per_ms", F64(rate_per_ms), Req, RATE),
+                Row("from_us", Us(from_us), Or(Int(0)), ANY),
+            ],
+        }
+    }
+}
+
+#[rustfmt::skip]
+impl Choice for ThinkModel {
+    const WHAT: &'static str = "think model";
+    fn variants() -> Vec<(&'static str, Self)> {
+        use ThinkModel::*;
+        vec![("none", None), ("fixed", FixedUs(0)), ("uniform", UniformUs(0, 0))]
+    }
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        match self {
+            ThinkModel::None => Vec::new(),
+            ThinkModel::FixedUs(us) => vec![Row("think_us", Us(us), Req, ANY)],
+            ThinkModel::UniformUs(lo, hi) => vec![
+                Row("think_lo_us", Us(lo), Req, ANY),
+                Row("think_hi_us", Us(hi), Req, ANY),
+            ],
+        }
+    }
+}
+
+#[rustfmt::skip]
+impl Choice for SizeModel {
+    const WHAT: &'static str = "size model";
+    fn variants() -> Vec<(&'static str, Self)> {
+        let (min, max, theta) = (0, 0, 0.0);
+        vec![("fixed", SizeModel::Fixed(0)), ("zipf", SizeModel::Zipf { min, max, theta })]
+    }
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        match self {
+            SizeModel::Fixed(size) => vec![Row("size", Usize(size), Or(Int(32)), ANY)],
+            SizeModel::Zipf { min, max, theta } => vec![
+                Row("size_min", Usize(min), Req, ANY),
+                Row("size_max", Usize(max), Req, ANY),
+                Row("size_theta", F64(theta), Or(Float(0.99)), ANY),
+            ],
+        }
+    }
+}
+
+#[rustfmt::skip]
+impl Event {
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        vec![Row("at_us", Us(&mut self.at_us), Req, ANY), Row("kind", Pick(&mut self.kind), Req, ANY)]
+    }
+}
+
+#[rustfmt::skip]
+impl Choice for EventKind {
+    const WHAT: &'static str = "event kind";
+    fn variants() -> Vec<(&'static str, Self)> {
+        use EventKind::*;
+        let (num, den, p) = (0, 0, String::new);
+        vec![
+            ("link_degrade", LinkDegrade { num, den, extra_ns: 0 }),
+            ("link_restore", LinkRestore),
+            ("server_pause", ServerPause { dur_us: 0 }),
+            ("depart", Depart { population: p() }),
+            ("straggle", Straggle { population: p(), num, den }),
+            ("server_crash", ServerCrash { down_us: 0 }),
+            ("client_reconnect", ClientReconnect { population: p() }),
+            ("conn_churn", ConnChurn { population: p() }),
+        ]
+    }
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        use EventKind::*;
+        // The slowdown both `link_degrade` and `straggle` take.
+        let factor = |num, den| [Row("num", U32(num), Req, ANY), Row("den", U32(den), Or(Int(1)), ANY)];
+        let target = |population| Row(POPULATION, Text(population), Req, ANY);
+        match self {
+            LinkDegrade { num, den, extra_ns } => {
+                let extra = Row("extra_ns", Ns(extra_ns), Or(Int(0)), ANY);
+                factor(num, den).into_iter().chain([extra]).collect()
+            }
+            LinkRestore => Vec::new(),
+            ServerPause { dur_us } => vec![Row("dur_us", Us(dur_us), Req, ANY)],
+            Straggle { population, num, den } => {
+                [target(population)].into_iter().chain(factor(num, den)).collect()
+            }
+            ServerCrash { down_us } => vec![Row("down_us", Us(down_us), Req, ANY)],
+            Depart { population } | ClientReconnect { population } | ConnChurn { population } => {
+                vec![target(population)]
+            }
+        }
+    }
+}
+
+#[rustfmt::skip]
+impl Expect {
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        vec![Row("events", Opt(&mut self.events), Keep, ANY), Row("ops", Opt(&mut self.ops), Keep, ANY)]
+    }
+}
+
+// ---- rows and the routines that walk them ----------------------------
+
+/// One key of a table: its name, its slot, what its absence means and
+/// its bound.
+struct Row<'a>(&'static str, Slot<'a>, Need, Bound);
+
+/// Where a key's value lives in the AST, and so its type.
+enum Slot<'a> {
+    Text(&'a mut String),
+    U64(&'a mut u64),
+    /// Times in microseconds and nanoseconds, at most [`MAX_TIME_NS`].
+    Us(&'a mut u64),
+    Ns(&'a mut u64),
+    /// Refused, not wrapped, past `u32::MAX`.
+    U32(&'a mut u32),
+    Usize(&'a mut usize),
+    F64(&'a mut f64),
+    Flag(&'a mut bool),
+    /// Absent stays `None` and is not written back.
+    Opt(&'a mut Option<u64>),
+    Pick(&'a mut dyn Tag),
+}
+
+/// What a key's absence from its table means.
+enum Need {
+    Req,
+    /// This value, read as if the file had given it.
+    Or(Value),
+    /// The slot as it is; a tag takes the variant whose keys are present.
+    Keep,
+}
+
+/// A single-field bound: the test, and the words that finish "`key`
+/// must be …".
+#[derive(Clone, Copy)]
+struct Bound(fn(f64) -> bool, &'static str);
+
+const ANY: Bound = Bound(|_| true, "");
+const POSITIVE: Bound = Bound(|x| x > 0.0, "positive");
+const RATE: Bound = Bound(|x| x > 0.0 && x.is_finite(), "positive and finite");
+const FRACTION: Bound = Bound(|x| x > 0.0 && x <= 1.0, "in (0, 1]");
+const PROBABILITY: Bound = Bound(|x| (0.0..=1.0).contains(&x), "in [0, 1]");
+
+/// The largest time a schema field can hold: a quarter of the `u64`
+/// nanosecond clock (~146 years), so warmup + run + drain plus any one
+/// offset or duration still fits and no `now + d` downstream can wrap
+/// (a release build would silently skew, a debug build panic).
+const MAX_TIME_NS: u64 = 1 << 62;
+
+impl Row<'_> {
+    /// Stores `v`, or says why it does not fit the slot's type.
+    fn set(&mut self, v: &Value) -> Result<(), String> {
+        let key = self.0;
+        let bad = |what: &str| format!("`{key}` must be {what}, got {}", v.type_name());
+        let int = || match *v {
+            Int(i) => u64::try_from(i).map_err(|_| format!("`{key}` must be non-negative")),
+            _ => Err(bad("an integer")),
+        };
+        match (&mut self.1, v) {
+            (Text(s), Value::Str(x)) => **s = x.clone(),
+            (Pick(t), Value::Str(x)) => t.pick(x)?,
+            (Text(_) | Pick(_), _) => return Err(bad("a string")),
+            (F64(x), Float(f)) => **x = *f,
+            (F64(x), Int(i)) => **x = *i as f64,
+            (F64(_), _) => return Err(bad("a number")),
+            (Flag(b), Bool(x)) => **b = *x,
+            (Flag(_), _) => return Err(bad("a boolean")),
+            (U64(x) | Us(x) | Ns(x), _) => **x = int()?,
+            (U32(x), _) => **x = narrow(key, int()?)?,
+            (Usize(x), _) => **x = narrow(key, int()?)?,
+            (Opt(x), _) => **x = Some(int()?),
+        }
+        Ok(())
+    }
+
+    /// The value as written back, or `None` for no line.
+    fn text(&self) -> Option<String> {
+        Some(match &self.1 {
+            Text(s) => esc(s),
+            Pick(_) if self.0.is_empty() => return None,
+            Pick(t) => esc(t.name()),
+            U64(x) | Us(x) | Ns(x) => x.to_string(),
+            U32(x) => x.to_string(),
+            Usize(x) => x.to_string(),
+            F64(x) => format!("{x:?}"),
+            Flag(b) => b.to_string(),
+            Opt(x) => x.as_ref()?.to_string(),
+        })
+    }
+
+    /// What is wrong with the value against its time range and bound.
+    fn violation(&self) -> Option<String> {
+        let Row(key, slot, _, Bound(admits, words)) = self;
+        let unit_ns = if matches!(slot, Us(_)) { 1_000 } else { 1 };
+        let x = match slot {
+            Us(v) | Ns(v) if v.checked_mul(unit_ns).is_none_or(|ns| ns > MAX_TIME_NS) => {
+                let most = "a time field holds at most 2^62 ns";
+                return Some(format!(
+                    "`{key}` = {v} overflows the simulated clock ({most})"
                 ));
             }
-            check_keys(
-                t,
-                &[
-                    "kind",
-                    "verb",
-                    "block_size",
-                    "blocks_per_client",
-                    "server_threads",
-                    "window",
-                ],
-            )?;
-            let verb_e = req(t, "verb")?;
-            let verb = match as_str(verb_e)? {
-                "outbound_write" => RawVerb::OutboundWrite,
-                "inbound_write" => RawVerb::InboundWrite,
-                "ud_send" => RawVerb::UdSend,
-                other => {
-                    return Err(fail(
-                        Some(verb_e.span),
-                        format!(
-                            "unknown verb `{other}` (outbound_write | inbound_write | ud_send)"
-                        ),
-                    ))
-                }
-            };
-            Ok(Workload::Raw(RawWorkload {
-                verb,
-                block_size: opt_usize(t, "block_size", 4096)?,
-                blocks_per_client: opt_usize(t, "blocks_per_client", 20)?,
-                server_threads: opt_usize(t, "server_threads", 10)?,
-                window: opt_usize(t, "window", 4)?,
-            }))
-        }
-        "rpc" => {
-            check_keys(
-                t,
-                &[
-                    "kind",
-                    "transport",
-                    "machines",
-                    "threads_per_machine",
-                    "server_threads",
-                    "batch",
-                    "window",
-                    "group_size",
-                    "time_slice_us",
-                    "slots",
-                    "block_size",
-                    "dynamic",
-                    "regroup_rotations",
-                    "tenant_isolate",
-                    "lazy_connect",
-                    "retry_timeout_us",
-                ],
-            )?;
-            let tr_e = req(t, "transport")?;
-            let transport = match as_str(tr_e)? {
-                "scalerpc" => RpcTransport::ScaleRpc,
-                "rawwrite" => RpcTransport::RawWrite,
-                "herd" => RpcTransport::Herd,
-                "fasst" => RpcTransport::Fasst,
-                "selfrpc" => RpcTransport::SelfRpc,
-                other => {
-                    return Err(fail(
-                        Some(tr_e.span),
-                        format!(
-                            "unknown transport `{other}` (scalerpc | rawwrite | herd | fasst | selfrpc)"
-                        ),
-                    ))
-                }
-            };
-            Ok(Workload::Rpc(RpcWorkload {
-                transport,
-                machines: opt_usize(t, "machines", 11)?,
-                threads_per_machine: opt_usize(t, "threads_per_machine", 8)?,
-                server_threads: opt_usize(t, "server_threads", 10)?,
-                batch: opt_usize(t, "batch", 1)?,
-                window: opt_usize(t, "window", 1)?,
-                group_size: opt_usize(t, "group_size", 40)?,
-                time_slice_us: opt_u64(t, "time_slice_us", 100)?,
-                slots: opt_usize(t, "slots", 8)?,
-                block_size: opt_usize(t, "block_size", 4096)?,
-                dynamic: opt_bool(t, "dynamic", true)?,
-                regroup_rotations: opt_u64(t, "regroup_rotations", 4)? as u32,
-                tenant_isolate: opt_bool(t, "tenant_isolate", false)?,
-                lazy_connect: opt_bool(t, "lazy_connect", false)?,
-                retry_timeout_us: opt_u64(t, "retry_timeout_us", 0)?,
-            }))
-        }
-        "tx" => {
-            check_keys(
-                t,
-                &[
-                    "kind",
-                    "profile",
-                    "coordinators",
-                    "servers",
-                    "client_machines",
-                    "window",
-                    "one_sided",
-                    "value_size",
-                    "keys_per_server",
-                    "reads",
-                    "writes",
-                    "hot_fraction",
-                    "hot_prob",
-                ],
-            )?;
-            let pr_e = req(t, "profile")?;
-            let profile = match as_str(pr_e)? {
-                "object_store" => TxProfileKind::ObjectStore,
-                "small_bank" => TxProfileKind::SmallBank,
-                other => {
-                    return Err(fail(
-                        Some(pr_e.span),
-                        format!("unknown profile `{other}` (object_store | small_bank)"),
-                    ))
-                }
-            };
-            Ok(Workload::Tx(TxWorkload {
-                profile,
-                coordinators: opt_usize(t, "coordinators", 80)?,
-                servers: opt_usize(t, "servers", 3)?,
-                client_machines: opt_usize(t, "client_machines", 8)?,
-                window: opt_usize(t, "window", 4)?,
-                one_sided: opt_bool(t, "one_sided", true)?,
-                value_size: opt_usize(t, "value_size", 40)?,
-                keys_per_server: opt_u64(t, "keys_per_server", 10_000)?,
-                reads: opt_usize(t, "reads", 3)?,
-                writes: opt_usize(t, "writes", 1)?,
-                hot_fraction: opt_f64(t, "hot_fraction", 0.04)?,
-                hot_prob: opt_f64(t, "hot_prob", 0.60)?,
-            }))
-        }
-        other => Err(fail(
-            Some(req(t, "kind")?.span),
-            format!("unknown workload kind `{other}` (raw | rpc | tx)"),
-        )),
+            U64(v) | Us(v) | Ns(v) => **v as f64,
+            U32(v) => f64::from(**v),
+            Usize(v) => **v as f64,
+            F64(v) => **v,
+            _ => return None,
+        };
+        (!admits(x)).then(|| format!("`{key}` must be {words}"))
     }
 }
 
-fn parse_population(t: &Table) -> Result<Population, ScenarioError> {
-    check_keys(
-        t,
-        &[
-            "name",
-            "clients",
-            "tenant",
-            "start_us",
-            "arrival",
-            "rate_per_ms",
-            "from_us",
-            "think",
-            "think_us",
-            "think_lo_us",
-            "think_hi_us",
-            "size",
-            "size_min",
-            "size_max",
-            "size_theta",
-        ],
-    )?;
-    let name = as_str(req(t, "name")?)?.to_string();
-    let clients = req(t, "clients").and_then(as_usize)?;
-    let tenant = opt_u64(t, "tenant", 0)? as u32;
+fn narrow<T: TryFrom<u64>>(key: &str, i: u64) -> Result<T, String> {
+    let bits = 8 * std::mem::size_of::<T>();
+    T::try_from(i).map_err(|_| format!("`{key}` = {i} does not fit in {bits} bits"))
+}
 
-    let start = match t.get("arrival") {
-        Some(e) => match as_str(e)? {
-            "immediate" => StartModel::Immediate,
-            "at" => StartModel::At {
-                at_us: req(t, "start_us").and_then(as_u64)?,
-            },
-            "poisson" => StartModel::Poisson {
-                rate_per_ms: req(t, "rate_per_ms").and_then(as_f64)?,
-                from_us: opt_u64(t, "from_us", 0)?,
-            },
-            other => {
-                return Err(fail(
-                    Some(e.span),
-                    format!("unknown arrival `{other}` (immediate | at | poisson)"),
-                ))
-            }
-        },
-        None => match t.get("start_us") {
-            Some(e) => StartModel::At { at_us: as_u64(e)? },
-            None => StartModel::Immediate,
-        },
-    };
+/// Quotes `s` with the escapes the parser reads back.
+fn esc(s: &str) -> String {
+    let s = s.replace('\\', "\\\\").replace('"', "\\\"");
+    format!("\"{}\"", s.replace('\n', "\\n").replace('\t', "\\t"))
+}
 
-    let think = match t.get("think") {
-        None => ThinkModel::None,
-        Some(e) => match as_str(e)? {
-            "none" => ThinkModel::None,
-            "fixed" => ThinkModel::FixedUs(req(t, "think_us").and_then(as_u64)?),
-            "uniform" => ThinkModel::UniformUs(
-                req(t, "think_lo_us").and_then(as_u64)?,
-                req(t, "think_hi_us").and_then(as_u64)?,
-            ),
-            other => {
-                return Err(fail(
-                    Some(e.span),
-                    format!("unknown think model `{other}` (none | fixed | uniform)"),
-                ))
+/// An enum a string key names by variant; each variant brings its own
+/// rows.
+trait Choice: Sized + 'static {
+    /// Finishes "unknown … `x`".
+    const WHAT: &'static str;
+    /// Every variant by name, its fields placeholders its rows fill.
+    fn variants() -> Vec<(&'static str, Self)>;
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        Vec::new()
+    }
+}
+
+/// The face of a [`Choice`] that a [`Slot::Pick`] holds.
+trait Tag {
+    fn name(&self) -> &'static str;
+    fn pick(&mut self, name: &str) -> Result<(), String>;
+    /// Without the tag: takes the variant whose keys `t` holds, if one.
+    fn infer(&mut self, t: &Table) -> Result<(), ScenarioError>;
+    fn rows(&mut self) -> Vec<Row<'_>>;
+}
+
+impl<T: Choice> Tag for T {
+    fn name(&self) -> &'static str {
+        let mut all = T::variants().into_iter();
+        let same = all.find(|(_, v)| discriminant(v) == discriminant(self));
+        same.map_or("", |(name, _)| name)
+    }
+
+    fn pick(&mut self, name: &str) -> Result<(), String> {
+        let all = T::variants();
+        let names: Vec<&str> = all.iter().map(|(n, _)| *n).collect();
+        let unknown = || format!("unknown {} `{name}` ({})", T::WHAT, names.join(" | "));
+        *self = all
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .ok_or_else(unknown)?
+            .1;
+        Ok(())
+    }
+
+    fn infer(&mut self, t: &Table) -> Result<(), ScenarioError> {
+        let mut named = T::variants().into_iter().filter_map(|(_, mut v)| {
+            let e = Choice::rows(&mut v).iter().find_map(|r| t.get(r.0))?;
+            Some((e, v))
+        });
+        match (named.next(), named.next()) {
+            (Some((a, _)), Some((b, _))) => {
+                let msg = format!("give either `{}` or `{}`", a.key, b.key);
+                Err(fail(Some(a.span), msg))
             }
-        },
-    };
-    if let ThinkModel::UniformUs(lo, hi) = think {
-        if hi < lo {
-            return Err(fail(Some(t.span), "think_hi_us must be >= think_lo_us"));
+            (Some((_, v)), None) => {
+                *self = v;
+                Ok(())
+            }
+            (None, _) => Ok(()),
         }
     }
 
-    let size = match (t.get("size"), t.get("size_min")) {
-        (Some(e), Some(_)) => {
-            return Err(fail(
-                Some(e.span),
-                "give either `size` or `size_min`/`size_max`",
-            ))
-        }
-        (Some(e), None) => SizeModel::Fixed(as_usize(e)?),
-        (None, Some(_)) => {
-            let min = req(t, "size_min").and_then(as_usize)?;
-            let max = req(t, "size_max").and_then(as_usize)?;
-            if min == 0 || max < min {
-                return Err(fail(Some(t.span), "need 0 < size_min <= size_max"));
-            }
-            SizeModel::Zipf {
-                min,
-                max,
-                theta: opt_f64(t, "size_theta", 0.99)?,
-            }
-        }
-        (None, None) => SizeModel::Fixed(32),
-    };
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        Choice::rows(self)
+    }
+}
 
-    Ok(Population {
-        name,
-        clients,
-        tenant,
-        start,
-        think,
-        size,
+/// Visits `rows` in order, each tag's own rows right after the tag.
+fn walk(
+    rows: &mut [Row<'_>],
+    f: &mut dyn FnMut(&mut Row<'_>) -> Result<(), ScenarioError>,
+) -> Result<(), ScenarioError> {
+    for r in rows {
+        f(r)?;
+        if let Pick(t) = &mut r.1 {
+            walk(&mut t.rows(), f)?;
+        }
+    }
+    Ok(())
+}
+
+/// Reads table `t` into the slots of `rows`: first every tag's variant,
+/// which decides the rows that follow it, then unknown keys, then each
+/// other slot from its entry or its default. So within a table an
+/// unknown key is reported before a missing or mistyped one.
+fn read(t: &Table, rows: &mut [Row<'_>]) -> Result<(), ScenarioError> {
+    let missing = |key: &str| fail(Some(t.span), format!("[{}] is missing key `{key}`", t.name));
+    let mut keys = Vec::new();
+    walk(rows, &mut |r| {
+        keys.push(r.0);
+        match (&mut r.1, t.get(r.0), &r.2) {
+            (Pick(_), Some(e), _) => r.set(&e.value).map_err(|m| fail(Some(e.span), m)),
+            (Pick(_), None, Req) => Err(missing(r.0)),
+            (Pick(tag), None, _) => tag.infer(t),
+            _ => Ok(()),
+        }
+    })?;
+    if let Some(e) = t.entries.iter().find(|e| !keys.contains(&e.key.as_str())) {
+        let retired = RETIRED
+            .iter()
+            .find(|&&(table, key, _)| table == t.name && key == e.key);
+        let hint = retired.map_or(String::new(), |(_, _, hint)| format!(" ({hint})"));
+        let msg = format!("unknown key `{}` in [{}]{hint}", e.key, t.name);
+        return Err(fail(Some(e.span), msg));
+    }
+    walk(rows, &mut |r| {
+        let (span, v) = match (&r.1, t.get(r.0), &r.2) {
+            (Pick(_), ..) | (_, None, Keep) => return Ok(()),
+            (_, Some(e), _) => (Some(e.span), e.value.clone()),
+            (_, None, Req) => return Err(missing(r.0)),
+            (_, None, Or(v)) => (None, v.clone()),
+        };
+        r.set(&v).map_err(|m| fail(span, m))
     })
 }
 
-fn parse_event(t: &Table) -> Result<Event, ScenarioError> {
-    check_keys(
-        t,
-        &[
-            "at_us",
-            "kind",
-            "num",
-            "den",
-            "extra_ns",
-            "dur_us",
-            "down_us",
-            "population",
-        ],
-    )?;
-    let at_us = req(t, "at_us").and_then(as_u64)?;
-    let kind_e = req(t, "kind")?;
-    let pop_name = |t: &Table| req(t, "population").and_then(as_str).map(str::to_string);
-    let factor = |t: &Table| -> Result<(u32, u32), ScenarioError> {
-        let num = req(t, "num").and_then(as_u64)? as u32;
-        let den = opt_u64(t, "den", 1)? as u32;
-        if den == 0 || num < den {
-            return Err(fail(
-                Some(t.span),
-                "factor num/den must be >= 1 with nonzero den",
-            ));
-        }
-        Ok((num, den))
-    };
-    let kind = match as_str(kind_e)? {
-        "link_degrade" => {
-            let (num, den) = factor(t)?;
-            EventKind::LinkDegrade {
-                num,
-                den,
-                extra_ns: opt_u64(t, "extra_ns", 0)?,
-            }
-        }
-        "link_restore" => EventKind::LinkRestore,
-        "server_pause" => EventKind::ServerPause {
-            dur_us: req(t, "dur_us").and_then(as_u64)?,
-        },
-        "depart" => EventKind::Depart {
-            population: pop_name(t)?,
-        },
-        "straggle" => {
-            let (num, den) = factor(t)?;
-            EventKind::Straggle {
-                population: pop_name(t)?,
-                num,
-                den,
-            }
-        }
-        "server_crash" => EventKind::ServerCrash {
-            down_us: req(t, "down_us").and_then(as_u64)?,
-        },
-        "client_reconnect" => EventKind::ClientReconnect {
-            population: pop_name(t)?,
-        },
-        "conn_churn" => EventKind::ConnChurn {
-            population: pop_name(t)?,
-        },
-        other => {
-            return Err(fail(
-                Some(kind_e.span),
-                format!(
-                    "unknown event kind `{other}` (link_degrade | link_restore | server_pause | depart | straggle | server_crash | client_reconnect | conn_churn)"
-                ),
-            ))
-        }
-    };
-    Ok(Event { at_us, kind })
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::compile;
+    use crate::toml::Entry;
 
-// ---- canonical serializer ----------------------------------------------
+    /// Valid scenarios that between them reach every variant with a
+    /// bounded or timed row.
+    const BASES: &[&str] = &[
+        "[scenario]\nname = \"r\"\nrun_us = 500\n\n[workload]\nkind = \"raw\"\nverb = \"inbound_write\"\n\n[[population]]\nname = \"a\"\nclients = 4\n",
+        "[scenario]\nname = \"p\"\nrun_us = 500\n\n[workload]\nkind = \"rpc\"\ntransport = \"scalerpc\"\nwindow = 4\n\n[[population]]\nname = \"a\"\nclients = 4\nstart_us = 10\nthink = \"fixed\"\nthink_us = 1\n\n[[population]]\nname = \"b\"\nclients = 4\narrival = \"poisson\"\nrate_per_ms = 5.0\nthink_lo_us = 1\nthink_hi_us = 2\n\n[[event]]\nat_us = 100\nkind = \"link_degrade\"\nnum = 2\n\n[[event]]\nat_us = 200\nkind = \"server_pause\"\ndur_us = 5\n\n[[event]]\nat_us = 300\nkind = \"server_crash\"\ndown_us = 5\n",
+        "[scenario]\nname = \"t\"\nrun_us = 500\n\n[workload]\nkind = \"tx\"\nprofile = \"small_bank\"\n",
+    ];
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
+    /// Values just outside the row's time range and its bound.
+    fn outside(r: &Row<'_>) -> Vec<Value> {
+        let mut out = Vec::new();
+        match r.1 {
+            Us(_) => out.push(Int((MAX_TIME_NS / 1_000 + 1) as i64)),
+            Ns(_) => out.push(Int((MAX_TIME_NS + 1) as i64)),
+            _ => {}
+        }
+        let Bound(admits, _) = r.3;
+        if let Some(x) = [0.0, 1.5, f64::INFINITY].into_iter().find(|&x| !admits(x)) {
+            out.push(if matches!(r.1, F64(_)) {
+                Float(x)
+            } else {
+                Int(x as i64)
+            });
+        }
+        out
+    }
+
+    /// Keys with a time unit or a bound, over every variant of `T`.
+    fn checked_keys<T: Choice>(out: &mut Vec<&'static str>) {
+        for (_, mut v) in T::variants() {
+            walk(&mut Choice::rows(&mut v), &mut |r| {
+                if !outside(r).is_empty() {
+                    out.push(r.0);
+                }
+                Ok(())
+            })
+            .unwrap();
         }
     }
-    out.push('"');
-    out
-}
 
-impl Scenario {
-    /// Serializes back to canonical scenario TOML. `parse(to_toml(s))`
-    /// reproduces `s` exactly (the round-trip property).
-    pub fn to_toml(&self) -> String {
-        use std::fmt::Write as _;
-        let mut o = String::new();
-        let _ = writeln!(o, "[scenario]");
-        let _ = writeln!(o, "name = {}", esc(&self.name));
-        let _ = writeln!(o, "seed = {}", self.seed);
-        let _ = writeln!(o, "warmup_us = {}", self.warmup_us);
-        let _ = writeln!(o, "run_us = {}", self.run_us);
-        let _ = writeln!(o);
-        let _ = writeln!(o, "[workload]");
-        match &self.workload {
-            Workload::Raw(w) => {
-                let _ = writeln!(o, "kind = \"raw\"");
-                let verb = match w.verb {
-                    RawVerb::OutboundWrite => "outbound_write",
-                    RawVerb::InboundWrite => "inbound_write",
-                    RawVerb::UdSend => "ud_send",
-                };
-                let _ = writeln!(o, "verb = {}", esc(verb));
-                let _ = writeln!(o, "block_size = {}", w.block_size);
-                let _ = writeln!(o, "blocks_per_client = {}", w.blocks_per_client);
-                let _ = writeln!(o, "server_threads = {}", w.server_threads);
-                let _ = writeln!(o, "window = {}", w.window);
+    /// One bound, one message, both paths: a value just outside any
+    /// row's range is refused from text with the key's span, and from a
+    /// hand-built scenario through `compile` without one — with the
+    /// same words.
+    #[test]
+    fn every_bound_rejects_from_text_and_from_compile_alike() {
+        let mut want = Vec::new();
+        checked_keys::<Workload>(&mut want);
+        checked_keys::<StartModel>(&mut want);
+        checked_keys::<ThinkModel>(&mut want);
+        checked_keys::<SizeModel>(&mut want);
+        checked_keys::<EventKind>(&mut want);
+        let mut seen = Vec::new();
+        for base in BASES {
+            let doc = toml::parse(base).unwrap();
+            let sc = Scenario::from_doc(&doc).unwrap();
+            compile(&sc).expect("base compiles");
+            let mut cases = Vec::new();
+            for (name, i, mut rows) in sc.clone().tables() {
+                walk(&mut rows, &mut |r| {
+                    for v in outside(r) {
+                        cases.push((name, i.unwrap_or(0), r.0, v));
+                    }
+                    Ok(())
+                })
+                .unwrap();
             }
-            Workload::Rpc(w) => {
-                let _ = writeln!(o, "kind = \"rpc\"");
-                let tr = match w.transport {
-                    RpcTransport::ScaleRpc => "scalerpc",
-                    RpcTransport::RawWrite => "rawwrite",
-                    RpcTransport::Herd => "herd",
-                    RpcTransport::Fasst => "fasst",
-                    RpcTransport::SelfRpc => "selfrpc",
-                };
-                let _ = writeln!(o, "transport = {}", esc(tr));
-                let _ = writeln!(o, "machines = {}", w.machines);
-                let _ = writeln!(o, "threads_per_machine = {}", w.threads_per_machine);
-                let _ = writeln!(o, "server_threads = {}", w.server_threads);
-                let _ = writeln!(o, "batch = {}", w.batch);
-                let _ = writeln!(o, "window = {}", w.window);
-                let _ = writeln!(o, "group_size = {}", w.group_size);
-                let _ = writeln!(o, "time_slice_us = {}", w.time_slice_us);
-                let _ = writeln!(o, "slots = {}", w.slots);
-                let _ = writeln!(o, "block_size = {}", w.block_size);
-                let _ = writeln!(o, "dynamic = {}", w.dynamic);
-                let _ = writeln!(o, "regroup_rotations = {}", w.regroup_rotations);
-                let _ = writeln!(o, "tenant_isolate = {}", w.tenant_isolate);
-                let _ = writeln!(o, "lazy_connect = {}", w.lazy_connect);
-                let _ = writeln!(o, "retry_timeout_us = {}", w.retry_timeout_us);
-            }
-            Workload::Tx(w) => {
-                let _ = writeln!(o, "kind = \"tx\"");
-                let pr = match w.profile {
-                    TxProfileKind::ObjectStore => "object_store",
-                    TxProfileKind::SmallBank => "small_bank",
-                };
-                let _ = writeln!(o, "profile = {}", esc(pr));
-                let _ = writeln!(o, "coordinators = {}", w.coordinators);
-                let _ = writeln!(o, "servers = {}", w.servers);
-                let _ = writeln!(o, "client_machines = {}", w.client_machines);
-                let _ = writeln!(o, "window = {}", w.window);
-                let _ = writeln!(o, "one_sided = {}", w.one_sided);
-                let _ = writeln!(o, "value_size = {}", w.value_size);
-                let _ = writeln!(o, "keys_per_server = {}", w.keys_per_server);
-                let _ = writeln!(o, "reads = {}", w.reads);
-                let _ = writeln!(o, "writes = {}", w.writes);
-                let _ = writeln!(o, "hot_fraction = {:?}", w.hot_fraction);
-                let _ = writeln!(o, "hot_prob = {:?}", w.hot_prob);
+            for (name, i, key, bad) in cases {
+                let mut d = doc.clone();
+                let t = d
+                    .tables
+                    .iter_mut()
+                    .filter(|t| t.name == name)
+                    .nth(i)
+                    .unwrap();
+                match t.entries.iter_mut().find(|e| e.key == key) {
+                    Some(e) => e.value = bad.clone(),
+                    None => t.entries.push(Entry {
+                        key: key.to_string(),
+                        value: bad.clone(),
+                        span: Span { line: 99, col: 1 },
+                    }),
+                }
+                let at = t.get(key).map(|e| e.span);
+                let from_text = Scenario::from_doc(&d).unwrap_err();
+
+                let mut hand = sc.clone();
+                for (n, j, mut rows) in hand.tables() {
+                    if (n, j.unwrap_or(0)) == (name, i) {
+                        walk(&mut rows, &mut |r| {
+                            if r.0 == key {
+                                r.set(&bad).unwrap();
+                            }
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                }
+                let from_compile = compile(&hand).unwrap_err();
+                assert_eq!(from_text.span, at, "`{key}` = {bad:?}: {from_text}");
+                assert_eq!(from_compile.span, None, "`{key}` = {bad:?}");
+                assert_eq!(from_text.msg, from_compile.msg, "`{key}` = {bad:?}");
+                assert!(
+                    from_text.msg.starts_with(&format!("`{key}`")),
+                    "{from_text}"
+                );
+                seen.push(key);
             }
         }
-        for p in &self.populations {
-            let _ = writeln!(o);
-            let _ = writeln!(o, "[[population]]");
-            let _ = writeln!(o, "name = {}", esc(&p.name));
-            let _ = writeln!(o, "clients = {}", p.clients);
-            let _ = writeln!(o, "tenant = {}", p.tenant);
-            match p.start {
-                StartModel::Immediate => {
-                    let _ = writeln!(o, "arrival = \"immediate\"");
-                }
-                StartModel::At { at_us } => {
-                    let _ = writeln!(o, "arrival = \"at\"");
-                    let _ = writeln!(o, "start_us = {at_us}");
-                }
-                StartModel::Poisson {
-                    rate_per_ms,
-                    from_us,
-                } => {
-                    let _ = writeln!(o, "arrival = \"poisson\"");
-                    let _ = writeln!(o, "rate_per_ms = {rate_per_ms:?}");
-                    let _ = writeln!(o, "from_us = {from_us}");
-                }
-            }
-            match p.think {
-                ThinkModel::None => {
-                    let _ = writeln!(o, "think = \"none\"");
-                }
-                ThinkModel::FixedUs(us) => {
-                    let _ = writeln!(o, "think = \"fixed\"");
-                    let _ = writeln!(o, "think_us = {us}");
-                }
-                ThinkModel::UniformUs(lo, hi) => {
-                    let _ = writeln!(o, "think = \"uniform\"");
-                    let _ = writeln!(o, "think_lo_us = {lo}");
-                    let _ = writeln!(o, "think_hi_us = {hi}");
-                }
-            }
-            match p.size {
-                SizeModel::Fixed(s) => {
-                    let _ = writeln!(o, "size = {s}");
-                }
-                SizeModel::Zipf { min, max, theta } => {
-                    let _ = writeln!(o, "size_min = {min}");
-                    let _ = writeln!(o, "size_max = {max}");
-                    let _ = writeln!(o, "size_theta = {theta:?}");
-                }
-            }
+        for key in want {
+            assert!(seen.contains(&key), "`{key}` has a bound no base reaches");
         }
-        for e in &self.events {
-            let _ = writeln!(o);
-            let _ = writeln!(o, "[[event]]");
-            let _ = writeln!(o, "at_us = {}", e.at_us);
-            match &e.kind {
-                EventKind::LinkDegrade { num, den, extra_ns } => {
-                    let _ = writeln!(o, "kind = \"link_degrade\"");
-                    let _ = writeln!(o, "num = {num}");
-                    let _ = writeln!(o, "den = {den}");
-                    let _ = writeln!(o, "extra_ns = {extra_ns}");
-                }
-                EventKind::LinkRestore => {
-                    let _ = writeln!(o, "kind = \"link_restore\"");
-                }
-                EventKind::ServerPause { dur_us } => {
-                    let _ = writeln!(o, "kind = \"server_pause\"");
-                    let _ = writeln!(o, "dur_us = {dur_us}");
-                }
-                EventKind::Depart { population } => {
-                    let _ = writeln!(o, "kind = \"depart\"");
-                    let _ = writeln!(o, "population = {}", esc(population));
-                }
-                EventKind::Straggle {
-                    population,
-                    num,
-                    den,
-                } => {
-                    let _ = writeln!(o, "kind = \"straggle\"");
-                    let _ = writeln!(o, "population = {}", esc(population));
-                    let _ = writeln!(o, "num = {num}");
-                    let _ = writeln!(o, "den = {den}");
-                }
-                EventKind::ServerCrash { down_us } => {
-                    let _ = writeln!(o, "kind = \"server_crash\"");
-                    let _ = writeln!(o, "down_us = {down_us}");
-                }
-                EventKind::ClientReconnect { population } => {
-                    let _ = writeln!(o, "kind = \"client_reconnect\"");
-                    let _ = writeln!(o, "population = {}", esc(population));
-                }
-                EventKind::ConnChurn { population } => {
-                    let _ = writeln!(o, "kind = \"conn_churn\"");
-                    let _ = writeln!(o, "population = {}", esc(population));
-                }
-            }
+    }
+
+    #[test]
+    fn u32_keys_refuse_to_wrap() {
+        let base = BASES[1];
+        for (from, to) in [
+            (
+                "window = 4\n",
+                "window = 4\nregroup_rotations = 4294967300\n",
+            ),
+            ("num = 2\n", "num = 2\nden = 4294967296\n"),
+        ] {
+            let e = Scenario::parse(&base.replace(from, to)).unwrap_err();
+            assert!(e.msg.ends_with("does not fit in 32 bits"), "{e}");
         }
-        if let Some(x) = self.expect {
-            let _ = writeln!(o);
-            let _ = writeln!(o, "[expect]");
-            if let Some(ev) = x.events {
-                let _ = writeln!(o, "events = {ev}");
-            }
-            if let Some(ops) = x.ops {
-                let _ = writeln!(o, "ops = {ops}");
-            }
-        }
-        o
+    }
+
+    #[test]
+    fn absent_tags_follow_the_keys_present() {
+        let sc = Scenario::parse(BASES[1]).unwrap();
+        // `start_us` without `arrival` means `at`; likewise `think`.
+        assert_eq!(sc.populations[0].start, StartModel::At { at_us: 10 });
+        assert_eq!(sc.populations[1].think, ThinkModel::UniformUs(1, 2));
+        let both = BASES[1].replace("think_us = 1\n", "think_us = 1\nsize = 64\nsize_min = 32\n");
+        let e = Scenario::parse(&both).unwrap_err();
+        assert_eq!(e.msg, "give either `size` or `size_min`");
     }
 }

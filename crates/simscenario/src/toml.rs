@@ -10,13 +10,12 @@
 //!   names, `[A-Za-z0-9_-]+`);
 //! - `key = value` entries inside a table (bare keys);
 //! - values: basic `"strings"` (escapes `\\ \" \n \t`), integers
-//!   (optional sign, `_` separators), floats, booleans, and single-line
-//!   arrays of those scalars.
+//!   (optional sign, `_` separators), floats and booleans.
 //!
 //! Not accepted (a typed [`ParseError`] with an exact line:column span,
-//! never a panic): dotted keys, inline tables, nested arrays, multiline
-//! strings, dates, keys outside any table, duplicate keys, redefined
-//! tables.
+//! never a panic): arrays (no scenario key takes one), dotted keys,
+//! inline tables, multiline strings, dates, keys outside any table,
+//! duplicate keys, redefined tables.
 
 use std::fmt;
 
@@ -29,7 +28,7 @@ pub struct Span {
     pub col: usize,
 }
 
-/// A parsed scalar or array value.
+/// A parsed scalar value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// A basic string.
@@ -40,8 +39,6 @@ pub enum Value {
     Float(f64),
     /// A boolean.
     Bool(bool),
-    /// A single-line array of scalars.
-    Arr(Vec<Value>),
 }
 
 impl Value {
@@ -52,7 +49,6 @@ impl Value {
             Value::Int(_) => "integer",
             Value::Float(_) => "float",
             Value::Bool(_) => "boolean",
-            Value::Arr(_) => "array",
         }
     }
 }
@@ -136,20 +132,18 @@ fn is_key_char(c: char) -> bool {
 }
 
 /// A cursor over one line's characters, tracking the column.
-struct Line<'a> {
+struct Line {
     chars: Vec<char>,
     pos: usize,
     line: usize,
-    _text: &'a str,
 }
 
-impl<'a> Line<'a> {
-    fn new(text: &'a str, line: usize) -> Self {
+impl Line {
+    fn new(text: &str, line: usize) -> Self {
         Line {
             chars: text.chars().collect(),
             pos: 0,
             line,
-            _text: text,
         }
     }
 
@@ -251,16 +245,12 @@ impl<'a> Line<'a> {
         }
     }
 
-    fn parse_scalar(&mut self) -> Result<Value, ParseError> {
+    fn parse_value(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
             None | Some('#') => Err(err(self.line, self.col(), "missing value")),
             Some('"') => self.parse_string(),
-            Some('[') => Err(err(
-                self.line,
-                self.col(),
-                "nested arrays are not supported",
-            )),
+            Some('[') => Err(err(self.line, self.col(), "arrays are not supported")),
             Some(c) if c.is_ascii_digit() || c == '+' || c == '-' => self.parse_number(),
             Some(_) => {
                 let col = self.col();
@@ -274,42 +264,6 @@ impl<'a> Line<'a> {
                     )),
                     None => Err(err(self.line, col, "unrecognized value")),
                 }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        if self.peek() != Some('[') {
-            return self.parse_scalar();
-        }
-        let open_col = self.col();
-        self.bump(); // consume `[`
-        let mut items = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                None | Some('#') => {
-                    return Err(err(
-                        self.line,
-                        open_col,
-                        "unterminated array (arrays are single-line)",
-                    ))
-                }
-                Some(']') => {
-                    self.bump();
-                    return Ok(Value::Arr(items));
-                }
-                _ => {}
-            }
-            items.push(self.parse_scalar()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(',') => {
-                    self.bump();
-                }
-                Some(']') => {}
-                _ => return Err(err(self.line, self.col(), "expected `,` or `]` in array")),
             }
         }
     }
@@ -358,7 +312,7 @@ pub fn parse(text: &str) -> Result<Doc, ParseError> {
     Ok(doc)
 }
 
-fn parse_header(ln: &mut Line<'_>, doc: &mut Doc) -> Result<(), ParseError> {
+fn parse_header(ln: &mut Line, doc: &mut Doc) -> Result<(), ParseError> {
     let start_col = ln.col();
     ln.bump(); // `[`
     let array = ln.peek() == Some('[');
@@ -410,19 +364,17 @@ mod tests {
 
     #[test]
     fn parses_tables_and_scalars() {
-        let doc = parse(
-            "# comment\n[scenario]\nname = \"demo\"\nseed = 42\nrate = 1.5\nflag = true\nlist = [1, 2, 3]\n",
-        )
-        .unwrap();
+        let doc =
+            parse("# comment\n[scenario]\nname = \"demo\"\nseed = 42\nrate = 1.5\nflag = true\n")
+                .unwrap();
         let t = doc.table("scenario").unwrap();
         assert_eq!(t.get("name").unwrap().value, Value::Str("demo".into()));
         assert_eq!(t.get("seed").unwrap().value, Value::Int(42));
         assert_eq!(t.get("rate").unwrap().value, Value::Float(1.5));
         assert_eq!(t.get("flag").unwrap().value, Value::Bool(true));
-        assert_eq!(
-            t.get("list").unwrap().value,
-            Value::Arr(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
-        );
+        // No key takes an array, so the subset has none.
+        let e = parse("[scenario]\nlist = [1, 2, 3]\n").unwrap_err();
+        assert_eq!(e.to_string(), "line 2:8: arrays are not supported");
     }
 
     #[test]

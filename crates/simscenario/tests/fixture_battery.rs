@@ -52,6 +52,20 @@ fn valid_fixtures_parse_and_compile() {
     }
 }
 
+/// `to_toml` of the valid fixtures, byte for byte as first captured
+/// (never re-blessed): emit order and spelling are part of the format.
+#[test]
+fn valid_fixtures_emit_their_golden() {
+    let mut got = String::new();
+    for (name, body) in fixtures() {
+        if name.starts_with("valid_") {
+            let sc = Scenario::parse(&body).unwrap();
+            got += &format!("=== {name}\n{}\n", sc.to_toml());
+        }
+    }
+    assert_eq!(got, include_str!("emit_golden.txt"));
+}
+
 #[test]
 fn invalid_fixtures_fail_with_pinned_diagnostics() {
     for (name, body) in fixtures() {
