@@ -96,6 +96,13 @@ cargo run -q --release -p simscenario --features trace --bin scenario -- \
 cargo run -q --release -p simscenario --features trace --bin scenario -- \
     fuzz --seeds 24 --start 64
 
+echo "== every figure (release) =="
+# No test calls a `figures` function, so this is what runs them: a
+# figure that panics (a sweep whose table reads a cell its grid lacks,
+# a runner that rejects its point) fails here. Tables go to /dev/null;
+# the CSVs land under target/figures/.
+./target/release/all_figures > /dev/null
+
 echo "== trace export smoke =="
 # fig_timeline validates its own trace (all seven pipeline stages,
 # scheduler instants, and >=2 counter series) and exits non-zero on any

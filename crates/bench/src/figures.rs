@@ -2,22 +2,19 @@
 //!
 //! Each function prints the same rows/series the paper reports and saves
 //! a CSV under `target/figures/`. Absolute values are simulated; see
-//! `EXPERIMENTS.md` for the paper-vs-measured shape record.
+//! `EXPERIMENTS.md` for the paper-vs-measured shape record. A sweep is a
+//! [`grid`] of points, so each table reads its rows straight from it.
 
-use crate::rawverbs::{run_raw_verbs, RawVerbConfig, RawVerbKind};
+use crate::rawverbs::{run_raw_verbs, RawVerbConfig, RawVerbKind, RawVerbResult};
 use crate::report::{mops, us, Table};
-use crate::rpcbench::{run_rpc, RpcRunConfig, TransportKind};
-use crate::runner::{full_sweeps, parallel_map};
-use octofs::{run_mdtest, FsOp, MdsTransport, MdtestRun};
-use rdma_fabric::{Fabric, FabricParams};
-use rpc_baselines::{Fasst, Herd, RawWrite, UdChunk};
-use rpc_core::cluster::Cluster;
-use rpc_core::transport::{OneSidedAccess, RpcTransport};
+use crate::rpcbench::{run_mdtest, run_rpc, run_tx, MdtestRun, RpcRunConfig, TransportKind};
+use crate::runner::{full_sweeps, grid, parallel_map};
+use octofs::FsOp;
+use rpc_baselines::UdChunk;
 use rpc_core::workload::ThinkTime;
 use scalerpc::ScaleRpcConfig;
-use scaletx::sim::run_scalerpc_tx;
 use scaletx::workload::TxWorkload;
-use scaletx::{TxConfig, TxMetrics, TxParticipant, TxSim};
+use scaletx::{TxConfig, TxMetrics};
 use simcore::{DetRng, SimDuration};
 
 fn client_counts() -> Vec<usize> {
@@ -45,52 +42,59 @@ pub fn table1() {
             mtu.to_string(),
         ]);
     }
-    t.print();
-    t.save_csv("table1");
+    t.emit("table1");
 }
 
 fn tick(b: bool) -> String {
     if b { "yes" } else { "no" }.to_string()
 }
 
+/// A table row: `label`, then `cells`.
+fn row_of(label: impl ToString, cells: impl IntoIterator<Item = String>) -> Vec<String> {
+    std::iter::once(label.to_string()).chain(cells).collect()
+}
+
 /// Fig. 1(a): Octopus metadata throughput over self-identified RPC as
 /// clients grow — the motivating collapse.
 pub fn fig01a() {
     let clients = [40usize, 80, 120];
-    let ops = FsOp::all();
-    let results = parallel_map(
-        clients
-            .iter()
-            .flat_map(|&c| ops.iter().map(move |&op| (c, op)))
-            .collect(),
-        |(c, op)| {
-            let r = run_mdtest(&MdtestRun {
-                clients: c,
-                op,
-                transport: MdsTransport::SelfRpc,
-                ..Default::default()
-            });
-            (c, op, r.ops_per_sec / 1e3)
-        },
-    );
+    let kops = grid(&clients, &FsOp::all(), |&clients, &op| {
+        let r = run_mdtest(&MdtestRun {
+            clients,
+            op,
+            transport: TransportKind::SelfRpc,
+            ..Default::default()
+        });
+        r.ops_per_sec / 1e3
+    });
     let mut t = Table::new(
         "Fig 1(a): Octopus metadata throughput (selfRPC), Kops/s",
         &["clients", "Mknod", "Rmnod", "Stat", "ReadDir"],
     );
-    for &c in &clients {
-        let mut row = vec![c.to_string()];
-        for op in ops {
-            let v = results
-                .iter()
-                .find(|(rc, rop, _)| *rc == c && *rop == op)
-                .map(|(_, _, v)| *v)
-                .unwrap_or(0.0);
-            row.push(format!("{v:.0}"));
-        }
-        t.row(row);
+    for (c, row) in clients.iter().zip(kops) {
+        t.row(row_of(c, row.iter().map(|v| format!("{v:.0}"))));
     }
-    t.print();
-    t.save_csv("fig01a");
+    t.emit("fig01a");
+}
+
+/// Every raw verb `kind` at each client count, moving 32-byte messages
+/// (the client sweeps of Fig. 1(b) and 3(a)).
+fn raw_client_sweep(clients: &[usize], kinds: &[RawVerbKind]) -> Vec<Vec<RawVerbResult>> {
+    grid(clients, kinds, |&clients, &kind| {
+        run_raw_verbs(RawVerbConfig {
+            kind,
+            clients,
+            // The client-count sweeps move 32-byte messages, so the
+            // pool uses message-sized (line-granular) blocks — the
+            // consuming CPU reads exactly what the NIC delivered.
+            // The 4 KB default belongs to the Fig. 3(b) block-size
+            // sweep; reading a 4 KB block per 32 B message inflated
+            // the consumer's working set 64× and sagged the inbound
+            // curve past 200 clients (EXPERIMENTS.md, Fig. 1(b)).
+            block_size: 64,
+            ..Default::default()
+        })
+    })
 }
 
 /// Fig. 1(b): raw verb throughput vs. number of clients.
@@ -105,49 +109,15 @@ pub fn fig01b() {
         RawVerbKind::InboundWrite,
         RawVerbKind::UdSend,
     ];
-    let results = parallel_map(
-        clients
-            .iter()
-            .flat_map(|&c| kinds.iter().map(move |&k| (c, k)))
-            .collect(),
-        |(c, k)| {
-            let r = run_raw_verbs(RawVerbConfig {
-                kind: k,
-                clients: c,
-                // The client-count sweeps move 32-byte messages, so the
-                // pool uses message-sized (line-granular) blocks — the
-                // consuming CPU reads exactly what the NIC delivered.
-                // The 4 KB default belongs to the Fig. 3(b) block-size
-                // sweep; reading a 4 KB block per 32 B message inflated
-                // the consumer's working set 64× and sagged the inbound
-                // curve past 200 clients (EXPERIMENTS.md, Fig. 1(b)).
-                block_size: 64,
-                ..Default::default()
-            });
-            (c, k, r.mops)
-        },
-    );
+    let results = raw_client_sweep(&clients, &kinds);
     let mut t = Table::new(
         "Fig 1(b): raw RDMA verb throughput, Mops/s",
         &["clients", "outbound write", "inbound write", "UD send"],
     );
-    for &c in &clients {
-        let get = |k: RawVerbKind| {
-            results
-                .iter()
-                .find(|(rc, rk, _)| *rc == c && *rk == k)
-                .map(|(_, _, v)| *v)
-                .unwrap_or(0.0)
-        };
-        t.row(vec![
-            c.to_string(),
-            mops(get(RawVerbKind::OutboundWrite)),
-            mops(get(RawVerbKind::InboundWrite)),
-            mops(get(RawVerbKind::UdSend)),
-        ]);
+    for (c, row) in clients.iter().zip(results) {
+        t.row(row_of(c, row.iter().map(|r| mops(r.mops))));
     }
-    t.print();
-    t.save_csv("fig01b");
+    t.emit("fig01b");
 }
 
 /// Fig. 3(a): in/outbound RC write throughput and the PCIe read rate.
@@ -157,28 +127,8 @@ pub fn fig03a() {
     } else {
         vec![10, 40, 150, 400]
     };
-    let results = parallel_map(
-        clients
-            .iter()
-            .flat_map(|&c| {
-                [RawVerbKind::OutboundWrite, RawVerbKind::InboundWrite]
-                    .into_iter()
-                    .map(move |k| (c, k))
-            })
-            .collect(),
-        |(c, k)| {
-            let r = run_raw_verbs(RawVerbConfig {
-                kind: k,
-                clients: c,
-                // Message-sized pool blocks, as in fig01b: this is the
-                // same 32-byte-message client sweep, not the Fig. 3(b)
-                // block-size sweep.
-                block_size: 64,
-                ..Default::default()
-            });
-            (c, k, r)
-        },
-    );
+    let kinds = [RawVerbKind::OutboundWrite, RawVerbKind::InboundWrite];
+    let results = raw_client_sweep(&clients, &kinds);
     let mut t = Table::new(
         "Fig 3(a): RC write throughput vs PCIe read rate, Mops/s",
         &[
@@ -189,26 +139,11 @@ pub fn fig03a() {
             "inbound PCIeRdCur",
         ],
     );
-    for &c in &clients {
-        let get = |k: RawVerbKind| {
-            results
-                .iter()
-                .find(|(rc, rk, _)| *rc == c && *rk == k)
-                .map(|(_, _, r)| *r)
-                .unwrap()
-        };
-        let o = get(RawVerbKind::OutboundWrite);
-        let i = get(RawVerbKind::InboundWrite);
-        t.row(vec![
-            c.to_string(),
-            mops(o.mops),
-            mops(o.pcie_rd_mops),
-            mops(i.mops),
-            mops(i.pcie_rd_mops),
-        ]);
+    for (c, row) in clients.iter().zip(results) {
+        let cells = row.iter().flat_map(|r| [r.mops, r.pcie_rd_mops]);
+        t.row(row_of(c, cells.map(mops)));
     }
-    t.print();
-    t.save_csv("fig03a");
+    t.emit("fig03a");
 }
 
 /// Fig. 3(b): inbound RC write throughput and L3 miss rate vs message
@@ -219,20 +154,19 @@ pub fn fig03b() {
     } else {
         vec![128, 512, 2048, 8192]
     };
-    let results = parallel_map(blocks.clone(), |b| {
-        let r = run_raw_verbs(RawVerbConfig {
+    let results = parallel_map(blocks.clone(), |block_size| {
+        run_raw_verbs(RawVerbConfig {
             kind: RawVerbKind::InboundWrite,
             clients: 400,
-            block_size: b,
+            block_size,
             ..Default::default()
-        });
-        (b, r)
+        })
     });
     let mut t = Table::new(
         "Fig 3(b): inbound RC write vs block size (400 clients x 20 blocks)",
         &["block", "Mops/s", "L3 miss rate", "PCIeItoM Mops/s"],
     );
-    for (b, r) in results {
+    for (b, r) in blocks.iter().zip(results) {
         t.row(vec![
             format!("{b}B"),
             mops(r.mops),
@@ -240,183 +174,112 @@ pub fn fig03b() {
             mops(r.pcie_itom_mops),
         ]);
     }
-    t.print();
-    t.save_csv("fig03b");
+    t.emit("fig03b");
+}
+
+/// One Fig. 8 table: the four transports' throughput at each `x`, the
+/// point at `x` being `point(x)`.
+fn fig08_table(
+    title: &str,
+    csv: &str,
+    x_name: &str,
+    xs: &[usize],
+    point: impl Fn(usize) -> RpcRunConfig + Sync,
+) {
+    let kinds = TransportKind::FIG8;
+    let results = grid(xs, &kinds, |&x, &kind| {
+        run_rpc(RpcRunConfig { kind, ..point(x) }).mops
+    });
+    let mut header = vec![x_name];
+    header.extend(kinds.map(TransportKind::name));
+    let mut t = Table::new(title, &header);
+    for (x, row) in xs.iter().zip(results) {
+        t.row(row_of(x, row.into_iter().map(mops)));
+    }
+    t.emit(csv);
 }
 
 /// Fig. 8 (left): throughput vs clients for all transports, batch 1/8.
 pub fn fig08_clients() {
     for batch in [1usize, 8] {
-        let kinds = TransportKind::fig8_set();
-        let points: Vec<(usize, TransportKind)> = client_counts()
-            .into_iter()
-            .flat_map(|c| kinds.iter().cloned().map(move |k| (c, k)))
-            .collect();
-        let results = parallel_map(points, |(c, k)| {
-            let name = k.name();
-            let r = run_rpc(RpcRunConfig {
-                kind: k,
-                clients: c,
+        fig08_table(
+            &format!("Fig 8 (left, batch {batch}): throughput vs clients, Mops/s"),
+            &format!("fig08_clients_batch{batch}"),
+            "clients",
+            &client_counts(),
+            |clients| RpcRunConfig {
+                clients,
                 batch,
                 ..Default::default()
-            });
-            (c, name, r.mops)
-        });
-        let mut t = Table::new(
-            &format!("Fig 8 (left, batch {batch}): throughput vs clients, Mops/s"),
-            &["clients", "ScaleRPC", "RawWrite", "HERD", "FaSST"],
+            },
         );
-        for c in client_counts() {
-            let get = |n: &str| {
-                results
-                    .iter()
-                    .find(|(rc, rn, _)| *rc == c && *rn == n)
-                    .map(|(_, _, v)| *v)
-                    .unwrap_or(0.0)
-            };
-            t.row(vec![
-                c.to_string(),
-                mops(get("ScaleRPC")),
-                mops(get("RawWrite")),
-                mops(get("HERD")),
-                mops(get("FaSST")),
-            ]);
-        }
-        t.print();
-        t.save_csv(&format!("fig08_clients_batch{batch}"));
     }
 }
 
 /// Fig. 8 (right): throughput vs number of physical client machines with
 /// 40 client threads total.
+///
+/// After the synchronous batch 1/8 tables come asynchronous clients
+/// sweeping the outstanding-request window. This is the configuration
+/// the paper's own client loops run in — W requests pipelined per client
+/// instead of synchronous batches. Windowed ScaleRPC clients recover
+/// batch-8-level throughput from single-request posts (the window hides
+/// the group-rotation wait); all transports receive the same window for
+/// fairness.
 pub fn fig08_machines() {
-    for batch in [1usize, 8] {
-        let kinds = TransportKind::fig8_set();
-        let points: Vec<(usize, TransportKind)> = (1..=5usize)
-            .flat_map(|m| kinds.iter().cloned().map(move |k| (m, k)))
-            .collect();
-        let results = parallel_map(points, |(m, k)| {
-            let name = k.name();
-            let r = run_rpc(RpcRunConfig {
-                kind: k,
+    for (batch, window) in [(1usize, 1usize), (8, 1), (1, 2), (1, 4), (1, 8)] {
+        let (mode, csv) = if window == 1 {
+            (format!("batch {batch}"), format!("batch{batch}"))
+        } else {
+            (format!("async window {window}"), format!("window{window}"))
+        };
+        fig08_table(
+            &format!("Fig 8 (right, {mode}): 40 client threads over N machines, Mops/s"),
+            &format!("fig08_machines_{csv}"),
+            "machines",
+            &[1, 2, 3, 4, 5],
+            |machines| RpcRunConfig {
                 clients: 40,
-                machines: m,
-                threads_per_machine: 40usize.div_ceil(m),
+                machines,
+                threads_per_machine: 40usize.div_ceil(machines),
                 batch,
-                ..Default::default()
-            });
-            (m, name, r.mops)
-        });
-        let mut t = Table::new(
-            &format!("Fig 8 (right, batch {batch}): 40 client threads over N machines, Mops/s"),
-            &["machines", "ScaleRPC", "RawWrite", "HERD", "FaSST"],
-        );
-        for m in 1..=5usize {
-            let get = |n: &str| {
-                results
-                    .iter()
-                    .find(|(rm, rn, _)| *rm == m && *rn == n)
-                    .map(|(_, _, v)| *v)
-                    .unwrap_or(0.0)
-            };
-            t.row(vec![
-                m.to_string(),
-                mops(get("ScaleRPC")),
-                mops(get("RawWrite")),
-                mops(get("HERD")),
-                mops(get("FaSST")),
-            ]);
-        }
-        t.print();
-        t.save_csv(&format!("fig08_machines_batch{batch}"));
-    }
-    // Asynchronous clients: sweep the outstanding-request window. This
-    // is the configuration the paper's own client loops run in — W
-    // requests pipelined per client instead of synchronous batches.
-    // Windowed ScaleRPC clients recover batch-8-level throughput from
-    // single-request posts (the window hides the group-rotation wait);
-    // all transports receive the same window for fairness.
-    for window in [2usize, 4, 8] {
-        let kinds = TransportKind::fig8_set();
-        let points: Vec<(usize, TransportKind)> = (1..=5usize)
-            .flat_map(|m| kinds.iter().cloned().map(move |k| (m, k)))
-            .collect();
-        let results = parallel_map(points, |(m, k)| {
-            let name = k.name();
-            let r = run_rpc(RpcRunConfig {
-                kind: k,
-                clients: 40,
-                machines: m,
-                threads_per_machine: 40usize.div_ceil(m),
-                batch: 1,
                 window,
                 ..Default::default()
-            });
-            (m, name, r.mops)
-        });
-        let mut t = Table::new(
-            &format!(
-                "Fig 8 (right, async window {window}): 40 client threads over N machines, Mops/s"
-            ),
-            &["machines", "ScaleRPC", "RawWrite", "HERD", "FaSST"],
+            },
         );
-        for m in 1..=5usize {
-            let get = |n: &str| {
-                results
-                    .iter()
-                    .find(|(rm, rn, _)| *rm == m && *rn == n)
-                    .map(|(_, _, v)| *v)
-                    .unwrap_or(0.0)
-            };
-            t.row(vec![
-                m.to_string(),
-                mops(get("ScaleRPC")),
-                mops(get("RawWrite")),
-                mops(get("HERD")),
-                mops(get("FaSST")),
-            ]);
-        }
-        t.print();
-        t.save_csv(&format!("fig08_machines_window{window}"));
     }
 }
 
 /// Fig. 9: latency distribution at 120 clients (batch 1 and 8).
 pub fn fig09() {
     for batch in [1usize, 8] {
-        let kinds = TransportKind::fig8_set();
-        let results = parallel_map(kinds, |k| {
-            let name = k.name();
-            let r = run_rpc(RpcRunConfig {
-                kind: k,
+        let kinds = TransportKind::FIG8;
+        let results = parallel_map(kinds.to_vec(), |kind| {
+            run_rpc(RpcRunConfig {
+                kind,
                 clients: 120,
                 batch,
                 ..Default::default()
-            });
-            (name, r)
+            })
         });
         let mut t = Table::new(
             &format!("Fig 9 (batch {batch}, 120 clients): latency and throughput"),
             &["RPC", "median us", "avg us", "p99 us", "max us", "Mops/s"],
         );
-        for (name, r) in &results {
-            t.row(vec![
-                name.to_string(),
-                us(r.median_us),
-                us(r.mean_us),
-                us(r.p99_us),
-                us(r.max_us),
-                mops(r.mops),
-            ]);
+        for (kind, r) in kinds.iter().zip(&results) {
+            let latencies = [r.median_us, r.mean_us, r.p99_us, r.max_us].map(us);
+            t.row(row_of(
+                kind.name(),
+                latencies.into_iter().chain([mops(r.mops)]),
+            ));
         }
-        t.print();
-        t.save_csv(&format!("fig09_batch{batch}"));
+        t.emit(&format!("fig09_batch{batch}"));
         // CDF curves (a few representative points per transport).
         let mut cdf_t = Table::new(
             &format!("Fig 9 CDF (batch {batch}): latency us at fraction"),
             &["RPC", "p10", "p50", "p90", "p99", "p999"],
         );
-        for (name, r) in &results {
+        for (kind, r) in kinds.iter().zip(&results) {
             let q = |frac: f64| {
                 r.cdf
                     .iter()
@@ -424,17 +287,10 @@ pub fn fig09() {
                     .map(|p| p.value as f64 / 1e3)
                     .unwrap_or(0.0)
             };
-            cdf_t.row(vec![
-                name.to_string(),
-                us(q(0.10)),
-                us(q(0.50)),
-                us(q(0.90)),
-                us(q(0.99)),
-                us(q(0.999)),
-            ]);
+            let fracs = [0.10, 0.50, 0.90, 0.99, 0.999];
+            cdf_t.row(row_of(kind.name(), fracs.map(|f| us(q(f)))));
         }
-        cdf_t.print();
-        cdf_t.save_csv(&format!("fig09_cdf_batch{batch}"));
+        cdf_t.emit(&format!("fig09_cdf_batch{batch}"));
     }
 }
 
@@ -445,23 +301,14 @@ pub fn fig10() {
     } else {
         vec![40, 120, 240, 400]
     };
-    let points: Vec<(usize, bool)> = clients
-        .iter()
-        .flat_map(|&c| [(c, false), (c, true)])
-        .collect();
-    let results = parallel_map(points, |(c, scale)| {
-        let kind = if scale {
-            TransportKind::ScaleRpc(ScaleRpcConfig::default())
-        } else {
-            TransportKind::RawWrite
-        };
-        let r = run_rpc(RpcRunConfig {
+    let kinds = [TransportKind::RawWrite, TransportKind::ScaleRpc];
+    let results = grid(&clients, &kinds, |&clients, &kind| {
+        run_rpc(RpcRunConfig {
             kind,
-            clients: c,
+            clients,
             batch: 1,
             ..Default::default()
-        });
-        (c, scale, r)
+        })
     });
     let mut t = Table::new(
         "Fig 10: throughput and PCIe counters, RawWrite vs ScaleRPC (Mops/s)",
@@ -475,28 +322,13 @@ pub fn fig10() {
             "Scale PCIeItoM",
         ],
     );
-    for &c in &clients {
-        let get = |scale: bool| {
-            results
-                .iter()
-                .find(|(rc, rs, _)| *rc == c && *rs == scale)
-                .map(|(_, _, r)| r.clone())
-                .unwrap()
-        };
-        let raw = get(false);
-        let sc = get(true);
-        t.row(vec![
-            c.to_string(),
-            mops(raw.mops),
-            mops(raw.pcie_rd_mops),
-            mops(raw.pcie_itom_mops),
-            mops(sc.mops),
-            mops(sc.pcie_rd_mops),
-            mops(sc.pcie_itom_mops),
-        ]);
+    for (c, row) in clients.iter().zip(results) {
+        let cells = row
+            .iter()
+            .flat_map(|r| [r.mops, r.pcie_rd_mops, r.pcie_itom_mops]);
+        t.row(row_of(c, cells.map(mops)));
     }
-    t.print();
-    t.save_csv("fig10");
+    t.emit("fig10");
 }
 
 /// Fig. 11(a): sensitivity to the time-slice length (80 clients, group
@@ -508,26 +340,24 @@ pub fn fig11a() {
         vec![30, 60, 100, 180, 250]
     };
     let results = parallel_map(slices.clone(), |slice_us| {
-        let r = run_rpc(RpcRunConfig {
-            kind: TransportKind::ScaleRpc(ScaleRpcConfig {
+        run_rpc(RpcRunConfig {
+            scale: ScaleRpcConfig {
                 time_slice: SimDuration::micros(slice_us),
                 ..Default::default()
-            }),
+            },
             clients: 80,
             batch: 1,
             ..Default::default()
-        });
-        (slice_us, r)
+        })
     });
     let mut t = Table::new(
         "Fig 11(a): time-slice sensitivity (80 clients, group 40)",
         &["slice us", "Mops/s", "max latency us"],
     );
-    for (s, r) in results {
+    for (s, r) in slices.iter().zip(results) {
         t.row(vec![s.to_string(), mops(r.mops), us(r.max_us)]);
     }
-    t.print();
-    t.save_csv("fig11a");
+    t.emit("fig11a");
 }
 
 /// Fig. 11(b): sensitivity to the group size (two groups of clients).
@@ -538,66 +368,52 @@ pub fn fig11b() {
         vec![10, 20, 40, 55, 70]
     };
     let results = parallel_map(groups.clone(), |g| {
-        let r = run_rpc(RpcRunConfig {
-            kind: TransportKind::ScaleRpc(ScaleRpcConfig {
+        run_rpc(RpcRunConfig {
+            scale: ScaleRpcConfig {
                 group_size: g,
                 ..Default::default()
-            }),
+            },
             clients: 2 * g, // two groups, as in the paper
             batch: 8,
             ..Default::default()
-        });
-        (g, r)
+        })
     });
     let mut t = Table::new(
         "Fig 11(b): group-size sensitivity (two groups)",
         &["group", "Mops/s"],
     );
-    for (g, r) in results {
+    for (g, r) in groups.iter().zip(results) {
         t.row(vec![g.to_string(), mops(r.mops)]);
     }
-    t.print();
-    t.save_csv("fig11b");
+    t.emit("fig11b");
 }
 
 /// Fig. 12: dynamic vs static scheduling under skewed client behaviour.
 pub fn fig12() {
     let sigmas = [0.8f64, 1.0];
-    let points: Vec<(f64, bool)> = sigmas
-        .iter()
-        .flat_map(|&s| [(s, false), (s, true)])
-        .collect();
-    let results = parallel_map(points, |(sigma, dynamic)| {
+    let results = grid(&sigmas, &[false, true], |&sigma, &dynamic| {
         let mut rng = DetRng::new(99);
         let think = ThinkTime::gaussian_mix(120, SimDuration::micros(150), sigma, &mut rng);
         let r = run_rpc(RpcRunConfig {
-            kind: TransportKind::ScaleRpc(ScaleRpcConfig {
+            scale: ScaleRpcConfig {
                 dynamic_scheduling: dynamic,
                 regroup_rotations: 2,
                 ..Default::default()
-            }),
+            },
             clients: 120,
             batch: 4,
             think,
             run: SimDuration::millis(10),
             ..Default::default()
         });
-        (sigma, dynamic, r.mops)
+        r.mops
     });
     let mut t = Table::new(
         "Fig 12: priority scheduling under Gaussian access-frequency skew",
         &["sigma", "Static Mops/s", "Dynamic Mops/s", "gain"],
     );
-    for &sigma in &sigmas {
-        let get = |d: bool| {
-            results
-                .iter()
-                .find(|(rs, rd, _)| *rs == sigma && *rd == d)
-                .map(|(_, _, v)| *v)
-                .unwrap_or(0.0)
-        };
-        let st = get(false);
-        let dy = get(true);
+    for (sigma, row) in sigmas.iter().zip(results) {
+        let (st, dy) = (row[0], row[1]);
         t.row(vec![
             format!("{sigma:.1}"),
             mops(st),
@@ -605,48 +421,34 @@ pub fn fig12() {
             format!("{:+.1}%", (dy / st - 1.0) * 100.0),
         ]);
     }
-    t.print();
-    t.save_csv("fig12");
+    t.emit("fig12");
 }
 
 /// Fig. 13: DFS metadata performance, selfRPC vs ScaleRPC.
 pub fn fig13() {
     let clients = [40usize, 80, 120];
     let ops = FsOp::all();
-    let points: Vec<(usize, FsOp, MdsTransport)> = clients
+    let cells: Vec<(FsOp, usize)> = ops
         .iter()
-        .flat_map(|&c| {
-            ops.iter().flat_map(move |&op| {
-                [MdsTransport::SelfRpc, MdsTransport::ScaleRpc]
-                    .into_iter()
-                    .map(move |t| (c, op, t))
-            })
-        })
+        .flat_map(|&op| clients.map(|c| (op, c)))
         .collect();
-    let results = parallel_map(points, |(c, op, transport)| {
+    let kinds = [TransportKind::SelfRpc, TransportKind::ScaleRpc];
+    let kops = grid(&cells, &kinds, |&(op, clients), &transport| {
         let r = run_mdtest(&MdtestRun {
-            clients: c,
+            clients,
             op,
             transport,
             ..Default::default()
         });
-        (c, op, transport, r.ops_per_sec / 1e3)
+        r.ops_per_sec / 1e3
     });
-    for op in ops {
+    for (op, rows) in ops.iter().zip(kops.chunks(clients.len())) {
         let mut t = Table::new(
             &format!("Fig 13 ({}): metadata throughput, Kops/s", op.name()),
             &["clients", "selfRPC", "ScaleRPC", "gain"],
         );
-        for &c in &clients {
-            let get = |tr: MdsTransport| {
-                results
-                    .iter()
-                    .find(|(rc, rop, rt, _)| *rc == c && *rop == op && *rt == tr)
-                    .map(|(_, _, _, v)| *v)
-                    .unwrap_or(0.0)
-            };
-            let s = get(MdsTransport::SelfRpc);
-            let sc = get(MdsTransport::ScaleRpc);
+        for (c, row) in clients.iter().zip(rows) {
+            let (s, sc) = (row[0], row[1]);
             t.row(vec![
                 c.to_string(),
                 format!("{s:.0}"),
@@ -654,58 +456,43 @@ pub fn fig13() {
                 format!("{:+.0}%", (sc / s - 1.0) * 100.0),
             ]);
         }
-        t.print();
-        t.save_csv(&format!("fig13_{}", op.name().to_lowercase()));
+        t.emit(&format!("fig13_{}", op.name().to_lowercase()));
     }
 }
 
-/// The RPC layer under a transaction system of Fig. 16.
-#[derive(Clone, Copy)]
-enum TxRpc {
-    RawWrite,
-    Herd,
-    Fasst,
-    ScaleRpc,
-}
+/// The five transaction systems of Fig. 16: label, RPC transport and
+/// whether validation and commit go one-sided.
+const TX_SYSTEMS: [(&str, TransportKind, bool); 5] = [
+    ("RawWrite", TransportKind::RawWrite, true),
+    ("HERD", TransportKind::Herd, false),
+    ("FaSST", TransportKind::Fasst, false),
+    ("ScaleTX-O", TransportKind::ScaleRpc, false),
+    ("ScaleTX", TransportKind::ScaleRpc, true),
+];
 
-/// The five transaction systems of Fig. 16.
-fn tx_systems() -> Vec<(&'static str, TxRpc, bool)> {
-    // (label, transport, one_sided)
-    vec![
-        ("RawWrite", TxRpc::RawWrite, true),
-        ("HERD", TxRpc::Herd, false),
-        ("FaSST", TxRpc::Fasst, false),
-        ("ScaleTX-O", TxRpc::ScaleRpc, false),
-        ("ScaleTX", TxRpc::ScaleRpc, true),
-    ]
-}
-
+/// One Fig. 16 cell: `system` (a [`TX_SYSTEMS`] entry) running
+/// `workload` with `coordinators` coordinators of `window` slots each.
 fn run_tx_system(
-    transport: TxRpc,
-    one_sided: bool,
-    workload: TxWorkload,
+    &(_, kind, one_sided): &(&str, TransportKind, bool),
+    workload: &TxWorkload,
     coordinators: usize,
     window: usize,
 ) -> TxMetrics {
-    let keys = match &workload {
+    let (keys, value_size) = match *workload {
         TxWorkload::ObjectStore {
             keys_per_server, ..
-        } => *keys_per_server,
+        } => (keys_per_server, 40),
         TxWorkload::SmallBank {
             accounts_per_server,
             servers,
             ..
-        } => accounts_per_server * 2 * servers / 3 + 2,
-    };
-    let value_size = match &workload {
-        TxWorkload::ObjectStore { .. } => 40,
-        TxWorkload::SmallBank { .. } => 8,
+        } => (accounts_per_server * 2 * servers / 3 + 2, 8),
     };
     let cfg = TxConfig {
         coordinators,
         servers: 3,
         client_machines: 8,
-        workload,
+        workload: workload.clone(),
         one_sided,
         value_size,
         keys_per_server: keys,
@@ -716,25 +503,7 @@ fn run_tx_system(
         window,
         seed: 31,
     };
-    match transport {
-        TxRpc::ScaleRpc => run_scalerpc_tx(cfg, scaletx::tx_scale_cfg(), SimDuration::ZERO)
-            .logic(0)
-            .metrics
-            .clone(),
-        TxRpc::RawWrite => tx_metrics(cfg, |f, cl, part, _| RawWrite::new(f, cl, 8, 4096, part)),
-        TxRpc::Herd => tx_metrics(cfg, |f, cl, part, _| Herd::new(f, cl, 8, 4096, part)),
-        TxRpc::Fasst => tx_metrics(cfg, |f, cl, part, _| Fasst::new(f, cl, 4096, part)),
-    }
-}
-
-/// Replays a deployment over the baseline transport `make` builds.
-fn tx_metrics<T: RpcTransport + OneSidedAccess>(
-    cfg: TxConfig,
-    make: impl FnMut(&mut Fabric, &Cluster, TxParticipant, usize) -> T,
-) -> TxMetrics {
-    let mut fabric = Fabric::new(FabricParams::default());
-    let tx = TxSim::build(&mut fabric, cfg, make);
-    tx.replay(fabric).logic(0).metrics.clone()
+    run_tx(kind, cfg)
 }
 
 /// Fig. 16: transaction throughput — object store (read-only and
@@ -764,46 +533,26 @@ pub fn fig16() {
             TxWorkload::smallbank(if full_sweeps() { 1_000_000 } else { 50_000 }, 3),
         ),
     ];
+    let window = TxConfig::default().window;
     for (name, workload) in scenarios {
-        let points: Vec<(&'static str, TxRpc, bool, usize)> = tx_systems()
-            .into_iter()
-            .flat_map(|(l, t, o)| [80usize, 160].map(move |c| (l, t, o, c)))
-            .collect();
-        let w = workload.clone();
-        let window = TxConfig::default().window;
-        let results = parallel_map(points, |(label, transport, one_sided, coords)| {
-            let m = run_tx_system(transport, one_sided, w.clone(), coords, window);
-            (label, coords, m)
+        let results = grid(&TX_SYSTEMS, &[80usize, 160], |system, &coords| {
+            run_tx_system(system, &workload, coords, window)
         });
         let mut t = Table::new(
             &format!("Fig 16: {name}, Ktx/s (latency at 160 coords)"),
             &["system", "80 coords", "160 coords", "p50 us", "p99 us"],
         );
-        for (label, _, _) in tx_systems() {
-            let get = |c: usize| {
-                results
-                    .iter()
-                    .find(|(l, rc, _)| *l == label && *rc == c)
-                    .map(|(_, _, m)| m.tps() / 1e3)
-                    .unwrap_or(0.0)
-            };
-            let lat = |q: f64| {
-                results
-                    .iter()
-                    .find(|(l, rc, _)| *l == label && *rc == 160)
-                    .map(|(_, _, m)| m.quantile_us(q))
-                    .unwrap_or(0.0)
-            };
+        for ((label, _, _), row) in TX_SYSTEMS.iter().zip(&results) {
+            let (at80, at160) = (&row[0], &row[1]);
             t.row(vec![
                 label.to_string(),
-                format!("{:.0}", get(80)),
-                format!("{:.0}", get(160)),
-                format!("{:.1}", lat(0.5)),
-                format!("{:.1}", lat(0.99)),
+                format!("{:.0}", at80.tps() / 1e3),
+                format!("{:.0}", at160.tps() / 1e3),
+                format!("{:.1}", at160.quantile_us(0.5)),
+                format!("{:.1}", at160.quantile_us(0.99)),
             ]);
         }
-        t.print();
-        t.save_csv(&format!(
+        t.emit(&format!(
             "fig16_{}",
             name.split(' ').next().unwrap_or("x").to_lowercase()
         ));
@@ -824,54 +573,32 @@ pub fn fig16_window() {
         servers: 3,
     };
     let windows = [1usize, 2, 4, 8];
-    let points: Vec<(&'static str, TxRpc, bool, usize)> = tx_systems()
-        .into_iter()
-        .flat_map(|(l, t, o)| windows.map(move |w| (l, t, o, w)))
-        .collect();
-    let wl = workload.clone();
-    let results = parallel_map(points, |(label, transport, one_sided, window)| {
-        let m = run_tx_system(transport, one_sided, wl.clone(), 160, window);
-        (label, window, m)
+    let results = grid(&TX_SYSTEMS, &windows, |system, &window| {
+        run_tx_system(system, &workload, 160, window)
     });
     let mut t = Table::new(
         "Fig 16 (window sweep): object store r=3 w=1, 160 coordinators, Ktx/s",
         &["system", "W=1", "W=2", "W=4", "W=8"],
     );
-    for (label, _, _) in tx_systems() {
-        let get = |w: usize| {
-            results
-                .iter()
-                .find(|(l, rw, _)| *l == label && *rw == w)
-                .map(|(_, _, m)| m.tps() / 1e3)
-                .unwrap_or(0.0)
-        };
-        t.row(vec![
-            label.to_string(),
-            format!("{:.0}", get(1)),
-            format!("{:.0}", get(2)),
-            format!("{:.0}", get(4)),
-            format!("{:.0}", get(8)),
-        ]);
+    for ((label, _, _), row) in TX_SYSTEMS.iter().zip(&results) {
+        t.row(row_of(
+            label,
+            row.iter().map(|m| format!("{:.0}", m.tps() / 1e3)),
+        ));
     }
-    t.print();
-    t.save_csv("fig16_window");
+    t.emit("fig16_window");
 
     // Per-slot commit latency at the deepest window: slot 0 is the
     // front of every coordinator's pipeline; later slots only run while
     // earlier ones are in flight, so their tails price the queueing a
     // deeper window adds.
-    let deepest = *windows.last().unwrap_or(&1);
+    let deepest = windows[windows.len() - 1];
     let mut lt = Table::new(
         &format!("Fig 16 (window sweep): per-slot commit p50/p99 at W={deepest}, us"),
         &["system", "slot", "p50 us", "p99 us", "commits"],
     );
-    for (label, _, _) in tx_systems() {
-        let Some((_, _, m)) = results
-            .iter()
-            .find(|(l, rw, _)| *l == label && *rw == deepest)
-        else {
-            continue;
-        };
+    for ((label, _, _), row) in TX_SYSTEMS.iter().zip(&results) {
+        let m = &row[windows.len() - 1];
         for slot in 0..deepest {
             let (p50, p99) = match (
                 m.slot_quantile_us(slot, 0.5),
@@ -889,8 +616,7 @@ pub fn fig16_window() {
             ]);
         }
     }
-    lt.print();
-    lt.save_csv("fig16_window_slots");
+    lt.emit("fig16_window_slots");
 }
 
 /// §5.1: ordered large-transfer bandwidth, UD 4 KB chunking vs RC.
@@ -910,8 +636,7 @@ pub fn fig_ud_bw() {
         format!("{rc:.2}"),
         "100%".into(),
     ]);
-    t.print();
-    t.save_csv("fig_ud_bw");
+    t.emit("fig_ud_bw");
 }
 
 /// Runs every figure in order.

@@ -52,13 +52,10 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout.
-    pub fn print(&self) {
+    /// Prints the table to stdout and writes it as CSV under
+    /// `target/figures/<name>.csv`.
+    pub fn emit(&self, name: &str) {
         println!("{}", self.render());
-    }
-
-    /// Writes the table as CSV under `target/figures/<name>.csv`.
-    pub fn save_csv(&self, name: &str) {
         let mut path = PathBuf::from("target/figures");
         if fs::create_dir_all(&path).is_err() {
             return;

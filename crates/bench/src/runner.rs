@@ -45,6 +45,25 @@ where
         .collect()
 }
 
+/// Runs `f` on every `(row, col)` cell in parallel and returns the
+/// results as one vector per row, each in column order.
+pub fn grid<R, C, O, F>(rows: &[R], cols: &[C], f: F) -> Vec<Vec<O>>
+where
+    R: Sync,
+    C: Sync,
+    O: Send,
+    F: Fn(&R, &C) -> O + Sync,
+{
+    let cells = rows
+        .iter()
+        .flat_map(|r| cols.iter().map(move |c| (r, c)))
+        .collect();
+    let mut out = parallel_map(cells, |(r, c)| f(r, c)).into_iter();
+    rows.iter()
+        .map(|_| out.by_ref().take(cols.len()).collect())
+        .collect()
+}
+
 /// Whether the full (paper-length) parameter sweeps were requested via
 /// the `SCALERPC_FULL` environment variable.
 pub fn full_sweeps() -> bool {
@@ -64,6 +83,22 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as i32);
         }
+    }
+
+    #[test]
+    fn grid_is_row_major_with_one_vector_per_row() {
+        let out = grid(&[10, 20, 30], &[1, 2], |r, c| r + c);
+        assert_eq!(out, vec![vec![11, 12], vec![21, 22], vec![31, 32]]);
+        let wide = grid(&['a'], &[1, 2, 3, 4], |r, c| format!("{r}{c}"));
+        assert_eq!(wide, vec![vec!["a1", "a2", "a3", "a4"]]);
+    }
+
+    #[test]
+    fn grid_without_rows_or_columns() {
+        let no_rows: Vec<Vec<i32>> = grid(&[] as &[i32], &[1, 2], |r, c| r + c);
+        assert!(no_rows.is_empty());
+        let no_cols: Vec<Vec<i32>> = grid(&[1, 2, 3], &[] as &[i32], |r, c| r + c);
+        assert_eq!(no_cols, vec![Vec::<i32>::new(); 3]);
     }
 
     #[test]

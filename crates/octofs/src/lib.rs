@@ -18,15 +18,17 @@
 //!   metadata server runs unchanged over ScaleRPC, SelfRPC, RawWrite or
 //!   any other transport.
 //! - [`mdtest`]: an mdtest-like workload generator.
+//!
+//! The crate is the service alone: it names no transport. Running an
+//! mdtest phase over one — `scalerpc_bench::rpcbench::run_mdtest` —
+//! belongs to the benchmark crate, which builds every transport.
 
 pub mod handler;
 pub mod mdtest;
 pub mod meta;
 pub mod proto;
-pub mod run;
 
 pub use handler::MdsHandler;
 pub use mdtest::MdtestGen;
 pub use meta::{FsError, MetaStore};
 pub use proto::{FsOp, FsRequest, FsResponse};
-pub use run::{run_mdtest, MdsTransport, MdtestResult, MdtestRun};

@@ -9,7 +9,8 @@
 //!   printed as a minimal reproduction TOML.
 
 use simscenario::scenario::Scenario;
-use simscenario::{compile, fuzz_one, gen_scenario, run_scenario, shrink_failure};
+use simscenario::{compile, fuzz_one, gen_scenario, run_scenario, shrink_failure, ScenarioError};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -50,97 +51,74 @@ fn load(path: &Path) -> Result<Scenario, String> {
     Scenario::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// Runs `each` on every scenario file under `paths`, printing a `FAIL`
+/// line per file that does not load or that `each` rejects.
+fn each_file(
+    cmd: &str,
+    paths: &[String],
+    each: impl Fn(&Path, Scenario) -> Result<(), ScenarioError>,
+) -> ExitCode {
+    let files = match expand(paths) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("scenario {cmd}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut failed = false;
+    for f in &files {
+        let done = load(f).and_then(|sc| each(f, sc).map_err(|e| format!("{}: {e}", f.display())));
+        if let Err(e) = done {
+            eprintln!("FAIL {e}");
+            failed = true;
+        }
+    }
+    ExitCode::from(u8::from(failed))
+}
+
+/// The seeds `fuzz`'s `--seeds N [--start S]` flags name (default 8
+/// seeds from 0), or `None` for a malformed flag or a range past
+/// `u64::MAX`, which would wrap to one never run.
+fn seed_range(flags: &[String]) -> Option<Range<u64>> {
+    let (mut seeds, mut start) = (8u64, 0u64);
+    for flag in flags.chunks(2) {
+        let slot = match flag[0].as_str() {
+            "--seeds" => &mut seeds,
+            "--start" => &mut start,
+            _ => return None,
+        };
+        *slot = flag.get(1)?.parse().ok()?;
+    }
+    Some(start..start.checked_add(seeds)?)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         return usage();
     };
     match cmd.as_str() {
-        "check" => {
-            let files = match expand(&args[1..]) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("scenario check: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut failed = false;
-            for f in &files {
-                match load(f).and_then(|sc| {
-                    compile(&sc).map_err(|e| format!("{}: {e}", f.display()))?;
-                    Ok(sc)
-                }) {
-                    Ok(sc) => println!("ok {} ({})", f.display(), sc.name),
-                    Err(e) => {
-                        eprintln!("FAIL {e}");
-                        failed = true;
-                    }
+        "check" => each_file("check", &args[1..], |f, sc| {
+            compile(&sc)?;
+            println!("ok {} ({})", f.display(), sc.name);
+            Ok(())
+        }),
+        "run" => each_file("run", &args[1..], |_, sc| {
+            let report = run_scenario(&sc)?;
+            println!("{}", report.summary());
+            if report.tenant_ops.len() > 1 {
+                for (tenant, ops) in &report.tenant_ops {
+                    println!("  tenant {tenant}: {ops} ops");
                 }
             }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        "run" => {
-            let files = match expand(&args[1..]) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("scenario run: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut failed = false;
-            for f in &files {
-                match load(f)
-                    .and_then(|sc| run_scenario(&sc).map_err(|e| format!("{}: {e}", f.display())))
-                {
-                    Ok(report) => {
-                        println!("{}", report.summary());
-                        for (tenant, ops) in &report.tenant_ops {
-                            if report.tenant_ops.len() > 1 {
-                                println!("  tenant {tenant}: {ops} ops");
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("FAIL {e}");
-                        failed = true;
-                    }
-                }
-            }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+            Ok(())
+        }),
         "fuzz" => {
-            let mut seeds = 8u64;
-            let mut start = 0u64;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--seeds" if i + 1 < args.len() => {
-                        let Ok(n) = args[i + 1].parse() else {
-                            return usage();
-                        };
-                        seeds = n;
-                        i += 2;
-                    }
-                    "--start" if i + 1 < args.len() => {
-                        let Ok(n) = args[i + 1].parse() else {
-                            return usage();
-                        };
-                        start = n;
-                        i += 2;
-                    }
-                    _ => return usage(),
-                }
-            }
+            let Some(range) = seed_range(&args[1..]) else {
+                return usage();
+            };
             let mut failed = false;
-            for seed in start..start + seeds {
+            for seed in range.clone() {
                 match fuzz_one(seed) {
                     Ok(out) => println!("ok seed {seed}: {}", out.report.summary()),
                     Err(e) => {
@@ -156,13 +134,44 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                println!("fuzz: {seeds} seeds clean");
-                ExitCode::SUCCESS
+            if !failed {
+                println!("fuzz: {} seeds clean", range.end - range.start);
             }
+            ExitCode::from(u8::from(failed))
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::seed_range;
+
+    fn flags(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn seed_range_rejects_a_range_past_u64_max() {
+        assert_eq!(
+            seed_range(&flags(&["--start", "18446744073709551615", "--seeds", "2"])),
+            None
+        );
+        assert_eq!(
+            seed_range(&flags(&["--start", "64", "--seeds", "24"])),
+            Some(64..88)
+        );
+        assert_eq!(
+            seed_range(&flags(&["--start", "18446744073709551615", "--seeds", "0"])),
+            Some(u64::MAX..u64::MAX)
+        );
+    }
+
+    #[test]
+    fn seed_range_defaults_and_malformed_flags() {
+        assert_eq!(seed_range(&[]), Some(0..8));
+        assert_eq!(seed_range(&flags(&["--seeds"])), None);
+        assert_eq!(seed_range(&flags(&["--seeds", "x"])), None);
+        assert_eq!(seed_range(&flags(&["--bogus", "1"])), None);
     }
 }

@@ -10,8 +10,8 @@
 //! rather than panics deep inside a run.
 
 use crate::scenario::{
-    EventKind, Population, RpcTransport, Scenario, ScenarioError, SizeModel, StartModel,
-    ThinkModel, TxProfileKind, Workload,
+    EventKind, Population, Scenario, ScenarioError, SizeModel, StartModel, ThinkModel,
+    TxProfileKind, Workload,
 };
 use bytes::Bytes;
 use rpc_core::cluster::ClusterSpec;
@@ -20,6 +20,7 @@ use rpc_core::inject::{ClientStart, Injection, ScenarioSpec};
 use rpc_core::workload::ThinkTime;
 use scalerpc::ScaleRpcConfig;
 use scalerpc_bench::rawverbs::RawVerbConfig;
+use scalerpc_bench::rpcbench::{TransportKind, BASELINE_BLOCK};
 use scaletx::sim::{tx_scale_cfg, TxConfig};
 use scaletx::workload::TxWorkload as TxWorkloadCfg;
 use simcore::{DetRng, SimDuration, SimTime};
@@ -47,9 +48,9 @@ pub struct CompiledRpc {
     /// Harness configuration (validated).
     pub harness: HarnessConfig,
     /// Which transport serves the run.
-    pub transport: RpcTransport,
+    pub transport: TransportKind,
     /// ScaleRPC configuration when `transport` is
-    /// [`RpcTransport::ScaleRpc`] (with `client_window` already adjusted
+    /// [`TransportKind::ScaleRpc`] (with `client_window` already adjusted
     /// the way the benchmark runner does).
     pub scale: Option<ScaleRpcConfig>,
     /// Client activation plan plus chaos timeline.
@@ -201,7 +202,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                         | EventKind::ConnChurn { .. }
                 )
             });
-            if (has_lifecycle || w.lazy_connect) && w.transport != RpcTransport::ScaleRpc {
+            if (has_lifecycle || w.lazy_connect) && w.transport != TransportKind::ScaleRpc {
                 return Err(err(
                     "lifecycle events and lazy_connect require the scalerpc transport \
                      (the baselines have no reconnect hooks)",
@@ -242,12 +243,11 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 .map_err(|e| err(format!("invalid harness config: {e}")))?;
 
             // Request sizes must fit the transports' message blocks with
-            // headroom for headers (the paper's messages are tiny; the
-            // simulator's blocks are 4 KB).
-            let block = if w.transport == RpcTransport::ScaleRpc {
+            // headroom for headers (the paper's messages are tiny).
+            let block = if w.transport == TransportKind::ScaleRpc {
                 w.block_size
             } else {
-                4096
+                BASELINE_BLOCK
             };
             for p in &sc.populations {
                 let max = match p.size {
@@ -266,7 +266,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
 
             let (tenants, sizes) = (per_client(sc, |p| p.tenant), per_client(sc, |p| p.size));
 
-            let scale = if w.transport == RpcTransport::ScaleRpc {
+            let scale = if w.transport == TransportKind::ScaleRpc {
                 // A client holds one message slot per request in flight;
                 // a deeper window would strand the excess for the whole
                 // run (the baselines queue it instead).

@@ -19,11 +19,12 @@
 //! time, tens of clients) so a multi-seed sweep stays inside a CI
 //! smoke-test budget.
 
-use crate::run::{run_scenario, ScenarioReport};
+use crate::run::{run_scenario, RunKind, ScenarioReport};
 use crate::scenario::{
-    Event, EventKind, Population, RpcTransport, RpcWorkload, Scenario, ScenarioError, SizeModel,
-    StartModel, ThinkModel, TxProfileKind, TxWorkload, Workload,
+    Event, EventKind, Population, RpcWorkload, Scenario, ScenarioError, SizeModel, StartModel,
+    ThinkModel, TxProfileKind, TxWorkload, Workload,
 };
+use scalerpc_bench::rpcbench::TransportKind;
 use simcore::DetRng;
 
 /// A fuzz iteration that passed every invariant.
@@ -46,13 +47,13 @@ fn violated(seed: u64, what: impl std::fmt::Display) -> ScenarioError {
 
 fn gen_rpc(rng: &mut DetRng) -> (Workload, Vec<Population>, Vec<Event>) {
     let transport = [
-        RpcTransport::ScaleRpc,
-        RpcTransport::ScaleRpc,
-        RpcTransport::ScaleRpc,
-        RpcTransport::RawWrite,
-        RpcTransport::Herd,
-        RpcTransport::Fasst,
-        RpcTransport::SelfRpc,
+        TransportKind::ScaleRpc,
+        TransportKind::ScaleRpc,
+        TransportKind::ScaleRpc,
+        TransportKind::RawWrite,
+        TransportKind::Herd,
+        TransportKind::Fasst,
+        TransportKind::SelfRpc,
     ][rng.below(7) as usize];
     let window = [1, 1, 2, 4][rng.below(4) as usize];
     let batch = if window == 1 {
@@ -61,13 +62,13 @@ fn gen_rpc(rng: &mut DetRng) -> (Workload, Vec<Population>, Vec<Event>) {
         1
     };
     let npop = 1 + rng.below(3) as usize;
-    let tenant_isolate = transport == RpcTransport::ScaleRpc && npop > 1 && rng.chance(0.4);
+    let tenant_isolate = transport == TransportKind::ScaleRpc && npop > 1 && rng.chance(0.4);
     // Lifecycle chaos needs the elastic control plane (scalerpc) and a
     // retry policy, which in turn needs per-sequence identity
     // (window > 1): connection teardown drops in-flight packets, so a
     // churned client can only make progress by retransmitting.
-    let elastic_ok = transport == RpcTransport::ScaleRpc && window > 1;
-    let lazy_connect = transport == RpcTransport::ScaleRpc && rng.chance(0.3);
+    let elastic_ok = transport == TransportKind::ScaleRpc && window > 1;
+    let lazy_connect = transport == TransportKind::ScaleRpc && rng.chance(0.3);
     let retry_timeout_us = if elastic_ok && rng.chance(0.5) {
         [200, 300, 500][rng.below(3) as usize]
     } else {
@@ -251,7 +252,10 @@ pub fn check_scenario(sc: &Scenario, who: &str) -> Result<ScenarioReport, Scenar
         )));
     }
     match r1.kind {
-        "rpc" => {
+        // A raw run has no client to strand and no lock to hold: the
+        // replay check above is its whole invariant.
+        RunKind::Raw => {}
+        RunKind::Rpc => {
             // Invariant 2: no stuck clients after the drain.
             if r1.in_flight != 0 || r1.stuck != 0 {
                 return Err(fail(format!(
@@ -260,7 +264,7 @@ pub fn check_scenario(sc: &Scenario, who: &str) -> Result<ScenarioReport, Scenar
                 )));
             }
         }
-        "tx" => {
+        RunKind::Tx => {
             // Invariant 2 (tx form): every coordinator slot returned to
             // idle.
             if r1.busy_slots != 0 {
@@ -271,7 +275,6 @@ pub fn check_scenario(sc: &Scenario, who: &str) -> Result<ScenarioReport, Scenar
                 return Err(fail(format!("locked keys: {}", r1.locked_keys)));
             }
         }
-        other => return Err(fail(format!("unexpected kind {other}"))),
     }
     Ok(r1)
 }
@@ -513,8 +516,10 @@ mod tests {
 
     #[test]
     fn shrink_returns_none_for_passing_scenarios() {
-        let sc = gen_scenario(0);
-        assert!(shrink_failure(&sc).is_none());
+        let raw = Scenario::parse(include_str!("../tests/fixtures/valid_raw.toml")).unwrap();
+        for sc in [gen_scenario(0), raw] {
+            assert!(shrink_failure(&sc).is_none(), "{}", sc.name);
+        }
     }
 }
 

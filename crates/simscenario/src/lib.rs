@@ -50,8 +50,8 @@ pub mod toml;
 
 pub use compile::{compile, Compiled, CompiledRaw, CompiledRpc, CompiledTx};
 pub use fuzz::{check_scenario, fuzz_one, gen_scenario, shrink_failure, shrink_with, FuzzOutcome};
-pub use run::{run_scenario, ScenarioReport};
+pub use run::{run_scenario, RunKind, ScenarioReport};
 pub use scenario::{
-    Event, EventKind, Expect, Population, RawWorkload, RpcTransport, RpcWorkload, Scenario,
-    ScenarioError, SizeModel, StartModel, ThinkModel, TxProfileKind, TxWorkload, Workload,
+    Event, EventKind, Expect, Population, RawWorkload, RpcWorkload, Scenario, ScenarioError,
+    SizeModel, StartModel, ThinkModel, TxProfileKind, TxWorkload, Workload,
 };

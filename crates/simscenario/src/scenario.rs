@@ -13,6 +13,7 @@
 
 use crate::toml::{self, Doc, Span, Table, Value};
 use scalerpc_bench::rawverbs::RawVerbKind;
+use scalerpc_bench::rpcbench::TransportKind;
 use std::fmt;
 use std::mem::discriminant;
 use Need::{Keep, Or, Req};
@@ -57,22 +58,6 @@ fn fail(span: Option<Span>, msg: impl Into<String>) -> ScenarioError {
     }
 }
 
-/// RPC transports the scenario runner can drive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RpcTransport {
-    /// ScaleRPC (the paper's system).
-    #[default]
-    ScaleRpc,
-    /// RawWrite baseline.
-    RawWrite,
-    /// HERD baseline.
-    Herd,
-    /// FaSST baseline.
-    Fasst,
-    /// Octopus' self-identified RPC.
-    SelfRpc,
-}
-
 /// A raw-verb workload (compiled to `RawVerbConfig`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RawWorkload {
@@ -94,7 +79,7 @@ pub struct RawWorkload {
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct RpcWorkload {
     /// Which transport serves the requests.
-    pub transport: RpcTransport,
+    pub transport: TransportKind,
     /// Physical client machines.
     pub machines: usize,
     /// Threads per client machine.
@@ -657,10 +642,10 @@ impl Choice for RawVerbKind {
 }
 
 #[rustfmt::skip]
-impl Choice for RpcTransport {
+impl Choice for TransportKind {
     const WHAT: &'static str = "transport";
     fn variants() -> Vec<(&'static str, Self)> {
-        use RpcTransport::*;
+        use TransportKind::*;
         vec![("scalerpc", ScaleRpc), ("rawwrite", RawWrite), ("herd", Herd),
              ("fasst", Fasst), ("selfrpc", SelfRpc)]
     }

@@ -10,7 +10,8 @@
 //! write-oriented operations are software-bound (transport barely
 //! matters) while the read-oriented ones inherit ScaleRPC's scalability.
 
-use scalerpc_repro::octofs::{run_mdtest, FsOp, MdsTransport, MdtestRun};
+use scalerpc_bench::rpcbench::{run_mdtest, MdtestRun, TransportKind};
+use scalerpc_repro::octofs::FsOp;
 
 fn main() {
     println!("mdtest, 120 clients, single metadata server");
@@ -20,7 +21,7 @@ fn main() {
     );
     for op in FsOp::all() {
         let mut rates = Vec::new();
-        for transport in [MdsTransport::SelfRpc, MdsTransport::ScaleRpc] {
+        for transport in [TransportKind::SelfRpc, TransportKind::ScaleRpc] {
             let r = run_mdtest(&MdtestRun {
                 clients: 120,
                 op,

@@ -70,7 +70,7 @@ fn rpc_points_match_the_pre_refactor_capture() {
     ];
     let lines: Vec<String> = kinds
         .iter()
-        .flat_map(|k| [rpc_point(k.clone(), 4, 1), rpc_point(k.clone(), 1, 4)])
+        .flat_map(|&k| [rpc_point(k, 4, 1), rpc_point(k, 1, 4)])
         .collect();
     assert_eq!(lines.join("\n"), RPC_GOLDEN);
 }
@@ -117,7 +117,7 @@ fn drive<T: RpcTransport>(label: &str, fabric: Fabric, h: Harness<T>) -> String 
     )
 }
 
-/// `octofs::run_mdtest`'s wiring (80 clients, Stat), driven here so the
+/// `run_mdtest`'s wiring (80 clients, Stat), driven here so the
 /// event count is part of the pin.
 fn mdtest_point<T: RpcTransport>(
     name: &str,

@@ -2,7 +2,8 @@
 //! transport, asserting identical application semantics and the paper's
 //! relative performance ordering.
 
-use scalerpc_repro::octofs::{run_mdtest, FsOp, MdsTransport, MdtestRun};
+use scalerpc_bench::rpcbench::{run_mdtest, MdtestRun, TransportKind};
+use scalerpc_repro::octofs::FsOp;
 use scalerpc_repro::rdma_fabric::{Fabric, FabricParams};
 use scalerpc_repro::rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
 use scalerpc_repro::rpc_core::cluster::{Cluster, ClusterSpec};
@@ -143,7 +144,7 @@ fn file_system_runs_on_rawwrite_too() {
     let r = run_mdtest(&MdtestRun {
         clients: 24,
         op: FsOp::Stat,
-        transport: MdsTransport::RawWrite,
+        transport: TransportKind::RawWrite,
         run: SimDuration::millis(3),
         warmup: SimDuration::millis(1),
         ..Default::default()

@@ -11,7 +11,6 @@
 //! transport run (Fig. 8-style). Any change to eviction order, event
 //! ordering, or RNG draw sequence shows up here as a counter diff.
 
-use scalerpc::ScaleRpcConfig;
 use scalerpc_bench::rawverbs::{run_raw_verbs, RawVerbConfig, RawVerbKind};
 use scalerpc_bench::rpcbench::{run_rpc, RpcRunConfig, TransportKind};
 use simcore::SimDuration;
@@ -35,7 +34,7 @@ fn sweep_fingerprint() -> String {
         ..Default::default()
     });
     let c = run_rpc(RpcRunConfig {
-        kind: TransportKind::ScaleRpc(ScaleRpcConfig::default()),
+        kind: TransportKind::ScaleRpc,
         clients: 80,
         batch: 4,
         warmup: SimDuration::millis(1),
@@ -99,7 +98,7 @@ fn rpc_row(cfg: RpcRunConfig) -> (u64, u64) {
 #[test]
 fn full_window_hub_rows_reproduce_their_events_and_ops() {
     let scalerpc_400c = |batch, window| RpcRunConfig {
-        kind: TransportKind::ScaleRpc(ScaleRpcConfig::default()),
+        kind: TransportKind::ScaleRpc,
         clients: 400,
         batch,
         window,

@@ -12,7 +12,7 @@
 
 use octofs::handler::MdsHandler;
 use octofs::mdtest::MdtestGen;
-use octofs::{run_mdtest, FsOp, MdsTransport, MdtestRun};
+use octofs::FsOp;
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_baselines::Herd;
 use rpc_core::cluster::{Cluster, ClusterSpec};
@@ -21,6 +21,7 @@ use rpc_core::inject::{Injection, ScenarioSpec};
 use rpc_core::workload::ThinkTime;
 use rpc_core::ShardedSim;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
+use scalerpc_bench::rpcbench::{run_mdtest, MdtestRun, TransportKind};
 use scaletx::sim::{run_scalerpc_tx, run_scalerpc_tx_with};
 use scaletx::workload::TxWorkload;
 use scaletx::{TxConfig, TxSim};
@@ -102,14 +103,15 @@ mdtest stat ScaleRPC: events=240050 ops=14766 mops=7.383 median_us=5.247";
 
 #[test]
 fn mdtest_points_match_the_pre_refactor_capture() {
-    // `run_mdtest` itself, on each RPC subsystem it can pick.
+    // `run_mdtest` itself, on each RPC subsystem the capture picked,
+    // under the capture's labels.
     let mut lines: Vec<String> = [
-        MdsTransport::ScaleRpc,
-        MdsTransport::SelfRpc,
-        MdsTransport::RawWrite,
+        (TransportKind::ScaleRpc, "ScaleRPC"),
+        (TransportKind::SelfRpc, "selfRPC"),
+        (TransportKind::RawWrite, "RawWrite"),
     ]
     .into_iter()
-    .map(|transport| {
+    .map(|(transport, label)| {
         let r = run_mdtest(&MdtestRun {
             clients: 80,
             op: FsOp::Stat,
@@ -120,11 +122,8 @@ fn mdtest_points_match_the_pre_refactor_capture() {
             warmup: SimDuration::millis(1),
         });
         format!(
-            "run_mdtest stat {}: ops={} ops_per_sec={} median_us={}",
-            transport.name(),
-            r.ops,
-            r.ops_per_sec,
-            r.median_us
+            "run_mdtest stat {label}: ops={} ops_per_sec={} median_us={}",
+            r.ops, r.ops_per_sec, r.median_us
         )
     })
     .collect();

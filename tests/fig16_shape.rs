@@ -12,11 +12,8 @@
 //! window, reduced key counts) — large enough that the orderings above
 //! are stable, small enough for CI.
 
-use scalerpc_repro::rdma_fabric::{Fabric, FabricParams};
-use scalerpc_repro::rpc_baselines::{Fasst, Herd, RawWrite};
-use scalerpc_repro::rpc_core::ShardedSim;
-use scalerpc_repro::scaletx::sim::{run_scalerpc_tx, tx_scale_cfg};
-use scalerpc_repro::scaletx::{TxConfig, TxSim, TxWorkload};
+use scalerpc_bench::rpcbench::{run_tx, TransportKind};
+use scalerpc_repro::scaletx::{TxConfig, TxWorkload};
 use scalerpc_repro::simcore::SimDuration;
 
 const COORDINATORS: usize = 160;
@@ -62,52 +59,25 @@ fn cfg(
     }
 }
 
-fn scaletx_tps(workload: &(TxWorkload, u64, usize), one_sided: bool, window: usize) -> f64 {
+/// The figure's own runner on one cell: `kind` under the transaction
+/// layer, validation and commit one-sided or not.
+fn tps(
+    workload: &(TxWorkload, u64, usize),
+    kind: TransportKind,
+    one_sided: bool,
+    window: usize,
+) -> f64 {
     let (w, keys, vs) = workload.clone();
-    run_scalerpc_tx(
-        cfg(w, keys, vs, one_sided, window),
-        tx_scale_cfg(),
-        SimDuration::ZERO,
-    )
-    .logic(0)
-    .metrics
-    .tps()
+    run_tx(kind, cfg(w, keys, vs, one_sided, window)).tps()
 }
 
-fn baseline_tps(workload: &(TxWorkload, u64, usize), transport: &str, window: usize) -> f64 {
-    let (w, keys, vs) = workload.clone();
-    let one_sided = transport == "rawwrite";
-    let cfg = cfg(w, keys, vs, one_sided, window);
-    use scalerpc_repro::rpc_core::transport::{OneSidedAccess, RpcTransport};
-    fn drive<T: RpcTransport + OneSidedAccess>(fabric: Fabric, tx: TxSim<T>) -> f64 {
-        let stop = tx.stop_at();
-        let mut sim = ShardedSim::new_sequential(fabric, tx);
-        sim.run_sequential(stop + SimDuration::millis(3));
-        sim.logic(0).metrics.tps()
-    }
-    let mut fabric = Fabric::new(FabricParams::default());
-    match transport {
-        "rawwrite" => {
-            let tx = TxSim::build(&mut fabric, cfg, |f, cl, part, _| {
-                RawWrite::new(f, cl, 8, 4096, part)
-            });
-            drive(fabric, tx)
-        }
-        "herd" => {
-            let tx = TxSim::build(&mut fabric, cfg, |f, cl, part, _| {
-                Herd::new(f, cl, 8, 4096, part)
-            });
-            drive(fabric, tx)
-        }
-        "fasst" => {
-            let tx = TxSim::build(&mut fabric, cfg, |f, cl, part, _| {
-                Fasst::new(f, cl, 4096, part)
-            });
-            drive(fabric, tx)
-        }
-        other => panic!("unknown transport {other}"),
-    }
-}
+/// The UD and RawWrite baselines; RawWrite alone validates and commits
+/// one-sided, as in `fig16`.
+const BASELINES: [(TransportKind, bool); 3] = [
+    (TransportKind::RawWrite, true),
+    (TransportKind::Herd, false),
+    (TransportKind::Fasst, false),
+];
 
 /// Fig. 16 at 160 coordinators with the default window: ScaleTX beats
 /// RawWrite, HERD, FaSST and its own RPC-only ablation on read-write
@@ -117,17 +87,18 @@ fn default_window_scaletx_beats_every_baseline_at_160() {
     let window = TxConfig::default().window;
     assert!(window > 1, "default TxConfig window must be asynchronous");
     for (name, wl) in [("r3w1", r3w1()), ("smallbank", smallbank())] {
-        let scaletx = scaletx_tps(&wl, true, window);
-        let scaletx_o = scaletx_tps(&wl, false, window);
+        let scaletx = tps(&wl, TransportKind::ScaleRpc, true, window);
+        let scaletx_o = tps(&wl, TransportKind::ScaleRpc, false, window);
         assert!(
             scaletx > scaletx_o,
             "{name}: ScaleTX {scaletx:.0} <= ScaleTX-O {scaletx_o:.0}"
         );
-        for transport in ["rawwrite", "herd", "fasst"] {
-            let base = baseline_tps(&wl, transport, window);
+        for (kind, one_sided) in BASELINES {
+            let base = tps(&wl, kind, one_sided, window);
             assert!(
                 scaletx > base,
-                "{name}: ScaleTX {scaletx:.0} <= {transport} {base:.0} tx/s at W={window}"
+                "{name}: ScaleTX {scaletx:.0} <= {} {base:.0} tx/s at W={window}",
+                kind.name()
             );
         }
     }
@@ -139,14 +110,15 @@ fn default_window_scaletx_beats_every_baseline_at_160() {
 #[test]
 fn window_one_reproduces_the_seed_ordering() {
     for (name, wl) in [("r3w1", r3w1()), ("smallbank", smallbank())] {
-        let scaletx = scaletx_tps(&wl, true, 1);
+        let scaletx = tps(&wl, TransportKind::ScaleRpc, true, 1);
         assert!(scaletx > 0.0, "{name}: W=1 ScaleTX did no work");
-        for transport in ["rawwrite", "herd", "fasst"] {
-            let base = baseline_tps(&wl, transport, 1);
+        for (kind, one_sided) in BASELINES {
+            let base = tps(&wl, kind, one_sided, 1);
             assert!(
                 base > scaletx,
-                "{name}: {transport} {base:.0} <= ScaleTX {scaletx:.0} tx/s at W=1 \
-                 — the duty-cycle deviation should only close with the window open"
+                "{name}: {} {base:.0} <= ScaleTX {scaletx:.0} tx/s at W=1 \
+                 — the duty-cycle deviation should only close with the window open",
+                kind.name()
             );
         }
     }
