@@ -141,12 +141,10 @@ struct PerClient {
     last_fetch_epoch: u64,
     /// Whether the server answered this client during the current slice.
     served_this_slice: bool,
-    /// Highest request sequence executed for this client.
-    seq_high: u64,
-    /// Bitmap over `seq_high - i` (bit i) of recently executed sequences,
-    /// used to drop duplicate executions when a warmup re-fetch copies a
-    /// staged request whose response is still in flight. Handlers with
-    /// side effects (locks, transactions) need exactly-once execution.
+    /// Recently executed sequences, used to drop duplicate executions
+    /// when a warmup re-fetch copies a staged request whose response is
+    /// still in flight. Handlers with side effects (locks, transactions)
+    /// need exactly-once execution.
     seq_window: SeqWindow,
     /// Connection state (the elastic control plane).
     conn: Fsm<ConnState>,
@@ -170,13 +168,15 @@ struct PerClient {
 const RESP_CACHE: usize = 256;
 
 /// Sliding 1024-bit executed-sequence bitmap: bit `back` records whether
-/// `seq_high - back` was executed. 1024 bits (vs the seed's 128) leaves
+/// `high - back` was executed. 1024 bits (vs the seed's 128) leaves
 /// ample slack for multi-outstanding clients that stride sequence
 /// numbers across window slots (see `scaletx`): a slot stalled behind a
 /// slice boundary can fall hundreds of seqs behind its siblings without
 /// being misclassified as a duplicate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct SeqWindow {
+    /// Highest sequence recorded.
+    high: u64,
     words: [u64; SEQ_WINDOW_WORDS],
 }
 
@@ -212,6 +212,31 @@ impl SeqWindow {
 
     fn set(&mut self, back: u64) {
         self.words[(back / 64) as usize] |= 1 << (back % 64);
+    }
+
+    /// Records `seq`; returns `false` when it was already executed
+    /// (duplicate). The window is 1024 bits wide ([`SEQ_WINDOW_BITS`]):
+    /// far more than the slot count bounds in-flight requests to, so a
+    /// strided multi-outstanding client slot that stalls across slices
+    /// still lands inside the window.
+    fn record(&mut self, seq: u64) -> bool {
+        if seq > self.high {
+            self.shift_up(seq - self.high);
+            self.set(0);
+            self.high = seq;
+            true
+        } else {
+            let back = self.high - seq;
+            if back >= SEQ_WINDOW_BITS {
+                return false; // ancient: certainly a duplicate
+            }
+            if self.test(back) {
+                false
+            } else {
+                self.set(back);
+                true
+            }
+        }
     }
 }
 
@@ -381,7 +406,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 publish_inflight: false,
                 last_fetch_epoch: u64::MAX,
                 served_this_slice: false,
-                seq_high: 0,
                 seq_window: SeqWindow::default(),
                 conn: Fsm::new(if cfg.lazy_connect {
                     ConnState::Absent
@@ -870,30 +894,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
     }
 
     /// Records `seq` for `client`; returns `false` when it was already
-    /// executed (duplicate). The window is 1024 bits wide
-    /// ([`SEQ_WINDOW_BITS`]): far more than the slot count bounds
-    /// in-flight requests to, so a strided multi-outstanding client slot
-    /// that stalls across slices still lands inside the window.
+    /// executed (duplicate).
     fn record_seq(&mut self, client: ClientId, seq: u64) -> bool {
-        let st = &mut self.clients[client];
-        if seq > st.seq_high {
-            let shift = seq - st.seq_high;
-            st.seq_window.shift_up(shift);
-            st.seq_window.set(0);
-            st.seq_high = seq;
-            true
-        } else {
-            let back = st.seq_high - seq;
-            if back >= SEQ_WINDOW_BITS {
-                return false; // ancient: certainly a duplicate
-            }
-            if st.seq_window.test(back) {
-                false
-            } else {
-                st.seq_window.set(back);
-                true
-            }
-        }
+        self.clients[client].seq_window.record(seq)
     }
 
     // ---- server side: context switch ----------------------------------------
@@ -1581,6 +1584,40 @@ impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for ScaleRpc<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The exactly-once window against a reference model, the set of
+        /// recorded seqs plus the highest: a seq is fresh iff it was never
+        /// recorded and lies less than 1 024 below the highest. Forward
+        /// moves shift the bitmap by exactly 64, 1 023, 1 024, more than
+        /// 1 024, or a few; backward probes land near the window's edge.
+        #[test]
+        fn seq_window_matches_a_recorded_set(
+            steps in proptest::collection::vec((0..7u8, 0..2000u64), 1..160)
+        ) {
+            let mut window = SeqWindow::default();
+            let mut recorded = std::collections::BTreeSet::new();
+            let mut high = 0u64;
+            for (kind, n) in steps {
+                let seq = match kind {
+                    0 => high + 64,
+                    1 => high + 1023,
+                    2 => high + 1024,
+                    3 => high + 1025 + n,
+                    4 => high + 1 + n % 8,
+                    5 => high.saturating_sub(1023 + n % 2),
+                    _ => high.saturating_sub(n % 1100),
+                };
+                let fresh = !recorded.contains(&seq) && seq + 1024 > high;
+                prop_assert_eq!(window.record(seq), fresh, "seq {} high {}", seq, high);
+                if fresh {
+                    recorded.insert(seq);
+                    high = high.max(seq);
+                }
+            }
+        }
+    }
 
     #[test]
     fn zone_table_is_group_of_plus_position() {
