@@ -4,13 +4,13 @@ use bytes::Bytes;
 use rdma_fabric::{Fabric, QpId, Upcall};
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
+use rpc_core::trace::TraceTable;
 use rpc_core::transport::{ClientOverhead, OneSidedAccess, Response, RpcTransport, ServerHandler};
 use rpc_core::workers::WorkerPool;
 use simcore::SimDuration;
 
 use crate::request::RequestPath;
 use crate::response::ResponsePath;
-use crate::trace::TraceTable;
 use crate::{Received, SendResponse};
 
 /// The server half common to every baseline: the handler and the worker

@@ -21,10 +21,16 @@
 //! Shared by every cell: the pairing itself, one `RpcTransport` impl
 //! ([`baseline::Baseline`]) around the server half that runs the handler
 //! on the owning worker ([`baseline::Server`]); the receive rings
-//! ([`ring::UdRings`]); pool-block framing ([`pool::write_block`] and
-//! `rpc_core::message::MsgBuf::take_rpc`, the one Valid-byte clear,
-//! shared with ScaleRPC); the open-trace table ([`trace::TraceTable`]);
-//! and datagram framing (`rpc_core::message::RpcHeader::frame`).
+//! ([`ring::UdRings`]); and datagram framing
+//! ([`RpcHeader::frame`](rpc_core::message::RpcHeader::frame)). Shared
+//! with ScaleRPC as well, and so kept in `rpc-core`: the framed block
+//! write ([`write_block`](rpc_core::pool::write_block)), the one
+//! Valid-byte clear ([`MsgBuf::take_rpc`](rpc_core::message::MsgBuf::take_rpc))
+//! and the open-trace table ([`TraceTable`](rpc_core::trace::TraceTable)).
+//! The request take and the response landing are not shared: ScaleRPC
+//! charges the LLC read only after its exactly-once check, and looks for
+//! a context-switch notification before it copies a response out, so
+//! either merge would move its LLC stream or its allocation counts.
 //!
 //! All implement [`rpc_core::RpcTransport`], so the harness and the
 //! downstream systems swap them freely.
@@ -37,13 +43,11 @@
 pub mod baseline;
 pub mod fasst;
 pub mod herd;
-pub mod pool;
 pub mod rawwrite;
 pub mod request;
 pub mod response;
 pub mod ring;
 pub mod selfrpc;
-pub mod trace;
 pub mod udchunk;
 
 pub use fasst::Fasst;

@@ -12,11 +12,10 @@ use rdma_fabric::{CqId, Fabric, MrId, QpId, Transport, Upcall, WcOpcode};
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
 use rpc_core::message::MsgBuf;
-use rpc_core::pool::BlockPool;
+use rpc_core::pool::{write_block, BlockPool};
+use rpc_core::trace::TraceTable;
 
-use crate::pool::write_block;
 use crate::ring::{send_datagram, UdRings};
-use crate::trace::TraceTable;
 use crate::{Received, SendResponse};
 
 /// Server-side receive-ring depth per worker.
@@ -69,7 +68,10 @@ struct ClientConn {
 /// static server pool, at most `slots` in flight each. With `IMM` the
 /// writes carry `(client << 8) | slot` as an immediate, so the server
 /// locates a message from its CQ; without, the zone's worker finds it by
-/// polling the pool.
+/// polling the pool. The pool grows with the client count, which is why
+/// it stops fitting the LLC (Fig. 3(b)) and why HERD-style RPC "only
+/// supports a limited number of clients once the message pool has been
+/// formatted" (§3.4).
 pub struct PoolRequests<const IMM: bool> {
     pool: BlockPool,
     pool_mr: MrId,
@@ -172,7 +174,7 @@ impl<const IMM: bool> PoolRequests<IMM> {
         let conn = &mut self.clients[client];
         conn.inflight += 1;
         traces.stamp_request(client, seq, cx.fabric);
-        write_block(conn.client_qp, block, imm, (client, seq), &payload, cx);
+        write_block(conn.client_qp, block, imm, (client, seq, 0), &payload, cx).expect("block write");
     }
 }
 

@@ -12,11 +12,10 @@ use rdma_fabric::{Fabric, MrId, QpId, Upcall};
 use rpc_core::cluster::{ClientId, Cluster};
 use rpc_core::driver::Cx;
 use rpc_core::message::MsgBuf;
-use rpc_core::pool::BlockPool;
+use rpc_core::pool::{write_block, BlockPool};
 use rpc_core::workers::WorkerPool;
 use simcore::SimDuration;
 
-use crate::pool::write_block;
 use crate::ring::{send_datagram, UdRings};
 use crate::{Received, SendResponse};
 
@@ -82,7 +81,8 @@ impl ResponsePath for WriteResponses {
             self.pool.slot_of_seq(ev.seq) * block_size,
             block_size,
         );
-        write_block(server_qp, block, None, (ev.client, ev.seq), &ev.payload, cx);
+        write_block(server_qp, block, None, (ev.client, ev.seq, 0), &ev.payload, cx)
+            .expect("block write");
     }
 
     #[inline]

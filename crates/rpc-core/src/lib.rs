@@ -24,7 +24,10 @@
 //! - [`metrics`]: per-experiment result collection and the measured
 //!   [`Window`].
 //! - [`pool`]: [`BlockPool`], the `zones × slots × block_size` geometry
-//!   of every message pool, static or virtualized.
+//!   of every message pool, static or virtualized, and
+//!   [`write_block`](pool::write_block), the one framed block write.
+//! - [`trace`]: [`TraceTable`](trace::TraceTable), the open-trace table
+//!   every transport keeps from submit until the response lands.
 
 pub mod cluster;
 pub mod driver;
@@ -34,6 +37,7 @@ pub mod message;
 pub mod metrics;
 pub mod pool;
 pub mod sharded;
+pub mod trace;
 pub mod transport;
 pub mod window;
 pub mod workers;

@@ -6,7 +6,14 @@
 //! zone, so the pool grows with the client count until it stops fitting
 //! the LLC (Fig. 3(b)); ScaleRPC's virtualized mapping (§3.3) gives every
 //! *member of the group being served* a zone, so it never grows. The
-//! arithmetic is the same.
+//! arithmetic is the same, and so is [`write_block`], the one way any of
+//! them frames a message into a block and RDMA-writes it.
+
+use rdma_fabric::{MrId, PostInfo, QpId, RemoteAddr, VerbResult, WorkRequest};
+
+use crate::cluster::ClientId;
+use crate::driver::Cx;
+use crate::message::MsgBuf;
 
 /// Geometry of one pool: `zones × slots` blocks of `block_size` bytes.
 #[derive(Clone, Copy, Debug)]
@@ -79,6 +86,30 @@ impl BlockPool {
     pub fn slot_of_seq(&self, seq: u64) -> usize {
         (seq % self.slots as u64) as usize
     }
+}
+
+/// Frames `payload` for `(client, seq)` with header `flags` and writes
+/// it, right-aligned, into the `block_size` block starting at
+/// `block_start` of `mr` — one unsignaled RDMA write on `qp`, with `imm`
+/// if given. Returns the post's result: a torn-down `qp` is the caller's
+/// to tolerate or not.
+///
+/// # Panics
+///
+/// Panics when the framed message does not fit `block_size`.
+#[inline]
+pub fn write_block<A>(
+    qp: QpId,
+    (mr, block_start, block_size): (MrId, usize, usize),
+    imm: Option<u32>,
+    (client, seq, flags): (ClientId, u64, u16),
+    payload: &[u8],
+    cx: &mut Cx<'_, A>,
+) -> VerbResult<PostInfo> {
+    let (enc_off, data) =
+        MsgBuf::encode_rpc(client, seq, flags, payload, block_size).expect("message fits block");
+    let remote = RemoteAddr::new(mr, block_start + enc_off);
+    cx.post(qp, WorkRequest::Write { data, remote, imm }, false, None)
 }
 
 #[cfg(test)]

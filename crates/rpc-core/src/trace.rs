@@ -1,16 +1,18 @@
-//! The open-trace table every baseline shares.
+//! The open-trace table every transport shares.
 //!
 //! The harness stamps a trace id on the fabric for the duration of one
-//! `submit`. A baseline's later posts for the same RPC — a request
-//! admitted from the queue, the response — happen outside that window,
+//! `submit`. A transport's later posts for the same RPC — a request
+//! admitted from a queue or flushed after connection setup, the
+//! response — happen outside that window,
 //! so the id is remembered here under `(client, seq)` and re-stamped
 //! where needed. With tracing off the harness stamps 0, nothing is ever
 //! inserted, and every call below is a lookup in an empty map.
 
 use rdma_fabric::Fabric;
-use rpc_core::cluster::ClientId;
 use simcore::SimTime;
 use simtrace::{Stage, TraceId, Tracer};
+
+use crate::cluster::ClientId;
 
 /// Open trace ids keyed by `(client, seq)`, from submit until the
 /// response lands at the client.
@@ -28,17 +30,20 @@ impl TraceTable {
         }
     }
 
-    /// At submit: remembers the id the harness stamped for this request.
+    /// At submit: remembers the id the harness stamped for this request,
+    /// and returns it (0 when untraced).
     #[inline]
-    pub fn open(&mut self, client: ClientId, seq: u64, fabric: &Fabric) {
+    pub fn open(&mut self, client: ClientId, seq: u64, fabric: &Fabric) -> TraceId {
         let tid = fabric.trace_ctx();
         if tid != 0 {
             self.trace_ids.insert((client, seq), tid);
         }
+        tid
     }
 
+    /// The open id of `(client, seq)`, if it is traced.
     #[inline]
-    fn id(&self, client: ClientId, seq: u64) -> Option<TraceId> {
+    pub fn id(&self, client: ClientId, seq: u64) -> Option<TraceId> {
         self.trace_ids.get(&(client, seq)).copied()
     }
 

@@ -26,9 +26,26 @@
 //! context-switch *re-arm*: a notification that lands while requests
 //! are still in flight moves the client back to WARMUP so the staged
 //! tail is re-advertised instead of stranded).
+//!
+//! [`ClientEnds`] is the `RPCClient` half of
+//! [`ScaleRpc`](crate::ScaleRpc) that drives this FSM: it picks a
+//! staging slot, stages, publishes the endpoint entry, writes directly
+//! into the processing pool, and lands responses. It owns no post
+//! policy: each post's result goes back to the transport, whose
+//! lifecycle decides what a failed post means.
 
+use bytes::Bytes;
+use rdma_fabric::{Fabric, MrId, QpId, RemoteAddr, VerbResult, WorkRequest};
+use rpc_core::cluster::ClientId;
+use rpc_core::driver::Cx;
+use rpc_core::message::MsgBuf;
+use rpc_core::pool::{write_block, BlockPool};
+use rpc_core::transport::Response;
 use rpc_core::{Completed, RequestWindow};
-use simcore::{Fsm, Transitions};
+use simcore::{DetHashMap, Fsm, Transitions};
+use simtrace::TraceId;
+
+use crate::transport::{ENTRY, NOTIFY_SEQ};
 
 /// Client states (Fig. 7 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,6 +187,297 @@ impl ClientFsm {
     /// write the server issues to clients with no in-flight responses).
     pub fn on_ctx_notify(&mut self) {
         self.state.set(ClientState::Idle);
+    }
+}
+
+/// What a client end consults of the server when it sends, read through
+/// the server's named calls (setup-time metadata and the entry mirror).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Peer {
+    /// The processing-pool block a direct write of this request lands
+    /// in, or `None` while the client is in no group.
+    pub(crate) direct: Option<(MrId, usize)>,
+    /// The server still holds this client's endpoint entry valid.
+    pub(crate) entry_valid: bool,
+}
+
+/// One client's end of its connection.
+struct ClientEnd {
+    qp: QpId,
+    /// Client-local region: `slots` staging blocks, then `slots + 1`
+    /// response blocks (the last is the control block for explicit
+    /// notifications).
+    region: MrId,
+    fsm: ClientFsm,
+    /// An endpoint-entry write is on the wire (suppresses duplicates).
+    publish_inflight: bool,
+}
+
+/// Every client's `RPCClient` end.
+pub(crate) struct ClientEnds {
+    ends: Vec<ClientEnd>,
+    /// Local region → client, routing response writes.
+    by_region: DetHashMap<MrId, ClientId>,
+    /// The server's endpoint region, one entry per client.
+    endpoint_mr: MrId,
+    /// The staging area at the front of each local region: one zone of
+    /// `slots` blocks.
+    staging: BlockPool,
+    /// Asynchronous clients (`client_window > 1`) re-arm when a
+    /// notification lands with requests still in flight.
+    rearm: bool,
+}
+
+impl ClientEnds {
+    /// No clients yet; each will stage up to `slots` blocks of
+    /// `block_size` bytes.
+    pub(crate) fn new(endpoint_mr: MrId, slots: usize, block_size: usize, rearm: bool) -> Self {
+        ClientEnds {
+            ends: Vec::new(),
+            by_region: DetHashMap::default(),
+            endpoint_mr,
+            staging: BlockPool::new(1, slots, block_size),
+            rearm,
+        }
+    }
+
+    /// Adds the next client, posting on `qp` with local region `region`.
+    pub(crate) fn add(&mut self, qp: QpId, region: MrId) {
+        self.by_region.insert(region, self.ends.len());
+        self.ends.push(ClientEnd {
+            qp,
+            region,
+            // One FSM window slot per message slot: the client can keep
+            // at most `slots` requests in flight before staging blocks
+            // would collide.
+            fsm: ClientFsm::with_window(self.staging.slots),
+            publish_inflight: false,
+        });
+    }
+
+    /// The client's QP.
+    pub(crate) fn qp(&self, client: ClientId) -> QpId {
+        self.ends[client].qp
+    }
+
+    /// The client whose local region is `mr`.
+    #[inline]
+    pub(crate) fn client_of(&self, mr: MrId) -> Option<ClientId> {
+        self.by_region.get(&mr).copied()
+    }
+
+    /// No endpoint-entry write of `client`'s is on the wire any more: it
+    /// landed, or the connection it travelled on is gone.
+    #[inline]
+    pub(crate) fn publish_settled(&mut self, client: ClientId) {
+        self.ends[client].publish_inflight = false;
+    }
+
+    /// The `seq` staged in block `slot` of `client`'s staging area.
+    fn staged_seq(&self, client: ClientId, slot: usize, fabric: &Fabric) -> Option<u64> {
+        let mr = fabric.mr(self.ends[client].region).ok()?;
+        let raw = mr
+            .read(self.staging.offset(0, slot), self.staging.block_size)
+            .ok()?;
+        MsgBuf::decode_rpc(raw).map(|(h, _)| h.seq)
+    }
+
+    /// Picks the staging block for `seq`. The natural slot is
+    /// `seq % slots`, but a windowed client's outstanding sequences need
+    /// not be consecutive: one request can stall while its window
+    /// siblings complete and are replaced, until a fresh sequence maps to
+    /// the stalled request's slot and would overwrite its staged bytes
+    /// before any warmup fetch reads them — stranding it forever. Probe
+    /// forward to the first slot not holding a *different, still
+    /// in-flight* request (stale already-answered copies are fair game).
+    /// `window <= slots`, so a free slot always exists.
+    #[inline]
+    fn staging_slot_for(&self, client: ClientId, seq: u64, fabric: &Fabric) -> usize {
+        let base = self.staging.slot_of_seq(seq);
+        let window = self.ends[client].fsm.window();
+        for probe in 0..self.staging.slots {
+            let s = (base + probe) % self.staging.slots;
+            let occupied = self.staged_seq(client, s, fabric).is_some_and(|ss| {
+                ss != seq && window.iter_in_flight().any(|(_, f)| f.seq == ss)
+            });
+            if !occupied {
+                return s;
+            }
+        }
+        base
+    }
+
+    /// Composes the request into a local staging block: an ordinary CPU
+    /// store, no verbs.
+    #[inline]
+    fn stage(&self, client: ClientId, seq: u64, payload: &[u8], fabric: &mut Fabric) {
+        let slot = self.staging_slot_for(client, seq, fabric);
+        let (enc_off, bytes) =
+            MsgBuf::encode_rpc(client, seq, 0, payload, self.staging.block_size)
+                .expect("request fits block");
+        let off = self.staging.offset(0, slot) + enc_off;
+        fabric
+            .mr_mut(self.ends[client].region)
+            .expect("local mr")
+            .write(off, &bytes)
+            .expect("staging write");
+    }
+
+    /// Writes the endpoint entry advertising the staged batch.
+    #[inline]
+    fn publish<A>(&mut self, client: ClientId, cx: &mut Cx<'_, A>) -> VerbResult<()> {
+        self.ends[client].publish_inflight = true;
+        // <req_addr, batch_size> tuple, Valid last (RDMA writes land in
+        // increasing address order).
+        let mut entry = [0u8; 24];
+        entry[0..8].copy_from_slice(&0u64.to_le_bytes()); // staging offset
+        entry[8..12].copy_from_slice(&(self.staging.slots as u32).to_le_bytes());
+        entry[16..24].copy_from_slice(&1u64.to_le_bytes()); // valid
+        let write = WorkRequest::Write {
+            data: Bytes::copy_from_slice(&entry),
+            remote: RemoteAddr::new(self.endpoint_mr, client * ENTRY),
+            imm: None,
+        };
+        cx.post(self.ends[client].qp, write, false, None).map(drop)
+    }
+
+    /// Drives one request through the FSM and onto the wire (the
+    /// post-connection-setup half of `submit`). Returns the result of
+    /// the post it made, if any.
+    #[inline]
+    pub(crate) fn dispatch<A>(
+        &mut self,
+        client: ClientId,
+        seq: u64,
+        payload: Bytes,
+        tid: TraceId,
+        peer: Peer,
+        cx: &mut Cx<'_, A>,
+    ) -> VerbResult<()> {
+        // Track the request in the FSM's in-flight window (per-slot
+        // TraceIds). A retransmission of a sequence the window already
+        // tracks must not claim a second slot; should a caller overcommit
+        // past the slot count, fall back to the untracked Fig. 7
+        // transition so the state machine itself never diverges.
+        let fsm = &mut self.ends[client].fsm;
+        let action = if fsm.window().contains(seq) {
+            fsm.on_submit()
+        } else {
+            fsm.submit(seq, tid).unwrap_or_else(|| fsm.on_submit())
+        };
+        match action {
+            SubmitAction::DirectWrite => {
+                let Some((pool, block_start)) = peer.direct else {
+                    return Ok(());
+                };
+                let block = (pool, block_start, self.staging.block_size);
+                write_block(self.ends[client].qp, block, None, (client, seq, 0), &payload, cx)
+                    .map(drop)
+            }
+            SubmitAction::StageAndPublish => {
+                self.stage(client, seq, &payload, cx.fabric);
+                self.publish(client, cx)
+            }
+            SubmitAction::StageOnly => {
+                self.stage(client, seq, &payload, cx.fabric);
+                // If the entry was already consumed this cycle (and no
+                // publish is on the wire), republish so the batch is not
+                // stranded until the next rotation.
+                if !peer.entry_valid && !self.ends[client].publish_inflight {
+                    self.publish(client, cx)
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// A server write landed at `offset` of `client`'s region. Returns
+    /// the response it carried, or the result of the republish a
+    /// context-switch notification triggered (`entry_valid` is the
+    /// server's mirror).
+    #[inline]
+    pub(crate) fn land<A>(
+        &mut self,
+        client: ClientId,
+        offset: usize,
+        entry_valid: bool,
+        cx: &mut Cx<'_, A>,
+    ) -> VerbResult<Option<Response>> {
+        if offset < self.staging.bytes() {
+            // A write into the staging area can only be the server's
+            // warmup read... which never writes. Ignore defensively.
+            return Ok(None);
+        }
+        let block_size = self.staging.block_size;
+        let region = self.ends[client].region;
+        let block_start = self.staging.block_start(offset);
+        let local = cx.fabric.mr_mut(region).expect("local mr");
+        let Some((header, payload)) = MsgBuf::take_rpc(local, block_start, block_size) else {
+            return Ok(None);
+        };
+        let end = &mut self.ends[client];
+        if header.seq == NOTIFY_SEQ {
+            end.fsm.on_ctx_notify();
+            // Re-arm (asynchronous clients only, so the synchronous
+            // timeline stays bit-exact): with requests still in flight —
+            // staged but not yet served — jump straight back to WARMUP
+            // and make sure the endpoint entry advertises the staged
+            // tail instead of stranding it.
+            if self.rearm && end.fsm.rearm() && !entry_valid && !end.publish_inflight {
+                self.publish(client, cx)?;
+            }
+            return Ok(None);
+        }
+        let payload = Bytes::copy_from_slice(payload);
+        if end.fsm.complete(header.seq, header.is_ctx_switch()).is_none() {
+            // Untracked (window overcommit fallback in `dispatch`): apply
+            // the bare Fig. 7 transition.
+            end.fsm.on_response(header.is_ctx_switch());
+        }
+        // Clear the staging copy of this request so a later warmup read
+        // cannot re-fetch it. The copy normally sits at `seq % slots`,
+        // but collision probing (see `staging_slot_for`) may have placed
+        // it in a neighbouring slot, so scan for the block holding this
+        // sequence; slots staging *other* requests are left untouched.
+        for s in 0..self.staging.slots {
+            if self.staged_seq(client, s, cx.fabric) == Some(header.seq) {
+                let local = cx.fabric.mr_mut(region).expect("local mr");
+                MsgBuf::clear_valid(local, self.staging.offset(0, s), block_size);
+            }
+        }
+        Ok(Some(Response {
+            client,
+            seq: header.seq,
+            payload,
+        }))
+    }
+
+    /// Cancels every staged request (the server crashed): the warm
+    /// restart must not fetch requests whose issuers presumed them dead.
+    pub(crate) fn cancel_staged(&self, fabric: &mut Fabric) {
+        for end in &self.ends {
+            let region = fabric.mr_mut(end.region).expect("local mr");
+            for s in 0..self.staging.slots {
+                MsgBuf::clear_valid(region, self.staging.offset(0, s), self.staging.block_size);
+            }
+        }
+    }
+
+    /// The client's half of its post-mortem.
+    pub(crate) fn diag(&self, client: ClientId, fabric: &Fabric) -> String {
+        let end = &self.ends[client];
+        let staged: Vec<String> = (0..self.staging.slots)
+            .filter_map(|s| Some(format!("slot{s}=seq{}", self.staged_seq(client, s, fabric)?)))
+            .collect();
+        let wnd: Vec<u64> = end.fsm.window().iter_in_flight().map(|(_, f)| f.seq).collect();
+        format!(
+            "fsm={:?} inflight={:?} publish_inflight={} staged=[{}]",
+            end.fsm.state(),
+            wnd,
+            end.publish_inflight,
+            staged.join(",")
+        )
     }
 }
 
