@@ -174,7 +174,8 @@ impl<const IMM: bool> PoolRequests<IMM> {
         let conn = &mut self.clients[client];
         conn.inflight += 1;
         traces.stamp_request(client, seq, cx.fabric);
-        write_block(conn.client_qp, block, imm, (client, seq, 0), &payload, cx).expect("block write");
+        write_block(conn.client_qp, block, imm, (client, seq, 0), &payload, cx)
+            .expect("block write");
     }
 }
 

@@ -81,8 +81,15 @@ impl ResponsePath for WriteResponses {
             self.pool.slot_of_seq(ev.seq) * block_size,
             block_size,
         );
-        write_block(server_qp, block, None, (ev.client, ev.seq, 0), &ev.payload, cx)
-            .expect("block write");
+        write_block(
+            server_qp,
+            block,
+            None,
+            (ev.client, ev.seq, 0),
+            &ev.payload,
+            cx,
+        )
+        .expect("block write");
     }
 
     #[inline]

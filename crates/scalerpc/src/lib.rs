@@ -29,15 +29,15 @@
 //! that lets multiple `RPCServer`s switch groups at the same pace, which
 //! the ScaleTX transaction system requires.
 
-pub mod client;
 pub mod config;
 pub mod globsync;
 pub mod scheduler;
 pub mod transport;
 pub mod vpool;
 
-pub use client::{ClientFsm, ClientState};
 pub use config::ScaleRpcConfig;
 pub use globsync::GlobalSync;
 pub use scheduler::{ClientStats, GroupPlan, Scheduler};
+pub use transport::client;
+pub use transport::client::{ClientFsm, ClientState};
 pub use transport::{ScaleEv, ScaleRpc};

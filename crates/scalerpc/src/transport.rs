@@ -1,22 +1,15 @@
 //! The ScaleRPC server/client transport (§3 of the paper, end to end).
 //!
 //! One [`ScaleRpc`] value embodies both sides of the protocol, wired to
-//! the simulated fabric, in three parts:
-//!
-//! - the `RPCServer` ([`server`]): pools, scheduler, workers, the warmup
-//!   engine and the context switch;
-//! - every `RPCClient` end ([`ClientEnds`], next to the Fig. 7 FSM in
-//!   [`client`](crate::client)): staging, the endpoint entry, direct
-//!   writes and response landing;
-//! - the connection lifecycle ([`lifecycle`]): connection state, the
-//!   exactly-once guard and the response-replay cache.
-//!
-//! This file holds the struct and routes each upcall or event to its
-//! part; where one part needs another's state it asks through a named
-//! call. All *timing* flows through the fabric (RDMA verbs, NIC/LLC
-//! models, worker CPU resources); shared Rust state is used only for
-//! metadata a real deployment exchanges at connection setup (region ids,
-//! zone assignments).
+//! the simulated fabric, in three parts that read each other's state only
+//! through named calls: the `RPCServer` (pools, scheduler, workers,
+//! warmup engine; `transport/server.rs`), every `RPCClient` end, next to
+//! the Fig. 7 state machine in [`client`], and the connection lifecycle
+//! (`transport/lifecycle.rs`). This file holds the struct and routes each
+//! upcall or event to its part. All *timing* flows through the fabric
+//! (RDMA verbs, NIC/LLC models, worker CPU resources); shared Rust state
+//! is used only for metadata a real deployment exchanges at connection
+//! setup (region ids, zone assignments).
 //!
 //! Data path summary:
 //!
@@ -36,6 +29,7 @@
 //! - **Legacy mode** (§3.5): requests flagged long-running execute on a
 //!   dedicated thread so a context switch cannot cut them off.
 
+pub mod client;
 mod lifecycle;
 mod server;
 
@@ -47,21 +41,20 @@ use rpc_core::pool::BlockPool;
 use rpc_core::trace::TraceTable;
 use rpc_core::transport::{ClientOverhead, LifecycleEv, Response, RpcTransport, ServerHandler};
 use rpc_core::workers::WorkerPool;
-use simcore::{DetHashMap, DetHashSet};
-use simcore::{FifoResource, SimDuration, SimTime};
-use simtrace::{TraceId, Tracer};
+use simcore::{DetHashMap, DetHashSet, FifoResource, SimDuration, SimTime};
+use simtrace::Tracer;
 
-use crate::client::ClientEnds;
 use crate::config::ScaleRpcConfig;
 use crate::scheduler::{ClientStats, GroupPlan, Scheduler};
 use crate::vpool::PoolPair;
+use client::ClientEnd;
 use lifecycle::Lifecycle;
 use server::{zone_table, Served};
 
 /// Endpoint-entry stride in the endpoint region (per client).
-pub(crate) const ENTRY: usize = 32;
+const ENTRY: usize = 32;
 /// Sequence number that marks a pure context-switch notification.
-pub(crate) const NOTIFY_SEQ: u64 = u64::MAX;
+const NOTIFY_SEQ: u64 = u64::MAX;
 
 /// Transport-internal events.
 pub enum ScaleEv {
@@ -115,11 +108,10 @@ pub struct ScaleRpc<H: ServerHandler> {
     pools: [MrId; 2],
     pool_pair: PoolPair,
     endpoint_mr: MrId,
-    /// The server's record of every client.
     served: Vec<Served>,
-    /// Every client's end.
-    ends: ClientEnds,
-    /// Every client's connection, and the server's liveness.
+    ends: Vec<ClientEnd>,
+    /// Client-local region → client, routing response writes.
+    local_index: DetHashMap<MrId, ClientId>,
     life: Lifecycle,
     server_cq: CqId,
     plan: GroupPlan,
@@ -159,9 +151,7 @@ pub struct ScaleRpc<H: ServerHandler> {
     post_cpu: SimDuration,
     pool_check: SimDuration,
     tracer: Tracer,
-    /// Trace ids of in-flight requests. Pure observability metadata
-    /// (state a real deployment would carry in its headers); never read
-    /// by the protocol.
+    /// Trace ids of in-flight requests (observability only).
     traces: TraceTable,
     /// Explicit context notifications posted (observability).
     pub ctx_notifies: u64,
@@ -210,9 +200,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let plan = scheduler.initial_plan(n);
         let zones = zone_table(&plan, n);
         let mut served = Vec::with_capacity(n);
-        let rearm = cfg.client_window > 1;
-        let mut ends = ClientEnds::new(endpoint_mr, cfg.slots, cfg.block_size, rearm);
-        let mut life = Lifecycle::new(cfg.lazy_connect, cfg.elastic);
+        let mut ends = Vec::with_capacity(n);
+        let mut local_index = DetHashMap::default();
+        let mut qps = Vec::with_capacity(n);
         for c in 0..n {
             let cnode = cluster.node_of(c);
             let local_mr = fabric
@@ -231,8 +221,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 fabric.connect(server_qp, client_qp).expect("connect");
             }
             served.push(Served::new(server_qp, local_mr));
-            ends.add(client_qp, local_mr);
-            life.add(server_qp, client_qp);
+            ends.push(ClientEnd::new(client_qp, local_mr, cfg.slots));
+            local_index.insert(local_mr, c);
+            qps.push((server_qp, client_qp));
         }
         let p = fabric.params();
         ScaleRpc {
@@ -242,7 +233,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
             endpoint_mr,
             served,
             ends,
-            life,
+            local_index,
+            life: Lifecycle::new(cfg.lazy_connect, cfg.elastic, qps),
             server_cq,
             plan,
             zones,
@@ -291,24 +283,13 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.rotations
     }
 
-    /// Posts dropped because a QP was torn down or not yet connected
-    /// (observability; always 0 on a healthy run).
-    pub fn dropped_posts(&self) -> u64 {
-        self.life.dropped_posts()
-    }
-
-    /// Lost responses re-sent from the replay cache (observability).
-    pub fn replayed_responses(&self) -> u64 {
-        self.life.replayed_responses()
-    }
-
     /// Compact post-mortem of one client's transport-side state, for
     /// liveness triage (the scenario fuzzer prints this for any client
     /// the harness reports as stuck).
     pub fn client_diag(&self, fabric: &Fabric, client: ClientId) -> String {
+        let end = self.end_diag(client, fabric);
         format!(
-            "client {client}: {} {}",
-            self.ends.diag(client, fabric),
+            "client {client}: {end} {}",
             self.server_diag(client, fabric)
         )
     }
@@ -321,28 +302,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// Mutable access to the server-side handler (setup/preload).
     pub fn handler_mut(&mut self) -> &mut H {
         &mut self.handler
-    }
-
-    /// Hands one request to its client end, with what that end reads of
-    /// the server.
-    #[inline]
-    fn dispatch(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        payload: Bytes,
-        tid: TraceId,
-        cx: &mut Cx<'_, ScaleEv>,
-    ) {
-        let peer = self.peer(client, seq);
-        let posted = self.ends.dispatch(client, seq, payload, tid, peer, cx);
-        self.life.posted(posted);
-    }
-
-    /// Forgets both parties' state of `client`'s lost connection.
-    fn forget_conn_state(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
-        self.forget_client(client, cx);
-        self.ends.publish_settled(client);
     }
 }
 
@@ -359,32 +318,16 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                 mr, offset, len, ..
             } => {
                 if mr == self.pools[0] || mr == self.pools[1] {
-                    // A crashed server polls no pools.
-                    if !self.life.is_down() {
-                        self.on_pool_write(mr, offset, len, cx);
-                    }
+                    self.on_pool_write(mr, offset, len, cx);
                 } else if mr == self.endpoint_mr {
-                    // A crashed server's warmup engine is dead.
-                    if !self.life.is_down() {
-                        if let Some(client) = self.on_entry_write(offset, cx) {
-                            self.ends.publish_settled(client);
-                        }
+                    if let Some(client) = self.on_entry_write(offset, cx) {
+                        self.publish_settled(client);
                     }
-                } else if let Some(client) = self.ends.client_of(mr) {
-                    let entry_valid = self.entry_valid(client);
-                    let landed = self.ends.land(client, offset, entry_valid, cx);
-                    if let Some(resp) = self.life.posted(landed).flatten() {
-                        self.traces.close(client, resp.seq, cx.now);
-                        self.life.delivered(client, resp.seq);
-                        out.push(resp);
-                    }
+                } else if let Some(&client) = self.local_index.get(&mr) {
+                    self.land(client, offset, cx, out);
                 }
             }
-            Upcall::Completion { cq, wc, .. } => {
-                if !self.life.is_down() {
-                    self.on_read_done(cq, wc, cx);
-                }
-            }
+            Upcall::Completion { cq, wc, .. } => self.on_read_done(cq, wc, cx),
             Upcall::ConnEstablished { qp, .. } => {
                 if let Some((client, pending)) = self.life.established(qp, cx) {
                     for (seq, payload) in pending {
@@ -398,16 +341,12 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
 
     fn on_app(&mut self, ev: ScaleEv, cx: &mut Cx<'_, ScaleEv>, _out: &mut Vec<Response>) {
         match ev {
-            ScaleEv::SliceEnd { epoch } => self.on_slice_end(epoch, cx),
+            ScaleEv::SliceEnd { epoch } => self.context_switch(epoch, cx),
             ScaleEv::Fetch {
                 client,
                 pool_idx,
                 epoch,
-            } => {
-                if !self.life.is_down() {
-                    self.on_fetch_due(client, pool_idx, epoch, cx);
-                }
-            }
+            } => self.fetch_client(client, pool_idx, epoch, cx),
             ScaleEv::Reconnect { client } => self.life.reconnect_due(client, cx),
             ScaleEv::SendResponse {
                 client,
@@ -435,20 +374,22 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
         match ev {
             LifecycleEv::ServerCrash => {
                 self.life.crash();
-                self.ends.cancel_staged(cx.fabric);
+                self.cancel_staged(cx.fabric);
                 self.crash(cx.fabric);
             }
             LifecycleEv::ServerRecover => {
                 self.life.recover(cx);
                 for c in 0..self.served.len() {
-                    self.forget_conn_state(c, cx);
+                    self.forget_client(c, cx);
+                    self.publish_settled(c);
                 }
                 // The crash invalidated the old epoch's timers.
                 self.restart_slices(cx);
             }
             LifecycleEv::ConnReset(c) => {
                 self.life.reset(c, cx);
-                self.forget_conn_state(c, cx);
+                self.forget_client(c, cx);
+                self.publish_settled(c);
             }
         }
     }
@@ -464,6 +405,6 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
 
 impl<H: ServerHandler> rpc_core::transport::OneSidedAccess for ScaleRpc<H> {
     fn client_qp(&self, client: ClientId) -> Option<QpId> {
-        Some(self.ends.qp(client))
+        Some(self.client_qp_of(client))
     }
 }

@@ -27,25 +27,20 @@
 //! are still in flight moves the client back to WARMUP so the staged
 //! tail is re-advertised instead of stranded).
 //!
-//! [`ClientEnds`] is the `RPCClient` half of
-//! [`ScaleRpc`](crate::ScaleRpc) that drives this FSM: it picks a
-//! staging slot, stages, publishes the endpoint entry, writes directly
-//! into the processing pool, and lands responses. It owns no post
-//! policy: each post's result goes back to the transport, whose
-//! lifecycle decides what a failed post means.
+//! Below it, the `RPCClient` half of [`ScaleRpc`] that drives it.
 
 use bytes::Bytes;
-use rdma_fabric::{Fabric, MrId, QpId, RemoteAddr, VerbResult, WorkRequest};
+use rdma_fabric::{Fabric, MemoryRegion, MrId, QpId, RemoteAddr, WorkRequest};
 use rpc_core::cluster::ClientId;
 use rpc_core::driver::Cx;
 use rpc_core::message::MsgBuf;
-use rpc_core::pool::{write_block, BlockPool};
-use rpc_core::transport::Response;
+use rpc_core::pool::write_block;
+use rpc_core::transport::{Response, ServerHandler};
 use rpc_core::{Completed, RequestWindow};
-use simcore::{DetHashMap, Fsm, Transitions};
+use simcore::{Fsm, Transitions};
 use simtrace::TraceId;
 
-use crate::transport::{ENTRY, NOTIFY_SEQ};
+use super::{ScaleEv, ScaleRpc, ENTRY, NOTIFY_SEQ};
 
 /// Client states (Fig. 7 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,94 +185,52 @@ impl ClientFsm {
     }
 }
 
-/// What a client end consults of the server when it sends, read through
-/// the server's named calls (setup-time metadata and the entry mirror).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Peer {
-    /// The processing-pool block a direct write of this request lands
-    /// in, or `None` while the client is in no group.
-    pub(crate) direct: Option<(MrId, usize)>,
-    /// The server still holds this client's endpoint entry valid.
-    pub(crate) entry_valid: bool,
-}
-
 /// One client's end of its connection.
-struct ClientEnd {
+#[derive(Debug)]
+pub(super) struct ClientEnd {
     qp: QpId,
-    /// Client-local region: `slots` staging blocks, then `slots + 1`
-    /// response blocks (the last is the control block for explicit
-    /// notifications).
+    /// Local region: `slots` staging blocks, then `slots + 1` response
+    /// blocks (the last is the control block for explicit notifications).
     region: MrId,
     fsm: ClientFsm,
     /// An endpoint-entry write is on the wire (suppresses duplicates).
     publish_inflight: bool,
 }
 
-/// Every client's `RPCClient` end.
-pub(crate) struct ClientEnds {
-    ends: Vec<ClientEnd>,
-    /// Local region → client, routing response writes.
-    by_region: DetHashMap<MrId, ClientId>,
-    /// The server's endpoint region, one entry per client.
-    endpoint_mr: MrId,
-    /// The staging area at the front of each local region: one zone of
-    /// `slots` blocks.
-    staging: BlockPool,
-    /// Asynchronous clients (`client_window > 1`) re-arm when a
-    /// notification lands with requests still in flight.
-    rearm: bool,
-}
-
-impl ClientEnds {
-    /// No clients yet; each will stage up to `slots` blocks of
-    /// `block_size` bytes.
-    pub(crate) fn new(endpoint_mr: MrId, slots: usize, block_size: usize, rearm: bool) -> Self {
-        ClientEnds {
-            ends: Vec::new(),
-            by_region: DetHashMap::default(),
-            endpoint_mr,
-            staging: BlockPool::new(1, slots, block_size),
-            rearm,
+impl ClientEnd {
+    /// One FSM window slot per message slot: at most `slots` requests in
+    /// flight before staging blocks would collide.
+    pub(super) fn new(qp: QpId, region: MrId, slots: usize) -> Self {
+        let fsm = ClientFsm::with_window(slots);
+        ClientEnd {
+            qp,
+            region,
+            fsm,
+            publish_inflight: false,
         }
     }
 
-    /// Adds the next client, posting on `qp` with local region `region`.
-    pub(crate) fn add(&mut self, qp: QpId, region: MrId) {
-        self.by_region.insert(region, self.ends.len());
-        self.ends.push(ClientEnd {
-            qp,
-            region,
-            // One FSM window slot per message slot: the client can keep
-            // at most `slots` requests in flight before staging blocks
-            // would collide.
-            fsm: ClientFsm::with_window(self.staging.slots),
-            publish_inflight: false,
-        });
+    fn region<'f>(&self, fabric: &'f mut Fabric) -> &'f mut MemoryRegion {
+        fabric.mr_mut(self.region).expect("local mr")
     }
+}
 
-    /// The client's QP.
-    pub(crate) fn qp(&self, client: ClientId) -> QpId {
+impl<H: ServerHandler> ScaleRpc<H> {
+    pub(super) fn client_qp_of(&self, client: ClientId) -> QpId {
         self.ends[client].qp
     }
 
-    /// The client whose local region is `mr`.
-    #[inline]
-    pub(crate) fn client_of(&self, mr: MrId) -> Option<ClientId> {
-        self.by_region.get(&mr).copied()
-    }
-
-    /// No endpoint-entry write of `client`'s is on the wire any more: it
-    /// landed, or the connection it travelled on is gone.
-    #[inline]
-    pub(crate) fn publish_settled(&mut self, client: ClientId) {
+    /// No entry write of `client`'s is on the wire any more.
+    pub(super) fn publish_settled(&mut self, client: ClientId) {
         self.ends[client].publish_inflight = false;
     }
 
-    /// The `seq` staged in block `slot` of `client`'s staging area.
     fn staged_seq(&self, client: ClientId, slot: usize, fabric: &Fabric) -> Option<u64> {
-        let mr = fabric.mr(self.ends[client].region).ok()?;
-        let raw = mr
-            .read(self.staging.offset(0, slot), self.staging.block_size)
+        let bs = self.cfg.block_size;
+        let raw = fabric
+            .mr(self.ends[client].region)
+            .ok()?
+            .read(slot * bs, bs)
             .ok()?;
         MsgBuf::decode_rpc(raw).map(|(h, _)| h.seq)
     }
@@ -291,15 +244,14 @@ impl ClientEnds {
     /// forward to the first slot not holding a *different, still
     /// in-flight* request (stale already-answered copies are fair game).
     /// `window <= slots`, so a free slot always exists.
-    #[inline]
     fn staging_slot_for(&self, client: ClientId, seq: u64, fabric: &Fabric) -> usize {
-        let base = self.staging.slot_of_seq(seq);
+        let base = self.geom.slot_of_seq(seq);
         let window = self.ends[client].fsm.window();
-        for probe in 0..self.staging.slots {
-            let s = (base + probe) % self.staging.slots;
-            let occupied = self.staged_seq(client, s, fabric).is_some_and(|ss| {
-                ss != seq && window.iter_in_flight().any(|(_, f)| f.seq == ss)
-            });
+        for probe in 0..self.cfg.slots {
+            let s = (base + probe) % self.cfg.slots;
+            let occupied = self
+                .staged_seq(client, s, fabric)
+                .is_some_and(|ss| ss != seq && window.iter_in_flight().any(|(_, f)| f.seq == ss));
             if !occupied {
                 return s;
             }
@@ -307,53 +259,48 @@ impl ClientEnds {
         base
     }
 
-    /// Composes the request into a local staging block: an ordinary CPU
+    /// Composes the message into a local staging block: an ordinary CPU
     /// store, no verbs.
-    #[inline]
-    fn stage(&self, client: ClientId, seq: u64, payload: &[u8], fabric: &mut Fabric) {
-        let slot = self.staging_slot_for(client, seq, fabric);
+    fn stage_request(&mut self, client: ClientId, seq: u64, payload: &[u8], fabric: &mut Fabric) {
+        let (slot, bs) = (
+            self.staging_slot_for(client, seq, fabric),
+            self.cfg.block_size,
+        );
         let (enc_off, bytes) =
-            MsgBuf::encode_rpc(client, seq, 0, payload, self.staging.block_size)
-                .expect("request fits block");
-        let off = self.staging.offset(0, slot) + enc_off;
-        fabric
-            .mr_mut(self.ends[client].region)
-            .expect("local mr")
-            .write(off, &bytes)
+            MsgBuf::encode_rpc(client, seq, 0, payload, bs).expect("request fits block");
+        let region = self.ends[client].region(fabric);
+        region
+            .write(slot * bs + enc_off, &bytes)
             .expect("staging write");
     }
 
-    /// Writes the endpoint entry advertising the staged batch.
-    #[inline]
-    fn publish<A>(&mut self, client: ClientId, cx: &mut Cx<'_, A>) -> VerbResult<()> {
+    fn publish_entry(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         self.ends[client].publish_inflight = true;
         // <req_addr, batch_size> tuple, Valid last (RDMA writes land in
         // increasing address order).
         let mut entry = [0u8; 24];
         entry[0..8].copy_from_slice(&0u64.to_le_bytes()); // staging offset
-        entry[8..12].copy_from_slice(&(self.staging.slots as u32).to_le_bytes());
+        entry[8..12].copy_from_slice(&(self.cfg.slots as u32).to_le_bytes());
         entry[16..24].copy_from_slice(&1u64.to_le_bytes()); // valid
         let write = WorkRequest::Write {
             data: Bytes::copy_from_slice(&entry),
             remote: RemoteAddr::new(self.endpoint_mr, client * ENTRY),
             imm: None,
         };
-        cx.post(self.ends[client].qp, write, false, None).map(drop)
+        let posted = cx.post(self.ends[client].qp, write, false, None);
+        self.life.posted(posted);
     }
 
-    /// Drives one request through the FSM and onto the wire (the
-    /// post-connection-setup half of `submit`). Returns the result of
-    /// the post it made, if any.
-    #[inline]
-    pub(crate) fn dispatch<A>(
+    /// Drives one request through the client FSM and onto the wire (the
+    /// post-connection-setup half of `submit`).
+    pub(super) fn dispatch(
         &mut self,
         client: ClientId,
         seq: u64,
         payload: Bytes,
         tid: TraceId,
-        peer: Peer,
-        cx: &mut Cx<'_, A>,
-    ) -> VerbResult<()> {
+        cx: &mut Cx<'_, ScaleEv>,
+    ) {
         // Track the request in the FSM's in-flight window (per-slot
         // TraceIds). A retransmission of a sequence the window already
         // tracks must not claim a second slot; should a caller overcommit
@@ -367,117 +314,107 @@ impl ClientEnds {
         };
         match action {
             SubmitAction::DirectWrite => {
-                let Some((pool, block_start)) = peer.direct else {
-                    return Ok(());
-                };
-                let block = (pool, block_start, self.staging.block_size);
-                write_block(self.ends[client].qp, block, None, (client, seq, 0), &payload, cx)
-                    .map(drop)
+                if let Some(block) = self.direct_block(client, seq) {
+                    let qp = self.ends[client].qp;
+                    let posted = write_block(qp, block, None, (client, seq, 0), &payload, cx);
+                    self.life.posted(posted);
+                }
             }
             SubmitAction::StageAndPublish => {
-                self.stage(client, seq, &payload, cx.fabric);
-                self.publish(client, cx)
+                self.stage_request(client, seq, &payload, cx.fabric);
+                self.publish_entry(client, cx);
             }
             SubmitAction::StageOnly => {
-                self.stage(client, seq, &payload, cx.fabric);
+                self.stage_request(client, seq, &payload, cx.fabric);
                 // If the entry was already consumed this cycle (and no
                 // publish is on the wire), republish so the batch is not
                 // stranded until the next rotation.
-                if !peer.entry_valid && !self.ends[client].publish_inflight {
-                    self.publish(client, cx)
-                } else {
-                    Ok(())
+                if !self.entry_valid(client) && !self.ends[client].publish_inflight {
+                    self.publish_entry(client, cx);
                 }
             }
         }
     }
 
-    /// A server write landed at `offset` of `client`'s region. Returns
-    /// the response it carried, or the result of the republish a
-    /// context-switch notification triggered (`entry_valid` is the
-    /// server's mirror).
-    #[inline]
-    pub(crate) fn land<A>(
+    /// A server write landed at `offset` of `client`'s region: a response
+    /// (handed to `out`) or a context-switch notification.
+    pub(super) fn land(
         &mut self,
         client: ClientId,
         offset: usize,
-        entry_valid: bool,
-        cx: &mut Cx<'_, A>,
-    ) -> VerbResult<Option<Response>> {
-        if offset < self.staging.bytes() {
+        cx: &mut Cx<'_, ScaleEv>,
+        out: &mut Vec<Response>,
+    ) {
+        let (bs, block) = (self.cfg.block_size, offset / self.cfg.block_size);
+        if block < self.cfg.slots {
             // A write into the staging area can only be the server's
             // warmup read... which never writes. Ignore defensively.
-            return Ok(None);
+            return;
         }
-        let block_size = self.staging.block_size;
-        let region = self.ends[client].region;
-        let block_start = self.staging.block_start(offset);
-        let local = cx.fabric.mr_mut(region).expect("local mr");
-        let Some((header, payload)) = MsgBuf::take_rpc(local, block_start, block_size) else {
-            return Ok(None);
+        let region = self.ends[client].region(cx.fabric);
+        let Some((header, payload)) = MsgBuf::take_rpc(region, block * bs, bs) else {
+            return;
         };
-        let end = &mut self.ends[client];
         if header.seq == NOTIFY_SEQ {
-            end.fsm.on_ctx_notify();
+            self.ends[client].fsm.on_ctx_notify();
             // Re-arm (asynchronous clients only, so the synchronous
             // timeline stays bit-exact): with requests still in flight —
             // staged but not yet served — jump straight back to WARMUP
             // and make sure the endpoint entry advertises the staged
             // tail instead of stranding it.
-            if self.rearm && end.fsm.rearm() && !entry_valid && !end.publish_inflight {
-                self.publish(client, cx)?;
+            if self.cfg.client_window > 1
+                && self.ends[client].fsm.rearm()
+                && !self.entry_valid(client)
+                && !self.ends[client].publish_inflight
+            {
+                self.publish_entry(client, cx);
             }
-            return Ok(None);
+            return;
         }
         let payload = Bytes::copy_from_slice(payload);
-        if end.fsm.complete(header.seq, header.is_ctx_switch()).is_none() {
+        let fsm = &mut self.ends[client].fsm;
+        if fsm.complete(header.seq, header.is_ctx_switch()).is_none() {
             // Untracked (window overcommit fallback in `dispatch`): apply
             // the bare Fig. 7 transition.
-            end.fsm.on_response(header.is_ctx_switch());
+            fsm.on_response(header.is_ctx_switch());
         }
+        self.traces.close(client, header.seq, cx.now);
         // Clear the staging copy of this request so a later warmup read
         // cannot re-fetch it. The copy normally sits at `seq % slots`,
         // but collision probing (see `staging_slot_for`) may have placed
         // it in a neighbouring slot, so scan for the block holding this
         // sequence; slots staging *other* requests are left untouched.
-        for s in 0..self.staging.slots {
+        for s in 0..self.cfg.slots {
             if self.staged_seq(client, s, cx.fabric) == Some(header.seq) {
-                let local = cx.fabric.mr_mut(region).expect("local mr");
-                MsgBuf::clear_valid(local, self.staging.offset(0, s), block_size);
+                MsgBuf::clear_valid(self.ends[client].region(cx.fabric), s * bs, bs);
             }
         }
-        Ok(Some(Response {
+        self.life.delivered(client, header.seq);
+        out.push(Response {
             client,
             seq: header.seq,
             payload,
-        }))
+        });
     }
 
-    /// Cancels every staged request (the server crashed): the warm
-    /// restart must not fetch requests whose issuers presumed them dead.
-    pub(crate) fn cancel_staged(&self, fabric: &mut Fabric) {
+    /// Cancels every staged request (a crash: their issuers presume them
+    /// dead).
+    pub(super) fn cancel_staged(&mut self, fabric: &mut Fabric) {
+        let bs = self.cfg.block_size;
         for end in &self.ends {
-            let region = fabric.mr_mut(end.region).expect("local mr");
-            for s in 0..self.staging.slots {
-                MsgBuf::clear_valid(region, self.staging.offset(0, s), self.staging.block_size);
+            let region = end.region(fabric);
+            for s in 0..self.cfg.slots {
+                MsgBuf::clear_valid(region, s * bs, bs);
             }
         }
     }
 
-    /// The client's half of its post-mortem.
-    pub(crate) fn diag(&self, client: ClientId, fabric: &Fabric) -> String {
-        let end = &self.ends[client];
-        let staged: Vec<String> = (0..self.staging.slots)
-            .filter_map(|s| Some(format!("slot{s}=seq{}", self.staged_seq(client, s, fabric)?)))
+    /// The client end's half of [`ScaleRpc::client_diag`].
+    pub(super) fn end_diag(&self, client: ClientId, fabric: &Fabric) -> String {
+        let staged: Vec<(usize, u64)> = (0..self.cfg.slots)
+            .filter_map(|s| Some((s, self.staged_seq(client, s, fabric)?)))
             .collect();
-        let wnd: Vec<u64> = end.fsm.window().iter_in_flight().map(|(_, f)| f.seq).collect();
-        format!(
-            "fsm={:?} inflight={:?} publish_inflight={} staged=[{}]",
-            end.fsm.state(),
-            wnd,
-            end.publish_inflight,
-            staged.join(",")
-        )
+        format!("{:?} staged={staged:?}", self.ends[client])
     }
 }
 

@@ -1,22 +1,16 @@
-//! The elastic control plane of [`ScaleRpc`](super::ScaleRpc): every
-//! client's connection state and the requests buffered while it is down,
-//! the server's crash flag, the exactly-once guard and the
-//! response-replay cache that keep retried requests safe across a
-//! disturbance, and the begin / establish / reset / recover / crash
-//! bookkeeping.
-//!
-//! The server and the client ends ask it named questions (is the server
-//! down, was this sequence executed, is there a response to replay) and
-//! hand it every post's result, so a post on a torn-down or
-//! not-yet-connected QP is counted instead of panicking.
+//! The elastic control plane of [`ScaleRpc`](super::ScaleRpc): each
+//! client's connection and the submits buffered while it is down, the
+//! server's crash flag, and the exactly-once guard and response-replay
+//! cache that keep retries safe across a disturbance.
 
 use bytes::Bytes;
-use rdma_fabric::{QpId, VerbResult};
+use rdma_fabric::{Fabric, QpId, VerbResult};
 use rpc_core::cluster::ClientId;
 use rpc_core::driver::Cx;
+use rpc_core::transport::ServerHandler;
 use simcore::{DetHashMap, Fsm, SimDuration, Transitions};
 
-use super::ScaleEv;
+use super::{ScaleEv, ScaleRpc};
 
 /// Where a client's connection stands.
 ///
@@ -48,185 +42,137 @@ impl Transitions for ConnState {
 /// repeated crash windows (one window holds at most `slots` entries).
 const RESP_CACHE: usize = 256;
 
-/// Sliding 1024-bit executed-sequence bitmap: bit `back` records whether
-/// `high - back` was executed. 1024 bits (vs the seed's 128) leaves
-/// ample slack for multi-outstanding clients that stride sequence
-/// numbers across window slots (see `scaletx`): a slot stalled behind a
-/// slice boundary can fall hundreds of seqs behind its siblings without
-/// being misclassified as a duplicate.
+/// The executed sequences among the 1024 up to `high`, one bit each at
+/// `seq % 1024`. 1024 bits (vs the seed's 128) leaves ample slack for
+/// multi-outstanding clients that stride sequence numbers across window
+/// slots (see `scaletx`): a slot stalled behind a slice boundary can fall
+/// hundreds of seqs behind its siblings without being misclassified as a
+/// duplicate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct SeqWindow {
     /// Highest sequence recorded.
     high: u64,
-    words: [u64; SEQ_WINDOW_WORDS],
+    bits: [u64; SEQ_WINDOW_BITS as usize / 64],
 }
 
-const SEQ_WINDOW_WORDS: usize = 16;
 /// Width of the duplicate-detection window in bits.
-const SEQ_WINDOW_BITS: u64 = (SEQ_WINDOW_WORDS as u64) * 64;
+const SEQ_WINDOW_BITS: u64 = 1024;
 
 impl SeqWindow {
-    /// Ages every recorded seq by `n` (the new high moved forward).
-    fn shift_up(&mut self, n: u64) {
-        if n >= SEQ_WINDOW_BITS {
-            self.words = [0; SEQ_WINDOW_WORDS];
-            return;
-        }
-        let word_shift = (n / 64) as usize;
-        let bit_shift = (n % 64) as u32;
-        for i in (0..SEQ_WINDOW_WORDS).rev() {
-            let mut w = if i >= word_shift {
-                self.words[i - word_shift] << bit_shift
-            } else {
-                0
-            };
-            if bit_shift > 0 && i > word_shift {
-                w |= self.words[i - word_shift - 1] >> (64 - bit_shift);
-            }
-            self.words[i] = w;
-        }
-    }
-
-    fn test(&self, back: u64) -> bool {
-        (self.words[(back / 64) as usize] >> (back % 64)) & 1 != 0
-    }
-
-    fn set(&mut self, back: u64) {
-        self.words[(back / 64) as usize] |= 1 << (back % 64);
+    fn bit(&mut self, seq: u64) -> (&mut u64, u64) {
+        let i = (seq % SEQ_WINDOW_BITS) as usize;
+        (&mut self.bits[i / 64], 1 << (i % 64))
     }
 
     /// Records `seq`; returns `false` when it was already executed
-    /// (duplicate). The window is 1024 bits wide ([`SEQ_WINDOW_BITS`]):
-    /// far more than the slot count bounds in-flight requests to, so a
-    /// strided multi-outstanding client slot that stalls across slices
-    /// still lands inside the window.
+    /// (duplicate) or lies too far below `high` to tell.
     fn record(&mut self, seq: u64) -> bool {
         if seq > self.high {
-            self.shift_up(seq - self.high);
-            self.set(0);
+            // The slots the window slides onto held seqs 1024 lower.
+            for s in (self.high + 1).max(seq.saturating_sub(SEQ_WINDOW_BITS - 1))..=seq {
+                let (word, mask) = self.bit(s);
+                *word &= !mask;
+            }
             self.high = seq;
-            true
-        } else {
-            let back = self.high - seq;
-            if back >= SEQ_WINDOW_BITS {
-                return false; // ancient: certainly a duplicate
-            }
-            if self.test(back) {
-                false
-            } else {
-                self.set(back);
-                true
-            }
+        } else if self.high - seq >= SEQ_WINDOW_BITS {
+            return false; // ancient: certainly a duplicate
         }
+        let (word, mask) = self.bit(seq);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
     }
 }
 
 /// One client's connection.
 struct Conn {
-    server_qp: QpId,
-    client_qp: QpId,
+    /// `(server end, client end)`.
+    qps: (QpId, QpId),
     state: Fsm<ConnState>,
     /// Requests submitted while the connection was down or being set up,
     /// flushed in order on `ConnEstablished`.
     pending: Vec<(u64, Bytes)>,
-    /// Recently executed sequences, used to drop duplicate executions
-    /// when a warmup re-fetch copies a staged request whose response is
-    /// still in flight. Handlers with side effects (locks, transactions)
-    /// need exactly-once execution.
+    /// Executed sequences: a warmup re-fetch can copy a staged request
+    /// whose response is still in flight, and handlers with side effects
+    /// (locks, transactions) need exactly-once execution.
     executed: SeqWindow,
-    /// Response-replay cache. A retransmitted request whose original
-    /// *response* was lost (sent into a crash window, or on the wire
-    /// when churn tore the client's QP down) hits the `executed`
-    /// duplicate guard — exactly-once execution — and without this
-    /// cache the duplicate would be dropped silently, stranding the
-    /// client. Populated for every response when `cfg.elastic` (chaos
-    /// runs), and always for sends intercepted while `down`; replayed
-    /// only once a lifecycle event has occurred, so steady-state
-    /// duplicate handling stays bit-exact.
+    /// Responses kept for replay: a retransmission whose *response* was
+    /// lost (crash window, churned QP) hits the exactly-once guard and
+    /// would strand its client. Filled for every response when
+    /// `cfg.elastic`, and always while `down`.
     resp_cache: Vec<(u64, Bytes)>,
 }
 
-/// The connection lifecycle of every client, and the server's liveness.
-pub(crate) struct Lifecycle {
+impl Conn {
+    /// Puts both ends back to Reset, ready for a fresh establishment.
+    fn reset_qps(&self, fabric: &mut Fabric) {
+        let _ = fabric.reset_qp(self.qps.0);
+        let _ = fabric.reset_qp(self.qps.1);
+    }
+}
+
+/// Every client's connection lifecycle, and the server's liveness.
+#[derive(Default)]
+pub(super) struct Lifecycle {
     conns: Vec<Conn>,
-    /// Reverse map from QPs to their owning client, for routing
-    /// `ConnEstablished` upcalls.
+    /// QP → owning client, routing `ConnEstablished` upcalls.
     qp_index: DetHashMap<QpId, ClientId>,
-    /// `cfg.lazy_connect`: connections are set up by the first submit.
+    /// `cfg.lazy_connect`: the first submit sets a connection up.
     lazy: bool,
     /// `cfg.elastic`: every response is kept for replay.
     cache_every_response: bool,
     /// The server is crashed: its QPs are errored, posts toward it drop
     /// and server-side timers/upcalls are suppressed until recovery.
     down: bool,
-    /// A lifecycle event (crash, churn, reconnect) has occurred this
-    /// run; gates response replay so steady-state duplicate handling
-    /// stays bit-exact.
+    /// A lifecycle event has occurred this run: gates replay, so
+    /// steady-state duplicate handling stays bit-exact.
     elastic_seen: bool,
-    /// Posts dropped because a QP was torn down or not yet connected
-    /// (always 0 on a healthy run).
     dropped_posts: u64,
-    /// Lost responses re-sent from the replay cache.
     replayed_responses: u64,
 }
 
 impl Lifecycle {
-    /// No clients yet; `lazy` and `elastic` are the config's.
-    pub(crate) fn new(lazy: bool, elastic: bool) -> Self {
+    /// One connection per `(server_qp, client_qp)`, `Ready` unless set
+    /// up lazily; `lazy` and `elastic` are the config's.
+    pub(super) fn new(lazy: bool, elastic: bool, qps: Vec<(QpId, QpId)>) -> Self {
+        let state = Fsm::new(if lazy {
+            ConnState::Absent
+        } else {
+            ConnState::Ready
+        });
+        let mut qp_index = DetHashMap::default();
+        let mut conns = Vec::with_capacity(qps.len());
+        for (c, qps) in qps.into_iter().enumerate() {
+            qp_index.insert(qps.0, c);
+            qp_index.insert(qps.1, c);
+            let (pending, executed, resp_cache) = Default::default();
+            conns.push(Conn {
+                qps,
+                state,
+                pending,
+                executed,
+                resp_cache,
+            });
+        }
         Lifecycle {
-            conns: Vec::new(),
-            qp_index: DetHashMap::default(),
+            conns,
+            qp_index,
             lazy,
             cache_every_response: elastic,
-            down: false,
-            elastic_seen: false,
-            dropped_posts: 0,
-            replayed_responses: 0,
+            ..Default::default()
         }
-    }
-
-    /// Adds the next client's connection, `Ready` unless connections
-    /// are set up lazily.
-    pub(crate) fn add(&mut self, server_qp: QpId, client_qp: QpId) {
-        let client = self.conns.len();
-        self.qp_index.insert(server_qp, client);
-        self.qp_index.insert(client_qp, client);
-        self.conns.push(Conn {
-            server_qp,
-            client_qp,
-            state: Fsm::new(if self.lazy {
-                ConnState::Absent
-            } else {
-                ConnState::Ready
-            }),
-            pending: Vec::new(),
-            executed: SeqWindow::default(),
-            resp_cache: Vec::new(),
-        });
     }
 
     /// The server is crashed and not yet recovered.
     #[inline]
-    pub(crate) fn is_down(&self) -> bool {
+    pub(super) fn is_down(&self) -> bool {
         self.down
     }
 
-    /// Posts dropped on a torn-down or not-yet-connected QP.
-    pub(crate) fn dropped_posts(&self) -> u64 {
-        self.dropped_posts
-    }
-
-    /// Lost responses re-sent from the replay cache.
-    pub(crate) fn replayed_responses(&self) -> u64 {
-        self.replayed_responses
-    }
-
-    /// A post's result, tolerating a torn-down or not-yet-ready QP: on a
-    /// healthy run this behaves exactly like an `.expect`ing post; under
-    /// churn the post is dropped and counted instead of panicking, and
-    /// the harness retry layer re-drives the lost work.
+    /// A post's result, tolerating a torn-down or not-yet-ready QP: the
+    /// drop is counted, and the harness retry layer re-drives the work.
     #[inline]
-    pub(crate) fn posted<T>(&mut self, result: VerbResult<T>) -> Option<T> {
+    pub(super) fn posted<T>(&mut self, result: VerbResult<T>) -> Option<T> {
         match result {
             Ok(info) => Some(info),
             Err(_) => {
@@ -236,19 +182,15 @@ impl Lifecycle {
         }
     }
 
-    /// Records `seq` for `client`; returns `false` when it was already
-    /// executed (duplicate).
+    /// Records `seq` for `client`; `false` for a duplicate.
     #[inline]
-    pub(crate) fn record_seq(&mut self, client: ClientId, seq: u64) -> bool {
+    pub(super) fn record_seq(&mut self, client: ClientId, seq: u64) -> bool {
         self.conns[client].executed.record(seq)
     }
 
-    /// The response to replay for a duplicate `(client, seq)`. After a
-    /// lifecycle disturbance, a duplicate may be the retransmission of a
-    /// request whose *response* was lost (crash window, churned QP);
-    /// answering from the cache instead of stranding the client keeps
-    /// execution exactly-once.
-    pub(crate) fn replay(&mut self, client: ClientId, seq: u64) -> Option<Bytes> {
+    /// The response to replay for a duplicate `(client, seq)`, once a
+    /// lifecycle event may have lost it.
+    pub(super) fn replay(&mut self, client: ClientId, seq: u64) -> Option<Bytes> {
         if !self.elastic_seen {
             return None;
         }
@@ -262,25 +204,20 @@ impl Lifecycle {
     }
 
     /// A response to `(client, seq)` is ready: keeps it for replay where
-    /// it may be lost, and answers whether the server is up to post it.
-    /// A response computed while the server is down is the canonical
-    /// lost-response window; the cache answers its retransmission after
-    /// recovery.
+    /// it may be lost, and answers whether the server is up to post it
+    /// (one computed while it is down is the canonical lost response).
     #[inline]
-    pub(crate) fn keep_response(&mut self, client: ClientId, seq: u64, payload: &Bytes) -> bool {
+    pub(super) fn keep_response(&mut self, client: ClientId, seq: u64, payload: &Bytes) -> bool {
         if self.cache_every_response || self.down {
             let cache = &mut self.conns[client].resp_cache;
-            if let Some(e) = cache.iter_mut().find(|e| e.0 == seq) {
-                e.1 = payload.clone();
-            } else {
-                // Bounded; evicts the oldest (lowest) sequence.
-                if cache.len() >= RESP_CACHE {
-                    if let Some(i) = (0..cache.len()).min_by_key(|&i| cache[i].0) {
-                        cache.swap_remove(i);
-                    }
+            cache.retain(|e| e.0 != seq);
+            // Bounded; evicts the oldest (lowest) sequence.
+            if cache.len() >= RESP_CACHE {
+                if let Some(i) = (0..cache.len()).min_by_key(|&i| cache[i].0) {
+                    cache.swap_remove(i);
                 }
-                cache.push((seq, payload.clone()));
             }
+            cache.push((seq, payload.clone()));
         }
         !self.down
     }
@@ -293,16 +230,16 @@ impl Lifecycle {
     /// stuck entries (lowest-seq eviction would discard precisely the
     /// oldest, still-unacknowledged request a retry is about to ask for).
     #[inline]
-    pub(crate) fn delivered(&mut self, client: ClientId, seq: u64) {
+    pub(super) fn delivered(&mut self, client: ClientId, seq: u64) {
         self.conns[client].resp_cache.retain(|e| e.0 != seq);
     }
 
     /// A submit of `(client, seq)`: returns the payload to dispatch now
-    /// if the connection is up, else buffers it until establishment —
-    /// starting that establishment if nothing had (lazy setup: the first
-    /// RPC pays the setup cost).
+    /// if the connection is up, else buffers it (dropping a retry of one
+    /// already buffered) until establishment — which a lazy client's
+    /// first RPC starts, paying the setup cost.
     #[inline]
-    pub(crate) fn admit(
+    pub(super) fn admit(
         &mut self,
         client: ClientId,
         seq: u64,
@@ -310,38 +247,36 @@ impl Lifecycle {
         cx: &mut Cx<'_, ScaleEv>,
     ) -> Option<Bytes> {
         let conn = &mut self.conns[client];
-        match conn.state.get() {
-            ConnState::Ready => return Some(payload),
-            ConnState::Pending => {
-                // Setup (or recovery) in flight: buffer, dedup retries.
-                if !conn.pending.iter().any(|(s, _)| *s == seq) {
-                    conn.pending.push((seq, payload));
-                }
-            }
-            ConnState::Absent => {
-                conn.pending.push((seq, payload));
-                self.begin_connect(client, cx);
-            }
+        let state = conn.state.get();
+        if state == ConnState::Ready {
+            return Some(payload);
+        }
+        // `Absent` never holds buffered requests, so the check is moot
+        // there.
+        if !conn.pending.iter().any(|(s, _)| *s == seq) {
+            conn.pending.push((seq, payload));
+        }
+        if state == ConnState::Absent {
+            self.begin_connect(client, cx);
         }
         None
     }
 
-    /// Kicks off a modelled connection establishment for `client`. While
-    /// the server is crashed the attempt fails verb-side; the client
-    /// stays `Pending` with its requests buffered and `recover`
-    /// re-drives the setup.
+    /// Kicks off a modelled establishment. While the server is crashed it
+    /// fails verb-side; the client stays `Pending` and `recover` re-drives
+    /// the setup.
     fn begin_connect(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         let conn = &mut self.conns[client];
         conn.state.set(ConnState::Pending);
         // The deferred-setup path models the full control-plane cost
         // (QP create + RTS transition) before `ConnEstablished` fires.
-        let _ = cx.connect_deferred(conn.client_qp, conn.server_qp);
+        let _ = cx.connect_deferred(conn.qps.1, conn.qps.0);
     }
 
     /// Both ends of `qp`'s connection reached RTS: opens the data path
     /// and returns the client with the requests buffered during setup,
     /// in submission order, for dispatch.
-    pub(crate) fn established(
+    pub(super) fn established(
         &mut self,
         qp: QpId,
         cx: &mut Cx<'_, ScaleEv>,
@@ -350,19 +285,14 @@ impl Lifecycle {
         let conn = &mut self.conns[client];
         if conn.state.get() != ConnState::Pending {
             // Only an establishment this transport is waiting for may
-            // open the data path. A stale `ConnRts` — from a setup that
-            // predates a connection churn — can land while the client
-            // is parked in `Absent` (lazy mode: churn during an earlier
-            // setup, then a second churn with nothing buffered).
-            // Accepting it would transition Absent → Ready with none of
-            // the re-setup cost paid, violating `reset`'s contract that
-            // the full establishment runs before the next request flows.
-            // The fabric did move the QPs to RTS, so put them back to
-            // Reset or the next `begin_connect` would fail and strand the
-            // client in `Pending` forever.
+            // open the data path. A stale `ConnRts` from a setup that
+            // predates a churn can land while the client is parked in
+            // `Absent` (lazy mode); accepting it would open the data path
+            // with none of the re-setup cost paid. The fabric did move
+            // the QPs to RTS, so put them back to Reset or the next
+            // `begin_connect` would fail and strand the client.
             if conn.state.get() == ConnState::Absent {
-                let _ = cx.fabric.reset_qp(conn.server_qp);
-                let _ = cx.fabric.reset_qp(conn.client_qp);
+                conn.reset_qps(cx.fabric);
             }
             return None;
         }
@@ -370,8 +300,7 @@ impl Lifecycle {
         Some((client, std::mem::take(&mut conn.pending)))
     }
 
-    /// A staggered post-recovery reconnect of `client` is due.
-    pub(crate) fn reconnect_due(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
+    pub(super) fn reconnect_due(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         if !self.down && self.conns[client].state.get() == ConnState::Pending {
             self.begin_connect(client, cx);
         }
@@ -380,15 +309,14 @@ impl Lifecycle {
     /// Connection churn for one client: both QPs torn down (in-flight
     /// packets drop) and re-established, the full setup cost paid before
     /// the client's next request flows.
-    pub(crate) fn reset(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
+    pub(super) fn reset(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         self.elastic_seen = true;
         let conn = &mut self.conns[client];
         // Tear both ends down, then bring them back to Reset so a fresh
         // establishment can run (the legal Error → Reset → RTS path).
-        let _ = cx.fabric.destroy_qp(conn.server_qp);
-        let _ = cx.fabric.destroy_qp(conn.client_qp);
-        let _ = cx.fabric.reset_qp(conn.server_qp);
-        let _ = cx.fabric.reset_qp(conn.client_qp);
+        let _ = cx.fabric.destroy_qp(conn.qps.0);
+        let _ = cx.fabric.destroy_qp(conn.qps.1);
+        conn.reset_qps(cx.fabric);
         if self.down {
             // Reconnection waits for server recovery.
             conn.state.set(ConnState::Pending);
@@ -400,15 +328,12 @@ impl Lifecycle {
         }
     }
 
-    /// The server crashed: submits buffer until recovery re-establishes
-    /// every connection (posting would only drop at the NIC), and
-    /// requests already buffered are cancelled. Letting them flow after
-    /// recovery would execute requests whose issuer already presumed
-    /// them dead — a failover retry re-sends the same sequence (the
-    /// dedup window keeps that exactly-once), but an application that
-    /// aborted and re-issued under a new identity (scaletx) would leak
-    /// the side effects (locks) of the zombie request.
-    pub(crate) fn crash(&mut self) {
+    /// The server crashed: submits buffer until recovery, and those
+    /// buffered are cancelled. A failover retry re-sends the same
+    /// sequence (the dedup window keeps that exactly-once), but an
+    /// application that aborted and re-issued under a new identity
+    /// (scaletx) would leak the side effects (locks) of the zombie.
+    pub(super) fn crash(&mut self) {
         self.elastic_seen = true;
         self.down = true;
         for conn in &mut self.conns {
@@ -420,13 +345,12 @@ impl Lifecycle {
     /// Warm server restart after a crash: QPs leave the error state and
     /// connections are re-established, staggered — the control plane
     /// brings them up serially.
-    pub(crate) fn recover(&mut self, cx: &mut Cx<'_, ScaleEv>) {
+    pub(super) fn recover(&mut self, cx: &mut Cx<'_, ScaleEv>) {
         self.elastic_seen = true;
         self.down = false;
         let setup = cx.fabric.params().conn_setup_cpu();
         for (c, conn) in self.conns.iter_mut().enumerate() {
-            let _ = cx.fabric.reset_qp(conn.server_qp);
-            let _ = cx.fabric.reset_qp(conn.client_qp);
+            conn.reset_qps(cx.fabric);
             if self.lazy && conn.pending.is_empty() {
                 conn.state.set(ConnState::Absent);
             } else {
@@ -439,6 +363,19 @@ impl Lifecycle {
                 );
             }
         }
+    }
+}
+
+impl<H: ServerHandler> ScaleRpc<H> {
+    /// Posts dropped because a QP was torn down or not yet connected
+    /// (observability; always 0 on a healthy run).
+    pub fn dropped_posts(&self) -> u64 {
+        self.life.dropped_posts
+    }
+
+    /// Lost responses re-sent from the replay cache (observability).
+    pub fn replayed_responses(&self) -> u64 {
+        self.life.replayed_responses
     }
 }
 

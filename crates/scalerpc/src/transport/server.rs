@@ -1,30 +1,26 @@
 //! The `RPCServer` half of [`ScaleRpc`] (§3.2–3.5): warmup fetches and
 //! their stagger, the zone scan, request execution with legacy routing,
 //! the context switch and its notifications, and response posting.
-//!
-//! The client ends read two things of the server's, each through a named
-//! call: where a direct write lands ([`ScaleRpc::peer`]) and whether
-//! the server still holds a client's endpoint entry valid.
 
 use bytes::Bytes;
 use rdma_fabric::{CqId, Fabric, MrId, QpId, RemoteAddr, Wc, WcOpcode, WorkRequest};
 use rpc_core::cluster::ClientId;
 use rpc_core::driver::Cx;
-use rpc_core::message::{MsgBuf, FLAG_CTX_SWITCH, HEADER};
+use rpc_core::message::{MsgBuf, FLAG_CTX_SWITCH, HEADER, TRAILER};
 use rpc_core::pool::write_block;
 use rpc_core::transport::ServerHandler;
-use simcore::SimDuration;
-use simtrace::InstantKind;
+use simcore::{SimDuration, SimTime};
+use simtrace::InstantKind::{self, GroupReprioritize, GroupSwitch, LegacyDemotion, SliceEnd};
+use simtrace::InstantKind::{SliceStart, WarmupFetchDone, WarmupFetchIssue};
 
 use super::{ScaleEv, ScaleRpc, ENTRY, NOTIFY_SEQ};
-use crate::client::Peer;
 use crate::scheduler::{ClientStats, GroupPlan};
 
 /// The server's record of one client.
+#[derive(Debug)]
 pub(super) struct Served {
     qp: QpId,
-    /// The client's local region (its staging and response blocks), as
-    /// exchanged at connection setup.
+    /// The client's local region, as exchanged at connection setup.
     region: MrId,
     /// Responses not yet posted for this client (piggyback bookkeeping).
     inflight_responses: usize,
@@ -40,7 +36,6 @@ pub(super) struct Served {
 }
 
 impl Served {
-    /// A client connected on `qp` whose local region is `region`.
     pub(super) fn new(qp: QpId, region: MrId) -> Self {
         Served {
             qp,
@@ -70,57 +65,54 @@ pub(super) fn zone_table(plan: &GroupPlan, clients: usize) -> Vec<Option<(usize,
 }
 
 impl<H: ServerHandler> ScaleRpc<H> {
-    // ---- named calls for the client ends ------------------------------------
-
-    /// What `client`'s end consults when it sends `seq`: the processing
-    /// pool block a direct write lands in, and the entry mirror.
-    #[inline]
-    pub(super) fn peer(&self, client: ClientId, seq: u64) -> Peer {
-        let direct = self.zone_of(client).map(|(_, zone)| {
-            let zone = zone.min(self.geom.zones - 1);
-            let pool = self.pools[self.pool_pair.processing()];
-            (pool, self.geom.offset(zone, self.geom.slot_of_seq(seq)))
-        });
-        Peer {
-            direct,
-            entry_valid: self.entry_valid(client),
-        }
+    /// The processing-pool block a direct write of `(client, seq)` lands
+    /// in, or `None` while the client is in no group.
+    pub(super) fn direct_block(&self, client: ClientId, seq: u64) -> Option<(MrId, usize, usize)> {
+        let (_, zone) = self.zone_of(client)?;
+        let zone = zone.min(self.geom.zones - 1);
+        let pool = self.pools[self.pool_pair.processing()];
+        let offset = self.geom.offset(zone, self.geom.slot_of_seq(seq));
+        Some((pool, offset, self.cfg.block_size))
     }
 
-    /// Whether the server holds `client`'s endpoint entry valid (its
-    /// staged batch not yet fetched).
-    #[inline]
+    /// The server still holds `client`'s endpoint entry valid (unfetched).
     pub(super) fn entry_valid(&self, client: ClientId) -> bool {
         self.served[client].entry_valid
     }
 
-    // ---- geometry helpers -------------------------------------------------
-
-    /// Offset of a client's response block `slot` (control block when
-    /// `slot == slots`) in its local region.
-    fn resp_off(&self, slot: usize) -> usize {
-        (self.cfg.slots + slot) * self.cfg.block_size
+    /// `client`'s response block `slot` (`slots`: the control block).
+    fn resp_block(&self, client: ClientId, slot: usize) -> (MrId, usize, usize) {
+        let bs = self.cfg.block_size;
+        (self.served[client].region, (self.cfg.slots + slot) * bs, bs)
     }
 
     fn zone_of(&self, client: ClientId) -> Option<(usize /*group*/, usize /*zone*/)> {
         self.zones.get(client).copied().flatten()
     }
 
-    fn group_of_pool(&self, pool_idx: usize) -> usize {
-        if pool_idx == self.pool_pair.processing() {
-            self.cur
-        } else {
-            (self.cur + 1) % self.plan.groups.len()
-        }
+    fn next_group(&self) -> usize {
+        (self.cur + 1) % self.plan.groups.len()
+    }
+
+    /// The Valid word of `client`'s endpoint entry in server memory.
+    fn entry_word(&self, client: ClientId, fabric: &Fabric) -> Option<u64> {
+        let endpoint = fabric.mr(self.endpoint_mr).ok()?;
+        endpoint.read_u64(client * ENTRY + 16).ok()
+    }
+
+    fn clear_entry(&self, client: ClientId, fabric: &mut Fabric) {
+        let endpoint = fabric.mr_mut(self.endpoint_mr).expect("endpoint mr");
+        endpoint
+            .write(client * ENTRY + 16, &0u64.to_le_bytes())
+            .expect("entry clear");
     }
 
     fn slice(&self) -> SimDuration {
         self.plan.slices[self.cur.min(self.plan.slices.len() - 1)]
     }
 
-    // ---- warmup ------------------------------------------------------------
-
-    /// A direct request arrived into a pool.
+    /// A direct request arrived into a pool (a crashed server polls
+    /// none).
     pub(super) fn on_pool_write(
         &mut self,
         mr: MrId,
@@ -131,65 +123,55 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let Some((zone, _slot)) = self.geom.locate(offset) else {
             return;
         };
+        if self.life.is_down() {
+            return;
+        }
         let block_start = (offset / self.cfg.block_size) * self.cfg.block_size;
         self.direct_requests += 1;
         self.execute_block(mr, zone, block_start, Some((offset, len)), cx);
     }
 
-    /// An endpoint entry landed at `offset`: validates it and fetches
-    /// eagerly when the client's group is being served or warmed;
-    /// otherwise the entry waits for the group's warm phase. Returns the
-    /// client whose valid entry landed.
+    /// An endpoint entry landed at `offset`: returns its client if valid,
+    /// after fetching eagerly when the client's group is being served or
+    /// warmed (else the entry waits for the group's warm phase). A
+    /// crashed server's warmup engine is dead.
     pub(super) fn on_entry_write(
         &mut self,
         offset: usize,
         cx: &mut Cx<'_, ScaleEv>,
     ) -> Option<ClientId> {
         let client = offset / ENTRY;
-        if client >= self.served.len() {
+        if self.life.is_down() || client >= self.served.len() {
             return None;
         }
-        // Validate the entry in server memory.
-        let valid = cx
-            .fabric
-            .mr(self.endpoint_mr)
-            .expect("endpoint mr")
-            .read_u64(client * ENTRY + 16)
-            .map(|v| v == 1)
-            .unwrap_or(false);
-        if !valid {
+        if self.entry_word(client, cx.fabric) != Some(1) {
             return None;
         }
         self.served[client].entry_valid = true;
         if let Some((g, _)) = self.zone_of(client) {
-            let warm_group = (self.cur + 1) % self.plan.groups.len();
+            let epoch = self.slice_epoch;
             if g == self.cur {
-                self.fetch_client(client, self.pool_pair.processing(), cx);
-            } else if g == warm_group {
-                self.fetch_client(client, self.pool_pair.warmup(), cx);
+                self.fetch_client(client, self.pool_pair.processing(), epoch, cx);
+            } else if g == self.next_group() {
+                self.fetch_client(client, self.pool_pair.warmup(), epoch, cx);
             }
         }
         Some(client)
     }
 
-    /// A staggered warmup fetch is due. Stale fetch timers from a
-    /// previous slice and fetches whose entry was already consumed
-    /// eagerly are dropped.
-    pub(super) fn on_fetch_due(
+    /// Fetches a client's staged batch with an RDMA read into its zone of
+    /// `pool_idx`, unless planned in an earlier slice, already consumed,
+    /// or the server is down.
+    pub(super) fn fetch_client(
         &mut self,
         client: ClientId,
         pool_idx: usize,
         epoch: u64,
         cx: &mut Cx<'_, ScaleEv>,
     ) {
-        if epoch == self.slice_epoch && self.served[client].entry_valid {
-            self.fetch_client(client, pool_idx, cx);
+        if self.life.is_down() || epoch != self.slice_epoch || !self.served[client].entry_valid {
+            return;
         }
-    }
-
-    /// Fetches a client's staged batch with an RDMA read into `pool_idx`'s
-    /// zone for that client.
-    fn fetch_client(&mut self, client: ClientId, pool_idx: usize, cx: &mut Cx<'_, ScaleEv>) {
         let Some((_, zone)) = self.zone_of(client) else {
             return;
         };
@@ -214,12 +196,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         st.last_fetch_epoch = self.slice_epoch;
         st.entry_valid = false;
         let (qp, region) = (st.qp, st.region);
-        // Clear the entry's Valid flag in server memory.
-        cx.fabric
-            .mr_mut(self.endpoint_mr)
-            .expect("endpoint mr")
-            .write(client * ENTRY + 16, &0u64.to_le_bytes())
-            .expect("entry clear");
+        self.clear_entry(client, cx.fabric);
         let read = WorkRequest::Read {
             local_mr: self.pools[pool_idx],
             local_offset: self.geom.offset(zone, 0),
@@ -232,24 +209,20 @@ impl<H: ServerHandler> ScaleRpc<H> {
             return;
         };
         self.warmup_fetches += 1;
-        self.tracer.instant(
-            InstantKind::WarmupFetchIssue,
-            cx.now,
-            client as u64,
-            self.slice_epoch,
-        );
+        self.tracer
+            .instant(WarmupFetchIssue, cx.now, client as u64, self.slice_epoch);
         self.pending_reads
             .insert(info.wr_id, (client, pool_idx, zone, self.slice_epoch));
     }
 
-    /// Starts warming every member of the group owning `pool_idx` whose
-    /// endpoint entry is valid. Fetch posts are staggered over the first
-    /// 60 % of the slice: bursting them would momentarily flood the NIC
-    /// cache with the warm group's QP contexts and evict the serving
-    /// group's, stalling the very responses the slice exists to send.
-    fn warm_group(&mut self, pool_idx: usize, cx: &mut Cx<'_, ScaleEv>) {
-        let group = self.group_of_pool(pool_idx);
-        let members = self.plan.groups[group].clone();
+    /// Starts warming every member of the next group whose endpoint
+    /// entry is valid. Fetch posts are staggered over the first 60 % of
+    /// the slice: bursting them would momentarily flood the NIC cache with
+    /// the warm group's QP contexts and evict the serving group's,
+    /// stalling the very responses the slice exists to send.
+    fn warm_next_group(&mut self, cx: &mut Cx<'_, ScaleEv>) {
+        let pool_idx = self.pool_pair.warmup();
+        let members = self.plan.groups[self.next_group()].clone();
         let span = SimDuration::nanos(self.slice().as_nanos() * 6 / 10);
         let n = members.len().max(1) as u64;
         for (i, c) in members.into_iter().enumerate() {
@@ -267,38 +240,28 @@ impl<H: ServerHandler> ScaleRpc<H> {
         }
     }
 
-    /// A completion on `cq`: a warmup fetch finished if it is the
-    /// server's RDMA read.
+    /// A completion on `cq`: a warmup fetch finished if it is ours.
     pub(super) fn on_read_done(&mut self, cq: CqId, wc: Wc, cx: &mut Cx<'_, ScaleEv>) {
-        if cq != self.server_cq || wc.opcode != WcOpcode::RdmaRead {
+        if self.life.is_down() || cq != self.server_cq || wc.opcode != WcOpcode::RdmaRead {
             return;
         }
         let Some((client, pool_idx, zone, posted_epoch)) = self.pending_reads.remove(&wc.wr_id)
         else {
             return;
         };
-        self.tracer.instant(
-            InstantKind::WarmupFetchDone,
-            cx.now,
-            client as u64,
-            posted_epoch,
-        );
-        if pool_idx == self.pool_pair.processing() {
-            // In-slice fetch for the serving group: execute now.
-            self.scan_zone(pool_idx, zone, cx);
-        } else if posted_epoch != self.slice_epoch {
-            // Posted as an eager in-slice fetch but the context
-            // switch beat the read: the pool's role flipped, the
-            // switch scan already ran, and no reservation guards
-            // this zone — consume the data immediately or a later
-            // warm fetch would overwrite it.
+        self.tracer
+            .instant(WarmupFetchDone, cx.now, client as u64, posted_epoch);
+        // An in-slice fetch for the serving group executes now. So does
+        // one posted as an eager in-slice fetch whose read the context
+        // switch beat: the pool's role flipped, the switch scan already
+        // ran, and no reservation guards this zone — consume the data
+        // immediately or a later warm fetch would overwrite it.
+        // Same-epoch warmup-pool fetches wait for the context switch
+        // (their zones are reserved until its scan).
+        if pool_idx == self.pool_pair.processing() || posted_epoch != self.slice_epoch {
             self.scan_zone(pool_idx, zone, cx);
         }
-        // Same-epoch warmup-pool fetches wait for the context
-        // switch (their zones are reserved until its scan).
     }
-
-    // ---- request execution -------------------------------------------------
 
     /// Decodes and executes the message in `(pool_mr, block_start)`,
     /// charging the owning worker. `touched` is the byte range the DMA
@@ -332,35 +295,21 @@ impl<H: ServerHandler> ScaleRpc<H> {
             // The handler does not run again; a lost response is
             // answered from the replay cache.
             if let Some(resp) = self.life.replay(client, header.seq) {
-                self.served[client].inflight_responses += 1;
-                self.served[client].served_this_slice = true;
-                let service = self.pool_check + self.post_cpu;
                 let w = self.workers.owner_of(zone);
-                let done = self.workers.run(w, cx.now, service);
-                cx.at(
-                    done,
-                    ScaleEv::SendResponse {
-                        client,
-                        seq: header.seq,
-                        payload: resp,
-                    },
-                );
+                let done = self.workers.run(w, cx.now, self.pool_check + self.post_cpu);
+                self.respond_at(done, client, header.seq, resp, cx);
             }
             return;
         }
         let msg_len = HEADER + self.request.len();
-        let (touch_off, touch_len) = touched.unwrap_or((
-            block_start,
-            (msg_len + rpc_core::message::TRAILER).min(self.cfg.block_size),
-        ));
+        let whole = (msg_len + TRAILER).min(self.cfg.block_size);
+        let (touch_off, touch_len) = touched.unwrap_or((block_start, whole));
         let read_cost = cx
             .fabric
             .cpu_access(pool_mr, touch_off, touch_len)
             .expect("pool access");
         self.stats_cur[client].ops += 1;
         self.stats_cur[client].bytes += msg_len as u64;
-        self.served[client].inflight_responses += 1;
-        self.served[client].served_this_slice = true;
         let (resp, handler_cost) = self.handler.handle(client, &self.request, cx.fabric);
         let service = self.pool_check + read_cost + handler_cost + self.post_cpu;
         // §3.5: a call that runs longer than ~half a slice risks being cut
@@ -370,12 +319,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let slice_half = SimDuration::nanos(self.cfg.time_slice.as_nanos() / 2);
         let is_legacy = header.is_legacy() || self.legacy_types.contains(&header.call_type);
         if handler_cost > slice_half && self.legacy_types.insert(header.call_type) {
-            self.tracer.instant(
-                InstantKind::LegacyDemotion,
-                cx.now,
-                header.call_type as u64,
-                handler_cost.as_nanos(),
-            );
+            let (call, cost) = (header.call_type as u64, handler_cost.as_nanos());
+            self.tracer.instant(LegacyDemotion, cx.now, call, cost);
         }
         let done = if is_legacy {
             self.legacy_requests += 1;
@@ -387,12 +332,26 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // Includes queueing behind the zone's worker, so slice-wait
         // shows up in the stage breakdown.
         self.traces.handler(client, header.seq, cx.now, done);
+        self.respond_at(done, client, header.seq, resp, cx);
+    }
+
+    fn respond_at(
+        &mut self,
+        done: SimTime,
+        client: ClientId,
+        seq: u64,
+        payload: Bytes,
+        cx: &mut Cx<'_, ScaleEv>,
+    ) {
+        let st = &mut self.served[client];
+        st.inflight_responses += 1;
+        st.served_this_slice = true;
         cx.at(
             done,
             ScaleEv::SendResponse {
                 client,
-                seq: header.seq,
-                payload: resp,
+                seq,
+                payload,
             },
         );
     }
@@ -404,14 +363,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let mut empty_checks = 0u64;
         for slot in 0..self.cfg.slots {
             let block_start = self.geom.offset(zone, slot);
-            let valid = {
-                let mr = cx.fabric.mr(pool_mr).expect("pool mr");
-                MsgBuf::is_valid(
-                    mr.read(block_start, self.cfg.block_size)
-                        .expect("block bounds"),
-                )
-            };
-            if valid {
+            let pool = cx.fabric.mr(pool_mr).expect("pool mr");
+            let block = pool.read(block_start, self.cfg.block_size);
+            if MsgBuf::is_valid(block.expect("block bounds")) {
                 self.scan_requests += 1;
                 self.execute_block(pool_mr, zone, block_start, None, cx);
             } else {
@@ -425,8 +379,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
         }
     }
 
-    /// A worker finished a request: posts its response, piggybacking a
-    /// pending context switch.
+    /// Posts a finished request's response, piggybacking a pending
+    /// context switch.
     pub(super) fn send_response(
         &mut self,
         client: ClientId,
@@ -445,40 +399,30 @@ impl<H: ServerHandler> ScaleRpc<H> {
             st.needs_ctx = false;
             flags |= FLAG_CTX_SWITCH;
         }
-        let (qp, region) = (st.qp, st.region);
-        let block = (region, self.resp_off(self.geom.slot_of_seq(seq)), self.cfg.block_size);
+        let (qp, block) = (st.qp, self.resp_block(client, self.geom.slot_of_seq(seq)));
         // Closed when the write lands at the client.
         self.traces.stamp_response(client, seq, cx.now, cx.fabric);
         let posted = write_block(qp, block, None, (client, seq, flags), &payload, cx);
         self.life.posted(posted);
     }
 
-    // ---- context switch ----------------------------------------------------
-
     /// Arms the first slice timer; warmup begins as entries arrive.
     /// Multi-server deployments align (or deliberately stagger) their
     /// schedules through the configured offset.
     pub(super) fn start(&mut self, cx: &mut Cx<'_, ScaleEv>) {
         let slice = self.plan.slices[0] + self.cfg.first_slice_offset;
-        self.tracer
-            .instant(InstantKind::SliceStart, cx.now, self.cur as u64, 0);
+        self.tracer.instant(SliceStart, cx.now, self.cur as u64, 0);
         cx.after(slice, ScaleEv::SliceEnd { epoch: 0 });
     }
 
-    /// The slice timer of `epoch` fired; stale timers are dropped.
-    pub(super) fn on_slice_end(&mut self, epoch: u64, cx: &mut Cx<'_, ScaleEv>) {
-        if epoch == self.slice_epoch {
-            self.context_switch(cx);
+    /// The slice timer of `epoch` fired: switches to the next group
+    /// unless the timer is stale.
+    pub(super) fn context_switch(&mut self, epoch: u64, cx: &mut Cx<'_, ScaleEv>) {
+        if epoch != self.slice_epoch {
+            return;
         }
-    }
-
-    fn context_switch(&mut self, cx: &mut Cx<'_, ScaleEv>) {
-        self.tracer.instant(
-            InstantKind::SliceEnd,
-            cx.now,
-            self.cur as u64,
-            self.slice_epoch,
-        );
+        let (cur, now) = (self.cur as u64, cx.now);
+        self.tracer.instant(SliceEnd, now, cur, self.slice_epoch);
         let outgoing = self.plan.groups[self.cur].clone();
         // Collect slice statistics and arrange notifications.
         for c in outgoing {
@@ -505,18 +449,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 self.replan(cx);
             }
         }
-        self.tracer.instant(
-            InstantKind::GroupSwitch,
-            cx.now,
-            self.cur as u64,
-            self.rotations as u64,
-        );
-        self.tracer.instant(
-            InstantKind::SliceStart,
-            cx.now,
-            self.cur as u64,
-            self.slice_epoch,
-        );
+        let (cur, rotations) = (self.cur as u64, self.rotations as u64);
+        self.tracer.instant(GroupSwitch, now, cur, rotations);
+        self.tracer.instant(SliceStart, now, cur, self.slice_epoch);
         // Process whatever warmup fetched into the new pool. All zones
         // are scanned (not just the incoming group's): a regroup may have
         // shifted zone assignments after a fetch was posted, and the
@@ -528,72 +463,47 @@ impl<H: ServerHandler> ScaleRpc<H> {
         }
         self.zone_reserved[self.pool_pair.processing()].fill(u64::MAX);
         // Begin warming the next group into the freed pool.
-        self.warm_group(self.pool_pair.warmup(), cx);
+        self.warm_next_group(cx);
         self.restart_slices(cx);
     }
 
-    /// Regroups from the last rotation's statistics.
     fn replan(&mut self, cx: &mut Cx<'_, ScaleEv>) {
         let before = self.plan.groups.len();
         self.plan = self.scheduler.replan(&self.stats_last);
         self.zones = zone_table(&self.plan, self.served.len());
         let after = self.plan.groups.len();
         self.replan_history.push((cx.now, after));
-        self.tracer.instant(
-            InstantKind::GroupReprioritize,
-            cx.now,
-            self.rotations as u64,
-            after as u64,
-        );
-        if after > before {
-            self.tracer.instant(
-                InstantKind::GroupSplit,
-                cx.now,
-                before as u64,
-                after as u64,
-            );
-        } else if after < before {
-            self.tracer.instant(
-                InstantKind::GroupMerge,
-                cx.now,
-                before as u64,
-                after as u64,
-            );
-        }
+        let rotations = self.rotations as u64;
+        self.tracer
+            .instant(GroupReprioritize, cx.now, rotations, after as u64);
+        let kind = match after.cmp(&before) {
+            std::cmp::Ordering::Greater => InstantKind::GroupSplit,
+            std::cmp::Ordering::Less => InstantKind::GroupMerge,
+            std::cmp::Ordering::Equal => return,
+        };
+        self.tracer
+            .instant(kind, cx.now, before as u64, after as u64);
     }
 
-    /// Arms the timer ending the current slice.
     pub(super) fn restart_slices(&mut self, cx: &mut Cx<'_, ScaleEv>) {
-        cx.after(
-            self.slice(),
-            ScaleEv::SliceEnd {
-                epoch: self.slice_epoch,
-            },
-        );
+        let epoch = self.slice_epoch;
+        cx.after(self.slice(), ScaleEv::SliceEnd { epoch });
     }
 
-    /// The explicit notification write for a client with nothing in
-    /// flight to piggyback the context switch on.
+    /// Tells a client with nothing in flight of the context switch.
     fn post_ctx_notify(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         self.ctx_notifies += 1;
-        let st = &self.served[client];
-        let block = (st.region, self.resp_off(self.cfg.slots), self.cfg.block_size);
+        let block = self.resp_block(client, self.cfg.slots);
         let header = (client, NOTIFY_SEQ, FLAG_CTX_SWITCH);
-        let posted = write_block(st.qp, block, None, header, b"", cx);
+        let posted = write_block(self.served[client].qp, block, None, header, b"", cx);
         self.life.posted(posted);
     }
-
-    // ---- lifecycle ---------------------------------------------------------
 
     /// Forgets `client`'s connection state (endpoint entry, fetch and
     /// piggyback bookkeeping) that refers to a connection that no longer
     /// exists. Memory regions survive — this is the warm-restart model.
     pub(super) fn forget_client(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
-        cx.fabric
-            .mr_mut(self.endpoint_mr)
-            .expect("endpoint mr")
-            .write(client * ENTRY + 16, &0u64.to_le_bytes())
-            .expect("entry scrub");
+        self.clear_entry(client, cx.fabric);
         let st = &mut self.served[client];
         st.entry_valid = false;
         st.last_fetch_epoch = u64::MAX;
@@ -601,11 +511,10 @@ impl<H: ServerHandler> ScaleRpc<H> {
         st.needs_ctx = false;
     }
 
-    /// The server crashed: every in-flight slice timer and planned fetch
-    /// is invalidated, warmup reads that will never complete are
-    /// dropped, and the message pools are reformatted by the warm
-    /// restart — a request a pre-crash warmup fetch already copied into
-    /// them would otherwise be executed by the post-recovery zone scan.
+    /// The server crashed: slice timers and planned fetches go stale,
+    /// warmup reads never complete, and the warm restart reformats the
+    /// pools — else the post-recovery scan would execute a request a
+    /// pre-crash fetch had copied there, whose issuer presumed it dead.
     pub(super) fn crash(&mut self, fabric: &mut Fabric) {
         self.slice_epoch += 1;
         self.pending_reads.clear();
@@ -621,24 +530,14 @@ impl<H: ServerHandler> ScaleRpc<H> {
         }
     }
 
-    /// The server's half of a client's post-mortem.
+    /// The server's half of [`ScaleRpc::client_diag`].
     pub(super) fn server_diag(&self, client: ClientId, fabric: &Fabric) -> String {
-        let st = &self.served[client];
-        let entry_word = fabric
-            .mr(self.endpoint_mr)
-            .and_then(|mr| mr.read_u64(client * ENTRY + 16))
-            .unwrap_or(u64::MAX);
+        let entry_word = self.entry_word(client, fabric);
+        let group = self.plan.group_of(client);
+        let (cur, epoch) = (self.cur, self.slice_epoch);
         format!(
-            "entry_valid={} entry_word={} needs_ctx={} inflight_responses={} \
-             last_fetch_epoch={} group={:?} cur={} epoch={}",
-            st.entry_valid,
-            entry_word,
-            st.needs_ctx,
-            st.inflight_responses,
-            st.last_fetch_epoch,
-            self.plan.group_of(client),
-            self.cur,
-            self.slice_epoch,
+            "{:?} entry_word={entry_word:?} group={group:?} cur={cur} epoch={epoch}",
+            self.served[client]
         )
     }
 }
