@@ -59,6 +59,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== clippy (deny warnings, trace off) =="
 cargo clippy -p simtrace -p scalerpc-bench --no-default-features --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# Intra-doc links that are broken, point at private items or are
+# ambiguous fail here: the crate docs' module maps name items that move
+# between files, and nothing else checks those links.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== scenario check (all checked-in scenarios) =="
 # Parse + compile every scenario file; rejects drift between the
 # scenario format and the checked-in battery.

@@ -156,7 +156,7 @@ enum Landing {
 #[derive(Debug)]
 enum Inner {
     /// The tx NIC engine picks up a posted WQE.
-    TxProcess { pkt: Packet, slot: u32 },
+    TxProcess { pkt: Packet },
     /// A packet reaches the destination NIC.
     RxProcess { pkt: Packet },
     /// Responder-side memory/CQE effects materialize after the DMA write.
@@ -208,7 +208,6 @@ pub struct Fabric {
     mrs: Vec<MemoryRegion>,
     mr_owner: Vec<NodeId>,
     qps: Vec<QueuePair>,
-    qp_slot: Vec<u32>,
     cqs: Vec<CompletionQueue>,
     next_wr: WrId,
     tracer: Tracer,
@@ -252,7 +251,6 @@ impl Fabric {
             mrs: Vec::new(),
             mr_owner: Vec::new(),
             qps: Vec::new(),
-            qp_slot: Vec::new(),
             cqs: Vec::new(),
             next_wr: 1,
             tracer: Tracer::disabled(),
@@ -336,10 +334,7 @@ impl Fabric {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             name: name.to_string(),
-            nic: NicCache::new(
-                self.params.nic_qp_cache_entries,
-                self.params.nic_wqe_cache_entries,
-            ),
+            nic: NicCache::new(self.params.nic_qp_cache_entries, 0),
             llc: LlcModel::new(self.params.llc_bytes, self.params.ddio_fraction),
             tx: FifoResource::new(),
             rx: FifoResource::new(),
@@ -388,7 +383,6 @@ impl Fabric {
         let id = QpId(self.qps.len() as u32);
         self.qps
             .push(QueuePair::new(id, node, transport, send_cq, recv_cq));
-        self.qp_slot.push(0);
         Ok(id)
     }
 
@@ -736,11 +730,6 @@ impl Fabric {
                 local_offset,
             },
         };
-        let slot = {
-            let s = &mut self.qp_slot[qp_id.index()]; // qp_slot grows in lockstep with self.qps at creation
-            *s = s.wrapping_add(1);
-            *s % 128
-        };
         self.qp_mut(qp_id)?.wqe_posted();
         self.nodes[node.index()].counters.inc(Counter::TxVerbs); // NodeId indexes self.nodes: nodes are never removed
         let hdr = PacketHdr {
@@ -753,7 +742,7 @@ impl Fabric {
         let pkt = Packet { hdr, kind };
         sched(
             now + self.params.doorbell_latency,
-            FabricEvent(Inner::TxProcess { pkt, slot }),
+            FabricEvent(Inner::TxProcess { pkt }),
         );
         Ok(PostInfo {
             wr_id,
@@ -773,7 +762,7 @@ impl Fabric {
         upcalls: &mut Vec<Upcall>,
     ) {
         match ev.0 {
-            Inner::TxProcess { pkt, slot } => self.tx_process(now, pkt, slot, sched),
+            Inner::TxProcess { pkt } => self.tx_process(now, pkt, sched),
             Inner::RxProcess { pkt } => self.rx_process(now, pkt, sched),
             Inner::Deliver {
                 node,
@@ -854,7 +843,7 @@ impl Fabric {
         }
     }
 
-    fn tx_process(&mut self, now: SimTime, pkt: Packet, slot: u32, sched: &mut Sched<'_>) {
+    fn tx_process(&mut self, now: SimTime, pkt: Packet, sched: &mut Sched<'_>) {
         let hdr = pkt.hdr;
         let src_node = self.qps[hdr.src_qp.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
         let transport = self.qps[hdr.src_qp.index()].transport();
@@ -869,7 +858,7 @@ impl Fabric {
         let degrade = self.degrade;
         let lines = FabricParams::lines(payload) as u64;
         let node = &mut self.nodes[src_node.index()]; // NodeId indexes self.nodes: nodes are never removed
-        let access = node.nic.access(hdr.src_qp, slot);
+        let access = node.nic.access(hdr.src_qp, 0);
         // Payload DMA read from host memory, plus re-fetch of evicted
         // QP context / WQE state.
         node.counters
@@ -1039,7 +1028,6 @@ impl Fabric {
 
         match kind {
             PacketKind::Send { data, imm } => {
-                self.nodes[dst_node.index()].nic.touch_rx(hdr.dst_qp); // dst node/QP handles index live tables (never removed)
                 let recv = self.qps[hdr.dst_qp.index()].take_recv();
                 let Some(r) = recv.filter(|r| r.len >= data.len()) else {
                     // No receive posted (or too small): UD drops,
@@ -1078,7 +1066,6 @@ impl Fabric {
                 }
             }
             PacketKind::Write { data, remote, imm } => {
-                self.nodes[dst_node.index()].nic.touch_rx(hdr.dst_qp); // NodeId indexes self.nodes: nodes are never removed
                 if !self.owns(dst_node, remote, data.len()) {
                     return self.reject(now, hdr, bad_access, WcOpcode::RdmaWrite, sched);
                 }

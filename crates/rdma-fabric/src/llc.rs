@@ -639,15 +639,15 @@ mod tests {
                 }
                 let key = (mr, line);
                 if self.main.contains(&key) {
-                    self.main.touch(key);
+                    self.main.access(key);
                     out.hit_main += 1;
                     prev_alloc = false;
                 } else if self.ddio.contains(&key) {
-                    self.ddio.touch(key);
+                    self.ddio.access(key);
                     out.hit_ddio += 1;
                     prev_alloc = false;
                 } else {
-                    self.ddio.touch(key);
+                    self.ddio.access(key);
                     out.allocated += 1;
                     out.alloc_runs += !prev_alloc as u64;
                     prev_alloc = true;
@@ -664,13 +664,13 @@ mod tests {
             for line in line_range(offset, len) {
                 let key = (mr, line);
                 if self.main.contains(&key) {
-                    self.main.touch(key);
+                    self.main.access(key);
                     out.hits += 1;
                 } else if self.ddio.remove(&key) {
-                    self.main.touch(key);
+                    self.main.access(key);
                     out.hits += 1;
                 } else {
-                    self.main.touch(key);
+                    self.main.access(key);
                     out.misses += 1;
                 }
             }

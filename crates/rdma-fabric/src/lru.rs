@@ -249,12 +249,6 @@ impl<K: Eq + Hash + Clone> RandomSet<K> {
         }
     }
 
-    /// Accesses `key` (alias of [`access`](Self::access), kept for the
-    /// older call sites and tests).
-    pub fn touch(&mut self, key: K) -> (bool, Option<K>) {
-        self.access(key)
-    }
-
     /// Whether `key` is resident.
     pub fn contains(&self, key: &K) -> bool {
         self.probe(key, Self::hash32(key)).is_ok()
@@ -295,10 +289,10 @@ mod tests {
     fn random_set_hits_within_capacity() {
         let mut s = RandomSet::new(8);
         for k in 0..8u32 {
-            assert_eq!(s.touch(k), (false, None));
+            assert_eq!(s.access(k), (false, None));
         }
         for k in 0..8u32 {
-            assert_eq!(s.touch(k), (true, None));
+            assert_eq!(s.access(k), (true, None));
         }
         assert_eq!(s.len(), 8);
     }
@@ -312,7 +306,7 @@ mod tests {
         let mut total = 0u32;
         for round in 0..200u32 {
             for k in 0..128u32 {
-                let (hit, _) = s.touch(k);
+                let (hit, _) = s.access(k);
                 if round >= 10 {
                     total += 1;
                     hits += hit as u32;
@@ -333,7 +327,7 @@ mod tests {
     fn random_set_eviction_keeps_len_at_capacity() {
         let mut s = RandomSet::new(4);
         for k in 0..100u32 {
-            s.touch(k);
+            s.access(k);
             assert!(s.len() <= 4);
         }
         assert_eq!(s.len(), 4);
@@ -345,7 +339,7 @@ mod tests {
             let mut s = RandomSet::new(16);
             let mut trace = Vec::new();
             for k in 0..200u32 {
-                trace.push(s.touch(k % 48).0);
+                trace.push(s.access(k % 48).0);
             }
             trace
         };

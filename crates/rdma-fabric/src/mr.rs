@@ -10,7 +10,7 @@
 //! A region also remembers which of its 64-byte lines were ever written.
 //! An RDMA READ of a 32 KB staging zone holding eight 53-byte messages is
 //! *charged* for 32 KB by the NIC, PCIe and LLC models, but the host only
-//! has to carry the eight lines that can differ from zero: a [`Snapshot`]
+//! has to carry the eight lines that can differ from zero: a `Snapshot`
 //! is the written lines of a range, and restoring it reproduces the range
 //! byte for byte.
 

@@ -57,8 +57,9 @@ pub struct NicCache {
 
 impl NicCache {
     /// Creates a cache holding `qp_entries` QP contexts. The second
-    /// parameter is retained for configuration compatibility (WQE cache
-    /// residency is coupled to QP residency; see the module docs).
+    /// parameter is unused — WQE residency rides with QP residency (see
+    /// the module docs) — and stays only because the `benchmark` package
+    /// calls this signature; pass `0`.
     pub fn new(qp_entries: usize, _wqe_entries: usize) -> Self {
         NicCache {
             qp_ctx: RandomSet::new(qp_entries),
@@ -68,8 +69,8 @@ impl NicCache {
     }
 
     /// Models the transmit engine touching `qp`'s context (and its
-    /// prefetched WQEs) for one work request. `_slot` identifies the WQE
-    /// for diagnostics.
+    /// prefetched WQEs) for one work request. `_slot` is unused and kept
+    /// for the same reason as `new`'s second parameter; pass `0`.
     pub fn access(&mut self, qp: QpId, _slot: u32) -> NicAccess {
         let (qp_hit, evicted) = self.qp_ctx.access(qp);
         if qp_hit {
@@ -82,15 +83,6 @@ impl NicCache {
             wqe_miss: !qp_hit,
             evicted,
         }
-    }
-
-    /// A lightweight responder-side touch: the receive path needs a slim
-    /// QP lookup but (empirically, per the paper's Fig. 3(a)) does not
-    /// thrash the cache; it refreshes residency without charging misses.
-    pub fn touch_rx(&mut self, qp: QpId) {
-        // Receive descriptors are small and prefetched; the model treats
-        // them as always resident.
-        let _ = qp;
     }
 
     /// QP-context hit count so far.

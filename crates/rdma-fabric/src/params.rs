@@ -66,8 +66,6 @@ pub struct FabricParams {
     /// client pattern degrades within the paper's client range — both
     /// facts the paper's evaluation exhibits on ConnectX-3.
     pub nic_qp_cache_entries: usize,
-    /// Number of WQEs the NIC cache can hold across all QPs.
-    pub nic_wqe_cache_entries: usize,
 
     // ---- Wire ----
     /// Link bandwidth in bytes per nanosecond (56 Gbps FDR ⇒ 7 B/ns).
@@ -139,7 +137,6 @@ impl Default for FabricParams {
             ddio_alloc_penalty: SimDuration::nanos(75),
             ddio_bulk_per_line: SimDuration::nanos(2),
             nic_qp_cache_entries: 96,
-            nic_wqe_cache_entries: 512,
 
             link_bytes_per_ns: 7.0,
             link_propagation: SimDuration::nanos(200),

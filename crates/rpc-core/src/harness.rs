@@ -5,7 +5,8 @@
 //! asynchronous interface, waits for all responses, optionally sleeps a
 //! think time, and repeats. Client CPUs are modelled: all coroutines on
 //! one machine thread share that thread's time, charged per post and per
-//! response according to the transport's [`ClientOverhead`] — this is
+//! response according to the transport's
+//! [`ClientOverhead`](crate::transport::ClientOverhead) — this is
 //! what lets UD transports' higher per-op client cost show up as the
 //! saturation behaviour of Fig. 8's right half.
 
@@ -283,7 +284,7 @@ impl RequestGen for FixedSizeGen {
 
 /// The closed-loop harness: owns the transport, the client set and the
 /// metrics, and implements [`Logic`] so it can be driven by
-/// [`ShardedSim`](crate::ShardedSim).
+/// [`ShardedSim`].
 pub struct Harness<T: RpcTransport> {
     /// The transport under test.
     pub transport: T,
@@ -440,31 +441,26 @@ impl<T: RpcTransport> Harness<T> {
     pub fn in_flight(&self) -> u64 {
         self.clients
             .iter()
-            .map(|st| {
-                if self.cfg.window > 1 {
-                    st.window.in_flight() as u64
-                } else {
-                    st.inflight as u64
-                }
-            })
+            .map(|st| self.outstanding(st) as u64)
             .sum()
     }
 
     /// Clients that still hold in-flight requests (the fuzzer's
     /// no-stuck-clients invariant: empty after drain).
     pub fn stuck_clients(&self) -> Vec<ClientId> {
-        self.clients
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| {
-                if self.cfg.window > 1 {
-                    st.window.in_flight() > 0
-                } else {
-                    st.inflight > 0
-                }
-            })
-            .map(|(c, _)| c)
+        (0..self.clients.len())
+            .filter(|&c| self.outstanding(&self.clients[c]) > 0)
             .collect()
+    }
+
+    /// A client's outstanding requests: its window's in-flight slots, or
+    /// what is left of its batch.
+    fn outstanding(&self, st: &ClientState) -> usize {
+        if self.cfg.window > 1 {
+            st.window.in_flight()
+        } else {
+            st.inflight
+        }
     }
 
     /// Samples the named counters of `node` into the trace every `every`
@@ -516,27 +512,39 @@ impl<T: RpcTransport> Harness<T> {
         cx.at(grant.begin, HarnessEv::Post(client, posts));
     }
 
-    /// Posts up to `paid` requests into the client's free window slots
-    /// (the asynchronous client's replenish step). Mirrors the batch
-    /// `Post` arm, but tracks each request in its own window slot with
-    /// its own submit time. `paid` is the post count the thread grant
-    /// covered when this event was scheduled; slots freed since then
+    /// Posts the `paid` requests a thread grant covered: a whole batch on
+    /// the synchronous path, or as many as the window has free slots for
+    /// on the asynchronous one (the replenish step), each tracked in its
+    /// own slot with its own submit time. Slots freed since the grant
     /// belong to the completions that freed them.
-    fn post_windowed(&mut self, c: ClientId, paid: usize, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
+    fn post(&mut self, c: ClientId, paid: usize, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
+        let windowed = self.cfg.window > 1;
+        if !windowed {
+            self.clients[c].batch_started = cx.now;
+            self.clients[c].inflight = paid;
+        }
         let per_post = self.transport.client_overhead().per_post;
-        let mut i = 0u64;
-        while (i as usize) < paid && !self.clients[c].window.is_full() {
+        for i in 0..paid as u64 {
+            if windowed && self.clients[c].window.is_full() {
+                break;
+            }
             let seq = self.clients[c].next_seq;
             self.clients[c].next_seq += 1;
             let payload = self.gen.gen(c, seq);
+            // Allocate a trace id for this request's pipeline and stamp
+            // it onto the fabric so the transport's posts inherit it (0
+            // when tracing is off — untraced).
             let id = self.tracer.next_id();
             let start = cx.now + per_post * i;
             if id != 0 {
                 self.tracer
                     .span(id, Stage::ClientPost, start, start + per_post, c as u64);
             }
-            self.clients[c].window.submit(seq, start);
+            if windowed {
+                self.clients[c].window.submit(seq, start);
+            }
             self.issued += 1;
+            // Retry needs `window > 1` (per-sequence identity).
             if let Some(rp) = self.cfg.retry {
                 self.retry_payloads.insert((c, seq), payload.clone());
                 cx.at(start + rp.timeout, HarnessEv::Retry(c, seq, 1));
@@ -546,7 +554,6 @@ impl<T: RpcTransport> Harness<T> {
                 self.transport
                     .submit(c, seq, payload, tcx, &mut self.responses)
             });
-            i += 1;
         }
         cx.fabric.set_trace_ctx(0);
         self.drain_responses(cx);
@@ -671,38 +678,7 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 }
                 self.schedule_post(c, cx);
             }
-            HarnessEv::Post(c, paid) => {
-                if self.cfg.window > 1 {
-                    self.post_windowed(c, paid, cx);
-                    return;
-                }
-                let batch = self.cfg.batch_size;
-                self.clients[c].batch_started = cx.now;
-                self.clients[c].inflight = batch;
-                self.issued += batch as u64;
-                let per_post = self.transport.client_overhead().per_post;
-                for i in 0..batch {
-                    let seq = self.clients[c].next_seq;
-                    self.clients[c].next_seq += 1;
-                    let payload = self.gen.gen(c, seq);
-                    // Allocate a trace id for this request's pipeline and
-                    // stamp it onto the fabric so the transport's posts
-                    // inherit it (0 when tracing is off — untraced).
-                    let id = self.tracer.next_id();
-                    if id != 0 {
-                        let start = cx.now + per_post * i as u64;
-                        self.tracer
-                            .span(id, Stage::ClientPost, start, start + per_post, c as u64);
-                    }
-                    cx.fabric.set_trace_ctx(id);
-                    with_transport_cx(cx, |tcx| {
-                        self.transport
-                            .submit(c, seq, payload, tcx, &mut self.responses)
-                    });
-                }
-                cx.fabric.set_trace_ctx(0);
-                self.drain_responses(cx);
-            }
+            HarnessEv::Post(c, paid) => self.post(c, paid, cx),
             HarnessEv::Fault(ev) => {
                 let spec = self
                     .scenario

@@ -7,7 +7,7 @@
 //!   verbs and sets timers.
 //! - [`sharded`]: the engine — [`ShardedSim`], one sequential event
 //!   loop over one queue, one fabric and one logic (DESIGN.md §10).
-//! - [`transport`]: the [`RpcTransport`](transport::RpcTransport) trait
+//! - [`transport`]: the [`RpcTransport`] trait
 //!   every RPC implementation (ScaleRPC and the baselines) provides.
 //! - [`cluster`]: topology builder for the paper's testbed shape (one
 //!   server, N client machines with worker threads multiplexing

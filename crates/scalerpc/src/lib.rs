@@ -25,6 +25,13 @@
 //! ([`client`]), learning about context switches from piggybacked (or,
 //! when necessary, explicit) `context_switch_event` notifications.
 //!
+//! [`ScaleRpc`] ([`transport`]) is three parts that read each other's
+//! state only through named calls: the `RPCServer` (`transport/server.rs`:
+//! warmup, zone scan, execution, context switch, responses), every
+//! `RPCClient` end (beside the FSM in [`client`]: staging, endpoint entry,
+//! direct writes, response landing) and the connection lifecycle
+//! (`transport/lifecycle.rs`: connections, exactly-once, response replay).
+//!
 //! The crate also provides the NTP-like [`globsync`] protocol of §4.2
 //! that lets multiple `RPCServer`s switch groups at the same pace, which
 //! the ScaleTX transaction system requires.

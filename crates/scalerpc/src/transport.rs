@@ -1,15 +1,11 @@
 //! The ScaleRPC server/client transport (§3 of the paper, end to end).
 //!
-//! One [`ScaleRpc`] value embodies both sides of the protocol, wired to
-//! the simulated fabric, in three parts that read each other's state only
-//! through named calls: the `RPCServer` (pools, scheduler, workers,
-//! warmup engine; `transport/server.rs`), every `RPCClient` end, next to
-//! the Fig. 7 state machine in [`client`], and the connection lifecycle
-//! (`transport/lifecycle.rs`). This file holds the struct and routes each
-//! upcall or event to its part. All *timing* flows through the fabric
-//! (RDMA verbs, NIC/LLC models, worker CPU resources); shared Rust state
-//! is used only for metadata a real deployment exchanges at connection
-//! setup (region ids, zone assignments).
+//! One [`ScaleRpc`] value embodies both sides of the protocol, in the
+//! three parts the crate docs map; this file holds the struct and routes
+//! each upcall or event to its part. All *timing* flows through the
+//! fabric (RDMA verbs, NIC/LLC models, worker CPU resources); shared Rust
+//! state is used only for metadata a real deployment exchanges at
+//! connection setup (region ids, zone assignments).
 //!
 //! Data path summary:
 //!
@@ -284,8 +280,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
     }
 
     /// Compact post-mortem of one client's transport-side state, for
-    /// liveness triage (the scenario fuzzer prints this for any client
-    /// the harness reports as stuck).
+    /// triage of a client the harness reports as stuck.
     pub fn client_diag(&self, fabric: &Fabric, client: ClientId) -> String {
         let end = self.end_diag(client, fabric);
         format!(

@@ -25,9 +25,8 @@
 //! unchanged — the window only adds bookkeeping (and the
 //! context-switch *re-arm*: a notification that lands while requests
 //! are still in flight moves the client back to WARMUP so the staged
-//! tail is re-advertised instead of stranded).
-//!
-//! Below it, the `RPCClient` half of [`ScaleRpc`] that drives it.
+//! tail is re-advertised instead of stranded). Below it sits the
+//! `RPCClient` end of [`ScaleRpc`] that drives it.
 
 use bytes::Bytes;
 use rdma_fabric::{Fabric, MemoryRegion, MrId, QpId, RemoteAddr, WorkRequest};

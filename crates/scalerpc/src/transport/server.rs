@@ -111,8 +111,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.plan.slices[self.cur.min(self.plan.slices.len() - 1)]
     }
 
-    /// A direct request arrived into a pool (a crashed server polls
-    /// none).
+    /// A direct request arrived into a pool (a crashed one polls none).
     pub(super) fn on_pool_write(
         &mut self,
         mr: MrId,
@@ -132,9 +131,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
     }
 
     /// An endpoint entry landed at `offset`: returns its client if valid,
-    /// after fetching eagerly when the client's group is being served or
-    /// warmed (else the entry waits for the group's warm phase). A
-    /// crashed server's warmup engine is dead.
+    /// after fetching eagerly if the client's group is served or warmed
+    /// (else the entry waits for its warm phase). A crashed server's
+    /// warmup engine is dead.
     pub(super) fn on_entry_write(
         &mut self,
         offset: usize,

@@ -299,8 +299,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Like [`pop_at_or_before`](Self::pop_at_or_before), but also
-    /// returns the event's sequence key ([`pop_at_or_before`]
-    /// (Self::pop_at_or_before) is this minus the key).
+    /// returns the event's sequence key (`pop_at_or_before` is this
+    /// minus the key).
     pub fn pop_at_or_before_with_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
         let (bucket, slot) = self.earliest()?;
         let &Node { time, seq, .. } = self.node(slot);

@@ -28,7 +28,7 @@
 //!    walked by the reader, the canonical serializer
 //!    (`parse ∘ to_toml = id`) and the bounds check alike; cross-field
 //!    rules are written once beside them;
-//! 3. [`compile`] — lowers a scenario onto the existing config types
+//! 3. [`compile`](mod@compile) — lowers a scenario onto the existing config types
 //!    (`RawVerbConfig`, `HarnessConfig` + `ScaleRpcConfig` +
 //!    [`rpc_core::inject::ScenarioSpec`], `TxConfig`);
 //! 4. [`run`] — executes a compiled scenario and reports the outcome;
