@@ -209,6 +209,7 @@ impl ClientEnd {
         }
     }
 
+    #[inline]
     fn region<'f>(&self, fabric: &'f mut Fabric) -> &'f mut MemoryRegion {
         fabric.mr_mut(self.region).expect("local mr")
     }
@@ -261,10 +262,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// Composes the message into a local staging block: an ordinary CPU
     /// store, no verbs.
     fn stage_request(&mut self, client: ClientId, seq: u64, payload: &[u8], fabric: &mut Fabric) {
-        let (slot, bs) = (
-            self.staging_slot_for(client, seq, fabric),
-            self.cfg.block_size,
-        );
+        let bs = self.cfg.block_size;
+        let slot = self.staging_slot_for(client, seq, fabric);
         let (enc_off, bytes) =
             MsgBuf::encode_rpc(client, seq, 0, payload, bs).expect("request fits block");
         let region = self.ends[client].region(fabric);

@@ -66,6 +66,7 @@ impl SeqWindow {
 
     /// Records `seq`; returns `false` when it was already executed
     /// (duplicate) or lies too far below `high` to tell.
+    #[inline]
     fn record(&mut self, seq: u64) -> bool {
         if seq > self.high {
             // The slots the window slides onto held seqs 1024 lower.
