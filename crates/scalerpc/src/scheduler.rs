@@ -155,9 +155,9 @@ impl Scheduler {
     ///
     /// Static mode reproduces [`initial_plan`](Self::initial_plan).
     /// Dynamic mode sorts clients by priority and forms two tiers: the
-    /// busy tier gets default-size groups with 1.5× slices, the idle tier
-    /// 1.5×-size groups with 0.5× slices — wasting less shared time on
-    /// clients that rarely post.
+    /// busy half gets slightly smaller groups with 1.25× slices, the idle
+    /// half slightly larger groups with 0.75× slices — wasting less
+    /// shared time on clients that rarely post.
     pub fn replan(&self, stats: &[ClientStats]) -> GroupPlan {
         if !self.dynamic {
             return self.initial_plan(stats.len());
@@ -184,6 +184,8 @@ impl Scheduler {
         let split = split.clamp(1.min(order.len()), order.len());
         let busy = &order[..split];
         let idle = &order[split..];
+        // Busy tier: smaller groups, longer slices (within the legal
+        // [g/2, 3g/2] band); idle tier: the reverse.
         // Busy tier: default-size groups with 1.5x slices (saturate the
         // NIC, spend more of the rotation on the busy clients); idle
         // tier: 1.5x-size groups with 0.5x slices (their staged batches

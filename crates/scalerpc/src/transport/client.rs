@@ -200,11 +200,10 @@ impl ClientEnd {
     /// One FSM window slot per message slot: at most `slots` requests in
     /// flight before staging blocks would collide.
     pub(super) fn new(qp: QpId, region: MrId, slots: usize) -> Self {
-        let fsm = ClientFsm::with_window(slots);
         ClientEnd {
             qp,
             region,
-            fsm,
+            fsm: ClientFsm::with_window(slots),
             publish_inflight: false,
         }
     }

@@ -136,11 +136,8 @@ impl Lifecycle {
     /// One connection per `(server_qp, client_qp)`, `Ready` unless set
     /// up lazily; `lazy` and `elastic` are the config's.
     pub(super) fn new(lazy: bool, elastic: bool, qps: Vec<(QpId, QpId)>) -> Self {
-        let state = Fsm::new(if lazy {
-            ConnState::Absent
-        } else {
-            ConnState::Ready
-        });
+        use ConnState::{Absent, Ready};
+        let state = Fsm::new(if lazy { Absent } else { Ready });
         let mut qp_index = DetHashMap::default();
         let mut conns = Vec::with_capacity(qps.len());
         for (c, qps) in qps.into_iter().enumerate() {

@@ -69,7 +69,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// in, or `None` while the client is in no group.
     pub(super) fn direct_block(&self, client: ClientId, seq: u64) -> Option<(MrId, usize, usize)> {
         let (_, zone) = self.zone_of(client)?;
-        let zone = zone.min(self.geom.zones - 1);
         let pool = self.pools[self.pool_pair.processing()];
         let offset = self.geom.offset(zone, self.geom.slot_of_seq(seq));
         Some((pool, offset, self.cfg.block_size))
@@ -86,8 +85,10 @@ impl<H: ServerHandler> ScaleRpc<H> {
         (self.served[client].region, (self.cfg.slots + slot) * bs, bs)
     }
 
-    fn zone_of(&self, client: ClientId) -> Option<(usize /*group*/, usize /*zone*/)> {
-        self.zones.get(client).copied().flatten()
+    /// `client`'s `(group, zone)`, the zone clamped into the pools.
+    fn zone_of(&self, client: ClientId) -> Option<(usize, usize)> {
+        let (group, zone) = self.zones.get(client).copied().flatten()?;
+        Some((group, zone.min(self.geom.zones - 1)))
     }
 
     fn next_group(&self) -> usize {
@@ -174,7 +175,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let Some((_, zone)) = self.zone_of(client) else {
             return;
         };
-        let zone = zone.min(self.geom.zones - 1);
         if self.served[client].last_fetch_epoch == self.slice_epoch {
             return; // already fetched this slice
         }
@@ -519,12 +519,11 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.pending_reads.clear();
         self.zone_reserved[0].fill(u64::MAX);
         self.zone_reserved[1].fill(u64::MAX);
+        let bs = self.cfg.block_size;
         for pool_mr in self.pools {
             let region = fabric.mr_mut(pool_mr).expect("pool mr");
-            for z in 0..self.geom.zones {
-                for s in 0..self.cfg.slots {
-                    MsgBuf::clear_valid(region, self.geom.offset(z, s), self.cfg.block_size);
-                }
+            for block in 0..self.geom.bytes() / bs {
+                MsgBuf::clear_valid(region, block * bs, bs);
             }
         }
     }
