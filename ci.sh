@@ -155,11 +155,11 @@ ceiling_gate rpc_scalerpc_400c_b8 \
     scalerpc.allocs_per_op=3.311537 \
     rpc-core.harness_allocs_per_op=0.000014 \
     rpc-core.sharded_allocs_per_event=0.002459 \
-    bench.allocs_per_op=4.435683
+    bench.allocs_per_op=4.435655
 ceiling_gate rpc_rawwrite_400c_b1 \
     rpc-baselines.allocs_per_op=3.082486 \
     rpc-core.sharded_allocs_per_event=0.002305 \
-    bench.allocs_per_op=4.147046
+    bench.allocs_per_op=4.146989
 ceiling_gate tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
     bench.allocs_per_op=21.374171 \
