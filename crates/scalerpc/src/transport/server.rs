@@ -112,7 +112,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.plan.slices[self.cur.min(self.plan.slices.len() - 1)]
     }
 
-    /// A direct request arrived into a pool (a crashed one polls none).
+    /// A direct request arrived into a pool (a crashed server polls
+    /// none).
     pub(super) fn on_pool_write(
         &mut self,
         mr: MrId,
@@ -126,7 +127,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         if self.life.is_down() {
             return;
         }
-        let block_start = (offset / self.cfg.block_size) * self.cfg.block_size;
+        let block_start = self.geom.block_start(offset);
         self.direct_requests += 1;
         self.execute_block(mr, zone, block_start, Some((offset, len)), cx);
     }
