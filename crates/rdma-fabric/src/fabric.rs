@@ -190,8 +190,6 @@ const SPARE_SNAPSHOTS: usize = 64;
 
 #[derive(Clone, Debug)]
 struct Node {
-    #[allow(dead_code)]
-    name: String,
     nic: NicCache,
     llc: LlcModel,
     tx: FifoResource,
@@ -329,11 +327,11 @@ impl Fabric {
 
     // ---- topology -------------------------------------------------------
 
-    /// Adds a machine.
-    pub fn add_node(&mut self, name: &str) -> NodeId {
+    /// Adds a machine. The label only names the node at the call site;
+    /// the fabric does not store it.
+    pub fn add_node(&mut self, _label: &str) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
-            name: name.to_string(),
             nic: NicCache::new(self.params.nic_qp_cache_entries, 0),
             llc: LlcModel::new(self.params.llc_bytes, self.params.ddio_fraction),
             tx: FifoResource::new(),
@@ -863,15 +861,10 @@ impl Fabric {
         // QP context / WQE state.
         node.counters
             .add(Counter::PCIeRdCur, lines + access.extra_pcie_reads());
-        if access.qp_miss {
-            node.counters.inc(Counter::NicQpMiss);
-        }
         let mut occupancy = p.nic_tx_base + p.dma_read_per_line * lines;
-        if access.qp_miss {
-            occupancy += p.qp_ctx_miss_penalty;
-        }
-        if access.wqe_miss {
-            occupancy += p.wqe_miss_penalty;
+        if access.miss {
+            node.counters.inc(Counter::NicQpMiss);
+            occupancy += p.qp_ctx_miss_penalty + p.wqe_miss_penalty;
         }
         let ud_extra = if transport == Transport::Ud {
             occupancy += p.ud_tx_extra;

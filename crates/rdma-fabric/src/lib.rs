@@ -16,6 +16,11 @@
 //! - finite-rate **NIC processing engines** and **links** modeled as FIFO
 //!   queueing resources.
 //!
+//! Both caches evict by one random-replacement policy, written once: a
+//! dense set of resident keys, one SplitMix64 draw per eviction, and an
+//! entry array the cache owns and indexes directly — by `QpId` in the
+//! NIC cache, by a page pool over registered regions in the LLC.
+//!
 //! All data movement is real: memory regions are byte buffers, RDMA writes
 //! copy bytes, and the RPC layers above poll actual `Valid` bytes. The
 //! fabric also exposes the simulated equivalents of the Intel PCM PCIe
@@ -27,11 +32,11 @@ pub mod cq;
 pub mod error;
 pub mod fabric;
 pub mod llc;
-pub mod lru;
 pub mod mr;
 pub mod niccache;
 pub mod params;
 pub mod qp;
+mod replace;
 pub mod types;
 pub mod verbs;
 

@@ -26,7 +26,8 @@
 //! region appends it, sized to the highest page touched), pages of 16
 //! `u32` entries are carved from one pool on first touch, entry `0` =
 //! absent, else `domain bit | position + 1` into that domain's dense
-//! `keys` vector.
+//! `keys` vector. The two domains are the fabric's one random-replacement
+//! `Domain`, which the NIC's QP-context cache indexes by `QpId` instead.
 //! `keys[position]` holds the entry's pool location, so an eviction
 //! (draw a victim position, overwrite `keys[victim]`, clear the old
 //! occupant's entry) and a DDIO→main promotion (swap-remove) never
@@ -36,10 +37,10 @@
 //! [`cpu_access`](LlcModel::cpu_access) are the plain per-line walk —
 //! read the entry, then hit / insert / promote — taken a page at a time
 //! so the page table is consulted once per 16 lines. The `keys` order
-//! and the SplitMix64 victim stream are those of the hashed per-line
-//! reference model in this module's tests, which a proptest compares
-//! after every operation; `tests/llc_stream.rs` pins the outcome
-//! streams of the benchmark's access patterns.
+//! and the SplitMix64 victim stream are those of the map-indexed
+//! per-line reference model in this module's tests, which a proptest
+//! compares after every operation; `tests/llc_stream.rs` pins the
+//! outcome streams of the benchmark's access patterns.
 //!
 //! Index memory is 4 B per line of every *touched* page, 4 B per page
 //! of each region up to its highest touched page, and 4 B per region
@@ -48,7 +49,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::lru::VictimRng;
+use crate::replace::Domain;
 use crate::types::MrId;
 
 /// Result of a NIC DMA write through the LLC.
@@ -89,58 +90,6 @@ const PAGE_LINES: usize = 16;
 /// Entry tag of the DDIO partition (the general LLC's tag is `0`). The
 /// remaining 31 bits hold `keys` position + 1.
 const DDIO: u32 = 1 << 31;
-
-/// One cache domain: the resident lines in replacement order.
-#[derive(Clone, Debug)]
-struct Domain {
-    /// Pool location of each resident line's index entry. Insertion
-    /// pushes, eviction replaces in place and promotion swap-removes —
-    /// victim selection indexes this vector, so its exact order is part
-    /// of the deterministic replacement contract.
-    keys: Vec<u32>,
-    capacity: usize,
-    rng: VictimRng,
-    /// [`DDIO`] or `0`, or-ed into every entry this domain writes.
-    tag: u32,
-}
-
-impl Domain {
-    fn new(capacity: usize, tag: u32) -> Self {
-        Domain {
-            keys: Vec::new(),
-            capacity,
-            rng: VictimRng::new(),
-            tag,
-        }
-    }
-
-    /// Makes the line whose entry sits at `entries[loc]` (absent from
-    /// both domains) resident here, evicting a uniformly random
-    /// resident line when full.
-    #[inline]
-    fn insert(&mut self, entries: &mut [u32], loc: usize) {
-        let pos = if self.keys.len() == self.capacity {
-            let victim = self.rng.victim(self.capacity);
-            let old = std::mem::replace(&mut self.keys[victim], loc as u32); // victim < capacity == keys.len()
-            entries[old as usize] = 0; // keys hold locations of live entries
-            victim
-        } else {
-            self.keys.push(loc as u32);
-            self.keys.len() - 1
-        };
-        entries[loc] = self.tag | (pos as u32 + 1); // loc comes from the page walk: inside the pool
-    }
-
-    /// Swap-removes the resident line at `keys[pos]`, leaving its entry
-    /// for the caller to overwrite.
-    #[inline]
-    fn remove_at(&mut self, entries: &mut [u32], pos: usize) {
-        self.keys.swap_remove(pos);
-        if let Some(&filler) = self.keys.get(pos) {
-            entries[filler as usize] = self.tag | (pos as u32 + 1); // keys hold locations of live entries
-        }
-    }
-}
 
 /// The LLC + DDIO model for one node.
 #[derive(Clone, Debug)]
@@ -214,10 +163,6 @@ impl LlcModel {
         assert!(
             main_lines > 0 && ddio_lines > 0,
             "LLC configuration must leave lines in both domains"
-        );
-        assert!(
-            main_lines < DDIO as usize && ddio_lines < DDIO as usize,
-            "LLC domains of {main_lines} and {ddio_lines} lines exceed the 31-bit position field"
         );
         LlcModel {
             main: Domain::new(main_lines, 0),
@@ -425,7 +370,7 @@ impl LlcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lru::RandomSet;
+    use crate::replace::tests::RefRandomSet;
 
     fn small_llc() -> LlcModel {
         // 64 KB LLC, 25% DDIO => 768 main lines, 256 DDIO lines.
@@ -606,14 +551,14 @@ mod tests {
         assert_eq!((o.allocated, o.alloc_runs), (2, 2));
     }
 
-    /// The reference model: two independent hashed sets keyed by
+    /// The reference model: two independent reference sets keyed by
     /// `(MrId, line)` and the seed's per-line logic (separate `contains`
     /// then `touch`, DDIO promotion checked before the `main` insert).
     /// The address-indexed model must reproduce its outcomes, `keys`
     /// order and victim streams exactly.
     struct RefLlc {
-        main: RandomSet<(MrId, u64)>,
-        ddio: RandomSet<(MrId, u64)>,
+        main: RefRandomSet<(MrId, u64)>,
+        ddio: RefRandomSet<(MrId, u64)>,
     }
 
     impl RefLlc {
@@ -621,8 +566,8 @@ mod tests {
             let total = llc_bytes / 64;
             let ddio = ((total as f64) * ddio_fraction) as usize;
             RefLlc {
-                main: RandomSet::new(total - ddio),
-                ddio: RandomSet::new(ddio),
+                main: RefRandomSet::new(total - ddio),
+                ddio: RefRandomSet::new(ddio),
             }
         }
 
@@ -639,15 +584,15 @@ mod tests {
                 }
                 let key = (mr, line);
                 if self.main.contains(&key) {
-                    self.main.access(key);
+                    self.main.touch(key);
                     out.hit_main += 1;
                     prev_alloc = false;
                 } else if self.ddio.contains(&key) {
-                    self.ddio.access(key);
+                    self.ddio.touch(key);
                     out.hit_ddio += 1;
                     prev_alloc = false;
                 } else {
-                    self.ddio.access(key);
+                    self.ddio.touch(key);
                     out.allocated += 1;
                     out.alloc_runs += !prev_alloc as u64;
                     prev_alloc = true;
@@ -664,13 +609,13 @@ mod tests {
             for line in line_range(offset, len) {
                 let key = (mr, line);
                 if self.main.contains(&key) {
-                    self.main.access(key);
+                    self.main.touch(key);
                     out.hits += 1;
                 } else if self.ddio.remove(&key) {
-                    self.main.access(key);
+                    self.main.touch(key);
                     out.hits += 1;
                 } else {
-                    self.main.access(key);
+                    self.main.touch(key);
                     out.misses += 1;
                 }
             }
@@ -762,17 +707,17 @@ mod tests {
             let [main, ddio] = checked_keys(&fast);
             assert_eq!(main, slow.main.keys);
             assert_eq!(ddio, slow.ddio.keys);
-            assert_eq!(fast.main.rng, slow.main.rng);
-            assert_eq!(fast.ddio.rng, slow.ddio.rng);
+            assert_eq!(fast.main.rng.0, slow.main.rng_state);
+            assert_eq!(fast.ddio.rng.0, slow.ddio.rng_state);
             assert_eq!(region_ids(&fast), first_touches);
         }
         fast
     }
 
     proptest::proptest! {
-        /// `dma_write`/`cpu_access` must match the hashed per-line
-        /// reference on arbitrary interleavings. Offsets up to ~6 KB,
-        /// lengths past 8 KB and four regions against a 4 KB LLC (48
+        /// `dma_write`/`cpu_access` must match the per-line reference
+        /// on arbitrary interleavings. Offsets up to ~6 KB, lengths
+        /// past 8 KB and four regions against a 4 KB LLC (48
         /// main lines, 16 DDIO lines) keep both domains at capacity, so
         /// evictions hit later lines of the span being walked, other
         /// pages and other regions constantly. The region ids are

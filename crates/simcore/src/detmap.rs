@@ -15,7 +15,7 @@
 //! meaningful).
 //!
 //! [`FxHasher`] (`rotate_left(5) ^ word`, multiplied by the Fx constant)
-//! is also what `rdma-fabric`'s `RandomSet` hashes its keys with.
+//! is the hasher behind both.
 
 #![allow(
     clippy::disallowed_types,

@@ -39,7 +39,7 @@ pub mod time;
 
 pub use clock::SkewedClock;
 pub use detmap::{
-    det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet, FxBuildHasher, FxHasher,
+    det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet, FxBuildHasher,
 };
 pub use event::{EventId, EventQueue};
 pub use fsm::{Fsm, Transitions};

@@ -5,7 +5,7 @@
 //! The three configurations exercise every hot-path data structure that
 //! the performance overhaul rewrote — the indexed event queue, the
 //! random-replacement cache models (the address-indexed LLC/DDIO line
-//! index and the open-addressed `RandomSet` of the NIC cache), and the
+//! index and the `QpId`-indexed NIC cache), and the
 //! vector-backed counter set — across both raw-verb experiments
 //! (Fig. 1-style outbound, Fig. 3-style inbound) and a full ScaleRPC
 //! transport run (Fig. 8-style). Any change to eviction order, event
