@@ -292,6 +292,22 @@ mod tests {
         assert_eq!(t.release_all_locks(&mut mem), 0);
     }
 
+    /// Bucket choice, and so probe order, is a pure function of the key.
+    #[test]
+    fn hash_is_pinned() {
+        let keys = [0, 1, 1 << 32, u64::MAX];
+        let got = keys.map(|k| KvTable::hash(k) as u64);
+        assert_eq!(
+            got,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x910a_2dec_8902_5cc1,
+                0xc42c_5a1a_a382_0138,
+                0xe4d9_7177_1b65_2c20,
+            ]
+        );
+    }
+
     #[test]
     fn commit_local_bumps_and_unlocks() {
         let (mut t, mut mem) = setup(8);
