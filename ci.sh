@@ -7,30 +7,36 @@
 # the perf-sensitive configuration strips it with --no-default-features
 # so the zero-cost-when-off claim is actually compiled and linted.
 #
-# The first step prints non-test src lines per crate, ungated: the
-# number every simplicity PR quotes, produced one way.
+# The first step prints non-test src lines per crate and for vendor/,
+# ungated: the numbers every simplicity PR quotes, produced one way.
 #
 # The repo benchmark (benchmark/, its own cargo package compiled against
 # the crates' public API) is built, tested and smoke-run last: a crate
 # change that breaks its build, its tests (the raw-inbound workload is
 # pinned to run_raw_verbs' (events, ops)) or its output checks
 # (round-to-round fingerprints, conservation, nothing stuck) fails here,
-# not in the next perf PR. Its traced ScaleRPC, RawWrite, raw-inbound
-# and SmallBank replays then gate the allocation counts of each layer
-# against recorded ceilings. The benchmark's build leaves
+# not in the next perf PR. Its traced replays of all five workloads then
+# gate the allocation counts of each layer against recorded ceilings. The benchmark's build leaves
 # benchmark/Cargo.lock as committed.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== non-test src lines (lines before a file's first line-start #[cfg(test)]) =="
-find crates/*/src -name '*.rs' | sort | xargs awk '
+# The vendor row (the offline stand-ins under vendor/) is counted the same
+# way but kept out of the workspace total.
+find crates/*/src vendor/*/src -name '*.rs' | sort | xargs awk '
     FNR == 1 { test = 0 }
     /^#\[cfg\(test\)\]/ { test = 1 }
-    !test { split(FILENAME, p, "/"); n[p[2]]++; total++ }
+    !test {
+        split(FILENAME, p, "/")
+        if (p[1] == "vendor") vendor++
+        else { n[p[2]]++; total++ }
+    }
     END {
         for (c in n) printf "%-14s %6d\n", c, n[c] | "sort"
         close("sort")
         printf "%-14s %6d\n", "workspace", total
+        printf "%-14s %6d\n", "vendor", vendor
     }'
 
 echo "== build (release, trace on) =="
@@ -130,7 +136,7 @@ trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
 bash benchmark/run.sh --test
 bash benchmark/run.sh --quick
 
-echo "== allocation gate (traced ScaleRPC, RawWrite, raw-inbound and SmallBank replays, seed 42) =="
+echo "== allocation gate (traced ScaleRPC, RawWrite, raw-inbound, SmallBank and churn-scenario replays, seed 42) =="
 # Allocations per operation and per event, and calls into a layer, are
 # exact counts of a deterministic replay, so the gate is not flaky: each
 # must be at or below the value recorded when its path last shed work
@@ -139,7 +145,8 @@ echo "== allocation gate (traced ScaleRPC, RawWrite, raw-inbound and SmallBank r
 # model's region list, the NIC cache's hash table, the unread node name;
 # EXPERIMENTS.md and CHANGES.md have the ledgers). RawWrite is the one
 # workload that runs rpc-baselines; raw inbound is the one with hundreds
-# of nodes, so per-node state shows there. A change that allocates on
+# of nodes, so per-node state shows there; the churn scenario is the one
+# that tears connections down, crashes a server and reconnects. A change that allocates on
 # the per-message or per-transaction path fails here with the layer
 # named, and one that sheds more lowers the ceilings in the same PR.
 # usage: ceiling_gate WORKLOAD METRIC=CEILING...
@@ -177,5 +184,10 @@ ceiling_gate tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
     bench.allocs_per_op=21.370521 \
     scalerpc.transport_calls=602103.000000
+ceiling_gate scn_churn_cycles \
+    scalerpc.allocs_per_op=3.183873 \
+    rpc-core.harness_allocs_per_op=0.000058 \
+    rpc-core.sharded_allocs_per_event=0.000541 \
+    bench.allocs_per_op=4.246698
 
 echo "ci.sh: all gates passed"

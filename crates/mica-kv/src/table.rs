@@ -7,6 +7,7 @@
 //! slots keep every one-sided address computable.
 
 use crate::item;
+use simcore::SplitMix64;
 
 /// Errors from table operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,11 +84,7 @@ impl KvTable {
     }
 
     fn hash(key: u64) -> usize {
-        // SplitMix64 finalizer.
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as usize
+        SplitMix64(key).next_u64() as usize
     }
 
     /// Finds the item offset for `key`.
@@ -171,27 +168,10 @@ impl KvTable {
         Ok(())
     }
 
-    /// Releases every held lock regardless of owner, returning how many
-    /// were freed. This is the crash-recovery sweep: a restarted server
-    /// presumes every transaction that held a lock across the crash
-    /// aborted, so its recovery manager walks the region and clears the
-    /// lock words before re-admitting traffic.
-    pub fn release_all_locks(&self, mem: &mut [u8]) -> u32 {
-        let mut freed = 0;
-        for slot in 0..self.next_slot {
-            let off = self.slot_offset(slot);
-            if item::read_lock(mem, off) != 0 {
-                item::write_lock(mem, off, 0);
-                freed += 1;
-            }
-        }
-        freed
-    }
-
     /// Slot stride (bytes) for items with `value_capacity`-byte values —
-    /// the same 8-byte-aligned layout [`new`](Self::new) uses, exposed so
-    /// region-level recovery sweeps can walk a table's memory without
-    /// holding the table itself.
+    /// the same 8-byte-aligned layout [`new`](Self::new) uses, with which
+    /// ScaleTX's crash-recovery lock sweep (`TxSim::sweep_locks`) and its
+    /// leaked-lock check walk a participant's region without the table.
     pub fn slot_bytes_for(value_capacity: usize) -> usize {
         (item::ITEM_HEADER + value_capacity).div_ceil(8) * 8
     }
@@ -271,25 +251,6 @@ mod tests {
         assert_eq!(t.try_lock(&mut mem, 3, 200), Err(KvError::Locked));
         t.unlock(&mut mem, 3, 100).unwrap();
         assert!(t.try_lock(&mut mem, 3, 200).is_ok());
-    }
-
-    #[test]
-    fn release_all_locks_frees_every_owner() {
-        let (mut t, mut mem) = setup(8);
-        for k in 0..5 {
-            t.insert(&mut mem, k, b"v").unwrap();
-        }
-        t.try_lock(&mut mem, 1, 10).unwrap();
-        t.try_lock(&mut mem, 3, 20).unwrap();
-        t.try_lock(&mut mem, 4, 30).unwrap();
-        assert_eq!(t.release_all_locks(&mut mem), 3);
-        for k in 0..5 {
-            let off = t.lookup(k).unwrap();
-            assert_eq!(crate::item::read_lock(&mem, off), 0, "key {k}");
-        }
-        // Values and versions untouched, and the sweep is idempotent.
-        assert_eq!(t.get(&mem, 1).unwrap().value, b"v");
-        assert_eq!(t.release_all_locks(&mut mem), 0);
     }
 
     /// Bucket choice, and so probe order, is a pure function of the key.

@@ -386,18 +386,27 @@ impl Fabric {
 
     /// Connects two RC/UC queue pairs (both directions).
     pub fn connect(&mut self, a: QpId, b: QpId) -> VerbResult<()> {
-        let ta = self.qp(a)?.transport();
-        let tb = self.qp(b)?.transport();
-        if ta != tb || !ta.is_connected() || a == b {
-            return Err(VerbError::ConnectionMismatch(a, b));
-        }
         // Validate both before mutating either, so failure leaves no
         // half-connected pair.
-        if self.qp(a)?.state() != QpState::Reset || self.qp(b)?.state() != QpState::Reset {
+        self.check_connectable(a, b)?;
+        self.qp_mut(a)?.connect_to(b)?;
+        self.qp_mut(b)?.connect_to(a)
+    }
+
+    /// Checks that `a` and `b` can be connected to each other: two
+    /// distinct queue pairs of the same connected transport, both in
+    /// `Reset`.
+    fn check_connectable(&self, a: QpId, b: QpId) -> VerbResult<()> {
+        let (qa, qb) = (self.qp(a)?, self.qp(b)?);
+        let transport = qa.transport();
+        if transport != qb.transport()
+            || !transport.is_connected()
+            || a == b
+            || qa.state() != QpState::Reset
+            || qb.state() != QpState::Reset
+        {
             return Err(VerbError::ConnectionMismatch(a, b));
         }
-        self.qp_mut(a)?.connect_to(b)?;
-        self.qp_mut(b)?.connect_to(a)?;
         Ok(())
     }
 
@@ -424,14 +433,7 @@ impl Fabric {
         b: QpId,
         sched: &mut Sched<'_>,
     ) -> VerbResult<SimDuration> {
-        let ta = self.qp(a)?.transport();
-        let tb = self.qp(b)?.transport();
-        if ta != tb || !ta.is_connected() || a == b {
-            return Err(VerbError::ConnectionMismatch(a, b));
-        }
-        if self.qp(a)?.state() != QpState::Reset || self.qp(b)?.state() != QpState::Reset {
-            return Err(VerbError::ConnectionMismatch(a, b));
-        }
+        self.check_connectable(a, b)?;
         let cpu = self.params.conn_setup_cpu();
         let node = self.qp(a)?.node();
         let node = &mut self.nodes[node.index()]; // NodeId indexes self.nodes: nodes are never removed
@@ -815,14 +817,9 @@ impl Fabric {
             }
             Inner::ConnRts { a, b } => {
                 let node = self.qps[a.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
-                let still_reset = self.qps[a.index()].state() == QpState::Reset
-                    && self.qps[b.index()].state() == QpState::Reset; // same QpId invariant
-                if still_reset {
-                    // Mirrors Fabric::connect, pre-validated above.
-                    #[allow(clippy::expect_used, reason = "state checked above")]
-                    self.qps[a.index()].connect_to(b).expect("validated reset");
-                    #[allow(clippy::expect_used, reason = "state checked above")]
-                    self.qps[b.index()].connect_to(a).expect("validated reset");
+                // `connect_deferred` checked the pair; only a state can
+                // have changed since.
+                if self.connect(a, b).is_ok() {
                     self.nodes[node.index()].counters.inc(Counter::ConnSetups); // NodeId indexes self.nodes: nodes are never removed
                     self.tracer
                         .instant(InstantKind::ConnSetup, now, a.0 as u64, b.0 as u64);

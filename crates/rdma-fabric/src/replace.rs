@@ -2,10 +2,11 @@
 //! models.
 //!
 //! A [`Domain`] is the resident set of one cache: a dense `keys` vector
-//! in replacement order, a capacity and a [`VictimRng`]. It does not
-//! find keys itself. Its owner keeps a `u32` entry per key in an array
-//! of its own, `0` for absent and `tag | position + 1` for resident, and
-//! a `Domain` stores each resident key as the location of its entry.
+//! in replacement order, a capacity and a [`SplitMix64`] victim stream.
+//! It does not find keys itself. Its owner keeps a `u32` entry per key
+//! in an array of its own, `0` for absent and `tag | position + 1` for
+//! resident, and a `Domain` stores each resident key as the location of
+//! its entry.
 //! The NIC's QP-context cache ([`crate::niccache`]) indexes its entries
 //! by `QpId`; the LLC ([`crate::llc`]) by a page pool over registered
 //! regions. Either way a lookup is one array read and an eviction
@@ -19,29 +20,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-/// The SplitMix64 stream eviction victims are drawn from. Every cache
-/// domain owns one, started from the same constant, and draws exactly
-/// one value per eviction — so a run's replacement decisions are a pure
+use simcore::SplitMix64;
+
+/// Where every domain's victim stream starts. Each domain draws exactly
+/// one value per eviction, so a run's replacement decisions are a pure
 /// function of its access sequence.
-#[derive(Clone, Debug)]
-pub(crate) struct VictimRng(pub(crate) u64);
-
-impl VictimRng {
-    fn new() -> Self {
-        VictimRng(0x853C_49E6_748F_EA9B)
-    }
-
-    /// Draws the position of the next victim in a full `keys` vector of
-    /// `capacity` entries.
-    #[inline]
-    fn victim(&mut self, capacity: usize) -> usize {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % capacity as u64) as usize
-    }
-}
+const VICTIM_SEED: u64 = 0x853C_49E6_748F_EA9B;
 
 /// One cache domain: the resident keys in replacement order.
 #[derive(Clone, Debug)]
@@ -52,7 +36,7 @@ pub(crate) struct Domain {
     /// deterministic replacement contract.
     pub(crate) keys: Vec<u32>,
     pub(crate) capacity: usize,
-    pub(crate) rng: VictimRng,
+    pub(crate) rng: SplitMix64,
     /// Or-ed into every entry this domain writes: `0`, or a bit above
     /// the 31-bit position field that tells the owner's domains apart.
     pub(crate) tag: u32,
@@ -74,7 +58,7 @@ impl Domain {
         Domain {
             keys: Vec::new(),
             capacity,
-            rng: VictimRng::new(),
+            rng: SplitMix64(VICTIM_SEED),
             tag,
         }
     }
@@ -86,7 +70,7 @@ impl Domain {
     #[inline]
     pub(crate) fn insert(&mut self, entries: &mut [u32], loc: usize) -> Option<u32> {
         let (pos, evicted) = if self.keys.len() == self.capacity {
-            let victim = self.rng.victim(self.capacity);
+            let victim = (self.rng.next_u64() % self.capacity as u64) as usize;
             let old = std::mem::replace(&mut self.keys[victim], loc as u32); // victim < capacity == keys.len()
             entries[old as usize] = 0; // keys hold locations of live entries
             (victim, Some(old))

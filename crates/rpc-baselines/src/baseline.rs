@@ -104,11 +104,6 @@ impl<Rq, Rs, H> Baseline<Rq, Rs, H> {
     pub fn handler(&self) -> &H {
         &self.server.handler
     }
-
-    /// Mutable access to the server-side handler (setup/preload).
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.server.handler
-    }
 }
 
 impl<Rq: RequestPath, Rs: ResponsePath, H: ServerHandler> RpcTransport for Baseline<Rq, Rs, H> {

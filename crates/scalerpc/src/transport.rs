@@ -293,11 +293,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
     pub fn handler(&self) -> &H {
         &self.handler
     }
-
-    /// Mutable access to the server-side handler (setup/preload).
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
 }
 
 impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {

@@ -103,15 +103,6 @@ impl TxParticipant {
         let mem = fabric.mr(self.kv_mr).expect("kv region").as_slice();
         self.table.get(mem, key).ok()
     }
-
-    /// Crash-recovery lock sweep: releases every held lock regardless of
-    /// owner, returning how many were freed. A warm-restarted server has
-    /// lost the coordinator sessions its lock words refer to, so it
-    /// presumes their transactions aborted.
-    pub fn release_all_locks(&mut self, fabric: &mut Fabric) -> u32 {
-        let mem = fabric.mr_mut(self.kv_mr).expect("kv region").as_mut_slice();
-        self.table.release_all_locks(mem)
-    }
 }
 
 impl ServerHandler for TxParticipant {

@@ -7,7 +7,9 @@
 //! - [`EventQueue`]: a deterministic future-event list with FIFO
 //!   tie-breaking for simultaneous events.
 //! - [`DetRng`]: seeded, splittable randomness so that every experiment is
-//!   exactly reproducible.
+//!   exactly reproducible, and [`SplitMix64`], the mixer that seeds it and
+//!   draws the cache models' eviction victims. The kernel depends on no
+//!   other crate.
 //! - [`DetHashMap`] / [`DetHashSet`]: fixed-hasher maps with run-to-run
 //!   deterministic iteration order (the root `clippy.toml` disallows
 //!   std's `RandomState` maps workspace-wide).
@@ -44,5 +46,5 @@ pub use detmap::{
 pub use event::{EventId, EventQueue};
 pub use fsm::{Fsm, Transitions};
 pub use resource::FifoResource;
-pub use rng::DetRng;
+pub use rng::{DetRng, SplitMix64};
 pub use time::{SimDuration, SimTime};

@@ -30,12 +30,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns this instant expressed in (fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns this instant expressed in (fractional) seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -109,12 +103,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the duration in (fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Returns the duration in (fractional) seconds.
