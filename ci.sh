@@ -16,7 +16,8 @@
 # pinned to run_raw_verbs' (events, ops)) or its output checks
 # (round-to-round fingerprints, conservation, nothing stuck) fails here,
 # not in the next perf PR. Its traced replays of all five workloads then
-# gate the allocation counts of each layer against recorded ceilings. The benchmark's build leaves
+# gate the allocation counts of each layer against recorded ceilings, and
+# its untraced ones the peak heap. The benchmark's build leaves
 # benchmark/Cargo.lock as committed.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -142,18 +143,21 @@ echo "== allocation gate (traced ScaleRPC, RawWrite, raw-inbound, SmallBank and 
 # must be at or below the value recorded when its path last shed work
 # (the message path, the transaction path and its upcall routing, the
 # unread per-batch series, the fabric events' staging vector, the LLC
-# model's region list, the NIC cache's hash table, the unread node name;
+# model's region list and its index growth, the NIC cache's hash table,
+# the unread node name;
 # EXPERIMENTS.md and CHANGES.md have the ledgers). RawWrite is the one
 # workload that runs rpc-baselines; raw inbound is the one with hundreds
 # of nodes, so per-node state shows there; the churn scenario is the one
 # that tears connections down, crashes a server and reconnects. A change that allocates on
 # the per-message or per-transaction path fails here with the layer
 # named, and one that sheds more lowers the ceilings in the same PR.
-# usage: ceiling_gate WORKLOAD METRIC=CEILING...
+# usage: ceiling_gate TRACE WORKLOAD METRIC=CEILING...
+# (TRACE 1: the traced binary, whose ledger has the allocation counts;
+# TRACE 0: the untraced one, whose end-to-end lines have peak_heap_mb)
 ceiling_gate() {
-    local workload=$1
-    shift
-    bash benchmark/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 1 | awk -v spec="$*" '
+    local trace=$1 workload=$2
+    shift 2
+    bash benchmark/run.sh --workload "$workload" --seed 42 --seconds 3 --trace "$trace" | awk -v spec="$*" '
     BEGIN {
         want = split(spec, pair, " ")
         for (i = 1; i <= want; i++) { split(pair[i], kv, "="); ceiling[kv[1]] = kv[2] }
@@ -161,33 +165,45 @@ ceiling_gate() {
     $2 in ceiling {
         seen++
         printf "%-20s %-36s %s (ceiling %s)\n", $1, $2, $3, ceiling[$2]
-        if ($3 + 0 > ceiling[$2] + 0) { print "allocation gate: " $2 " rose"; bad = 1 }
+        if ($3 + 0 > ceiling[$2] + 0) { print "ceiling gate: " $2 " rose"; bad = 1 }
     }
     END {
-        if (seen != want) { print "allocation gate: expected " want " metrics, saw " seen; exit 1 }
+        if (seen != want) { print "ceiling gate: expected " want " metrics, saw " seen; exit 1 }
         exit bad
     }'
 }
-ceiling_gate rpc_scalerpc_400c_b8 \
+ceiling_gate 1 rpc_scalerpc_400c_b8 \
     scalerpc.allocs_per_op=3.311537 \
     rpc-core.harness_allocs_per_op=0.000014 \
-    rpc-core.sharded_allocs_per_event=0.002427 \
-    bench.allocs_per_op=4.435235
-ceiling_gate rpc_rawwrite_400c_b1 \
+    rpc-core.sharded_allocs_per_event=0.000816 \
+    bench.allocs_per_op=4.421959
+ceiling_gate 1 rpc_rawwrite_400c_b1 \
     rpc-baselines.allocs_per_op=3.082486 \
-    rpc-core.sharded_allocs_per_event=0.002268 \
-    bench.allocs_per_op=4.146414
-ceiling_gate raw_inbound_8k_400c \
-    bench.allocs_per_op=2.419916 \
-    rpc-core.sharded_allocs_per_event=0.011341
-ceiling_gate tx_smallbank_160c \
+    rpc-core.sharded_allocs_per_event=0.001138 \
+    bench.allocs_per_op=4.136204
+ceiling_gate 1 raw_inbound_8k_400c \
+    bench.allocs_per_op=2.418949 \
+    rpc-core.sharded_allocs_per_event=0.011282
+ceiling_gate 1 tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
-    bench.allocs_per_op=21.370521 \
+    bench.allocs_per_op=21.309182 \
     scalerpc.transport_calls=602103.000000
-ceiling_gate scn_churn_cycles \
+ceiling_gate 1 scn_churn_cycles \
     scalerpc.allocs_per_op=3.183873 \
     rpc-core.harness_allocs_per_op=0.000058 \
-    rpc-core.sharded_allocs_per_event=0.000541 \
-    bench.allocs_per_op=4.246698
+    rpc-core.sharded_allocs_per_event=0.000264 \
+    bench.allocs_per_op=4.243490
+
+echo "== peak-heap gate (untraced replays of all five workloads, seed 42) =="
+# The heap peak is a maximum over rounds whose number depends on host
+# speed, so it is not exact: each ceiling is the value recorded when
+# registered memory started keeping only the pages stored to, plus the
+# benchmark's own 3 % bound on peak_heap_mb. A change that makes
+# registration or a replay hold memory it does not use fails here.
+ceiling_gate 0 rpc_scalerpc_400c_b8 peak_heap_mb=6.596581
+ceiling_gate 0 rpc_rawwrite_400c_b1 peak_heap_mb=6.407445
+ceiling_gate 0 raw_inbound_8k_400c peak_heap_mb=16.125338
+ceiling_gate 0 tx_smallbank_160c peak_heap_mb=37.458333
+ceiling_gate 0 scn_churn_cycles peak_heap_mb=2.773914
 
 echo "ci.sh: all gates passed"

@@ -44,8 +44,10 @@
 //!
 //! Index memory is 4 B per line of every *touched* page, 4 B per page
 //! of each region up to its highest touched page, and 4 B per region
-//! id up to the highest id touched; an untouched node (most simulated
-//! clients) allocates nothing.
+//! id up to the highest id touched, each grown as `Vec` grows: up to
+//! twice that is reserved, and first touches during a replay rarely
+//! reallocate. An untouched node (most simulated clients) allocates
+//! nothing.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -113,18 +115,6 @@ pub struct LlcModel {
     entries: Vec<u32>,
     cpu_hits: u64,
     cpu_misses: u64,
-}
-
-/// Makes room for `more` further elements, growing the allocation by
-/// what is asked or an eighth of its length, whichever is larger.
-/// `Vec`'s own doubling would leave up to half of the index — the
-/// model's largest allocations, on every node — unused; the eighth
-/// keeps a region first touched front to back from reallocating once
-/// per page.
-fn reserve_tight(v: &mut Vec<u32>, more: usize) {
-    if v.capacity() - v.len() < more {
-        v.reserve_exact(more.max(v.len() / 8));
-    }
 }
 
 fn line_range(offset: usize, len: usize) -> std::ops::Range<u64> {
@@ -215,10 +205,8 @@ impl LlcModel {
     fn add_page(&mut self, slot: usize, page: usize) -> u32 {
         let pages = &mut self.regions[slot]; // slot comes from region_slot in the same call
         if page >= pages.len() {
-            reserve_tight(pages, page + 1 - pages.len());
             pages.resize(page + 1, 0);
         }
-        reserve_tight(&mut self.entries, PAGE_LINES);
         self.entries.resize(self.entries.len() + PAGE_LINES, 0);
         // `keys` store entry locations as `u32`.
         assert!(

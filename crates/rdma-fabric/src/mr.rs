@@ -1,8 +1,8 @@
 //! Registered memory regions.
 //!
 //! A [`MemoryRegion`] is the simulated analogue of an `ibv_reg_mr`'d
-//! buffer: a real byte buffer that one-sided verbs read and write and that
-//! the local CPU polls. Keeping actual bytes here (rather than abstract
+//! buffer: real bytes that one-sided verbs read and write and that the
+//! local CPU polls. Keeping actual bytes here (rather than abstract
 //! tokens) means the RPC layers above execute their real wire formats —
 //! the right-aligned `Data | MsgLen | Valid` layout of §3.1, endpoint
 //! entries, log records — and tests can assert on them.
@@ -13,6 +13,18 @@
 //! has to carry the eight lines that can differ from zero: a `Snapshot`
 //! is the written lines of a range, and restoring it reproduces the range
 //! byte for byte.
+//!
+//! The bytes themselves are kept the same way: only the 256-byte pages
+//! that were stored to exist, in a per-region page pool in first-touch
+//! order behind a page table (`0` = never stored, so all zero). A message
+//! pool of 4 KB blocks that each see one line at the block's edge holds
+//! one page per block, not the block. [`read`](MemoryRegion::read)
+//! borrows within one page (a never-stored page reads from a static zero
+//! page) and gathers across pages. The first
+//! [`as_mut_slice`](MemoryRegion::as_mut_slice) latches the region: it
+//! is laid out densely in address order, so raw access sees one slice.
+
+use std::borrow::Cow;
 
 use crate::error::{VerbError, VerbResult};
 use crate::types::MrId;
@@ -20,17 +32,38 @@ use crate::types::MrId;
 /// Bytes per tracked line (the cache line the LLC and PCIe models count).
 const LINE: usize = 64;
 
+/// Bytes per storage page.
+const PAGE: usize = 256;
+
+/// Page-pool bytes reserved at registration (at most the region, rounded
+/// up to pages): a ScaleRPC client region's staging and response blocks
+/// touch at most 17 pages, so client regions never grow during a replay.
+const FIRST_CHUNK: usize = 8 * 1024;
+
+/// What a never-stored page reads as.
+static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
+
 /// A registered memory region on one node.
 #[derive(Clone, Debug)]
 pub struct MemoryRegion {
     id: MrId,
-    buf: Vec<u8>,
-    /// One bit per `LINE` bytes of `buf`. Invariant: a clear bit means
-    /// the line is all zero (a set bit promises nothing). Bits past the
-    /// last line are never read.
+    /// Region size in bytes.
+    len: usize,
+    /// Per page of `PAGE` bytes: `0` while never stored to (all zero),
+    /// else the page's 1-based slot in `pool`. Its capacity is the
+    /// region's page count from registration; its length reaches the
+    /// highest page stored to, and a page past it reads as never stored.
+    pages: Vec<u32>,
+    /// The stored pages, `PAGE` bytes each, in first-store order — in
+    /// address order once latched.
+    pool: Vec<u8>,
+    /// One bit per `LINE` bytes of the region. Invariant: a clear bit
+    /// means the line is all zero (a set bit promises nothing). Bits past
+    /// the last line are never read.
     written: Vec<u64>,
     /// [`as_mut_slice`](Self::as_mut_slice) handed out raw memory, so
-    /// stores can no longer be seen: every line counts as written until
+    /// stores can no longer be seen: every page is in `pool` in address
+    /// order, and every line counts as written until
     /// [`clear`](Self::clear).
     latched: bool,
 }
@@ -89,12 +122,36 @@ fn run_at(bits: &[u64], n: usize, from: usize) -> (bool, usize) {
     }
 }
 
+/// The pieces of `[lo, hi)` that lie in one page each, in address
+/// order: `(page, offset within the page, length)`.
+fn pieces(lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut at = lo;
+    std::iter::from_fn(move || {
+        (at < hi).then(|| {
+            let (page, skew) = (at / PAGE, at % PAGE);
+            let n = (PAGE - skew).min(hi - at);
+            at += n;
+            (page, skew, n)
+        })
+    })
+}
+
 impl MemoryRegion {
-    /// Creates a zero-filled region of `len` bytes.
+    /// Creates a zero-filled region of `len` bytes. Nothing is stored
+    /// yet: the page table and the first chunk of the page pool are
+    /// reserved, not filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the region has 2^32 pages (1 TB) or more.
     pub fn new(id: MrId, len: usize) -> Self {
+        let pages = len.div_ceil(PAGE);
+        assert!(pages < u32::MAX as usize, "region of {len} bytes");
         MemoryRegion {
             id,
-            buf: vec![0; len],
+            len,
+            pages: Vec::with_capacity(pages),
+            pool: Vec::with_capacity((pages * PAGE).min(FIRST_CHUNK)),
             written: vec![0; len.div_ceil(LINE).div_ceil(64)],
             latched: false,
         }
@@ -107,36 +164,104 @@ impl MemoryRegion {
 
     /// Region size in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True for zero-length regions (never produced by `register_mr`, but
     /// kept for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Bounds-checks an access.
     pub fn check(&self, offset: usize, len: usize) -> VerbResult<()> {
-        if offset
-            .checked_add(len)
-            .is_none_or(|end| end > self.buf.len())
-        {
+        if offset.checked_add(len).is_none_or(|end| end > self.len) {
             Err(VerbError::OutOfBounds {
                 mr: self.id,
                 offset,
                 len,
-                size: self.buf.len(),
+                size: self.len,
             })
         } else {
             Ok(())
         }
     }
 
-    /// Reads `len` bytes at `offset`.
-    pub fn read(&self, offset: usize, len: usize) -> VerbResult<&[u8]> {
+    /// Where `page` starts in `pool`, if it was ever stored to.
+    #[inline]
+    fn stored(&self, page: usize) -> Option<usize> {
+        match self.pages.get(page) {
+            Some(&at) if at != 0 => Some((at as usize - 1) * PAGE),
+            _ => None,
+        }
+    }
+
+    /// The bytes of `page`.
+    #[inline]
+    fn page(&self, page: usize) -> &[u8] {
+        match self.stored(page) {
+            Some(base) => &self.pool[base..base + PAGE], // slots name whole pages of `pool`
+            None => &ZERO_PAGE,
+        }
+    }
+
+    /// First store to `page`: carves it, zeroed, from the pool and
+    /// returns where it starts there.
+    #[cold]
+    fn add_page(&mut self, page: usize) -> usize {
+        if page >= self.pages.len() {
+            self.pages.resize(page + 1, 0); // within the capacity reserved in `new`
+        }
+        let base = self.pool.len();
+        self.pool.resize(base + PAGE, 0);
+        self.pages[page] = (self.pool.len() / PAGE) as u32; // fewer than u32::MAX pages, see `new`
+        base
+    }
+
+    /// Reads `len` bytes at `offset`: borrowed when the range lies in
+    /// one page, gathered into an owned buffer when it crosses pages.
+    pub fn read(&self, offset: usize, len: usize) -> VerbResult<Cow<'_, [u8]>> {
         self.check(offset, len)?;
-        Ok(&self.buf[offset..offset + len])
+        let skew = offset % PAGE;
+        if skew + len <= PAGE {
+            return Ok(Cow::Borrowed(&self.page(offset / PAGE)[skew..skew + len]));
+        }
+        let mut out = Vec::with_capacity(len);
+        self.gather(offset, offset + len, &mut out);
+        Ok(Cow::Owned(out))
+    }
+
+    /// Appends the (bounds-checked) bytes `[lo, hi)` to `out`.
+    fn gather(&self, lo: usize, hi: usize, out: &mut Vec<u8>) {
+        for (page, skew, n) in pieces(lo, hi) {
+            out.extend_from_slice(&self.page(page)[skew..skew + n]);
+        }
+    }
+
+    /// Stores `data` at the (bounds-checked) `offset`. Zeros bound for a
+    /// never-stored page are dropped: the page reads as zero already.
+    fn store(&mut self, offset: usize, data: &[u8]) {
+        let mut taken = 0;
+        for (page, skew, n) in pieces(offset, offset + data.len()) {
+            let chunk = &data[taken..taken + n];
+            taken += n;
+            let base = match self.stored(page) {
+                Some(base) => base,
+                None if chunk.iter().all(|&b| b == 0) => continue,
+                None => self.add_page(page),
+            };
+            self.pool[base + skew..base + skew + n].copy_from_slice(chunk);
+        }
+    }
+
+    /// Zeroes the (bounds-checked) bytes `[lo, hi)`; only stored pages
+    /// hold bytes to zero.
+    fn zero(&mut self, lo: usize, hi: usize) {
+        for (page, skew, n) in pieces(lo, hi) {
+            if let Some(base) = self.stored(page) {
+                self.pool[base + skew..base + skew + n].fill(0);
+            }
+        }
     }
 
     /// Marks the lines of the (bounds-checked) range as written.
@@ -148,7 +273,8 @@ impl MemoryRegion {
         let (fw, lw) = (first / 64, last / 64);
         let from_first = !0u64 << (first % 64);
         let to_last = !0u64 >> (63 - last % 64);
-        // The range is inside `buf`, so its lines have words in `written`.
+        // The range is inside the region, so its lines have words in
+        // `written`.
         if fw == lw {
             self.written[fw] |= from_first & to_last;
         } else {
@@ -161,7 +287,7 @@ impl MemoryRegion {
     /// Writes `data` at `offset`.
     pub fn write(&mut self, offset: usize, data: &[u8]) -> VerbResult<()> {
         self.check(offset, data.len())?;
-        self.buf[offset..offset + data.len()].copy_from_slice(data);
+        self.store(offset, data);
         self.mark(offset, data.len());
         Ok(())
     }
@@ -174,7 +300,7 @@ impl MemoryRegion {
         }
         let bytes = self.read(offset, 8)?;
         Ok(u64::from_le_bytes(
-            bytes.try_into().expect("length checked"),
+            (*bytes).try_into().expect("length checked"),
         ))
     }
 
@@ -188,26 +314,58 @@ impl MemoryRegion {
 
     /// Zeroes the whole region (used by tests; the ScaleRPC message pool
     /// explicitly does *not* need this between group switches — that is
-    /// the point of the stateless-pool design).
+    /// the point of the stateless-pool design). The page table and pool
+    /// are emptied, their capacity kept, and a latched region unlatches.
     pub fn clear(&mut self) {
-        self.buf.fill(0);
+        self.pages.clear();
+        self.pool.clear();
         self.written.fill(0);
         self.latched = false;
     }
 
-    /// Raw view of the whole buffer.
+    /// Raw view of the whole region.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`as_mut_slice`](Self::as_mut_slice) latched the
+    /// region since its last [`clear`](Self::clear): only a latched
+    /// region's bytes are laid out in address order. Use
+    /// [`read`](Self::read) on any other.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf
+        assert!(
+            self.latched,
+            "as_slice of {:?}, which is not latched",
+            self.id
+        );
+        &self.pool[..self.len]
     }
 
     /// Mutable raw view (local CPU access by the owning server, e.g. a
-    /// KV store laid out inside the region).
+    /// KV store laid out inside the region). The first call latches the
+    /// region: every page is laid out in address order.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         if !self.latched {
-            self.latched = true;
-            self.written.fill(!0);
+            self.latch();
         }
-        &mut self.buf
+        &mut self.pool[..self.len]
+    }
+
+    /// Lays the region out densely in address order, with an identity
+    /// page table, and marks every line written.
+    #[cold]
+    fn latch(&mut self) {
+        let pages = self.len.div_ceil(PAGE);
+        let mut dense = vec![0u8; pages * PAGE];
+        for (page, chunk) in dense.chunks_exact_mut(PAGE).enumerate() {
+            if let Some(base) = self.stored(page) {
+                chunk.copy_from_slice(&self.pool[base..base + PAGE]);
+            }
+        }
+        self.pool = dense;
+        self.pages.clear();
+        self.pages.extend(1..=pages as u32); // fewer than u32::MAX pages, see `new`
+        self.written.fill(!0);
+        self.latched = true;
     }
 
     /// Captures the written lines of `[offset, offset + len)` into `snap`
@@ -225,8 +383,9 @@ impl MemoryRegion {
         snap.data.clear();
         let (first, lines) = (offset / LINE, snap.lines());
         // `written[first..first + lines]` moved down to bit 0, bits past
-        // `lines` clear. The range is inside `buf`, so `base + i` is a
-        // word of `written`; `base + i + 1` is read only if it exists.
+        // `lines` clear. The range is inside the region, so `base + i`
+        // is a word of `written`; `base + i + 1` is read only if it
+        // exists.
         let (base, shift) = (first / 64, first % 64);
         snap.mask.extend((0..lines.div_ceil(64)).map(|i| {
             let low = self.written[base + i] >> shift;
@@ -243,7 +402,7 @@ impl MemoryRegion {
             if set {
                 let lo = ((first + line) * LINE).max(offset);
                 let hi = ((first + end) * LINE).min(offset + len);
-                snap.data.extend_from_slice(&self.buf[lo..hi]); // inside the checked range
+                self.gather(lo, hi, &mut snap.data); // inside the checked range
             }
             line = end;
         }
@@ -265,8 +424,7 @@ impl MemoryRegion {
             let hi = (end * LINE - snap.skew).min(snap.len);
             if set {
                 // `data` holds exactly the set lines' bytes, in order.
-                self.buf[offset + lo..offset + hi]
-                    .copy_from_slice(&snap.data[taken..taken + hi - lo]);
+                self.store(offset + lo, &snap.data[taken..taken + hi - lo]);
                 self.mark(offset + lo, hi - lo);
                 taken += hi - lo;
             } else {
@@ -287,7 +445,7 @@ impl MemoryRegion {
             if set {
                 let lo = (line * LINE).max(offset);
                 let hi = (end * LINE).min(offset + len);
-                self.buf[lo..hi].fill(0); // inside the checked range
+                self.zero(lo, hi); // inside the checked range
             }
             line = end;
         }
@@ -302,8 +460,8 @@ mod tests {
     fn read_write_round_trip() {
         let mut mr = MemoryRegion::new(MrId(0), 128);
         mr.write(10, b"hello").unwrap();
-        assert_eq!(mr.read(10, 5).unwrap(), b"hello");
-        assert_eq!(mr.read(0, 5).unwrap(), &[0; 5]);
+        assert_eq!(&*mr.read(10, 5).unwrap(), b"hello");
+        assert_eq!(&*mr.read(0, 5).unwrap(), &[0; 5]);
     }
 
     #[test]
@@ -330,7 +488,32 @@ mod tests {
         let mut mr = MemoryRegion::new(MrId(3), 8);
         mr.write(0, &[1; 8]).unwrap();
         mr.clear();
-        assert_eq!(mr.as_slice(), &[0; 8]);
+        assert_eq!(&*mr.read(0, 8).unwrap(), &[0; 8]);
+        assert!(mr.pool.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not latched")]
+    fn as_slice_requires_a_latched_region() {
+        let mut mr = MemoryRegion::new(MrId(3), 512);
+        mr.write(300, b"sparse").unwrap();
+        let _ = mr.as_slice();
+    }
+
+    #[test]
+    fn only_stored_pages_take_memory() {
+        let mut mr = MemoryRegion::new(MrId(3), 64 * 1024);
+        for block in 0..16 {
+            mr.write(block * 4096 + 4096 - 53, &[7; 53]).unwrap();
+        }
+        mr.write(0, &[0; 4096 - PAGE]).unwrap(); // all zero: nothing to store
+        assert_eq!(mr.pool.len(), 16 * PAGE);
+        assert_eq!(&*mr.read(4096 - 53, 53).unwrap(), &[7; 53]);
+        // Bytes 4036..4100: seven zeros, the 53-byte message, then four
+        // bytes of the next block's never-stored first page.
+        let across = mr.read(4096 - 60, 64).unwrap();
+        assert!(matches!(across, Cow::Owned(_)), "crosses a page seam");
+        assert_eq!(&across[..], &[&[0; 7][..], &[7; 53], &[0; 4]].concat()[..]);
     }
 
     #[test]
@@ -354,19 +537,46 @@ mod tests {
         assert_eq!((snap.len(), snap.data.len()), (32 * 1024, 8 * LINE));
         let mut dst = MemoryRegion::new(MrId(5), 64 * 1024);
         dst.restore(4096, &snap).unwrap();
-        assert_eq!(dst.read(4096, 32 * 1024).unwrap(), src.as_slice());
+        assert_eq!(
+            dst.read(4096, 32 * 1024).unwrap(),
+            src.read(0, 32 * 1024).unwrap()
+        );
         assert_eq!(dst.written.iter().map(|w| w.count_ones()).sum::<u32>(), 8);
+    }
+
+    /// The region's bytes, read in one gather.
+    fn dense(mr: &MemoryRegion) -> Vec<u8> {
+        mr.read(0, mr.len()).unwrap().into_owned()
     }
 
     /// Written-line invariant: a clear bit means the line is all zero.
     fn clear_bits_mean_zero_lines(mr: &MemoryRegion) -> bool {
-        mr.buf.chunks(LINE).enumerate().all(|(line, bytes)| {
+        dense(mr).chunks(LINE).enumerate().all(|(line, bytes)| {
             mr.written[line / 64] >> (line % 64) & 1 != 0 || bytes.iter().all(|&b| b == 0)
         })
     }
 
+    /// The page table names each pool page once, and a latched region's
+    /// table is the identity.
+    fn pages_fill_the_pool(mr: &MemoryRegion) -> bool {
+        let mut slots: Vec<u32> = mr.pages.iter().copied().filter(|&at| at != 0).collect();
+        let identity = mr
+            .pages
+            .iter()
+            .enumerate()
+            .all(|(i, &at)| at as usize == i + 1);
+        slots.sort_unstable();
+        slots
+            .iter()
+            .enumerate()
+            .all(|(i, &at)| at as usize == i + 1)
+            && mr.pool.len() == slots.len() * PAGE
+            && mr.pages.len() <= mr.len.div_ceil(PAGE)
+            && (!mr.latched || identity && mr.pages.len() == mr.len.div_ceil(PAGE))
+    }
+
     // The last line of region 0 is 13 bytes long; both regions span
-    // more than one bitmap word.
+    // more than one bitmap word and more than sixteen pages.
     const SIZES: [usize; 2] = [70 * LINE + 13, 66 * LINE];
 
     /// A `(offset, len)` inside a region of `size` bytes: up to three
@@ -380,7 +590,7 @@ mod tests {
         #[test]
         fn sparse_snapshots_equal_dense_copies(
             script in proptest::collection::vec(
-                (0u8..12, proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u64>()),
+                (0u8..16, proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u64>()),
                 1..60,
             )
         ) {
@@ -403,32 +613,53 @@ mod tests {
                         model[r][off..off + 8].copy_from_slice(&c.to_le_bytes());
                     }
                     4 => {
+                        // Reused afterwards by whatever the script does next.
+                        let capacity = mrs[r].pool.capacity();
                         mrs[r].clear();
                         model[r].fill(0);
+                        proptest::prop_assert!(mrs[r].pool.is_empty() && mrs[r].pages.is_empty());
+                        proptest::prop_assert_eq!(mrs[r].pool.capacity(), capacity);
                     }
                     5 => {
+                        // Latches after whatever sparse stores came before.
                         mrs[r].as_mut_slice()[off..off + len].copy_from_slice(&fill);
                         model[r][off..off + len].copy_from_slice(&fill);
+                        proptest::prop_assert_eq!(mrs[r].as_slice(), &model[r][..]);
                     }
                     6..=8 => {
                         let mut snap = held.take().map(|h| h.0).unwrap_or_default();
                         mrs[r].snapshot(off, len, &mut snap).unwrap();
                         held = Some((snap, model[r][off..off + len].to_vec()));
                     }
-                    _ => {
+                    9..=10 => {
                         // Lands wherever it fits, whatever was stored at
                         // the source since it was taken.
                         let Some((snap, dense)) = &held else { continue };
                         let off = c as usize % (SIZES[r] - dense.len() + 1);
                         mrs[r].restore(off, snap).unwrap();
                         model[r][off..off + dense.len()].copy_from_slice(dense);
-                        proptest::prop_assert_eq!(mrs[r].as_slice(), &model[r][..]);
+                    }
+                    11 => {
+                        // Zeros never carve a page: a never-stored one
+                        // reads as zero already.
+                        let pool = mrs[r].pool.len();
+                        mrs[r].write(off, &vec![0; len]).unwrap();
+                        model[r][off..off + len].fill(0);
+                        proptest::prop_assert_eq!(mrs[r].pool.len(), pool);
+                    }
+                    _ => {
+                        // Borrowed inside one page, gathered across pages.
+                        let got = mrs[r].read(off, len).unwrap();
+                        proptest::prop_assert_eq!(&*got, &model[r][off..off + len]);
+                        let one_page = off % PAGE + len <= PAGE;
+                        proptest::prop_assert_eq!(matches!(got, Cow::Borrowed(_)), one_page);
                     }
                 }
-                proptest::prop_assert!(mrs.iter().all(clear_bits_mean_zero_lines));
-            }
-            for r in 0..2 {
-                proptest::prop_assert_eq!(mrs[r].as_slice(), &model[r][..]);
+                for (mr, model) in mrs.iter().zip(&model) {
+                    proptest::prop_assert_eq!(&dense(mr), model);
+                    proptest::prop_assert!(clear_bits_mean_zero_lines(mr));
+                    proptest::prop_assert!(pages_fill_the_pool(mr));
+                }
             }
         }
     }

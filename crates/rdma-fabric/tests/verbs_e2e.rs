@@ -99,7 +99,7 @@ fn rc_write_places_bytes_and_completes() {
     let ups = run(&mut p.fabric, &mut q);
     // Remote memory holds the payload.
     assert_eq!(
-        p.fabric.mr(p.mr_b).unwrap().read(100, 8).unwrap(),
+        &*p.fabric.mr(p.mr_b).unwrap().read(100, 8).unwrap(),
         b"scalerpc"
     );
     // A MemWrite hint fired at the destination.
@@ -198,7 +198,7 @@ fn ud_send_needs_posted_recv() {
     assert_eq!(wcs[0].byte_len, 5);
     assert_eq!(wcs[0].imm, Some(42));
     assert_eq!(wcs[0].src_qp, Some(p.a));
-    assert_eq!(p.fabric.mr(p.mr_b).unwrap().read(0, 5).unwrap(), b"found");
+    assert_eq!(&*p.fabric.mr(p.mr_b).unwrap().read(0, 5).unwrap(), b"found");
 }
 
 #[test]
@@ -273,7 +273,7 @@ fn uc_supports_write_but_not_read() {
         None,
     );
     run(&mut p.fabric, &mut q);
-    assert_eq!(p.fabric.mr(p.mr_b).unwrap().read(0, 2).unwrap(), b"uc");
+    assert_eq!(&*p.fabric.mr(p.mr_b).unwrap().read(0, 2).unwrap(), b"uc");
 
     let mut sched = |_: SimTime, _: FabricEvent| {};
     let err = p
@@ -319,7 +319,7 @@ fn rc_read_fetches_remote_bytes() {
     );
     run(&mut p.fabric, &mut q);
     assert_eq!(
-        p.fabric.mr(p.mr_a).unwrap().read(8, 8).unwrap(),
+        &*p.fabric.mr(p.mr_a).unwrap().read(8, 8).unwrap(),
         b"version7"
     );
     let wcs = p.fabric.poll_cq(p.cq_a, 8).unwrap();
@@ -392,7 +392,7 @@ fn rc_read_zeroes_destination_lines_the_source_never_wrote() {
     run(&mut p.fabric, &mut q);
     let got = p.fabric.mr(p.mr_a).unwrap().read(0, 1024).unwrap();
     let want = p.fabric.mr(p.mr_b).unwrap().read(7, 512).unwrap();
-    assert_eq!(&got[100..612], want);
+    assert_eq!(&got[100..612], &*want);
     assert_eq!(want.iter().filter(|&&b| b != 0).count(), 1);
     assert!(got[..100].iter().chain(&got[612..]).all(|&b| b == 0xFF));
 }
@@ -542,7 +542,7 @@ fn write_imm_consumes_recv_and_carries_imm() {
     run(&mut p.fabric, &mut q);
     // Data goes to the write address (not the recv buffer).
     assert_eq!(
-        p.fabric.mr(p.mr_b).unwrap().read(512, 8).unwrap(),
+        &*p.fabric.mr(p.mr_b).unwrap().read(512, 8).unwrap(),
         b"imm-data"
     );
     let wcs = p.fabric.poll_cq(p.cq_b, 8).unwrap();
@@ -625,7 +625,7 @@ fn unsignaled_writes_complete_silently() {
         q.push(at, e);
     }
     run(&mut p.fabric, &mut q);
-    assert_eq!(p.fabric.mr(p.mr_b).unwrap().read(0, 5).unwrap(), b"quiet");
+    assert_eq!(&*p.fabric.mr(p.mr_b).unwrap().read(0, 5).unwrap(), b"quiet");
     assert!(p.fabric.poll_cq(p.cq_a, 8).unwrap().is_empty());
 }
 

@@ -235,7 +235,7 @@ impl<const IMM: bool> RequestPath for PoolRequests<IMM> {
         let region = fabric.mr_mut(self.pool_mr).expect("pool mr");
         let (header, request) =
             MsgBuf::take_rpc(region, self.pool.block_start(touched.0), block_size)?;
-        request.clone_into(payload);
+        (*request).clone_into(payload);
         let read_cost = fabric
             .cpu_access(self.pool_mr, touched.0, touched.1)
             .expect("pool access");

@@ -104,7 +104,7 @@ impl ResponsePath for WriteResponses {
         Some(Received {
             queue,
             header,
-            payload: Bytes::copy_from_slice(payload),
+            payload: Bytes::copy_from_slice(&payload),
             read_cost: SimDuration::ZERO,
         })
     }

@@ -108,7 +108,7 @@ impl UdRings {
         ring.post_slot(slot, self.block, fabric);
         let (mr, offset) = (ring.ring_mr, slot * self.block);
         let raw = fabric.mr(mr).expect("ring mr").read(offset, wc.byte_len);
-        let decoded = RpcHeader::decode(raw.expect("ring bounds")).map(|(h, p)| (h, keep(p)));
+        let decoded = RpcHeader::decode(&raw.expect("ring bounds")).map(|(h, p)| (h, keep(p)));
         let read_cost = fabric
             .cpu_access(mr, offset, wc.byte_len)
             .expect("ring access");

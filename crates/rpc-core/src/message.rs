@@ -12,6 +12,8 @@
 //! processing a message; otherwise a stale message from the previous
 //! occupant would be mistaken for a fresh one.
 
+use std::borrow::Cow;
+
 use crate::cluster::ClientId;
 use bytes::Bytes;
 use rdma_fabric::MemoryRegion;
@@ -189,14 +191,6 @@ impl MsgBuf {
         Some(&block[len_start - msg_len..len_start])
     }
 
-    /// Decodes a full block holding a framed RPC message: the
-    /// right-aligned payload of [`decode`](Self::decode) split into its
-    /// header and application bytes.
-    #[inline]
-    pub fn decode_rpc(block: &[u8]) -> Option<(RpcHeader, &[u8])> {
-        Self::decode(block).and_then(RpcHeader::decode)
-    }
-
     /// Quick check of the `Valid` byte alone (what the polling loop
     /// reads before paying for the full message).
     pub fn is_valid(block: &[u8]) -> bool {
@@ -216,11 +210,46 @@ impl MsgBuf {
             .expect("block inside its region");
     }
 
+    /// The header and payload length of the RPC message in the block at
+    /// `block_start` of `region`, left in place: what
+    /// [`decode`](Self::decode) followed by [`RpcHeader::decode`] makes
+    /// of the whole block, read from its trailer and header alone.
+    /// `None` when the block holds no complete message: torn or stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block is not inside `region`.
+    #[inline]
+    pub fn peek_rpc(
+        region: &MemoryRegion,
+        block_start: usize,
+        block_size: usize,
+    ) -> Option<(RpcHeader, usize)> {
+        region
+            .check(block_start, block_size)
+            .expect("block inside its region");
+        let len_start = block_size.checked_sub(TRAILER)?;
+        let trailer = region
+            .read(block_start + len_start, TRAILER)
+            .expect("inside the block");
+        if trailer[4] != VALID {
+            return None;
+        }
+        let msg_len = u32::from_le_bytes(trailer[..4].try_into().ok()?) as usize;
+        if msg_len > len_start || msg_len < HEADER {
+            return None;
+        }
+        let header = region.read(block_start + len_start - msg_len, HEADER);
+        let (header, _) = RpcHeader::decode(&header.expect("inside the block"))?;
+        Some((header, msg_len - HEADER))
+    }
+
     /// Consumes the RPC message in the block at `block_start` of
-    /// `region`: decodes it as [`decode_rpc`](Self::decode_rpc) does and
+    /// `region`: decodes it as [`peek_rpc`](Self::peek_rpc) does and
     /// clears `Valid`, so the block can be reused and is never decoded
-    /// twice. The payload stays borrowed from the region. `None` (block
-    /// untouched) when it holds no complete message: torn or stale.
+    /// twice. The payload is read last, borrowed from the region when it
+    /// lies in one of its pages. `None` (block untouched) when it holds
+    /// no complete message: torn or stale.
     ///
     /// # Panics
     ///
@@ -230,10 +259,8 @@ impl MsgBuf {
         region: &mut MemoryRegion,
         block_start: usize,
         block_size: usize,
-    ) -> Option<(RpcHeader, &[u8])> {
-        let block = region.read(block_start, block_size);
-        let (header, payload) = Self::decode_rpc(block.expect("block inside its region"))?;
-        let len = payload.len();
+    ) -> Option<(RpcHeader, Cow<'_, [u8]>)> {
+        let (header, len) = Self::peek_rpc(region, block_start, block_size)?;
         Self::clear_valid(region, block_start, block_size);
         let payload = region.read(block_start + block_size - TRAILER - len, len);
         Some((header, payload.expect("inside the block")))
@@ -265,7 +292,7 @@ mod tests {
         let (offset, bytes) = MsgBuf::encode_rpc(9, 77, FLAG_LEGACY, b"payload", 64).unwrap();
         let mut block = vec![0u8; 64];
         block[offset..].copy_from_slice(&bytes);
-        let (h, p) = MsgBuf::decode_rpc(&block).unwrap();
+        let (h, p) = MsgBuf::decode(&block).and_then(RpcHeader::decode).unwrap();
         assert_eq!((h.client_id, h.seq, h.call_type), (9, 77, 0));
         assert!(h.is_legacy());
         assert_eq!(p, b"payload");
@@ -303,13 +330,62 @@ mod tests {
             "empty block"
         );
         let (h, p) = MsgBuf::take_rpc(&mut region, 64, 64).expect("valid block");
-        assert_eq!((h.client_id, h.seq, p), (5, 9, &b"hello"[..]));
+        assert_eq!((h.client_id, h.seq, &*p), (5, 9, &b"hello"[..]));
         assert!(MsgBuf::take_rpc(&mut region, 64, 64).is_none(), "consumed");
         // Only `Valid` changed.
         assert_eq!(
-            region.read(64 + off, bytes.len() - 1).unwrap(),
+            &*region.read(64 + off, bytes.len() - 1).unwrap(),
             &bytes[..bytes.len() - 1]
         );
+    }
+
+    /// `peek_rpc` and `take_rpc` read the trailer, the header and the
+    /// payload, not the block: they must agree with decoding the dense
+    /// block — for every frame `encode_rpc_is_frame_then_encode` builds,
+    /// with a truthful and with an arbitrary `MsgLen`, in blocks that
+    /// start on and off a page boundary, so frames cross page seams.
+    #[test]
+    fn peek_and_take_agree_with_the_dense_block() {
+        let payload: Vec<u8> = (0..8192u32).map(|i| (i * 7 + 1) as u8).collect();
+        for block_size in [64, 256, 4096, 8192] {
+            let mut region = MemoryRegion::new(rdma_fabric::MrId(0), 3 * block_size + 100);
+            for len in 0..=MsgBuf::capacity(block_size) - HEADER + 1 {
+                let (seq, flags) = (len as u64 * 0x0101_0101, len as u16 & 3);
+                let framed = MsgBuf::encode_rpc(5, seq, flags, &payload[..len], block_size);
+                for (start, lie) in [(block_size, false), (block_size + 100, true)] {
+                    region.clear();
+                    if let Some((off, bytes)) = &framed {
+                        region.write(start + off, bytes).unwrap();
+                    }
+                    if lie {
+                        let msg_len = (len as u32).wrapping_mul(2_654_435_761) % 9000;
+                        let at = start + block_size - TRAILER;
+                        region.write(at, &msg_len.to_le_bytes()).unwrap();
+                    }
+                    let dense = region.read(start, block_size).unwrap().into_owned();
+                    let want = MsgBuf::decode(&dense).and_then(RpcHeader::decode);
+                    let peeked = MsgBuf::peek_rpc(&region, start, block_size);
+                    assert_eq!(
+                        peeked,
+                        want.map(|(h, p)| (h, p.len())),
+                        "{block_size}/{len}"
+                    );
+                    let taken = MsgBuf::take_rpc(&mut region, start, block_size)
+                        .map(|(h, p)| (h, p.into_owned()));
+                    assert_eq!(
+                        taken,
+                        want.map(|(h, p)| (h, p.to_vec())),
+                        "{block_size}/{len}"
+                    );
+                    // Taking cleared `Valid` and nothing else.
+                    let mut after = dense.clone();
+                    if want.is_some() {
+                        after[block_size - 1] = 0;
+                    }
+                    assert_eq!(&*region.read(start, block_size).unwrap(), &after[..]);
+                }
+            }
+        }
     }
 
     #[test]

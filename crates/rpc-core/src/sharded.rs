@@ -487,7 +487,10 @@ mod tests {
         assert_eq!(sim.logic(0).pongs, 10);
         assert!(sim.logic(0).timer_fired);
         let mr_a = sim.logic(0).mr_a;
-        assert_eq!(sim.fabric(0).mr(mr_a).unwrap().read(0, 4).unwrap(), b"pong");
+        assert_eq!(
+            &*sim.fabric(0).mr(mr_a).unwrap().read(0, 4).unwrap(),
+            b"pong"
+        );
     }
 
     #[test]

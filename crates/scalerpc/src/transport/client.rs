@@ -226,12 +226,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
 
     fn staged_seq(&self, client: ClientId, slot: usize, fabric: &Fabric) -> Option<u64> {
         let bs = self.cfg.block_size;
-        let raw = fabric
-            .mr(self.ends[client].region)
-            .ok()?
-            .read(slot * bs, bs)
-            .ok()?;
-        MsgBuf::decode_rpc(raw).map(|(h, _)| h.seq)
+        let region = fabric.mr(self.ends[client].region).ok()?;
+        MsgBuf::peek_rpc(region, slot * bs, bs).map(|(h, _)| h.seq)
     }
 
     /// Picks the staging block for `seq`. The natural slot is
@@ -368,7 +364,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             }
             return;
         }
-        let payload = Bytes::copy_from_slice(payload);
+        let payload = Bytes::copy_from_slice(&payload);
         let fsm = &mut self.ends[client].fsm;
         if fsm.complete(header.seq, header.is_ctx_switch()).is_none() {
             // Untracked (window overcommit fallback in `dispatch`): apply

@@ -282,7 +282,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         else {
             return;
         };
-        payload.clone_into(&mut self.request);
+        (*payload).clone_into(&mut self.request);
         let client = header.client_id as usize;
         if client >= self.served.len() {
             return;
@@ -364,8 +364,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
         for slot in 0..self.cfg.slots {
             let block_start = self.geom.offset(zone, slot);
             let pool = cx.fabric.mr(pool_mr).expect("pool mr");
-            let block = pool.read(block_start, self.cfg.block_size);
-            if MsgBuf::is_valid(block.expect("block bounds")) {
+            let valid = pool.read(block_start + MsgBuf::valid_offset(self.cfg.block_size), 1);
+            if MsgBuf::is_valid(&valid.expect("block bounds")) {
                 self.scan_requests += 1;
                 self.execute_block(pool_mr, zone, block_start, None, cx);
             } else {
