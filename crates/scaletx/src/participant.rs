@@ -131,7 +131,7 @@ impl ServerHandler for TxParticipant {
                         self.lock_conflicts += locked.is_err() as u64;
                         locked.ok()
                     } else {
-                        self.table.lookup(key)
+                        self.table.lookup(mem, key)
                     };
                     let Some(off) = found else { break };
                     self.found.push(off);
@@ -164,7 +164,7 @@ impl ServerHandler for TxParticipant {
                 let cost = self.costs.validate_item * items.len().max(1) as u64;
                 let ok = items.all(|(key, expect)| {
                     self.table
-                        .lookup(key)
+                        .lookup(mem, key)
                         .is_some_and(|off| item::read_version(mem, off) == expect)
                 });
                 (proto::validate_response(ok), cost)

@@ -2,7 +2,8 @@
 //! data structures.
 
 use proptest::prelude::*;
-use scalerpc_repro::mica_kv::KvTable;
+use scalerpc_repro::mica_kv::{KvError, KvTable};
+use std::collections::BTreeMap;
 use scalerpc_repro::octofs::{FsOp, FsRequest, FsResponse};
 use scalerpc_repro::rpc_core::message::{MsgBuf, RpcHeader};
 use scalerpc_repro::scalerpc::client::SubmitAction;
@@ -117,19 +118,85 @@ proptest! {
 
     #[test]
     fn kv_table_matches_hashmap_reference(
-        ops in proptest::collection::vec((0u64..64, proptest::collection::vec(any::<u8>(), 0..16)), 1..200)
+        ops in proptest::collection::vec(
+            (0u8..5, 0u64..24, 1u64..4, proptest::collection::vec(any::<u8>(), 0..16)),
+            1..300,
+        )
     ) {
-        let mut table = KvTable::new(64, 16);
+        // Eight items in 16 buckets: the table fills, and probe chains
+        // run past the last bucket into the first.
+        const CAPACITY: usize = 8;
+        let mut table = KvTable::new(CAPACITY as u32, 16);
         let mut mem = vec![0u8; table.required_bytes()];
-        let mut reference = std::collections::BTreeMap::new();
-        for (key, value) in ops {
-            table.insert(&mut mem, key, &value).unwrap();
-            reference.insert(key, value);
+        // key -> (item offset, value, version, lock word)
+        let mut model: BTreeMap<u64, (usize, Vec<u8>, u64, u64)> = BTreeMap::new();
+        for (op, key, owner, value) in ops {
+            let entry = model.get_mut(&key);
+            match op {
+                0 => match (table.insert(&mut mem, key, &value), entry) {
+                    (Ok(off), Some(e)) => {
+                        prop_assert_eq!(off, e.0);
+                        (e.1, e.2) = (value, e.2 + 1);
+                    }
+                    (Ok(off), None) => {
+                        prop_assert!(model.len() < CAPACITY);
+                        model.insert(key, (off, value, 1, 0));
+                    }
+                    (got, e) => {
+                        prop_assert_eq!(got, Err(KvError::Full));
+                        prop_assert!(e.is_none() && model.len() == CAPACITY);
+                    }
+                },
+                1 => {
+                    prop_assert_eq!(table.lookup(&mem, key), entry.map(|e| e.0));
+                    // Loaded keys are all below 24.
+                    prop_assert_eq!(table.lookup(&mem, key + 24 * owner), None);
+                }
+                2 => match entry {
+                    Some(e) if e.3 == 0 || e.3 == owner => {
+                        prop_assert_eq!(table.try_lock(&mut mem, key, owner), Ok(e.0));
+                        e.3 = owner;
+                    }
+                    Some(_) => {
+                        prop_assert_eq!(table.try_lock(&mut mem, key, owner), Err(KvError::Locked));
+                    }
+                    None => {
+                        prop_assert_eq!(table.try_lock(&mut mem, key, owner), Err(KvError::NotFound));
+                    }
+                },
+                3 => {
+                    let got = table.unlock(&mut mem, key, owner);
+                    match entry {
+                        Some(e) => {
+                            prop_assert_eq!(got, Ok(()));
+                            if e.3 == owner {
+                                e.3 = 0;
+                            }
+                        }
+                        None => prop_assert_eq!(got, Err(KvError::NotFound)),
+                    }
+                }
+                _ => {
+                    let got = table.commit_local(&mut mem, key, &value);
+                    match entry {
+                        Some(e) => {
+                            prop_assert_eq!(got, Ok(()));
+                            (e.1, e.2, e.3) = (value, e.2 + 1, 0);
+                        }
+                        None => prop_assert_eq!(got, Err(KvError::NotFound)),
+                    }
+                }
+            }
         }
-        for (key, value) in &reference {
-            prop_assert_eq!(&table.get(&mem, *key).unwrap().value, value);
+        for (&key, (off, value, version, lock)) in &model {
+            prop_assert_eq!(table.lookup(&mem, key), Some(*off));
+            let it = table.get(&mem, key).unwrap();
+            prop_assert_eq!(
+                (it.key, it.value, it.version, it.lock),
+                (key, &value[..], *version, *lock)
+            );
         }
-        prop_assert_eq!(table.len() as usize, reference.len());
+        prop_assert_eq!(table.len() as usize, model.len());
     }
 
     #[test]
