@@ -19,7 +19,9 @@ pub enum VerbError {
     UnknownQp(QpId),
     /// Referenced memory region does not exist.
     UnknownMr(MrId),
-    /// Referenced completion queue does not exist.
+    /// Referenced completion queue does not exist on that node: no CQ
+    /// has the id, or it was created on another node than the queue
+    /// pair given it.
     UnknownCq(CqId),
     /// Access outside the bounds of a registered region.
     OutOfBounds {

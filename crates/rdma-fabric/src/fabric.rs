@@ -18,7 +18,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::counters::{Counter, NodeCounters};
-use crate::cq::{CompletionQueue, Wc, WcOpcode, WcStatus};
+use crate::cq::{Wc, WcOpcode, WcStatus};
 use crate::error::{VerbError, VerbResult};
 use crate::llc::{DmaWriteOutcome, LlcModel};
 use crate::mr::{MemoryRegion, Snapshot};
@@ -48,13 +48,14 @@ pub struct PostInfo {
 /// Application-visible effects emitted while handling fabric events.
 #[derive(Clone, Debug)]
 pub enum Upcall {
-    /// A work completion was pushed to `cq` on `node`.
+    /// A work completion on `cq` of `node`. This is the completion's
+    /// only delivery: the fabric keeps no copy for a later poll.
     Completion {
         /// Node owning the CQ.
         node: NodeId,
         /// The completion queue.
         cq: CqId,
-        /// The completion entry (also retrievable via `poll_cq`).
+        /// The completion entry.
         wc: Wc,
     },
     /// One-sided data landed in `mr` at `[offset, offset+len)` on `node`.
@@ -205,8 +206,9 @@ pub struct Fabric {
     nodes: Vec<Node>,
     mrs: Vec<MemoryRegion>,
     mr_owner: Vec<NodeId>,
+    /// The node of each completion queue, indexed by [`CqId`].
+    cq_owner: Vec<NodeId>,
     qps: Vec<QueuePair>,
-    cqs: Vec<CompletionQueue>,
     next_wr: WrId,
     tracer: Tracer,
     trace_ctx: TraceId,
@@ -248,8 +250,8 @@ impl Fabric {
             nodes: Vec::new(),
             mrs: Vec::new(),
             mr_owner: Vec::new(),
+            cq_owner: Vec::new(),
             qps: Vec::new(),
-            cqs: Vec::new(),
             next_wr: 1,
             tracer: Tracer::disabled(),
             trace_ctx: 0,
@@ -362,12 +364,14 @@ impl Fabric {
     /// Creates a completion queue on `node`.
     pub fn create_cq(&mut self, node: NodeId) -> VerbResult<CqId> {
         self.node(node)?;
-        let id = CqId(self.cqs.len() as u32);
-        self.cqs.push(CompletionQueue::new(id));
+        let id = CqId(self.cq_owner.len() as u32);
+        self.cq_owner.push(node);
         Ok(id)
     }
 
     /// Creates a queue pair on `node` with the given transport and CQs.
+    /// Both CQs must have been created on `node`, as `ibv_create_qp`
+    /// requires; one of another node is [`VerbError::UnknownCq`].
     pub fn create_qp(
         &mut self,
         node: NodeId,
@@ -376,8 +380,8 @@ impl Fabric {
         recv_cq: CqId,
     ) -> VerbResult<QpId> {
         self.node(node)?;
-        self.cq(send_cq)?;
-        self.cq(recv_cq)?;
+        self.check_cq(node, send_cq)?;
+        self.check_cq(node, recv_cq)?;
         let id = QpId(self.qps.len() as u32);
         self.qps
             .push(QueuePair::new(id, node, transport, send_cq, recv_cq));
@@ -485,8 +489,12 @@ impl Fabric {
         self.qps.get_mut(id.index()).ok_or(VerbError::UnknownQp(id))
     }
 
-    fn cq(&self, id: CqId) -> VerbResult<&CompletionQueue> {
-        self.cqs.get(id.index()).ok_or(VerbError::UnknownCq(id))
+    /// Checks that completion queue `id` exists on `node`.
+    fn check_cq(&self, node: NodeId, id: CqId) -> VerbResult<()> {
+        match self.cq_owner.get(id.index()) {
+            Some(&owner) if owner == node => Ok(()),
+            _ => Err(VerbError::UnknownCq(id)),
+        }
     }
 
     /// Looks up a queue pair's owning node.
@@ -569,13 +577,15 @@ impl Fabric {
 
     // ---- completion queues ----------------------------------------------
 
-    /// Drains up to `max` completions from `cq`. The caller charges itself
-    /// [`FabricParams::cq_poll_cpu`] per call.
-    pub fn poll_cq(&mut self, cq: CqId, max: usize) -> VerbResult<Vec<Wc>> {
-        self.cqs
-            .get_mut(cq.index())
-            .ok_or(VerbError::UnknownCq(cq))
-            .map(|q| q.poll(max))
+    /// Checks that `cq` exists and returns no completions: each one was
+    /// already delivered as [`Upcall::Completion`], and the fabric keeps
+    /// no copy. Kept, with its signature, only for the benchmark's verb
+    /// kernel, which still calls it.
+    pub fn poll_cq(&mut self, cq: CqId, _max: usize) -> VerbResult<Vec<Wc>> {
+        self.cq_owner
+            .get(cq.index())
+            .ok_or(VerbError::UnknownCq(cq))?;
+        Ok(Vec::new())
     }
 
     // ---- posting --------------------------------------------------------
@@ -792,7 +802,6 @@ impl Fabric {
                 )]
                 landed.expect("bounds checked at rx");
                 if let Some((cq, wc)) = wc {
-                    self.cqs[cq.index()].push(wc); // CqId indexes self.cqs: CQs are never destroyed
                     upcalls.push(Upcall::Completion { node, cq, wc });
                 }
                 if notify {
@@ -811,7 +820,6 @@ impl Fabric {
                     (q.node(), q.send_cq())
                 };
                 if let Some(wc) = wc {
-                    self.cqs[cq.index()].push(wc); // CqId indexes self.cqs: CQs are never destroyed
                     upcalls.push(Upcall::Completion { node, cq, wc });
                 }
             }

@@ -33,7 +33,8 @@ pub(crate) struct Domain {
     /// Entry location of each resident key. Insertion pushes, eviction
     /// replaces in place and removal swap-removes — victim selection
     /// indexes this vector, so its exact order is part of the
-    /// deterministic replacement contract.
+    /// deterministic replacement contract. It grows by doubling up to
+    /// `capacity` and never reserves more.
     pub(crate) keys: Vec<u32>,
     pub(crate) capacity: usize,
     pub(crate) rng: SplitMix64,
@@ -75,8 +76,14 @@ impl Domain {
             entries[old as usize] = 0; // keys hold locations of live entries
             (victim, Some(old))
         } else {
+            let len = self.keys.len();
+            if len == self.keys.capacity() {
+                // Double, but never past `capacity`: the last step
+                // reserves exactly the rest.
+                self.keys.reserve_exact(len.max(4).min(self.capacity - len));
+            }
             self.keys.push(loc as u32);
-            (self.keys.len() - 1, None)
+            (len, None)
         };
         entries[loc] = self.tag | (pos as u32 + 1); // the owner passes a location inside entries
         evicted
@@ -95,7 +102,30 @@ impl Domain {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use super::Domain;
     use std::collections::BTreeMap;
+
+    #[test]
+    fn keys_grow_by_doubling_up_to_capacity_exactly() {
+        // The default LLC's main domain (442 368 lines), which plain
+        // `Vec` doubling would give 524 288 slots, and a tiny domain.
+        for (capacity, want) in [(442_368, &[4, 8, 16, 32][..]), (6, &[4, 6][..])] {
+            let mut domain = Domain::new(capacity, 0);
+            let mut entries = vec![0; capacity + 1];
+            let mut seen = Vec::new();
+            for loc in 0..capacity {
+                assert_eq!(domain.insert(&mut entries, loc), None);
+                if seen.last() != Some(&domain.keys.capacity()) {
+                    seen.push(domain.keys.capacity());
+                }
+            }
+            assert_eq!(&seen[..want.len()], want);
+            assert_eq!(seen.last(), Some(&capacity));
+            // Full: an insert evicts and allocates nothing.
+            assert!(domain.insert(&mut entries, capacity).is_some());
+            assert_eq!(domain.keys.capacity(), capacity);
+        }
+    }
 
     /// The reference random-replacement set both caches are checked
     /// against: the seed's map index + `keys` vector, with its own copy

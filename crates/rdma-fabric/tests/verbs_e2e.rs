@@ -1,6 +1,7 @@
 //! End-to-end verb flows through the full event pipeline.
 
 use bytes::Bytes;
+use proptest::prelude::any;
 use rdma_fabric::{
     AtomicOp, Fabric, FabricEvent, FabricParams, RemoteAddr, Transport, Upcall, VerbError, Wc,
     WcOpcode, WcStatus, WorkRequest,
@@ -23,6 +24,16 @@ fn run(fabric: &mut Fabric, q: &mut EventQueue<FabricEvent>) -> Vec<(SimTime, Up
         out.extend(ups.into_iter().map(|u| (t, u)));
     }
     out
+}
+
+/// The completions `run` collected for `cq`, in delivery order.
+fn completions(ups: &[(SimTime, Upcall)], cq: rdma_fabric::CqId) -> Vec<Wc> {
+    ups.iter()
+        .filter_map(|(_, u)| match u {
+            Upcall::Completion { cq: c, wc, .. } if *c == cq => Some(*wc),
+            _ => None,
+        })
+        .collect()
 }
 
 fn post(
@@ -108,7 +119,7 @@ fn rc_write_places_bytes_and_completes() {
         Upcall::MemWrite { mr, offset: 100, len: 8, .. } if *mr == p.mr_b
     )));
     // The requester got a successful RDMA-write completion.
-    let wcs: Vec<Wc> = p.fabric.poll_cq(p.cq_a, 16).unwrap();
+    let wcs = completions(&ups, p.cq_a);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].wr_id, wr_id);
     assert_eq!(wcs[0].opcode, WcOpcode::RdmaWrite);
@@ -172,10 +183,8 @@ fn ud_send_needs_posted_recv() {
     let nb = p.fabric.qp_node(p.b).unwrap();
     assert_eq!(p.fabric.counters(nb).unwrap().get("UdDrops"), 1);
     // The sender still completes locally (unreliable).
-    assert_eq!(p.fabric.poll_cq(p.cq_a, 8).unwrap().len(), 1);
-    assert!(!ups
-        .iter()
-        .any(|(_, u)| matches!(u, Upcall::Completion { cq, .. } if *cq == p.cq_b)));
+    assert_eq!(completions(&ups, p.cq_a).len(), 1);
+    assert!(completions(&ups, p.cq_b).is_empty());
 
     // Now with a posted recv the message arrives with source info.
     p.fabric.post_recv(p.b, p.mr_b, 0, 256).unwrap();
@@ -191,8 +200,8 @@ fn ud_send_needs_posted_recv() {
         },
         Some(p.b),
     );
-    run(&mut p.fabric, &mut q);
-    let wcs = p.fabric.poll_cq(p.cq_b, 8).unwrap();
+    let ups = run(&mut p.fabric, &mut q);
+    let wcs = completions(&ups, p.cq_b);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].opcode, WcOpcode::Recv);
     assert_eq!(wcs[0].byte_len, 5);
@@ -317,12 +326,12 @@ fn rc_read_fetches_remote_bytes() {
         },
         None,
     );
-    run(&mut p.fabric, &mut q);
+    let ups = run(&mut p.fabric, &mut q);
     assert_eq!(
         &*p.fabric.mr(p.mr_a).unwrap().read(8, 8).unwrap(),
         b"version7"
     );
-    let wcs = p.fabric.poll_cq(p.cq_a, 8).unwrap();
+    let wcs = completions(&ups, p.cq_a);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].wr_id, wr_id);
     assert_eq!(wcs[0].opcode, WcOpcode::RdmaRead);
@@ -401,6 +410,7 @@ fn rc_read_zeroes_destination_lines_the_source_never_wrote() {
 fn rc_atomics_cas_and_faa() {
     let mut p = connected_pair(Transport::Rc);
     p.fabric.mr_mut(p.mr_b).unwrap().write_u64(0, 10).unwrap();
+    let mut wcs = Vec::new();
 
     // FAA(+5): old=10, memory becomes 15.
     let mut q = EventQueue::new();
@@ -417,7 +427,7 @@ fn rc_atomics_cas_and_faa() {
         },
         None,
     );
-    run(&mut p.fabric, &mut q);
+    wcs.extend(completions(&run(&mut p.fabric, &mut q), p.cq_a));
     assert_eq!(p.fabric.mr(p.mr_b).unwrap().read_u64(0).unwrap(), 15);
     assert_eq!(p.fabric.mr(p.mr_a).unwrap().read_u64(0).unwrap(), 10);
 
@@ -439,7 +449,7 @@ fn rc_atomics_cas_and_faa() {
         },
         None,
     );
-    run(&mut p.fabric, &mut q);
+    wcs.extend(completions(&run(&mut p.fabric, &mut q), p.cq_a));
     assert_eq!(p.fabric.mr(p.mr_b).unwrap().read_u64(0).unwrap(), 99);
     assert_eq!(p.fabric.mr(p.mr_a).unwrap().read_u64(8).unwrap(), 15);
 
@@ -461,10 +471,10 @@ fn rc_atomics_cas_and_faa() {
         },
         None,
     );
-    run(&mut p.fabric, &mut q);
+    wcs.extend(completions(&run(&mut p.fabric, &mut q), p.cq_a));
     assert_eq!(p.fabric.mr(p.mr_b).unwrap().read_u64(0).unwrap(), 99);
     assert_eq!(p.fabric.mr(p.mr_a).unwrap().read_u64(16).unwrap(), 99);
-    assert_eq!(p.fabric.poll_cq(p.cq_a, 8).unwrap().len(), 3);
+    assert_eq!(wcs.len(), 3);
 }
 
 #[test]
@@ -483,8 +493,8 @@ fn rc_remote_oob_write_errors_back() {
         },
         None,
     );
-    run(&mut p.fabric, &mut q);
-    let wcs = p.fabric.poll_cq(p.cq_a, 8).unwrap();
+    let ups = run(&mut p.fabric, &mut q);
+    let wcs = completions(&ups, p.cq_a);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].status, WcStatus::RemoteAccessError);
     let nb = p.fabric.qp_node(p.b).unwrap();
@@ -539,13 +549,13 @@ fn write_imm_consumes_recv_and_carries_imm() {
         },
         None,
     );
-    run(&mut p.fabric, &mut q);
+    let ups = run(&mut p.fabric, &mut q);
     // Data goes to the write address (not the recv buffer).
     assert_eq!(
         &*p.fabric.mr(p.mr_b).unwrap().read(512, 8).unwrap(),
         b"imm-data"
     );
-    let wcs = p.fabric.poll_cq(p.cq_b, 8).unwrap();
+    let wcs = completions(&ups, p.cq_b);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].opcode, WcOpcode::RecvRdmaWithImm);
     assert_eq!(wcs[0].imm, Some(0xABCD));
@@ -567,8 +577,7 @@ fn rc_send_without_recv_is_rnr_error() {
         },
         None,
     );
-    run(&mut p.fabric, &mut q);
-    let wcs = p.fabric.poll_cq(p.cq_a, 8).unwrap();
+    let wcs = completions(&run(&mut p.fabric, &mut q), p.cq_a);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].status, WcStatus::RnrRetryExceeded);
 }
@@ -591,8 +600,7 @@ fn destroyed_qp_rejects_posts_and_drops_inflight() {
     );
     // Tear down the destination while the packet is in flight.
     p.fabric.destroy_qp(p.b).unwrap();
-    run(&mut p.fabric, &mut q);
-    let wcs = p.fabric.poll_cq(p.cq_a, 8).unwrap();
+    let wcs = completions(&run(&mut p.fabric, &mut q), p.cq_a);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].status, WcStatus::RemoteAccessError);
     // And the destination can no longer post.
@@ -624,9 +632,9 @@ fn unsignaled_writes_complete_silently() {
     for (at, e) in staged {
         q.push(at, e);
     }
-    run(&mut p.fabric, &mut q);
+    let ups = run(&mut p.fabric, &mut q);
     assert_eq!(&*p.fabric.mr(p.mr_b).unwrap().read(0, 5).unwrap(), b"quiet");
-    assert!(p.fabric.poll_cq(p.cq_a, 8).unwrap().is_empty());
+    assert!(completions(&ups, p.cq_a).is_empty());
 }
 
 #[test]
@@ -696,4 +704,143 @@ fn outbound_thrash_shows_in_counters_and_rate() {
         c.get("NicQpMiss")
     );
     assert!(fabric.nic_hit_rate(server).unwrap() < 0.7);
+}
+
+#[test]
+fn create_qp_rejects_a_cq_of_another_node() {
+    let mut fabric = Fabric::new(FabricParams::default());
+    let na = fabric.add_node("a");
+    let nb = fabric.add_node("b");
+    let cq_a = fabric.create_cq(na).unwrap();
+    let cq_b = fabric.create_cq(nb).unwrap();
+    let missing = rdma_fabric::CqId(7);
+    for (send, recv, bad) in [
+        (cq_b, cq_a, cq_b),
+        (cq_a, cq_b, cq_b),
+        (missing, cq_a, missing),
+    ] {
+        assert_eq!(
+            fabric.create_qp(na, Transport::Rc, send, recv),
+            Err(VerbError::UnknownCq(bad))
+        );
+    }
+    assert!(fabric.create_qp(na, Transport::Rc, cq_a, cq_a).is_ok());
+    assert_eq!(
+        fabric.poll_cq(missing, 8).unwrap_err(),
+        VerbError::UnknownCq(missing)
+    );
+}
+
+proptest::proptest! {
+    /// Random RC writes, reads, fetch-and-adds and sends (each with a
+    /// receive posted), and UD sends, each randomly signalled and the
+    /// one-sided ones randomly out of bounds: every signalled request
+    /// and every error completes exactly once, as an upcall; an
+    /// unsignalled success completes silently; every send completes one
+    /// receive; and no CQ keeps a copy to poll.
+    ///
+    /// Order is checked per queue pair within each way a completion is
+    /// timed: an ack (write, send), a response (read, atomic) or an
+    /// error. A real RC send queue completes in post order across all
+    /// three; the model does not, as an ack or an error can overtake an
+    /// earlier request's response.
+    #[test]
+    fn each_completion_is_delivered_once_in_post_order(
+        ops in proptest::collection::vec(
+            (0u8..5, any::<bool>(), any::<bool>(), 0u64..400),
+            1..40,
+        ),
+    ) {
+        let mut p = connected_pair(Transport::Rc);
+        let (na, nb) = (p.fabric.qp_node(p.a).unwrap(), p.fabric.qp_node(p.b).unwrap());
+        let ua = p.fabric.create_qp(na, Transport::Ud, p.cq_a, p.cq_a).unwrap();
+        let ub = p.fabric.create_qp(nb, Transport::Ud, p.cq_b, p.cq_b).unwrap();
+        let mut q = EventQueue::new();
+        let mut now = SimTime::ZERO;
+        // The (qp, wr_id, opcode, status) owed to requesters, in post order.
+        let mut want = Vec::new();
+        let mut want_recvs = [0usize; 2];
+        for (kind, signaled, oob, gap) in ops {
+            now += simcore::SimDuration::nanos(gap);
+            let oob = oob && kind < 3;
+            let remote = |offset| RemoteAddr::new(p.mr_b, if oob { 4096 } else { offset });
+            let (qp, dst, wr, opcode) = match kind {
+                0 => {
+                    let data = Bytes::from_static(&[3; 48]);
+                    let wr = WorkRequest::Write { data, remote: remote(256), imm: None };
+                    (p.a, None, wr, WcOpcode::RdmaWrite)
+                }
+                1 => {
+                    let wr = WorkRequest::Read {
+                        local_mr: p.mr_a,
+                        local_offset: 512,
+                        remote: remote(128),
+                        len: 64,
+                    };
+                    (p.a, None, wr, WcOpcode::RdmaRead)
+                }
+                2 => {
+                    let wr = WorkRequest::Atomic {
+                        op: AtomicOp::FetchAdd { add: 1 },
+                        remote: remote(0),
+                        local_mr: p.mr_a,
+                        local_offset: 0,
+                    };
+                    (p.a, None, wr, WcOpcode::Atomic)
+                }
+                3 | 4 => {
+                    let (qp, peer, dst) =
+                        if kind == 3 { (p.a, p.b, None) } else { (ua, ub, Some(ub)) };
+                    p.fabric.post_recv(peer, p.mr_b, 1024, 64).unwrap();
+                    want_recvs[usize::from(kind - 3)] += 1;
+                    let wr = WorkRequest::Send { data: Bytes::from_static(b"ping"), imm: None };
+                    (qp, dst, wr, WcOpcode::Send)
+                }
+                _ => unreachable!(),
+            };
+            let mut staged = Vec::new();
+            let info = p
+                .fabric
+                .post(now, qp, wr, signaled, dst, &mut |at, e| staged.push((at, e)))
+                .unwrap();
+            for (at, e) in staged {
+                q.push(at, e);
+            }
+            let status = if oob { WcStatus::RemoteAccessError } else { WcStatus::Success };
+            if signaled || oob {
+                want.push((qp, info.wr_id, opcode, status));
+            }
+        }
+        let ups = run(&mut p.fabric, &mut q);
+        let sent: Vec<_> = completions(&ups, p.cq_a)
+            .iter()
+            .map(|wc| (wc.qp, wc.wr_id, wc.opcode, wc.status))
+            .collect();
+        let timed_by = |&(_, _, opcode, status): &(_, _, WcOpcode, WcStatus)| match opcode {
+            _ if status != WcStatus::Success => 0,
+            WcOpcode::RdmaWrite | WcOpcode::Send => 1,
+            _ => 2,
+        };
+        for qp in [p.a, ua] {
+            for class in 0..3 {
+                let of = |v: &[(_, _, _, _)]| {
+                    let mine = v.iter().filter(|c| c.0 == qp && timed_by(c) == class);
+                    mine.copied().collect::<Vec<_>>()
+                };
+                proptest::prop_assert_eq!(of(&sent), of(&want));
+            }
+        }
+        proptest::prop_assert_eq!(sent.len(), want.len());
+        let recvs = completions(&ups, p.cq_b);
+        for (qp, want) in [(p.b, want_recvs[0]), (ub, want_recvs[1])] {
+            let got = recvs.iter().filter(|wc| wc.qp == qp);
+            let ok = |wc: &&Wc| wc.opcode == WcOpcode::Recv && wc.status == WcStatus::Success;
+            proptest::prop_assert!(got.clone().all(|wc| ok(&wc)));
+            proptest::prop_assert_eq!(got.count(), want);
+        }
+        proptest::prop_assert_eq!(recvs.len(), want_recvs[0] + want_recvs[1]);
+        for cq in [p.cq_a, p.cq_b] {
+            proptest::prop_assert!(p.fabric.poll_cq(cq, usize::MAX).unwrap().is_empty());
+        }
+    }
 }
