@@ -61,6 +61,14 @@ echo "== event-queue golden + linear-time bounds (release) =="
 # accidental O(k) bucket walk fails here, not in the next benchmark.
 cargo test -q --release -p simcore --test queue_stream
 
+echo "== stranding sweep (release) =="
+# ScaleTX over ScaleRPC at transaction windows 4 and 8: every seed of the
+# sweep's three cells, one-sided and RPC-only (202 runs), each drained
+# 300 ms with no slot left busy. The workspace tests above run two seeds
+# per cell; this runs all of them, which only a release build does in
+# CI time.
+cargo test -q --release -p scaletx --test stranding_sweep
+
 echo "== clippy (deny warnings, trace on) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -256,9 +256,9 @@ pub fn run_harness<H: ServerHandler>(
     spec: ScenarioSpec,
 ) -> Result<RpcRunResult, String> {
     let (slots, block) = (BASELINE_SLOTS, BASELINE_BLOCK);
-    // ScaleRPC clients keep as many requests open as the harness window
-    // can have outstanding (context-switch re-arming comes along).
-    scale.client_window = scale.client_window.max(harness.window.min(scale.slots));
+    // ScaleRPC clients keep the harness window's requests open (context-
+    // switch re-arming comes along); `validate` refuses one past `slots`.
+    scale.client_window = scale.client_window.max(harness.window);
     let p = Point {
         cluster,
         harness,

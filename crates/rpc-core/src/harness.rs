@@ -32,7 +32,7 @@ use std::fmt;
 ///
 /// Retransmissions reuse the original `(client, seq)` identity, so the
 /// guarantee is end-to-end exactly-once: the transport's server-side
-/// sequence window suppresses duplicate executions, and the client
+/// record of executed seqs drops duplicate executions, and the client
 /// window ignores duplicate responses — no RPC is lost (retry) and none
 /// is double-counted (both dedup layers). `None` (the default) schedules
 /// no timers at all, keeping steady-state runs event-identical.

@@ -55,9 +55,10 @@ pub struct ScaleRpcConfig {
     /// kept in the per-client replay cache so a retransmission whose
     /// original response was lost (crash window, connection churn) can
     /// be answered instead of silently dropped by the exactly-once
-    /// guard. The scenario compiler sets this whenever a timeline
-    /// contains lifecycle events; steady-state runs leave it false and
-    /// stay bit-identical (the cache is pure state, never events).
+    /// guard, until it lands or the client's ack floor passes it. The
+    /// scenario compiler sets this whenever a timeline contains
+    /// lifecycle events; steady-state runs leave it false and stay
+    /// bit-identical (the cache is pure state, never events).
     pub elastic: bool,
     /// When true (and `tenant_of` is set), the scheduler never places
     /// clients of different tenants in the same connection group — the

@@ -269,10 +269,12 @@ impl<H: ServerHandler> ScaleRpc<H> {
 
     fn publish_entry(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
         self.ends[client].publish_inflight = true;
-        // <req_addr, batch_size> tuple, Valid last (RDMA writes land in
-        // increasing address order).
+        // <ack floor, batch_size> tuple, Valid last (RDMA writes land in
+        // increasing address order); the floor is the lowest seq in flight.
+        let window = self.ends[client].fsm.window();
+        let floor = window.iter_in_flight().map(|(_, f)| f.seq).min();
         let mut entry = [0u8; 24];
-        entry[0..8].copy_from_slice(&0u64.to_le_bytes()); // staging offset
+        entry[0..8].copy_from_slice(&floor.unwrap_or(0).to_le_bytes());
         entry[8..12].copy_from_slice(&(self.cfg.slots as u32).to_le_bytes());
         entry[16..24].copy_from_slice(&1u64.to_le_bytes()); // valid
         let write = WorkRequest::Write {
@@ -295,15 +297,15 @@ impl<H: ServerHandler> ScaleRpc<H> {
         cx: &mut Cx<'_, ScaleEv>,
     ) {
         // Track the request in the FSM's in-flight window (per-slot
-        // TraceIds). A retransmission of a sequence the window already
-        // tracks must not claim a second slot; should a caller overcommit
-        // past the slot count, fall back to the untracked Fig. 7
-        // transition so the state machine itself never diverges.
+        // TraceIds): the ack floor is exact only if every request in
+        // flight is in it. A retransmission of a sequence the window
+        // already tracks must not claim a second slot.
         let fsm = &mut self.ends[client].fsm;
         let action = if fsm.window().contains(seq) {
             fsm.on_submit()
         } else {
-            fsm.submit(seq, tid).unwrap_or_else(|| fsm.on_submit())
+            fsm.submit(seq, tid)
+                .expect("more requests in flight than message slots")
         };
         match action {
             SubmitAction::DirectWrite => {
@@ -367,7 +369,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let payload = Bytes::copy_from_slice(&payload);
         let fsm = &mut self.ends[client].fsm;
         if fsm.complete(header.seq, header.is_ctx_switch()).is_none() {
-            // Untracked (window overcommit fallback in `dispatch`): apply
+            // A seq the window no longer tracks (answered already): apply
             // the bare Fig. 7 transition.
             fsm.on_response(header.is_ctx_switch());
         }

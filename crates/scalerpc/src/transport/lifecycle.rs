@@ -1,7 +1,8 @@
 //! The elastic control plane of [`ScaleRpc`](super::ScaleRpc): each
 //! client's connection and the submits buffered while it is down, the
-//! server's crash flag, and the exactly-once guard and response-replay
-//! cache that keep retries safe across a disturbance.
+//! server's crash flag, and the exactly-once record and response-replay
+//! cache that keep retries safe across a disturbance. Both hold only seqs
+//! at or above the client's ack floor, which its endpoint entry carries.
 
 use bytes::Bytes;
 use rdma_fabric::{Fabric, QpId, VerbResult};
@@ -38,50 +39,51 @@ impl Transitions for ConnState {
     }
 }
 
-/// Per-client response-replay cache depth: bounds accumulation across
-/// repeated crash windows (one window holds at most `slots` entries).
-const RESP_CACHE: usize = 256;
-
-/// The executed sequences among the 1024 up to `high`, one bit each at
-/// `seq % 1024`. 1024 bits (vs the seed's 128) leaves ample slack for
-/// multi-outstanding clients that stride sequence numbers across window
-/// slots (see `scaletx`): a slot stalled behind a slice boundary can fall
-/// hundreds of seqs behind its siblings without being misclassified as a
-/// duplicate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct SeqWindow {
-    /// Highest sequence recorded.
-    high: u64,
-    bits: [u64; SEQ_WINDOW_BITS as usize / 64],
+/// The seqs executed at or above a client's ack floor, the lowest seq it
+/// still awaits (every lower one was answered, so a copy is a duplicate):
+/// bit `seq % 64` of word `seq / 64 - floor / 64`, inline for a 1 024-seq
+/// span (every benchmark workload's), in `wide` past that.
+#[derive(Default)]
+struct Executed {
+    floor: u64,
+    near: [u64; 16],
+    wide: Vec<u64>,
 }
 
-/// Width of the duplicate-detection window in bits.
-const SEQ_WINDOW_BITS: u64 = 1024;
-
-impl SeqWindow {
-    fn bit(&mut self, seq: u64) -> (&mut u64, u64) {
-        let i = (seq % SEQ_WINDOW_BITS) as usize;
-        (&mut self.bits[i / 64], 1 << (i % 64))
+impl Executed {
+    fn words(&mut self) -> &mut [u64] {
+        if self.wide.is_empty() {
+            &mut self.near
+        } else {
+            &mut self.wide
+        }
     }
 
-    /// Records `seq`; returns `false` when it was already executed
-    /// (duplicate) or lies too far below `high` to tell.
+    /// Records `seq`; returns `false` when it was already executed.
     #[inline]
     fn record(&mut self, seq: u64) -> bool {
-        if seq > self.high {
-            // The slots the window slides onto held seqs 1024 lower.
-            for s in (self.high + 1).max(seq.saturating_sub(SEQ_WINDOW_BITS - 1))..=seq {
-                let (word, mask) = self.bit(s);
-                *word &= !mask;
-            }
-            self.high = seq;
-        } else if self.high - seq >= SEQ_WINDOW_BITS {
-            return false; // ancient: certainly a duplicate
+        if seq < self.floor {
+            return false;
         }
-        let (word, mask) = self.bit(seq);
+        let i = (seq / 64 - self.floor / 64) as usize;
+        if i >= self.words().len() {
+            self.wide = self.words().to_vec();
+            self.wide.resize((i + 1).next_power_of_two(), 0);
+        }
+        let (word, mask) = (&mut self.words()[i], 1 << (seq % 64));
         let fresh = *word & mask == 0;
         *word |= mask;
         fresh
+    }
+
+    /// Raises the floor to `floor` (never lowers it).
+    fn raise(&mut self, floor: u64) {
+        let gone = (floor / 64).saturating_sub(self.floor / 64) as usize;
+        self.floor = self.floor.max(floor);
+        let words = self.words();
+        let kept = words.len().saturating_sub(gone);
+        words.rotate_left(words.len() - kept);
+        words[kept..].fill(0);
     }
 }
 
@@ -93,14 +95,13 @@ struct Conn {
     /// Requests submitted while the connection was down or being set up,
     /// flushed in order on `ConnEstablished`.
     pending: Vec<(u64, Bytes)>,
-    /// Executed sequences: a warmup re-fetch can copy a staged request
-    /// whose response is still in flight, and handlers with side effects
-    /// (locks, transactions) need exactly-once execution.
-    executed: SeqWindow,
+    /// A warmup re-fetch can copy a request already executed, and
+    /// handlers with side effects (locks) must run once.
+    executed: Executed,
     /// Responses kept for replay: a retransmission whose *response* was
     /// lost (crash window, churned QP) hits the exactly-once guard and
     /// would strand its client. Filled for every response when
-    /// `cfg.elastic`, and always while `down`.
+    /// `cfg.elastic`, and always while `down`; emptied below the floor.
     resp_cache: Vec<(u64, Bytes)>,
 }
 
@@ -186,19 +187,21 @@ impl Lifecycle {
         self.conns[client].executed.record(seq)
     }
 
+    /// `client`'s ack floor reached the server: no lower seq needs a
+    /// record or a response again.
+    pub(super) fn raise_floor(&mut self, client: ClientId, floor: u64) {
+        let conn = &mut self.conns[client];
+        conn.executed.raise(floor);
+        conn.resp_cache.retain(|e| e.0 >= floor);
+    }
+
     /// The response to replay for a duplicate `(client, seq)`, once a
     /// lifecycle event may have lost it.
     pub(super) fn replay(&mut self, client: ClientId, seq: u64) -> Option<Bytes> {
-        if !self.elastic_seen {
-            return None;
-        }
-        let resp = self.conns[client]
-            .resp_cache
-            .iter()
-            .find(|e| e.0 == seq)
-            .map(|e| e.1.clone())?;
+        let cache = &self.conns[client].resp_cache;
+        let (_, resp) = cache.iter().find(|e| e.0 == seq && self.elastic_seen)?;
         self.replayed_responses += 1;
-        Some(resp)
+        Some(resp.clone())
     }
 
     /// A response to `(client, seq)` is ready: keeps it for replay where
@@ -209,12 +212,6 @@ impl Lifecycle {
         if self.cache_every_response || self.down {
             let cache = &mut self.conns[client].resp_cache;
             cache.retain(|e| e.0 != seq);
-            // Bounded; evicts the oldest (lowest) sequence.
-            if cache.len() >= RESP_CACHE {
-                if let Some(i) = (0..cache.len()).min_by_key(|&i| cache[i].0) {
-                    cache.swap_remove(i);
-                }
-            }
             cache.push((seq, payload.clone()));
         }
         !self.down
@@ -222,11 +219,8 @@ impl Lifecycle {
 
     /// The response to `(client, seq)` reached the client. It can never
     /// need replay again: the client FSM has completed this sequence, so
-    /// no retransmission of it will arrive. Pruning keeps the bounded
-    /// replay cache holding only *undelivered* responses — the exact
-    /// failover replay set — instead of letting steady traffic evict the
-    /// stuck entries (lowest-seq eviction would discard precisely the
-    /// oldest, still-unacknowledged request a retry is about to ask for).
+    /// no retransmission of it will arrive. The replay cache holds only
+    /// *undelivered* responses — the exact failover replay set.
     #[inline]
     pub(super) fn delivered(&mut self, client: ClientId, seq: u64) {
         self.conns[client].resp_cache.retain(|e| e.0 != seq);
@@ -328,7 +322,7 @@ impl Lifecycle {
 
     /// The server crashed: submits buffer until recovery, and those
     /// buffered are cancelled. A failover retry re-sends the same
-    /// sequence (the dedup window keeps that exactly-once), but an
+    /// sequence (the executed record keeps that exactly-once), but an
     /// application that aborted and re-issued under a new identity
     /// (scaletx) would leak the side effects (locks) of the zombie.
     pub(super) fn crash(&mut self) {
@@ -381,37 +375,73 @@ impl<H: ServerHandler> ScaleRpc<H> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     proptest! {
-        /// The exactly-once window against a reference model, the set of
-        /// recorded seqs plus the highest: a seq is fresh iff it was never
-        /// recorded and lies less than 1 024 below the highest. Forward
-        /// moves shift the bitmap by exactly 64, 1 023, 1 024, more than
-        /// 1 024, or a few; backward probes land near the window's edge.
+        /// The exactly-once record and the replay cache against a
+        /// reference model: the recorded seqs, the cached responses and a
+        /// floor that never falls. A seq is fresh iff it lies at or above
+        /// the floor and was never recorded, however far above; a cached
+        /// response is replayed iff its seq is at or above the floor.
+        /// Steps raise the floor (or try to lower it), probe below it,
+        /// record seqs near it, at the top of the record's span, and more
+        /// than 1 024 and 4 096 above it, re-record, and cache and replay
+        /// responses.
         #[test]
-        fn seq_window_matches_a_recorded_set(
-            steps in proptest::collection::vec((0..7u8, 0..2000u64), 1..160)
+        fn record_and_replay_cache_match_a_floor_model(
+            steps in proptest::collection::vec((0..9u8, 0..20_000u64), 1..160)
         ) {
-            let mut window = SeqWindow::default();
-            let mut recorded = std::collections::BTreeSet::new();
-            let mut high = 0u64;
+            let mut life = Lifecycle::new(false, true, vec![(QpId(0), QpId(1))]);
+            life.elastic_seen = true;
+            let (mut recorded, mut cached) = (BTreeSet::new(), BTreeSet::new());
+            let (mut floor, mut high) = (0u64, 0u64);
             for (kind, n) in steps {
                 let seq = match kind {
-                    0 => high + 64,
-                    1 => high + 1023,
-                    2 => high + 1024,
-                    3 => high + 1025 + n,
-                    4 => high + 1 + n % 8,
-                    5 => high.saturating_sub(1023 + n % 2),
-                    _ => high.saturating_sub(n % 1100),
+                    0 => {
+                        let to = n % (high + 66);
+                        life.raise_floor(0, to);
+                        floor = floor.max(to);
+                        cached.retain(|&s| s >= floor);
+                        continue;
+                    }
+                    1 => floor.saturating_sub(1 + n % 200),
+                    2 => floor + n % 130,
+                    3 => {
+                        // The span's top words, where a raised floor
+                        // recycles the words it dropped.
+                        let words = life.conns[0].executed.words().len() as u64;
+                        (floor / 64 + words) * 64 - 1 - n % 256
+                    }
+                    4 => floor + 1025 + n % 64,
+                    5 => floor + 4097 + n,
+                    6 => {
+                        let above: Vec<u64> = recorded.range(floor..).copied().collect();
+                        above.get(n as usize % above.len().max(1)).copied().unwrap_or(floor)
+                    }
+                    7 => {
+                        let seq = floor + n % 300;
+                        let payload = Bytes::copy_from_slice(&seq.to_le_bytes());
+                        prop_assert!(life.keep_response(0, seq, &payload));
+                        cached.insert(seq);
+                        continue;
+                    }
+                    _ => {
+                        let seq = floor.saturating_sub(n % 8) + n % 300;
+                        let replayed = life.replay(0, seq).map(|b| b.to_vec());
+                        let want = cached.contains(&seq).then(|| seq.to_le_bytes().to_vec());
+                        prop_assert_eq!(replayed, want, "replay {} floor {}", seq, floor);
+                        continue;
+                    }
                 };
-                let fresh = !recorded.contains(&seq) && seq + 1024 > high;
-                prop_assert_eq!(window.record(seq), fresh, "seq {} high {}", seq, high);
+                let fresh = seq >= floor && !recorded.contains(&seq);
+                prop_assert_eq!(life.record_seq(0, seq), fresh, "seq {} floor {}", seq, floor);
                 if fresh {
                     recorded.insert(seq);
                     high = high.max(seq);
                 }
             }
+            let kept: BTreeSet<u64> = life.conns[0].resp_cache.iter().map(|e| e.0).collect();
+            prop_assert_eq!(kept, cached);
         }
     }
 

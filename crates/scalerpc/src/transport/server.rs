@@ -95,10 +95,11 @@ impl<H: ServerHandler> ScaleRpc<H> {
         (self.cur + 1) % self.plan.groups.len()
     }
 
-    /// The Valid word of `client`'s endpoint entry in server memory.
-    fn entry_word(&self, client: ClientId, fabric: &Fabric) -> Option<u64> {
+    /// Word `i` of `client`'s endpoint entry in server memory: 0 is the
+    /// client's ack floor, 2 the Valid flag.
+    fn entry_word(&self, client: ClientId, i: usize, fabric: &Fabric) -> Option<u64> {
         let endpoint = fabric.mr(self.endpoint_mr).ok()?;
-        endpoint.read_u64(client * ENTRY + 16).ok()
+        endpoint.read_u64(client * ENTRY + 8 * i).ok()
     }
 
     fn clear_entry(&self, client: ClientId, fabric: &mut Fabric) {
@@ -132,10 +133,10 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.execute_block(mr, zone, block_start, Some((offset, len)), cx);
     }
 
-    /// An endpoint entry landed at `offset`: returns its client if valid,
-    /// after fetching eagerly if the client's group is served or warmed
-    /// (else the entry waits for its warm phase). A crashed server's
-    /// warmup engine is dead.
+    /// An endpoint entry landed at `offset`: if valid, raises its client's
+    /// ack floor and returns the client, after fetching eagerly if the
+    /// client's group is served or warmed (else the entry waits for its
+    /// warm phase). A crashed server's warmup engine is dead.
     pub(super) fn on_entry_write(
         &mut self,
         offset: usize,
@@ -145,9 +146,11 @@ impl<H: ServerHandler> ScaleRpc<H> {
         if self.life.is_down() || client >= self.served.len() {
             return None;
         }
-        if self.entry_word(client, cx.fabric) != Some(1) {
+        if self.entry_word(client, 2, cx.fabric) != Some(1) {
             return None;
         }
+        let floor = self.entry_word(client, 0, cx.fabric).unwrap_or(0);
+        self.life.raise_floor(client, floor);
         self.served[client].entry_valid = true;
         if let Some((g, _)) = self.zone_of(client) {
             let epoch = self.slice_epoch;
@@ -531,7 +534,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
 
     /// The server's half of [`ScaleRpc::client_diag`].
     pub(super) fn server_diag(&self, client: ClientId, fabric: &Fabric) -> String {
-        let entry_word = self.entry_word(client, fabric);
+        let entry_word = self.entry_word(client, 2, fabric);
         let group = self.plan.group_of(client);
         let (cur, epoch) = (self.cur, self.slice_epoch);
         format!(

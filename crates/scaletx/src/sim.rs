@@ -1158,8 +1158,8 @@ pub fn run_scalerpc_tx_with(
         sc.first_slice_offset = SimDuration::nanos(stagger.as_nanos() * s as u64);
         // The RPC client keeps as many requests open as the transaction
         // window can have outstanding per server (ctx-switch re-arming
-        // comes along with it).
-        sc.client_window = sc.client_window.max(window.min(sc.slots));
+        // comes along with it); `validate` refuses one past `slots`.
+        sc.client_window = sc.client_window.max(window);
         scalerpc::ScaleRpc::new(fabric, cluster, sc, part)
     });
     setup(&mut tx);

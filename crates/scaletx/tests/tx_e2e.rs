@@ -451,45 +451,12 @@ fn server_node_upcalls_reach_their_own_transport_only() {
 #[allow(dead_code)]
 fn type_check(_: TxSim<ScaleRpc<scaletx::TxParticipant>>) {}
 
-/// Reproducer for the liveness bug PR 11 found while sizing the repo
-/// benchmark and could not fix (it could not edit `crates/`): ScaleTX
-/// over ScaleRPC at `TxConfig.window = 4` — the Fig. 16 point: 160
-/// coordinators, 3 servers, SmallBank with 50 000 accounts per server,
-/// `tx_scale_cfg()` — strands a transaction forever. A coordinator slot
-/// waits on one response that never arrives, however long the drain
-/// (300 ms here): PR 11 saw it in `Phase::Execute`, this 2 + 6 ms run
-/// ends with coordinator 41, slot 3 in `Phase::Log`, pending 1, two
-/// keys still locked. It hits 1 of 60 seeds
-/// with one-sided validation/commit (seed 1026 of 1000..1059, below)
-/// and 9 of 60 RPC-only; windows 2 and 1 were clean on 1 860 / 360
-/// seeds, which is why `tx_smallbank_160c` in `benchmark/` runs window
-/// 2 until this is fixed. Ignored so the fix issue starts from a
-/// failing test: run with `cargo test -p scaletx -- --ignored`.
-///
-/// Root cause (traced in PR 16; not an FSM violation — the transition
-/// asserts on `Phase`, `ClientState` and `ConnState` stay silent and the
-/// failure is identical with them armed). On the server that strands
-/// the slot, coordinator 41's client is context-switched to IDLE at
-/// t = 5.604 ms. Its request seq 779 (= issue 194 × window 4 + slot 3)
-/// is submitted at 5.609 ms as `StageAndPublish` (IDLE → WARMUP). At
-/// 5.618 ms a *leftover response from the previous slice* (seq 769, no
-/// switch flag) flips the client WARMUP → PROCESS, so the slot's
-/// siblings direct-write and are served while 779 sits staged for a
-/// full rotation. The warmup fetch delivers it at t = 8.200 ms, when
-/// `seq_high` = 1856: `back` = 1077 ≥ `SEQ_WINDOW_BITS` (1 024), and
-/// `ScaleRpc::record_seq` answers "ancient: certainly a duplicate" — the
-/// request is dropped, and dropped again at every later fetch (10.8 ms,
-/// …). Slot-striped seqs (`issue * window + slot`) make the distance
-/// 4 × the ~270 sibling submissions of one rotation; at window 2 the
-/// same stall is ~540 < 1 024, which is why window 2 is clean (and why
-/// ScaleTX's p99 ≈ 1.2 ms is one rotation). The ancient branch is also
-/// taken by *genuine* stale re-fetches (fuzz seeds 30, 253, 273), so
-/// "ancient ⇒ execute" is not a fix. Candidates, each its own PR with a
-/// `[benchmark]` re-baseline to window 4: leave WARMUP only on a
-/// response to a request staged in *this* warmup; or re-send
-/// staged-unanswered requests as direct writes on entering PROCESS.
+/// ScaleTX over ScaleRPC at `TxConfig.window = 4`: 160 coordinators, 3
+/// servers, SmallBank with 50 000 accounts per server, `tx_scale_cfg()`,
+/// one-sided validation and commit, seed 1026. Every slot is free after a
+/// 300 ms drain. It stranded one when the server's dedup took a request
+/// staged for a rotation, 1 077 seqs behind its siblings, for a duplicate.
 #[test]
-#[ignore = "known liveness bug at TxConfig.window = 4 (see doc comment)"]
 fn window4_smallbank_seed_1026_leaves_no_slot_busy() {
     let cfg = TxConfig {
         coordinators: 160,
@@ -516,20 +483,12 @@ fn window4_smallbank_seed_1026_leaves_no_slot_busy() {
     assert_eq!(tx.busy_slots(), 0, "slots still busy after a 300 ms drain");
 }
 
-/// Reproducer for the stranding at Fig. 16's window sweep cell W = 8 —
-/// the same liveness bug as the window-4 reproducer above, hit by the
-/// figure's own configuration: ScaleTX (one-sided validation and commit)
-/// over ScaleRPC with `tx_scale_cfg()`, the read-write object store
-/// (3 reads, 1 write, 20 000 keys per server, 40-byte values), 160
-/// coordinators of 8 slots each, seed 31 — `figures::run_tx_system`'s
-/// `TxConfig`. After a 300 ms drain 4 slots are still busy (57 with
-/// RPC-only validation and commit, the ScaleTX-O row); W = 4 leaves
-/// none at this seed. The Fig. 16 W = 8 throughput and per-slot table
-/// come from a run that strands these slots, so they stay invalid until
-/// the bug is fixed. Ignored so the fix starts from a failing test: run
-/// with `cargo test -p scaletx -- --ignored`.
+/// Fig. 16's window sweep cell W = 8: ScaleTX over ScaleRPC with
+/// `tx_scale_cfg()`, the read-write object store (3 reads, 1 write,
+/// 20 000 keys per server, 40-byte values), 160 coordinators of 8 slots
+/// each, seed 31, `figures::run_tx_system`'s `TxConfig`. Every slot is
+/// free after a 300 ms drain; the same guessed dedup window stranded 4.
 #[test]
-#[ignore = "known liveness bug at TxConfig.window = 8 (see doc comment)"]
 fn fig16_window_w8_seed31_leaves_no_slot_busy() {
     let cfg = TxConfig {
         coordinators: 160,
