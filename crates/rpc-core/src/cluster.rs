@@ -292,7 +292,10 @@ mod tests {
         let queued = cpu.acquire(2, SimTime(60), cost);
         let other = cpu.acquire(1, SimTime(60), cost);
         assert_eq!((first.begin, first.complete), (SimTime(50), SimTime(150)));
-        assert_eq!((queued.begin, queued.complete), (SimTime(150), SimTime(250)));
+        assert_eq!(
+            (queued.begin, queued.complete),
+            (SimTime(150), SimTime(250))
+        );
         assert_eq!(other.begin, SimTime(60), "machine 1 has its own thread");
         // A straggler's charges stretch; its neighbours' do not, but they
         // queue behind it on the shared thread.
@@ -300,7 +303,10 @@ mod tests {
         let slow = cpu.acquire(2, SimTime(1_000), cost);
         let behind = cpu.acquire(0, SimTime(1_000), cost);
         assert_eq!(slow.complete, SimTime(1_300));
-        assert_eq!((behind.begin, behind.complete), (SimTime(1_300), SimTime(1_400)));
+        assert_eq!(
+            (behind.begin, behind.complete),
+            (SimTime(1_300), SimTime(1_400))
+        );
         // 16 threads on 8 cores: every charge doubles.
         let mut packed = ClientCpu::new(cluster(1, 16, 16));
         assert_eq!(packed.acquire(5, SimTime(0), cost).complete, SimTime(200));

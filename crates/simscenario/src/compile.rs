@@ -700,8 +700,14 @@ mod tests {
         assert_eq!(
             c.spec.timeline,
             vec![
-                (SimTime(200_000), Injection::ConnChurn { first: 8, last: 11 }),
-                (SimTime(400_000), Injection::Reconnect { first: 8, last: 11 }),
+                (
+                    SimTime(200_000),
+                    Injection::ConnChurn { first: 8, last: 11 }
+                ),
+                (
+                    SimTime(400_000),
+                    Injection::Reconnect { first: 8, last: 11 }
+                ),
             ]
         );
         // No crash in the timeline: nothing auto-arms retries.

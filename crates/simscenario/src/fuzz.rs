@@ -508,10 +508,10 @@ mod tests {
         assert_eq!(min.populations.len(), 1, "{}", min.to_toml());
         assert_eq!(min.total_clients(), 1, "{}", min.to_toml());
         assert!(min.run_us < sc.run_us);
-        assert!(matches!(
-            min.populations[0].think,
-            crate::scenario::ThinkModel::None
-        ) || min.populations[0].name == "b");
+        assert!(
+            matches!(min.populations[0].think, crate::scenario::ThinkModel::None)
+                || min.populations[0].name == "b"
+        );
     }
 
     #[test]
@@ -522,4 +522,3 @@ mod tests {
         }
     }
 }
-

@@ -45,7 +45,10 @@ fn mutate(text: &mut Vec<u8>, (kind, at, with): (u8, u32, u32), corpus: &[(Strin
         2 => text[i] ^= 1 << (with % 8),
         _ => {
             let donor = &corpus[with as usize % corpus.len()].1;
-            let Some(line) = donor.lines().nth(at as usize % donor.lines().count().max(1)) else {
+            let Some(line) = donor
+                .lines()
+                .nth(at as usize % donor.lines().count().max(1))
+            else {
                 return;
             };
             let line_start = text[..i]

@@ -3,8 +3,7 @@
 
 use bytes::Bytes;
 use scalerpc_repro::rdma_fabric::{
-    CqId, Fabric, FabricParams, RemoteAddr, Transport, Upcall, VerbError, Wc, WcStatus,
-    WorkRequest,
+    CqId, Fabric, FabricParams, RemoteAddr, Transport, Upcall, VerbError, Wc, WcStatus, WorkRequest,
 };
 use scalerpc_repro::rpc_core::cluster::{Cluster, ClusterSpec};
 use scalerpc_repro::rpc_core::harness::{Harness, HarnessConfig, RetryPolicy};

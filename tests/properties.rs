@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use scalerpc_repro::mica_kv::{KvError, KvTable};
-use std::collections::BTreeMap;
 use scalerpc_repro::octofs::{FsOp, FsRequest, FsResponse};
 use scalerpc_repro::rpc_core::message::{MsgBuf, RpcHeader};
 use scalerpc_repro::scalerpc::client::SubmitAction;
@@ -11,6 +10,7 @@ use scalerpc_repro::scalerpc::{ClientFsm, ClientState};
 use scalerpc_repro::scaletx::proto;
 use scalerpc_repro::scaletx::{TxRequestView, TxResponseView};
 use scalerpc_repro::simcore::stats::Histogram;
+use std::collections::BTreeMap;
 
 /// Naive reference state for the Fig. 7 client FSM proptest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
