@@ -7,8 +7,9 @@
 # the perf-sensitive configuration strips it with --no-default-features
 # so the zero-cost-when-off claim is actually compiled and linted.
 #
-# The first step prints non-test src lines per crate and for vendor/,
-# ungated: the numbers every simplicity PR quotes, produced one way.
+# The first gate is rustfmt's check. The first step after it prints
+# non-test src lines per crate and for vendor/, ungated: the numbers
+# every simplicity PR quotes, produced one way.
 #
 # The repo benchmark (benchmark/, its own cargo package compiled against
 # the crates' public API) is built, tested and smoke-run last: a crate
@@ -21,6 +22,11 @@
 # benchmark/Cargo.lock as committed.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "== rustfmt (check) =="
+# First, so a formatting drift fails before anything is built. The
+# benchmark is its own workspace and is not covered.
+cargo fmt --all -- --check
 
 echo "== non-test src lines (lines before a file's first line-start #[cfg(test)]) =="
 # The vendor row (the offline stand-ins under vendor/) is counted the same
@@ -121,9 +127,15 @@ cargo run -q --release -p simscenario --features trace --bin scenario -- \
 echo "== every figure (release) =="
 # No test calls a `figures` function, so this is what runs them: a
 # figure that panics (a sweep whose table reads a cell its grid lacks,
-# a runner that rejects its point) fails here. Tables go to /dev/null;
-# the CSVs land under target/figures/.
-./target/release/all_figures > /dev/null
+# a runner that rejects its point) fails here. The run is deterministic,
+# so its tables and its CSVs (under target/figures/, emptied first) are
+# also diffed against the checked-in transcript: tests/figures/ holds
+# the stdout and a sha256sum of every CSV. A change that moves any
+# figure's number fails here; one that means to re-records both files
+# and says why.
+rm -rf target/figures
+./target/release/all_figures | diff tests/figures/all_figures.txt -
+(cd target/figures && sha256sum -- *.csv) | diff tests/figures/csv.sha256 -
 
 echo "== trace export smoke =="
 # fig_timeline validates its own trace (all seven pipeline stages,
@@ -152,8 +164,9 @@ echo "== allocation gate (traced ScaleRPC, RawWrite, raw-inbound, SmallBank and 
 # (the message path, the transaction path and its upcall routing, the
 # unread per-batch series, the fabric events' staging vector, the LLC
 # model's region list and its index growth, the NIC cache's hash table,
-# the unread node name;
-# EXPERIMENTS.md and CHANGES.md have the ledgers). RawWrite is the one
+# the unread node name, the per-region page pools and ScaleRPC's
+# per-slice group copies;
+# PERF_LEDGER.md and CHANGES.md have the ledgers). RawWrite is the one
 # workload that runs rpc-baselines; raw inbound is the one with hundreds
 # of nodes, so per-node state shows there; the churn scenario is the one
 # that tears connections down, crashes a server and reconnects. A change that allocates on
@@ -181,38 +194,39 @@ ceiling_gate() {
     }'
 }
 ceiling_gate 1 rpc_scalerpc_400c_b8 \
-    scalerpc.allocs_per_op=3.311537 \
+    scalerpc.allocs_per_op=3.309848 \
     rpc-core.harness_allocs_per_op=0.000014 \
-    rpc-core.sharded_allocs_per_event=0.000810 \
-    bench.allocs_per_op=4.421902
+    rpc-core.sharded_allocs_per_event=0.000806 \
+    bench.allocs_per_op=4.418278
 ceiling_gate 1 rpc_rawwrite_400c_b1 \
     rpc-baselines.allocs_per_op=3.082486 \
-    rpc-core.sharded_allocs_per_event=0.001138 \
-    bench.allocs_per_op=4.136204
+    rpc-core.sharded_allocs_per_event=0.001136 \
+    bench.allocs_per_op=4.133626
 ceiling_gate 1 raw_inbound_8k_400c \
-    bench.allocs_per_op=2.377921 \
-    rpc-core.sharded_allocs_per_event=0.002585
+    bench.allocs_per_op=2.377848 \
+    rpc-core.sharded_allocs_per_event=0.002572
 ceiling_gate 1 tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
-    bench.allocs_per_op=21.217029 \
+    bench.allocs_per_op=21.178998 \
     scalerpc.transport_calls=602103.000000
 ceiling_gate 1 scn_churn_cycles \
-    scalerpc.allocs_per_op=3.183873 \
+    scalerpc.allocs_per_op=3.182141 \
     rpc-core.harness_allocs_per_op=0.000058 \
-    rpc-core.sharded_allocs_per_event=0.000250 \
-    bench.allocs_per_op=4.243321
+    rpc-core.sharded_allocs_per_event=0.000247 \
+    bench.allocs_per_op=4.241228
 
 echo "== peak-heap gate (untraced replays of all five workloads, seed 42) =="
 # The heap peak is a maximum over rounds whose number depends on host
-# speed, so it is not exact: each ceiling is the value recorded when the
-# fabric stopped keeping a copy of every completion in its CQs and the
-# LLC's resident-key vectors stopped growing past their capacity, plus
-# the benchmark's own 3 % bound on peak_heap_mb. A change that makes
+# speed, so it is not exact: each ceiling is the value recorded when
+# registered regions stopped reserving private page pools and drew their
+# pages from one store per fabric, plus the benchmark's own 3 % bound on
+# peak_heap_mb (raw inbound's, which that change left 16 bytes higher,
+# keeps the ceiling recorded before it). A change that makes
 # registration or a replay hold memory it does not use fails here.
-ceiling_gate 0 rpc_scalerpc_400c_b8 peak_heap_mb=6.190498
-ceiling_gate 0 rpc_rawwrite_400c_b1 peak_heap_mb=6.388328
+ceiling_gate 0 rpc_scalerpc_400c_b8 peak_heap_mb=4.698481
+ceiling_gate 0 rpc_rawwrite_400c_b1 peak_heap_mb=4.093274
 ceiling_gate 0 raw_inbound_8k_400c peak_heap_mb=11.571683
-ceiling_gate 0 tx_smallbank_160c peak_heap_mb=26.356796
-ceiling_gate 0 scn_churn_cycles peak_heap_mb=2.361254
+ceiling_gate 0 tx_smallbank_160c peak_heap_mb=23.323841
+ceiling_gate 0 scn_churn_cycles peak_heap_mb=2.090735
 
 echo "ci.sh: all gates passed"

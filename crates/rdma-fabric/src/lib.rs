@@ -44,7 +44,7 @@ pub use cq::{Wc, WcOpcode, WcStatus};
 pub use error::{VerbError, VerbResult};
 pub use fabric::{Fabric, FabricEvent, PostInfo, Upcall};
 pub use llc::LlcModel;
-pub use mr::MemoryRegion;
+pub use mr::{MrMut, MrRef};
 pub use niccache::NicCache;
 pub use params::{FabricParams, LinkDegrade};
 pub use qp::{QpState, QueuePair, Transport};

@@ -1,6 +1,6 @@
 //! Registered memory regions.
 //!
-//! A [`MemoryRegion`] is the simulated analogue of an `ibv_reg_mr`'d
+//! A registered region is the simulated analogue of an `ibv_reg_mr`'d
 //! buffer: real bytes that one-sided verbs read and write and that the
 //! local CPU polls. Keeping actual bytes here (rather than abstract
 //! tokens) means the RPC layers above execute their real wire formats —
@@ -15,14 +15,23 @@
 //! byte for byte.
 //!
 //! The bytes themselves are kept the same way: only the 256-byte pages
-//! that were stored to exist, in a per-region page pool in first-touch
-//! order behind a page table (`0` = never stored, so all zero). A message
-//! pool of 4 KB blocks that each see one line at the block's edge holds
-//! one page per block, not the block. [`read`](MemoryRegion::read)
-//! borrows within one page (a never-stored page reads from a static zero
-//! page) and gathers across pages. The first
-//! [`as_mut_slice`](MemoryRegion::as_mut_slice) latches the region: it
-//! is laid out densely in address order, so raw access sees one slice.
+//! that were stored to exist. They live in one page store per fabric,
+//! shared by all its regions, and a region is a page table of `u32` page
+//! numbers into it (`0` = never stored, so all zero). A message pool of
+//! 4 KB blocks that each see one line at the block's edge holds one page
+//! per block, not the block, and registering a region reserves no page
+//! memory at all. The store is one vector of pages that grows by whole
+//! 512 KB chunks, so it allocates no more often than the per-region pools
+//! it replaced, which doubled on their own.
+//!
+//! A region is reached through a view that pairs it with the store:
+//! [`MrRef`] to read, [`MrMut`] to store. [`MrRef::read`] borrows within
+//! one page (a never-stored page reads from a static zero page) and
+//! gathers across pages. The first [`MrMut::as_mut_slice`] latches the
+//! region: it copies its bytes into a dense buffer of its own, in address
+//! order, so raw access sees one slice. The pages it had carved stay in
+//! the store (it never frees a page), and from then on the region reads
+//! and stores only its dense buffer.
 
 use std::borrow::Cow;
 
@@ -35,43 +44,154 @@ const LINE: usize = 64;
 /// Bytes per storage page.
 const PAGE: usize = 256;
 
-/// Page-pool bytes reserved at registration (at most the region, rounded
-/// up to pages): a ScaleRPC client region's staging and response blocks
-/// touch at most 17 pages, so client regions never grow during a replay.
-const FIRST_CHUNK: usize = 8 * 1024;
+/// Pages per [`PageStore`] chunk: 512 KB. The chunk is the store's unit
+/// of growth, and it must make the store allocate no more often than the
+/// per-region pools it replaced (8 KB reserved at registration, then
+/// doubled on demand): at 64 KB, replays allocated more often per
+/// operation and per event than those pools did. At 512 KB the one
+/// raw-inbound region's 8 000 stored pages fill four chunks, as they
+/// filled its doubled 2 MB pool.
+const CHUNK_PAGES: usize = 2048;
+
+/// One storage page.
+type Page = [u8; PAGE];
 
 /// What a never-stored page reads as.
-static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
+static ZERO_PAGE: Page = [0; PAGE];
 
-/// A registered memory region on one node.
+/// The stored pages of every region of one fabric, carved in first-store
+/// order and named by number from 1 (page `n` is `pages[n - 1]`, so a
+/// page table can keep `0` for "never stored"): one vector whose capacity
+/// grows by exactly one chunk of [`CHUNK_PAGES`] pages whenever it is
+/// full. A carved page is never freed, and keeps its number when the
+/// vector grows.
+///
+/// One vector, not a list of chunks that never move: a page lookup is
+/// then one index into it. A second level (chunk, then page) put a
+/// dependent load on every read and store of registered memory, and cost
+/// ScaleRPC's replay 3–7 % of its host time.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PageStore {
+    pages: Vec<Page>,
+}
+
+impl PageStore {
+    /// Carved page `n`.
+    #[inline]
+    fn page(&self, n: u32) -> &Page {
+        &self.pages[n as usize - 1] // `n` was carved, so it is at least 1
+    }
+
+    /// Carved page `n`, to store to.
+    #[inline]
+    fn page_mut(&mut self, n: u32) -> &mut Page {
+        &mut self.pages[n as usize - 1] // `n` was carved, so it is at least 1
+    }
+
+    /// Carves a zeroed page, growing the store by a chunk when it is
+    /// full, and returns its number.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the 2^32nd page (1 TB stored): page tables name a page
+    /// by `u32`.
+    #[cold]
+    fn carve(&mut self) -> u32 {
+        let n = u32::try_from(self.pages.len() + 1).expect("fewer than 2^32 stored pages");
+        if self.pages.len() == self.pages.capacity() {
+            self.pages.reserve_exact(CHUNK_PAGES);
+        }
+        self.pages.push([0; PAGE]);
+        n
+    }
+}
+
+/// A registered memory region on one node: its page table and
+/// written-line bitmap. Its bytes are in the fabric's [`PageStore`] until
+/// it latches.
 #[derive(Clone, Debug)]
-pub struct MemoryRegion {
+pub(crate) struct MemoryRegion {
     id: MrId,
     /// Region size in bytes.
     len: usize,
     /// Per page of `PAGE` bytes: `0` while never stored to (all zero),
-    /// else the page's 1-based slot in `pool`. Its capacity is the
+    /// else its page number in the store. Its capacity is the
     /// region's page count from registration; its length reaches the
     /// highest page stored to, and a page past it reads as never stored.
+    /// Emptied when the region latches, so every page then reads from
+    /// `dense`.
     pages: Vec<u32>,
-    /// The stored pages, `PAGE` bytes each, in first-store order — in
-    /// address order once latched.
-    pool: Vec<u8>,
+    /// Store pages this region carved, latched or not.
+    carved: usize,
     /// One bit per `LINE` bytes of the region. Invariant: a clear bit
     /// means the line is all zero (a set bit promises nothing). Bits past
     /// the last line are never read.
     written: Vec<u64>,
-    /// [`as_mut_slice`](Self::as_mut_slice) handed out raw memory, so
-    /// stores can no longer be seen: every page is in `pool` in address
-    /// order, and every line counts as written until
-    /// [`clear`](Self::clear).
-    latched: bool,
+    /// The region's bytes in address order, once
+    /// [`as_mut_slice`](MrMut::as_mut_slice) handed out raw memory:
+    /// stores can no longer be seen, so every line counts as written.
+    /// Consulted only for pages the (then empty) table does not name, so
+    /// an unlatched region's stored pages are found without it.
+    dense: Option<Box<[u8]>>,
 }
 
-/// The written lines of a byte range of a [`MemoryRegion`], held by
-/// value: what an RDMA READ response carries from the responder to the
-/// requester. A range with every line written is the same representation
-/// with every bit set.
+impl MemoryRegion {
+    /// A zero-filled region of `len` bytes. Nothing is stored yet: only
+    /// the page table is reserved, not filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the region has 2^32 pages (1 TB) or more.
+    pub(crate) fn new(id: MrId, len: usize) -> Self {
+        let pages = len.div_ceil(PAGE);
+        assert!(pages < u32::MAX as usize, "region of {len} bytes");
+        MemoryRegion {
+            id,
+            len,
+            pages: Vec::with_capacity(pages),
+            carved: 0,
+            written: vec![0; len.div_ceil(LINE).div_ceil(64)],
+            dense: None,
+        }
+    }
+
+    /// Region size in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Bytes of host memory holding the region's contents: the store
+    /// pages it carved (a latched region's stay carved), and its dense
+    /// buffer once latched.
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.carved * PAGE + self.dense.as_ref().map_or(0, |d| d.len())
+    }
+}
+
+/// A region paired with its fabric's page store, to read.
+#[derive(Clone, Copy, Debug)]
+pub struct MrRef<'a> {
+    mr: &'a MemoryRegion,
+    store: &'a PageStore,
+}
+
+/// A region paired with its fabric's page store, to store to.
+#[derive(Debug)]
+pub struct MrMut<'a> {
+    mr: &'a mut MemoryRegion,
+    store: &'a mut PageStore,
+}
+
+impl<'a> From<MrMut<'a>> for MrRef<'a> {
+    fn from(m: MrMut<'a>) -> Self {
+        MrRef::new(m.mr, m.store)
+    }
+}
+
+/// The written lines of a byte range of a region, held by value: what an
+/// RDMA READ response carries from the responder to the requester. A
+/// range with every line written is the same representation with every
+/// bit set.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Snapshot {
     /// Length of the range in bytes.
@@ -136,95 +256,56 @@ fn pieces(lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize, usize)> {
     })
 }
 
-impl MemoryRegion {
-    /// Creates a zero-filled region of `len` bytes. Nothing is stored
-    /// yet: the page table and the first chunk of the page pool are
-    /// reserved, not filled.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the region has 2^32 pages (1 TB) or more.
-    pub fn new(id: MrId, len: usize) -> Self {
-        let pages = len.div_ceil(PAGE);
-        assert!(pages < u32::MAX as usize, "region of {len} bytes");
-        MemoryRegion {
-            id,
-            len,
-            pages: Vec::with_capacity(pages),
-            pool: Vec::with_capacity((pages * PAGE).min(FIRST_CHUNK)),
-            written: vec![0; len.div_ceil(LINE).div_ceil(64)],
-            latched: false,
-        }
-    }
-
-    /// The region id.
-    pub fn id(&self) -> MrId {
-        self.id
+impl<'a> MrRef<'a> {
+    /// Pairs `mr` with the store of its fabric.
+    pub(crate) fn new(mr: &'a MemoryRegion, store: &'a PageStore) -> Self {
+        MrRef { mr, store }
     }
 
     /// Region size in bytes.
-    pub fn len(&self) -> usize {
-        self.len
+    pub fn len(self) -> usize {
+        self.mr.len
     }
 
     /// True for zero-length regions (never produced by `register_mr`, but
     /// kept for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    pub fn is_empty(self) -> bool {
+        self.mr.len == 0
     }
 
     /// Bounds-checks an access.
-    pub fn check(&self, offset: usize, len: usize) -> VerbResult<()> {
-        if offset.checked_add(len).is_none_or(|end| end > self.len) {
+    pub fn check(self, offset: usize, len: usize) -> VerbResult<()> {
+        if offset.checked_add(len).is_none_or(|end| end > self.mr.len) {
             Err(VerbError::OutOfBounds {
-                mr: self.id,
+                mr: self.mr.id,
                 offset,
                 len,
-                size: self.len,
+                size: self.mr.len,
             })
         } else {
             Ok(())
         }
     }
 
-    /// Where `page` starts in `pool`, if it was ever stored to.
+    /// The `n` (bounds-checked) bytes at `skew` in `page`.
     #[inline]
-    fn stored(&self, page: usize) -> Option<usize> {
-        match self.pages.get(page) {
-            Some(&at) if at != 0 => Some((at as usize - 1) * PAGE),
-            _ => None,
+    fn piece(self, page: usize, skew: usize, n: usize) -> &'a [u8] {
+        match self.mr.pages.get(page) {
+            Some(&at) if at != 0 => &self.store.page(at)[skew..skew + n],
+            _ => match &self.mr.dense {
+                Some(dense) => &dense[page * PAGE + skew..page * PAGE + skew + n],
+                None => &ZERO_PAGE[skew..skew + n],
+            },
         }
-    }
-
-    /// The bytes of `page`.
-    #[inline]
-    fn page(&self, page: usize) -> &[u8] {
-        match self.stored(page) {
-            Some(base) => &self.pool[base..base + PAGE], // slots name whole pages of `pool`
-            None => &ZERO_PAGE,
-        }
-    }
-
-    /// First store to `page`: carves it, zeroed, from the pool and
-    /// returns where it starts there.
-    #[cold]
-    fn add_page(&mut self, page: usize) -> usize {
-        if page >= self.pages.len() {
-            self.pages.resize(page + 1, 0); // within the capacity reserved in `new`
-        }
-        let base = self.pool.len();
-        self.pool.resize(base + PAGE, 0);
-        self.pages[page] = (self.pool.len() / PAGE) as u32; // fewer than u32::MAX pages, see `new`
-        base
     }
 
     /// Reads `len` bytes at `offset`: borrowed when the range lies in
     /// one page, gathered into an owned buffer when it crosses pages.
-    pub fn read(&self, offset: usize, len: usize) -> VerbResult<Cow<'_, [u8]>> {
+    pub fn read(self, offset: usize, len: usize) -> VerbResult<Cow<'a, [u8]>> {
         self.check(offset, len)?;
         let skew = offset % PAGE;
         if skew + len <= PAGE {
-            return Ok(Cow::Borrowed(&self.page(offset / PAGE)[skew..skew + len]));
+            return Ok(Cow::Borrowed(self.piece(offset / PAGE, skew, len)));
         }
         let mut out = Vec::with_capacity(len);
         self.gather(offset, offset + len, &mut out);
@@ -232,69 +313,15 @@ impl MemoryRegion {
     }
 
     /// Appends the (bounds-checked) bytes `[lo, hi)` to `out`.
-    fn gather(&self, lo: usize, hi: usize, out: &mut Vec<u8>) {
+    fn gather(self, lo: usize, hi: usize, out: &mut Vec<u8>) {
         for (page, skew, n) in pieces(lo, hi) {
-            out.extend_from_slice(&self.page(page)[skew..skew + n]);
+            out.extend_from_slice(self.piece(page, skew, n));
         }
-    }
-
-    /// Stores `data` at the (bounds-checked) `offset`. Zeros bound for a
-    /// never-stored page are dropped: the page reads as zero already.
-    fn store(&mut self, offset: usize, data: &[u8]) {
-        let mut taken = 0;
-        for (page, skew, n) in pieces(offset, offset + data.len()) {
-            let chunk = &data[taken..taken + n];
-            taken += n;
-            let base = match self.stored(page) {
-                Some(base) => base,
-                None if chunk.iter().all(|&b| b == 0) => continue,
-                None => self.add_page(page),
-            };
-            self.pool[base + skew..base + skew + n].copy_from_slice(chunk);
-        }
-    }
-
-    /// Zeroes the (bounds-checked) bytes `[lo, hi)`; only stored pages
-    /// hold bytes to zero.
-    fn zero(&mut self, lo: usize, hi: usize) {
-        for (page, skew, n) in pieces(lo, hi) {
-            if let Some(base) = self.stored(page) {
-                self.pool[base + skew..base + skew + n].fill(0);
-            }
-        }
-    }
-
-    /// Marks the lines of the (bounds-checked) range as written.
-    fn mark(&mut self, offset: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let (first, last) = (offset / LINE, (offset + len - 1) / LINE);
-        let (fw, lw) = (first / 64, last / 64);
-        let from_first = !0u64 << (first % 64);
-        let to_last = !0u64 >> (63 - last % 64);
-        // The range is inside the region, so its lines have words in
-        // `written`.
-        if fw == lw {
-            self.written[fw] |= from_first & to_last;
-        } else {
-            self.written[fw] |= from_first;
-            self.written[fw + 1..lw].fill(!0);
-            self.written[lw] |= to_last;
-        }
-    }
-
-    /// Writes `data` at `offset`.
-    pub fn write(&mut self, offset: usize, data: &[u8]) -> VerbResult<()> {
-        self.check(offset, data.len())?;
-        self.store(offset, data);
-        self.mark(offset, data.len());
-        Ok(())
     }
 
     /// Reads an aligned little-endian `u64` (used by atomics and lock
     /// words).
-    pub fn read_u64(&self, offset: usize) -> VerbResult<u64> {
+    pub fn read_u64(self, offset: usize) -> VerbResult<u64> {
         if !offset.is_multiple_of(8) {
             return Err(VerbError::BadAtomicTarget);
         }
@@ -304,78 +331,23 @@ impl MemoryRegion {
         ))
     }
 
-    /// Writes an aligned little-endian `u64`.
-    pub fn write_u64(&mut self, offset: usize, value: u64) -> VerbResult<()> {
-        if !offset.is_multiple_of(8) {
-            return Err(VerbError::BadAtomicTarget);
-        }
-        self.write(offset, &value.to_le_bytes())
-    }
-
-    /// Zeroes the whole region (used by tests; the ScaleRPC message pool
-    /// explicitly does *not* need this between group switches — that is
-    /// the point of the stateless-pool design). The page table and pool
-    /// are emptied, their capacity kept, and a latched region unlatches.
-    pub fn clear(&mut self) {
-        self.pages.clear();
-        self.pool.clear();
-        self.written.fill(0);
-        self.latched = false;
-    }
-
     /// Raw view of the whole region.
     ///
     /// # Panics
     ///
-    /// Panics unless [`as_mut_slice`](Self::as_mut_slice) latched the
-    /// region since its last [`clear`](Self::clear): only a latched
-    /// region's bytes are laid out in address order. Use
-    /// [`read`](Self::read) on any other.
-    pub fn as_slice(&self) -> &[u8] {
-        assert!(
-            self.latched,
-            "as_slice of {:?}, which is not latched",
-            self.id
-        );
-        &self.pool[..self.len]
-    }
-
-    /// Mutable raw view (local CPU access by the owning server, e.g. a
-    /// KV store laid out inside the region). The first call latches the
-    /// region: every page is laid out in address order.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        if !self.latched {
-            self.latch();
+    /// Panics unless [`as_mut_slice`](MrMut::as_mut_slice) latched the
+    /// region: only a latched region's bytes are laid out in address
+    /// order. Use [`read`](Self::read) on any other.
+    pub fn as_slice(self) -> &'a [u8] {
+        match &self.mr.dense {
+            Some(dense) => dense,
+            None => panic!("as_slice of {:?}, which is not latched", self.mr.id),
         }
-        &mut self.pool[..self.len]
-    }
-
-    /// Lays the region out densely in address order, with an identity
-    /// page table, and marks every line written.
-    #[cold]
-    fn latch(&mut self) {
-        let pages = self.len.div_ceil(PAGE);
-        let mut dense = vec![0u8; pages * PAGE];
-        for (page, chunk) in dense.chunks_exact_mut(PAGE).enumerate() {
-            if let Some(base) = self.stored(page) {
-                chunk.copy_from_slice(&self.pool[base..base + PAGE]);
-            }
-        }
-        self.pool = dense;
-        self.pages.clear();
-        self.pages.extend(1..=pages as u32); // fewer than u32::MAX pages, see `new`
-        self.written.fill(!0);
-        self.latched = true;
     }
 
     /// Captures the written lines of `[offset, offset + len)` into `snap`
     /// (whose buffers are reused).
-    pub(crate) fn snapshot(
-        &self,
-        offset: usize,
-        len: usize,
-        snap: &mut Snapshot,
-    ) -> VerbResult<()> {
+    pub(crate) fn snapshot(self, offset: usize, len: usize, snap: &mut Snapshot) -> VerbResult<()> {
         self.check(offset, len)?;
         snap.len = len;
         snap.skew = offset % LINE;
@@ -386,10 +358,11 @@ impl MemoryRegion {
         // `lines` clear. The range is inside the region, so `base + i`
         // is a word of `written`; `base + i + 1` is read only if it
         // exists.
+        let written = &self.mr.written;
         let (base, shift) = (first / 64, first % 64);
         snap.mask.extend((0..lines.div_ceil(64)).map(|i| {
-            let low = self.written[base + i] >> shift;
-            let high = match self.written.get(base + i + 1) {
+            let low = written[base + i] >> shift;
+            let high = match written.get(base + i + 1) {
                 Some(next) if shift > 0 => next << (64 - shift),
                 _ => 0,
             };
@@ -408,13 +381,146 @@ impl MemoryRegion {
         }
         Ok(())
     }
+}
+
+impl<'a> MrMut<'a> {
+    /// Pairs `mr` with the store of its fabric.
+    pub(crate) fn new(mr: &'a mut MemoryRegion, store: &'a mut PageStore) -> Self {
+        MrMut { mr, store }
+    }
+
+    /// The region, to read.
+    pub fn view(&self) -> MrRef<'_> {
+        MrRef::new(self.mr, self.store)
+    }
+
+    /// Where the bytes of `page` are stored, if they ever were (never,
+    /// once the region latched).
+    #[inline]
+    fn stored(&self, page: usize) -> Option<u32> {
+        match self.mr.pages.get(page) {
+            Some(&at) if at != 0 => Some(at),
+            _ => None,
+        }
+    }
+
+    /// Where `chunk` goes when stored at `skew` in `page`, which the
+    /// table does not name: the latched region's dense bytes, else a page
+    /// carved, zeroed, from the store. `None` when `chunk` is all zero
+    /// and the region is not latched: the page reads as zero already.
+    #[cold]
+    fn unstored(&mut self, page: usize, skew: usize, chunk: &[u8]) -> Option<&mut [u8]> {
+        let at = page * PAGE + skew;
+        if let Some(dense) = &mut self.mr.dense {
+            return Some(&mut dense[at..at + chunk.len()]);
+        }
+        if chunk.iter().all(|&b| b == 0) {
+            return None;
+        }
+        let pages = &mut self.mr.pages;
+        if page >= pages.len() {
+            pages.resize(page + 1, 0); // within the capacity reserved in `new`
+        }
+        let at = self.store.carve();
+        pages[page] = at;
+        self.mr.carved += 1;
+        Some(&mut self.store.page_mut(at)[skew..skew + chunk.len()])
+    }
+
+    /// Stores `data` at the (bounds-checked) `offset`.
+    fn store(&mut self, offset: usize, data: &[u8]) {
+        let mut taken = 0;
+        for (page, skew, n) in pieces(offset, offset + data.len()) {
+            let chunk = &data[taken..taken + n];
+            taken += n;
+            let to = match self.stored(page) {
+                Some(at) => &mut self.store.page_mut(at)[skew..skew + n],
+                None => match self.unstored(page, skew, chunk) {
+                    Some(to) => to,
+                    None => continue,
+                },
+            };
+            to.copy_from_slice(chunk);
+        }
+    }
+
+    /// Zeroes the (bounds-checked) bytes `[lo, hi)`; only stored pages
+    /// and a latched region hold bytes to zero.
+    fn zero(&mut self, lo: usize, hi: usize) {
+        for (page, skew, n) in pieces(lo, hi) {
+            match (self.stored(page), &mut self.mr.dense) {
+                (Some(at), _) => self.store.page_mut(at)[skew..skew + n].fill(0),
+                (None, Some(dense)) => dense[page * PAGE + skew..page * PAGE + skew + n].fill(0),
+                (None, None) => {}
+            }
+        }
+    }
+
+    /// Marks the lines of the (bounds-checked) range as written.
+    fn mark(&mut self, offset: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let (first, last) = (offset / LINE, (offset + len - 1) / LINE);
+        let (fw, lw) = (first / 64, last / 64);
+        let from_first = !0u64 << (first % 64);
+        let to_last = !0u64 >> (63 - last % 64);
+        // The range is inside the region, so its lines have words in
+        // `written`.
+        let written = &mut self.mr.written;
+        if fw == lw {
+            written[fw] |= from_first & to_last;
+        } else {
+            written[fw] |= from_first;
+            written[fw + 1..lw].fill(!0);
+            written[lw] |= to_last;
+        }
+    }
+
+    /// Writes `data` at `offset`.
+    pub fn write(&mut self, offset: usize, data: &[u8]) -> VerbResult<()> {
+        self.view().check(offset, data.len())?;
+        self.store(offset, data);
+        self.mark(offset, data.len());
+        Ok(())
+    }
+
+    /// Writes an aligned little-endian `u64`.
+    pub fn write_u64(&mut self, offset: usize, value: u64) -> VerbResult<()> {
+        if !offset.is_multiple_of(8) {
+            return Err(VerbError::BadAtomicTarget);
+        }
+        self.write(offset, &value.to_le_bytes())
+    }
+
+    /// Mutable raw view (local CPU access by the owning server, e.g. a
+    /// KV store laid out inside the region). The first call latches the
+    /// region: its bytes are copied to a dense buffer in address order
+    /// and its page table is dropped.
+    pub fn as_mut_slice(self) -> &'a mut [u8] {
+        let MrMut { mr, store } = self;
+        if mr.dense.is_none() {
+            // Zero-allocated, so only the stored pages are copied in.
+            let mut dense = vec![0; mr.len].into_boxed_slice();
+            for (page, &at) in mr.pages.iter().enumerate() {
+                if at != 0 {
+                    let to = &mut dense[page * PAGE..((page + 1) * PAGE).min(mr.len)];
+                    to.copy_from_slice(&store.page(at)[..to.len()]);
+                }
+            }
+            mr.dense = Some(dense);
+            mr.pages = Vec::new();
+            mr.written.fill(!0);
+        }
+        mr.dense.as_deref_mut().expect("latched above")
+    }
 
     /// Makes `[offset, offset + snap.len())` equal to the range `snap`
     /// was taken from: its written lines are copied in, and where the
     /// source had none the bytes are zeroed unless this region never
     /// wrote them either.
     pub(crate) fn restore(&mut self, offset: usize, snap: &Snapshot) -> VerbResult<()> {
-        self.check(offset, snap.len)?;
+        self.view().check(offset, snap.len)?;
         let lines = snap.lines();
         let (mut line, mut taken) = (0, 0);
         while line < lines {
@@ -441,7 +547,7 @@ impl MemoryRegion {
         let end_line = (offset + len - 1) / LINE + 1;
         let mut line = offset / LINE;
         while line < end_line {
-            let (set, end) = run_at(&self.written, end_line, line);
+            let (set, end) = run_at(&self.mr.written, end_line, line);
             if set {
                 let lo = (line * LINE).max(offset);
                 let hi = (end * LINE).min(offset + len);
@@ -456,18 +562,46 @@ impl MemoryRegion {
 mod tests {
     use super::*;
 
+    /// Regions registered over one store, the way a fabric holds them.
+    struct Mem {
+        store: PageStore,
+        mrs: Vec<MemoryRegion>,
+    }
+
+    impl Mem {
+        fn new(sizes: &[usize]) -> Self {
+            let mrs = (0..)
+                .zip(sizes)
+                .map(|(i, &len)| MemoryRegion::new(MrId(i), len))
+                .collect();
+            Mem {
+                store: PageStore::default(),
+                mrs,
+            }
+        }
+
+        fn get(&self, r: usize) -> MrRef<'_> {
+            MrRef::new(&self.mrs[r], &self.store)
+        }
+
+        fn get_mut(&mut self, r: usize) -> MrMut<'_> {
+            MrMut::new(&mut self.mrs[r], &mut self.store)
+        }
+    }
+
     #[test]
     fn read_write_round_trip() {
-        let mut mr = MemoryRegion::new(MrId(0), 128);
-        mr.write(10, b"hello").unwrap();
-        assert_eq!(&*mr.read(10, 5).unwrap(), b"hello");
-        assert_eq!(&*mr.read(0, 5).unwrap(), &[0; 5]);
+        let mut m = Mem::new(&[128]);
+        m.get_mut(0).write(10, b"hello").unwrap();
+        assert_eq!(&*m.get(0).read(10, 5).unwrap(), b"hello");
+        assert_eq!(&*m.get(0).read(0, 5).unwrap(), &[0; 5]);
     }
 
     #[test]
     fn bounds_are_enforced() {
-        let mut mr = MemoryRegion::new(MrId(1), 16);
-        assert!(mr.write(12, b"xxxxx").is_err());
+        let mut m = Mem::new(&[16]);
+        assert!(m.get_mut(0).write(12, b"xxxxx").is_err());
+        let mr = m.get(0);
         assert!(mr.read(16, 1).is_err());
         assert!(mr.read(0, 17).is_err());
         assert!(mr.read(usize::MAX, 2).is_err()); // overflow-safe
@@ -476,44 +610,76 @@ mod tests {
 
     #[test]
     fn u64_requires_alignment() {
-        let mut mr = MemoryRegion::new(MrId(2), 64);
+        let mut m = Mem::new(&[64]);
+        let mut mr = m.get_mut(0);
         mr.write_u64(8, 0xDEAD_BEEF).unwrap();
-        assert_eq!(mr.read_u64(8).unwrap(), 0xDEAD_BEEF);
-        assert_eq!(mr.read_u64(4), Err(VerbError::BadAtomicTarget));
+        assert_eq!(mr.view().read_u64(8).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(mr.view().read_u64(4), Err(VerbError::BadAtomicTarget));
         assert_eq!(mr.write_u64(3, 1), Err(VerbError::BadAtomicTarget));
-    }
-
-    #[test]
-    fn clear_zeroes() {
-        let mut mr = MemoryRegion::new(MrId(3), 8);
-        mr.write(0, &[1; 8]).unwrap();
-        mr.clear();
-        assert_eq!(&*mr.read(0, 8).unwrap(), &[0; 8]);
-        assert!(mr.pool.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "not latched")]
     fn as_slice_requires_a_latched_region() {
-        let mut mr = MemoryRegion::new(MrId(3), 512);
-        mr.write(300, b"sparse").unwrap();
-        let _ = mr.as_slice();
+        let mut m = Mem::new(&[512]);
+        m.get_mut(0).write(300, b"sparse").unwrap();
+        let _ = m.get(0).as_slice();
     }
 
     #[test]
     fn only_stored_pages_take_memory() {
-        let mut mr = MemoryRegion::new(MrId(3), 64 * 1024);
+        let mut m = Mem::new(&[64 * 1024]);
+        let mut mr = m.get_mut(0);
         for block in 0..16 {
             mr.write(block * 4096 + 4096 - 53, &[7; 53]).unwrap();
         }
         mr.write(0, &[0; 4096 - PAGE]).unwrap(); // all zero: nothing to store
-        assert_eq!(mr.pool.len(), 16 * PAGE);
+        assert_eq!(m.store.pages.len(), 16);
+        assert_eq!(m.mrs[0].stored_bytes(), 16 * PAGE);
+        let mr = m.get(0);
         assert_eq!(&*mr.read(4096 - 53, 53).unwrap(), &[7; 53]);
         // Bytes 4036..4100: seven zeros, the 53-byte message, then four
         // bytes of the next block's never-stored first page.
         let across = mr.read(4096 - 60, 64).unwrap();
         assert!(matches!(across, Cow::Owned(_)), "crosses a page seam");
         assert_eq!(&across[..], &[&[0; 7][..], &[7; 53], &[0; 4]].concat()[..]);
+    }
+
+    #[test]
+    fn registration_reserves_no_page_memory() {
+        let m = Mem::new(&[32 * 1024; 400]);
+        assert_eq!(m.store.pages.capacity(), 0);
+        assert_eq!(
+            m.mrs.iter().map(MemoryRegion::stored_bytes).sum::<usize>(),
+            0
+        );
+    }
+
+    #[test]
+    fn the_store_grows_by_whole_chunks_and_never_renumbers_a_page() {
+        // Two regions carve alternately, so each one's pages interleave
+        // with the other's and straddle chunk seams.
+        let pages = CHUNK_PAGES + CHUNK_PAGES / 4 + 1;
+        let mut m = Mem::new(&[pages * PAGE, pages * PAGE]);
+        let (mut first_seen, mut growths) = (Vec::new(), 0);
+        for (i, (r, p)) in (0..pages).flat_map(|p| [(0, p), (1, p)]).enumerate() {
+            let capacity = m.store.pages.capacity();
+            let mark = (i as u32 + 1).to_le_bytes(); // never all zero
+            m.get_mut(r).write(p * PAGE + PAGE - 4, &mark).unwrap();
+            growths += usize::from(m.store.pages.capacity() != capacity);
+            let chunks = m.store.pages.len().div_ceil(CHUNK_PAGES);
+            assert_eq!(m.store.pages.capacity(), chunks * CHUNK_PAGES);
+            assert_eq!(growths, chunks, "one allocation per chunk");
+            let at = m.mrs[r].pages[p];
+            assert_eq!(at as usize, i + 1, "numbered in first-store order");
+            first_seen.push((r, p, at, mark));
+        }
+        assert_eq!((m.store.pages.len(), growths), (2 * pages, 3));
+        for (r, p, at, mark) in first_seen {
+            assert_eq!(m.mrs[r].pages[p], at, "page {p} of region {r} renumbered");
+            assert_eq!(&m.store.page(at)[PAGE - 4..], &mark);
+            assert_eq!(&*m.get(r).read(p * PAGE + PAGE - 4, 4).unwrap(), &mark);
+        }
     }
 
     #[test]
@@ -528,56 +694,68 @@ mod tests {
 
     #[test]
     fn a_snapshot_carries_only_written_lines() {
-        let mut src = MemoryRegion::new(MrId(4), 32 * 1024);
+        let mut m = Mem::new(&[32 * 1024, 64 * 1024]);
         for block in 0..8 {
-            src.write(block * 4096 + 4096 - 53, &[7; 53]).unwrap();
+            m.get_mut(0)
+                .write(block * 4096 + 4096 - 53, &[7; 53])
+                .unwrap();
         }
         let mut snap = Snapshot::default();
-        src.snapshot(0, 32 * 1024, &mut snap).unwrap();
+        m.get(0).snapshot(0, 32 * 1024, &mut snap).unwrap();
         assert_eq!((snap.len(), snap.data.len()), (32 * 1024, 8 * LINE));
-        let mut dst = MemoryRegion::new(MrId(5), 64 * 1024);
-        dst.restore(4096, &snap).unwrap();
+        m.get_mut(1).restore(4096, &snap).unwrap();
         assert_eq!(
-            dst.read(4096, 32 * 1024).unwrap(),
-            src.read(0, 32 * 1024).unwrap()
+            m.get(1).read(4096, 32 * 1024).unwrap(),
+            m.get(0).read(0, 32 * 1024).unwrap()
         );
-        assert_eq!(dst.written.iter().map(|w| w.count_ones()).sum::<u32>(), 8);
+        assert_eq!(
+            m.mrs[1].written.iter().map(|w| w.count_ones()).sum::<u32>(),
+            8
+        );
     }
 
     /// The region's bytes, read in one gather.
-    fn dense(mr: &MemoryRegion) -> Vec<u8> {
+    fn dense(mr: MrRef<'_>) -> Vec<u8> {
         mr.read(0, mr.len()).unwrap().into_owned()
     }
 
     /// Written-line invariant: a clear bit means the line is all zero.
-    fn clear_bits_mean_zero_lines(mr: &MemoryRegion) -> bool {
+    fn clear_bits_mean_zero_lines(mr: MrRef<'_>) -> bool {
         dense(mr).chunks(LINE).enumerate().all(|(line, bytes)| {
-            mr.written[line / 64] >> (line % 64) & 1 != 0 || bytes.iter().all(|&b| b == 0)
+            mr.mr.written[line / 64] >> (line % 64) & 1 != 0 || bytes.iter().all(|&b| b == 0)
         })
     }
 
-    /// The page table names each pool page once, and a latched region's
-    /// table is the identity.
-    fn pages_fill_the_pool(mr: &MemoryRegion) -> bool {
-        let mut slots: Vec<u32> = mr.pages.iter().copied().filter(|&at| at != 0).collect();
-        let identity = mr
-            .pages
+    /// No carved page of the store is named twice (by two regions or two
+    /// pages of one region); each unlatched region's table names exactly
+    /// the pages it carved and outgrows no region, a latched region has
+    /// an empty table and a dense buffer of its length, and together the
+    /// regions carved every page of the store.
+    fn pages_partition_the_store(m: &Mem) -> bool {
+        let mut named: Vec<u32> = m
+            .mrs
             .iter()
-            .enumerate()
-            .all(|(i, &at)| at as usize == i + 1);
-        slots.sort_unstable();
-        slots
-            .iter()
-            .enumerate()
-            .all(|(i, &at)| at as usize == i + 1)
-            && mr.pool.len() == slots.len() * PAGE
-            && mr.pages.len() <= mr.len.div_ceil(PAGE)
-            && (!mr.latched || identity && mr.pages.len() == mr.len.div_ceil(PAGE))
+            .flat_map(|mr| mr.pages.iter().copied().filter(|&at| at != 0))
+            .collect();
+        named.sort_unstable();
+        named.windows(2).all(|w| w[0] < w[1])
+            && named
+                .last()
+                .is_none_or(|&at| at as usize <= m.store.pages.len())
+            && m.mrs.iter().map(|mr| mr.carved).sum::<usize>() == m.store.pages.len()
+            && m.store.pages.capacity() == m.store.pages.len().div_ceil(CHUNK_PAGES) * CHUNK_PAGES
+            && m.mrs.iter().all(|mr| match &mr.dense {
+                None => {
+                    mr.pages.len() <= mr.len.div_ceil(PAGE)
+                        && mr.pages.iter().filter(|&&at| at != 0).count() == mr.carved
+                }
+                Some(dense) => mr.pages.is_empty() && dense.len() == mr.len,
+            })
     }
 
-    // The last line of region 0 is 13 bytes long; both regions span
-    // more than one bitmap word and more than sixteen pages.
-    const SIZES: [usize; 2] = [70 * LINE + 13, 66 * LINE];
+    // The last line of region 0 is 13 bytes long, region 2's is 7; all
+    // span more than one bitmap word and more than sixteen pages.
+    const SIZES: [usize; 3] = [70 * LINE + 13, 66 * LINE, 80 * LINE + 7];
 
     /// A `(offset, len)` inside a region of `size` bytes: up to three
     /// lines long, or up to a few KB, at any alignment.
@@ -591,75 +769,71 @@ mod tests {
         fn sparse_snapshots_equal_dense_copies(
             script in proptest::collection::vec(
                 (0u8..16, proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u64>()),
-                1..60,
+                1..80,
             )
         ) {
-            let mut mrs = [0, 1].map(|i| MemoryRegion::new(MrId(i), SIZES[i as usize]));
+            // Three regions over one store: their first stores interleave,
+            // so each one's pages sit between the others' in the store.
+            let mut m = Mem::new(&SIZES);
             let mut model = SIZES.map(|size| vec![0u8; size]);
             // The snapshot in flight and the bytes a dense copy would carry.
             let mut held: Option<(Snapshot, Vec<u8>)> = None;
             for (op, a, b, c) in script {
-                let r = (a >> 63) as usize;
+                let r = (a >> 32) as usize % SIZES.len();
                 let (off, len) = span(SIZES[r], a, b, b >> 62 == 0);
                 let fill: Vec<u8> = (0..len).map(|i| (c >> (i % 8 * 8)) as u8 | 1).collect();
                 match op {
-                    0..=2 => {
-                        mrs[r].write(off, &fill).unwrap();
+                    0..=3 => {
+                        m.get_mut(r).write(off, &fill).unwrap();
                         model[r][off..off + len].copy_from_slice(&fill);
-                    }
-                    3 => {
-                        let off = off.min(SIZES[r] - 8) / 8 * 8;
-                        mrs[r].write_u64(off, c).unwrap();
-                        model[r][off..off + 8].copy_from_slice(&c.to_le_bytes());
                     }
                     4 => {
-                        // Reused afterwards by whatever the script does next.
-                        let capacity = mrs[r].pool.capacity();
-                        mrs[r].clear();
-                        model[r].fill(0);
-                        proptest::prop_assert!(mrs[r].pool.is_empty() && mrs[r].pages.is_empty());
-                        proptest::prop_assert_eq!(mrs[r].pool.capacity(), capacity);
+                        let off = off.min(SIZES[r] - 8) / 8 * 8;
+                        m.get_mut(r).write_u64(off, c).unwrap();
+                        model[r][off..off + 8].copy_from_slice(&c.to_le_bytes());
                     }
                     5 => {
-                        // Latches after whatever sparse stores came before.
-                        mrs[r].as_mut_slice()[off..off + len].copy_from_slice(&fill);
+                        // Latches after whatever sparse stores came before;
+                        // the other regions keep storing to the store.
+                        m.get_mut(r).as_mut_slice()[off..off + len].copy_from_slice(&fill);
                         model[r][off..off + len].copy_from_slice(&fill);
-                        proptest::prop_assert_eq!(mrs[r].as_slice(), &model[r][..]);
+                        proptest::prop_assert_eq!(m.get(r).as_slice(), &model[r][..]);
                     }
                     6..=8 => {
                         let mut snap = held.take().map(|h| h.0).unwrap_or_default();
-                        mrs[r].snapshot(off, len, &mut snap).unwrap();
+                        m.get(r).snapshot(off, len, &mut snap).unwrap();
                         held = Some((snap, model[r][off..off + len].to_vec()));
                     }
                     9..=10 => {
-                        // Lands wherever it fits, whatever was stored at
-                        // the source since it was taken.
+                        // Lands in whichever region `r` is, wherever it
+                        // fits, whatever was stored at the source since it
+                        // was taken.
                         let Some((snap, dense)) = &held else { continue };
                         let off = c as usize % (SIZES[r] - dense.len() + 1);
-                        mrs[r].restore(off, snap).unwrap();
+                        m.get_mut(r).restore(off, snap).unwrap();
                         model[r][off..off + dense.len()].copy_from_slice(dense);
                     }
                     11 => {
                         // Zeros never carve a page: a never-stored one
                         // reads as zero already.
-                        let pool = mrs[r].pool.len();
-                        mrs[r].write(off, &vec![0; len]).unwrap();
+                        let carved = m.store.pages.len();
+                        m.get_mut(r).write(off, &vec![0; len]).unwrap();
                         model[r][off..off + len].fill(0);
-                        proptest::prop_assert_eq!(mrs[r].pool.len(), pool);
+                        proptest::prop_assert_eq!(m.store.pages.len(), carved);
                     }
                     _ => {
                         // Borrowed inside one page, gathered across pages.
-                        let got = mrs[r].read(off, len).unwrap();
+                        let got = m.get(r).read(off, len).unwrap();
                         proptest::prop_assert_eq!(&*got, &model[r][off..off + len]);
                         let one_page = off % PAGE + len <= PAGE;
                         proptest::prop_assert_eq!(matches!(got, Cow::Borrowed(_)), one_page);
                     }
                 }
-                for (mr, model) in mrs.iter().zip(&model) {
-                    proptest::prop_assert_eq!(&dense(mr), model);
-                    proptest::prop_assert!(clear_bits_mean_zero_lines(mr));
-                    proptest::prop_assert!(pages_fill_the_pool(mr));
+                for (r, model) in model.iter().enumerate() {
+                    proptest::prop_assert_eq!(&dense(m.get(r)), model);
+                    proptest::prop_assert!(clear_bits_mean_zero_lines(m.get(r)));
                 }
+                proptest::prop_assert!(pages_partition_the_store(&m));
             }
         }
     }

@@ -511,7 +511,7 @@ fn cpu_access_is_bounds_checked_like_the_inbound_path() {
     assert!(p.fabric.cpu_access(p.mr_b, 4096, 0).is_ok());
     let miss_rate = p.fabric.llc_miss_rate(nb).unwrap();
     assert_eq!(miss_rate, 0.5);
-    // Out of range: the error `MemoryRegion::check` gives, and the LLC
+    // Out of range: the error `MrRef::check` gives, and the LLC
     // model is never consulted.
     for (offset, len) in [(4090, 64), (4096, 1), (1 << 40, 64), (usize::MAX, 2)] {
         let size = 4096;

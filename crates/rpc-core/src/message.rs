@@ -16,7 +16,7 @@ use std::borrow::Cow;
 
 use crate::cluster::ClientId;
 use bytes::Bytes;
-use rdma_fabric::MemoryRegion;
+use rdma_fabric::{MrMut, MrRef};
 
 /// Trailer size: 4-byte little-endian `MsgLen` + 1-byte `Valid`.
 pub const TRAILER: usize = 5;
@@ -204,7 +204,7 @@ impl MsgBuf {
     ///
     /// Panics when the block is not inside `region`.
     #[inline]
-    pub fn clear_valid(region: &mut MemoryRegion, block_start: usize, block_size: usize) {
+    pub fn clear_valid(region: &mut MrMut<'_>, block_start: usize, block_size: usize) {
         region
             .write(block_start + Self::valid_offset(block_size), &[0])
             .expect("block inside its region");
@@ -221,7 +221,7 @@ impl MsgBuf {
     /// Panics when the block is not inside `region`.
     #[inline]
     pub fn peek_rpc(
-        region: &MemoryRegion,
+        region: MrRef<'_>,
         block_start: usize,
         block_size: usize,
     ) -> Option<(RpcHeader, usize)> {
@@ -247,8 +247,8 @@ impl MsgBuf {
     /// Consumes the RPC message in the block at `block_start` of
     /// `region`: decodes it as [`peek_rpc`](Self::peek_rpc) does and
     /// clears `Valid`, so the block can be reused and is never decoded
-    /// twice. The payload is read last, borrowed from the region when it
-    /// lies in one of its pages. `None` (block untouched) when it holds
+    /// twice. The payload is read last, borrowed from the fabric's memory
+    /// when it lies in one page. `None` (block untouched) when it holds
     /// no complete message: torn or stale.
     ///
     /// # Panics
@@ -256,13 +256,13 @@ impl MsgBuf {
     /// Panics when the block is not inside `region`.
     #[inline]
     pub fn take_rpc(
-        region: &mut MemoryRegion,
+        mut region: MrMut<'_>,
         block_start: usize,
         block_size: usize,
     ) -> Option<(RpcHeader, Cow<'_, [u8]>)> {
-        let (header, len) = Self::peek_rpc(region, block_start, block_size)?;
-        Self::clear_valid(region, block_start, block_size);
-        let payload = region.read(block_start + block_size - TRAILER - len, len);
+        let (header, len) = Self::peek_rpc(region.view(), block_start, block_size)?;
+        Self::clear_valid(&mut region, block_start, block_size);
+        let payload = MrRef::from(region).read(block_start + block_size - TRAILER - len, len);
         Some((header, payload.expect("inside the block")))
     }
 }
@@ -270,6 +270,7 @@ impl MsgBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdma_fabric::{Fabric, FabricParams, MrId};
 
     #[test]
     fn header_round_trips() {
@@ -320,21 +321,36 @@ mod tests {
         }
     }
 
+    /// A fabric holding one registered region of `len` bytes.
+    fn one_region(len: usize) -> (Fabric, MrId) {
+        let mut fabric = Fabric::new(FabricParams::default());
+        let node = fabric.add_node("host");
+        let mr = fabric.register_mr(node, len).unwrap();
+        (fabric, mr)
+    }
+
     #[test]
     fn take_rpc_consumes_exactly_once() {
-        let mut region = MemoryRegion::new(rdma_fabric::MrId(0), 2 * 64);
+        let (mut fabric, mr) = one_region(2 * 64);
         let (off, bytes) = MsgBuf::encode_rpc(5, 9, 0, b"hello", 64).unwrap();
-        region.write(64 + off, &bytes).unwrap();
+        fabric.mr_mut(mr).unwrap().write(64 + off, &bytes).unwrap();
         assert!(
-            MsgBuf::take_rpc(&mut region, 0, 64).is_none(),
+            MsgBuf::take_rpc(fabric.mr_mut(mr).unwrap(), 0, 64).is_none(),
             "empty block"
         );
-        let (h, p) = MsgBuf::take_rpc(&mut region, 64, 64).expect("valid block");
+        let (h, p) = MsgBuf::take_rpc(fabric.mr_mut(mr).unwrap(), 64, 64).expect("valid block");
         assert_eq!((h.client_id, h.seq, &*p), (5, 9, &b"hello"[..]));
-        assert!(MsgBuf::take_rpc(&mut region, 64, 64).is_none(), "consumed");
+        assert!(
+            MsgBuf::take_rpc(fabric.mr_mut(mr).unwrap(), 64, 64).is_none(),
+            "consumed"
+        );
         // Only `Valid` changed.
         assert_eq!(
-            &*region.read(64 + off, bytes.len() - 1).unwrap(),
+            &*fabric
+                .mr(mr)
+                .unwrap()
+                .read(64 + off, bytes.len() - 1)
+                .unwrap(),
             &bytes[..bytes.len() - 1]
         );
     }
@@ -348,12 +364,14 @@ mod tests {
     fn peek_and_take_agree_with_the_dense_block() {
         let payload: Vec<u8> = (0..8192u32).map(|i| (i * 7 + 1) as u8).collect();
         for block_size in [64, 256, 4096, 8192] {
-            let mut region = MemoryRegion::new(rdma_fabric::MrId(0), 3 * block_size + 100);
+            let (mut fabric, mr) = one_region(3 * block_size + 100);
+            let zeros = vec![0; 3 * block_size + 100];
             for len in 0..=MsgBuf::capacity(block_size) - HEADER + 1 {
                 let (seq, flags) = (len as u64 * 0x0101_0101, len as u16 & 3);
                 let framed = MsgBuf::encode_rpc(5, seq, flags, &payload[..len], block_size);
                 for (start, lie) in [(block_size, false), (block_size + 100, true)] {
-                    region.clear();
+                    let mut region = fabric.mr_mut(mr).unwrap();
+                    region.write(0, &zeros).unwrap();
                     if let Some((off, bytes)) = &framed {
                         region.write(start + off, bytes).unwrap();
                     }
@@ -362,15 +380,15 @@ mod tests {
                         let at = start + block_size - TRAILER;
                         region.write(at, &msg_len.to_le_bytes()).unwrap();
                     }
-                    let dense = region.read(start, block_size).unwrap().into_owned();
+                    let dense = region.view().read(start, block_size).unwrap().into_owned();
                     let want = MsgBuf::decode(&dense).and_then(RpcHeader::decode);
-                    let peeked = MsgBuf::peek_rpc(&region, start, block_size);
+                    let peeked = MsgBuf::peek_rpc(region.view(), start, block_size);
                     assert_eq!(
                         peeked,
                         want.map(|(h, p)| (h, p.len())),
                         "{block_size}/{len}"
                     );
-                    let taken = MsgBuf::take_rpc(&mut region, start, block_size)
+                    let taken = MsgBuf::take_rpc(region, start, block_size)
                         .map(|(h, p)| (h, p.into_owned()));
                     assert_eq!(
                         taken,
@@ -382,6 +400,7 @@ mod tests {
                     if want.is_some() {
                         after[block_size - 1] = 0;
                     }
+                    let region = fabric.mr(mr).unwrap();
                     assert_eq!(&*region.read(start, block_size).unwrap(), &after[..]);
                 }
             }

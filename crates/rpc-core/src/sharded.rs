@@ -84,7 +84,7 @@ impl<L: Logic> ShardedSim<L> {
     /// its application events — the order the reference engine's two
     /// staging vectors gave. A function of its own on purpose: written out
     /// inside the loop, the same code replayed RawWrite and ScaleRPC 8.5 %
-    /// slower (EXPERIMENTS.md, "Retiring `simperf`").
+    /// slower (PERF_LEDGER.md, "Retiring `simperf`").
     fn process_event(
         &mut self,
         now: SimTime,

@@ -29,7 +29,7 @@
 //! `RPCClient` end of [`ScaleRpc`] that drives it.
 
 use bytes::Bytes;
-use rdma_fabric::{Fabric, MemoryRegion, MrId, QpId, RemoteAddr, WorkRequest};
+use rdma_fabric::{Fabric, MrId, MrMut, QpId, RemoteAddr, WorkRequest};
 use rpc_core::cluster::ClientId;
 use rpc_core::driver::Cx;
 use rpc_core::message::MsgBuf;
@@ -209,7 +209,7 @@ impl ClientEnd {
     }
 
     #[inline]
-    fn region<'f>(&self, fabric: &'f mut Fabric) -> &'f mut MemoryRegion {
+    fn region<'f>(&self, fabric: &'f mut Fabric) -> MrMut<'f> {
         fabric.mr_mut(self.region).expect("local mr")
     }
 }
@@ -261,8 +261,8 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let slot = self.staging_slot_for(client, seq, fabric);
         let (enc_off, bytes) =
             MsgBuf::encode_rpc(client, seq, 0, payload, bs).expect("request fits block");
-        let region = self.ends[client].region(fabric);
-        region
+        self.ends[client]
+            .region(fabric)
             .write(slot * bs + enc_off, &bytes)
             .expect("staging write");
     }
@@ -381,7 +381,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // sequence; slots staging *other* requests are left untouched.
         for s in 0..self.cfg.slots {
             if self.staged_seq(client, s, cx.fabric) == Some(header.seq) {
-                MsgBuf::clear_valid(self.ends[client].region(cx.fabric), s * bs, bs);
+                MsgBuf::clear_valid(&mut self.ends[client].region(cx.fabric), s * bs, bs);
             }
         }
         self.life.delivered(client, header.seq);
@@ -397,9 +397,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
     pub(super) fn cancel_staged(&mut self, fabric: &mut Fabric) {
         let bs = self.cfg.block_size;
         for end in &self.ends {
-            let region = end.region(fabric);
+            let mut region = end.region(fabric);
             for s in 0..self.cfg.slots {
-                MsgBuf::clear_valid(region, s * bs, bs);
+                MsgBuf::clear_valid(&mut region, s * bs, bs);
             }
         }
     }

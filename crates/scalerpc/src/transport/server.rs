@@ -103,7 +103,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
     }
 
     fn clear_entry(&self, client: ClientId, fabric: &mut Fabric) {
-        let endpoint = fabric.mr_mut(self.endpoint_mr).expect("endpoint mr");
+        let mut endpoint = fabric.mr_mut(self.endpoint_mr).expect("endpoint mr");
         endpoint
             .write(client * ENTRY + 16, &0u64.to_le_bytes())
             .expect("entry clear");
@@ -225,10 +225,10 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// stalling the very responses the slice exists to send.
     fn warm_next_group(&mut self, cx: &mut Cx<'_, ScaleEv>) {
         let pool_idx = self.pool_pair.warmup();
-        let members = self.plan.groups[self.next_group()].clone();
         let span = SimDuration::nanos(self.slice().as_nanos() * 6 / 10);
+        let members = &self.plan.groups[self.next_group()];
         let n = members.len().max(1) as u64;
-        for (i, c) in members.into_iter().enumerate() {
+        for (i, &c) in members.iter().enumerate() {
             if self.served[c].entry_valid {
                 let delay = SimDuration::nanos(span.as_nanos() * i as u64 / n);
                 cx.after(
@@ -426,9 +426,11 @@ impl<H: ServerHandler> ScaleRpc<H> {
         }
         let (cur, now) = (self.cur as u64, cx.now);
         self.tracer.instant(SliceEnd, now, cur, self.slice_epoch);
-        let outgoing = self.plan.groups[self.cur].clone();
-        // Collect slice statistics and arrange notifications.
-        for c in outgoing {
+        // Collect slice statistics and arrange notifications. Nothing in
+        // this loop changes the plan, so the outgoing group is read in
+        // place.
+        for i in 0..self.plan.groups[self.cur].len() {
+            let c = self.plan.groups[self.cur][i];
             let st = &mut self.served[c];
             if st.served_this_slice {
                 if st.inflight_responses > 0 {
@@ -525,9 +527,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.zone_reserved[1].fill(u64::MAX);
         let bs = self.cfg.block_size;
         for pool_mr in self.pools {
-            let region = fabric.mr_mut(pool_mr).expect("pool mr");
+            let mut region = fabric.mr_mut(pool_mr).expect("pool mr");
             for block in 0..self.geom.bytes() / bs {
-                MsgBuf::clear_valid(region, block * bs, bs);
+                MsgBuf::clear_valid(&mut region, block * bs, bs);
             }
         }
     }
