@@ -7,7 +7,7 @@
 //! tracker behind that API: a fixed capacity `W`, one slot per in-flight
 //! request, LIFO slot reuse so replays are deterministic, and an opaque
 //! per-slot tag (the harness stores the submit timestamp, ScaleRPC's
-//! client FSM stores the per-slot TraceId).
+//! client FSM stores nothing).
 //!
 //! A window of capacity 1 degenerates to the seed's synchronous
 //! one-request-at-a-time client and must not change its behaviour.

@@ -51,6 +51,8 @@ use server::{zone_table, Served};
 const ENTRY: usize = 32;
 /// Sequence number that marks a pure context-switch notification.
 const NOTIFY_SEQ: u64 = u64::MAX;
+/// Staging-table entry of a block that holds no valid request.
+const UNSTAGED: u64 = u64::MAX;
 
 /// Transport-internal events.
 pub enum ScaleEv {
@@ -106,8 +108,9 @@ pub struct ScaleRpc<H: ServerHandler> {
     endpoint_mr: MrId,
     served: Vec<Served>,
     ends: Vec<ClientEnd>,
-    /// Client-local region → client, routing response writes.
-    local_index: DetHashMap<MrId, ClientId>,
+    /// `clients × slots`: the seq each client's staging block holds valid,
+    /// or [`UNSTAGED`] — the client's own record of its memory (Fig. 7).
+    staged: Vec<u64>,
     life: Lifecycle,
     server_cq: CqId,
     plan: GroupPlan,
@@ -197,13 +200,14 @@ impl<H: ServerHandler> ScaleRpc<H> {
         let zones = zone_table(&plan, n);
         let mut served = Vec::with_capacity(n);
         let mut ends = Vec::with_capacity(n);
-        let mut local_index = DetHashMap::default();
-        let mut qps = Vec::with_capacity(n);
+        let (mut qps, mut first) = (Vec::with_capacity(n), None);
         for c in 0..n {
             let cnode = cluster.node_of(c);
             let local_mr = fabric
                 .register_mr(cnode, (2 * cfg.slots + 1) * cfg.block_size)
                 .expect("client region");
+            // Consecutive, as `client_of_region` assumes.
+            assert_eq!(local_mr.index() - *first.get_or_insert(local_mr.index()), c);
             let ccq = fabric.create_cq(cnode).expect("client cq");
             let server_qp = fabric
                 .create_qp(cluster.server, Transport::Rc, server_cq, server_cq)
@@ -218,7 +222,6 @@ impl<H: ServerHandler> ScaleRpc<H> {
             }
             served.push(Served::new(server_qp, local_mr));
             ends.push(ClientEnd::new(client_qp, local_mr, cfg.slots));
-            local_index.insert(local_mr, c);
             qps.push((server_qp, client_qp));
         }
         let p = fabric.params();
@@ -229,7 +232,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
             endpoint_mr,
             served,
             ends,
-            local_index,
+            staged: vec![UNSTAGED; n * cfg.slots],
             life: Lifecycle::new(cfg.lazy_connect, cfg.elastic, qps),
             server_cq,
             plan,
@@ -282,7 +285,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// Compact post-mortem of one client's transport-side state, for
     /// triage of a client the harness reports as stuck.
     pub fn client_diag(&self, fabric: &Fabric, client: ClientId) -> String {
-        let end = self.end_diag(client, fabric);
+        let end = self.end_diag(client);
         format!(
             "client {client}: {end} {}",
             self.server_diag(client, fabric)
@@ -313,7 +316,7 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                     if let Some(client) = self.on_entry_write(offset, cx) {
                         self.publish_settled(client);
                     }
-                } else if let Some(&client) = self.local_index.get(&mr) {
+                } else if let Some(client) = self.client_of_region(mr) {
                     self.land(client, offset, cx, out);
                 }
             }
@@ -321,8 +324,7 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
             Upcall::ConnEstablished { qp, .. } => {
                 if let Some((client, pending)) = self.life.established(qp, cx) {
                     for (seq, payload) in pending {
-                        let tid = self.traces.id(client, seq).unwrap_or_default();
-                        self.dispatch(client, seq, payload, tid, cx);
+                        self.dispatch(client, seq, payload, cx);
                     }
                 }
             }
@@ -354,9 +356,9 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
         cx: &mut Cx<'_, ScaleEv>,
         _out: &mut Vec<Response>,
     ) {
-        let tid = self.traces.open(client, seq, cx.fabric);
+        self.traces.open(client, seq, cx.fabric);
         if let Some(payload) = self.life.admit(client, seq, payload, cx) {
-            self.dispatch(client, seq, payload, tid, cx);
+            self.dispatch(client, seq, payload, cx);
         }
     }
 

@@ -20,8 +20,8 @@
 //!
 //! The FSM also carries a window of in-flight slots
 //! ([`rpc_core::RequestWindow`]) for the asynchronous client of §3.6.1:
-//! each submitted request occupies a slot tagged with its TraceId until
-//! the matching response retires it. The Fig. 7 state transitions are
+//! each submitted request occupies a slot until the matching response
+//! retires it. The Fig. 7 state transitions are
 //! unchanged — the window only adds bookkeeping (and the
 //! context-switch *re-arm*: a notification that lands while requests
 //! are still in flight moves the client back to WARMUP so the staged
@@ -37,9 +37,8 @@ use rpc_core::pool::write_block;
 use rpc_core::transport::{Response, ServerHandler};
 use rpc_core::{Completed, RequestWindow};
 use simcore::{Fsm, Transitions};
-use simtrace::TraceId;
 
-use super::{ScaleEv, ScaleRpc, ENTRY, NOTIFY_SEQ};
+use super::{ScaleEv, ScaleRpc, ENTRY, NOTIFY_SEQ, UNSTAGED};
 
 /// Client states (Fig. 7 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,9 +79,8 @@ pub enum SubmitAction {
 #[derive(Clone, Debug)]
 pub struct ClientFsm {
     state: Fsm<ClientState>,
-    /// In-flight request slots; the tag is the request's TraceId (0 when
-    /// untraced).
-    window: RequestWindow<u64>,
+    /// In-flight request slots.
+    window: RequestWindow,
 }
 
 impl Default for ClientFsm {
@@ -113,7 +111,7 @@ impl ClientFsm {
     }
 
     /// The in-flight slot tracker.
-    pub fn window(&self) -> &RequestWindow<u64> {
+    pub fn window(&self) -> &RequestWindow {
         &self.window
     }
 
@@ -122,18 +120,17 @@ impl ClientFsm {
         self.window.in_flight()
     }
 
-    /// Tracked submit: claims a window slot for `(seq, trace_id)` and
-    /// returns the Fig. 7 action, or `None` (state untouched) when the
-    /// window is full.
-    pub fn submit(&mut self, seq: u64, trace_id: u64) -> Option<SubmitAction> {
-        self.window.submit(seq, trace_id)?;
+    /// Tracked submit: claims a window slot for `seq` and returns the
+    /// Fig. 7 action, or `None` (state untouched) when the window is full.
+    pub fn submit(&mut self, seq: u64) -> Option<SubmitAction> {
+        self.window.submit(seq, ())?;
         Some(self.on_submit())
     }
 
     /// Tracked completion: retires the slot holding `seq` and applies the
     /// Fig. 7 response transition. Returns `None` (state untouched) for
     /// an unknown or already-retired seq, so duplicates are detectable.
-    pub fn complete(&mut self, seq: u64, ctx_switch: bool) -> Option<Completed<u64>> {
+    pub fn complete(&mut self, seq: u64, ctx_switch: bool) -> Option<Completed<()>> {
         let done = self.window.complete(seq)?;
         self.on_response(ctx_switch);
         Some(done)
@@ -224,10 +221,27 @@ impl<H: ServerHandler> ScaleRpc<H> {
         self.ends[client].publish_inflight = false;
     }
 
-    fn staged_seq(&self, client: ClientId, slot: usize, fabric: &Fabric) -> Option<u64> {
-        let bs = self.cfg.block_size;
-        let region = fabric.mr(self.ends[client].region).ok()?;
-        MsgBuf::peek_rpc(region, slot * bs, bs).map(|(h, _)| h.seq)
+    /// The client whose local region is `mr`: `new` registers them
+    /// consecutively, so it is `mr − first`.
+    pub(super) fn client_of_region(&self, mr: MrId) -> Option<ClientId> {
+        let c = mr.index().checked_sub(self.ends.first()?.region.index())?;
+        (self.ends.get(c)?.region == mr).then_some(c)
+    }
+
+    /// The staging table's row of `client` says what its staging blocks
+    /// hold, and every request they hold is in flight (debug builds: the
+    /// probe the table replaces).
+    fn debug_check_staged(&self, client: ClientId, fabric: &Fabric) {
+        if cfg!(debug_assertions) {
+            let (bs, slots) = (self.cfg.block_size, self.cfg.slots);
+            let region = fabric.mr(self.ends[client].region).expect("local mr");
+            let window = self.ends[client].fsm.window();
+            for (s, &seq) in self.staged[client * slots..][..slots].iter().enumerate() {
+                let held = MsgBuf::peek_rpc(region, s * bs, bs).map_or(UNSTAGED, |(h, _)| h.seq);
+                debug_assert_eq!(held, seq, "client {client} slot {s}");
+                debug_assert!(seq == UNSTAGED || window.contains(seq), "answered {seq}");
+            }
+        }
     }
 
     /// Picks the staging block for `seq`. The natural slot is
@@ -237,34 +251,31 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// the stalled request's slot and would overwrite its staged bytes
     /// before any warmup fetch reads them — stranding it forever. Probe
     /// forward to the first slot not holding a *different, still
-    /// in-flight* request (stale already-answered copies are fair game).
-    /// `window <= slots`, so a free slot always exists.
-    fn staging_slot_for(&self, client: ClientId, seq: u64, fabric: &Fabric) -> usize {
-        let base = self.geom.slot_of_seq(seq);
+    /// in-flight* request. `window <= slots`, so a free slot always
+    /// exists.
+    fn staging_slot_for(&self, client: ClientId, seq: u64) -> usize {
+        let (base, slots) = (self.geom.slot_of_seq(seq), self.cfg.slots);
         let window = self.ends[client].fsm.window();
-        for probe in 0..self.cfg.slots {
-            let s = (base + probe) % self.cfg.slots;
-            let occupied = self
-                .staged_seq(client, s, fabric)
-                .is_some_and(|ss| ss != seq && window.iter_in_flight().any(|(_, f)| f.seq == ss));
-            if !occupied {
-                return s;
-            }
-        }
-        base
+        let row = &self.staged[client * slots..][..slots];
+        (0..slots)
+            .map(|probe| (base + probe) % slots)
+            .find(|&s| row[s] == seq || !window.contains(row[s]))
+            .unwrap_or(base)
     }
 
     /// Composes the message into a local staging block: an ordinary CPU
     /// store, no verbs.
     fn stage_request(&mut self, client: ClientId, seq: u64, payload: &[u8], fabric: &mut Fabric) {
         let bs = self.cfg.block_size;
-        let slot = self.staging_slot_for(client, seq, fabric);
+        let slot = self.staging_slot_for(client, seq);
         let (enc_off, bytes) =
             MsgBuf::encode_rpc(client, seq, 0, payload, bs).expect("request fits block");
         self.ends[client]
             .region(fabric)
             .write(slot * bs + enc_off, &bytes)
             .expect("staging write");
+        self.staged[client * self.cfg.slots + slot] = seq;
+        self.debug_check_staged(client, fabric);
     }
 
     fn publish_entry(&mut self, client: ClientId, cx: &mut Cx<'_, ScaleEv>) {
@@ -293,18 +304,17 @@ impl<H: ServerHandler> ScaleRpc<H> {
         client: ClientId,
         seq: u64,
         payload: Bytes,
-        tid: TraceId,
         cx: &mut Cx<'_, ScaleEv>,
     ) {
-        // Track the request in the FSM's in-flight window (per-slot
-        // TraceIds): the ack floor is exact only if every request in
-        // flight is in it. A retransmission of a sequence the window
-        // already tracks must not claim a second slot.
+        // Track the request in the FSM's in-flight window: the ack floor
+        // is exact only if every request in flight is in it. A
+        // retransmission of a sequence the window already tracks must not
+        // claim a second slot.
         let fsm = &mut self.ends[client].fsm;
         let action = if fsm.window().contains(seq) {
             fsm.on_submit()
         } else {
-            fsm.submit(seq, tid)
+            fsm.submit(seq)
                 .expect("more requests in flight than message slots")
         };
         match action {
@@ -377,13 +387,17 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // Clear the staging copy of this request so a later warmup read
         // cannot re-fetch it. The copy normally sits at `seq % slots`,
         // but collision probing (see `staging_slot_for`) may have placed
-        // it in a neighbouring slot, so scan for the block holding this
-        // sequence; slots staging *other* requests are left untouched.
+        // it in a neighbouring slot, and a retransmission may have staged
+        // a second copy, so clear every block the staging table names for
+        // this sequence; slots staging *other* requests are left untouched.
         for s in 0..self.cfg.slots {
-            if self.staged_seq(client, s, cx.fabric) == Some(header.seq) {
+            let entry = &mut self.staged[client * self.cfg.slots + s];
+            if *entry == header.seq {
+                *entry = UNSTAGED;
                 MsgBuf::clear_valid(&mut self.ends[client].region(cx.fabric), s * bs, bs);
             }
         }
+        self.debug_check_staged(client, cx.fabric);
         self.life.delivered(client, header.seq);
         out.push(Response {
             client,
@@ -402,13 +416,16 @@ impl<H: ServerHandler> ScaleRpc<H> {
                 MsgBuf::clear_valid(&mut region, s * bs, bs);
             }
         }
+        self.staged.fill(UNSTAGED);
+        for c in 0..self.ends.len() {
+            self.debug_check_staged(c, fabric);
+        }
     }
 
     /// The client end's half of [`ScaleRpc::client_diag`].
-    pub(super) fn end_diag(&self, client: ClientId, fabric: &Fabric) -> String {
-        let staged: Vec<(usize, u64)> = (0..self.cfg.slots)
-            .filter_map(|s| Some((s, self.staged_seq(client, s, fabric)?)))
-            .collect();
+    pub(super) fn end_diag(&self, client: ClientId) -> String {
+        let row = self.staged[client * self.cfg.slots..][..self.cfg.slots].iter();
+        let staged: Vec<_> = row.enumerate().filter(|e| *e.1 != UNSTAGED).collect();
         format!("{:?} staged={staged:?}", self.ends[client])
     }
 }
@@ -459,30 +476,30 @@ mod tests {
     #[test]
     fn windowed_submits_track_slots_and_trace_ids() {
         let mut fsm = ClientFsm::with_window(4);
-        assert_eq!(fsm.submit(0, 100), Some(SubmitAction::StageAndPublish));
-        assert_eq!(fsm.submit(1, 101), Some(SubmitAction::StageOnly));
+        assert_eq!(fsm.submit(0), Some(SubmitAction::StageAndPublish));
+        assert_eq!(fsm.submit(1), Some(SubmitAction::StageOnly));
         assert_eq!(fsm.in_flight(), 2);
-        // First response: WARMUP → PROCESS, slot retired with its id.
+        // First response: WARMUP → PROCESS, slot retired.
         let done = fsm.complete(0, false).unwrap();
-        assert_eq!((done.seq, done.tag), (0, 100));
+        assert_eq!(done.seq, 0);
         assert_eq!(fsm.state(), ClientState::Process);
         // Duplicate completion is rejected and leaves the state alone.
         assert!(fsm.complete(0, true).is_none());
         assert_eq!(fsm.state(), ClientState::Process);
-        assert_eq!(fsm.submit(2, 102), Some(SubmitAction::DirectWrite));
+        assert_eq!(fsm.submit(2), Some(SubmitAction::DirectWrite));
         // Window full → submit refuses without touching the state.
-        fsm.submit(3, 103);
-        fsm.submit(4, 104);
-        assert_eq!(fsm.submit(5, 105), None);
+        fsm.submit(3);
+        fsm.submit(4);
+        assert_eq!(fsm.submit(5), None);
         assert_eq!(fsm.state(), ClientState::Process);
     }
 
     #[test]
     fn ctx_notify_with_inflight_requests_rearms_to_warmup() {
         let mut fsm = ClientFsm::with_window(2);
-        fsm.submit(0, 0);
+        fsm.submit(0);
         fsm.complete(0, false);
-        fsm.submit(1, 0);
+        fsm.submit(1);
         assert_eq!(fsm.state(), ClientState::Process);
         fsm.on_ctx_notify();
         assert_eq!(fsm.state(), ClientState::Idle);

@@ -2,6 +2,10 @@
 //! deployment of 80 four-deep clients must drain completely. This is the
 //! smallest configuration found (by the scenario fuzzer's conservation
 //! invariant) to strand a request in the seed's windowed client path.
+//! The second case adds a server crash and retries, so the colliding
+//! stages are cancelled wholesale and re-staged by retransmissions (the
+//! client's staging table must follow its staging blocks through both;
+//! debug builds check that after every stage and clear).
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::Cluster;
@@ -12,13 +16,15 @@ use scalerpc::ScaleRpc;
 use simcore::SimDuration;
 use simscenario::{compile, Compiled, Scenario};
 
-#[test]
-fn windowed_group20_run_drains_clean() {
-    let sc = Scenario::parse(
+/// Runs the colliding configuration, with `workload` and `events` TOML
+/// appended to its tables, and asserts that it drains.
+fn group20_run_drains_clean(workload: &str, events: &str) {
+    let sc = Scenario::parse(&format!(
         "[scenario]\nname = \"probe\"\nseed = 42\nwarmup_us = 1000\nrun_us = 5000\n\n\
-         [workload]\nkind = \"rpc\"\ntransport = \"scalerpc\"\ngroup_size = 20\nwindow = 4\n\n\
-         [[population]]\nname = \"all\"\nclients = 80\n",
-    )
+         [workload]\nkind = \"rpc\"\ntransport = \"scalerpc\"\ngroup_size = 20\nwindow = 4\n\
+         {workload}\n\
+         [[population]]\nname = \"all\"\nclients = 80\n\n{events}",
+    ))
     .unwrap();
     let Compiled::Rpc(c) = compile(&sc).unwrap() else {
         panic!("rpc scenario expected")
@@ -50,4 +56,17 @@ fn windowed_group20_run_drains_clean() {
         stuck
     );
     assert!(stuck.is_empty());
+}
+
+#[test]
+fn windowed_group20_run_drains_clean() {
+    group20_run_drains_clean("", "");
+}
+
+#[test]
+fn windowed_group20_run_drains_clean_across_a_server_crash() {
+    group20_run_drains_clean(
+        "retry_timeout_us = 300\n",
+        "[[event]]\nat_us = 3000\nkind = \"server_crash\"\ndown_us = 100\n",
+    );
 }

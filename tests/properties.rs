@@ -227,21 +227,20 @@ proptest! {
         // respond / ctx-notify interleavings.
         let mut fsm = ClientFsm::with_window(window);
         let mut ref_state = RefState::Idle;
-        let mut ref_q: Vec<(u64, u64)> = Vec::new();
+        let mut ref_q: Vec<u64> = Vec::new();
         let mut next_seq = 0u64;
         let mut retired: Vec<u64> = Vec::new();
         for (op, pick, ctx) in ops {
             match op % 3 {
                 0 => {
                     let seq = next_seq;
-                    let tid = 1_000 + seq;
-                    let action = fsm.submit(seq, tid);
+                    let action = fsm.submit(seq);
                     if ref_q.len() == window {
                         // Window full: refused, nothing changes.
                         prop_assert_eq!(action, None);
                     } else {
                         next_seq += 1;
-                        ref_q.push((seq, tid));
+                        ref_q.push(seq);
                         let want = match ref_state {
                             RefState::Idle => {
                                 ref_state = RefState::Warmup;
@@ -264,11 +263,11 @@ proptest! {
                         // Responses may retire any in-flight request, in
                         // any order.
                         let idx = pick as usize % ref_q.len();
-                        let (seq, tid) = ref_q.remove(idx);
+                        let seq = ref_q.remove(idx);
                         let done = fsm.complete(seq, ctx);
                         prop_assert!(done.is_some(), "response for {seq} lost");
                         let done = done.unwrap();
-                        prop_assert_eq!((done.seq, done.tag), (seq, tid));
+                        prop_assert_eq!(done.seq, seq);
                         // A second completion of the same seq is a
                         // duplicate and must be refused.
                         prop_assert!(fsm.complete(seq, ctx).is_none());
@@ -317,7 +316,7 @@ proptest! {
         for (op, ctx) in ops {
             match op % 3 {
                 0 if !in_flight => {
-                    let a = win.submit(seq, 0);
+                    let a = win.submit(seq);
                     let b = seed.on_submit();
                     prop_assert_eq!(a, Some(b));
                     in_flight = true;
