@@ -639,22 +639,33 @@ pub fn fig_ud_bw() {
     t.emit("fig_ud_bw");
 }
 
-/// Runs every figure in order.
-pub fn all_figures() {
-    table1();
-    fig01a();
-    fig01b();
-    fig03a();
-    fig03b();
-    fig08_clients();
-    fig08_machines();
-    fig09();
-    fig10();
-    fig11a();
-    fig11b();
-    fig12();
-    fig13();
-    fig16();
-    fig16_window();
-    fig_ud_bw();
-}
+/// Every figure by the name `all_figures` takes on its command line, in
+/// the order it runs them all.
+pub const FIGURES: [(&str, fn()); 11] = [
+    ("table1", table1),
+    ("fig01", || {
+        fig01a();
+        fig01b()
+    }),
+    ("fig03", || {
+        fig03a();
+        fig03b()
+    }),
+    ("fig08", || {
+        fig08_clients();
+        fig08_machines()
+    }),
+    ("fig09", fig09),
+    ("fig10", fig10),
+    ("fig11", || {
+        fig11a();
+        fig11b()
+    }),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig16", || {
+        fig16();
+        fig16_window()
+    }),
+    ("fig_ud_bw", fig_ud_bw),
+];

@@ -774,7 +774,6 @@ impl Fabric {
                 local_offset,
             },
         };
-        self.qp_mut(qp_id)?.wqe_posted();
         self.nodes[node.index()].counters.inc(Counter::TxVerbs); // NodeId indexes self.nodes: nodes are never removed
         let hdr = PacketHdr {
             src_qp: qp_id,
@@ -848,12 +847,11 @@ impl Fabric {
                 }
             }
             Inner::Complete { qp, wc } => {
-                let (node, cq) = {
-                    let q = &mut self.qps[qp.index()]; // QpId indexes self.qps: QPs error out but are never freed
-                    q.wqe_retired();
-                    (q.node(), q.send_cq())
-                };
+                // An unsignalled success carries no `Wc` and touches
+                // nothing.
                 if let Some(wc) = wc {
+                    let q = &self.qps[qp.index()]; // QpId indexes self.qps: QPs error out but are never freed
+                    let (node, cq) = (q.node(), q.send_cq());
                     upcalls.push(Upcall::Completion { node, cq, wc });
                 }
             }

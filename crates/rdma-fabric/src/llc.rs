@@ -38,7 +38,7 @@
 //! read the entry, then hit / insert / promote — taken a page at a time
 //! so the page table is consulted once per 16 lines. The `keys` order
 //! and the SplitMix64 victim stream are those of the map-indexed
-//! per-line reference model in this module's tests, which a proptest
+//! per-line reference model in this module's tests, which a property test
 //! compares after every operation; `tests/llc_stream.rs` pins the
 //! outcome streams of the benchmark's access patterns.
 //!
@@ -702,28 +702,28 @@ mod tests {
         fast
     }
 
-    proptest::proptest! {
-        /// `dma_write`/`cpu_access` must match the per-line reference
-        /// on arbitrary interleavings. Offsets up to ~6 KB, lengths
-        /// past 8 KB and four regions against a 4 KB LLC (48
-        /// main lines, 16 DDIO lines) keep both domains at capacity, so
-        /// evictions hit later lines of the span being walked, other
-        /// pages and other regions constantly. The region ids are
-        /// sparse and first touched in any order, so the id table grows
-        /// past untouched ids and from below as well as above.
-        #[test]
-        fn fast_paths_match_reference_model(
-            ops in proptest::collection::vec(
-                (0u8..2, 0usize..4, 0usize..6000, 0usize..12_000),
-                0..120,
-            ),
-        ) {
+    /// `dma_write`/`cpu_access` must match the per-line reference
+    /// on arbitrary interleavings. Offsets up to ~6 KB, lengths
+    /// past 8 KB and four regions against a 4 KB LLC (48
+    /// main lines, 16 DDIO lines) keep both domains at capacity, so
+    /// evictions hit later lines of the span being walked, other
+    /// pages and other regions constantly. The region ids are
+    /// sparse and first touched in any order, so the id table grows
+    /// past untouched ids and from below as well as above.
+    #[test]
+    fn fast_paths_match_reference_model() {
+        simcore::check_cases("fast_paths_match_reference_model", |rng| {
+            let ops = rng.vec(0..120, |r| {
+                let (op, mr) = (r.below(2) as u8, r.below(4) as usize);
+                (op, mr, r.below(6000) as usize, r.below(12_000) as usize)
+            });
             const IDS: [u32; 4] = [0, 3, 17, 900];
             assert_matches_reference(
                 4096,
-                ops.into_iter().map(|(op, mr, offset, len)| (op == 1, IDS[mr], offset, len)),
+                ops.into_iter()
+                    .map(|(op, mr, offset, len)| (op == 1, IDS[mr], offset, len)),
             );
-        }
+        });
     }
 
     #[test]

@@ -764,14 +764,10 @@ mod tests {
         (at as usize % (size - len + 1), len)
     }
 
-    proptest::proptest! {
-        #[test]
-        fn sparse_snapshots_equal_dense_copies(
-            script in proptest::collection::vec(
-                (0u8..16, proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u64>()),
-                1..80,
-            )
-        ) {
+    #[test]
+    fn sparse_snapshots_equal_dense_copies() {
+        simcore::check_cases("sparse_snapshots_equal_dense_copies", |rng| {
+            let script = rng.vec(1..80, |r| (r.below(16) as u8, r.edgy(), r.edgy(), r.edgy()));
             // Three regions over one store: their first stores interleave,
             // so each one's pages sit between the others' in the store.
             let mut m = Mem::new(&SIZES);
@@ -797,7 +793,7 @@ mod tests {
                         // the other regions keep storing to the store.
                         m.get_mut(r).as_mut_slice()[off..off + len].copy_from_slice(&fill);
                         model[r][off..off + len].copy_from_slice(&fill);
-                        proptest::prop_assert_eq!(m.get(r).as_slice(), &model[r][..]);
+                        assert_eq!(m.get(r).as_slice(), &model[r][..]);
                     }
                     6..=8 => {
                         let mut snap = held.take().map(|h| h.0).unwrap_or_default();
@@ -819,22 +815,22 @@ mod tests {
                         let carved = m.store.pages.len();
                         m.get_mut(r).write(off, &vec![0; len]).unwrap();
                         model[r][off..off + len].fill(0);
-                        proptest::prop_assert_eq!(m.store.pages.len(), carved);
+                        assert_eq!(m.store.pages.len(), carved);
                     }
                     _ => {
                         // Borrowed inside one page, gathered across pages.
                         let got = m.get(r).read(off, len).unwrap();
-                        proptest::prop_assert_eq!(&*got, &model[r][off..off + len]);
+                        assert_eq!(&*got, &model[r][off..off + len]);
                         let one_page = off % PAGE + len <= PAGE;
-                        proptest::prop_assert_eq!(matches!(got, Cow::Borrowed(_)), one_page);
+                        assert_eq!(matches!(got, Cow::Borrowed(_)), one_page);
                     }
                 }
                 for (r, model) in model.iter().enumerate() {
-                    proptest::prop_assert_eq!(&dense(m.get(r)), model);
-                    proptest::prop_assert!(clear_bits_mean_zero_lines(m.get(r)));
+                    assert_eq!(&dense(m.get(r)), model);
+                    assert!(clear_bits_mean_zero_lines(m.get(r)));
                 }
-                proptest::prop_assert!(pages_partition_the_store(&m));
+                assert!(pages_partition_the_store(&m));
             }
-        }
+        });
     }
 }

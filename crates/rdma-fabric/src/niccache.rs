@@ -208,35 +208,34 @@ mod tests {
         assert_eq!(c.qp_ctx.keys, [17, 900, 5, 3]);
     }
 
-    proptest::proptest! {
-        /// After every access the cache must agree with the reference
-        /// set on hit and evicted id, and in `keys` order and victim
-        /// stream; every index entry must point back at its `keys`
-        /// position. A quarter of the ids are sparse, anywhere in
-        /// `0..=4096` and first touched in any order; the rest are one
-        /// of twelve hot ids. Capacities are small, so most runs evict.
-        #[test]
-        fn nic_cache_matches_reference_set(
-            cap in 1usize..40,
-            ids in proptest::collection::vec((0u8..4, 0u32..4097), 0..400),
-        ) {
+    /// After every access the cache must agree with the reference
+    /// set on hit and evicted id, and in `keys` order and victim
+    /// stream; every index entry must point back at its `keys`
+    /// position. A quarter of the ids are sparse, anywhere in
+    /// `0..=4096` and first touched in any order; the rest are one
+    /// of twelve hot ids. Capacities are small, so most runs evict.
+    #[test]
+    fn nic_cache_matches_reference_set() {
+        simcore::check_cases("nic_cache_matches_reference_set", |rng| {
+            let cap = rng.between(1, 39) as usize;
+            let ids = rng.vec(0..400, |r| (r.below(4) as u8, r.below(4097) as u32));
             let mut fast = NicCache::new(cap, 0);
             let mut slow = RefRandomSet::new(cap);
             for (pick, id) in ids {
                 let qp = QpId(if pick == 0 { id } else { id % 12 });
                 let (hit, evicted) = slow.touch(qp);
                 let a = fast.access(qp, 0);
-                proptest::prop_assert_eq!((!a.miss, a.evicted), (hit, evicted));
+                assert_eq!((!a.miss, a.evicted), (hit, evicted));
                 let keys: Vec<QpId> = fast.qp_ctx.keys.iter().map(|&q| QpId(q)).collect();
-                proptest::prop_assert_eq!(&keys, &slow.keys);
-                proptest::prop_assert_eq!(fast.qp_ctx.rng.0, slow.rng_state);
+                assert_eq!(&keys, &slow.keys);
+                assert_eq!(fast.qp_ctx.rng.0, slow.rng_state);
                 for (pos, q) in keys.iter().enumerate() {
-                    proptest::prop_assert_eq!(fast.index[q.index()], pos as u32 + 1);
+                    assert_eq!(fast.index[q.index()], pos as u32 + 1);
                 }
                 let resident = fast.index.iter().filter(|&&e| e != 0).count();
-                proptest::prop_assert_eq!(resident, keys.len());
+                assert_eq!(resident, keys.len());
             }
-        }
+        });
     }
 
     #[test]

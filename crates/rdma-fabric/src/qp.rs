@@ -93,9 +93,6 @@ pub struct QueuePair {
     recv_cq: CqId,
     /// Posted receive buffers, consumed in order.
     recv_queue: VecDeque<RecvWqe>,
-    /// Work requests posted but not yet completed (drives WQE-cache
-    /// footprint accounting).
-    outstanding: usize,
 }
 
 impl QueuePair {
@@ -115,7 +112,6 @@ impl QueuePair {
             send_cq,
             recv_cq,
             recv_queue: VecDeque::new(),
-            outstanding: 0,
         }
     }
 
@@ -181,12 +177,11 @@ impl QueuePair {
     ///
     /// Connected transports return to [`QpState::Reset`] with no peer
     /// and may be re-connected; UD pairs go straight back to RTS. Any
-    /// posted receives or in-flight accounting are discarded — a reset
-    /// QP starts from a clean slate.
+    /// posted receives are discarded — a reset QP starts from a clean
+    /// slate.
     pub fn reset(&mut self) {
         self.peer = None;
         self.recv_queue.clear();
-        self.outstanding = 0;
         self.state = if self.transport.is_connected() {
             QpState::Reset
         } else {
@@ -229,21 +224,6 @@ impl QueuePair {
     /// Number of receives currently posted.
     pub fn posted_recvs(&self) -> usize {
         self.recv_queue.len()
-    }
-
-    /// Bumps the outstanding-WQE count (at post).
-    pub fn wqe_posted(&mut self) {
-        self.outstanding += 1;
-    }
-
-    /// Drops the outstanding-WQE count (at completion).
-    pub fn wqe_retired(&mut self) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-    }
-
-    /// Work requests in flight on this pair.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
     }
 }
 
@@ -332,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_recvs_and_outstanding() {
+    fn reset_clears_posted_recvs() {
         let mut q = qp(Transport::Rc);
         q.connect_to(QpId(2)).unwrap();
         q.post_recv(RecvWqe {
@@ -342,11 +322,9 @@ mod tests {
             len: 64,
         })
         .unwrap();
-        q.wqe_posted();
         q.tear_down();
         q.reset();
         assert_eq!(q.posted_recvs(), 0);
-        assert_eq!(q.outstanding(), 0);
     }
 
     #[test]
@@ -375,17 +353,5 @@ mod tests {
         assert_eq!(q.take_recv().unwrap().wr_id, 0);
         assert_eq!(q.take_recv().unwrap().wr_id, 1);
         assert_eq!(q.posted_recvs(), 1);
-    }
-
-    #[test]
-    fn outstanding_tracking_saturates() {
-        let mut q = qp(Transport::Ud);
-        q.wqe_posted();
-        q.wqe_posted();
-        assert_eq!(q.outstanding(), 2);
-        q.wqe_retired();
-        q.wqe_retired();
-        q.wqe_retired();
-        assert_eq!(q.outstanding(), 0);
     }
 }

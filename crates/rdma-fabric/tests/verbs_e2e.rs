@@ -1,7 +1,6 @@
 //! End-to-end verb flows through the full event pipeline.
 
 use bytes::Bytes;
-use proptest::prelude::any;
 use rdma_fabric::{
     AtomicOp, Fabric, FabricEvent, FabricParams, RemoteAddr, Transport, Upcall, VerbError, Wc,
     WcOpcode, WcStatus, WorkRequest,
@@ -731,30 +730,37 @@ fn create_qp_rejects_a_cq_of_another_node() {
     );
 }
 
-proptest::proptest! {
-    /// Random RC writes, reads, fetch-and-adds and sends (each with a
-    /// receive posted), and UD sends, each randomly signalled and the
-    /// one-sided ones randomly out of bounds: every signalled request
-    /// and every error completes exactly once, as an upcall; an
-    /// unsignalled success completes silently; every send completes one
-    /// receive; and no CQ keeps a copy to poll.
-    ///
-    /// Order is checked per queue pair within each way a completion is
-    /// timed: an ack (write, send), a response (read, atomic) or an
-    /// error. A real RC send queue completes in post order across all
-    /// three; the model does not, as an ack or an error can overtake an
-    /// earlier request's response.
-    #[test]
-    fn each_completion_is_delivered_once_in_post_order(
-        ops in proptest::collection::vec(
-            (0u8..5, any::<bool>(), any::<bool>(), 0u64..400),
-            1..40,
-        ),
-    ) {
+/// Random RC writes, reads, fetch-and-adds and sends (each with a
+/// receive posted), and UD sends, each randomly signalled and the
+/// one-sided ones randomly out of bounds: every signalled request
+/// and every error completes exactly once, as an upcall; an
+/// unsignalled success completes silently; every send completes one
+/// receive; and no CQ keeps a copy to poll.
+///
+/// Order is checked per queue pair within each way a completion is
+/// timed: an ack (write, send), a response (read, atomic) or an
+/// error. A real RC send queue completes in post order across all
+/// three; the model does not, as an ack or an error can overtake an
+/// earlier request's response.
+#[test]
+fn each_completion_is_delivered_once_in_post_order() {
+    simcore::check_cases("each_completion_is_delivered_once_in_post_order", |rng| {
+        let ops = rng.vec(1..40, |r| {
+            (r.below(5) as u8, r.chance(0.5), r.chance(0.5), r.below(400))
+        });
         let mut p = connected_pair(Transport::Rc);
-        let (na, nb) = (p.fabric.qp_node(p.a).unwrap(), p.fabric.qp_node(p.b).unwrap());
-        let ua = p.fabric.create_qp(na, Transport::Ud, p.cq_a, p.cq_a).unwrap();
-        let ub = p.fabric.create_qp(nb, Transport::Ud, p.cq_b, p.cq_b).unwrap();
+        let (na, nb) = (
+            p.fabric.qp_node(p.a).unwrap(),
+            p.fabric.qp_node(p.b).unwrap(),
+        );
+        let ua = p
+            .fabric
+            .create_qp(na, Transport::Ud, p.cq_a, p.cq_a)
+            .unwrap();
+        let ub = p
+            .fabric
+            .create_qp(nb, Transport::Ud, p.cq_b, p.cq_b)
+            .unwrap();
         let mut q = EventQueue::new();
         let mut now = SimTime::ZERO;
         // The (qp, wr_id, opcode, status) owed to requesters, in post order.
@@ -767,7 +773,11 @@ proptest::proptest! {
             let (qp, dst, wr, opcode) = match kind {
                 0 => {
                     let data = Bytes::from_static(&[3; 48]);
-                    let wr = WorkRequest::Write { data, remote: remote(256), imm: None };
+                    let wr = WorkRequest::Write {
+                        data,
+                        remote: remote(256),
+                        imm: None,
+                    };
                     (p.a, None, wr, WcOpcode::RdmaWrite)
                 }
                 1 => {
@@ -789,11 +799,17 @@ proptest::proptest! {
                     (p.a, None, wr, WcOpcode::Atomic)
                 }
                 3 | 4 => {
-                    let (qp, peer, dst) =
-                        if kind == 3 { (p.a, p.b, None) } else { (ua, ub, Some(ub)) };
+                    let (qp, peer, dst) = if kind == 3 {
+                        (p.a, p.b, None)
+                    } else {
+                        (ua, ub, Some(ub))
+                    };
                     p.fabric.post_recv(peer, p.mr_b, 1024, 64).unwrap();
                     want_recvs[usize::from(kind - 3)] += 1;
-                    let wr = WorkRequest::Send { data: Bytes::from_static(b"ping"), imm: None };
+                    let wr = WorkRequest::Send {
+                        data: Bytes::from_static(b"ping"),
+                        imm: None,
+                    };
                     (qp, dst, wr, WcOpcode::Send)
                 }
                 _ => unreachable!(),
@@ -801,12 +817,18 @@ proptest::proptest! {
             let mut staged = Vec::new();
             let info = p
                 .fabric
-                .post(now, qp, wr, signaled, dst, &mut |at, e| staged.push((at, e)))
+                .post(now, qp, wr, signaled, dst, &mut |at, e| {
+                    staged.push((at, e))
+                })
                 .unwrap();
             for (at, e) in staged {
                 q.push(at, e);
             }
-            let status = if oob { WcStatus::RemoteAccessError } else { WcStatus::Success };
+            let status = if oob {
+                WcStatus::RemoteAccessError
+            } else {
+                WcStatus::Success
+            };
             if signaled || oob {
                 want.push((qp, info.wr_id, opcode, status));
             }
@@ -827,20 +849,20 @@ proptest::proptest! {
                     let mine = v.iter().filter(|c| c.0 == qp && timed_by(c) == class);
                     mine.copied().collect::<Vec<_>>()
                 };
-                proptest::prop_assert_eq!(of(&sent), of(&want));
+                assert_eq!(of(&sent), of(&want));
             }
         }
-        proptest::prop_assert_eq!(sent.len(), want.len());
+        assert_eq!(sent.len(), want.len());
         let recvs = completions(&ups, p.cq_b);
         for (qp, want) in [(p.b, want_recvs[0]), (ub, want_recvs[1])] {
             let got = recvs.iter().filter(|wc| wc.qp == qp);
             let ok = |wc: &&Wc| wc.opcode == WcOpcode::Recv && wc.status == WcStatus::Success;
-            proptest::prop_assert!(got.clone().all(|wc| ok(&wc)));
-            proptest::prop_assert_eq!(got.count(), want);
+            assert!(got.clone().all(|wc| ok(&wc)));
+            assert_eq!(got.count(), want);
         }
-        proptest::prop_assert_eq!(recvs.len(), want_recvs[0] + want_recvs[1]);
+        assert_eq!(recvs.len(), want_recvs[0] + want_recvs[1]);
         for cq in [p.cq_a, p.cq_b] {
-            proptest::prop_assert!(p.fabric.poll_cq(cq, usize::MAX).unwrap().is_empty());
+            assert!(p.fabric.poll_cq(cq, usize::MAX).unwrap().is_empty());
         }
-    }
+    });
 }

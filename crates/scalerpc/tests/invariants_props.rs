@@ -1,52 +1,52 @@
 //! Property tests on ScaleRPC's scheduling and pool invariants.
 
-use proptest::prelude::*;
 use rpc_core::BlockPool;
 use scalerpc::scheduler::{enforce_size_band, ClientStats, Scheduler};
-use simcore::SimDuration;
+use simcore::{check_cases, SimDuration};
 
-proptest! {
-    /// Every replan is a partition: each client in exactly one group, no
-    /// empty groups, one slice per group.
-    #[test]
-    fn replan_partitions_clients(
-        n in 1usize..300,
-        g in 1usize..64,
-        dynamic: bool,
-        seed: u64,
-    ) {
-        let mut rng = simcore::DetRng::new(seed);
+/// Every replan is a partition: each client in exactly one group, no
+/// empty groups, one slice per group.
+#[test]
+fn replan_partitions_clients() {
+    check_cases("replan_partitions_clients", |rng| {
+        let n = rng.between(1, 299) as usize;
+        let g = rng.between(1, 63) as usize;
+        let dynamic = rng.chance(0.5);
         let stats: Vec<ClientStats> = (0..n)
             .map(|_| {
                 let ops = rng.below(1000);
-                ClientStats { ops, bytes: ops * (32 + rng.below(4096)) }
+                ClientStats {
+                    ops,
+                    bytes: ops * (32 + rng.below(4096)),
+                }
             })
             .collect();
         let sched = Scheduler::new(g, SimDuration::micros(100), dynamic);
         let plan = sched.replan(&stats);
-        prop_assert_eq!(plan.slices.len(), plan.groups.len());
-        prop_assert!(plan.groups.iter().all(|grp| !grp.is_empty()));
+        assert_eq!(plan.slices.len(), plan.groups.len());
+        assert!(plan.groups.iter().all(|grp| !grp.is_empty()));
         let mut seen = std::collections::BTreeSet::new();
         for grp in &plan.groups {
             for &c in grp {
-                prop_assert!(c < n);
-                prop_assert!(seen.insert(c), "client {} in two groups", c);
+                assert!(c < n);
+                assert!(seen.insert(c), "client {c} in two groups");
             }
         }
-        prop_assert_eq!(seen.len(), n);
+        assert_eq!(seen.len(), n);
         for &s in &plan.slices {
-            prop_assert!(s > SimDuration::ZERO);
+            assert!(s > SimDuration::ZERO);
         }
-    }
+    });
+}
 
-    /// The split/merge band preserves membership and bounds group sizes
-    /// (the last group may stay small when there is nothing to merge it
-    /// into).
-    #[test]
-    fn size_band_preserves_members(
-        sizes in proptest::collection::vec(1usize..120, 1..12),
-        g in 2usize..64,
-    ) {
+/// The split/merge band preserves membership and bounds group sizes
+/// (the last group may stay small when there is nothing to merge it
+/// into).
+#[test]
+fn size_band_preserves_members() {
+    check_cases("size_band_preserves_members", |rng| {
+        let sizes = rng.vec(1..12, |r| r.between(1, 119) as usize);
+        let g = rng.between(2, 63) as usize;
         let mut next = 0usize;
         let groups: Vec<Vec<usize>> = sizes
             .iter()
@@ -61,40 +61,58 @@ proptest! {
         let hi = (g * 3 / 2).max(1);
         let mut seen = std::collections::BTreeSet::new();
         for grp in &out {
-            prop_assert!(grp.len() <= hi, "group of {} exceeds 3g/2={}", grp.len(), hi);
+            assert!(grp.len() <= hi, "group of {} exceeds 3g/2={hi}", grp.len());
             for &c in grp {
-                prop_assert!(seen.insert(c));
+                assert!(seen.insert(c));
             }
         }
-        prop_assert_eq!(seen.len(), total);
-    }
+        assert_eq!(seen.len(), total);
+    });
+}
 
-    /// Pool geometry: offsets are disjoint, block-aligned, in bounds,
-    /// and `locate` inverts `offset` for every byte of the block.
-    #[test]
-    fn vpool_offsets_invert(zones in 1usize..20, slots in 1usize..16, shift in 0usize..64) {
+/// Pool geometry: offsets are disjoint, block-aligned, in bounds,
+/// and `locate` inverts `offset` for every byte of the block.
+#[test]
+fn vpool_offsets_invert() {
+    check_cases("vpool_offsets_invert", |rng| {
+        let zones = rng.between(1, 19) as usize;
+        let slots = rng.between(1, 15) as usize;
+        let shift = rng.below(64) as usize;
         let block = 128usize;
         let p = BlockPool::new(zones, slots, block);
         for z in 0..zones {
             for s in 0..slots {
                 let off = p.offset(z, s);
-                prop_assert_eq!(off % block, 0);
-                prop_assert!(off + block <= p.bytes());
-                prop_assert_eq!(p.locate(off + shift % block), Some((z, s)));
+                assert_eq!(off % block, 0);
+                assert!(off + block <= p.bytes());
+                assert_eq!(p.locate(off + shift % block), Some((z, s)));
             }
         }
-        prop_assert_eq!(p.locate(p.bytes()), None);
-    }
+        assert_eq!(p.locate(p.bytes()), None);
+    });
+}
 
-    /// Priorities are monotone: more ops at the same request size never
-    /// lowers a client's priority; bigger requests at the same op count
-    /// never raise it.
-    #[test]
-    fn priority_monotonicity(ops in 1u64..10_000, size in 1u64..4096) {
-        let base = ClientStats { ops, bytes: ops * size };
-        let more_ops = ClientStats { ops: ops * 2, bytes: ops * 2 * size };
-        let bigger = ClientStats { ops, bytes: ops * size * 2 };
-        prop_assert!(more_ops.priority() >= base.priority());
-        prop_assert!(bigger.priority() <= base.priority());
-    }
+/// Priorities are monotone: more ops at the same request size never
+/// lowers a client's priority; bigger requests at the same op count
+/// never raise it.
+#[test]
+fn priority_monotonicity() {
+    check_cases("priority_monotonicity", |rng| {
+        let ops = rng.between(1, 9_999);
+        let size = rng.between(1, 4095);
+        let base = ClientStats {
+            ops,
+            bytes: ops * size,
+        };
+        let more_ops = ClientStats {
+            ops: ops * 2,
+            bytes: ops * 2 * size,
+        };
+        let bigger = ClientStats {
+            ops,
+            bytes: ops * size * 2,
+        };
+        assert!(more_ops.priority() >= base.priority());
+        assert!(bigger.priority() <= base.priority());
+    });
 }

@@ -623,7 +623,7 @@ pub(crate) mod oracle {
 mod tests {
     use super::oracle::{ExecItem, TxRequest, TxResponse};
     use super::*;
-    use proptest::prelude::*;
+    use simcore::{check_cases, DetRng};
 
     fn records(items: &[(u64, Vec<u8>)]) -> impl Iterator<Item = (u64, &[u8])> + Clone {
         items.iter().map(|(k, v)| (*k, &v[..]))
@@ -710,45 +710,59 @@ mod tests {
         TxResponseView::decode(raw).map(owned_response)
     }
 
-    fn records_strategy() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
-        let value = proptest::collection::vec(any::<u8>(), 0..48);
-        proptest::collection::vec((any::<u64>(), value), 0..8)
+    /// Up to seven `(key, value)` records, values up to 47 bytes.
+    fn draw_records(rng: &mut DetRng) -> Vec<(u64, Vec<u8>)> {
+        rng.vec(0..8, |r| (r.edgy(), r.vec(0..48, |r| r.edgy() as u8)))
     }
 
-    proptest! {
-        /// Same bytes out (every LLC/NIC charge, so every fingerprint,
-        /// depends on them), same fields in, nothing from a cut message.
-        #[test]
-        fn requests_agree_with_the_owned_oracle(
-            kind in 0usize..5,
-            txid: u64,
-            flagged in proptest::collection::vec((any::<u64>(), any::<bool>()), 0..12),
-            pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..12),
-            records in records_strategy(),
-        ) {
+    /// Same bytes out (every LLC/NIC charge, so every fingerprint,
+    /// depends on them), same fields in, nothing from a cut message.
+    #[test]
+    fn requests_agree_with_the_owned_oracle() {
+        check_cases("requests_agree_with_the_owned_oracle", |rng| {
+            let kind = rng.below(5);
+            let txid = rng.edgy();
+            let flagged = rng.vec(0..12, |r| (r.edgy(), r.chance(0.5)));
+            let pairs = rng.vec(0..12, |r| (r.edgy(), r.edgy()));
+            let records = draw_records(rng);
             let req = match kind {
-                0 => TxRequest::Execute { txid, items: flagged },
+                0 => TxRequest::Execute {
+                    txid,
+                    items: flagged,
+                },
                 1 => TxRequest::Validate { items: pairs },
                 2 => TxRequest::Log { txid, records },
-                3 => TxRequest::Commit { txid, items: records },
-                _ => TxRequest::Unlock { txid, keys: pairs.into_iter().map(|p| p.0).collect() },
+                3 => TxRequest::Commit {
+                    txid,
+                    items: records,
+                },
+                _ => TxRequest::Unlock {
+                    txid,
+                    keys: pairs.into_iter().map(|p| p.0).collect(),
+                },
             };
             let wire = encode_request(&req);
-            prop_assert_eq!(&wire, &req.encode());
-            prop_assert_eq!(decode_request(&wire), Some(req.clone()));
-            prop_assert_eq!(TxRequest::decode(&wire), Some(req));
+            assert_eq!(&wire, &req.encode());
+            assert_eq!(decode_request(&wire), Some(req.clone()));
+            assert_eq!(TxRequest::decode(&wire), Some(req));
             for cut in 0..wire.len() {
-                prop_assert!(TxRequestView::decode(&wire[..cut]).is_none(), "cut at {}", cut);
+                assert!(
+                    TxRequestView::decode(&wire[..cut]).is_none(),
+                    "cut at {cut}"
+                );
             }
-        }
+        });
+    }
 
-        #[test]
-        fn responses_agree_with_the_owned_oracle(
-            kind in 0usize..3,
-            flag: bool,
-            values in records_strategy(),
-            places in proptest::collection::vec((any::<bool>(), any::<u64>(), any::<u64>()), 8..9),
-        ) {
+    #[test]
+    fn responses_agree_with_the_owned_oracle() {
+        check_cases("responses_agree_with_the_owned_oracle", |rng| {
+            let kind = rng.below(3);
+            let flag = rng.chance(0.5);
+            let values = draw_records(rng);
+            let places: Vec<_> = (0..8)
+                .map(|_| (rng.chance(0.5), rng.edgy(), rng.edgy()))
+                .collect();
             let items = values
                 .into_iter()
                 .zip(places)
@@ -761,18 +775,24 @@ mod tests {
                 })
                 .collect();
             let resp = match kind {
-                0 => TxResponse::Execute { all_ok: flag, items },
+                0 => TxResponse::Execute {
+                    all_ok: flag,
+                    items,
+                },
                 1 => TxResponse::Validate { ok: flag },
                 _ => TxResponse::Ok,
             };
             let wire = encode_response(&resp);
-            prop_assert_eq!(&wire, &resp.encode());
-            prop_assert_eq!(decode_response(&wire), Some(resp.clone()));
-            prop_assert_eq!(TxResponse::decode(&wire), Some(resp));
+            assert_eq!(&wire, &resp.encode());
+            assert_eq!(decode_response(&wire), Some(resp.clone()));
+            assert_eq!(TxResponse::decode(&wire), Some(resp));
             for cut in 0..wire.len() {
-                prop_assert!(TxResponseView::decode(&wire[..cut]).is_none(), "cut at {}", cut);
+                assert!(
+                    TxResponseView::decode(&wire[..cut]).is_none(),
+                    "cut at {cut}"
+                );
             }
-        }
+        });
     }
 
     #[test]

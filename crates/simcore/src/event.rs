@@ -803,19 +803,20 @@ mod tests {
         assert_eq!(q.nodes.len(), q.events.len());
     }
 
-    proptest::proptest! {
-        /// The wheel must replay any interleaved push / push_with_seq /
-        /// set_seq / cancel / pop / bounded pop / peek script identically
-        /// to the old binary-heap-plus-tombstones queue — with deltas
-        /// drawn per decade up to 2^40 ns, so events land on, cascade
-        /// through and are cancelled on every level the engine can reach,
-        /// and explicit keys arriving out of order — accept exactly the
-        /// ids that are still pending, and keep its lists and bitmaps
-        /// consistent after every step.
-        #[test]
-        fn matches_binary_heap_reference_trace(
-            script in proptest::collection::vec((0u8..8, 0u64..64, 0u32..41), 1..400),
-        ) {
+    /// The wheel must replay any interleaved push / push_with_seq /
+    /// set_seq / cancel / pop / bounded pop / peek script identically
+    /// to the old binary-heap-plus-tombstones queue — with deltas
+    /// drawn per decade up to 2^40 ns, so events land on, cascade
+    /// through and are cancelled on every level the engine can reach,
+    /// and explicit keys arriving out of order — accept exactly the
+    /// ids that are still pending, and keep its lists and bitmaps
+    /// consistent after every step.
+    #[test]
+    fn matches_binary_heap_reference_trace() {
+        crate::check_cases("matches_binary_heap_reference_trace", |rng| {
+            let script = rng.vec(1..400, |r| {
+                (r.below(8) as u8, r.below(64), r.below(41) as u32)
+            });
             let mut fast = EventQueue::new();
             let mut slow = reference::RefQueue::new();
             // Per pushed event (its payload is its index here): the fast
@@ -854,7 +855,7 @@ mod tests {
                         } else {
                             ids.push(fast.push(t, n));
                             let seq = slow.push(t, n);
-                            proptest::prop_assert!(used.insert(seq), "counter reissued seq {seq}");
+                            assert!(used.insert(seq), "counter reissued seq {seq}");
                             seq
                         };
                         seqs.push(seq);
@@ -862,8 +863,8 @@ mod tests {
                     }
                     2 | 7 => {
                         let popped = fast.pop();
-                        proptest::prop_assert_eq!(popped, slow.pop());
-                        proptest::prop_assert_eq!(fast.now(), slow.now);
+                        assert_eq!(popped, slow.pop());
+                        assert_eq!(fast.now(), slow.now);
                         if let Some((_, i)) = popped {
                             live[i] = false;
                         }
@@ -874,8 +875,8 @@ mod tests {
                         let deadline = SimTime(fast.now().as_nanos() + delta);
                         let due = slow.peek_time().is_some_and(|t| t <= deadline);
                         let popped = fast.pop_at_or_before(deadline);
-                        proptest::prop_assert_eq!(popped, if due { slow.pop() } else { None });
-                        proptest::prop_assert_eq!(fast.now(), slow.now);
+                        assert_eq!(popped, if due { slow.pop() } else { None });
+                        assert_eq!(fast.now(), slow.now);
                         if let Some((_, i)) = popped {
                             live[i] = false;
                         }
@@ -884,7 +885,7 @@ mod tests {
                     3 => {
                         // Cancel an arbitrary id: accepted iff pending.
                         let i = arg as usize % n;
-                        proptest::prop_assert_eq!(fast.cancel(ids[i]), live[i]);
+                        assert_eq!(fast.cancel(ids[i]), live[i]);
                         if std::mem::take(&mut live[i]) {
                             slow.cancel(seqs[i]);
                         }
@@ -894,28 +895,28 @@ mod tests {
                         let i = arg as usize % n;
                         if live[i] {
                             let seq = fresh(&mut used, slow.next_seq, arg);
-                            proptest::prop_assert!(fast.set_seq(ids[i], seq));
+                            assert!(fast.set_seq(ids[i], seq));
                             slow.set_seq(seqs[i], seq);
                             seqs[i] = seq;
                         } else {
-                            proptest::prop_assert!(!fast.set_seq(ids[i], 0));
+                            assert!(!fast.set_seq(ids[i], 0));
                         }
                     }
                 }
                 assert_wheel_consistent(&fast);
-                proptest::prop_assert_eq!(fast.len(), live.iter().filter(|&&l| l).count());
-                proptest::prop_assert_eq!(fast.peek_time(), slow.peek_time());
+                assert_eq!(fast.len(), live.iter().filter(|&&l| l).count());
+                assert_eq!(fast.peek_time(), slow.peek_time());
             }
             // Every id still pending must be found through its slot...
             for i in (0..ids.len()).filter(|&i| live[i]) {
                 let seq = fresh(&mut used, slow.next_seq, i as u64);
-                proptest::prop_assert!(fast.set_seq(ids[i], seq));
+                assert!(fast.set_seq(ids[i], seq));
                 slow.set_seq(seqs[i], seq);
             }
             // ...the re-keyed queues drain identically...
             loop {
                 let (f, s) = (fast.pop(), slow.pop());
-                proptest::prop_assert_eq!(&f, &s);
+                assert_eq!(&f, &s);
                 assert_wheel_consistent(&fast);
                 if f.is_none() {
                     break;
@@ -923,8 +924,8 @@ mod tests {
             }
             // ...and afterwards every id is stale.
             for &id in &ids {
-                proptest::prop_assert!(!fast.cancel(id) && !fast.set_seq(id, 0));
+                assert!(!fast.cancel(id) && !fast.set_seq(id, 0));
             }
-        }
+        });
     }
 }

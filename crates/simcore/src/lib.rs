@@ -8,8 +8,9 @@
 //!   tie-breaking for simultaneous events.
 //! - [`DetRng`]: seeded, splittable randomness so that every experiment is
 //!   exactly reproducible, and [`SplitMix64`], the mixer that seeds it and
-//!   draws the cache models' eviction victims. The kernel depends on no
-//!   other crate.
+//!   draws the cache models' eviction victims. [`check_cases`] runs the
+//!   workspace's property tests over it: [`CASES`] seeded cases each.
+//!   The kernel depends on no other crate.
 //! - [`DetHashMap`] / [`DetHashSet`]: fixed-hasher maps with run-to-run
 //!   deterministic iteration order (the root `clippy.toml` disallows
 //!   std's `RandomState` maps workspace-wide).
@@ -46,5 +47,5 @@ pub use detmap::{
 pub use event::{EventId, EventQueue};
 pub use fsm::{Fsm, Transitions};
 pub use resource::FifoResource;
-pub use rng::{DetRng, SplitMix64};
+pub use rng::{check_cases, DetRng, SplitMix64, CASES};
 pub use time::{SimDuration, SimTime};

@@ -8,7 +8,10 @@
 //! This module is the workspace's only random-number code: [`DetRng`]'s
 //! xoshiro256++ stream, and the [`SplitMix64`] stream that seeds and
 //! splits it, draws the cache models' eviction victims and hashes the
-//! KV table's keys.
+//! KV table's keys. The property tests draw from it too, through the
+//! case runner [`check_cases`].
+
+use std::ops::Range;
 
 /// The golden-ratio increment of [`SplitMix64`], also `split`'s seed
 /// multiplier.
@@ -165,6 +168,52 @@ impl DetRng {
             xs.swap(i, j);
         }
     }
+
+    /// Draws a property test's "any value": zero, `u64::MAX` and a value
+    /// below 16 one time in eight each, else uniform — boundary bugs that
+    /// uniform draws statistically never reach. Cast with `as` it serves
+    /// every unsigned width: `u64::MAX` truncates to the narrower `MAX`.
+    pub fn edgy(&mut self) -> u64 {
+        match self.below(8) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => self.below(16),
+            _ => self.next_u64(),
+        }
+    }
+
+    /// Draws a length in `len`, then that many items from `item`: a
+    /// property test's variable-length input.
+    pub fn vec<T>(&mut self, len: Range<usize>, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        let n = self.between(len.start as u64, len.end as u64 - 1);
+        (0..n).map(|_| item(self)).collect()
+    }
+}
+
+/// Cases every property test runs. A constant: each run of a test checks
+/// the same inputs.
+pub const CASES: u64 = 96;
+
+/// Runs the property test `name` over [`CASES`] cases, each handed a
+/// stream seeded from `name` and the case's index. A case that panics is
+/// re-raised naming the test, the case and its seed: re-running the test
+/// replays it, and so does `DetRng::new(seed)` fed to the property alone.
+pub fn check_cases(name: &str, mut property: impl FnMut(&mut DetRng)) {
+    // FNV-1a of the name: each test draws its own cases.
+    let root = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    for case in 0..CASES {
+        let mut rng = DetRng::new(root).split(case);
+        let seed = rng.seed;
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&mut rng)));
+        if let Err(panic) = run {
+            let why = (panic.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("a non-string panic");
+            panic!("{name}: case {case} of {CASES} failed (seed {seed:#x}): {why}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -272,6 +321,56 @@ mod tests {
                 0x06c4_5d18_8009_454f
             ]
         );
+    }
+
+    /// Every case gets its own stream, the same one on every run; a
+    /// failing case's report names the test, the case and a seed that
+    /// replays that case's stream.
+    #[test]
+    fn check_cases_replays_and_reports_its_cases() {
+        let firsts = |name| {
+            let mut v = Vec::new();
+            check_cases(name, |r| v.push(r.next_u64()));
+            v
+        };
+        let a = firsts("a");
+        assert_eq!(a.len() as u64, CASES);
+        assert_eq!(a, firsts("a"));
+        assert!(a.iter().zip(firsts("b")).all(|(x, y)| *x != y));
+        let mut n = 0;
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check_cases("a", |r| {
+                r.next_u64();
+                n += 1;
+                assert!(n != 6, "boom");
+            })
+        }));
+        let report = failed.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            report.starts_with("a: case 5 of 96 failed (seed 0x"),
+            "{report}"
+        );
+        assert!(report.ends_with("): boom"), "{report}");
+        let seed = report
+            .split("seed 0x")
+            .nth(1)
+            .unwrap()
+            .split(')')
+            .next()
+            .unwrap();
+        let seed = u64::from_str_radix(seed, 16).unwrap();
+        assert_eq!(DetRng::new(seed).next_u64(), a[5]);
+    }
+
+    #[test]
+    fn edgy_draws_hit_every_edge_and_vec_respects_its_lengths() {
+        let mut r = DetRng::new(8);
+        let draws: Vec<u64> = (0..512).map(|_| r.edgy()).collect();
+        assert!(draws.contains(&0) && draws.contains(&u64::MAX));
+        assert!(draws.iter().any(|&d| (1..16).contains(&d)));
+        for _ in 0..200 {
+            assert!((3..7).contains(&r.vec(3..7, |r| r.next_u64()).len()));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! canonical serializer round-trips through the parser, and re-compiling
 //! a round-tripped scenario yields identical configs.
 
-use proptest::prelude::*;
+use simcore::check_cases;
 use simscenario::{compile, fuzz::gen_scenario, Scenario};
 
 fn fixtures() -> Vec<(String, String)> {
@@ -85,25 +85,27 @@ fn invalid_fixtures_fail_with_pinned_diagnostics() {
     }
 }
 
-proptest! {
-    /// Generated scenarios survive serialize → parse → serialize.
-    #[test]
-    fn generated_scenarios_round_trip(seed in 0u64..1u64 << 48) {
-        let sc = gen_scenario(seed);
+/// Generated scenarios survive serialize → parse → serialize.
+#[test]
+fn generated_scenarios_round_trip() {
+    check_cases("generated_scenarios_round_trip", |rng| {
+        let sc = gen_scenario(rng.below(1 << 48));
         let text = sc.to_toml();
         let back = Scenario::parse(&text).expect("canonical form parses");
-        prop_assert_eq!(&sc, &back);
-        prop_assert_eq!(text, back.to_toml());
-    }
+        assert_eq!(&sc, &back);
+        assert_eq!(text, back.to_toml());
+    });
+}
 
-    /// Compiling a round-tripped scenario yields identical configs —
-    /// the serializer loses nothing the compiler consumes.
-    #[test]
-    fn round_tripped_scenarios_compile_identically(seed in 0u64..1u64 << 48) {
-        let sc = gen_scenario(seed);
+/// Compiling a round-tripped scenario yields identical configs —
+/// the serializer loses nothing the compiler consumes.
+#[test]
+fn round_tripped_scenarios_compile_identically() {
+    check_cases("round_tripped_scenarios_compile_identically", |rng| {
+        let sc = gen_scenario(rng.below(1 << 48));
         let back = Scenario::parse(&sc.to_toml()).expect("canonical form parses");
         let a = compile(&sc).expect("generated scenarios compile");
         let b = compile(&back).expect("round-tripped scenarios compile");
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
 }

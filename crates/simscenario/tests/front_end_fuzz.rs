@@ -7,8 +7,7 @@
 //! checked-in scenario and every parser fixture; each case damages every
 //! file with the same short list of byte-level mutations.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+use simcore::check_cases;
 use simscenario::compile::MAX_CLIENTS;
 use simscenario::{compile, Compiled, Scenario};
 
@@ -69,12 +68,13 @@ fn front_end(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-proptest! {
-    #[test]
-    fn mutated_scenario_files_never_panic(
-        edits in vec((0u8..4, any::<u32>(), any::<u32>()), 1..5)
-    ) {
-        let corpus = corpus();
+#[test]
+fn mutated_scenario_files_never_panic() {
+    let corpus = corpus();
+    check_cases("mutated_scenario_files_never_panic", |rng| {
+        let edits = rng.vec(1..5, |r| {
+            (r.below(4) as u8, r.edgy() as u32, r.edgy() as u32)
+        });
         for (name, body) in &corpus {
             let mut bytes = body.clone().into_bytes();
             for &edit in &edits {
@@ -84,10 +84,10 @@ proptest! {
             // characters then exercise the parser's multi-byte spans.
             let text = String::from_utf8_lossy(&bytes).into_owned();
             let outcome = std::panic::catch_unwind(|| front_end(&text));
-            prop_assert!(
+            assert!(
                 outcome.is_ok(),
                 "front end panicked on {name} after {edits:?}:\n{text}"
             );
         }
-    }
+    });
 }

@@ -5,7 +5,11 @@
 //! The second case adds a server crash and retries, so the colliding
 //! stages are cancelled wholesale and re-staged by retransmissions (the
 //! client's staging table must follow its staging blocks through both;
-//! debug builds check that after every stage and clear).
+//! debug builds check that after every stage and clear). The third runs
+//! 160 clients whose window fills all four message slots across a crash:
+//! a retry buffered while the connection is down, whose original
+//! response lands before the reconnect flushes the buffer, must not be
+//! re-dispatched into a full window.
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::Cluster;
@@ -16,14 +20,15 @@ use scalerpc::ScaleRpc;
 use simcore::SimDuration;
 use simscenario::{compile, Compiled, Scenario};
 
-/// Runs the colliding configuration, with `workload` and `events` TOML
-/// appended to its tables, and asserts that it drains.
-fn group20_run_drains_clean(workload: &str, events: &str) {
+/// Runs the colliding configuration with `clients` clients, with
+/// `workload` and `events` TOML appended to its tables, and asserts that
+/// it drains.
+fn group20_run_drains_clean(clients: usize, workload: &str, events: &str) {
     let sc = Scenario::parse(&format!(
         "[scenario]\nname = \"probe\"\nseed = 42\nwarmup_us = 1000\nrun_us = 5000\n\n\
          [workload]\nkind = \"rpc\"\ntransport = \"scalerpc\"\ngroup_size = 20\nwindow = 4\n\
          {workload}\n\
-         [[population]]\nname = \"all\"\nclients = 80\n\n{events}",
+         [[population]]\nname = \"all\"\nclients = {clients}\n\n{events}",
     ))
     .unwrap();
     let Compiled::Rpc(c) = compile(&sc).unwrap() else {
@@ -60,13 +65,23 @@ fn group20_run_drains_clean(workload: &str, events: &str) {
 
 #[test]
 fn windowed_group20_run_drains_clean() {
-    group20_run_drains_clean("", "");
+    group20_run_drains_clean(80, "", "");
 }
 
 #[test]
 fn windowed_group20_run_drains_clean_across_a_server_crash() {
     group20_run_drains_clean(
+        80,
         "retry_timeout_us = 300\n",
+        "[[event]]\nat_us = 3000\nkind = \"server_crash\"\ndown_us = 100\n",
+    );
+}
+
+#[test]
+fn full_window_retries_buffered_across_a_crash_are_not_flushed_twice() {
+    group20_run_drains_clean(
+        160,
+        "slots = 4\nretry_timeout_us = 100\n",
         "[[event]]\nat_us = 3000\nkind = \"server_crash\"\ndown_us = 100\n",
     );
 }
