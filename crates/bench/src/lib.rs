@@ -1,8 +1,9 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
 //! Each `figN` function in [`figures`] reproduces the corresponding
-//! figure's rows/series; binaries under `src/bin/` print them one at a
-//! time and `all_figures` prints the whole set.
+//! figure's rows/series. The `all_figures` binary prints the whole set,
+//! or only the figures it is named (`all_figures fig11 table1`), and
+//! `fig_timeline` exports one traced ScaleRPC run as a timeline.
 //!
 //! [`rpcbench`] is the one place a transport name becomes a running
 //! point (the figures, the scenario runner and the tests all go through

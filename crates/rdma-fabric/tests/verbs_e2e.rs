@@ -386,7 +386,7 @@ fn rc_read_returns_what_the_responder_held_when_the_request_arrived() {
 }
 
 #[test]
-fn rc_read_zeroes_destination_lines_the_source_never_wrote() {
+fn rc_read_zeroes_destination_lines_that_are_zero_at_the_source() {
     let mut p = connected_pair(Transport::Rc);
     p.fabric
         .mr_mut(p.mr_a)

@@ -32,18 +32,17 @@
 //! direct writes, response landing) and the connection lifecycle
 //! (`transport/lifecycle.rs`: connections, exactly-once, response replay).
 //!
-//! The crate also provides the NTP-like [`globsync`] protocol of §4.2
-//! that lets multiple `RPCServer`s switch groups at the same pace, which
-//! the ScaleTX transaction system requires.
+//! Several `RPCServer`s switch groups at the same pace, which the ScaleTX
+//! transaction system requires (§4.2), because every server runs on the
+//! one virtual clock: their slice schedules are aligned by construction,
+//! and [`ScaleRpcConfig::first_slice_offset`] staggers them on purpose.
 
 pub mod config;
-pub mod globsync;
 pub mod scheduler;
 pub mod transport;
 pub mod vpool;
 
 pub use config::ScaleRpcConfig;
-pub use globsync::GlobalSync;
 pub use scheduler::{ClientStats, GroupPlan, Scheduler};
 pub use transport::client;
 pub use transport::client::{ClientFsm, ClientState};

@@ -25,9 +25,11 @@
 //!
 //! Because each coordinator talks to several `RPCServer`s, ScaleRPC's
 //! groups must switch *in lockstep* across servers (§4.2's global
-//! synchronization, Fig. 14); the [`scalerpc::globsync`] protocol
-//! provides the clock discipline, and the benchmarks include a
-//! misaligned-schedule ablation showing why it matters.
+//! synchronization, Fig. 14). Every server runs on the one virtual clock,
+//! so equal schedules are aligned by construction; the benchmarks include
+//! a misaligned-schedule ablation (a per-server
+//! [`scalerpc::ScaleRpcConfig::first_slice_offset`]) showing why it
+//! matters.
 
 pub mod participant;
 pub mod proto;

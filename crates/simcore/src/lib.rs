@@ -19,9 +19,6 @@
 //!   profile.
 //! - [`FifoResource`]: the classic single-server queueing resource used to
 //!   model NIC engines, links and CPU threads.
-//! - [`SkewedClock`]: a wall clock with configurable drift, the reference
-//!   model the NTP-like global synchronization protocol of ScaleRPC (§4.2
-//!   of the paper) is unit-checked against.
 //! - [`stats`]: counters, log-bucketed latency histograms and CDF
 //!   extraction used by the benchmark harness.
 //!
@@ -31,7 +28,6 @@
 //! above it runs one queue per simulation (DESIGN.md §10), so golden
 //! fingerprints are bit-identical run-to-run and across feature configs.
 
-pub mod clock;
 pub mod detmap;
 pub mod event;
 pub mod fsm;
@@ -40,7 +36,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use clock::SkewedClock;
 pub use detmap::{
     det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet, FxBuildHasher,
 };
