@@ -166,7 +166,7 @@ echo "== allocation gate (traced ScaleRPC, RawWrite, raw-inbound, SmallBank and 
 # model's region list and its index growth, the NIC cache's hash table,
 # the unread node name, the per-region page pools, ScaleRPC's
 # per-slice group copies and its client-region index, the regions'
-# written-line bitmaps;
+# written-line bitmaps, the harness's map of payloads to retransmit;
 # PERF_LEDGER.md and CHANGES.md have the ledgers). RawWrite is the one
 # workload that runs rpc-baselines; raw inbound is the one with hundreds
 # of nodes, so per-node state shows there; the churn scenario is the one
@@ -198,35 +198,35 @@ ceiling_gate 1 rpc_scalerpc_400c_b8 \
     scalerpc.allocs_per_op=3.309848 \
     rpc-core.harness_allocs_per_op=0.000014 \
     rpc-core.sharded_allocs_per_event=0.000806 \
-    bench.allocs_per_op=4.416343
+    bench.allocs_per_op=4.412567
 ceiling_gate 1 rpc_rawwrite_400c_b1 \
     rpc-baselines.allocs_per_op=3.082486 \
     rpc-core.sharded_allocs_per_event=0.001136 \
-    bench.allocs_per_op=4.131067
+    bench.allocs_per_op=4.128515
 ceiling_gate 1 raw_inbound_8k_400c \
     bench.allocs_per_op=2.377833 \
     rpc-core.sharded_allocs_per_event=0.002572
 ceiling_gate 1 tx_smallbank_160c \
     scaletx.allocs_per_tx=5.567352 \
-    bench.allocs_per_op=21.151211 \
+    bench.allocs_per_op=21.131304 \
     scalerpc.transport_calls=602103.000000
 ceiling_gate 1 scn_churn_cycles \
     scalerpc.allocs_per_op=3.182141 \
-    rpc-core.harness_allocs_per_op=0.000058 \
+    rpc-core.harness_allocs_per_op=0.000014 \
     rpc-core.sharded_allocs_per_event=0.000247 \
-    bench.allocs_per_op=4.240881
+    bench.allocs_per_op=4.240220
 
 echo "== peak-heap gate (untraced replays of all five workloads, seed 42) =="
 # The heap peak is a maximum over rounds whose number depends on host
 # speed, so it is not exact: each ceiling is the value recorded when
-# registered regions dropped their written-line bitmaps and READ
-# snapshots came to scan stored pages, plus the benchmark's own 3 %
+# the harness came to keep every client's requests in flight in one
+# window and stopped keeping payloads for retries, plus the benchmark's own 3 %
 # bound on peak_heap_mb. A change that makes
 # registration or a replay hold memory it does not use fails here.
-ceiling_gate 0 rpc_scalerpc_400c_b8 peak_heap_mb=4.607610
-ceiling_gate 0 rpc_rawwrite_400c_b1 peak_heap_mb=4.019443
+ceiling_gate 0 rpc_scalerpc_400c_b8 peak_heap_mb=4.568017
+ceiling_gate 0 rpc_rawwrite_400c_b1 peak_heap_mb=3.993034
 ceiling_gate 0 raw_inbound_8k_400c peak_heap_mb=11.431323
-ceiling_gate 0 tx_smallbank_160c peak_heap_mb=23.162972
-ceiling_gate 0 scn_churn_cycles peak_heap_mb=2.069402
+ceiling_gate 0 tx_smallbank_160c peak_heap_mb=23.091778
+ceiling_gate 0 scn_churn_cycles peak_heap_mb=2.017663
 
 echo "ci.sh: all gates passed"

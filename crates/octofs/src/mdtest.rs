@@ -38,7 +38,7 @@ impl MdtestGen {
 }
 
 impl RequestGen for MdtestGen {
-    fn gen(&mut self, client: ClientId, seq: u64) -> Bytes {
+    fn gen(&self, client: ClientId, seq: u64) -> Bytes {
         let req = match self.op {
             // Creates use fresh names so they never collide.
             FsOp::Mknod => FsRequest {
@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn generator_emits_decodable_requests() {
-        let mut g = MdtestGen::new(FsOp::Stat, 20);
+        let g = MdtestGen::new(FsOp::Stat, 20);
         for seq in 0..50 {
             let raw = g.gen(2, seq);
             let req = FsRequest::decode(&raw).unwrap();
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn stat_cycles_over_preloaded_files() {
-        let mut g = MdtestGen::new(FsOp::Stat, 4);
+        let g = MdtestGen::new(FsOp::Stat, 4);
         let p0 = g.gen(0, 0);
         let p4 = g.gen(0, 4);
         assert_eq!(p0, p4, "seq 0 and 4 hit the same file with 4 preloaded");
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn mknod_names_never_collide_with_preload() {
-        let mut g = MdtestGen::new(FsOp::Mknod, 100);
+        let g = MdtestGen::new(FsOp::Mknod, 100);
         let raw = g.gen(0, 0);
         let req = FsRequest::decode(&raw).unwrap();
         assert!(req.path.contains("file-01000000"));

@@ -21,11 +21,11 @@ use crate::workload::ThinkTime;
 use bytes::Bytes;
 use rdma_fabric::{Fabric, NodeId, Upcall};
 use simcore::stats::CounterSet;
-use simcore::{DetHashMap, DetRng, SimDuration, SimTime};
+use simcore::{DetRng, SimDuration, SimTime};
 use simtrace::{InstantKind, Stage, Tracer};
 use std::fmt;
 
-/// Client-side failover policy: when a windowed request has seen no
+/// Client-side failover policy: when a request has seen no
 /// response for `timeout`, the harness presumes it lost (server crash,
 /// dropped packet, torn connection) and retransmits it with the same
 /// sequence number, backing off exponentially between attempts.
@@ -79,11 +79,13 @@ pub struct HarnessConfig {
     pub seed: u64,
     /// Outstanding-request window per client (the asynchronous
     /// submit/poll-completion client of §3.6.1). `1` is the seed's
-    /// synchronous batch loop, reproduced bit-exactly; `W > 1` keeps up
-    /// to `W` independent requests in flight, replenishing one per
-    /// completion (requires `batch_size == 1` — the window supersedes
-    /// batching). Transports with slot-addressed client buffers (8
-    /// message slots) support windows up to 8.
+    /// synchronous batch loop: post `batch_size` requests, wait for the
+    /// last response, repeat. `W > 1` keeps up to `W` independent
+    /// requests in flight, replenishing one per completion (requires
+    /// `batch_size == 1` — the window supersedes batching). Either way a
+    /// client's requests in flight are one [`RequestWindow`] of
+    /// `max(window, batch_size)` entries. Transports with slot-addressed
+    /// client buffers (8 message slots) support windows up to 8.
     pub window: usize,
     /// Ignored: one run is one loop on one thread. The field is kept
     /// for source compatibility — `benchmark/` names it in struct
@@ -92,8 +94,7 @@ pub struct HarnessConfig {
     /// Client-side failover retransmission, required for scenarios with
     /// server crashes. `None` (the default) schedules no retry timers,
     /// keeping steady-state runs event-identical to the pre-failover
-    /// harness. Requires `window > 1`: the synchronous batch loop has no
-    /// per-sequence identity to retransmit.
+    /// harness.
     pub retry: Option<RetryPolicy>,
 }
 
@@ -129,10 +130,6 @@ pub enum HarnessConfigError {
     ThinkLen { clients: usize, got: usize },
     /// The client population is empty.
     ZeroClients,
-    /// A retry policy with `window == 1` — the synchronous batch loop
-    /// tracks only an in-flight count, not per-sequence identity, so it
-    /// cannot retransmit a specific request.
-    RetryNeedsWindow,
     /// A retry policy with a zero timeout, backoff or attempt budget.
     BadRetryPolicy,
 }
@@ -152,9 +149,6 @@ impl fmt::Display for HarnessConfigError {
                 )
             }
             HarnessConfigError::ZeroClients => write!(f, "need at least one client"),
-            HarnessConfigError::RetryNeedsWindow => {
-                write!(f, "retry requires window > 1 (per-sequence identity)")
-            }
             HarnessConfigError::BadRetryPolicy => {
                 write!(
                     f,
@@ -189,9 +183,6 @@ impl HarnessConfig {
             });
         }
         if let Some(rp) = self.retry {
-            if self.window == 1 {
-                return Err(HarnessConfigError::RetryNeedsWindow);
-            }
             if rp.timeout == SimDuration::ZERO || rp.backoff == 0 || rp.max_attempts == 0 {
                 return Err(HarnessConfigError::BadRetryPolicy);
             }
@@ -202,13 +193,12 @@ impl HarnessConfig {
 
 struct ClientState {
     next_seq: u64,
-    inflight: usize,
+    /// When the last batch was posted: a synchronous round's latency is
+    /// measured from here.
     batch_started: SimTime,
-    /// Per-slot in-flight tracking for the asynchronous (`window > 1`)
-    /// client; the tag records each request's submit time so latency is
-    /// per-request, not per-batch. Unused on the synchronous path.
+    /// The requests in flight, each tagged with its submit time so a
+    /// windowed client's latency is per request, not per batch.
     window: RequestWindow<SimTime>,
-    think: ThinkTime,
     rng: DetRng,
     stopped: bool,
 }
@@ -221,8 +211,8 @@ pub enum HarnessEv<TEv> {
     Wake(ClientId),
     /// A client's thread got around to actually posting the batch. The
     /// count is how many posts the thread grant paid for at schedule
-    /// time; the windowed path must not submit more than that, however
-    /// many slots have freed up since (each later completion books and
+    /// time; the post must not submit more than that, however much
+    /// room the window has freed since (each later completion books and
     /// schedules its own post). Without the cap a backlogged thread's
     /// deferred posts would refill whole windows they never paid for,
     /// and the closed loop would run faster than the client CPU allows.
@@ -246,8 +236,9 @@ pub enum HarnessEv<TEv> {
 /// microbenchmark messages); application workloads (mdtest, transactions)
 /// plug their own.
 pub trait RequestGen {
-    /// Builds one request payload.
-    fn gen(&mut self, client: ClientId, seq: u64) -> Bytes;
+    /// Builds one request payload: a pure function of `(client, seq)`,
+    /// so a retransmission regenerates the bytes it first sent.
+    fn gen(&self, client: ClientId, seq: u64) -> Bytes;
 }
 
 /// Fixed-size generator used by the raw RPC microbenchmarks.
@@ -257,8 +248,6 @@ pub trait RequestGen {
 /// the generator sits on the per-request hot path of every closed-loop
 /// benchmark and used to allocate a fresh buffer each call.
 pub struct FixedSizeGen {
-    /// Payload size in bytes.
-    pub size: usize,
     template: Bytes,
 }
 
@@ -266,18 +255,13 @@ impl FixedSizeGen {
     /// Creates a generator emitting `size`-byte payloads.
     pub fn new(size: usize) -> Self {
         FixedSizeGen {
-            size,
             template: Bytes::from(vec![0u8; size]),
         }
     }
 }
 
 impl RequestGen for FixedSizeGen {
-    fn gen(&mut self, _client: ClientId, _seq: u64) -> Bytes {
-        if self.template.len() != self.size {
-            // `size` is a public field; honor post-construction changes.
-            self.template = Bytes::from(vec![0u8; self.size]);
-        }
+    fn gen(&self, _client: ClientId, _seq: u64) -> Bytes {
         self.template.clone()
     }
 }
@@ -320,10 +304,6 @@ pub struct Harness<T: RpcTransport> {
     /// and completion, so conservation stays `issued == completed +
     /// in_flight` however many times a request was resent.
     retries: u64,
-    /// Payloads of in-flight requests, kept only while a retry policy is
-    /// installed so retransmissions resend the *original* bytes instead
-    /// of re-drawing from a stateful generator. Never touched otherwise.
-    retry_payloads: DetHashMap<(ClientId, u64), Bytes>,
 }
 
 impl<T: RpcTransport> Harness<T> {
@@ -366,10 +346,8 @@ impl<T: RpcTransport> Harness<T> {
         let clients = (0..n)
             .map(|c| ClientState {
                 next_seq: 0,
-                inflight: 0,
                 batch_started: SimTime::ZERO,
-                window: RequestWindow::new(cfg.window),
-                think: cfg.think[c % cfg.think.len()].clone(),
+                window: RequestWindow::new(cfg.window.max(cfg.batch_size)),
                 rng: rng.split(c as u64),
                 stopped: false,
             })
@@ -392,7 +370,6 @@ impl<T: RpcTransport> Harness<T> {
             completed: 0,
             completed_by_client: vec![0; n],
             retries: 0,
-            retry_payloads: DetHashMap::default(),
         })
     }
 
@@ -441,7 +418,7 @@ impl<T: RpcTransport> Harness<T> {
     pub fn in_flight(&self) -> u64 {
         self.clients
             .iter()
-            .map(|st| self.outstanding(st) as u64)
+            .map(|st| st.window.in_flight() as u64)
             .sum()
     }
 
@@ -449,18 +426,8 @@ impl<T: RpcTransport> Harness<T> {
     /// no-stuck-clients invariant: empty after drain).
     pub fn stuck_clients(&self) -> Vec<ClientId> {
         (0..self.clients.len())
-            .filter(|&c| self.outstanding(&self.clients[c]) > 0)
+            .filter(|&c| !self.clients[c].window.is_empty())
             .collect()
-    }
-
-    /// A client's outstanding requests: its window's in-flight slots, or
-    /// what is left of its batch.
-    fn outstanding(&self, st: &ClientState) -> usize {
-        if self.cfg.window > 1 {
-            st.window.in_flight()
-        } else {
-            st.inflight
-        }
     }
 
     /// Samples the named counters of `node` into the trace every `every`
@@ -494,16 +461,13 @@ impl<T: RpcTransport> Harness<T> {
     }
 
     fn schedule_post(&mut self, client: ClientId, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
-        // Claim the client thread for the whole batch's posting cost. On
-        // the windowed path the "batch" is however many free slots the
-        // window has right now; a wake that finds the window full posts
-        // nothing (a later completion will wake the client again).
-        let posts = if self.cfg.window > 1 {
-            let st = &self.clients[client];
-            self.cfg.window - st.window.in_flight()
-        } else {
-            self.cfg.batch_size
-        };
+        // Claim the client thread for posting as many requests as the
+        // window has room for: a whole batch for a synchronous client,
+        // whose window is empty when it wakes, or the free entries of a
+        // windowed one. A wake that finds the window full posts nothing
+        // (a later completion will wake the client again).
+        let window = &self.clients[client].window;
+        let posts = window.capacity() - window.in_flight();
         if posts == 0 {
             return;
         }
@@ -512,41 +476,31 @@ impl<T: RpcTransport> Harness<T> {
         cx.at(grant.begin, HarnessEv::Post(client, posts));
     }
 
-    /// Posts the `paid` requests a thread grant covered: a whole batch on
-    /// the synchronous path, or as many as the window has free slots for
-    /// on the asynchronous one (the replenish step), each tracked in its
-    /// own slot with its own submit time. Slots freed since the grant
-    /// belong to the completions that freed them.
+    /// Posts the `paid` requests a thread grant covered, or as many as
+    /// the window still has room for (the replenish step), each entered
+    /// with its own submit time. Room freed since the grant belongs to
+    /// the completions that freed it.
     fn post(&mut self, c: ClientId, paid: usize, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
-        let windowed = self.cfg.window > 1;
-        if !windowed {
-            self.clients[c].batch_started = cx.now;
-            self.clients[c].inflight = paid;
-        }
+        self.clients[c].batch_started = cx.now;
         let per_post = self.transport.client_overhead().per_post;
         for i in 0..paid as u64 {
-            if windowed && self.clients[c].window.is_full() {
+            let st = &mut self.clients[c];
+            let (seq, start) = (st.next_seq, cx.now + per_post * i);
+            if !st.window.submit(seq, start) {
                 break;
             }
-            let seq = self.clients[c].next_seq;
-            self.clients[c].next_seq += 1;
+            st.next_seq += 1;
             let payload = self.gen.gen(c, seq);
             // Allocate a trace id for this request's pipeline and stamp
             // it onto the fabric so the transport's posts inherit it (0
             // when tracing is off — untraced).
             let id = self.tracer.next_id();
-            let start = cx.now + per_post * i;
             if id != 0 {
                 self.tracer
                     .span(id, Stage::ClientPost, start, start + per_post, c as u64);
             }
-            if windowed {
-                self.clients[c].window.submit(seq, start);
-            }
             self.issued += 1;
-            // Retry needs `window > 1` (per-sequence identity).
             if let Some(rp) = self.cfg.retry {
-                self.retry_payloads.insert((c, seq), payload.clone());
                 cx.at(start + rp.timeout, HarnessEv::Retry(c, seq, 1));
             }
             cx.fabric.set_trace_ctx(id);
@@ -560,9 +514,9 @@ impl<T: RpcTransport> Harness<T> {
     }
 
     fn drain_responses(&mut self, cx: &mut Cx<'_, HarnessEv<T::Ev>>) {
-        // Charge response-processing CPU and complete batches. Nothing in
-        // the loop reaches the transport, so the list does not grow
-        // while it is out of `self`.
+        // Charge response-processing CPU and end rounds. Nothing in the
+        // loop reaches the transport, so the list does not grow while it
+        // is out of `self`.
         let mut responses = std::mem::take(&mut self.responses);
         for resp in responses.drain(..) {
             let c = resp.client;
@@ -573,55 +527,35 @@ impl<T: RpcTransport> Harness<T> {
             let cost = overhead.per_response + overhead.per_dispatch;
             let grant = self.cpu.acquire(c, cx.now, cost);
             let st = &mut self.clients[c];
-            if self.cfg.window > 1 {
-                // Asynchronous client: each completion retires one window
-                // slot and wakes the client to replenish. The client
-                // cannot *observe* the completion before its thread gets
-                // CPU to poll it, so the op retires — and the next post
-                // is woken — at the grant's completion, not at NIC
-                // arrival. This is what lets a high per-op client cost
-                // cap windowed throughput at the machine's core budget
-                // (Fig. 8 right) instead of being hidden behind the
-                // window. Unknown seqs are duplicate notifications.
-                let Some(done) = st.window.complete(resp.seq) else {
-                    continue;
-                };
-                if self.cfg.retry.is_some() {
-                    self.retry_payloads.remove(&(c, resp.seq));
-                }
-                self.completed += 1;
-                self.completed_by_client[c] += 1;
-                let st = &mut self.clients[c];
-                let polled = grant.complete;
-                let latency = polled.saturating_since(done.tag);
-                self.metrics.record_batch(polled, 1, latency);
-                if cx.now < self.stop_at && !st.stopped {
-                    let think = st.think.sample(&mut st.rng);
-                    cx.at(polled + think, HarnessEv::Wake(c));
-                } else {
-                    st.stopped = true;
-                }
+            // Seqs the window does not hold are duplicate notifications.
+            let Some(done) = st.window.complete(resp.seq) else {
                 continue;
-            }
-            if st.inflight == 0 {
-                // Response after the batch already accounted (e.g. a
-                // duplicate context-switch notification) — ignore.
-                continue;
-            }
-            st.inflight -= 1;
+            };
             self.completed += 1;
             self.completed_by_client[c] += 1;
-            let st = &mut self.clients[c];
-            if st.inflight == 0 {
-                let latency = cx.now.saturating_since(st.batch_started);
-                self.metrics
-                    .record_batch(cx.now, self.cfg.batch_size as u64, latency);
-                if cx.now < self.stop_at && !st.stopped {
-                    let think = st.think.sample(&mut st.rng);
-                    cx.at(cx.now + think, HarnessEv::Wake(c));
-                } else {
-                    st.stopped = true;
-                }
+            // When the client has a round to record and a next post to
+            // wake. A windowed client's round is each completion, and it
+            // cannot *observe* one before its thread gets CPU to poll
+            // it: the op retires at the grant's completion, not at NIC
+            // arrival, which is what lets a high per-op client cost cap
+            // windowed throughput at the machine's core budget (Fig. 8
+            // right) instead of being hidden behind the window. A
+            // synchronous client's round is its batch, observed at the
+            // last response's arrival.
+            let (at, ops, since) = if self.cfg.window > 1 {
+                (grant.complete, 1, done.tag)
+            } else if st.window.is_empty() {
+                (cx.now, self.cfg.batch_size as u64, st.batch_started)
+            } else {
+                continue;
+            };
+            self.metrics
+                .record_batch(at, ops, at.saturating_since(since));
+            if cx.now < self.stop_at && !st.stopped {
+                let think = self.cfg.think[c % self.cfg.think.len()].sample(&mut st.rng);
+                cx.at(at + think, HarnessEv::Wake(c));
+            } else {
+                st.stopped = true;
             }
         }
         self.responses = responses;
@@ -744,12 +678,13 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 let Some(rp) = self.cfg.retry else {
                     return;
                 };
-                let Some(payload) = self.retry_payloads.get(&(c, seq)).cloned() else {
+                if !self.clients[c].window.contains(seq) {
                     return; // completed in the meantime
-                };
+                }
                 if attempt > rp.max_attempts {
                     return; // give up; the client stays stuck and is flagged
                 }
+                let payload = self.gen.gen(c, seq);
                 self.retries += 1;
                 self.tracer
                     .instant(InstantKind::Failover, cx.now, c as u64, attempt as u64);
@@ -840,6 +775,16 @@ mod tests {
     }
 
     #[test]
+    fn validate_accepts_retry_on_a_synchronous_batch() {
+        let cfg = HarnessConfig {
+            batch_size: 8,
+            retry: Some(RetryPolicy::default()),
+            ..base()
+        };
+        assert_eq!(cfg.validate(40), Ok(()));
+    }
+
+    #[test]
     fn validate_rejects_zero_clients() {
         assert_eq!(base().validate(0), Err(HarnessConfigError::ZeroClients));
     }
@@ -893,12 +838,18 @@ mod tests {
     fn drain_responses_empties_the_list_and_keeps_its_buffer() {
         let mut fabric = Fabric::new(rdma_fabric::FabricParams::default());
         let cluster = Cluster::build(&mut fabric, Default::default());
-        let mut h = Harness::new(Inert, cluster, base());
-        h.clients[3].inflight = 2;
+        let cfg = HarnessConfig {
+            batch_size: 2,
+            ..base()
+        };
+        let mut h = Harness::new(Inert, cluster, cfg);
+        for seq in 0..2 {
+            assert!(h.clients[3].window.submit(seq, SimTime::ZERO));
+        }
         h.responses.reserve_exact(32);
         let buffer = (h.responses.as_ptr(), h.responses.capacity());
         for seq in 0..3 {
-            // The third finds nothing in flight: a duplicate, ignored.
+            // The third is not in flight: a duplicate, ignored.
             h.responses.push(Response {
                 client: 3,
                 seq,

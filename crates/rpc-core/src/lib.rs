@@ -52,6 +52,6 @@ pub use metrics::{RpcMetrics, Window};
 pub use pool::BlockPool;
 pub use sharded::{ShardedSim, DRAIN};
 pub use transport::{ClientOverhead, Response, RpcTransport, ServerHandler};
-pub use window::{Completed, InFlight, RequestWindow};
+pub use window::{InFlight, RequestWindow};
 pub use workers::WorkerPool;
 pub use workload::ThinkTime;

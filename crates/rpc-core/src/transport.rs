@@ -122,6 +122,11 @@ pub enum LifecycleEv {
     /// before its next request (connection churn, or a client
     /// reconnecting after a departure).
     ConnReset(ClientId),
+    /// The application will never submit or await `(client, seq)` again
+    /// (a transaction coordinator gave up a request to a crashed
+    /// participant). A transport that tracks requests in flight stops
+    /// tracking this one.
+    Abandon { client: ClientId, seq: u64 },
 }
 
 /// An RPC implementation over the simulated fabric.

@@ -383,6 +383,7 @@ impl<H: ServerHandler> RpcTransport for ScaleRpc<H> {
                 self.forget_client(c, cx);
                 self.publish_settled(c);
             }
+            LifecycleEv::Abandon { client, seq } => self.abandon(client, seq, cx.fabric),
         }
     }
 

@@ -18,10 +18,10 @@
 //!   processing pool. A response carrying `context_switch_event` (or an
 //!   explicit notification) sends it back to IDLE.
 //!
-//! The FSM also carries a window of in-flight slots
+//! The FSM also carries the window of requests in flight
 //! ([`rpc_core::RequestWindow`]) for the asynchronous client of §3.6.1:
-//! each submitted request occupies a slot until the matching response
-//! retires it. The Fig. 7 state transitions are
+//! each submitted request stays in it until the matching response
+//! retires it or the application abandons it. The Fig. 7 state transitions are
 //! unchanged — the window only adds bookkeeping (and the
 //! context-switch *re-arm*: a notification that lands while requests
 //! are still in flight moves the client back to WARMUP so the staged
@@ -35,7 +35,7 @@ use rpc_core::driver::Cx;
 use rpc_core::message::MsgBuf;
 use rpc_core::pool::write_block;
 use rpc_core::transport::{Response, ServerHandler};
-use rpc_core::{Completed, RequestWindow};
+use rpc_core::{InFlight, RequestWindow};
 use simcore::{Fsm, Transitions};
 
 use super::{ScaleEv, ScaleRpc, ENTRY, NOTIFY_SEQ, UNSTAGED};
@@ -79,7 +79,7 @@ pub enum SubmitAction {
 #[derive(Clone, Debug)]
 pub struct ClientFsm {
     state: Fsm<ClientState>,
-    /// In-flight request slots.
+    /// The requests in flight.
     window: RequestWindow,
 }
 
@@ -110,7 +110,7 @@ impl ClientFsm {
         self.state.get()
     }
 
-    /// The in-flight slot tracker.
+    /// The requests in flight.
     pub fn window(&self) -> &RequestWindow {
         &self.window
     }
@@ -120,20 +120,25 @@ impl ClientFsm {
         self.window.in_flight()
     }
 
-    /// Tracked submit: claims a window slot for `seq` and returns the
-    /// Fig. 7 action, or `None` (state untouched) when the window is full.
+    /// Tracked submit: enters `seq` in the window and returns the Fig. 7
+    /// action, or `None` (state untouched) when the window is full.
     pub fn submit(&mut self, seq: u64) -> Option<SubmitAction> {
-        self.window.submit(seq, ())?;
-        Some(self.on_submit())
+        self.window.submit(seq, ()).then(|| self.on_submit())
     }
 
-    /// Tracked completion: retires the slot holding `seq` and applies the
+    /// Tracked completion: retires `seq` from the window and applies the
     /// Fig. 7 response transition. Returns `None` (state untouched) for
     /// an unknown or already-retired seq, so duplicates are detectable.
-    pub fn complete(&mut self, seq: u64, ctx_switch: bool) -> Option<Completed<()>> {
+    pub fn complete(&mut self, seq: u64, ctx_switch: bool) -> Option<InFlight<()>> {
         let done = self.window.complete(seq)?;
         self.on_response(ctx_switch);
         Some(done)
+    }
+
+    /// Retires `seq` from the window with no Fig. 7 transition: the
+    /// application gave it up, so no response will ever complete it.
+    pub fn forget(&mut self, seq: u64) {
+        self.window.complete(seq);
     }
 
     /// Context-switch re-arm: if a notification put the client in IDLE
@@ -194,8 +199,8 @@ pub(super) struct ClientEnd {
 }
 
 impl ClientEnd {
-    /// One FSM window slot per message slot: at most `slots` requests in
-    /// flight before staging blocks would collide.
+    /// The FSM window holds one request per message slot: at most
+    /// `slots` requests in flight before staging blocks would collide.
     pub(super) fn new(qp: QpId, region: MrId, slots: usize) -> Self {
         ClientEnd {
             qp,
@@ -283,7 +288,7 @@ impl<H: ServerHandler> ScaleRpc<H> {
         // <ack floor, batch_size> tuple, Valid last (RDMA writes land in
         // increasing address order); the floor is the lowest seq in flight.
         let window = self.ends[client].fsm.window();
-        let floor = window.iter_in_flight().map(|(_, f)| f.seq).min();
+        let floor = window.iter().map(|f| f.seq).min();
         let mut entry = [0u8; 24];
         entry[0..8].copy_from_slice(&floor.unwrap_or(0).to_le_bytes());
         entry[8..12].copy_from_slice(&(self.cfg.slots as u32).to_le_bytes());
@@ -384,26 +389,42 @@ impl<H: ServerHandler> ScaleRpc<H> {
             fsm.on_response(header.is_ctx_switch());
         }
         self.traces.close(client, header.seq, cx.now);
-        // Clear the staging copy of this request so a later warmup read
-        // cannot re-fetch it. The copy normally sits at `seq % slots`,
-        // but collision probing (see `staging_slot_for`) may have placed
-        // it in a neighbouring slot, and a retransmission may have staged
-        // a second copy, so clear every block the staging table names for
-        // this sequence; slots staging *other* requests are left untouched.
-        for s in 0..self.cfg.slots {
-            let entry = &mut self.staged[client * self.cfg.slots + s];
-            if *entry == header.seq {
-                *entry = UNSTAGED;
-                MsgBuf::clear_valid(&mut self.ends[client].region(cx.fabric), s * bs, bs);
-            }
-        }
-        self.debug_check_staged(client, cx.fabric);
+        self.unstage(client, header.seq, cx.fabric);
         self.life.delivered(client, header.seq);
         out.push(Response {
             client,
             seq: header.seq,
             payload,
         });
+    }
+
+    /// Clears every staged copy of `seq` so a later warmup read cannot
+    /// fetch it. The copy normally sits at `seq % slots`, but collision
+    /// probing (see `staging_slot_for`) may have placed it in a
+    /// neighbouring slot, and a retransmission may have staged a second
+    /// copy, so clear every block the staging table names for this
+    /// sequence; slots staging *other* requests are left untouched.
+    fn unstage(&mut self, client: ClientId, seq: u64, fabric: &mut Fabric) {
+        let bs = self.cfg.block_size;
+        for s in 0..self.cfg.slots {
+            let entry = &mut self.staged[client * self.cfg.slots + s];
+            if *entry == seq {
+                *entry = UNSTAGED;
+                MsgBuf::clear_valid(&mut self.ends[client].region(fabric), s * bs, bs);
+            }
+        }
+        self.debug_check_staged(client, fabric);
+    }
+
+    /// The application abandoned `(client, seq)`: it will never submit or
+    /// await it again. Retire it from the window with no Fig. 7
+    /// transition, so it stops pinning the ack floor and holding a slot,
+    /// drop its staged copies so no warmup fetch executes it, and forget
+    /// any buffered or cached copy as if it had been delivered.
+    pub(super) fn abandon(&mut self, client: ClientId, seq: u64, fabric: &mut Fabric) {
+        self.ends[client].fsm.forget(seq);
+        self.unstage(client, seq, fabric);
+        self.life.delivered(client, seq);
     }
 
     /// Cancels every staged request (a crash: their issuers presume them
@@ -511,6 +532,19 @@ mod tests {
         fsm.on_ctx_notify();
         assert!(!fsm.rearm());
         assert_eq!(fsm.state(), ClientState::Idle);
+    }
+
+    #[test]
+    fn forget_frees_the_window_without_a_transition() {
+        let mut fsm = ClientFsm::with_window(2);
+        fsm.submit(0);
+        fsm.submit(1);
+        assert_eq!(fsm.state(), ClientState::Warmup);
+        fsm.forget(0);
+        assert_eq!((fsm.in_flight(), fsm.state()), (1, ClientState::Warmup));
+        // The abandoned seq is gone: its late response is a duplicate.
+        assert!(fsm.complete(0, false).is_none());
+        assert_eq!(fsm.submit(2), Some(SubmitAction::StageOnly));
     }
 
     #[test]

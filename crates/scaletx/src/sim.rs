@@ -22,7 +22,7 @@ use rpc_core::driver::{Cx, Logic};
 use rpc_core::inject::{self, FaultEv, Injection, ScenarioError, ScenarioSpec};
 use rpc_core::metrics::Window;
 use rpc_core::sharded::ShardedSim;
-use rpc_core::transport::{OneSidedAccess, Response, RpcTransport};
+use rpc_core::transport::{LifecycleEv, OneSidedAccess, Response, RpcTransport};
 use simcore::stats::Histogram;
 use simcore::DetHashMap;
 use simcore::{DetRng, Fsm, SimDuration, SimTime, Transitions};
@@ -943,7 +943,8 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
     /// staged in pool memory nothing will poll. The coordinator gives the
     /// transaction up — its locks at `s` die with the lock table, so the
     /// slot aborts and retries as a fresh transaction once `pending`
-    /// drains.
+    /// drains — and tells transport `s` it abandoned each seq, which no
+    /// response will complete now.
     fn fail_expected_toward(&mut self, s: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
         for c in 0..self.coords.len() {
             let mut seqs: Vec<u64> = self.coords[c]
@@ -957,6 +958,8 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 let Some(slot) = self.coords[c].expected.remove(&(s, seq)) else {
                     continue;
                 };
+                let abandon = LifecycleEv::Abandon { client: c, seq };
+                with_indexed_cx(cx, s, |tcx| self.transports[s].on_lifecycle(abandon, tcx));
                 self.crash_failures += 1;
                 let sl = &mut self.coords[c].slots[slot];
                 sl.pending -= 1;

@@ -3,9 +3,9 @@
 //! drain with every slot idle and every key unlocked.
 //!
 //! At a crash `TxSim` gives up the seqs its coordinators had toward the
-//! server, but ScaleRPC's client window keeps them in flight. At W = 1
-//! and W = 2 that window never fills; at W = 4 it does, and the next
-//! submit panics (ROADMAP direction 8).
+//! server and tells ScaleRPC it abandoned each one, so the client window
+//! stops holding them. Before it did, W = 4 and W = 8 filled that window
+//! with seqs nobody awaited, and the next submit panicked.
 
 use rpc_core::inject::{Injection, ScenarioSpec};
 use scalerpc::ScaleRpcConfig;
@@ -77,7 +77,11 @@ fn window_two_drains_after_three_crashes() {
 }
 
 #[test]
-#[ignore = "ROADMAP direction 8: the client window keeps seqs the coordinator gave up at a crash, and a full window panics in `dispatch`"]
 fn window_four_drains_after_three_crashes() {
     crash_three_times(4);
+}
+
+#[test]
+fn window_eight_drains_after_three_crashes() {
+    crash_three_times(8);
 }

@@ -267,14 +267,16 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
             let (tenants, sizes) = (per_client(sc, |p| p.tenant), per_client(sc, |p| p.size));
 
             let scale = if w.transport == TransportKind::ScaleRpc {
-                // A client holds one message slot per request in flight;
-                // a deeper window would strand the excess for the whole
-                // run (the baselines queue it instead).
-                if w.window > w.slots {
-                    return Err(err(format!(
-                        "scalerpc window {} exceeds the {} message slots per client (`slots`)",
-                        w.window, w.slots
-                    )));
+                // A client holds one message slot per request in flight,
+                // a window's worth or a synchronous batch; more would
+                // overrun its slots (the baselines queue them instead).
+                for (what, n) in [("window", w.window), ("batch", w.batch)] {
+                    if n > w.slots {
+                        return Err(err(format!(
+                            "scalerpc {what} {n} exceeds the {} message slots per client (`slots`)",
+                            w.slots
+                        )));
+                    }
                 }
                 let mut cfg = ScaleRpcConfig {
                     group_size: w.group_size,
@@ -468,9 +470,10 @@ enum SizePlan {
 }
 
 /// Request generator driven by the scenario's per-client size models:
-/// fixed sizes hand out a shared template, zipfian sizes sample a
-/// per-client deterministic RNG stream against the population's
-/// cumulative weight table.
+/// fixed sizes hand out a shared template, zipfian sizes draw request
+/// `seq`'s size from the `seq`-th split of a per-client deterministic
+/// RNG stream against the population's cumulative weight table, so a
+/// request's size depends on `(client, seq)` alone.
 pub struct ScenarioGen {
     plans: Vec<SizePlan>,
 }
@@ -515,12 +518,12 @@ impl ScenarioGen {
 }
 
 impl RequestGen for ScenarioGen {
-    fn gen(&mut self, client: usize, _seq: u64) -> Bytes {
-        match &mut self.plans[client] {
+    fn gen(&self, client: usize, seq: u64) -> Bytes {
+        match &self.plans[client] {
             SizePlan::Fixed(b) => b.clone(),
             SizePlan::Zipf { cum, min, rng } => {
                 let total = *cum.last().expect("non-empty zipf table");
-                let u = rng.unit_f64() * total;
+                let u = rng.split(seq).unit_f64() * total;
                 let idx = cum.partition_point(|&c| c < u).min(cum.len() - 1);
                 Bytes::from(vec![0u8; *min + idx])
             }
@@ -618,15 +621,21 @@ mod tests {
             };
             4
         ];
-        let mut g1 = ScenarioGen::new(&sizes, 7);
-        let mut g2 = ScenarioGen::new(&sizes, 7);
+        let (g1, g2) = (ScenarioGen::new(&sizes, 7), ScenarioGen::new(&sizes, 7));
+        let mut drawn = Vec::new();
         for c in 0..4 {
             for seq in 0..200 {
                 let a = g1.gen(c, seq);
                 let b = g2.gen(c, seq);
                 assert_eq!(a.len(), b.len());
                 assert!((32..=256).contains(&a.len()));
+                drawn.push((c, seq, a));
             }
+        }
+        // A request's bytes depend on `(client, seq)` alone: asked again,
+        // in reverse order, the first generator hands out the same ones.
+        for (c, seq, a) in drawn.iter().rev() {
+            assert_eq!(g1.gen(*c, *seq), *a, "client {c} seq {seq}");
         }
     }
 

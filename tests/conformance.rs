@@ -5,8 +5,11 @@
 //! Fig. 8 (left, batch 1): as clients grow from 40 to 400, ScaleRPC
 //! holds its throughput while RawWrite collapses — the NIC's QP cache
 //! thrashes for RawWrite, and ScaleRPC's connection grouping keeps the
-//! active set inside it.
+//! active set inside it. Fig. 1(b) and Fig. 3(b) are the raw-verb
+//! measurements that motivate it: the QP-cache collapse of outbound
+//! writes, and the LLC overflow of large inbound blocks.
 
+use scalerpc_bench::rawverbs::{run_raw_verbs, RawVerbConfig, RawVerbKind};
 use scalerpc_bench::rpcbench::{run_rpc, RpcRunConfig, TransportKind};
 
 /// Mops/s of the Fig. 8 batch-1 cell for `kind` at `clients`.
@@ -31,4 +34,64 @@ fn fig08_scalerpc_holds_while_rawwrite_collapses() {
         scale[1] >= 3.0 * raw[1],
         "ScaleRPC must lead at 400: {cells}"
     );
+}
+
+/// The Fig. 1(b) cell of `kind` at `clients`: 32-byte messages into
+/// message-sized pool blocks, as the figure's client sweep runs them.
+fn fig01b_cell(kind: RawVerbKind, clients: usize) -> f64 {
+    run_raw_verbs(RawVerbConfig {
+        kind,
+        clients,
+        block_size: 64,
+        ..Default::default()
+    })
+    .mops
+}
+
+/// Fig. 1(b): from 40 to 800 clients, outbound RC writes collapse (the
+/// server's NIC thrashes its QP cache, ~20 → ~2 Mops/s in the paper),
+/// UD sends stay flat, and inbound RC writes hold. The inbound bound is
+/// one-sided: the simulated curve sags about 12 % by 800 clients where
+/// the paper's stays flat (EXPERIMENTS.md).
+#[test]
+fn fig01b_outbound_collapses_while_ud_and_inbound_hold() {
+    let [out, ud, inb] = [
+        RawVerbKind::OutboundWrite,
+        RawVerbKind::UdSend,
+        RawVerbKind::InboundWrite,
+    ]
+    .map(|kind| [40, 800].map(|c| fig01b_cell(kind, c)));
+    let cells = format!("outbound {out:?} UD {ud:?} inbound {inb:?} Mops/s at 40 and 800 clients");
+    assert!(out[1] <= 0.2 * out[0], "outbound must collapse: {cells}");
+    assert!(
+        (ud[1] - ud[0]).abs() <= 0.1 * ud[0],
+        "UD must stay flat: {cells}"
+    );
+    assert!(inb[1] >= 0.85 * inb[0], "inbound must hold: {cells}");
+}
+
+/// Fig. 3(b): at 400 clients × 20 blocks, inbound RC writes into 8 KB
+/// blocks overflow the LLC: the server's CPU misses on most of what the
+/// NIC wrote, and throughput falls to well under half of the 128 B
+/// cell's, where the pool fits and nearly nothing misses.
+#[test]
+fn fig03b_large_blocks_overflow_the_llc() {
+    let [small, large] = [128, 8192].map(|block_size| {
+        run_raw_verbs(RawVerbConfig {
+            kind: RawVerbKind::InboundWrite,
+            clients: 400,
+            block_size,
+            ..Default::default()
+        })
+    });
+    let cells = format!(
+        "128 B: {:.2} Mops/s, L3 miss {:.2}; 8 KB: {:.2} Mops/s, L3 miss {:.2}",
+        small.mops, small.l3_miss_rate, large.mops, large.l3_miss_rate
+    );
+    assert!(
+        large.mops <= 0.5 * small.mops,
+        "throughput must fall: {cells}"
+    );
+    assert!(small.l3_miss_rate <= 0.1, "128 B must fit the LLC: {cells}");
+    assert!(large.l3_miss_rate >= 0.5, "8 KB must overflow it: {cells}");
 }

@@ -59,8 +59,14 @@ fn crash_cfg() -> (TxConfig, ScaleRpcConfig) {
     (cfg, scale)
 }
 
+/// The crash line was re-recorded once, for a behaviour fix rather than
+/// a refactor: the coordinators now tell ScaleRPC which seqs they gave
+/// up at the crash (`LifecycleEv::Abandon`), so those seqs stop keeping
+/// a client window non-empty, and a context switch stops re-arming and
+/// republishing for them (events 105 480 → 103 942, committed 352 → 344,
+/// aborted 2 187 → 2 163). The steady line is the original capture.
 const TX_CRASH_GOLDEN: &str = "\
-tx lock-holder crash: events=105480 committed=352 aborted=2187 crash_failures=8 locks_swept=2 busy_slots=0
+tx lock-holder crash: events=103942 committed=344 aborted=2163 crash_failures=8 locks_swept=2 busy_slots=0
 tx steady: events=132568 committed=500 aborted=2932 crash_failures=0 locks_swept=0 busy_slots=0";
 
 #[test]

@@ -326,7 +326,8 @@ struct ChaosRun {
     node_crashes: u64,
 }
 
-/// Runs the standard 8-client ScaleRPC deployment under the given chaos
+/// Runs the standard 8-client ScaleRPC deployment, its clients posting
+/// batches of `batch` through a window of `window`, under the given chaos
 /// timeline and asserts the recovery invariants: conservation
 /// (`issued == completed + in_flight`), a fully drained window
 /// (`in_flight == 0`) and no stuck clients.
@@ -334,6 +335,8 @@ fn run_chaos(
     retry: Option<RetryPolicy>,
     timeline: Vec<(SimTime, Injection)>,
     tracer: Option<&Tracer>,
+    batch: usize,
+    window: usize,
 ) -> ChaosRun {
     let mut fabric = Fabric::new(FabricParams::default());
     if let Some(t) = tracer {
@@ -358,7 +361,7 @@ fn run_chaos(
         &cluster,
         ScaleRpcConfig {
             group_size: 4,
-            client_window: 4,
+            client_window: window,
             elastic: true,
             ..Default::default()
         },
@@ -368,13 +371,13 @@ fn run_chaos(
         t,
         cluster,
         HarnessConfig {
-            batch_size: 1,
+            batch_size: batch,
             request_size: 32,
             warmup: SimDuration::millis(1),
             run: SimDuration::millis(5),
             think: vec![ThinkTime::None],
             seed: 7,
-            window: 4,
+            window,
             nthreads: 1,
             retry,
         },
@@ -405,6 +408,12 @@ fn run_chaos(
     }
 }
 
+/// The server crashes at `at` and is down 150 µs.
+fn server_crash_at(at: SimTime) -> Vec<(SimTime, Injection)> {
+    let down = SimDuration::micros(150);
+    vec![(at, Injection::ServerCrash { server: 0, down })]
+}
+
 #[test]
 fn server_crash_mid_window_conserves_and_replays() {
     // The server dies at a non-slice-aligned instant while every client
@@ -412,16 +421,10 @@ fn server_crash_mid_window_conserves_and_replays() {
     // carry the lost requests across the 150 µs outage without losing
     // or double-counting a single RPC.
     let crash_at = SimTime::ZERO + SimDuration::micros(2_347);
-    let timeline = vec![(
-        crash_at,
-        Injection::ServerCrash {
-            server: 0,
-            down: SimDuration::micros(150),
-        },
-    )];
+    let timeline = server_crash_at(crash_at);
     let retry = Some(RetryPolicy::default());
 
-    let base = run_chaos(retry, timeline.clone(), None);
+    let base = run_chaos(retry, timeline.clone(), None, 1, 4);
     assert!(base.ops > 0, "closed loop must survive the crash");
     assert!(
         base.retries > 0,
@@ -433,7 +436,7 @@ fn server_crash_mid_window_conserves_and_replays() {
     // failover timers fire, and recovery pays fresh connection setups.
     let tracer = Tracer::enabled();
     assert!(tracer.is_enabled(), "integration tests build with tracing");
-    let traced = run_chaos(retry, timeline, Some(&tracer));
+    let traced = run_chaos(retry, timeline, Some(&tracer), 1, 4);
     assert_eq!(
         (traced.events, traced.ops),
         (base.events, base.ops),
@@ -457,6 +460,26 @@ fn server_crash_mid_window_conserves_and_replays() {
 }
 
 #[test]
+fn server_crash_under_synchronous_batches_conserves() {
+    // A synchronous client keeps its batch in the same window a windowed
+    // one keeps its requests in, so the requests of a batch the crash
+    // cut off are retransmitted one by one, and the batch still ends.
+    let timeline = server_crash_at(SimTime::ZERO + SimDuration::micros(2_347));
+    for batch in [1, 4, 8] {
+        let run = run_chaos(
+            Some(RetryPolicy::default()),
+            timeline.clone(),
+            None,
+            batch,
+            1,
+        );
+        assert!(run.ops > 0, "batch {batch}: closed loop must survive");
+        assert!(run.retries > 0, "batch {batch}: lost requests resent");
+        assert_eq!(run.node_crashes, 1, "batch {batch}: one crash");
+    }
+}
+
+#[test]
 fn client_reconnect_mid_slice_pays_setup_and_conserves() {
     // Four clients depart, then rejoin at an instant that falls inside
     // a running time slice. Each rejoining client must re-establish its
@@ -472,13 +495,13 @@ fn client_reconnect_mid_slice_pays_setup_and_conserves() {
         (rejoin_at, Injection::Reconnect { first: 2, last: 5 }),
     ];
 
-    let base = run_chaos(None, timeline.clone(), None);
+    let base = run_chaos(None, timeline.clone(), None, 1, 4);
     assert!(base.ops > 0, "closed loop must keep completing");
     assert_eq!(base.retries, 0, "reconnect must not trigger failover");
 
     let tracer = Tracer::enabled();
     assert!(tracer.is_enabled(), "integration tests build with tracing");
-    let traced = run_chaos(None, timeline, Some(&tracer));
+    let traced = run_chaos(None, timeline, Some(&tracer), 1, 4);
     assert_eq!(
         (traced.events, traced.ops),
         (base.events, base.ops),
