@@ -61,7 +61,8 @@ echo "== tests (trace off) =="
 cargo test -q -p simtrace -p scalerpc-bench --no-default-features
 
 echo "== event-queue golden + linear-time bounds (release) =="
-# The pop-stream golden (captured on the 4-ary heap, never re-blessed)
+# The pop-stream golden (captured on the parent of the change that
+# retired explicit keys, never re-blessed)
 # and the two wall-clock bounds — 200 000 same-instant events, one event
 # every 10 ms — run optimised, the way the benchmark builds the queue: an
 # accidental O(k) bucket walk fails here, not in the next benchmark.

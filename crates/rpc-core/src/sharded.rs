@@ -80,9 +80,9 @@ impl<L: Logic> ShardedSim<L> {
     /// Hands one popped event to the fabric or the logic and queues what
     /// that schedules. Every fabric event is pushed as it is produced; the
     /// application events wait in `staged_app` and are pushed after them,
-    /// so each callback's fabric events take lower sequence numbers than
-    /// its application events — the order the reference engine's two
-    /// staging vectors gave. A function of its own on purpose: written out
+    /// so each callback's fabric events pop ahead of its same-instant
+    /// application events — the order the reference engine's two staging
+    /// vectors gave. A function of its own on purpose: written out
     /// inside the loop, the same code replayed RawWrite and ScaleRPC 8.5 %
     /// slower (PERF_LEDGER.md, "Retiring `simperf`").
     fn process_event(

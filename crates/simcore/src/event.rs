@@ -1,30 +1,33 @@
 //! Deterministic future-event list.
 //!
-//! The queue is a hierarchical timing wheel keyed by `(time, sequence)`.
-//! The sequence number makes simultaneous events pop in insertion order,
-//! which keeps entire simulations bit-for-bit reproducible — a property
-//! the hardware counter experiments (Fig. 3/10 of the paper) rely on.
+//! The queue is a hierarchical timing wheel keyed by time alone; events
+//! due at the same instant pop in push order, which keeps entire
+//! simulations bit-for-bit reproducible — a property the hardware counter
+//! experiments (Fig. 3/10 of the paper) rely on.
 //!
 //! Timestamps are read as five 13-bit digits (5 × 13 ≥ 64: every `u64`
 //! distance has a level, nothing is clamped; 2^13 ns covers the few µs most
 //! events are scheduled ahead). An event lives on the level of the highest
 //! digit in which its time differs from `now`, in the bucket that digit
-//! names. A level-0 bucket therefore *is* one nanosecond: its list holds
-//! the same-instant events in `seq` order, so the next event is a list head:
-//! no keys are compared to find it, and popping it unlinks that head where it
+//! names. Every list is appended to, so every list is in push order. A
+//! level-0 bucket *is* one nanosecond, so the next event is a list head: no
+//! times are compared to find it, and popping it unlinks that head where it
 //! was found, the bitmaps untouched until the bucket empties. An upper-level
-//! bucket keeps push order; when `pop` carries `now` into it, its events are
-//! dealt out to the levels below. No occupied bucket lies behind `now`'s
-//! digit, so the earliest event sits in the first occupied bucket of the
-//! lowest occupied level: two `trailing_zeros` on a two-level bitmap. Only
-//! `pop` moves the cursor; `peek` is a pure search, so a push at `now` after
-//! one still lands in front.
+//! bucket is scanned for its least time, the first in list order among
+//! equals; when `pop` carries `now` into it, the rest of its list is dealt
+//! out, in order, to the levels below, which are empty (the bucket was the
+//! lowest occupied), so no event is moved past one pushed before it. No
+//! occupied bucket lies behind `now`'s digit, so the earliest event sits in
+//! the first occupied bucket of the lowest occupied level: two
+//! `trailing_zeros` on a two-level bitmap. Only `pop` moves the cursor;
+//! `peek_time` is a pure search, so a push at `now` after one still lands in
+//! front.
 //!
 //! Events are nodes of intrusive circular lists threaded through a stable
 //! slot array (payloads sit in a parallel array, touched once per pop):
-//! push, pop, `cancel` and `set_seq` are O(1) and allocate nothing once the
-//! arrays have grown. Slots are generation-counted, so a stale [`EventId`]
-//! never aliases a newer event.
+//! push, pop and `cancel` are O(1) and allocate nothing once the arrays have
+//! grown. Slots are generation-counted, so a stale [`EventId`] never
+//! aliases a newer event.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -50,7 +53,6 @@ const NIL: u32 = u32::MAX;
 #[derive(Default)]
 struct Node {
     time: SimTime,
-    seq: u64,
     /// Neighbours in the bucket's circular list; while the slot is vacant
     /// `next` links the free list instead.
     prev: u32,
@@ -84,14 +86,13 @@ pub struct EventQueue<E> {
     words: Vec<u64>,
     /// Per level, one bit per entry of its `words`: set iff non-zero.
     summary: [u128; LEVELS],
-    /// Key, links and generation per slot, parallel to `events`.
+    /// Time, links and generation per slot, parallel to `events`.
     nodes: Vec<Node>,
     /// Payload per slot; `None` while the slot sits on the free list.
     events: Vec<Option<E>>,
     /// Head of the free list threaded through `Node::next`.
     free: u32,
     len: usize,
-    next_seq: u64,
     now: SimTime,
 }
 
@@ -112,7 +113,6 @@ impl<E> EventQueue<E> {
             events: Vec::new(),
             free: NIL,
             len: 0,
-            next_seq: 0,
             now: SimTime::ZERO,
         }
     }
@@ -131,30 +131,11 @@ impl<E> EventQueue<E> {
     /// scheduling into the past is always a logic bug.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
-        self.push_with_seq(time, self.next_seq, event)
-    }
-
-    /// Schedules `event` at `time` under an explicit sequence key
-    /// instead of the queue's own insertion counter.
-    ///
-    /// No engine calls this since the windowed shard merge was deleted;
-    /// `tests/queue_stream.rs` scripts it to pin that `(time, seq)`
-    /// ordering — and therefore every same-instant tie-break — follows
-    /// the key, not the insertion order. The internal counter is bumped
-    /// past `seq` so later plain
-    /// [`push`](Self::push) calls still sort after it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the current simulation time.
-    #[inline]
-    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
         assert!(
             time >= self.now,
             "scheduled event at {time:?} before now={:?}",
             self.now
         );
-        self.next_seq = self.next_seq.max(seq.wrapping_add(1));
         let mut slot = self.free;
         if slot == NIL {
             slot = self.nodes.len() as u32;
@@ -164,8 +145,7 @@ impl<E> EventQueue<E> {
             self.free = self.node(slot).next;
         }
         self.events[slot as usize] = Some(event); // slot: just grown to, or off the free list
-        let node = self.node_mut(slot);
-        (node.time, node.seq) = (time, seq);
+        self.node_mut(slot).time = time;
         self.len += 1;
         self.link(slot);
         let gen = self.node(slot).gen;
@@ -173,7 +153,7 @@ impl<E> EventQueue<E> {
     }
 
     // Slot ids come from an EventId whose generation matched, a bucket head,
-    // a list link or the free list — all hold indices push_with_seq handed
+    // a list link or the free list — all hold indices push handed
     // out, so they index `nodes`.
     fn node(&self, slot: u32) -> &Node {
         &self.nodes[slot as usize] // see above
@@ -201,12 +181,10 @@ impl<E> EventQueue<E> {
         *summary = (*summary & !(1 << w)) | (u128::from(*word != 0) << w);
     }
 
-    /// Links a slot whose key is set into the bucket its time names. A
-    /// level-0 list is kept in `seq` order, searched from the tail, where
-    /// every in-order push lands at once; upper-level lists are appended to.
+    /// Appends a slot whose time is set to the list of the bucket its time
+    /// names.
     fn link(&mut self, slot: u32) {
-        let &Node { time, seq, .. } = self.node(slot);
-        let bucket = self.locate(time);
+        let bucket = self.locate(self.node(slot).time);
         if bucket >= self.heads.len() {
             let buckets = (bucket / BUCKETS + 1) * BUCKETS;
             self.heads.resize(buckets, NIL);
@@ -219,21 +197,11 @@ impl<E> EventQueue<E> {
             (node.prev, node.next) = (slot, slot);
             return;
         }
-        // `slot` goes in front of `at`: in front of the head that is the
-        // tail, unless it `leads` (sorts before every entry).
-        let (mut at, mut leads) = (head, false);
-        while bucket < BUCKETS && !leads && self.node(self.node(at).prev).seq > seq {
-            at = self.node(at).prev;
-            leads = at == head;
-        }
-        let prev = self.node(at).prev;
+        let tail = self.node(head).prev;
         let node = self.node_mut(slot);
-        (node.prev, node.next) = (prev, at);
-        self.node_mut(prev).next = slot;
-        self.node_mut(at).prev = slot;
-        if leads {
-            self.set_head(bucket, slot);
-        }
+        (node.prev, node.next) = (tail, head);
+        self.node_mut(tail).next = slot;
+        self.node_mut(head).prev = slot;
     }
 
     /// Takes a linked `slot` out of `bucket`, the list it is in. The bitmaps
@@ -253,44 +221,20 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The slot of a still-pending event; `None` for fired, cancelled,
-    /// or unknown ids. A generation match alone proves the slot is
-    /// occupied by this very event: vacating bumps it.
-    fn pending(&self, id: EventId) -> Option<u32> {
-        let node = self.nodes.get(id.slot as usize)?;
-        (node.gen == id.gen).then_some(id.slot)
-    }
-
-    /// Rewrites the sequence key of a still-pending event in place
-    /// (O(1) unless explicit keys arrive far out of order). Returns
-    /// `false` for fired, cancelled, or unknown ids.
-    ///
-    /// Test-only surface since the windowed shard merge was deleted
-    /// (`tests/queue_stream.rs` scripts it).
-    pub fn set_seq(&mut self, id: EventId, seq: u64) -> bool {
-        let Some(slot) = self.pending(id) else {
-            return false;
-        };
-        self.next_seq = self.next_seq.max(seq.wrapping_add(1));
-        self.unlink(self.locate(self.node(slot).time), slot);
-        self.node_mut(slot).seq = seq;
-        self.link(slot);
-        true
-    }
-
     /// The earliest pending event's `(bucket, slot)`, found without moving
     /// anything: in the first occupied bucket of the lowest occupied level,
-    /// the list head on level 0, else (many instants share it) the least key.
+    /// the list head on level 0, else (many instants share it) the first of
+    /// the least time in list order.
     fn earliest(&self) -> Option<(usize, u32)> {
         let level = self.summary.iter().position(|&s| s != 0)?;
         // level: a position() index; a summary bit is only set for a non-zero word
         let w = level * (BUCKETS / 64) + self.summary[level].trailing_zeros() as usize;
         let bucket = w * 64 + self.words[w].trailing_zeros() as usize; // see above
         let head = self.heads[bucket]; // a set bit is a grown-over bucket
-        let key = |s| (self.node(s).time, self.node(s).seq);
+        let time = |s| self.node(s).time;
         let (mut best, mut cur) = (head, self.node(head).next);
         while level > 0 && cur != head {
-            if key(cur) < key(best) {
+            if time(cur) < time(best) {
                 best = cur;
             }
             cur = self.node(cur).next;
@@ -298,12 +242,12 @@ impl<E> EventQueue<E> {
         Some((bucket, best))
     }
 
-    /// Like [`pop_at_or_before`](Self::pop_at_or_before), but also
-    /// returns the event's sequence key (`pop_at_or_before` is this
-    /// minus the key).
-    pub fn pop_at_or_before_with_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
+    /// Pops the earliest pending event if it is due at or before
+    /// `deadline`, advancing `now` to it; otherwise moves nothing. One
+    /// search per event, where `peek_time` followed by `pop` makes two.
+    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let (bucket, slot) = self.earliest()?;
-        let &Node { time, seq, .. } = self.node(slot);
+        let time = self.node(slot).time;
         if time > deadline {
             return None;
         }
@@ -323,20 +267,7 @@ impl<E> EventQueue<E> {
         }
         #[allow(clippy::expect_used, reason = "linked slots always hold a payload")]
         let event = self.vacate(slot).expect("pending slot has a payload");
-        Some((time, seq, event))
-    }
-
-    /// Pops the earliest pending event if it is due at or before
-    /// `deadline`, advancing `now` to it; otherwise moves nothing. One
-    /// search per event, where `peek_time` followed by `pop` makes two.
-    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let (time, _, event) = self.pop_at_or_before_with_seq(deadline)?;
         Some((time, event))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the event's sequence key.
-    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
-        self.pop_at_or_before_with_seq(SimTime::MAX)
     }
 
     /// Pops the earliest pending event, advancing `now`.
@@ -344,16 +275,10 @@ impl<E> EventQueue<E> {
         self.pop_at_or_before(SimTime::MAX)
     }
 
-    /// Returns the `(time, seq)` key of the next pending event without
-    /// popping it or moving the wheel.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        let node = self.node(self.earliest()?.1);
-        Some((node.time, node.seq))
-    }
-
-    /// Returns the timestamp of the next pending event without popping it.
+    /// Returns the timestamp of the next pending event without popping it
+    /// or moving the wheel.
     pub fn peek_time(&self) -> Option<SimTime> {
-        Some(self.peek_key()?.0)
+        Some(self.node(self.earliest()?.1).time)
     }
 
     /// Cancels a previously scheduled event, unlinking it in place (O(1)).
@@ -361,9 +286,12 @@ impl<E> EventQueue<E> {
     /// Cancelling an already-fired, already-cancelled or unknown id is a
     /// true no-op that leaves no bookkeeping behind, and returns `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.pending(id) else {
+        // A generation match alone proves the slot is occupied by this very
+        // event: vacating bumps it.
+        let slot = id.slot;
+        if self.nodes.get(slot as usize).map(|n| n.gen) != Some(id.gen) {
             return false;
-        };
+        }
         self.unlink(self.locate(self.node(slot).time), slot);
         self.vacate(slot);
         true
@@ -523,46 +451,40 @@ mod tests {
     }
 
     #[test]
-    fn push_with_seq_orders_by_explicit_key() {
-        let mut q = EventQueue::new();
-        q.push_with_seq(SimTime(5), 10, "late");
-        q.push_with_seq(SimTime(5), 3, "early");
-        q.push_with_seq(SimTime(1), 99, "first");
-        assert_eq!(q.pop_with_seq(), Some((SimTime(1), 99, "first")));
-        assert_eq!(q.pop_with_seq(), Some((SimTime(5), 3, "early")));
-        assert_eq!(q.pop_with_seq(), Some((SimTime(5), 10, "late")));
-    }
-
-    #[test]
-    fn push_with_seq_bumps_internal_counter() {
-        let mut q = EventQueue::new();
-        q.push_with_seq(SimTime(5), 40, "explicit");
-        q.push(SimTime(5), "plain"); // must sort after seq 40
-        assert_eq!(q.pop(), Some((SimTime(5), "explicit")));
-        assert_eq!(q.pop(), Some((SimTime(5), "plain")));
-    }
-
-    #[test]
-    fn set_seq_reorders_pending_events() {
-        let mut q = EventQueue::new();
-        let a = q.push_with_seq(SimTime(7), 100, "a");
-        q.push_with_seq(SimTime(7), 50, "b");
-        assert_eq!(q.peek_key(), Some((SimTime(7), 50)));
-        assert!(q.set_seq(a, 1)); // provisional → final, now ahead of b
-        assert_eq!(q.peek_key(), Some((SimTime(7), 1)));
-        assert_eq!(q.pop_with_seq(), Some((SimTime(7), 1, "a")));
-        assert_eq!(q.pop_with_seq(), Some((SimTime(7), 50, "b")));
-    }
-
-    #[test]
-    fn set_seq_rejects_fired_and_stale_ids() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime(1), "a");
-        q.pop();
-        assert!(!q.set_seq(a, 0), "fired id must reject");
-        let b = q.push(SimTime(2), "b");
-        assert!(q.cancel(b));
-        assert!(!q.set_seq(b, 0), "cancelled id must reject");
+    fn events_pushed_before_and_after_a_cascade_pop_in_push_order() {
+        // Every digit of `t` is non-zero, so `t` steps down one level per
+        // cascade: at each level two events are pushed at `t` while it is
+        // far, then a marker at `t` with the lower digits cleared — in
+        // `t`'s bucket — is popped, which carries `now` into that bucket
+        // and deals its list out. Two more are pushed once `t` is near.
+        for t in [(5 << 13) | 3, (5 << 39) | (1 << 26) | (2 << 13) | 3].map(SimTime) {
+            const MARKER: u64 = u64::MAX;
+            let mut q = EventQueue::new();
+            let mut pushed = 0;
+            let top = (63 - t.0.leading_zeros()) / LEVEL_BITS;
+            for level in (1..=top).rev() {
+                assert_eq!(q.locate(t) / BUCKETS, level as usize);
+                for _ in 0..2 {
+                    q.push(t, pushed);
+                    pushed += 1;
+                }
+                let marker = SimTime(t.0 >> (level * LEVEL_BITS) << (level * LEVEL_BITS));
+                q.push(marker, MARKER);
+                assert_eq!(q.locate(marker), q.locate(t));
+                assert_wheel_consistent(&q);
+                assert_eq!(q.pop(), Some((marker, MARKER)));
+                assert_wheel_consistent(&q);
+            }
+            assert!(q.locate(t) < BUCKETS, "t is near: a level-0 bucket");
+            for _ in 0..2 {
+                q.push(t, pushed);
+                pushed += 1;
+            }
+            assert_wheel_consistent(&q);
+            let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, (0..pushed).collect::<Vec<_>>());
+            assert_eq!(q.now(), t);
+        }
     }
 
     #[test]
@@ -645,39 +567,10 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::MAX, 7)));
     }
 
-    #[test]
-    fn windowed_rekey_reorders_same_instant_entries() {
-        // The seq-level surface at its hardest: entries pushed under
-        // provisional keys are rekeyed in another order and meet
-        // explicitly keyed pushes — at one instant, near (level 0) and
-        // far (cascaded).
-        const PROVISIONAL_BASE: u64 = 1 << 63;
-        for t in [SimTime(40), SimTime(3_000_000)] {
-            let mut q = EventQueue::new();
-            let prov: Vec<EventId> = (0..6u64)
-                .map(|k| q.push_with_seq(t, PROVISIONAL_BASE + k, k))
-                .collect();
-            let finals = [14u64, 11, 19, 10, 16, 12];
-            for (id, fin) in prov.iter().zip(finals) {
-                assert!(q.set_seq(*id, fin));
-                assert_wheel_consistent(&q);
-            }
-            q.push_with_seq(t, 13, 100);
-            q.push_with_seq(t, 9, 101);
-            q.push(t, 102); // the counter stands past every provisional key
-            let order: Vec<(u64, u64)> =
-                std::iter::from_fn(|| q.pop_with_seq().map(|(_, s, e)| (s, e))).collect();
-            let keys: Vec<u64> = order.iter().map(|o| o.0).collect();
-            assert_eq!(keys[..8], [9, 10, 11, 12, 13, 14, 16, 19]);
-            assert!(keys[8] >= PROVISIONAL_BASE + 6);
-            let payloads: Vec<u64> = order.iter().map(|o| o.1).collect();
-            assert_eq!(payloads, [101, 3, 1, 5, 100, 0, 4, 2, 102]);
-        }
-    }
-
     /// The pre-optimization queue — `BinaryHeap` plus a lazily-consulted
     /// cancelled set — kept as a reference model for trace equivalence.
-    /// Events are identified by their (unique) sequence key.
+    /// Its own insertion counter orders same-instant events and identifies
+    /// each event.
     mod reference {
         use super::SimTime;
         use std::cmp::Reverse;
@@ -685,7 +578,7 @@ mod tests {
 
         pub struct RefQueue<E> {
             heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
-            pub next_seq: u64,
+            next_seq: u64,
             cancelled: BTreeSet<u64>,
             pub now: SimTime,
         }
@@ -701,24 +594,11 @@ mod tests {
             }
 
             pub fn push(&mut self, time: SimTime, event: E) -> u64 {
-                let seq = self.next_seq;
-                self.push_with_seq(time, seq, event);
-                seq
-            }
-
-            pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
                 assert!(time >= self.now);
-                self.next_seq = self.next_seq.max(seq + 1);
+                let seq = self.next_seq;
+                self.next_seq += 1;
                 self.heap.push(Reverse((time, seq, event)));
-            }
-
-            /// Re-keys the pending event `from` by rebuilding the heap.
-            pub fn set_seq(&mut self, from: u64, to: u64) {
-                self.next_seq = self.next_seq.max(to + 1);
-                self.heap = std::mem::take(&mut self.heap)
-                    .into_iter()
-                    .map(|Reverse((t, s, e))| Reverse((t, if s == from { to } else { s }, e)))
-                    .collect();
+                seq
             }
 
             pub fn cancel(&mut self, seq: u64) {
@@ -753,7 +633,7 @@ mod tests {
 
     /// The wheel's structure agrees with the slots: every pending slot is
     /// linked — consistently in both directions — in exactly the bucket
-    /// `locate(time)` names, level-0 lists ascend in `seq`, a bitmap bit is
+    /// `locate(time)` names, a level-0 list holds one instant, a bitmap bit is
     /// set iff its list is non-empty, and every slot is either pending or
     /// on the free list.
     fn assert_wheel_consistent<E>(q: &EventQueue<E>) {
@@ -782,12 +662,10 @@ mod tests {
                 assert!(q.events[cur as usize].is_some());
                 assert!(!std::mem::replace(&mut linked[cur as usize], true));
                 assert_eq!(q.node(n.next).prev, cur);
-                if n.next != head {
-                    assert!(
-                        b >= BUCKETS || n.seq < q.node(n.next).seq,
-                        "level-0 list out of order"
-                    );
-                }
+                assert!(
+                    b >= BUCKETS || n.time == q.node(head).time,
+                    "level-0 list holds two instants"
+                );
                 cur = if n.next == head { NIL } else { n.next };
             }
         }
@@ -803,14 +681,12 @@ mod tests {
         assert_eq!(q.nodes.len(), q.events.len());
     }
 
-    /// The wheel must replay any interleaved push / push_with_seq /
-    /// set_seq / cancel / pop / bounded pop / peek script identically
-    /// to the old binary-heap-plus-tombstones queue — with deltas
-    /// drawn per decade up to 2^40 ns, so events land on, cascade
-    /// through and are cancelled on every level the engine can reach,
-    /// and explicit keys arriving out of order — accept exactly the
-    /// ids that are still pending, and keep its lists and bitmaps
-    /// consistent after every step.
+    /// The wheel must replay any interleaved push / cancel / pop / bounded
+    /// pop / peek script identically to the old binary-heap-plus-tombstones
+    /// queue — with deltas drawn per decade up to 2^40 ns, so events land
+    /// on, cascade through and are cancelled on every level the engine can
+    /// reach — accept exactly the ids that are still pending, and keep its
+    /// lists and bitmaps consistent after every step.
     #[test]
     fn matches_binary_heap_reference_trace() {
         crate::check_cases("matches_binary_heap_reference_trace", |rng| {
@@ -820,22 +696,10 @@ mod tests {
             let mut fast = EventQueue::new();
             let mut slow = reference::RefQueue::new();
             // Per pushed event (its payload is its index here): the fast
-            // id, the current seq key, and whether it is still pending.
+            // id, the reference's seq, and whether it is still pending.
             let mut ids = Vec::new();
             let mut seqs = Vec::new();
             let mut live = Vec::new();
-            // Every seq key handed out so far, and a way to pick an
-            // explicit one nobody holds, below or above the counter: the
-            // multiplier scatters successive picks, so they arrive out of
-            // order.
-            let mut used = std::collections::BTreeSet::new();
-            fn fresh(used: &mut std::collections::BTreeSet<u64>, next_seq: u64, arg: u64) -> u64 {
-                let mut s = arg * 7919 % (next_seq + 16);
-                while !used.insert(s) {
-                    s += 1;
-                }
-                s
-            }
             for (op, arg, bits) in script {
                 let n = ids.len();
                 // A delta of exactly `bits` significant bits: 0, 1, 2..=3,
@@ -844,21 +708,10 @@ mod tests {
                 let delta = top + (arg.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20) % top.max(1);
                 match op {
                     0 | 1 | 4 => {
-                        // Push at now + delta (always legal), under the
-                        // queue's own counter or an explicit key.
+                        // Push at now + delta (always legal).
                         let t = SimTime(fast.now().as_nanos() + delta);
-                        let seq = if op == 4 {
-                            let seq = fresh(&mut used, slow.next_seq, arg);
-                            ids.push(fast.push_with_seq(t, seq, n));
-                            slow.push_with_seq(t, seq, n);
-                            seq
-                        } else {
-                            ids.push(fast.push(t, n));
-                            let seq = slow.push(t, n);
-                            assert!(used.insert(seq), "counter reissued seq {seq}");
-                            seq
-                        };
-                        seqs.push(seq);
+                        ids.push(fast.push(t, n));
+                        seqs.push(slow.push(t, n));
                         live.push(true);
                     }
                     2 | 7 => {
@@ -882,7 +735,7 @@ mod tests {
                         }
                     }
                     _ if n == 0 => {}
-                    3 => {
+                    _ => {
                         // Cancel an arbitrary id: accepted iff pending.
                         let i = arg as usize % n;
                         assert_eq!(fast.cancel(ids[i]), live[i]);
@@ -890,30 +743,12 @@ mod tests {
                             slow.cancel(seqs[i]);
                         }
                     }
-                    _ => {
-                        // Re-key an arbitrary id: accepted iff pending.
-                        let i = arg as usize % n;
-                        if live[i] {
-                            let seq = fresh(&mut used, slow.next_seq, arg);
-                            assert!(fast.set_seq(ids[i], seq));
-                            slow.set_seq(seqs[i], seq);
-                            seqs[i] = seq;
-                        } else {
-                            assert!(!fast.set_seq(ids[i], 0));
-                        }
-                    }
                 }
                 assert_wheel_consistent(&fast);
                 assert_eq!(fast.len(), live.iter().filter(|&&l| l).count());
                 assert_eq!(fast.peek_time(), slow.peek_time());
             }
-            // Every id still pending must be found through its slot...
-            for i in (0..ids.len()).filter(|&i| live[i]) {
-                let seq = fresh(&mut used, slow.next_seq, i as u64);
-                assert!(fast.set_seq(ids[i], seq));
-                slow.set_seq(seqs[i], seq);
-            }
-            // ...the re-keyed queues drain identically...
+            // The queues drain identically...
             loop {
                 let (f, s) = (fast.pop(), slow.pop());
                 assert_eq!(&f, &s);
@@ -924,7 +759,7 @@ mod tests {
             }
             // ...and afterwards every id is stale.
             for &id in &ids {
-                assert!(!fast.cancel(id) && !fast.set_seq(id, 0));
+                assert!(!fast.cancel(id));
             }
         });
     }

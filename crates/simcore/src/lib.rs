@@ -24,9 +24,10 @@
 //!
 //! Determinism is the core requirement (identical seeds must produce
 //! identical hardware-counter traces). The kernel is single-threaded:
-//! one [`EventQueue`] has one total `(time, seq)` order, and the engine
-//! above it runs one queue per simulation (DESIGN.md §10), so golden
-//! fingerprints are bit-identical run-to-run and across feature configs.
+//! one [`EventQueue`] pops by time, same-instant events in push order,
+//! and the engine above it runs one queue per simulation (DESIGN.md §10),
+//! so golden fingerprints are bit-identical run-to-run and across feature
+//! configs.
 
 pub mod detmap;
 pub mod event;

@@ -1,19 +1,19 @@
-//! Event-queue pop-stream golden: an FNV-1a fold of every
-//! `(time, seq, payload)` popped — and of every `cancel` / `set_seq`
-//! verdict, `peek_key`, `now` and `len` observed on the way — over one
-//! scripted push / `push_with_seq` / pop / cancel / `set_seq` trace.
+//! Event-queue pop-stream golden: an FNV-1a fold of every `(time, payload)`
+//! popped — and of every `cancel` verdict, bounded-pop refusal,
+//! `peek_time`, `now` and `len` observed on the way — over one scripted
+//! push / pop / bounded pop / cancel trace.
 //!
 //! The trace's deltas span 0 ns … 10 s: same-instant bursts, every
 //! power-of-8 192 boundary (±1 ns), a decade ladder, far timers that are
-//! cancelled or re-keyed while still far, and laps in which nothing is
-//! due for milliseconds, with `now` carried across the 2^39 and 2^52 ns
-//! edges and a `SimTime::MAX` timer beside the traffic. The value was captured on the indexed 4-ary heap
-//! (the commit before the timing wheel) and must never be re-blessed:
-//! any representation of the future-event list has to pop the same
-//! events in the same `(time, seq)` order.
+//! cancelled while still far, and laps in which nothing is due for
+//! milliseconds, with `now` carried across the 2^39 and 2^52 ns edges and
+//! a `SimTime::MAX` timer beside the traffic. The value was captured on the
+//! parent of the change that retired explicit keys (a timing wheel still
+//! ordering same-instant events by a per-event sequence number) and must
+//! never be re-blessed: any representation of the future-event list has to
+//! pop the same events in the same order — by time, then in push order.
 
 use simcore::{EventId, EventQueue, SimTime};
-use std::collections::BTreeSet;
 
 struct Fnv(u64);
 
@@ -67,13 +67,6 @@ struct Driver {
     fold: Fnv,
     rng: Script,
     ids: Vec<EventId>,
-    /// Current key per payload; every pop is checked against it, which
-    /// proves the mirror below tracks the queue's own counter.
-    seqs: Vec<u64>,
-    /// Mirror of the queue's insertion counter, so explicit keys can be
-    /// chosen unique and on either side of it.
-    next_seq: u64,
-    used: BTreeSet<u64>,
 }
 
 impl Driver {
@@ -91,57 +84,40 @@ impl Driver {
         }
     }
 
-    /// An explicit key nobody holds: usually a little ahead of the
-    /// counter (so successive picks arrive out of order), sometimes far
-    /// below it. The caller `commit`s it once the queue has accepted it.
-    fn fresh_seq(&mut self) -> u64 {
-        let mut s = if self.rng.below(4) == 0 {
-            self.rng.below(self.next_seq + 1)
-        } else {
-            self.next_seq + self.rng.below(48)
-        };
-        while self.used.contains(&s) {
-            s += 1;
-        }
-        s
-    }
-
-    fn commit(&mut self, seq: u64) {
-        assert!(self.used.insert(seq), "seq {seq} handed out twice");
-        self.next_seq = self.next_seq.max(seq + 1);
-    }
-
-    /// Pushes at `t` under the queue's counter or, one time in
-    /// `explicit_one_in`, under an explicit key.
-    fn push_at(&mut self, t: SimTime, explicit_one_in: u64) {
+    /// Pushes at `t`; the payload is the push's index.
+    fn push_at(&mut self, t: SimTime) {
         let payload = self.ids.len() as u64;
-        let (id, seq) = if self.rng.below(explicit_one_in) == 0 {
-            let seq = self.fresh_seq();
-            (self.q.push_with_seq(t, seq, payload), seq)
-        } else {
-            (self.q.push(t, payload), self.next_seq)
-        };
-        self.commit(seq);
+        let id = self.q.push(t, payload);
         self.ids.push(id);
-        self.seqs.push(seq);
     }
 
     fn push(&mut self) {
         let t = SimTime(self.q.now().as_nanos() + self.delta());
-        self.push_at(t, 4);
+        self.push_at(t);
     }
 
-    fn pop(&mut self) -> bool {
-        let Some((t, seq, payload)) = self.q.pop_with_seq() else {
+    fn fold_popped(&mut self, popped: Option<(SimTime, u64)>) -> bool {
+        let Some((t, payload)) = popped else {
             self.fold.word(u64::MAX);
             return false;
         };
         assert_eq!(self.q.now(), t);
-        assert_eq!(self.seqs[payload as usize], seq);
         self.fold.word(t.as_nanos());
-        self.fold.word(seq);
         self.fold.word(payload);
         true
+    }
+
+    fn pop(&mut self) -> bool {
+        let popped = self.q.pop();
+        self.fold_popped(popped)
+    }
+
+    /// Pops only what is due by `now + delta`; a refusal moves nothing.
+    fn pop_bounded(&mut self) {
+        let deadline = SimTime(self.q.now().as_nanos() + self.delta());
+        let popped = self.q.pop_at_or_before(deadline);
+        self.fold_popped(popped);
+        self.fold.word(self.q.now().as_nanos());
     }
 
     /// Index of a recent push — pending more often than not.
@@ -149,19 +125,6 @@ impl Driver {
         let n = self.ids.len() as u64;
         let back = self.rng.below(n.clamp(1, 2_048));
         n.checked_sub(1 + back).map(|i| i as usize)
-    }
-
-    fn step_rekey(&mut self) {
-        if let Some(i) = self.any_event() {
-            // A stale id must reject and leave the counter alone.
-            let seq = self.fresh_seq();
-            let hit = self.q.set_seq(self.ids[i], seq);
-            if hit {
-                self.commit(seq);
-                self.seqs[i] = seq;
-            }
-            self.fold.word(2 + hit as u64);
-        }
     }
 
     fn step(&mut self, push_weight: u64) {
@@ -173,14 +136,10 @@ impl Driver {
                     self.fold.word(hit as u64);
                 }
             }
-            13 => self.step_rekey(),
-            14 => {
-                let (t, s) = self
-                    .q
-                    .peek_key()
-                    .map_or((u64::MAX, u64::MAX), |(t, s)| (t.as_nanos(), s));
+            13 => self.pop_bounded(),
+            14 | 15 => {
+                let t = self.q.peek_time().map_or(u64::MAX, |t| t.as_nanos());
                 self.fold.word(t);
-                self.fold.word(s);
                 self.fold.word(self.q.len() as u64);
             }
             _ => {
@@ -196,16 +155,13 @@ fn run(seed: u64) -> u64 {
         fold: Fnv(0xcbf2_9ce4_8422_2325),
         rng: Script(seed),
         ids: Vec::new(),
-        seqs: Vec::new(),
-        next_seq: 0,
-        used: BTreeSet::new(),
     };
     for lap in 0..6 {
         // Laps 0 and 3 first jump `now` to just short of a 2^39 / 2^52 ns
         // boundary, so their traffic straddles the two upper digit edges.
         if let 0 | 3 = lap {
             let edge = 1u64 << if lap == 0 { 39 } else { 52 };
-            d.push_at(SimTime(edge - 3_000_000_000), 1);
+            d.push_at(SimTime(edge - 3_000_000_000));
             assert!(d.pop());
         }
         // Grow (pushes outweigh pops), hold, then shrink to nothing: the
@@ -216,27 +172,27 @@ fn run(seed: u64) -> u64 {
         // An "infinitely far" timer sits beside the held traffic of every lap
         // (the script's own cancels may hit it early), cancelled before
         // the drain; the last drain pops one instead.
-        d.push_at(SimTime::MAX, 2);
+        d.push_at(SimTime::MAX);
         let far = d.ids.len() - 1;
         for _ in 0..12_000 {
             d.step(6);
         }
-        // Same-instant bursts under mixed keys in the middle of traffic:
-        // one due almost at once, one milliseconds out (so its keys are
-        // out of order while it is still far) and re-keyed in part.
+        // Same-instant bursts in the middle of traffic: one due almost at
+        // once, one milliseconds out (still far, so it cascades before it
+        // pops), then bounded pops that reach into the near one.
         for ahead in [700, 5_000_000] {
             let t = SimTime(d.q.now().as_nanos() + ahead);
             for _ in 0..300 {
-                d.push_at(t, 3);
+                d.push_at(t);
             }
         }
         for _ in 0..100 {
-            d.step_rekey();
+            d.pop_bounded();
         }
         let hit = d.q.cancel(d.ids[far]);
         d.fold.word(hit as u64);
         if lap == 5 {
-            d.push_at(SimTime::MAX, 2);
+            d.push_at(SimTime::MAX);
         }
         while d.pop() {}
         assert!(d.q.is_empty());
@@ -246,13 +202,13 @@ fn run(seed: u64) -> u64 {
 }
 
 #[test]
-fn pop_stream_matches_the_heap() {
+fn pop_stream_matches_the_capture() {
     assert_eq!(run(15), GOLDEN_15);
     assert_eq!(run(0xdead_beef), GOLDEN_BEEF);
 }
 
-const GOLDEN_15: u64 = 15_944_160_339_623_260_380;
-const GOLDEN_BEEF: u64 = 3_975_631_489_094_086_754;
+const GOLDEN_15: u64 = 6_044_291_791_960_417_224;
+const GOLDEN_BEEF: u64 = 5_648_816_883_906_290_755;
 
 /// A bucket is one instant and its list is popped at the head: a burst of
 /// same-instant events drains in push order in time linear in the burst.
