@@ -93,24 +93,24 @@ echo "== scenario check (all checked-in scenarios) =="
 # scenario format and the checked-in battery.
 cargo run -q --release -p simscenario --bin scenario -- check scenarios
 
-echo "== scenario smoke (trace off) =="
-# The baseline scenario pins the Fig. 3(b) fingerprint of
-# tests/determinism.rs' hub table via its [expect] table, so this run
-# proves the scenario layer reproduces that workload bit-exactly. The fuzzer asserts the four liveness
-# invariants (conservation, no stuck clients, all locks freed, replay
-# determinism) over 8 generated scenarios.
-./target/release/scenario run scenarios/baseline.toml
+echo "== scenario runs (trace off, all checked-in scenarios) =="
+# Every run passes the per-run invariants `run_scenario` checks
+# (conservation, no stuck client or busy slot, all locks freed) and its
+# [expect] table. The baseline scenario pins the Fig. 3(b) fingerprint
+# of tests/determinism.rs' hub table, so it proves the scenario layer
+# reproduces that workload bit-exactly; churn.toml drives the elastic
+# control plane end-to-end — lazy setup, connection churn, a mid-run
+# server crash with failover retries and a late reconnect wave — and
+# pins the recovered fingerprint. The fuzzer adds replay determinism
+# over 8 generated scenarios.
+./target/release/scenario run scenarios
 ./target/release/scenario fuzz --seeds 8
 
 echo "== scenario churn gate (trace off) =="
-# churn.toml drives the elastic control plane end-to-end — lazy setup,
-# connection churn, a mid-run server crash with failover retries and a
-# late reconnect wave — and pins the recovered fingerprint via its
-# [expect] table. The seed window 64..88 of the fuzzer is lifecycle-rich
-# (five of the generated scenarios draw server_crash / client_reconnect
-# / conn_churn events), so this batch keeps the crash-recovery paths
-# under the four liveness invariants, not just the steady-state ones.
-./target/release/scenario run scenarios/churn.toml
+# The seed window 64..88 of the fuzzer is lifecycle-rich (five of the
+# generated scenarios draw server_crash / client_reconnect / conn_churn
+# events), so this batch keeps the crash-recovery paths under the
+# invariants, not just the steady-state ones.
 ./target/release/scenario fuzz --seeds 24 --start 64
 
 echo "== scenario smoke (trace on) =="

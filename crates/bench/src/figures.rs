@@ -503,7 +503,7 @@ fn run_tx_system(
         window,
         seed: 31,
     };
-    run_tx(kind, cfg)
+    run_tx(kind, cfg).metrics
 }
 
 /// Fig. 16: transaction throughput — object store (read-only and

@@ -15,6 +15,7 @@ use rpc_baselines::{Fasst, Herd, RawWrite, SelfRpc};
 use rpc_core::cluster::{Cluster, ClusterSpec};
 use rpc_core::harness::{FixedSizeGen, Harness, HarnessConfig, RequestGen};
 use rpc_core::inject::ScenarioSpec;
+use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::{EchoHandler, OneSidedAccess, RpcTransport, ServerHandler};
 use rpc_core::workload::ThinkTime;
 use scalerpc::{ScaleRpc, ScaleRpcConfig};
@@ -184,6 +185,8 @@ pub struct RpcRunResult {
     pub in_flight: u64,
     /// Clients holding in-flight requests after the drain.
     pub stuck: usize,
+    /// Failover retransmissions posted over the whole run.
+    pub retries: u64,
     /// Responses retired per client over the whole run, in client order.
     pub completed_by_client: Vec<u64>,
 }
@@ -315,21 +318,34 @@ impl Point {
             completed: h.completed(),
             in_flight: h.in_flight(),
             stuck: h.stuck_clients().len(),
+            retries: h.retries(),
             completed_by_client: h.completed_by_client().to_vec(),
         })
     }
 }
 
+/// Measured outcome of one ScaleTX deployment.
+#[derive(Clone, Debug)]
+pub struct TxRunResult {
+    /// Coordinator-side metrics over the window.
+    pub metrics: TxMetrics,
+    /// Simulator events processed over the whole run.
+    pub events: u64,
+    /// Coordinator slots still busy after the drain.
+    pub busy_slots: usize,
+    /// KV items left locked after the drain.
+    pub locked_keys: usize,
+}
+
 /// Builds and replays a ScaleTX deployment over the `kind` transport,
 /// ScaleRPC through [`run_scalerpc_tx`] at [`tx_scale_cfg`] with every
 /// server on one schedule.
-pub fn run_tx(kind: TransportKind, cfg: TxConfig) -> TxMetrics {
+pub fn run_tx(kind: TransportKind, cfg: TxConfig) -> TxRunResult {
     let (slots, block) = (BASELINE_SLOTS, BASELINE_BLOCK);
     match kind {
-        TransportKind::ScaleRpc => run_scalerpc_tx(cfg, tx_scale_cfg(), SimDuration::ZERO)
-            .logic(0)
-            .metrics
-            .clone(),
+        TransportKind::ScaleRpc => {
+            tx_result(&run_scalerpc_tx(cfg, tx_scale_cfg(), SimDuration::ZERO))
+        }
         TransportKind::RawWrite => {
             replay_tx(cfg, |f, c, p, _| RawWrite::new(f, c, slots, block, p))
         }
@@ -343,10 +359,21 @@ pub fn run_tx(kind: TransportKind, cfg: TxConfig) -> TxMetrics {
 fn replay_tx<T: RpcTransport + OneSidedAccess>(
     cfg: TxConfig,
     make: impl FnMut(&mut Fabric, &Cluster, TxParticipant, usize) -> T,
-) -> TxMetrics {
+) -> TxRunResult {
     let mut fabric = Fabric::new(FabricParams::default());
     let tx = TxSim::build(&mut fabric, cfg, make);
-    tx.replay(fabric).logic(0).metrics.clone()
+    tx_result(&tx.replay(fabric))
+}
+
+/// Reads a replayed deployment's result.
+fn tx_result<T: RpcTransport + OneSidedAccess>(sim: &ShardedSim<TxSim<T>>) -> TxRunResult {
+    let tx = sim.logic(0);
+    TxRunResult {
+        metrics: tx.metrics.clone(),
+        events: sim.events(),
+        busy_slots: tx.busy_slots(),
+        locked_keys: tx.locked_keys(sim.fabric(0)),
+    }
 }
 
 #[cfg(test)]

@@ -25,41 +25,20 @@ use simcore::{DetRng, SimDuration, SimTime};
 use simtrace::{InstantKind, Stage, Tracer};
 use std::fmt;
 
-/// Client-side failover policy: when a request has seen no
-/// response for `timeout`, the harness presumes it lost (server crash,
-/// dropped packet, torn connection) and retransmits it with the same
-/// sequence number, backing off exponentially between attempts.
-///
-/// Retransmissions reuse the original `(client, seq)` identity, so the
-/// guarantee is end-to-end exactly-once: the transport's server-side
-/// record of executed seqs drops duplicate executions, and the client
-/// window ignores duplicate responses — no RPC is lost (retry) and none
-/// is double-counted (both dedup layers). `None` (the default) schedules
-/// no timers at all, keeping steady-state runs event-identical.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Time after submit before the first retransmission.
-    pub timeout: SimDuration,
-    /// Backoff factor: attempt `n` waits `timeout * backoff^(n-1)`
-    /// (exponent capped to keep the arithmetic in range).
-    pub backoff: u32,
-    /// Attempts before the harness gives up and leaves the request
-    /// in flight (a stuck client the invariant checks will flag).
-    pub max_attempts: u32,
-}
+/// The retry timeout a scenario with lifecycle events gets when it
+/// names none: well above any healthy round trip (single-digit µs), so
+/// steady traffic never spuriously retransmits, and well below typical
+/// chaos horizons, so crash recovery converges.
+pub const DEFAULT_RETRY_TIMEOUT: SimDuration = SimDuration::micros(500);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            // Well above any healthy round trip (single-digit µs) so
-            // steady traffic never spuriously retransmits, well below
-            // typical chaos horizons so crash recovery converges.
-            timeout: SimDuration::micros(500),
-            backoff: 2,
-            max_attempts: 16,
-        }
-    }
-}
+/// Backoff factor between retransmissions: attempt `n` waits
+/// `timeout * RETRY_BACKOFF^(n-1)` (exponent capped to keep the
+/// arithmetic in range).
+const RETRY_BACKOFF: u64 = 2;
+
+/// Attempts before the harness gives up and leaves a request in flight
+/// (a stuck client the invariant checks flag).
+const RETRY_ATTEMPTS: u32 = 16;
 
 /// Harness configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,11 +70,18 @@ pub struct HarnessConfig {
     /// for source compatibility — `benchmark/` names it in struct
     /// literals — and goes with the next `[benchmark]` PR.
     pub nthreads: usize,
-    /// Client-side failover retransmission, required for scenarios with
-    /// server crashes. `None` (the default) schedules no retry timers,
-    /// keeping steady-state runs event-identical to the pre-failover
-    /// harness.
-    pub retry: Option<RetryPolicy>,
+    /// Client-side failover: when a request has seen no response for
+    /// this timeout, the harness presumes it lost (server crash, dropped
+    /// packet, torn connection) and retransmits it with the same
+    /// sequence number, backing off exponentially between attempts.
+    /// Retransmissions reuse the original `(client, seq)` identity, so
+    /// the guarantee is end-to-end exactly-once: the transport's
+    /// server-side record of executed seqs drops duplicate executions,
+    /// and the client window ignores duplicate responses. Required for
+    /// scenarios with server crashes. `None` (the default) schedules no
+    /// retry timers, keeping steady-state runs event-identical to the
+    /// pre-failover harness.
+    pub retry: Option<SimDuration>,
 }
 
 impl Default for HarnessConfig {
@@ -130,7 +116,7 @@ pub enum HarnessConfigError {
     ThinkLen { clients: usize, got: usize },
     /// The client population is empty.
     ZeroClients,
-    /// A retry policy with a zero timeout, backoff or attempt budget.
+    /// A zero retry timeout.
     BadRetryPolicy,
 }
 
@@ -149,12 +135,7 @@ impl fmt::Display for HarnessConfigError {
                 )
             }
             HarnessConfigError::ZeroClients => write!(f, "need at least one client"),
-            HarnessConfigError::BadRetryPolicy => {
-                write!(
-                    f,
-                    "retry timeout, backoff and max_attempts must be positive"
-                )
-            }
+            HarnessConfigError::BadRetryPolicy => write!(f, "retry timeout must be positive"),
         }
     }
 }
@@ -182,10 +163,8 @@ impl HarnessConfig {
                 got: self.think.len(),
             });
         }
-        if let Some(rp) = self.retry {
-            if rp.timeout == SimDuration::ZERO || rp.backoff == 0 || rp.max_attempts == 0 {
-                return Err(HarnessConfigError::BadRetryPolicy);
-            }
+        if self.retry == Some(SimDuration::ZERO) {
+            return Err(HarnessConfigError::BadRetryPolicy);
         }
         Ok(())
     }
@@ -226,8 +205,8 @@ pub enum HarnessEv<TEv> {
     /// injection cost at all.
     Fault(FaultEv),
     /// Failover retransmission timer for `(client, seq)`; the counter is
-    /// the attempt number (1-based). Only scheduled when a
-    /// [`RetryPolicy`] is configured.
+    /// the attempt number (1-based). Only scheduled when
+    /// [`HarnessConfig::retry`] is set.
     Retry(ClientId, u64, u32),
 }
 
@@ -500,8 +479,8 @@ impl<T: RpcTransport> Harness<T> {
                     .span(id, Stage::ClientPost, start, start + per_post, c as u64);
             }
             self.issued += 1;
-            if let Some(rp) = self.cfg.retry {
-                cx.at(start + rp.timeout, HarnessEv::Retry(c, seq, 1));
+            if let Some(timeout) = self.cfg.retry {
+                cx.at(start + timeout, HarnessEv::Retry(c, seq, 1));
             }
             cx.fabric.set_trace_ctx(id);
             with_transport_cx(cx, |tcx| {
@@ -675,13 +654,13 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 }
             }
             HarnessEv::Retry(c, seq, attempt) => {
-                let Some(rp) = self.cfg.retry else {
+                let Some(timeout) = self.cfg.retry else {
                     return;
                 };
                 if !self.clients[c].window.contains(seq) {
                     return; // completed in the meantime
                 }
-                if attempt > rp.max_attempts {
+                if attempt > RETRY_ATTEMPTS {
                     return; // give up; the client stays stuck and is flagged
                 }
                 let payload = self.gen.gen(c, seq);
@@ -700,11 +679,8 @@ impl<T: RpcTransport> Logic for Harness<T> {
                 // Attempt n+1 waits timeout * backoff^n (capped exponent
                 // keeps the arithmetic in range).
                 let exp = attempt.min(16);
-                let delay = SimDuration(
-                    rp.timeout
-                        .0
-                        .saturating_mul((rp.backoff as u64).saturating_pow(exp)),
-                );
+                let delay =
+                    SimDuration(timeout.0.saturating_mul(RETRY_BACKOFF.saturating_pow(exp)));
                 cx.at(cx.now + delay, HarnessEv::Retry(c, seq, attempt + 1));
             }
             HarnessEv::Sample => {
@@ -778,10 +754,15 @@ mod tests {
     fn validate_accepts_retry_on_a_synchronous_batch() {
         let cfg = HarnessConfig {
             batch_size: 8,
-            retry: Some(RetryPolicy::default()),
+            retry: Some(DEFAULT_RETRY_TIMEOUT),
             ..base()
         };
         assert_eq!(cfg.validate(40), Ok(()));
+        let cfg = HarnessConfig {
+            retry: Some(SimDuration::ZERO),
+            ..cfg
+        };
+        assert_eq!(cfg.validate(40), Err(HarnessConfigError::BadRetryPolicy));
     }
 
     #[test]

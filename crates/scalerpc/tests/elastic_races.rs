@@ -9,7 +9,7 @@
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::{Cluster, ClusterSpec};
-use rpc_core::harness::{Harness, HarnessConfig, RetryPolicy};
+use rpc_core::harness::{Harness, HarnessConfig, DEFAULT_RETRY_TIMEOUT};
 use rpc_core::inject::{ClientStart, Injection, ScenarioSpec};
 use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::EchoHandler;
@@ -73,7 +73,7 @@ fn stale_establishment_after_double_churn_is_rejected() {
         seed: 7,
         window: 2,
         nthreads: 1,
-        retry: Some(RetryPolicy::default()),
+        retry: Some(DEFAULT_RETRY_TIMEOUT),
     };
     let mut h = Harness::new(t, cluster, hcfg);
     h.set_scenario(ScenarioSpec {

@@ -2,20 +2,23 @@
 //!
 //! - `scenario check <file|dir>...` — parse and compile each scenario
 //!   (directories scan for `*.toml`), reporting errors with spans;
-//! - `scenario run <file>...` — execute each scenario and print its
-//!   report, failing on `[expect]` mismatches;
+//! - `scenario run <file|dir>...` — execute each scenario and print its
+//!   report, failing on a broken run invariant or an `[expect]`
+//!   mismatch;
 //! - `scenario fuzz --seeds N [--start S]` — run the invariant-checking
 //!   fuzzer over seeds `S..S+N`; failures are greedily shrunk and
 //!   printed as a minimal reproduction TOML.
 
 use simscenario::scenario::Scenario;
-use simscenario::{compile, fuzz_one, gen_scenario, run_scenario, shrink_failure, ScenarioError};
+use simscenario::{
+    compile, fuzz_one, gen_scenario, run_scenario, shrink_failure, Outcome, ScenarioError,
+};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: scenario run <file>... | scenario check <file|dir>... | scenario fuzz --seeds N [--start S]");
+    eprintln!("usage: scenario run <file|dir>... | scenario check <file|dir>... | scenario fuzz --seeds N [--start S]");
     ExitCode::from(2)
 }
 
@@ -106,9 +109,11 @@ fn main() -> ExitCode {
         "run" => each_file("run", &args[1..], |_, sc| {
             let report = run_scenario(&sc)?;
             println!("{}", report.summary());
-            if report.tenant_ops.len() > 1 {
-                for (tenant, ops) in &report.tenant_ops {
-                    println!("  tenant {tenant}: {ops} ops");
+            if let Outcome::Rpc { tenant_ops, .. } = &report.outcome {
+                if tenant_ops.len() > 1 {
+                    for (tenant, ops) in tenant_ops {
+                        println!("  tenant {tenant}: {ops} ops");
+                    }
                 }
             }
             Ok(())

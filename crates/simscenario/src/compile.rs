@@ -15,13 +15,13 @@ use crate::scenario::{
 };
 use bytes::Bytes;
 use rpc_core::cluster::ClusterSpec;
-use rpc_core::harness::{HarnessConfig, RequestGen, RetryPolicy};
+use rpc_core::harness::{HarnessConfig, RequestGen, DEFAULT_RETRY_TIMEOUT};
 use rpc_core::inject::{ClientStart, Injection, ScenarioSpec};
 use rpc_core::workload::ThinkTime;
 use scalerpc::ScaleRpcConfig;
 use scalerpc_bench::rawverbs::RawVerbConfig;
 use scalerpc_bench::rpcbench::{TransportKind, BASELINE_BLOCK};
-use scaletx::sim::{tx_scale_cfg, TxConfig};
+use scaletx::sim::TxConfig;
 use scaletx::workload::TxWorkload as TxWorkloadCfg;
 use simcore::{DetRng, SimDuration, SimTime};
 use std::sync::Arc;
@@ -31,13 +31,6 @@ pub(crate) fn err(msg: impl Into<String>) -> ScenarioError {
         span: None,
         msg: msg.into(),
     }
-}
-
-/// A compiled raw-verb scenario.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompiledRaw {
-    /// The microbenchmark configuration.
-    pub cfg: RawVerbConfig,
 }
 
 /// A compiled closed-loop RPC scenario.
@@ -61,24 +54,15 @@ pub struct CompiledRpc {
     pub sizes: Vec<SizeModel>,
 }
 
-/// A compiled transaction scenario.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompiledTx {
-    /// Deployment + workload configuration.
-    pub tx: TxConfig,
-    /// The ScaleRPC operating point the deployment runs over.
-    pub scale: ScaleRpcConfig,
-}
-
 /// A fully lowered scenario, ready to execute.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Compiled {
     /// Raw verbs.
-    Raw(CompiledRaw),
+    Raw(RawVerbConfig),
     /// Closed-loop RPC.
     Rpc(Box<CompiledRpc>),
-    /// Transactions.
-    Tx(CompiledTx),
+    /// Transactions, over ScaleRPC at [`scaletx::tx_scale_cfg`].
+    Tx(TxConfig),
 }
 
 /// Most clients an rpc scenario may declare. Compilation builds four
@@ -135,18 +119,16 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                      exceeds {MAX_POOL_BYTES} bytes"
                 )));
             }
-            Ok(Compiled::Raw(CompiledRaw {
-                cfg: RawVerbConfig {
-                    kind: w.verb,
-                    clients: p.clients,
-                    msg_size,
-                    block_size: w.block_size,
-                    blocks_per_client: w.blocks_per_client,
-                    server_threads: w.server_threads,
-                    window: w.window,
-                    warmup,
-                    run,
-                },
+            Ok(Compiled::Raw(RawVerbConfig {
+                kind: w.verb,
+                clients: p.clients,
+                msg_size,
+                block_size: w.block_size,
+                blocks_per_client: w.blocks_per_client,
+                server_threads: w.server_threads,
+                window: w.window,
+                warmup,
+                run,
             }))
         }
         Workload::Rpc(w) => {
@@ -209,20 +191,14 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                 ));
             }
 
-            // A crash without retries strands every request lost in the
-            // crash window, so server_crash arms the default policy when
-            // the scenario does not pick its own timeout.
-            let has_crash = sc
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::ServerCrash { .. }));
+            // A crash, a churned connection and a reconnect each drop
+            // the packets in flight, and without retries every request
+            // lost there strands its client; so any lifecycle event arms
+            // the default timeout when the scenario picks none.
             let retry = if w.retry_timeout_us > 0 {
-                Some(RetryPolicy {
-                    timeout: us(w.retry_timeout_us),
-                    ..Default::default()
-                })
-            } else if has_crash {
-                Some(RetryPolicy::default())
+                Some(us(w.retry_timeout_us))
+            } else if has_lifecycle {
+                Some(DEFAULT_RETRY_TIMEOUT)
             } else {
                 None
             };
@@ -354,23 +330,20 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
                     hot_prob: w.hot_prob,
                 },
             };
-            Ok(Compiled::Tx(CompiledTx {
-                tx: TxConfig {
-                    coordinators: w.coordinators,
-                    servers: w.servers,
-                    client_machines: w.client_machines,
-                    workload,
-                    one_sided: w.one_sided,
-                    value_size: w.value_size.max(8),
-                    keys_per_server: w.keys_per_server,
-                    initial_balance: 1_000,
-                    warmup,
-                    run,
-                    coord_cpu_mult: 8,
-                    window: w.window,
-                    seed: sc.seed,
-                },
-                scale: tx_scale_cfg(),
+            Ok(Compiled::Tx(TxConfig {
+                coordinators: w.coordinators,
+                servers: w.servers,
+                client_machines: w.client_machines,
+                workload,
+                one_sided: w.one_sided,
+                value_size: w.value_size.max(8),
+                keys_per_server: w.keys_per_server,
+                initial_balance: 1_000,
+                warmup,
+                run,
+                coord_cpu_mult: 8,
+                window: w.window,
+                seed: sc.seed,
             }))
         }
     }
@@ -662,8 +635,8 @@ mod tests {
         let Compiled::Rpc(c) = compile(&sc).unwrap() else {
             panic!()
         };
-        let retry = c.harness.retry.expect("crash arms the default policy");
-        assert_eq!(retry, RetryPolicy::default());
+        let retry = c.harness.retry.expect("crash arms the default timeout");
+        assert_eq!(retry, DEFAULT_RETRY_TIMEOUT);
         let scale = c.scale.expect("scalerpc config");
         assert!(scale.elastic, "lifecycle events must enable elastic mode");
         assert_eq!(
@@ -688,10 +661,7 @@ mod tests {
         let Compiled::Rpc(c) = compile(&sc).unwrap() else {
             panic!()
         };
-        assert_eq!(
-            c.harness.retry.expect("retry armed").timeout,
-            SimDuration::micros(250)
-        );
+        assert_eq!(c.harness.retry, Some(SimDuration::micros(250)));
         // No lifecycle events: elastic stays off, steady state unchanged.
         assert!(!c.scale.expect("scalerpc").elastic);
     }
@@ -719,8 +689,9 @@ mod tests {
                 ),
             ]
         );
-        // No crash in the timeline: nothing auto-arms retries.
-        assert!(c.harness.retry.is_none());
+        // Churn and reconnects drop in-flight packets as a crash does,
+        // so they arm the default timeout too.
+        assert_eq!(c.harness.retry, Some(DEFAULT_RETRY_TIMEOUT));
         assert!(c.scale.expect("scalerpc").elastic);
     }
 

@@ -31,11 +31,12 @@
 //! 3. [`compile`](mod@compile) — lowers a scenario onto the existing config types
 //!    (`RawVerbConfig`, `HarnessConfig` + `ScaleRpcConfig` +
 //!    [`rpc_core::inject::ScenarioSpec`], `TxConfig`);
-//! 4. [`run`] — executes a compiled scenario and reports the outcome;
+//! 4. [`run`] — executes a compiled scenario, reports its runner's
+//!    result and checks the per-run invariants (request conservation,
+//!    no stuck clients, no busy slot, all locks freed);
 //! 5. [`fuzz`] — generates valid-by-construction random scenarios,
-//!    checks the four run invariants (request conservation, no stuck
-//!    clients, all locks freed, fingerprint determinism on replay) and
-//!    greedily shrinks any failure to a minimal reproduction.
+//!    adds replay determinism to those checks and greedily shrinks any
+//!    failure to a minimal reproduction.
 //!
 //! The `scenario` binary exposes `run`, `check` and `fuzz` subcommands
 //! over checked-in `scenarios/*.toml` files.
@@ -48,9 +49,9 @@ pub mod run;
 pub mod scenario;
 pub mod toml;
 
-pub use compile::{compile, Compiled, CompiledRaw, CompiledRpc, CompiledTx};
+pub use compile::{compile, Compiled, CompiledRpc};
 pub use fuzz::{check_scenario, fuzz_one, gen_scenario, shrink_failure, shrink_with, FuzzOutcome};
-pub use run::{run_scenario, RunKind, ScenarioReport};
+pub use run::{run_scenario, Outcome, ScenarioReport};
 pub use scenario::{
     Event, EventKind, Expect, Population, RawWorkload, RpcWorkload, Scenario, ScenarioError,
     SizeModel, StartModel, ThinkModel, TxProfileKind, TxWorkload, Workload,

@@ -1,148 +1,132 @@
 //! Executes compiled scenarios and reports their outcomes.
 //!
-//! An rpc scenario runs through the benchmark's own point runner
-//! (`scalerpc_bench::rpcbench::run_harness`) — the same transport
-//! wiring and `Harness::replay` as every figure — with the compiled
-//! [`ScenarioSpec`](rpc_core::inject::ScenarioSpec) installed; the
-//! report adds the fuzzer's invariant witnesses (issued/completed/
-//! in-flight totals, stuck clients, per-tenant op counts). A scenario
-//! whose spec is empty therefore reproduces the corresponding benchmark
-//! run bit-exactly, which the checked-in baseline scenario pins via its
-//! `[expect]` table.
+//! Each workload runs through the benchmark's own runner — raw verbs
+//! through `run_raw_verbs`, an rpc scenario through
+//! `scalerpc_bench::rpcbench::run_harness` (the same transport wiring and
+//! `Harness::replay` as every figure, with the compiled
+//! [`ScenarioSpec`](rpc_core::inject::ScenarioSpec) installed), a tx
+//! scenario through `rpcbench::run_tx` — and the report is that runner's
+//! result, plus per-tenant op counts for rpc runs. A scenario whose spec
+//! is empty therefore reproduces the corresponding benchmark run
+//! bit-exactly, which the checked-in baseline scenario pins via its
+//! `[expect]` table. [`run_scenario`] checks every per-run invariant, so
+//! no caller can read a hung run as a pass.
 
-use crate::compile::{compile, err, Compiled, CompiledRpc, CompiledTx};
+use crate::compile::{compile, err, Compiled, CompiledRpc};
 use crate::scenario::{Scenario, ScenarioError};
 use rpc_core::transport::EchoHandler;
-use scalerpc_bench::rawverbs::run_raw_verbs;
-use scalerpc_bench::rpcbench::run_harness;
-use scaletx::sim::run_scalerpc_tx;
-use simcore::SimDuration;
+use scalerpc_bench::rawverbs::{run_raw_verbs, RawVerbResult};
+use scalerpc_bench::rpcbench::{run_harness, run_tx, RpcRunResult, TransportKind, TxRunResult};
 use std::collections::BTreeMap;
 
-/// Which kind of workload a report comes from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RunKind {
+/// What a scenario's runner returned.
+#[derive(Clone, Debug)]
+pub enum Outcome {
     /// A raw-verb microbenchmark.
-    #[default]
-    Raw,
+    Raw(RawVerbResult),
     /// A closed-loop RPC run.
-    Rpc,
+    Rpc {
+        /// The harness point's result.
+        run: RpcRunResult,
+        /// Completed ops per tenant tag over the whole run, ascending.
+        tenant_ops: Vec<(u32, u64)>,
+    },
     /// A ScaleTX deployment.
-    Tx,
+    Tx(TxRunResult),
 }
 
-/// Outcome of one scenario run. Raw/RPC/TX runs populate the fields
-/// that apply to them and leave the rest at zero.
-#[derive(Clone, Debug, Default)]
+/// Outcome of one scenario run.
+#[derive(Clone, Debug)]
 pub struct ScenarioReport {
     /// Scenario name.
     pub name: String,
-    /// Workload kind.
-    pub kind: RunKind,
-    /// Simulator events processed over the whole run.
-    pub events: u64,
-    /// Operations completed inside the measurement window (committed
-    /// transactions for tx runs).
-    pub ops: u64,
-    /// Throughput in Mops/s over the measurement window.
-    pub mops: f64,
-    /// RPC: requests submitted over the whole run.
-    pub issued: u64,
-    /// RPC: responses retired over the whole run.
-    pub completed: u64,
-    /// RPC: requests still outstanding after the drain.
-    pub in_flight: u64,
-    /// RPC: clients holding in-flight requests after the drain.
-    pub stuck: usize,
-    /// RPC: completed ops per tenant tag over the whole run, ascending.
-    pub tenant_ops: Vec<(u32, u64)>,
-    /// TX: committed transactions in the window.
-    pub committed: u64,
-    /// TX: aborts in the window.
-    pub aborted: u64,
-    /// TX: coordinator slots still busy after the drain.
-    pub busy_slots: usize,
-    /// TX: KV items left locked after the drain.
-    pub locked_keys: usize,
+    /// The runner's result.
+    pub outcome: Outcome,
 }
 
 impl ScenarioReport {
-    /// Request conservation: every request issued was completed or is
-    /// still in flight (trivially so for raw and tx runs). The one copy
-    /// of the check — `scenario run`, every `[expect]` gate and every
-    /// fuzz seed pass through it.
-    fn check_conservation(&self) -> Result<(), ScenarioError> {
-        if self.issued == self.completed + self.in_flight {
-            return Ok(());
-        }
-        Err(err(format!(
-            "conservation broken: issued {} != completed {} + in_flight {}",
-            self.issued, self.completed, self.in_flight
-        )))
+    /// The per-run invariants, checked once here for `scenario run`,
+    /// every `[expect]` gate and every fuzz seed alike: request
+    /// conservation (every request issued was completed or is still in
+    /// flight) and no request in flight after the drain for rpc runs;
+    /// no busy coordinator slot and no locked key for tx runs. A raw run
+    /// has no client to strand and no lock to hold.
+    fn check(&self) -> Result<(), ScenarioError> {
+        let broken = match &self.outcome {
+            Outcome::Rpc { run: r, .. } if r.issued != r.completed + r.in_flight => format!(
+                "conservation broken: issued {} != completed {} + in_flight {}",
+                r.issued, r.completed, r.in_flight
+            ),
+            Outcome::Rpc { run: r, .. } if r.in_flight != 0 || r.stuck != 0 => format!(
+                "{} clients stuck with {} requests in flight after the drain",
+                r.stuck, r.in_flight
+            ),
+            Outcome::Tx(r) if r.busy_slots != 0 || r.locked_keys != 0 => format!(
+                "{} coordinator slots busy and {} keys locked after the drain",
+                r.busy_slots, r.locked_keys
+            ),
+            _ => return Ok(()),
+        };
+        Err(err(format!("scenario `{}`: {broken}", self.name)))
     }
 
     /// The determinism fingerprint `(events, ops)` — two runs of the
-    /// same scenario must agree on it bit-exactly.
+    /// same scenario must agree on it bit-exactly. A tx run's ops are
+    /// its committed transactions.
     pub fn fingerprint(&self) -> (u64, u64) {
-        (self.events, self.ops)
+        match &self.outcome {
+            Outcome::Raw(r) => (r.events, r.ops),
+            Outcome::Rpc { run, .. } => (run.events, run.ops),
+            Outcome::Tx(r) => (r.events, r.metrics.committed),
+        }
     }
 
     /// One-line human summary.
     pub fn summary(&self) -> String {
-        match self.kind {
-            RunKind::Tx => format!(
-                "{}: events={} committed={} aborted={} busy_slots={} locked={}",
-                self.name,
-                self.events,
-                self.committed,
-                self.aborted,
-                self.busy_slots,
-                self.locked_keys
+        let name = &self.name;
+        match &self.outcome {
+            Outcome::Raw(r) => format!(
+                "{name}: events={} ops={} ({:.2} Mops/s)",
+                r.events, r.ops, r.mops
             ),
-            RunKind::Rpc => format!(
-                "{}: events={} ops={} ({:.2} Mops/s) issued={} completed={} in_flight={} stuck={}",
-                self.name,
-                self.events,
-                self.ops,
-                self.mops,
-                self.issued,
-                self.completed,
-                self.in_flight,
-                self.stuck
+            Outcome::Rpc { run: r, .. } => format!(
+                "{name}: events={} ops={} ({:.2} Mops/s) issued={} completed={} in_flight={} stuck={} \
+                 p50={:.2}us p99={:.2}us retries={}",
+                r.events,
+                r.ops,
+                r.mops,
+                r.issued,
+                r.completed,
+                r.in_flight,
+                r.stuck,
+                r.median_us,
+                r.p99_us,
+                r.retries
             ),
-            RunKind::Raw => format!(
-                "{}: events={} ops={} ({:.2} Mops/s)",
-                self.name, self.events, self.ops, self.mops
+            Outcome::Tx(r) => format!(
+                "{name}: events={} committed={} aborted={} busy_slots={} locked={}",
+                r.events, r.metrics.committed, r.metrics.aborted, r.busy_slots, r.locked_keys
             ),
         }
     }
 }
 
-/// Compiles and executes `sc`, enforcing its `[expect]` table if
-/// present.
+/// Compiles and executes `sc`, checking the per-run invariants and then
+/// its `[expect]` table if present.
 pub fn run_scenario(sc: &Scenario) -> Result<ScenarioReport, ScenarioError> {
-    let mut report = match compile(sc)? {
-        Compiled::Raw(c) => {
-            let secs = c.cfg.run.as_secs_f64();
-            let r = run_raw_verbs(c.cfg);
-            ScenarioReport {
-                kind: RunKind::Raw,
-                events: r.events,
-                ops: r.ops,
-                mops: r.ops as f64 / secs / 1e6,
-                ..Default::default()
-            }
-        }
+    let outcome = match compile(sc)? {
+        Compiled::Raw(cfg) => Outcome::Raw(run_raw_verbs(cfg)),
         Compiled::Rpc(c) => run_rpc_scenario(&c)?,
-        Compiled::Tx(c) => run_tx_scenario(&c),
+        Compiled::Tx(cfg) => Outcome::Tx(run_tx(TransportKind::ScaleRpc, cfg)),
     };
-    report.name = sc.name.clone();
-    report.check_conservation()?;
+    let report = ScenarioReport {
+        name: sc.name.clone(),
+        outcome,
+    };
+    report.check()?;
     if let Some(x) = sc.expect {
-        for (what, want, got) in [
-            ("events", x.events, report.events),
-            ("ops", x.ops, report.ops),
-        ] {
+        let (events, ops) = report.fingerprint();
+        for (what, want, got) in [("events", x.events, events), ("ops", x.ops, ops)] {
             if let Some(want) = want.filter(|&w| w != got) {
                 return Err(err(format!(
                     "scenario `{}`: expected {what} {want}, got {got}",
@@ -154,8 +138,8 @@ pub fn run_scenario(sc: &Scenario) -> Result<ScenarioReport, ScenarioError> {
     Ok(report)
 }
 
-fn run_rpc_scenario(c: &CompiledRpc) -> Result<ScenarioReport, ScenarioError> {
-    let r = run_harness(
+fn run_rpc_scenario(c: &CompiledRpc) -> Result<Outcome, ScenarioError> {
+    let run = run_harness(
         c.transport,
         c.scale.clone().unwrap_or_default(),
         c.cluster.clone(),
@@ -166,43 +150,25 @@ fn run_rpc_scenario(c: &CompiledRpc) -> Result<ScenarioReport, ScenarioError> {
     )
     .map_err(err)?;
     let mut by_tenant = BTreeMap::new();
-    for (&tag, &done) in c.tenants.iter().zip(&r.completed_by_client) {
+    for (&tag, &done) in c.tenants.iter().zip(&run.completed_by_client) {
         *by_tenant.entry(tag).or_insert(0) += done;
     }
-    Ok(ScenarioReport {
-        kind: RunKind::Rpc,
-        events: r.events,
-        ops: r.ops,
-        mops: r.mops,
-        issued: r.issued,
-        completed: r.completed,
-        in_flight: r.in_flight,
-        stuck: r.stuck,
+    Ok(Outcome::Rpc {
+        run,
         tenant_ops: by_tenant.into_iter().collect(),
-        ..Default::default()
     })
-}
-
-fn run_tx_scenario(c: &CompiledTx) -> ScenarioReport {
-    let sim = run_scalerpc_tx(c.tx.clone(), c.scale.clone(), SimDuration::ZERO);
-    let tx = sim.logic(0);
-    let m = &tx.metrics;
-    ScenarioReport {
-        kind: RunKind::Tx,
-        events: sim.events(),
-        ops: m.committed,
-        mops: m.committed as f64 / c.tx.run.as_secs_f64() / 1e6,
-        committed: m.committed,
-        aborted: m.aborted,
-        busy_slots: tx.busy_slots(),
-        locked_keys: tx.locked_keys(sim.fabric(0)),
-        ..Default::default()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rpc(report: &ScenarioReport) -> &RpcRunResult {
+        match &report.outcome {
+            Outcome::Rpc { run, .. } => run,
+            _ => panic!("rpc outcome expected: {}", report.summary()),
+        }
+    }
 
     #[test]
     fn empty_spec_rpc_scenario_runs_and_conserves_requests() {
@@ -211,21 +177,31 @@ mod tests {
         )
         .unwrap();
         let r = run_scenario(&sc).unwrap();
-        assert!(r.ops > 0, "{}", r.summary());
-        assert_eq!(r.issued, r.completed + r.in_flight, "{}", r.summary());
-        assert_eq!(r.in_flight, 0, "{}", r.summary());
-        assert_eq!(r.stuck, 0, "{}", r.summary());
+        assert!(r.fingerprint().1 > 0, "{}", r.summary());
         // Replay determinism.
         let r2 = run_scenario(&sc).unwrap();
-        assert_eq!(r.fingerprint(), r2.fingerprint());
-        assert_eq!(r.issued, r2.issued);
-        // The check `run_scenario` just applied rejects a leaked request.
-        let leaked = ScenarioReport {
-            issued: r.issued + 1,
-            ..r
+        assert_eq!(r.summary(), r2.summary());
+        // The check `run_scenario` just applied rejects a leaked request
+        // and a stranded one.
+        let with = |issued, in_flight, stuck| {
+            let mut run = rpc(&r).clone();
+            (run.issued, run.in_flight, run.stuck) = (issued, in_flight, stuck);
+            let tenant_ops = Vec::new();
+            let outcome = Outcome::Rpc { run, tenant_ops };
+            let name = r.name.clone();
+            ScenarioReport { name, outcome }.check().unwrap_err().msg
         };
-        let e = leaked.check_conservation().unwrap_err();
-        assert!(e.msg.starts_with("conservation broken: issued"), "{e}");
+        let issued = rpc(&r).issued;
+        let e = with(issued + 1, 0, 0);
+        assert!(
+            e.starts_with("scenario `conserve`: conservation broken: issued"),
+            "{e}"
+        );
+        let e = with(issued + 3, 3, 2);
+        assert_eq!(
+            e,
+            "scenario `conserve`: 2 clients stuck with 3 requests in flight after the drain"
+        );
     }
 
     #[test]
@@ -236,7 +212,10 @@ mod tests {
         let r0 = run_scenario(&Scenario::parse(base).unwrap()).unwrap();
         let r1 = run_scenario(&Scenario::parse(&with_depart).unwrap()).unwrap();
         let ops_of = |r: &ScenarioReport, t: u32| {
-            r.tenant_ops
+            let Outcome::Rpc { tenant_ops, .. } = &r.outcome else {
+                panic!("rpc outcome expected")
+            };
+            tenant_ops
                 .iter()
                 .find(|(tag, _)| *tag == t)
                 .map(|(_, n)| *n)
@@ -248,8 +227,6 @@ mod tests {
             ops_of(&r1, 1),
             ops_of(&r0, 1)
         );
-        assert_eq!(r1.issued, r1.completed + r1.in_flight);
-        assert_eq!(r1.stuck, 0);
     }
 
     #[test]
@@ -259,8 +236,20 @@ mod tests {
         )
         .unwrap();
         let r = run_scenario(&sc).unwrap();
-        assert!(r.committed > 0, "{}", r.summary());
-        assert_eq!(r.busy_slots, 0, "{}", r.summary());
-        assert_eq!(r.locked_keys, 0, "{}", r.summary());
+        let Outcome::Tx(tx) = &r.outcome else {
+            panic!("tx outcome expected")
+        };
+        assert!(tx.metrics.committed > 0, "{}", r.summary());
+        let stuck = ScenarioReport {
+            outcome: Outcome::Tx(TxRunResult {
+                busy_slots: 1,
+                ..tx.clone()
+            }),
+            ..r.clone()
+        };
+        assert_eq!(
+            stuck.check().unwrap_err().msg,
+            "scenario `tx`: 1 coordinator slots busy and 0 keys locked after the drain"
+        );
     }
 }

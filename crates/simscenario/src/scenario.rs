@@ -108,8 +108,9 @@ pub struct RpcWorkload {
     /// eagerly at construction.
     pub lazy_connect: bool,
     /// Harness retry timeout in microseconds; 0 leaves retries off
-    /// (the compiler arms the default policy anyway when the timeline
-    /// contains `server_crash`).
+    /// (the compiler arms the default timeout anyway when the timeline
+    /// contains a lifecycle event: `server_crash`, `client_reconnect` or
+    /// `conn_churn`).
     pub retry_timeout_us: u64,
 }
 
@@ -262,8 +263,8 @@ pub enum EventKind {
         den: u32,
     },
     /// The server process crashes: its QPs are torn down and recovery
-    /// begins after the downtime (the compiler arms a retry policy so
-    /// the closed loop survives the crash window).
+    /// begins after the downtime (the compiler arms retries so the
+    /// closed loop survives the crash window).
     ServerCrash {
         /// Downtime before recovery starts, microseconds.
         down_us: u64,

@@ -9,7 +9,12 @@
 //! 160 clients whose window fills all four message slots across a crash:
 //! a retry buffered while the connection is down, whose original
 //! response lands before the reconnect flushes the buffer, must not be
-//! re-dispatched into a full window.
+//! re-dispatched into a full window. The last two churn every client's
+//! connection with no `retry_timeout_us` in the scenario: the teardown
+//! drops the requests in flight, so only the retry timeout a lifecycle
+//! event arms by default brings them back (without it 80 four-deep
+//! clients strand 241 requests, and 80 synchronous ones in groups of 40
+//! strand 28 clients).
 
 use rdma_fabric::{Fabric, FabricParams};
 use rpc_core::cluster::Cluster;
@@ -20,14 +25,18 @@ use scalerpc::ScaleRpc;
 use simcore::SimDuration;
 use simscenario::{compile, Compiled, Scenario};
 
-/// Runs the colliding configuration with `clients` clients, with
-/// `workload` and `events` TOML appended to its tables, and asserts that
-/// it drains.
-fn group20_run_drains_clean(clients: usize, workload: &str, events: &str) {
+/// The colliding configuration's workload keys.
+const GROUP20: &str = "group_size = 20\nwindow = 4\n";
+
+/// Every client's connection torn down mid-run.
+const CHURN_ALL: &str = "[[event]]\nat_us = 3000\nkind = \"conn_churn\"\npopulation = \"all\"\n";
+
+/// Runs a ScaleRPC deployment of `clients` clients, with `workload` and
+/// `events` TOML appended to its tables, and asserts that it drains.
+fn run_drains_clean(clients: usize, workload: &str, events: &str) {
     let sc = Scenario::parse(&format!(
         "[scenario]\nname = \"probe\"\nseed = 42\nwarmup_us = 1000\nrun_us = 5000\n\n\
-         [workload]\nkind = \"rpc\"\ntransport = \"scalerpc\"\ngroup_size = 20\nwindow = 4\n\
-         {workload}\n\
+         [workload]\nkind = \"rpc\"\ntransport = \"scalerpc\"\n{workload}\n\
          [[population]]\nname = \"all\"\nclients = {clients}\n\n{events}",
     ))
     .unwrap();
@@ -65,23 +74,33 @@ fn group20_run_drains_clean(clients: usize, workload: &str, events: &str) {
 
 #[test]
 fn windowed_group20_run_drains_clean() {
-    group20_run_drains_clean(80, "", "");
+    run_drains_clean(80, GROUP20, "");
 }
 
 #[test]
 fn windowed_group20_run_drains_clean_across_a_server_crash() {
-    group20_run_drains_clean(
+    run_drains_clean(
         80,
-        "retry_timeout_us = 300\n",
+        &format!("{GROUP20}retry_timeout_us = 300\n"),
         "[[event]]\nat_us = 3000\nkind = \"server_crash\"\ndown_us = 100\n",
     );
 }
 
 #[test]
 fn full_window_retries_buffered_across_a_crash_are_not_flushed_twice() {
-    group20_run_drains_clean(
+    run_drains_clean(
         160,
-        "slots = 4\nretry_timeout_us = 100\n",
+        &format!("{GROUP20}slots = 4\nretry_timeout_us = 100\n"),
         "[[event]]\nat_us = 3000\nkind = \"server_crash\"\ndown_us = 100\n",
     );
+}
+
+#[test]
+fn windowed_group20_run_drains_clean_across_conn_churn_without_a_retry_timeout() {
+    run_drains_clean(80, GROUP20, CHURN_ALL);
+}
+
+#[test]
+fn synchronous_group40_run_drains_clean_across_conn_churn_without_a_retry_timeout() {
+    run_drains_clean(80, "group_size = 40\n", CHURN_ALL);
 }

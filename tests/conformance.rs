@@ -7,12 +7,21 @@
 //! thrashes for RawWrite, and ScaleRPC's connection grouping keeps the
 //! active set inside it. Fig. 10 reads the server's PCIe counters on
 //! the same cells, Fig. 9 the latency distribution at 120 clients.
-//! Fig. 1(b) and Fig. 3(b) are the raw-verb measurements that motivate
-//! it: the QP-cache collapse of outbound writes, and the LLC overflow of
-//! large inbound blocks.
+//! Fig. 8 (right) spreads 40 clients over 1–5 machines: the UD RPCs
+//! need ≥ 4 to saturate the server. Fig. 11 sweeps ScaleRPC's time slice
+//! and group size, Fig. 12 its dynamic scheduling, and Fig. 13 runs
+//! Octopus' metadata server over it. Fig. 1(b) and Fig. 3(b) are the
+//! raw-verb measurements that motivate it all: the QP-cache collapse of
+//! outbound writes, and the LLC overflow of large inbound blocks.
 
 use scalerpc_bench::rawverbs::{run_raw_verbs, RawVerbConfig, RawVerbKind};
-use scalerpc_bench::rpcbench::{run_rpc, RpcRunConfig, RpcRunResult, TransportKind};
+use scalerpc_bench::rpcbench::{
+    run_mdtest, run_rpc, MdtestRun, RpcRunConfig, RpcRunResult, TransportKind,
+};
+use scalerpc_repro::octofs::FsOp;
+use scalerpc_repro::rpc_core::workload::ThinkTime;
+use scalerpc_repro::scalerpc::ScaleRpcConfig;
+use scalerpc_repro::simcore::{DetRng, SimDuration};
 
 /// The Fig. 8 batch-1 cell for `kind` at `clients` (Fig. 9 and Fig. 10
 /// run the same configuration).
@@ -93,6 +102,186 @@ fn fig09_scalerpc_is_bimodal_while_baselines_are_unimodal() {
             r.p99_us <= 1.5 * r.median_us,
             "{name} must be unimodal: {cells}"
         );
+    }
+}
+
+/// The Fig. 8 (right, batch 8) cell for `kind`: 40 client threads
+/// spread over `machines` client machines.
+fn fig08_machines_cell(kind: TransportKind, machines: usize) -> f64 {
+    run_rpc(RpcRunConfig {
+        kind,
+        clients: 40,
+        machines,
+        threads_per_machine: 40usize.div_ceil(machines),
+        batch: 8,
+        ..Default::default()
+    })
+    .mops
+}
+
+/// Fig. 8 (right, batch 8): RawWrite saturates the server from one
+/// client machine, while the UD RPCs' per-op client CPU caps them until
+/// ≥ 4 machines share the load. The paper has ScaleRPC saturate with ≤ 2
+/// machines too; the simulated one reaches 0.73× its 5-machine
+/// throughput at 2 (EXPERIMENTS.md), so its bound is one-sided on that
+/// deviation.
+#[test]
+fn fig08_right_ud_rpcs_need_four_machines() {
+    let raw = [1, 5].map(|m| fig08_machines_cell(TransportKind::RawWrite, m));
+    let [herd, fasst] = [TransportKind::Herd, TransportKind::Fasst]
+        .map(|k| [1, 4, 5].map(|m| fig08_machines_cell(k, m)));
+    let scale = [2, 5].map(|m| fig08_machines_cell(TransportKind::ScaleRpc, m));
+    let cells = format!(
+        "Mops/s: RawWrite {raw:.2?} at 1/5 machines, HERD {herd:.2?} and FaSST {fasst:.2?} at 1/4/5, \
+         ScaleRPC {scale:.2?} at 2/5"
+    );
+    assert!(
+        raw[0] >= 0.9 * raw[1],
+        "RawWrite must saturate on one machine: {cells}"
+    );
+    for (name, [one, four, five]) in [("HERD", herd), ("FaSST", fasst)] {
+        assert!(
+            one <= 0.5 * five,
+            "{name} must be client-bound on one machine: {cells}"
+        );
+        assert!(
+            four >= 0.9 * five,
+            "{name} must saturate at four machines: {cells}"
+        );
+    }
+    assert!(
+        scale[0] >= 0.7 * scale[1],
+        "ScaleRPC must near saturation at two machines: {cells}"
+    );
+}
+
+/// The Fig. 11(a) cell: 80 clients, batch 1, in groups of 40 with a
+/// `slice_us` time slice.
+fn fig11a_cell(slice_us: u64) -> RpcRunResult {
+    run_rpc(RpcRunConfig {
+        scale: ScaleRpcConfig {
+            time_slice: SimDuration::micros(slice_us),
+            ..Default::default()
+        },
+        clients: 80,
+        batch: 1,
+        ..Default::default()
+    })
+}
+
+/// Fig. 11(a): a longer time slice amortizes the group switch — 250 µs
+/// beats 30 µs, with diminishing returns past 100 µs (the paper's
+/// default) — and inflates the worst wait for a group's turn.
+#[test]
+fn fig11a_longer_slices_raise_throughput_and_the_tail() {
+    let [s30, s100, s250] = [30, 100, 250].map(fig11a_cell);
+    let cells = format!(
+        "Mops/s {:.2} / {:.2} / {:.2}, max latency {:.1} / {:.1} / {:.1} µs at 30 / 100 / 250 µs slices",
+        s30.mops, s100.mops, s250.mops, s30.max_us, s100.max_us, s250.max_us
+    );
+    assert!(
+        s250.mops >= 1.1 * s30.mops,
+        "longer slices must pay: {cells}"
+    );
+    assert!(
+        s100.mops >= 0.9 * s250.mops,
+        "100 µs must be near the plateau: {cells}"
+    );
+    assert!(
+        s250.max_us >= 1.5 * s100.max_us,
+        "longer slices must stretch the tail: {cells}"
+    );
+}
+
+/// Fig. 11(b): two groups of `g` clients at batch 8. Small groups pay
+/// the switch too often; the optimum is an interior plateau around 40,
+/// and 70 does no better (serving and warming QPs overflow the NIC
+/// cache).
+#[test]
+fn fig11b_group_size_has_an_interior_optimum() {
+    let [g10, g40, g70] = [10, 40, 70].map(|g| {
+        run_rpc(RpcRunConfig {
+            scale: ScaleRpcConfig {
+                group_size: g,
+                ..Default::default()
+            },
+            clients: 2 * g,
+            batch: 8,
+            ..Default::default()
+        })
+        .mops
+    });
+    let cells = format!("Mops/s {g10:.2} / {g40:.2} / {g70:.2} at groups 10 / 40 / 70");
+    assert!(g40 >= 1.1 * g10, "group 40 must beat group 10: {cells}");
+    assert!(g70 <= g40, "group 70 must not beat group 40: {cells}");
+}
+
+/// Fig. 12: 120 clients whose think times follow a Gaussian mix of
+/// spread `sigma`, under static or dynamic (priority) scheduling.
+fn fig12_cell(sigma: f64, dynamic: bool) -> f64 {
+    let mut rng = DetRng::new(99);
+    let think = ThinkTime::gaussian_mix(120, SimDuration::micros(150), sigma, &mut rng);
+    run_rpc(RpcRunConfig {
+        scale: ScaleRpcConfig {
+            dynamic_scheduling: dynamic,
+            regroup_rotations: 2,
+            ..Default::default()
+        },
+        clients: 120,
+        batch: 4,
+        think,
+        run: SimDuration::millis(10),
+        ..Default::default()
+    })
+    .mops
+}
+
+/// Fig. 12: regrouping busy clients together beats the static schedule
+/// (the paper: +9 % / +10 % at σ 0.8 / 1.0). The simulated gain
+/// overshoots (+55 % / +45 %, EXPERIMENTS.md); the upper bounds keep that
+/// deviation from growing unseen.
+#[test]
+fn fig12_dynamic_scheduling_beats_static() {
+    for (sigma, most) in [(0.8, 1.60), (1.0, 1.50)] {
+        let [st, dy] = [false, true].map(|dynamic| fig12_cell(sigma, dynamic));
+        let cells = format!("σ {sigma}: static {st:.2}, dynamic {dy:.2} Mops/s");
+        assert!(dy >= 1.05 * st, "dynamic must win: {cells}");
+        assert!(
+            dy <= most * st,
+            "the overshoot must not grow past {most}×: {cells}"
+        );
+    }
+}
+
+/// Fig. 13, mdtest at 120 clients: ScaleRPC's gain over selfRPC on
+/// Octopus' metadata server splits by operation. Mknod and Rmnod are
+/// bound by the server's software path and gain little; Stat and
+/// ReadDir are bound by the transport and gain much (the paper: +50 % and
+/// +90 %). ReadDir's simulated +22 % is the deviation its floor bounds.
+#[test]
+fn fig13_reads_gain_while_writes_hold() {
+    let gain = |op| {
+        let [selfrpc, scale] = [TransportKind::SelfRpc, TransportKind::ScaleRpc].map(|transport| {
+            run_mdtest(&MdtestRun {
+                clients: 120,
+                op,
+                transport,
+                ..Default::default()
+            })
+            .ops_per_sec
+        });
+        scale / selfrpc
+    };
+    let [mknod, rmnod, stat, readdir] =
+        [FsOp::Mknod, FsOp::Rmnod, FsOp::Stat, FsOp::Readdir].map(gain);
+    let cells = format!(
+        "ScaleRPC / selfRPC: Mknod {mknod:.3}, Rmnod {rmnod:.3}, Stat {stat:.3}, ReadDir {readdir:.3}"
+    );
+    for (name, g) in [("Mknod", mknod), ("Rmnod", rmnod)] {
+        assert!((0.95..=1.15).contains(&g), "{name} must hold: {cells}");
+    }
+    for (name, g) in [("Stat", stat), ("ReadDir", readdir)] {
+        assert!(g >= 1.15, "{name} must gain: {cells}");
     }
 }
 

@@ -6,7 +6,7 @@ use scalerpc_repro::rdma_fabric::{
     CqId, Fabric, FabricParams, RemoteAddr, Transport, Upcall, VerbError, Wc, WcStatus, WorkRequest,
 };
 use scalerpc_repro::rpc_core::cluster::{Cluster, ClusterSpec};
-use scalerpc_repro::rpc_core::harness::{Harness, HarnessConfig, RetryPolicy};
+use scalerpc_repro::rpc_core::harness::{Harness, HarnessConfig, DEFAULT_RETRY_TIMEOUT};
 use scalerpc_repro::rpc_core::inject::{Injection, ScenarioSpec};
 use scalerpc_repro::rpc_core::sharded::ShardedSim;
 use scalerpc_repro::rpc_core::transport::{EchoHandler, ServerHandler};
@@ -332,7 +332,7 @@ struct ChaosRun {
 /// (`issued == completed + in_flight`), a fully drained window
 /// (`in_flight == 0`) and no stuck clients.
 fn run_chaos(
-    retry: Option<RetryPolicy>,
+    retry: Option<SimDuration>,
     timeline: Vec<(SimTime, Injection)>,
     tracer: Option<&Tracer>,
     batch: usize,
@@ -422,7 +422,7 @@ fn server_crash_mid_window_conserves_and_replays() {
     // or double-counting a single RPC.
     let crash_at = SimTime::ZERO + SimDuration::micros(2_347);
     let timeline = server_crash_at(crash_at);
-    let retry = Some(RetryPolicy::default());
+    let retry = Some(DEFAULT_RETRY_TIMEOUT);
 
     let base = run_chaos(retry, timeline.clone(), None, 1, 4);
     assert!(base.ops > 0, "closed loop must survive the crash");
@@ -467,7 +467,7 @@ fn server_crash_under_synchronous_batches_conserves() {
     let timeline = server_crash_at(SimTime::ZERO + SimDuration::micros(2_347));
     for batch in [1, 4, 8] {
         let run = run_chaos(
-            Some(RetryPolicy::default()),
+            Some(DEFAULT_RETRY_TIMEOUT),
             timeline.clone(),
             None,
             batch,

@@ -68,7 +68,9 @@ fn tps(
     window: usize,
 ) -> f64 {
     let (w, keys, vs) = workload.clone();
-    run_tx(kind, cfg(w, keys, vs, one_sided, window)).tps()
+    run_tx(kind, cfg(w, keys, vs, one_sided, window))
+        .metrics
+        .tps()
 }
 
 /// The UD and RawWrite baselines; RawWrite alone validates and commits
