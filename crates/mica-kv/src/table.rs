@@ -108,6 +108,58 @@ impl KvTable {
             item::update_value(mem, off, value);
             return Ok(off);
         }
+        let slot = self.place(key)?;
+        let off = self.slot_offset(slot);
+        item::write_item(mem, off, key, 1, value);
+        Ok(off)
+    }
+
+    /// Loads `keys`, each with `value`, into an empty table: the set-up
+    /// of a shard. Strictly ascending keys are distinct, so none can be
+    /// present and no key is looked up; each is placed as
+    /// [`insert`](Self::insert) places a missing one, and slots follow
+    /// key order. Every key is placed before any item is written, so the
+    /// bucket array stays in cache while the probes walk it; the item
+    /// writes, interleaved, would stream the region through the cache.
+    /// On [`KvError::Full`] the keys before the one refused stay loaded;
+    /// [`KvError::ValueTooLarge`] loads nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the key, on a key not above the one before it or on
+    /// a first key for a table that already holds items.
+    pub fn load(
+        &mut self,
+        mem: &mut [u8],
+        keys: impl IntoIterator<Item = u64, IntoIter: Clone>,
+        value: &[u8],
+    ) -> Result<(), KvError> {
+        if value.len() > self.value_capacity {
+            return Err(KvError::ValueTooLarge);
+        }
+        let keys = keys.into_iter();
+        let mut prev = None;
+        let placed = keys.clone().try_for_each(|key| {
+            match prev {
+                None => assert!(
+                    self.is_empty(),
+                    "load of key {key} into a table holding {} items",
+                    self.len
+                ),
+                Some(p) => assert!(key > p, "load of key {key} after key {p}: keys must ascend"),
+            }
+            prev = Some(key);
+            self.place(key).map(drop)
+        });
+        for (slot, key) in (0..self.next_slot).zip(keys) {
+            item::write_item(mem, self.slot_offset(slot), key, 1, value);
+        }
+        placed
+    }
+
+    /// Takes the next slot for `key`, known to be absent, and refers to
+    /// it from the first empty bucket on from the key's hash.
+    fn place(&mut self, key: u64) -> Result<u32, KvError> {
         if self.next_slot == self.capacity {
             return Err(KvError::Full);
         }
@@ -119,9 +171,7 @@ impl KvTable {
             i = (i + 1) & self.mask;
         }
         self.buckets[i] = slot + 1;
-        let off = self.slot_offset(slot);
-        item::write_item(mem, off, key, 1, value);
-        Ok(off)
+        Ok(slot)
     }
 
     /// Reads an item by key.
@@ -293,6 +343,105 @@ mod tests {
         assert_eq!(h, 0xdd43_1159_6b3b_5440);
     }
 
+    /// `load` places `index_is_pinned`'s shard exactly where its insert
+    /// loop does.
+    #[test]
+    fn load_reproduces_the_pinned_index() {
+        let mut t = KvTable::new(100_013, 8);
+        let mut mem = vec![0u8; t.required_bytes()];
+        let keys = (0..300_006u64).step_by(3);
+        t.load(&mut mem, keys.clone(), &1_000i64.to_le_bytes())
+            .unwrap();
+        let misses = (0..1_000u64).map(|i| 3 * i * 97 + 1);
+        let mut h = 0u64;
+        for k in keys.chain(misses) {
+            let off = match t.try_lock(&mut mem, k, 1) {
+                Ok(off) => off as u64,
+                Err(KvError::NotFound) => u64::MAX,
+                Err(e) => panic!("key {k}: {e:?}"),
+            };
+            h = SplitMix64(h ^ k).next_u64();
+            h = SplitMix64(h ^ off).next_u64();
+        }
+        assert_eq!(t.len(), 100_002);
+        assert_eq!(h, 0xdd43_1159_6b3b_5440);
+    }
+
+    /// Any ascending key set and value: `load` gives the per-key insert
+    /// loop's result, buckets, region bytes, offsets and misses — also
+    /// past capacity, where both keep the keys before the one refused.
+    #[test]
+    fn load_matches_the_insert_loop() {
+        simcore::check_cases("load_matches_the_insert_loop", |rng| {
+            let (mut loaded, mut loaded_mem) = setup(rng.between(1, 64) as u32);
+            let (mut inserted, mut inserted_mem) = setup(loaded.capacity);
+            let mut keys = rng.vec(0..80, |r| r.edgy());
+            keys.sort_unstable();
+            keys.dedup();
+            let value = rng.vec(0..41, |r| r.below(256) as u8);
+            let got = loaded.load(&mut loaded_mem, keys.iter().copied(), &value);
+            let want = keys.iter().try_for_each(|&k| {
+                let off = inserted.insert(&mut inserted_mem, k, &value)?;
+                assert_eq!(loaded.lookup(&loaded_mem, k), Some(off), "key {k}");
+                Ok(())
+            });
+            assert_eq!(got, want);
+            assert_eq!(loaded.buckets, inserted.buckets);
+            assert_eq!(loaded_mem, inserted_mem);
+            assert_eq!(loaded.len(), inserted.len());
+            for k in keys.into_iter().chain(rng.vec(0..16, |r| r.edgy())) {
+                assert_eq!(
+                    loaded.lookup(&loaded_mem, k),
+                    inserted.lookup(&inserted_mem, k)
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn load_keeps_the_prefix_that_fits() {
+        let (mut t, mut mem) = setup(4);
+        assert_eq!(t.load(&mut mem, 10..20, b"v"), Err(KvError::Full));
+        assert_eq!(t.len(), 4);
+        for k in 10..20 {
+            assert_eq!(t.lookup(&mem, k).is_some(), k < 14, "key {k}");
+        }
+    }
+
+    #[test]
+    fn load_of_an_oversized_value_changes_nothing() {
+        let (mut t, mut mem) = setup(4);
+        assert_eq!(
+            t.load(&mut mem, 0..2, &[0u8; 41]),
+            Err(KvError::ValueTooLarge)
+        );
+        assert!(t.is_empty());
+        assert!(t.buckets.iter().all(|&b| b == 0));
+        assert!(mem.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "load of key 5 after key 7")]
+    fn load_refuses_a_descending_key() {
+        let (mut t, mut mem) = setup(8);
+        let _ = t.load(&mut mem, [3, 7, 5], b"v");
+    }
+
+    #[test]
+    #[should_panic(expected = "load of key 7 after key 7")]
+    fn load_refuses_a_duplicate_key() {
+        let (mut t, mut mem) = setup(8);
+        let _ = t.load(&mut mem, [3, 7, 7], b"v");
+    }
+
+    #[test]
+    #[should_panic(expected = "load of key 9 into a table holding 1 items")]
+    fn load_refuses_a_table_that_holds_items() {
+        let (mut t, mut mem) = setup(8);
+        t.insert(&mut mem, 20, b"v").unwrap();
+        let _ = t.load(&mut mem, [9], b"v");
+    }
+
     /// Keys that all hash to the last bucket probe on from bucket 0, and
     /// a miss walks the wrapped chain, comparing item keys, to its end.
     #[test]
@@ -311,6 +460,18 @@ mod tests {
             assert_eq!(t.lookup(&mem, k), Some(off));
         }
         assert_eq!(t.lookup(&mem, last[3]), None);
+    }
+
+    /// `load` walks the same wrapped chain to the same buckets.
+    #[test]
+    fn load_wraps_the_probe_chain_as_insert_does() {
+        let (mut t, mut mem) = setup(4);
+        let last: Vec<u64> = (0..)
+            .filter(|&k| KvTable::hash(k) & t.mask == t.mask)
+            .take(3)
+            .collect();
+        t.load(&mut mem, last.iter().copied(), b"v").unwrap();
+        assert_eq!(t.buckets, [2, 3, 0, 0, 0, 0, 0, 1]);
     }
 
     /// A coordinator's one-sided commit rewrites the whole item header,

@@ -92,10 +92,16 @@ impl TxParticipant {
         }
     }
 
-    /// Loads a key with an initial value (setup phase; free of charge).
-    pub fn load(&mut self, fabric: &mut Fabric, key: u64, value: &[u8]) {
+    /// Loads `keys`, strictly ascending, each with the initial `value`
+    /// (setup phase; free of charge). See [`KvTable::load`].
+    pub fn load(
+        &mut self,
+        fabric: &mut Fabric,
+        keys: impl IntoIterator<Item = u64, IntoIter: Clone>,
+        value: &[u8],
+    ) {
         let mem = fabric.mr_mut(self.kv_mr).expect("kv region").as_mut_slice();
-        self.table.insert(mem, key, value).expect("preload fits");
+        self.table.load(mem, keys, value).expect("preload fits");
     }
 
     /// Reads a value directly (test/verification helper).
@@ -206,9 +212,7 @@ mod tests {
         let mut fabric = Fabric::new(FabricParams::default());
         let node = fabric.add_node("p0");
         let mut p = TxParticipant::new(&mut fabric, node, 128, 8);
-        for k in 0..10 {
-            p.load(&mut fabric, k, &100i64.to_le_bytes());
-        }
+        p.load(&mut fabric, 0..10, &100i64.to_le_bytes());
         (fabric, p)
     }
 

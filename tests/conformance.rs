@@ -6,7 +6,9 @@
 //! holds its throughput while RawWrite collapses — the NIC's QP cache
 //! thrashes for RawWrite, and ScaleRPC's connection grouping keeps the
 //! active set inside it. Fig. 10 reads the server's PCIe counters on
-//! the same cells, Fig. 9 the latency distribution at 120 clients.
+//! the same cells, Fig. 9 the latency distribution at 120 clients;
+//! FaSST holds from 120 clients on, and HERD, which the paper has sag,
+//! must at least not rise.
 //! Fig. 8 (right) spreads 40 clients over 1–5 machines: the UD RPCs
 //! need ≥ 4 to saturate the server. Fig. 11 sweeps ScaleRPC's time slice
 //! and group size, Fig. 12 its dynamic scheduling, and Fig. 13 runs
@@ -45,6 +47,25 @@ fn fig08_scalerpc_holds_while_rawwrite_collapses() {
         scale[1] >= 3.0 * raw[1],
         "ScaleRPC must lead at 400: {cells}"
     );
+}
+
+/// Fig. 8 (left, batch 1): FaSST holds its throughput from 120 to 400
+/// clients — UD needs no per-client connection state — and HERD must not
+/// rise. At 40 both are bound by the clients' CPU (the cell is Fig. 8
+/// right's five-machine one), so the flat range starts at 120. The paper
+/// has HERD sag at high counts; the simulated one stays flat (its 12.8 MB
+/// request pool still fits the LLC; EXPERIMENTS.md), so its bound is
+/// one-sided on that deviation: it may sag toward the paper but not climb.
+#[test]
+fn fig08_fasst_holds_and_herd_does_not_rise() {
+    let fasst = [120, 400].map(|c| fig08_cell(TransportKind::Fasst, c).mops);
+    let herd = [120, 400].map(|c| fig08_cell(TransportKind::Herd, c).mops);
+    let cells = format!("FaSST {fasst:.2?} HERD {herd:.2?} Mops/s at 120 and 400 clients");
+    assert!(
+        (0.9..=1.1).contains(&(fasst[1] / fasst[0])),
+        "FaSST must hold within ±10 %: {cells}"
+    );
+    assert!(herd[1] <= 1.05 * herd[0], "HERD must not rise: {cells}");
 }
 
 /// Fig. 10, on Fig. 8's cells: past 40 clients RawWrite's server reads

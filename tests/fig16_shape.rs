@@ -81,26 +81,46 @@ const BASELINES: [(TransportKind, bool); 3] = [
     (TransportKind::Fasst, false),
 ];
 
+/// The least lead ScaleTX must keep at W = 4 over ScaleTX-O, RawWrite,
+/// HERD and FaSST (fractions of their tx/s), on r3w1 then SmallBank:
+/// about half of what these cells read (r3w1 +11 / +16 / +32 / +32 %,
+/// SmallBank +12 / +47 / +25 / +25 %, seed 31). The paper's margins are
+/// larger (EXPERIMENTS.md), so the floors bound that deviation one-sided:
+/// the margins may grow toward the paper's but not silently shrink.
+const MARGIN_FLOORS: [[f64; 4]; 2] = [[0.05, 0.08, 0.16, 0.16], [0.06, 0.23, 0.12, 0.12]];
+
 /// Fig. 16 at 160 coordinators with the default window: ScaleTX beats
 /// RawWrite, HERD, FaSST and its own RPC-only ablation on read-write
-/// and SmallBank.
+/// and SmallBank, each by at least its floor in [`MARGIN_FLOORS`].
 #[test]
 fn default_window_scaletx_beats_every_baseline_at_160() {
     let window = TxConfig::default().window;
     assert!(window > 1, "default TxConfig window must be asynchronous");
-    for (name, wl) in [("r3w1", r3w1()), ("smallbank", smallbank())] {
+    for ((name, wl), floors) in [("r3w1", r3w1()), ("smallbank", smallbank())]
+        .into_iter()
+        .zip(MARGIN_FLOORS)
+    {
         let scaletx = tps(&wl, TransportKind::ScaleRpc, true, window);
-        let scaletx_o = tps(&wl, TransportKind::ScaleRpc, false, window);
-        assert!(
-            scaletx > scaletx_o,
-            "{name}: ScaleTX {scaletx:.0} <= ScaleTX-O {scaletx_o:.0}"
-        );
-        for (kind, one_sided) in BASELINES {
-            let base = tps(&wl, kind, one_sided, window);
+        let margins: Vec<_> = [("ScaleTX-O", TransportKind::ScaleRpc, false)]
+            .into_iter()
+            .chain(BASELINES.map(|(kind, one_sided)| (kind.name(), kind, one_sided)))
+            .map(|(label, kind, one_sided)| {
+                let tx = tps(&wl, kind, one_sided, window);
+                (label, tx, scaletx / tx - 1.0)
+            })
+            .collect();
+        let cells = margins
+            .iter()
+            .map(|(label, tx, m)| format!("{label} {tx:.0} ({:+.1} %)", 100.0 * m))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let cells = format!("{name} at W={window}: ScaleTX {scaletx:.0} tx/s, {cells}");
+        println!("{cells}");
+        for ((label, _, margin), floor) in margins.iter().zip(floors) {
             assert!(
-                scaletx > base,
-                "{name}: ScaleTX {scaletx:.0} <= {} {base:.0} tx/s at W={window}",
-                kind.name()
+                *margin >= floor,
+                "{name}: ScaleTX must lead {label} by ≥ {:.0} %: {cells}",
+                100.0 * floor
             );
         }
     }
