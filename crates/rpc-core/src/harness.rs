@@ -435,7 +435,7 @@ impl<T: RpcTransport> Harness<T> {
     pub fn replay(self, fabric: Fabric) -> (ShardedSim<Self>, CounterSet) {
         let (measured, server) = (self.metrics.measured, self.cluster().server);
         let mut sim = ShardedSim::new_sequential(fabric, self);
-        let over_window = sim.replay(measured, &[server]);
+        let over_window = sim.replay(measured, crate::DRAIN, &[server]);
         (sim, over_window)
     }
 

@@ -24,7 +24,7 @@ use simcore::{EventQueue, SimDuration, SimTime};
 use crate::driver::{Cx, Ev, Logic};
 use crate::metrics::Window;
 
-/// How long every [`ShardedSim::replay`] runs past its measured window.
+/// How long an RPC run's [`ShardedSim::replay`] lasts past its window.
 pub const DRAIN: SimDuration = SimDuration::millis(3);
 
 /// A simulation: one fabric and one logic driven from one event queue.
@@ -134,12 +134,12 @@ impl<L: Logic> ShardedSim<L> {
         self.run_sequential(SimTime::MAX)
     }
 
-    /// The one replay: warm-up, the measured `window`, then [`DRAIN`]
-    /// for in-flight work to complete. Returns the fabric counters of
-    /// `servers` over the window alone, summed: they are read at its two
-    /// edges (reading never perturbs the run), so warm-up and drain
-    /// traffic stay out of window rates.
-    pub fn replay(&mut self, window: Window, servers: &[NodeId]) -> CounterSet {
+    /// The one replay: warm-up, the measured `window`, then `drain` for
+    /// in-flight work to complete ([`DRAIN`] for RPC runs). Returns the
+    /// fabric counters of `servers` over the window alone, summed: they
+    /// are read at its two edges (reading never perturbs the run), so
+    /// warm-up and drain traffic stay out of window rates.
+    pub fn replay(&mut self, window: Window, drain: SimDuration, servers: &[NodeId]) -> CounterSet {
         let read = |sim: &Self| {
             let mut all = CounterSet::new();
             for &node in servers {
@@ -151,7 +151,7 @@ impl<L: Logic> ShardedSim<L> {
         let at_start = read(self);
         self.run_sequential(window.end);
         let over_window = read(self).delta_since(&at_start);
-        self.run_sequential(window.end + DRAIN);
+        self.run_sequential(window.end + drain);
         over_window
     }
 

@@ -89,7 +89,8 @@ impl Default for ScaleRpcConfig {
 
 impl ScaleRpcConfig {
     /// Checks internal consistency: the first degenerate setting, as a
-    /// message naming the field. For configs built from outside input.
+    /// message naming the field. [`ScaleRpc::new`](crate::ScaleRpc::new)
+    /// panics with that message.
     pub fn check(&self) -> Result<(), &'static str> {
         if self.group_size == 0 {
             return Err("group_size must be positive");
@@ -114,18 +115,6 @@ impl ScaleRpcConfig {
         }
         Ok(())
     }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate settings, with [`check`](Self::check)'s
-    /// message.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,26 +127,24 @@ mod tests {
         assert_eq!(c.group_size, 40);
         assert_eq!(c.time_slice, SimDuration::micros(100));
         assert_eq!(c.block_size, 4096);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "group_size")]
     fn zero_group_rejected() {
-        ScaleRpcConfig {
+        let c = ScaleRpcConfig {
             group_size: 0,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert_eq!(c.check(), Err("group_size must be positive"));
     }
 
     #[test]
-    #[should_panic(expected = "slots")]
     fn huge_slots_rejected() {
-        ScaleRpcConfig {
+        let c = ScaleRpcConfig {
             slots: 256,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert_eq!(c.check(), Err("slots must be in 1..256"));
     }
 }

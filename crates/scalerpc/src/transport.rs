@@ -174,7 +174,9 @@ impl<H: ServerHandler> ScaleRpc<H> {
     /// Builds the transport: two group-sized physical pools, the endpoint
     /// region, and one RC connection per client.
     pub fn new(fabric: &mut Fabric, cluster: &Cluster, cfg: ScaleRpcConfig, handler: H) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         let n = cluster.clients();
         // Zones must fit the largest group the split/merge band allows.
         let zones = (cfg.group_size * 3 / 2 + 2).min(n.max(1) + 1);

@@ -24,12 +24,18 @@ use rpc_core::metrics::Window;
 use rpc_core::sharded::ShardedSim;
 use rpc_core::transport::{LifecycleEv, OneSidedAccess, Response, RpcTransport};
 use simcore::stats::Histogram;
-use simcore::DetHashMap;
+use simcore::{DetHashMap, DetHashSet};
 use simcore::{DetRng, Fsm, SimDuration, SimTime, Transitions};
 
 /// Message slots the transports expose per client; the transaction
 /// window stripes sequence numbers across them, so it must divide this.
 const TRANSPORT_SLOTS: usize = 8;
+
+/// How long a replay runs past its measured window. A transaction is up
+/// to four round-trip phases and each can wait a whole rotation of
+/// ScaleRPC's groups, so the RPC runs' [`DRAIN`](rpc_core::DRAIN)
+/// leaves slots busy and keys locked that are merely unfinished.
+const TX_DRAIN: SimDuration = SimDuration::millis(12);
 
 /// Deployment and workload configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -178,9 +184,9 @@ impl Transitions for Phase {
     /// → Validate → Log → Commit → Idle`, its shortcuts (no reads:
     /// `Execute → Log`; one-sided or read-only commit straight to
     /// `Idle`; run over: `Starting → Idle`) and the abort exits through
-    /// `Unlocking` or straight to `Idle`. An abort leaves any phase that
-    /// has a request outstanding — `Log` and `Commit` too, when a
-    /// participant crash fails that request (`fail_expected_toward`).
+    /// `Unlocking` or straight to `Idle`. An abort leaves every phase
+    /// before `Commit` — `Log` too, when a participant crash loses a log
+    /// record (`settle`); `Commit` always commits.
     fn allows(self, to: Self) -> bool {
         use Phase::*;
         matches!(
@@ -190,7 +196,7 @@ impl Transitions for Phase {
                 | (Execute, Validate | Log | Unlocking | Idle)
                 | (Validate, Log | Unlocking | Idle)
                 | (Log, Commit | Unlocking | Idle)
-                | (Commit, Unlocking | Idle)
+                | (Commit, Idle)
                 | (Unlocking, Idle)
         )
     }
@@ -248,9 +254,10 @@ impl TxSlot {
 struct Coord {
     /// The transaction window: up to `cfg.window` independent pipelines.
     slots: Vec<TxSlot>,
-    /// Routes `(server, seq)` of an expected response to its slot (stale
-    /// or duplicate responses miss and are ignored).
-    expected: DetHashMap<(usize, u64), usize>,
+    /// `(server, seq)` of every expected response (stale or duplicate
+    /// responses miss and are ignored). A response's slot is `seq %
+    /// window`: [`TxSim::submit`] stripes the seqs.
+    expected: DetHashSet<(usize, u64)>,
     rng: DetRng,
     /// Per-server issue counters; the wire seq for a submission from
     /// `slot` is `issue[server] * window + slot` — strictly monotonic
@@ -412,7 +419,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                             first_started: SimTime::ZERO,
                         })
                         .collect(),
-                    expected: DetHashMap::default(),
+                    expected: DetHashSet::default(),
                     rng: rng.split(c as u64),
                     issue: vec![0; cfg.servers],
                     scratch_mr,
@@ -491,11 +498,11 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
     }
 
     /// Replays the deployment on `fabric` — warm-up, measured window,
-    /// drain ([`ShardedSim::replay`]).
+    /// a 12 ms drain ([`ShardedSim::replay`]).
     pub fn replay(self, fabric: Fabric) -> ShardedSim<Self> {
         let measured = self.metrics.measured;
         let mut sim = ShardedSim::new_sequential(fabric, self);
-        sim.replay(measured, &[]);
+        sim.replay(measured, TX_DRAIN, &[]);
         sim
     }
 
@@ -508,26 +515,6 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
             .flat_map(|co| co.slots.iter())
             .filter(|s| s.phase.get() != Phase::Idle)
             .count()
-    }
-
-    /// Prints non-idle coordinator slots (debugging aid).
-    pub fn debug_dump(&self) {
-        for (c, coord) in self.coords.iter().enumerate() {
-            for (i, slot) in coord.slots.iter().enumerate() {
-                if slot.phase.get() != Phase::Idle {
-                    println!(
-                        "coord {c} slot {i}: phase {:?} pending {} writes {:?} locked {:#b}",
-                        slot.phase.get(),
-                        slot.pending,
-                        slot.spec.writes(),
-                        slot.locked_servers
-                    );
-                }
-            }
-        }
-        if !self.pending_reads.is_empty() {
-            println!("pending one-sided reads: {}", self.pending_reads.len());
-        }
     }
 
     /// Whether one-sided phases are active (requires both the config flag
@@ -551,7 +538,7 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         let base = self.coords[c].issue[server];
         self.coords[c].issue[server] += 1;
         let seq = base * self.cfg.window as u64 + slot as u64;
-        self.coords[c].expected.insert((server, seq), slot);
+        self.coords[c].expected.insert((server, seq));
         self.coords[c].slots[slot].pending += 1;
         self.with_transport(server, cx, |t, tcx, out| t.submit(c, seq, req, tcx, out));
     }
@@ -733,8 +720,8 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 }
             }
             if self.coords[c].slots[slot].pending == 0 {
-                // Every read refused at post time — abort straight away.
-                self.gate(c, slot, 2, Action::Abort, cx);
+                // Every read refused at post time.
+                self.settle(c, slot, cx);
             }
         } else {
             for s in 0..self.cfg.servers {
@@ -841,64 +828,61 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
         }
     }
 
+    /// Ends the phase of `(c, slot)` once its last outstanding request
+    /// or read has settled — answered, refused at post time or failed by
+    /// a participant crash. The outcome follows from `(phase, phase_ok)`
+    /// alone, never from which answer landed last: Execute, Validate and
+    /// Log go on only if every answer was good (a lost log record
+    /// aborts); Commit always commits, as the decision was taken when
+    /// every participant logged; Unlocking retries.
+    fn settle(&mut self, c: usize, slot: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
+        let sl = &self.coords[c].slots[slot];
+        let (ops, action) = match sl.phase.get() {
+            Phase::Commit => return self.commit_done(c, slot, cx),
+            Phase::Unlocking => return self.schedule_retry(c, slot, cx),
+            _ if !sl.phase_ok => (2, Action::Abort),
+            Phase::Execute => (sl.exec.len() + 1, Action::Validate),
+            Phase::Validate => (sl.spec.reads().len(), Action::Log),
+            Phase::Log => (sl.spec.writes().len(), Action::Commit),
+            p @ (Phase::Idle | Phase::Starting) => unreachable!("{p:?} awaits nothing"),
+        };
+        self.gate(c, slot, ops, action, cx);
+    }
+
     fn on_response(&mut self, server: usize, resp: Response, cx: &mut Cx<'_, TxEv<T::Ev>>) {
         let c = resp.client;
-        let Some(slot) = self.coords[c].expected.remove(&(server, resp.seq)) else {
+        if !self.coords[c].expected.remove(&(server, resp.seq)) {
             return; // stale or duplicate
-        };
-        self.coords[c].slots[slot].pending -= 1;
-        let decoded = TxResponseView::decode(&resp.payload);
+        }
+        let slot = (resp.seq % self.cfg.window as u64) as usize;
         let sl = &mut self.coords[c].slots[slot];
-        match (sl.phase.get(), decoded) {
-            (Phase::Execute, Some(TxResponseView::Execute { all_ok, items })) => {
-                if all_ok {
-                    sl.exec.extend(items.map(|it| {
-                        let mut b = [0u8; 8];
-                        let n = it.value.len().min(8);
-                        b[..n].copy_from_slice(&it.value[..n]);
-                        Executed {
-                            key: it.key,
-                            version: it.version,
-                            item_off: it.item_off,
-                            value: i64::from_le_bytes(b),
-                        }
-                    }));
-                } else {
-                    sl.phase_ok = false;
-                    // This server acquired nothing (it rolled back).
-                    sl.locked_servers &= !(1 << server);
-                }
-                if sl.pending == 0 {
-                    let n = sl.exec.len();
-                    if sl.phase_ok {
-                        self.gate(c, slot, n + 1, Action::Validate, cx);
-                    } else {
-                        self.gate(c, slot, 2, Action::Abort, cx);
+        sl.pending -= 1;
+        match (sl.phase.get(), TxResponseView::decode(&resp.payload)) {
+            (Phase::Execute, Some(TxResponseView::Execute { all_ok, items })) if all_ok => {
+                sl.exec.extend(items.map(|it| {
+                    let mut b = [0u8; 8];
+                    let n = it.value.len().min(8);
+                    b[..n].copy_from_slice(&it.value[..n]);
+                    Executed {
+                        key: it.key,
+                        version: it.version,
+                        item_off: it.item_off,
+                        value: i64::from_le_bytes(b),
                     }
-                }
+                }));
             }
-            (Phase::Validate, Some(TxResponseView::Validate { ok })) => {
-                sl.phase_ok &= ok;
-                if sl.pending == 0 {
-                    let n = sl.spec.reads().len();
-                    if sl.phase_ok {
-                        self.gate(c, slot, n, Action::Log, cx);
-                    } else {
-                        self.gate(c, slot, 2, Action::Abort, cx);
-                    }
-                }
+            (Phase::Execute, Some(TxResponseView::Execute { .. })) => {
+                sl.phase_ok = false;
+                // This server acquired nothing (it rolled back).
+                sl.locked_servers &= !(1 << server);
             }
-            (Phase::Log, Some(TxResponseView::Ok)) if sl.pending == 0 => {
-                let n = sl.spec.writes().len();
-                self.gate(c, slot, n, Action::Commit, cx);
-            }
-            (Phase::Commit, Some(TxResponseView::Ok)) if sl.pending == 0 => {
-                self.commit_done(c, slot, cx);
-            }
-            (Phase::Unlocking, Some(TxResponseView::Ok)) if sl.pending == 0 => {
-                self.schedule_retry(c, slot, cx);
-            }
-            _ => {}
+            (Phase::Validate, Some(TxResponseView::Validate { ok })) => sl.phase_ok &= ok,
+            (Phase::Log | Phase::Commit | Phase::Unlocking, Some(TxResponseView::Ok)) => {}
+            // An answer the phase cannot read fails it.
+            _ => sl.phase_ok = false,
+        }
+        if sl.pending == 0 {
+            self.settle(c, slot, cx);
         }
     }
 
@@ -930,56 +914,41 @@ impl<T: RpcTransport + OneSidedAccess> TxSim<T> {
                 .expect("aligned")
                 == expect;
         let sl = &mut self.coords[c].slots[slot];
-        if !matches {
-            sl.phase_ok = false;
-        }
+        sl.phase_ok &= matches;
         sl.pending -= 1;
-        if sl.pending == 0 && sl.phase.get() == Phase::Validate {
-            let n = sl.spec.reads().len();
-            if sl.phase_ok {
-                self.gate(c, slot, n, Action::Log, cx);
-            } else {
-                self.gate(c, slot, 2, Action::Abort, cx);
-            }
+        if sl.pending == 0 {
+            self.settle(c, slot, cx);
         }
     }
 
     /// Fails every outstanding request toward crashed server `s`: the
     /// request (or its response) was lost with the server's QPs, or sits
-    /// staged in pool memory nothing will poll. The coordinator gives the
-    /// transaction up — its locks at `s` die with the lock table, so the
-    /// slot aborts and retries as a fresh transaction once `pending`
-    /// drains — and tells transport `s` it abandoned each seq, which no
-    /// response will complete now.
+    /// staged in pool memory nothing will poll. Each failure is an answer
+    /// that fails its phase — the slot's locks at `s` die with the lock
+    /// table, and a lost unlock is finished by the restart's lock sweep —
+    /// and transport `s` is told the seq is abandoned, as no response
+    /// will complete it now.
     fn fail_expected_toward(&mut self, s: usize, cx: &mut Cx<'_, TxEv<T::Ev>>) {
         for c in 0..self.coords.len() {
             let mut seqs: Vec<u64> = self.coords[c]
                 .expected
-                .keys()
+                .iter()
                 .filter(|k| k.0 == s)
                 .map(|k| k.1)
                 .collect();
             seqs.sort_unstable();
             for seq in seqs {
-                let Some(slot) = self.coords[c].expected.remove(&(s, seq)) else {
-                    continue;
-                };
+                self.coords[c].expected.remove(&(s, seq));
                 let abandon = LifecycleEv::Abandon { client: c, seq };
                 with_indexed_cx(cx, s, |tcx| self.transports[s].on_lifecycle(abandon, tcx));
                 self.crash_failures += 1;
+                let slot = (seq % self.cfg.window as u64) as usize;
                 let sl = &mut self.coords[c].slots[slot];
                 sl.pending -= 1;
                 sl.phase_ok = false;
                 sl.locked_servers &= !(1 << s);
-                let (pending, phase) = (sl.pending, sl.phase.get());
-                if pending == 0 {
-                    if phase == Phase::Unlocking {
-                        // The lost request WAS the unlock; the restart's
-                        // lock sweep finishes the job.
-                        self.schedule_retry(c, slot, cx);
-                    } else {
-                        self.gate(c, slot, 2, Action::Abort, cx);
-                    }
+                if sl.pending == 0 {
+                    self.settle(c, slot, cx);
                 }
             }
         }
@@ -1167,7 +1136,7 @@ pub fn run_scalerpc_tx_with(
         sc.first_slice_offset = SimDuration::nanos(stagger.as_nanos() * s as u64);
         // The RPC client keeps as many requests open as the transaction
         // window can have outstanding per server (ctx-switch re-arming
-        // comes along with it); `validate` refuses one past `slots`.
+        // comes along with it); `check` refuses one past `slots`.
         sc.client_window = sc.client_window.max(window);
         scalerpc::ScaleRpc::new(fabric, cluster, sc, part)
     });
@@ -1186,13 +1155,14 @@ mod tests {
         // `Idle->Starting->Execute->Validate->Log->Commit->Idle`,
         // `Starting->Idle, Execute->Log, Execute->Unlocking, Execute->Idle`,
         // `Validate->Unlocking, Validate->Idle, Log->Idle, Unlocking->Idle`.
-        // Plus two edges that table wrongly omitted (its `from(...)`
+        // Plus one edge that table wrongly omitted (its `from(...)`
         // claim at `abort_and_retry` was hand-written, not inferred): a
-        // participant crash aborts a slot out of Log or Commit, and with
-        // RPC unlocks that abort goes through Unlocking.
+        // participant crash that loses a log record aborts the slot out
+        // of Log, and with RPC unlocks that abort goes through
+        // Unlocking. A crash in Commit commits, so `Commit → Unlocking`
+        // is not an edge.
         let table = [
             (Log, Unlocking),
-            (Commit, Unlocking),
             (Idle, Starting),
             (Starting, Execute),
             (Execute, Validate),

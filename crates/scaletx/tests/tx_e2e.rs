@@ -477,9 +477,6 @@ fn window4_smallbank_seed_1026_leaves_no_slot_busy() {
     let stop = sim.logic(0).stop_at();
     sim.run_sequential(stop + SimDuration::millis(300));
     let tx = sim.logic(0);
-    if tx.busy_slots() != 0 {
-        tx.debug_dump();
-    }
     assert_eq!(tx.busy_slots(), 0, "slots still busy after a 300 ms drain");
 }
 

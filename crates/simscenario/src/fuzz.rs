@@ -419,6 +419,14 @@ mod tests {
     }
 
     #[test]
+    fn tx_seed_1174_drains_within_a_transaction_drain() {
+        // Its last transactions finish more than 3 ms after the window:
+        // the RPC runs' 3 ms drain left two slots busy and keys locked.
+        let out = fuzz_one(1174).expect("seed 1174 clean");
+        assert!(matches!(out.scenario.workload, Workload::Tx(_)));
+    }
+
+    #[test]
     fn generator_produces_lifecycle_events() {
         let mut kinds = (false, false, false);
         for seed in 0..256 {

@@ -64,10 +64,13 @@ fn crash_cfg() -> (TxConfig, ScaleRpcConfig) {
 /// up at the crash (`LifecycleEv::Abandon`), so those seqs stop keeping
 /// a client window non-empty, and a context switch stops re-arming and
 /// republishing for them (events 105 480 → 103 942, committed 352 → 344,
-/// aborted 2 187 → 2 163). The steady line is the original capture.
+/// aborted 2 187 → 2 163). Both lines were re-recorded once more when
+/// `TxSim::replay`'s drain grew from the RPC runs' 3 ms to a
+/// transaction's 12 ms: each gained exactly 180 events in the longer
+/// tail, and nothing else moved.
 const TX_CRASH_GOLDEN: &str = "\
-tx lock-holder crash: events=103942 committed=344 aborted=2163 crash_failures=8 locks_swept=2 busy_slots=0
-tx steady: events=132568 committed=500 aborted=2932 crash_failures=0 locks_swept=0 busy_slots=0";
+tx lock-holder crash: events=104122 committed=344 aborted=2163 crash_failures=8 locks_swept=2 busy_slots=0
+tx steady: events=132748 committed=500 aborted=2932 crash_failures=0 locks_swept=0 busy_slots=0";
 
 #[test]
 fn scaletx_crash_recovery_matches_the_pre_refactor_capture() {

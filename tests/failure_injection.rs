@@ -635,12 +635,13 @@ fn two_participant_crashes_on_a_degraded_wire_recover_and_replay_bit_exactly() {
 fn rpc_unlock_abort_after_crash_in_any_phase_stays_inside_the_phase_table() {
     // With `one_sided: false` an aborting slot that still holds locks on
     // surviving servers releases them with Unlock RPCs, so a crash that
-    // fails an outstanding Log or Commit request takes `Log → Unlocking`
-    // / `Commit → Unlocking` — edges the only other tx crash test
-    // (`one_sided: true` above, which unlocks with one-sided writes and
-    // goes straight to Idle) never reaches. Sweeping the crash time
-    // lands it in every phase; the always-on transition assert is the
-    // oracle (at 2 425 µs the crash catches a slot in Commit).
+    // fails an outstanding Log request takes `Log → Unlocking` — an edge
+    // the only other tx crash test (`one_sided: true` above, which
+    // unlocks with one-sided writes and goes straight to Idle) never
+    // reaches. A crash that fails a Commit request commits (`Commit →
+    // Idle`): at 2 425 µs it catches a slot in Commit. Sweeping the crash
+    // time lands it in every phase; the always-on transition assert is
+    // the oracle.
     use scalerpc_repro::scaletx::sim::run_scalerpc_tx_with;
     use scalerpc_repro::scaletx::workload::TxWorkload;
     use scalerpc_repro::scaletx::TxConfig;
