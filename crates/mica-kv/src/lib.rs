@@ -13,6 +13,12 @@
 //!   server), so item offsets handed to clients remain valid for
 //!   one-sided access.
 //!
+//! The index is host state only: one-sided verbs address the item region,
+//! never the index. Slots are taken in arrival order, so while the keys
+//! form one ascending arithmetic progression (every ScaleTX shard does)
+//! a key's slot is computed from the key and no bucket array exists; the
+//! first key off the progression builds the buckets.
+//!
 //! The crate is deliberately fabric-agnostic: it operates on `&mut [u8]`
 //! and the simulation layers the buffer inside a registered MR.
 

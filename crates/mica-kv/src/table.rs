@@ -7,6 +7,13 @@
 //! Slots are fixed-size because the transaction workloads (object store,
 //! SmallBank) use fixed-size records, and fixed slots keep every
 //! one-sided address computable.
+//!
+//! Slots are taken in arrival order, so while the keys placed so far
+//! form one ascending arithmetic progression (every shard ScaleTX loads
+//! does), a key's slot is its index in the progression and the index is
+//! arithmetic: no bucket array exists. The first key off the progression
+//! builds the buckets, placing the earlier keys in slot order, which
+//! leaves every bucket where placing each key on arrival would have.
 
 use crate::item;
 use simcore::SplitMix64;
@@ -30,8 +37,13 @@ pub enum KvError {
 /// registers as an RDMA region; the table itself holds only the index.
 pub struct KvTable {
     /// Slot + 1 of the item a bucket refers to; 0 is an empty bucket.
+    /// Empty while the keys form a progression.
     buckets: Vec<u32>,
     mask: usize,
+    /// While `buckets` is empty, slot `s` holds key `first + stride × s`;
+    /// `stride` is 1 until a second key sets it.
+    first: u64,
+    stride: u64,
     slot_bytes: usize,
     value_capacity: usize,
     next_slot: u32,
@@ -48,10 +60,11 @@ impl KvTable {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: u32, value_capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        let buckets = (capacity as usize * 2).next_power_of_two();
         KvTable {
-            buckets: vec![0; buckets],
-            mask: buckets - 1,
+            buckets: Vec::new(),
+            mask: (capacity as usize * 2).next_power_of_two() - 1,
+            first: 0,
+            stride: 1,
             slot_bytes: Self::slot_bytes_for(value_capacity),
             value_capacity,
             next_slot: 0,
@@ -87,6 +100,10 @@ impl KvTable {
     /// Finds the item offset for `key`, comparing it with the key in
     /// each probed item's header.
     pub fn lookup(&self, mem: &[u8], key: u64) -> Option<usize> {
+        if self.buckets.is_empty() {
+            let off = self.slot_offset(self.term_index(key)?);
+            return (item::read_key(mem, off) == key).then_some(off);
+        }
         let mut i = Self::hash(key) & self.mask;
         loop {
             let slot = self.buckets[i].checked_sub(1)?;
@@ -118,9 +135,10 @@ impl KvTable {
     /// of a shard. Strictly ascending keys are distinct, so none can be
     /// present and no key is looked up; each is placed as
     /// [`insert`](Self::insert) places a missing one, and slots follow
-    /// key order. Every key is placed before any item is written, so the
-    /// bucket array stays in cache while the probes walk it; the item
-    /// writes, interleaved, would stream the region through the cache.
+    /// key order. Every key is placed before any item is written, so a
+    /// bucket array, once a key off the progression builds one, stays in
+    /// cache while the probes walk it; the item writes, interleaved,
+    /// would stream the region through the cache.
     /// On [`KvError::Full`] the keys before the one refused stay loaded;
     /// [`KvError::ValueTooLarge`] loads nothing.
     ///
@@ -157,21 +175,57 @@ impl KvTable {
         placed
     }
 
-    /// Takes the next slot for `key`, known to be absent, and refers to
-    /// it from the first empty bucket on from the key's hash.
+    /// The slot of `key` if it is one of the progression's `len` terms.
+    fn term_index(&self, key: u64) -> Option<u32> {
+        let d = key.checked_sub(self.first)?;
+        let index = d / self.stride;
+        (d % self.stride == 0 && index < u64::from(self.len)).then_some(index as u32)
+    }
+
+    /// Whether `key` continues the progression as its next term; the
+    /// first two keys set it, if the second is above the first.
+    fn extends_progression(&mut self, key: u64) -> bool {
+        match self.next_slot {
+            0 => self.first = key,
+            1 if key > self.first => self.stride = key - self.first,
+            1 => return false,
+            n => {
+                let term = self.stride.checked_mul(n.into());
+                return term.and_then(|d| d.checked_add(self.first)) == Some(key);
+            }
+        }
+        true
+    }
+
+    /// Takes the next slot for `key`, known to be absent. Off the
+    /// progression, the key is referred to from the first empty bucket
+    /// on from its hash; the first key off it builds the buckets.
     fn place(&mut self, key: u64) -> Result<u32, KvError> {
         if self.next_slot == self.capacity {
             return Err(KvError::Full);
         }
+        if self.buckets.is_empty() && !self.extends_progression(key) {
+            self.buckets = vec![0; self.mask + 1];
+            for slot in 0..self.next_slot {
+                self.refer(self.first + self.stride * u64::from(slot), slot);
+            }
+        }
         let slot = self.next_slot;
+        if !self.buckets.is_empty() {
+            self.refer(key, slot);
+        }
         self.next_slot += 1;
         self.len += 1;
+        Ok(slot)
+    }
+
+    /// Refers to `slot` from the first empty bucket on from `key`'s hash.
+    fn refer(&mut self, key: u64, slot: u32) {
         let mut i = Self::hash(key) & self.mask;
         while self.buckets[i] != 0 {
             i = (i + 1) & self.mask;
         }
         self.buckets[i] = slot + 1;
-        Ok(slot)
     }
 
     /// Reads an item by key.
@@ -367,9 +421,22 @@ mod tests {
         assert_eq!(h, 0xdd43_1159_6b3b_5440);
     }
 
+    /// `key`'s offset in `t` is the model's: the slot of its index among
+    /// the keys in the order they arrived, or a miss.
+    fn agrees(t: &KvTable, mem: &[u8], arrived: &[u64], key: u64) {
+        let slot = arrived.iter().position(|&k| k == key);
+        let want = slot.map(|s| t.slot_offset(s as u32));
+        assert_eq!(t.lookup(mem, key), want, "key {key}");
+    }
+
     /// Any ascending key set and value: `load` gives the per-key insert
     /// loop's result, buckets, region bytes, offsets and misses — also
     /// past capacity, where both keep the keys before the one refused.
+    /// Half the cases load a progression (an edgy first key, a stride of
+    /// 1, 3 or edgy, up to capacity terms), some going on with keys off
+    /// its step, and then insert into both tables the term after the
+    /// last, which may pass `u64::MAX` and wrap. Keys between terms,
+    /// below the first, a stride past the last and across the wrap miss.
     #[test]
     fn load_matches_the_insert_loop() {
         simcore::check_cases("load_matches_the_insert_loop", |rng| {
@@ -378,6 +445,28 @@ mod tests {
             let mut keys = rng.vec(0..80, |r| r.edgy());
             keys.sort_unstable();
             keys.dedup();
+            let mut probes = rng.vec(0..16, |r| r.edgy());
+            let mut next = None;
+            if rng.chance(0.5) {
+                let first = rng.edgy();
+                let stride = match rng.below(3) {
+                    0 => 1,
+                    1 => 3,
+                    _ => rng.edgy().max(1),
+                };
+                let n = rng.between(0, loaded.capacity.into());
+                let terms = (0..n).map_while(|i| stride.checked_mul(i)?.checked_add(first));
+                let mut terms: Vec<u64> = terms.collect();
+                let last = terms.last().copied();
+                keys.retain(|&k| last.is_none_or(|l| k > l));
+                keys.truncate(rng.below(3) as usize);
+                let after = first.wrapping_add(stride.wrapping_mul(terms.len() as u64));
+                probes.extend(terms.iter().map(|&k| k.wrapping_add(1)));
+                probes.extend([first.wrapping_sub(1), after]);
+                next = Some(after);
+                terms.append(&mut keys);
+                keys = terms;
+            }
             let value = rng.vec(0..41, |r| r.below(256) as u8);
             let got = loaded.load(&mut loaded_mem, keys.iter().copied(), &value);
             let want = keys.iter().try_for_each(|&k| {
@@ -386,14 +475,21 @@ mod tests {
                 Ok(())
             });
             assert_eq!(got, want);
-            assert_eq!(loaded.buckets, inserted.buckets);
-            assert_eq!(loaded_mem, inserted_mem);
-            assert_eq!(loaded.len(), inserted.len());
-            for k in keys.into_iter().chain(rng.vec(0..16, |r| r.edgy())) {
-                assert_eq!(
-                    loaded.lookup(&loaded_mem, k),
-                    inserted.lookup(&inserted_mem, k)
-                );
+            let mut arrived = keys[..loaded.len() as usize].to_vec();
+            for key in [next, None] {
+                assert_eq!(loaded.buckets, inserted.buckets);
+                assert_eq!(loaded_mem, inserted_mem);
+                assert_eq!(loaded.len(), inserted.len());
+                for &k in keys.iter().chain(&probes) {
+                    agrees(&loaded, &loaded_mem, &arrived, k);
+                    agrees(&inserted, &inserted_mem, &arrived, k);
+                }
+                let Some(k) = key else { break };
+                let got = loaded.insert(&mut loaded_mem, k, &value);
+                assert_eq!(got, inserted.insert(&mut inserted_mem, k, &value));
+                if got.is_ok() && !arrived.contains(&k) {
+                    arrived.push(k);
+                }
             }
         });
     }
