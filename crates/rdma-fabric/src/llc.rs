@@ -24,23 +24,23 @@
 //! address, not by hash. One *line index* serves both domains: an
 //! id table finds a region's page table in O(1) (first touch of a
 //! region appends it, sized to the highest page touched), pages of 16
-//! `u32` entries are carved from one pool on first touch, entry `0` =
-//! absent, else `domain bit | position + 1` into that domain's dense
-//! `keys` vector. The two domains are the fabric's one random-replacement
+//! `u32` entries are carved from one pool on first touch, and an entry
+//! reads `domain bit | position + 1` into that domain's dense `keys`
+//! vector. The two domains are the fabric's one random-replacement
 //! `Domain`, which the NIC's QP-context cache indexes by `QpId` instead.
-//! `keys[position]` holds the entry's pool location, so an eviction
-//! (draw a victim position, overwrite `keys[victim]`, clear the old
-//! occupant's entry) and a DDIO→main promotion (swap-remove) never
-//! translate a key back to an address.
+//! `keys[position]` holds the entry's pool location, and an entry counts
+//! only if it is named back so (`Domain::holds`): an eviction overwrites
+//! `keys[victim]` and leaves the old occupant's entry stale, and neither
+//! it nor a DDIO→main promotion (swap-remove) translates a key back.
 //!
 //! [`dma_write`](LlcModel::dma_write) and
 //! [`cpu_access`](LlcModel::cpu_access) are the plain per-line walk —
-//! read the entry, then hit / insert / promote — taken a page at a time
-//! so the page table is consulted once per 16 lines. The `keys` order
-//! and the SplitMix64 victim stream are those of the map-indexed
-//! per-line reference model in this module's tests, which a property test
-//! compares after every operation; `tests/llc_stream.rs` pins the
-//! outcome streams of the benchmark's access patterns.
+//! read and validate the entry, then hit / insert / promote — taken a
+//! page at a time so the page table is consulted once per 16 lines. The
+//! `keys` order and the SplitMix64 victim stream are those of the
+//! map-indexed per-line reference model in this module's tests, which a
+//! property test compares after every operation; `tests/llc_stream.rs`
+//! pins the outcome streams of the benchmark's access patterns.
 //!
 //! Index memory is 4 B per line of every *touched* page, 4 B per page
 //! of each region up to its highest touched page, and 4 B per region
@@ -282,7 +282,8 @@ impl LlcModel {
         self.walk(mr, lines, |llc, locs| {
             for loc in locs {
                 let entry = llc.entries[loc]; // walk yields locations inside the pool
-                if entry == 0 {
+                let alloc = !llc.main.holds(entry, loc) && !llc.ddio.holds(entry, loc);
+                if alloc {
                     llc.ddio.insert(&mut llc.entries, loc);
                     out.allocated += 1;
                     out.alloc_runs += !prev_alloc as u64;
@@ -291,7 +292,7 @@ impl LlcModel {
                 } else {
                     out.hit_main += 1;
                 }
-                prev_alloc = entry == 0;
+                prev_alloc = alloc;
             }
         });
         out
@@ -309,15 +310,16 @@ impl LlcModel {
         self.walk(mr, line_range(offset, len), |llc, locs| {
             for loc in locs {
                 let entry = llc.entries[loc]; // walk yields locations inside the pool
-                if entry == 0 {
-                    out.misses += 1;
-                } else {
+                if llc.main.holds(entry, loc) {
                     out.hits += 1;
-                    if entry & DDIO == 0 {
-                        continue;
-                    }
+                    continue;
+                }
+                if llc.ddio.holds(entry, loc) {
+                    out.hits += 1;
                     llc.ddio
                         .remove_at(&mut llc.entries, (entry & !DDIO) as usize - 1);
+                } else {
+                    out.misses += 1;
                 }
                 llc.main.insert(&mut llc.entries, loc);
             }
@@ -637,8 +639,9 @@ mod tests {
     ///
     /// The id table must pass [`region_ids`], every pool page must be
     /// owned by exactly one page-table entry, every `keys[i]` must be
-    /// pointed back at by its entry with the right domain bit, and no
-    /// other entry may be non-zero.
+    /// pointed back at by its entry with the right domain bit, and
+    /// exactly the entries `keys` points back at may validate: a stale
+    /// entry may stay non-zero, but no domain holds it.
     fn checked_keys(llc: &LlcModel) -> [Vec<(MrId, u64)>; 2] {
         let mut owner = vec![None; llc.entries.len() / PAGE_LINES];
         for (mr, pages) in region_ids(llc).into_iter().zip(&llc.regions) {
@@ -651,7 +654,8 @@ mod tests {
             }
         }
         assert!(owner.iter().all(Option::is_some), "orphan pool page");
-        let resident = llc.entries.iter().filter(|&&e| e != 0).count();
+        let holds = |(loc, &e): &(usize, &u32)| llc.main.holds(e, *loc) || llc.ddio.holds(e, *loc);
+        let resident = llc.entries.iter().enumerate().filter(holds).count();
         assert_eq!(resident, llc.main.keys.len() + llc.ddio.keys.len());
         [&llc.main, &llc.ddio].map(|domain| {
             assert!(domain.keys.len() <= domain.capacity);
@@ -746,6 +750,81 @@ mod tests {
         assert_eq!(main.len(), 48);
         assert!(of_region(&main, 0) < 48 && of_region(&main, 1) > 0);
         assert_eq!(of_region(&ddio, 0), 0);
+    }
+
+    /// The pool location and entry of `line` of `mr`, whose page must
+    /// have been touched.
+    fn entry_of(llc: &LlcModel, mr: u32, line: u64) -> (usize, u32) {
+        let slot = llc.slots[mr as usize] as usize - 1;
+        let page = llc.regions[slot][line as usize / PAGE_LINES] as usize - 1;
+        let loc = page * PAGE_LINES + line as usize % PAGE_LINES;
+        (loc, llc.entries[loc])
+    }
+
+    /// Runs `prefix` and returns the one line of region 0 below
+    /// `domain`'s capacity (`0` main, `1` DDIO) that it no longer
+    /// holds, asserting that the line's entry stayed non-zero and reads
+    /// absent.
+    fn evicted_line(prefix: &[(bool, u32, usize, usize)], domain: usize) -> u64 {
+        let llc = assert_matches_reference(4096, prefix.iter().copied());
+        let lines = [&llc.main, &llc.ddio][domain].capacity as u64;
+        let keys = &checked_keys(&llc)[domain];
+        let gone: Vec<u64> = (0..lines)
+            .filter(|&l| !keys.contains(&(MrId(0), l)))
+            .collect();
+        assert_eq!(gone.len(), 1, "one eviction");
+        let (loc, entry) = entry_of(&llc, 0, gone[0]);
+        assert_ne!(entry, 0, "an eviction leaves the entry stale");
+        assert!(!llc.main.holds(entry, loc) && !llc.ddio.holds(entry, loc));
+        gone[0]
+    }
+
+    /// Asserts that after `ops`, `line` of region 0 reads absent: its
+    /// next CPU read misses and its next DMA write allocates, each
+    /// matching the reference.
+    fn assert_reads_absent(ops: &[(bool, u32, usize, usize)], line: u64) {
+        let llc = assert_matches_reference(4096, ops.iter().copied());
+        let x = line as usize * 64;
+        assert_eq!(llc.clone().cpu_access(MrId(0), x, 64).misses, 1);
+        assert_eq!(llc.clone().dma_write(MrId(0), x, 64).allocated, 1);
+        for is_cpu in [true, false] {
+            let next = (is_cpu, 0, x, 64);
+            assert_matches_reference(4096, ops.iter().copied().chain([next]));
+        }
+    }
+
+    #[test]
+    fn an_evicted_line_keeps_a_stale_entry_and_reads_absent() {
+        // DDIO (16 lines) fills from a DMA write and evicts at the 17th
+        // line; main (48 lines) fills from a CPU read and evicts at the
+        // 49th.
+        let ddio = [(false, 0, 0, 16 * 64), (false, 0, 16 * 64, 64)];
+        let main = [(true, 0, 0, 48 * 64), (true, 0, 48 * 64, 64)];
+        for (prefix, domain) in [(ddio, 1), (main, 0)] {
+            assert_reads_absent(&prefix, evicted_line(&prefix, domain));
+        }
+    }
+
+    #[test]
+    fn a_stale_ddio_entry_stays_absent_after_its_position_refills() {
+        // DDIO evicts X at position p; promoting the keys at p.. pops
+        // DDIO down to p; a fresh DMA write pushes another line into p.
+        // X's entry still names p, yet X reads absent.
+        let mut ops = vec![(false, 0, 0, 16 * 64), (false, 0, 16 * 64, 64)];
+        let x = evicted_line(&ops, 1);
+        let llc = assert_matches_reference(4096, ops.iter().copied());
+        let (loc, stale) = entry_of(&llc, 0, x);
+        let p = (stale & !DDIO) as usize - 1;
+        let ddio = &checked_keys(&llc)[1];
+        let promote = |&(_, l): &(MrId, u64)| (true, 0, l as usize * 64, 64);
+        ops.extend(ddio[p..].iter().rev().map(promote));
+        ops.push((false, 0, 40 * 64, 64));
+        let llc = assert_matches_reference(4096, ops.iter().copied());
+        assert_eq!(llc.ddio.keys.len(), p + 1);
+        assert_eq!(checked_keys(&llc)[1][p], (MrId(0), 40));
+        assert_eq!(entry_of(&llc, 0, x), (loc, stale));
+        assert!(!llc.ddio.holds(stale, loc));
+        assert_reads_absent(&ops, x);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!
 //! The cache is one random-replacement `Domain` (the LLC's eviction
 //! policy and victim stream) over an index with one `u32` per `QpId`:
-//! `0` while the QP's context is absent, else its position + 1 in the
-//! domain. A `QpId` is a fabric-wide dense index, so the index of a node
-//! reaches the highest id that node has posted on — 4 B per id below it,
-//! and nothing for a node that never transmits.
+//! its position + 1 in the domain, which counts only while the domain's
+//! `keys` names the id back there. A `QpId` is a fabric-wide dense
+//! index, so the index of a node reaches the highest id that node has
+//! posted on — 4 B per id below it, and nothing for a node that never
+//! transmits.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -58,8 +59,8 @@ impl NicAccess {
 #[derive(Clone, Debug)]
 pub struct NicCache {
     qp_ctx: Domain,
-    /// Per `QpId`: `0` while absent, else `keys` position + 1. Grows on
-    /// first touch of a higher id, to exactly that id.
+    /// Per `QpId`: `keys` position + 1 at its last fetch, resident only
+    /// while `qp_ctx.holds` it. Grows to exactly the highest id touched.
     index: Vec<u32>,
     hits: u64,
     misses: u64,
@@ -91,7 +92,7 @@ impl NicCache {
         if id >= self.index.len() {
             self.index.resize(id + 1, 0);
         }
-        if self.index[id] != 0 {
+        if self.qp_ctx.holds(self.index[id], id) {
             // id < index.len() after the resize above
             self.hits += 1;
             return NicAccess::default();
@@ -210,10 +211,11 @@ mod tests {
 
     /// After every access the cache must agree with the reference
     /// set on hit and evicted id, and in `keys` order and victim
-    /// stream; every index entry must point back at its `keys`
-    /// position. A quarter of the ids are sparse, anywhere in
-    /// `0..=4096` and first touched in any order; the rest are one
-    /// of twelve hot ids. Capacities are small, so most runs evict.
+    /// stream; every resident id's entry must point back at its `keys`
+    /// position, and no other entry may validate. A quarter of the ids
+    /// are sparse, anywhere in `0..=4096` and first touched in any
+    /// order; the rest are one of twelve hot ids. Capacities are small,
+    /// so most runs evict.
     #[test]
     fn nic_cache_matches_reference_set() {
         simcore::check_cases("nic_cache_matches_reference_set", |rng| {
@@ -232,10 +234,37 @@ mod tests {
                 for (pos, q) in keys.iter().enumerate() {
                     assert_eq!(fast.index[q.index()], pos as u32 + 1);
                 }
-                let resident = fast.index.iter().filter(|&&e| e != 0).count();
+                let holds = |(id, &e): &(usize, &u32)| fast.qp_ctx.holds(e, *id);
+                let resident = fast.index.iter().enumerate().filter(holds).count();
                 assert_eq!(resident, keys.len());
             }
         });
+    }
+
+    #[test]
+    fn an_evicted_qp_misses_on_its_next_access() {
+        // Two entries, three QPs: QP 2 evicts QP 0 or 1, whose entry is
+        // left stale; its next access misses and evicts what the
+        // reference set evicts.
+        let mut fast = NicCache::new(2, 0);
+        let mut slow = RefRandomSet::new(2);
+        for q in [0, 1, 2] {
+            slow.touch(QpId(q));
+            fast.access(QpId(q), 0);
+        }
+        let gone = (0..2)
+            .find(|&q| !slow.contains(&QpId(q)))
+            .expect("QP 2 evicts one");
+        assert_ne!(fast.index[gone as usize], 0, "the entry is left stale");
+        let (hit, evicted) = slow.touch(QpId(gone));
+        assert!(!hit && evicted.is_some());
+        assert_eq!(
+            fast.access(QpId(gone), 0),
+            NicAccess {
+                miss: true,
+                evicted
+            }
+        );
     }
 
     #[test]

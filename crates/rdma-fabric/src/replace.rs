@@ -3,14 +3,13 @@
 //!
 //! A [`Domain`] is the resident set of one cache: a dense `keys` vector
 //! in replacement order, a capacity and a [`SplitMix64`] victim stream.
-//! It does not find keys itself. Its owner keeps a `u32` entry per key
-//! in an array of its own, `0` for absent and `tag | position + 1` for
-//! resident, and a `Domain` stores each resident key as the location of
-//! its entry.
-//! The NIC's QP-context cache ([`crate::niccache`]) indexes its entries
-//! by `QpId`; the LLC ([`crate::llc`]) by a page pool over registered
-//! regions. Either way a lookup is one array read and an eviction
-//! clears the victim's entry without translating it back to a key.
+//! Its owner keeps a `u32` entry per key, `tag | position + 1`, in an
+//! array of its own, and `keys` holds each resident key's entry location.
+//! The pair is a sparse set (Briggs & Torczon, 1993): an entry counts only
+//! if `keys[position]` names it back ([`Domain::holds`]), so an eviction
+//! overwrites one `keys` word and leaves the victim's entry stale. The
+//! NIC's QP-context cache ([`crate::niccache`]) indexes its entries by
+//! `QpId`, the LLC ([`crate::llc`]) by a page pool over registered regions.
 //!
 //! Random replacement rather than strict LRU: hardware caches are
 //! hashed or set-associative, so an oversized cyclic working set
@@ -64,16 +63,24 @@ impl Domain {
         }
     }
 
-    /// Makes the key whose entry sits at `entries[loc]` (absent from
-    /// every domain sharing `entries`) resident here, evicting a
-    /// uniformly random resident key when full. Returns the evicted
-    /// key's entry location, whose entry is now `0`.
+    /// Whether `entry`, read at `loc` of the owner's array, is resident
+    /// here: its position names `loc` back. `0`, stale and other domains'
+    /// entries read absent.
+    #[inline]
+    pub(crate) fn holds(&self, entry: u32, loc: usize) -> bool {
+        let pos = (entry ^ self.tag).wrapping_sub(1) as usize;
+        self.keys.get(pos) == Some(&(loc as u32))
+    }
+
+    /// Makes the key whose entry sits at `entries[loc]` (held by no
+    /// domain sharing `entries`) resident here, evicting a uniformly
+    /// random resident key when full. Returns the evicted key's entry
+    /// location, whose entry is left stale.
     #[inline]
     pub(crate) fn insert(&mut self, entries: &mut [u32], loc: usize) -> Option<u32> {
         let (pos, evicted) = if self.keys.len() == self.capacity {
             let victim = (self.rng.next_u64() % self.capacity as u64) as usize;
             let old = std::mem::replace(&mut self.keys[victim], loc as u32); // victim < capacity == keys.len()
-            entries[old as usize] = 0; // keys hold locations of live entries
             (victim, Some(old))
         } else {
             let len = self.keys.len();
@@ -90,7 +97,7 @@ impl Domain {
     }
 
     /// Swap-removes the resident key at `keys[pos]`, leaving its entry
-    /// for the caller to overwrite.
+    /// stale for the caller to overwrite.
     #[inline]
     pub(crate) fn remove_at(&mut self, entries: &mut [u32], pos: usize) {
         self.keys.swap_remove(pos);

@@ -28,6 +28,14 @@
 # Standard-library and libc frames are compiled without frame pointers,
 # so a sample that lands in one may skip its immediate caller. The
 # folded stacks go to target/profile/<tree>-<workload>.folded.
+#
+# The replay section also lists its 15 hottest source lines: the
+# innermost `file:line` the pc maps to (inlined code included) beside
+# its caller's line, the call site it was inlined at or, for a pc that
+# is not inlined, the call site in the next frame. A function that is
+# one large closure can sit on many lines; this names them. A sample
+# lands on the instruction after the one that stalled, and that
+# instruction may carry no line (`file:?`).
 set -euo pipefail
 cd "$(dirname "$0")"
 usage='usage: profile.sh TREE WORKLOAD [SEED ...]'
@@ -176,7 +184,15 @@ import collections, subprocess, sys
 binary, samples, folded = sys.argv[1:]
 stacks = [line.split() for line in open(samples)]
 addrs = sorted({t for s in stacks for t in s if not t.startswith("=")})
-names = {}
+names, lines = {}, {}
+def short(loc):
+    # `/abs/tree/crates/x/src/f.rs:75 (discriminator 2)` -> `x/src/f.rs:75`
+    loc = loc.split(" (")[0]
+    for root, keep in (("/crates/", ""), ("/library/", ""), ("/benchmark/", "benchmark/"),
+                       ("/src/", "src/")):
+        if root in loc:
+            return keep + loc[loc.rindex(root) + len(root):]
+    return loc
 if addrs:
     res = subprocess.run(["addr2line", "-a", "-f", "-C", "-i", "-e", binary],
                          input="\n".join("0x" + a for a in addrs), capture_output=True,
@@ -185,13 +201,15 @@ if addrs:
     for a in addrs:
         assert res[i].startswith("0x"), res[i]
         i += 1
-        names[a] = []
+        names[a], lines[a] = [], []
         while i < len(res) and not res[i].startswith("0x"):
             names[a].append(res[i])
+            lines[a].append(short(res[i + 1]))
             i += 2
 names = {a: [n if n != "??" else f"?? {a}" for n in ns] for a, ns in names.items()}
 sections = {"replay": collections.Counter(), "set-up": collections.Counter(),
             "other": collections.Counter()}
+replay_lines = collections.Counter()
 with open(folded, "w") as f:
     for s in stacks:
         frames = [n for t in s for n in (names[t] if t in names else [t[1:]])]
@@ -209,6 +227,11 @@ with open(folded, "w") as f:
             caller = next((names[t][-1] for t in s if t in names), "?")
             leaf += f" under {caller}"
         sections[part][leaf] += 1
+        if part == "replay" and s[0] in lines:
+            at = lines[s[0]]
+            caller = at[1] if len(at) > 1 else next(
+                (lines[t][0] for t in s[1:] if t in lines), "?")
+            replay_lines[at[0], caller] += 1
 total = sum(sum(c.values()) for c in sections.values())
 print(f"{total} samples")
 for part, c in sections.items():
@@ -216,4 +239,8 @@ for part, c in sections.items():
     print(f"\n== {part}: {n} samples ({n / max(total, 1):.1%})")
     for fn, k in c.most_common(15):
         print(f"{k / n:6.1%} {k:6} {fn[:110]}")
+n = sum(sections["replay"].values())
+print("\n== replay by source line (innermost, then its caller's line)")
+for (at, caller), k in replay_lines.most_common(15):
+    print(f"{k / max(n, 1):6.1%} {k:6} {at:48} {caller}")
 EOF
